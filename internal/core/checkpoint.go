@@ -125,14 +125,13 @@ func (e *engine) snapshotState(round, window int) *searchState {
 	st := &searchState{
 		Target: e.t.ID, Strategy: e.o.Strategy, Seed: e.o.Seed,
 		Round: round, Window: window,
-		ObsCount:     len(e.obs),
-		FaultClasses: e.classList(),
-		Priorities:   make([]int, len(e.obs)),
-		Tried:        map[string][]int{},
-		Report:       &rep,
+		ObsCount:   len(e.obs),
+		Priorities: make([]int, len(e.obs)),
+		Tried:      map[string][]int{},
+		Report:     &rep,
 	}
-	if len(st.FaultClasses) == 1 && st.FaultClasses[0] == ClassSite {
-		st.FaultClasses = nil // canonical site-only form, compatible with pre-env checkpoints
+	if e.classes != siteOnly { // site-only stays absent, the canonical pre-env form
+		st.FaultClasses = e.classes.names()
 	}
 	if e.o.Addressing != AddrOccurrence {
 		st.Addressing = string(e.o.Addressing)
@@ -182,6 +181,16 @@ func loadSearchState(path string) (*searchState, error) {
 // resuming under a different seed or strategy would silently produce a
 // different search, so it is an error instead.
 func (st *searchState) validate(t *Target, opts Options) error {
+	want, err := resolveClasses(t, opts)
+	if err != nil {
+		return err
+	}
+	// A site-only checkpoint (classes absent) resumed with env enumeration
+	// (or vice versa) would silently search a different space.
+	got, err := classSetOf(st.FaultClasses...)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
 	switch {
 	case st.Target != t.ID:
 		return fmt.Errorf("core: checkpoint is for target %q, resuming %q", st.Target, t.ID)
@@ -189,8 +198,8 @@ func (st *searchState) validate(t *Target, opts Options) error {
 		return fmt.Errorf("core: checkpoint used strategy %q, resuming with %q", st.Strategy, opts.Strategy)
 	case st.Seed != opts.Seed:
 		return fmt.Errorf("core: checkpoint used seed %d, resuming with %d", st.Seed, opts.Seed)
-	case !st.classesMatch(t, opts):
-		return fmt.Errorf("core: checkpoint searched fault classes %v, resuming run resolves differently", st.classNames())
+	case got != want:
+		return fmt.Errorf("core: checkpoint searched fault classes %v, resuming with %v", got.names(), want.names())
 	case st.addressing() != opts.Addressing:
 		return fmt.Errorf("core: checkpoint used %s addressing, resuming with %s", st.addressing(), opts.Addressing)
 	case st.Round < 1:
@@ -212,37 +221,6 @@ func (st *searchState) addressing() Addressing {
 		return AddrOccurrence
 	}
 	return Addressing(st.Addressing)
-}
-
-// classesMatch reports whether the checkpoint's recorded fault classes
-// (nil = site-only, the pre-env form) equal the resuming run's
-// resolution: a site-only checkpoint resumed with env enumeration (or
-// vice versa) would silently search a different space.
-func (st *searchState) classesMatch(t *Target, opts Options) bool {
-	site, env, pair, partial := resolveClasses(t, opts)
-	ckSite, ckEnv, ckPair, ckPartial := st.FaultClasses == nil, false, false, false
-	for _, c := range st.FaultClasses {
-		switch c {
-		case ClassSite:
-			ckSite = true
-		case ClassEnv:
-			ckEnv = true
-		case ClassPair:
-			ckPair = true
-		case ClassPartial:
-			ckPartial = true
-		}
-	}
-	return site == ckSite && env == ckEnv && pair == ckPair && partial == ckPartial
-}
-
-// classNames renders the recorded classes for error messages, expanding
-// the canonical nil form.
-func (st *searchState) classNames() []string {
-	if st.FaultClasses == nil {
-		return []string{ClassSite}
-	}
-	return st.FaultClasses
 }
 
 // applyState restores the checkpointed search state onto a prepared

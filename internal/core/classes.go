@@ -1,0 +1,345 @@
+package core
+
+// The fault-class table. A fault class is one kind of injectable fault the
+// search can enumerate from the free run: error-return sites (the paper's
+// fault space), environment pseudo-sites, partial-failure pseudo-sites and
+// combined-fault pairs. Everything class-specific lives in this file — the
+// class's name, how its candidates are enumerated (with the synthetic
+// distances that rank pseudo-sites), and the execution option its free run
+// and trials need. The rest of the engine reads the stamp enumeration
+// leaves on each siteState (class, dists, synth, marker, members) and never
+// branches on a class name or re-parses a site-ID prefix. Adding a class
+// is one row below plus its enumerate function.
+
+import (
+	"fmt"
+	"sort"
+
+	"anduril/internal/cluster"
+	"anduril/internal/inject"
+	"anduril/internal/logdiff"
+)
+
+// classID indexes classTable. The order IS the window-admission order:
+// fillWindow opens a class only when every earlier enabled class has no
+// selectable untried instance left, so enabling a later class never
+// changes which instances an earlier class's search injects, and setup
+// enumerates in the same order, so the pair row can build on the site
+// and env candidates already enumerated.
+type classID uint8
+
+const (
+	siteClass classID = iota
+	envClass
+	partialClass
+	pairClass
+	numClasses
+)
+
+// Fault-class names for Options.FaultClasses / Target.FaultClasses.
+const (
+	ClassSite    = "site"
+	ClassEnv     = "env"
+	ClassPair    = "pair"
+	ClassPartial = "partial"
+)
+
+// faultClass is one row of the table: enumerate returns the class's
+// candidate sites from the free-run instances (each stamped with its
+// class and, where the class has them, synth/marker/members), and execOpt
+// (nil when the class needs none) arms the runtime so the pseudo-sites
+// are reached at all.
+type faultClass struct {
+	name      string
+	enumerate func(e *engine, bySite map[string][]instance) []*siteState
+	execOpt   func() cluster.ExecOption
+}
+
+var classTable = [numClasses]faultClass{
+	siteClass:    {ClassSite, enumerateSites, nil},
+	envClass:     {ClassEnv, enumerateEnv, cluster.WithEnvFaults},
+	partialClass: {ClassPartial, enumeratePartial, cluster.WithPartialFaults},
+	pairClass:    {ClassPair, enumeratePairs, nil},
+}
+
+// classSet is the set of enabled fault classes, one bit per classID.
+type classSet uint8
+
+// siteOnly is the default class set: the paper's fault space.
+const siteOnly = classSet(1) << siteClass
+
+func (cs classSet) has(c classID) bool { return cs&(1<<c) != 0 }
+
+// classSetOf parses class names into a set. No names at all means unset,
+// which is the site-only default; an unknown name is an error — a
+// misspelled class must not silently search nothing.
+func classSetOf(names ...string) (classSet, error) {
+	if len(names) == 0 {
+		return siteOnly, nil
+	}
+	var cs classSet
+next:
+	for _, n := range names {
+		for c := range classTable {
+			if classTable[c].name == n {
+				cs |= 1 << c
+				continue next
+			}
+		}
+		return 0, fmt.Errorf("core: unknown fault class %q", n)
+	}
+	return cs, nil
+}
+
+// names renders the set canonically — alphabetical, the order checkpoint
+// envelopes record it in.
+func (cs classSet) names() []string {
+	var out []string
+	for c := range classTable {
+		if cs.has(classID(c)) {
+			out = append(out, classTable[c].name)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// resolveClasses resolves the enabled fault classes from Options (which
+// wins when it names any) or the Target, defaulting to site-only.
+func resolveClasses(t *Target, o Options) (classSet, error) {
+	names := o.FaultClasses
+	if len(names) == 0 {
+		names = t.FaultClasses
+	}
+	return classSetOf(names...)
+}
+
+// ValidFaultClass reports whether a class name is recognized (for
+// validating outside input up front: CLI flags, server specs).
+func ValidFaultClass(c string) bool {
+	_, err := classSetOf(c)
+	return err == nil
+}
+
+// distMatched scores a pseudo-site against an observable that IS the
+// site's own injection marker (the production log recorded the event —
+// "env: message nn>dn1 delayed" names the delay channel directly, modulo
+// sanitized digits). Such evidence outranks every synthetic prior, so a
+// failure whose log carries the marker is searched marker-first instead
+// of class-order.
+const distMatched = 1
+
+// Environment pseudo-sites have no causal-graph node, so their spatial
+// distance to every observable is a synthetic per-class constant —
+// larger than any graph path in the dataset, so env instances rank
+// below every causally-connected error-return site until feedback bumps
+// reorder them. The class order (crash < partition < drop < delay)
+// encodes blast radius: a crash perturbs the most behavior, so it is
+// the most promising guess for an unexplained failure.
+var envDist = map[inject.EnvClass]float64{
+	inject.EnvCrash:     24,
+	inject.EnvPartition: 26,
+	inject.EnvDrop:      28,
+	inject.EnvDelay:     30,
+}
+
+// Partial pseudo-sites likewise have no causal-graph node; their
+// synthetic distances sit above the env band, so with both classes
+// enabled the cleaner, better-understood env faults are tried first.
+// Within the class the order encodes how much persistent state the
+// fault corrupts: a torn rename leaves a double ledger recovery must
+// untangle, a short write or mid-append ENOSPC corrupts one file's
+// tail, a duplicated delivery double-applies one message, and eintr
+// only surfaces a spurious error for a delivered message.
+var partialDist = map[inject.PartialClass]float64{
+	inject.PartialTornRename: 34,
+	inject.PartialShortWrite: 36,
+	inject.PartialENOSPC:     38,
+	inject.PartialDupDeliver: 40,
+	inject.PartialEINTR:      42,
+}
+
+// enumerateSites returns the error-return candidate sites: causally
+// connected to at least one relevant observable AND exercised by the
+// workload (otherwise there is no instance to inject). Their spatial
+// distances L_{i,k} come from the static causal graph, computed once per
+// analysis Result and shared read-only across reproductions.
+func enumerateSites(e *engine, bySite map[string][]instance) []*siteState {
+	relevantTemplates := map[string]bool{}
+	for _, o := range e.obs {
+		for _, t := range o.templates {
+			relevantTemplates[t] = true
+		}
+	}
+	var out []*siteState
+	for siteID, dists := range e.t.Analysis.SiteDistances() {
+		reachesRelevant := false
+		for tmpl := range dists {
+			if relevantTemplates[tmpl] {
+				reachesRelevant = true
+				break
+			}
+		}
+		if !reachesRelevant {
+			continue
+		}
+		if insts := bySite[siteID]; len(insts) > 0 {
+			out = append(out, &siteState{id: siteID, class: siteClass, dists: dists, instances: insts})
+		}
+	}
+	return out
+}
+
+// enumerateEnv returns the environment pseudo-sites. They come from the
+// free-run trace alone (the env-enabled network reaches them per
+// message), not the causal graph: a crash or partition is causally
+// adjacent to everything the topology connects, so enumeration is gated
+// on the class being enabled rather than on graph connectivity.
+func enumerateEnv(e *engine, bySite map[string][]instance) []*siteState {
+	var out []*siteState
+	for siteID, insts := range bySite {
+		d, ok := envDist[inject.EnvClassOf(siteID)]
+		if !ok {
+			continue
+		}
+		st := &siteState{id: siteID, class: envClass, synth: d, instances: insts}
+		if m, ok := inject.EnvMarker(siteID); ok {
+			st.marker = logdiff.Sanitize(m)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// enumeratePartial returns the partial-failure pseudo-sites. They
+// likewise come from the free-run trace alone: the partial-enabled disk
+// and network reach them once per perturbable operation, so only sites
+// and channels the scenario actually exercises are enumerated. Candidate
+// amplitude is calibrated from the free run — the Zhang et al. realism
+// idea — per class: a short-write or enospc-after instance enters only
+// where the observed payload was at least two bytes, so the persisted
+// prefix is a nonempty strict prefix of the data (smaller payloads
+// degrade to the clean all-or-nothing failure the site class already
+// covers).
+func enumeratePartial(e *engine, bySite map[string][]instance) []*siteState {
+	var out []*siteState
+	for siteID, insts := range bySite {
+		pc := inject.PartialClassOf(siteID)
+		d, ok := partialDist[pc]
+		if !ok {
+			continue
+		}
+		if pc == inject.PartialShortWrite || pc == inject.PartialENOSPC {
+			kept := make([]instance, 0, len(insts))
+			for _, inst := range insts {
+				if inst.amp >= 2 {
+					kept = append(kept, inst)
+				}
+			}
+			insts = kept
+		}
+		if len(insts) == 0 {
+			continue
+		}
+		st := &siteState{id: siteID, class: partialClass, synth: d, instances: insts}
+		if m, ok := inject.PartialMarker(siteID); ok {
+			st.marker = logdiff.Sanitize(m)
+		}
+		out = append(out, st)
+	}
+	return out
+}
+
+// enumeratePairs returns the combined-fault pseudo-sites: every unordered
+// pair of donor sites (self-pairs included — two faults at one site,
+// distinct instances) except env×env, whose joint blast radius adds
+// nothing the members don't cover. The donors are the graph-pruned
+// error-return sites plus, with env enabled, the env pseudo-sites — the
+// candidates the earlier rows already put in e.sites, or, when the site
+// class itself is off, member sites discovered here that never enter
+// e.sites themselves. Partial sites are not donors: a pair member must
+// be a fault the member classes already search. Donors are sorted first
+// so pair enumeration order — and with it every pair instance's
+// occurrence identity — is deterministic.
+func enumeratePairs(e *engine, bySite map[string][]instance) []*siteState {
+	var donors []*siteState
+	if !e.classes.has(siteClass) {
+		donors = enumerateSites(e, bySite)
+	}
+	for _, s := range e.sites {
+		if s.class == siteClass || s.class == envClass {
+			donors = append(donors, s)
+		}
+	}
+	sort.Sort(sitesByID(donors))
+	var out []*siteState
+	for i, sa := range donors {
+		for _, sb := range donors[i:] {
+			if sa.class == envClass && sb.class == envClass {
+				continue
+			}
+			if st := pairSite(sa, sb); st != nil {
+				out = append(out, st)
+			}
+		}
+	}
+	return out
+}
+
+// pairSite enumerates the combined-fault pseudo-site over two member
+// sites (sa.id <= sb.id; sa == sb for a self-pair). Each pair instance
+// joins one member instance from each side — all cross combinations for
+// distinct members, unordered combinations (occ a < occ b) for a
+// self-pair — positioned on the timeline at the later member: the
+// combined effect completes only when the second fault lands. Returns
+// nil when no instance combination exists.
+func pairSite(sa, sb *siteState) *siteState {
+	st := &siteState{
+		id:      inject.PairSiteID(sa.id, sb.id),
+		class:   pairClass,
+		members: [2]*siteState{sa, sb},
+	}
+	self := sa == sb
+	n := len(sa.instances) * len(sb.instances)
+	if self {
+		n = len(sa.instances) * (len(sa.instances) - 1) / 2
+	}
+	if n == 0 {
+		return nil
+	}
+	st.instances = make([]instance, 0, n)
+	st.pairInsts = make([]inject.Instance, 0, n)
+	for ai, a := range sa.instances {
+		bStart := 0
+		if self {
+			bStart = ai + 1
+		}
+		for _, b := range sb.instances[bStart:] {
+			pi := inject.PairInstance(
+				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: a.path},
+				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: b.path},
+			)
+			pi.Occurrence = len(st.instances) + 1
+			logPos, alignedPos := a.logPos, a.alignedPos
+			if b.logPos > logPos {
+				logPos = b.logPos
+			}
+			if b.alignedPos > alignedPos {
+				alignedPos = b.alignedPos
+			}
+			st.pairInsts = append(st.pairInsts, pi)
+			st.instances = append(st.instances, instance{
+				occ: pi.Occurrence, logPos: logPos, alignedPos: alignedPos,
+				memberPos: [2]float64{a.alignedPos, b.alignedPos},
+			})
+		}
+	}
+	return st
+}
+
+// sitesByID orders candidate sites by their unique ids.
+type sitesByID []*siteState
+
+func (s sitesByID) Len() int           { return len(s) }
+func (s sitesByID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
+func (s sitesByID) Less(i, j int) bool { return s[i].id < s[j].id }

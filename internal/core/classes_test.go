@@ -1,0 +1,103 @@
+package core_test
+
+// Tests for the fault-class table as a whole: widening the class set never
+// perturbs a narrower search, and a class list that names no known class
+// is an error rather than an empty search.
+
+import (
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"anduril/internal/core"
+	"anduril/internal/failures"
+)
+
+// siteSearchUnchangedBy is the compatibility acceptance criterion of every
+// class beyond site: turning the given classes on for the paper's 22
+// site-rooted failures must not perturb the site search — same rounds,
+// same injections, same windows, same script. Later classes enter the
+// window only after every selectable site-class instance has been tried,
+// and these searches all conclude before that point.
+func siteSearchUnchangedBy(t *testing.T, classes ...string) {
+	for _, s := range failures.SiteDataset() {
+		s := s
+		t.Run(s.ID, func(t *testing.T) {
+			if s.ID == "f3" && slices.Contains(classes, core.ClassPair) {
+				// f3's pair space is 8.98 M instances: enumerating it takes
+				// ~30 s and gigabytes, and every other failure (each under
+				// 1 s) exercises the same admission order.
+				t.Skip("f3's pair space is too large to enumerate in a unit test")
+			}
+			t.Parallel()
+			tgt := target(t, s.ID)
+			base := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500})
+			wide := core.Reproduce(tgt, core.Options{
+				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500, FaultClasses: classes,
+			})
+			if !base.Reproduced {
+				t.Fatalf("%s baseline not reproduced", s.ID)
+			}
+			if wide.EnvRooted || wide.PartialRooted {
+				t.Fatalf("%s rooted outside the site class under %v: %v", s.ID, classes, wide.Script)
+			}
+			if a, b := roundSummary(base), roundSummary(wide); a != b {
+				t.Fatalf("%s search trajectory changed under %v:\n--- site-only\n%s--- widened\n%s", s.ID, classes, a, b)
+			}
+		})
+	}
+}
+
+// One row per class set. They are separate test functions, not subtests of
+// one, so the per-failure subtest names CI history and the test floor key
+// on stay what they were.
+func TestSiteSearchUnchangedByEnvEnumeration(t *testing.T) {
+	siteSearchUnchangedBy(t, core.ClassSite, core.ClassEnv)
+}
+
+func TestSiteSearchUnchangedByPartialEnumeration(t *testing.T) {
+	siteSearchUnchangedBy(t, core.ClassSite, core.ClassPartial)
+}
+
+func TestSiteSearchUnchangedByAllClasses(t *testing.T) {
+	siteSearchUnchangedBy(t, core.ClassSite, core.ClassEnv, core.ClassPartial, core.ClassPair)
+}
+
+// TestUnknownFaultClassIsAnError: a misspelled class must fail the search
+// loudly through every library entry point — silently searching nothing is
+// indistinguishable from "fault space exhausted" — and an empty list means
+// unset, like nil.
+func TestUnknownFaultClassIsAnError(t *testing.T) {
+	tgt := target(t, "f4")
+	bad := core.Options{Strategy: core.FullFeedback, Seed: 1, FaultClasses: []string{"sites"}}
+	const want = `unknown fault class "sites"`
+
+	if rep := core.Reproduce(tgt, bad); !strings.Contains(rep.Error, want) || rep.Rounds != 0 {
+		t.Fatalf("Reproduce: Error = %q after %d rounds, want %s", rep.Error, rep.Rounds, want)
+	}
+	it := core.ReproduceIterative(tgt, bad, 2)
+	if len(it.Reports) != 1 || !strings.Contains(it.Reports[0].Error, want) {
+		t.Fatalf("ReproduceIterative: %d reports, first Error = %q, want %s", len(it.Reports), it.Reports[0].Error, want)
+	}
+
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	good := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
+	killed := good
+	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = ck, 2, 4
+	if rep := core.Reproduce(tgt, killed); !rep.Interrupted {
+		t.Fatal("setup run not interrupted")
+	}
+	resumeBad := good
+	resumeBad.FaultClasses = bad.FaultClasses
+	if _, err := core.Resume(tgt, resumeBad, ck); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Resume: err = %v, want %s", err, want)
+	}
+
+	unset := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1})
+	empty := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, FaultClasses: []string{}})
+	if !empty.Reproduced || roundSummary(empty) != roundSummary(unset) {
+		t.Fatalf("empty class list is not the site-only default:\n--- unset\n%s--- empty\n%s",
+			roundSummary(unset), roundSummary(empty))
+	}
+}

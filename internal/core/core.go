@@ -102,7 +102,7 @@ type Target struct {
 	RootSite string
 
 	// FaultClasses are the fault classes the search explores for this
-	// target by default ("site", "env", "pair", "partial"); nil means
+	// target by default ("site", "env", "pair", "partial"); unset means
 	// site-only, the paper's fault space. Options.FaultClasses overrides
 	// per run.
 	FaultClasses []string
@@ -118,20 +118,13 @@ type Options struct {
 	InstanceLimit int   // per-site instance cap for the limited variants; default 3
 	TrackRank     bool  // record the root site's rank each round (Figure 6)
 
-	// FaultClasses selects which fault classes the search explores:
-	// "site" (error-return sites, the paper's fault space), "env"
-	// (environment pseudo-sites: node crash/restart, pairwise
-	// partition/heal, message drop/delay), "partial" (partial-failure
-	// pseudo-sites at the sim-syscall boundary: short write, mid-append
-	// ENOSPC, torn rename, duplicated delivery, eintr), and/or "pair"
-	// (combined faults: two member instances injected in one round,
-	// addressed through pair/ pseudo-sites). nil defaults to the
-	// target's FaultClasses, and site-only when the target declares
-	// none. Wider classes never perturb narrower searches: the window
-	// admits env instances only after every selectable site-class
-	// instance has been tried, partial instances only after the env
-	// space is also spent, and pair instances last of all — each class
-	// runs to exhaustion in its exact original order.
+	// FaultClasses selects which fault classes the search explores, by
+	// name: ClassSite, ClassEnv, ClassPartial, ClassPair. Unset (nil or
+	// empty) defaults to the target's FaultClasses, and site-only — the
+	// paper's fault space — when the target declares none; an unknown name
+	// fails the search with Report.Error. Wider classes never perturb
+	// narrower searches; DESIGN.md ("The fault-class table") describes the
+	// classes and the admission order that guarantees it.
 	FaultClasses []string
 
 	// Addressing selects how candidate instances are named in plans:
@@ -155,12 +148,6 @@ type Options struct {
 	TemporalByOrder bool // T by instance order instead of log-message count
 	FixedWindow     bool // never double the window on empty rounds
 	GlobalDiff      bool // diff logs globally instead of per thread
-
-	// NaiveRanking disables the incremental priority index and re-scores
-	// every site with a full re-sort each round — the paper's algorithm as
-	// literally written. Both rankers produce the identical (F_i, site id)
-	// order; this knob exists for the equivalence tests and benchmarks.
-	NaiveRanking bool
 
 	// Checkpoint, when non-empty, is a file path the engine atomically
 	// writes its search state to every CheckpointEvery rounds, so a killed
@@ -208,6 +195,10 @@ type Options struct {
 	// nil (the default) disables tracing at zero cost: the engine checks
 	// the sink before building any event.
 	Trace trace.Sink
+
+	// naiveRanking swaps the incremental priority index for the reference
+	// ranker (see ranking.go). Only tests set it, through export_test.go.
+	naiveRanking bool
 }
 
 func (o Options) withDefaults() Options {
@@ -288,7 +279,7 @@ type Report struct {
 	// delivery, eintr) rather than an error-return site.
 	PartialRooted bool `json:",omitempty"`
 	RoundLog      []Round
-	Elapsed   time.Duration
+	Elapsed       time.Duration
 
 	RelevantObservables int
 	CandidateSites      int

@@ -156,7 +156,7 @@ const trajectoryGolden = "testdata/site_trajectories.golden"
 func TestSiteSearchUnchangedByDynEnumeration(t *testing.T) {
 	var b strings.Builder
 	for _, sc := range failures.All() {
-		if sc.System == "dyn" || sc.SearchesPair() || sc.SearchesPartial() {
+		if sc.System == "dyn" || sc.Searches(core.ClassPair) || sc.Searches(core.ClassPartial) {
 			continue
 		}
 		tgt, err := sc.BuildTarget()

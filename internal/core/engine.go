@@ -89,25 +89,27 @@ type siteState struct {
 	instances []instance
 	tried     triedSet
 
-	// marker is the sanitized injection-marker line for env and partial
-	// pseudo-sites ("" otherwise): an observable equal to it is direct
-	// failure-log evidence for this site, scored with envDistMatched
-	// (partialDistMatched for partial sites).
-	marker string
+	// The class stamp, set when the site is enumerated (classes.go). class
+	// is the fault class the site belongs to. dists are an error-return
+	// site's causal-graph distances, template -> L (nil otherwise). synth
+	// is the synthetic spatial distance of a pseudo-site with no graph node
+	// (zero otherwise). marker is the sanitized injection-marker line of an
+	// env or partial pseudo-site ("" otherwise): an observable equal to it
+	// is direct failure-log evidence for this site, scored distMatched.
+	// members are a pair pseudo-site's two member sites (sorted by id, the
+	// same site twice for a self-pair) and pairInsts the full pair Instance
+	// per enumerated instance, parallel to instances.
+	class     classID
+	dists     map[string]int
+	synth     float64
+	marker    string
+	members   [2]*siteState
+	pairInsts []inject.Instance
 
 	// byPath maps canonical path strings to free-run occurrence identity
 	// (path addressing only): an injection run's reach is matched by path,
 	// and its tried-set entry is the free-run instance that path names.
 	byPath map[string]int
-
-	// Pair pseudo-site state (isPair set): the two member site IDs (sorted,
-	// equal for a self-pair), the members' env markers for marker-matched
-	// scoring ("" for error-return members), and the full pair Instance per
-	// enumerated instance, parallel to instances.
-	isPair      bool
-	pairSites   [2]string
-	pairMarkers [2]string
-	pairInsts   []inject.Instance
 
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
@@ -121,7 +123,8 @@ type siteState struct {
 // state (observables, site states, distance tables) lives on the engine.
 //
 // The search itself is split across phase files: setup.go (observable
-// extraction and candidate discovery), ranking.go (site priorities and the
+// extraction and candidate discovery), classes.go (the fault-class table:
+// what each class enumerates), ranking.go (site priorities and the
 // incremental priority index), selection.go (instance selection and the
 // flexible window), feedback.go (the Algorithm 2 loop), and strategies.go
 // (the strategy registry and the enumerative baselines).
@@ -132,7 +135,6 @@ type engine struct {
 	obs       []*observable
 	sites     []*siteState
 	siteIndex map[string]*siteState // id -> state, for O(1) markTried
-	dist      map[string]map[string]int
 	align     *logdiff.Alignment
 
 	sumBest map[string]float64 // sum-aggregation ablation bookkeeping
@@ -156,16 +158,14 @@ type engine struct {
 	// freeRes is the free run the strategies explore from.
 	freeRes *cluster.Result
 
-	// Enabled fault classes, resolved from Options/Target (site-only by
-	// default). instSite counts the site-class candidate instances and
-	// triedSite how many are tried, so the window logic can tell when the
-	// site-class space is saturated and env candidates may enter.
-	siteClass    bool
-	envClass     bool
-	pairClass    bool
-	partialClass bool
-	instSite     int
-	triedSite    int
+	// classes are the enabled fault classes, resolved by prepare from
+	// Options/Target (site-only by default). instSite counts the site-class
+	// candidate instances and triedSite how many are tried, so the window
+	// logic can tell when the site-class space is saturated and later
+	// classes may enter.
+	classes   classSet
+	instSite  int
+	triedSite int
 
 	// pairWindow is the pair-round candidate list the current round armed,
 	// indexed like the PairPlan's rank order; tryOnce maps the plan's
@@ -182,70 +182,9 @@ type engine struct {
 }
 
 func newEngine(t *Target, o Options) *engine {
-	e := &engine{t: t, o: o, ctx: o.Context, report: &Report{
+	return &engine{t: t, o: o, ctx: o.Context, report: &Report{
 		Target: t.ID, Issue: t.Issue, Strategy: o.Strategy,
 	}}
-	e.siteClass, e.envClass, e.pairClass, e.partialClass = resolveClasses(t, o)
-	return e
-}
-
-// resolveClasses resolves the enabled fault classes from Options (which
-// wins when set) or the Target, defaulting to site-only. Unknown names
-// are ignored here; callers validate with ValidFaultClass up front.
-func resolveClasses(t *Target, o Options) (site, env, pair, partial bool) {
-	classes := o.FaultClasses
-	if classes == nil {
-		classes = t.FaultClasses
-	}
-	if classes == nil {
-		return true, false, false, false
-	}
-	for _, c := range classes {
-		switch c {
-		case ClassSite:
-			site = true
-		case ClassEnv:
-			env = true
-		case ClassPair:
-			pair = true
-		case ClassPartial:
-			partial = true
-		}
-	}
-	return site, env, pair, partial
-}
-
-// Fault-class names for Options.FaultClasses / Target.FaultClasses.
-const (
-	ClassSite    = "site"
-	ClassEnv     = "env"
-	ClassPair    = "pair"
-	ClassPartial = "partial"
-)
-
-// ValidFaultClass reports whether a class name is recognized (for CLI
-// validation).
-func ValidFaultClass(c string) bool {
-	return c == ClassSite || c == ClassEnv || c == ClassPair || c == ClassPartial
-}
-
-// classList renders the engine's resolved fault classes canonically
-// (for the checkpoint envelope): alphabetical, matching classNames.
-func (e *engine) classList() []string {
-	var out []string
-	if e.envClass {
-		out = append(out, ClassEnv)
-	}
-	if e.pairClass {
-		out = append(out, ClassPair)
-	}
-	if e.partialClass {
-		out = append(out, ClassPartial)
-	}
-	if e.siteClass {
-		out = append(out, ClassSite)
-	}
-	return out
 }
 
 // retrySeedOffset derives the retry seed of a failed trial: far outside
@@ -385,11 +324,16 @@ func (e *engine) run() *Report {
 	return e.report
 }
 
-// prepare performs the free run (workflow step 1) and setup (step 2). The
-// free run is isolated like any trial: a panic or budget exhaustion is
-// retried once under the next derived seed, and a second failure aborts
-// the search with an error (there is no timeline to search without it).
+// prepare resolves the fault classes, then performs the free run (workflow
+// step 1) and setup (step 2). The free run is isolated like any trial: a
+// panic or budget exhaustion is retried once under the next derived seed,
+// and a second failure aborts the search with an error (there is no
+// timeline to search without it).
 func (e *engine) prepare() error {
+	var err error
+	if e.classes, err = resolveClasses(e.t, e.o); err != nil {
+		return err
+	}
 	freeStart := time.Now()
 	free, err := e.trial(e.o.Seed, e.bakedPlan(nil), true)
 	if err != nil && !isInterrupted(err) {
@@ -462,11 +406,10 @@ func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.R
 		budget = 0 // negative means unlimited
 	}
 	var opts []cluster.ExecOption
-	if e.envClass {
-		opts = append(opts, cluster.WithEnvFaults())
-	}
-	if e.partialClass {
-		opts = append(opts, cluster.WithPartialFaults())
+	for c, fc := range classTable {
+		if fc.execOpt != nil && e.classes.has(classID(c)) {
+			opts = append(opts, fc.execOpt())
+		}
 	}
 	if e.o.Addressing == AddrPath {
 		opts = append(opts, cluster.WithPathAddressing())
@@ -626,18 +569,14 @@ func (e *engine) markTried(inst inject.Instance) {
 		return
 	}
 	occ := inst.Occurrence
-	if inst.Path != "" && !inject.IsPairSite(inst.Site) {
-		// A path-addressed injection reports the run-local occurrence of
-		// the reach; the tried set is keyed by the free-run identity, so
-		// resolve the canonical path back through the site's path index.
-		if o, found := s.byPath[inst.Path]; found {
-			occ = o
-		}
+	// A path-addressed injection reports the run-local occurrence of the
+	// reach; the tried set is keyed by the free-run identity, so resolve
+	// the canonical path back through the site's path index (nil, so never
+	// matching, outside path addressing and for pair sites).
+	if o, found := s.byPath[inst.Path]; found {
+		occ = o
 	}
-	if !s.tried.Add(occ) {
-		return
-	}
-	if !inject.IsEnvSite(inst.Site) && !inject.IsPairSite(inst.Site) && !inject.IsPartialSite(inst.Site) {
+	if s.tried.Add(occ) && s.class == siteClass {
 		e.triedSite++
 	}
 }

@@ -22,7 +22,7 @@ func stubEngine(o Options) *engine {
 		{key: logdiff.Key{Thread: "t", Msg: "alpha"}, positions: []int{100}, templates: []string{"alpha"}},
 		{key: logdiff.Key{Thread: "t", Msg: "beta"}, positions: []int{200}, templates: []string{"beta"}},
 	}
-	e.dist = map[string]map[string]int{
+	dist := map[string]map[string]int{
 		"s.near":  {"alpha": 2},
 		"s.far":   {"alpha": 7},
 		"s.beta":  {"beta": 3},
@@ -34,6 +34,7 @@ func stubEngine(o Options) *engine {
 	for _, id := range []string{"s.beta", "s.both", "s.far", "s.gamma", "s.near", "s.none"} {
 		e.sites = append(e.sites, &siteState{
 			id:        id,
+			dists:     dist[id],
 			instances: []instance{{occ: 1, alignedPos: 90}, {occ: 2, alignedPos: 195}, {occ: 3, alignedPos: 400}},
 		})
 	}

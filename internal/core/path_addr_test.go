@@ -51,7 +51,7 @@ func TestPathAddressingReproducesDataset(t *testing.T) {
 		t.Skip("slow")
 	}
 	for _, sc := range failures.All() {
-		if sc.SearchesPair() {
+		if sc.Searches(core.ClassPair) {
 			continue // pair member refs embed the mode; covered separately
 		}
 		sc := sc

@@ -23,10 +23,11 @@ func rankerRun(t *testing.T, tgt *core.Target, naive bool) ([]byte, *core.Report
 	t.Helper()
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
-	rep := core.Reproduce(tgt, core.Options{
-		Seed: 1, MaxRounds: 60, Window: 1,
-		TrackRank: true, NaiveRanking: naive, Trace: sink,
-	})
+	opts := core.Options{Seed: 1, MaxRounds: 60, Window: 1, TrackRank: true, Trace: sink}
+	if naive {
+		opts = core.WithNaiveRanking(opts)
+	}
+	rep := core.Reproduce(tgt, opts)
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}

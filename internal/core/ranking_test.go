@@ -24,7 +24,6 @@ func synthEngine(nSites, nObs int, seed int64) *engine {
 			templates: []string{tmpl},
 		})
 	}
-	e.dist = make(map[string]map[string]int, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site-%04d", i)
 		d := map[string]int{}
@@ -32,9 +31,9 @@ func synthEngine(nSites, nObs int, seed int64) *engine {
 		for n := rng.Intn(6); n >= 0; n-- {
 			d[fmt.Sprintf("tmpl-%03d", rng.Intn(nObs))] = 1 + rng.Intn(12)
 		}
-		e.dist[id] = d
 		e.sites = append(e.sites, &siteState{
 			id:        id,
+			dists:     d,
 			instances: []instance{{occ: 1, alignedPos: float64(rng.Intn(1000))}},
 		})
 	}
@@ -84,13 +83,11 @@ func TestIndexRankerMatchesNaive(t *testing.T) {
 	}
 }
 
-// newRankerNamed builds a specific ranker implementation regardless of the
-// engine's own NaiveRanking option — test plumbing only.
+// newRankerNamed builds the chosen ranker implementation through the same
+// switch the engine uses — test plumbing only.
 func (e *engine) newRankerNamed(useFeedback, naive bool) ranker {
-	if naive {
-		return &naiveRanker{e: e, useFeedback: useFeedback}
-	}
-	return &indexRanker{e: e, useFeedback: useFeedback}
+	e.o.naiveRanking = naive
+	return e.newRanker(useFeedback)
 }
 
 // The no-bump fast path must hand back the same ranking object without

@@ -3,8 +3,9 @@ package core_test
 // Microbenchmarks for the resilience layer: the recover-wrapped trial
 // path is always on, so BenchmarkReproduce/baseline doubles as proof that
 // panic isolation costs nothing measurable, and the checkpointed variant
-// prices the worst-case checkpoint cadence (every round). Results are
-// recorded in BENCH_core_resilience.json.
+// prices the worst-case checkpoint cadence (every round). The repository
+// benchmark (BENCHMARK.json, bench/) records the end-to-end numbers; the
+// CI alloc gates read the baseline, path-addressing and partial variants.
 
 import (
 	"path/filepath"

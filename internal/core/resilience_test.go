@@ -7,10 +7,13 @@ package core_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"anduril/internal/checkpoint"
 	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/des"
@@ -341,6 +344,8 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 		{"wrong strategy", tgt, core.Options{Strategy: core.Random, Seed: 1, Window: 1}, "strategy"},
 		{"wrong addressing", tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
 			Addressing: core.AddrPath}, "addressing"},
+		{"wrong classes", tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
+			FaultClasses: []string{core.ClassSite, core.ClassEnv}}, "fault classes [site], resuming with [env site]"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -360,30 +365,50 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	})
 }
 
-// TestResumeRejectsLegacyCheckpointVersion: legacy envelopes — version 1
-// predates path-sensitive addressing and the pair fault class, version 2
-// predates the partial fault class — must be rejected loudly by the
-// envelope layer, never resumed into a search whose instance identities
-// or occurrence counters they cannot describe. The fixtures are faithful
-// copies of what those releases wrote.
-func TestResumeRejectsLegacyCheckpointVersion(t *testing.T) {
+// TestResumeRejectsCheckpointVersionSkew: an envelope one version older or
+// newer than this build's — whatever that version is — must be rejected
+// loudly by the envelope layer, never resumed into a search whose instance
+// identities or occurrence counters it cannot describe. The skewed files
+// are a real checkpoint with only the envelope version rewritten, so the
+// next version bump needs no new fixture.
+func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
 	tgt := target(t, "f1")
-	cases := []struct {
-		fixture string
-		want    string
-	}{
-		{"legacy_v1_checkpoint.json", "version 1, want 3"},
-		{"legacy_v2_checkpoint.json", "version 2, want 3"},
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
+	killed := opts
+	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = ck, 2, 4
+	if rep := core.Reproduce(tgt, killed); !rep.Interrupted {
+		t.Fatal("setup run not interrupted")
 	}
-	for _, c := range cases {
-		t.Run(c.fixture, func(t *testing.T) {
-			_, err := core.Resume(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1},
-				filepath.Join("testdata", c.fixture))
-			if err == nil {
-				t.Fatalf("resume accepted the legacy checkpoint %s", c.fixture)
+	raw, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env checkpoint.Envelope
+	if err := json.Unmarshal(raw, &env); err != nil {
+		t.Fatal(err)
+	}
+	current := env.Version
+	if _, err := core.Resume(tgt, opts, ck); err != nil {
+		t.Fatalf("resume from the unmodified checkpoint: %v", err)
+	}
+	for _, skew := range []struct {
+		name string
+		by   int
+	}{{"older", -1}, {"newer", +1}} {
+		t.Run(skew.name, func(t *testing.T) {
+			env.Version = current + skew.by
+			skewed, err := json.Marshal(env)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("err = %v, want a version-skew message naming both versions", err)
+			path := filepath.Join(t.TempDir(), "skewed.json")
+			if err := os.WriteFile(path, skewed, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("version %d, want %d", env.Version, current)
+			if _, err := core.Resume(tgt, opts, path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want a version-skew message naming both versions (%s)", err, want)
 			}
 		})
 	}

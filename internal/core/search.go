@@ -48,7 +48,7 @@ func (s *Search) FailureLog() []logging.Entry { return s.e.t.FailureLog }
 func (s *Search) Candidates() []inject.Instance {
 	var out []inject.Instance
 	for _, st := range s.e.sites {
-		if st.isPair {
+		if st.class == pairClass {
 			continue
 		}
 		for _, inst := range st.instances {

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"anduril/internal/cluster"
-	"anduril/internal/inject"
 	"anduril/internal/logdiff"
 	"anduril/internal/logging"
 	"anduril/internal/trace"
@@ -25,65 +24,6 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 	}
 	return out
 }
-
-// pairSite enumerates the combined-fault pseudo-site over two member
-// sites (sa.id <= sb.id; sa == sb for a self-pair). Each pair instance
-// joins one member instance from each side — all cross combinations for
-// distinct members, unordered combinations (occ a < occ b) for a
-// self-pair — positioned on the timeline at the later member: the
-// combined effect completes only when the second fault lands. Returns
-// nil when no instance combination exists.
-func pairSite(sa, sb *siteState) *siteState {
-	st := &siteState{
-		id:          inject.PairSiteID(sa.id, sb.id),
-		isPair:      true,
-		pairSites:   [2]string{sa.id, sb.id},
-		pairMarkers: [2]string{sa.marker, sb.marker},
-	}
-	self := sa == sb
-	n := len(sa.instances) * len(sb.instances)
-	if self {
-		n = len(sa.instances) * (len(sa.instances) - 1) / 2
-	}
-	if n == 0 {
-		return nil
-	}
-	st.instances = make([]instance, 0, n)
-	st.pairInsts = make([]inject.Instance, 0, n)
-	for ai, a := range sa.instances {
-		bStart := 0
-		if self {
-			bStart = ai + 1
-		}
-		for _, b := range sb.instances[bStart:] {
-			pi := inject.PairInstance(
-				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: a.path},
-				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: b.path},
-			)
-			pi.Occurrence = len(st.instances) + 1
-			logPos, alignedPos := a.logPos, a.alignedPos
-			if b.logPos > logPos {
-				logPos = b.logPos
-			}
-			if b.alignedPos > alignedPos {
-				alignedPos = b.alignedPos
-			}
-			st.pairInsts = append(st.pairInsts, pi)
-			st.instances = append(st.instances, instance{
-				occ: pi.Occurrence, logPos: logPos, alignedPos: alignedPos,
-				memberPos: [2]float64{a.alignedPos, b.alignedPos},
-			})
-		}
-	}
-	return st
-}
-
-// sitesByID orders candidate sites by their unique ids.
-type sitesByID []*siteState
-
-func (s sitesByID) Len() int           { return len(s) }
-func (s sitesByID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s sitesByID) Less(i, j int) bool { return s[i].id < s[j].id }
 
 // setup performs workflow steps 1-2: extract relevant observables, match
 // them to causal-graph templates, compute spatial distances and the
@@ -103,19 +43,6 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	e.report.RelevantObservables = len(e.obs)
 
-	// Spatial distances L_{i,k} from the static causal graph, computed
-	// once per analysis Result and shared read-only across reproductions.
-	e.dist = e.t.Analysis.SiteDistances()
-
-	// Candidate sites: causally connected to at least one relevant
-	// observable AND exercised by the workload (otherwise there is no
-	// instance to inject).
-	relevantTemplates := map[string]bool{}
-	for _, o := range e.obs {
-		for _, t := range o.templates {
-			relevantTemplates[t] = true
-		}
-	}
 	// Count first, then allocate each site's instance slice exactly once:
 	// free-run traces carry tens of thousands of events, and letting append
 	// grow each site's slice from scratch dominates setup's allocations.
@@ -137,120 +64,10 @@ func (e *engine) setup(free *cluster.Result) {
 			amp:        ev.Amp,
 		})
 	}
-	// donors is the pair-member universe: the graph-pruned error-return
-	// sites plus (with env enabled) the env pseudo-sites. It is collected
-	// only when pair enumeration needs it, so default runs allocate
-	// nothing extra; with pair-only fault classes the member sites are
-	// still discovered here even though none enters e.sites itself.
-	var donors []*siteState
-	total := 0
-	if e.siteClass || e.pairClass {
-		for siteID, dists := range e.dist {
-			reachesRelevant := false
-			for tmpl := range dists {
-				if relevantTemplates[tmpl] {
-					reachesRelevant = true
-					break
-				}
-			}
-			if !reachesRelevant {
-				continue
-			}
-			insts := bySite[siteID]
-			if len(insts) == 0 {
-				continue
-			}
-			st := &siteState{id: siteID, instances: insts}
-			if e.pairClass {
-				donors = append(donors, st)
-			}
-			if e.siteClass {
-				e.sites = append(e.sites, st)
-				total += len(insts)
-			}
-		}
-	}
-	e.instSite = total
-
-	// Environment pseudo-sites come from the free-run trace alone (the
-	// env-enabled network reaches them per message), not the causal
-	// graph: a crash or partition is causally adjacent to everything the
-	// topology connects, so enumeration is gated on the env class being
-	// enabled rather than on graph connectivity. With env disabled the
-	// free run reached none, and this adds nothing.
-	if e.envClass {
-		for siteID, insts := range bySite {
-			if !inject.IsEnvSite(siteID) {
-				continue
-			}
-			st := &siteState{id: siteID, instances: insts}
-			if m, ok := inject.EnvMarker(siteID); ok {
-				st.marker = logdiff.Sanitize(m)
-			}
-			e.sites = append(e.sites, st)
-			if e.pairClass {
-				donors = append(donors, st)
-			}
-			total += len(insts)
-		}
-	}
-
-	// Partial-failure pseudo-sites likewise come from the free-run trace
-	// alone: the partial-enabled disk and network reach them once per
-	// perturbable operation, so only sites and channels the scenario
-	// actually exercises are enumerated. Candidate amplitude is
-	// calibrated from the free run — the Zhang et al. realism idea — per
-	// class: a short-write or enospc-after instance enters only where the
-	// observed payload was at least two bytes, so the persisted prefix is
-	// a nonempty strict prefix of the data (smaller payloads degrade to
-	// the clean all-or-nothing failure the site class already covers).
-	// Partial sites are not pair donors: a pair member must be a fault
-	// the member classes already search.
-	if e.partialClass {
-		for siteID, insts := range bySite {
-			if !inject.IsPartialSite(siteID) {
-				continue
-			}
-			switch inject.PartialClassOf(siteID) {
-			case inject.PartialShortWrite, inject.PartialENOSPC:
-				kept := make([]instance, 0, len(insts))
-				for _, inst := range insts {
-					if inst.amp >= 2 {
-						kept = append(kept, inst)
-					}
-				}
-				insts = kept
-			}
-			if len(insts) == 0 {
-				continue
-			}
-			st := &siteState{id: siteID, instances: insts}
-			if m, ok := inject.PartialMarker(siteID); ok {
-				st.marker = logdiff.Sanitize(m)
-			}
-			e.sites = append(e.sites, st)
-			total += len(insts)
-		}
-	}
-
-	// Combined-fault pseudo-sites: every unordered pair of donor sites
-	// (self-pairs included — two faults at one site, distinct instances)
-	// except env×env, whose joint blast radius adds nothing the members
-	// don't cover. Donors are sorted first so pair enumeration order — and
-	// with it every pair instance's occurrence identity — is deterministic.
-	if e.pairClass {
-		sort.Sort(sitesByID(donors))
-		for i, sa := range donors {
-			for j := i; j < len(donors); j++ {
-				sb := donors[j]
-				if inject.IsEnvSite(sa.id) && inject.IsEnvSite(sb.id) {
-					continue
-				}
-				if st := pairSite(sa, sb); st != nil {
-					e.sites = append(e.sites, st)
-					total += len(st.instances)
-				}
-			}
+	// Candidate sites, class by class in table order (see classes.go).
+	for c, fc := range classTable {
+		if e.classes.has(classID(c)) {
+			e.sites = append(e.sites, fc.enumerate(e, bySite)...)
 		}
 	}
 	sort.Sort(sitesByID(e.sites))
@@ -260,7 +77,7 @@ func (e *engine) setup(free *cluster.Result) {
 	// resolves back to the free-run instance it names.
 	if e.o.Addressing == AddrPath {
 		for _, s := range e.sites {
-			if s.isPair {
+			if s.class == pairClass {
 				continue
 			}
 			s.byPath = make(map[string]int, len(s.instances))
@@ -274,9 +91,12 @@ func (e *engine) setup(free *cluster.Result) {
 	e.siteIndex = make(map[string]*siteState, len(e.sites))
 	for _, s := range e.sites {
 		e.siteIndex[s.id] = s
+		e.report.CandidateInstances += len(s.instances)
+		if s.class == siteClass {
+			e.instSite += len(s.instances)
+		}
 	}
 	e.report.CandidateSites = len(e.sites)
-	e.report.CandidateInstances = total
 
 	// Baked faults are part of the workload now; never re-explore them.
 	for _, b := range e.baked {

@@ -15,6 +15,7 @@ package failures
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -97,37 +98,10 @@ func (s *Scenario) Analyze() (*analysis.Result, error) {
 	return e.res, e.err
 }
 
-// SearchesEnv reports whether the scenario's fault classes include
-// environment faults.
-func (s *Scenario) SearchesEnv() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassEnv {
-			return true
-		}
-	}
-	return false
-}
-
-// SearchesPair reports whether the scenario's fault classes include
-// combined-fault pairs.
-func (s *Scenario) SearchesPair() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassPair {
-			return true
-		}
-	}
-	return false
-}
-
-// SearchesPartial reports whether the scenario's fault classes include
-// partial failures.
-func (s *Scenario) SearchesPartial() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassPartial {
-			return true
-		}
-	}
-	return false
+// Searches reports whether the scenario's fault classes include the named
+// class (core.ClassEnv, core.ClassPair, ...).
+func (s *Scenario) Searches(class string) bool {
+	return slices.Contains(s.FaultClasses, class)
 }
 
 // execOpts returns the cluster options the scenario's own runs need: env
@@ -135,10 +109,10 @@ func (s *Scenario) SearchesPartial() bool {
 // so free runs count the pseudo-sites (FindRoot needs the counts).
 func (s *Scenario) execOpts() []cluster.ExecOption {
 	var opts []cluster.ExecOption
-	if s.SearchesEnv() {
+	if s.Searches(core.ClassEnv) {
 		opts = append(opts, cluster.WithEnvFaults())
 	}
-	if s.SearchesPartial() {
+	if s.Searches(core.ClassPartial) {
 		opts = append(opts, cluster.WithPartialFaults())
 	}
 	return opts

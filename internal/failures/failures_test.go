@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anduril/internal/cluster"
+	"anduril/internal/core"
 	"anduril/internal/inject"
 )
 
@@ -79,11 +80,11 @@ func TestRegistryLookups(t *testing.T) {
 	siteOnly, env, pair, partial := 0, 0, 0, 0
 	for _, s := range All() {
 		switch {
-		case s.SearchesEnv():
+		case s.Searches(core.ClassEnv):
 			env++
-		case s.SearchesPair():
+		case s.Searches(core.ClassPair):
 			pair++
-		case s.SearchesPartial():
+		case s.Searches(core.ClassPartial):
 			partial++
 		default:
 			siteOnly++

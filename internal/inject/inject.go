@@ -374,10 +374,10 @@ func NewRuntime(plan Plan) *Runtime {
 	}
 	pd, _ := plan.(PathDecider)
 	return &Runtime{
-		plan:      plan,
-		pathPlan:  pd,
-		budget:    budget,
-		sites:     make(map[string]*siteRec),
+		plan:        plan,
+		pathPlan:    pd,
+		budget:      budget,
+		sites:       make(map[string]*siteRec),
 		KeepTrace:   true,
 		envAuto:     PlanCarriesEnv(plan),
 		partialAuto: PlanCarriesPartial(plan),
