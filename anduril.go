@@ -86,9 +86,6 @@ const (
 	ClassPartial = core.ClassPartial
 )
 
-// ValidFaultClass reports whether a fault-class name is recognized.
-func ValidFaultClass(c string) bool { return core.ValidFaultClass(c) }
-
 // Addressing selects how injection plans name dynamic fault instances:
 // AddrOccurrence (the paper's per-site global reach counter, the default)
 // or AddrPath (distributed execution indexing — an instance is named by
@@ -101,10 +98,6 @@ const (
 	AddrOccurrence = core.AddrOccurrence
 	AddrPath       = core.AddrPath
 )
-
-// ValidAddressing reports whether an addressing-mode name is recognized
-// ("" selects the default occurrence mode).
-func ValidAddressing(a string) bool { return core.ValidAddressing(a) }
 
 // Strategies lists every registered strategy in registration order (the
 // built-ins follow Table 2 column order).

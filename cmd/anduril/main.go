@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -86,14 +87,21 @@ func main() {
 	)
 	flag.Parse()
 
-	if *maxRounds <= 0 {
-		usageErr("-max-rounds must be a positive round cap (got %d)", *maxRounds)
+	opts := anduril.Options{
+		Strategy: anduril.Strategy(*strategy), Seed: *seed,
+		MaxRounds: *maxRounds, Window: *window, Adjust: *adjust,
+		Checkpoint: *ckptPath, CheckpointEvery: *ckptEvery,
+		StopAfterRound: *stopAfter, FaultClasses: core.SplitFaultClasses(*classes),
+		Addressing: anduril.Addressing(*addrMode),
 	}
-	if *window <= 0 {
-		usageErr("-window must be a positive initial window size (got %d)", *window)
-	}
-	if *adjust <= 0 {
-		usageErr("-adjust must be a positive priority adjustment (got %d)", *adjust)
+	if err := opts.Validate(); err != nil {
+		// The explorer names the option by its snake_case key; the flag is
+		// the same name with hyphens.
+		var oe *core.OptionError
+		if errors.As(err, &oe) {
+			err = fmt.Errorf("-%s: %s", strings.ReplaceAll(oe.Option, "_", "-"), oe.Problem)
+		}
+		usageErr("%v", err)
 	}
 	if *ckptEvery <= 0 {
 		usageErr("-checkpoint-every must be a positive round interval (got %d)", *ckptEvery)
@@ -103,19 +111,6 @@ func main() {
 	}
 	if *resume && *ckptPath == "" {
 		usageErr("-resume requires -checkpoint to name the checkpoint file")
-	}
-	var faultClasses []string
-	if *classes != "" {
-		for _, c := range strings.Split(*classes, ",") {
-			c = strings.TrimSpace(c)
-			if !anduril.ValidFaultClass(c) {
-				usageErr("-fault-classes: unknown class %q (valid: %s, %s, %s, %s)", c, anduril.ClassSite, anduril.ClassEnv, anduril.ClassPair, anduril.ClassPartial)
-			}
-			faultClasses = append(faultClasses, c)
-		}
-	}
-	if !anduril.ValidAddressing(*addrMode) {
-		usageErr("-addressing: unknown mode %q (valid: %s, %s)", *addrMode, anduril.AddrOccurrence, anduril.AddrPath)
 	}
 	if *iterative > 1 && (*ckptPath != "" || *resume) {
 		usageErr("-checkpoint/-resume are not supported with -iterative (each pass re-bakes the workload)")
@@ -137,11 +132,6 @@ func main() {
 	if *failure == "" {
 		fmt.Fprintln(os.Stderr, "anduril: -failure or -list required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if !anduril.StrategyRegistered(anduril.Strategy(*strategy)) {
-		fmt.Fprintf(os.Stderr, "anduril: unknown strategy %q; valid strategies: %s\n",
-			*strategy, strategyNames())
 		os.Exit(2)
 	}
 
@@ -181,13 +171,6 @@ func main() {
 			*dotOut, target.Analysis.Graph.NumNodes(), target.Analysis.Graph.NumEdges())
 	}
 
-	opts := anduril.Options{
-		Strategy: anduril.Strategy(*strategy), Seed: *seed,
-		MaxRounds: *maxRounds, Window: *window, Adjust: *adjust,
-		Checkpoint: *ckptPath, CheckpointEvery: *ckptEvery,
-		StopAfterRound: *stopAfter, FaultClasses: faultClasses,
-		Addressing: anduril.Addressing(*addrMode),
-	}
 	if sink != nil {
 		opts.Trace = sink
 	}
@@ -259,17 +242,6 @@ func main() {
 	if *scriptOut != "" {
 		writeScript(*scriptOut, func() (*core.ScriptFile, error) { return core.ScriptOf(report) })
 	}
-}
-
-func strategyNames() string {
-	names := ""
-	for i, s := range anduril.Strategies() {
-		if i > 0 {
-			names += ", "
-		}
-		names += string(s)
-	}
-	return names
 }
 
 func writeScript(path string, build func() (*core.ScriptFile, error)) {

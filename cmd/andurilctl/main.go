@@ -245,7 +245,7 @@ func (c *ctl) submit(args []string) int {
 		fmt.Fprintln(c.stderr, "andurilctl submit: -failure is required")
 		return exitUsage
 	}
-	spec.FaultClasses = splitClasses(classes)
+	spec.FaultClasses = core.SplitFaultClasses(classes)
 	sr, err := c.postJob(spec, time.Now().Add(timeout))
 	if err != nil {
 		return c.errorf("%v", err)
@@ -268,19 +268,6 @@ func (c *ctl) submit(args []string) int {
 		return exitRuntime
 	}
 	return exitOK
-}
-
-func splitClasses(s string) []string {
-	if s == "" {
-		return nil
-	}
-	var out []string
-	for _, c := range bytes.Split([]byte(s), []byte(",")) {
-		if t := bytes.TrimSpace(c); len(t) > 0 {
-			out = append(out, string(t))
-		}
-	}
-	return out
 }
 
 func (c *ctl) status(args []string) int {

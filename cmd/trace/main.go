@@ -30,7 +30,7 @@ func main() {
 	var (
 		site    = flag.String("site", "", "only events touching this fault site (substring match)")
 		round   = flag.Int("round", 0, "only events of this round (free_run/outcome always shown)")
-		event   = flag.String("event", "", "only events of this type (free_run, round, decision, injected, env_injected, window_grow, feedback, inconclusive, outcome)")
+		event   = flag.String("event", "", "only events of this type ("+eventTypeList()+")")
 		stats   = flag.Bool("stats", false, "print aggregate counters and histograms instead of events")
 		diff    = flag.Bool("diff", false, "compare two trace files event by event; exit 1 if they differ")
 		maxDiff = flag.Int("max-diffs", 10, "divergences to report in -diff mode")
@@ -189,47 +189,48 @@ func render(ev *trace.Event) string {
 		if ev.CandidateCount > len(ev.Candidates) {
 			fmt.Fprintf(&b, " … (+%d more)", ev.CandidateCount-len(ev.Candidates))
 		}
-	case trace.Injected:
-		verdict := "oracle not satisfied"
-		if ev.Satisfied {
-			verdict = "ORACLE SATISFIED"
-		}
-		fmt.Fprintf(&b, "round %3d: injected %s#%d", ev.Round, ev.Site, ev.Occ)
-		if ev.Path != "" {
-			fmt.Fprintf(&b, " at path %s", ev.Path)
-		}
-		fmt.Fprintf(&b, " — %s", verdict)
-	case trace.PairInjected:
-		verdict := "oracle not satisfied"
-		if ev.Satisfied {
-			verdict = "ORACLE SATISFIED"
-		}
-		fmt.Fprintf(&b, "round %3d: injected pair %s#%d", ev.Round, ev.Site, ev.Occ)
-		for i, m := range ev.Members {
-			sep := " ["
-			if i > 0 {
-				sep = " + "
+	case trace.Injected, trace.EnvInjected, trace.PartialInjected, trace.PairInjected:
+		fmt.Fprintf(&b, "round %3d: injected ", ev.Round)
+		switch ev.Type {
+		case trace.Injected:
+			fmt.Fprintf(&b, "%s#%d", ev.Site, ev.Occ)
+			if ev.Path != "" {
+				fmt.Fprintf(&b, " at path %s", ev.Path)
 			}
-			fmt.Fprintf(&b, "%s%s", sep, candidateRef(m))
+		case trace.PairInjected:
+			fmt.Fprintf(&b, "pair %s#%d", ev.Site, ev.Occ)
+			for i, m := range ev.Members {
+				sep := " ["
+				if i > 0 {
+					sep = " + "
+				}
+				fmt.Fprintf(&b, "%s%s", sep, candidateRef(m))
+			}
+			if len(ev.Members) > 0 {
+				b.WriteString("]")
+			}
+		default:
+			// env_injected / partial_injected: the family is the event type's
+			// first word; an env pair reads a/b, a partial channel from>to.
+			family, sep := "env", "/"
+			if ev.Type == trace.PartialInjected {
+				family, sep = "partial", ">"
+			}
+			subject := ev.Subject
+			if ev.Peer != "" {
+				subject += sep + ev.Peer
+			}
+			fmt.Fprintf(&b, "%s %s on %s (%s#%d", family, ev.Class, subject, ev.Site, ev.Occ)
+			if ev.Dur > 0 {
+				fmt.Fprintf(&b, ", %dms", ev.Dur/1_000_000)
+			}
+			b.WriteString(")")
 		}
-		if len(ev.Members) > 0 {
-			b.WriteString("]")
-		}
-		fmt.Fprintf(&b, " — %s", verdict)
-	case trace.EnvInjected:
-		verdict := "oracle not satisfied"
 		if ev.Satisfied {
-			verdict = "ORACLE SATISFIED"
+			b.WriteString(" — ORACLE SATISFIED")
+		} else {
+			b.WriteString(" — oracle not satisfied")
 		}
-		subject := ev.Subject
-		if ev.Peer != "" {
-			subject += "/" + ev.Peer
-		}
-		fmt.Fprintf(&b, "round %3d: injected env %s on %s (%s#%d", ev.Round, ev.Class, subject, ev.Site, ev.Occ)
-		if ev.Dur > 0 {
-			fmt.Fprintf(&b, ", %dms", ev.Dur/1_000_000)
-		}
-		fmt.Fprintf(&b, ") — %s", verdict)
 	case trace.WindowGrow:
 		fmt.Fprintf(&b, "round %3d: no candidate occurred; window %d -> %d", ev.Round, ev.From, ev.To)
 		if ev.Clamped {
@@ -270,6 +271,15 @@ func render(ev *trace.Event) string {
 		return trace.Line(ev)
 	}
 	return b.String()
+}
+
+// eventTypeList renders the event types for the -event help.
+func eventTypeList() string {
+	names := make([]string, len(trace.EventTypes))
+	for i, t := range trace.EventTypes {
+		names[i] = string(t)
+	}
+	return strings.Join(names, ", ")
 }
 
 // candidateRef renders one window candidate or pair member: its canonical

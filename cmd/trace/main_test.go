@@ -1,0 +1,55 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"anduril/internal/trace"
+)
+
+func TestRenderInjectedEvents(t *testing.T) {
+	cases := []struct {
+		name string
+		ev   trace.Event
+		want string
+	}{
+		{"site", trace.Event{Type: trace.Injected, Round: 3, Site: "zk.sync.append-txn", Occ: 2},
+			"round   3: injected zk.sync.append-txn#2 — oracle not satisfied"},
+		{"site path satisfied", trace.Event{Type: trace.Injected, Round: 12, Site: "a.x", Occ: 1, Path: "r>a.x#1", Satisfied: true},
+			"round  12: injected a.x#1 at path r>a.x#1 — ORACLE SATISFIED"},
+		{"env crash", trace.Event{Type: trace.EnvInjected, Round: 1, Site: "env/crash/zk1", Occ: 4,
+			Class: "crash", Subject: "zk1", Dur: 600_000_000, Satisfied: true},
+			"round   1: injected env crash on zk1 (env/crash/zk1#4, 600ms) — ORACLE SATISFIED"},
+		{"env drop", trace.Event{Type: trace.EnvInjected, Round: 2, Site: "env/msg-drop/nn>dn1", Occ: 1,
+			Class: "msg-drop", Subject: "nn", Peer: "dn1"},
+			"round   2: injected env msg-drop on nn/dn1 (env/msg-drop/nn>dn1#1) — oracle not satisfied"},
+		{"partial disk", trace.Event{Type: trace.PartialInjected, Round: 2, Site: "partial/disk/torn-rename/dfs.namenode.rename-edits", Occ: 1,
+			Class: "torn-rename", Subject: "dfs.namenode.rename-edits", Satisfied: true},
+			"round   2: injected partial torn-rename on dfs.namenode.rename-edits (partial/disk/torn-rename/dfs.namenode.rename-edits#1) — ORACLE SATISFIED"},
+		{"partial channel", trace.Event{Type: trace.PartialInjected, Round: 1, Site: "partial/net/dup-deliver/mq-producer-1>broker-a", Occ: 1,
+			Class: "dup-deliver", Subject: "mq-producer-1", Peer: "broker-a"},
+			"round   1: injected partial dup-deliver on mq-producer-1>broker-a (partial/net/dup-deliver/mq-producer-1>broker-a#1) — oracle not satisfied"},
+		{"pair", trace.Event{Type: trace.PairInjected, Round: 7, Site: "pair/a.x+env/crash/n1", Occ: 5,
+			Members: []trace.Candidate{{Site: "a.x", Occ: 1}, {Site: "env/crash/n1", Path: "env/crash/n1#2"}}},
+			"round   7: injected pair pair/a.x+env/crash/n1#5 [a.x#1 + env/crash/n1#2] — oracle not satisfied"},
+	}
+	for _, c := range cases {
+		if got := render(&c.ev); got != c.want {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
+		}
+	}
+}
+
+// Every event type has a human-readable rendering (none falls through to
+// the raw JSON line) and is offered by the -event help.
+func TestEveryEventTypeRendersAndIsListed(t *testing.T) {
+	help := eventTypeList()
+	for _, typ := range trace.EventTypes {
+		if out := render(&trace.Event{Type: typ}); strings.HasPrefix(out, "{") {
+			t.Errorf("%s renders as raw JSON: %s", typ, out)
+		}
+		if !strings.Contains(", "+help+",", ", "+string(typ)+",") {
+			t.Errorf("-event help %q omits %s", help, typ)
+		}
+	}
+}

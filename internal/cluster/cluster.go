@@ -99,9 +99,9 @@ func NewEnv(seed int64, plan inject.Plan) *Env {
 	fi.Now = sim.Now
 	fi.PathID = sim.CurPath
 	fi.PathPrefix = sim.PathString
-	if inject.PlanCarriesPath(plan) {
-		// Replaying a path-addressed script needs no flag, mirroring the
-		// env auto-enable: the plan itself proves paths are required.
+	if fi.Active(inject.PathAddressing) {
+		// Replaying a path-addressed script needs no flag: the plan itself
+		// proves paths are required.
 		sim.EnablePathTracking()
 	}
 	net := simnet.New(sim, fi, lg, des.Millisecond, 4*des.Millisecond)
@@ -115,37 +115,20 @@ func NewEnv(seed int64, plan inject.Plan) *Env {
 // parameters.
 type ExecOption func(*Env)
 
-// WithEnvFaults opts the round into environment pseudo-sites: the
-// network counts (and can inject at) crash/partition/drop/delay
-// instances. Off by default so site-only rounds keep byte-identical
-// traces; plans that already carry env instances enable counting on
-// their own (see inject.PlanCarriesEnv), so this option matters for
-// free runs and mixed windows.
-func WithEnvFaults() ExecOption {
-	return func(e *Env) { e.FI.EnvEnabled = true }
-}
-
-// WithPartialFaults opts the round into partial-failure pseudo-sites:
-// the disk and network count (and can inject at) short-write,
-// enospc-after, torn-rename, eintr and dup-deliver instances. Off by
-// default so rounds without the partial class keep byte-identical
-// traces; plans that already carry partial instances enable counting on
-// their own (see inject.PlanCarriesPartial), so this option matters for
-// free runs and mixed windows.
-func WithPartialFaults() ExecOption {
-	return func(e *Env) { e.FI.PartialEnabled = true }
-}
-
-// WithPathAddressing opts the round into path-sensitive injection
-// addressing: the kernel tracks the distributed call tree, and every
-// reach is assigned a canonical PathAddr string (inject.TraceEvent.Path).
-// Off by default so occurrence-mode rounds do no path bookkeeping; plans
-// that already carry path-addressed instances enable it on their own
-// (see inject.PlanCarriesPath).
-func WithPathAddressing() ExecOption {
+// With opts the round into optional runtime features: env and partial
+// pseudo-sites are counted (and can be injected at), and under path
+// addressing the kernel tracks the distributed call tree so every reach
+// is assigned a canonical PathAddr string (inject.TraceEvent.Path). All
+// are off by default so rounds that do not use them keep byte-identical
+// traces; a plan's own instances activate what they need (see
+// inject.Features), so this option matters for free runs and mixed
+// windows.
+func With(f inject.Features) ExecOption {
 	return func(e *Env) {
-		e.Sim.EnablePathTracking()
-		e.FI.PathEnabled = true
+		e.FI.Enable(f)
+		if e.FI.Active(inject.PathAddressing) {
+			e.Sim.EnablePathTracking()
+		}
 	}
 }
 

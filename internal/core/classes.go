@@ -5,7 +5,7 @@ package core
 // fault space), environment pseudo-sites, partial-failure pseudo-sites and
 // combined-fault pairs. Everything class-specific lives in this file — the
 // class's name, how its candidates are enumerated (with the synthetic
-// distances that rank pseudo-sites), and the execution option its free run
+// distances that rank pseudo-sites), and the runtime features its free run
 // and trials need. The rest of the engine reads the stamp enumeration
 // leaves on each siteState (class, dists, synth, marker, members) and never
 // branches on a class name or re-parses a site-ID prefix. Adding a class
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 
-	"anduril/internal/cluster"
 	"anduril/internal/inject"
 	"anduril/internal/logdiff"
 )
@@ -47,26 +46,37 @@ const (
 // faultClass is one row of the table: enumerate returns the class's
 // candidate sites from the free-run instances (each stamped with its
 // class and, where the class has them, synth/marker/members), and execOpt
-// (nil when the class needs none) arms the runtime so the pseudo-sites
-// are reached at all.
+// (zero when the class needs none) is the runtime feature without which
+// its pseudo-sites are not reached at all.
 type faultClass struct {
 	name      string
-	enumerate func(e *engine, bySite map[string][]instance) []*siteState
-	execOpt   func() cluster.ExecOption
+	enumerate func(e *engine, c classID, bySite map[string][]instance) []*siteState
+	execOpt   inject.Features
 }
 
-var classTable = [numClasses]faultClass{
-	siteClass:    {ClassSite, enumerateSites, nil},
-	envClass:     {ClassEnv, enumerateEnv, cluster.WithEnvFaults},
-	partialClass: {ClassPartial, enumeratePartial, cluster.WithPartialFaults},
-	pairClass:    {ClassPair, enumeratePairs, nil},
+var classTable [numClasses]faultClass
+
+// The table is filled here rather than in its declaration because
+// enumeratePseudo reads its own row's execOpt, which a package-level
+// initializer may not do (initialization cycle).
+func init() {
+	classTable = [numClasses]faultClass{
+		siteClass:    {ClassSite, enumerateSites, 0},
+		envClass:     {ClassEnv, enumeratePseudo, inject.EnvFaults},
+		partialClass: {ClassPartial, enumeratePseudo, inject.PartialFaults},
+		pairClass:    {ClassPair, enumeratePairs, 0},
+	}
 }
 
 // classSet is the set of enabled fault classes, one bit per classID.
 type classSet uint8
 
-// siteOnly is the default class set: the paper's fault space.
-const siteOnly = classSet(1) << siteClass
+// siteOnly is the default class set (the paper's fault space); allClasses
+// is every row of the table.
+const (
+	siteOnly   = classSet(1) << siteClass
+	allClasses = classSet(1)<<numClasses - 1
+)
 
 func (cs classSet) has(c classID) bool { return cs&(1<<c) != 0 }
 
@@ -114,13 +124,6 @@ func resolveClasses(t *Target, o Options) (classSet, error) {
 	return classSetOf(names...)
 }
 
-// ValidFaultClass reports whether a class name is recognized (for
-// validating outside input up front: CLI flags, server specs).
-func ValidFaultClass(c string) bool {
-	_, err := classSetOf(c)
-	return err == nil
-}
-
 // distMatched scores a pseudo-site against an observable that IS the
 // site's own injection marker (the production log recorded the event —
 // "env: message nn>dn1 delayed" names the delay channel directly, modulo
@@ -129,34 +132,39 @@ func ValidFaultClass(c string) bool {
 // of class-order.
 const distMatched = 1
 
-// Environment pseudo-sites have no causal-graph node, so their spatial
-// distance to every observable is a synthetic per-class constant —
-// larger than any graph path in the dataset, so env instances rank
-// below every causally-connected error-return site until feedback bumps
-// reorder them. The class order (crash < partition < drop < delay)
-// encodes blast radius: a crash perturbs the most behavior, so it is
-// the most promising guess for an unexplained failure.
-var envDist = map[inject.EnvClass]float64{
-	inject.EnvCrash:     24,
-	inject.EnvPartition: 26,
-	inject.EnvDrop:      28,
-	inject.EnvDelay:     30,
-}
-
-// Partial pseudo-sites likewise have no causal-graph node; their
-// synthetic distances sit above the env band, so with both classes
-// enabled the cleaner, better-understood env faults are tried first.
-// Within the class the order encodes how much persistent state the
+// pseudoPrior ranks the pseudo-site classes. A pseudo-site has no
+// causal-graph node, so its spatial distance to every observable is a
+// synthetic per-class constant — larger than any graph path in the
+// dataset, so pseudo-site instances rank below every causally-connected
+// error-return site until feedback bumps reorder them. Within env the
+// order (crash < partition < drop < delay) encodes blast radius: a crash
+// perturbs the most behavior, so it is the most promising guess for an
+// unexplained failure. The partial band sits above the env band, so with
+// both classes enabled the cleaner, better-understood env faults are
+// tried first; within it the order encodes how much persistent state the
 // fault corrupts: a torn rename leaves a double ledger recovery must
-// untangle, a short write or mid-append ENOSPC corrupts one file's
-// tail, a duplicated delivery double-applies one message, and eintr
-// only surfaces a spurious error for a delivered message.
-var partialDist = map[inject.PartialClass]float64{
-	inject.PartialTornRename: 34,
-	inject.PartialShortWrite: 36,
-	inject.PartialENOSPC:     38,
-	inject.PartialDupDeliver: 40,
-	inject.PartialEINTR:      42,
+// untangle, a short write or mid-append ENOSPC corrupts one file's tail,
+// a duplicated delivery double-applies one message, and eintr only
+// surfaces a spurious error for a delivered message.
+//
+// minAmp calibrates candidate amplitude from the free run — the Zhang et
+// al. realism idea: a short-write or enospc-after instance enters only
+// where the observed payload was at least two bytes, so the persisted
+// prefix is a nonempty strict prefix of the data (smaller payloads degrade
+// to the clean all-or-nothing failure the site class already covers).
+var pseudoPrior = map[inject.PseudoClass]struct {
+	dist   float64
+	minAmp int
+}{
+	inject.EnvCrash:          {24, 0},
+	inject.EnvPartition:      {26, 0},
+	inject.EnvDrop:           {28, 0},
+	inject.EnvDelay:          {30, 0},
+	inject.PartialTornRename: {34, 0},
+	inject.PartialShortWrite: {36, 2},
+	inject.PartialENOSPC:     {38, 2},
+	inject.PartialDupDeliver: {40, 0},
+	inject.PartialEINTR:      {42, 0},
 }
 
 // enumerateSites returns the error-return candidate sites: causally
@@ -164,7 +172,7 @@ var partialDist = map[inject.PartialClass]float64{
 // workload (otherwise there is no instance to inject). Their spatial
 // distances L_{i,k} come from the static causal graph, computed once per
 // analysis Result and shared read-only across reproductions.
-func enumerateSites(e *engine, bySite map[string][]instance) []*siteState {
+func enumerateSites(e *engine, _ classID, bySite map[string][]instance) []*siteState {
 	relevantTemplates := map[string]bool{}
 	for _, o := range e.obs {
 		for _, t := range o.templates {
@@ -190,49 +198,25 @@ func enumerateSites(e *engine, bySite map[string][]instance) []*siteState {
 	return out
 }
 
-// enumerateEnv returns the environment pseudo-sites. They come from the
-// free-run trace alone (the env-enabled network reaches them per
-// message), not the causal graph: a crash or partition is causally
-// adjacent to everything the topology connects, so enumeration is gated
-// on the class being enabled rather than on graph connectivity.
-func enumerateEnv(e *engine, bySite map[string][]instance) []*siteState {
+// enumeratePseudo returns class c's pseudo-sites: the ones whose family
+// is the feature the class arms. They come from the free-run trace alone
+// (the feature-enabled network and disk reach them once per message or
+// perturbable operation), not the causal graph: a crash or partition is
+// causally adjacent to everything the topology connects, so enumeration
+// is gated on the class being enabled rather than on graph connectivity,
+// and only sites and channels the scenario actually exercises appear.
+func enumeratePseudo(e *engine, c classID, bySite map[string][]instance) []*siteState {
 	var out []*siteState
 	for siteID, insts := range bySite {
-		d, ok := envDist[inject.EnvClassOf(siteID)]
-		if !ok {
+		f, ok := inject.ParsePseudo(siteID)
+		if !ok || f.Family != classTable[c].execOpt {
 			continue
 		}
-		st := &siteState{id: siteID, class: envClass, synth: d, instances: insts}
-		if m, ok := inject.EnvMarker(siteID); ok {
-			st.marker = logdiff.Sanitize(m)
-		}
-		out = append(out, st)
-	}
-	return out
-}
-
-// enumeratePartial returns the partial-failure pseudo-sites. They
-// likewise come from the free-run trace alone: the partial-enabled disk
-// and network reach them once per perturbable operation, so only sites
-// and channels the scenario actually exercises are enumerated. Candidate
-// amplitude is calibrated from the free run — the Zhang et al. realism
-// idea — per class: a short-write or enospc-after instance enters only
-// where the observed payload was at least two bytes, so the persisted
-// prefix is a nonempty strict prefix of the data (smaller payloads
-// degrade to the clean all-or-nothing failure the site class already
-// covers).
-func enumeratePartial(e *engine, bySite map[string][]instance) []*siteState {
-	var out []*siteState
-	for siteID, insts := range bySite {
-		pc := inject.PartialClassOf(siteID)
-		d, ok := partialDist[pc]
-		if !ok {
-			continue
-		}
-		if pc == inject.PartialShortWrite || pc == inject.PartialENOSPC {
+		prior := pseudoPrior[f.Class]
+		if prior.minAmp > 0 {
 			kept := make([]instance, 0, len(insts))
 			for _, inst := range insts {
-				if inst.amp >= 2 {
+				if inst.amp >= prior.minAmp {
 					kept = append(kept, inst)
 				}
 			}
@@ -241,11 +225,10 @@ func enumeratePartial(e *engine, bySite map[string][]instance) []*siteState {
 		if len(insts) == 0 {
 			continue
 		}
-		st := &siteState{id: siteID, class: partialClass, synth: d, instances: insts}
-		if m, ok := inject.PartialMarker(siteID); ok {
-			st.marker = logdiff.Sanitize(m)
-		}
-		out = append(out, st)
+		out = append(out, &siteState{
+			id: siteID, class: c, synth: prior.dist,
+			marker: logdiff.Sanitize(f.Marker()), instances: insts,
+		})
 	}
 	return out
 }
@@ -261,10 +244,10 @@ func enumeratePartial(e *engine, bySite map[string][]instance) []*siteState {
 // be a fault the member classes already search. Donors are sorted first
 // so pair enumeration order — and with it every pair instance's
 // occurrence identity — is deterministic.
-func enumeratePairs(e *engine, bySite map[string][]instance) []*siteState {
+func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteState {
 	var donors []*siteState
 	if !e.classes.has(siteClass) {
-		donors = enumerateSites(e, bySite)
+		donors = enumerateSites(e, siteClass, bySite)
 	}
 	for _, s := range e.sites {
 		if s.class == siteClass || s.class == envClass {

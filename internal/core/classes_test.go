@@ -5,6 +5,7 @@ package core_test
 // is an error rather than an empty search.
 
 import (
+	"errors"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -99,5 +100,55 @@ func TestUnknownFaultClassIsAnError(t *testing.T) {
 	if !empty.Reproduced || roundSummary(empty) != roundSummary(unset) {
 		t.Fatalf("empty class list is not the site-only default:\n--- unset\n%s--- empty\n%s",
 			roundSummary(unset), roundSummary(empty))
+	}
+}
+
+// TestOptionsValidate: the one set of front-end rules — every CLI flag
+// check and server.Spec.Validate go through it — names the offending
+// option by its snake_case key.
+func TestOptionsValidate(t *testing.T) {
+	ok := core.Options{Strategy: core.FullFeedback, MaxRounds: 500, Window: 10, Adjust: 1}
+	with := func(edit func(*core.Options)) core.Options { o := ok; edit(&o); return o }
+	cases := []struct {
+		name   string
+		opts   core.Options
+		option string // "" = valid
+	}{
+		{"defaults", ok, ""},
+		{"all classes, path", with(func(o *core.Options) {
+			o.FaultClasses, o.Addressing, o.RunsPerRound = []string{"site", "env", "pair", "partial"}, core.AddrPath, 3
+		}), ""},
+		{"no strategy", with(func(o *core.Options) { o.Strategy = "" }), "strategy"},
+		{"unknown strategy", with(func(o *core.Options) { o.Strategy = "bogus" }), "strategy"},
+		{"zero rounds", with(func(o *core.Options) { o.MaxRounds = 0 }), "max_rounds"},
+		{"negative window", with(func(o *core.Options) { o.Window = -2 }), "window"},
+		{"zero adjust", with(func(o *core.Options) { o.Adjust = 0 }), "adjust"},
+		{"negative runs", with(func(o *core.Options) { o.RunsPerRound = -1 }), "runs_per_round"},
+		{"unknown class", with(func(o *core.Options) { o.FaultClasses = []string{"site", "cosmic"} }), "fault_classes"},
+		{"unknown addressing", with(func(o *core.Options) { o.Addressing = "telepathy" }), "addressing"},
+	}
+	for _, c := range cases {
+		err := c.opts.Validate()
+		var oe *core.OptionError
+		switch {
+		case c.option == "" && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", c.name, err)
+		case c.option != "" && (!errors.As(err, &oe) || oe.Option != c.option):
+			t.Errorf("%s: Validate() = %v, want an OptionError naming %s", c.name, err, c.option)
+		}
+	}
+}
+
+func TestSplitFaultClasses(t *testing.T) {
+	for in, want := range map[string][]string{
+		"":              nil,
+		" , ":           nil,
+		"site":          {"site"},
+		"env, site":     {"env", "site"},
+		",pair,,bogus ": {"pair", "bogus"},
+	} {
+		if got := core.SplitFaultClasses(in); !slices.Equal(got, want) {
+			t.Errorf("SplitFaultClasses(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

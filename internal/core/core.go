@@ -19,7 +19,9 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"anduril/internal/analysis"
@@ -49,12 +51,6 @@ const (
 	AddrOccurrence Addressing = "occurrence"
 	AddrPath       Addressing = "path"
 )
-
-// ValidAddressing reports whether an addressing-mode name is recognized
-// (for CLI validation). The empty string is valid and means the default.
-func ValidAddressing(a string) bool {
-	return a == "" || Addressing(a) == AddrOccurrence || Addressing(a) == AddrPath
-}
 
 // Strategies. FullFeedback is complete ANDURIL; the next five are the
 // ablation variants of §8.3; the last four are the §8.4 baselines.
@@ -199,6 +195,64 @@ type Options struct {
 	// naiveRanking swaps the incremental priority index for the reference
 	// ranker (see ranking.go). Only tests set it, through export_test.go.
 	naiveRanking bool
+}
+
+// OptionError reports an option value from outside the program (a CLI
+// flag, a server spec) that no search can run with. Option is the option's
+// snake_case name — a server spec's JSON key, and a CLI flag once its
+// underscores are hyphens — so each front end reports the error in its own
+// vocabulary while the rule lives here once.
+type OptionError struct {
+	Option  string
+	Problem string
+}
+
+func (e *OptionError) Error() string { return e.Option + ": " + e.Problem }
+
+// Validate checks options a front end built from explicit input, before
+// any search runs. The bounds every front end sets — MaxRounds, Window,
+// Adjust — must be positive as given (an explicit -window 0 is a typo,
+// not a request for the default), RunsPerRound may be zero (unset), and
+// the strategy, fault classes and addressing mode must be known names.
+// Library callers who leave fields zero for the defaults need not call it.
+func (o Options) Validate() error {
+	if !StrategyRegistered(o.Strategy) {
+		return &OptionError{"strategy", fmt.Sprintf("unknown strategy %q (valid: %v)", o.Strategy, Strategies())}
+	}
+	for _, b := range []struct {
+		option string
+		v      int
+	}{{"max_rounds", o.MaxRounds}, {"window", o.Window}, {"adjust", o.Adjust}} {
+		if b.v <= 0 {
+			return &OptionError{b.option, fmt.Sprintf("must be positive (got %d)", b.v)}
+		}
+	}
+	if o.RunsPerRound < 0 {
+		return &OptionError{"runs_per_round", fmt.Sprintf("must not be negative (got %d)", o.RunsPerRound)}
+	}
+	for _, c := range o.FaultClasses {
+		if _, err := classSetOf(c); err != nil {
+			return &OptionError{"fault_classes", fmt.Sprintf("unknown fault class %q (valid: %v)", c, allClasses.names())}
+		}
+	}
+	if a := o.Addressing; a != "" && a != AddrOccurrence && a != AddrPath {
+		return &OptionError{"addressing", fmt.Sprintf("unknown addressing mode %q (valid: %s, %s)", a, AddrOccurrence, AddrPath)}
+	}
+	return nil
+}
+
+// SplitFaultClasses parses a comma-separated fault-class list as the CLIs
+// accept it: names are trimmed, empty items dropped, and an empty list is
+// nil (unset: the target's own classes). Names are not checked here;
+// Options.Validate does that.
+func SplitFaultClasses(s string) []string {
+	var out []string
+	for _, c := range strings.Split(s, ",") {
+		if c = strings.TrimSpace(c); c != "" {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func (o Options) withDefaults() Options {

@@ -203,10 +203,10 @@ func (e *engine) emit(ev *trace.Event) { e.o.Trace.Emit(ev) }
 // obsLabel renders an observable's identity for trace events.
 func obsLabel(o *observable) string { return o.key.Thread + ": " + o.key.Msg }
 
-// traceInjected records the reach at which a round's fault fired. An
-// environment injection is a distinct event type carrying the decoded
-// class, subject node(s) and virtual-time duration; a pair injection
-// carries its two decoded member instances.
+// traceInjected records the reach at which a round's fault fired. A
+// pseudo-site injection is a distinct event type per family carrying the
+// decoded class and operands (and, for env, the virtual-time duration); a
+// pair injection carries its two decoded member instances.
 func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) {
 	if !e.tracing() {
 		return
@@ -215,17 +215,13 @@ func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) 
 		Type: trace.Injected, Round: round,
 		Site: inst.Site, Occ: inst.Occurrence, Path: inst.Path, Satisfied: satisfied,
 	}
-	if f, ok := inject.ParseEnvSite(inst.Site); ok {
-		ev.Type = trace.EnvInjected
-		ev.Class = string(f.Class)
-		ev.Subject = f.Subject
-		ev.Peer = f.Peer
-		ev.Dur = int64(f.Duration)
-	} else if f, ok := inject.ParsePartialSite(inst.Site); ok {
-		ev.Type = trace.PartialInjected
-		ev.Class = string(f.Class)
-		ev.Subject = f.Subject
-		ev.Peer = f.Peer
+	if f, ok := inject.ParsePseudo(inst.Site); ok {
+		ev.Class, ev.Subject, ev.Peer = string(f.Class), f.Subject, f.Peer
+		if f.Family == inject.EnvFaults {
+			ev.Type, ev.Dur = trace.EnvInjected, int64(f.Duration)
+		} else {
+			ev.Type = trace.PartialInjected
+		}
 	} else if a, b, ok := inject.PairMembers(inst); ok {
 		ev.Type = trace.PairInjected
 		ev.Path = "" // the member list already carries the references
@@ -405,16 +401,16 @@ func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.R
 	if budget < 0 {
 		budget = 0 // negative means unlimited
 	}
-	var opts []cluster.ExecOption
+	var feats inject.Features
 	for c, fc := range classTable {
-		if fc.execOpt != nil && e.classes.has(classID(c)) {
-			opts = append(opts, fc.execOpt())
+		if e.classes.has(classID(c)) {
+			feats |= fc.execOpt
 		}
 	}
 	if e.o.Addressing == AddrPath {
-		opts = append(opts, cluster.WithPathAddressing())
+		feats |= inject.PathAddressing
 	}
-	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, opts...)
+	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, cluster.With(feats))
 }
 
 // interrupted reports whether the search must stop before starting the

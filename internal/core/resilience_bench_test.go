@@ -48,7 +48,7 @@ func BenchmarkReproduce(b *testing.B) {
 	b.Run("path-addressing", func(b *testing.B) {
 		// Same search under AddrPath: prices the per-reach path
 		// bookkeeping (context tracking, canonical-string assembly, the
-		// per-site byPath index). Recorded in BENCH_core_addressing.json;
+		// per-site byPath index). Recorded in BENCH_alloc_budget.json;
 		// the baseline variant above is the proof that none of it is paid
 		// in the default mode.
 		benchReproduce(b, func(int) core.Options {
@@ -62,7 +62,7 @@ func BenchmarkReproduce(b *testing.B) {
 		// Same search with the partial class enabled: prices the partial
 		// sweep (per-operation pseudo-site reaches, ID caching, amplitude
 		// recording) on a search that still concludes in the site class.
-		// Recorded in BENCH_core_partial.json; the baseline variant above
+		// Recorded in BENCH_alloc_budget.json; the baseline variant above
 		// is the proof that none of it is paid in the default mode.
 		benchReproduce(b, func(int) core.Options {
 			return core.Options{

@@ -67,7 +67,7 @@ func (e *engine) setup(free *cluster.Result) {
 	// Candidate sites, class by class in table order (see classes.go).
 	for c, fc := range classTable {
 		if e.classes.has(classID(c)) {
-			e.sites = append(e.sites, fc.enumerate(e, bySite)...)
+			e.sites = append(e.sites, fc.enumerate(e, classID(c), bySite)...)
 		}
 	}
 	sort.Sort(sitesByID(e.sites))

@@ -104,23 +104,23 @@ func (s *Scenario) Searches(class string) bool {
 	return slices.Contains(s.FaultClasses, class)
 }
 
-// execOpts returns the cluster options the scenario's own runs need: env
-// and partial enumeration are switched on for scenarios of those classes
-// so free runs count the pseudo-sites (FindRoot needs the counts).
-func (s *Scenario) execOpts() []cluster.ExecOption {
-	var opts []cluster.ExecOption
+// execOpt returns the cluster option the scenario's own runs need: env
+// and partial pseudo-sites are switched on for scenarios of those classes
+// so free runs count them (FindRoot needs the counts).
+func (s *Scenario) execOpt() cluster.ExecOption {
+	var f inject.Features
 	if s.Searches(core.ClassEnv) {
-		opts = append(opts, cluster.WithEnvFaults())
+		f |= inject.EnvFaults
 	}
 	if s.Searches(core.ClassPartial) {
-		opts = append(opts, cluster.WithPartialFaults())
+		f |= inject.PartialFaults
 	}
-	return opts
+	return cluster.With(f)
 }
 
 // GroundTruth finds the root-cause instance under the given seed.
 func (s *Scenario) GroundTruth(seed int64) (inject.Instance, error) {
-	free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpts()...)
+	free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpt())
 	inst, ok := s.FindRoot(free, seed)
 	if !ok {
 		return inject.Instance{}, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
@@ -135,7 +135,7 @@ func (s *Scenario) FailureLog() ([]logging.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon, s.execOpts()...)
+	res := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon, s.execOpt())
 	if !s.Oracle.Satisfied(res) {
 		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, inst)
 	}

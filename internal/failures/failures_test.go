@@ -17,7 +17,7 @@ func TestScenarioInvariants(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			// 1. No fault, no failure.
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpts()...)
+			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpt())
 			if s.Oracle.Satisfied(free) {
 				t.Fatalf("%s: oracle satisfied without any fault", s.ID)
 			}
@@ -56,7 +56,7 @@ func TestGroundTruthStableAcrossSeeds(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpts()...)
+				free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpt())
 				inst, ok := s.FindRoot(free, seed)
 				if !ok {
 					t.Fatalf("seed %d: ground truth not found", seed)
@@ -141,7 +141,7 @@ func TestExecuteDeterministicPerSeed(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			t.Parallel() // cross-scenario concurrency must not leak either
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpts()...)
+			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpt())
 			inst, ok := s.FindRoot(free, FailureSeed)
 			if !ok {
 				t.Fatalf("ground truth not found")

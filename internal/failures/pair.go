@@ -45,7 +45,7 @@ var pairClasses = []string{core.ClassPair}
 // combined pair instance is returned for replay.
 func trialPair(s *Scenario, seed int64, a, b inject.Instance) (inject.Instance, bool) {
 	pi := inject.PairInstance(a, b)
-	res := cluster.Execute(seed, inject.Exact(pi), false, s.Workload, s.Horizon, s.execOpts()...)
+	res := cluster.Execute(seed, inject.Exact(pi), false, s.Workload, s.Horizon, s.execOpt())
 	if s.Oracle.Satisfied(res) {
 		return pi, true
 	}

@@ -24,13 +24,13 @@ func TestPartialScenariosNeedPartialFault(t *testing.T) {
 			// Enumerate singles with env faults enabled — but NOT partial
 			// faults — so the sweep covers every clean fault the other
 			// classes could inject while excluding the partial space itself.
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.WithEnvFaults())
+			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
 			singles := 0
 			for site, n := range free.Counts {
 				for occ := 1; occ <= n; occ++ {
 					inst := inject.Instance{Site: site, Occurrence: occ}
 					res := cluster.Execute(FailureSeed, inject.Exact(inst), false,
-						s.Workload, s.Horizon, cluster.WithEnvFaults())
+						s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
 					singles++
 					if s.Oracle.Satisfied(res) {
 						t.Fatalf("%s: clean fault %s#%d satisfies the partial oracle", id, site, occ)
@@ -49,9 +49,9 @@ func TestPartialScenariosNeedPartialFault(t *testing.T) {
 // reproducing instance) fails loudly instead.
 func TestPartialGroundTruthOccurrences(t *testing.T) {
 	wants := map[string]inject.Instance{
-		"f32": {Site: inject.PartialSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""), Occurrence: 1},
-		"f33": {Site: inject.PartialSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""), Occurrence: 3},
-		"f34": {Site: inject.PartialSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"), Occurrence: 1},
+		"f32": {Site: inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""), Occurrence: 1},
+		"f33": {Site: inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""), Occurrence: 3},
+		"f34": {Site: inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"), Occurrence: 1},
 	}
 	for id, want := range wants {
 		s, _ := ByID(id)

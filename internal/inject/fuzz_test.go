@@ -125,18 +125,18 @@ func FuzzWindowPlan(f *testing.F) {
 }
 
 // fuzzEnvSite maps a byte onto a small env pseudo-site alphabet covering
-// every class, always in EnvSiteID's canonical form.
+// every env class, always in PseudoSiteID's canonical form.
 func fuzzEnvSite(b byte) string {
 	node := func(x byte) string { return fmt.Sprintf("n%d", x%3) }
 	switch b % 4 {
 	case 0:
-		return EnvSiteID(EnvCrash, node(b>>2), "")
+		return PseudoSiteID(EnvCrash, node(b>>2), "")
 	case 1:
-		return EnvSiteID(EnvPartition, node(b>>2), node(b>>4))
+		return PseudoSiteID(EnvPartition, node(b>>2), node(b>>4))
 	case 2:
-		return EnvSiteID(EnvDrop, node(b>>2), node(b>>4))
+		return PseudoSiteID(EnvDrop, node(b>>2), node(b>>4))
 	default:
-		return EnvSiteID(EnvDelay, node(b>>2), node(b>>4))
+		return PseudoSiteID(EnvDelay, node(b>>2), node(b>>4))
 	}
 }
 
@@ -164,8 +164,8 @@ func FuzzEnvPlan(f *testing.F) {
 			inWindow[inst] = true
 		}
 		plan := Window(cands)
-		if PlanCarriesEnv(plan) != carriesEnv {
-			t.Fatalf("PlanCarriesEnv=%v, candidates carry env: %v", PlanCarriesEnv(plan), carriesEnv)
+		if got := needsOf(plan)&EnvFaults != 0; got != carriesEnv {
+			t.Fatalf("plan needs EnvFaults=%v, candidates carry env: %v", got, carriesEnv)
 		}
 
 		// Decide is pure across both site shapes.
@@ -180,7 +180,7 @@ func FuzzEnvPlan(f *testing.F) {
 		}
 
 		// Through the runtime: interleave error-return reaches with env
-		// reaches. A plan carrying env instances self-activates ReachEnv;
+		// reaches. A plan carrying env instances self-activates EnvFaults;
 		// nothing fires twice for one (site, occ) and the budget holds.
 		r := NewRuntime(plan)
 		counts := map[string]int{}
@@ -198,7 +198,7 @@ func FuzzEnvPlan(f *testing.F) {
 				fired++
 			}
 			env := fuzzEnvSite(b)
-			envFault, ok := r.ReachEnv(env)
+			envFault, ok := r.ReachPseudo(env, 0)
 			if ok {
 				if !carriesEnv {
 					t.Fatalf("env injection %s from a plan with no env candidates", env)
@@ -216,11 +216,11 @@ func FuzzEnvPlan(f *testing.F) {
 				if envFault.Site() != env || envFault.Occurrence != counts[env] {
 					t.Fatalf("env fault %+v does not round-trip site %s#%d", envFault, env, counts[env])
 				}
-				if envFault.Duration != EnvDuration(envFault.Class) {
-					t.Fatalf("env fault duration %v, want class default %v", envFault.Duration, EnvDuration(envFault.Class))
+				if want := rowOf(envFault.Class).duration; envFault.Duration != want {
+					t.Fatalf("env fault duration %v, want class default %v", envFault.Duration, want)
 				}
 			} else if carriesEnv {
-				counts[env]++ // ReachEnv counted it; mirror for the oracle below
+				counts[env]++ // ReachPseudo counted it; mirror for the oracle below
 				if inWindow[Instance{Site: env, Occurrence: counts[env]}] && fired == 0 {
 					t.Fatalf("first window hit %s#%d did not inject", env, counts[env])
 				}
@@ -343,8 +343,8 @@ func FuzzPathPlan(f *testing.F) {
 			cands = append(cands, inst)
 		}
 		window := Window(cands)
-		if PlanCarriesPath(window) != carries {
-			t.Fatalf("PlanCarriesPath=%v, candidates carry paths: %v", PlanCarriesPath(window), carries)
+		if got := needsOf(window)&PathAddressing != 0; got != carries {
+			t.Fatalf("plan needs PathAddressing=%v, candidates carry paths: %v", got, carries)
 		}
 
 		// The pure window's path dispatch is idempotent: repeated
@@ -385,7 +385,7 @@ func FuzzPathPlan(f *testing.F) {
 		// Drive the combined plan through a path-enabled runtime with
 		// root-context paths (nil PathID/PathPrefix hooks).
 		r := NewRuntime(plan)
-		r.PathEnabled = true
+		r.Enable(PathAddressing)
 		counts := map[string]int{}
 		seen := map[string]bool{}
 		fired := 0

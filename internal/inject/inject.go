@@ -27,6 +27,21 @@
 // convention an ID is a dotted path "<system>.<component>.<operation>"
 // (e.g. "dfs.datanode.receiveBlock.write"), lowercase, never computed at
 // runtime.
+//
+// # The one site grammar
+//
+// Every injectable thing is addressed by a site ID of one of three shapes,
+// told apart by their first segment and never colliding:
+//
+//	<system>.<component>.<operation>   an error-return site, reached through Reach
+//	<family>/<class>/<operands>        a pseudo-site (env/... or partial/...), one row of
+//	                                   the table in pseudo.go, reached through ReachPseudo
+//	pair/<siteA>+<siteB>               two of the above combined (pair.go)
+//
+// and a dynamic instance of any of them by (site, occurrence) or, under
+// path addressing, by the canonical call-path string of path.go. Pseudo-
+// sites and path addressing are optional Features of a run: off by
+// default, switched on by the harness or by the plan's own instances.
 package inject
 
 import (
@@ -114,6 +129,64 @@ type Instance struct {
 	Path       string
 }
 
+// Features is a set of optional runtime mechanisms. Each is off by default
+// so that a run which does not use it counts, traces and allocates exactly
+// what it did before the mechanism existed: site-only occurrence-mode runs
+// stay byte-identical.
+type Features uint8
+
+const (
+	// EnvFaults makes the env/... pseudo-sites reachable: the network
+	// counts (and can inject at) crash/partition/drop/delay instances.
+	EnvFaults Features = 1 << iota
+	// PartialFaults makes the partial/... pseudo-sites reachable: the disk
+	// and network count (and can inject at) short-write, enospc-after,
+	// torn-rename, eintr and dup-deliver instances.
+	PartialFaults
+	// PathAddressing assigns every reach a canonical PathAddr string built
+	// from the PathID/PathPrefix hooks and dispatches plans implementing
+	// PathDecider through DecidePath.
+	PathAddressing
+)
+
+// features reports what an instance needs of the run that replays it.
+func (inst Instance) features() Features {
+	var f Features
+	switch {
+	case IsEnvSite(inst.Site):
+		f = EnvFaults
+	case IsPartialSite(inst.Site):
+		f = PartialFaults
+	}
+	if inst.Path != "" {
+		f |= PathAddressing
+	}
+	return f
+}
+
+// needs is embedded in every built-in plan: the features its instances
+// require, computed once at construction. A runtime starts with its
+// plan's needs active, so replaying a script needs no flag.
+type needs Features
+
+func (n needs) features() Features { return Features(n) }
+
+// needsOf returns the features a plan needs. A plan from outside this
+// package cannot say, so it is conservatively assumed to carry env and
+// partial instances (custom plans work under replay without extra
+// wiring) and to use paths exactly when it can match them.
+func needsOf(p Plan) Features {
+	switch p := p.(type) {
+	case nil:
+		return 0
+	case interface{ features() Features }:
+		return p.features()
+	case PathDecider:
+		return EnvFaults | PartialFaults | PathAddressing
+	}
+	return EnvFaults | PartialFaults
+}
+
 // Plan decides which reaches of fault sites inject a fault during a round.
 type Plan interface {
 	// Decide is consulted on every reach. Returning true injects a fault at
@@ -123,7 +196,10 @@ type Plan interface {
 }
 
 // exactPlan injects at one precise dynamic instance.
-type exactPlan struct{ inst Instance }
+type exactPlan struct {
+	inst Instance
+	needs
+}
 
 func (p exactPlan) Decide(site string, occ int) bool {
 	if p.inst.Path != "" {
@@ -147,7 +223,7 @@ func Exact(inst Instance) Plan {
 	if a, b, ok := PairMembers(inst); ok {
 		return Multi(Exact(a), Exact(b))
 	}
-	return exactPlan{inst}
+	return exactPlan{inst, needs(inst.features())}
 }
 
 // windowPlan injects at the first reach that matches any candidate — the
@@ -158,6 +234,7 @@ func Exact(inst Instance) Plan {
 type windowPlan struct {
 	candidates map[Instance]bool
 	byPath     map[string]bool
+	needs
 }
 
 func (p windowPlan) Decide(site string, occ int) bool {
@@ -176,7 +253,9 @@ func (p windowPlan) DecidePath(site string, occ int, path string) bool {
 func Window(candidates []Instance) Plan {
 	m := make(map[Instance]bool, len(candidates))
 	var paths map[string]bool
+	var n Features
 	for _, c := range candidates {
+		n |= c.features()
 		if c.Path != "" {
 			if paths == nil {
 				paths = make(map[string]bool, len(candidates))
@@ -186,7 +265,7 @@ func Window(candidates []Instance) Plan {
 		}
 		m[c] = true
 	}
-	return windowPlan{m, paths}
+	return windowPlan{m, paths, needs(n)}
 }
 
 // Budgeter lets a plan request more than one injection per round. The
@@ -210,6 +289,7 @@ type multiPlan struct {
 	plans   []Plan
 	fired   []int
 	budgets []int
+	needs
 }
 
 // planBudget is a plan's injection budget: a Budgeter's declared budget,
@@ -236,6 +316,7 @@ func Multi(plans ...Plan) Plan {
 	}
 	for i, sub := range plans {
 		p.budgets[i] = planBudget(sub)
+		p.needs |= needs(needsOf(sub))
 	}
 	return p
 }
@@ -324,37 +405,9 @@ type Runtime struct {
 	// injection rounds can disable it to keep rounds cheap, as §7 does.
 	KeepTrace bool
 
-	// EnvEnabled opts the run into environment pseudo-sites (see env.go):
-	// when false — the default — ReachEnv neither counts nor traces, so
-	// site-only runs keep byte-identical traces and occurrence counts.
-	EnvEnabled bool
-
-	// envAuto force-activates env sites when the plan itself carries env
-	// instances, so replaying an env reproduction script needs no flag.
-	envAuto bool
-
-	// PartialEnabled opts the run into partial-failure pseudo-sites (see
-	// partial.go): when false — the default — ReachPartial neither counts
-	// nor traces, so runs without the partial class keep byte-identical
-	// traces and occurrence counts.
-	PartialEnabled bool
-
-	// partialAuto force-activates partial sites when the plan itself
-	// carries partial instances, so replaying a partial reproduction
-	// script needs no flag.
-	partialAuto bool
-
-	// PathEnabled opts the run into path-sensitive addressing: every
-	// reach is assigned a canonical PathAddr string built from the PathID/
-	// PathPrefix hooks, and plans implementing PathDecider are dispatched
-	// through DecidePath. When false — the default — no per-reach path
-	// bookkeeping happens, so occurrence-mode runs stay byte-identical.
-	PathEnabled bool
-
-	// pathAuto force-activates path addressing when the plan itself
-	// carries path-addressed instances, so replaying a path reproduction
-	// script needs no flag.
-	pathAuto bool
+	// features are the active Features: the plan's own needs plus whatever
+	// the harness Enables.
+	features Features
 }
 
 // pathSiteKey keys the per-context occurrence counters of path mode.
@@ -374,42 +427,37 @@ func NewRuntime(plan Plan) *Runtime {
 	}
 	pd, _ := plan.(PathDecider)
 	return &Runtime{
-		plan:        plan,
-		pathPlan:    pd,
-		budget:      budget,
-		sites:       make(map[string]*siteRec),
-		KeepTrace:   true,
-		envAuto:     PlanCarriesEnv(plan),
-		partialAuto: PlanCarriesPartial(plan),
-		pathAuto:    PlanCarriesPath(plan),
+		plan:      plan,
+		pathPlan:  pd,
+		budget:    budget,
+		sites:     make(map[string]*siteRec),
+		KeepTrace: true,
+		features:  needsOf(plan),
 	}
 }
 
-// siteRec is one site's dynamic state: its occurrence counter and the
-// fault kind it declared. Reach runs on every instrumented call in every
-// simulated run, so the counter and kind share a single map entry probed
-// once, instead of separate count and kind maps hashed per field.
+// Enable switches features on for the run (there is no switching off: a
+// feature changes what is counted, so it must hold for the whole run).
+// The harness enables what a free run or a mixed window needs; a plan's
+// own needs are active from the start.
+func (r *Runtime) Enable(f Features) { r.features |= f }
+
+// Active reports whether every feature in f is on this run. The disk and
+// network consult it before their per-operation pseudo-site sweeps, so a
+// run without the feature builds no pseudo-site ID and counts nothing.
+func (r *Runtime) Active(f Features) bool { return r.features&f == f }
+
+// siteRec is one site's dynamic state: its occurrence counter, the fault
+// kind it declared and, for a pseudo-site, the fault template its ID
+// parsed to (zero Class otherwise). Reach runs on every instrumented call
+// in every simulated run, so everything per-site shares a single map entry
+// probed once — and a pseudo-site's ID is parsed once per run, not once
+// per message.
 type siteRec struct {
-	count int
-	kind  Kind
+	count  int
+	kind   Kind
+	pseudo PseudoFault
 }
-
-// site returns the record for a site, creating it on first reach.
-func (r *Runtime) site(site string) *siteRec {
-	rec := r.sites[site]
-	if rec == nil {
-		rec = &siteRec{}
-		r.sites[site] = rec
-	}
-	return rec
-}
-
-// pathActive reports whether path-sensitive addressing is on this run.
-func (r *Runtime) pathActive() bool { return r.PathEnabled || r.pathAuto }
-
-// PathActive exposes pathActive to the harness layers that extend call
-// paths on message sends; when false they skip all path bookkeeping.
-func (r *Runtime) PathActive() bool { return r.pathActive() }
 
 // pathFor builds the canonical path string of the current reach of a
 // site and advances the per-(context, site) occurrence counter.
@@ -444,7 +492,7 @@ func (r *Runtime) decide(site string, occ int, path string) bool {
 	}
 	start := time.Now()
 	var inject bool
-	if r.pathPlan != nil && r.pathActive() {
+	if r.pathPlan != nil && r.Active(PathAddressing) {
 		inject = r.pathPlan.DecidePath(site, occ, path)
 	} else {
 		inject = r.plan.Decide(site, occ)
@@ -454,16 +502,10 @@ func (r *Runtime) decide(site string, occ int, path string) bool {
 	return inject
 }
 
-// record stamps and stores the trace event for one reach.
-func (r *Runtime) record(site string, occ int, path string, inject bool) {
-	r.recordAmp(site, occ, path, inject, 0)
-}
-
-// recordAmp is record with an observed amplitude, used by the partial
-// pseudo-sites to carry the payload length of the perturbed call into
-// the free-run trace (the explorer calibrates candidate enumeration
-// from it).
-func (r *Runtime) recordAmp(site string, occ int, path string, inject bool, amp int) {
+// record stamps and stores the trace event for one reach. amp is the
+// observed amplitude of a partial pseudo-site's perturbed call (its
+// payload length; the explorer calibrates candidate enumeration from it).
+func (r *Runtime) record(site string, occ int, path string, inject bool, amp int) {
 	ev := TraceEvent{Site: site, Occurrence: occ, Path: path, Injected: inject, Amp: amp}
 	if r.LogPos != nil {
 		ev.LogPos = r.LogPos()
@@ -489,28 +531,73 @@ func (r *Runtime) recordAmp(site string, occ int, path string, inject bool, amp 
 	}
 }
 
+// reach is the one body behind Reach and ReachPseudo: count the
+// occurrence, address it, consult the plan, record. A rooted reach (every
+// pseudo-site) has no call-path context — its occurrence is already a
+// deterministic per-run event index — so its path form is "site#occ".
+func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ int, inject bool) {
+	rec.count++
+	occ = rec.count
+
+	path := ""
+	if r.Active(PathAddressing) {
+		if rooted {
+			path = site + "#" + strconv.Itoa(occ)
+		} else {
+			path = r.pathFor(site)
+		}
+	}
+	inject = r.decide(site, occ, path)
+
+	if r.KeepTrace || inject {
+		r.record(site, occ, path, inject, amp)
+	}
+	return occ, inject
+}
+
 // Reach is the instrumented hook at a fault site. It records the dynamic
 // occurrence and returns a non-nil *Fault if the plan injects here.
 func (r *Runtime) Reach(site string, kind Kind) error {
-	rec := r.site(site)
-	rec.count++
+	rec := r.sites[site]
+	if rec == nil {
+		rec = &siteRec{}
+		r.sites[site] = rec
+	}
 	rec.kind = kind
-	occ := rec.count
-
-	path := ""
-	if r.pathActive() {
-		path = r.pathFor(site)
-	}
-	inject := r.decide(site, occ, path)
-
-	if r.KeepTrace || inject {
-		r.record(site, occ, path, inject)
-	}
-
-	if inject {
+	if occ, inject := r.reach(site, rec, false, 0); inject {
 		return &Fault{Kind: kind, Site: site, Occurrence: occ}
 	}
 	return nil
+}
+
+// ReachPseudo is the pseudo-site analog of Reach, called by the network
+// once per (message, pseudo-site) pair and by the disk once per
+// perturbable operation. amp is the observed amplitude of the operation
+// (payload length for disk writes; zero where amplitude is meaningless).
+// It records the dynamic occurrence and returns the PseudoFault to execute
+// if the plan injects here. When the site's family is not Active for the
+// run (or the ID is malformed) it is a no-op returning false: nothing is
+// counted or traced.
+func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
+	rec := r.sites[site]
+	if rec == nil || rec.pseudo.Class == "" {
+		f, ok := ParsePseudo(site)
+		if !ok || !r.Active(f.Family) {
+			return PseudoFault{}, false
+		}
+		if rec == nil {
+			rec = &siteRec{}
+			r.sites[site] = rec
+		}
+		rec.kind, rec.pseudo = f.Kind, f
+	}
+	occ, inject := r.reach(site, rec, true, amp)
+	if !inject {
+		return PseudoFault{}, false
+	}
+	f := rec.pseudo
+	f.Occurrence, f.Amp = occ, amp
+	return f, true
 }
 
 // Trace returns the recorded reaches (empty if KeepTrace was off).

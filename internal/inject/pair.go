@@ -1,7 +1,7 @@
 // Combined-fault addressing. Some failures only manifest when two
 // faults land in one execution — a first fault that corrupts state and a
 // second that blocks the recovery path. A fault *pair* is addressed
-// through a pseudo-site, exactly like the environment classes, so the
+// through a pseudo-site, exactly like the classes of pseudo.go, so the
 // explorer's (site, occurrence) currency covers combinations without new
 // plan, tried-set or checkpoint machinery:
 //
@@ -118,11 +118,16 @@ type PairPlan struct {
 	pairs     [][2]Instance // rank order, best first
 	committed int           // index into pairs, -1 until the first member fires
 	fired     [2]bool
+	needs
 }
 
 // PairWindow returns a plan arming the given pairs, best-ranked first.
 func PairWindow(pairs [][2]Instance) *PairPlan {
-	return &PairPlan{pairs: pairs, committed: -1}
+	p := &PairPlan{pairs: pairs, committed: -1}
+	for i := range pairs {
+		p.needs |= needs(pairs[i][0].features() | pairs[i][1].features())
+	}
+	return p
 }
 
 // matchMember reports whether a reach matches one member instance.
@@ -176,36 +181,3 @@ func (p *PairPlan) Reset() {
 // Committed reports which armed pair (by rank index) the run committed
 // to, once any member has fired.
 func (p *PairPlan) Committed() (int, bool) { return p.committed, p.committed >= 0 }
-
-func (p *PairPlan) carriesEnv() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if IsEnvSite(p.pairs[i][j].Site) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (p *PairPlan) carriesPartial() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if IsPartialSite(p.pairs[i][j].Site) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (p *PairPlan) carriesPath() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if p.pairs[i][j].Path != "" {
-				return true
-			}
-		}
-	}
-	return false
-}

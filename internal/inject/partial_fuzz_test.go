@@ -23,21 +23,21 @@ import (
 )
 
 // fuzzPartialSite maps a byte onto a small partial pseudo-site alphabet
-// covering every class, always in PartialSiteID's canonical form.
+// covering every partial class, always in PseudoSiteID's canonical form.
 func fuzzPartialSite(b byte) string {
 	disk := func(x byte) string { return fmt.Sprintf("d.s%d", x%3) }
 	node := func(x byte) string { return fmt.Sprintf("n%d", x%3) }
 	switch b % 5 {
 	case 0:
-		return inject.PartialSiteID(inject.PartialShortWrite, disk(b>>3), "")
+		return inject.PseudoSiteID(inject.PartialShortWrite, disk(b>>3), "")
 	case 1:
-		return inject.PartialSiteID(inject.PartialENOSPC, disk(b>>3), "")
+		return inject.PseudoSiteID(inject.PartialENOSPC, disk(b>>3), "")
 	case 2:
-		return inject.PartialSiteID(inject.PartialTornRename, disk(b>>3), "")
+		return inject.PseudoSiteID(inject.PartialTornRename, disk(b>>3), "")
 	case 3:
-		return inject.PartialSiteID(inject.PartialEINTR, disk(b>>3), "")
+		return inject.PseudoSiteID(inject.PartialEINTR, disk(b>>3), "")
 	default:
-		return inject.PartialSiteID(inject.PartialDupDeliver, node(b>>3), node(b>>5))
+		return inject.PseudoSiteID(inject.PartialDupDeliver, node(b>>3), node(b>>5))
 	}
 }
 
@@ -62,9 +62,8 @@ func FuzzPartialPlan(f *testing.F) {
 			cands = append(cands, inject.Instance{Site: site, Occurrence: int(b>>3)%8 + 1})
 		}
 		plan := inject.Window(cands)
-		if inject.PlanCarriesPartial(plan) != carries {
-			t.Fatalf("PlanCarriesPartial=%v, candidates carry partial: %v",
-				inject.PlanCarriesPartial(plan), carries)
+		if got := inject.NewRuntime(plan).Active(inject.PartialFaults); got != carries {
+			t.Fatalf("plan activates PartialFaults=%v, candidates carry partial: %v", got, carries)
 		}
 
 		// Decide is pure across both site shapes: repeated consultation

@@ -18,7 +18,7 @@
 // harness already owns (the DES dispatcher's current event lineage and
 // the network's send edges) — target systems are not modified.
 //
-// Environment pseudo-sites (env/...) are always root-addressed: their
+// Pseudo-sites (env/..., partial/...) are always root-addressed: their
 // occurrence counter is already a deterministic per-run event index, so
 // their path form is simply "env/crash/zk3#4".
 //
@@ -26,10 +26,10 @@
 //
 //	path    = { edge ">" } site "#" n
 //	edge    = label | label "[" seq "]"     seq omitted when 1
-//	site    = fault-site ID (dotted, or env/... pseudo-site)
+//	site    = fault-site ID (dotted, or a pseudo-site)
 //
-// Site IDs never contain '>', '#', '[', ']', ':' or '+' (the env grammar
-// uses '/', '~' and '>' only inside env/msg-* channel IDs, which are
+// Site IDs never contain '>', '#', '[', ']', ':' or '+' (the pseudo-site
+// grammar uses '>' only inside channel operands, and a pseudo-site is
 // handled as an opaque terminal), so parsing is unambiguous.
 package inject
 
@@ -76,7 +76,7 @@ func (a PathAddr) String() string {
 }
 
 // validPathLabel reports whether a string can serve as an edge label or
-// a (non-env) terminal site in the path grammar.
+// a (non-pseudo) terminal site in the path grammar.
 func validPathLabel(s string) bool {
 	if s == "" {
 		return false
@@ -99,15 +99,15 @@ func parsePathTerminal(s string) (site string, n int, ok bool) {
 }
 
 // ParsePathAddr decodes a canonical path string, the inverse of
-// PathAddr.String. Env pseudo-sites (which may contain '>' in their
-// channel IDs) are recognized first and parsed as an edge-less terminal.
+// PathAddr.String. Pseudo-sites (which may contain '>' in their channel
+// operands) are recognized first and parsed as an edge-less terminal.
 func ParsePathAddr(s string) (PathAddr, bool) {
-	if IsEnvSite(s) {
+	if IsEnvSite(s) || IsPartialSite(s) {
 		site, n, ok := parsePathTerminal(s)
 		if !ok {
 			return PathAddr{}, false
 		}
-		if _, ok := ParseEnvSite(site); !ok {
+		if _, ok := ParsePseudo(site); !ok {
 			return PathAddr{}, false
 		}
 		return PathAddr{Site: site, N: n}, true
@@ -146,37 +146,4 @@ func ParsePathAddr(s string) (PathAddr, bool) {
 // mixed plans).
 type PathDecider interface {
 	DecidePath(site string, occurrence int, path string) bool
-}
-
-// pathCarrier is implemented by plans that can report whether any of
-// their candidate instances is path-addressed.
-type pathCarrier interface{ carriesPath() bool }
-
-func (p exactPlan) carriesPath() bool { return p.inst.Path != "" }
-
-func (p windowPlan) carriesPath() bool { return len(p.byPath) > 0 }
-
-func (p *multiPlan) carriesPath() bool {
-	for _, sub := range p.plans {
-		if PlanCarriesPath(sub) {
-			return true
-		}
-	}
-	return false
-}
-
-// PlanCarriesPath reports whether a plan's candidates include any
-// path-addressed instance, so replaying a path-addressed reproduction
-// script auto-enables path bookkeeping without extra wiring. Plans that
-// implement neither check nor PathDecider cannot use paths, so they
-// conservatively report false and run in plain occurrence mode.
-func PlanCarriesPath(p Plan) bool {
-	if p == nil {
-		return false
-	}
-	if c, ok := p.(pathCarrier); ok {
-		return c.carriesPath()
-	}
-	_, isPD := p.(PathDecider)
-	return isPD
 }

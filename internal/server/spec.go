@@ -119,28 +119,10 @@ func (sp Spec) Validate() error {
 	if _, ok := failures.ByID(sp.Failure); !ok {
 		return fmt.Errorf("spec: unknown failure %q", sp.Failure)
 	}
-	if !core.StrategyRegistered(core.Strategy(sp.Strategy)) {
-		return fmt.Errorf("spec: unknown strategy %q", sp.Strategy)
-	}
-	if sp.MaxRounds <= 0 {
-		return fmt.Errorf("spec: max_rounds must be positive (got %d)", sp.MaxRounds)
-	}
-	if sp.Window <= 0 {
-		return fmt.Errorf("spec: window must be positive (got %d)", sp.Window)
-	}
-	if sp.Adjust <= 0 {
-		return fmt.Errorf("spec: adjust must be positive (got %d)", sp.Adjust)
-	}
-	if sp.RunsPerRound <= 0 {
-		return fmt.Errorf("spec: runs_per_round must be positive (got %d)", sp.RunsPerRound)
-	}
-	for _, c := range sp.FaultClasses {
-		if !core.ValidFaultClass(c) {
-			return fmt.Errorf("spec: unknown fault class %q", c)
-		}
-	}
-	if !core.ValidAddressing(sp.Addressing) {
-		return fmt.Errorf("spec: unknown addressing mode %q", sp.Addressing)
+	// The option rules are the explorer's own (core.Options.Validate names
+	// the offending option by its JSON key here).
+	if err := sp.Options().Validate(); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	return nil
 }

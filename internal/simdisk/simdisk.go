@@ -16,16 +16,16 @@
 // # Partial failures
 //
 // Beyond the all-or-nothing injected faults of Reach, the disk executes
-// the partial-failure pseudo-sites of inject/partial.go: a *short write*
+// the partial-failure pseudo-sites of inject/pseudo.go: a *short write*
 // persists the first half of the data and then fails, *enospc-after*
 // appends the first half of the data and then reports no space, and a
 // *torn rename* copies the content to the destination while leaving the
 // source in place. Each perturbable operation reaches its partial
 // pseudo-sites in a fixed order after the operation's own site, so
 // occurrence j of partial/disk/short-write/S deterministically names the
-// j-th write at site S. The sweep is gated on PartialActive, so runs
-// without the partial class build no pseudo-site strings and count
-// nothing extra.
+// j-th write at site S. The sweep is gated on the runtime's PartialFaults
+// feature, so runs without the partial class build no pseudo-site strings
+// and count nothing extra.
 package simdisk
 
 import (
@@ -42,17 +42,15 @@ type Disk struct {
 	log   *logging.Log
 	files map[string][]byte
 
-	// partial caches the partial pseudo-site ID strings per underlying
-	// site, so an active partial sweep allocates them once per site
-	// rather than once per operation.
-	partial map[string]*partialSiteIDs
+	// pseudoIDs caches the partial pseudo-site ID strings, so an active
+	// partial sweep allocates each once per (class, site) rather than once
+	// per operation.
+	pseudoIDs map[pseudoKey]string
 }
 
-// partialSiteIDs carries one site's cached partial pseudo-site IDs.
-type partialSiteIDs struct {
-	shortWrite string
-	enospc     string
-	torn       string
+type pseudoKey struct {
+	class inject.PseudoClass
+	site  string
 }
 
 // New creates an empty disk wired to the run's injection runtime and
@@ -61,32 +59,31 @@ func New(fi *inject.Runtime, log *logging.Log) *Disk {
 	return &Disk{fi: fi, log: log, files: make(map[string][]byte)}
 }
 
-// partialIDs returns the cached partial pseudo-site IDs for a site,
-// building them on first use. Only called when the partial sweep is
-// active.
-func (d *Disk) partialIDs(site string) *partialSiteIDs {
-	ids := d.partial[site]
-	if ids == nil {
-		ids = &partialSiteIDs{
-			shortWrite: inject.PartialSiteID(inject.PartialShortWrite, site, ""),
-			enospc:     inject.PartialSiteID(inject.PartialENOSPC, site, ""),
-			torn:       inject.PartialSiteID(inject.PartialTornRename, site, ""),
-		}
-		if d.partial == nil {
-			d.partial = make(map[string]*partialSiteIDs)
-		}
-		d.partial[site] = ids
+// reachPartial reaches the class's partial pseudo-site wrapping an
+// operation of amp payload bytes at site. When the plan injects there it
+// logs the fault's marker line and returns its error value; the caller
+// leaves the operation's defined partial state behind.
+func (d *Disk) reachPartial(class inject.PseudoClass, site string, amp int) error {
+	if !d.fi.Active(inject.PartialFaults) {
+		return nil
 	}
-	return ids
-}
-
-// partialFault logs the fired fault's marker line and builds its error
-// value.
-func (d *Disk) partialFault(f inject.PartialFault) error {
-	if m, ok := inject.PartialMarker(f.Site()); ok && d.log != nil {
-		d.log.Warnf("%s", m)
+	key := pseudoKey{class, site}
+	id, ok := d.pseudoIDs[key]
+	if !ok {
+		id = inject.PseudoSiteID(class, site, "")
+		if d.pseudoIDs == nil {
+			d.pseudoIDs = make(map[pseudoKey]string)
+		}
+		d.pseudoIDs[key] = id
 	}
-	return &inject.Fault{Kind: inject.PartialKind(f.Class), Site: f.Site(), Occurrence: f.Occurrence}
+	f, ok := d.fi.ReachPseudo(id, amp)
+	if !ok {
+		return nil
+	}
+	if d.log != nil {
+		d.log.Warnf("%s", f.Marker())
+	}
+	return &inject.Fault{Kind: f.Kind, Site: id, Occurrence: f.Occurrence}
 }
 
 // Create makes an empty file (truncating any previous content). site is the
@@ -124,15 +121,10 @@ func (d *Disk) Append(site, path string, data []byte) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	if d.fi.PartialActive() {
-		ids := d.partialIDs(site)
-		if f, ok := d.fi.ReachPartial(ids.shortWrite, len(data)); ok {
+	for _, class := range [...]inject.PseudoClass{inject.PartialShortWrite, inject.PartialENOSPC} {
+		if err := d.reachPartial(class, site, len(data)); err != nil {
 			d.appendBytes(path, data[:len(data)/2])
-			return d.partialFault(f)
-		}
-		if f, ok := d.fi.ReachPartial(ids.enospc, len(data)); ok {
-			d.appendBytes(path, data[:len(data)/2])
-			return d.partialFault(f)
+			return err
 		}
 	}
 	d.appendBytes(path, data)
@@ -145,11 +137,9 @@ func (d *Disk) Write(site, path string, data []byte) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	if d.fi.PartialActive() {
-		if f, ok := d.fi.ReachPartial(d.partialIDs(site).shortWrite, len(data)); ok {
-			d.files[path] = append([]byte(nil), data[:len(data)/2]...)
-			return d.partialFault(f)
-		}
+	if err := d.reachPartial(inject.PartialShortWrite, site, len(data)); err != nil {
+		d.files[path] = append([]byte(nil), data[:len(data)/2]...)
+		return err
 	}
 	d.files[path] = append([]byte(nil), data...)
 	return nil
@@ -186,11 +176,9 @@ func (d *Disk) Rename(site, oldPath, newPath string) error {
 	if !ok {
 		return &inject.Fault{Kind: inject.FileNotFound, Site: "env.disk.missing"}
 	}
-	if d.fi.PartialActive() {
-		if f, ok := d.fi.ReachPartial(d.partialIDs(site).torn, len(data)); ok {
-			d.files[newPath] = data
-			return d.partialFault(f)
-		}
+	if err := d.reachPartial(inject.PartialTornRename, site, len(data)); err != nil {
+		d.files[newPath] = data
+		return err
 	}
 	delete(d.files, oldPath)
 	d.files[newPath] = data

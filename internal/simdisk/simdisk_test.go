@@ -114,7 +114,7 @@ func TestDeleteMissingIsFileNotFound(t *testing.T) {
 }
 
 func TestShortWritePersistsPrefix(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialShortWrite, "wal.append", "")
+	site := inject.PseudoSiteID(inject.PartialShortWrite, "wal.append", "")
 	fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: site, Occurrence: 2}))
 	d := New(fi, nil)
 	if err := d.Append("wal.append", "f", []byte("abcd")); err != nil {
@@ -131,7 +131,7 @@ func TestShortWritePersistsPrefix(t *testing.T) {
 }
 
 func TestShortWriteOnWriteTruncatesToPrefix(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialShortWrite, "img.write", "")
+	site := inject.PseudoSiteID(inject.PartialShortWrite, "img.write", "")
 	fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	d := New(fi, nil)
 	err := d.Write("img.write", "f", []byte("123456"))
@@ -145,7 +145,7 @@ func TestShortWriteOnWriteTruncatesToPrefix(t *testing.T) {
 }
 
 func TestENOSPCAfterPartialAppend(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialENOSPC, "wal.append", "")
+	site := inject.PseudoSiteID(inject.PartialENOSPC, "wal.append", "")
 	fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	d := New(fi, nil)
 	err := d.Append("wal.append", "f", []byte("abcdef"))
@@ -159,7 +159,7 @@ func TestENOSPCAfterPartialAppend(t *testing.T) {
 }
 
 func TestTornRenameKeepsBothPaths(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialTornRename, "ckpt.rename", "")
+	site := inject.PseudoSiteID(inject.PartialTornRename, "ckpt.rename", "")
 	fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	d := New(fi, nil)
 	d.Write("s", "tmp/ckpt", []byte("img"))

@@ -9,7 +9,7 @@ import (
 )
 
 func TestEintrSendDeliversButFailsSender(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialEINTR, "a.ping.send", "")
+	site := inject.PseudoSiteID(inject.PartialEINTR, "a.ping.send", "")
 	sim, _, net := newNet(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	delivered := 0
 	var sendErr error
@@ -27,7 +27,7 @@ func TestEintrSendDeliversButFailsSender(t *testing.T) {
 }
 
 func TestDupDeliverSendArrivesTwice(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialDupDeliver, "a", "b")
+	site := inject.PseudoSiteID(inject.PartialDupDeliver, "a", "b")
 	sim, _, net := newNet(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	var arrivals []des.Time
 	var sendErr error
@@ -50,7 +50,7 @@ func TestDupDeliverSendArrivesTwice(t *testing.T) {
 }
 
 func TestEintrCallDeliversButContGetsInterrupted(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialEINTR, "a.rpc", "")
+	site := inject.PseudoSiteID(inject.PartialEINTR, "a.rpc", "")
 	sim, _, net := newNet(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	handled := 0
 	net.Handle("b", "rpc", "b-listener", func(m Message, respond func(interface{}, error)) {
@@ -78,7 +78,7 @@ func TestEintrCallDeliversButContGetsInterrupted(t *testing.T) {
 }
 
 func TestDupDeliverCallRunsHandlerTwiceContOnce(t *testing.T) {
-	site := inject.PartialSiteID(inject.PartialDupDeliver, "a", "b")
+	site := inject.PseudoSiteID(inject.PartialDupDeliver, "a", "b")
 	sim, _, net := newNet(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
 	handled := 0
 	net.Handle("b", "rpc", "b-listener", func(m Message, respond func(interface{}, error)) {
@@ -125,7 +125,7 @@ func TestPartialSitesNotCountedWhenInactive(t *testing.T) {
 // ticks its eintr and dup-deliver pseudo-sites exactly once.
 func TestPartialOccurrenceCounting(t *testing.T) {
 	sim, fi, net := newNet(nil)
-	fi.PartialEnabled = true
+	fi.Enable(inject.PartialFaults)
 	net.Handle("b", "ping", "b-listener", func(Message, func(interface{}, error)) {})
 	sim.Go("a-main", func() {
 		for i := 0; i < 3; i++ {
@@ -134,8 +134,8 @@ func TestPartialOccurrenceCounting(t *testing.T) {
 	})
 	sim.Run(des.Second)
 	counts := fi.Counts()
-	eintr := inject.PartialSiteID(inject.PartialEINTR, "a.ping.send", "")
-	dup := inject.PartialSiteID(inject.PartialDupDeliver, "a", "b")
+	eintr := inject.PseudoSiteID(inject.PartialEINTR, "a.ping.send", "")
+	dup := inject.PseudoSiteID(inject.PartialDupDeliver, "a", "b")
 	if counts[eintr] != 3 || counts[dup] != 3 {
 		t.Fatalf("counts: eintr=%d dup=%d, want 3/3", counts[eintr], counts[dup])
 	}

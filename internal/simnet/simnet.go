@@ -46,16 +46,10 @@ type Net struct {
 	down           map[string]bool
 	partitioned    map[[2]string]bool
 
-	// envIDs caches the five env pseudo-site ID strings per directed
-	// channel, so env-enabled runs build them once per (from, to) pair
-	// instead of once per message.
-	envIDs map[[2]string]*envChannelIDs
-
-	// eintrIDs and dupIDs cache the partial pseudo-site ID strings —
-	// eintr per send site, dup-deliver per directed channel — so
-	// partial-enabled runs build them once instead of once per message.
-	eintrIDs map[string]string
-	dupIDs   map[[2]string]string
+	// pseudoIDs caches the pseudo-site ID strings, so env- and partial-
+	// enabled runs build each once per (class, operands) instead of once
+	// per message.
+	pseudoIDs map[pseudoKey]string
 
 	// sendPool and replyPool recycle the per-delivery state of one-way
 	// messages and RPC responses. Both object kinds are referenced only
@@ -86,36 +80,25 @@ func New(sim *des.Sim, fi *inject.Runtime, log *logging.Log, minLat, maxLat des.
 		handlers:    make(map[string]map[string]endpoint),
 		down:        make(map[string]bool),
 		partitioned: make(map[[2]string]bool),
-		envIDs:      make(map[[2]string]*envChannelIDs),
-		eintrIDs:    make(map[string]string),
-		dupIDs:      make(map[[2]string]string),
+		pseudoIDs:   make(map[pseudoKey]string),
 	}
 }
 
-// envChannelIDs holds the env pseudo-site IDs relevant to one directed
-// channel, in the fixed order applyEnv reaches them.
-type envChannelIDs struct {
-	crashFrom, crashTo string
-	partition          string
-	drop, delay        string
+type pseudoKey struct {
+	class         inject.PseudoClass
+	subject, peer string
 }
 
-// channelEnvIDs returns the cached env site IDs for a channel, building
-// them on first use.
-func (n *Net) channelEnvIDs(from, to string) *envChannelIDs {
-	key := [2]string{from, to}
-	if ids, ok := n.envIDs[key]; ok {
-		return ids
+// reachPseudo reaches the class's pseudo-site over the given operands,
+// building its ID on first use.
+func (n *Net) reachPseudo(class inject.PseudoClass, subject, peer string) (inject.PseudoFault, bool) {
+	key := pseudoKey{class, subject, peer}
+	id, ok := n.pseudoIDs[key]
+	if !ok {
+		id = inject.PseudoSiteID(class, subject, peer)
+		n.pseudoIDs[key] = id
 	}
-	ids := &envChannelIDs{
-		crashFrom: inject.EnvSiteID(inject.EnvCrash, from, ""),
-		crashTo:   inject.EnvSiteID(inject.EnvCrash, to, ""),
-		partition: inject.EnvSiteID(inject.EnvPartition, from, to),
-		drop:      inject.EnvSiteID(inject.EnvDrop, from, to),
-		delay:     inject.EnvSiteID(inject.EnvDelay, from, to),
-	}
-	n.envIDs[key] = ids
-	return ids
+	return n.fi.ReachPseudo(id, 0)
 }
 
 // Handle registers a handler for messages of msgType addressed to node.
@@ -183,56 +166,33 @@ func (n *Net) reachability(from, to string) error {
 // reports the message-level effect: drop the message silently, or add
 // extra delivery latency. Crash and partition effects are not returned;
 // they land in the down/partitioned state that reachability reads next.
-// When env faults are disabled for the run every ReachEnv is a no-op.
 func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
-	if !n.fi.EnvActive() {
-		// Every ReachEnv below would be a no-op; skip the sweep (and the
+	if !n.fi.Active(inject.EnvFaults) {
+		// Every reach below would be a no-op; skip the sweep (and the
 		// site-ID construction) entirely on site-only runs.
 		return false, 0
 	}
-	ids := n.channelEnvIDs(from, to)
-	if f, ok := n.fi.ReachEnv(ids.crashFrom); ok {
+	if f, ok := n.reachPseudo(inject.EnvCrash, from, ""); ok {
 		n.crashNode(f)
 		return true, 0 // the sender died mid-send; the message is lost with it
 	}
 	if to != from {
-		if f, ok := n.fi.ReachEnv(ids.crashTo); ok {
+		if f, ok := n.reachPseudo(inject.EnvCrash, to, ""); ok {
 			n.crashNode(f) // reachability sees the receiver down
 		}
-		if f, ok := n.fi.ReachEnv(ids.partition); ok {
+		if f, ok := n.reachPseudo(inject.EnvPartition, from, to); ok {
 			n.cutPair(f) // reachability sees the fresh cut
 		}
 	}
-	if f, ok := n.fi.ReachEnv(ids.drop); ok {
+	if f, ok := n.reachPseudo(inject.EnvDrop, from, to); ok {
 		n.logMarker(f)
 		return true, 0
 	}
-	if f, ok := n.fi.ReachEnv(ids.delay); ok {
+	if f, ok := n.reachPseudo(inject.EnvDelay, from, to); ok {
 		n.logMarker(f)
 		return false, f.Duration
 	}
 	return false, 0
-}
-
-// eintrSiteID returns the cached eintr pseudo-site ID for a send site.
-func (n *Net) eintrSiteID(site string) string {
-	id, ok := n.eintrIDs[site]
-	if !ok {
-		id = inject.PartialSiteID(inject.PartialEINTR, site, "")
-		n.eintrIDs[site] = id
-	}
-	return id
-}
-
-// dupSiteID returns the cached dup-deliver pseudo-site ID for a channel.
-func (n *Net) dupSiteID(from, to string) string {
-	key := [2]string{from, to}
-	id, ok := n.dupIDs[key]
-	if !ok {
-		id = inject.PartialSiteID(inject.PartialDupDeliver, from, to)
-		n.dupIDs[key] = id
-	}
-	return id
 }
 
 // applyPartial reaches the partial pseudo-sites relevant to one
@@ -242,44 +202,30 @@ func (n *Net) dupSiteID(from, to string) string {
 // runs only for messages that actually dispatch (past the env drop,
 // reachability and handler checks), and reports the message-level
 // effect: a sender-side InterruptedError (the message is still
-// delivered — the bytes were already on the wire), or a duplicated
-// delivery. When partial faults are disabled for the run every
-// ReachPartial is a no-op and the sweep is skipped entirely.
-func (n *Net) applyPartial(site, from, to string) (err error, dup bool) {
-	if !n.fi.PartialActive() {
-		return nil, false
+// delivered — the bytes were already on the wire), or a second delivery
+// dupAfter later (zero: none).
+func (n *Net) applyPartial(site, from, to string) (err error, dupAfter des.Time) {
+	if !n.fi.Active(inject.PartialFaults) {
+		return nil, 0
 	}
-	if f, ok := n.fi.ReachPartial(n.eintrSiteID(site), 0); ok {
-		n.logPartialMarker(f)
-		return &inject.Fault{Kind: inject.Interrupted, Site: f.Site(), Occurrence: f.Occurrence}, false
+	if f, ok := n.reachPseudo(inject.PartialEINTR, site, ""); ok {
+		n.logMarker(f)
+		return &inject.Fault{Kind: f.Kind, Site: f.Site(), Occurrence: f.Occurrence}, 0
 	}
-	if f, ok := n.fi.ReachPartial(n.dupSiteID(from, to), 0); ok {
-		n.logPartialMarker(f)
-		return nil, true
+	if f, ok := n.reachPseudo(inject.PartialDupDeliver, from, to); ok {
+		n.logMarker(f)
+		return nil, f.Duration
 	}
-	return nil, false
+	return nil, 0
 }
 
-// logPartialMarker emits the injection marker line for an executed
-// partial fault; like logMarker, the text comes from the inject package
-// so the explorer's marker-match ranking sees exactly what is logged.
-func (n *Net) logPartialMarker(f inject.PartialFault) {
-	if m, ok := inject.PartialMarker(f.Site()); ok {
-		n.log.Warnf("%s", m)
-	}
-}
-
-// logMarker emits the injection marker line for an executed env fault.
-// The text comes from inject.EnvMarker so the explorer's marker-match
-// ranking sees exactly what the network logs.
-func (n *Net) logMarker(f inject.EnvFault) {
-	if m, ok := inject.EnvMarker(f.Site()); ok {
-		n.log.Warnf("%s", m)
-	}
-}
+// logMarker emits the injection marker line for an executed pseudo-site
+// fault. The text comes from the inject package's table so the
+// explorer's marker-match ranking sees exactly what the network logs.
+func (n *Net) logMarker(f inject.PseudoFault) { n.log.Warnf("%s", f.Marker()) }
 
 // crashNode executes an injected crash fault.
-func (n *Net) crashNode(f inject.EnvFault) {
+func (n *Net) crashNode(f inject.PseudoFault) {
 	n.logMarker(f)
 	if n.OnCrash != nil {
 		n.OnCrash(f.Subject, f.Duration)
@@ -294,7 +240,7 @@ func (n *Net) crashNode(f inject.EnvFault) {
 
 // cutPair executes an injected partition fault: a symmetric cut that
 // heals itself after the fault's duration.
-func (n *Net) cutPair(f inject.EnvFault) {
+func (n *Net) cutPair(f inject.PseudoFault) {
 	n.logMarker(f)
 	n.Partition(f.Subject, f.Peer, true)
 	n.sim.Post("env-heal", f.Duration, func() {
@@ -355,15 +301,15 @@ func (n *Net) Send(site string, msg Message) error {
 	if !ok {
 		return fmt.Errorf("simnet: %s has no handler for %s", msg.To, msg.Type)
 	}
-	perr, dup := n.applyPartial(site, msg.From, msg.To)
+	perr, dupAfter := n.applyPartial(site, msg.From, msg.To)
 	// The delivery runs under a child path node labelled with the send
 	// site — the call-tree edge of path addressing. PathExtend returns 0
 	// (the root, what PostArg would inherit) when tracking is off.
 	n.sim.PostArgPath(ep.actor, n.latency()+extra, runSend, n.getSend(msg, ep), n.sim.PathExtend(site))
-	if dup {
+	if dupAfter > 0 {
 		// Duplicated delivery: the same message arrives a second time at a
 		// fixed virtual-time offset after its first copy is dispatched.
-		n.sim.PostArgPath(ep.actor, n.latency()+extra+inject.PartialDupOffset, runSend, n.getSend(msg, ep), n.sim.PathExtend(site))
+		n.sim.PostArgPath(ep.actor, n.latency()+extra+dupAfter, runSend, n.getSend(msg, ep), n.sim.PathExtend(site))
 	}
 	// An eintr fault surfaces to the sender even though the message was
 	// delivered: the bytes were already on the wire when the interrupt hit.
@@ -497,7 +443,7 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 	if drop {
 		return // request lost in the environment; caller times out
 	}
-	perr, dup := n.applyPartial(site, msg.From, msg.To)
+	perr, dupAfter := n.applyPartial(site, msg.From, msg.To)
 	if perr != nil {
 		// eintr: the request still reaches the handler, but the caller
 		// fails with InterruptedError now. Marking the call done drops the
@@ -511,9 +457,9 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 	// The request leg, like a one-way send, extends the call tree by one
 	// edge labelled with the RPC's fault site.
 	n.sim.PostArgPath(ep.actor, n.latency()+extra, runCallRequest, c, n.sim.PathExtend(site))
-	if dup {
+	if dupAfter > 0 {
 		// Duplicated delivery: the handler runs twice for one logical
 		// request; the second response is dropped by the done flag.
-		n.sim.PostArgPath(ep.actor, n.latency()+extra+inject.PartialDupOffset, runCallRequest, c, n.sim.PathExtend(site))
+		n.sim.PostArgPath(ep.actor, n.latency()+extra+dupAfter, runCallRequest, c, n.sim.PathExtend(site))
 	}
 }

@@ -77,6 +77,12 @@ const (
 	Outcome EventType = "outcome"
 )
 
+// EventTypes lists every event type, in the order above.
+var EventTypes = []EventType{
+	FreeRun, RoundStart, Decision, Injected, EnvInjected, PartialInjected,
+	PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
+}
+
 // Outcome reasons.
 const (
 	ReasonReproduced = "reproduced"
