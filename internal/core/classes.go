@@ -255,13 +255,22 @@ func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteS
 		}
 	}
 	sort.Sort(sitesByID(donors))
+	// A donor instance is a member of many pair instances; its distance to
+	// the nearest observable is the same in all of them.
+	near := make([][]float64, len(donors))
+	for i, d := range donors {
+		near[i] = make([]float64, len(d.instances))
+		for j, inst := range d.instances {
+			near[i][j] = e.nearestObs(inst.alignedPos)
+		}
+	}
 	var out []*siteState
 	for i, sa := range donors {
-		for _, sb := range donors[i:] {
+		for k, sb := range donors[i:] {
 			if sa.class == envClass && sb.class == envClass {
 				continue
 			}
-			if st := pairSite(sa, sb); st != nil {
+			if st := pairSite(sa, sb, near[i], near[i+k]); st != nil {
 				out = append(out, st)
 			}
 		}
@@ -274,9 +283,11 @@ func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteS
 // joins one member instance from each side — all cross combinations for
 // distinct members, unordered combinations (occ a < occ b) for a
 // self-pair — positioned on the timeline at the later member: the
-// combined effect completes only when the second fault lands. Returns
-// nil when no instance combination exists.
-func pairSite(sa, sb *siteState) *siteState {
+// combined effect completes only when the second fault lands. nearA and
+// nearB are the members' nearestObs distances, parallel to their
+// instances; their sum is the pair instance's temporal score. Returns nil
+// when no instance combination exists.
+func pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState {
 	st := &siteState{
 		id:      inject.PairSiteID(sa.id, sb.id),
 		class:   pairClass,
@@ -297,7 +308,8 @@ func pairSite(sa, sb *siteState) *siteState {
 		if self {
 			bStart = ai + 1
 		}
-		for _, b := range sb.instances[bStart:] {
+		for bi := bStart; bi < len(sb.instances); bi++ {
+			b := sb.instances[bi]
 			pi := inject.PairInstance(
 				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: a.path},
 				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: b.path},
@@ -313,7 +325,7 @@ func pairSite(sa, sb *siteState) *siteState {
 			st.pairInsts = append(st.pairInsts, pi)
 			st.instances = append(st.instances, instance{
 				occ: pi.Occurrence, logPos: logPos, alignedPos: alignedPos,
-				memberPos: [2]float64{a.alignedPos, b.alignedPos},
+				pairT: nearA[ai] + nearB[bi],
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"anduril/internal/cluster"
 	"anduril/internal/inject"
 	"anduril/internal/logdiff"
+	"anduril/internal/logging"
 	"anduril/internal/trace"
 )
 
@@ -31,11 +32,13 @@ type instance struct {
 	path       string  // canonical PathAddr string (path addressing only)
 	amp        int     // observed amplitude (partial pseudo-sites only)
 
-	// memberPos holds each member's own aligned position for pair
-	// instances (both equal to alignedPos otherwise, unused): temporal
-	// ranking scores a pair by how close each fault lands to a relevant
-	// observable, not just where the combined effect completes.
-	memberPos [2]float64
+	// pairT is a pair instance's temporal score (unused otherwise): the
+	// sum over its two members of each member's distance to the nearest
+	// relevant observable — ranking scores a pair by how close each fault
+	// lands to evidence of its own effect, not just where the combined
+	// effect completes. Member positions and observable positions are both
+	// fixed at setup, so the score is computed once, at enumeration.
+	pairT float64
 }
 
 // triedSet tracks which occurrences of a site have been injected. It is a
@@ -136,6 +139,11 @@ type engine struct {
 	sites     []*siteState
 	siteIndex map[string]*siteState // id -> state, for O(1) markTried
 	align     *logdiff.Alignment
+
+	// failureLog is t.FailureLog as every round's diff reads it: flattened
+	// once in setup under Options.GlobalDiff, the target's own slice
+	// otherwise.
+	failureLog []logging.Entry
 
 	sumBest map[string]float64 // sum-aggregation ablation bookkeeping
 

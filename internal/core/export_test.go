@@ -1,5 +1,11 @@
 package core
 
+import (
+	"math"
+
+	"anduril/internal/inject"
+)
+
 // WithNaiveRanking returns o with the reference ranker selected instead of
 // the incremental priority index. The equivalence test lives in core_test
 // (it needs the failure dataset, which imports core) and cannot reach the
@@ -7,4 +13,73 @@ package core
 func WithNaiveRanking(o Options) Options {
 	o.naiveRanking = true
 	return o
+}
+
+// Prepared is an engine after the free run and setup, with the initial
+// full-feedback ranking: the state a search's first round starts from.
+// Tests and benchmarks in core_test need it because only they can build
+// dataset targets (failures imports core).
+type Prepared struct {
+	e      *engine
+	ranked []*siteState
+}
+
+// Prepare runs t's free run and setup under o.
+func Prepare(t *Target, o Options) (*Prepared, error) {
+	e := newEngine(t, o.withDefaults())
+	if err := e.prepare(); err != nil {
+		return nil, err
+	}
+	return &Prepared{e: e, ranked: e.newRanker(true).ranked()}, nil
+}
+
+// ExhaustSingleFaults marks every non-pair instance tried, so the window
+// opens the pair class — the state of every pair round of a search.
+func (p *Prepared) ExhaustSingleFaults() {
+	for _, s := range p.e.sites {
+		if s.class == pairClass {
+			continue
+		}
+		for _, inst := range s.instances {
+			p.e.markTried(candidateFor(s, inst))
+		}
+	}
+}
+
+// FillWindow is one round's temporal candidate selection.
+func (p *Prepared) FillWindow(window int) []inject.Instance {
+	return p.e.fillWindow(p.ranked, window, true, 0)
+}
+
+// PairScores reports, for every pair instance, the temporal score stamped
+// at enumeration next to the oracle: the two members decoded from the pair
+// Instance, looked up among the member sites' own instances, each scored by
+// a full nearestObs scan.
+func (p *Prepared) PairScores(visit func(pair inject.Instance, memo, recomputed float64)) {
+	for _, s := range p.e.sites {
+		if s.class != pairClass {
+			continue
+		}
+		for i, inst := range s.instances {
+			a, b, _ := inject.PairMembers(s.pairInsts[i])
+			visit(s.pairInsts[i], inst.pairT,
+				p.e.nearestObs(memberPos(s, a))+p.e.nearestObs(memberPos(s, b)))
+		}
+	}
+}
+
+// memberPos finds a decoded pair member among the pair site's member
+// sites and returns its aligned position (NaN when it names no instance).
+func memberPos(s *siteState, m inject.Instance) float64 {
+	for _, ms := range s.members {
+		if ms.id != m.Site {
+			continue
+		}
+		for _, inst := range ms.instances {
+			if (m.Path != "" && inst.path == m.Path) || (m.Path == "" && inst.occ == m.Occurrence) {
+				return inst.alignedPos
+			}
+		}
+	}
+	return math.NaN()
 }

@@ -246,7 +246,7 @@ func (e *engine) missingIn(results []*cluster.Result) []bool {
 		miss[i] = true
 	}
 	for _, res := range results {
-		m := logdiff.Compare(e.flatten(res.Entries), e.flatten(e.t.FailureLog)).Missing
+		m := logdiff.Compare(e.flatten(res.Entries), e.failureLog).Missing
 		for i, o := range e.obs {
 			if _, still := m[o.key]; !still {
 				miss[i] = false

@@ -5,7 +5,8 @@ package core_test
 // panic isolation costs nothing measurable, and the checkpointed variant
 // prices the worst-case checkpoint cadence (every round). The repository
 // benchmark (BENCHMARK.json, bench/) records the end-to-end numbers; the
-// CI alloc gates read the baseline, path-addressing and partial variants.
+// CI alloc gates read the baseline, path-addressing, partial and pair
+// variants.
 
 import (
 	"path/filepath"
@@ -14,14 +15,14 @@ import (
 	"anduril/internal/core"
 )
 
-func benchReproduce(b *testing.B, optFor func(i int) core.Options) {
+func benchReproduce(b *testing.B, id string, optFor func(i int) core.Options) {
 	b.Helper()
-	tgt := target(b, "f4")
+	tgt := target(b, id)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep := core.Reproduce(tgt, optFor(i))
 		if !rep.Reproduced {
-			b.Fatalf("f4 not reproduced: %+v", rep)
+			b.Fatalf("%s not reproduced: %+v", id, rep)
 		}
 	}
 }
@@ -31,13 +32,13 @@ func BenchmarkReproduce(b *testing.B) {
 		// No checkpoint path configured: maybeCheckpoint is a string
 		// compare per round, and the recover wrappers are the only
 		// resilience cost on this path.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60}
 		})
 	})
 	b.Run("checkpoint-every-round", func(b *testing.B) {
 		dir := b.TempDir()
-		benchReproduce(b, func(i int) core.Options {
+		benchReproduce(b, "f4", func(i int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				Checkpoint:      filepath.Join(dir, "bench.ck.json"),
@@ -51,7 +52,7 @@ func BenchmarkReproduce(b *testing.B) {
 		// per-site byPath index). Recorded in BENCH_alloc_budget.json;
 		// the baseline variant above is the proof that none of it is paid
 		// in the default mode.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				Addressing: core.AddrPath,
@@ -64,11 +65,20 @@ func BenchmarkReproduce(b *testing.B) {
 		// recording) on a search that still concludes in the site class.
 		// Recorded in BENCH_alloc_budget.json; the baseline variant above
 		// is the proof that none of it is paid in the default mode.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				FaultClasses: []string{core.ClassSite, core.ClassPartial},
 			}
+		})
+	})
+	b.Run("pair", func(b *testing.B) {
+		// f30 at engine seed 2: 66 rounds, most of them in the pair class
+		// on the dyn target — the round loop the f4 variants above finish
+		// too early to price (pair-window selection, a dyn cluster built per
+		// trial). Recorded in BENCH_alloc_budget.json.
+		benchReproduce(b, "f30", func(int) core.Options {
+			return core.Options{Strategy: core.FullFeedback, Seed: 2, MaxRounds: 500}
 		})
 	})
 }

@@ -17,17 +17,17 @@ import (
 //
 // Pair instances are scored member-wise instead: each member contributes
 // its own distance to whichever relevant observable is nearest to IT, and
-// the pair's T is the sum. Scoring only the combined position (the later
-// member) would leave the earlier fault unconstrained — hundreds of
-// combinations tie and the sweep degenerates to enumeration order —
-// whereas both faults of a real combined failure land near evidence of
-// their own effect.
+// the pair's T is the sum (pairSite computed it at enumeration). Scoring
+// only the combined position (the later member) would leave the earlier
+// fault unconstrained — hundreds of combinations tie and the sweep
+// degenerates to enumeration order — whereas both faults of a real
+// combined failure land near evidence of their own effect.
 func (e *engine) temporalDistance(s *siteState, inst instance) float64 {
 	if s.bestObs < 0 {
 		return inst.alignedPos
 	}
 	if s.class == pairClass {
-		return e.nearestObs(inst.memberPos[0]) + e.nearestObs(inst.memberPos[1])
+		return inst.pairT
 	}
 	best := math.Inf(1)
 	for _, p := range e.obs[s.bestObs].positions {

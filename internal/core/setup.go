@@ -29,7 +29,8 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 // them to causal-graph templates, compute spatial distances and the
 // fault-instance timeline alignment.
 func (e *engine) setup(free *cluster.Result) {
-	cmp := logdiff.Compare(e.flatten(free.Entries), e.flatten(e.t.FailureLog))
+	e.failureLog = e.flatten(e.t.FailureLog)
+	cmp := logdiff.Compare(e.flatten(free.Entries), e.failureLog)
 	e.align = logdiff.NewAlignment(cmp, len(free.Entries), len(e.t.FailureLog))
 
 	matcher := e.t.Analysis.Matcher()

@@ -20,8 +20,21 @@ const (
 
 // expectPut / expectDelete record what clients have had acknowledged —
 // the state the replicas must eventually converge on.
-func (c *Cluster) expectPut(key, val string) { c.expected[key] = val }
-func (c *Cluster) expectDelete(key string)   { c.expected[key] = tombSentinel }
+func (c *Cluster) expectPut(key, val string) { c.expect(key, val) }
+func (c *Cluster) expectDelete(key string)   { c.expect(key, tombSentinel) }
+
+// expect records a key's acknowledged state. The key set only grows, so
+// the sorted key list the audit walks every tick is maintained here, at
+// insertion, instead of being rebuilt and sorted per tick.
+func (c *Cluster) expect(key, val string) {
+	if _, known := c.expected[key]; !known {
+		i := sort.SearchStrings(c.expectedKeys, key)
+		c.expectedKeys = append(c.expectedKeys, "")
+		copy(c.expectedKeys[i+1:], c.expectedKeys[i:])
+		c.expectedKeys[i] = key
+	}
+	c.expected[key] = val
+}
 
 const tombSentinel = "\x00deleted"
 
@@ -35,12 +48,7 @@ func (c *Cluster) startAudit() {
 	env.Sim.Every("dyn-audit", auditPeriod, func() {
 		ring := c.latestRing()
 		divergent := 0
-		keys := make([]string, 0, len(c.expected))
-		for key := range c.expected {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
+		for _, key := range c.expectedKeys {
 			want := c.expected[key]
 			for _, owner := range ring.PreferenceList(key, c.cfg.N) {
 				set := c.byName[owner].store[key]

@@ -114,7 +114,7 @@ func (n *Node) adoptRing(version int, members []string) {
 	}
 	env := n.c.env
 	old := n.ring
-	n.ring = NewRing(version, members, n.c.cfg.VNodes)
+	n.ring = sharedRing(version, members, n.c.cfg.VNodes)
 	n.pulled[version] = true
 	env.Log.Infof("Node %s adopted ring v%d with %d members", n.name, version, len(members))
 	n.migrate(old, n.ring)

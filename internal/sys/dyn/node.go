@@ -34,6 +34,7 @@ type Cluster struct {
 
 	// Convergence audit state (see audit.go).
 	expected       map[string]string
+	expectedKeys   []string // the keys of expected, kept sorted
 	everAgreed     bool
 	divergent      bool
 	divergentSince des.Time
@@ -75,12 +76,15 @@ func New(env *cluster.Env, cfg Config) *Cluster {
 	}
 	c.names = append(c.names, cfg.Nodes...)
 	sort.Strings(c.names)
+	// Every node starts on the same ring v1: one header, so the owners memo
+	// one node fills answers the others (and the audit) too.
+	ring := sharedRing(1, cfg.Members, cfg.VNodes)
 	for _, name := range c.names {
 		n := &Node{
 			c:       c,
 			name:    name,
 			alive:   true,
-			ring:    NewRing(1, cfg.Members, cfg.VNodes),
+			ring:    ring,
 			store:   make(map[string][]Version),
 			tombAt:  make(map[string]des.Time),
 			context: make(map[string]VClock),
