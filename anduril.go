@@ -99,26 +99,9 @@ const (
 	AddrPath       = core.AddrPath
 )
 
-// Strategies lists every registered strategy in registration order (the
-// built-ins follow Table 2 column order).
+// Strategies lists every strategy in Table 2 column order: complete
+// ANDURIL, the §8.3 ablations, the §8.4 baselines.
 func Strategies() []Strategy { return core.Strategies() }
-
-// StrategyRegistered reports whether a strategy name is registered.
-func StrategyRegistered(name Strategy) bool { return core.StrategyRegistered(name) }
-
-// Explorer is a pluggable exploration strategy; see RegisterStrategy.
-type Explorer = core.Explorer
-
-// Search is the prepared search surface handed to an Explorer.
-type Search = core.Search
-
-// QueueFunc adapts a fixed-queue enumeration into an Explorer.
-type QueueFunc = core.QueueFunc
-
-// RegisterStrategy registers a custom Explorer under a new strategy name;
-// it then works everywhere a built-in strategy does (Options.Strategy, the
-// eval tables, the CLIs). Call it from an init function.
-func RegisterStrategy(name Strategy, impl Explorer) { core.RegisterStrategy(name, impl) }
 
 // Reproduce runs the explorer until the oracle is satisfied, the fault
 // space is exhausted, or the round cap is hit (workflow steps 1–5 of §3).

@@ -26,7 +26,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"anduril/internal/checkpoint"
 )
@@ -78,34 +77,21 @@ type searchState struct {
 
 // maybeCheckpoint writes the search state after the given completed round
 // when checkpointing is enabled and the round lands on the interval.
-// Writes are best-effort: the first failure is recorded on the report and
-// the search continues.
-func (e *engine) maybeCheckpoint(round, window int) {
-	if e.o.Checkpoint == "" || round%e.o.CheckpointEvery != 0 {
-		return
+func (e *engine) maybeCheckpoint(round int) {
+	if e.o.Checkpoint != "" && round%e.o.CheckpointEvery == 0 {
+		e.saveCheckpoint(round)
 	}
-	e.saveCheckpoint(round, window)
-}
-
-// forceCheckpoint writes the search state regardless of the interval — the
-// engine's last act on an interrupt, so a gracefully-drained search resumes
-// from the exact round it stopped at instead of re-executing everything
-// since the last periodic write. Interrupts before the first completed
-// round have no state worth persisting and are skipped.
-func (e *engine) forceCheckpoint(round, window int) {
-	if e.o.Checkpoint == "" || round < 1 {
-		return
-	}
-	e.saveCheckpoint(round, window)
 }
 
 // saveCheckpoint flushes the caller's journal (Options.CheckpointFlush)
-// and then persists the state for the given completed round.
-func (e *engine) saveCheckpoint(round, window int) {
+// and then persists the state for the given completed round. Writes are
+// best-effort: the first failure is recorded on the report and the search
+// continues.
+func (e *engine) saveCheckpoint(round int) {
 	if e.o.CheckpointFlush != nil {
 		e.o.CheckpointFlush(round)
 	}
-	st := e.snapshotState(round, window)
+	st := e.snapshotState(round)
 	if err := checkpoint.Save(e.o.Checkpoint, searchKind, searchVersion, st); err != nil {
 		if e.report.CheckpointError == "" {
 			e.report.CheckpointError = err.Error()
@@ -119,12 +105,12 @@ func (e *engine) saveCheckpoint(round, window int) {
 // interrupt happens after the engine marked the report — persisting the
 // flag would make the resumed run believe it too was interrupted and
 // suppress its trace outcome.
-func (e *engine) snapshotState(round, window int) *searchState {
+func (e *engine) snapshotState(round int) *searchState {
 	rep := *e.report
 	rep.Interrupted = false
 	st := &searchState{
 		Target: e.t.ID, Strategy: e.o.Strategy, Seed: e.o.Seed,
-		Round: round, Window: window,
+		Round: round, Window: e.window,
 		ObsCount:   len(e.obs),
 		Priorities: make([]int, len(e.obs)),
 		Tried:      map[string][]int{},
@@ -245,7 +231,7 @@ func (e *engine) applyState() error {
 		}
 	}
 	e.startRound = st.Round
-	e.resumeWindow = st.Window
+	e.window = st.Window
 	e.report = st.Report
 	return nil
 }
@@ -268,14 +254,5 @@ func Resume(t *Target, opts Options, path string) (*Report, error) {
 	}
 	e := newEngine(t, opts)
 	e.resume = st
-	start := time.Now()
-	if err := e.prepare(); err != nil {
-		return nil, fmt.Errorf("core: resume: %w", err)
-	}
-	if err := e.applyState(); err != nil {
-		return nil, err
-	}
-	e.explore()
-	e.finish(start)
-	return e.report, nil
+	return e.run()
 }

@@ -13,6 +13,7 @@ import (
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/trace"
 )
 
 // siteSearchUnchangedBy is the compatibility acceptance criterion of every
@@ -65,6 +66,36 @@ func TestSiteSearchUnchangedByAllClasses(t *testing.T) {
 	siteSearchUnchangedBy(t, core.ClassSite, core.ClassEnv, core.ClassPartial, core.ClassPair)
 }
 
+// searchFailsToStart asserts that bad fails through the library entry
+// points before the free run: Report.Error names the problem, no round and
+// no free run happened, and the trace is a lone outcome with reason error.
+func searchFailsToStart(t *testing.T, tgt *core.Target, bad core.Options, want string) {
+	t.Helper()
+	var mem trace.Memory
+	bad.Trace = &mem
+	rep := core.Reproduce(tgt, bad)
+	if !strings.Contains(rep.Error, want) || rep.Rounds != 0 || rep.FreeRunLogLines != 0 {
+		t.Fatalf("Reproduce: Error = %q after %d rounds and a %d-line free run, want %s and neither",
+			rep.Error, rep.Rounds, rep.FreeRunLogLines, want)
+	}
+	if len(mem.Events) != 1 || mem.Events[0].Type != trace.Outcome || mem.Events[0].Reason != trace.ReasonError {
+		t.Fatalf("trace = %v, want a lone %s outcome", lines(mem.Events), trace.ReasonError)
+	}
+	bad.Trace = nil
+	it := core.ReproduceIterative(tgt, bad, 2)
+	if len(it.Reports) != 1 || !strings.Contains(it.Reports[0].Error, want) {
+		t.Fatalf("ReproduceIterative: %d reports, first Error = %q, want %s", len(it.Reports), it.Reports[0].Error, want)
+	}
+}
+
+// TestUnknownStrategyIsAnError: a misspelled strategy from a library caller
+// (the front ends reject it in Options.Validate) fails the search the same
+// way a misspelled fault class does, instead of paying a free run to report
+// the fault space exhausted after zero rounds.
+func TestUnknownStrategyIsAnError(t *testing.T) {
+	searchFailsToStart(t, target(t, "f4"), core.Options{Strategy: "bogus", Seed: 1}, `unknown strategy "bogus"`)
+}
+
 // TestUnknownFaultClassIsAnError: a misspelled class must fail the search
 // loudly through every library entry point — silently searching nothing is
 // indistinguishable from "fault space exhausted" — and an empty list means
@@ -73,14 +104,7 @@ func TestUnknownFaultClassIsAnError(t *testing.T) {
 	tgt := target(t, "f4")
 	bad := core.Options{Strategy: core.FullFeedback, Seed: 1, FaultClasses: []string{"sites"}}
 	const want = `unknown fault class "sites"`
-
-	if rep := core.Reproduce(tgt, bad); !strings.Contains(rep.Error, want) || rep.Rounds != 0 {
-		t.Fatalf("Reproduce: Error = %q after %d rounds, want %s", rep.Error, rep.Rounds, want)
-	}
-	it := core.ReproduceIterative(tgt, bad, 2)
-	if len(it.Reports) != 1 || !strings.Contains(it.Reports[0].Error, want) {
-		t.Fatalf("ReproduceIterative: %d reports, first Error = %q, want %s", len(it.Reports), it.Reports[0].Error, want)
-	}
+	searchFailsToStart(t, tgt, bad, want)
 
 	ck := filepath.Join(t.TempDir(), "ck.json")
 	good := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}

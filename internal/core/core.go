@@ -13,7 +13,8 @@
 //
 // The package also implements the five ablation variants of §8.3 and the
 // comparison systems of §8.4 (FATE, CrashTuner, stacktrace-injector, plus
-// a chaos-style random injector) behind the same interface.
+// a chaos-style random injector): all ten strategies are rows of one table
+// (strategies.go) run through one round loop (feedback.go).
 package core
 
 import (
@@ -216,7 +217,7 @@ func (e *OptionError) Error() string { return e.Option + ": " + e.Problem }
 // the strategy, fault classes and addressing mode must be known names.
 // Library callers who leave fields zero for the defaults need not call it.
 func (o Options) Validate() error {
-	if !StrategyRegistered(o.Strategy) {
+	if _, err := strategyByName(o.Strategy); err != nil {
 		return &OptionError{"strategy", fmt.Sprintf("unknown strategy %q (valid: %v)", o.Strategy, Strategies())}
 	}
 	for _, b := range []struct {
@@ -438,8 +439,8 @@ func CanonicalReport(r *Report) ([]byte, error) {
 // Target; the result depends only on (t, opts), never on scheduling.
 func Reproduce(t *Target, opts Options) *Report {
 	opts = opts.withDefaults()
-	e := newEngine(t, opts)
-	return e.run()
+	rep, _ := newEngine(t, opts).run() // only a resume can fail to start
+	return rep
 }
 
 // IterReport is the outcome of an iterative multi-fault reproduction.
@@ -466,7 +467,7 @@ func ReproduceIterative(t *Target, opts Options, maxFaults int) *IterReport {
 	for pass := 0; pass < maxFaults; pass++ {
 		e := newEngine(t, opts)
 		e.baked = baked
-		rep := e.run()
+		rep, _ := e.run()
 		out.Reports = append(out.Reports, rep)
 		if rep.Reproduced {
 			out.Reproduced = true

@@ -129,8 +129,9 @@ type siteState struct {
 // extraction and candidate discovery), classes.go (the fault-class table:
 // what each class enumerates), ranking.go (site priorities and the
 // incremental priority index), selection.go (instance selection and the
-// flexible window), feedback.go (the Algorithm 2 loop), and strategies.go
-// (the strategy registry and the enumerative baselines).
+// flexible window), feedback.go (the one round loop and its Algorithm 2
+// learn step), and strategies.go (the strategy table and the queue rows'
+// queue builders).
 type engine struct {
 	t *Target
 	o Options
@@ -166,6 +167,13 @@ type engine struct {
 	// freeRes is the free run the strategies explore from.
 	freeRes *cluster.Result
 
+	// strategy is the strategyTable row the search runs, resolved by
+	// prepare. window is the flexible-window size the next round selects
+	// with: Options.Window — pinned at 1 for a queue row — until a round
+	// widens it or a checkpoint restores it.
+	strategy *strategy
+	window   int
+
 	// classes are the enabled fault classes, resolved by prepare from
 	// Options/Target (site-only by default). instSite counts the site-class
 	// candidate instances and triedSite how many are tried, so the window
@@ -180,11 +188,10 @@ type engine struct {
 	// committed index back through it to the canonical pair Instance.
 	pairWindow []inject.Instance
 
-	// Resume state: the checkpoint being restored (nil on a fresh run),
-	// the round the restored search had completed, and its window size.
-	resume       *searchState
-	startRound   int
-	resumeWindow int
+	// Resume state: the checkpoint being restored (nil on a fresh run) and
+	// the round the restored search had completed.
+	resume     *searchState
+	startRound int
 
 	report *Report
 }
@@ -308,35 +315,51 @@ func (e *engine) isBaked(ev inject.TraceEvent) bool {
 	return false
 }
 
-// run executes the whole workflow: free run, setup, then the strategy
-// resolved from the registry. An unregistered strategy explores nothing
-// and reports the fault space exhausted after zero rounds (callers are
-// expected to validate names against Strategies() up front).
-func (e *engine) run() *Report {
+// run executes the whole workflow — free run, setup, then the round loop —
+// for every entry point: Reproduce, each ReproduceIterative pass, and
+// Resume (e.resume set). A fresh search that cannot start is a verdict of
+// its own (Report.Error, or Interrupted when the free run was cancelled); a
+// resume that cannot start is the caller's error, the only one run returns.
+func (e *engine) run() (*Report, error) {
 	start := time.Now()
-	if err := e.prepare(); err != nil {
-		if isInterrupted(err) {
-			e.report.Interrupted = true
-		} else {
-			e.report.Error = err.Error()
+	err := e.prepare()
+	if e.resume != nil {
+		if err != nil {
+			return nil, fmt.Errorf("core: resume: %w", err)
 		}
-		e.finish(start)
-		return e.report
+		if err := e.applyState(); err != nil {
+			return nil, err
+		}
 	}
-	e.explore()
+	switch {
+	case err == nil:
+		e.explore()
+	case isInterrupted(err):
+		e.interrupt(1) // cancelled in the free run: no round to checkpoint
+	default:
+		e.report.Error = err.Error()
+	}
 	e.finish(start)
-	return e.report
+	return e.report, nil
 }
 
-// prepare resolves the fault classes, then performs the free run (workflow
-// step 1) and setup (step 2). The free run is isolated like any trial: a
-// panic or budget exhaustion is retried once under the next derived seed,
-// and a second failure aborts the search with an error (there is no
-// timeline to search without it).
+// prepare resolves the strategy row and the fault classes — an unknown name
+// fails the search before it costs a free run — then performs the free run
+// (workflow step 1) and setup (step 2). The free run is isolated like any
+// trial: a panic or budget exhaustion is retried once under the next
+// derived seed, and a second failure aborts the search with an error (there
+// is no timeline to search without it).
 func (e *engine) prepare() error {
 	var err error
+	if e.strategy, err = strategyByName(e.o.Strategy); err != nil {
+		return err
+	}
 	if e.classes, err = resolveClasses(e.t, e.o); err != nil {
 		return err
+	}
+	e.window = e.o.Window
+	if e.strategy.queue != nil {
+		e.window = 1
 	}
 	freeStart := time.Now()
 	free, err := e.trial(e.o.Seed, e.bakedPlan(nil), true)
@@ -354,13 +377,6 @@ func (e *engine) prepare() error {
 	e.freeRes = free
 	e.setup(free)
 	return nil
-}
-
-// explore dispatches the prepared search to the registered strategy.
-func (e *engine) explore() {
-	if impl, ok := lookupStrategy(e.o.Strategy); ok {
-		impl.Explore(&Search{e: e, free: e.freeRes})
-	}
 }
 
 // finish closes the report. An interrupted search emits no trace outcome:
@@ -421,19 +437,25 @@ func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.R
 	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, cluster.With(feats))
 }
 
-// interrupted reports whether the search must stop before starting the
-// given round — the simulated kill switch fired or the context was
-// cancelled — and marks the report resumable if so.
-func (e *engine) interrupted(round int) bool {
-	if e.o.StopAfterRound > 0 && round > e.o.StopAfterRound {
-		e.report.Interrupted = true
-		return true
+// stopRequested reports whether the search must stop before starting the
+// given round: the simulated kill switch fired or the context was cancelled.
+func (e *engine) stopRequested(round int) bool {
+	return (e.o.StopAfterRound > 0 && round > e.o.StopAfterRound) ||
+		(e.ctx != nil && e.ctx.Err() != nil)
+}
+
+// interrupt ends a search that was stopped before the given round finished
+// — at its boundary, or cancelled mid-trial — and marks the report
+// resumable. Its last act is a checkpoint of the state through round-1,
+// written regardless of the interval, so a gracefully-drained search
+// resumes from the exact round it stopped at instead of re-executing
+// everything since the last periodic write. An interrupt before the first
+// completed round has no state worth persisting.
+func (e *engine) interrupt(round int) {
+	e.report.Interrupted = true
+	if e.o.Checkpoint != "" && round > 1 {
+		e.saveCheckpoint(round - 1)
 	}
-	if e.ctx != nil && e.ctx.Err() != nil {
-		e.report.Interrupted = true
-		return true
-	}
-	return false
 }
 
 // isInterrupted matches the trial error of an externally-cancelled run.
@@ -466,13 +488,16 @@ func (e *engine) safeSatisfied(res *cluster.Result) (sat bool, err error) {
 // attempt is the outcome of one round's isolated trial: the run result and
 // round bookkeeping, the seed the (possibly retried) trial actually ran
 // under, the oracle verdict, and the terminal error when both the trial
-// and its retry failed.
+// and its retry failed. extra holds the unsatisfied combined-log re-runs of
+// the round's injection (combineLogs); one that satisfies the oracle
+// replaces sat and seed instead.
 type attempt struct {
-	res  *cluster.Result
-	rd   *Round
-	seed int64
-	sat  bool
-	err  error
+	res   *cluster.Result
+	extra []*cluster.Result
+	rd    *Round
+	seed  int64
+	sat   bool
+	err   error
 }
 
 // attemptRound runs one round with the trial-isolation policy: execute
@@ -480,8 +505,8 @@ type attempt struct {
 // budget, oracle panic — retry once under the next derived seed; a second
 // failure degrades the round to inconclusive (err set, rd.Failure
 // classified). Cancellation is never retried.
-func (e *engine) attemptRound(round int, plan inject.Plan, initTime time.Duration, windowSize, rootRank int) attempt {
-	rd := &Round{N: round, RootRank: rootRank, WindowSize: windowSize, InitTime: initTime}
+func (e *engine) attemptRound(round int, plan inject.Plan, initTime time.Duration, rootRank int) attempt {
+	rd := &Round{N: round, RootRank: rootRank, WindowSize: e.window, InitTime: initTime}
 	runStart := time.Now()
 	a := e.tryOnce(e.o.Seed+int64(round), plan, rd)
 	if a.err != nil && !isInterrupted(a.err) {
@@ -541,14 +566,12 @@ func (e *engine) tryOnce(seed int64, plan inject.Plan, rd *Round) attempt {
 // recordInconclusive books a degraded round: the report and trace record
 // the failure class, the attempted instance (if one injected before the
 // failure) counts as tried so the search advances, and no feedback flows.
-func (e *engine) recordInconclusive(a attempt, window int) {
+func (e *engine) recordInconclusive(a attempt) {
 	rd := a.rd
 	if rd.Injected != nil {
 		e.markTried(*rd.Injected)
 	}
 	e.report.InconclusiveRounds++
-	e.report.RoundLog = append(e.report.RoundLog, *rd)
-	e.report.Rounds = rd.N
 	if e.tracing() {
 		class, detail := failureClass(a.err)
 		ev := &trace.Event{Type: trace.Inconclusive, Round: rd.N, Class: class, Detail: detail}
@@ -564,7 +587,18 @@ func (e *engine) recordInconclusive(a attempt, window int) {
 		}
 		e.emit(ev)
 	}
-	e.maybeCheckpoint(rd.N, window)
+	e.record(rd)
+}
+
+// record books a finished round on the report and, on the interval,
+// checkpoints the state after it. A reproducing round ends the search —
+// there is nothing left to resume — so it writes no checkpoint.
+func (e *engine) record(rd *Round) {
+	e.report.RoundLog = append(e.report.RoundLog, *rd)
+	e.report.Rounds = rd.N
+	if !rd.Satisfied {
+		e.maybeCheckpoint(rd.N)
+	}
 }
 
 func (e *engine) markTried(inst inject.Instance) {

@@ -15,9 +15,12 @@ import (
 )
 
 // stubEngine builds an engine with hand-made observables, distances and
-// instances, bypassing the free run.
+// instances, bypassing the free run; the strategy row and starting window
+// are what prepare would have resolved from o.
 func stubEngine(o Options) *engine {
 	e := newEngine(&Target{ID: "stub"}, o.withDefaults())
+	e.strategy, _ = strategyByName(e.o.Strategy)
+	e.window = e.o.Window
 	e.obs = []*observable{
 		{key: logdiff.Key{Thread: "t", Msg: "alpha"}, positions: []int{100}, templates: []string{"alpha"}},
 		{key: logdiff.Key{Thread: "t", Msg: "beta"}, positions: []int{200}, templates: []string{"beta"}},
@@ -213,7 +216,7 @@ func TestMedianHelpers(t *testing.T) {
 // candidate-instance count, so the search keeps probing until MaxRounds.
 func TestFlexibleWindowOverflowClamped(t *testing.T) {
 	const maxRounds = 80 // > 63, enough to overflow without the clamp
-	e := stubEngine(Options{Window: 1, MaxRounds: maxRounds})
+	e := stubEngine(Options{Strategy: SiteDistance, Window: 1, MaxRounds: maxRounds})
 	// An empty workload never reaches a fault site, so every round is a
 	// no-injection round and the window doubles each time.
 	e.t.Workload = func(env *cluster.Env) {}
@@ -224,7 +227,7 @@ func TestFlexibleWindowOverflowClamped(t *testing.T) {
 	}
 	e.report.CandidateInstances = total // what setup would have counted
 
-	e.feedbackLoop(feedbackSpec{})
+	e.explore()
 
 	if e.report.Reproduced {
 		t.Fatal("nothing should reproduce")

@@ -1,9 +1,8 @@
 package core
 
-// The priority-driven exploration loop shared by ANDURIL and its ablation
-// variants (§5.2, Algorithm 2): rank sites, inject the flexible window's
-// best candidate, and feed unsuccessful rounds back into the observable
-// priorities.
+// The round loop every strategy runs through (§3 steps 3–5): select the
+// round's candidates, inject, judge, and — for the priority-driven rows —
+// learn from the unsatisfied injection (§5.2, Algorithm 2).
 
 import (
 	"time"
@@ -14,9 +13,9 @@ import (
 	"anduril/internal/trace"
 )
 
-// feedbackSpec fixes the design-point of one feedback-family strategy.
-// The registered strategies differ only in these toggles; the ablation
-// knobs in Options (TemporalByOrder etc.) still apply on top.
+// feedbackSpec fixes the design point of one priority-driven strategy. The
+// rows of strategyTable differ only in these toggles; the ablation knobs in
+// Options (TemporalByOrder etc.) still apply on top.
 type feedbackSpec struct {
 	useFeedback bool // apply Algorithm 2 priority adjustments
 	useTemporal bool // rank instances by temporal distance T_{i,j,k}
@@ -24,169 +23,192 @@ type feedbackSpec struct {
 	limited     bool // cap instances per site at Options.InstanceLimit
 }
 
-// feedbackLoop is the priority-driven exploration shared by ANDURIL and its
-// ablation variants.
-func (e *engine) feedbackLoop(spec feedbackSpec) {
-	useFeedback := spec.useFeedback
-	useTemporal := spec.useTemporal && !e.o.TemporalByOrder
-	limit := 0
-	if spec.limited {
-		limit = e.o.InstanceLimit
+// explore is the one round loop. The rows differ in the select step — a
+// queue row injects the next entry of a queue that is a deterministic
+// function of the free run (so a resumed search rebuilds it and continues
+// at the checkpointed round), a priority-driven row the ranked window —
+// and in what follows an injection the oracle did not accept: only a
+// priority-driven row widens its window, re-runs under extra seeds and
+// learns. rk is nil for a queue row, which therefore never ranks.
+func (e *engine) explore() {
+	last := e.o.MaxRounds
+	var rk ranker
+	var queue []inject.Instance
+	if e.strategy.queue != nil {
+		queue = e.strategy.queue(e)
+		last = min(last, len(queue))
+	} else {
+		rk = e.newRanker(e.strategy.spec.useFeedback)
 	}
-	rk := e.newRanker(useFeedback)
-
-	window := e.o.Window
-	if e.resume != nil {
-		window = e.resumeWindow
-	}
-	for round := e.startRound + 1; round <= e.o.MaxRounds; round++ {
-		if e.interrupted(round) {
-			e.forceCheckpoint(round-1, window)
+	for round := e.startRound + 1; round <= last; round++ {
+		if e.stopRequested(round) {
+			e.interrupt(round)
 			return
 		}
 		initStart := time.Now()
-		ranked := rk.ranked()
-		rootRank := 0
-		if e.o.TrackRank {
-			rootRank = e.rootRank(ranked)
-		}
-
-		if e.tracing() {
-			rank := rootRank
-			if !e.o.TrackRank {
-				rank = e.rootRank(ranked)
-			}
-			top := ranked
-			if len(top) > trace.TopK {
-				top = top[:trace.TopK]
-			}
-			snap := make([]trace.SiteRank, len(top))
-			for i, s := range top {
-				sr := trace.SiteRank{Site: s.id, F: trace.Float(s.f), Tried: s.tried.Len()}
-				if s.bestObs >= 0 {
-					sr.BestObs = obsLabel(e.obs[s.bestObs])
-				}
-				snap[i] = sr
-			}
-			e.emit(&trace.Event{
-				Type: trace.RoundStart, Round: round, Window: window,
-				RootRank: rank, Top: snap,
-			})
-		}
-
 		var candidates []inject.Instance
-		if spec.multiply {
-			candidates = e.multiplyCandidates(ranked, window)
+		rootRank := 0
+		if rk == nil {
+			candidates = queue[round-1 : round]
 		} else {
-			candidates = e.fillWindow(ranked, window, useTemporal, limit)
+			candidates, rootRank = e.selectRanked(rk, round)
 		}
 		if len(candidates) == 0 {
 			return // fault space exhausted: cannot reproduce (step 5)
 		}
 		initTime := time.Since(initStart)
-		e.traceDecision(round, window, candidates)
+		e.traceDecision(round, e.window, candidates)
 
-		a := e.attemptRound(round, e.roundPlan(candidates), initTime, window, rootRank)
-		if isInterrupted(a.err) {
-			// Cancelled mid-trial: the round is not recorded. The forced
-			// checkpoint persists the state through round-1, so resume
-			// re-executes only this round.
-			e.report.Interrupted = true
-			e.forceCheckpoint(round-1, window)
+		a := e.attemptRound(round, e.roundPlan(candidates), initTime, rootRank)
+		rd := a.rd
+		if rk != nil && a.err == nil && !a.sat && rd.Injected != nil {
+			e.combineLogs(&a)
+		}
+		switch {
+		case isInterrupted(a.err):
+			// Cancelled mid-trial: the round is neither recorded nor marked
+			// tried, so resume re-executes exactly this round.
+			e.interrupt(round)
 			return
-		}
-		res, rd := a.res, a.rd
-		if a.err != nil {
-			e.recordInconclusive(a, window)
-			continue
-		}
-		if rd.Injected == nil {
+		case a.err != nil:
+			e.recordInconclusive(a)
+		case rd.Injected == nil:
 			// Nothing in the window occurred this round: widen it (§5.2.5).
-			grown := e.growWindow(window)
-			if e.tracing() {
-				e.emit(&trace.Event{
-					Type: trace.WindowGrow, Round: round, From: window, To: grown,
-					Clamped: !e.o.FixedWindow && grown < window*2,
-				})
+			if rk != nil {
+				e.widen(round)
 			}
-			window = grown
-			e.report.RoundLog = append(e.report.RoundLog, *rd)
-			e.report.Rounds = round
-			e.maybeCheckpoint(round, window)
-			continue
-		}
-		e.markTried(*rd.Injected)
-
-		if a.sat {
+			e.record(rd)
+		case a.sat:
 			e.traceInjected(round, *rd.Injected, true)
 			rd.Satisfied = true
-			e.report.RoundLog = append(e.report.RoundLog, *rd)
-			e.report.Rounds = round
 			e.report.Reproduced = true
 			e.report.Script = rd.Injected
 			e.report.ScriptSeed = a.seed
+			e.record(rd)
+			return
+		default:
+			e.traceInjected(round, *rd.Injected, false)
+			if rk != nil {
+				e.learn(rk, a)
+			}
+			e.record(rd)
+		}
+	}
+}
+
+// selectRanked is a priority-driven row's select step: rank the sites,
+// trace the round's starting state, and fill the window from the ranking.
+func (e *engine) selectRanked(rk ranker, round int) (candidates []inject.Instance, rootRank int) {
+	spec := e.strategy.spec
+	ranked := rk.ranked()
+	if e.o.TrackRank {
+		rootRank = e.rootRank(ranked)
+	}
+	if e.tracing() {
+		top := ranked
+		if len(top) > trace.TopK {
+			top = top[:trace.TopK]
+		}
+		snap := make([]trace.SiteRank, len(top))
+		for i, s := range top {
+			sr := trace.SiteRank{Site: s.id, F: trace.Float(s.f), Tried: s.tried.Len()}
+			if s.bestObs >= 0 {
+				sr.BestObs = obsLabel(e.obs[s.bestObs])
+			}
+			snap[i] = sr
+		}
+		rank := rootRank
+		if !e.o.TrackRank {
+			rank = e.rootRank(ranked)
+		}
+		e.emit(&trace.Event{
+			Type: trace.RoundStart, Round: round, Window: e.window,
+			RootRank: rank, Top: snap,
+		})
+	}
+	if spec.multiply {
+		return e.multiplyCandidates(ranked, e.window), rootRank
+	}
+	limit := 0
+	if spec.limited {
+		limit = e.o.InstanceLimit
+	}
+	return e.fillWindow(ranked, e.window, spec.useTemporal && !e.o.TemporalByOrder, limit), rootRank
+}
+
+// widen grows the flexible window after a round in which no candidate
+// occurred.
+func (e *engine) widen(round int) {
+	grown := e.growWindow(e.window)
+	if e.tracing() {
+		e.emit(&trace.Event{
+			Type: trace.WindowGrow, Round: round, From: e.window, To: grown,
+			Clamped: !e.o.FixedWindow && grown < e.window*2,
+		})
+	}
+	e.window = grown
+}
+
+// combineLogs is the combined-log mitigation (§6): re-run the round's
+// unsatisfied injection under extra seeds; crucial observables missing only
+// probabilistically then show up in at least one of the runs, and a.extra
+// collects them for the diff. An extra run that satisfies the oracle turns
+// the round into a reproduction under that run's seed; one that fails is
+// simply dropped — the round's primary run already succeeded, so the round
+// stays judgeable; a cancelled one leaves the whole round unjudged (a.err).
+func (e *engine) combineLogs(a *attempt) {
+	inj, round := *a.rd.Injected, a.rd.N
+	for extra := 1; extra < e.o.RunsPerRound; extra++ {
+		seed := e.o.Seed + int64(e.o.MaxRounds) + int64(round*e.o.RunsPerRound+extra)
+		res, err := e.trial(seed, e.bakedPlan(inject.Exact(inj)), false)
+		if isInterrupted(err) {
+			a.err = err
 			return
 		}
+		if err != nil {
+			continue
+		}
+		sat, serr := e.safeSatisfied(res)
+		if serr != nil {
+			continue
+		}
+		if sat {
+			a.sat, a.seed = true, seed
+			return
+		}
+		a.extra = append(a.extra, res)
+	}
+}
 
-		// Combined-log mitigation (§6): re-run the same injection under
-		// extra seeds; crucial observables missing only probabilistically
-		// then show up in at least one of the runs. A failed extra run is
-		// simply dropped from the combined logs — the round's primary run
-		// already succeeded, so the round stays judgeable.
-		results := []*cluster.Result{res}
-		for extra := 1; extra < e.o.RunsPerRound; extra++ {
-			seed := e.o.Seed + int64(e.o.MaxRounds) + int64(round*e.o.RunsPerRound+extra)
-			res2, err2 := e.trial(seed, e.bakedPlan(inject.Exact(*rd.Injected)), false)
-			if err2 != nil {
-				if isInterrupted(err2) {
-					e.report.Interrupted = true
-					return
-				}
-				continue
-			}
-			sat2, serr := e.safeSatisfied(res2)
-			if serr != nil {
-				continue
-			}
-			if sat2 {
-				e.traceInjected(round, *rd.Injected, true)
-				rd.Satisfied = true
-				e.report.RoundLog = append(e.report.RoundLog, *rd)
-				e.report.Rounds = round
-				e.report.Reproduced = true
-				e.report.Script = rd.Injected
-				e.report.ScriptSeed = seed
-				return
-			}
-			results = append(results, res2)
-		}
-		e.traceInjected(round, *rd.Injected, false)
-
-		missing := e.missingIn(results)
-		missingCount := 0
-		var bumped []trace.ObsPriority
-		for i, still := range missing {
-			if still {
-				missingCount++
-			} else if useFeedback {
-				e.obs[i].priority += e.o.Adjust
-				rk.observableBumped(i)
-				if e.tracing() {
-					bumped = append(bumped, trace.ObsPriority{
-						Obs: obsLabel(e.obs[i]), Priority: e.obs[i].priority,
-					})
-				}
+// learn is the feedback step of Algorithm 2 after a judged, unsatisfied
+// injection: the instance counts as tried, every relevant observable the
+// round's logs produced is deprioritized by Options.Adjust (when the row
+// uses feedback at all), and the injection that came closest to the failure
+// log is kept as the §3 hint for iterative reproduction.
+func (e *engine) learn(rk ranker, a attempt) {
+	rd := a.rd
+	e.markTried(*rd.Injected)
+	useFeedback := e.strategy.spec.useFeedback
+	missingCount := 0
+	var bumped []trace.ObsPriority
+	for i, still := range e.missingIn(append([]*cluster.Result{a.res}, a.extra...)) {
+		if still {
+			missingCount++
+		} else if useFeedback {
+			e.obs[i].priority += e.o.Adjust
+			rk.observableBumped(i)
+			if e.tracing() {
+				bumped = append(bumped, trace.ObsPriority{
+					Obs: obsLabel(e.obs[i]), Priority: e.obs[i].priority,
+				})
 			}
 		}
-		rd.MissingObs = missingCount
-		e.traceFeedback(rk, round, missingCount, bumped, useFeedback)
-		if e.report.BestPartial == nil || missingCount < e.report.BestPartialMissing {
-			e.report.BestPartial = rd.Injected
-			e.report.BestPartialMissing = missingCount
-		}
-		e.report.RoundLog = append(e.report.RoundLog, *rd)
-		e.report.Rounds = round
-		e.maybeCheckpoint(round, window)
+	}
+	rd.MissingObs = missingCount
+	e.traceFeedback(rk, rd.N, missingCount, bumped, useFeedback)
+	if e.report.BestPartial == nil || missingCount < e.report.BestPartialMissing {
+		e.report.BestPartial = rd.Injected
+		e.report.BestPartialMissing = missingCount
 	}
 }
 

@@ -7,11 +7,13 @@ package core_test
 // state write), and concurrent Resume safety.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 
+	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/trace"
 )
@@ -72,6 +74,98 @@ func TestInterruptOffBoundaryWritesFinalCheckpoint(t *testing.T) {
 	}
 	if a, b := normalized(t, repFull), normalized(t, repRes); a != b {
 		t.Fatalf("resumed report differs from uninterrupted report:\n%s\n%s", a, b)
+	}
+}
+
+// TestInterruptInCombinedLogRunWritesFinalCheckpoint cancels the search in
+// the middle of a round's FIRST combined-log extra run (RunsPerRound 2):
+// the primary run has been judged unsatisfied, the round has not. Like
+// every other interrupt it must leave the forced final checkpoint of the
+// previous round — with nothing of the unjudged round in it, the injected
+// instance not marked tried — so the resumed search re-executes exactly
+// that round and ends in the uninterrupted run's report and trace.
+func TestInterruptInCombinedLogRunWritesFinalCheckpoint(t *testing.T) {
+	tgt := target(t, "f4")
+	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 2}
+
+	var full trace.Memory
+	optsFull := base
+	optsFull.Trace = &full
+	repFull := core.Reproduce(tgt, optsFull)
+	if !repFull.Reproduced || repFull.InconclusiveRounds != 0 {
+		t.Fatalf("fixture must reproduce without retries; got reproduced=%v inconclusive=%d",
+			repFull.Reproduced, repFull.InconclusiveRounds)
+	}
+	// The workload runs once for the free run, once per round, and once
+	// more after every unsatisfied injection. Find the first such round at
+	// or past round 4 and the workload call that is its extra run.
+	calls, victim := 1, 0
+	for _, rd := range repFull.RoundLog {
+		calls++
+		if rd.Injected != nil && !rd.Satisfied {
+			calls++
+			if rd.N >= 4 {
+				victim = rd.N
+				break
+			}
+		}
+	}
+	if victim == 0 {
+		t.Fatal("fixture has no unsatisfied injection at or past round 4")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wrapped := *tgt
+	seen := 0
+	wrapped.Workload = func(env *cluster.Env) {
+		if seen++; seen == calls {
+			cancel()
+		}
+		tgt.Workload(env)
+	}
+	ck := filepath.Join(t.TempDir(), "search.ck.json")
+	var part trace.Memory
+	optsKill := base
+	optsKill.Trace = &part
+	optsKill.Context = ctx
+	optsKill.Checkpoint = ck
+	optsKill.CheckpointEvery = 1000 // only the forced final write can land
+	repKill := core.Reproduce(&wrapped, optsKill)
+	if !repKill.Interrupted || repKill.Rounds != victim-1 {
+		t.Fatalf("killed run: interrupted=%v rounds=%d, want true/%d", repKill.Interrupted, repKill.Rounds, victim-1)
+	}
+	if round, ok := core.CheckpointRound(ck); !ok || round != victim-1 {
+		t.Fatalf("forced final checkpoint: round=%d ok=%v, want %d", round, ok, victim-1)
+	}
+
+	var rest trace.Memory
+	optsResume := base
+	optsResume.Trace = &rest
+	repRes, err := core.Resume(tgt, optsResume, ck)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if a, b := normalized(t, repFull), normalized(t, repRes); a != b {
+		t.Fatalf("resumed report differs from uninterrupted report:\n%s\n%s", a, b)
+	}
+	// The interrupted trace ends inside the victim round; cut it back to
+	// the checkpointed round, as the server's journal recovery does.
+	var got []string
+	for i := range part.Events {
+		if part.Events[i].Round < victim {
+			got = append(got, trace.Line(&part.Events[i]))
+		}
+	}
+	got = append(got, lines(rest.Events)...)
+	want := lines(full.Events)
+	if len(got) != len(want) {
+		t.Fatalf("concatenated trace has %d events, full run %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("trace diverges at event %d:\n- %s\n+ %s", i+1, want[i], got[i])
+		}
 	}
 }
 

@@ -26,15 +26,22 @@ import (
 // leaves real work to resume; f9 needs 19 rounds at the default window.
 // f25 is the env-rooted fixture: its delay-channel root takes the search
 // past 100 rounds, so the checkpoint envelope round-trips env instances
-// in the tried set and the recorded fault classes.
+// in the tried set and the recorded fault classes. The rows that name a
+// strategy resume the other kinds of table row: a queue row of the §8.3
+// ablations (161 rounds), a priority-driven row without feedback (133
+// rounds) and a queue row of the §8.4 baselines (146 rounds).
 var resumeFixtures = []struct {
-	id     string
-	window int
+	id       string
+	window   int
+	strategy core.Strategy
 }{
-	{"f1", 1},
-	{"f4", 1},
-	{"f9", 0},
-	{"f25", 0},
+	{"f1", 1, core.FullFeedback},
+	{"f4", 1, core.FullFeedback},
+	{"f9", 0, core.FullFeedback},
+	{"f25", 0, core.FullFeedback},
+	{"f12", 0, core.Exhaustive},
+	{"f16", 0, core.SiteDistance},
+	{"f4", 0, core.FATE},
 }
 
 func lines(events []trace.Event) []string {
@@ -71,9 +78,13 @@ func normalized(t *testing.T, rep *core.Report) string {
 func TestResumeTraceEquivalence(t *testing.T) {
 	for _, fx := range resumeFixtures {
 		fx := fx
-		t.Run(fx.id, func(t *testing.T) {
+		name := fx.id
+		if fx.strategy != core.FullFeedback {
+			name += "-" + string(fx.strategy)
+		}
+		t.Run(name, func(t *testing.T) {
 			tgt := target(t, fx.id)
-			base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: fx.window}
+			base := core.Options{Strategy: fx.strategy, Seed: 1, Window: fx.window}
 
 			var full trace.Memory
 			optsFull := base

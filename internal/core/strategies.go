@@ -1,184 +1,127 @@
 package core
 
-// The strategy registry. Every exploration algorithm — complete ANDURIL,
-// the §8.3 ablation variants, and the §8.4 comparison systems — is an
-// Explorer registered under its Strategy name; the engine dispatches
-// through the registry and never switches on the strategy itself. External
-// packages may register additional strategies with RegisterStrategy.
+// The strategy table. Every exploration algorithm the paper evaluates —
+// complete ANDURIL, the five §8.3 ablation variants and the four §8.4
+// comparison systems — is one row: a name plus what distinguishes it inside
+// the one round loop (explore, feedback.go). A priority-driven row carries
+// the feedbackSpec toggles of its design point; a queue row carries the
+// function that fixes its whole injection order from the free run. The
+// engine resolves the row once, in prepare, and never switches on a
+// strategy name. Adding a strategy is one row below.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 
 	"anduril/internal/inject"
+	"anduril/internal/logging"
 )
 
-// Explorer is one exploration strategy. Explore drives the prepared search
-// to completion: it is handed the Search after the free run and setup, and
-// returns when the failure is reproduced, the fault space is exhausted, or
-// the round cap is hit.
-type Explorer interface {
-	Explore(s *Search)
+// strategy is one row of strategyTable. queue non-nil makes it a queue row:
+// round r injects queue[r-1] alone, the window stays pinned at 1, the search
+// ends with the queue, and nothing is ranked or learned. Otherwise spec
+// selects each round's window by priority and learns from every unsatisfied
+// injection.
+type strategy struct {
+	name  Strategy
+	spec  feedbackSpec
+	queue func(e *engine) []inject.Instance
 }
 
-// QueueFunc adapts an enumerative strategy — one that fixes its whole
-// injection queue up front — into an Explorer driven by the shared
-// single-injection round loop.
-type QueueFunc func(s *Search) []inject.Instance
-
-// Explore builds the queue and enumerates it.
-func (f QueueFunc) Explore(s *Search) { s.Enumerate(f(s)) }
-
-var (
-	registryMu    sync.RWMutex
-	registry      = map[Strategy]Explorer{}
-	registryOrder []Strategy
-)
-
-// RegisterStrategy registers an Explorer under a strategy name. It panics
-// on a duplicate or empty name — registration happens at init time, where
-// a bad registration is a programming error. Strategies() reports names in
-// registration order.
-func RegisterStrategy(name Strategy, impl Explorer) {
-	if name == "" {
-		panic("core: RegisterStrategy with empty strategy name")
-	}
-	if impl == nil {
-		panic("core: RegisterStrategy with nil Explorer")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("core: strategy %q registered twice", name))
-	}
-	registry[name] = impl
-	registryOrder = append(registryOrder, name)
+// strategyTable lists the strategies in Table 2 column order: complete
+// ANDURIL, the §8.3 ablations, the §8.4 baselines. SiteDistance is the zero
+// spec — static distances only, no feedback, no temporal term, no cap.
+var strategyTable = [...]strategy{
+	{name: FullFeedback, spec: feedbackSpec{useFeedback: true, useTemporal: true}},
+	{name: Exhaustive, queue: exhaustiveQueue},
+	{name: SiteDistance},
+	{name: SiteDistanceLimit, spec: feedbackSpec{limited: true}},
+	{name: SiteFeedback, spec: feedbackSpec{useFeedback: true, limited: true}},
+	{name: MultiplyFeedback, spec: feedbackSpec{useFeedback: true, useTemporal: true, multiply: true}},
+	{name: FATE, queue: fateQueue},
+	{name: CrashTuner, queue: crashTunerQueue},
+	{name: StackTrace, queue: stackTraceQueue},
+	{name: Random, queue: randomQueue},
 }
 
-// Strategies lists every registered strategy in registration order. The
-// built-ins register in Table 2 column order: FullFeedback first, then the
-// §8.3 ablations, then the §8.4 baselines.
+// Strategies lists every strategy in Table 2 column order.
 func Strategies() []Strategy {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Strategy, len(registryOrder))
-	copy(out, registryOrder)
+	out := make([]Strategy, len(strategyTable))
+	for i := range strategyTable {
+		out[i] = strategyTable[i].name
+	}
 	return out
 }
 
-// StrategyRegistered reports whether a strategy name is registered.
-func StrategyRegistered(name Strategy) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-func lookupStrategy(name Strategy) (Explorer, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	impl, ok := registry[name]
-	return impl, ok
-}
-
-// feedbackExplorer runs the Algorithm 2 loop at one feedbackSpec design
-// point. The five feedback-family strategies are five specs.
-type feedbackExplorer struct {
-	spec feedbackSpec
-}
-
-func (f feedbackExplorer) Explore(s *Search) { s.e.feedbackLoop(f.spec) }
-
-func init() {
-	// Table 2 column order.
-	RegisterStrategy(FullFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, useTemporal: true}})
-	RegisterStrategy(Exhaustive, QueueFunc(exhaustiveQueue))
-	RegisterStrategy(SiteDistance, feedbackExplorer{feedbackSpec{}})
-	RegisterStrategy(SiteDistanceLimit, feedbackExplorer{feedbackSpec{limited: true}})
-	RegisterStrategy(SiteFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, limited: true}})
-	RegisterStrategy(MultiplyFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, useTemporal: true, multiply: true}})
-	RegisterStrategy(FATE, QueueFunc(fateQueue))
-	RegisterStrategy(CrashTuner, QueueFunc(crashTunerQueue))
-	RegisterStrategy(StackTrace, QueueFunc(stackTraceQueue))
-	RegisterStrategy(Random, QueueFunc(randomQueue))
-}
-
-// enumerativeLoop drives the non-feedback strategies of §8.3/§8.4: each
-// round injects the next candidate from a strategy-specific queue. The
-// queue is a deterministic function of the free run, so a resumed loop
-// rebuilds the identical queue and continues at the checkpointed round.
-func (e *engine) enumerativeLoop(queue []inject.Instance) {
-	for round := e.startRound + 1; round <= e.o.MaxRounds && round <= len(queue); round++ {
-		if e.interrupted(round) {
-			e.forceCheckpoint(round-1, 1)
-			return
+// strategyByName resolves a strategy name to its table row. An unknown name
+// is an error — a misspelled strategy must not silently search nothing.
+func strategyByName(name Strategy) (*strategy, error) {
+	for i := range strategyTable {
+		if strategyTable[i].name == name {
+			return &strategyTable[i], nil
 		}
-		cand := queue[round-1]
-		e.traceDecision(round, 1, []inject.Instance{cand})
-		a := e.attemptRound(round, inject.Exact(cand), 0, 1, 0)
-		if isInterrupted(a.err) {
-			e.report.Interrupted = true
-			e.forceCheckpoint(round-1, 1)
-			return
-		}
-		rd := a.rd
-		if a.err != nil {
-			e.recordInconclusive(a, 1)
-			continue
-		}
-		if rd.Injected != nil {
-			e.traceInjected(round, *rd.Injected, a.sat)
-			if a.sat {
-				rd.Satisfied = true
-				e.report.RoundLog = append(e.report.RoundLog, *rd)
-				e.report.Rounds = round
-				e.report.Reproduced = true
-				e.report.Script = rd.Injected
-				e.report.ScriptSeed = a.seed
-				return
-			}
-		}
-		e.report.RoundLog = append(e.report.RoundLog, *rd)
-		e.report.Rounds = round
-		e.maybeCheckpoint(round, 1)
 	}
+	return nil, fmt.Errorf("core: unknown strategy %q", name)
 }
 
 // exhaustiveQueue enumerates every instance of every causal-graph site in
-// deterministic order — the §8.3 "exhaustive fault instance" variant. It
-// still benefits from the causal graph (site pruning) but has no dynamic
-// prioritization.
-func exhaustiveQueue(s *Search) []inject.Instance {
-	return s.Candidates()
+// deterministic (site id, occurrence) order — the §8.3 "exhaustive fault
+// instance" variant. It still benefits from the causal graph (site pruning)
+// but has no dynamic prioritization. Pair pseudo-sites are excluded: the
+// queue rows model single-fault injectors, and a pair candidate needs a
+// priority-driven row's pair-plan machinery to execute.
+func exhaustiveQueue(e *engine) []inject.Instance {
+	var out []inject.Instance
+	for _, s := range e.sites {
+		if s.class == pairClass {
+			continue
+		}
+		for _, inst := range s.instances {
+			out = append(out, candidateFor(s, inst))
+		}
+	}
+	return out
+}
+
+// freeSites returns, sorted, the sites the free run reached — the whole
+// dynamic fault space, including sites the causal graph pruned from the
+// candidate set — that keep accepts (nil keeps all).
+func (e *engine) freeSites(keep func(site string) bool) []string {
+	var out []string
+	for site := range e.freeRes.Counts {
+		if keep == nil || keep(site) {
+			out = append(out, site)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// breadthFirst orders the given sites' free-run instances occurrence-major:
+// the first occurrence of every site, then the second of every site, and
+// so on, so one very hot site does not starve the others.
+func (e *engine) breadthFirst(sites []string) []inject.Instance {
+	counts := e.freeRes.Counts
+	var out []inject.Instance
+	for occ, more := 1, true; more; occ++ {
+		more = false
+		for _, site := range sites {
+			if counts[site] >= occ {
+				out = append(out, inject.Instance{Site: site, Occurrence: occ})
+				more = true
+			}
+		}
+	}
+	return out
 }
 
 // fateQueue models FATE's failure-ID exploration: it has no causal graph,
 // so it covers every site exercised by the workload; failure IDs collapse
-// repeated occurrences, so it explores breadth-first across sites (first
-// occurrence of every site, then second of every site, ...).
-func fateQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	siteIDs := make([]string, 0, len(counts))
-	maxOcc := 0
-	for site, c := range counts {
-		siteIDs = append(siteIDs, site)
-		if c > maxOcc {
-			maxOcc = c
-		}
-	}
-	sort.Strings(siteIDs)
-	var out []inject.Instance
-	for occ := 1; occ <= maxOcc; occ++ {
-		for _, site := range siteIDs {
-			if counts[site] >= occ {
-				out = append(out, inject.Instance{Site: site, Occurrence: occ})
-			}
-		}
-	}
-	return out
+// repeated occurrences, so it explores breadth-first across sites.
+func fateQueue(e *engine) []inject.Instance {
+	return e.breadthFirst(e.freeSites(nil))
 }
 
 // metaInfoTokens approximate CrashTuner's meta-info variables: sites in
@@ -191,28 +134,21 @@ var metaInfoTokens = []string{
 // crashTunerQueue models CrashTuner: inject around meta-info access points
 // only — the first and last occurrences of each matching site (crash-
 // recovery windows), ordered by site.
-func crashTunerQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	siteIDs := make([]string, 0, len(counts))
-	for site := range counts {
-		for _, tok := range metaInfoTokens {
-			if strings.Contains(site, tok) {
-				siteIDs = append(siteIDs, site)
-				break
-			}
-		}
-	}
-	sort.Strings(siteIDs)
+func crashTunerQueue(e *engine) []inject.Instance {
+	counts := e.freeRes.Counts
+	sites := e.freeSites(func(site string) bool {
+		return slices.ContainsFunc(metaInfoTokens, func(tok string) bool { return strings.Contains(site, tok) })
+	})
 	var out []inject.Instance
-	for _, site := range siteIDs {
+	for _, site := range sites {
 		out = append(out, inject.Instance{Site: site, Occurrence: 1})
 	}
-	for _, site := range siteIDs {
+	for _, site := range sites {
 		if c := counts[site]; c > 1 {
 			out = append(out, inject.Instance{Site: site, Occurrence: c})
 		}
 	}
-	for _, site := range siteIDs {
+	for _, site := range sites {
 		if c := counts[site]; c > 2 {
 			out = append(out, inject.Instance{Site: site, Occurrence: 2})
 		}
@@ -223,57 +159,23 @@ func crashTunerQueue(s *Search) []inject.Instance {
 // stackTraceQueue models the stacktrace-injector of §8.4: it extracts the
 // fault sites named in the failure log's error messages (our fault errors
 // render as "Kind at site (occurrence n)", the analog of a logged stack
-// trace) and injects only at those, every occurrence in order.
-func stackTraceQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	mentioned := map[string]bool{}
-	for _, entry := range s.FailureLog() {
-		for site := range counts {
-			if strings.Contains(entry.Msg, site) {
-				mentioned[site] = true
-			}
-		}
-	}
-	siteIDs := make([]string, 0, len(mentioned))
-	for site := range mentioned {
-		siteIDs = append(siteIDs, site)
-	}
-	sort.Strings(siteIDs)
-	var out []inject.Instance
-	// Interleave occurrences across the mentioned sites so one very hot
-	// site does not starve the others.
-	maxOcc := 0
-	for _, site := range siteIDs {
-		if counts[site] > maxOcc {
-			maxOcc = counts[site]
-		}
-	}
-	for occ := 1; occ <= maxOcc; occ++ {
-		for _, site := range siteIDs {
-			if counts[site] >= occ {
-				out = append(out, inject.Instance{Site: site, Occurrence: occ})
-			}
-		}
-	}
-	return out
+// trace) and injects only at those, breadth-first.
+func stackTraceQueue(e *engine) []inject.Instance {
+	return e.breadthFirst(e.freeSites(func(site string) bool {
+		return slices.ContainsFunc(e.t.FailureLog, func(entry logging.Entry) bool { return strings.Contains(entry.Msg, site) })
+	}))
 }
 
 // randomQueue models chaos-style random injection over the whole dynamic
 // fault space, without replacement.
-func randomQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
+func randomQueue(e *engine) []inject.Instance {
 	var all []inject.Instance
-	siteIDs := make([]string, 0, len(counts))
-	for site := range counts {
-		siteIDs = append(siteIDs, site)
-	}
-	sort.Strings(siteIDs)
-	for _, site := range siteIDs {
-		for occ := 1; occ <= counts[site]; occ++ {
+	for _, site := range e.freeSites(nil) {
+		for occ := 1; occ <= e.freeRes.Counts[site]; occ++ {
 			all = append(all, inject.Instance{Site: site, Occurrence: occ})
 		}
 	}
-	rng := rand.New(rand.NewSource(s.Options().Seed ^ 0x5eed))
+	rng := rand.New(rand.NewSource(e.o.Seed ^ 0x5eed))
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	return all
 }

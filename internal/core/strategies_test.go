@@ -1,8 +1,11 @@
 package core
 
-// White-box tests for the baseline strategies' candidate enumerations.
+// White-box tests for the strategy table and the baseline strategies'
+// candidate enumerations.
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,19 +14,38 @@ import (
 	"anduril/internal/logging"
 )
 
-// stubFree fabricates a free-run result with fixed per-site counts.
-func stubFree(counts map[string]int) *cluster.Result {
-	return &cluster.Result{Counts: counts}
-}
-
-func stubEngineWithSites() *engine {
+// stubEngineWithFree is the stub engine after a fabricated free run with
+// fixed per-site counts — all the baseline queue builders read of it.
+func stubEngineWithFree(counts map[string]int) *engine {
 	e := stubEngine(Options{})
+	e.freeRes = &cluster.Result{Counts: counts}
 	return e
 }
 
+// TestStrategiesAreTable2Columns: the table IS the strategy list — in
+// Table 2 column order, every name resolving to its own row, and the list
+// Options.Validate prints for an unknown name.
+func TestStrategiesAreTable2Columns(t *testing.T) {
+	want := []Strategy{
+		FullFeedback, Exhaustive, SiteDistance, SiteDistanceLimit, SiteFeedback,
+		MultiplyFeedback, FATE, CrashTuner, StackTrace, Random,
+	}
+	if got := Strategies(); !slices.Equal(got, want) {
+		t.Fatalf("Strategies() = %v, want Table 2 column order %v", got, want)
+	}
+	for _, name := range want {
+		if row, err := strategyByName(name); err != nil || row.name != name {
+			t.Fatalf("strategyByName(%q) = %+v, %v", name, row, err)
+		}
+	}
+	err := Options{Strategy: "bogus", MaxRounds: 1, Window: 1, Adjust: 1}.Validate()
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(want)) {
+		t.Fatalf("Validate() = %v, want the unknown-strategy error listing %v", err, want)
+	}
+}
+
 func TestExhaustiveQueueOrder(t *testing.T) {
-	e := stubEngineWithSites()
-	q := exhaustiveQueue(&Search{e: e})
+	q := exhaustiveQueue(stubEngine(Options{}))
 	// 6 sites x 3 instances, sites in sorted order, occurrences ascending.
 	if len(q) != 18 {
 		t.Fatalf("queue length: %d", len(q))
@@ -39,9 +61,8 @@ func TestExhaustiveQueueOrder(t *testing.T) {
 }
 
 func TestFATEQueueBreadthFirst(t *testing.T) {
-	e := stubEngineWithSites()
-	free := stubFree(map[string]int{"a.x": 3, "b.y": 1, "c.z": 2})
-	q := fateQueue(&Search{e: e, free: free})
+	e := stubEngineWithFree(map[string]int{"a.x": 3, "b.y": 1, "c.z": 2})
+	q := fateQueue(e)
 	// Pass 1: a.x#1 b.y#1 c.z#1; pass 2: a.x#2 c.z#2; pass 3: a.x#3.
 	want := []inject.Instance{
 		{Site: "a.x", Occurrence: 1}, {Site: "b.y", Occurrence: 1}, {Site: "c.z", Occurrence: 1},
@@ -59,13 +80,12 @@ func TestFATEQueueBreadthFirst(t *testing.T) {
 }
 
 func TestCrashTunerQueueFiltersMetaInfo(t *testing.T) {
-	e := stubEngineWithSites()
-	free := stubFree(map[string]int{
+	e := stubEngineWithFree(map[string]int{
 		"zk.election.accept": 5,
 		"zk.data.write":      9,
 		"dfs.lease.renew":    2,
 	})
-	q := crashTunerQueue(&Search{e: e, free: free})
+	q := crashTunerQueue(e)
 	for _, inst := range q {
 		if inst.Site == "zk.data.write" {
 			t.Fatalf("non-meta-info site in queue: %v", q)
@@ -81,13 +101,12 @@ func TestCrashTunerQueueFiltersMetaInfo(t *testing.T) {
 }
 
 func TestStackTraceQueueUsesFailureLog(t *testing.T) {
-	e := stubEngineWithSites()
+	e := stubEngineWithFree(map[string]int{"a.hot": 3, "b.cold": 4})
 	e.t.FailureLog = []logging.Entry{
 		{Thread: "w", Level: logging.Error, Msg: "IOError at a.hot during sync"},
 		{Thread: "w", Level: logging.Info, Msg: "unrelated message"},
 	}
-	free := stubFree(map[string]int{"a.hot": 3, "b.cold": 4})
-	q := stackTraceQueue(&Search{e: e, free: free})
+	q := stackTraceQueue(e)
 	if len(q) != 3 {
 		t.Fatalf("queue: %v", q)
 	}
@@ -99,12 +118,11 @@ func TestStackTraceQueueUsesFailureLog(t *testing.T) {
 }
 
 func TestStackTraceQueueInterleavesSites(t *testing.T) {
-	e := stubEngineWithSites()
+	e := stubEngineWithFree(map[string]int{"a.one": 2, "b.two": 2})
 	e.t.FailureLog = []logging.Entry{
 		{Thread: "w", Msg: "faults at a.one and b.two observed"},
 	}
-	free := stubFree(map[string]int{"a.one": 2, "b.two": 2})
-	q := stackTraceQueue(&Search{e: e, free: free})
+	q := stackTraceQueue(e)
 	// Occurrence-major interleave: a#1 b#1 a#2 b#2.
 	if len(q) != 4 || q[0].Occurrence != 1 || q[1].Occurrence != 1 || q[2].Occurrence != 2 {
 		t.Fatalf("queue: %v", q)
@@ -112,9 +130,8 @@ func TestStackTraceQueueInterleavesSites(t *testing.T) {
 }
 
 func TestRandomQueueIsPermutation(t *testing.T) {
-	e := stubEngineWithSites()
-	free := stubFree(map[string]int{"a.x": 2, "b.y": 3})
-	q := randomQueue(&Search{e: e, free: free})
+	e := stubEngineWithFree(map[string]int{"a.x": 2, "b.y": 3})
+	q := randomQueue(e)
 	if len(q) != 5 {
 		t.Fatalf("queue: %v", q)
 	}
@@ -126,7 +143,7 @@ func TestRandomQueueIsPermutation(t *testing.T) {
 		seen[inst] = true
 	}
 	// Deterministic given the seed.
-	q2 := randomQueue(&Search{e: e, free: free})
+	q2 := randomQueue(e)
 	for i := range q {
 		if q[i] != q2[i] {
 			t.Fatal("random queue not seed-deterministic")

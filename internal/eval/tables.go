@@ -85,9 +85,8 @@ func Table1FaultSites(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// Table2Strategies is the strategy column order of Table 2: the registry's
-// registration order (built-ins register in Table 2 column order, and any
-// externally registered strategy appends as an extra column).
+// Table2Strategies is the strategy column order of Table 2: the rows of
+// core's strategy table, which are kept in that order.
 func Table2Strategies() []core.Strategy { return core.Strategies() }
 
 // Table2Efficacy reproduces Table 2: rounds and wall time per failure for
