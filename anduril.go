@@ -124,22 +124,6 @@ func Verify(t *Target, script Instance, seed int64) bool {
 	return core.Verify(t, script, seed)
 }
 
-// IterReport is the outcome of an iterative multi-fault reproduction.
-type IterReport = core.IterReport
-
-// ReproduceIterative extends the single-fault workflow to failures caused
-// by multiple causally-independent faults (the paper's §6 limitation 2,
-// automated per the iterative usage §3 describes): each failed pass bakes
-// the closest partial fault into the workload and searches for the next.
-func ReproduceIterative(t *Target, opts Options, maxFaults int) *IterReport {
-	return core.ReproduceIterative(t, opts, maxFaults)
-}
-
-// VerifyMulti deterministically replays a multi-fault script.
-func VerifyMulti(t *Target, scripts []Instance, seed int64) bool {
-	return core.VerifyMulti(t, scripts, seed)
-}
-
 // Script renders a report's deterministic reproduction plan (step 4.a).
 // Combined-fault scripts list both member faults; path-addressed scripts
 // show the canonical call path instead of the bare occurrence counter.

@@ -74,7 +74,6 @@ func main() {
 		window    = flag.Int("window", 10, "initial flexible-window size k")
 		adjust    = flag.Int("adjust", 1, "observable priority adjustment s")
 		verbose   = flag.Bool("v", false, "print every round")
-		iterative = flag.Int("iterative", 0, "search for up to N causally-independent faults")
 		scriptOut = flag.String("script-out", "", "write the reproduction script as JSON to this file")
 		dotOut    = flag.String("graph-dot", "", "write the static causal graph (Graphviz) to this file")
 		traceOut  = flag.String("trace", "", "write a JSONL explorer trace to this file ('-' = stdout, for piping into cmd/trace)")
@@ -111,9 +110,6 @@ func main() {
 	}
 	if *resume && *ckptPath == "" {
 		usageErr("-resume requires -checkpoint to name the checkpoint file")
-	}
-	if *iterative > 1 && (*ckptPath != "" || *resume) {
-		usageErr("-checkpoint/-resume are not supported with -iterative (each pass re-bakes the workload)")
 	}
 
 	if *list {
@@ -175,19 +171,6 @@ func main() {
 		opts.Trace = sink
 	}
 
-	if *iterative > 1 {
-		iter := anduril.ReproduceIterative(target, opts, *iterative)
-		if !iter.Reproduced {
-			fmt.Fprintf(out, "NOT reproduced after %d passes\n", len(iter.Reports))
-			os.Exit(exitNotReproduced)
-		}
-		fmt.Fprintf(out, "REPRODUCED with %d faults: %v\n", len(iter.Scripts), iter.Scripts)
-		if *scriptOut != "" {
-			writeScript(*scriptOut, func() (*core.ScriptFile, error) { return core.ScriptOfIter(iter) })
-		}
-		return
-	}
-
 	opts.TrackRank = true
 	var report *anduril.Report
 	if *resume {
@@ -240,12 +223,12 @@ func main() {
 		fmt.Fprintln(out, "warning: script replay did not satisfy the oracle under a fresh seed")
 	}
 	if *scriptOut != "" {
-		writeScript(*scriptOut, func() (*core.ScriptFile, error) { return core.ScriptOf(report) })
+		writeScript(*scriptOut, report)
 	}
 }
 
-func writeScript(path string, build func() (*core.ScriptFile, error)) {
-	script, err := build()
+func writeScript(path string, report *anduril.Report) {
+	script, err := core.ScriptOf(report)
 	if err != nil {
 		fail("%v", err)
 	}

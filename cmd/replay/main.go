@@ -17,12 +17,13 @@ import (
 	"anduril"
 	"anduril/internal/cluster"
 	"anduril/internal/core"
+	"anduril/internal/inject"
 	"anduril/internal/logging"
 )
 
 func main() {
 	var (
-		failure = flag.String("failure", "", "dataset failure the script belongs to (f1..f22)")
+		failure = flag.String("failure", "", "dataset failure the script belongs to (f1..f34)")
 		script  = flag.String("script", "", "reproduction script JSON (from anduril -script-out)")
 		seed    = flag.Int64("seed", 1, "seed of the replay environment")
 		tail    = flag.Int("tail", 15, "failure-log lines to print")
@@ -47,8 +48,8 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("replaying %s (%s) with %d scripted fault(s):\n", target.ID, target.Issue, len(sf.Faults))
-	for _, f := range sf.Faults {
-		fmt.Printf("  %s at occurrence %d\n", f.Site, f.Occurrence)
+	for _, line := range describeFaults(sf) {
+		fmt.Println("  " + line)
 	}
 
 	res := cluster.Execute(*seed, sf.Plan(), false, target.Workload, target.Horizon)
@@ -75,6 +76,27 @@ func main() {
 	if !satisfied {
 		os.Exit(1)
 	}
+}
+
+// describeFaults renders one line per scripted fault: a site by its
+// occurrence, a path-addressed fault by its path address, a pair as its
+// two members.
+func describeFaults(sf *core.ScriptFile) []string {
+	one := func(f inject.Instance) string {
+		if f.Path != "" {
+			return fmt.Sprintf("%s at path %s", f.Site, f.Path)
+		}
+		return fmt.Sprintf("%s at occurrence %d", f.Site, f.Occurrence)
+	}
+	lines := make([]string, len(sf.Faults))
+	for i, f := range sf.Faults {
+		if a, b, ok := inject.PairMembers(f); ok {
+			lines[i] = fmt.Sprintf("pair of %s and %s", one(a), one(b))
+		} else {
+			lines[i] = one(f)
+		}
+	}
+	return lines
 }
 
 func fail(err error) {

@@ -1,11 +1,11 @@
-// Multifault demonstrates the iterative extension for failures caused by
-// TWO causally-independent faults — beyond the paper's single-fault scope
-// (§6 limitation 2, automated per the iterative usage §3 sketches).
+// Multifault reproduces a failure caused by TWO causally-independent
+// faults — beyond the paper's single-fault scope (§6 limitation 2) — with
+// the pair fault class.
 //
 // The toy service dies only when a store-scrub fault leaves it degraded
 // AND a peer-ping flake hits inside the degraded window. Single-fault
-// search exhausts its space; the iterative mode bakes the best partial
-// fault into the workload and finds the second.
+// search exhausts its space; enabling the pair class lets a round arm two
+// faults together, and the search finds the combination.
 //
 //	go run ./examples/multifault
 package main
@@ -24,11 +24,10 @@ func main() {
 	orc := anduril.LogContains("service entered unrecoverable state")
 
 	// "Production": both faults hit in the same window.
-	prodPlan := inject.Multi(
-		inject.Exact(inject.Instance{Site: "toy.scrub-store", Occurrence: 2}),
-		inject.Exact(inject.Instance{Site: "toy.ping-peer", Occurrence: 2}),
-	)
-	prod := cluster.Execute(9999, prodPlan, false, toy.Workload, toy.Horizon)
+	prod := cluster.Execute(9999, inject.Exact(
+		inject.Instance{Site: "toy.scrub-store", Occurrence: 2},
+		inject.Instance{Site: "toy.ping-peer", Occurrence: 2},
+	), false, toy.Workload, toy.Horizon)
 	if !orc.Satisfied(prod) {
 		log.Fatal("the two-fault incident did not trigger")
 	}
@@ -39,8 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Pass 1 (single fault) fails — the paper's algorithm by design
-	// handles one root-cause fault per failure.
+	// One fault per round — the paper's algorithm — cannot reproduce it.
 	single := anduril.Reproduce(target, anduril.Options{Seed: 1, MaxRounds: 100})
 	fmt.Printf("single-fault search: reproduced=%v after %d rounds\n", single.Reproduced, single.Rounds)
 	if single.BestPartial != nil {
@@ -48,16 +46,15 @@ func main() {
 			single.BestPartial.Site, single.BestPartial.Occurrence, single.BestPartialMissing)
 	}
 
-	// The iterative mode bakes the partial in and searches again.
-	iter := anduril.ReproduceIterative(target, anduril.Options{Seed: 1, MaxRounds: 100}, 2)
-	if !iter.Reproduced {
-		log.Fatalf("iterative search failed after %d passes", len(iter.Reports))
+	// With the pair class on, the pair space opens once the single-fault
+	// space is exhausted.
+	pair := anduril.Reproduce(target, anduril.Options{Seed: 1, MaxRounds: 100,
+		FaultClasses: []string{anduril.ClassSite, anduril.ClassPair}})
+	if !pair.Reproduced {
+		log.Fatalf("pair search failed after %d rounds", pair.Rounds)
 	}
-	fmt.Printf("iterative search: reproduced with %d faults:\n", len(iter.Scripts))
-	for i, s := range iter.Scripts {
-		fmt.Printf("  fault %d: %s at occurrence %d\n", i+1, s.Site, s.Occurrence)
-	}
-	if anduril.VerifyMulti(target, iter.Scripts, 4242) {
-		fmt.Println("combined script verified: deterministic replay reproduces the failure")
+	fmt.Println(anduril.Script(pair))
+	if anduril.Verify(target, *pair.Script, 4242) {
+		fmt.Println("script verified: deterministic replay reproduces the failure")
 	}
 }

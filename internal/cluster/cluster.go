@@ -85,7 +85,7 @@ func (e *Env) crashNode(node string, restartAfter des.Time) {
 
 // NewEnv builds a fully-wired environment. seed drives all nondeterminism
 // in the round; plan is the round's injection plan (nil = free run).
-func NewEnv(seed int64, plan inject.Plan) *Env {
+func NewEnv(seed int64, plan *inject.Plan) *Env {
 	sim := des.New(seed)
 	lg := logging.New(sim)
 	fi := inject.NewRuntime(plan)
@@ -152,7 +152,7 @@ type Workload func(env *Env)
 
 // Execute performs one round: construct env, run the workload to the
 // horizon (or quiescence), snapshot the result.
-func Execute(seed int64, plan inject.Plan, keepTrace bool, w Workload, horizon des.Time, opts ...ExecOption) *Result {
+func Execute(seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, opts ...ExecOption) *Result {
 	env := NewEnv(seed, plan)
 	env.FI.KeepTrace = keepTrace
 	for _, opt := range opts {
@@ -206,7 +206,7 @@ func (e *TrialError) Error() string {
 // the simulation (class "interrupted"). On error the returned Result holds
 // whatever the environment had produced so far — enough for diagnostics,
 // not a judgeable round.
-func TryExecute(ctx context.Context, seed int64, plan inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
+func TryExecute(ctx context.Context, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
 	env := NewEnv(seed, plan)
 	env.FI.KeepTrace = keepTrace
 	env.Sim.EventBudget = eventBudget

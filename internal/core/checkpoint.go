@@ -19,9 +19,6 @@ package core
 // prefix. A kill between checkpoints loses only the rounds after the last
 // write: resume re-executes them (deterministically), so the final report
 // is still identical, but the concatenated trace repeats those rounds.
-//
-// Resume does not support iterative multi-fault passes (engine.baked):
-// ReproduceIterative restarts its current pass from scratch instead.
 
 import (
 	"encoding/json"
@@ -241,8 +238,7 @@ func (e *engine) applyState() error {
 // engine cannot verify every knob, only what the checkpoint records); the
 // checkpoint at path names the last completed round, and the resumed
 // search continues from the next one, producing the identical trace
-// suffix and final report an uninterrupted run would have. Iterative
-// multi-fault passes (ReproduceIterative) are not resumable.
+// suffix and final report an uninterrupted run would have.
 func Resume(t *Target, opts Options, path string) (*Report, error) {
 	opts = opts.withDefaults()
 	st, err := loadSearchState(path)

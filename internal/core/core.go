@@ -344,7 +344,8 @@ type Report struct {
 
 	// BestPartial is the injection whose round log came closest to the
 	// failure log (fewest still-missing observables). When the search
-	// fails, this is the §3 hint for iterative multi-fault reproduction.
+	// fails, this is the §3 hint that the failure may need a second fault
+	// on top of it (the pair class searches those).
 	BestPartial        *inject.Instance
 	BestPartialMissing int
 
@@ -441,56 +442,6 @@ func Reproduce(t *Target, opts Options) *Report {
 	opts = opts.withDefaults()
 	rep, _ := newEngine(t, opts).run() // only a resume can fail to start
 	return rep
-}
-
-// IterReport is the outcome of an iterative multi-fault reproduction.
-type IterReport struct {
-	Reproduced bool
-	// Scripts are the faults to inject together, in discovery order; the
-	// last one satisfied the oracle with the earlier ones baked in.
-	Scripts []inject.Instance
-	Reports []*Report
-}
-
-// ReproduceIterative extends the single-fault workflow to failures caused
-// by multiple causally-independent faults, automating the iterative usage
-// §3 describes: when a search pass cannot reproduce the failure, the
-// injection that brought the run log closest to the failure log is baked
-// into the workload and the search repeats for the next fault.
-func ReproduceIterative(t *Target, opts Options, maxFaults int) *IterReport {
-	opts = opts.withDefaults()
-	if maxFaults <= 0 {
-		maxFaults = 2
-	}
-	out := &IterReport{}
-	var baked []inject.Instance
-	for pass := 0; pass < maxFaults; pass++ {
-		e := newEngine(t, opts)
-		e.baked = baked
-		rep, _ := e.run()
-		out.Reports = append(out.Reports, rep)
-		if rep.Reproduced {
-			out.Reproduced = true
-			out.Scripts = append(append([]inject.Instance(nil), baked...), *rep.Script)
-			return out
-		}
-		if rep.BestPartial == nil {
-			break
-		}
-		baked = append(baked, *rep.BestPartial)
-	}
-	out.Scripts = baked
-	return out
-}
-
-// VerifyMulti replays a multi-fault script deterministically.
-func VerifyMulti(t *Target, scripts []inject.Instance, seed int64) bool {
-	plans := make([]inject.Plan, len(scripts))
-	for i, s := range scripts {
-		plans[i] = inject.Exact(s)
-	}
-	res := cluster.Execute(seed, inject.Multi(plans...), false, t.Workload, t.Horizon)
-	return t.Oracle.Satisfied(res)
 }
 
 // Verify replays a reproduction script deterministically and reports

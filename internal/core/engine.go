@@ -157,10 +157,6 @@ type engine struct {
 	pairBuf   []scoredPair
 	missBuf   []bool
 
-	// baked faults are injected in every run of this pass (iterative
-	// multi-fault reproduction); the search explores candidates on top.
-	baked []inject.Instance
-
 	// ctx cancels the search from outside (Options.Context).
 	ctx context.Context
 
@@ -182,11 +178,6 @@ type engine struct {
 	classes   classSet
 	instSite  int
 	triedSite int
-
-	// pairWindow is the pair-round candidate list the current round armed,
-	// indexed like the PairPlan's rank order; tryOnce maps the plan's
-	// committed index back through it to the canonical pair Instance.
-	pairWindow []inject.Instance
 
 	// Resume state: the checkpoint being restored (nil on a fresh run) and
 	// the round the restored search had completed.
@@ -249,8 +240,8 @@ func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) 
 }
 
 // traceDecision records the candidate window handed to the runtime: the
-// first trace.MaxCandidates members, the full count, and the injection
-// budget (1 searched fault plus any baked ones).
+// first trace.MaxCandidates members, the full count, and the round's one
+// searched injection as its budget.
 func (e *engine) traceDecision(round, window int, candidates []inject.Instance) {
 	if !e.tracing() {
 		return
@@ -265,61 +256,15 @@ func (e *engine) traceDecision(round, window int, candidates []inject.Instance) 
 	}
 	e.emit(&trace.Event{
 		Type: trace.Decision, Round: round, Window: window,
-		Candidates: cs, CandidateCount: len(candidates), Budget: 1 + len(e.baked),
+		Candidates: cs, CandidateCount: len(candidates), Budget: 1,
 	})
 }
 
-// bakedPlan returns the plan injecting the baked faults (nil when none).
-func (e *engine) bakedPlan(extra inject.Plan) inject.Plan {
-	if len(e.baked) == 0 {
-		return extra
-	}
-	plans := make([]inject.Plan, 0, len(e.baked)+1)
-	for _, b := range e.baked {
-		plans = append(plans, inject.Exact(b))
-	}
-	if extra != nil {
-		plans = append(plans, extra)
-	}
-	return inject.Multi(plans...)
-}
-
-// matchesEvent reports whether an instance names the given injected
-// reach. A path-addressed instance matches by its canonical path (the
-// global occurrence of a reach may legitimately differ between runs).
-func matchesEvent(b inject.Instance, ev inject.TraceEvent) bool {
-	if b.Site != ev.Site {
-		return false
-	}
-	if b.Path != "" {
-		return b.Path == ev.Path
-	}
-	return b.Occurrence == ev.Occurrence
-}
-
-// isBaked reports whether an injected event is one of the baked faults.
-// A baked pair fault injects through its two members, so either member
-// reach counts as baked.
-func (e *engine) isBaked(ev inject.TraceEvent) bool {
-	for _, b := range e.baked {
-		if a, c, ok := inject.PairMembers(b); ok {
-			if matchesEvent(a, ev) || matchesEvent(c, ev) {
-				return true
-			}
-			continue
-		}
-		if matchesEvent(b, ev) {
-			return true
-		}
-	}
-	return false
-}
-
 // run executes the whole workflow — free run, setup, then the round loop —
-// for every entry point: Reproduce, each ReproduceIterative pass, and
-// Resume (e.resume set). A fresh search that cannot start is a verdict of
-// its own (Report.Error, or Interrupted when the free run was cancelled); a
-// resume that cannot start is the caller's error, the only one run returns.
+// for both entry points: Reproduce and Resume (e.resume set). A fresh search
+// that cannot start is a verdict of its own (Report.Error, or Interrupted
+// when the free run was cancelled); a resume that cannot start is the
+// caller's error, the only one run returns.
 func (e *engine) run() (*Report, error) {
 	start := time.Now()
 	err := e.prepare()
@@ -362,9 +307,9 @@ func (e *engine) prepare() error {
 		e.window = 1
 	}
 	freeStart := time.Now()
-	free, err := e.trial(e.o.Seed, e.bakedPlan(nil), true)
+	free, err := e.trial(e.o.Seed, nil, true)
 	if err != nil && !isInterrupted(err) {
-		free, err = e.trial(e.o.Seed+retrySeedOffset, e.bakedPlan(nil), true)
+		free, err = e.trial(e.o.Seed+retrySeedOffset, nil, true)
 	}
 	if err != nil {
 		if !isInterrupted(err) {
@@ -420,7 +365,7 @@ func (e *engine) finish(start time.Time) {
 
 // trial runs the workload once under the engine's watchdogs: panic
 // recovery, the event budget, and the cancellation context.
-func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.Result, error) {
+func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.Result, error) {
 	budget := e.o.EventBudget
 	if budget < 0 {
 		budget = 0 // negative means unlimited
@@ -500,22 +445,18 @@ type attempt struct {
 	err   error
 }
 
-// attemptRound runs one round with the trial-isolation policy: execute
-// the plan and judge the result; on any failure — target panic, event
-// budget, oracle panic — retry once under the next derived seed; a second
-// failure degrades the round to inconclusive (err set, rd.Failure
-// classified). Cancellation is never retried.
-func (e *engine) attemptRound(round int, plan inject.Plan, initTime time.Duration, rootRank int) attempt {
+// attemptRound runs one round with the trial-isolation policy: arm the
+// selected window, execute it and judge the result; on any failure — target
+// panic, event budget, oracle panic — retry once under the next derived
+// seed; a second failure degrades the round to inconclusive (err set,
+// rd.Failure classified). Cancellation is never retried.
+func (e *engine) attemptRound(round int, candidates []inject.Instance, initTime time.Duration, rootRank int) attempt {
 	rd := &Round{N: round, RootRank: rootRank, WindowSize: e.window, InitTime: initTime}
+	plan := inject.Window(candidates)
 	runStart := time.Now()
-	a := e.tryOnce(e.o.Seed+int64(round), plan, rd)
+	a := e.tryOnce(e.o.Seed+int64(round), plan, candidates, rd)
 	if a.err != nil && !isInterrupted(a.err) {
-		// Stateful plans (PairPlan's commit, Multi's fired counters) must
-		// start the retry trial fresh, or the retry replays half-spent state.
-		if r, ok := plan.(inject.Resetter); ok {
-			r.Reset()
-		}
-		a = e.tryOnce(e.o.Seed+int64(round)+retrySeedOffset, plan, rd)
+		a = e.tryOnce(e.o.Seed+int64(round)+retrySeedOffset, plan, candidates, rd)
 	}
 	rd.RunTime = time.Since(runStart)
 	a.rd = rd
@@ -526,31 +467,26 @@ func (e *engine) attemptRound(round int, plan inject.Plan, initTime time.Duratio
 	return a
 }
 
-// tryOnce executes the plan under one seed and judges the result,
-// recording the round's runtime bookkeeping from whatever the run
-// produced (a recovered panic still yields a partial result).
-func (e *engine) tryOnce(seed int64, plan inject.Plan, rd *Round) attempt {
-	res, err := e.trial(seed, e.bakedPlan(plan), false)
+// tryOnce executes the plan (armed from candidates) under one seed and
+// judges the result, recording the round's runtime bookkeeping from
+// whatever the run produced (a recovered panic still yields a partial
+// result).
+func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Instance, rd *Round) attempt {
+	res, err := e.trial(seed, plan, false)
 	if res != nil {
 		reqs, decTime := res.Env.FI.Decisions()
 		rd.InjectReqs, rd.DecideTime = reqs, decTime
-		// The round's searched injection is the one that is not baked. A
-		// pair round reports the committed pair instance (reconstructed
-		// from the plan's commit index) rather than a single member reach.
+		// The round's injection is the reach that fired — under path
+		// addressing with that run's own occurrence of it — except that a
+		// pair is reported as the committed pair instance rather than
+		// whichever member was reached first.
 		rd.Injected = nil
-		if pp, ok := plan.(*inject.PairPlan); ok {
-			if idx, committed := pp.Committed(); committed {
-				inst := e.pairWindow[idx]
-				rd.Injected = &inst
+		if ev, ok := res.Env.FI.Injected(); ok {
+			inst := inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence, Path: ev.Path}
+			if idx, _ := plan.Committed(); inject.IsPairSite(candidates[idx].Site) {
+				inst = candidates[idx]
 			}
-		} else {
-			for _, ev := range res.Env.FI.InjectedAll() {
-				if e.isBaked(ev) {
-					continue
-				}
-				rd.Injected = &inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence, Path: ev.Path}
-				break
-			}
+			rd.Injected = &inst
 		}
 	}
 	if err != nil {

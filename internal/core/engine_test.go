@@ -170,25 +170,6 @@ func TestRankedSitesStable(t *testing.T) {
 	}
 }
 
-func TestBakedPlanComposition(t *testing.T) {
-	e := stubEngine(Options{})
-	if e.bakedPlan(nil) != nil {
-		t.Fatal("no baked faults should mean nil plan")
-	}
-	e.baked = []inject.Instance{{Site: "a", Occurrence: 1}}
-	plan := e.bakedPlan(inject.Exact(inject.Instance{Site: "b", Occurrence: 1}))
-	rt := inject.NewRuntime(plan)
-	if rt.Reach("a", inject.IO) == nil || rt.Reach("b", inject.IO) == nil {
-		t.Fatal("both faults should inject")
-	}
-	if !e.isBaked(inject.TraceEvent{Site: "a", Occurrence: 1}) {
-		t.Fatal("isBaked failed")
-	}
-	if e.isBaked(inject.TraceEvent{Site: "b", Occurrence: 1}) {
-		t.Fatal("b is not baked")
-	}
-}
-
 func TestMedianHelpers(t *testing.T) {
 	rounds := []Round{
 		{InitTime: 3 * time.Millisecond, RunTime: 30, InjectReqs: 5},

@@ -59,7 +59,7 @@ func (e *engine) explore() {
 		initTime := time.Since(initStart)
 		e.traceDecision(round, e.window, candidates)
 
-		a := e.attemptRound(round, e.roundPlan(candidates), initTime, rootRank)
+		a := e.attemptRound(round, candidates, initTime, rootRank)
 		rd := a.rd
 		if rk != nil && a.err == nil && !a.sat && rd.Injected != nil {
 			e.combineLogs(&a)
@@ -160,7 +160,7 @@ func (e *engine) combineLogs(a *attempt) {
 	inj, round := *a.rd.Injected, a.rd.N
 	for extra := 1; extra < e.o.RunsPerRound; extra++ {
 		seed := e.o.Seed + int64(e.o.MaxRounds) + int64(round*e.o.RunsPerRound+extra)
-		res, err := e.trial(seed, e.bakedPlan(inject.Exact(inj)), false)
+		res, err := e.trial(seed, inject.Exact(inj), false)
 		if isInterrupted(err) {
 			a.err = err
 			return
@@ -184,7 +184,7 @@ func (e *engine) combineLogs(a *attempt) {
 // injection: the instance counts as tried, every relevant observable the
 // round's logs produced is deprioritized by Options.Adjust (when the row
 // uses feedback at all), and the injection that came closest to the failure
-// log is kept as the §3 hint for iterative reproduction.
+// log is kept as the §3 hint for a failure one fault does not reproduce.
 func (e *engine) learn(rk ranker, a attempt) {
 	rd := a.rd
 	e.markTried(*rd.Injected)
@@ -210,24 +210,6 @@ func (e *engine) learn(rk ranker, a attempt) {
 		e.report.BestPartial = rd.Injected
 		e.report.BestPartialMissing = missingCount
 	}
-}
-
-// roundPlan builds the round's injection plan from the selected window.
-// A pair window (homogeneous by fillWindow construction) arms a PairPlan
-// in rank order and publishes the window so tryOnce can map the plan's
-// commit index back to the canonical pair Instance; every other window
-// is the ordinary first-reach-wins plan.
-func (e *engine) roundPlan(candidates []inject.Instance) inject.Plan {
-	if len(candidates) == 0 || !inject.IsPairSite(candidates[0].Site) {
-		return inject.Window(candidates)
-	}
-	pairs := make([][2]inject.Instance, len(candidates))
-	for i, c := range candidates {
-		a, b, _ := inject.PairMembers(c)
-		pairs[i] = [2]inject.Instance{a, b}
-	}
-	e.pairWindow = append(e.pairWindow[:0], candidates...)
-	return inject.PairWindow(pairs)
 }
 
 // traceFeedback records an Algorithm 2 update: the observables whose I_k

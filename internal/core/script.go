@@ -43,38 +43,6 @@ func ScriptOf(r *Report) (*ScriptFile, error) {
 	}, nil
 }
 
-// ScriptOfIter extracts the multi-fault artifact of an iterative run.
-func ScriptOfIter(r *IterReport) (*ScriptFile, error) {
-	if r == nil || !r.Reproduced || len(r.Scripts) == 0 {
-		return nil, fmt.Errorf("core: no reproduction to export")
-	}
-	last := r.Reports[len(r.Reports)-1]
-	rounds := 0
-	for _, rep := range r.Reports {
-		rounds += rep.Rounds
-	}
-	return &ScriptFile{
-		Target:      last.Target,
-		Issue:       last.Issue,
-		Strategy:    last.Strategy,
-		Faults:      append([]inject.Instance(nil), r.Scripts...),
-		Rounds:      rounds,
-		Elapsed:     sumElapsed(r.Reports).Round(time.Microsecond).String(),
-		Observables: last.RelevantObservables,
-		Sites:       last.CandidateSites,
-		Instances:   last.CandidateInstances,
-		GeneratedBy: "anduril (iterative multi-fault mode)",
-	}, nil
-}
-
-func sumElapsed(reports []*Report) time.Duration {
-	var total time.Duration
-	for _, r := range reports {
-		total += r.Elapsed
-	}
-	return total
-}
-
 // Marshal renders the artifact as indented JSON.
 func (s *ScriptFile) Marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
@@ -89,17 +57,38 @@ func LoadScript(data []byte) (*ScriptFile, error) {
 	if len(s.Faults) == 0 {
 		return nil, fmt.Errorf("core: script file has no faults")
 	}
+	for i, f := range s.Faults {
+		if err := checkFault(f); err != nil {
+			return nil, fmt.Errorf("core: script file fault %d: %w", i+1, err)
+		}
+	}
 	return &s, nil
 }
 
-// Plan builds the injection plan the script describes.
-func (s *ScriptFile) Plan() inject.Plan {
-	if len(s.Faults) == 1 {
-		return inject.Exact(s.Faults[0])
+// checkFault rejects a fault no run can ever reach, so a malformed script
+// fails at load instead of replaying as "not reproduced".
+func checkFault(f inject.Instance) error {
+	if inject.IsPairSite(f.Site) {
+		a, b, ok := inject.PairMembers(f)
+		if !ok {
+			return fmt.Errorf("pair %q: path %q does not name two members", f.Site, f.Path)
+		}
+		if err := checkFault(a); err != nil {
+			return err
+		}
+		return checkFault(b)
 	}
-	plans := make([]inject.Plan, len(s.Faults))
-	for i, f := range s.Faults {
-		plans[i] = inject.Exact(f)
+	if f.Site == "" || f.Occurrence < 1 && f.Path == "" {
+		return fmt.Errorf("site %q needs an occurrence >= 1 or a path (occurrence %d)", f.Site, f.Occurrence)
 	}
-	return inject.Multi(plans...)
+	if inject.IsEnvSite(f.Site) || inject.IsPartialSite(f.Site) {
+		if _, ok := inject.ParsePseudo(f.Site); !ok {
+			return fmt.Errorf("site %q is not a well-formed pseudo-site", f.Site)
+		}
+	}
+	return nil
 }
+
+// Plan builds the injection plan the script describes: every fault of the
+// list in one run.
+func (s *ScriptFile) Plan() *inject.Plan { return inject.Exact(s.Faults...) }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"anduril/internal/cluster"
@@ -74,5 +75,40 @@ func TestMultiFaultScriptPlan(t *testing.T) {
 	}
 	if len(rt.InjectedAll()) != 2 {
 		t.Fatalf("injections: %d", len(rt.InjectedAll()))
+	}
+}
+
+// TestLoadScriptValidatesFaults: a script arrives from outside the program,
+// so a fault no run can ever reach is rejected at load — replaying it would
+// otherwise end as "oracle satisfied: false", indistinguishable from a
+// genuine non-reproduction. Well-formed faults of every shape still load.
+func TestLoadScriptValidatesFaults(t *testing.T) {
+	cases := []struct {
+		name, faults, wantErr string
+	}{
+		{"site", `[{"Site":"zk.sync.append-txn","Occurrence":3}]`, ""},
+		{"path-addressed", `[{"Site":"dyn.store.persist","Occurrence":0,"Path":"client.put>dyn.store.persist#1"}]`, ""},
+		{"env", `[{"Site":"env/crash/zk1","Occurrence":2}]`, ""},
+		{"pair", `[{"Site":"pair/a.x+b.y","Occurrence":4,"Path":"a.x:1+b.y:2"}]`, ""},
+		{"two faults, as older binaries wrote them", `[{"Site":"toy.scrub-store","Occurrence":2},{"Site":"toy.ping-peer","Occurrence":2}]`, ""},
+		{"occurrence 0 without a path", `[{"Site":"x","Occurrence":0}]`, `fault 1: site "x" needs an occurrence`},
+		{"negative occurrence", `[{"Site":"a.b","Occurrence":1},{"Site":"x","Occurrence":-1}]`, `fault 2: site "x"`},
+		{"no site", `[{"Occurrence":1}]`, `fault 1: site ""`},
+		{"pair without members", `[{"Site":"pair/a.x+b.y","Occurrence":1}]`, "does not name two members"},
+		{"pair with a bad member", `[{"Site":"pair/a.x+b.y","Occurrence":1,"Path":"a.x:0+b.y:2"}]`, "does not name two members"},
+		{"pair of an unknown env class", `[{"Site":"pair/a.x+env/melt/n1","Occurrence":1,"Path":"a.x:1+env/melt/n1:2"}]`, "not a well-formed pseudo-site"},
+		{"unknown env class", `[{"Site":"env/melt/n1","Occurrence":1}]`, "not a well-formed pseudo-site"},
+		{"malformed partial site", `[{"Site":"partial/disk/short-write/","Occurrence":1}]`, "not a well-formed pseudo-site"},
+	}
+	for _, c := range cases {
+		sf, err := core.LoadScript([]byte(`{"target":"t","faults":` + c.faults + `}`))
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.wantErr == "" && sf.Plan().Budget() == 0:
+			t.Errorf("%s: loaded to a plan that can inject nothing", c.name)
+		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.wantErr)
+		}
 	}
 }

@@ -99,10 +99,7 @@ func candidateFor(s *siteState, inst instance) inject.Instance {
 // class only when no untried instance of any earlier class can be
 // selected at all — so enabling a wider class never changes which
 // instances the narrower search injects: each class runs to exhaustion
-// in its exact original order before the next space opens. A window is
-// therefore homogeneous in the pair/non-pair sense, which is what lets
-// the round build one PairPlan for pair windows and one ordinary window
-// plan otherwise.
+// in its exact original order before the next space opens.
 func (e *engine) fillWindow(ranked []*siteState, window int, useTemporal bool, limit int) []inject.Instance {
 	candidates := e.candBuf[:0]
 	for c := classID(0); c < numClasses && len(candidates) == 0; c++ {
@@ -132,9 +129,7 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 			continue
 		}
 		if s.class == pairClass {
-			// The multiply ablation ranks single-fault instances only: a
-			// pair candidate needs its own plan shape, and mixing the two
-			// in one window would make the round's plan ambiguous.
+			// The multiply ablation ranks single-fault instances only.
 			continue
 		}
 		for _, inst := range s.instances {

@@ -99,11 +99,6 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	e.report.CandidateSites = len(e.sites)
 
-	// Baked faults are part of the workload now; never re-explore them.
-	for _, b := range e.baked {
-		e.markTried(b)
-	}
-
 	// A resumed run re-executes the free run (it is deterministic) but its
 	// trace continues the original stream, which already carries the
 	// FreeRun event — re-emitting it would break prefix concatenation.

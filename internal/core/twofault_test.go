@@ -23,9 +23,9 @@ func buildToyTarget(t *testing.T) *core.Target {
 	orc := oracle.LogContains("service entered unrecoverable state")
 	// The "production" incident: scrub fault at occurrence 2 (t=200ms)
 	// plus a ping flake at occurrence 2 (t=260ms), inside the window.
-	prodPlan := inject.Multi(
-		inject.Exact(inject.Instance{Site: "toy.scrub-store", Occurrence: 2}),
-		inject.Exact(inject.Instance{Site: "toy.ping-peer", Occurrence: 2}),
+	prodPlan := inject.Exact(
+		inject.Instance{Site: "toy.scrub-store", Occurrence: 2},
+		inject.Instance{Site: "toy.ping-peer", Occurrence: 2},
 	)
 	prod := cluster.Execute(9999, prodPlan, false, toy.Workload, toy.Horizon)
 	if !orc.Satisfied(prod) {
@@ -59,19 +59,24 @@ func TestSingleFaultSearchCannotReproduceTwoFaultFailure(t *testing.T) {
 		rep.Rounds, *rep.BestPartial, rep.BestPartialMissing)
 }
 
-func TestIterativeReproducesTwoFaultFailure(t *testing.T) {
+// TestPairClassReproducesTwoFaultFailure: the failure no single fault
+// reproduces is found once the pair class is enabled — the one answer to
+// the paper's §6 limitation 2 — on every engine seed, as a pair of the two
+// sites of the incident whose script verifies under a seed no round used.
+func TestPairClassReproducesTwoFaultFailure(t *testing.T) {
 	tgt := buildToyTarget(t)
-	iter := core.ReproduceIterative(tgt, core.Options{Seed: 1, MaxRounds: 100}, 2)
-	if !iter.Reproduced {
-		t.Fatalf("iterative search failed after %d passes", len(iter.Reports))
-	}
-	if len(iter.Scripts) != 2 {
-		t.Fatalf("scripts: %v", iter.Scripts)
-	}
-	t.Logf("iterative scripts: %v (pass rounds: %d then %d)",
-		iter.Scripts, iter.Reports[0].Rounds, iter.Reports[1].Rounds)
-	if !core.VerifyMulti(tgt, iter.Scripts, 4321) {
-		t.Fatal("multi-fault script does not verify")
+	for seed := int64(1); seed <= 3; seed++ {
+		rep := core.Reproduce(tgt, core.Options{Seed: seed, MaxRounds: 100,
+			FaultClasses: []string{core.ClassSite, core.ClassPair}})
+		if !rep.Reproduced || rep.Rounds > 32 {
+			t.Fatalf("seed %d: reproduced=%v after %d rounds, want within 32", seed, rep.Reproduced, rep.Rounds)
+		}
+		if want := inject.PairSiteID("toy.ping-peer", "toy.scrub-store"); rep.Script.Site != want {
+			t.Fatalf("seed %d: script %v, want a %s pair", seed, rep.Script, want)
+		}
+		if !core.Verify(tgt, *rep.Script, 4321) {
+			t.Fatalf("seed %d: pair script %v does not verify under a different seed", seed, rep.Script)
+		}
 	}
 }
 

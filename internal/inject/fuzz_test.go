@@ -2,12 +2,14 @@ package inject
 
 // Fuzz targets for the plan invariants the explorer relies on:
 //
+//   - the one Plan decides every reach, in both dispatch modes, exactly as
+//     the plan types it replaced did — the differential against the
+//     reference semantics of oracle_test.go: same decision at every reach,
+//     same commit, same budget, same features, and Reset restores the
+//     pre-run state;
 //   - a plan never fires twice for the same (site, occ) in one run;
 //   - a run never injects more faults than the plan's budget;
-//   - Multi's budget equals the sum of its parts (nil parts contribute 0);
-//   - Decide is idempotent per occurrence for the pure plans (Exact,
-//     Window): consulting it repeatedly returns the same answer and does
-//     not disturb later decisions.
+//   - a multi-member Exact's budget is its number of members.
 //
 // Each FuzzX function doubles as a property test over its seed corpus
 // under plain `go test`; CI additionally runs each with -fuzz for a short
@@ -25,6 +27,95 @@ func fuzzSite(b byte) string { return fmt.Sprintf("s%d", b%6) }
 // fuzzOcc maps a byte onto a small 1-based occurrence range.
 func fuzzOcc(b byte) int { return int(b%8) + 1 }
 
+// reach is one consultation of a plan: the site, its occurrence and the
+// canonical path the runtime would hand Decide under path addressing.
+type reach struct {
+	site string
+	occ  int
+	path string
+}
+
+// fuzzReach maps a byte onto a reach of the small alphabet; the top bits
+// pick the call-path context, root or one of two non-root edges.
+func fuzzReach(b byte) reach {
+	site, occ := fuzzSite(b), fuzzOcc(b>>3)
+	addr := PathAddr{Site: site, N: occ}
+	if ctx := int(b >> 6); ctx > 1 {
+		addr.Edges = []PathEdge{{Label: "e", Seq: ctx - 1}}
+	}
+	return reach{site, occ, addr.String()}
+}
+
+func fuzzReaches(bs []byte) []reach {
+	out := make([]reach, len(bs))
+	for i, b := range bs {
+		out[i] = fuzzReach(b)
+	}
+	return out
+}
+
+// membersOf decodes window candidates to their members, as the oracle
+// takes them: a pair instance is its two members, anything else itself.
+func membersOf(cands []Instance) [][]Instance {
+	out := make([][]Instance, len(cands))
+	for i, c := range cands {
+		if a, b, ok := PairMembers(c); ok {
+			out[i] = []Instance{a, b}
+		} else {
+			out[i] = []Instance{c}
+		}
+	}
+	return out
+}
+
+// diffOracle is the differential: plan and the oracle over cands see the
+// same reach stream, behind the same budget gate, in occurrence mode (path
+// "") and in path mode. Each mode runs twice with a Reset in between; the
+// second pass matching a fresh oracle is what shows Reset restored the
+// pre-run state. The plan is left Reset.
+func diffOracle(t *testing.T, plan *Plan, cands [][]Instance, reaches []reach) {
+	t.Helper()
+	wantBudget, wantFeatures := newOracle(cands).shape()
+	if plan.Budget() != wantBudget {
+		t.Fatalf("Budget()=%d, oracle %d", plan.Budget(), wantBudget)
+	}
+	if plan.Features() != wantFeatures {
+		t.Fatalf("Features()=%03b, oracle %03b", plan.Features(), wantFeatures)
+	}
+	rt := NewRuntime(plan)
+	for _, f := range []Features{EnvFaults, PartialFaults, PathAddressing} {
+		if rt.Active(f) != (wantFeatures&f != 0) {
+			t.Fatalf("runtime Active(%03b)=%v, oracle features %03b", f, rt.Active(f), wantFeatures)
+		}
+	}
+	for _, pathMode := range []bool{false, true} {
+		for pass := 0; pass < 2; pass++ {
+			ref := newOracle(cands)
+			spent := 0
+			for _, r := range reaches {
+				path := ""
+				if pathMode {
+					path = r.path
+				}
+				got := spent < wantBudget && plan.Decide(r.site, r.occ, path)
+				if got {
+					spent++
+				}
+				if want := ref.decide(r.site, r.occ, path); got != want {
+					t.Fatalf("pathMode=%v pass %d: Decide(%s,%d,%q)=%v, oracle %v", pathMode, pass, r.site, r.occ, path, got, want)
+				}
+				if idx, ok := plan.Committed(); ok != (ref.committed >= 0) || ok && idx != ref.committed {
+					t.Fatalf("pathMode=%v pass %d: Committed()=(%d,%v), oracle %d", pathMode, pass, idx, ok, ref.committed)
+				}
+			}
+			plan.Reset()
+			if _, ok := plan.Committed(); ok {
+				t.Fatal("Reset did not uncommit")
+			}
+		}
+	}
+}
+
 func FuzzExactPlan(f *testing.F) {
 	f.Add(byte(1), byte(2), []byte{1, 1, 1, 7, 1})
 	f.Add(byte(0), byte(0), []byte{})
@@ -33,15 +124,7 @@ func FuzzExactPlan(f *testing.F) {
 		target := Instance{Site: fuzzSite(siteSel), Occurrence: fuzzOcc(occSel)}
 		plan := Exact(target)
 
-		// Decide is pure: repeated consultation of any (site, occ) agrees,
-		// and matches iff it names the exact instance.
-		for _, b := range reaches {
-			site, occ := fuzzSite(b), fuzzOcc(b>>3)
-			want := site == target.Site && occ == target.Occurrence
-			if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
-				t.Fatalf("Exact.Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
-			}
-		}
+		diffOracle(t, plan, [][]Instance{{target}}, fuzzReaches(reaches))
 
 		r := NewRuntime(plan)
 		counts := map[string]int{}
@@ -82,14 +165,7 @@ func FuzzWindowPlan(f *testing.F) {
 		}
 		plan := Window(cands)
 
-		// Decide is pure and matches exactly the candidate set.
-		for _, b := range reaches {
-			site, occ := fuzzSite(b), fuzzOcc(b>>3)
-			want := inWindow[Instance{Site: site, Occurrence: occ}]
-			if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
-				t.Fatalf("Window.Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
-			}
-		}
+		diffOracle(t, plan, membersOf(cands), fuzzReaches(reaches))
 
 		// Through the runtime: the first reach hitting the window fires,
 		// nothing after it (budget 1), never twice for one (site, occ).
@@ -164,20 +240,17 @@ func FuzzEnvPlan(f *testing.F) {
 			inWindow[inst] = true
 		}
 		plan := Window(cands)
-		if got := needsOf(plan)&EnvFaults != 0; got != carriesEnv {
+		if got := plan.Features()&EnvFaults != 0; got != carriesEnv {
 			t.Fatalf("plan needs EnvFaults=%v, candidates carry env: %v", got, carriesEnv)
 		}
 
-		// Decide is pure across both site shapes.
+		// The differential across both site shapes.
+		var stream []reach
 		for _, b := range reaches {
-			for _, site := range []string{fuzzSite(b), fuzzEnvSite(b)} {
-				occ := fuzzOcc(b >> 3)
-				want := inWindow[Instance{Site: site, Occurrence: occ}]
-				if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
-					t.Fatalf("Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
-				}
-			}
+			env, occ := fuzzEnvSite(b), fuzzOcc(b>>3)
+			stream = append(stream, fuzzReach(b), reach{env, occ, PathAddr{Site: env, N: occ}.String()})
 		}
+		diffOracle(t, plan, membersOf(cands), stream)
 
 		// Through the runtime: interleave error-return reaches with env
 		// reaches. A plan carrying env instances self-activates EnvFaults;
@@ -235,6 +308,9 @@ func FuzzEnvPlan(f *testing.F) {
 	})
 }
 
+// FuzzMultiPlan is the multi-member Exact — a reproduction script of
+// several faults: spec bytes become single members, pairs (two members
+// each) or a repeat of the previous member.
 func FuzzMultiPlan(f *testing.F) {
 	f.Add([]byte{1, 9, 100}, []byte{1, 2, 3, 1, 4, 5, 1})
 	f.Add([]byte{0}, []byte{0, 0, 0, 0})
@@ -243,45 +319,28 @@ func FuzzMultiPlan(f *testing.F) {
 		if len(spec) > 32 || len(reaches) > 512 {
 			t.Skip("keep the search space small")
 		}
-		// Build a plan tree from spec: bytes become Exact leaves, Window
-		// leaves, or nil parts; a long spec nests the second half in an
-		// inner Multi to exercise recursive budget summing.
-		build := func(bytes []byte) ([]Plan, int) {
-			plans := make([]Plan, 0, len(bytes))
-			budget := 0
-			for _, b := range bytes {
-				switch b % 3 {
-				case 0:
-					plans = append(plans, Exact(Instance{Site: fuzzSite(b), Occurrence: fuzzOcc(b >> 3)}))
-					budget++
-				case 1:
-					plans = append(plans, Window([]Instance{
-						{Site: fuzzSite(b), Occurrence: fuzzOcc(b >> 3)},
-						{Site: fuzzSite(b >> 2), Occurrence: fuzzOcc(b >> 5)},
-					}))
-					budget++
-				default:
-					plans = append(plans, nil)
-				}
+		var insts, members []Instance
+		for _, b := range spec {
+			m := Instance{Site: fuzzSite(b), Occurrence: fuzzOcc(b >> 3)}
+			switch {
+			case b%3 == 1:
+				other := Instance{Site: fuzzSite(b >> 2), Occurrence: fuzzOcc(b >> 5)}
+				pair := PairInstance(m, other)
+				insts = append(insts, pair)
+				members = append(members, membersOf([]Instance{pair})[0]...)
+			case b%3 == 2 && len(members) > 0:
+				insts = append(insts, members[len(members)-1])
+				members = append(members, members[len(members)-1])
+			default:
+				insts = append(insts, m)
+				members = append(members, m)
 			}
-			return plans, budget
 		}
-		var plan Plan
-		var wantBudget int
-		if len(spec) > 4 {
-			outer, ob := build(spec[:len(spec)/2])
-			inner, ib := build(spec[len(spec)/2:])
-			plan = Multi(append(outer, Multi(inner...))...)
-			wantBudget = ob + ib
-		} else {
-			plans, b := build(spec)
-			plan = Multi(plans...)
-			wantBudget = b
+		plan := Exact(insts...)
+		if got := plan.Budget(); got != len(members) {
+			t.Fatalf("Exact budget=%d, want its %d members", got, len(members))
 		}
-
-		if got := plan.(Budgeter).Budget(); got != wantBudget {
-			t.Fatalf("Multi budget=%d, want sum of parts %d", got, wantBudget)
-		}
+		diffOracle(t, plan, [][]Instance{members}, fuzzReaches(reaches))
 
 		r := NewRuntime(plan)
 		counts := map[string]int{}
@@ -297,40 +356,35 @@ func FuzzMultiPlan(f *testing.F) {
 				seen[inst] = true
 			}
 		}
-		if n := len(r.InjectedAll()); n > wantBudget {
-			t.Fatalf("injected %d faults, budget %d", n, wantBudget)
-		}
-		// Every recorded injection is a distinct (site, occ).
-		unique := map[Instance]bool{}
-		for _, ev := range r.InjectedAll() {
-			inst := Instance{Site: ev.Site, Occurrence: ev.Occurrence}
-			if unique[inst] {
-				t.Fatalf("runtime recorded %s#%d twice", ev.Site, ev.Occurrence)
-			}
-			unique[inst] = true
+		if n := len(r.InjectedAll()); n > len(members) {
+			t.Fatalf("injected %d faults, budget %d", n, len(members))
 		}
 	})
 }
 
-// FuzzPathPlan mirrors FuzzEnvPlan for the path-addressing layer: a
-// window mixing path- and occurrence-addressed candidates combined with
-// a pair plan must never panic, the pure window's DecidePath must be
-// idempotent, and a path-enabled runtime must respect the combined
-// budget and record parseable root-context paths for every injection.
+// FuzzPathPlan is the mixed window: single candidates alternating
+// occurrence- and path-addressed forms, and between them pairs built from
+// adjacent bytes — members shared with the singles around them, self-pairs
+// included. It must match the oracle in both dispatch modes, and a
+// path-enabled runtime must respect its budget and record parseable
+// root-context paths for every injection.
 func FuzzPathPlan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{1, 1, 2, 3, 5, 8})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{7, 7, 7, 7, 7, 7}, []byte{7, 7, 7, 7, 7, 7, 7})
+	// One reach that is an occurrence-addressed single by (site, occ) and,
+	// by path, a member of the pair ranked below it.
+	f.Add([]byte{1, 2, 3, 4, 9, 10}, []byte{10})
 	f.Fuzz(func(t *testing.T, candBytes, reaches []byte) {
 		if len(candBytes) > 64 || len(reaches) > 512 {
 			t.Skip("keep the search space small")
 		}
-		// Window candidates alternate occurrence- and path-addressed
-		// forms; every fourth gets a non-root context edge, which a run
-		// whose reaches all happen at root context can never match.
-		cands := make([]Instance, 0, len(candBytes))
-		carries := false
-		for i, b := range candBytes {
+		// Every fourth single gets a non-root context edge, which a run
+		// whose reaches all happen at root context can never match. A
+		// pair ranks before its two singles or after them, alternately,
+		// and every other pair is path-addressed.
+		single := func(i int) Instance {
+			b := candBytes[i]
 			inst := Instance{Site: fuzzSite(b), Occurrence: fuzzOcc(b >> 3)}
 			if i%2 == 0 {
 				addr := PathAddr{Site: inst.Site, N: inst.Occurrence}
@@ -338,51 +392,42 @@ func FuzzPathPlan(f *testing.F) {
 					addr.Edges = []PathEdge{{Label: fuzzSite(b >> 1), Seq: fuzzOcc(b >> 5)}}
 				}
 				inst = Instance{Site: inst.Site, Path: addr.String()}
-				carries = true
 			}
-			cands = append(cands, inst)
+			return inst
 		}
-		window := Window(cands)
-		if got := needsOf(window)&PathAddressing != 0; got != carries {
-			t.Fatalf("plan needs PathAddressing=%v, candidates carry paths: %v", got, carries)
-		}
-
-		// The pure window's path dispatch is idempotent: repeated
-		// consultation with identical arguments agrees.
-		pd, ok := window.(PathDecider)
-		if !ok {
-			t.Fatal("window plan does not implement PathDecider")
-		}
-		probes := map[string]int{}
-		for _, b := range reaches {
-			site := fuzzSite(b)
-			probes[site]++
-			occ := probes[site]
-			path := fmt.Sprintf("%s#%d", site, occ)
-			first := pd.DecidePath(site, occ, path)
-			if pd.DecidePath(site, occ, path) != first {
-				t.Fatalf("window DecidePath(%s) not idempotent", path)
+		member := func(i int, byPath bool) Instance {
+			b := candBytes[i]
+			m := Instance{Site: fuzzSite(b), Occurrence: fuzzOcc(b >> 3)}
+			if byPath {
+				m = Instance{Site: m.Site, Path: PathAddr{Site: m.Site, N: m.Occurrence}.String()}
 			}
+			return m
 		}
-
-		// Pair candidates from adjacent byte pairs (skipping degenerate
-		// same-instance pairs).
-		var pairs [][2]Instance
-		for i := 0; i+1 < len(candBytes); i += 2 {
-			a := Instance{Site: fuzzSite(candBytes[i]), Occurrence: fuzzOcc(candBytes[i] >> 3)}
-			b := Instance{Site: fuzzSite(candBytes[i+1]), Occurrence: fuzzOcc(candBytes[i+1] >> 3)}
-			if a == b {
-				continue
+		var cands []Instance
+		wantBudget := min(len(candBytes), 1)
+		for i := 0; i < len(candBytes); i += 2 {
+			if i+1 == len(candBytes) {
+				cands = append(cands, single(i))
+				break
 			}
-			pairs = append(pairs, [2]Instance{a, b})
+			pair := PairInstance(member(i, i%4 == 0), member(i+1, i%4 == 0))
+			if i%8 < 4 {
+				cands = append(cands, pair, single(i), single(i+1))
+			} else {
+				cands = append(cands, single(i), single(i+1), pair)
+			}
+			wantBudget = 2
 		}
-		plan := Multi(window, PairWindow(pairs))
-		wantBudget := 1 + 2 // window + pair
-		if got := planBudget(plan); got != wantBudget {
-			t.Fatalf("combined budget %d, want %d", got, wantBudget)
+		plan := Window(cands)
+		if got := plan.Features()&PathAddressing != 0; got != (len(candBytes) > 0) {
+			t.Fatalf("plan needs PathAddressing=%v over %d candidate bytes", got, len(candBytes))
 		}
+		if got := plan.Budget(); got != wantBudget {
+			t.Fatalf("window budget %d, want %d", got, wantBudget)
+		}
+		diffOracle(t, plan, membersOf(cands), fuzzReaches(reaches))
 
-		// Drive the combined plan through a path-enabled runtime with
+		// Drive the window through a path-enabled runtime with
 		// root-context paths (nil PathID/PathPrefix hooks).
 		r := NewRuntime(plan)
 		r.Enable(PathAddressing)

@@ -144,8 +144,7 @@ const (
 	// torn-rename, eintr and dup-deliver instances.
 	PartialFaults
 	// PathAddressing assigns every reach a canonical PathAddr string built
-	// from the PathID/PathPrefix hooks and dispatches plans implementing
-	// PathDecider through DecidePath.
+	// from the PathID/PathPrefix hooks and hands it to the plan's Decide.
 	PathAddressing
 )
 
@@ -164,217 +163,6 @@ func (inst Instance) features() Features {
 	return f
 }
 
-// needs is embedded in every built-in plan: the features its instances
-// require, computed once at construction. A runtime starts with its
-// plan's needs active, so replaying a script needs no flag.
-type needs Features
-
-func (n needs) features() Features { return Features(n) }
-
-// needsOf returns the features a plan needs. A plan from outside this
-// package cannot say, so it is conservatively assumed to carry env and
-// partial instances (custom plans work under replay without extra
-// wiring) and to use paths exactly when it can match them.
-func needsOf(p Plan) Features {
-	switch p := p.(type) {
-	case nil:
-		return 0
-	case interface{ features() Features }:
-		return p.features()
-	case PathDecider:
-		return EnvFaults | PartialFaults | PathAddressing
-	}
-	return EnvFaults | PartialFaults
-}
-
-// Plan decides which reaches of fault sites inject a fault during a round.
-type Plan interface {
-	// Decide is consulted on every reach. Returning true injects a fault at
-	// this exact reach. At most one reach per round injects; the Runtime
-	// stops consulting after the first injection.
-	Decide(site string, occurrence int) bool
-}
-
-// exactPlan injects at one precise dynamic instance.
-type exactPlan struct {
-	inst Instance
-	needs
-}
-
-func (p exactPlan) Decide(site string, occ int) bool {
-	if p.inst.Path != "" {
-		return false // path-addressed: needs the DecidePath dispatch
-	}
-	return site == p.inst.Site && occ == p.inst.Occurrence
-}
-
-func (p exactPlan) DecidePath(site string, occ int, path string) bool {
-	if p.inst.Path != "" {
-		return path == p.inst.Path
-	}
-	return site == p.inst.Site && occ == p.inst.Occurrence
-}
-
-// Exact returns a plan injecting at exactly one dynamic instance — the
-// deterministic reproduction script of step 4.a in the workflow. A pair
-// instance decomposes into a Multi over its two members, so pair scripts
-// replay through the ordinary single-instance machinery.
-func Exact(inst Instance) Plan {
-	if a, b, ok := PairMembers(inst); ok {
-		return Multi(Exact(a), Exact(b))
-	}
-	return exactPlan{inst, needs(inst.features())}
-}
-
-// windowPlan injects at the first reach that matches any candidate — the
-// flexible priority window of §5.2.5. Path-addressed candidates are kept
-// in a separate index keyed by their canonical path string (a path names
-// one dynamic reach uniquely; the global occurrence of that reach may
-// legitimately differ between the free run and an injection run).
-type windowPlan struct {
-	candidates map[Instance]bool
-	byPath     map[string]bool
-	needs
-}
-
-func (p windowPlan) Decide(site string, occ int) bool {
-	return p.candidates[Instance{Site: site, Occurrence: occ}]
-}
-
-func (p windowPlan) DecidePath(site string, occ int, path string) bool {
-	if p.byPath[path] {
-		return true
-	}
-	return p.candidates[Instance{Site: site, Occurrence: occ}]
-}
-
-// Window returns a plan that injects at whichever candidate instance is
-// reached first in the round.
-func Window(candidates []Instance) Plan {
-	m := make(map[Instance]bool, len(candidates))
-	var paths map[string]bool
-	var n Features
-	for _, c := range candidates {
-		n |= c.features()
-		if c.Path != "" {
-			if paths == nil {
-				paths = make(map[string]bool, len(candidates))
-			}
-			paths[c.Path] = true
-			continue
-		}
-		m[c] = true
-	}
-	return windowPlan{m, paths, needs(n)}
-}
-
-// Budgeter lets a plan request more than one injection per round. The
-// paper's ANDURIL performs a single injection per round (§3); the
-// iterative multi-fault extension composes plans and raises the budget.
-type Budgeter interface {
-	Budget() int
-}
-
-// Resetter restores a stateful plan (PairPlan's commit, Multi's fired
-// counters) to its pre-run state, so the round's retry under the next
-// derived seed starts a fresh trial instead of replaying half-spent
-// decision state. Stateless plans need not implement it.
-type Resetter interface {
-	Reset()
-}
-
-// multiPlan composes plans: each sub-plan may fire up to its own budget,
-// so a round can carry several causally-independent faults.
-type multiPlan struct {
-	plans   []Plan
-	fired   []int
-	budgets []int
-	needs
-}
-
-// planBudget is a plan's injection budget: a Budgeter's declared budget,
-// 1 for any other non-nil plan, 0 for nil (never injects).
-func planBudget(p Plan) int {
-	if p == nil {
-		return 0
-	}
-	if b, ok := p.(Budgeter); ok {
-		return b.Budget()
-	}
-	return 1
-}
-
-// Multi composes the given plans into one plan whose injection budget is
-// the sum of the sub-plans' budgets (1 each for plain plans, recursively
-// summed for nested Multi plans). Each sub-plan injects at most its own
-// budget.
-func Multi(plans ...Plan) Plan {
-	p := &multiPlan{
-		plans:   plans,
-		fired:   make([]int, len(plans)),
-		budgets: make([]int, len(plans)),
-	}
-	for i, sub := range plans {
-		p.budgets[i] = planBudget(sub)
-		p.needs |= needs(needsOf(sub))
-	}
-	return p
-}
-
-func (p *multiPlan) Decide(site string, occ int) bool {
-	for i, sub := range p.plans {
-		if sub == nil || p.fired[i] >= p.budgets[i] {
-			continue
-		}
-		if sub.Decide(site, occ) {
-			p.fired[i]++
-			return true
-		}
-	}
-	return false
-}
-
-func (p *multiPlan) DecidePath(site string, occ int, path string) bool {
-	for i, sub := range p.plans {
-		if sub == nil || p.fired[i] >= p.budgets[i] {
-			continue
-		}
-		hit := false
-		if pd, ok := sub.(PathDecider); ok {
-			hit = pd.DecidePath(site, occ, path)
-		} else {
-			hit = sub.Decide(site, occ)
-		}
-		if hit {
-			p.fired[i]++
-			return true
-		}
-	}
-	return false
-}
-
-// Reset implements Resetter: clears the fired counters and resets any
-// stateful sub-plans.
-func (p *multiPlan) Reset() {
-	for i := range p.fired {
-		p.fired[i] = 0
-	}
-	for _, sub := range p.plans {
-		if r, ok := sub.(Resetter); ok {
-			r.Reset()
-		}
-	}
-}
-
-// Budget implements Budgeter: the sum of the sub-plans' budgets.
-func (p *multiPlan) Budget() int {
-	total := 0
-	for _, b := range p.budgets {
-		total += b
-	}
-	return total
-}
-
 // Runtime is the per-run injection state. The harness wires LogPos, Thread
 // and Now to the run's logger and simulation before the workload starts.
 type Runtime struct {
@@ -389,8 +177,7 @@ type Runtime struct {
 	PathID     func() int32
 	PathPrefix func(int32) string
 
-	plan     Plan
-	pathPlan PathDecider // plan's path dispatch, asserted once at creation
+	plan *Plan
 
 	sites      map[string]*siteRec
 	pathCounts map[pathSiteKey]int // per-(path context, site) occurrence counters
@@ -405,7 +192,7 @@ type Runtime struct {
 	// injection rounds can disable it to keep rounds cheap, as §7 does.
 	KeepTrace bool
 
-	// features are the active Features: the plan's own needs plus whatever
+	// features are the active Features: the plan's own plus whatever
 	// the harness Enables.
 	features Features
 }
@@ -418,28 +205,22 @@ type pathSiteKey struct {
 
 // NewRuntime creates an injection runtime executing the given plan
 // (nil means never inject — the free run of workflow step 1). The
-// injection budget is 1 per round, as in the paper, unless the plan is a
-// Budgeter.
-func NewRuntime(plan Plan) *Runtime {
-	budget := 1
-	if b, ok := plan.(Budgeter); ok {
-		budget = b.Budget()
+// injection budget is the plan's: 1 per round, as in the paper, unless a
+// candidate has several members. The run starts from the plan Reset, so one
+// plan can be executed again — a round's retry, a script replayed twice.
+func NewRuntime(plan *Plan) *Runtime {
+	r := &Runtime{plan: plan, sites: make(map[string]*siteRec), KeepTrace: true}
+	if plan != nil {
+		plan.Reset()
+		r.budget, r.features = plan.Budget(), plan.Features()
 	}
-	pd, _ := plan.(PathDecider)
-	return &Runtime{
-		plan:      plan,
-		pathPlan:  pd,
-		budget:    budget,
-		sites:     make(map[string]*siteRec),
-		KeepTrace: true,
-		features:  needsOf(plan),
-	}
+	return r
 }
 
 // Enable switches features on for the run (there is no switching off: a
 // feature changes what is counted, so it must hold for the whole run).
 // The harness enables what a free run or a mixed window needs; a plan's
-// own needs are active from the start.
+// own Features are active from the start.
 func (r *Runtime) Enable(f Features) { r.features |= f }
 
 // Active reports whether every feature in f is on this run. The disk and
@@ -491,12 +272,7 @@ func (r *Runtime) decide(site string, occ int, path string) bool {
 		return false
 	}
 	start := time.Now()
-	var inject bool
-	if r.pathPlan != nil && r.Active(PathAddressing) {
-		inject = r.pathPlan.DecidePath(site, occ, path)
-	} else {
-		inject = r.plan.Decide(site, occ)
-	}
+	inject := r.plan.Decide(site, occ, path)
 	r.decNanos += time.Since(start).Nanoseconds()
 	r.decisions++
 	return inject
@@ -613,7 +389,7 @@ func (r *Runtime) Injected() (TraceEvent, bool) {
 }
 
 // InjectedAll returns every injected reach of the round (more than one
-// only under a Multi plan).
+// only when the committed candidate has several members).
 func (r *Runtime) InjectedAll() []TraceEvent { return r.injected }
 
 // Counts returns a copy of the per-site dynamic occurrence counts for the

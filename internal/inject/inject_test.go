@@ -199,17 +199,23 @@ func TestExactPlanProperty(t *testing.T) {
 }
 
 func TestMultiPlanBudgetAndNilSubplans(t *testing.T) {
-	// A nil sub-plan never injects, so it contributes 0 to the budget: the
-	// budget is the sum of the parts that can actually fire.
-	plan := Multi(nil, Exact(Instance{Site: "a", Occurrence: 1}))
-	if b, ok := plan.(Budgeter); !ok || b.Budget() != 1 {
-		t.Fatalf("budget: %v", plan)
+	// The budget is the members that can actually fire: none for an Exact
+	// of nothing, which never injects.
+	if b := Exact().Budget(); b != 0 {
+		t.Fatalf("empty Exact budget=%d, want 0", b)
+	}
+	if NewRuntime(Exact()).Reach("a", IO) != nil {
+		t.Fatal("empty Exact injected")
+	}
+	plan := Exact(Instance{Site: "a", Occurrence: 1}, Instance{Site: "b", Occurrence: 9})
+	if b := plan.Budget(); b != 2 {
+		t.Fatalf("budget=%d, want 2", b)
 	}
 	r := NewRuntime(plan)
 	if r.Reach("a", IO) == nil {
-		t.Fatal("a#1 should inject despite the nil subplan")
+		t.Fatal("a#1 should inject")
 	}
-	// Each subplan fires at most once.
+	// Each member fires at most once.
 	if r.Reach("a", IO) != nil {
 		t.Fatal("a#2 should not inject")
 	}
@@ -267,15 +273,12 @@ func TestCountsReturnsCopy(t *testing.T) {
 }
 
 func TestMultiPlanNestedBudgetSums(t *testing.T) {
-	inner := Multi(
-		Exact(Instance{Site: "a", Occurrence: 1}),
-		Exact(Instance{Site: "b", Occurrence: 1}),
-	)
-	outer := Multi(inner, Exact(Instance{Site: "c", Occurrence: 1}))
-	if b := outer.(Budgeter).Budget(); b != 3 {
+	pair := PairInstance(Instance{Site: "a", Occurrence: 1}, Instance{Site: "b", Occurrence: 1})
+	outer := Exact(pair, Instance{Site: "c", Occurrence: 1})
+	if b := outer.Budget(); b != 3 {
 		t.Fatalf("nested budget=%d, want 3 (sum of parts)", b)
 	}
-	// Every leaf may fire once: the nested Multi is not capped at one.
+	// Every member may fire once: the pair inside is not capped at one.
 	r := NewRuntime(outer)
 	for _, site := range []string{"a", "b", "c"} {
 		if err := r.Reach(site, IO); err == nil {

@@ -107,77 +107,3 @@ func PairMembers(inst Instance) (a, b Instance, ok bool) {
 	}
 	return a, b, true
 }
-
-// PairPlan arms k ranked pair candidates for one round. The first reach
-// matching any armed member commits the round to the best-ranked pair
-// containing that member; from then on only the committed pair's other
-// member may fire, so the round carries exactly the two faults of one
-// pair (or one, if injecting the first member steers execution away from
-// the second). The plan is stateful — build a fresh one per trial run.
-type PairPlan struct {
-	pairs     [][2]Instance // rank order, best first
-	committed int           // index into pairs, -1 until the first member fires
-	fired     [2]bool
-	needs
-}
-
-// PairWindow returns a plan arming the given pairs, best-ranked first.
-func PairWindow(pairs [][2]Instance) *PairPlan {
-	p := &PairPlan{pairs: pairs, committed: -1}
-	for i := range pairs {
-		p.needs |= needs(pairs[i][0].features() | pairs[i][1].features())
-	}
-	return p
-}
-
-// matchMember reports whether a reach matches one member instance.
-func matchMember(m Instance, site string, occ int, path string) bool {
-	if m.Path != "" {
-		return path != "" && m.Path == path
-	}
-	return m.Site == site && m.Occurrence == occ
-}
-
-func (p *PairPlan) decide(site string, occ int, path string) bool {
-	if p.committed >= 0 {
-		pr := &p.pairs[p.committed]
-		for i := 0; i < 2; i++ {
-			if !p.fired[i] && matchMember(pr[i], site, occ, path) {
-				p.fired[i] = true
-				return true
-			}
-		}
-		return false
-	}
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if matchMember(p.pairs[i][j], site, occ, path) {
-				p.committed = i
-				p.fired[j] = true
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Decide implements Plan for occurrence-addressed members.
-func (p *PairPlan) Decide(site string, occ int) bool { return p.decide(site, occ, "") }
-
-// DecidePath implements PathDecider for path-addressed members.
-func (p *PairPlan) DecidePath(site string, occ int, path string) bool {
-	return p.decide(site, occ, path)
-}
-
-// Budget implements Budgeter: a pair round injects up to two faults.
-func (p *PairPlan) Budget() int { return 2 }
-
-// Reset implements Resetter: uncommits the plan for a fresh trial.
-func (p *PairPlan) Reset() {
-	p.committed = -1
-	p.fired = [2]bool{}
-}
-
-// Committed reports which armed pair (by rank index) the run committed
-// to, once any member has fired.
-func (p *PairPlan) Committed() (int, bool) { return p.committed, p.committed >= 0 }

@@ -5,7 +5,7 @@ package inject_test
 // executed semantics are fuzzed, not just the plan bookkeeping:
 //
 //   - a window mixing partial pseudo-sites with dotted error-return sites
-//     never panics, and Decide is idempotent across both site shapes;
+//     never panics;
 //   - a fired short-write or enospc-after persists exactly the documented
 //     prefix — at most, and for nonempty payloads strictly less than, the
 //     payload the caller handed the disk;
@@ -64,17 +64,6 @@ func FuzzPartialPlan(f *testing.F) {
 		plan := inject.Window(cands)
 		if got := inject.NewRuntime(plan).Active(inject.PartialFaults); got != carries {
 			t.Fatalf("plan activates PartialFaults=%v, candidates carry partial: %v", got, carries)
-		}
-
-		// Decide is pure across both site shapes: repeated consultation
-		// with identical arguments agrees.
-		for _, b := range candBytes {
-			for _, site := range []string{fmt.Sprintf("d.s%d", b%3), fuzzPartialSite(b)} {
-				occ := int(b>>3)%8 + 1
-				if plan.Decide(site, occ) != plan.Decide(site, occ) {
-					t.Fatalf("Decide(%s,%d) not idempotent", site, occ)
-				}
-			}
 		}
 
 		// Drive a real disk under the mixed plan. The plan carries partial

@@ -138,12 +138,3 @@ func ParsePathAddr(s string) (PathAddr, bool) {
 	a.Site, a.N = site, n
 	return a, true
 }
-
-// PathDecider is implemented by plans that can match the path form of a
-// reach. Under path addressing the Runtime dispatches to DecidePath with
-// the reach's canonical path string (and still passes the global
-// occurrence, so occurrence-addressed candidates keep matching inside
-// mixed plans).
-type PathDecider interface {
-	DecidePath(site string, occurrence int, path string) bool
-}

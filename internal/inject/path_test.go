@@ -110,63 +110,45 @@ func TestPairInstanceRoundTrip(t *testing.T) {
 	}
 }
 
-// countingPlan records every Decide consultation; used to pin the
-// uniform short-circuit: after the round's budget is spent, no fault
-// class consults the plan again.
-type countingPlan struct {
-	calls  int
-	target Instance
-}
-
-func (p *countingPlan) Decide(site string, occ int) bool {
-	p.calls++
-	return site == p.target.Site && occ == p.target.Occurrence
-}
-
 // TestUniformDecideShortCircuit: one Decide stream per round, shared by
 // error sites and env pseudo-sites. Once the budget is spent on either
-// class, reaches of the other class must not consult the plan.
+// class, reaches of the other class must not consult the plan — they are
+// not injection requests, so Decisions() stops counting.
 func TestUniformDecideShortCircuit(t *testing.T) {
 	envSite := PseudoSiteID(EnvCrash, "n1", "")
 
 	t.Run("site injection silences env reaches", func(t *testing.T) {
-		p := &countingPlan{target: Instance{Site: "a.x", Occurrence: 1}}
-		r := NewRuntime(p)
+		r := NewRuntime(Exact(Instance{Site: "a.x", Occurrence: 1}))
 		r.Enable(EnvFaults)
 		if err := r.Reach("a.x", IO); err == nil {
 			t.Fatal("target reach did not inject")
 		}
-		before := p.calls
+		before, _ := r.Decisions()
 		if _, ok := r.ReachPseudo(envSite, 0); ok {
 			t.Fatal("env reach injected after the budget was spent")
 		}
 		if err := r.Reach("a.x", IO); err != nil {
 			t.Fatal("second site reach injected after the budget was spent")
 		}
-		if p.calls != before {
-			t.Fatalf("plan consulted %d more times after the budget was spent", p.calls-before)
+		if n, _ := r.Decisions(); n != before {
+			t.Fatalf("plan consulted %d more times after the budget was spent", n-before)
 		}
 	})
 
 	t.Run("env injection silences site reaches", func(t *testing.T) {
-		p := &countingPlan{target: Instance{Site: envSite, Occurrence: 1}}
-		r := NewRuntime(p)
-		r.Enable(EnvFaults)
+		r := NewRuntime(Exact(Instance{Site: envSite, Occurrence: 1}))
 		if _, ok := r.ReachPseudo(envSite, 0); !ok {
 			t.Fatal("target env reach did not inject")
 		}
-		before := p.calls
+		before, _ := r.Decisions()
 		if err := r.Reach("a.x", IO); err != nil {
 			t.Fatal("site reach injected after the budget was spent")
 		}
 		if _, ok := r.ReachPseudo(envSite, 0); ok {
 			t.Fatal("second env reach injected after the budget was spent")
 		}
-		if p.calls != before {
-			t.Fatalf("plan consulted %d more times after the budget was spent", p.calls-before)
-		}
 		if n, _ := r.Decisions(); n != before {
-			t.Fatalf("Decisions()=%d, want %d (short-circuited reaches are not requests)", n, before)
+			t.Fatalf("plan consulted %d more times after the budget was spent", n-before)
 		}
 	})
 }
@@ -175,11 +157,10 @@ func TestUniformDecideShortCircuit(t *testing.T) {
 // to one pair, only that pair's other member may then fire, and Reset
 // restores the plan for a fresh trial.
 func TestPairPlanCommitAndReset(t *testing.T) {
-	pairs := [][2]Instance{
-		{{Site: "a.x", Occurrence: 1}, {Site: "b.y", Occurrence: 2}},
-		{{Site: "c.z", Occurrence: 1}, {Site: "b.y", Occurrence: 1}},
-	}
-	p := PairWindow(pairs)
+	p := Window([]Instance{
+		PairInstance(Instance{Site: "a.x", Occurrence: 1}, Instance{Site: "b.y", Occurrence: 2}),
+		PairInstance(Instance{Site: "c.z", Occurrence: 1}, Instance{Site: "b.y", Occurrence: 1}),
+	})
 	if p.Budget() != 2 {
 		t.Fatalf("Budget()=%d, want 2", p.Budget())
 	}
@@ -187,28 +168,28 @@ func TestPairPlanCommitAndReset(t *testing.T) {
 		t.Fatal("committed before any member fired")
 	}
 	// b.y#1 is a member of the second pair only.
-	if !p.Decide("b.y", 1) {
+	if !p.Decide("b.y", 1, "") {
 		t.Fatal("first member of pair 1 did not fire")
 	}
 	if idx, ok := p.Committed(); !ok || idx != 1 {
 		t.Fatalf("Committed()=(%d,%v), want (1,true)", idx, ok)
 	}
 	// Members of the uncommitted pair are dead now.
-	if p.Decide("a.x", 1) || p.Decide("b.y", 2) {
+	if p.Decide("a.x", 1, "") || p.Decide("b.y", 2, "") {
 		t.Fatal("member of an uncommitted pair fired after commit")
 	}
 	// The committed member does not fire twice.
-	if p.Decide("b.y", 1) {
+	if p.Decide("b.y", 1, "") {
 		t.Fatal("same member fired twice")
 	}
-	if !p.Decide("c.z", 1) {
+	if !p.Decide("c.z", 1, "") {
 		t.Fatal("other member of the committed pair did not fire")
 	}
 	p.Reset()
 	if _, ok := p.Committed(); ok {
 		t.Fatal("Reset did not uncommit")
 	}
-	if !p.Decide("a.x", 1) {
+	if !p.Decide("a.x", 1, "") {
 		t.Fatal("after Reset the first pair cannot commit")
 	}
 }

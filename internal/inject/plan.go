@@ -1,0 +1,162 @@
+package inject
+
+// Plan is a round's armed window: candidates in rank order, best first,
+// each holding one or more member instances. One rule decides every reach:
+// the first member reached commits the round to the best-ranked candidate
+// containing it, and from then on only that candidate's unfired members may
+// fire. A window of single instances is thus the flexible priority window
+// of §5.2.5 (first reach wins); a candidate of two members carries the two
+// faults of one pair (or one, if injecting the first steers execution away
+// from the second); Exact's one candidate is a reproduction script. A plan
+// holds its run's commit until the next run's NewRuntime Resets it.
+type Plan struct {
+	members  []member         // every candidate's members, flattened in rank order
+	byOcc    map[occKey]int32 // occurrence-addressed member -> its first index in members
+	byPath   map[string]int32 // path-addressed member -> its first index in members
+	features Features
+	budget   int
+	lo, hi   int // members[lo:hi] is the committed candidate; empty until a member fires
+}
+
+type member struct {
+	inst  Instance
+	cand  int32
+	fired bool
+}
+
+// matches reports whether a reach is this member: by path when the member
+// is path-addressed (never "", the path of occurrence mode), else by
+// (site, occurrence).
+func (m *member) matches(site string, occ int, path string) bool {
+	if m.inst.Path != "" {
+		return m.inst.Path == path
+	}
+	return m.inst.Site == site && m.inst.Occurrence == occ
+}
+
+type occKey struct {
+	site string
+	occ  int
+}
+
+func newPlan(n int) *Plan {
+	return &Plan{members: make([]member, 0, n), byOcc: make(map[occKey]int32, n)}
+}
+
+// arm adds inst to candidate cand — a pair instance as its two members —
+// and returns how many members that was.
+func (p *Plan) arm(cand int, inst Instance) int {
+	if a, b, ok := PairMembers(inst); ok {
+		p.add(cand, a)
+		p.add(cand, b)
+		return 2
+	}
+	p.add(cand, inst)
+	return 1
+}
+
+// add appends one member. The indexes keep a member's first position,
+// which is its best-ranked candidate.
+func (p *Plan) add(cand int, m Instance) {
+	i := int32(len(p.members))
+	p.members = append(p.members, member{inst: m, cand: int32(cand)})
+	p.features |= m.features()
+	if k := (occKey{m.Site, m.Occurrence}); m.Path == "" {
+		if _, dup := p.byOcc[k]; !dup {
+			p.byOcc[k] = i
+		}
+	} else if _, dup := p.byPath[m.Path]; !dup {
+		if p.byPath == nil {
+			p.byPath = make(map[string]int32, cap(p.members))
+		}
+		p.byPath[m.Path] = i
+	}
+}
+
+// Window returns a plan arming the given candidates, best-ranked first:
+// whichever is reached first is the round's injection. Single and pair
+// instances may share a window.
+func Window(candidates []Instance) *Plan {
+	p := newPlan(len(candidates))
+	for i, c := range candidates {
+		p.budget = max(p.budget, p.arm(i, c))
+	}
+	return p
+}
+
+// Exact returns a plan injecting at every given instance — the
+// deterministic reproduction script of step 4.a in the workflow. It is a
+// window of one candidate whose members are the instances (a pair instance
+// contributing its two), so each fires at most once, in whatever order
+// the run reaches them.
+func Exact(insts ...Instance) *Plan {
+	p := newPlan(len(insts))
+	for _, inst := range insts {
+		p.budget += p.arm(0, inst)
+	}
+	return p
+}
+
+// Decide is consulted on every reach until the round's budget is spent;
+// returning true injects a fault at this exact reach. path is the reach's
+// canonical path string under PathAddressing and "" otherwise, so a
+// path-addressed member never matches in occurrence mode while an
+// occurrence-addressed one matches in both.
+func (p *Plan) Decide(site string, occ int, path string) bool {
+	if p.hi > p.lo {
+		for i := p.lo; i < p.hi; i++ {
+			if m := &p.members[i]; !m.fired && m.matches(site, occ, path) {
+				m.fired = true
+				return true
+			}
+		}
+		return false
+	}
+	i, ok := p.byOcc[occKey{site, occ}]
+	if path != "" {
+		if j, hit := p.byPath[path]; hit && (!ok || j < i) {
+			i, ok = j, true
+		}
+	}
+	if !ok {
+		return false
+	}
+	cand := p.members[i].cand
+	p.lo, p.hi = int(i), int(i)+1
+	for p.lo > 0 && p.members[p.lo-1].cand == cand {
+		p.lo--
+	}
+	for p.hi < len(p.members) && p.members[p.hi].cand == cand {
+		p.hi++
+	}
+	p.members[i].fired = true
+	return true
+}
+
+// Budget is the most faults one round of the plan can inject: the most
+// members of any candidate (1 for a window of single instances, as in the
+// paper; 2 once it arms a pair).
+func (p *Plan) Budget() int { return p.budget }
+
+// Features are what the plan's members need of the run that executes it,
+// fixed at construction. A runtime starts with them active, so replaying a
+// script needs no flag.
+func (p *Plan) Features() Features { return p.features }
+
+// Committed reports which candidate (by rank index) the run committed to,
+// once any member has fired.
+func (p *Plan) Committed() (int, bool) {
+	if p.hi == p.lo {
+		return 0, false
+	}
+	return int(p.members[p.lo].cand), true
+}
+
+// Reset uncommits the plan: the next run starts a fresh trial instead of
+// replaying half-spent decision state.
+func (p *Plan) Reset() {
+	for i := p.lo; i < p.hi; i++ {
+		p.members[i].fired = false
+	}
+	p.lo, p.hi = 0, 0
+}

@@ -130,21 +130,10 @@ func TestPseudoGrammarProperties(t *testing.T) {
 	}
 }
 
-// opaquePlan and opaquePathPlan are plans from outside the package: they
-// cannot declare their needs.
-type opaquePlan struct{}
-
-func (opaquePlan) Decide(string, int) bool { return false }
-
-type opaquePathPlan struct{ opaquePlan }
-
-func (opaquePathPlan) DecidePath(string, int, string) bool { return false }
-
-// TestPlanNeeds pins the activation rule: a built-in plan needs exactly
-// the features its instances use (a path needs PathAddressing, an env/ or
-// partial/ site its family — whichever index the plan files the instance
-// under), nil needs nothing, and an unknown plan is assumed to carry env
-// and partial instances and to use paths iff it is a PathDecider.
+// TestPlanNeeds pins the activation rule: a plan needs exactly the
+// features its members use (a path needs PathAddressing, an env/ or
+// partial/ site its family — whichever index the plan files the member
+// under, and a pair through its two members), and nil needs nothing.
 func TestPlanNeeds(t *testing.T) {
 	site := Instance{Site: "a.x", Occurrence: 1}
 	sitePath := Instance{Site: "a.x", Path: "r>a.x#1"}
@@ -155,7 +144,7 @@ func TestPlanNeeds(t *testing.T) {
 
 	cases := []struct {
 		name string
-		plan Plan
+		plan *Plan
 		want Features
 	}{
 		{"nil", nil, 0},
@@ -170,19 +159,16 @@ func TestPlanNeeds(t *testing.T) {
 		{"window mixed", Window([]Instance{site, env, part}), EnvFaults | PartialFaults},
 		{"window env path", Window([]Instance{envPath}), EnvFaults | PathAddressing},
 		{"window partial path", Window([]Instance{site, partPath}), PartialFaults | PathAddressing},
-		{"multi", Multi(nil, Exact(site), Window([]Instance{part}), Multi(Exact(envPath))), EnvFaults | PartialFaults | PathAddressing},
-		{"multi site-only", Multi(Exact(site), nil), 0},
-		{"multi unknown", Multi(Exact(site), opaquePlan{}), EnvFaults | PartialFaults},
-		{"pair site", PairWindow([][2]Instance{{site, site}}), 0},
-		{"pair env", PairWindow([][2]Instance{{site, env}}), EnvFaults},
-		{"pair env path", PairWindow([][2]Instance{{sitePath, envPath}}), EnvFaults | PathAddressing},
-		{"pair partial path", PairWindow([][2]Instance{{site, site}, {site, partPath}}), PartialFaults | PathAddressing},
-		{"unknown plan", opaquePlan{}, EnvFaults | PartialFaults},
-		{"unknown path decider", opaquePathPlan{}, EnvFaults | PartialFaults | PathAddressing},
+		{"multi", Exact(site, part, envPath), EnvFaults | PartialFaults | PathAddressing},
+		{"multi site-only", Exact(site, site), 0},
+		{"pair site", Window([]Instance{PairInstance(site, site)}), 0},
+		{"pair env", Window([]Instance{PairInstance(site, env)}), EnvFaults},
+		{"pair env path", Window([]Instance{PairInstance(sitePath, envPath)}), EnvFaults | PathAddressing},
+		{"pair partial path", Window([]Instance{PairInstance(site, site), PairInstance(sitePath, partPath)}), PartialFaults | PathAddressing},
 	}
 	for _, c := range cases {
-		if got := needsOf(c.plan); got != c.want {
-			t.Errorf("%s: needs %03b, want %03b", c.name, got, c.want)
+		if c.plan != nil && c.plan.Features() != c.want {
+			t.Errorf("%s: needs %03b, want %03b", c.name, c.plan.Features(), c.want)
 		}
 		r := NewRuntime(c.plan)
 		for _, f := range []Features{EnvFaults, PartialFaults, PathAddressing} {
@@ -202,13 +188,13 @@ func TestPathAddressedPseudoInstanceSelfActivates(t *testing.T) {
 	other := Instance{Site: "a.x", Occurrence: 99}
 	for _, site := range []string{"env/crash/zk1", "partial/disk/torn-rename/dfs.rename"} {
 		inst := Instance{Site: site, Occurrence: 1, Path: site + "#1"}
-		plans := map[string]func() Plan{
-			"Exact":      func() Plan { return Exact(inst) },
-			"Window":     func() Plan { return Window([]Instance{other, inst}) },
-			"PairWindow": func() Plan { return PairWindow([][2]Instance{{other, inst}}) },
+		plans := map[string]*Plan{
+			"Exact":       Exact(inst),
+			"Window":      Window([]Instance{other, inst}),
+			"pair Window": Window([]Instance{PairInstance(other, inst)}),
 		}
-		for name, build := range plans {
-			f, ok := NewRuntime(build()).ReachPseudo(site, 7)
+		for name, plan := range plans {
+			f, ok := NewRuntime(plan).ReachPseudo(site, 7)
 			if !ok {
 				t.Errorf("%s of path-addressed %s did not inject", name, site)
 				continue

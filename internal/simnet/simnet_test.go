@@ -9,7 +9,7 @@ import (
 	"anduril/internal/logging"
 )
 
-func newNet(plan inject.Plan) (*des.Sim, *inject.Runtime, *Net) {
+func newNet(plan *inject.Plan) (*des.Sim, *inject.Runtime, *Net) {
 	sim := des.New(7)
 	fi := inject.NewRuntime(plan)
 	lg := logging.New(sim)

@@ -1,9 +1,9 @@
-// Package toy is a deliberately small service used to demonstrate the
-// iterative multi-fault extension (the paper's §6 limitation 2 / future
-// work): its failure needs TWO causally-independent faults — a degraded
-// disk subsystem AND a network flake while degraded — before the symptom
-// appears. Single-fault search cannot reproduce it; the iterative mode
-// bakes in the best partial fault and finds the second.
+// Package toy is a deliberately small service whose failure is beyond the
+// paper's single-fault scope (§6 limitation 2): it needs TWO
+// causally-independent faults — a degraded disk subsystem AND a network
+// flake while degraded — before the symptom appears. Single-fault search
+// cannot reproduce it; the pair fault class, which arms two faults in one
+// round, does.
 package toy
 
 import (

@@ -37,9 +37,9 @@ func TestSingleFaultsAreTolerated(t *testing.T) {
 }
 
 func TestTwoFaultsInWindowKillService(t *testing.T) {
-	plan := inject.Multi(
-		inject.Exact(inject.Instance{Site: "toy.scrub-store", Occurrence: 2}),
-		inject.Exact(inject.Instance{Site: "toy.ping-peer", Occurrence: 2}),
+	plan := inject.Exact(
+		inject.Instance{Site: "toy.scrub-store", Occurrence: 2},
+		inject.Instance{Site: "toy.ping-peer", Occurrence: 2},
 	)
 	r := cluster.Execute(1, plan, false, Workload, Horizon)
 	if !r.LogContains("unrecoverable state") {
@@ -49,9 +49,9 @@ func TestTwoFaultsInWindowKillService(t *testing.T) {
 
 func TestTwoFaultsOutsideWindowTolerated(t *testing.T) {
 	// The ping fault lands after the repair pass cleared the degradation.
-	plan := inject.Multi(
-		inject.Exact(inject.Instance{Site: "toy.scrub-store", Occurrence: 2}),
-		inject.Exact(inject.Instance{Site: "toy.ping-peer", Occurrence: 6}),
+	plan := inject.Exact(
+		inject.Instance{Site: "toy.scrub-store", Occurrence: 2},
+		inject.Instance{Site: "toy.ping-peer", Occurrence: 6},
 	)
 	r := cluster.Execute(1, plan, false, Workload, Horizon)
 	if r.LogContains("unrecoverable state") {

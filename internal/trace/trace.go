@@ -1,5 +1,5 @@
 // Package trace is a structured, deterministic event stream for one
-// explorer search (core.Reproduce / core.ReproduceIterative call).
+// explorer search (one core.Reproduce call, or its core.Resume).
 //
 // The explorer's search state — observable priorities I_k, site priorities
 // F_i, flexible-window growth, per-round injection decisions and feedback
