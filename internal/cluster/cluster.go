@@ -97,8 +97,7 @@ func NewEnv(seed int64, plan *inject.Plan) *Env {
 		return "main"
 	}
 	fi.Now = sim.Now
-	fi.PathID = sim.CurPath
-	fi.PathPrefix = sim.PathString
+	fi.Paths = sim
 	if fi.Active(inject.PathAddressing) {
 		// Replaying a path-addressed script needs no flag: the plan itself
 		// proves paths are required.
@@ -118,7 +117,7 @@ type ExecOption func(*Env)
 // With opts the round into optional runtime features: env and partial
 // pseudo-sites are counted (and can be injected at), and under path
 // addressing the kernel tracks the distributed call tree so every reach
-// is assigned a canonical PathAddr string (inject.TraceEvent.Path). All
+// is assigned its path identity (inject.TraceEvent.Addr). All
 // are off by default so rounds that do not use them keep byte-identical
 // traces; a plan's own instances activate what they need (see
 // inject.Features), so this option matters for free runs and mixed

@@ -270,7 +270,7 @@ func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteS
 			if sa.class == envClass && sb.class == envClass {
 				continue
 			}
-			if st := pairSite(sa, sb, near[i], near[i+k]); st != nil {
+			if st := e.pairSite(sa, sb, near[i], near[i+k]); st != nil {
 				out = append(out, st)
 			}
 		}
@@ -287,7 +287,7 @@ func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteS
 // nearB are the members' nearestObs distances, parallel to their
 // instances; their sum is the pair instance's temporal score. Returns nil
 // when no instance combination exists.
-func pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState {
+func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState {
 	st := &siteState{
 		id:      inject.PairSiteID(sa.id, sb.id),
 		class:   pairClass,
@@ -311,8 +311,8 @@ func pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState {
 		for bi := bStart; bi < len(sb.instances); bi++ {
 			b := sb.instances[bi]
 			pi := inject.PairInstance(
-				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: a.path},
-				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: b.path},
+				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: e.pathOf(sa, a)},
+				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: e.pathOf(sb, b)},
 			)
 			pi.Occurrence = len(st.instances) + 1
 			logPos, alignedPos := a.logPos, a.alignedPos

@@ -28,9 +28,9 @@ type observable struct {
 type instance struct {
 	occ        int
 	logPos     int
-	alignedPos float64 // position mapped onto the failure-log timeline
-	path       string  // canonical PathAddr string (path addressing only)
-	amp        int     // observed amplitude (partial pseudo-sites only)
+	alignedPos float64        // position mapped onto the failure-log timeline
+	addr       inject.PathKey // path identity in the free run (path addressing only)
+	amp        int            // observed amplitude (partial pseudo-sites only)
 
 	// pairT is a pair instance's temporal score (unused otherwise): the
 	// sum over its two members of each member's distance to the nearest
@@ -109,10 +109,14 @@ type siteState struct {
 	members   [2]*siteState
 	pairInsts []inject.Instance
 
-	// byPath maps canonical path strings to free-run occurrence identity
-	// (path addressing only): an injection run's reach is matched by path,
-	// and its tried-set entry is the free-run instance that path names.
-	byPath map[string]int
+	// byPath maps a path address's chain hash to the free-run instance it
+	// names, as an index into instances (path addressing only): an
+	// injection run's reach is matched by path, and its tried-set entry is
+	// the free-run instance that path names. paths caches, by occurrence,
+	// the canonical strings rendered so far — only instances that were
+	// armed into a window or enumerated as a pair member ever have one.
+	byPath map[uint64]int32
+	paths  map[int]string
 
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
@@ -409,6 +413,26 @@ func isInterrupted(err error) bool {
 	return errors.As(err, &te) && te.Class == cluster.ClassInterrupted
 }
 
+// pathOf is the canonical path string of a free-run instance ("" outside
+// path addressing), rendered from the free run's retained call tree the
+// first time it is asked for and cached on the site: the engine holds
+// identities, and a string exists only for an instance on its way to the
+// wire — armed into a window, or enumerated as a pair member.
+func (e *engine) pathOf(s *siteState, inst instance) string {
+	if inst.addr.N == 0 {
+		return ""
+	}
+	path, ok := s.paths[inst.occ]
+	if !ok {
+		if s.paths == nil {
+			s.paths = make(map[int]string)
+		}
+		path = e.freeRes.Env.FI.PathOf(s.id, inst.addr)
+		s.paths[inst.occ] = path
+	}
+	return path
+}
+
 // failureClass maps a trial error to its (class, detail) pair.
 func failureClass(err error) (string, string) {
 	var te *cluster.TrialError
@@ -482,7 +506,7 @@ func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Inst
 		// whichever member was reached first.
 		rd.Injected = nil
 		if ev, ok := res.Env.FI.Injected(); ok {
-			inst := inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence, Path: ev.Path}
+			inst := inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence, Path: res.Env.FI.PathOf(ev.Site, ev.Addr)}
 			if idx, _ := plan.Committed(); inject.IsPairSite(candidates[idx].Site) {
 				inst = candidates[idx]
 			}
@@ -545,10 +569,15 @@ func (e *engine) markTried(inst inject.Instance) {
 	occ := inst.Occurrence
 	// A path-addressed injection reports the run-local occurrence of the
 	// reach; the tried set is keyed by the free-run identity, so resolve
-	// the canonical path back through the site's path index (nil, so never
-	// matching, outside path addressing and for pair sites).
-	if o, found := s.byPath[inst.Path]; found {
-		occ = o
+	// the canonical path back through the site's path index (empty outside
+	// path addressing and for pair sites): by hash, then — a hash is not
+	// an identity — confirmed against the free-run instance's own string.
+	if len(s.byPath) > 0 {
+		if h, ok := inject.PathHash(inst.Path); ok {
+			if i, found := s.byPath[h]; found && e.pathOf(s, s.instances[i]) == inst.Path {
+				occ = s.instances[i].occ
+			}
+		}
 	}
 	if s.tried.Add(occ) && s.class == siteClass {
 		e.triedSite++

@@ -41,7 +41,7 @@ func (p *Prepared) ExhaustSingleFaults() {
 			continue
 		}
 		for _, inst := range s.instances {
-			p.e.markTried(candidateFor(s, inst))
+			p.e.markTried(p.e.candidateFor(s, inst))
 		}
 	}
 }
@@ -63,20 +63,20 @@ func (p *Prepared) PairScores(visit func(pair inject.Instance, memo, recomputed 
 		for i, inst := range s.instances {
 			a, b, _ := inject.PairMembers(s.pairInsts[i])
 			visit(s.pairInsts[i], inst.pairT,
-				p.e.nearestObs(memberPos(s, a))+p.e.nearestObs(memberPos(s, b)))
+				p.e.nearestObs(p.e.memberPos(s, a))+p.e.nearestObs(p.e.memberPos(s, b)))
 		}
 	}
 }
 
 // memberPos finds a decoded pair member among the pair site's member
 // sites and returns its aligned position (NaN when it names no instance).
-func memberPos(s *siteState, m inject.Instance) float64 {
+func (e *engine) memberPos(s *siteState, m inject.Instance) float64 {
 	for _, ms := range s.members {
 		if ms.id != m.Site {
 			continue
 		}
 		for _, inst := range ms.instances {
-			if (m.Path != "" && inst.path == m.Path) || (m.Path == "" && inst.occ == m.Occurrence) {
+			if (m.Path != "" && e.pathOf(ms, inst) == m.Path) || (m.Path == "" && inst.occ == m.Occurrence) {
 				return inst.alignedPos
 			}
 		}

@@ -53,25 +53,31 @@ func quickstartTrace(t *testing.T) []byte {
 func TestGoldenTraceQuickstart(t *testing.T) {
 	got := quickstartTrace(t)
 
+	compareGolden(t, goldenTracePath, got)
+}
+
+// compareGolden holds a trace to the golden file at path — or, under
+// -update, rewrites the file. On a mismatch both streams are decoded for a
+// readable event-level diff before failing.
+func compareGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenTracePath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenTracePath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden trace updated: %s (%d bytes)", goldenTracePath, len(got))
+		t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
 		return
 	}
-
-	want, err := os.ReadFile(goldenTracePath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden trace (run with -update to create it): %v", err)
 	}
 	if bytes.Equal(got, want) {
 		return
 	}
-	// Decode both streams for a readable event-level diff before failing.
 	gotEv, gerr := trace.ReadAll(bytes.NewReader(got))
 	wantEv, werr := trace.ReadAll(bytes.NewReader(want))
 	if gerr != nil || werr != nil {
@@ -81,7 +87,7 @@ func TestGoldenTraceQuickstart(t *testing.T) {
 		t.Error(d)
 	}
 	t.Fatalf("trace differs from %s (%d vs %d events); rerun with -update if the change is intentional",
-		goldenTracePath, len(gotEv), len(wantEv))
+		path, len(gotEv), len(wantEv))
 }
 
 // The trace must be identical across repeated in-process runs: no map

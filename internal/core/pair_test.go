@@ -12,7 +12,6 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"testing"
 
 	"anduril/internal/core"
@@ -83,31 +82,7 @@ func TestPairGoldenTraces(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			got := pairTrace(t, id)
-			path := fmt.Sprintf("testdata/%s.trace.jsonl", id)
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read golden trace (run with -update to create it): %v", err)
-			}
-			if bytes.Equal(got, want) {
-				return
-			}
-			gotEv, gerr := trace.ReadAll(bytes.NewReader(got))
-			wantEv, werr := trace.ReadAll(bytes.NewReader(want))
-			if gerr != nil || werr != nil {
-				t.Fatalf("trace differs from golden and does not decode: got err %v, want err %v", gerr, werr)
-			}
-			for _, d := range trace.Diff(wantEv, gotEv, 10) {
-				t.Error(d)
-			}
-			t.Fatalf("trace differs from %s (%d vs %d events); rerun with -update if intentional",
-				path, len(gotEv), len(wantEv))
+			compareGolden(t, fmt.Sprintf("testdata/%s.trace.jsonl", id), got)
 		})
 	}
 }

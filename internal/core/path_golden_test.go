@@ -1,0 +1,89 @@
+package core_test
+
+// Path mode's wire, pinned across commits. TestPathAddressing* assert only
+// that two runs of one binary agree; these goldens were generated at the
+// commit BEFORE path addresses became chain hashes (PR 17) and must pass
+// unchanged at every commit after it: how a path-addressed reach is matched
+// is an implementation detail, the canonical strings on the wire are not.
+//
+// Regenerate after an intentional explorer change with:
+//
+//	go test ./internal/core -run TestPathGoldenTraces -update
+
+import (
+	"fmt"
+	"testing"
+
+	"anduril/internal/core"
+	"anduril/internal/failures"
+	"anduril/internal/trace"
+)
+
+// pathGoldenIDs are one failure per shape path addressing has to carry:
+// f1 (zk one-way Send chains, depth 1198), f4 (depth 468), f23 (an env
+// pseudo-site root), f26 (dyn), f30 (pair members) and f33 (a partial
+// pseudo-site root).
+var pathGoldenIDs = []string{"f1", "f4", "f23", "f26", "f30", "f33"}
+
+func TestPathGoldenTraces(t *testing.T) {
+	for _, id := range pathGoldenIDs {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			sc, _ := failures.ByID(id)
+			rep, got := pathReproduce(t, sc)
+			if !rep.Reproduced {
+				t.Fatalf("%s not reproduced under path addressing in %d rounds", id, rep.Rounds)
+			}
+			compareGolden(t, fmt.Sprintf("testdata/%s.path.trace.jsonl", id), got)
+		})
+	}
+}
+
+// TestPathResumeFromParentCheckpoint: testdata/f25.path.r40.ck.json was
+// written by the parent commit's cmd/anduril (-failure f25 -addressing path
+// -checkpoint … -stop-after 40), whose tried sets were recorded through a
+// string-keyed path index. Resumed here, the search must emit exactly the
+// trace suffix and final report of an uninterrupted run: the checkpoint
+// format (v3) and the identities in it did not move.
+func TestPathResumeFromParentCheckpoint(t *testing.T) {
+	tgt := target(t, "f25")
+	// TrackRank because the CLI that wrote the checkpoint always sets it.
+	base := core.Options{Seed: 1, MaxRounds: 500, Addressing: core.AddrPath, TrackRank: true}
+
+	var full trace.Memory
+	optsFull := base
+	optsFull.Trace = &full
+	repFull := core.Reproduce(tgt, optsFull)
+	if !repFull.Reproduced || repFull.Rounds <= 40 {
+		t.Fatalf("f25 baseline: reproduced=%v in %d rounds; fixture must outlive the round-40 stop", repFull.Reproduced, repFull.Rounds)
+	}
+
+	// Resume rewrites nothing here (no Options.Checkpoint), so the
+	// committed file is read-only input.
+	var rest trace.Memory
+	optsResume := base
+	optsResume.Trace = &rest
+	repRes, err := core.Resume(tgt, optsResume, "testdata/f25.path.r40.ck.json")
+	if err != nil {
+		t.Fatalf("resume from the parent's checkpoint: %v", err)
+	}
+
+	fullLines, restLines := lines(full.Events), lines(rest.Events)
+	// The interrupted prefix is the free-run event plus rounds 1–40; the
+	// resumed stream must be the rest of the full one, line for line.
+	cut := len(fullLines) - len(restLines)
+	if cut <= 0 {
+		t.Fatalf("resumed trace has %d events, full run %d", len(restLines), len(fullLines))
+	}
+	if ev := full.Events[cut]; ev.Round != 41 {
+		t.Fatalf("resumed trace starts at full-trace event %d (round %d), want the first event of round 41", cut+1, ev.Round)
+	}
+	for i, l := range restLines {
+		if l != fullLines[cut+i] {
+			t.Fatalf("resumed trace diverges at event %d:\n- %s\n+ %s", cut+i+1, fullLines[cut+i], l)
+		}
+	}
+	if got, want := normalized(t, repRes), normalized(t, repFull); got != want {
+		t.Fatalf("resumed report differs from the uninterrupted one:\n- %s\n+ %s", want, got)
+	}
+}

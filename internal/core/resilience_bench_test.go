@@ -5,8 +5,8 @@ package core_test
 // panic isolation costs nothing measurable, and the checkpointed variant
 // prices the worst-case checkpoint cadence (every round). The repository
 // benchmark (BENCHMARK.json, bench/) records the end-to-end numbers; the
-// CI alloc gates read the baseline, path-addressing, partial and pair
-// variants.
+// CI alloc gates read the baseline, path-addressing, path-deep, partial and
+// pair variants.
 
 import (
 	"path/filepath"
@@ -48,11 +48,24 @@ func BenchmarkReproduce(b *testing.B) {
 	})
 	b.Run("path-addressing", func(b *testing.B) {
 		// Same search under AddrPath: prices the per-reach path
-		// bookkeeping (context tracking, canonical-string assembly, the
-		// per-site byPath index). Recorded in BENCH_alloc_budget.json;
-		// the baseline variant above is the proof that none of it is paid
-		// in the default mode.
+		// bookkeeping (context tracking, the chain-hash fold, the per-site
+		// byPath index) and the few canonical strings a search renders.
+		// Recorded in BENCH_alloc_budget.json; the baseline variant above
+		// is the proof that none of it is paid in the default mode.
 		benchReproduce(b, "f4", func(int) core.Options {
+			return core.Options{
+				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
+				Addressing: core.AddrPath,
+			}
+		})
+	})
+	b.Run("path-deep", func(b *testing.B) {
+		// f1 under AddrPath: zk's one-way Send chains take the free run's
+		// call tree 1198 edges deep, so one canonical string is up to 26 KB
+		// and the 2667 reaches of the free run would spell 32 MB of them.
+		// The gate is on bytes as much as on allocations: a string per
+		// reach is one allocation each. Recorded in BENCH_alloc_budget.json.
+		benchReproduce(b, "f1", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				Addressing: core.AddrPath,

@@ -86,6 +86,14 @@ func checkFault(f inject.Instance) error {
 			return fmt.Errorf("site %q is not a well-formed pseudo-site", f.Site)
 		}
 	}
+	// A path is matched as the exact canonical string a run renders, so
+	// one no run renders — "a[1]>s#1" for "a>s#1", a terminal that is not
+	// the fault's own site — can never fire.
+	if f.Path != "" {
+		if addr, ok := inject.ParsePathAddr(f.Path); !ok || addr.Site != f.Site {
+			return fmt.Errorf("site %q: path %q is not a canonical path address ending at the site", f.Site, f.Path)
+		}
+	}
 	return nil
 }
 

@@ -98,6 +98,9 @@ func TestLoadScriptValidatesFaults(t *testing.T) {
 		{"pair with a bad member", `[{"Site":"pair/a.x+b.y","Occurrence":1,"Path":"a.x:0+b.y:2"}]`, "does not name two members"},
 		{"pair of an unknown env class", `[{"Site":"pair/a.x+env/melt/n1","Occurrence":1,"Path":"a.x:1+env/melt/n1:2"}]`, "not a well-formed pseudo-site"},
 		{"unknown env class", `[{"Site":"env/melt/n1","Occurrence":1}]`, "not a well-formed pseudo-site"},
+		{"non-canonical path", `[{"Site":"s","Occurrence":0,"Path":"a[1]>s#1"}]`, "not a canonical path address"},
+		{"path ending at another site", `[{"Site":"s","Occurrence":0,"Path":"a>t#1"}]`, "not a canonical path address"},
+		{"pair with a non-canonical member path", `[{"Site":"pair/s+t","Occurrence":1,"Path":"a>s#01+a>t#1"}]`, "does not name two members"},
 		{"malformed partial site", `[{"Site":"partial/disk/short-write/","Occurrence":1}]`, "not a well-formed pseudo-site"},
 	}
 	for _, c := range cases {

@@ -83,13 +83,14 @@ func (e *engine) bestUntried(s *siteState, useTemporal bool, limit int) (instanc
 
 // candidateFor renders a selected instance as the plan-facing candidate:
 // pair sites hand out their precomputed pair Instance (site, occurrence
-// AND member references), everything else a (site, occurrence) pair plus
-// the canonical path under path addressing.
-func candidateFor(s *siteState, inst instance) inject.Instance {
+// AND member references), everything else a (site, occurrence) pair plus,
+// under path addressing, the canonical path and the hash that keys it.
+func (e *engine) candidateFor(s *siteState, inst instance) inject.Instance {
 	if s.class == pairClass {
 		return s.pairInsts[inst.occ-1]
 	}
-	return inject.Instance{Site: s.id, Occurrence: inst.occ, Path: inst.path}
+	c := inject.Instance{Site: s.id, Occurrence: inst.occ, Path: e.pathOf(s, inst)}
+	return c.Keyed(inst.addr.Hash)
 }
 
 // fillWindow selects the round's candidate window from the ranked
@@ -111,7 +112,7 @@ func (e *engine) fillWindow(ranked []*siteState, window int, useTemporal bool, l
 				continue
 			}
 			if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
-				candidates = append(candidates, candidateFor(s, inst))
+				candidates = append(candidates, e.candidateFor(s, inst))
 			}
 		}
 	}
@@ -137,10 +138,7 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 				continue
 			}
 			t := e.temporalDistance(s, inst)
-			pairs = append(pairs, scoredPair{
-				inst:  candidateFor(s, inst),
-				score: (s.f + 1) * (t + 1),
-			})
+			pairs = append(pairs, scoredPair{site: s, inst: inst, score: (s.f + 1) * (t + 1)})
 		}
 	}
 	e.pairBuf = pairs
@@ -150,16 +148,18 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 	}
 	out := e.candBuf[:0]
 	for _, p := range pairs {
-		out = append(out, p.inst)
+		out = append(out, e.candidateFor(p.site, p.inst))
 	}
 	e.candBuf = out
 	return out
 }
 
-// scoredPair is a (site, occurrence) candidate with its multiply-feedback
-// score.
+// scoredPair is a (site, instance) candidate with its multiply-feedback
+// score; only the window's worth that survives the sort is rendered as a
+// plan-facing candidate.
 type scoredPair struct {
-	inst  inject.Instance
+	site  *siteState
+	inst  instance
 	score float64
 }
 
@@ -174,10 +174,10 @@ func (s pairSorter) Less(i, j int) bool {
 	if s[i].score != s[j].score {
 		return s[i].score < s[j].score
 	}
-	if s[i].inst.Site != s[j].inst.Site {
-		return s[i].inst.Site < s[j].inst.Site
+	if s[i].site != s[j].site {
+		return s[i].site.id < s[j].site.id
 	}
-	return s[i].inst.Occurrence < s[j].inst.Occurrence
+	return s[i].inst.occ < s[j].inst.occ
 }
 
 // growWindow doubles the flexible window (§5.2.5), clamped to the total

@@ -61,7 +61,7 @@ func (e *engine) setup(free *cluster.Result) {
 			occ:        ev.Occurrence,
 			logPos:     ev.LogPos,
 			alignedPos: e.align.Map(ev.LogPos),
-			path:       ev.Path,
+			addr:       ev.Addr,
 			amp:        ev.Amp,
 		})
 	}
@@ -73,18 +73,18 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	sort.Sort(sitesByID(e.sites))
 
-	// Under path addressing every free-run reach carries its canonical
-	// path; index it per site so an injection run's path-matched reach
+	// Under path addressing every free-run reach carries its path
+	// identity; index it per site so an injection run's path-matched reach
 	// resolves back to the free-run instance it names.
 	if e.o.Addressing == AddrPath {
 		for _, s := range e.sites {
 			if s.class == pairClass {
 				continue
 			}
-			s.byPath = make(map[string]int, len(s.instances))
-			for _, inst := range s.instances {
-				if inst.path != "" {
-					s.byPath[inst.path] = inst.occ
+			s.byPath = make(map[uint64]int32, len(s.instances))
+			for i, inst := range s.instances {
+				if inst.addr.N != 0 {
+					s.byPath[inst.addr.Hash] = int32(i)
 				}
 			}
 		}

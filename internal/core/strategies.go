@@ -71,7 +71,9 @@ func strategyByName(name Strategy) (*strategy, error) {
 // instance" variant. It still benefits from the causal graph (site pruning)
 // but has no dynamic prioritization. Pair pseudo-sites are excluded: the
 // queue rows model single-fault injectors, and a pair candidate needs a
-// priority-driven row's pair-plan machinery to execute.
+// priority-driven row's pair-plan machinery to execute. Under path
+// addressing the whole queue is rendered here, up front: a queue is a list
+// of plan-facing candidates, and this ablation row arms all of them.
 func exhaustiveQueue(e *engine) []inject.Instance {
 	var out []inject.Instance
 	for _, s := range e.sites {
@@ -79,7 +81,7 @@ func exhaustiveQueue(e *engine) []inject.Instance {
 			continue
 		}
 		for _, inst := range s.instances {
-			out = append(out, candidateFor(s, inst))
+			out = append(out, e.candidateFor(s, inst))
 		}
 	}
 	return out

@@ -159,7 +159,7 @@ type Sim struct {
 	pathTracking bool
 	curPath      int32 // path node of the executing event, 0 outside dispatch
 	pathNodes    []pathNode
-	pathSeq      map[pathEdgeKey]int
+	pathSeq      map[pathEdgeKey]int32
 }
 
 // New creates a simulation with a deterministic RNG seed.

@@ -5,32 +5,63 @@
 // path); a message-send edge extends the tree with PathExtend, labelling
 // the child with the sending operation's fault-site ID and a per-edge
 // sequence number. The network layer restores a caller's node on RPC
-// replies, so path depth reflects RPC nesting, not run length.
+// replies, so a request/reply exchange does not deepen the tree — but a
+// one-way Send does, and a protocol that answers one one-way message with
+// another (zk's election votes and heartbeats) grows a chain as long as
+// the run: measured, the f1 free run reaches depth 1198 and f4 468, while
+// the RPC-shaped targets (dfs, dyn, tablestore, mq, kvstore) stay at 3 or
+// less. A canonical string is therefore up to tens of KB, which is why a
+// node's identity is a hash and its string is only ever rendered on
+// demand.
+//
+// Every node carries the chain hash of its edges, folded one edge at a
+// time as the tree grows: hash(child) = PathFold(hash(parent), label, seq).
+// PathFold is a fixed function — no per-process seed — so the hash of an
+// address is the same in every run and every binary, and a consumer can
+// fold a parsed canonical string to the very value a live node carries.
 //
 // Node ids are assigned in creation order, which is deterministic for a
 // seeded run; only the canonical *strings* (stable across interleavings
 // by construction) leave the simulation.
 package des
 
-import (
-	"strconv"
-	"strings"
-)
+import "slices"
 
-// pathNode is one interior node of the call tree. str caches the
-// canonical rendering of the full prefix up to this node, built lazily
-// so runs only pay for the paths the injection runtime actually reads.
+// pathNode is one interior node of the call tree: its edge (label, seq)
+// from parent, the chain hash of the edges from the root down to it, and
+// the length of its canonical rendering, so AppendPath sizes its output
+// without a measuring walk.
 type pathNode struct {
 	parent int32
+	seq    int32
+	strLen int32
 	label  string
-	seq    int
-	str    string
+	hash   uint64
 }
 
 // pathEdgeKey keys the per-(parent, label) sequence counters.
 type pathEdgeKey struct {
 	parent int32
 	label  string
+}
+
+// PathRoot is the chain hash of the workload root, the empty path.
+const PathRoot uint64 = 0xcbf29ce484222325
+
+// PathFold extends a chain hash by one (label, n) element: a send edge and
+// its sequence number, or — folded by the injection runtime onto a node's
+// hash — a fault site and its occurrence within that context. The label
+// bytes go through FNV-1a and n through a splitmix64 finalizer; both steps
+// are bijections of h, so two different chains stay different through a
+// common suffix.
+func PathFold(h uint64, label string, n int) uint64 {
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * 0x100000001b3
+	}
+	h += uint64(n) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // EnablePathTracking switches path bookkeeping on for this run. It must
@@ -40,8 +71,8 @@ func (s *Sim) EnablePathTracking() {
 		return
 	}
 	s.pathTracking = true
-	s.pathNodes = []pathNode{{}}
-	s.pathSeq = make(map[pathEdgeKey]int)
+	s.pathNodes = []pathNode{{hash: PathRoot}}
+	s.pathSeq = make(map[pathEdgeKey]int32)
 }
 
 // PathTracking reports whether path bookkeeping is on.
@@ -61,34 +92,72 @@ func (s *Sim) PathExtend(label string) int32 {
 	}
 	k := pathEdgeKey{s.curPath, label}
 	s.pathSeq[k]++
-	s.pathNodes = append(s.pathNodes, pathNode{parent: s.curPath, label: label, seq: s.pathSeq[k]})
+	seq := s.pathSeq[k]
+	parent := &s.pathNodes[s.curPath]
+	strLen := int32(len(label))
+	if s.curPath != 0 {
+		strLen += parent.strLen + 1 // "parent>"
+	}
+	if seq != 1 {
+		strLen += 2 // "[seq]"
+		for v := seq; v > 0; v /= 10 {
+			strLen++
+		}
+	}
+	s.pathNodes = append(s.pathNodes, pathNode{
+		parent: s.curPath, seq: seq, strLen: strLen, label: label,
+		hash: PathFold(parent.hash, label, int(seq)),
+	})
 	return int32(len(s.pathNodes) - 1)
 }
 
-// PathString renders the canonical prefix of a path node: the '>'-joined
-// edge chain from the root, each edge "label" or "label[seq]" (seq
-// omitted when 1). The root renders as "".
-func (s *Sim) PathString(id int32) string {
-	if id <= 0 || int(id) >= len(s.pathNodes) {
-		return ""
+// validPath reports whether id names a non-root node of this run's tree.
+func (s *Sim) validPath(id int32) bool { return id > 0 && int(id) < len(s.pathNodes) }
+
+// PathHash returns the chain hash of a path node (PathRoot for the root,
+// an unknown id or a run without tracking).
+func (s *Sim) PathHash(id int32) uint64 {
+	if !s.validPath(id) {
+		return PathRoot
 	}
-	n := &s.pathNodes[id]
-	if n.str == "" {
-		var b strings.Builder
-		if p := s.PathString(n.parent); p != "" {
-			b.WriteString(p)
-			b.WriteByte('>')
-		}
-		b.WriteString(n.label)
-		if n.seq != 1 {
-			b.WriteByte('[')
-			b.WriteString(strconv.Itoa(n.seq))
-			b.WriteByte(']')
-		}
-		n.str = b.String()
-	}
-	return n.str
+	return s.pathNodes[id].hash
 }
+
+// AppendPath appends the canonical prefix of a path node to dst: the
+// '>'-joined edge chain from the root, each edge "label" or "label[seq]"
+// (seq omitted when 1). The root renders as "". Nothing is cached — the
+// tree is only linked upward, so the chain is written back to front into
+// space sized from the node's recorded length.
+func (s *Sim) AppendPath(dst []byte, id int32) []byte {
+	if !s.validPath(id) {
+		return dst
+	}
+	start, w := len(dst), len(dst)+int(s.pathNodes[id].strLen)
+	dst = slices.Grow(dst, w-start)[:w]
+	for ; id > 0; id = s.pathNodes[id].parent {
+		n := &s.pathNodes[id]
+		if n.seq != 1 {
+			w--
+			dst[w] = ']'
+			for v := n.seq; v > 0; v /= 10 {
+				w--
+				dst[w] = byte('0' + v%10)
+			}
+			w--
+			dst[w] = '['
+		}
+		w -= len(n.label)
+		copy(dst[w:], n.label)
+		if w > start {
+			w--
+			dst[w] = '>'
+		}
+	}
+	return dst
+}
+
+// PathString renders AppendPath as a string.
+func (s *Sim) PathString(id int32) string { return string(s.AppendPath(nil, id)) }
 
 // PostArgPath is PostArg with an explicit path context for the new event
 // instead of inheriting the dispatcher's current one. The network layer

@@ -7,6 +7,9 @@ package inject
 //     reference semantics of oracle_test.go: same decision at every reach,
 //     same commit, same budget, same features, and Reset restores the
 //     pre-run state;
+//   - a path-addressed member matches by chain hash exactly the reaches the
+//     oracle matches by string equality, whether the plan was armed from
+//     wire strings or from key-carrying instances;
 //   - a plan never fires twice for the same (site, occ) in one run;
 //   - a run never injects more faults than the plan's budget;
 //   - a multi-member Exact's budget is its number of members.
@@ -18,6 +21,8 @@ package inject
 import (
 	"fmt"
 	"testing"
+
+	"anduril/internal/des"
 )
 
 // fuzzSite maps a byte onto a small site alphabet so reach sequences
@@ -27,23 +32,46 @@ func fuzzSite(b byte) string { return fmt.Sprintf("s%d", b%6) }
 // fuzzOcc maps a byte onto a small 1-based occurrence range.
 func fuzzOcc(b byte) int { return int(b%8) + 1 }
 
-// reach is one consultation of a plan: the site, its occurrence and the
-// canonical path the runtime would hand Decide under path addressing.
+// reach is one consultation of a plan: the site, its occurrence, the
+// PathKey the runtime would hand Decide under path addressing — and the
+// canonical string that key renders to, which is all the oracle sees.
 type reach struct {
 	site string
 	occ  int
 	path string
+	at   PathKey
+}
+
+// fuzzTree is the call tree behind every fuzzed reach: the root and two
+// send edges from it, node 1 "e" and node 2 "e[2]".
+var fuzzTree = func() *des.Sim {
+	sim := des.New(1)
+	sim.EnablePathTracking()
+	sim.PathExtend("e")
+	sim.PathExtend("e")
+	return sim
+}()
+
+// reachAt is the reach of site's occ-th occurrence in the context of
+// fuzzTree's node: keyed the way Runtime.address does it, and — without
+// consulting the tree — spelled the way PathAddr.String does it.
+func reachAt(site string, occ int, node int32) reach {
+	addr := PathAddr{Site: site, N: occ}
+	if node > 0 {
+		addr.Edges = []PathEdge{{Label: "e", Seq: int(node)}}
+	}
+	at := PathKey{Hash: des.PathFold(fuzzTree.PathHash(node), site, occ), Node: node, N: int32(occ)}
+	return reach{site, occ, addr.String(), at}
 }
 
 // fuzzReach maps a byte onto a reach of the small alphabet; the top bits
 // pick the call-path context, root or one of two non-root edges.
 func fuzzReach(b byte) reach {
-	site, occ := fuzzSite(b), fuzzOcc(b>>3)
-	addr := PathAddr{Site: site, N: occ}
-	if ctx := int(b >> 6); ctx > 1 {
-		addr.Edges = []PathEdge{{Label: "e", Seq: ctx - 1}}
+	node := int32(0)
+	if ctx := int32(b >> 6); ctx > 1 {
+		node = ctx - 1
 	}
-	return reach{site, occ, addr.String()}
+	return reachAt(fuzzSite(b), fuzzOcc(b>>3), node)
 }
 
 func fuzzReaches(bs []byte) []reach {
@@ -69,10 +97,11 @@ func membersOf(cands []Instance) [][]Instance {
 }
 
 // diffOracle is the differential: plan and the oracle over cands see the
-// same reach stream, behind the same budget gate, in occurrence mode (path
-// "") and in path mode. Each mode runs twice with a Reset in between; the
-// second pass matching a fresh oracle is what shows Reset restored the
-// pre-run state. The plan is left Reset.
+// same reach stream, behind the same budget gate, in occurrence mode (the
+// zero PathKey, path "") and in path mode — where the plan is handed keys
+// and the oracle the strings they render to. Each mode runs twice with a
+// Reset in between; the second pass matching a fresh oracle is what shows
+// Reset restored the pre-run state. The plan is left Reset.
 func diffOracle(t *testing.T, plan *Plan, cands [][]Instance, reaches []reach) {
 	t.Helper()
 	wantBudget, wantFeatures := newOracle(cands).shape()
@@ -93,11 +122,11 @@ func diffOracle(t *testing.T, plan *Plan, cands [][]Instance, reaches []reach) {
 			ref := newOracle(cands)
 			spent := 0
 			for _, r := range reaches {
-				path := ""
+				path, at := "", PathKey{}
 				if pathMode {
-					path = r.path
+					path, at = r.path, r.at
 				}
-				got := spent < wantBudget && plan.Decide(r.site, r.occ, path)
+				got := spent < wantBudget && plan.Decide(r.site, r.occ, at, fuzzTree)
 				if got {
 					spent++
 				}
@@ -248,7 +277,7 @@ func FuzzEnvPlan(f *testing.F) {
 		var stream []reach
 		for _, b := range reaches {
 			env, occ := fuzzEnvSite(b), fuzzOcc(b>>3)
-			stream = append(stream, fuzzReach(b), reach{env, occ, PathAddr{Site: env, N: occ}.String()})
+			stream = append(stream, fuzzReach(b), reachAt(env, occ, 0))
 		}
 		diffOracle(t, plan, membersOf(cands), stream)
 
@@ -365,8 +394,10 @@ func FuzzMultiPlan(f *testing.F) {
 // FuzzPathPlan is the mixed window: single candidates alternating
 // occurrence- and path-addressed forms, and between them pairs built from
 // adjacent bytes — members shared with the singles around them, self-pairs
-// included. It must match the oracle in both dispatch modes, and a
-// path-enabled runtime must respect its budget and record parseable
+// included. Armed from wire strings (the plan folds each Path itself) and
+// armed again from key-carrying instances (as the explorer arms it), it
+// must match the string-equality oracle in both dispatch modes, and a
+// path-enabled runtime must respect its budget and render parseable
 // root-context paths for every injection.
 func FuzzPathPlan(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4}, []byte{1, 1, 2, 3, 5, 8})
@@ -426,9 +457,17 @@ func FuzzPathPlan(f *testing.F) {
 			t.Fatalf("window budget %d, want %d", got, wantBudget)
 		}
 		diffOracle(t, plan, membersOf(cands), fuzzReaches(reaches))
+		keyed := make([]Instance, len(cands))
+		for i, c := range cands {
+			keyed[i] = c
+			if h, ok := PathHash(c.Path); ok { // not a pair's member references
+				keyed[i] = c.Keyed(h)
+			}
+		}
+		diffOracle(t, Window(keyed), membersOf(cands), fuzzReaches(reaches))
 
 		// Drive the window through a path-enabled runtime with
-		// root-context paths (nil PathID/PathPrefix hooks).
+		// root-context paths (a nil tree).
 		r := NewRuntime(plan)
 		r.Enable(PathAddressing)
 		counts := map[string]int{}
@@ -455,9 +494,10 @@ func FuzzPathPlan(f *testing.F) {
 		// Every injection's path parses back to a root-context address of
 		// its own site and per-context occurrence.
 		for _, ev := range r.InjectedAll() {
-			addr, ok := ParsePathAddr(ev.Path)
+			path := r.PathOf(ev.Site, ev.Addr)
+			addr, ok := ParsePathAddr(path)
 			if !ok || addr.Site != ev.Site || len(addr.Edges) != 0 {
-				t.Fatalf("injected path %q does not parse as root context of %s", ev.Path, ev.Site)
+				t.Fatalf("injected path %q does not parse as root context of %s", path, ev.Site)
 			}
 		}
 	})

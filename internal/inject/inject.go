@@ -39,15 +39,16 @@
 //	pair/<siteA>+<siteB>               two of the above combined (pair.go)
 //
 // and a dynamic instance of any of them by (site, occurrence) or, under
-// path addressing, by the canonical call-path string of path.go. Pseudo-
-// sites and path addressing are optional Features of a run: off by
-// default, switched on by the harness or by the plan's own instances.
+// path addressing, by the canonical call-path string of path.go — which a
+// run matches by its chain hash (PathKey) and renders only where it leaves
+// the process. Pseudo-sites and path addressing are optional Features of a
+// run: off by default, switched on by the harness or by the plan's own
+// instances.
 package inject
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"anduril/internal/des"
@@ -105,11 +106,14 @@ func AsFault(err error) (*Fault, bool) {
 	return nil, false
 }
 
-// TraceEvent records one dynamic reach of a fault site.
+// TraceEvent records one dynamic reach of a fault site. Under path
+// addressing it carries the reach's compact identity, not its canonical
+// string — a kept trace holds every reach of a run and almost none of
+// their strings is ever read; Runtime.PathOf renders one on demand.
 type TraceEvent struct {
 	Site       string
 	Occurrence int      // 1-based per-site occurrence index
-	Path       string   // canonical PathAddr string (path addressing only)
+	Addr       PathKey  // path identity (path addressing only, else zero)
 	Thread     string   // actor executing when the site was reached
 	LogPos     int      // logical time: log records emitted before the reach
 	Time       des.Time // virtual time of the reach
@@ -127,6 +131,21 @@ type Instance struct {
 	Site       string
 	Occurrence int
 	Path       string
+
+	// key is the chain hash of Path when the instance was built from a
+	// live reach (Keyed); zero for an instance off the wire, whose Path
+	// the plan folds itself when it is armed.
+	key uint64
+}
+
+// Keyed returns inst carrying the chain hash of its Path — PathKey.Hash of
+// the reach Path was rendered from — so arming it into a plan need not
+// parse the string. The hash is only a lookup key: a member fires only for
+// a reach whose rendered path equals its Path, so a wrong key can make a
+// member unreachable but never fire it at another address.
+func (inst Instance) Keyed(hash uint64) Instance {
+	inst.key = hash
+	return inst
 }
 
 // Features is a set of optional runtime mechanisms. Each is off by default
@@ -143,8 +162,8 @@ const (
 	// and network count (and can inject at) short-write, enospc-after,
 	// torn-rename, eintr and dup-deliver instances.
 	PartialFaults
-	// PathAddressing assigns every reach a canonical PathAddr string built
-	// from the PathID/PathPrefix hooks and hands it to the plan's Decide.
+	// PathAddressing assigns every reach its PathKey, folded from the call
+	// tree behind Runtime.Paths, and hands it to the plan's Decide.
 	PathAddressing
 )
 
@@ -170,17 +189,15 @@ type Runtime struct {
 	Thread func() string
 	Now    func() des.Time
 
-	// PathID and PathPrefix supply call-path context under path
-	// addressing: PathID returns the dispatcher's current path node and
-	// PathPrefix that node's canonical string form (cached by the
-	// simulation). Nil hooks mean every reach is at root context.
-	PathID     func() int32
-	PathPrefix func(int32) string
+	// Paths supplies call-path context under path addressing: the
+	// dispatcher's current node, its chain hash, and its rendering. Nil
+	// means every reach is at root context.
+	Paths PathTree
 
 	plan *Plan
 
 	sites      map[string]*siteRec
-	pathCounts map[pathSiteKey]int // per-(path context, site) occurrence counters
+	pathCounts map[pathSiteKey]int32 // per-(path context, site) occurrence counters
 	trace      []TraceEvent
 	injected   []TraceEvent
 	budget     int
@@ -240,39 +257,52 @@ type siteRec struct {
 	pseudo PseudoFault
 }
 
-// pathFor builds the canonical path string of the current reach of a
-// site and advances the per-(context, site) occurrence counter.
-func (r *Runtime) pathFor(site string) string {
-	var pid int32
-	if r.PathID != nil {
-		pid = r.PathID()
+// address computes the PathKey of the current reach of a site: a rooted
+// reach is addressed by its per-run occurrence at the root, any other by
+// the executing context's node and the site's occurrence within it, which
+// this advances.
+func (r *Runtime) address(site string, occ int, rooted bool) PathKey {
+	if rooted {
+		return PathKey{Hash: des.PathFold(des.PathRoot, site, occ), N: int32(occ)}
+	}
+	at, hash := PathKey{}, des.PathRoot
+	if r.Paths != nil {
+		at.Node = r.Paths.CurPath()
+		hash = r.Paths.PathHash(at.Node)
 	}
 	if r.pathCounts == nil {
-		r.pathCounts = make(map[pathSiteKey]int)
+		r.pathCounts = make(map[pathSiteKey]int32)
 	}
-	k := pathSiteKey{pid, site}
+	k := pathSiteKey{at.Node, site}
 	r.pathCounts[k]++
-	n := r.pathCounts[k]
-	prefix := ""
-	if r.PathPrefix != nil {
-		prefix = r.PathPrefix(pid)
+	at.N = r.pathCounts[k]
+	at.Hash = des.PathFold(hash, site, int(at.N))
+	return at
+}
+
+// PathOf renders the canonical path string of a reach of this run from its
+// recorded identity ("" for the zero PathKey of occurrence mode). Nothing
+// else allocates a reach's string (a plan confirming a hash hit renders
+// into its scratch buffer), so the callers are the boundaries where one
+// leaves the process: a round's reported injection, a candidate entering
+// a window or a trace.
+func (r *Runtime) PathOf(site string, at PathKey) string {
+	if at.N == 0 {
+		return ""
 	}
-	if prefix == "" {
-		return site + "#" + strconv.Itoa(n)
-	}
-	return prefix + ">" + site + "#" + strconv.Itoa(n)
+	return string(appendPath(nil, r.Paths, site, at))
 }
 
 // decide consults the plan for one reach. Every fault class — error
 // sites and env pseudo-sites alike — shares this single gate, so once
 // the round's injection budget is spent no class consults the plan
 // again: one Decide stream per round, short-circuited uniformly.
-func (r *Runtime) decide(site string, occ int, path string) bool {
+func (r *Runtime) decide(site string, occ int, at PathKey) bool {
 	if r.plan == nil || len(r.injected) >= r.budget {
 		return false
 	}
 	start := time.Now()
-	inject := r.plan.Decide(site, occ, path)
+	inject := r.plan.Decide(site, occ, at, r.Paths)
 	r.decNanos += time.Since(start).Nanoseconds()
 	r.decisions++
 	return inject
@@ -281,8 +311,8 @@ func (r *Runtime) decide(site string, occ int, path string) bool {
 // record stamps and stores the trace event for one reach. amp is the
 // observed amplitude of a partial pseudo-site's perturbed call (its
 // payload length; the explorer calibrates candidate enumeration from it).
-func (r *Runtime) record(site string, occ int, path string, inject bool, amp int) {
-	ev := TraceEvent{Site: site, Occurrence: occ, Path: path, Injected: inject, Amp: amp}
+func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int) {
+	ev := TraceEvent{Site: site, Occurrence: occ, Addr: at, Injected: inject, Amp: amp}
 	if r.LogPos != nil {
 		ev.LogPos = r.LogPos()
 	}
@@ -315,18 +345,14 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 	rec.count++
 	occ = rec.count
 
-	path := ""
+	var at PathKey
 	if r.Active(PathAddressing) {
-		if rooted {
-			path = site + "#" + strconv.Itoa(occ)
-		} else {
-			path = r.pathFor(site)
-		}
+		at = r.address(site, occ, rooted)
 	}
-	inject = r.decide(site, occ, path)
+	inject = r.decide(site, occ, at)
 
 	if r.KeepTrace || inject {
-		r.record(site, occ, path, inject, amp)
+		r.record(site, occ, at, inject, amp)
 	}
 	return occ, inject
 }

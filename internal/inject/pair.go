@@ -68,11 +68,11 @@ func parseMemberRef(ref string) (Instance, bool) {
 		}
 		return Instance{Site: ref[:i], Occurrence: occ}, true
 	}
-	addr, ok := ParsePathAddr(ref)
+	site, _, ok := scanPathAddr(ref, func(PathEdge) {})
 	if !ok {
 		return Instance{}, false
 	}
-	return Instance{Site: addr.Site, Path: ref}, true
+	return Instance{Site: site, Path: ref}, true
 }
 
 // PairInstance builds the combined Instance for two member instances.

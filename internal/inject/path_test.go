@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // genPathAddr builds a random but well-formed PathAddr: dotted edge
@@ -64,6 +65,15 @@ func TestPathAddrParseRejects(t *testing.T) {
 		"a+b>c#1",             // '+' is reserved for pair member refs
 		"a:1>c#1",             // ':' is reserved for member refs
 		"env/bogus-class/x#1", // unknown env class
+		// Non-canonical renderings of a>s#1 and a[2]>s#1: String never
+		// writes them, so a key folded from one would equal the key of a
+		// string it is not equal to.
+		"a[1]>s#1",        // seq 1 is written without brackets
+		"a[02]>s#1",       // leading zero in a seq
+		"a[+2]>s#1",       // sign in a seq
+		"a>s#01",          // leading zero in the occurrence
+		"a>s#+1",          // sign in the occurrence
+		"env/crash/n1#01", // the same, on a pseudo-site terminal
 	} {
 		if _, ok := ParsePathAddr(s); ok {
 			t.Errorf("ParsePathAddr(%q) accepted", s)
@@ -168,28 +178,129 @@ func TestPairPlanCommitAndReset(t *testing.T) {
 		t.Fatal("committed before any member fired")
 	}
 	// b.y#1 is a member of the second pair only.
-	if !p.Decide("b.y", 1, "") {
+	if !p.Decide("b.y", 1, PathKey{}, nil) {
 		t.Fatal("first member of pair 1 did not fire")
 	}
 	if idx, ok := p.Committed(); !ok || idx != 1 {
 		t.Fatalf("Committed()=(%d,%v), want (1,true)", idx, ok)
 	}
 	// Members of the uncommitted pair are dead now.
-	if p.Decide("a.x", 1, "") || p.Decide("b.y", 2, "") {
+	if p.Decide("a.x", 1, PathKey{}, nil) || p.Decide("b.y", 2, PathKey{}, nil) {
 		t.Fatal("member of an uncommitted pair fired after commit")
 	}
 	// The committed member does not fire twice.
-	if p.Decide("b.y", 1, "") {
+	if p.Decide("b.y", 1, PathKey{}, nil) {
 		t.Fatal("same member fired twice")
 	}
-	if !p.Decide("c.z", 1, "") {
+	if !p.Decide("c.z", 1, PathKey{}, nil) {
 		t.Fatal("other member of the committed pair did not fire")
 	}
 	p.Reset()
 	if _, ok := p.Committed(); ok {
 		t.Fatal("Reset did not uncommit")
 	}
-	if !p.Decide("a.x", 1, "") {
+	if !p.Decide("a.x", 1, PathKey{}, nil) {
 		t.Fatal("after Reset the first pair cannot commit")
 	}
+}
+
+// TestPlanKeyCollision: a key hit is confirmed by string, so two different
+// addresses sharing one chain hash stay two addresses. The collision is
+// staged, not found — A, B and the reaches of s0#1, s1#1, s2#1 are all
+// handed the same hash — and each reach must fire the member whose Path it
+// spells and nothing else, whichever member the index happens to hold,
+// before a commit (two window candidates) and inside a committed candidate
+// of two members (the shape of a pair).
+func TestPlanKeyCollision(t *testing.T) {
+	const k = 0xfeedface
+	at := PathKey{Hash: k, N: 1} // root context, first occurrence
+	a := Instance{Site: "s0", Path: "s0#1"}.Keyed(k)
+	b := Instance{Site: "s1", Path: "s1#1"}.Keyed(k)
+
+	for _, order := range [][]Instance{{a, b}, {b, a}} {
+		p := Window(order)
+		if p.Decide("s2", 1, at, nil) {
+			t.Fatal("a reach that only shares the members' key fired")
+		}
+		if _, ok := p.Committed(); ok {
+			t.Fatal("a colliding reach committed the plan")
+		}
+		if !p.Decide("s1", 1, at, nil) {
+			t.Fatalf("s1#1 did not fire with %v armed first", order[0])
+		}
+		if idx, _ := p.Committed(); order[idx].Path != "s1#1" {
+			t.Fatalf("s1#1 committed candidate %d (%s)", idx, order[idx].Path)
+		}
+		if p.Decide("s0", 1, at, nil) {
+			t.Fatal("the other window candidate fired after the commit")
+		}
+	}
+
+	p := Exact(a, b)
+	if p.Decide("s2", 1, at, nil) {
+		t.Fatal("colliding reach fired before the commit")
+	}
+	if !p.Decide("s1", 1, at, nil) {
+		t.Fatal("s1#1 did not fire its member")
+	}
+	if p.Decide("s2", 1, at, nil) || p.Decide("s1", 1, at, nil) {
+		t.Fatal("inside the committed candidate, a colliding or an already-fired reach fired")
+	}
+	if !p.Decide("s0", 1, at, nil) {
+		t.Fatal("s0#1 did not fire the committed candidate's other member")
+	}
+
+	// The same through a runtime: a member whose key is wrong for its
+	// Path is unreachable, never misfired.
+	r := NewRuntime(Window([]Instance{{Site: "s0", Path: "s0#1"}, Instance{Site: "s1", Path: "s1#2"}.Keyed(k)}))
+	if r.Reach("s1", IO) != nil || r.Reach("s1", IO) != nil {
+		t.Fatal("a member armed under the wrong key fired")
+	}
+	if r.Reach("s0", IO) == nil {
+		t.Fatal("the wire member, keyed by the plan itself, did not fire")
+	}
+	if ev, _ := r.Injected(); r.PathOf(ev.Site, ev.Addr) != "s0#1" {
+		t.Fatalf("injected reach renders %q", r.PathOf(ev.Site, ev.Addr))
+	}
+}
+
+// TestTraceEventSize: the path identity replaced the path string in place.
+// A kept trace holds one TraceEvent per reach of the run in every mode, so
+// growing it is paid by occurrence-mode runs that never look at a path.
+func TestTraceEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(TraceEvent{}); got > 88 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatalf("TraceEvent is %d bytes, was 88 with a Path string", got)
+	}
+	if got := unsafe.Sizeof(PathKey{}); got != unsafe.Sizeof("") && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatalf("PathKey is %d bytes, the string header it replaced %d", got, unsafe.Sizeof(""))
+	}
+}
+
+// FuzzParsePathAddr: the parser never panics, and what it accepts is
+// canonical — rendering the parsed address gives the input back, so two
+// accepted strings with equal addresses (hence equal chain hashes) are the
+// same string.
+func FuzzParsePathAddr(f *testing.F) {
+	for _, s := range []string{
+		"a.b#1", "client.put>coord.write[2]>dyn.store.persist#1", "env/crash/n1#4",
+		"partial/net/dup-deliver/a>b#2", "a[1]>s#1", "a[02]>s#1", "a>s#+1", "a>s#01",
+		"a[2]x>s#1", "a[2][3]>s#1", ">", "#", "a>>b#1", "a[18446744073709551616]>b#1",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		addr, ok := ParsePathAddr(s)
+		if !ok {
+			if h, hashed := PathHash(s); hashed {
+				t.Fatalf("PathHash(%q)=%x for a string ParsePathAddr rejects", s, h)
+			}
+			return
+		}
+		if got := addr.String(); got != s {
+			t.Fatalf("ParsePathAddr(%q) accepted, but renders %q", s, got)
+		}
+		if _, hashed := PathHash(s); !hashed {
+			t.Fatalf("PathHash rejects %q, which ParsePathAddr accepts", s)
+		}
+	})
 }

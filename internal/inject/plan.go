@@ -9,13 +9,21 @@ package inject
 // faults of one pair (or one, if injecting the first steers execution away
 // from the second); Exact's one candidate is a reproduction script. A plan
 // holds its run's commit until the next run's NewRuntime Resets it.
+//
+// A path-addressed member is found by the chain hash of its canonical
+// string (its key) and confirmed by the string itself: a reach whose hash
+// hits is rendered and compared before it may fire, so a member matches
+// exactly the reaches whose canonical string equals its Path, as if the
+// index were keyed by the string — without a run building the string of
+// any reach that is not a hit.
 type Plan struct {
 	members  []member         // every candidate's members, flattened in rank order
 	byOcc    map[occKey]int32 // occurrence-addressed member -> its first index in members
-	byPath   map[string]int32 // path-addressed member -> its first index in members
+	byPath   map[uint64]int32 // path-addressed member's key -> first index of a member with that key
 	features Features
 	budget   int
-	lo, hi   int // members[lo:hi] is the committed candidate; empty until a member fires
+	lo, hi   int    // members[lo:hi] is the committed candidate; empty until a member fires
+	scratch  []byte // the reach being confirmed, rendered
 }
 
 type member struct {
@@ -24,14 +32,37 @@ type member struct {
 	fired bool
 }
 
-// matches reports whether a reach is this member: by path when the member
-// is path-addressed (never "", the path of occurrence mode), else by
-// (site, occurrence).
-func (m *member) matches(site string, occ int, path string) bool {
+// matches reports whether a reach is member m: by path when the member is
+// path-addressed (never the zero PathKey of occurrence mode) — equal keys,
+// then equal strings — else by (site, occurrence).
+func (p *Plan) matches(m *member, site string, occ int, at PathKey, tree PathTree) bool {
 	if m.inst.Path != "" {
-		return m.inst.Path == path
+		return at.N != 0 && m.inst.key == at.Hash && m.inst.Path == string(p.render(site, at, tree))
 	}
 	return m.inst.Site == site && m.inst.Occurrence == occ
+}
+
+// render is the canonical string of a reach, in the plan's scratch buffer.
+func (p *Plan) render(site string, at PathKey, tree PathTree) []byte {
+	p.scratch = appendPath(p.scratch[:0], tree, site, at)
+	return p.scratch
+}
+
+// confirm turns a key hit at member i into the first member whose Path IS
+// the reach's canonical string: i itself, unless two different addresses
+// share the hash — then the members are scanned, and -1 means the reach
+// only collided with an armed address.
+func (p *Plan) confirm(i int32, site string, at PathKey, tree PathTree) int32 {
+	path := p.render(site, at, tree)
+	if p.members[i].inst.Path == string(path) {
+		return i
+	}
+	for j := range p.members {
+		if p.members[j].inst.Path == string(path) {
+			return int32(j)
+		}
+	}
+	return -1
 }
 
 type occKey struct {
@@ -56,21 +87,31 @@ func (p *Plan) arm(cand int, inst Instance) int {
 }
 
 // add appends one member. The indexes keep a member's first position,
-// which is its best-ranked candidate.
+// which is its best-ranked candidate. A path-addressed member off the wire
+// (a script, a hand-written plan, a pair's member reference) is keyed here
+// by folding its Path the way a live reach of that address is folded; a
+// Path that is not a canonical string can equal no reach's and is left
+// unindexed.
 func (p *Plan) add(cand int, m Instance) {
 	i := int32(len(p.members))
-	p.members = append(p.members, member{inst: m, cand: int32(cand)})
 	p.features |= m.features()
 	if k := (occKey{m.Site, m.Occurrence}); m.Path == "" {
 		if _, dup := p.byOcc[k]; !dup {
 			p.byOcc[k] = i
 		}
-	} else if _, dup := p.byPath[m.Path]; !dup {
-		if p.byPath == nil {
-			p.byPath = make(map[string]int32, cap(p.members))
+	} else {
+		canonical := true
+		if m.key == 0 {
+			m.key, canonical = PathHash(m.Path)
 		}
-		p.byPath[m.Path] = i
+		if _, dup := p.byPath[m.key]; canonical && !dup {
+			if p.byPath == nil {
+				p.byPath = make(map[uint64]int32, cap(p.members))
+			}
+			p.byPath[m.key] = i
+		}
 	}
+	p.members = append(p.members, member{inst: m, cand: int32(cand)})
 }
 
 // Window returns a plan arming the given candidates, best-ranked first:
@@ -98,14 +139,14 @@ func Exact(insts ...Instance) *Plan {
 }
 
 // Decide is consulted on every reach until the round's budget is spent;
-// returning true injects a fault at this exact reach. path is the reach's
-// canonical path string under PathAddressing and "" otherwise, so a
-// path-addressed member never matches in occurrence mode while an
-// occurrence-addressed one matches in both.
-func (p *Plan) Decide(site string, occ int, path string) bool {
+// returning true injects a fault at this exact reach. at is the reach's
+// PathKey under PathAddressing (rendered, when a key hits, from tree) and
+// zero otherwise, so a path-addressed member never matches in occurrence
+// mode while an occurrence-addressed one matches in both.
+func (p *Plan) Decide(site string, occ int, at PathKey, tree PathTree) bool {
 	if p.hi > p.lo {
 		for i := p.lo; i < p.hi; i++ {
-			if m := &p.members[i]; !m.fired && m.matches(site, occ, path) {
+			if m := &p.members[i]; !m.fired && p.matches(m, site, occ, at, tree) {
 				m.fired = true
 				return true
 			}
@@ -113,9 +154,11 @@ func (p *Plan) Decide(site string, occ int, path string) bool {
 		return false
 	}
 	i, ok := p.byOcc[occKey{site, occ}]
-	if path != "" {
-		if j, hit := p.byPath[path]; hit && (!ok || j < i) {
-			i, ok = j, true
+	if at.N != 0 {
+		if j, hit := p.byPath[at.Hash]; hit {
+			if j = p.confirm(j, site, at, tree); j >= 0 && (!ok || j < i) {
+				i, ok = j, true
+			}
 		}
 	}
 	if !ok {
