@@ -511,7 +511,6 @@ func (c *ctl) soak(args []string) int {
 	}
 
 	mismatches := 0
-	targets := map[string]*core.Target{}
 	for _, j := range set {
 		job := records[j.key]
 		if job.State != server.StateDone {
@@ -523,7 +522,7 @@ func (c *ctl) soak(args []string) int {
 			c.errorf("job %s: %d submissions journaled, %d made", j.key[:12], job.Submissions, j.submissions)
 			mismatches++
 		}
-		wantRep, wantTrace, err := serialRun(targets, j.spec)
+		wantRep, wantTrace, err := serialRun(j.spec)
 		if err != nil {
 			return c.errorf("serial %s: %v", j.spec.Failure, err)
 		}
@@ -559,19 +558,14 @@ func (c *ctl) soak(args []string) int {
 // serialRun executes a spec in-process the way a plain serial caller
 // would, returning the report and exact trace bytes — the daemon's
 // ground truth.
-func serialRun(targets map[string]*core.Target, spec server.Spec) (*core.Report, []byte, error) {
-	t, ok := targets[spec.Failure]
-	if !ok {
-		sc, found := failures.ByID(spec.Failure)
-		if !found {
-			return nil, nil, fmt.Errorf("unknown failure %q", spec.Failure)
-		}
-		var err error
-		t, err = sc.BuildTarget()
-		if err != nil {
-			return nil, nil, err
-		}
-		targets[spec.Failure] = t
+func serialRun(spec server.Spec) (*core.Report, []byte, error) {
+	sc, found := failures.ByID(spec.Failure)
+	if !found {
+		return nil, nil, fmt.Errorf("unknown failure %q", spec.Failure)
+	}
+	t, err := sc.BuildTarget()
+	if err != nil {
+		return nil, nil, err
 	}
 	opts := spec.Normalize().Options()
 	mem := &trace.Memory{}

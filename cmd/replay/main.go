@@ -5,12 +5,16 @@
 //
 // Usage:
 //
-//	replay -failure f17 -script f17.json [-seed 1] [-tail 15]
+//	replay -failure f17 -script f17.json [-seed N] [-tail 15]
+//
+// The replay runs under the seed the script file records (the seed of the
+// search round that reproduced the failure); -seed overrides it.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,42 +25,64 @@ import (
 	"anduril/internal/logging"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 = the oracle is satisfied, 1 = it is not (or the
+// replay could not run), 2 = usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		failure = flag.String("failure", "", "dataset failure the script belongs to (f1..f34)")
-		script  = flag.String("script", "", "reproduction script JSON (from anduril -script-out)")
-		seed    = flag.Int64("seed", 1, "seed of the replay environment")
-		tail    = flag.Int("tail", 15, "failure-log lines to print")
+		failure = fs.String("failure", "", "dataset failure the script belongs to (f1..f34)")
+		script  = fs.String("script", "", "reproduction script JSON (from anduril -script-out)")
+		seed    = fs.Int64("seed", 0, "seed of the replay environment (default: the seed the script records)")
+		tail    = fs.Int("tail", 15, "failure-log lines to print")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *failure == "" || *script == "" {
-		fmt.Fprintln(os.Stderr, "replay: -failure and -script required")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "replay: -failure and -script required")
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "replay: %v\n", err)
+		return 1
 	}
 
 	target, err := anduril.Dataset(*failure)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	data, err := os.ReadFile(*script)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	sf, err := core.LoadScript(data)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Printf("replaying %s (%s) with %d scripted fault(s):\n", target.ID, target.Issue, len(sf.Faults))
+	// An occurrence number names a dynamic instance only under the seed
+	// that counted it, so the file's seed is the default; an explicit
+	// -seed (0 included) asks whether the script holds under another.
+	replaySeed := sf.Seed
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			replaySeed = *seed
+		}
+	})
+	fmt.Fprintf(stdout, "replaying %s (%s) under seed %d with %d scripted fault(s):\n",
+		target.ID, target.Issue, replaySeed, len(sf.Faults))
 	for _, line := range describeFaults(sf) {
-		fmt.Println("  " + line)
+		fmt.Fprintln(stdout, "  "+line)
 	}
 
-	res := cluster.Execute(*seed, sf.Plan(), false, target.Workload, target.Horizon)
+	res := cluster.Execute(replaySeed, sf.Plan(), false, target.Workload, target.Horizon)
 	satisfied := target.Oracle.Satisfied(res)
-	fmt.Printf("oracle %q satisfied: %v\n", target.Oracle.Name, satisfied)
+	fmt.Fprintf(stdout, "oracle %q satisfied: %v\n", target.Oracle.Name, satisfied)
 	if len(res.Blocked) > 0 {
-		fmt.Printf("stuck threads: %s\n", strings.Join(res.Blocked, ", "))
+		fmt.Fprintf(stdout, "stuck threads: %s\n", strings.Join(res.Blocked, ", "))
 	}
 
 	var warns []logging.Entry
@@ -68,14 +94,15 @@ func main() {
 	if len(warns) > *tail {
 		warns = warns[len(warns)-*tail:]
 	}
-	fmt.Printf("\nlast %d warning/error lines of the replayed log:\n", len(warns))
+	fmt.Fprintf(stdout, "\nlast %d warning/error lines of the replayed log:\n", len(warns))
 	for _, e := range warns {
-		fmt.Printf("  [%s] %s %s\n", e.Thread, e.Level, e.Msg)
+		fmt.Fprintf(stdout, "  [%s] %s %s\n", e.Thread, e.Level, e.Msg)
 	}
 
 	if !satisfied {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // describeFaults renders one line per scripted fault: a site by its
@@ -97,9 +124,4 @@ func describeFaults(sf *core.ScriptFile) []string {
 		}
 	}
 	return lines
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-	os.Exit(1)
 }

@@ -1,12 +1,75 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"anduril"
 	"anduril/internal/core"
 )
+
+// TestReplayRunsUnderTheScriptSeed: f3, the quickstart failure, reproduces
+// in round 1 — under seed 2 — and its script is bound to that seed in
+// occurrence mode. A file written by ScriptOf replays with no -seed; an
+// explicit -seed overrides the file; a file from before the field existed
+// replays under 1, as it always did.
+func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
+	target, err := anduril.Dataset("f3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := anduril.Reproduce(target, anduril.Options{Seed: 1, MaxRounds: 500})
+	sf, err := core.ScriptOf(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf.Seed != rep.ScriptSeed || sf.Seed == 1 {
+		t.Fatalf("script file seed %d, report seed %d; the fixture must reproduce off seed 1", sf.Seed, rep.ScriptSeed)
+	}
+	data, err := sf.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	current := filepath.Join(dir, "f3.json")
+	legacy := filepath.Join(dir, "f3.legacy.json")
+	if err := os.WriteFile(current, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seedLine := []byte("\n  \"seed\": 2,")
+	if !bytes.Contains(data, seedLine) {
+		t.Fatalf("script file does not record its seed:\n%s", data)
+	}
+	if err := os.WriteFile(legacy, bytes.Replace(data, seedLine, nil, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+		want string
+	}{
+		{"file seed", []string{"-script", current}, 0, "under seed 2 "},
+		{"explicit -seed overrides the file", []string{"-script", current, "-seed", "1"}, 1, "under seed 1 "},
+		{"explicit -seed matching the file", []string{"-script", current, "-seed", "2"}, 0, "under seed 2 "},
+		{"file without the field", []string{"-script", legacy}, 1, "under seed 1 "},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-failure", "f3"}, c.args...), &stdout, &stderr)
+		if code != c.code || !strings.Contains(stdout.String(), c.want) {
+			t.Errorf("%s: exit %d, want %d with %q on stdout; stderr %q, stdout:\n%s",
+				c.name, code, c.code, c.want, stderr.String(), stdout.String())
+		}
+		if satisfied := strings.Contains(stdout.String(), "satisfied: true"); satisfied != (c.code == 0) {
+			t.Errorf("%s: exit %d but satisfied=%v", c.name, code, satisfied)
+		}
+	}
+}
 
 // TestDescribeFaults: replay reads its script from outside the program.
 // Every shape of fault is listed by the address it will actually fire at,

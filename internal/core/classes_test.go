@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -170,4 +171,16 @@ func TestSplitFaultClasses(t *testing.T) {
 			t.Errorf("SplitFaultClasses(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// roundSummary compresses a report to the fields that define the search
+// trajectory — what was injected when, with which window, and the verdict.
+func roundSummary(rep *core.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "reproduced=%v rounds=%d script=%v seed=%d\n",
+		rep.Reproduced, rep.Rounds, rep.Script, rep.ScriptSeed)
+	for _, rd := range rep.RoundLog {
+		fmt.Fprintf(&b, "r%d inj=%v sat=%v w=%d\n", rd.N, rd.Injected, rd.Satisfied, rd.WindowSize)
+	}
+	return b.String()
 }

@@ -20,29 +20,6 @@ func target(t testing.TB, id string) *core.Target {
 	return tgt
 }
 
-func TestFullFeedbackReproducesZKFailures(t *testing.T) {
-	for _, id := range []string{"f1", "f2", "f3", "f4"} {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			tgt := target(t, id)
-			rep := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1})
-			if !rep.Reproduced {
-				t.Fatalf("%s not reproduced in %d rounds (sites=%d insts=%d obs=%d)",
-					id, rep.Rounds, rep.CandidateSites, rep.CandidateInstances, rep.RelevantObservables)
-			}
-			t.Logf("%s reproduced in %d rounds via %v (obs=%d sites=%d insts=%d)",
-				id, rep.Rounds, *rep.Script, rep.RelevantObservables, rep.CandidateSites, rep.CandidateInstances)
-			if rep.Script == nil {
-				t.Fatal("no reproduction script")
-			}
-			// The script must deterministically replay under its own seed.
-			if !core.Verify(tgt, *rep.Script, rep.ScriptSeed) {
-				t.Errorf("script %v does not verify", *rep.Script)
-			}
-		})
-	}
-}
-
 func TestCandidateSpaceNontrivial(t *testing.T) {
 	tgt := target(t, "f1")
 	rep := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1})

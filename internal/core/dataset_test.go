@@ -7,30 +7,6 @@ import (
 	"anduril/internal/failures"
 )
 
-// TestFullFeedbackReproducesEntireDataset is the headline regression: the
-// complete algorithm must reproduce every registered failure — the 22
-// real-world site-rooted ones plus the env-rooted and dyn scenarios.
-func TestFullFeedbackReproducesEntireDataset(t *testing.T) {
-	totalRounds := 0
-	for _, sc := range failures.All() {
-		tgt, err := sc.BuildTarget()
-		if err != nil {
-			t.Fatalf("%s: %v", sc.ID, err)
-		}
-		rep := core.Reproduce(tgt, core.Options{Seed: 1, MaxRounds: 500})
-		if !rep.Reproduced {
-			t.Errorf("%s (%s) not reproduced in %d rounds", sc.ID, sc.Issue, rep.Rounds)
-			continue
-		}
-		totalRounds += rep.Rounds
-		// The script must replay deterministically under a fresh seed.
-		if !core.Verify(tgt, *rep.Script, rep.ScriptSeed) {
-			t.Errorf("%s: script %v does not verify", sc.ID, *rep.Script)
-		}
-	}
-	t.Logf("all %d reproduced, %d total rounds", len(failures.All()), totalRounds)
-}
-
 // TestStackTraceBaselineShape checks the paper's §8.4 finding: the
 // stacktrace injector succeeds exactly when the failure log names the
 // root-cause fault, and fails otherwise.
@@ -45,10 +21,7 @@ func TestStackTraceBaselineShape(t *testing.T) {
 		"f32": true, "f33": true,
 	}
 	for _, sc := range failures.All() {
-		tgt, err := sc.BuildTarget()
-		if err != nil {
-			t.Fatalf("%s: %v", sc.ID, err)
-		}
+		tgt := target(t, sc.ID)
 		rep := core.Reproduce(tgt, core.Options{Strategy: core.StackTrace, Seed: 1, MaxRounds: 500})
 		if rep.Reproduced != inLog[sc.ID] {
 			t.Errorf("%s: stacktrace reproduced=%v, want %v", sc.ID, rep.Reproduced, inLog[sc.ID])
@@ -63,10 +36,7 @@ func TestInstanceLimitMissesTimingCriticalFailures(t *testing.T) {
 	timingCritical := map[string]bool{"f4": true, "f17": true, "f20": true}
 	for id := range map[string]bool{"f4": true, "f17": true, "f20": true, "f1": false, "f16": false} {
 		sc, _ := failures.ByID(id)
-		tgt, err := sc.BuildTarget()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tgt := target(t, sc.ID)
 		rep := core.Reproduce(tgt, core.Options{Strategy: core.SiteDistanceLimit, Seed: 1, MaxRounds: 500})
 		if timingCritical[id] && rep.Reproduced {
 			t.Errorf("%s: limit-3 variant should miss this timing-critical failure", id)
@@ -83,10 +53,7 @@ func TestInstanceLimitMissesTimingCriticalFailures(t *testing.T) {
 func TestCrashTunerShape(t *testing.T) {
 	count := 0
 	for _, sc := range failures.All() {
-		tgt, err := sc.BuildTarget()
-		if err != nil {
-			t.Fatal(err)
-		}
+		tgt := target(t, sc.ID)
 		rep := core.Reproduce(tgt, core.Options{Strategy: core.CrashTuner, Seed: 1, MaxRounds: 500})
 		if rep.Reproduced {
 			count++
@@ -106,10 +73,7 @@ func TestDatasetSeedRobustness(t *testing.T) {
 	}
 	for _, seed := range []int64{42, 777} {
 		for _, sc := range failures.All() {
-			tgt, err := sc.BuildTarget()
-			if err != nil {
-				t.Fatal(err)
-			}
+			tgt := target(t, sc.ID)
 			rep := core.Reproduce(tgt, core.Options{Seed: seed, MaxRounds: 500})
 			if !rep.Reproduced {
 				t.Errorf("seed %d: %s (%s) not reproduced", seed, sc.ID, sc.Issue)

@@ -1,20 +1,9 @@
 package core_test
 
-// Golden-trace regression: the explorer's structured trace for the
-// quickstart target (f3, ZK-4203) under a fixed seed must match the
-// committed golden file byte for byte. This pins down the whole search
-// trajectory — observables, site ranking, window growth, feedback deltas,
-// outcome — not just the final report, proving end-to-end determinism.
-//
-// Regenerate after an intentional explorer change with:
-//
-//	go test ./internal/core -run TestGoldenTraceQuickstart -update
+// The shape of a trace stream. (Its bytes — golden-pinned, identical across
+// runs — are the conformance suite's, conformance_test.go.)
 
 import (
-	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"anduril/internal/core"
@@ -22,92 +11,11 @@ import (
 	"anduril/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite golden trace files")
-
-const goldenTracePath = "testdata/quickstart.trace.jsonl"
-
-// quickstartTrace runs the quickstart reproduction (examples/quickstart:
-// f3 with seed 1 and default options) with a JSONL sink attached.
-func quickstartTrace(t *testing.T) []byte {
-	t.Helper()
-	sc, ok := failures.ByID("f3")
-	if !ok {
-		t.Fatal("no quickstart failure f3")
-	}
-	tgt, err := sc.BuildTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	sink := trace.NewWriter(&buf)
-	rep := core.Reproduce(tgt, core.Options{Seed: 1, Trace: sink})
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Reproduced {
-		t.Fatalf("quickstart target not reproduced in %d rounds", rep.Rounds)
-	}
-	return buf.Bytes()
-}
-
-func TestGoldenTraceQuickstart(t *testing.T) {
-	got := quickstartTrace(t)
-
-	compareGolden(t, goldenTracePath, got)
-}
-
-// compareGolden holds a trace to the golden file at path — or, under
-// -update, rewrites the file. On a mismatch both streams are decoded for a
-// readable event-level diff before failing.
-func compareGolden(t *testing.T, path string, got []byte) {
-	t.Helper()
-	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden trace (run with -update to create it): %v", err)
-	}
-	if bytes.Equal(got, want) {
-		return
-	}
-	gotEv, gerr := trace.ReadAll(bytes.NewReader(got))
-	wantEv, werr := trace.ReadAll(bytes.NewReader(want))
-	if gerr != nil || werr != nil {
-		t.Fatalf("trace differs from golden and does not decode: got err %v, want err %v", gerr, werr)
-	}
-	for _, d := range trace.Diff(wantEv, gotEv, 10) {
-		t.Error(d)
-	}
-	t.Fatalf("trace differs from %s (%d vs %d events); rerun with -update if the change is intentional",
-		path, len(gotEv), len(wantEv))
-}
-
-// The trace must be identical across repeated in-process runs: no map
-// iteration order, scheduling, or wall clock may leak into events.
-func TestTraceDeterministicAcrossRuns(t *testing.T) {
-	a := quickstartTrace(t)
-	b := quickstartTrace(t)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two runs of the same (target, options) produced different traces")
-	}
-}
-
 // A trace stream is well-formed: starts with free_run, ends with outcome,
 // decodes cleanly, and its aggregate stats agree with the report.
 func TestTraceWellFormed(t *testing.T) {
 	sc, _ := failures.ByID("f17")
-	tgt, err := sc.BuildTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := target(t, sc.ID)
 	mem := &trace.Memory{}
 	rep := core.Reproduce(tgt, core.Options{Seed: 1, MaxRounds: 500, Trace: mem})
 	if len(mem.Events) < 3 {
@@ -147,10 +55,7 @@ func TestTraceWellFormed(t *testing.T) {
 // fault-space exhaustion.
 func TestTraceOutcomeReasons(t *testing.T) {
 	sc, _ := failures.ByID("f17")
-	tgt, err := sc.BuildTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tgt := target(t, sc.ID)
 	mem := &trace.Memory{}
 	core.Reproduce(tgt, core.Options{Strategy: core.Exhaustive, Seed: 1, MaxRounds: 1, Trace: mem})
 	last := mem.Events[len(mem.Events)-1]

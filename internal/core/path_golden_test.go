@@ -1,43 +1,16 @@
 package core_test
 
-// Path mode's wire, pinned across commits. TestPathAddressing* assert only
-// that two runs of one binary agree; these goldens were generated at the
-// commit BEFORE path addresses became chain hashes (PR 17) and must pass
-// unchanged at every commit after it: how a path-addressed reach is matched
-// is an implementation detail, the canonical strings on the wire are not.
-//
-// Regenerate after an intentional explorer change with:
-//
-//	go test ./internal/core -run TestPathGoldenTraces -update
+// Path mode's identities, pinned across binaries: a checkpoint written
+// before path addresses became chain hashes (PR 17) resumes unchanged. (The
+// path-mode trace goldens of the same vintage are TestPathGoldenTraces,
+// conformance_test.go.)
 
 import (
-	"fmt"
 	"testing"
 
 	"anduril/internal/core"
-	"anduril/internal/failures"
 	"anduril/internal/trace"
 )
-
-// pathGoldenIDs are one failure per shape path addressing has to carry:
-// f1 (zk one-way Send chains, depth 1198), f4 (depth 468), f23 (an env
-// pseudo-site root), f26 (dyn), f30 (pair members) and f33 (a partial
-// pseudo-site root).
-var pathGoldenIDs = []string{"f1", "f4", "f23", "f26", "f30", "f33"}
-
-func TestPathGoldenTraces(t *testing.T) {
-	for _, id := range pathGoldenIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			sc, _ := failures.ByID(id)
-			rep, got := pathReproduce(t, sc)
-			if !rep.Reproduced {
-				t.Fatalf("%s not reproduced under path addressing in %d rounds", id, rep.Rounds)
-			}
-			compareGolden(t, fmt.Sprintf("testdata/%s.path.trace.jsonl", id), got)
-		})
-	}
-}
 
 // TestPathResumeFromParentCheckpoint: testdata/f25.path.r40.ck.json was
 // written by the parent commit's cmd/anduril (-failure f25 -addressing path

@@ -39,10 +39,7 @@ func TestIncrementalRankingEquivalence(t *testing.T) {
 		sc := sc
 		t.Run(sc.ID, func(t *testing.T) {
 			t.Parallel()
-			tgt, err := sc.BuildTarget()
-			if err != nil {
-				t.Fatal(err)
-			}
+			tgt := target(t, sc.ID)
 			naiveTrace, naiveRep := rankerRun(t, tgt, true)
 			indexTrace, indexRep := rankerRun(t, tgt, false)
 

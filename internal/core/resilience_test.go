@@ -22,11 +22,9 @@ import (
 )
 
 // resumeFixtures are the dataset failures the equivalence tests run over.
-// Window 1 slows f1/f4 down to 15+ rounds so an interruption at round 4
-// leaves real work to resume; f9 needs 19 rounds at the default window.
-// f25 is the env-rooted fixture: its delay-channel root takes the search
-// past 100 rounds, so the checkpoint envelope round-trips env instances
-// in the tried set and the recorded fault classes. The rows that name a
+// Window 1 slows f1/f4 down to 15+ rounds so an interruption leaves real
+// work to resume; f9 (19 rounds) and f25 (an env delay-channel root past
+// 100 rounds) are cells of the dataset sweep. The rows that name a
 // strategy resume the other kinds of table row: a queue row of the §8.3
 // ablations (161 rounds), a priority-driven row without feedback (133
 // rounds) and a queue row of the §8.4 baselines (146 rounds).
@@ -52,100 +50,36 @@ func lines(events []trace.Event) []string {
 	return out
 }
 
-// normalized strips wall-clock measurements — the only fields that can
-// differ between two executions of the same deterministic search — and
-// returns the report's canonical JSON.
+// normalized is the report's canonical JSON: everything but the wall-clock
+// measurements, the only fields two executions of one search differ in.
 func normalized(t *testing.T, rep *core.Report) string {
 	t.Helper()
-	cp := *rep
-	cp.Elapsed, cp.FreeRunTime = 0, 0
-	cp.RoundLog = append([]core.Round(nil), rep.RoundLog...)
-	for i := range cp.RoundLog {
-		cp.RoundLog[i].InitTime, cp.RoundLog[i].RunTime, cp.RoundLog[i].DecideTime = 0, 0, 0
-	}
-	raw, err := json.Marshal(&cp)
+	raw, err := core.CanonicalReport(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(raw)
 }
 
-// TestResumeTraceEquivalence is the core checkpoint contract: run a search
-// to completion; run it again but kill it (deterministically) at a
-// checkpoint boundary; resume from the checkpoint. The interrupted trace
-// must be a strict prefix of the full trace, the resumed trace must be
-// exactly the remaining suffix, and the final reports must match.
+// TestResumeTraceEquivalence is the core checkpoint contract, held by the
+// conformance suite's resume-equivalent property over cells the dataset
+// sweep does not have: a narrowed window, and the other kinds of strategy
+// row. Each is killed half way (the forced final checkpoint) and resumed.
 func TestResumeTraceEquivalence(t *testing.T) {
 	for _, fx := range resumeFixtures {
-		fx := fx
 		name := fx.id
 		if fx.strategy != core.FullFeedback {
 			name += "-" + string(fx.strategy)
 		}
+		c := cells[cellKey{fx.id, core.AddrOccurrence}]
+		if fx.window != 0 || fx.strategy != core.FullFeedback {
+			c = &cell{sc: c.sc, opts: core.Options{Strategy: fx.strategy, Seed: 1, MaxRounds: 500, Window: fx.window}}
+		}
 		t.Run(name, func(t *testing.T) {
-			tgt := target(t, fx.id)
-			base := core.Options{Strategy: fx.strategy, Seed: 1, Window: fx.window}
-
-			var full trace.Memory
-			optsFull := base
-			optsFull.Trace = &full
-			repFull := core.Reproduce(tgt, optsFull)
-			if !repFull.Reproduced {
-				t.Fatalf("%s baseline not reproduced", fx.id)
+			if c.observe().killAt < 2 {
+				t.Fatalf("%s reproduces in %d rounds; the fixture must leave real work on both sides of the kill", fx.id, c.rep.Rounds)
 			}
-			if repFull.Rounds <= 4 {
-				t.Fatalf("%s reproduces in %d rounds; fixture must outlive the round-4 kill", fx.id, repFull.Rounds)
-			}
-
-			ck := filepath.Join(t.TempDir(), "search.ck.json")
-			var part trace.Memory
-			optsKill := base
-			optsKill.Trace = &part
-			optsKill.Checkpoint = ck
-			optsKill.CheckpointEvery = 2
-			optsKill.StopAfterRound = 4
-			repKill := core.Reproduce(tgt, optsKill)
-			if !repKill.Interrupted {
-				t.Fatal("killed run not marked interrupted")
-			}
-			if repKill.Reproduced {
-				t.Fatal("killed run claims reproduction")
-			}
-			if repKill.Rounds != 4 {
-				t.Fatalf("killed run recorded %d rounds, want 4", repKill.Rounds)
-			}
-
-			fullLines, partLines := lines(full.Events), lines(part.Events)
-			if len(partLines) == 0 || len(partLines) >= len(fullLines) {
-				t.Fatalf("interrupted trace has %d events vs full %d", len(partLines), len(fullLines))
-			}
-			for i, l := range partLines {
-				if l != fullLines[i] {
-					t.Fatalf("interrupted trace is not a prefix; event %d:\n- %s\n+ %s", i+1, fullLines[i], l)
-				}
-			}
-
-			var rest trace.Memory
-			optsResume := base
-			optsResume.Trace = &rest
-			optsResume.Checkpoint = ck
-			optsResume.CheckpointEvery = 2
-			repRes, err := core.Resume(tgt, optsResume, ck)
-			if err != nil {
-				t.Fatalf("resume: %v", err)
-			}
-			got := append(append([]string(nil), partLines...), lines(rest.Events)...)
-			if len(got) != len(fullLines) {
-				t.Fatalf("concatenated trace has %d events, full run %d", len(got), len(fullLines))
-			}
-			for i := range got {
-				if got[i] != fullLines[i] {
-					t.Fatalf("resumed trace diverges at event %d:\n- %s\n+ %s", i+1, fullLines[i], got[i])
-				}
-			}
-			if a, b := normalized(t, repFull), normalized(t, repRes); a != b {
-				t.Fatalf("final reports differ:\nfull:    %s\nresumed: %s", a, b)
-			}
+			resumeEquivalent(t, c)
 		})
 	}
 }

@@ -11,11 +11,18 @@ import (
 // ScriptFile is the serializable reproduction artifact of workflow step
 // 4.a: everything needed to deterministically re-trigger the failure, plus
 // the provenance of the search that found it.
+//
+// Seed is the environment seed the faults reproduce under — the seed of the
+// search's reproducing round (Report.ScriptSeed): a site's n-th occurrence
+// is a different dynamic instance under another seed, so the script replays
+// under this one. A file written before the field existed loads with Seed
+// 1, what replay ran every script under then.
 type ScriptFile struct {
 	Target      string            `json:"target"`
 	Issue       string            `json:"issue,omitempty"`
 	Strategy    Strategy          `json:"strategy"`
 	Faults      []inject.Instance `json:"faults"`
+	Seed        int64             `json:"seed"`
 	Rounds      int               `json:"rounds"`
 	Elapsed     string            `json:"elapsed"`
 	Observables int               `json:"relevant_observables"`
@@ -34,6 +41,7 @@ func ScriptOf(r *Report) (*ScriptFile, error) {
 		Issue:       r.Issue,
 		Strategy:    r.Strategy,
 		Faults:      []inject.Instance{*r.Script},
+		Seed:        r.ScriptSeed,
 		Rounds:      r.Rounds,
 		Elapsed:     r.Elapsed.Round(time.Microsecond).String(),
 		Observables: r.RelevantObservables,
@@ -50,7 +58,7 @@ func (s *ScriptFile) Marshal() ([]byte, error) {
 
 // LoadScript parses a serialized reproduction artifact.
 func LoadScript(data []byte) (*ScriptFile, error) {
-	var s ScriptFile
+	s := ScriptFile{Seed: 1}
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("core: bad script file: %w", err)
 	}

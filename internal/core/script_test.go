@@ -31,11 +31,22 @@ func TestScriptRoundTrip(t *testing.T) {
 	if len(loaded.Faults) != 1 || loaded.Faults[0] != *rep.Script {
 		t.Fatalf("round trip: %+v vs %+v", loaded.Faults, rep.Script)
 	}
-	// The loaded plan must replay deterministically.
+	if script.Seed != rep.ScriptSeed || loaded.Seed != rep.ScriptSeed {
+		t.Fatalf("seed: exported %d, loaded %d, the reproducing round ran under %d", script.Seed, loaded.Seed, rep.ScriptSeed)
+	}
+	// The loaded plan must replay deterministically under the loaded seed.
 	s, _ := failures.ByID("f1")
-	res := cluster.Execute(99, loaded.Plan(), false, s.Workload, s.Horizon)
+	res := cluster.Execute(loaded.Seed, loaded.Plan(), false, s.Workload, s.Horizon)
 	if !s.Oracle.Satisfied(res) {
 		t.Fatal("loaded plan does not reproduce")
+	}
+	// A file written before the seed field existed replays under seed 1.
+	legacy, err := core.LoadScript([]byte(`{"target":"f1","faults":[{"Site":"zk.sync.append-txn","Occurrence":3}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Seed != 1 {
+		t.Fatalf("file without a seed field loads with seed %d, want 1", legacy.Seed)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
-	"anduril/internal/parallel"
 )
 
 // ablationSetting is one design-choice toggle from §5.1–§5.2.5.
@@ -29,36 +28,20 @@ var ablationSettings = []ablationSetting{
 // across the worker pool.
 func AblationTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Ablations: design choices of §5.1-§5.2.5 (full feedback, whole dataset)",
 		Header: []string{"Setting", "Reproduced", "Total rounds", "Lost failures"},
 	}
 	scens := failures.SiteDataset()
-	type cell struct{ si, fi int }
 	cells := make([]cell, 0, len(ablationSettings)*len(scens))
-	for si := range ablationSettings {
-		for fi := range scens {
-			cells = append(cells, cell{si, fi})
+	for si, setting := range ablationSettings {
+		for _, s := range scens {
+			opts := core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}
+			setting.mutate(&opts)
+			cells = append(cells, cell{fmt.Sprintf("ablation-s%d-%s", si, s.ID), s, opts})
 		}
 	}
-	reps, err := parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("ablation-s%d-%s", c.si, scens[c.fi].ID)
-		return opt.cellReport(name, func() (*core.Report, error) {
-			opts := core.Options{
-				Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds,
-				Context: opt.Context,
-			}
-			ablationSettings[c.si].mutate(&opts)
-			return core.Reproduce(targets[scens[c.fi].ID], opts), nil
-		})
-	})
+	reps, err := runCells(opt, cells)
 	if err != nil {
 		return nil, err
 	}

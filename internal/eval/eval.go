@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"anduril/internal/checkpoint"
@@ -162,21 +161,6 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-var (
-	targetMu    sync.Mutex
-	targetCache map[string]*core.Target
-)
-
-// buildTargets assembles explorer targets for every scenario, caching them
-// across tables (failure logs and analyses are deterministic). Target
-// construction itself — one static analysis per system plus two cluster
-// runs per scenario — fans across the worker pool on the first call.
-//
-// The returned map is a fresh copy per call, so callers may range, add or
-// delete freely without corrupting the cache or racing with each other.
-// The *core.Target values are shared: they are read-only by contract
-// (core.Reproduce and Verify never mutate their Target), which is what
-// lets every worker of every table share one target set.
 // siteBySystem returns one system's scenarios restricted to the paper's
 // site-only evaluation dataset — the per-system tables (1 and 4) report
 // means and medians over the 22 failures, so the env-rooted scenarios
@@ -191,46 +175,18 @@ func siteBySystem(sys string) []*failures.Scenario {
 	return out
 }
 
-func buildTargets(workers int) (map[string]*core.Target, error) {
-	targetMu.Lock()
-	defer targetMu.Unlock()
-	if targetCache == nil {
-		scens := failures.SiteDataset()
-		targets, err := parallel.Map(workers, scens, func(_ int, s *failures.Scenario) (*core.Target, error) {
-			tgt, err := s.BuildTarget()
-			if err != nil {
-				return nil, fmt.Errorf("build target %s: %w", s.ID, err)
-			}
-			return tgt, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cache := make(map[string]*core.Target, len(scens))
-		for i, s := range scens {
-			cache[s.ID] = targets[i]
-		}
-		targetCache = cache
-	}
-	out := make(map[string]*core.Target, len(targetCache))
-	for id, tgt := range targetCache {
-		out[id] = tgt
-	}
-	return out, nil
-}
-
 // cellTrace attaches a JSONL trace sink to one experiment cell's explorer
 // options when TraceDir is set. The returned close func flushes the file
 // and surfaces any write error; with TraceDir unset it is a no-op and the
 // options stay untouched (tracing disabled, zero overhead).
-func (o Options) cellTrace(opts *core.Options, cell string) (func() error, error) {
+func (o Options) cellTrace(opts *core.Options, name string) (func() error, error) {
 	if o.TraceDir == "" {
 		return func() error { return nil }, nil
 	}
 	if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
 		return nil, fmt.Errorf("trace dir: %w", err)
 	}
-	f, err := os.Create(filepath.Join(o.TraceDir, cell+".trace.jsonl"))
+	f, err := os.Create(filepath.Join(o.TraceDir, name+".trace.jsonl"))
 	if err != nil {
 		return nil, fmt.Errorf("trace file: %w", err)
 	}
@@ -239,7 +195,7 @@ func (o Options) cellTrace(opts *core.Options, cell string) (func() error, error
 	return func() error {
 		if err := sink.Err(); err != nil {
 			f.Close()
-			return fmt.Errorf("trace %s: %w", cell, err)
+			return fmt.Errorf("trace %s: %w", name, err)
 		}
 		return f.Close()
 	}, nil
@@ -266,10 +222,10 @@ const (
 // report is persisted atomically for the next attempt. An interrupted
 // cell is surfaced as an error so the table run fails fast instead of
 // rendering a partial cell.
-func (o Options) cellReport(cell string, run func() (*core.Report, error)) (*core.Report, error) {
+func (o Options) cellReport(name string, run func() (*core.Report, error)) (*core.Report, error) {
 	path := ""
 	if o.ResumeDir != "" {
-		path = filepath.Join(o.ResumeDir, cell+".report.json")
+		path = filepath.Join(o.ResumeDir, name+".report.json")
 		if raw, err := checkpoint.Load(path, reportKind, reportVersion); err == nil {
 			rep := &core.Report{}
 			if err := json.Unmarshal(raw, rep); err == nil && !rep.Interrupted {
@@ -286,17 +242,64 @@ func (o Options) cellReport(cell string, run func() (*core.Report, error)) (*cor
 		if err == nil {
 			err = context.Canceled
 		}
-		return rep, fmt.Errorf("cell %s interrupted: %w", cell, err)
+		return rep, fmt.Errorf("cell %s interrupted: %w", name, err)
 	}
 	if path != "" {
 		if err := os.MkdirAll(o.ResumeDir, 0o755); err != nil {
 			return rep, fmt.Errorf("resume dir: %w", err)
 		}
 		if err := checkpoint.Save(path, reportKind, reportVersion, rep); err != nil {
-			return rep, fmt.Errorf("cell %s: %w", cell, err)
+			return rep, fmt.Errorf("cell %s: %w", name, err)
 		}
 	}
 	return rep, nil
+}
+
+// cell is one experiment cell: a hermetic, seeded reproduction of one
+// scenario under its own options. name labels the cell's trace file
+// (Options.TraceDir) and report file (Options.ResumeDir).
+type cell struct {
+	name string
+	s    *failures.Scenario
+	opts core.Options
+}
+
+// datasetCells is one cell per scenario under the same options, named
+// <label>-<id>.
+func datasetCells(label string, scens []*failures.Scenario, opts core.Options) []cell {
+	cells := make([]cell, len(scens))
+	for i, s := range scens {
+		cells[i] = cell{label + "-" + s.ID, s, opts}
+	}
+	return cells
+}
+
+// runCells is the one cell runner every table and figure goes through:
+// context check, ResumeDir lookup, TraceDir capture, core.Reproduce, on
+// the worker pool. Each cell runs against the scenario's shared read-only
+// Target (built on first use, so a grid served entirely from ResumeDir
+// builds none), and parallel.Map returns results in input order, so the
+// assembled tables do not depend on the worker count.
+func runCells(opt Options, cells []cell) ([]*core.Report, error) {
+	return parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
+		if err := opt.ctxErr(); err != nil {
+			return nil, err
+		}
+		return opt.cellReport(c.name, func() (*core.Report, error) {
+			tgt, err := c.s.BuildTarget()
+			if err != nil {
+				return nil, fmt.Errorf("build target %s: %w", c.s.ID, err)
+			}
+			opts := c.opts
+			opts.Context = opt.Context
+			done, err := opt.cellTrace(&opts, c.name)
+			if err != nil {
+				return nil, err
+			}
+			rep := core.Reproduce(tgt, opts)
+			return rep, done()
+		})
+	})
 }
 
 // medianInt returns the median without touching the caller's slice: cells

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -158,6 +160,48 @@ func TestTable3Lite(t *testing.T) {
 	for i, cell := range tbl.Rows[2][1:] {
 		if cell == "-" {
 			t.Errorf("k=10 failed on %s", tbl.Header[i+1])
+		}
+	}
+}
+
+// TestTraceDirOneFilePerCell: every table and the figure run their cells
+// through runCells, so TraceDir captures each cell exactly once — Tables
+// 3, 6 and 9 and Figure 6 used to write nothing.
+func TestTraceDirOneFilePerCell(t *testing.T) {
+	one := []core.Strategy{core.FullFeedback}
+	for _, c := range []struct {
+		label string
+		cells int
+		run   func(Options) (*Table, error)
+	}{
+		{"table1", 22, Table1FaultSites},
+		{"table2", 22, func(o Options) (*Table, error) { return Table2Efficacy(o, one) }},
+		{"table3", 6 * 22, Table3Sensitivity},
+		{"table4", 22, Table4Performance},
+		{"table5", 22, Table5Failures},
+		{"table6", 22, Table6NewRootCauses},
+		{"table8", 22, Table8Runtime},
+		{"ablation", len(ablationSettings) * 22, AblationTable},
+		{"figure6", 1, func(o Options) (*Table, error) { return Figure6RankTrajectory(o, "f4") }},
+	} {
+		dir := t.TempDir()
+		if _, err := c.run(Options{MaxRounds: 20, TraceDir: dir}); err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) != c.cells {
+			t.Errorf("%s: trace dir holds %d files, want %d", c.label, len(files), c.cells)
+		}
+		for _, f := range files {
+			base := filepath.Base(f)
+			if !strings.HasPrefix(base, c.label+"-") || !strings.HasSuffix(base, ".trace.jsonl") {
+				t.Errorf("%s: unexpected file %s", c.label, base)
+			} else if st, err := os.Stat(f); err != nil || st.Size() == 0 {
+				t.Errorf("%s: trace %s is empty (stat err %v)", c.label, base, err)
+			}
 		}
 	}
 }

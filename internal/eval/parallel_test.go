@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"anduril/internal/core"
+	"anduril/internal/failures"
 )
 
 // Parallel and serial runs must render byte-identical output for a fixed
@@ -106,11 +107,11 @@ func TestTraceCaptureEquivalenceAcrossWorkers(t *testing.T) {
 // reports as serial runs, no cross-talk (run with -race to check the
 // read-only Target contract is honored).
 func TestConcurrentReproduceSharedTargets(t *testing.T) {
-	targets, err := buildTargets(0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ids := []string{"f1", "f4", "f17"}
+	targets := map[string]*core.Target{}
+	for _, id := range ids {
+		targets[id] = sharedTarget(t, id)
+	}
 	type job struct {
 		id   string
 		seed int64
@@ -153,27 +154,39 @@ func TestConcurrentReproduceSharedTargets(t *testing.T) {
 	}
 }
 
-// buildTargets hands every caller an independent map copy; mutating it
-// must not corrupt the cache other callers (and other tables) read.
+func sharedTarget(t *testing.T, id string) *core.Target {
+	t.Helper()
+	s, ok := failures.ByID(id)
+	if !ok {
+		t.Fatalf("no scenario %s", id)
+	}
+	tgt, err := s.BuildTarget()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tgt
+}
+
+// Every table cell of one scenario runs against ONE target: BuildTarget
+// builds once per process and hands every caller, concurrent ones
+// included, the same read-only pointer (the name predates that: eval used
+// to keep its own cache and hand out copies of the map).
 func TestBuildTargetsReturnsCopy(t *testing.T) {
-	a, err := buildTargets(0)
-	if err != nil {
-		t.Fatal(err)
+	s, _ := failures.ByID("f2")
+	got := make([]*core.Target, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = s.BuildTarget()
+		}(i)
 	}
-	delete(a, "f1")
-	a["bogus"] = nil
-	b, err := buildTargets(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b["f1"]; !ok {
-		t.Fatal("deleting from a returned map corrupted the cache")
-	}
-	if _, ok := b["bogus"]; ok {
-		t.Fatal("inserting into a returned map corrupted the cache")
-	}
-	if len(b) != 22 {
-		t.Fatalf("cache has %d targets, want 22", len(b))
+	wg.Wait()
+	for i, tgt := range got {
+		if tgt == nil || tgt != got[0] {
+			t.Fatalf("caller %d got target %p, caller 0 got %p", i, tgt, got[0])
+		}
 	}
 }
 

@@ -7,34 +7,7 @@ import (
 	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/failures"
-	"anduril/internal/parallel"
 )
-
-// reproduceCells runs one core.Reproduce per (scenario, options) cell on
-// the worker pool. Each cell is a hermetic, seeded run against a shared
-// read-only Target, and parallel.Map returns results in input order, so
-// the assembled tables do not depend on the worker count. label names the
-// calling experiment in per-cell trace files (Options.TraceDir) and
-// per-cell report files (Options.ResumeDir).
-func reproduceCells(opt Options, label string, targets map[string]*core.Target,
-	scens []*failures.Scenario, optFor func(i int, s *failures.Scenario) core.Options) ([]*core.Report, error) {
-	return parallel.Map(opt.Workers, scens, func(i int, s *failures.Scenario) (*core.Report, error) {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		cell := fmt.Sprintf("%s-%s", label, s.ID)
-		return opt.cellReport(cell, func() (*core.Report, error) {
-			opts := optFor(i, s)
-			opts.Context = opt.Context
-			done, err := opt.cellTrace(&opts, cell)
-			if err != nil {
-				return nil, err
-			}
-			rep := core.Reproduce(targets[s.ID], opts)
-			return rep, done()
-		})
-	})
-}
 
 // Table1FaultSites reproduces Table 1: per-system code size and fault-site
 // counts — total static sites, sites inferred by the causal graph for the
@@ -42,10 +15,6 @@ func reproduceCells(opt Options, label string, targets map[string]*core.Target,
 // (mean).
 func Table1FaultSites(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table 1: target systems and fault sites",
 		Header: []string{"System", "LOC", "Total", "Inferred", "Dynamic"},
@@ -63,9 +32,8 @@ func Table1FaultSites(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		reps, err := reproduceCells(opt, "table1", targets, scens, func(int, *failures.Scenario) core.Options {
-			return core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: 1}
-		})
+		reps, err := runCells(opt, datasetCells("table1", scens,
+			core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: 1}))
 		if err != nil {
 			return nil, err
 		}
@@ -98,10 +66,6 @@ func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 	if strategies == nil {
 		strategies = Table2Strategies()
 	}
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	header := []string{"Failure"}
 	for _, s := range strategies {
 		header = append(header, string(s)+" rnd", "time")
@@ -114,31 +78,14 @@ func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 		},
 	}
 	scens := failures.SiteDataset()
-	type cell struct{ fi, si int }
 	cells := make([]cell, 0, len(scens)*len(strategies))
-	for fi := range scens {
-		for si := range strategies {
-			cells = append(cells, cell{fi, si})
+	for _, s := range scens {
+		for _, strat := range strategies {
+			cells = append(cells, cell{fmt.Sprintf("table2-%s-%s", s.ID, strat), s,
+				core.Options{Strategy: strat, Seed: opt.Seed, MaxRounds: opt.MaxRounds}})
 		}
 	}
-	reps, err := parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("table2-%s-%s", scens[c.fi].ID, strategies[c.si])
-		return opt.cellReport(name, func() (*core.Report, error) {
-			opts := core.Options{
-				Strategy: strategies[c.si], Seed: opt.Seed, MaxRounds: opt.MaxRounds,
-				Context: opt.Context,
-			}
-			done, err := opt.cellTrace(&opts, name)
-			if err != nil {
-				return nil, err
-			}
-			rep := core.Reproduce(targets[scens[c.fi].ID], opts)
-			return rep, done()
-		})
-	})
+	reps, err := runCells(opt, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -162,10 +109,6 @@ func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 // parameter × failure grid fans across the worker pool.
 func Table3Sensitivity(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	scens := failures.SiteDataset()
 	header := []string{"Param"}
 	for _, s := range scens {
@@ -183,27 +126,16 @@ func Table3Sensitivity(opt Options) (*Table, error) {
 		{"k=1", 1, 1}, {"k=3", 3, 1}, {"k=10", 10, 1},
 		{"s=+1", 10, 1}, {"s=+2", 10, 2}, {"s=+10", 10, 10},
 	}
-	type cell struct{ pi, fi int }
 	cells := make([]cell, 0, len(params)*len(scens))
-	for pi := range params {
-		for fi := range scens {
-			cells = append(cells, cell{pi, fi})
-		}
-	}
-	reps, err := parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		p := params[c.pi]
-		name := fmt.Sprintf("table3-p%d-%s", c.pi, scens[c.fi].ID)
-		return opt.cellReport(name, func() (*core.Report, error) {
-			return core.Reproduce(targets[scens[c.fi].ID], core.Options{
+	for pi, p := range params {
+		for _, s := range scens {
+			cells = append(cells, cell{fmt.Sprintf("table3-p%d-%s", pi, s.ID), s, core.Options{
 				Strategy: core.FullFeedback, Seed: opt.Seed,
 				MaxRounds: opt.MaxRounds, Window: p.window, Adjust: p.adjust,
-				Context: opt.Context,
-			}), nil
-		})
-	})
+			}})
+		}
+	}
+	reps, err := runCells(opt, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -227,18 +159,13 @@ func Table3Sensitivity(opt Options) (*Table, error) {
 // workload time.
 func Table4Performance(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table 4: explorer performance per system (medians)",
 		Header: []string{"System", "Inject.Req", "Latency", "Round Init", "Workload"},
 	}
 	for _, sys := range systems {
-		reps, err := reproduceCells(opt, "table4", targets, siteBySystem(sys), func(int, *failures.Scenario) core.Options {
-			return core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}
-		})
+		reps, err := runCells(opt, datasetCells("table4", siteBySystem(sys),
+			core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
 		if err != nil {
 			return nil, err
 		}
@@ -265,18 +192,13 @@ func Table4Performance(opt Options) (*Table, error) {
 // the injected fault kinds, and the stacktrace-injector results.
 func Table5Failures(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table 5: the 22-failure dataset and the stacktrace-injector baseline",
 		Header: []string{"Failure", "Injected Fault", "ST rnd", "ST time", "Description"},
 	}
 	scens := failures.SiteDataset()
-	reps, err := reproduceCells(opt, "table5", targets, scens, func(int, *failures.Scenario) core.Options {
-		return core.Options{Strategy: core.StackTrace, Seed: opt.Seed, MaxRounds: opt.MaxRounds}
-	})
+	reps, err := runCells(opt, datasetCells("table5", scens,
+		core.Options{Strategy: core.StackTrace, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
 	if err != nil {
 		return nil, err
 	}
@@ -297,58 +219,43 @@ func Table5Failures(opt Options) (*Table, error) {
 // Table6NewRootCauses reproduces appendix Table 6: failures where the
 // explorer's reproduction identifies a fault different from (or deeper
 // than) the developers' documented root cause, while still satisfying the
-// oracle. Each cell reproduces and, when a new cause surfaces, verifies
-// the script — all inside the parallel stage; row order stays the dataset
-// order.
+// oracle. A row whose script names a new cause is verified by one replay;
+// row order is the dataset order.
 func Table6NewRootCauses(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table 6: new root causes exposed while reproducing",
 		Header: []string{"Failure", "Documented root cause", "Discovered root cause", "Verified"},
 		Notes:  []string{"Rows appear when the oracle-satisfying fault differs from the ground-truth site."},
 	}
-	rows, err := parallel.Map(opt.Workers, failures.SiteDataset(), func(_ int, s *failures.Scenario) ([]string, error) {
-		if err := opt.ctxErr(); err != nil {
-			return nil, err
-		}
-		rep, err := opt.cellReport("table6-"+s.ID, func() (*core.Report, error) {
-			return core.Reproduce(targets[s.ID], core.Options{
-				Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds,
-				Context: opt.Context,
-			}), nil
-		})
-		if err != nil {
-			return nil, err
-		}
+	scens := failures.SiteDataset()
+	reps, err := runCells(opt, datasetCells("table6", scens,
+		core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range scens {
+		rep := reps[i]
 		if !rep.Reproduced || rep.Script == nil {
-			return nil, nil
+			continue
 		}
 		if rep.Script.Site == s.RootSite && s.NewRootCause == "" {
-			return nil, nil
+			continue
 		}
 		discovered := rep.Script.Site
 		if rep.Script.Site == s.RootSite {
 			discovered = s.NewRootCause
 		}
-		verified := core.Verify(targets[s.ID], *rep.Script, rep.ScriptSeed)
-		return []string{
+		tgt, err := s.BuildTarget()
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%s (%s)", s.Issue, s.ID),
 			s.RootSite,
 			discovered,
-			fmt.Sprint(verified),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		if row != nil {
-			t.Rows = append(t.Rows, row)
-		}
+			fmt.Sprint(core.Verify(tgt, *rep.Script, rep.ScriptSeed)),
+		})
 	}
 	return t, nil
 }
@@ -386,18 +293,13 @@ func Table7StaticAnalysis(opt Options) (*Table, error) {
 // Table8Runtime reproduces appendix Table 8: per-failure runtime details.
 func Table8Runtime(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
-	targets, err := buildTargets(opt.Workers)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		Title:  "Table 8: per-failure explorer runtime details",
 		Header: []string{"Failure", "Inject.Req", "Latency", "Round Init", "Workload", "FreeRun Lines"},
 	}
 	scens := failures.SiteDataset()
-	reps, err := reproduceCells(opt, "table8", targets, scens, func(int, *failures.Scenario) core.Options {
-		return core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}
-	})
+	reps, err := runCells(opt, datasetCells("table8", scens,
+		core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
 	if err != nil {
 		return nil, err
 	}
@@ -425,15 +327,14 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("eval: no failure %s", failureID)
 	}
-	tgt, err := s.BuildTarget()
+	reps, err := runCells(opt, []cell{{"figure6-" + s.ID, s, core.Options{
+		Strategy: core.FullFeedback, Seed: opt.Seed,
+		MaxRounds: opt.MaxRounds, Window: 1, TrackRank: true,
+	}}})
 	if err != nil {
 		return nil, err
 	}
-	rep := core.Reproduce(tgt, core.Options{
-		Strategy: core.FullFeedback, Seed: opt.Seed,
-		MaxRounds: opt.MaxRounds, Window: 1, TrackRank: true,
-		Context: opt.Context,
-	})
+	rep := reps[0]
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 6: rank of the root-cause fault site across trials (%s)", s.Issue),
 		Header: []string{"Trial", "Root-site rank", "Injected", "Reproduced"},

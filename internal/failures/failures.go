@@ -60,6 +60,13 @@ type Scenario struct {
 	// NewRootCause, when non-empty, describes the deeper root cause the
 	// explorer can expose for this failure (Table 6 analog).
 	NewRootCause string
+
+	// target memoizes BuildTarget: one build per scenario per process.
+	target struct {
+		once sync.Once
+		t    *core.Target
+		err  error
+	}
 }
 
 // FailureSeed is the seed of the simulated "production" run that generated
@@ -143,8 +150,17 @@ func (s *Scenario) FailureLog() ([]logging.Entry, error) {
 	return logging.Parse(text), nil
 }
 
-// BuildTarget assembles the explorer's Target for this scenario.
+// BuildTarget assembles the explorer's Target for this scenario, once per
+// process: every caller — concurrent ones included — gets the same
+// *core.Target. A Target is read-only by contract (see core.Target), which
+// is what lets tables, daemon jobs and tests share it; a caller that wants
+// a different workload or oracle copies the struct first (cp := *tgt).
 func (s *Scenario) BuildTarget() (*core.Target, error) {
+	s.target.once.Do(func() { s.target.t, s.target.err = s.buildTarget() })
+	return s.target.t, s.target.err
+}
+
+func (s *Scenario) buildTarget() (*core.Target, error) {
 	an, err := s.Analyze()
 	if err != nil {
 		return nil, err

@@ -165,3 +165,44 @@ func TestExecuteDeterministicPerSeed(t *testing.T) {
 		})
 	}
 }
+
+// needsItsClass is the proof a scenario of a later fault class is not a
+// restatement of the earlier dataset: no single clean fault — any
+// occurrence of any error-return site or environment pseudo-site the free
+// run reaches — satisfies its oracle. The sweep runs with env faults
+// enabled (so it covers every crash/partition/message pseudo-site) and
+// partial faults off (the partial space is what f32–f34 are rooted in).
+func needsItsClass(t *testing.T, ids ...string) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	for _, id := range ids {
+		s, _ := ByID(id)
+		t.Run(id, func(t *testing.T) {
+			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
+			singles := 0
+			for site, n := range free.Counts {
+				for occ := 1; occ <= n; occ++ {
+					inst := inject.Instance{Site: site, Occurrence: occ}
+					res := cluster.Execute(FailureSeed, inject.Exact(inst), false,
+						s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
+					singles++
+					if s.Oracle.Satisfied(res) {
+						t.Fatalf("%s: single clean fault %s#%d satisfies the oracle", id, site, occ)
+					}
+				}
+			}
+			if singles == 0 {
+				t.Fatalf("%s: no single-fault instances enumerated", id)
+			}
+		})
+	}
+}
+
+// Only the ground-truth pair reproduces f30/f31: no single fault does.
+func TestPairScenariosNeedBothFaults(t *testing.T) { needsItsClass(t, "f30", "f31") }
+
+// Error returns, crashes, partitions and message drops only ever lose or
+// defer state; they cannot leave the torn renames, torn records and
+// duplicated appends the f32–f34 oracles pin.
+func TestPartialScenariosNeedPartialFault(t *testing.T) { needsItsClass(t, "f32", "f33", "f34") }

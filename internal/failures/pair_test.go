@@ -3,44 +3,8 @@ package failures
 import (
 	"testing"
 
-	"anduril/internal/cluster"
 	"anduril/internal/inject"
 )
-
-// TestPairScenariosNeedBothFaults pins the property that makes f30/f31
-// combined-fault scenarios rather than redundant restatements of the
-// single-fault dataset: no single fault — any occurrence of any site,
-// including every environment pseudo-site — satisfies their oracles.
-// Only the ground-truth pair does.
-func TestPairScenariosNeedBothFaults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	for _, id := range []string{"f30", "f31"} {
-		s, _ := ByID(id)
-		t.Run(id, func(t *testing.T) {
-			// Enumerate singles with env faults enabled so the sweep also
-			// covers every crash/partition/message pseudo-site, even though
-			// the scenarios themselves search the pair class only.
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
-			singles := 0
-			for site, n := range free.Counts {
-				for occ := 1; occ <= n; occ++ {
-					inst := inject.Instance{Site: site, Occurrence: occ}
-					res := cluster.Execute(FailureSeed, inject.Exact(inst), false,
-						s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
-					singles++
-					if s.Oracle.Satisfied(res) {
-						t.Fatalf("%s: single fault %s#%d satisfies the pair oracle", id, site, occ)
-					}
-				}
-			}
-			if singles == 0 {
-				t.Fatalf("%s: no single-fault instances enumerated", id)
-			}
-		})
-	}
-}
 
 // TestPairGroundTruthMembers pins the empirically-derived ground truth
 // so a drift in the target systems (which would silently move the

@@ -112,25 +112,10 @@ type Server struct {
 
 	executions atomic.Int64
 
-	targets struct {
-		mu sync.Mutex
-		m  map[string]*targetEntry
-	}
-
 	// searchFn runs one search attempt; the default resolves the target
 	// and calls core.Resume / core.Reproduce. Tests substitute it to
 	// exercise the retry and recovery paths without a real search.
 	searchFn func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error)
-}
-
-// targetEntry builds a core.Target at most once per failure id. Targets
-// are read-only during Reproduce, so every concurrent job against the
-// same failure shares one instance — BuildTarget (static analysis
-// included) is the expensive part of a job, not the search.
-type targetEntry struct {
-	once sync.Once
-	t    *core.Target
-	err  error
 }
 
 // Open loads the journal under cfg.DataDir, re-admits every unfinished
@@ -153,7 +138,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel, wals: map[string]*traceWAL{}}
-	s.targets.m = map[string]*targetEntry{}
 	s.searchFn = s.runSearch
 	s.pool = parallel.NewPool(cfg.Workers, func(r any) {
 		cfg.Logf("server: worker panic escaped job isolation: %v", r)
@@ -476,10 +460,16 @@ func (s *Server) executeOnce(key string, spec Spec) (rep *core.Report, err error
 	return rep, nil
 }
 
-// runSearch is the production searchFn: resolve the (cached) target and
-// run or resume the explorer.
+// runSearch is the production searchFn: resolve the scenario's target —
+// built once per process and shared read-only by every job against the
+// same failure; static analysis makes it the expensive part of a job —
+// and run or resume the explorer.
 func (s *Server) runSearch(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
-	t, err := s.target(sp.Failure)
+	sc, ok := failures.ByID(sp.Failure)
+	if !ok {
+		return nil, fmt.Errorf("server: unknown failure %q", sp.Failure)
+	}
+	t, err := sc.BuildTarget()
 	if err != nil {
 		return nil, err
 	}
@@ -487,27 +477,6 @@ func (s *Server) runSearch(sp Spec, opts core.Options, ckPath string, haveCk boo
 		return core.Resume(t, opts, ckPath)
 	}
 	return core.Reproduce(t, opts), nil
-}
-
-// target builds (at most once) and returns the shared read-only Target
-// for a failure id.
-func (s *Server) target(id string) (*core.Target, error) {
-	s.targets.mu.Lock()
-	e, ok := s.targets.m[id]
-	if !ok {
-		e = &targetEntry{}
-		s.targets.m[id] = e
-	}
-	s.targets.mu.Unlock()
-	e.once.Do(func() {
-		sc, ok := failures.ByID(id)
-		if !ok {
-			e.err = fmt.Errorf("server: unknown failure %q", id)
-			return
-		}
-		e.t, e.err = sc.BuildTarget()
-	})
-	return e.t, e.err
 }
 
 // setWAL publishes (wal != nil) or retires the live trace journal for a

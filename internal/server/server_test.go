@@ -15,20 +15,8 @@ import (
 	"anduril/internal/trace"
 )
 
-// serialTargets caches built targets across tests; Targets are read-only
-// during Reproduce, so sharing them is the documented contract.
-var serialTargets = struct {
-	mu sync.Mutex
-	m  map[string]*core.Target
-}{m: map[string]*core.Target{}}
-
 func serialTarget(t *testing.T, id string) *core.Target {
 	t.Helper()
-	serialTargets.mu.Lock()
-	defer serialTargets.mu.Unlock()
-	if cached, ok := serialTargets.m[id]; ok {
-		return cached
-	}
 	sc, ok := failures.ByID(id)
 	if !ok {
 		t.Fatalf("unknown failure %s", id)
@@ -37,7 +25,6 @@ func serialTarget(t *testing.T, id string) *core.Target {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialTargets.m[id] = target
 	return target
 }
 
