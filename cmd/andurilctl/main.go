@@ -410,7 +410,8 @@ type soakJob struct {
 // soakSet derives the deterministic job set: `distinct` candidate specs
 // from the seed (mixed failures, seeds, strategies; collisions under
 // content addressing merge), then `jobs` submissions distributed over
-// them by the same seed stream.
+// them by the same seed stream. A candidate no submission landed on (few
+// jobs over many specs) is not in the set: the daemon never hears of it.
 func soakSet(seed int64, jobs, distinct int) []*soakJob {
 	mix := func(x uint64) uint64 {
 		x += 0x9E3779B97F4A7C15
@@ -444,7 +445,13 @@ func soakSet(seed int64, jobs, distinct int) []*soakJob {
 		x := mix(uint64(seed) ^ (uint64(i)+1)*0xD1B54A32D192ED03)
 		order[x%uint64(len(order))].submissions++
 	}
-	return order
+	set := order[:0]
+	for _, j := range order {
+		if j.submissions > 0 {
+			set = append(set, j)
+		}
+	}
+	return set
 }
 
 func (c *ctl) soak(args []string) int {

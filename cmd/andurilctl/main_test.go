@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -121,6 +123,67 @@ func TestSoakSetDeterministic(t *testing.T) {
 	}
 	if len(soakSet(8, 100, 24)) == 0 || soakSet(8, 100, 24)[0].key == a[0].key {
 		t.Fatal("different seeds derived the same first job")
+	}
+}
+
+// soakFingerprint hashes a derived set's keys and submission counts in
+// order.
+func soakFingerprint(set []*soakJob) string {
+	h := sha256.New()
+	for _, j := range set {
+		fmt.Fprintf(h, "%s %d\n", j.key, j.submissions)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8])
+}
+
+// Few submissions over many specs leave some candidates with none; the
+// set holds only specs the daemon will hear of, so -verify-only never
+// polls a key that was never submitted (404 unknown job). The gates'
+// dense sets — the crash default 300/25 and the soak default 1000/40 —
+// are pinned: dropping empty candidates must not move them.
+func TestSoakSetSparse(t *testing.T) {
+	set := soakSet(7, 400, 150)
+	total := 0
+	for _, j := range set {
+		if j.submissions == 0 {
+			t.Fatalf("spec %s (%s) is in the set with no submission", j.key[:12], j.spec.Failure)
+		}
+		total += j.submissions
+	}
+	if len(set) != 111 || total != 400 {
+		t.Fatalf("sparse set: %d specs, %d submissions; want 111 (114 candidates, 3 never drawn) and 400", len(set), total)
+	}
+	for _, pin := range []struct {
+		seed           int64
+		jobs, distinct int
+		size           int
+		fingerprint    string
+	}{
+		{7, 300, 25, 25, "ae25079fa2112156"},
+		{1, 1000, 40, 36, "e1906cd9d883bb3a"},
+	} {
+		got := soakSet(pin.seed, pin.jobs, pin.distinct)
+		if len(got) != pin.size || soakFingerprint(got) != pin.fingerprint {
+			t.Errorf("soakSet(%d, %d, %d) = %d specs, fingerprint %s; want %d, %s",
+				pin.seed, pin.jobs, pin.distinct, len(got), soakFingerprint(got), pin.size, pin.fingerprint)
+		}
+	}
+}
+
+// The sparse set end to end, phase-split the way the crash harness runs
+// it: verification finds every derived key on the daemon.
+func TestCtlSoakSparseVerifyOnly(t *testing.T) {
+	base := startDaemon(t)
+	args := []string{"-server", base, "-jobs", "12", "-distinct", "40", "-seed", "7"}
+	if sparse := soakSet(7, 12, 40); len(sparse) >= 30 {
+		t.Fatalf("12 submissions left %d specs in the set; the case is not sparse", len(sparse))
+	}
+	if code, out, errb := runCtl(t, append([]string{"soak", "-submit-only"}, args...)...); code != exitOK {
+		t.Fatalf("submit-only = %d\nstdout: %s\nstderr: %s", code, out, errb)
+	}
+	code, out, errb := runCtl(t, append([]string{"soak", "-verify-only", "-timeout", "5m"}, args...)...)
+	if code != exitOK || !strings.Contains(out, "soak: OK") {
+		t.Fatalf("verify-only = %d\nstdout: %s\nstderr: %s", code, out, errb)
 	}
 }
 

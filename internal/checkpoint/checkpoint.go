@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"syscall"
 )
 
@@ -32,14 +33,43 @@ type Envelope struct {
 	Data    json.RawMessage `json:"data"`
 }
 
+// syncs counts every fsync this process issued through SyncFile and
+// SyncDir: the daemon's durability cost, in the unit it is paid in.
+var syncs atomic.Int64
+
+// Syncs reports the fsyncs issued so far by SyncFile and SyncDir.
+func Syncs() int64 { return syncs.Load() }
+
+// SyncFile fsyncs f, counting the call in Syncs.
+func SyncFile(f *os.File) error {
+	syncs.Add(1)
+	return f.Sync()
+}
+
 // Save atomically and durably writes data as a checkpoint of the given
-// kind and version. The write is crash-safe: a temporary file next to path
-// receives the full encoding first and is renamed over path only once
-// synced, so a kill at any instant leaves the previous checkpoint
-// readable. It is also power-loss-safe: the parent directory is fsynced
-// after the rename, so once Save returns the new checkpoint — not merely
-// one of the two — is what a post-crash mount sees.
+// kind and version: Stage, then an fsync of the parent directory. Stage
+// alone is crash-safe, but its rename is not yet durable — the directory
+// entry for path lives in the parent directory's data, and a power loss
+// before that data reaches disk can roll the directory back to the
+// pre-rename state even though the file contents were synced. With the
+// parent fsynced, once Save returns the new checkpoint — not merely one
+// of the two — is what a post-crash mount sees, which is what lets the
+// server treat these envelopes as a write-ahead journal, not just a
+// crash-safe cache.
 func Save(path, kind string, version int, data any) error {
+	if err := Stage(path, kind, version, data); err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// Stage is Save without the directory fsync: a temporary file next to
+// path receives the full encoding, is synced, and is renamed over path, so
+// a kill at any instant leaves the previous checkpoint or the new one,
+// never a torn file. A caller that stages several files into one directory
+// makes them all durable with a single SyncDir afterwards; until then a
+// power loss may keep any subset of the renames.
+func Stage(path, kind string, version int, data any) error {
 	raw, err := json.Marshal(data)
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s payload: %w", kind, err)
@@ -60,7 +90,7 @@ func Save(path, kind string, version int, data any) error {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
 	}
-	if err := tmp.Sync(); err != nil {
+	if err := SyncFile(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: sync %s: %w", tmp.Name(), err)
 	}
@@ -70,15 +100,7 @@ func Save(path, kind string, version int, data any) error {
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	// The rename is atomic but not yet durable: the directory entry for
-	// path lives in the parent directory's data, and a power loss before
-	// that data reaches disk can roll the directory back to the pre-rename
-	// state even though the file contents were synced. Fsyncing the parent
-	// completes the guarantee the package documents: once Save returns,
-	// the new checkpoint survives both a process kill AND a power loss —
-	// which is what lets the server treat these envelopes as a write-ahead
-	// journal, not just a crash-safe cache.
-	return SyncDir(dir)
+	return nil
 }
 
 // SyncDir fsyncs a directory so a just-renamed or just-created entry in it
@@ -93,7 +115,7 @@ func SyncDir(dir string) error {
 		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
 	}
 	defer d.Close()
-	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
+	if err := SyncFile(d); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.ENOTSUP) {
 		return fmt.Errorf("checkpoint: sync dir %s: %w", dir, err)
 	}
 	return nil

@@ -52,6 +52,36 @@ func TestSaveOverwrites(t *testing.T) {
 	}
 }
 
+// Save is Stage plus the directory fsync, and Syncs counts exactly those:
+// a staged file is already loadable and cost one fsync, the SyncDir that
+// makes a batch of stages durable one more, a Save two.
+func TestStageIsSaveMinusDirSync(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ck.json")
+	before := Syncs()
+	if err := Stage(path, "test-state", 1, payload{Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := Syncs() - before; got != 1 {
+		t.Fatalf("Stage issued %d fsyncs, want 1", got)
+	}
+	if _, err := Load(path, "test-state", 1); err != nil {
+		t.Fatalf("staged checkpoint does not load: %v", err)
+	}
+	if err := SyncDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := Save(path, "test-state", 1, payload{Round: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := Syncs() - before; got != 4 {
+		t.Fatalf("Stage + SyncDir + Save issued %d fsyncs, want 4", got)
+	}
+	if leftovers, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(leftovers) != 0 {
+		t.Fatalf("temporary files left behind: %v", leftovers)
+	}
+}
+
 // A process killed mid-write dies between creating the temporary file and
 // the rename. Simulate every such state — a garbage temp file alongside a
 // valid checkpoint — and verify the previous checkpoint stays readable.

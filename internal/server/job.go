@@ -1,9 +1,10 @@
 package server
 
-// Job lifecycle. A job moves through a small state machine, and every
-// transition is journaled durably (job.json is an atomic checkpoint
-// envelope) BEFORE it takes effect in memory, so a kill at any instant
-// leaves a record the next daemon start can act on:
+// Job lifecycle. A job moves through a small state machine. Every
+// transition recovery can tell apart is one durability point — job.json
+// is an atomic checkpoint envelope, written and fsynced BEFORE the change
+// is published in memory — so a kill at any instant leaves a record the
+// next daemon start can act on:
 //
 //	queued  ──start──▶ running ──success──▶ done
 //	  ▲                  │ │
@@ -11,19 +12,24 @@ package server
 //	  └──(re-admit)──────┘ └─transient failure ×N──▶ failed
 //
 //   - queued: journaled and waiting for a worker. Restart re-admits it.
-//   - running: a worker is executing the search (or was, when the
-//     daemon died — restart demotes running back to queued and the
-//     search resumes from its last checkpoint).
+//   - running: a worker is executing the search. Published in memory
+//     only: restart re-admits queued and running alike and the search
+//     resumes from its last checkpoint, so the start of a job is not
+//     worth an fsync. A record on disk says running only when a later
+//     durable write (a resubmission's Submissions++) carried it there.
 //   - done: the search finished; report.json holds the final report,
-//     trace.jsonl the complete trace. Terminal.
+//     trace.jsonl the complete trace. Terminal — once report.json loads:
+//     the completion commit makes the report's and the record's renames
+//     durable with one directory fsync, so a power loss may keep the
+//     record's alone, and restart re-admits a done job without a report.
 //   - failed: the search could not produce a report — a deterministic
 //     failure (the free run itself fails, so retrying cannot help) or
 //     a transient one (executor panic, journal I/O error) that survived
 //     MaxAttempts retries. Terminal; Error says why.
 //
-// A graceful drain interrupts running jobs; they keep state "running"
-// in the journal (their final checkpoint was just forced by the engine)
-// and the next start re-admits and resumes them.
+// A graceful drain interrupts running jobs; their final checkpoint was
+// just forced by the engine, and the next start re-admits and resumes
+// them.
 
 // Job states.
 const (

@@ -80,6 +80,41 @@ func TestJournalSkipsRecordlessDirs(t *testing.T) {
 	}
 }
 
+// Publish changes the table and not the disk; the job's next durable
+// Update carries the change with it.
+func TestJournalPublishIsMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Failure: "f4"}.Normalize()
+	key := spec.Key()
+	if err := j.Put(Job{Key: key, Spec: spec, State: StateQueued, Submissions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	j.Publish(key, func(jb *Job) { jb.State = StateRunning })
+	if got, _ := j.Get(key); got.State != StateRunning {
+		t.Fatalf("published state = %s, want running", got.State)
+	}
+	onDisk := func() *Job {
+		job, err := readJob(filepath.Join(j.Dir(key), jobFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	if got := onDisk(); got.State != StateQueued {
+		t.Fatalf("Publish reached the disk: record says %s", got.State)
+	}
+	if _, err := j.Update(key, func(jb *Job) { jb.Submissions++ }); err != nil {
+		t.Fatal(err)
+	}
+	if got := onDisk(); got.State != StateRunning || got.Submissions != 2 {
+		t.Fatalf("durable update wrote %+v, want running with 2 submissions", got)
+	}
+}
+
 func TestJournalUpdateUnknownJob(t *testing.T) {
 	j, _, err := OpenJournal(t.TempDir())
 	if err != nil {

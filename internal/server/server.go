@@ -104,11 +104,13 @@ type Server struct {
 	ctx     context.Context
 	cancel  context.CancelFunc
 
-	mu       sync.Mutex
-	queued   int // jobs journaled queued, waiting for a worker
-	active   int // jobs executing right now
-	draining bool
-	wals     map[string]*traceWAL // live trace journals by job key
+	// mu guards the fields below and is never held across a disk write.
+	mu        sync.Mutex
+	queued    int // jobs admitted (slot reserved or journaled), waiting for a worker
+	active    int // jobs executing right now
+	draining  bool
+	wals      map[string]*traceWAL     // live trace journals by job key
+	admitting map[string]chan struct{} // first submissions being journaled; closed when settled
 
 	executions atomic.Int64
 
@@ -119,11 +121,12 @@ type Server struct {
 }
 
 // Open loads the journal under cfg.DataDir, re-admits every unfinished
-// job, and starts the worker pool. Jobs found in state running were
-// in flight when the previous daemon died; they are demoted to queued
-// (durably) and resume from their last checkpoint. Queued and demoted
-// jobs enter the pool in key order, so a restarted daemon's schedule is
-// deterministic.
+// job, and starts the worker pool. A job is unfinished when its record
+// says queued or running (one state to recovery), or says done while
+// report.json does not load: the completion commit makes its two renames
+// durable with one directory fsync, and a power loss before it may keep
+// the record's alone. Each resumes from its last checkpoint. They enter
+// the pool in key order, so a restarted daemon's schedule is deterministic.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -137,22 +140,22 @@ func Open(cfg Config) (*Server, error) {
 		cfg.Logf("server: skipping unreadable job dir %s (died before first record write)", key)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel, wals: map[string]*traceWAL{}}
+	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel,
+		wals: map[string]*traceWAL{}, admitting: map[string]chan struct{}{}}
 	s.searchFn = s.runSearch
 	s.pool = parallel.NewPool(cfg.Workers, func(r any) {
 		cfg.Logf("server: worker panic escaped job isolation: %v", r)
 	})
 	for _, job := range journal.Jobs() {
-		if job.Terminal() {
+		if job.State == StateFailed {
 			continue
 		}
-		if job.State == StateRunning {
-			if _, err := journal.Update(job.Key, func(j *Job) { j.State = StateQueued }); err != nil {
-				s.pool.Shutdown()
-				cancel()
-				return nil, err
+		if job.State == StateDone {
+			if _, err := s.ReportJSON(job.Key); err == nil {
+				continue
 			}
 		}
+		journal.Publish(job.Key, func(j *Job) { j.State, j.Reproduced, j.Rounds = StateQueued, false, 0 })
 		s.enqueue(job.Key)
 		cfg.Logf("server: re-admitted job %s (%s)", job.Key[:12], job.Spec.Failure)
 	}
@@ -174,9 +177,11 @@ func (s *Server) enqueue(key string) {
 // On (job, false, nil) the job is journaled durably — it will execute
 // even if the daemon is killed right after.
 //
-// Admission holds the server lock across the dedupe check and the
-// journal write: two racing first submissions of one spec must resolve
-// into one job and one deduplicated hit, never two executions.
+// The server lock covers the admission decision — draining, dedupe, queue
+// cap, the reserved queued slot — and is released before the journal
+// write. Racing first submissions of one spec still resolve into one job
+// and N-1 deduplicated hits: the first leaves an admitting entry, the
+// others wait on it and then look the journal up again.
 func (s *Server) Submit(spec Spec) (Job, bool, error) {
 	spec = spec.Normalize()
 	if err := spec.Validate(); err != nil {
@@ -185,11 +190,21 @@ func (s *Server) Submit(spec Spec) (Job, bool, error) {
 	key := spec.Key()
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return Job{}, false, ErrDraining
+	for {
+		if s.draining {
+			s.mu.Unlock()
+			return Job{}, false, ErrDraining
+		}
+		settled, inFlight := s.admitting[key]
+		if !inFlight {
+			break
+		}
+		s.mu.Unlock()
+		<-settled
+		s.mu.Lock()
 	}
 	if existing, ok := s.journal.Get(key); ok {
+		s.mu.Unlock()
 		job, err := s.journal.Update(key, func(j *Job) { j.Submissions++ })
 		if err != nil {
 			return existing, true, err
@@ -197,14 +212,29 @@ func (s *Server) Submit(spec Spec) (Job, bool, error) {
 		return job, true, nil
 	}
 	if s.queued >= s.cfg.QueueCap {
-		return Job{}, false, &OverloadError{Queued: s.queued, RetryAfter: s.retryAfterLocked()}
-	}
-	job := Job{Key: key, Spec: spec, State: StateQueued, Submissions: 1}
-	if err := s.journal.Put(job); err != nil {
-		return Job{}, false, err
+		overload := &OverloadError{Queued: s.queued, RetryAfter: s.retryAfterLocked()}
+		s.mu.Unlock()
+		return Job{}, false, overload
 	}
 	s.queued++
-	s.pool.Submit(func() { s.runJob(key) })
+	settled := make(chan struct{})
+	s.admitting[key] = settled
+	s.mu.Unlock()
+
+	job := Job{Key: key, Spec: spec, State: StateQueued, Submissions: 1}
+	err := s.journal.Put(job)
+	s.mu.Lock()
+	delete(s.admitting, key)
+	close(settled)
+	// A pool closed by a racing Shutdown refuses the task; the job stays
+	// journaled queued and the next Open re-admits it, like any queued work.
+	if err != nil || !s.pool.Submit(func() { s.runJob(key) }) {
+		s.queued--
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return Job{}, false, err
+	}
 	return job, false, nil
 }
 
@@ -328,81 +358,57 @@ func (s *Server) runJob(key string) {
 		s.cfg.Logf("server: job %s vanished from journal", key)
 		return
 	}
-	if _, err := s.journal.Update(key, func(j *Job) { j.State = StateRunning }); err != nil {
-		s.cfg.Logf("server: job %s: %v", key, err)
-		return
-	}
+	s.journal.Publish(key, func(j *Job) { j.State = StateRunning })
 
 	for {
-		rep, execErr := s.executeOnce(key, job.Spec)
-		switch {
-		case execErr == nil && rep.Interrupted:
-			// Graceful drain: the engine just forced a checkpoint at the
-			// interrupted round. State stays running in the journal; the
-			// next Open demotes it to queued and resumes.
-			return
-
-		case execErr == nil && rep.Error != "":
-			// Deterministic failure: the free run itself fails, so the
-			// identical re-execution would too. Fail fast with the
-			// diagnosis; no retries.
-			s.finish(key, func(j *Job) { j.State = StateFailed; j.Error = rep.Error })
-			return
-
-		case execErr == nil:
-			s.finish(key, func(j *Job) {
-				j.State = StateDone
-				j.Error = ""
-				j.Reproduced, j.Rounds = rep.Reproduced, rep.Rounds
-			})
+		execErr := s.executeOnce(key, job.Spec)
+		if execErr == nil {
+			// The attempt journaled done or failed, or a graceful drain
+			// interrupted it: the engine just forced a checkpoint at the
+			// interrupted round and the next Open resumes from it.
 			return
 		}
 
 		// Transient failure: executor panic or journal I/O error.
 		// Deterministic seeded backoff, then another attempt — which
 		// resumes from whatever checkpoint the dead attempt left.
-		var attempt int
 		updated, err := s.journal.Update(key, func(j *Job) {
 			j.Attempts++
-			attempt = j.Attempts
 			j.Error = execErr.Error()
-			if attempt < s.cfg.MaxAttempts {
-				d := Backoff(j.Spec.Seed, key, attempt)
+			if j.Attempts < s.cfg.MaxAttempts {
+				d := Backoff(j.Spec.Seed, key, j.Attempts)
 				j.RetryBackoffsMS = append(j.RetryBackoffsMS, d.Milliseconds())
+			} else {
+				j.State = StateFailed
 			}
 		})
 		if err != nil {
+			// Not even the failure can be journaled: answer pollers from
+			// memory rather than leave the job running with no executor.
 			s.cfg.Logf("server: job %s: %v", key, err)
+			s.journal.Publish(key, func(j *Job) { j.State, j.Error = StateFailed, err.Error() })
 			return
 		}
-		if attempt >= s.cfg.MaxAttempts {
-			s.finish(key, func(j *Job) { j.State = StateFailed })
+		if updated.State == StateFailed {
 			return
 		}
-		s.cfg.Logf("server: job %s attempt %d failed (%v), retrying", key[:12], attempt, execErr)
-		s.cfg.Clock.Sleep(s.ctx, Backoff(updated.Spec.Seed, key, attempt))
+		s.cfg.Logf("server: job %s attempt %d failed (%v), retrying", key[:12], updated.Attempts, execErr)
+		s.cfg.Clock.Sleep(s.ctx, Backoff(updated.Spec.Seed, key, updated.Attempts))
 		if s.ctx.Err() != nil {
-			return // draining; state stays running for re-admission
+			return // draining; the job stays unfinished for re-admission
 		}
-	}
-}
-
-// finish journals a terminal transition.
-func (s *Server) finish(key string, f func(*Job)) {
-	if _, err := s.journal.Update(key, f); err != nil {
-		s.cfg.Logf("server: job %s: %v", key, err)
 	}
 }
 
 // executeOnce runs one search attempt inside the job's panic isolation
 // boundary: recover the trace journal against the surviving checkpoint,
-// resume (or start) the search, and on completion commit trace then
-// report. Any panic surfaces as an error — one poisoned job cannot take
-// down the daemon.
-func (s *Server) executeOnce(key string, spec Spec) (rep *core.Report, err error) {
+// resume (or start) the search, and journal its outcome. Any panic or
+// I/O error surfaces as an error, a transient failure to runJob — one
+// poisoned job cannot take down the daemon.
+func (s *Server) executeOnce(key string, spec Spec) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("server: job panic: %v", r)
+			err = fmt.Errorf("server: job panic: %v", r)
 		}
 	}()
 
@@ -411,7 +417,7 @@ func (s *Server) executeOnce(key string, spec Spec) (rep *core.Report, err error
 	ckRound, haveCk := core.CheckpointRound(ckPath)
 	wal, err := openWAL(filepath.Join(dir, traceFile), ckRound, haveCk)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.setWAL(key, wal)
 	defer func() {
@@ -427,37 +433,46 @@ func (s *Server) executeOnce(key string, spec Spec) (rep *core.Report, err error
 	opts.Trace = wal
 	opts.CheckpointFlush = wal.Flush
 
-	rep, err = s.searchFn(spec, opts, ckPath, haveCk)
+	rep, err := s.searchFn(spec, opts, ckPath, haveCk)
 	if err != nil && haveCk {
 		// The checkpoint exists but Resume rejected it (version skew, a
 		// changed dataset...). It cannot be resumed by anyone; start the
 		// search over from nothing.
 		s.cfg.Logf("server: job %s: discarding unusable checkpoint: %v", key[:12], err)
 		if rmErr := os.Remove(ckPath); rmErr != nil {
-			return nil, rmErr
+			return rmErr
 		}
 		if rsErr := wal.Reset(); rsErr != nil {
-			return nil, rsErr
+			return rsErr
 		}
 		rep, err = s.searchFn(spec, opts, ckPath, false)
 	}
-	if err != nil {
-		return nil, err
+	switch {
+	case err != nil || rep.Interrupted:
+		return err
+	case rep.Error != "":
+		// Deterministic failure: the free run itself fails, so the
+		// identical re-execution would too. Fail fast with the diagnosis.
+		_, err = s.journal.Update(key, func(j *Job) { j.State, j.Error = StateFailed, rep.Error })
+		return err
 	}
-	if rep.Interrupted || rep.Error != "" {
-		return rep, nil
-	}
-	// Commit order matters: trace (with its outcome line) first, then the
-	// report. A kill between the two re-runs nothing — the next attempt's
-	// recovery trims the outcome off and the resumed search replays only
-	// the final rounds after the last checkpoint.
+	// The completion commit: trace (with its outcome line) fsynced, report
+	// staged, then the record's own durable write, whose fsync of the job
+	// directory covers both renames — and the report is in place before any
+	// poll can see done. A kill before the record says done re-runs at most
+	// the rounds after the last checkpoint (recovery trims the outcome off
+	// the trace); Open handles a record that outlived its report.
 	if err := wal.FlushAll(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkpoint.Save(filepath.Join(dir, reportFile), reportKind, reportVersion, rep); err != nil {
-		return nil, err
+	if err := checkpoint.Stage(filepath.Join(dir, reportFile), reportKind, reportVersion, rep); err != nil {
+		return err
 	}
-	return rep, nil
+	_, err = s.journal.Update(key, func(j *Job) {
+		j.State, j.Error = StateDone, ""
+		j.Reproduced, j.Rounds = rep.Reproduced, rep.Rounds
+	})
+	return err
 }
 
 // runSearch is the production searchFn: resolve the scenario's target —

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 
+	"anduril/internal/checkpoint"
 	"anduril/internal/trace"
 )
 
@@ -91,7 +92,7 @@ func openWAL(path string, ckRound int, haveCk bool) (*traceWAL, error) {
 			f.Close()
 			return nil, fmt.Errorf("server: trim trace journal: %w", err)
 		}
-		if err := f.Sync(); err != nil {
+		if err := checkpoint.SyncFile(f); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("server: trim trace journal: %w", err)
 		}
@@ -177,7 +178,7 @@ func (w *traceWAL) commitLocked(n int) error {
 	if _, err := w.f.Write(out); err != nil {
 		return fmt.Errorf("server: append trace journal: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
+	if err := checkpoint.SyncFile(w.f); err != nil {
 		return fmt.Errorf("server: sync trace journal: %w", err)
 	}
 	w.buf = append([]walEntry{}, w.buf[n:]...)
@@ -200,7 +201,7 @@ func (w *traceWAL) Reset() error {
 	if _, err := w.f.Seek(0, 0); err != nil {
 		return fmt.Errorf("server: reset trace journal: %w", err)
 	}
-	return w.f.Sync()
+	return checkpoint.SyncFile(w.f)
 }
 
 // Snapshot returns the full trace so far: durable bytes plus the

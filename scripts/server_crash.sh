@@ -8,18 +8,24 @@
 # serial run (canonical report bytes and trace bytes must match exactly).
 #
 # -checkpoint-every 1 maximizes the surface: every round boundary is a
-# checkpoint write the kill can land inside. The kill offsets are a fixed
+# checkpoint write the kill can land inside. -workers 1, a set of ~110
+# distinct specs and a sub-second stagger keep a backlog under every kill:
+# a job here is milliseconds of work, so with a worker per CPU and seconds
+# between kills the whole set finishes inside the submit phase and every
+# kill lands on an idle daemon. The gate therefore counts the daemon's
+# "re-admitted job" lines per restart and fails as vacuous unless most
+# restarts found unfinished work to re-admit. The kill offsets are a fixed
 # stagger, not random — CI must be reproducible — but they drift against
 # the search cadence, so successive kills land at different points of the
 # journal/checkpoint/trace write sequence.
 #
-# Tunables (env): JOBS (default 300), DISTINCT (25), SEED (7),
+# Tunables (env): JOBS (default 400), DISTINCT (150), SEED (7),
 # KILLS (6), ADDR (127.0.0.1:18478).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS="${JOBS:-300}"
-DISTINCT="${DISTINCT:-25}"
+JOBS="${JOBS:-400}"
+DISTINCT="${DISTINCT:-150}"
 SEED="${SEED:-7}"
 KILLS="${KILLS:-6}"
 ADDR="${ADDR:-127.0.0.1:18478}"
@@ -44,7 +50,7 @@ fail() {
 
 start_daemon() {
   "$BIN/anduril-server" -data-dir "$DATA" -addr "$ADDR" \
-    -checkpoint-every 1 >>"$LOG" 2>&1 &
+    -workers 1 -checkpoint-every 1 >>"$LOG" 2>&1 &
   SRV_PID=$!
   for _ in $(seq 1 100); do
     if "$BIN/andurilctl" health -server "http://$ADDR" >/dev/null 2>&1; then
@@ -63,15 +69,25 @@ start_daemon
   -jobs "$JOBS" -distinct "$DISTINCT" -seed "$SEED" -submit-only \
   || fail "submit phase failed"
 
-# Kill -9 at staggered offsets while the backlog executes. Each restart
-# must re-admit every unfinished job from the journal.
+readmitted() { grep -c 're-admitted job' "$LOG" || true; }
+
+# Kill -9 at staggered offsets (0.1-0.5 s) while the backlog executes.
+# Each restart must re-admit every unfinished job from the journal; a
+# restart that re-admitted nothing killed an idle daemon and tested nothing.
+BUSY=0
 for i in $(seq 1 "$KILLS"); do
-  sleep "$(( (i * 3) % 5 + 1 ))"
+  sleep "0.$(( (i * 3) % 5 + 1 ))"
   kill -9 "$SRV_PID" 2>/dev/null || true
   wait "$SRV_PID" 2>/dev/null || true
-  echo "server_crash: kill #$i done, restarting"
+  before="$(readmitted)"
   start_daemon
+  found=$(( $(readmitted) - before ))
+  [ "$found" -gt 0 ] && BUSY=$(( BUSY + 1 ))
+  echo "server_crash: kill #$i done, restart re-admitted $found jobs"
 done
+NEED=$(( (KILLS * 2 + 2) / 3 )) # 4 of the default 6
+[ "$BUSY" -ge "$NEED" ] \
+  || fail "vacuous: only $BUSY of $KILLS kills hit a daemon with unfinished jobs (need $NEED)"
 
 "$BIN/andurilctl" soak -server "http://$ADDR" \
   -jobs "$JOBS" -distinct "$DISTINCT" -seed "$SEED" -verify-only -timeout 20m \
@@ -80,4 +96,4 @@ done
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || fail "final drain exited nonzero"
 SRV_PID=""
-echo "server_crash: OK ($KILLS kills survived, $JOBS submissions verified)"
+echo "server_crash: OK ($KILLS kills survived, $BUSY mid-execution, $(readmitted) re-admissions, $JOBS submissions verified)"
