@@ -45,6 +45,9 @@ type Options = core.Options
 // Report aliases the explorer's reproduction report.
 type Report = core.Report
 
+// Checkpoint aliases the search state Options.Checkpoint receives.
+type Checkpoint = core.Checkpoint
+
 // Strategy selects the exploration algorithm.
 type Strategy = core.Strategy
 
@@ -109,13 +112,17 @@ func Reproduce(t *Target, opts Options) *Report {
 	return core.Reproduce(t, opts)
 }
 
-// Resume continues an interrupted search from a checkpoint file written
-// by a previous run with Options.Checkpoint set. The target, strategy and
-// seed must match the checkpointed run; the resumed search then produces
-// the same report (and continues the same trace stream) as an
-// uninterrupted run.
+// Resume continues an interrupted search from the checkpoint file a
+// previous run kept with Options.Checkpoint = CheckpointFile(path). The
+// target, strategy and seed must match the checkpointed run; the resumed
+// search then produces the same report (and continues the same trace
+// stream) as an uninterrupted run.
 func Resume(t *Target, opts Options, path string) (*Report, error) {
-	return core.Resume(t, opts, path)
+	ck, err := core.LoadCheckpoint(path)
+	if err != nil {
+		return nil, err
+	}
+	return core.Resume(t, opts, ck)
 }
 
 // Verify deterministically replays a reproduction script and reports
@@ -210,6 +217,10 @@ func NewTarget(id string, workload Workload, horizon des.Time, orc Oracle, failu
 		Analysis:   an,
 	}, nil
 }
+
+// CheckpointFile(path) is the Options.Checkpoint sink that keeps the
+// search's latest checkpoint in a file, atomically replaced each time.
+var CheckpointFile = core.CheckpointFile
 
 // Oracle helpers, re-exported for building custom targets.
 var (

@@ -89,9 +89,9 @@ func main() {
 	opts := anduril.Options{
 		Strategy: anduril.Strategy(*strategy), Seed: *seed,
 		MaxRounds: *maxRounds, Window: *window, Adjust: *adjust,
-		Checkpoint: *ckptPath, CheckpointEvery: *ckptEvery,
-		StopAfterRound: *stopAfter, FaultClasses: core.SplitFaultClasses(*classes),
-		Addressing: anduril.Addressing(*addrMode),
+		CheckpointEvery: *ckptEvery, StopAfterRound: *stopAfter,
+		FaultClasses: core.SplitFaultClasses(*classes),
+		Addressing:   anduril.Addressing(*addrMode),
 	}
 	if err := opts.Validate(); err != nil {
 		// The explorer names the option by its snake_case key; the flag is
@@ -110,6 +110,9 @@ func main() {
 	}
 	if *resume && *ckptPath == "" {
 		usageErr("-resume requires -checkpoint to name the checkpoint file")
+	}
+	if *ckptPath != "" {
+		opts.Checkpoint = anduril.CheckpointFile(*ckptPath)
 	}
 
 	if *list {
@@ -186,7 +189,7 @@ func main() {
 		fail("search failed: %s", report.Error)
 	}
 	if report.CheckpointError != "" {
-		fmt.Fprintf(os.Stderr, "anduril: warning: checkpointing stopped: %s\n", report.CheckpointError)
+		fmt.Fprintf(os.Stderr, "anduril: warning: a checkpoint failed (every interval tries again), first: %s\n", report.CheckpointError)
 	}
 
 	fmt.Fprintf(out, "free run: %d log lines, %d relevant observables, %d candidate sites, %d candidate instances\n",
@@ -211,7 +214,7 @@ func main() {
 		os.Exit(exitInterrupted)
 	}
 	if !report.Reproduced {
-		fmt.Fprintf(out, "NOT reproduced after %d rounds (%.2fs)\n", report.Rounds, report.Elapsed.Seconds())
+		fmt.Fprintf(out, "NOT reproduced after %d rounds (%.2fs): %s\n", report.Rounds, report.Elapsed.Seconds(), report.Reason)
 		os.Exit(exitNotReproduced)
 	}
 	fmt.Fprintf(out, "REPRODUCED in %d rounds (%.2fs)\n", report.Rounds, report.Elapsed.Seconds())

@@ -11,9 +11,10 @@
 // input; it must never panic, whatever bytes it is handed (the package's
 // fuzz target enforces this).
 //
-// The explorer's search checkpoints (core.Options.Checkpoint) and the
-// evaluation grid's per-cell reports (eval.Options.ResumeDir) are both
-// stored in this envelope, each under its own kind.
+// The explorer's search checkpoints (core.CheckpointFile), the server's job
+// records and reports, and the evaluation grid's per-cell reports
+// (eval.Options.ResumeDir) are all stored in this envelope, each under its
+// own kind.
 package checkpoint
 
 import (

@@ -3,22 +3,23 @@ package core
 // Checkpoint/resume for the explorer search. The engine periodically
 // serializes its mutable search state — completed round, flexible-window
 // size, observable feedback priorities I_k, the tried set, and the
-// accumulated Report — into an atomically-written, versioned envelope
-// (internal/checkpoint). Resume rebuilds everything else from scratch:
-// the free run, observables, candidate sites, and distances are all
-// deterministic functions of (Target, Options.Seed), and every round r
-// runs under Seed+r, so a restored search continues exactly where the
-// interrupted one stopped and produces the identical trace suffix and
-// final report.
+// accumulated Report — and hands it to Options.Checkpoint; it does no I/O
+// of its own. CheckpointFile is the sink that keeps it in an atomically
+// written, versioned envelope (internal/checkpoint). Resume rebuilds
+// everything else from scratch: the free run, observables, candidate sites,
+// and distances are all deterministic functions of (Target, Options.Seed),
+// and every round r runs under Seed+r, so a restored search continues
+// exactly where the interrupted one stopped and produces the identical
+// trace suffix and final report.
 //
 // The equivalence contract: interrupt a search at a checkpoint boundary
 // (StopAfterRound a multiple of CheckpointEvery, or an external kill right
-// after a checkpoint write), resume it, and the concatenation of the two
-// JSONL traces is byte-identical to the uninterrupted run's trace — an
+// after a checkpoint), resume it, and the concatenation of the two JSONL
+// traces is byte-identical to the uninterrupted run's trace — an
 // interrupted search emits no outcome event, so its trace is a pure
 // prefix. A kill between checkpoints loses only the rounds after the last
-// write: resume re-executes them (deterministically), so the final report
-// is still identical, but the concatenated trace repeats those rounds.
+// one: resume re-executes them (deterministically), so the final report is
+// still identical, but the concatenated trace repeats those rounds.
 
 import (
 	"encoding/json"
@@ -26,6 +27,41 @@ import (
 
 	"anduril/internal/checkpoint"
 )
+
+// Checkpoint is the search state after Round completed rounds, as
+// Options.Checkpoint receives it and Resume continues from it. State is the
+// versioned payload — the bytes a checkpoint file's envelope carries — and
+// is all Resume reads; Round repeats the payload's round for a sink that
+// orders the checkpoint against its other writes (the server's trace
+// journal) without decoding it.
+type Checkpoint struct {
+	Round int
+	State json.RawMessage
+}
+
+// CheckpointFile is the Options.Checkpoint sink that keeps the latest
+// checkpoint in the file at path, atomically and durably replaced on every
+// call.
+func CheckpointFile(path string) func(Checkpoint) error {
+	return func(ck Checkpoint) error {
+		return checkpoint.Save(path, searchKind, searchVersion, ck.State)
+	}
+}
+
+// LoadCheckpoint reads the file a CheckpointFile sink wrote. A missing,
+// torn or corrupt file, or one from another checkpoint version, is an
+// error; of the payload only the round is decoded here, the rest by Resume.
+func LoadCheckpoint(path string) (Checkpoint, error) {
+	state, err := checkpoint.Load(path, searchKind, searchVersion)
+	if err != nil {
+		return Checkpoint{}, err
+	}
+	var head struct{ Round int } // the payload's "round"
+	if err := json.Unmarshal(state, &head); err != nil {
+		return Checkpoint{}, fmt.Errorf("core: decode checkpoint %s: %w", path, err)
+	}
+	return Checkpoint{Round: head.Round, State: state}, nil
+}
 
 // searchKind and searchVersion identify the explorer checkpoint envelope.
 // Version 3 added the partial fault class (a version-2 tried set may lack
@@ -72,36 +108,28 @@ type searchState struct {
 	Report *Report `json:"report"`
 }
 
-// maybeCheckpoint writes the search state after the given completed round
-// when checkpointing is enabled and the round lands on the interval.
-func (e *engine) maybeCheckpoint(round int) {
-	if e.o.Checkpoint != "" && round%e.o.CheckpointEvery == 0 {
-		e.saveCheckpoint(round)
+// checkpoint hands the state after the given completed round to the sink,
+// when there is one. Best-effort: the first failure is recorded on the
+// report and the search continues.
+func (e *engine) checkpoint(round int) {
+	if e.o.Checkpoint == nil {
+		return
 	}
-}
-
-// saveCheckpoint flushes the caller's journal (Options.CheckpointFlush)
-// and then persists the state for the given completed round. Writes are
-// best-effort: the first failure is recorded on the report and the search
-// continues.
-func (e *engine) saveCheckpoint(round int) {
-	if e.o.CheckpointFlush != nil {
-		e.o.CheckpointFlush(round)
+	state, err := json.Marshal(e.snapshotState(round))
+	if err == nil {
+		err = e.o.Checkpoint(Checkpoint{Round: round, State: state})
 	}
-	st := e.snapshotState(round)
-	if err := checkpoint.Save(e.o.Checkpoint, searchKind, searchVersion, st); err != nil {
-		if e.report.CheckpointError == "" {
-			e.report.CheckpointError = err.Error()
-		}
+	if err != nil && e.report.CheckpointError == "" {
+		e.report.CheckpointError = err.Error()
 	}
 }
 
 // snapshotState captures the engine's mutable state in serializable form.
 // The report is snapshotted with Interrupted cleared: the flag describes
-// the dying run, not the checkpointed state, and the forced final write on
-// interrupt happens after the engine marked the report — persisting the
-// flag would make the resumed run believe it too was interrupted and
-// suppress its trace outcome.
+// the dying run, not the checkpointed state, and the forced final
+// checkpoint of an interrupt is taken after the engine marked the report —
+// persisting the flag would make the resumed run believe it too was
+// interrupted and suppress its trace outcome.
 func (e *engine) snapshotState(round int) *searchState {
 	rep := *e.report
 	rep.Interrupted = false
@@ -129,35 +157,6 @@ func (e *engine) snapshotState(round int) *searchState {
 		st.Tried[s.id] = s.tried.Occurrences()
 	}
 	return st
-}
-
-// CheckpointRound reports the completed round recorded by the search
-// checkpoint at path. The server's crash recovery uses it to align its
-// external trace journal with the checkpoint before resuming: the journal
-// flushes strictly before each checkpoint write, so after a kill it may
-// run ahead of the checkpoint and must be trimmed back to this round. ok
-// is false when the file is missing, corrupt, or from a different
-// checkpoint version — Resume would reject it anyway, so callers treat
-// that as "start fresh".
-func CheckpointRound(path string) (round int, ok bool) {
-	st, err := loadSearchState(path)
-	if err != nil {
-		return 0, false
-	}
-	return st.Round, true
-}
-
-// loadSearchState reads and decodes an explorer checkpoint.
-func loadSearchState(path string) (*searchState, error) {
-	raw, err := checkpoint.Load(path, searchKind, searchVersion)
-	if err != nil {
-		return nil, err
-	}
-	st := &searchState{}
-	if err := json.Unmarshal(raw, st); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint %s: %w", path, err)
-	}
-	return st, nil
 }
 
 // validate checks the checkpoint belongs to this (target, options) pair —
@@ -235,15 +234,15 @@ func (e *engine) applyState() error {
 
 // Resume continues a checkpointed search. opts must carry the same
 // Strategy and Seed the interrupted run used (Window etc. likewise — the
-// engine cannot verify every knob, only what the checkpoint records); the
-// checkpoint at path names the last completed round, and the resumed
-// search continues from the next one, producing the identical trace
-// suffix and final report an uninterrupted run would have.
-func Resume(t *Target, opts Options, path string) (*Report, error) {
+// engine cannot verify every knob, only what the checkpoint records); ck
+// names the last completed round, and the resumed search continues from the
+// next one, producing the identical trace suffix and final report an
+// uninterrupted run would have.
+func Resume(t *Target, opts Options, ck Checkpoint) (*Report, error) {
 	opts = opts.withDefaults()
-	st, err := loadSearchState(path)
-	if err != nil {
-		return nil, err
+	st := &searchState{}
+	if err := json.Unmarshal(ck.State, st); err != nil {
+		return nil, fmt.Errorf("core: decode checkpoint: %w", err)
 	}
 	if err := st.validate(t, opts); err != nil {
 		return nil, err

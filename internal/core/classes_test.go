@@ -7,7 +7,6 @@ package core_test
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -102,10 +101,10 @@ func TestUnknownFaultClassIsAnError(t *testing.T) {
 	const want = `unknown fault class "sites"`
 	searchFailsToStart(t, tgt, bad, want)
 
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	var ck core.Checkpoint
 	good := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
 	killed := good
-	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = ck, 2, 4
+	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = keepLast(&ck), 2, 4
 	if rep := core.Reproduce(tgt, killed); !rep.Interrupted {
 		t.Fatal("setup run not interrupted")
 	}

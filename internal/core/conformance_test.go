@@ -48,7 +48,7 @@ type cell struct {
 	opts core.Options
 	once sync.Once
 
-	err    error // the observation itself failed (target build, trace sink, temp dir)
+	err    error // the observation itself failed (target build, trace sink)
 	tgt    *core.Target
 	rep    *core.Report
 	first  []byte // JSONL trace of the search
@@ -79,15 +79,24 @@ var cells = func() map[cellKey]*cell {
 	return m
 }()
 
+// keepLast is the Options.Checkpoint sink that keeps the latest checkpoint
+// in memory.
+func keepLast(dst *core.Checkpoint) func(core.Checkpoint) error {
+	return func(ck core.Checkpoint) error {
+		*dst = ck
+		return nil
+	}
+}
+
 // search runs the cell's target under opts — resumed from the checkpoint
-// at resumeFrom when that is set — and returns the report and the JSONL
-// trace emitted.
-func (c *cell) search(opts core.Options, resumeFrom string) (rep *core.Report, jsonl []byte, err error) {
+// resumeFrom when that is set — and returns the report and the JSONL trace
+// emitted.
+func (c *cell) search(opts core.Options, resumeFrom *core.Checkpoint) (rep *core.Report, jsonl []byte, err error) {
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
 	opts.Trace = sink
-	if resumeFrom != "" {
-		rep, err = core.Resume(c.tgt, opts, resumeFrom)
+	if resumeFrom != nil {
+		rep, err = core.Resume(c.tgt, opts, *resumeFrom)
 	} else {
 		rep = core.Reproduce(c.tgt, opts)
 	}
@@ -102,10 +111,10 @@ func (c *cell) observe() *cell {
 		if c.tgt, c.err = c.sc.BuildTarget(); c.err != nil {
 			return
 		}
-		if c.rep, c.first, c.err = c.search(c.opts, ""); c.err != nil {
+		if c.rep, c.first, c.err = c.search(c.opts, nil); c.err != nil {
 			return
 		}
-		if _, c.second, c.err = c.search(c.opts, ""); c.err != nil {
+		if _, c.second, c.err = c.search(c.opts, nil); c.err != nil {
 			return
 		}
 		if sf, err := core.ScriptOf(c.rep); err == nil {
@@ -116,18 +125,13 @@ func (c *cell) observe() *cell {
 		if c.killAt = c.rep.Rounds / 2; c.killAt == 0 {
 			return
 		}
-		dir, err := os.MkdirTemp("", "conformance-")
-		if err != nil {
-			c.err = err
-			return
-		}
-		defer os.RemoveAll(dir)
+		var ck core.Checkpoint
 		kill := c.opts
-		kill.Checkpoint, kill.StopAfterRound = filepath.Join(dir, "search.ck.json"), c.killAt
-		if c.killed, c.part, c.err = c.search(kill, ""); c.err != nil {
+		kill.Checkpoint, kill.StopAfterRound = keepLast(&ck), c.killAt
+		if c.killed, c.part, c.err = c.search(kill, nil); c.err != nil {
 			return
 		}
-		c.resumed, c.rest, c.resumeErr = c.search(c.opts, kill.Checkpoint)
+		c.resumed, c.rest, c.resumeErr = c.search(c.opts, &ck)
 	})
 	return c
 }

@@ -107,13 +107,12 @@ type Target struct {
 
 // Options tune the explorer.
 type Options struct {
-	Strategy      Strategy
-	Window        int   // initial flexible-window size k (§5.2.5); default 10
-	Adjust        int   // observable priority adjustment s (§5.2.1); default 1
-	MaxRounds     int   // round cap; default 2000
-	Seed          int64 // master seed; round r runs with Seed+r
-	InstanceLimit int   // per-site instance cap for the limited variants; default 3
-	TrackRank     bool  // record the root site's rank each round (Figure 6)
+	Strategy  Strategy
+	Window    int   // initial flexible-window size k (§5.2.5); default 10
+	Adjust    int   // observable priority adjustment s (§5.2.1); default 1
+	MaxRounds int   // round cap; default 2000
+	Seed      int64 // master seed; round r runs with Seed+r
+	TrackRank bool  // record the root site's rank each round (Figure 6)
 
 	// FaultClasses selects which fault classes the search explores, by
 	// name: ClassSite, ClassEnv, ClassPartial, ClassPair. Unset (nil or
@@ -146,25 +145,17 @@ type Options struct {
 	FixedWindow     bool // never double the window on empty rounds
 	GlobalDiff      bool // diff logs globally instead of per thread
 
-	// Checkpoint, when non-empty, is a file path the engine atomically
-	// writes its search state to every CheckpointEvery rounds, so a killed
-	// search can continue via Resume. "" (the default) disables
-	// checkpointing at zero cost. Because per-round seeds derive from
-	// Seed+round, a resumed run is byte-identical — trace and final report —
-	// to the same run uninterrupted.
-	Checkpoint      string
-	CheckpointEvery int // rounds between checkpoint writes; default 10
-
-	// CheckpointFlush, when non-nil alongside Checkpoint, is invoked
-	// immediately BEFORE each checkpoint write — periodic or the forced
-	// final write on interrupt — with the round the checkpoint will
-	// record. External journals (the server's buffered trace WAL) flush
-	// their per-round state here, so on disk the journal is always at or
-	// ahead of the checkpoint: a crash between the flush and the write
-	// loses only the newer checkpoint, never journaled events, and
-	// recovery trims the journal back to whatever round the surviving
-	// checkpoint names.
-	CheckpointFlush func(round int)
+	// Checkpoint receives the search state after every CheckpointEvery-th
+	// completed round and once more, whatever the interval, when the search
+	// is interrupted: the engine does no I/O, the checkpoint leaves it like
+	// the trace does. CheckpointFile keeps it in a file; Resume continues
+	// from a received or loaded value. An error never stops the search: the
+	// first is kept in Report.CheckpointError and the next interval calls
+	// again. nil (the default) disables checkpointing at zero cost. Per-round
+	// seeds derive from Seed+round, so a resumed run is byte-identical —
+	// trace and final report — to the same run uninterrupted.
+	Checkpoint      func(Checkpoint) error
+	CheckpointEvery int // rounds between checkpoints; default 10
 
 	// EventBudget caps the DES events of a single trial run. A livelocked
 	// target (a zero-delay self-scheduling loop) never advances virtual
@@ -192,10 +183,6 @@ type Options struct {
 	// nil (the default) disables tracing at zero cost: the engine checks
 	// the sink before building any event.
 	Trace trace.Sink
-
-	// naiveRanking swaps the incremental priority index for the reference
-	// ranker (see ranking.go). Only tests set it, through export_test.go.
-	naiveRanking bool
 }
 
 // OptionError reports an option value from outside the program (a CLI
@@ -268,9 +255,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 2000
-	}
-	if o.InstanceLimit <= 0 {
-		o.InstanceLimit = 3
 	}
 	if o.RunsPerRound <= 0 {
 		o.RunsPerRound = 1
@@ -363,9 +347,16 @@ type Report struct {
 	// failed twice (e.g. the target panics without any injection).
 	Error string `json:",omitempty"`
 
-	// CheckpointError records the first failed checkpoint write, if any.
-	// Checkpointing is best-effort: a write failure never stops the search.
+	// CheckpointError records the first error Options.Checkpoint returned,
+	// if any. Checkpointing is best-effort: a failed checkpoint never stops
+	// the search, and the next interval tries again.
 	CheckpointError string `json:",omitempty"`
+
+	// Reason says why a finished search ended, in the trace outcome's
+	// vocabulary: trace.ReasonReproduced, ReasonExhausted (every candidate
+	// tried), ReasonRoundCap or ReasonError (see Error). Empty on an
+	// interrupted report, which is not an ending.
+	Reason string `json:",omitempty"`
 }
 
 // MedianInitTime returns the median per-round initialization time.

@@ -5,6 +5,7 @@ import (
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/trace"
 )
 
 // TestStackTraceBaselineShape checks the paper's §8.4 finding: the
@@ -31,18 +32,19 @@ func TestStackTraceBaselineShape(t *testing.T) {
 
 // TestInstanceLimitMissesTimingCriticalFailures checks the §8.3 ablation
 // finding: capping each site at its first 3 instances loses exactly the
-// failures whose root-cause occurrence is late and state-dependent.
+// failures whose root-cause occurrence is late and state-dependent. The
+// report says why each search ended, with no trace sink attached.
 func TestInstanceLimitMissesTimingCriticalFailures(t *testing.T) {
 	timingCritical := map[string]bool{"f4": true, "f17": true, "f20": true}
 	for id := range map[string]bool{"f4": true, "f17": true, "f20": true, "f1": false, "f16": false} {
 		sc, _ := failures.ByID(id)
 		tgt := target(t, sc.ID)
 		rep := core.Reproduce(tgt, core.Options{Strategy: core.SiteDistanceLimit, Seed: 1, MaxRounds: 500})
-		if timingCritical[id] && rep.Reproduced {
-			t.Errorf("%s: limit-3 variant should miss this timing-critical failure", id)
+		if timingCritical[id] && (rep.Reproduced || rep.Reason != trace.ReasonExhausted) {
+			t.Errorf("%s: limit-3 variant should miss this timing-critical failure by exhausting its capped space (reproduced=%v, reason %q)", id, rep.Reproduced, rep.Reason)
 		}
-		if !timingCritical[id] && !rep.Reproduced {
-			t.Errorf("%s: limit-3 variant should still reproduce this one", id)
+		if !timingCritical[id] && (!rep.Reproduced || rep.Reason != trace.ReasonReproduced) {
+			t.Errorf("%s: limit-3 variant should still reproduce this one (reproduced=%v, reason %q)", id, rep.Reproduced, rep.Reason)
 		}
 	}
 }

@@ -188,6 +188,10 @@ type engine struct {
 	resume     *searchState
 	startRound int
 
+	// recomputeRanking makes every ranking a full recompute, the reference
+	// the priority index must equal. Only export_test.go sets it.
+	recomputeRanking bool
+
 	report *Report
 }
 
@@ -328,40 +332,43 @@ func (e *engine) prepare() error {
 	return nil
 }
 
-// finish closes the report. An interrupted search emits no trace outcome:
-// its trace must stay a pure prefix of the uninterrupted stream so a
-// resumed continuation concatenates into the identical trace.
+// finish closes the report with the reason the search ended. An interrupted
+// search has none and emits no trace outcome: its trace must stay a pure
+// prefix of the uninterrupted stream so a resumed continuation concatenates
+// into the identical trace.
 func (e *engine) finish(start time.Time) {
-	e.report.Elapsed += time.Since(start)
-	if e.report.Script != nil {
-		e.report.EnvRooted = inject.IsEnvSite(e.report.Script.Site)
-		e.report.PartialRooted = inject.IsPartialSite(e.report.Script.Site)
+	rep := e.report
+	rep.Elapsed += time.Since(start)
+	if rep.Script != nil {
+		rep.EnvRooted = inject.IsEnvSite(rep.Script.Site)
+		rep.PartialRooted = inject.IsPartialSite(rep.Script.Site)
 	}
-	if e.report.Interrupted {
+	if rep.Interrupted {
 		return
+	}
+	switch {
+	case rep.Reproduced:
+		rep.Reason = trace.ReasonReproduced
+	case rep.Error != "":
+		rep.Reason = trace.ReasonError
+	case rep.Rounds >= e.o.MaxRounds:
+		rep.Reason = trace.ReasonRoundCap
+	default:
+		rep.Reason = trace.ReasonExhausted
 	}
 	if e.tracing() {
 		ev := &trace.Event{
-			Type: trace.Outcome, Reproduced: e.report.Reproduced,
-			Rounds: e.report.Rounds,
+			Type: trace.Outcome, Reproduced: rep.Reproduced,
+			Rounds: rep.Rounds, Reason: rep.Reason, Detail: rep.Error,
 		}
-		switch {
-		case e.report.Reproduced:
-			ev.Reason = trace.ReasonReproduced
-			ev.Site = e.report.Script.Site
-			ev.Occ = e.report.Script.Occurrence
-			ev.Path = e.report.Script.Path
-			ev.ScriptSeed = e.report.ScriptSeed
-		case e.report.Error != "":
-			ev.Reason = trace.ReasonError
-			ev.Detail = e.report.Error
-		case e.report.Rounds >= e.o.MaxRounds:
-			ev.Reason = trace.ReasonRoundCap
-		default:
-			ev.Reason = trace.ReasonExhausted
+		if rep.Reproduced {
+			ev.Site = rep.Script.Site
+			ev.Occ = rep.Script.Occurrence
+			ev.Path = rep.Script.Path
+			ev.ScriptSeed = rep.ScriptSeed
 		}
-		if n := len(e.report.RoundLog); n > 0 {
-			ev.RootRank = e.report.RoundLog[n-1].RootRank
+		if n := len(rep.RoundLog); n > 0 {
+			ev.RootRank = rep.RoundLog[n-1].RootRank
 		}
 		e.emit(ev)
 	}
@@ -396,14 +403,14 @@ func (e *engine) stopRequested(round int) bool {
 // interrupt ends a search that was stopped before the given round finished
 // — at its boundary, or cancelled mid-trial — and marks the report
 // resumable. Its last act is a checkpoint of the state through round-1,
-// written regardless of the interval, so a gracefully-drained search
+// taken regardless of the interval, so a gracefully-drained search
 // resumes from the exact round it stopped at instead of re-executing
-// everything since the last periodic write. An interrupt before the first
-// completed round has no state worth persisting.
+// everything since the last periodic one. An interrupt before the first
+// completed round has no state worth keeping.
 func (e *engine) interrupt(round int) {
 	e.report.Interrupted = true
-	if e.o.Checkpoint != "" && round > 1 {
-		e.saveCheckpoint(round - 1)
+	if round > 1 {
+		e.checkpoint(round - 1)
 	}
 }
 
@@ -552,12 +559,12 @@ func (e *engine) recordInconclusive(a attempt) {
 
 // record books a finished round on the report and, on the interval,
 // checkpoints the state after it. A reproducing round ends the search —
-// there is nothing left to resume — so it writes no checkpoint.
+// there is nothing left to resume — so it takes no checkpoint.
 func (e *engine) record(rd *Round) {
 	e.report.RoundLog = append(e.report.RoundLog, *rd)
 	e.report.Rounds = rd.N
-	if !rd.Satisfied {
-		e.maybeCheckpoint(rd.N)
+	if !rd.Satisfied && rd.N%e.o.CheckpointEvery == 0 {
+		e.checkpoint(rd.N)
 	}
 }
 

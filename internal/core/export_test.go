@@ -6,13 +6,25 @@ import (
 	"anduril/internal/inject"
 )
 
-// WithNaiveRanking returns o with the reference ranker selected instead of
-// the incremental priority index. The equivalence test lives in core_test
-// (it needs the failure dataset, which imports core) and cannot reach the
-// unexported option otherwise.
-func WithNaiveRanking(o Options) Options {
-	o.naiveRanking = true
-	return o
+// The ranking oracle: the paper's algorithm as literally written, a full
+// re-score of every site and a full re-sort on each call — what the
+// incremental priority index (ranking.go) must equal, kept for tests only.
+
+// fullRanking is one ranking by full recompute. The result is valid until
+// the next call on the same engine.
+func (e *engine) fullRanking(useFeedback bool) []*siteState {
+	e.computePriorities(true, useFeedback)
+	return e.rankedSites()
+}
+
+// ReproduceRecomputing is Reproduce with every ranking of the search a full
+// recompute. The equivalence test lives in core_test (it needs the failure
+// dataset, which imports core) and cannot reach the engine otherwise.
+func ReproduceRecomputing(t *Target, o Options) *Report {
+	e := newEngine(t, o.withDefaults())
+	e.recomputeRanking = true
+	rep, _ := e.run()
+	return rep
 }
 
 // Prepared is an engine after the free run and setup, with the initial
@@ -30,7 +42,7 @@ func Prepare(t *Target, o Options) (*Prepared, error) {
 	if err := e.prepare(); err != nil {
 		return nil, err
 	}
-	return &Prepared{e: e, ranked: e.newRanker(true).ranked()}, nil
+	return &Prepared{e: e, ranked: (&indexRanker{e: e, useFeedback: true}).ranked()}, nil
 }
 
 // ExhaustSingleFaults marks every non-pair instance tried, so the window

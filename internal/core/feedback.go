@@ -20,8 +20,11 @@ type feedbackSpec struct {
 	useFeedback bool // apply Algorithm 2 priority adjustments
 	useTemporal bool // rank instances by temporal distance T_{i,j,k}
 	multiply    bool // §8.3 multiply-feedback pair ranking
-	limited     bool // cap instances per site at Options.InstanceLimit
+	limited     bool // cap instances per site at instanceLimit
 }
+
+// instanceLimit is the per-site cap of the paper's limit-3 variants (§8.3).
+const instanceLimit = 3
 
 // explore is the one round loop. The rows differ in the select step — a
 // queue row injects the next entry of a queue that is a deterministic
@@ -32,13 +35,13 @@ type feedbackSpec struct {
 // learns. rk is nil for a queue row, which therefore never ranks.
 func (e *engine) explore() {
 	last := e.o.MaxRounds
-	var rk ranker
+	var rk *indexRanker
 	var queue []inject.Instance
 	if e.strategy.queue != nil {
 		queue = e.strategy.queue(e)
 		last = min(last, len(queue))
 	} else {
-		rk = e.newRanker(e.strategy.spec.useFeedback)
+		rk = &indexRanker{e: e, useFeedback: e.strategy.spec.useFeedback}
 	}
 	for round := e.startRound + 1; round <= last; round++ {
 		if e.stopRequested(round) {
@@ -98,7 +101,7 @@ func (e *engine) explore() {
 
 // selectRanked is a priority-driven row's select step: rank the sites,
 // trace the round's starting state, and fill the window from the ranking.
-func (e *engine) selectRanked(rk ranker, round int) (candidates []inject.Instance, rootRank int) {
+func (e *engine) selectRanked(rk *indexRanker, round int) (candidates []inject.Instance, rootRank int) {
 	spec := e.strategy.spec
 	ranked := rk.ranked()
 	if e.o.TrackRank {
@@ -131,7 +134,7 @@ func (e *engine) selectRanked(rk ranker, round int) (candidates []inject.Instanc
 	}
 	limit := 0
 	if spec.limited {
-		limit = e.o.InstanceLimit
+		limit = instanceLimit
 	}
 	return e.fillWindow(ranked, e.window, spec.useTemporal && !e.o.TemporalByOrder, limit), rootRank
 }
@@ -185,7 +188,7 @@ func (e *engine) combineLogs(a *attempt) {
 // round's logs produced is deprioritized by Options.Adjust (when the row
 // uses feedback at all), and the injection that came closest to the failure
 // log is kept as the §3 hint for a failure one fault does not reproduce.
-func (e *engine) learn(rk ranker, a attempt) {
+func (e *engine) learn(rk *indexRanker, a attempt) {
 	rd := a.rd
 	e.markTried(*rd.Injected)
 	useFeedback := e.strategy.spec.useFeedback
@@ -214,10 +217,10 @@ func (e *engine) learn(rk ranker, a attempt) {
 
 // traceFeedback records an Algorithm 2 update: the observables whose I_k
 // was adjusted and the resulting F_i deltas. The deltas need next round's
-// priorities; forcing the ranker to apply its pending re-scores here is
+// priorities; forcing the index to apply its pending re-scores here is
 // idempotent (the next round's ranked() returns the same values) and only
 // happens when a sink is attached.
-func (e *engine) traceFeedback(rk ranker, round, missing int, bumped []trace.ObsPriority, useFeedback bool) {
+func (e *engine) traceFeedback(rk *indexRanker, round, missing int, bumped []trace.ObsPriority, useFeedback bool) {
 	if !e.tracing() {
 		return
 	}

@@ -1,15 +1,15 @@
 package core_test
 
 // Tests for the server-facing checkpoint extensions: the forced final
-// checkpoint an interrupted search writes (so a drained daemon resumes
-// from the exact round it stopped at, not the last periodic write), the
-// CheckpointFlush ordering contract (journal flush strictly before the
-// state write), and concurrent Resume safety.
+// checkpoint an interrupted search takes (so a drained daemon resumes
+// from the exact round it stopped at, not the last periodic one), what the
+// Options.Checkpoint sink sees and when, and concurrent Resume safety.
 
 import (
 	"context"
-	"os"
-	"path/filepath"
+	"encoding/json"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -19,8 +19,8 @@ import (
 )
 
 // TestInterruptOffBoundaryWritesFinalCheckpoint kills a search at a round
-// that is NOT a multiple of CheckpointEvery. Before the forced final
-// write, no checkpoint would exist at all (round 5, every 10); with it,
+// that is NOT a multiple of CheckpointEvery. Without the forced final
+// checkpoint none would exist at all (round 5, every 10); with it,
 // the resumed run must continue from round 6 and the concatenated trace
 // must be byte-identical to the uninterrupted run — the property the
 // daemon's graceful drain depends on.
@@ -37,12 +37,12 @@ func TestInterruptOffBoundaryWritesFinalCheckpoint(t *testing.T) {
 			repFull.Reproduced, repFull.Rounds)
 	}
 
-	ck := filepath.Join(t.TempDir(), "search.ck.json")
+	var ck core.Checkpoint
 	var part trace.Memory
 	optsKill := base
 	optsKill.Trace = &part
-	optsKill.Checkpoint = ck
-	optsKill.CheckpointEvery = 10 // no periodic write lands before the kill
+	optsKill.Checkpoint = keepLast(&ck)
+	optsKill.CheckpointEvery = 10 // no periodic checkpoint lands before the kill
 	optsKill.StopAfterRound = 5
 	repKill := core.Reproduce(tgt, optsKill)
 	if !repKill.Interrupted || repKill.Rounds != 5 {
@@ -52,8 +52,6 @@ func TestInterruptOffBoundaryWritesFinalCheckpoint(t *testing.T) {
 	var rest trace.Memory
 	optsResume := base
 	optsResume.Trace = &rest
-	optsResume.Checkpoint = ck
-	optsResume.CheckpointEvery = 10
 	repRes, err := core.Resume(tgt, optsResume, ck)
 	if err != nil {
 		t.Fatalf("resume from forced final checkpoint: %v", err)
@@ -124,19 +122,19 @@ func TestInterruptInCombinedLogRunWritesFinalCheckpoint(t *testing.T) {
 		}
 		tgt.Workload(env)
 	}
-	ck := filepath.Join(t.TempDir(), "search.ck.json")
+	var ck core.Checkpoint
 	var part trace.Memory
 	optsKill := base
 	optsKill.Trace = &part
 	optsKill.Context = ctx
-	optsKill.Checkpoint = ck
-	optsKill.CheckpointEvery = 1000 // only the forced final write can land
+	optsKill.Checkpoint = keepLast(&ck)
+	optsKill.CheckpointEvery = 1000 // only the forced final checkpoint can land
 	repKill := core.Reproduce(&wrapped, optsKill)
 	if !repKill.Interrupted || repKill.Rounds != victim-1 {
 		t.Fatalf("killed run: interrupted=%v rounds=%d, want true/%d", repKill.Interrupted, repKill.Rounds, victim-1)
 	}
-	if round, ok := core.CheckpointRound(ck); !ok || round != victim-1 {
-		t.Fatalf("forced final checkpoint: round=%d ok=%v, want %d", round, ok, victim-1)
+	if ck.Round != victim-1 {
+		t.Fatalf("forced final checkpoint: round=%d, want %d", ck.Round, victim-1)
 	}
 
 	var rest trace.Memory
@@ -169,37 +167,37 @@ func TestInterruptInCombinedLogRunWritesFinalCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCheckpointFlushRunsBeforeEveryWrite pins the ordering contract the
-// server's trace WAL relies on: the flush hook fires immediately before
-// each checkpoint write — periodic and final — so on disk the journal is
-// never behind the checkpoint. The hook loads the checkpoint file as it
-// fires; what it reads must always be the PREVIOUS state (or nothing),
-// never the round being flushed.
+// TestCheckpointFlushRunsBeforeEveryWrite pins what an Options.Checkpoint
+// sink sees (the server's is its periodic commit: trace flush, then
+// checkpoint write): a call per interval and one for the forced final
+// checkpoint, in order, each carrying its own round's state. The sink's
+// error never stops the search; the first is kept on the report and the
+// next interval calls again.
 func TestCheckpointFlushRunsBeforeEveryWrite(t *testing.T) {
 	tgt := target(t, "f4")
-	ck := filepath.Join(t.TempDir(), "search.ck.json")
-
-	var flushed []int
+	var seen []int
 	opts := core.Options{
 		Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		Checkpoint: ck, CheckpointEvery: 2, StopAfterRound: 5,
-		CheckpointFlush: func(round int) {
-			flushed = append(flushed, round)
+		CheckpointEvery: 2, StopAfterRound: 5,
+		Checkpoint: func(ck core.Checkpoint) error {
+			seen = append(seen, ck.Round)
+			var payload struct{ Round int } // the state's "round"
+			if err := json.Unmarshal(ck.State, &payload); err != nil || payload.Round != ck.Round {
+				t.Errorf("checkpoint of round %d carries the state of round %d (err %v)", ck.Round, payload.Round, err)
+			}
+			return fmt.Errorf("sink failure at round %d", ck.Round)
 		},
 	}
 	rep := core.Reproduce(tgt, opts)
-	if !rep.Interrupted {
-		t.Fatal("run not interrupted")
+	if !rep.Interrupted || rep.Rounds != 5 {
+		t.Fatalf("run: interrupted=%v rounds=%d, want a kill after round 5 whatever the sink returns", rep.Interrupted, rep.Rounds)
 	}
-	// Rounds 2 and 4 are periodic writes; round 5 is the forced final one.
-	want := []int{2, 4, 5}
-	if len(flushed) != len(want) {
-		t.Fatalf("flush fired for rounds %v, want %v", flushed, want)
+	// Rounds 2 and 4 are periodic; round 5 is the forced final one.
+	if want := []int{2, 4, 5}; !slices.Equal(seen, want) {
+		t.Fatalf("sink saw rounds %v, want %v", seen, want)
 	}
-	for i, r := range want {
-		if flushed[i] != r {
-			t.Fatalf("flush fired for rounds %v, want %v", flushed, want)
-		}
+	if rep.CheckpointError != "sink failure at round 2" {
+		t.Fatalf("CheckpointError = %q, want the first failure", rep.CheckpointError)
 	}
 }
 
@@ -222,15 +220,10 @@ func TestConcurrentResumeSharesNothing(t *testing.T) {
 	}
 
 	// Two checkpoints of the same search, interrupted at different rounds.
-	dir := t.TempDir()
-	cks := make([]string, 2)
+	cks := make([]core.Checkpoint, 2)
 	for i, stop := range []int{3, 5} {
-		cks[i] = filepath.Join(dir, "ck", "job", "search.ck."+string(rune('a'+i))+".json")
-		if err := mkdirFor(cks[i]); err != nil {
-			t.Fatal(err)
-		}
 		opts := base
-		opts.Checkpoint = cks[i]
+		opts.Checkpoint = keepLast(&cks[i])
 		opts.CheckpointEvery = 1
 		opts.StopAfterRound = stop
 		if rep := core.Reproduce(tgt, opts); !rep.Interrupted {
@@ -245,10 +238,7 @@ func TestConcurrentResumeSharesNothing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			opts := base
-			opts.Checkpoint = cks[i]
-			opts.CheckpointEvery = 1
-			reports[i], errs[i] = core.Resume(tgt, opts, cks[i])
+			reports[i], errs[i] = core.Resume(tgt, base, cks[i])
 		}(i)
 	}
 	wg.Wait()
@@ -265,6 +255,3 @@ func TestConcurrentResumeSharesNothing(t *testing.T) {
 		}
 	}
 }
-
-// mkdirFor creates the parent directory of path.
-func mkdirFor(path string) error { return os.MkdirAll(filepath.Dir(path), 0o755) }

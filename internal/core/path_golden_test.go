@@ -6,6 +6,9 @@ package core_test
 // conformance_test.go.)
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"anduril/internal/core"
@@ -31,12 +34,25 @@ func TestPathResumeFromParentCheckpoint(t *testing.T) {
 		t.Fatalf("f25 baseline: reproduced=%v in %d rounds; fixture must outlive the round-40 stop", repFull.Reproduced, repFull.Rounds)
 	}
 
-	// Resume rewrites nothing here (no Options.Checkpoint), so the
-	// committed file is read-only input.
+	const fixture = "testdata/f25.path.r40.ck.json"
+	ck, err := core.LoadCheckpoint(fixture)
+	if err != nil || ck.Round != 40 {
+		t.Fatalf("load the parent's checkpoint: round %d, err %v", ck.Round, err)
+	}
+	// The file sink writes back the parent's bytes: neither the envelope
+	// nor the payload moved.
+	resaved := filepath.Join(t.TempDir(), "ck.json")
+	if err := core.CheckpointFile(resaved)(ck); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := os.ReadFile(fixture)
+	if got, err := os.ReadFile(resaved); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("checkpoint file re-saved as %d bytes (err %v), the parent wrote %d", len(got), err, len(want))
+	}
 	var rest trace.Memory
 	optsResume := base
 	optsResume.Trace = &rest
-	repRes, err := core.Resume(tgt, optsResume, "testdata/f25.path.r40.ck.json")
+	repRes, err := core.Resume(tgt, optsResume, ck)
 	if err != nil {
 		t.Fatalf("resume from the parent's checkpoint: %v", err)
 	}

@@ -1,20 +1,17 @@
 package core
 
 // Site priorities F_i = min_k (L_{i,k} + I_k) (§5.2.4) and the ranking
-// over them. Two interchangeable rankers maintain the order:
-//
-//   - naiveRanker re-scores every site and fully re-sorts on each call —
-//     the paper's algorithm as literally written. No option selects it:
-//     it is the reference the equivalence tests and benchmarks compare
-//     the index against (they reach it through export_test.go);
-//   - indexRanker is the incremental priority index: it tracks which
-//     sites are dirty (their F_i may have changed because a feedback
-//     update bumped an observable they reach) and on the next ranking
-//     re-scores only those, merging them back into the maintained order.
+// over them. The paper's algorithm as literally written re-scores every site
+// and fully re-sorts each round (computePriorities + rankedSites); the
+// search runs on indexRanker, the incremental priority index, which builds
+// that ranking once and then tracks which sites are dirty (their F_i may
+// have changed because a feedback update bumped an observable they reach),
+// re-scoring only those and merging them back into the maintained order.
 //
 // Both produce the identical total order — (F_i, site id) ascending, with
 // unique ids making the order strict — so traces, root-rank trajectories
-// and golden files are byte-identical between them.
+// and golden files are byte-identical between them; the equivalence tests
+// hold the index to the full recompute through export_test.go.
 
 import (
 	"math"
@@ -167,43 +164,14 @@ func (e *engine) rootRank(ranked []*siteState) int {
 	return 0
 }
 
-// ranker maintains the site ranking across feedback updates. ranked()
-// returns the sites in (F, id) order; the returned slice is read-only and
-// valid until the next observableBumped/ranked call. observableBumped
-// tells the ranker that observable k's priority I_k changed, so sites
-// reaching k must be re-scored before the next ranking.
-type ranker interface {
-	ranked() []*siteState
-	observableBumped(k int)
-}
-
-// newRanker picks the ranking implementation for this run.
-func (e *engine) newRanker(useFeedback bool) ranker {
-	if e.o.naiveRanking {
-		return &naiveRanker{e: e, useFeedback: useFeedback}
-	}
-	return &indexRanker{e: e, useFeedback: useFeedback}
-}
-
-// naiveRanker recomputes every priority and re-sorts on every call.
-type naiveRanker struct {
-	e           *engine
-	useFeedback bool
-}
-
-func (r *naiveRanker) ranked() []*siteState {
-	r.e.computePriorities(true, r.useFeedback)
-	return r.e.rankedSites()
-}
-
-func (r *naiveRanker) observableBumped(int) {}
-
 // indexRanker is the incremental priority index. It builds the full
 // ranking once, plus a reverse index observable -> sites reaching it;
 // afterwards each feedback bump marks only the reaching sites dirty, and
 // the next ranked() call re-scores the dirty set and merges it back into
-// the sorted order: O(D log D + N) per updated round instead of the naive
-// O(N·K·T + N log N), and O(1) for rounds with no feedback change.
+// the sorted order: O(D log D + N) per updated round instead of the full
+// recompute's O(N·K·T + N log N), and O(1) for rounds with no feedback
+// change. ranked() returns the sites in (F, id) order; the slice is
+// read-only and valid until the next observableBumped/ranked call.
 type indexRanker struct {
 	e           *engine
 	useFeedback bool
@@ -236,10 +204,12 @@ func (r *indexRanker) build() {
 			}
 		}
 	}
-	r.dirtySet = make(map[*siteState]bool)
+	r.dirty, r.dirtySet = r.dirty[:0], make(map[*siteState]bool)
 	r.built = true
 }
 
+// observableBumped tells the index that observable k's priority I_k
+// changed, so sites reaching k must be re-scored before the next ranking.
 func (r *indexRanker) observableBumped(k int) {
 	if !r.built {
 		return // first ranked() builds everything from current priorities
@@ -253,7 +223,7 @@ func (r *indexRanker) observableBumped(k int) {
 }
 
 func (r *indexRanker) ranked() []*siteState {
-	if !r.built {
+	if !r.built || r.e.recomputeRanking {
 		r.build()
 		return r.order
 	}

@@ -28,11 +28,11 @@ func BenchmarkComputePriorities(b *testing.B) {
 }
 
 // benchRanker measures one feedback round (bump a few observables, then
-// rank) under the given ranker implementation.
+// rank) on the index or (naive) by full recompute.
 func benchRanker(b *testing.B, naive bool) {
 	e := synthEngine(benchSites, benchObs, 11)
-	rk := e.newRankerNamed(true, naive)
-	rk.ranked() // initial build outside the loop for both
+	rk := &indexRanker{e: e, useFeedback: true}
+	rk.ranked() // initial build outside the loop
 	rng := rand.New(rand.NewSource(42))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -40,9 +40,15 @@ func benchRanker(b *testing.B, naive bool) {
 		for n := 0; n < 4; n++ {
 			k := rng.Intn(benchObs)
 			e.obs[k].priority++
-			rk.observableBumped(k)
+			if !naive {
+				rk.observableBumped(k)
+			}
 		}
-		rk.ranked()
+		if naive {
+			e.fullRanking(true)
+		} else {
+			rk.ranked()
+		}
 	}
 }
 

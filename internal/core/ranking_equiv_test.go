@@ -2,8 +2,8 @@ package core_test
 
 // Equivalence of the incremental priority index and the naive
 // recompute-everything ranking: across the whole failure dataset, a
-// FullFeedback search under each ranker must emit byte-identical traces
-// and identical root-rank trajectories. The traces include per-round
+// FullFeedback search under each must emit byte-identical traces and
+// identical root-rank trajectories. The traces include per-round
 // ranked-site snapshots and feedback deltas, so any divergence in scoring,
 // ordering, or update timing shows up as a diff.
 
@@ -16,18 +16,19 @@ import (
 	"anduril/internal/trace"
 )
 
-// rankerRun reproduces one target with tracing and rank tracking under the
-// chosen ranker. Window 1 maximizes the number of ranking decisions that
-// reach the trace.
+// rankerRun reproduces one target with tracing and rank tracking, on the
+// index or (naive) recomputing every ranking. Window 1 maximizes the number
+// of ranking decisions that reach the trace.
 func rankerRun(t *testing.T, tgt *core.Target, naive bool) ([]byte, *core.Report) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
 	opts := core.Options{Seed: 1, MaxRounds: 60, Window: 1, TrackRank: true, Trace: sink}
+	reproduce := core.Reproduce
 	if naive {
-		opts = core.WithNaiveRanking(opts)
+		reproduce = core.ReproduceRecomputing
 	}
-	rep := core.Reproduce(tgt, opts)
+	rep := reproduce(tgt, opts)
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 package core
 
-// White-box tests for the incremental priority index against the naive
-// ranker on synthetic engines, driving bump sequences directly.
+// White-box tests for the incremental priority index against the full
+// recompute (export_test.go) on synthetic engines, driving bump sequences
+// directly.
 
 import (
 	"fmt"
@@ -44,19 +45,18 @@ func synthEngine(nSites, nObs int, seed int64) *engine {
 	return e
 }
 
-// TestIndexRankerMatchesNaive drives both rankers through an identical
-// random bump sequence on clones of one synthetic engine and requires the
-// identical ranking after every step.
+// TestIndexRankerMatchesNaive drives the index and the full recompute
+// through an identical random bump sequence on clones of one synthetic
+// engine and requires the identical ranking after every step.
 func TestIndexRankerMatchesNaive(t *testing.T) {
 	const nSites, nObs, steps = 120, 40, 50
 	en := synthEngine(nSites, nObs, 7)
 	ei := synthEngine(nSites, nObs, 7)
-	naive := en.newRankerNamed(true, true)
-	index := ei.newRankerNamed(true, false)
+	index := &indexRanker{e: ei, useFeedback: true}
 	rng := rand.New(rand.NewSource(99))
 
 	check := func(step int) {
-		a, b := naive.ranked(), index.ranked()
+		a, b := en.fullRanking(true), index.ranked()
 		if len(a) != len(b) {
 			t.Fatalf("step %d: ranking lengths %d vs %d", step, len(a), len(b))
 		}
@@ -76,25 +76,17 @@ func TestIndexRankerMatchesNaive(t *testing.T) {
 			k := rng.Intn(nObs)
 			en.obs[k].priority++
 			ei.obs[k].priority++
-			naive.observableBumped(k)
 			index.observableBumped(k)
 		}
 		check(step)
 	}
 }
 
-// newRankerNamed builds the chosen ranker implementation through the same
-// switch the engine uses — test plumbing only.
-func (e *engine) newRankerNamed(useFeedback, naive bool) ranker {
-	e.o.naiveRanking = naive
-	return e.newRanker(useFeedback)
-}
-
 // The no-bump fast path must hand back the same ranking object without
 // re-scoring.
 func TestIndexRankerNoBumpStable(t *testing.T) {
 	e := synthEngine(50, 10, 3)
-	rk := e.newRankerNamed(true, false)
+	rk := &indexRanker{e: e, useFeedback: true}
 	a := rk.ranked()
 	b := rk.ranked()
 	if len(a) != len(b) {

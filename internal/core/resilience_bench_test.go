@@ -29,19 +29,19 @@ func benchReproduce(b *testing.B, id string, optFor func(i int) core.Options) {
 
 func BenchmarkReproduce(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
-		// No checkpoint path configured: maybeCheckpoint is a string
-		// compare per round, and the recover wrappers are the only
-		// resilience cost on this path.
+		// No checkpoint sink: checkpointing is a modulo and a nil check
+		// per round, and the recover wrappers are the only resilience
+		// cost on this path.
 		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60}
 		})
 	})
 	b.Run("checkpoint-every-round", func(b *testing.B) {
-		dir := b.TempDir()
+		sink := core.CheckpointFile(filepath.Join(b.TempDir(), "bench.ck.json"))
 		benchReproduce(b, "f4", func(i int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
-				Checkpoint:      filepath.Join(dir, "bench.ck.json"),
+				Checkpoint:      sink,
 				CheckpointEvery: 1,
 			}
 		})

@@ -270,9 +270,9 @@ func TestFreeRunPanicIsFatalButContained(t *testing.T) {
 // wrong target, seed or strategy is an error, never a silent wrong search.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	tgt := target(t, "f1")
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	var ck core.Checkpoint
 	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		Checkpoint: ck, CheckpointEvery: 2, StopAfterRound: 4}
+		Checkpoint: keepLast(&ck), CheckpointEvery: 2, StopAfterRound: 4}
 	rep := core.Reproduce(tgt, opts)
 	if !rep.Interrupted {
 		t.Fatal("setup run not interrupted")
@@ -302,10 +302,12 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	}
 
 	t.Run("missing checkpoint", func(t *testing.T) {
-		_, err := core.Resume(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1},
-			filepath.Join(t.TempDir(), "nope.json"))
+		missing, err := core.LoadCheckpoint(filepath.Join(t.TempDir(), "nope.json"))
 		if err == nil {
-			t.Fatal("resume from a missing checkpoint succeeded")
+			t.Fatal("a missing checkpoint file loaded")
+		}
+		if _, err := core.Resume(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, missing); err == nil {
+			t.Fatal("resume from no checkpoint succeeded")
 		}
 	})
 }
@@ -321,9 +323,9 @@ func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
 	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
 	killed := opts
-	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = ck, 2, 4
-	if rep := core.Reproduce(tgt, killed); !rep.Interrupted {
-		t.Fatal("setup run not interrupted")
+	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = core.CheckpointFile(ck), 2, 4
+	if rep := core.Reproduce(tgt, killed); !rep.Interrupted || rep.CheckpointError != "" {
+		t.Fatalf("setup run: interrupted=%v, checkpoint error %q", rep.Interrupted, rep.CheckpointError)
 	}
 	raw, err := os.ReadFile(ck)
 	if err != nil {
@@ -334,7 +336,11 @@ func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
 		t.Fatal(err)
 	}
 	current := env.Version
-	if _, err := core.Resume(tgt, opts, ck); err != nil {
+	loaded, err := core.LoadCheckpoint(ck)
+	if err != nil || loaded.Round != 4 {
+		t.Fatalf("load the unmodified checkpoint: round %d, err %v", loaded.Round, err)
+	}
+	if _, err := core.Resume(tgt, opts, loaded); err != nil {
 		t.Fatalf("resume from the unmodified checkpoint: %v", err)
 	}
 	for _, skew := range []struct {
@@ -352,7 +358,7 @@ func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := fmt.Sprintf("version %d, want %d", env.Version, current)
-			if _, err := core.Resume(tgt, opts, path); err == nil || !strings.Contains(err.Error(), want) {
+			if _, err := core.LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("err = %v, want a version-skew message naming both versions (%s)", err, want)
 			}
 		})
@@ -364,9 +370,9 @@ func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
 // without error under the same mode.
 func TestCheckpointRecordsAddressing(t *testing.T) {
 	tgt := target(t, "f1")
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	var ck core.Checkpoint
 	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		Addressing: core.AddrPath, Checkpoint: ck, CheckpointEvery: 2, StopAfterRound: 4}
+		Addressing: core.AddrPath, Checkpoint: keepLast(&ck), CheckpointEvery: 2, StopAfterRound: 4}
 	rep := core.Reproduce(tgt, opts)
 	if !rep.Interrupted {
 		t.Fatal("setup run not interrupted")
@@ -395,8 +401,8 @@ func TestInterruptedTraceHasNoOutcome(t *testing.T) {
 		Strategy: core.FullFeedback, Seed: 1, Window: 1,
 		StopAfterRound: 2, Trace: &mem,
 	})
-	if !rep.Interrupted {
-		t.Fatal("not interrupted")
+	if !rep.Interrupted || rep.Reason != "" {
+		t.Fatalf("interrupted=%v with reason %q, want an interrupted report and no reason", rep.Interrupted, rep.Reason)
 	}
 	for i := range mem.Events {
 		if mem.Events[i].Type == trace.Outcome {

@@ -42,7 +42,17 @@ func TestStrategyTrajectoriesGolden(t *testing.T) {
 			if err := sink.Err(); err != nil {
 				t.Fatal(err)
 			}
-			canon, err := core.CanonicalReport(rep)
+			// The golden predates Report.Reason. The field is held to the
+			// trace's outcome line, whose bytes the trace hash pins, and
+			// left out of the report hash, which so keeps pinning every
+			// older report byte.
+			jsonl := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
+			if last := jsonl[len(jsonl)-1]; rep.Reason == "" || !bytes.Contains(last, []byte(`"reason":"`+rep.Reason+`"`)) {
+				t.Fatalf("%s %s: report ends %q, trace ends in %s", id, st, rep.Reason, last)
+			}
+			pinned := *rep
+			pinned.Reason = ""
+			canon, err := core.CanonicalReport(&pinned)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,19 +3,24 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"anduril/internal/checkpoint"
+	"anduril/internal/core"
+	"anduril/internal/trace"
 )
 
-// The write path's two rules, each asserted where it can be counted or
-// blocked: one durability point per transition (exact fsync counts, the
-// hand-built completion crash states) and no lock across a disk write
-// (readers and unrelated admissions return while a persist is held open).
+// The write path's rules, each asserted where it can be counted, blocked
+// or broken: one durability point per transition (exact fsync counts, the
+// hand-built completion crash states), no lock across a disk write
+// (readers and unrelated admissions return while a persist is held open),
+// and no checkpoint without its trace (the journal's appends made to fail).
 
 // within fails the test unless f returns promptly. A call that blocks
 // behind someone else's disk write is exactly what these tests exist to
@@ -81,6 +86,96 @@ func TestFsyncBudget(t *testing.T) {
 	}
 	if got := run(s, long); got != 7+3*k {
 		t.Errorf("job with %d periodic checkpoints cost %d fsyncs, want %d", k, got, 7+3*k)
+	}
+}
+
+// durableRounds returns the highest round whose trace lines are on disk
+// and the round of the search checkpoint beside it, -1 for none.
+func durableRounds(t *testing.T, jobDir string) (traced, checkpointed int) {
+	t.Helper()
+	traced, checkpointed = -1, -1
+	for _, line := range bytes.Split(readFile(t, filepath.Join(jobDir, traceFile)), []byte("\n")) {
+		if _, round, ok := trace.LineMeta(line); ok && round > traced {
+			traced = round
+		}
+	}
+	if ck, err := core.LoadCheckpoint(filepath.Join(jobDir, ckFile)); err == nil {
+		checkpointed = ck.Round
+	}
+	return traced, checkpointed
+}
+
+// The periodic commit writes no checkpoint over a trace it could not
+// flush. The journal's handle is swapped for a read-only one, so every
+// append fails the way a full disk fails it; the search (f4, window 1,
+// checkpoint every 2 rounds) is killed after round 6. While appends fail
+// no checkpoint may land, the failure is on the report and in the log, and
+// the search goes on; once they work again the next interval commits trace
+// and checkpoint together. Either way a restarted daemon finishes the job
+// with the uninterrupted run's bytes — from round 6, or from nothing.
+func TestFailedTraceFlushWritesNoCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		healAt int // the checkpoint round appends work again from; 0 = never
+		wantCk int // trace and checkpoint on disk at the kill
+	}{
+		{"appends work again", 4, 6},
+		{"appends never work again", 0, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, logged := t.TempDir(), ""
+			s1 := newServer(t, Config{DataDir: dir, Workers: 1, CheckpointEvery: 2, Logf: func(format string, args ...any) {
+				logged += fmt.Sprintf(format, args...) + "\n" // the one worker's; read after Shutdown
+			}})
+			spec := Spec{Failure: "f4", Window: 1}
+			key := spec.Normalize().Key()
+			jobDir := filepath.Join(dir, "jobs", key)
+
+			var killed *core.Report
+			s1.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+				wal, _ := s1.liveWAL(key)
+				readOnly, err := os.Open(wal.path)
+				if err != nil {
+					return nil, err
+				}
+				defer readOnly.Close()
+				working := wal.f
+				wal.f = readOnly // only this goroutine appends
+				defer func() { wal.f = working }()
+				commit := opts.Checkpoint
+				opts.Checkpoint = func(ck core.Checkpoint) error {
+					if ck.Round == tc.healAt {
+						wal.f = working
+					}
+					err := commit(ck)
+					if traced, checkpointed := durableRounds(t, jobDir); checkpointed > traced {
+						t.Errorf("commit at round %d (err %v): checkpoint at round %d over a trace durable through round %d", ck.Round, err, checkpointed, traced)
+					}
+					return err
+				}
+				opts.StopAfterRound = 6
+				killed, err = s1.runSearch(sp, opts, ck, haveCk)
+				return killed, err
+			}
+			if _, _, err := s1.Submit(spec); err != nil {
+				t.Fatal(err)
+			}
+			waitIdle(t, s1)
+			s1.Shutdown()
+			if killed == nil || !killed.Interrupted || killed.Rounds != 6 {
+				t.Fatalf("killed run = %+v, want an interrupt after round 6", killed)
+			}
+			if !strings.Contains(killed.CheckpointError, "append trace journal") || !strings.Contains(logged, "no checkpoint at round 2") {
+				t.Errorf("the failed commit of round 2: CheckpointError = %q, log:\n%s", killed.CheckpointError, logged)
+			}
+			if traced, checkpointed := durableRounds(t, jobDir); checkpointed != tc.wantCk || traced != tc.wantCk {
+				t.Fatalf("at the kill: trace durable through round %d, checkpoint at round %d, want both %d", traced, checkpointed, tc.wantCk)
+			}
+
+			s2 := newServer(t, Config{DataDir: dir, Workers: 1})
+			waitIdle(t, s2)
+			assertMatchesSerial(t, s2, key, spec)
+		})
 	}
 }
 

@@ -156,7 +156,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 func TestHTTPOverloadRetryAfter(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
-	s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		select {
 		case <-release:
 		case <-opts.Context.Done():
@@ -195,7 +195,7 @@ func TestHTTPTraceFollowStreamsLive(t *testing.T) {
 	ev1 := trace.Event{Type: trace.FreeRun, Target: "f4", Strategy: "full-feedback", Seed: 1}
 	ev2 := trace.Event{Type: trace.RoundStart, Round: 1, Window: 10}
 	ev3 := trace.Event{Type: trace.Outcome, Reproduced: true, Rounds: 1, Reason: trace.ReasonReproduced}
-	s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		opts.Trace.Emit(&ev1)
 		close(started)
 		<-release

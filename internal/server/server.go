@@ -115,9 +115,9 @@ type Server struct {
 	executions atomic.Int64
 
 	// searchFn runs one search attempt; the default resolves the target
-	// and calls core.Resume / core.Reproduce. Tests substitute it to
-	// exercise the retry and recovery paths without a real search.
-	searchFn func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error)
+	// and calls core.Resume (haveCk) / core.Reproduce. Tests substitute it
+	// to exercise the retry and recovery paths without a real search.
+	searchFn func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error)
 }
 
 // Open loads the journal under cfg.DataDir, re-admits every unfinished
@@ -414,8 +414,11 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 
 	dir := s.journal.Dir(key)
 	ckPath := filepath.Join(dir, ckFile)
-	ckRound, haveCk := core.CheckpointRound(ckPath)
-	wal, err := openWAL(filepath.Join(dir, traceFile), ckRound, haveCk)
+	// A checkpoint that does not load — missing, torn, another version —
+	// resumes nobody: the search starts fresh.
+	resume, loadErr := core.LoadCheckpoint(ckPath)
+	haveCk := loadErr == nil
+	wal, err := openWAL(filepath.Join(dir, traceFile), resume.Round, haveCk)
 	if err != nil {
 		return err
 	}
@@ -428,16 +431,27 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 	s.executions.Add(1)
 	opts := spec.Options()
 	opts.Context = s.ctx
-	opts.Checkpoint = ckPath
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	opts.Trace = wal
-	opts.CheckpointFlush = wal.Flush
+	// The periodic commit: trace, then checkpoint, and no checkpoint over a
+	// trace that did not flush (traceWAL says why).
+	save := core.CheckpointFile(ckPath)
+	opts.Checkpoint = func(ck core.Checkpoint) error {
+		err := wal.Flush(ck.Round)
+		if err == nil {
+			err = save(ck)
+		}
+		if err != nil {
+			s.cfg.Logf("server: job %s: no checkpoint at round %d: %v", key[:12], ck.Round, err)
+		}
+		return err
+	}
 
-	rep, err := s.searchFn(spec, opts, ckPath, haveCk)
+	rep, err := s.searchFn(spec, opts, resume, haveCk)
 	if err != nil && haveCk {
-		// The checkpoint exists but Resume rejected it (version skew, a
-		// changed dataset...). It cannot be resumed by anyone; start the
-		// search over from nothing.
+		// The checkpoint exists but Resume rejected it (a changed dataset,
+		// another spec's state...). It cannot be resumed by anyone; start
+		// the search over from nothing.
 		s.cfg.Logf("server: job %s: discarding unusable checkpoint: %v", key[:12], err)
 		if rmErr := os.Remove(ckPath); rmErr != nil {
 			return rmErr
@@ -445,7 +459,7 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 		if rsErr := wal.Reset(); rsErr != nil {
 			return rsErr
 		}
-		rep, err = s.searchFn(spec, opts, ckPath, false)
+		rep, err = s.searchFn(spec, opts, core.Checkpoint{}, false)
 	}
 	switch {
 	case err != nil || rep.Interrupted:
@@ -479,7 +493,7 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 // built once per process and shared read-only by every job against the
 // same failure; static analysis makes it the expensive part of a job —
 // and run or resume the explorer.
-func (s *Server) runSearch(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+func (s *Server) runSearch(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 	sc, ok := failures.ByID(sp.Failure)
 	if !ok {
 		return nil, fmt.Errorf("server: unknown failure %q", sp.Failure)
@@ -489,7 +503,7 @@ func (s *Server) runSearch(sp Spec, opts core.Options, ckPath string, haveCk boo
 		return nil, err
 	}
 	if haveCk {
-		return core.Resume(t, opts, ckPath)
+		return core.Resume(t, opts, ck)
 	}
 	return core.Reproduce(t, opts), nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/inject"
 	"anduril/internal/trace"
 )
 
@@ -188,13 +191,59 @@ func TestServerDedupesIdenticalSubmissions(t *testing.T) {
 	assertMatchesSerial(t, s, keys[0], spec)
 }
 
+// The report a client downloads is enough to re-trigger the failure:
+// report.json read back from the daemon, exported as a script file, loaded
+// and replayed under the seed the file records, satisfies the oracle — for
+// a site root, a fault pair and a path-addressed partial failure.
+func TestDaemonReportScriptsReplay(t *testing.T) {
+	s := newServer(t, Config{Workers: 2})
+	specs := []Spec{{Failure: "f4"}, {Failure: "f31"}, {Failure: "f33", Addressing: "path"}}
+	for _, spec := range specs {
+		if _, _, err := s.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitIdle(t, s)
+	var shapes []string
+	for _, spec := range specs {
+		raw, err := s.ReportJSON(spec.Normalize().Key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := &core.Report{}
+		if err := json.Unmarshal(raw, rep); err != nil {
+			t.Fatal(err)
+		}
+		sf, err := core.ScriptOf(rep)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Failure, err)
+		}
+		file, _ := sf.Marshal()
+		loaded, err := core.LoadScript(file)
+		if err != nil {
+			t.Fatalf("%s: script exported from the stored report does not load: %v\n%s", spec.Failure, err, file)
+		}
+		tgt := serialTarget(t, spec.Failure)
+		res := cluster.Execute(loaded.Seed, loaded.Plan(), false, tgt.Workload, tgt.Horizon)
+		if !tgt.Oracle.Satisfied(res) {
+			t.Fatalf("%s: script %+v from the stored report does not replay under its seed %d", spec.Failure, loaded.Faults, loaded.Seed)
+		}
+		f := loaded.Faults[0]
+		shapes = append(shapes, fmt.Sprintf("pair=%v partial=%v path=%v", inject.IsPairSite(f.Site), inject.IsPartialSite(f.Site), f.Path != ""))
+	}
+	// A pair names its two members in Path whatever the addressing mode.
+	if want := []string{"pair=false partial=false path=false", "pair=true partial=false path=true", "pair=false partial=true path=true"}; !reflect.DeepEqual(shapes, want) {
+		t.Fatalf("scripts have the shapes %q, want %q", shapes, want)
+	}
+}
+
 // Admission control: with the queue at capacity a submission is shed
 // with a retryable overload error, and every job that WAS accepted still
 // completes.
 func TestServerShedsLoadWhenQueueFull(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
-	s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		select {
 		case <-release:
 			return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}, nil
@@ -249,7 +298,7 @@ func TestServerRetriesTransientFailures(t *testing.T) {
 	vc := &virtualClock{}
 	s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
 	var calls int
-	s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		calls++
 		if calls <= 2 {
 			panic(fmt.Sprintf("transient fault %d", calls))
@@ -287,7 +336,7 @@ func TestServerRetryScheduleDeterministicAcrossRuns(t *testing.T) {
 	run := func() (map[string][]int64, []time.Duration) {
 		vc := &virtualClock{}
 		s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
-		s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+		s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 			return nil, fmt.Errorf("injected transient failure")
 		}
 		specs := []Spec{
@@ -332,7 +381,7 @@ func TestServerRetryScheduleDeterministicAcrossRuns(t *testing.T) {
 func TestServerFailsFastOnDeterministicFailure(t *testing.T) {
 	vc := &virtualClock{}
 	s := newServer(t, Config{Workers: 1, MaxAttempts: 5, Clock: vc})
-	s.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		return &core.Report{Target: sp.Failure, Error: "free run failed: workload wedged"}, nil
 	}
 	job, _, err := s.Submit(Spec{Failure: "f4", Seed: 8})
@@ -406,7 +455,7 @@ func TestServerRestartReAdmitsQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.searchFn = func(sp Spec, opts core.Options, ckPath string, haveCk bool) (*core.Report, error) {
+	s1.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
 		<-opts.Context.Done() // wedge every execution until drain
 		return &core.Report{Interrupted: true}, nil
 	}

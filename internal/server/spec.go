@@ -13,11 +13,12 @@
 //   - Each job's record (job.json), search checkpoint (search.ck.json)
 //     and final report (report.json) are such envelopes inside the job's
 //     own directory <data>/jobs/<key>/.
-//   - The trace is a write-ahead journal (trace.jsonl) flushed strictly
-//     BEFORE each checkpoint write via core.Options.CheckpointFlush, so
-//     on disk the trace is always at or ahead of the checkpoint; crash
-//     recovery trims it back to the round the surviving checkpoint names
-//     and the resumed search appends the identical suffix.
+//   - The trace is a write-ahead journal (trace.jsonl). The engine's
+//     checkpoints arrive at one closure (executeOnce) that flushes the
+//     journal and only then writes the checkpoint, so on disk the trace is
+//     always at or ahead of it; crash recovery trims it back to the round
+//     the surviving checkpoint names and the resumed search appends the
+//     identical suffix.
 //
 // Jobs are content-addressed: the key is a hash of the normalized spec,
 // so identical submissions — same failure, strategy, seed, fault

@@ -22,12 +22,12 @@ import (
 //
 //   - Emit buffers encoded lines in memory, tagged with their round.
 //     Nothing is written to disk between checkpoints.
-//   - Flush(n) — wired as core.Options.CheckpointFlush, which fires
-//     strictly BEFORE each checkpoint write — appends and fsyncs exactly
-//     the buffered lines of rounds ≤ n. Events of a later, uncommitted
-//     round stay in memory; if the process dies or the search is
-//     interrupted they are simply lost, and the resumed run re-emits
-//     them identically.
+//   - Flush(n) — the first half of executeOnce's periodic commit, whose
+//     second half writes the checkpoint only if this one succeeded —
+//     appends and fsyncs exactly the buffered lines of rounds ≤ n. Events
+//     of a later, uncommitted round stay in memory; if the process dies or
+//     the search is interrupted they are simply lost, and the resumed run
+//     re-emits them identically.
 //   - After a kill, the file is therefore always at or ahead of the
 //     surviving checkpoint. openWAL trims it back: whole well-formed
 //     lines up to the checkpoint's round are kept, everything after —
@@ -144,17 +144,16 @@ func (w *traceWAL) Emit(ev *trace.Event) {
 }
 
 // Flush commits buffered lines of rounds ≤ round to disk (append +
-// fsync). It is the core.Options.CheckpointFlush hook; an error is
-// deliberately not surfaced to the engine — the next Flush retries the
-// same prefix, and executeOnce checks the final FlushAll.
-func (w *traceWAL) Flush(round int) {
+// fsync). After an error the lines stay buffered and the next Flush
+// retries the same prefix.
+func (w *traceWAL) Flush(round int) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	n := 0
 	for n < len(w.buf) && w.buf[n].round <= round {
 		n++
 	}
-	w.commitLocked(n)
+	return w.commitLocked(n)
 }
 
 // FlushAll commits every buffered line — the search is complete and the

@@ -58,12 +58,16 @@ func TestWALFlushCommitsOnlyCheckpointedRounds(t *testing.T) {
 	for i := range events[:5] { // free run + rounds 1,2
 		w.Emit(&events[i])
 	}
-	w.Flush(1)
+	if err := w.Flush(1); err != nil {
+		t.Fatal(err)
+	}
 	if got, want := readFile(t, path), concatLines(events[:3]); !bytes.Equal(got, want) {
 		t.Fatalf("after Flush(1):\n%s\nwant:\n%s", got, want)
 	}
 	w.Emit(&events[5]) // round 3 starts
-	w.Flush(2)
+	if err := w.Flush(2); err != nil {
+		t.Fatal(err)
+	}
 	if got, want := readFile(t, path), concatLines(events[:5]); !bytes.Equal(got, want) {
 		t.Fatalf("after Flush(2):\n%s\nwant:\n%s", got, want)
 	}
@@ -184,7 +188,9 @@ func TestWALReset(t *testing.T) {
 	for i := range events[:4] {
 		w.Emit(&events[i])
 	}
-	w.Flush(1)
+	if err := w.Flush(1); err != nil {
+		t.Fatal(err)
+	}
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
