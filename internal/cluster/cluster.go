@@ -1,7 +1,9 @@
 // Package cluster wires one simulated run together: the DES kernel, run
 // logger, fault-injection runtime, network and disk. Every explorer round
 // (workflow steps 1 and 3) is one Execute call with a fresh Env, so rounds
-// are hermetic and replayable.
+// are hermetic and replayable. A search that owns its rounds' results may
+// hand a finished round's Env back (Result.Release, TryExecuteOn): the
+// next round is then built on the same memory, in the same state.
 package cluster
 
 import (
@@ -98,16 +100,35 @@ func NewEnv(seed int64, plan *inject.Plan) *Env {
 	}
 	fi.Now = sim.Now
 	fi.Paths = sim
-	if fi.Active(inject.PathAddressing) {
-		// Replaying a path-addressed script needs no flag: the plan itself
-		// proves paths are required.
-		sim.EnablePathTracking()
-	}
 	net := simnet.New(sim, fi, lg, des.Millisecond, 4*des.Millisecond)
 	disk := simdisk.New(fi, lg)
 	env := &Env{Sim: sim, Log: lg, FI: fi, Net: net, Disk: disk, nodes: make(map[string]NodeControl)}
 	net.OnCrash = env.crashNode
+	env.trackPlanPaths()
 	return env
+}
+
+// trackPlanPaths switches path tracking on when the plan addresses by
+// path: replaying a path-addressed script needs no flag, the plan itself
+// proves paths are required.
+func (e *Env) trackPlanPaths() {
+	if e.FI.Active(inject.PathAddressing) {
+		e.Sim.EnablePathTracking()
+	}
+}
+
+// reset rebuilds the environment for another round under seed and plan, in
+// the state NewEnv(seed, plan) returns, on the memory the last round left:
+// each part is emptied in place and stays wired to the others.
+func (e *Env) reset(seed int64, plan *inject.Plan) {
+	e.Sim.Reset(seed)
+	e.Log.Reset()
+	e.FI.Reset(plan)
+	e.Net.Reset()
+	e.Disk.Reset()
+	clear(e.nodes)
+	e.convergence = nil
+	e.trackPlanPaths()
 }
 
 // ExecOption configures an Execute/TryExecute round beyond the core
@@ -132,7 +153,8 @@ func With(f inject.Features) ExecOption {
 }
 
 // Result snapshots what a round produced: the observables the explorer
-// feeds on and the state the oracle judges.
+// feeds on and the state the oracle judges. Entries is the round's log
+// itself, not a copy: read-only.
 type Result struct {
 	Env         *Env
 	Entries     []logging.Entry   // the round's log
@@ -206,7 +228,18 @@ func (e *TrialError) Error() string {
 // whatever the environment had produced so far — enough for diagnostics,
 // not a judgeable round.
 func TryExecute(ctx context.Context, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
-	env := NewEnv(seed, plan)
+	return TryExecuteOn(ctx, nil, seed, plan, keepTrace, w, horizon, eventBudget, opts...)
+}
+
+// TryExecuteOn is TryExecute on a recycled environment: env, as
+// Result.Release returned it, is rebuilt in place and the round runs in it,
+// indistinguishable from a round in a fresh one. A nil env is TryExecute.
+func TryExecuteOn(ctx context.Context, env *Env, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
+	if env == nil {
+		env = NewEnv(seed, plan)
+	} else {
+		env.reset(seed, plan)
+	}
 	env.FI.KeepTrace = keepTrace
 	env.Sim.EventBudget = eventBudget
 	for _, opt := range opts {
@@ -257,15 +290,28 @@ func snapshot(env *Env, n int, keepTrace bool) *Result {
 	return res
 }
 
+// Release ends the result's life and returns its environment for
+// TryExecuteOn to build the next round in. Only the owner of a result that
+// nothing else retains may call it: the next round overwrites the log
+// Entries points into, so the released result is poisoned — Env and Entries
+// nil — and a reader that kept it fails loudly instead of reading another
+// round's log.
+func (r *Result) Release() *Env {
+	env := r.Env
+	r.Env, r.Entries = nil, nil
+	return env
+}
+
 // RenderLog renders the round's log as production-style text.
 func (r *Result) RenderLog() string { return r.Env.Log.Render() }
 
 // LogContains reports whether any log message (sanitized) contains the
-// sanitized needle — the basic symptom check oracles use.
+// sanitized needle — the basic symptom check oracles use. An entry's
+// sanitized message is the canonical string of the id it carries.
 func (r *Result) LogContains(needle string) bool {
 	sn := logdiff.Sanitize(needle)
-	for _, e := range r.Entries {
-		if strings.Contains(logdiff.Sanitize(e.Msg), sn) {
+	for i := range r.Entries {
+		if strings.Contains(logging.Canonical(r.Entries[i].ID()), sn) {
 			return true
 		}
 	}
@@ -275,8 +321,8 @@ func (r *Result) LogContains(needle string) bool {
 // LogContainsExact reports whether any log message contains the needle
 // verbatim (digit-sensitive, unlike LogContains).
 func (r *Result) LogContainsExact(needle string) bool {
-	for _, e := range r.Entries {
-		if strings.Contains(e.Msg, needle) {
+	for i := range r.Entries {
+		if strings.Contains(r.Entries[i].Msg, needle) {
 			return true
 		}
 	}

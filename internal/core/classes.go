@@ -44,13 +44,13 @@ const (
 )
 
 // faultClass is one row of the table: enumerate returns the class's
-// candidate sites from the free-run instances (each stamped with its
+// candidate sites from the free-run timeline (each stamped with its
 // class and, where the class has them, synth/marker/members), and execOpt
 // (zero when the class needs none) is the runtime feature without which
 // its pseudo-sites are not reached at all.
 type faultClass struct {
 	name      string
-	enumerate func(e *engine, c classID, bySite map[string][]instance) []*siteState
+	enumerate func(e *engine, c classID, free *timeline) []*siteState
 	execOpt   inject.Features
 }
 
@@ -172,7 +172,7 @@ var pseudoPrior = map[inject.PseudoClass]struct {
 // workload (otherwise there is no instance to inject). Their spatial
 // distances L_{i,k} come from the static causal graph, computed once per
 // analysis Result and shared read-only across reproductions.
-func enumerateSites(e *engine, _ classID, bySite map[string][]instance) []*siteState {
+func enumerateSites(e *engine, _ classID, free *timeline) []*siteState {
 	relevantTemplates := map[string]bool{}
 	for _, o := range e.obs {
 		for _, t := range o.templates {
@@ -191,7 +191,7 @@ func enumerateSites(e *engine, _ classID, bySite map[string][]instance) []*siteS
 		if !reachesRelevant {
 			continue
 		}
-		if insts := bySite[siteID]; len(insts) > 0 {
+		if insts := free.instances(siteID, 0); len(insts) > 0 {
 			out = append(out, &siteState{id: siteID, class: siteClass, dists: dists, instances: insts})
 		}
 	}
@@ -205,23 +205,15 @@ func enumerateSites(e *engine, _ classID, bySite map[string][]instance) []*siteS
 // causally adjacent to everything the topology connects, so enumeration
 // is gated on the class being enabled rather than on graph connectivity,
 // and only sites and channels the scenario actually exercises appear.
-func enumeratePseudo(e *engine, c classID, bySite map[string][]instance) []*siteState {
+func enumeratePseudo(e *engine, c classID, free *timeline) []*siteState {
 	var out []*siteState
-	for siteID, insts := range bySite {
+	for siteID := range free.spans {
 		f, ok := inject.ParsePseudo(siteID)
 		if !ok || f.Family != classTable[c].execOpt {
 			continue
 		}
 		prior := pseudoPrior[f.Class]
-		if prior.minAmp > 0 {
-			kept := make([]instance, 0, len(insts))
-			for _, inst := range insts {
-				if inst.amp >= prior.minAmp {
-					kept = append(kept, inst)
-				}
-			}
-			insts = kept
-		}
+		insts := free.instances(siteID, prior.minAmp)
 		if len(insts) == 0 {
 			continue
 		}
@@ -244,10 +236,10 @@ func enumeratePseudo(e *engine, c classID, bySite map[string][]instance) []*site
 // be a fault the member classes already search. Donors are sorted first
 // so pair enumeration order — and with it every pair instance's
 // occurrence identity — is deterministic.
-func enumeratePairs(e *engine, _ classID, bySite map[string][]instance) []*siteState {
+func enumeratePairs(e *engine, _ classID, free *timeline) []*siteState {
 	var donors []*siteState
 	if !e.classes.has(siteClass) {
-		donors = enumerateSites(e, siteClass, bySite)
+		donors = enumerateSites(e, siteClass, free)
 	}
 	for _, s := range e.sites {
 		if s.class == siteClass || s.class == envClass {

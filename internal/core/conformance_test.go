@@ -3,12 +3,13 @@ package core_test
 // The dataset conformance suite: what every failure of the dataset owes,
 // written once. A cell is one failure under one addressing mode; it is
 // observed once per test binary — reproduce with a trace, reproduce again,
-// export the script, kill the search mid-run and resume it — and each
-// property is an assertion over that record. TestDatasetConformance sweeps
-// failures.All() × {occurrence, path} × every property; the per-class
-// Test* names further down and in dataset_test.go / core_test.go select
-// ids × mode × properties from the same records. A new scenario or fault
-// class enters the sweep by its failures.register call alone.
+// once more with a fresh environment per trial, export the script, kill the
+// search mid-run and resume it — and each property is an assertion over
+// that record. TestDatasetConformance sweeps failures.All() × {occurrence,
+// path} × every property; the per-class Test* names further down and in
+// dataset_test.go / core_test.go select ids × mode × properties from the
+// same records. A new scenario or fault class enters the sweep by its
+// failures.register call alone.
 //
 // Regenerate a golden after an intentional explorer change with
 //
@@ -55,6 +56,10 @@ type cell struct {
 	second []byte // JSONL trace of an independent second search
 	script []byte // ScriptOf(rep).Marshal(), nil when not reproduced
 
+	// The search with a fresh environment built for every trial.
+	fresh      *core.Report
+	freshTrace []byte
+
 	// The search again, killed after round killAt (half way; 0 when it
 	// takes one round and there is nothing to kill) and resumed.
 	killAt     int
@@ -92,15 +97,18 @@ func keepLast(dst *core.Checkpoint) func(core.Checkpoint) error {
 // resumeFrom when that is set — and returns the report and the JSONL trace
 // emitted.
 func (c *cell) search(opts core.Options, resumeFrom *core.Checkpoint) (rep *core.Report, jsonl []byte, err error) {
+	if resumeFrom != nil {
+		return c.traced(opts, func(o core.Options) (*core.Report, error) { return core.Resume(c.tgt, o, *resumeFrom) })
+	}
+	return c.traced(opts, func(o core.Options) (*core.Report, error) { return core.Reproduce(c.tgt, o), nil })
+}
+
+// traced runs one search under opts with a JSONL trace attached.
+func (c *cell) traced(opts core.Options, run func(core.Options) (*core.Report, error)) (rep *core.Report, jsonl []byte, err error) {
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
 	opts.Trace = sink
-	if resumeFrom != nil {
-		rep, err = core.Resume(c.tgt, opts, *resumeFrom)
-	} else {
-		rep = core.Reproduce(c.tgt, opts)
-	}
-	if err == nil {
+	if rep, err = run(opts); err == nil {
 		err = sink.Err()
 	}
 	return rep, buf.Bytes(), err
@@ -115,6 +123,12 @@ func (c *cell) observe() *cell {
 			return
 		}
 		if _, c.second, c.err = c.search(c.opts, nil); c.err != nil {
+			return
+		}
+		c.fresh, c.freshTrace, c.err = c.traced(c.opts, func(o core.Options) (*core.Report, error) {
+			return core.ReproduceFresh(c.tgt, o), nil
+		})
+		if c.err != nil {
 			return
 		}
 		if sf, err := core.ScriptOf(c.rep); err == nil {
@@ -344,6 +358,19 @@ func twoRunIdentical(t *testing.T, c *cell) {
 	}
 }
 
+// recycled: the search runs its trials in the environments its booked rounds
+// hand back; it is the search that builds a fresh one for every trial, trace
+// and report.
+func recycled(t *testing.T, c *cell) {
+	reproduces(t, c)
+	if !sameTrace(t, c.freshTrace, c.first) {
+		t.Fatal("the search differs from the one with a fresh environment per trial")
+	}
+	if got, want := normalized(t, c.rep), normalized(t, c.fresh); got != want {
+		t.Fatalf("final reports differ:\nrecycled: %s\nfresh:    %s", got, want)
+	}
+}
+
 // resumeEquivalent: killed half way and resumed, the search is the
 // uninterrupted one — the interrupted trace a strict prefix, the two
 // pieces concatenated byte-equal, the canonical reports equal.
@@ -381,6 +408,7 @@ var properties = []struct {
 	{"golden", goldenIfPinned},
 	{"injected-event", injectedEvent},
 	{"two-run-identical", twoRunIdentical},
+	{"recycled", recycled},
 	{"resume-equivalent", resumeEquivalent},
 }
 

@@ -76,7 +76,9 @@ const (
 // evaluation harness relies on this). The contract extends to the field
 // values — Workload must build a fresh system into the Env it is handed
 // and Oracle.Check must only inspect the Result it receives; neither may
-// capture mutable state shared across rounds.
+// capture mutable state shared across rounds. Both are handed memory the
+// search recycles: the Env and the *cluster.Result are valid only for the
+// duration of the trial and of the Check call, and nothing may keep them.
 type Target struct {
 	ID          string // dataset id, e.g. "f17"
 	Issue       string // upstream issue, e.g. "HB-25905"

@@ -10,7 +10,6 @@ import (
 	"anduril/internal/cluster"
 	"anduril/internal/inject"
 	"anduril/internal/logdiff"
-	"anduril/internal/logging"
 	"anduril/internal/trace"
 )
 
@@ -19,6 +18,7 @@ import (
 // its matching static templates, and its feedback priority I_k.
 type observable struct {
 	key       logdiff.Key
+	keyIdx    int // the key's number in the prepared failure log (engine.failure)
 	positions []int
 	templates []string
 	priority  int
@@ -145,10 +145,11 @@ type engine struct {
 	siteIndex map[string]*siteState // id -> state, for O(1) markTried
 	align     *logdiff.Alignment
 
-	// failureLog is t.FailureLog as every round's diff reads it: flattened
-	// once in setup under Options.GlobalDiff, the target's own slice
-	// otherwise.
-	failureLog []logging.Entry
+	// failure is t.FailureLog as every round's diff reads it: flattened
+	// under Options.GlobalDiff and grouped by thread, once, in setup. diff is
+	// the working memory of those diffs.
+	failure *logdiff.Failure
+	diff    logdiff.Scratch
 
 	sumBest map[string]float64 // sum-aggregation ablation bookkeeping
 
@@ -164,8 +165,20 @@ type engine struct {
 	// ctx cancels the search from outside (Options.Context).
 	ctx context.Context
 
-	// freeRes is the free run the strategies explore from.
+	// freeRes is the free run the strategies explore from. The whole search
+	// reads it (pathOf, the queue builders), so its environment is never
+	// recycled.
 	freeRes *cluster.Result
+
+	// envs are the environments of booked rounds, handed back by release for
+	// the next trials to be built in: a round's results are dead once it is
+	// booked, and an environment is the part of a trial's garbage that is
+	// the same every round. They belong to this engine alone and die with
+	// it. freshEnvs turns the recycling off, so that every trial builds a
+	// fresh environment — the reference a recycled search must equal. Only
+	// export_test.go sets it.
+	envs      []*cluster.Env
+	freshEnvs bool
 
 	// strategy is the strategyTable row the search runs, resolved by
 	// prepare. window is the flexible-window size the next round selects
@@ -375,7 +388,8 @@ func (e *engine) finish(start time.Time) {
 }
 
 // trial runs the workload once under the engine's watchdogs: panic
-// recovery, the event budget, and the cancellation context.
+// recovery, the event budget, and the cancellation context — in a recycled
+// environment when a booked round has left one.
 func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.Result, error) {
 	budget := e.o.EventBudget
 	if budget < 0 {
@@ -390,7 +404,31 @@ func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.
 	if e.o.Addressing == AddrPath {
 		feats |= inject.PathAddressing
 	}
-	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, cluster.With(feats))
+	var env *cluster.Env
+	if n := len(e.envs); n > 0 {
+		env, e.envs = e.envs[n-1], e.envs[:n-1]
+	}
+	// The free run's reach timeline is kept by its runtime, where setup
+	// walks it in place; asking TryExecuteOn for it would also join it into
+	// Result.Trace, a copy of the whole timeline nothing here reads.
+	keepReaches := func(env *cluster.Env) { env.FI.KeepTrace = keepTrace }
+	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, budget, cluster.With(feats), keepReaches)
+}
+
+// release takes back the environments of a round that has been booked:
+// nothing reads its results any more. Only trials that returned cleanly
+// are recycled — one that panicked, exhausted its event budget or was
+// cancelled stopped at an arbitrary point, and its environment is left to
+// the collector with it (so is a failed first try, which attemptRound
+// drops unseen).
+func (e *engine) release(a *attempt) {
+	if a.err != nil || e.freshEnvs {
+		return
+	}
+	e.envs = append(e.envs, a.res.Release())
+	for _, res := range a.extra {
+		e.envs = append(e.envs, res.Release())
+	}
 }
 
 // stopRequested reports whether the search must stop before starting the

@@ -27,6 +27,16 @@ func ReproduceRecomputing(t *Target, o Options) *Report {
 	return rep
 }
 
+// ReproduceFresh is Reproduce with a fresh environment built for every
+// trial: the reference a search that recycles its rounds' environments must
+// equal, byte for byte.
+func ReproduceFresh(t *Target, o Options) *Report {
+	e := newEngine(t, o.withDefaults())
+	e.freshEnvs = true
+	rep, _ := e.run()
+	return rep
+}
+
 // Prepared is an engine after the free run and setup, with the initial
 // full-feedback ranking: the state a search's first round starts from.
 // Tests and benchmarks in core_test need it because only they can build

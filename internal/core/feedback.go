@@ -9,7 +9,6 @@ import (
 
 	"anduril/internal/cluster"
 	"anduril/internal/inject"
-	"anduril/internal/logdiff"
 	"anduril/internal/trace"
 )
 
@@ -96,6 +95,7 @@ func (e *engine) explore() {
 			}
 			e.record(rd)
 		}
+		e.release(&a)
 	}
 }
 
@@ -253,9 +253,9 @@ func (e *engine) missingIn(results []*cluster.Result) []bool {
 		miss[i] = true
 	}
 	for _, res := range results {
-		m := logdiff.Compare(e.flatten(res.Entries), e.failureLog).Missing
+		m := e.diff.Missing(e.flatten(res.Entries), e.failure)
 		for i, o := range e.obs {
-			if _, still := m[o.key]; !still {
+			if !m[o.keyIdx] {
 				miss[i] = false
 			}
 		}

@@ -1,0 +1,231 @@
+package core_test
+
+// Tests for environment recycling: the engine builds a round's trials in the
+// environments its booked rounds handed back. The conformance suite's
+// `recycled` property holds every dataset search to the fresh-environment
+// reference; these are the cases a clean search never reaches.
+
+import (
+	"bytes"
+	"sync"
+	"testing"
+
+	"anduril/internal/cluster"
+	"anduril/internal/core"
+	"anduril/internal/trace"
+)
+
+// envLog records one search: its JSONL trace and, in execution order, the
+// environment every trial ran in with the trace round it belongs to (0: the
+// free run). It is the search's trace sink and wraps its target.
+type envLog struct {
+	buf    bytes.Buffer
+	w      *trace.Writer
+	round  int
+	envs   []*cluster.Env
+	rounds []int
+	failed map[int]bool // trial index -> its trap fired
+}
+
+func newEnvLog() *envLog {
+	l := &envLog{failed: map[int]bool{}}
+	l.w = trace.NewWriter(&l.buf)
+	return l
+}
+
+func (l *envLog) Emit(ev *trace.Event) {
+	if ev.Type == trace.Decision {
+		l.round = ev.Round // a Decision event opens a round
+	}
+	l.w.Emit(ev)
+}
+
+func (l *envLog) watch(tgt *core.Target) *core.Target {
+	cp := *tgt
+	cp.Workload = func(env *cluster.Env) {
+		l.envs, l.rounds = append(l.envs, env), append(l.rounds, l.round)
+		tgt.Workload(env)
+	}
+	return &cp
+}
+
+// reuses returns, for every trial that ran in an environment an earlier
+// trial had used, the index of that earlier trial.
+func (l *envLog) reuses() map[int]int {
+	out, last := map[int]int{}, map[*cluster.Env]int{}
+	for i, env := range l.envs {
+		if j, ok := last[env]; ok {
+			out[i] = j
+		}
+		last[env] = i
+	}
+	return out
+}
+
+// sameSearch fails unless the recycling search and the fresh-environment one
+// left the same trace and report.
+func sameSearch(t *testing.T, rec, fresh *envLog, rep, ref *core.Report) {
+	t.Helper()
+	if err := rec.w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameTrace(t, fresh.buf.Bytes(), rec.buf.Bytes()) {
+		t.Fatal("the recycling search differs from the one with a fresh environment per trial")
+	}
+	if a, b := normalized(t, rep), normalized(t, ref); a != b {
+		t.Fatalf("final reports differ:\nrecycled: %s\nfresh:    %s", a, b)
+	}
+	if n := len(fresh.reuses()); n != 0 {
+		t.Fatalf("the reference search reused %d environments", n)
+	}
+}
+
+// TestFailedTrialsAreNotRecycled: the environment of a trial that panicked
+// or ran out of event budget is never built in again — it stopped at an
+// arbitrary point — while its retry, and every later round, still are the
+// fresh-environment search's. The free run's environment is not reused
+// either: the search reads it to the end. (A cancelled trial ends the
+// search; TestInterruptInCombinedLogRunWritesFinalCheckpoint holds its
+// resume to the uninterrupted run.)
+func TestFailedTrialsAreNotRecycled(t *testing.T) {
+	tgt := target(t, "f1")
+	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, EventBudget: 50_000}
+	baseline := core.Reproduce(tgt, base)
+	if !baseline.Reproduced {
+		t.Fatal("baseline not reproduced")
+	}
+	poison := pickPoison(t, baseline)
+	traps := map[string]func(env *cluster.Env){
+		cluster.ClassPanic: func(*cluster.Env) { panic("poisoned trial") },
+		cluster.ClassEventBudget: func(env *cluster.Env) {
+			var spin func()
+			spin = func() { env.Sim.Go("livelock", spin) }
+			env.Sim.Go("livelock", spin)
+		},
+	}
+	for class, trap := range traps {
+		t.Run(class, func(t *testing.T) {
+			run := func(reproduce func(*core.Target, core.Options) *core.Report) (*core.Report, *envLog) {
+				l := newEnvLog()
+				opts := base
+				opts.Trace = l
+				return reproduce(l.watch(poisonWorkload(tgt, poison, func(env *cluster.Env) {
+					l.failed[len(l.envs)-1] = true
+					trap(env)
+				})), opts), l
+			}
+			rep, rec := run(core.Reproduce)
+			ref, fresh := run(core.ReproduceFresh)
+			sameSearch(t, rec, fresh, rep, ref)
+			if !rep.Reproduced || rep.InconclusiveRounds < 1 || len(rec.failed) < 2 {
+				t.Fatalf("reproduced=%v, %d inconclusive rounds, %d failed trials: want a reproduction past a poisoned trial and its retry",
+					rep.Reproduced, rep.InconclusiveRounds, len(rec.failed))
+			}
+			reuses := rec.reuses()
+			if len(reuses) == 0 {
+				t.Fatal("no environment was ever recycled: the test proves nothing")
+			}
+			for i, j := range reuses {
+				if j == 0 {
+					t.Fatalf("trial %d ran in the free run's environment", i)
+				}
+				if rec.failed[j] {
+					t.Fatalf("trial %d ran in the environment of trial %d, which failed (%s)", i, j, class)
+				}
+			}
+		})
+	}
+}
+
+// TestCombinedLogRunsKeepTheirEnvironments: with RunsPerRound 3 a round's
+// primary run and both extra runs are alive together through the learn step,
+// so they run in three environments; all three go back when the round is
+// booked, poisoned, and the next round runs in them.
+func TestCombinedLogRunsKeepTheirEnvironments(t *testing.T) {
+	tgt := target(t, "f4")
+	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 3}
+
+	// An oracle that keeps what it was shown, as none should: round -> the
+	// results its calls saw.
+	judged := map[int][]*cluster.Result{}
+	rec := newEnvLog()
+	wrapped := rec.watch(tgt)
+	wrapped.Oracle.Check = func(r *cluster.Result) bool {
+		judged[rec.round] = append(judged[rec.round], r)
+		for _, old := range judged[rec.round-1] {
+			if old.Env != nil || old.Entries != nil {
+				t.Errorf("round %d: a result of booked round %d is not poisoned", rec.round, rec.round-1)
+			}
+		}
+		return tgt.Oracle.Satisfied(r)
+	}
+	opts := base
+	opts.Trace = rec
+	rep := core.Reproduce(wrapped, opts)
+	fresh := newEnvLog()
+	opts.Trace = fresh
+	ref := core.ReproduceFresh(fresh.watch(tgt), opts)
+	sameSearch(t, rec, fresh, rep, ref)
+	if !rep.Reproduced {
+		t.Fatalf("not reproduced in %d rounds", rep.Rounds)
+	}
+	full := 0
+	for round, results := range judged {
+		if len(results) == 3 {
+			full++
+		}
+		inRound := map[*cluster.Env]bool{}
+		for i, r := range rec.rounds {
+			if r != round {
+				continue
+			}
+			if inRound[rec.envs[i]] {
+				t.Fatalf("round %d ran two of its trials in one environment", round)
+			}
+			inRound[rec.envs[i]] = true
+		}
+	}
+	if full == 0 {
+		t.Fatal("no round ran all three of its trials: the fixture does not exercise the combined logs")
+	}
+	if reuses := rec.reuses(); len(reuses) < 3 {
+		t.Fatalf("%d trials ran in recycled environments, want the three of a round at least", len(reuses))
+	}
+}
+
+// TestConcurrentEnginesShareNoRecycledMemory: released environments belong
+// to one engine. Searches running side by side on one shared Target — what
+// daemon workers and the parallel evaluation harness do — never build a
+// trial in another's environment, each equals its own serial run, and -race
+// has nothing to report.
+func TestConcurrentEnginesShareNoRecycledMemory(t *testing.T) {
+	tgt := target(t, "f9")
+	const engines = 4
+	logs := make([]*envLog, engines)
+	reps := make([]*core.Report, engines)
+	var wg sync.WaitGroup
+	for i := range logs {
+		logs[i] = newEnvLog()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i] = core.Reproduce(logs[i].watch(tgt), core.Options{Seed: 1 + int64(i%2), Trace: logs[i]})
+		}()
+	}
+	wg.Wait()
+	owner := map[*cluster.Env]int{}
+	for i, l := range logs {
+		if len(l.reuses()) == 0 {
+			t.Fatalf("engine %d recycled nothing in %d trials", i, len(l.envs))
+		}
+		for _, env := range l.envs {
+			if j, ok := owner[env]; ok && j != i {
+				t.Fatalf("engines %d and %d both ran trials in environment %p", j, i, env)
+			}
+			owner[env] = i
+		}
+		if twin := logs[(i+2)%engines]; !bytes.Equal(l.buf.Bytes(), twin.buf.Bytes()) {
+			t.Fatalf("engine %d and its same-seed twin left different traces", i)
+		}
+	}
+}

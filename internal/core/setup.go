@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"anduril/internal/cluster"
+	"anduril/internal/inject"
 	"anduril/internal/logdiff"
 	"anduril/internal/logging"
 	"anduril/internal/trace"
@@ -25,50 +26,101 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 	return out
 }
 
+// timeline is the free run's reach trace indexed by site, read in place: the
+// runtime's chunks are not copied, and a site's instances are built only
+// when a class enumerates it — most reached sites are never candidates (f1:
+// 46 candidate instances of 2667 reaches), and only a candidate's positions
+// need aligning.
+type timeline struct {
+	e      *engine
+	chunks [][]inject.TraceEvent
+	spans  map[string][2]int32 // site -> its [start, end) in order
+	order  []int32             // reach indices grouped by site, in run order within a site
+}
+
+// indexReaches groups the reaches by site: a counting sort of their indices.
+func (e *engine) indexReaches(chunks [][]inject.TraceEvent) *timeline {
+	tl := &timeline{e: e, chunks: chunks, spans: map[string][2]int32{}}
+	n := 0
+	for _, chunk := range chunks {
+		for i := range chunk {
+			sp := tl.spans[chunk[i].Site]
+			sp[1]++
+			tl.spans[chunk[i].Site] = sp
+		}
+		n += len(chunk)
+	}
+	// Lay the spans out end to end (in any order: a site's span is its
+	// own), each starting empty; filling them grows each to its count.
+	start := int32(0)
+	for site, sp := range tl.spans {
+		tl.spans[site] = [2]int32{start, start}
+		start += sp[1]
+	}
+	tl.order = make([]int32, n)
+	i := int32(0)
+	for _, chunk := range chunks {
+		for j := range chunk {
+			sp := tl.spans[chunk[j].Site]
+			tl.order[sp[1]] = i
+			sp[1]++
+			tl.spans[chunk[j].Site] = sp
+			i++
+		}
+	}
+	return tl
+}
+
+// instances builds a site's free-run instances, in run order, keeping those
+// whose observed amplitude is at least minAmp.
+func (tl *timeline) instances(site string, minAmp int) []instance {
+	sp := tl.spans[site]
+	if sp[0] == sp[1] {
+		return nil
+	}
+	out := make([]instance, 0, sp[1]-sp[0])
+	for _, i := range tl.order[sp[0]:sp[1]] {
+		ev := &tl.chunks[i/inject.TraceChunk][i%inject.TraceChunk]
+		if ev.Amp < minAmp {
+			continue
+		}
+		out = append(out, instance{
+			occ:        ev.Occurrence,
+			logPos:     ev.LogPos,
+			alignedPos: tl.e.align.Map(ev.LogPos),
+			addr:       ev.Addr,
+			amp:        ev.Amp,
+		})
+	}
+	return out
+}
+
 // setup performs workflow steps 1-2: extract relevant observables, match
 // them to causal-graph templates, compute spatial distances and the
 // fault-instance timeline alignment.
 func (e *engine) setup(free *cluster.Result) {
-	e.failureLog = e.flatten(e.t.FailureLog)
-	cmp := logdiff.Compare(e.flatten(free.Entries), e.failureLog)
+	e.failure = logdiff.Prepare(e.flatten(e.t.FailureLog))
+	cmp := e.diff.Compare(e.flatten(free.Entries), e.failure)
 	e.align = logdiff.NewAlignment(cmp, len(free.Entries), len(e.t.FailureLog))
 
 	matcher := e.t.Analysis.Matcher()
 
 	for _, key := range cmp.MissingKeys() {
+		idx, _ := e.failure.KeyIndex(key) // a missing key is a key of the failure log
 		e.obs = append(e.obs, &observable{
 			key:       key,
+			keyIdx:    idx,
 			positions: cmp.Missing[key],
 			templates: matcher.Match(key.Msg),
 		})
 	}
 	e.report.RelevantObservables = len(e.obs)
 
-	// Count first, then allocate each site's instance slice exactly once:
-	// free-run traces carry tens of thousands of events, and letting append
-	// grow each site's slice from scratch dominates setup's allocations.
-	counts := map[string]int{}
-	for _, ev := range free.Trace {
-		counts[ev.Site]++
-	}
-	bySite := make(map[string][]instance, len(counts))
-	for _, ev := range free.Trace {
-		insts, ok := bySite[ev.Site]
-		if !ok {
-			insts = make([]instance, 0, counts[ev.Site])
-		}
-		bySite[ev.Site] = append(insts, instance{
-			occ:        ev.Occurrence,
-			logPos:     ev.LogPos,
-			alignedPos: e.align.Map(ev.LogPos),
-			addr:       ev.Addr,
-			amp:        ev.Amp,
-		})
-	}
+	tl := e.indexReaches(free.Env.FI.TraceChunks())
 	// Candidate sites, class by class in table order (see classes.go).
 	for c, fc := range classTable {
 		if e.classes.has(classID(c)) {
-			e.sites = append(e.sites, fc.enumerate(e, classID(c), bySite)...)
+			e.sites = append(e.sites, fc.enumerate(e, classID(c), tl)...)
 		}
 	}
 	sort.Sort(sitesByID(e.sites))

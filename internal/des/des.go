@@ -173,6 +173,30 @@ func New(seed int64) *Sim {
 	return s
 }
 
+// Reset returns the simulation to the state New(seed) builds, on the memory
+// it already owns: the event free list and queue array, the random source
+// (re-seeded, which restarts its stream exactly), the maps, the emptied
+// call tree. Pending events are released, so nothing of the finished run
+// stays reachable through the kernel, and every Timer handed out before is
+// a no-op. A search recycles its rounds' simulations this way; what the
+// next run computes does not depend on it.
+func (s *Sim) Reset(seed int64) {
+	for i, e := range s.queue {
+		s.release(e)
+		s.queue[i] = nil
+	}
+	clear(s.blocked)
+	clear(s.crashed)
+	clear(s.pathSeq)
+	// blockedRender is a cache of renderings, a pure function of its keys.
+	*s = Sim{
+		queue: s.queue[:0], rng: s.rng, free: s.free,
+		blocked: s.blocked, blockedRender: s.blockedRender, crashed: s.crashed,
+		pathNodes: s.pathNodes[:0], pathSeq: s.pathSeq,
+	}
+	s.rng.Seed(seed)
+}
+
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
 
@@ -314,7 +338,7 @@ func (ev *everyState) stop() { ev.stopped = true }
 
 func runEvery(x interface{}) {
 	ev := x.(*everyState)
-	if ev.stopped || ev.s.crashed[ev.actor] {
+	if ev.stopped || ev.s.Crashed(ev.actor) {
 		return
 	}
 	ev.fn()
@@ -336,8 +360,9 @@ func (s *Sim) Jitter(max Time) Time {
 // silently discarded, modelling a process abort.
 func (s *Sim) Crash(actor string) { s.crashed[actor] = true }
 
-// Crashed reports whether the actor has been crashed.
-func (s *Sim) Crashed(actor string) bool { return s.crashed[actor] }
+// Crashed reports whether the actor has been crashed. Run asks for every
+// event, and almost no run crashes anyone: the empty map is not probed.
+func (s *Sim) Crashed(actor string) bool { return len(s.crashed) != 0 && s.crashed[actor] }
 
 // Stop ends the simulation after the current event.
 func (s *Sim) Stop() { s.stopped = true }
@@ -395,7 +420,7 @@ func (s *Sim) Run(horizon Time) int {
 			s.queue.push(e)
 			break
 		}
-		if e.canceled || s.crashed[e.actor] {
+		if e.canceled || s.Crashed(e.actor) {
 			s.release(e)
 			continue
 		}

@@ -71,8 +71,10 @@ func (s *Sim) EnablePathTracking() {
 		return
 	}
 	s.pathTracking = true
-	s.pathNodes = []pathNode{{hash: PathRoot}}
-	s.pathSeq = make(map[pathEdgeKey]int32)
+	s.pathNodes = append(s.pathNodes[:0], pathNode{hash: PathRoot})
+	if s.pathSeq == nil {
+		s.pathSeq = make(map[pathEdgeKey]int32)
+	}
 }
 
 // PathTracking reports whether path bookkeeping is on.

@@ -6,12 +6,14 @@ import (
 	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/inject"
+	"anduril/internal/logging"
 )
 
 // TestScenarioInvariants checks, for every registered scenario, the three
 // properties the paper's problem statement requires: the workload alone
 // does not trigger the failure; injecting the ground-truth fault does; and
-// the failure log generation round-trips.
+// the failure log generation round-trips — and that the records of all of
+// them are keyed by their own messages.
 func TestScenarioInvariants(t *testing.T) {
 	for _, s := range All() {
 		s := s
@@ -40,6 +42,16 @@ func TestScenarioInvariants(t *testing.T) {
 			}
 			if len(flog) < 10 {
 				t.Fatalf("%s: failure log has only %d entries", s.ID, len(flog))
+			}
+			// 4. Every record — emitted by the free run and the failure run,
+			// parsed into the failure log — carries the id of its message.
+			for name, entries := range map[string][]logging.Entry{"free run": free.Entries, "failure run": res.Entries, "failure log": flog} {
+				for i, e := range entries {
+					if e.ID() != logging.SanitizeID(e.Msg) {
+						t.Fatalf("%s: %s record %d %q carries id %d, its message sanitizes to %d",
+							s.ID, name, i, e.Msg, e.ID(), logging.SanitizeID(e.Msg))
+					}
+				}
 			}
 		})
 	}

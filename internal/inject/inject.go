@@ -49,6 +49,7 @@ package inject
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"anduril/internal/des"
@@ -198,7 +199,7 @@ type Runtime struct {
 
 	sites      map[string]*siteRec
 	pathCounts map[pathSiteKey]int32 // per-(path context, site) occurrence counters
-	trace      []TraceEvent
+	trace      [][]TraceEvent        // the kept trace, TraceChunk events a chunk: growing copies nothing
 	injected   []TraceEvent
 	budget     int
 	decisions  int
@@ -226,12 +227,30 @@ type pathSiteKey struct {
 // candidate has several members. The run starts from the plan Reset, so one
 // plan can be executed again — a round's retry, a script replayed twice.
 func NewRuntime(plan *Plan) *Runtime {
-	r := &Runtime{plan: plan, sites: make(map[string]*siteRec), KeepTrace: true}
+	r := &Runtime{sites: make(map[string]*siteRec)}
+	r.Reset(plan)
+	return r
+}
+
+// Reset prepares the runtime for another run under plan, as NewRuntime
+// would build it, keeping its wiring (LogPos, Thread, Now, Paths) and the
+// memory of its tables: a site's record stays in the table at count zero,
+// which everything that reads the table takes for absent. KeepTrace is back
+// at its default.
+func (r *Runtime) Reset(plan *Plan) {
+	for _, rec := range r.sites {
+		rec.count = 0
+	}
+	clear(r.pathCounts)
+	*r = Runtime{
+		LogPos: r.LogPos, Thread: r.Thread, Now: r.Now, Paths: r.Paths,
+		plan: plan, sites: r.sites, pathCounts: r.pathCounts,
+		injected: r.injected[:0], KeepTrace: true,
+	}
 	if plan != nil {
 		plan.Reset()
 		r.budget, r.features = plan.Budget(), plan.Features()
 	}
-	return r
 }
 
 // Enable switches features on for the run (there is no switching off: a
@@ -249,8 +268,9 @@ func (r *Runtime) Active(f Features) bool { return r.features&f == f }
 // kind it declared and, for a pseudo-site, the fault template its ID
 // parsed to (zero Class otherwise). Reach runs on every instrumented call
 // in every simulated run, so everything per-site shares a single map entry
-// probed once — and a pseudo-site's ID is parsed once per run, not once
-// per message.
+// probed once — and a pseudo-site's ID is parsed once, not once per
+// message. A count of zero is a site this run has not reached: a record a
+// Reset left behind.
 type siteRec struct {
 	count  int
 	kind   Kind
@@ -301,12 +321,20 @@ func (r *Runtime) decide(site string, occ int, at PathKey) bool {
 	if r.plan == nil || len(r.injected) >= r.budget {
 		return false
 	}
+	r.decisions++
+	if r.decisions%decideSample != 1 {
+		return r.plan.Decide(site, occ, at, r.Paths)
+	}
 	start := time.Now()
 	inject := r.plan.Decide(site, occ, at, r.Paths)
 	r.decNanos += time.Since(start).Nanoseconds()
-	r.decisions++
 	return inject
 }
+
+// decideSample is how many decisions share one timed one. The count of
+// decisions is exact; their latency is a statistic, and reading the wall
+// clock twice around every one of them cost more than most decisions do.
+const decideSample = 16
 
 // record stamps and stores the trace event for one reach. amp is the
 // observed amplitude of a partial pseudo-site's perturbed call (its
@@ -323,14 +351,12 @@ func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int)
 		ev.Time = r.Now()
 	}
 	if r.KeepTrace {
-		if r.trace == nil {
-			// A kept trace records every reach of the run — hundreds of
-			// events. Start sized for a typical free run so the append
-			// doubling does not copy the trace several times (lazily, so
-			// the many non-keeping round runtimes never pay for it).
-			r.trace = make([]TraceEvent, 0, 512)
+		n := len(r.trace)
+		if n == 0 || len(r.trace[n-1]) == TraceChunk {
+			r.trace = append(r.trace, make([]TraceEvent, 0, TraceChunk))
+			n++
 		}
-		r.trace = append(r.trace, ev)
+		r.trace[n-1] = append(r.trace[n-1], ev)
 	}
 	if inject {
 		r.injected = append(r.injected, ev)
@@ -382,8 +408,15 @@ func (r *Runtime) Reach(site string, kind Kind) error {
 // counted or traced.
 func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 	rec := r.sites[site]
-	if rec == nil || rec.pseudo.Class == "" {
-		f, ok := ParsePseudo(site)
+	if rec == nil || rec.count == 0 || rec.pseudo.Class == "" {
+		// The run's first reach of the site: is its family on this run?
+		var f PseudoFault
+		ok := rec != nil && rec.pseudo.Class != ""
+		if ok {
+			f = rec.pseudo
+		} else {
+			f, ok = ParsePseudo(site)
+		}
 		if !ok || !r.Active(f.Family) {
 			return PseudoFault{}, false
 		}
@@ -402,8 +435,28 @@ func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 	return f, true
 }
 
-// Trace returns the recorded reaches (empty if KeepTrace was off).
-func (r *Runtime) Trace() []TraceEvent { return r.trace }
+// TraceChunk is how many reaches one chunk of a kept trace holds. A free
+// run keeps hundreds to thousands of 88-byte events; most of the dataset's
+// fit in one or two chunks, and the long ones grow by a chunk, not by a
+// doubled copy.
+const TraceChunk = 256
+
+// TraceChunks returns the recorded reaches as they are kept: in run order,
+// every chunk but the last TraceChunk events long, so reach i is
+// TraceChunks()[i/TraceChunk][i%TraceChunk]. Empty if KeepTrace was off.
+func (r *Runtime) TraceChunks() [][]TraceEvent { return r.trace }
+
+// Trace returns the recorded reaches as one slice (empty if KeepTrace was
+// off): the chunk itself when there is one, a joined copy otherwise.
+func (r *Runtime) Trace() []TraceEvent {
+	switch len(r.trace) {
+	case 0:
+		return nil
+	case 1:
+		return r.trace[0]
+	}
+	return slices.Concat(r.trace...)
+}
 
 // Injected returns the reach at which the round's (first) fault was
 // injected, if any.
@@ -425,7 +478,9 @@ func (r *Runtime) InjectedAll() []TraceEvent { return r.injected }
 func (r *Runtime) Counts() map[string]int {
 	out := make(map[string]int, len(r.sites))
 	for site, rec := range r.sites {
-		out[site] = rec.count
+		if rec.count != 0 {
+			out[site] = rec.count
+		}
 	}
 	return out
 }
@@ -433,7 +488,7 @@ func (r *Runtime) Counts() map[string]int {
 // Kind reports the fault kind a site declared when reached.
 func (r *Runtime) Kind(site string) (Kind, bool) {
 	rec, ok := r.sites[site]
-	if !ok {
+	if !ok || rec.count == 0 {
 		return "", false
 	}
 	return rec.kind, true
@@ -441,7 +496,12 @@ func (r *Runtime) Kind(site string) (Kind, bool) {
 
 // Decisions returns how many injection requests the plan was consulted for
 // and the total decision latency — the "Inject. Req." and latency columns
-// of Table 4.
+// of Table 4. The count is exact; the latency is scaled up from the one
+// decision in decideSample that was timed.
 func (r *Runtime) Decisions() (count int, total time.Duration) {
-	return r.decisions, time.Duration(r.decNanos)
+	if r.decisions == 0 {
+		return 0, 0
+	}
+	timed := (r.decisions + decideSample - 1) / decideSample
+	return r.decisions, time.Duration(r.decNanos * int64(r.decisions) / int64(timed))
 }

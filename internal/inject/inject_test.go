@@ -3,6 +3,7 @@ package inject
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -299,5 +300,58 @@ func TestRuntimeHooksOptional(t *testing.T) {
 	ev, ok := r.Injected()
 	if !ok || ev.Thread != "" || ev.LogPos != 0 {
 		t.Fatalf("event: %+v", ev)
+	}
+}
+
+// TestResetMatchesNewRuntime: a runtime Reset to a plan answers like
+// NewRuntime(plan), whatever it counted before — occurrences restart at one,
+// a site the new run has not reached is absent from Counts and Kind, a
+// pseudo-site whose family the new run does not have is not counted even
+// though its record is still in the table, and the kept trace is gone.
+func TestResetMatchesNewRuntime(t *testing.T) {
+	crash := PseudoSiteID(EnvCrash, "n1", "")
+	short := PseudoSiteID(PartialShortWrite, "s.write", "")
+	plan := func() *Plan { return Exact(Instance{Site: "s.b", Occurrence: 2}) } // a plan holds its run's state
+
+	drive := func(r *Runtime) (faults []string) {
+		for i := 0; i < 3; i++ {
+			for _, site := range []string{"s.a", "s.b"} {
+				if err := r.Reach(site, Timeout); err != nil {
+					faults = append(faults, err.Error())
+				}
+			}
+			r.ReachPseudo(crash, 0)
+			r.ReachPseudo(short, 9)
+		}
+		return faults
+	}
+	used := NewRuntime(Exact(Instance{Site: crash, Occurrence: 1}))
+	used.Enable(EnvFaults | PartialFaults | PathAddressing)
+	used.Reach("s.gone", IO)
+	drive(used)
+	used.Reset(plan())
+	used.Enable(PartialFaults)
+
+	fresh := NewRuntime(plan())
+	fresh.Enable(PartialFaults)
+	if !used.KeepTrace || len(used.Trace()) != 0 || used.Active(EnvFaults) || used.Active(PathAddressing) {
+		t.Fatalf("Reset left KeepTrace=%v, %d trace events, features %b", used.KeepTrace, len(used.Trace()), used.features)
+	}
+	if _, ok := used.Kind("s.gone"); ok || len(used.Counts()) != 0 {
+		t.Fatalf("Reset left sites behind: %v", used.Counts())
+	}
+	got, want := drive(used), drive(fresh)
+	if !reflect.DeepEqual(got, want) || len(want) != 1 {
+		t.Fatalf("faults after Reset %v, fresh %v", got, want)
+	}
+	if !reflect.DeepEqual(used.Counts(), fresh.Counts()) || used.Counts()[crash] != 0 || used.Counts()[short] != 3 {
+		t.Fatalf("counts after Reset %v, fresh %v", used.Counts(), fresh.Counts())
+	}
+	if !reflect.DeepEqual(used.Trace(), fresh.Trace()) || !reflect.DeepEqual(used.InjectedAll(), fresh.InjectedAll()) {
+		t.Fatalf("trace after Reset:\n%+v\nfresh:\n%+v", used.Trace(), fresh.Trace())
+	}
+	n, _ := used.Decisions()
+	if m, _ := fresh.Decisions(); n != m || n == 0 {
+		t.Fatalf("decisions after Reset %d, fresh %d", n, m)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSanitizeSteadyStateAllocs pins the interning contract: once a
-// sanitized template is in the table, Sanitize and SanitizeID allocate
-// nothing, no matter how the volatile digits vary.
+// sanitized template is in the table, Sanitize allocates nothing, no matter
+// how the volatile digits vary.
 func TestSanitizeSteadyStateAllocs(t *testing.T) {
 	msgs := []string{
 		"Taking snapshot at zxid=0x1a2b on myid=1",
@@ -29,34 +29,44 @@ func TestSanitizeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCompareSteadyStateAllocs bounds the per-Compare allocation count on
-// warmed state. The grouping maps, Myers arrays and match buffers all come
-// from the scratch pool, so what remains is the Result itself (struct,
-// Missing map, Matches slice and the monotonic filter's arrays) — a small
-// constant, not a function of log length. The bound has headroom over the
-// measured count; the point is catching a regression back to per-entry
-// allocation (which would show up as hundreds per call on this input).
+// TestCompareSteadyStateAllocs pins the per-round diff: a run log whose
+// entries carry their ids, against a prepared failure side, on a warmed
+// Scratch allocates nothing at all — the grouping, the Myers vector and
+// rows and the result vector are all the scratch's. (The full Compare, once
+// per search, allocates its Result and a scratch of its own.)
 func TestCompareSteadyStateAllocs(t *testing.T) {
 	var run, failure []logging.Entry
+	line := func(thread, msg string) logging.Entry {
+		e, ok := logging.ParseLine("2024-11-04 09:00:00,001 [" + thread + "] INFO " + msg)
+		if !ok {
+			t.Fatalf("line for %q does not parse", msg)
+		}
+		return e
+	}
 	for i := 0; i < 200; i++ {
 		th := fmt.Sprintf("node%d-sync", i%4)
-		run = append(run, logging.Entry{Thread: th, Level: logging.Info,
-			Msg: fmt.Sprintf("Committed zxid %d from leader 1", i)})
-		failure = append(failure, logging.Entry{Thread: th, Level: logging.Info,
-			Msg: fmt.Sprintf("Committed zxid %d from leader 1", i+7)})
+		msg := "Committed zxid %d from leader 1"
+		if i%17 == 0 {
+			msg = "Snapshot %d taken" // run-only lines: the diff has edits to make
+		}
+		run = append(run, line(th, fmt.Sprintf(msg, i)))
+		failure = append(failure, line(th, fmt.Sprintf("Committed zxid %d from leader 1", i+7)))
 	}
-	failure = append(failure, logging.Entry{Thread: "node1-sync", Level: logging.Error,
-		Msg: "Unexpected null datatree node restoring snapshot: NullPointerException"})
+	failure = append(failure, line("node1-sync", "Unexpected null datatree node restoring snapshot: NullPointerException"))
 
-	Compare(run, failure) // warm the intern table and scratch pool
-	allocs := testing.AllocsPerRun(50, func() {
-		Compare(run, failure)
-	})
-	// Headroom above the measured ~16: under -race, sync.Pool deliberately
-	// drops a quarter of Puts, so some calls rebuild their scratch. A
-	// regression to per-entry allocation would still blow far past this.
-	const maxAllocs = 64
-	if allocs > maxAllocs {
-		t.Errorf("Compare allocated %.1f times per call on a 200-entry log, want <= %d", allocs, maxAllocs)
+	f := Prepare(failure)
+	want := Compare(run, failure).Missing
+	var sc Scratch
+	check := func() {
+		miss := sc.Missing(run, f)
+		for i, m := range miss {
+			if _, inFull := want[f.keys[i]]; m != inFull {
+				t.Fatalf("key %v: Missing says %v, Compare says %v", f.keys[i], m, inFull)
+			}
+		}
+	}
+	check() // warm the scratch
+	if allocs := testing.AllocsPerRun(50, check); allocs != 0 {
+		t.Errorf("the per-round diff allocated %.1f times per call on a 200-entry log, want 0", allocs)
 	}
 }

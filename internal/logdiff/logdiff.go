@@ -20,7 +20,6 @@ package logdiff
 
 import (
 	"sort"
-	"sync"
 
 	"anduril/internal/logging"
 )
@@ -33,118 +32,144 @@ type Key struct {
 	Msg    string
 }
 
-// interner canonicalizes sanitized message templates. The explorer diffs
-// the same few hundred distinct sanitized forms thousands of times per
-// reproduction; interning them means Sanitize allocates only the first
-// time it sees a form, and the per-thread Myers diff compares small
-// integer IDs instead of strings. The table is process-global (guarded
-// for parallel evaluation) and bounded by the number of distinct
-// sanitized templates the targets can emit.
-var interner = struct {
-	sync.RWMutex
-	ids  map[string]int32
-	strs []string
-}{ids: make(map[string]int32)}
-
-// internBytes returns the ID for a sanitized form held in buf, adding it
-// to the table on first sight. The map lookup on the hit path performs no
-// conversion allocation (m[string(buf)] pattern).
-func internBytes(buf []byte) int32 {
-	interner.RLock()
-	id, ok := interner.ids[string(buf)]
-	interner.RUnlock()
-	if ok {
-		return id
-	}
-	interner.Lock()
-	defer interner.Unlock()
-	if id, ok = interner.ids[string(buf)]; ok {
-		return id
-	}
-	s := string(buf)
-	id = int32(len(interner.strs))
-	interner.strs = append(interner.strs, s)
-	interner.ids[s] = id
-	return id
-}
-
-// internString returns the canonical string for an interned ID.
-func internString(id int32) string {
-	interner.RLock()
-	s := interner.strs[id]
-	interner.RUnlock()
-	return s
-}
-
-// sanitizeAppend writes the sanitized form of msg into buf.
-func sanitizeAppend(buf []byte, msg string) []byte {
-	inDigits := false
-	for i := 0; i < len(msg); i++ {
-		c := msg[i]
-		if c >= '0' && c <= '9' {
-			if !inDigits {
-				buf = append(buf, '#')
-				inDigits = true
-			}
-			continue
-		}
-		inDigits = false
-		buf = append(buf, c)
-	}
-	return buf
-}
-
-// SanitizeID sanitizes a log message and returns its interned template ID.
-func SanitizeID(msg string) int32 {
-	var stack [192]byte
-	return internBytes(sanitizeAppend(stack[:0], msg))
-}
-
 // Sanitize normalizes a log message: every maximal run of decimal digits
 // becomes '#'. This removes counters, ports, sizes, offsets and other
 // volatile fields while preserving message identity, the same role the
 // paper's timestamp/field sanitization plays. The returned string is the
 // interned canonical copy: repeated calls with messages sharing one
-// sanitized form return the same string without allocating.
-func Sanitize(msg string) string {
-	return internString(SanitizeID(msg))
+// sanitized form return the same string without allocating. Entries are
+// diffed by the id behind it (logging.Entry.ID).
+func Sanitize(msg string) string { return logging.Canonical(logging.SanitizeID(msg)) }
+
+// byThread is a log's entries bucketed by thread: thread t's message ids —
+// and, when asked for, their global positions in the log — are
+// ids[off[t]:off[t+1]], in log order. A counting sort into flat buffers the
+// next grouping reuses.
+type byThread struct {
+	ids, pos []int32
+	off      []int32 // one past the thread count long
+	tidx     []int32 // per entry: its thread's index, -1 for a thread not in the table
 }
 
-// byThread groups entries by thread, remembering each entry's global
-// position in the log.
-type posEntry struct {
-	global int
-	msg    int32 // interned sanitized template ID
+// group buckets entries by the thread table. With learn set an unseen thread
+// is added to the table; otherwise its entries are left out.
+func (b *byThread) group(entries []logging.Entry, threads map[string]int32, learn, withPos bool) {
+	b.tidx = resize(b.tidx, len(entries))
+	for i := range entries {
+		t, ok := threads[entries[i].Thread]
+		if !ok {
+			t = -1
+			if learn {
+				t = int32(len(threads))
+				threads[entries[i].Thread] = t
+			}
+		}
+		b.tidx[i] = t
+	}
+	n := len(threads)
+	b.off = resize(b.off, n+1)
+	clear(b.off)
+	for _, t := range b.tidx {
+		if t >= 0 {
+			b.off[t+1]++
+		}
+	}
+	for t := 0; t < n; t++ {
+		b.off[t+1] += b.off[t]
+	}
+	b.ids = resize(b.ids, int(b.off[n]))
+	if withPos {
+		b.pos = resize(b.pos, int(b.off[n]))
+	}
+	// Place each entry at its thread's cursor, off[t], which ends one thread
+	// further; shifting the offsets back restores them.
+	for i, t := range b.tidx {
+		if t < 0 {
+			continue
+		}
+		at := b.off[t]
+		b.off[t]++
+		b.ids[at] = entries[i].ID()
+		if withPos {
+			b.pos[at] = int32(i)
+		}
+	}
+	copy(b.off[1:], b.off[:n])
+	b.off[0] = 0
 }
 
-// cmpScratch holds the transient buffers one Compare call needs. Instances
-// cycle through a sync.Pool so repeated comparisons — thousands per
-// reproduction — reuse the grouping maps and Myers working arrays instead
-// of reallocating them. Stale map keys are truncated to length zero rather
-// than deleted, preserving each thread's slice capacity across calls.
-type cmpScratch struct {
-	runTh, failTh map[string][]posEntry
-	ra, fb        []int32
-	matchedB      []bool
-	matches       [][2]int
-	v             []int
-	trace         [][]int
+// resize returns s with length n, reallocating only to grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
-var scratchPool = sync.Pool{New: func() interface{} {
-	return &cmpScratch{
-		runTh:  make(map[string][]posEntry),
-		failTh: make(map[string][]posEntry),
-	}
-}}
+// Failure is a failure log prepared for comparison: grouped by thread once,
+// with its distinct observables numbered. A search diffs every round's run
+// log against the same failure log, so everything that depends on the
+// failure side alone is computed here. A Failure is read-only after Prepare
+// and may be shared.
+type Failure struct {
+	threads map[string]int32 // thread name -> its index
+	log     byThread
+	keys    []Key            // the distinct (thread, message) pairs
+	keyOf   []int32          // global position -> index into keys
+	keyIdx  map[uint64]int32 // thread index and message id, packed -> index into keys
+}
 
-func (sc *cmpScratch) byThread(m map[string][]posEntry, entries []logging.Entry) {
-	for k, v := range m {
-		m[k] = v[:0]
+func packKey(thread, id int32) uint64 { return uint64(uint32(thread))<<32 | uint64(uint32(id)) }
+
+// Prepare groups a failure log for comparison.
+func Prepare(failure []logging.Entry) *Failure {
+	f := &Failure{
+		threads: make(map[string]int32),
+		keyOf:   make([]int32, len(failure)),
+		keyIdx:  make(map[uint64]int32),
 	}
-	for i, e := range entries {
-		m[e.Thread] = append(m[e.Thread], posEntry{global: i, msg: SanitizeID(e.Msg)})
+	f.log.group(failure, f.threads, true, true)
+	for t := int32(0); int(t)+1 < len(f.log.off); t++ {
+		for j := f.log.off[t]; j < f.log.off[t+1]; j++ {
+			id, g := f.log.ids[j], f.log.pos[j]
+			ki, ok := f.keyIdx[packKey(t, id)]
+			if !ok {
+				ki = int32(len(f.keys))
+				f.keyIdx[packKey(t, id)] = ki
+				f.keys = append(f.keys, Key{Thread: failure[g].Thread, Msg: logging.Canonical(id)})
+			}
+			f.keyOf[g] = ki
+		}
 	}
+	return f
+}
+
+// KeyIndex returns the number Missing reports k under, or false when the
+// failure log has no such message.
+func (f *Failure) KeyIndex(k Key) (int, bool) {
+	t, ok := f.threads[k.Thread]
+	if !ok {
+		return 0, false
+	}
+	i, ok := f.keyIdx[packKey(t, logging.SanitizeID(k.Msg))] // sanitizing a sanitized message changes nothing
+	return int(i), ok
+}
+
+// Scratch is the working memory of comparisons: the run log's grouping, the
+// Myers vectors and the result of the last Missing. The zero value is ready;
+// one Scratch serves any number of sequential comparisons (a search keeps
+// one for its rounds) and must not be shared between goroutines.
+type Scratch struct {
+	run       byThread // the run log grouped by the failure log's threads
+	unmatched []bool   // per failure position: no LCS partner in the run log
+	missing   []bool   // per failure key: Missing's result
+	anchors   []matchPair
+
+	// Myers: v[k+max] is the furthest x along diagonal k; rows holds, for
+	// every edit step d, the 2d+1 diagonals -d..d of v as they stood before
+	// the step — all that backtracking reads of it — row d at offset d*d.
+	v, rows []int32
+	matches [][2]int
 }
 
 // matchPair is one LCS match between two logs, in global positions.
@@ -153,65 +178,34 @@ type matchPair struct{ a, b int }
 // myers computes the LCS matches between two sequences of interned
 // template IDs using the Myers O(ND) algorithm. It returns index pairs
 // (i in a, j in b) of matched elements, in increasing order. The returned
-// slice aliases pooled scratch and is only valid until the next call with
-// the same receiver.
-func myers(a, b []int32) [][2]int {
-	sc := scratchPool.Get().(*cmpScratch)
-	m := sc.myers(a, b)
-	out := make([][2]int, len(m))
-	copy(out, m)
-	scratchPool.Put(sc)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// intRow returns trace row d resized to n, reusing prior capacity.
-func (sc *cmpScratch) intRow(d, n int) []int {
-	for d >= len(sc.trace) {
-		sc.trace = append(sc.trace, nil)
-	}
-	if cap(sc.trace[d]) < n {
-		sc.trace[d] = make([]int, n)
-	}
-	sc.trace[d] = sc.trace[d][:n]
-	return sc.trace[d]
-}
-
-func (sc *cmpScratch) myers(a, b []int32) [][2]int {
+// slice aliases the scratch and is only valid until the next call.
+func (sc *Scratch) myers(a, b []int32) [][2]int {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
 		return nil
 	}
 	max := n + m
-	// v[k+max] = furthest x along diagonal k.
-	need := 2*max + 1
-	if cap(sc.v) < need {
-		sc.v = make([]int, need)
-	}
-	v := sc.v[:need]
-	for i := range v {
-		v[i] = 0
-	}
+	sc.v = resize(sc.v, 2*max+1)
+	v := sc.v
+	clear(v)
+	rows := sc.rows[:0]
 	var dFinal int
 	found := false
 	for d := 0; d <= max && !found; d++ {
-		snapshot := sc.intRow(d, len(v))
-		copy(snapshot, v)
+		rows = append(rows, v[max-d:max+d+1]...)
 		for k := -d; k <= d; k += 2 {
 			var x int
 			if k == -d || (k != d && v[k-1+max] < v[k+1+max]) {
-				x = v[k+1+max]
+				x = int(v[k+1+max])
 			} else {
-				x = v[k-1+max] + 1
+				x = int(v[k-1+max]) + 1
 			}
 			y := x - k
 			for x < n && y < m && a[x] == b[y] {
 				x++
 				y++
 			}
-			v[k+max] = x
+			v[k+max] = int32(x)
 			if x >= n && y >= m {
 				dFinal = d
 				found = true
@@ -219,19 +213,24 @@ func (sc *cmpScratch) myers(a, b []int32) [][2]int {
 			}
 		}
 	}
-	// Backtrack to recover matches.
+	sc.rows = rows
+	// Backtrack to recover matches: at most one per element of the shorter
+	// side.
+	if cap(sc.matches) < min(n, m) {
+		sc.matches = make([][2]int, 0, min(n, m))
+	}
 	matches := sc.matches[:0]
 	x, y := n, m
 	for d := dFinal; d > 0; d-- {
-		vd := sc.trace[d] // furthest-reaching endpoints after d-1 steps
+		vd := rows[d*d : (d+1)*(d+1)] // diagonal k at vd[k+d]: endpoints after d-1 steps
 		k := x - y
 		var prevK int
-		if k == -d || (k != d && vd[k-1+max] < vd[k+1+max]) {
+		if k == -d || (k != d && vd[k-1+d] < vd[k+1+d]) {
 			prevK = k + 1
 		} else {
 			prevK = k - 1
 		}
-		prevX := vd[prevK+max]
+		prevX := int(vd[prevK+d])
 		prevY := prevX - prevK
 		// Snake: equal elements walked over after the edit step.
 		for x > prevX && y > prevY {
@@ -254,6 +253,52 @@ func (sc *cmpScratch) myers(a, b []int32) [][2]int {
 	}
 	sc.matches = matches
 	return matches
+}
+
+// diff runs the per-thread Myers diff of run against f, leaving in
+// sc.unmatched which failure entries found no partner and — only when
+// anchors is set — in sc.anchors the matched pairs in global positions,
+// unsorted. The run side's ids are taken as its entries carry them; run
+// threads the failure log does not have cannot match anything and are
+// left out.
+func (sc *Scratch) diff(run []logging.Entry, f *Failure, anchors bool) {
+	sc.run.group(run, f.threads, false, anchors)
+	sc.unmatched = resize(sc.unmatched, len(f.keyOf))
+	for g := range sc.unmatched {
+		sc.unmatched[g] = true
+	}
+	sc.anchors = sc.anchors[:0]
+	for t := 0; t+1 < len(f.log.off); t++ {
+		r0, r1 := sc.run.off[t], sc.run.off[t+1]
+		f0, f1 := f.log.off[t], f.log.off[t+1]
+		fpos := f.log.pos[f0:f1]
+		// A thread absent from the run log matches nothing: every message
+		// of it stays unmatched, hence relevant.
+		for _, m := range sc.myers(sc.run.ids[r0:r1], f.log.ids[f0:f1]) {
+			sc.unmatched[fpos[m[1]]] = false
+			if anchors {
+				sc.anchors = append(sc.anchors, matchPair{a: int(sc.run.pos[int(r0)+m[0]]), b: int(fpos[m[1]])})
+			}
+		}
+	}
+}
+
+// Missing is the per-round diff (Algorithm 2's COMPARE): it reports, per
+// key of f as KeyIndex numbers them, whether the message appears in the
+// failure log without a partner in the run log — Compare's Missing set as a
+// vector, with no anchors computed. The result is valid until the next call
+// on sc.
+func (sc *Scratch) Missing(run []logging.Entry, f *Failure) []bool {
+	sc.diff(run, f, false)
+	sc.missing = resize(sc.missing, len(f.keys))
+	miss := sc.missing
+	clear(miss)
+	for g, un := range sc.unmatched {
+		if un {
+			miss[f.keyOf[g]] = true
+		}
+	}
+	return miss
 }
 
 // Result is the outcome of comparing a run log against the failure log.
@@ -299,61 +344,28 @@ func (s pairsByA) Less(i, j int) bool { return s[i].a < s[j].a }
 
 // Compare diffs a run log against the failure log per thread (§5.1.1). The
 // returned Missing set is exactly "messages that only appear in the failure
-// log": the relevant observables on the first call, and the still-missing
-// observables on each feedback round.
+// log" — the relevant observables — and Matches the anchors a timeline
+// alignment is built from. A search needs both once, for its free run;
+// every later round asks Scratch.Missing of the same prepared Failure.
 func Compare(run, failure []logging.Entry) *Result {
-	res := &Result{Missing: make(map[Key][]int)}
-	sc := scratchPool.Get().(*cmpScratch)
-	defer scratchPool.Put(sc)
-	sc.byThread(sc.runTh, run)
-	sc.byThread(sc.failTh, failure)
+	return new(Scratch).Compare(run, Prepare(failure))
+}
 
-	for thread, fEntries := range sc.failTh {
-		if len(fEntries) == 0 {
-			continue // truncated leftover from a previous comparison
-		}
-		rEntries := sc.runTh[thread]
-		if len(rEntries) == 0 {
-			// Thread absent from the run log: every message is relevant.
-			for _, fe := range fEntries {
-				k := Key{Thread: thread, Msg: internString(fe.msg)}
-				res.Missing[k] = append(res.Missing[k], fe.global)
-			}
-			continue
-		}
-		ra := sc.ra[:0]
-		for _, e := range rEntries {
-			ra = append(ra, e.msg)
-		}
-		sc.ra = ra
-		fb := sc.fb[:0]
-		for _, e := range fEntries {
-			fb = append(fb, e.msg)
-		}
-		sc.fb = fb
-		matches := sc.myers(ra, fb)
-		matchedB := sc.matchedB[:0]
-		for range fb {
-			matchedB = append(matchedB, false)
-		}
-		sc.matchedB = matchedB
-		for _, m := range matches {
-			matchedB[m[1]] = true
-			res.Matches = append(res.Matches, matchPair{a: rEntries[m[0]].global, b: fEntries[m[1]].global})
-		}
-		for j, ok := range matchedB {
-			if ok {
-				continue
-			}
-			k := Key{Thread: thread, Msg: internString(fb[j])}
-			res.Missing[k] = append(res.Missing[k], fEntries[j].global)
+// Compare is the full comparison of run against a prepared failure log. The
+// Result is the caller's: nothing in it aliases the scratch.
+func (sc *Scratch) Compare(run []logging.Entry, f *Failure) *Result {
+	sc.diff(run, f, true)
+	res := &Result{Missing: make(map[Key][]int)}
+	for g, un := range sc.unmatched {
+		if un {
+			k := f.keys[f.keyOf[g]]
+			res.Missing[k] = append(res.Missing[k], g)
 		}
 	}
-
 	// Sort anchors by run position and enforce monotonicity on the failure
 	// side (longest-nondecreasing filter) so the alignment is a function.
-	sort.Sort(pairsByA(res.Matches))
-	res.Matches = monotonic(res.Matches)
+	sort.Sort(pairsByA(sc.anchors))
+	res.Matches = monotonic(sc.anchors)
 	return res
 }
 
@@ -361,7 +373,7 @@ func Compare(run, failure []logging.Entry) *Result {
 // are strictly increasing (classic LIS, O(n log n)).
 func monotonic(pairs []matchPair) []matchPair {
 	if len(pairs) == 0 {
-		return pairs
+		return nil
 	}
 	tails := []int{} // indices into pairs
 	prev := make([]int, len(pairs))

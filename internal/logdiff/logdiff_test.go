@@ -34,9 +34,16 @@ func TestSanitize(t *testing.T) {
 func ids(ss ...string) []int32 {
 	out := make([]int32, len(ss))
 	for i, s := range ss {
-		out[i] = SanitizeID(s)
+		out[i] = logging.SanitizeID(s)
 	}
 	return out
+}
+
+// myers runs the diff core on a scratch of its own and returns a copy of
+// the matches (nil when there are none).
+func myers(a, b []int32) [][2]int {
+	var sc Scratch
+	return append([][2]int(nil), sc.myers(a, b)...)
 }
 
 // lcsLenRef is a reference quadratic LCS length implementation.

@@ -15,7 +15,13 @@
 //     logical timeline used by the temporal-distance feedback (§5.2.3);
 //   - records render to timestamped text lines — the shape of a production
 //     log file — and can be parsed back, because the failure log input is
-//     plain text from an uninstrumented deployment.
+//     plain text from an uninstrumented deployment;
+//   - a record's diff identity is its thread and the interned id of its
+//     sanitized message (intern.go); the rendered Msg is what a reader
+//     sees. The id is computed once, where the record is made — emit for a
+//     run, ParseLine for a production log — and travels with the Entry, so
+//     the oracle and every round's diff compare small integers and never
+//     strip a rendered message back down.
 package logging
 
 import (
@@ -77,30 +83,54 @@ type Record struct {
 	Msg      string // rendered message
 }
 
-// Log collects the records of a single run.
+// Log collects the records of a single run. A record is held as its Entry
+// — the part the explorer reads every round, handed out by Entries without
+// a copy — beside the two fields only a Record carries.
 type Log struct {
 	sim     *des.Sim
-	records []Record
+	entries []Entry
+	meta    []recordMeta // parallel to entries
+
+	buf []byte // emit's rendering and sanitizing scratch
+}
+
+type recordMeta struct {
+	at       des.Time
+	template string
 }
 
 // New creates a logger bound to a simulation (for time and thread names).
 func New(sim *des.Sim) *Log { return &Log{sim: sim} }
 
+// Reset empties the log for a new run on the same simulation, keeping the
+// memory of the last one. Every slice Entries handed out before is dead:
+// the next run's records overwrite it.
+func (l *Log) Reset() {
+	l.entries = l.entries[:0]
+	l.meta = l.meta[:0]
+}
+
 // Pos returns the number of records emitted so far — the current logical
 // time on the run's timeline.
-func (l *Log) Pos() int { return len(l.records) }
+func (l *Log) Pos() int { return len(l.entries) }
 
 // Records returns a copy of all records emitted so far. Callers may keep
-// or mutate the returned slice freely; earlier versions handed out the
-// internal backing array, which aliased against subsequent emits.
+// or mutate the returned slice freely.
 func (l *Log) Records() []Record {
-	out := make([]Record, len(l.records))
-	copy(out, l.records)
+	out := make([]Record, len(l.entries))
+	for i := range out {
+		out[i] = l.record(i)
+	}
 	return out
 }
 
+func (l *Log) record(i int) Record {
+	e, m := &l.entries[i], &l.meta[i]
+	return Record{Seq: i, Time: m.at, Thread: e.Thread, Level: e.Level, Template: m.template, Msg: e.Msg}
+}
+
 // Len reports the number of records emitted so far without copying.
-func (l *Log) Len() int { return len(l.records) }
+func (l *Log) Len() int { return len(l.entries) }
 
 func (l *Log) emit(level Level, format string, args ...interface{}) {
 	thread := "main"
@@ -113,24 +143,21 @@ func (l *Log) emit(level Level, format string, args ...interface{}) {
 	}
 	msg := format
 	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
-		msg = fmt.Sprintf(format, args...)
+		l.buf = fmt.Appendf(l.buf[:0], format, args...)
+		msg = string(l.buf)
 	}
-	if cap(l.records) == len(l.records) {
+	l.buf = sanitizeAppend(l.buf[:0], msg)
+	key := internBytes(l.buf) + 1
+	if cap(l.entries) == len(l.entries) {
 		// Pre-size the first growth generously: run logs routinely reach a
 		// few hundred records, and letting append double from 1 costs ~10
 		// reallocations per run on the reproduce hot path.
-		next := make([]Record, len(l.records), max(256, 2*cap(l.records)))
-		copy(next, l.records)
-		l.records = next
+		n := max(256, 2*cap(l.entries))
+		l.entries = append(make([]Entry, 0, n), l.entries...)
+		l.meta = append(make([]recordMeta, 0, n), l.meta...)
 	}
-	l.records = append(l.records, Record{
-		Seq:      len(l.records),
-		Time:     at,
-		Thread:   thread,
-		Level:    level,
-		Template: format,
-		Msg:      msg,
-	})
+	l.entries = append(l.entries, Entry{Thread: thread, Level: level, Msg: msg, key: key})
+	l.meta = append(l.meta, recordMeta{at: at, template: format})
 }
 
 // Debugf logs at Debug severity.
@@ -161,8 +188,8 @@ func RenderLine(r Record) string {
 // Render formats the whole run log as production-style text.
 func (l *Log) Render() string {
 	var b strings.Builder
-	for _, r := range l.records {
-		b.WriteString(RenderLine(r))
+	for i := range l.entries {
+		b.WriteString(RenderLine(l.record(i)))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -170,16 +197,32 @@ func (l *Log) Render() string {
 
 // Entry is a parsed production log line: what the explorer can recover from
 // an uninstrumented system's log file (no template, no seq — just text).
+//
+// An Entry made by a Log or by ParseLine also carries its message's interned
+// id. One built by hand does not, and ID computes it on every call; either
+// way the id is that of Msg, so whoever rewrites the Msg of an Entry it was
+// handed must build a new Entry around it (rewriting Thread is fine).
 type Entry struct {
 	Thread string
 	Level  Level
 	Msg    string
+
+	key int32 // interned id of the sanitized Msg plus one; zero: not keyed
 }
 
-// ParseLine parses one rendered production-style line. It tolerates the
-// common "date time,millis [thread] LEVEL msg" convention; lines that do
-// not match return ok=false (real logs contain stack-trace continuation
-// lines and other noise).
+// ID returns the interned id of the entry's sanitized message: SanitizeID
+// of Msg, which a keyed entry remembers.
+func (e Entry) ID() int32 {
+	if e.key != 0 {
+		return e.key - 1
+	}
+	return SanitizeID(e.Msg)
+}
+
+// ParseLine parses one rendered production-style line into a keyed Entry.
+// It tolerates the common "date time,millis [thread] LEVEL msg" convention;
+// lines that do not match return ok=false (real logs contain stack-trace
+// continuation lines and other noise).
 func ParseLine(line string) (Entry, bool) {
 	// Expect: "YYYY-MM-DD HH:MM:SS,mmm [thread] LEVEL msg"
 	rest := line
@@ -202,7 +245,8 @@ func ParseLine(line string) (Entry, bool) {
 		after := strings.TrimPrefix(rest[close+1:], " ")
 		if sp3 := strings.IndexByte(after, ' '); sp3 >= 0 {
 			if lvl, ok := ParseLevel(after[:sp3]); ok {
-				return Entry{Thread: rest[1:close], Level: lvl, Msg: after[sp3+1:]}, true
+				msg := after[sp3+1:]
+				return Entry{Thread: rest[1:close], Level: lvl, Msg: msg, key: SanitizeID(msg) + 1}, true
 			}
 		}
 		next := strings.IndexByte(rest[close+1:], ']')
@@ -215,7 +259,7 @@ func ParseLine(line string) (Entry, bool) {
 }
 
 // Parse parses a production-style log file into entries, skipping
-// unparseable lines.
+// unparseable lines. The entries are keyed as they are parsed.
 func Parse(text string) []Entry {
 	var out []Entry
 	for _, line := range strings.Split(text, "\n") {
@@ -229,12 +273,8 @@ func Parse(text string) []Entry {
 	return out
 }
 
-// Entries converts a run's records into parsed-entry form so in-process
-// runs and parsed production logs flow through the same diff pipeline.
-func (l *Log) Entries() []Entry {
-	out := make([]Entry, len(l.records))
-	for i, r := range l.records {
-		out[i] = Entry{Thread: r.Thread, Level: r.Level, Msg: r.Msg}
-	}
-	return out
-}
+// Entries returns the run's records in parsed-entry form, so in-process
+// runs and parsed production logs flow through the same diff pipeline. The
+// slice is the log's own, not a copy: read-only, and dead once the log is
+// Reset.
+func (l *Log) Entries() []Entry { return l.entries[:len(l.entries):len(l.entries)] }

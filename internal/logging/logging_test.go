@@ -1,6 +1,9 @@
 package logging
 
 import (
+	"fmt"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -182,5 +185,122 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// digitRuns is the sanitizer's specification, sharing no code with it.
+var digitRuns = regexp.MustCompile(`[0-9]+`)
+
+// checkKeyed holds one emitted record to the key-once contract: the message
+// is what fmt renders, and the id stored with it is the id of that message,
+// standing for its sanitized form.
+func checkKeyed(t *testing.T, lg *Log, format string, args ...interface{}) {
+	t.Helper()
+	lg.Reset()
+	lg.Infof(format, args...)
+	rec, e := lg.Records()[0], lg.Entries()[0]
+	if want := fmt.Sprintf(format, args...); rec.Msg != want || e.Msg != want {
+		t.Fatalf("Infof(%q, %v) rendered %q, fmt.Sprintf %q", format, args, rec.Msg, want)
+	}
+	if rec.Template != format {
+		t.Fatalf("template %q, want %q", rec.Template, format)
+	}
+	if e.ID() != SanitizeID(e.Msg) {
+		t.Fatalf("%q carries id %d, SanitizeID says %d", e.Msg, e.ID(), SanitizeID(e.Msg))
+	}
+	if got, want := Canonical(e.ID()), digitRuns.ReplaceAllString(e.Msg, "#"); got != want {
+		t.Fatalf("%q is keyed as %q, want %q", e.Msg, got, want)
+	}
+	if by := (Entry{Thread: e.Thread, Level: e.Level, Msg: e.Msg}); by.ID() != e.ID() {
+		t.Fatalf("hand-built entry for %q has id %d, the emitted one %d", e.Msg, by.ID(), e.ID())
+	}
+}
+
+type stringer struct{ n int }
+
+func (s stringer) String() string { return fmt.Sprintf("s<%d>", s.n) }
+
+// fuzzOperands are the operand lists FuzzEmitKeysWhatItRenders pairs with a
+// fuzzed format: the types the targets log, alone and mixed, with arities
+// that match few formats exactly.
+func fuzzOperands(n int64, s string) [][]interface{} {
+	return [][]interface{}{
+		nil,
+		{int(n)},
+		{n, s},
+		{s},
+		{s, int(n), s},
+		{uint16(n), float64(n) / 3, n%2 == 0},
+		{[]byte(s), []string{s, s}, map[string]int{s: int(n)}},
+		{fmt.Errorf("wrapped %d: %w", n, os.ErrNotExist), stringer{int(n)}, &stringer{int(n)}, nil},
+		{des.Time(n), Level(n % 5), struct{ A, B int }{int(n), 2}},
+	}
+}
+
+func FuzzEmitKeysWhatItRenders(f *testing.F) {
+	for _, format := range []string{
+		"", "plain", "100%", "%d", "%s", "%v", "%+v", "%#v", "%T", "%q", "%x", "%X", "%08.3f", "%-6d|", "%+d",
+		"% d", "%6.2f%%", "%[2]d %[1]s", "%*d", "%!", "%z", "%d %d %d %d %d", "node %s: synced %d entries in %dms",
+		"zxid=0x%x epoch %d", "%s %s", "%c%U", "%e %g", "%t", "%p", "%5s|%-5s|%.2s", "%d%%", "trailing %",
+	} {
+		f.Add(format, int64(42), "dn-1")
+		f.Add(format, int64(-7), "blk_1073741825")
+	}
+	f.Fuzz(func(t *testing.T, format string, n int64, s string) {
+		lg := New(des.New(1))
+		for _, args := range fuzzOperands(n, s) {
+			checkKeyed(t, lg, format, args...)
+		}
+	})
+}
+
+// TestEntriesIsTheLogItself: Entries hands out the log's own records — no
+// copy, no allocation — capped so that a caller's append cannot reach the
+// log, and Reset recycles exactly that memory.
+func TestEntriesIsTheLogItself(t *testing.T) {
+	lg := New(des.New(1))
+	for i := 0; i < 10; i++ {
+		lg.Infof("record %d", i)
+	}
+	a, b := lg.Entries(), lg.Entries()
+	if len(a) != 10 || &a[0] != &b[0] {
+		t.Fatalf("two Entries calls returned different memory (len %d)", len(a))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { lg.Entries() }); allocs != 0 {
+		t.Fatalf("Entries allocated %.1f times per call", allocs)
+	}
+	_ = append(a, Entry{Msg: "intruder"})
+	lg.Infof("record %d", 10)
+	if got := lg.Entries()[10].Msg; got != "record 10" {
+		t.Fatalf("a caller's append reached the log: record 10 is %q", got)
+	}
+	lg.Reset()
+	if lg.Pos() != 0 || len(lg.Entries()) != 0 || len(lg.Records()) != 0 || lg.Render() != "" {
+		t.Fatalf("Reset left %d records", lg.Pos())
+	}
+	lg.Warnf("after reset")
+	if c := lg.Entries(); &c[0] != &a[0] || a[0].Msg != "after reset" {
+		t.Fatal("Reset did not recycle the log's memory")
+	}
+	if rec := lg.Records()[0]; rec.Seq != 0 || rec.Level != Warn || rec.Template != "after reset" {
+		t.Fatalf("first record after Reset: %+v", rec)
+	}
+}
+
+// TestInternedFormsCountsForms: the exported size of the intern table moves
+// by one per new sanitized form and not at all for a known one — digits
+// never make a form, a–f of a %x operand do.
+func TestInternedFormsCountsForms(t *testing.T) {
+	SanitizeID("interned-forms probe 1")
+	before := InternedForms()
+	SanitizeID("interned-forms probe 22")
+	SanitizeID(fmt.Sprintf("interned-forms probe %x", 0x11))
+	if got := InternedForms(); got != before {
+		t.Fatalf("digit-only variants grew the table from %d to %d", before, got)
+	}
+	SanitizeID(fmt.Sprintf("interned-forms probe %x", 0xab))
+	SanitizeID(fmt.Sprintf("interned-forms probe %x", 0xcd))
+	if got := InternedForms(); got != before+2 {
+		t.Fatalf("two hex spellings grew the table from %d to %d, want +2", before, got)
 	}
 }

@@ -15,7 +15,10 @@ import (
 	"anduril/internal/des"
 )
 
-// Oracle judges whether a round reproduced the target failure.
+// Oracle judges whether a round reproduced the target failure. The Result
+// Check is shown is valid only for the duration of the call: a search
+// builds its next round on the memory of a judged one (cluster.Result.
+// Release), so a Check must read what it needs and keep nothing of it.
 type Oracle struct {
 	Name  string
 	Check func(*cluster.Result) bool

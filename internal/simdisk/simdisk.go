@@ -59,6 +59,9 @@ func New(fi *inject.Runtime, log *logging.Log) *Disk {
 	return &Disk{fi: fi, log: log, files: make(map[string][]byte)}
 }
 
+// Reset empties the disk for another run on the same runtime and logger.
+func (d *Disk) Reset() { clear(d.files) }
+
 // reachPartial reaches the class's partial pseudo-site wrapping an
 // operation of amp payload bytes at site. When the plan injects there it
 // logs the fault's marker line and returns its error value; the caller

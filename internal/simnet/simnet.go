@@ -55,10 +55,15 @@ type Net struct {
 	// messages and RPC responses. Both object kinds are referenced only
 	// by the event that delivers them (fields are copied out before the
 	// object returns to the pool), so reuse is safe; call objects are
-	// NOT pooled because handlers may retain their respond function
-	// indefinitely (e.g. a leader parking responses until commit).
+	// NOT reused within a run because handlers may retain their respond
+	// function indefinitely (e.g. a leader parking responses until
+	// commit). They come from calls, an arena in chunks of callChunk of
+	// which the run has handed out the first nextCall: Reset takes them
+	// all back at once, when nothing of the run is left to hold one.
 	sendPool  []*sendEvent
 	replyPool []*reply
+	calls     [][]call
+	nextCall  int
 
 	// OnCrash, when set, executes a node-crash environment fault: take
 	// the node down, tear down its runtime state, and restart it with
@@ -82,6 +87,38 @@ func New(sim *des.Sim, fi *inject.Runtime, log *logging.Log, minLat, maxLat des.
 		partitioned: make(map[[2]string]bool),
 		pseudoIDs:   make(map[pseudoKey]string),
 	}
+}
+
+// Reset returns the network to the state New built it in — no handlers,
+// every node up, no partitions — for another run on the same simulation,
+// runtime and logger, OnCrash as wired. The per-node handler tables are
+// emptied in place (an empty table answers like a missing one), and the
+// pseudo-site ID cache and the delivery pools are kept: neither holds
+// anything of the finished run.
+func (n *Net) Reset() {
+	for _, m := range n.handlers {
+		clear(m)
+	}
+	clear(n.down)
+	clear(n.partitioned)
+	for i := 0; i < n.nextCall; i++ {
+		c := &n.calls[i/callChunk][i%callChunk]
+		*c = call{respondFn: c.respondFn} // bound to c itself: as good as new
+	}
+	n.nextCall = 0
+}
+
+const callChunk = 32
+
+// newCall hands out the next call of the arena, zero but for a respondFn
+// an earlier run may have left bound.
+func (n *Net) newCall() *call {
+	i := n.nextCall
+	n.nextCall++
+	if i/callChunk == len(n.calls) {
+		n.calls = append(n.calls, make([]call, callChunk))
+	}
+	return &n.calls[i/callChunk][i%callChunk]
 }
 
 type pseudoKey struct {
@@ -316,10 +353,11 @@ func (n *Net) Send(site string, msg Message) error {
 	return perr
 }
 
-// call is the state of one in-flight RPC. It is allocated fresh per Call
-// (handlers may retain respondFn arbitrarily long, so reuse would be
-// unsound), but all of its events go through shared top-level functions,
-// so one RPC costs two allocations: the call and its respond function.
+// call is the state of one in-flight RPC. Each Call of a run takes its own
+// from the arena (handlers may retain respondFn arbitrarily long, so reuse
+// within the run would be unsound), and all of its events go through shared
+// top-level functions, so an RPC allocates nothing once the arena has grown
+// to the run's size and its respond functions are bound.
 type call struct {
 	n         *Net
 	caller    string
@@ -416,7 +454,8 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 	if caller == "" {
 		caller = msg.From
 	}
-	c := &call{n: n, caller: caller, msg: msg, cont: cont, path: n.sim.CurPath()}
+	c := n.newCall()
+	c.n, c.caller, c.msg, c.cont, c.path = n, caller, msg, cont, n.sim.CurPath()
 
 	if err := n.fi.Reach(site, inject.Socket); err != nil {
 		c.err = err
@@ -453,7 +492,9 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 		c.err = perr
 		n.sim.PostArg(caller, 0, runCallFinish, c)
 	}
-	c.respondFn = c.respond
+	if c.respondFn == nil {
+		c.respondFn = c.respond
+	}
 	// The request leg, like a one-way send, extends the call tree by one
 	// edge labelled with the RPC's fault site.
 	n.sim.PostArgPath(ep.actor, n.latency()+extra, runCallRequest, c, n.sim.PathExtend(site))
