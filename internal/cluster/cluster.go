@@ -76,7 +76,7 @@ func (e *Env) crashNode(node string, restartAfter des.Time) {
 	if ctl.Crash != nil {
 		ctl.Crash()
 	}
-	e.Sim.Post("env-restart", restartAfter, func() {
+	e.Sim.Schedule("env-restart", restartAfter, func() {
 		e.Net.SetDown(node, false)
 		if ctl.Restart != nil {
 			ctl.Restart()

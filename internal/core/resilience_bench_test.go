@@ -5,8 +5,8 @@ package core_test
 // panic isolation costs nothing measurable, and the checkpointed variant
 // prices the worst-case checkpoint cadence (every round). The repository
 // benchmark (BENCHMARK.json, bench/) records the end-to-end numbers; the
-// CI alloc gates read the baseline, path-addressing, path-deep, partial and
-// pair variants.
+// CI alloc gates read the baseline, path-addressing, path-deep, partial,
+// pair and site-distance-deep variants.
 
 import (
 	"path/filepath"
@@ -92,6 +92,15 @@ func BenchmarkReproduce(b *testing.B) {
 		// trial). Recorded in BENCH_alloc_budget.json.
 		benchReproduce(b, "f30", func(int) core.Options {
 			return core.Options{Strategy: core.FullFeedback, Seed: 2, MaxRounds: 500}
+		})
+	})
+	b.Run("site-distance-deep", func(b *testing.B) {
+		// f16 under site-distance: 133 rounds on tablestore, none of them
+		// on dyn — the deep search whose trial is WAL appends and simdisk
+		// buffers, so that half has a bytes gate of its own beside the pair
+		// row's. Recorded in BENCH_alloc_budget.json.
+		benchReproduce(b, "f16", func(int) core.Options {
+			return core.Options{Strategy: core.SiteDistance, Seed: 1, MaxRounds: 500}
 		})
 	})
 }

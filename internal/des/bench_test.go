@@ -26,8 +26,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 func BenchmarkScheduleCancel(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
-		cancel := s.Schedule("a", Time(i%1000), func() {})
-		cancel()
+		s.ScheduleTimer("a", Time(i%1000), func() {}).Cancel()
 	}
 }
 

@@ -38,8 +38,8 @@ func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Events are pooled: once executed (or skipped as cancelled/crashed) an
 // event returns to the Sim's freelist and is reused by a later Schedule,
 // so steady-state scheduling allocates nothing. gen guards stale cancel
-// handles across reuse: each recycling bumps it, and a cancel closure
-// captured under an older generation becomes a no-op.
+// handles across reuse: each recycling bumps it, and a Timer handed out
+// under an older generation becomes a no-op.
 type event struct {
 	at       Time
 	seq      uint64 // tie-breaker: FIFO among events at the same instant
@@ -255,17 +255,21 @@ func (s *Sim) post(actor string, delay Time, fn func()) *event {
 	return e
 }
 
-// Schedule runs fn on behalf of actor after delay. It returns a cancel
-// function; cancelling an already-executed event is a no-op.
-func (s *Sim) Schedule(actor string, delay Time, fn func()) (cancel func()) {
-	t := s.ScheduleTimer(actor, delay, fn)
-	return t.Cancel
-}
+// Schedule runs fn on behalf of actor after delay. It hands out no
+// handle — nearly every caller (periodic ticks, message deliveries,
+// workload steps) never cancels; one that may uses ScheduleTimer.
+func (s *Sim) Schedule(actor string, delay Time, fn func()) { s.post(actor, delay, fn) }
+
+// Post is Schedule under its former name.
+//
+// Deprecated: kept only because the frozen benchmark harness
+// (bench/probes.go) calls it; nothing else in the module does.
+func (s *Sim) Post(actor string, delay Time, fn func()) { s.post(actor, delay, fn) }
 
 // Timer is a cancellable handle to one scheduled event. It is a plain
-// value — returning it allocates nothing, unlike Schedule's cancel
-// closure — and the generation check makes Cancel on an executed (and
-// possibly recycled) event a no-op. The zero Timer is a valid no-op.
+// value — returning it allocates nothing — and the generation check makes
+// Cancel on an executed (and possibly recycled) event a no-op. The zero
+// Timer is a valid no-op.
 type Timer struct {
 	e   *event
 	gen uint64
@@ -278,18 +282,11 @@ func (t Timer) Cancel() {
 	}
 }
 
-// ScheduleTimer is Schedule returning a value-type handle instead of a
-// cancel closure; hot paths that may cancel use it to avoid the per-call
-// closure allocation.
+// ScheduleTimer is Schedule returning the handle that cancels the event.
 func (s *Sim) ScheduleTimer(actor string, delay Time, fn func()) Timer {
 	e := s.post(actor, delay, fn)
 	return Timer{e: e, gen: e.gen}
 }
-
-// Post is Schedule without the cancel handle. Callers that never cancel
-// (periodic ticks, message deliveries) use it so the scheduling hot path
-// builds no cancel closure at all.
-func (s *Sim) Post(actor string, delay Time, fn func()) { s.post(actor, delay, fn) }
 
 // postArg enqueues an event that calls fn(arg) — the argument travels in
 // the pooled event itself, so callers with per-event state (e.g. message
@@ -302,7 +299,7 @@ func (s *Sim) postArg(actor string, delay Time, fn func(interface{}), arg interf
 	return e
 }
 
-// PostArg is Post for an argument-carrying event.
+// PostArg is Schedule for an argument-carrying event.
 func (s *Sim) PostArg(actor string, delay Time, fn func(interface{}), arg interface{}) {
 	s.postArg(actor, delay, fn, arg)
 }

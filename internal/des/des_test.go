@@ -39,8 +39,7 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	ran := false
-	cancel := s.Schedule("a", 10, func() { ran = true })
-	cancel()
+	s.ScheduleTimer("a", 10, func() { ran = true }).Cancel()
 	s.Run(Second)
 	if ran {
 		t.Fatal("cancelled event ran")
@@ -356,7 +355,7 @@ func TestRunClearsWatchdogVerdicts(t *testing.T) {
 func TestStaleCancelAfterReuseIsNoOp(t *testing.T) {
 	s := New(1)
 	ran1, ran2 := false, false
-	cancel1 := s.Schedule("a", 1, func() { ran1 = true })
+	cancel1 := s.ScheduleTimer("a", 1, func() { ran1 = true }).Cancel
 	s.Run(Second)
 	if !ran1 {
 		t.Fatal("first event did not run")
@@ -370,21 +369,21 @@ func TestStaleCancelAfterReuseIsNoOp(t *testing.T) {
 	}
 }
 
-// Steady-state scheduling must not allocate: after warmup every Post
+// Steady-state scheduling must not allocate: after warmup every Schedule
 // draws its event from the freelist.
 func TestPostSteadyStateAllocs(t *testing.T) {
 	s := New(1)
 	fn := func() {}
 	// Warm the pool.
 	for i := 0; i < 64; i++ {
-		s.Post("a", 1, fn)
+		s.Schedule("a", 1, fn)
 	}
 	s.Run(Second)
 	allocs := testing.AllocsPerRun(100, func() {
-		s.Post("a", 1, fn)
+		s.Schedule("a", 1, fn)
 		s.Run(s.Now() + Second)
 	})
 	if allocs > 0 {
-		t.Fatalf("steady-state Post+Run allocates %.1f objects per event, want 0", allocs)
+		t.Fatalf("steady-state Schedule+Run allocates %.1f objects per event, want 0", allocs)
 	}
 }

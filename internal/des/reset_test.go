@@ -38,8 +38,8 @@ func busyRun(s *Sim, paths bool) []string {
 		}
 	}
 	stop := s.Every("ticker", 100*Millisecond, func() { note("tick") })
-	s.Post("a1", 450*Millisecond, func() { s.Crash("a2"); cond.Signal(); note("crashed a2") })
-	s.Post("a3", 2*Second, func() { note("past the horizon") }) // left pending
+	s.Schedule("a1", 450*Millisecond, func() { s.Crash("a2"); cond.Signal(); note("crashed a2") })
+	s.Schedule("a3", 2*Second, func() { note("past the horizon") }) // left pending
 	s.OnIdle = func() { note("idle") }
 	n := s.Run(Second)
 	stop()
@@ -135,7 +135,7 @@ func TestResetReleasesPendingEvents(t *testing.T) {
 	fn := func() {}
 	if allocs := testing.AllocsPerRun(1, func() {
 		for i := 0; i < 100; i++ {
-			s.Post("b", Time(i+1), fn)
+			s.Schedule("b", Time(i+1), fn)
 		}
 	}); allocs != 0 {
 		t.Fatalf("scheduling on the reset sim allocated %.0f times: the pending events were not recycled", allocs)

@@ -26,6 +26,18 @@
 // j-th write at site S. The sweep is gated on the runtime's PartialFaults
 // feature, so runs without the partial class build no pseudo-site strings
 // and count nothing extra.
+//
+// # Buffers
+//
+// Every file's bytes sit in a backing array that exactly one path owns —
+// a torn rename copies, it does not alias — and that the disk never hands
+// out (Read and Peek return copies). An array a file no longer needs
+// (outgrown, overwritten, deleted, or dropped by Reset) goes on the
+// disk's spare list and the next file that needs room takes the smallest
+// spare that fits before allocating. Reset keeps the list, so the file
+// buffers of a recycled environment are allocated by its first trials and
+// reused by the rest; a fresh Disk starts with none. Only capacity is
+// reused, never content.
 package simdisk
 
 import (
@@ -41,6 +53,7 @@ type Disk struct {
 	fi    *inject.Runtime
 	log   *logging.Log
 	files map[string][]byte
+	spare [][]byte // arrays no file owns, each with length 0; see "Buffers"
 
 	// pseudoIDs caches the partial pseudo-site ID strings, so an active
 	// partial sweep allocates each once per (class, site) rather than once
@@ -60,7 +73,49 @@ func New(fi *inject.Runtime, log *logging.Log) *Disk {
 }
 
 // Reset empties the disk for another run on the same runtime and logger.
-func (d *Disk) Reset() { clear(d.files) }
+// The files' backing arrays stay with the disk as spares.
+func (d *Disk) Reset() {
+	for _, buf := range d.files {
+		d.recycle(buf)
+	}
+	clear(d.files)
+}
+
+// recycle puts a backing array no path refers to any more on the spare
+// list.
+func (d *Disk) recycle(buf []byte) {
+	if cap(buf) > 0 {
+		d.spare = append(d.spare, buf[:0])
+	}
+}
+
+// buffer returns an empty slice of capacity at least n owned by the
+// caller: the smallest spare that fits, else a new array.
+func (d *Disk) buffer(n int) []byte {
+	best := -1
+	for i, b := range d.spare {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(d.spare[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]byte, 0, n)
+	}
+	buf := d.spare[best]
+	last := len(d.spare) - 1
+	d.spare[best] = d.spare[last]
+	d.spare[last] = nil
+	d.spare = d.spare[:last]
+	return buf
+}
+
+// put makes path hold a copy of data in an array of its own, recycling
+// the one it held.
+func (d *Disk) put(path string, data []byte) {
+	old := d.files[path]
+	d.files[path] = append(d.buffer(len(data)), data...)
+	d.recycle(old)
+}
 
 // reachPartial reaches the class's partial pseudo-site wrapping an
 // operation of amp payload bytes at site. When the plan injects there it
@@ -95,7 +150,7 @@ func (d *Disk) Create(site, path string) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	d.files[path] = nil
+	d.files[path] = d.files[path][:0]
 	return nil
 }
 
@@ -110,8 +165,8 @@ func (d *Disk) appendBytes(path string, data []byte) {
 		if min := 1024 + len(cur) + len(data); ncap < min {
 			ncap = min
 		}
-		grown := make([]byte, len(cur), ncap)
-		copy(grown, cur)
+		grown := append(d.buffer(ncap), cur...)
+		d.recycle(cur)
 		cur = grown
 	}
 	d.files[path] = append(cur, data...)
@@ -141,10 +196,10 @@ func (d *Disk) Write(site, path string, data []byte) error {
 		return err
 	}
 	if err := d.reachPartial(inject.PartialShortWrite, site, len(data)); err != nil {
-		d.files[path] = append([]byte(nil), data[:len(data)/2]...)
+		d.put(path, data[:len(data)/2])
 		return err
 	}
-	d.files[path] = append([]byte(nil), data...)
+	d.put(path, data)
 	return nil
 }
 
@@ -168,9 +223,9 @@ func (d *Disk) Sync(site, path string) error {
 
 // Rename moves a file; renaming a missing file is a FileNotFoundError
 // from the environment. Under a torn-rename partial fault the content is
-// copied to newPath but oldPath survives — both paths exist when the
-// error returns, the defined intermediate state of a rename torn by a
-// crash between the copy and the unlink.
+// copied to newPath but oldPath survives — both paths exist, each with
+// bytes of its own, when the error returns: the defined intermediate
+// state of a rename torn by a crash between the copy and the unlink.
 func (d *Disk) Rename(site, oldPath, newPath string) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
@@ -180,10 +235,11 @@ func (d *Disk) Rename(site, oldPath, newPath string) error {
 		return &inject.Fault{Kind: inject.FileNotFound, Site: "env.disk.missing"}
 	}
 	if err := d.reachPartial(inject.PartialTornRename, site, len(data)); err != nil {
-		d.files[newPath] = data
+		d.put(newPath, data)
 		return err
 	}
 	delete(d.files, oldPath)
+	d.recycle(d.files[newPath])
 	d.files[newPath] = data
 	return nil
 }
@@ -195,9 +251,11 @@ func (d *Disk) Delete(site, path string) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	if _, ok := d.files[path]; !ok {
+	buf, ok := d.files[path]
+	if !ok {
 		return &inject.Fault{Kind: inject.FileNotFound, Site: "env.disk.missing"}
 	}
+	d.recycle(buf)
 	delete(d.files, path)
 	return nil
 }
@@ -225,7 +283,16 @@ func (d *Disk) Size(path string) int { return len(d.files[path]) }
 
 // List returns the sorted paths under the given prefix.
 func (d *Disk) List(prefix string) []string {
-	out := make([]string, 0, len(d.files))
+	n := 0
+	for p := range d.files {
+		if strings.HasPrefix(p, prefix) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
 	for p := range d.files {
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, p)

@@ -219,3 +219,133 @@ func TestAppendReadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A torn rename leaves two files, not one buffer under two names: appends
+// to the source and to the destination afterwards do not see each other.
+func TestTornRenameThenAppendBothPaths(t *testing.T) {
+	site := inject.PseudoSiteID(inject.PartialTornRename, "log.rename", "")
+	fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: site, Occurrence: 1}))
+	d := New(fi, nil)
+	d.Append("s", "log.tmp", []byte("hdr\n")) // an appended file has room to grow in place
+	if err := d.Rename("log.rename", "log.tmp", "log"); !errors.Is(err, inject.KindErr(inject.TornRename)) {
+		t.Fatalf("err=%v", err)
+	}
+	d.Append("s", "log", []byte("new-entry\n"))
+	d.Append("s", "log.tmp", []byte("OLD\nentry\n"))
+	if got, _ := d.Peek("log"); string(got) != "hdr\nnew-entry\n" {
+		t.Fatalf("destination after appending to the source: %q", got)
+	}
+	if got, _ := d.Peek("log.tmp"); string(got) != "hdr\nOLD\nentry\n" {
+		t.Fatalf("source: %q", got)
+	}
+}
+
+// Reset keeps the files' arrays and nothing of their content.
+func TestResetKeepsBuffersNotContent(t *testing.T) {
+	d := New(inject.NewRuntime(nil), nil)
+	d.Append("s", "n1/wal", bytes.Repeat([]byte("old-record\n"), 300))
+	d.Write("s", "n1/snap", []byte("old-snapshot"))
+	d.Create("s", "n1/empty")
+	d.Reset()
+	if len(d.spare) == 0 {
+		t.Fatal("Reset kept no buffer")
+	}
+	if d.Exists("n1/wal") || d.Exists("n1/snap") || d.Exists("n1/empty") || d.Size("n1/wal") != 0 || len(d.List("")) != 0 {
+		t.Fatalf("disk not empty after Reset: %v", d.List(""))
+	}
+	if _, err := d.Read("r", "n1/wal"); !errors.Is(err, inject.KindErr(inject.FileNotFound)) {
+		t.Fatalf("read after Reset: %v", err)
+	}
+	spares := len(d.spare)
+	d.Append("s", "n1/wal", []byte("new\n"))
+	d.Write("s", "n1/snap", []byte("new"))
+	if len(d.spare) != spares-2 {
+		t.Fatalf("new files took %d spares, want 2", spares-len(d.spare))
+	}
+	if got, _ := d.Read("r", "n1/wal"); string(got) != "new\n" {
+		t.Fatalf("append into a recycled buffer reads %q", got)
+	}
+	if got, _ := d.Peek("n1/snap"); string(got) != "new" || d.Size("n1/snap") != 3 {
+		t.Fatalf("write into a recycled buffer reads %q", got)
+	}
+}
+
+// Every backing array has one owner — a live path or a spare entry —
+// whatever sequence of operations built the disk.
+func TestSpareBuffersAreSingleOwner(t *testing.T) {
+	check := func(d *Disk, step string) {
+		t.Helper()
+		owner := map[*byte]string{}
+		claim := func(buf []byte, who string) {
+			if cap(buf) == 0 {
+				return
+			}
+			first := &buf[:1][0]
+			if prev, taken := owner[first]; taken {
+				t.Fatalf("after %s: %s and %s share a backing array", step, prev, who)
+			}
+			owner[first] = who
+		}
+		for path, buf := range d.files {
+			claim(buf, "file "+path)
+		}
+		for _, buf := range d.spare {
+			if len(buf) != 0 {
+				t.Fatalf("after %s: spare entry has length %d", step, len(buf))
+			}
+			claim(buf, "a spare")
+		}
+	}
+	torn := inject.PseudoSiteID(inject.PartialTornRename, "s.torn", "")
+	short := inject.PseudoSiteID(inject.PartialShortWrite, "s.short", "")
+	for round := 0; round < 3; round++ {
+		fi := inject.NewRuntime(inject.Exact(inject.Instance{Site: torn, Occurrence: 1}, inject.Instance{Site: short, Occurrence: 1}))
+		d := New(fi, nil)
+		big := bytes.Repeat([]byte("x"), 3000)
+		steps := []struct {
+			name string
+			do   func()
+		}{
+			{"create", func() { d.Create("s", "a") }},
+			{"append", func() { d.Append("s", "a", []byte("abc")) }},
+			{"grow", func() { d.Append("s", "a", big) }},
+			{"write", func() { d.Write("s", "b", []byte("bbb")) }},
+			{"overwrite", func() { d.Write("s", "b", big) }},
+			{"short write", func() {
+				if err := d.Write("s.short", "b", []byte("half-kept")); err == nil || d.Size("b") != 4 {
+					t.Fatalf("write not short: %v", err)
+				}
+			}},
+			{"torn rename", func() {
+				if err := d.Rename("s.torn", "a", "c"); err == nil || !d.Exists("a") || !d.Exists("c") {
+					t.Fatalf("rename not torn: %v", err)
+				}
+			}},
+			{"append to both", func() { d.Append("s", "a", []byte("1")); d.Append("s", "c", []byte("2")) }},
+			{"rename over a file", func() { d.Rename("s", "c", "b") }},
+			{"rename onto itself", func() { d.Rename("s", "b", "b") }},
+			{"truncate", func() { d.Create("s", "a") }},
+			{"delete", func() { d.Delete("s", "b") }},
+			{"reset", func() { d.Reset() }},
+			{"append after reset", func() { d.Append("s", "a", []byte("abc")); d.Append("s", "d", big) }},
+			{"write after reset", func() { d.Write("s", "b", []byte("bbb")) }},
+		}
+		for _, s := range steps {
+			s.do()
+			check(d, s.name)
+		}
+		if got, _ := d.Peek("a"); string(got) != "abc" {
+			t.Fatalf("a = %q", got)
+		}
+	}
+}
+
+func TestListSizedByMatches(t *testing.T) {
+	d := New(inject.NewRuntime(nil), nil)
+	for _, p := range []string{"n1/a", "n2/a", "n2/b", "n2/c", "n3/a", "n3/b", "n3/c", "n3/d"} {
+		d.Create("s", p)
+	}
+	if got := d.List("n1/"); len(got) != 1 || cap(got) > 2 {
+		t.Fatalf("List(n1/) = %v, cap %d for 1 match of %d files", got, cap(got), 8)
+	}
+}

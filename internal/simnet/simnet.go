@@ -269,7 +269,7 @@ func (n *Net) crashNode(f inject.PseudoFault) {
 		return
 	}
 	n.down[f.Subject] = true
-	n.sim.Post("env-restart", f.Duration, func() {
+	n.sim.Schedule("env-restart", f.Duration, func() {
 		n.down[f.Subject] = false
 		n.log.Infof("env: node %s restarted", f.Subject)
 	})
@@ -280,7 +280,7 @@ func (n *Net) crashNode(f inject.PseudoFault) {
 func (n *Net) cutPair(f inject.PseudoFault) {
 	n.logMarker(f)
 	n.Partition(f.Subject, f.Peer, true)
-	n.sim.Post("env-heal", f.Duration, func() {
+	n.sim.Schedule("env-heal", f.Duration, func() {
 		n.Partition(f.Subject, f.Peer, false)
 		n.log.Infof("env: partition %s/%s healed", f.Subject, f.Peer)
 	})

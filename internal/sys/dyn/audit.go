@@ -1,6 +1,7 @@
 package dyn
 
 import (
+	"slices"
 	"sort"
 
 	"anduril/internal/cluster"
@@ -29,9 +30,8 @@ func (c *Cluster) expectDelete(key string)   { c.expect(key, tombSentinel) }
 func (c *Cluster) expect(key, val string) {
 	if _, known := c.expected[key]; !known {
 		i := sort.SearchStrings(c.expectedKeys, key)
-		c.expectedKeys = append(c.expectedKeys, "")
-		copy(c.expectedKeys[i+1:], c.expectedKeys[i:])
-		c.expectedKeys[i] = key
+		c.expectedKeys = slices.Insert(c.expectedKeys, i, key)
+		c.auditOwners = slices.Insert(c.auditOwners, i, nil)
 	}
 	c.expected[key] = val
 }
@@ -47,11 +47,18 @@ func (c *Cluster) startAudit() {
 	env := c.env
 	env.Sim.Every("dyn-audit", auditPeriod, func() {
 		ring := c.latestRing()
+		if ring != c.auditRing {
+			c.auditRing = ring
+			clear(c.auditOwners)
+		}
 		divergent := 0
-		for _, key := range c.expectedKeys {
+		for i, key := range c.expectedKeys {
 			want := c.expected[key]
-			for _, owner := range ring.PreferenceList(key, c.cfg.N) {
-				set := c.byName[owner].store[key]
+			if c.auditOwners[i] == nil {
+				c.auditOwners[i] = c.ownerNodes(ring, key)
+			}
+			for _, owner := range c.auditOwners[i] {
+				set := owner.store[key]
 				if want == tombSentinel {
 					if len(set) == 0 || (len(set) == 1 && set[0].Tomb) {
 						continue
@@ -86,13 +93,25 @@ func (c *Cluster) startAudit() {
 	})
 }
 
+// ownerNodes resolves a key's preference list under ring to the nodes
+// themselves. Ownership is a function of (ring, key) and the audit asks
+// for it every tick, so it keeps the answer until the latest ring changes.
+func (c *Cluster) ownerNodes(ring *Ring, key string) []*Node {
+	names := ring.PreferenceList(key, c.cfg.N)
+	nodes := make([]*Node, len(names))
+	for i, name := range names {
+		nodes[i] = c.byName[name]
+	}
+	return nodes
+}
+
 // latestRing is the most advanced ring any node holds — the membership
 // the audit judges ownership by.
 func (c *Cluster) latestRing() *Ring {
-	best := c.byName[c.names[0]].ring
-	for _, name := range c.names[1:] {
-		if r := c.byName[name].ring; r.Version > best.Version {
-			best = r
+	best := c.nodes[0].ring
+	for _, n := range c.nodes[1:] {
+		if n.ring.Version > best.Version {
+			best = n.ring
 		}
 	}
 	return best

@@ -7,8 +7,10 @@ import (
 	"anduril/internal/simnet"
 )
 
-// Wire payloads. Clocks and version sets are deep-copied on both sides of
-// every message, so no state is shared across actors.
+// Wire payloads. A Version is an immutable value (its clock is never
+// written after it is built, see VClock), so messages, stores and hints
+// share it; the one mutable thing is a store's sibling slice, which
+// addVersion rewrites in place, so a read hands out a copy of the slice.
 type opReq struct {
 	Op  string // "put", "del", "get"
 	Key string
@@ -34,9 +36,8 @@ type readResp struct{ Vers []Version }
 // coordinator therefore dominate each other — the property tombstone-
 // aware handoff replay depends on.
 func (n *Node) nextVC(key string) VClock {
-	vc := n.context[key].Copy()
-	vc[n.name]++
-	n.context[key] = vc.Copy()
+	vc := n.context[key].Tick(n.name)
+	n.context[key] = vc
 	return vc
 }
 
@@ -78,7 +79,7 @@ func (n *Node) coordPut(key, val string, tomb bool, respond func(interface{}, er
 		o := owner
 		env.Net.Call("dyn.coord.store-rpc", simnet.Message{
 			From: n.name, To: o, Type: "dyn.store",
-			Payload: storeReq{Key: key, Ver: ver.clone()},
+			Payload: storeReq{Key: key, Ver: ver},
 		}, 150*des.Millisecond, func(_ interface{}, err error) {
 			if err != nil {
 				fails++
@@ -137,7 +138,7 @@ func (n *Node) coordGet(key string, respond func(interface{}, error)) {
 				o := owner
 				env.Net.Call("dyn.repair.push", simnet.Message{
 					From: n.name, To: o, Type: "dyn.store",
-					Payload: storeReq{Key: key, Ver: repair.clone()},
+					Payload: storeReq{Key: key, Ver: repair},
 				}, 150*des.Millisecond, func(_ interface{}, err error) {
 					if err != nil {
 						env.Log.Debugf("Read repair of %s to %s failed", key, o)

@@ -41,7 +41,7 @@ func (n *Node) startGossip() {
 		}
 	}
 	phase := des.Time(idx) * 10 * des.Millisecond
-	env.Sim.Post(n.name+"-gossip", phase, func() {
+	env.Sim.Schedule(n.name+"-gossip", phase, func() {
 		env.Sim.Every(n.name+"-gossip", 100*des.Millisecond, func() {
 			if !n.alive {
 				return
@@ -205,7 +205,7 @@ func (n *Node) onTransfer(m simnet.Message, respond func(interface{}, error)) {
 	}
 	for _, rec := range tm.Recs {
 		for _, v := range rec.Vers {
-			n.store[rec.Key] = addVersion(n.store[rec.Key], v.clone())
+			n.store[rec.Key] = addVersion(n.store[rec.Key], v)
 			if v.Tomb {
 				n.tombAt[rec.Key] = env.Sim.Now()
 			}

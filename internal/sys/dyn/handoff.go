@@ -2,7 +2,6 @@ package dyn
 
 import (
 	"errors"
-	"fmt"
 
 	"anduril/internal/des"
 	"anduril/internal/inject"
@@ -23,12 +22,11 @@ type hint struct {
 // storeHint persists and queues a hint for an unreachable owner.
 func (n *Node) storeHint(node, key string, ver Version) {
 	env := n.c.env
-	rec := []byte(fmt.Sprintf("%s %s %s\n", node, key, ver.VC))
-	if err := env.Disk.Append("dyn.handoff.store-hint", n.name+"/hints.log", rec); err != nil {
+	if err := env.Disk.Append("dyn.handoff.store-hint", n.hintLog, n.c.record(node, key, ver.VC)); err != nil {
 		env.Log.Warnf("Hint of %s for %s lost on %s", key, node, n.name)
 		return
 	}
-	n.hints = append(n.hints, &hint{node: node, key: key, ver: ver.clone()})
+	n.hints = append(n.hints, &hint{node: node, key: key, ver: ver})
 	env.Log.Debugf("Stored hint of %s for %s on %s (%d pending)", key, node, n.name, len(n.hints))
 }
 
@@ -59,7 +57,7 @@ func (n *Node) startHandoff() {
 			}
 			env.Net.Call("dyn.handoff.replay-hint", simnet.Message{
 				From: n.name, To: h.node, Type: "dyn.store",
-				Payload: storeReq{Key: h.key, Ver: ver.clone()},
+				Payload: storeReq{Key: h.key, Ver: ver},
 			}, 120*des.Millisecond, func(_ interface{}, err error) {
 				h.inflight = false
 				if err != nil {

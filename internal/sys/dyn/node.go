@@ -2,7 +2,6 @@ package dyn
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 
 	"anduril/internal/cluster"
@@ -30,16 +29,21 @@ type Cluster struct {
 	env    *cluster.Env
 	cfg    Config
 	names  []string // sorted node names
+	nodes  []*Node  // the nodes, in names order
 	byName map[string]*Node
 
 	// Convergence audit state (see audit.go).
 	expected       map[string]string
-	expectedKeys   []string // the keys of expected, kept sorted
+	expectedKeys   []string  // the keys of expected, kept sorted
+	auditRing      *Ring     // the ring auditOwners was resolved under
+	auditOwners    [][]*Node // expectedKeys[i]'s owners under auditRing; nil = not resolved yet
 	everAgreed     bool
 	divergent      bool
 	divergentSince des.Time
 	agreeSince     des.Time
 	graceLogged    bool
+
+	rec []byte // scratch for the log line being persisted, see record
 }
 
 // Node is one dyn storage node: its view of the ring, its versioned
@@ -60,6 +64,8 @@ type Node struct {
 	pulling     map[int]bool // ring versions with a pull in flight
 
 	hints []*hint
+
+	commitLog, tombstoneLog, hintLog string // the node's log paths on the disk
 }
 
 var errNodeDown = errors.New("dyn: node is down")
@@ -76,6 +82,7 @@ func New(env *cluster.Env, cfg Config) *Cluster {
 	}
 	c.names = append(c.names, cfg.Nodes...)
 	sort.Strings(c.names)
+	c.nodes = make([]*Node, 0, len(c.names))
 	// Every node starts on the same ring v1: one header, so the owners memo
 	// one node fills answers the others (and the audit) too.
 	ring := sharedRing(1, cfg.Members, cfg.VNodes)
@@ -90,8 +97,11 @@ func New(env *cluster.Env, cfg Config) *Cluster {
 			context: make(map[string]VClock),
 			pulled:  map[int]bool{1: true},
 			pulling: make(map[int]bool),
+
+			commitLog: name + "/commit.log", tombstoneLog: name + "/tombstones.log", hintLog: name + "/hints.log",
 		}
 		c.byName[name] = n
+		c.nodes = append(c.nodes, n)
 		net := env.Net
 		net.Handle(n.name, "dyn.op", n.name+"-op", n.onOp)
 		net.Handle(n.name, "dyn.store", n.name+"-store", n.onStore)
@@ -141,14 +151,26 @@ func (n *Node) startGC() {
 	})
 }
 
+// record renders one "a b {clock}\n" line of a node's logs into the
+// cluster's scratch buffer. The disk copies what it is handed, so the
+// bytes are good until the next record.
+func (c *Cluster) record(a, b string, vc VClock) []byte {
+	rec := append(c.rec[:0], a...)
+	rec = append(rec, ' ')
+	rec = append(rec, b...)
+	rec = append(rec, ' ')
+	rec = append(vc.AppendTo(rec), '\n')
+	c.rec = rec
+	return rec
+}
+
 // applyVersion folds an incoming version into the node's store, persisting
 // it first. Tombstones and records persist to separate logs.
-func (n *Node) applyVersion(key string, incoming Version) error {
+func (n *Node) applyVersion(key string, in Version) error {
 	env := n.c.env
-	in := incoming.clone()
 	if in.Tomb {
-		rec := []byte(fmt.Sprintf("%s tombstone %s\n", key, in.VC))
-		if err := env.Disk.Append("dyn.store.persist-tombstone", n.name+"/tombstones.log", rec); err != nil {
+		rec := n.c.record(key, "tombstone", in.VC)
+		if err := env.Disk.Append("dyn.store.persist-tombstone", n.tombstoneLog, rec); err != nil {
 			// Defect (f27 root): the failed tombstone persist is swallowed
 			// and the delete acknowledged anyway, so this replica never
 			// applies the tombstone and keeps serving the live value —
@@ -158,8 +180,8 @@ func (n *Node) applyVersion(key string, incoming Version) error {
 			return nil
 		}
 	} else {
-		rec := []byte(fmt.Sprintf("%s %s %s\n", key, in.Val, in.VC))
-		if err := env.Disk.Append("dyn.store.persist-record", n.name+"/commit.log", rec); err != nil {
+		rec := n.c.record(key, in.Val, in.VC)
+		if err := env.Disk.Append("dyn.store.persist-record", n.commitLog, rec); err != nil {
 			env.Log.Warnf("Record persist for %s failed on %s", key, n.name)
 			return err
 		}
@@ -213,15 +235,14 @@ func (n *Node) onOp(m simnet.Message, respond func(interface{}, error)) {
 	}
 }
 
+// cloneVersions copies a sibling slice: the versions are immutable and
+// shared, but addVersion rewrites a store's slice in place, so whoever
+// keeps a set past the current event needs a slice of its own.
 func cloneVersions(set []Version) []Version {
 	if len(set) == 0 {
 		return nil
 	}
-	out := make([]Version, len(set))
-	for i, v := range set {
-		out[i] = v.clone()
-	}
-	return out
+	return append([]Version(nil), set...)
 }
 
 func sortedTimeKeys(m map[string]des.Time) []string {

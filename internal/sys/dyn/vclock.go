@@ -11,43 +11,83 @@
 package dyn
 
 import (
-	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// VClock is a vector clock: per-coordinator event counters. The zero value
-// (nil map) is a valid empty clock.
-type VClock map[string]int
+// VClock is a vector clock: per-coordinator event counters, held as a
+// sequence of (node, counter) pairs sorted by node with no zero counters.
+// A clock is an immutable value: every operation that yields a different
+// clock builds a new one and none writes through its receiver or its
+// argument, so a clock — and a Version carrying one — is shared between
+// actors, messages and stores instead of being copied. The zero value is
+// the empty clock.
+type VClock struct{ pairs []clockPair }
 
-// Copy returns an independent clock with the same counters. Clocks cross
-// actor boundaries inside messages, so every send and every apply copies.
-func (v VClock) Copy() VClock {
-	out := make(VClock, len(v)+1)
-	for node, n := range v {
-		out[node] = n
-	}
-	return out
+type clockPair struct {
+	node string
+	n    int
 }
 
-// Merge returns the element-wise maximum of the two clocks.
+// Tick returns the clock with node's counter advanced by one.
+func (v VClock) Tick(node string) VClock {
+	i, found := slices.BinarySearchFunc(v.pairs, node, func(p clockPair, node string) int {
+		return strings.Compare(p.node, node)
+	})
+	if found {
+		out := slices.Clone(v.pairs)
+		out[i].n++
+		return VClock{out}
+	}
+	// Clipped to its length the receiver's array has no room, so Insert
+	// builds the longer sequence in a new one.
+	return VClock{slices.Insert(slices.Clip(v.pairs), i, clockPair{node, 1})}
+}
+
+// Merge returns the element-wise maximum of the two clocks. When one
+// operand already descends the other it is that maximum and is returned
+// as is.
 func (v VClock) Merge(o VClock) VClock {
-	out := v.Copy()
-	for node, n := range o {
-		if n > out[node] {
-			out[node] = n
+	if v.Descends(o) {
+		return v
+	}
+	if o.Descends(v) {
+		return o
+	}
+	a, b := v.pairs, o.pairs
+	out := make([]clockPair, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].node < b[0].node:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].node > b[0].node:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			p := a[0]
+			if b[0].n > p.n {
+				p = b[0]
+			}
+			out, a, b = append(out, p), a[1:], b[1:]
 		}
 	}
-	return out
+	out = append(out, a...)
+	return VClock{append(out, b...)}
 }
 
 // Descends reports whether v ≥ o: v has seen every event o has. Equal
 // clocks descend each other; use Concurrent for strict incomparability.
 func (v VClock) Descends(o VClock) bool {
-	for node, n := range o {
-		if v[node] < n {
+	a := v.pairs
+	for _, p := range o.pairs {
+		for len(a) > 0 && a[0].node < p.node {
+			a = a[1:]
+		}
+		if len(a) == 0 || a[0].node != p.node || a[0].n < p.n {
 			return false
 		}
+		a = a[1:]
 	}
 	return true
 }
@@ -58,25 +98,26 @@ func (v VClock) Concurrent(o VClock) bool {
 	return !v.Descends(o) && !o.Descends(v)
 }
 
-// Equal reports whether the clocks carry identical counters (ignoring
-// explicit zeros).
-func (v VClock) Equal(o VClock) bool { return v.Descends(o) && o.Descends(v) }
+// Equal reports whether the clocks carry identical counters.
+func (v VClock) Equal(o VClock) bool { return slices.Equal(v.pairs, o.pairs) }
+
+// AppendTo appends the clock's rendering, "{node:n,node:n}" in node
+// order, to dst.
+func (v VClock) AppendTo(dst []byte) []byte {
+	dst = append(dst, '{')
+	for i, p := range v.pairs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, p.node...)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(p.n), 10)
+	}
+	return append(dst, '}')
+}
 
 // String renders the clock deterministically: entries sorted by node.
-func (v VClock) String() string {
-	nodes := make([]string, 0, len(v))
-	for node, n := range v {
-		if n != 0 {
-			nodes = append(nodes, node)
-		}
-	}
-	sort.Strings(nodes)
-	parts := make([]string, len(nodes))
-	for i, node := range nodes {
-		parts[i] = fmt.Sprintf("%s:%d", node, v[node])
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
+func (v VClock) String() string { return string(v.AppendTo(nil)) }
 
 // Version is one versioned value of a key: the payload, the clock that
 // wrote it, and whether it is a tombstone (a delete that must dominate
@@ -85,11 +126,6 @@ type Version struct {
 	Val  string
 	VC   VClock
 	Tomb bool
-}
-
-func (ver Version) clone() Version {
-	ver.VC = ver.VC.Copy()
-	return ver
 }
 
 // addVersion folds one incoming version into a sibling set: versions the

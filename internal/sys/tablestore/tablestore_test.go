@@ -1,6 +1,7 @@
 package tablestore
 
 import (
+	"fmt"
 	"testing"
 
 	"anduril/internal/cluster"
@@ -217,5 +218,33 @@ func TestDeterministicRuns(t *testing.T) {
 	b := runFree(t, WorkloadWAL, 9)
 	if len(a.Entries) != len(b.Entries) {
 		t.Fatalf("nondeterministic: %d vs %d", len(a.Entries), len(b.Entries))
+	}
+}
+
+// The WAL's on-disk line is the format Sprintf("%d|%s|%s|%s\n") wrote,
+// appended after whatever the buffer held; a rolled writer gets a new file
+// name and the old one is not recomputed in between.
+func TestWALEntryEncoding(t *testing.T) {
+	for _, e := range []walEntry{
+		{seq: 1, row: "row-0001", value: "val-0001"},
+		{seq: 1234567, row: "", value: "a|b"},
+		{seq: 10, row: "region-a", flush: true},
+	} {
+		kind := "put"
+		if e.flush {
+			kind = "flush"
+		}
+		want := fmt.Sprintf("%d|%s|%s|%s\n", e.seq, kind, e.row, e.value)
+		if got := string(appendWALEntry([]byte("x"), e)); got != "x"+want {
+			t.Fatalf("appendWALEntry(%+v) = %q, want %q", e, got, "x"+want)
+		}
+	}
+	w := &WAL{rs: &RegionServer{name: "rs2"}}
+	if got := w.currentFile(); got != "rs2/wal/log.0" {
+		t.Fatalf("currentFile = %q", got)
+	}
+	w.epoch = 12
+	if got := w.currentFile(); got != "rs2/wal/log.12" || w.currentFile() != got {
+		t.Fatalf("currentFile after roll = %q", got)
 	}
 }

@@ -2,6 +2,7 @@ package tablestore
 
 import (
 	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -51,10 +52,18 @@ type WAL struct {
 
 	// files lists closed WAL file names (the replication queue feedstock).
 	files []string
+
+	// Names and bytes an append would otherwise build afresh: the consumer
+	// thread's actor, the current file's path (valid for fileEpoch) and the
+	// entry being encoded (the disk copies what it is handed).
+	consumer  string
+	file      string
+	fileEpoch int
+	rec       []byte
 }
 
 func newWAL(rs *RegionServer) *WAL {
-	w := &WAL{rs: rs, batchSize: 3}
+	w := &WAL{rs: rs, batchSize: 3, consumer: rs.actor("wal-consumer")}
 	w.safePoint = des.NewCond(rs.c.env.Sim, "waitForSafePoint")
 	return w
 }
@@ -62,7 +71,10 @@ func newWAL(rs *RegionServer) *WAL {
 func (w *WAL) env() *cluster.Env { return w.rs.c.env }
 
 func (w *WAL) currentFile() string {
-	return fmt.Sprintf("%s/wal/log.%d", w.rs.name, w.epoch)
+	if w.file == "" || w.fileEpoch != w.epoch {
+		w.file, w.fileEpoch = w.rs.name+"/wal/log."+strconv.Itoa(w.epoch), w.epoch
+	}
+	return w.file
 }
 
 // open creates the initial writer.
@@ -96,7 +108,7 @@ func (w *WAL) scheduleConsume(delay des.Time) {
 		return
 	}
 	w.consumerBusy = true
-	w.env().Sim.Schedule(w.rs.actor("wal-consumer"), delay, w.consume)
+	w.env().Sim.Schedule(w.consumer, delay, w.consume)
 }
 
 // consume is the WAL consumer event (Figure 1's consume()).
@@ -144,7 +156,8 @@ func (w *WAL) syncBatch() {
 			return
 		}
 		entry := w.unacked[i]
-		if err := env.Disk.Append("ts.wal.append-entry", w.currentFile(), []byte(encodeWALEntry(entry))); err != nil {
+		w.rec = appendWALEntry(w.rec[:0], entry)
+		if err := env.Disk.Append("ts.wal.append-entry", w.currentFile(), w.rec); err != nil {
 			env.Log.Errorf("WAL append of seq %d failed on %s: %s", entry.seq, w.rs.name, err)
 			w.streamBroken = true
 			w.scheduleConsume(0)
@@ -178,7 +191,7 @@ func (w *WAL) rollWriter() {
 		return
 	}
 	w.rolling = true
-	env.Sim.Schedule(w.rs.actor("wal-consumer"), 80*des.Millisecond, func() {
+	env.Sim.Schedule(w.consumer, 80*des.Millisecond, func() {
 		w.rolling = false
 		if w.rs.aborted {
 			return
@@ -233,10 +246,18 @@ func (w *WAL) completeRoll() error {
 	return nil
 }
 
-func encodeWALEntry(e walEntry) string {
+// appendWALEntry appends the entry's on-disk line, "seq|kind|row|value\n".
+func appendWALEntry(dst []byte, e walEntry) []byte {
 	kind := "put"
 	if e.flush {
 		kind = "flush"
 	}
-	return fmt.Sprintf("%d|%s|%s|%s\n", e.seq, kind, e.row, e.value)
+	dst = strconv.AppendInt(dst, e.seq, 10)
+	dst = append(dst, '|')
+	dst = append(dst, kind...)
+	dst = append(dst, '|')
+	dst = append(dst, e.row...)
+	dst = append(dst, '|')
+	dst = append(dst, e.value...)
+	return append(dst, '\n')
 }

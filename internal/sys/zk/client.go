@@ -36,7 +36,7 @@ func (c *Cluster) NewClient(name string, serverID int, ops []Op) *Client {
 // unavailable — the client-visible symptom of ZK-2247 (f1).
 func (cl *Client) Run(startDelay des.Time) {
 	env := cl.c.env
-	env.Sim.Post(cl.name, startDelay, cl.connect)
+	env.Sim.Schedule(cl.name, startDelay, cl.connect)
 }
 
 func (cl *Client) connect() {
@@ -47,7 +47,7 @@ func (cl *Client) connect() {
 	}, 300*des.Millisecond, func(payload interface{}, err error) {
 		if err != nil {
 			env.Log.Warnf("Client %s could not establish session, retrying: %s", cl.name, err)
-			env.Sim.Post(cl.name, 200*des.Millisecond, cl.connect)
+			env.Sim.Schedule(cl.name, 200*des.Millisecond, cl.connect)
 			return
 		}
 		cl.session = payload.(int64)
@@ -102,7 +102,7 @@ func (cl *Client) nextOp(attempt int) {
 		if err != nil {
 			if isTimeout(err) && attempt < 1 {
 				env.Log.Warnf("Client %s operation %s %s timed out, retrying", cl.name, op.Kind, op.Path)
-				env.Sim.Post(cl.name, 100*des.Millisecond, func() { cl.nextOp(attempt + 1) })
+				env.Sim.Schedule(cl.name, 100*des.Millisecond, func() { cl.nextOp(attempt + 1) })
 				return
 			}
 			if isTimeout(err) {
@@ -114,7 +114,7 @@ func (cl *Client) nextOp(attempt int) {
 		}
 		env.Log.Debugf("Client %s completed %s %s", cl.name, op.Kind, op.Path)
 		cl.idx++
-		env.Sim.Post(cl.name, 30*des.Millisecond, func() { cl.nextOp(0) })
+		env.Sim.Schedule(cl.name, 30*des.Millisecond, func() { cl.nextOp(0) })
 	})
 }
 

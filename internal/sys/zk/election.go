@@ -48,7 +48,7 @@ func (s *Server) startElection() {
 	s.broadcastVote()
 	// If the round stalls (lost votes, a deaf connection manager on the
 	// would-be leader, ...), start over; production ZooKeeper does too.
-	env.Sim.Post(s.actor("quorum"), 500*des.Millisecond, func() {
+	env.Sim.Schedule(s.actor("quorum"), 500*des.Millisecond, func() {
 		if !s.stopped && s.role == roleLooking {
 			env.Log.Warnf("Election round timed out on myid=%d, starting new round", s.id)
 			s.startElection()
@@ -186,7 +186,7 @@ func (s *Server) connectToLeader() {
 					s.startElection()
 					return
 				}
-				env.Sim.Post(s.actor("quorum"), 200*des.Millisecond, s.connectToLeader)
+				env.Sim.Schedule(s.actor("quorum"), 200*des.Millisecond, s.connectToLeader)
 				return
 			}
 			s.connectTries = 0

@@ -58,7 +58,7 @@ func (s *Server) forwardToLeader(req request, respond func(interface{}, error), 
 	if s.leaderID == 0 || s.leaderID == s.id {
 		// Mid-election; try again shortly.
 		if attempt < 6 {
-			env.Sim.Post(s.actor("cnxn"), 250*des.Millisecond, func() {
+			env.Sim.Schedule(s.actor("cnxn"), 250*des.Millisecond, func() {
 				s.forwardToLeader(req, respond, attempt+1)
 			})
 			return
@@ -80,7 +80,7 @@ func (s *Server) forwardToLeader(req request, respond func(interface{}, error), 
 				}
 				if attempt < 6 {
 					env.Log.Warnf("Request forward to leader failed on myid=%d (attempt %d), retrying: %s", s.id, attempt, err)
-					env.Sim.Post(s.actor("cnxn"), 250*des.Millisecond, func() {
+					env.Sim.Schedule(s.actor("cnxn"), 250*des.Millisecond, func() {
 						s.forwardToLeader(req, respond, attempt+1)
 					})
 					return

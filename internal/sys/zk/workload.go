@@ -55,7 +55,7 @@ func WorkloadSnapshotRestart(env *cluster.Env) {
 	c.Start()
 	cl := c.NewClient("zk-client-1", 1, defaultOps())
 	cl.Run(250 * des.Millisecond)
-	env.Sim.Post("harness", 1200*des.Millisecond, func() {
+	env.Sim.Schedule("harness", 1200*des.Millisecond, func() {
 		c.Restart(1)
 	})
 }
