@@ -204,7 +204,7 @@ func DatasetCatalog() []DatasetInfo {
 // parts. srcDirs are the Go source directories of the target system (for
 // the static causal graph); failureLog is the production log text.
 func NewTarget(id string, workload Workload, horizon des.Time, orc Oracle, failureLogText string, srcDirs []string) (*Target, error) {
-	an, err := analysis.AnalyzePackagesCached(srcDirs)
+	an, err := analysis.AnalyzePackages(srcDirs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,19 +9,15 @@
 //	tables -max-rounds 500 -seed 1
 //	tables -j 1            # serial (identical output, one worker)
 //	tables -no-time        # mask wall-time cells for byte-stable output
-//	tables -resume-dir d   # persist per-cell reports; re-runs skip done cells
-//	tables -timeout 10m    # cancel in-flight cells at the deadline
+//	tables -trace-dir d    # one JSONL explorer trace per experiment cell
 //
 // Every experiment cell is a hermetic, seeded run, so -j N and -j 1
 // render identical deterministic content for the same seed; only the
 // measured wall-time cells vary run to run (mask them with -no-time to
-// diff outputs byte for byte). With -resume-dir, a run killed by a crash
-// or -timeout keeps its finished cells on disk; re-running the same
-// command completes only the missing ones.
+// diff outputs byte for byte).
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -39,19 +35,12 @@ func main() {
 		workers   = flag.Int("j", 0, "experiment-cell workers: 0 = one per CPU, 1 = serial")
 		noTime    = flag.Bool("no-time", false, "render wall-time cells as '*' (byte-stable output)")
 		traceDir  = flag.String("trace-dir", "", "write one JSONL explorer trace per experiment cell into this directory")
-		resumeDir = flag.String("resume-dir", "", "persist per-cell reports in this directory and skip cells already completed there")
-		timeout   = flag.Duration("timeout", 0, "cancel outstanding experiment cells after this duration (0 = none)")
 	)
 	flag.Parse()
 
 	opt := eval.Options{
 		Seed: *seed, MaxRounds: *maxRounds, Workers: *workers,
-		NoTiming: *noTime, TraceDir: *traceDir, ResumeDir: *resumeDir,
-	}
-	if *timeout > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-		defer cancel()
-		opt.Context = ctx
+		NoTiming: *noTime, TraceDir: *traceDir,
 	}
 	all := *table == 0 && *figure == 0
 

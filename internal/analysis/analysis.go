@@ -26,8 +26,6 @@
 package analysis
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -36,6 +34,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -76,11 +75,6 @@ type Result struct {
 	LOC    int
 	Timing Timing
 
-	// SourceHash is a content hash over the analyzed source files; saved
-	// artifacts carry it so a load can detect stale analyses (see
-	// artifact.go).
-	SourceHash string
-
 	siteKinds map[string]inject.Kind
 
 	// cache holds derived artifacts computed on first use and shared by
@@ -113,10 +107,6 @@ func (r *Result) SiteKind(id string) (inject.Kind, bool) {
 // callers must treat it as read-only.
 func (r *Result) SiteDistances() map[string]map[string]int {
 	c := r.cache
-	if c == nil {
-		// Zero-value Result (hand-built in tests): compute uncached.
-		return r.Graph.SiteDistances()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dist == nil {
@@ -130,9 +120,6 @@ func (r *Result) SiteDistances() map[string]map[string]int {
 // mutate the matcher).
 func (r *Result) Matcher() *Matcher {
 	c := r.cache
-	if c == nil {
-		return r.newMatcher()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.matcher == nil {
@@ -160,11 +147,15 @@ func RepoRoot() string {
 	return filepath.Dir(filepath.Dir(filepath.Dir(file)))
 }
 
-// eachSourceFile visits every non-test Go file in the given directories
-// (relative to the repo root or absolute), in deterministic order: dirs as
-// given, files sorted by name within each. key is the dir argument joined
-// with the file name, so it is stable across machines for relative dirs.
-func eachSourceFile(dirs []string, fn func(key, path string, src []byte) error) error {
+// AnalyzePackages parses every non-test Go file in the given directories
+// (relative to the repo root or absolute) and builds the causal graph.
+// Files are parsed in a deterministic order — dirs as given, files sorted
+// by name within each — so the Result is a pure function of the sources.
+func AnalyzePackages(dirs []string) (*Result, error) {
+	start := time.Now()
+	fset := token.NewFileSet()
+	var files []*ast.File
+	loc := 0
 	for _, dir := range dirs {
 		abs := dir
 		if !filepath.IsAbs(abs) {
@@ -172,62 +163,21 @@ func eachSourceFile(dirs []string, fn func(key, path string, src []byte) error) 
 		}
 		entries, err := os.ReadDir(abs)
 		if err != nil {
-			return fmt.Errorf("analysis: %w", err)
+			return nil, fmt.Errorf("analysis: %w", err)
 		}
 		for _, e := range entries {
 			name := e.Name()
-			if e.IsDir() || filepath.Ext(name) != ".go" || isTestFile(name) {
+			if e.IsDir() || filepath.Ext(name) != ".go" || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
 			path := filepath.Join(abs, name)
-			src, err := os.ReadFile(path)
+			f, err := parser.ParseFile(fset, path, nil, 0)
 			if err != nil {
-				return fmt.Errorf("analysis: %w", err)
+				return nil, fmt.Errorf("analysis: parse %s: %w", path, err)
 			}
-			if err := fn(filepath.ToSlash(filepath.Join(dir, name)), path, src); err != nil {
-				return err
-			}
+			files = append(files, f)
+			loc += fset.File(f.Pos()).LineCount()
 		}
-	}
-	return nil
-}
-
-// SourceHash returns the content hash over every source file the analyzer
-// would parse in dirs — the staleness key for saved artifacts.
-func SourceHash(dirs []string) (string, error) {
-	h := sha256.New()
-	err := eachSourceFile(dirs, func(key, _ string, src []byte) error {
-		fmt.Fprintf(h, "%s\n%d\n", key, len(src))
-		h.Write(src)
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// AnalyzePackages parses every non-test Go file in the given directories
-// (relative to the repo root or absolute) and builds the causal graph.
-func AnalyzePackages(dirs []string) (*Result, error) {
-	start := time.Now()
-	fset := token.NewFileSet()
-	var files []*ast.File
-	loc := 0
-	hasher := sha256.New()
-	err := eachSourceFile(dirs, func(key, path string, src []byte) error {
-		fmt.Fprintf(hasher, "%s\n%d\n", key, len(src))
-		hasher.Write(src)
-		f, err := parser.ParseFile(fset, path, src, 0)
-		if err != nil {
-			return fmt.Errorf("analysis: parse %s: %w", path, err)
-		}
-		files = append(files, f)
-		loc += fset.File(f.Pos()).LineCount()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 
 	a := newAnalyzer(fset)
@@ -251,13 +201,12 @@ func AnalyzePackages(dirs []string) (*Result, error) {
 	chaining := time.Since(chainStart)
 
 	res := &Result{
-		Graph:      g,
-		Sites:      a.siteList(),
-		Logs:       a.logList(),
-		LOC:        loc,
-		SourceHash: hex.EncodeToString(hasher.Sum(nil)),
-		siteKinds:  a.siteKinds,
-		cache:      &derivedCache{},
+		Graph:     g,
+		Sites:     a.siteList(),
+		Logs:      a.logList(),
+		LOC:       loc,
+		siteKinds: a.siteKinds,
+		cache:     &derivedCache{},
 	}
 	res.Timing = Timing{
 		Exception: exception,
@@ -275,6 +224,8 @@ func AnalyzePackages(dirs []string) (*Result, error) {
 	return res, nil
 }
 
-func isTestFile(name string) bool {
-	return len(name) > len("_test.go") && name[len(name)-len("_test.go"):] == "_test.go"
-}
+// CacheCounters reports zero hits and zero misses: analysis results are
+// not cached on disk. It is kept for callers that still sample it.
+//
+// Deprecated: there is no analysis disk cache.
+func CacheCounters() (hits, misses int64) { return 0, 0 }

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // BenchmarkAnalyzeSystem measures the Instrumenter end to end on each
 // target system (the Table 7 totals, as a Go benchmark).
@@ -20,35 +17,6 @@ func BenchmarkAnalyzeSystem(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkAnalyzeCached compares a cold analysis (cache populated on the
-// first iteration, then forcibly invalidated every round by analyzing
-// uncached) against warm artifact loads from the disk cache.
-func BenchmarkAnalyzeCached(b *testing.B) {
-	dirs := []string{"internal/sys/zk"}
-	b.Run("cold", func(b *testing.B) {
-		os.Unsetenv(CacheEnvVar)
-		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzePackagesCached(dirs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := b.TempDir()
-		os.Setenv(CacheEnvVar, dir)
-		defer os.Unsetenv(CacheEnvVar)
-		if _, err := AnalyzePackagesCached(dirs); err != nil { // populate
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := AnalyzePackagesCached(dirs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkSiteDistances measures the L_{i,k} table computation over the

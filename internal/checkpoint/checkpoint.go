@@ -11,10 +11,9 @@
 // input; it must never panic, whatever bytes it is handed (the package's
 // fuzz target enforces this).
 //
-// The explorer's search checkpoints (core.CheckpointFile), the server's job
-// records and reports, and the evaluation grid's per-cell reports
-// (eval.Options.ResumeDir) are all stored in this envelope, each under its
-// own kind.
+// The explorer's search checkpoints (core.CheckpointFile) and the server's
+// job records and reports are stored in this envelope, each under its own
+// kind.
 package checkpoint
 
 import (

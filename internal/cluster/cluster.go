@@ -131,7 +131,7 @@ func (e *Env) reset(seed int64, plan *inject.Plan) {
 	e.trackPlanPaths()
 }
 
-// ExecOption configures an Execute/TryExecute round beyond the core
+// ExecOption configures an Execute/TryExecuteOn round beyond the core
 // parameters.
 type ExecOption func(*Env)
 
@@ -219,21 +219,18 @@ func (e *TrialError) Error() string {
 	return msg
 }
 
-// TryExecute is Execute hardened for untrusted target systems: a panic in
-// the workload or simulation is recovered into a *TrialError (class
+// TryExecuteOn is Execute hardened for untrusted target systems: a panic
+// in the workload or simulation is recovered into a *TrialError (class
 // "panic") instead of killing the process, eventBudget > 0 bounds the
 // number of DES events (class "event-budget" on exhaustion, so a
 // livelocked workload cannot hang a round), and a cancelled ctx interrupts
 // the simulation (class "interrupted"). On error the returned Result holds
 // whatever the environment had produced so far — enough for diagnostics,
 // not a judgeable round.
-func TryExecute(ctx context.Context, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
-	return TryExecuteOn(ctx, nil, seed, plan, keepTrace, w, horizon, eventBudget, opts...)
-}
-
-// TryExecuteOn is TryExecute on a recycled environment: env, as
-// Result.Release returned it, is rebuilt in place and the round runs in it,
-// indistinguishable from a round in a fresh one. A nil env is TryExecute.
+//
+// A nil env runs the round in a fresh environment. A non-nil env, as
+// Result.Release returned it, is rebuilt in place and the round runs in
+// it, indistinguishable from a round in a fresh one.
 func TryExecuteOn(ctx context.Context, env *Env, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
 	if env == nil {
 		env = NewEnv(seed, plan)

@@ -126,7 +126,7 @@ func panicWorkload(env *Env) {
 }
 
 func TestTryExecuteRecoversPanic(t *testing.T) {
-	res, err := TryExecute(context.Background(), 1, nil, true, panicWorkload, des.Second, 0)
+	res, err := TryExecuteOn(context.Background(), nil, 1, nil, true, panicWorkload, des.Second, 0)
 	if err == nil {
 		t.Fatal("panic not surfaced as error")
 	}
@@ -148,7 +148,7 @@ func TestTryExecuteEventBudget(t *testing.T) {
 		spin = func() { env.Sim.Go("spinner", spin) }
 		env.Sim.Go("spinner", spin)
 	}
-	res, err := TryExecute(context.Background(), 1, nil, false, livelock, des.Second, 2000)
+	res, err := TryExecuteOn(context.Background(), nil, 1, nil, false, livelock, des.Second, 2000)
 	var te *TrialError
 	if !errors.As(err, &te) || te.Class != ClassEventBudget {
 		t.Fatalf("err=%v, want TrialError class %q", err, ClassEventBudget)
@@ -166,23 +166,23 @@ func TestTryExecuteCancelledContext(t *testing.T) {
 		spin = func() { env.Sim.Go("spinner", spin) }
 		env.Sim.Go("spinner", spin)
 	}
-	_, err := TryExecute(ctx, 1, nil, false, livelock, des.Second, 0)
+	_, err := TryExecuteOn(ctx, nil, 1, nil, false, livelock, des.Second, 0)
 	var te *TrialError
 	if !errors.As(err, &te) || te.Class != ClassInterrupted {
 		t.Fatalf("err=%v, want TrialError class %q", err, ClassInterrupted)
 	}
 }
 
-// TryExecute on a healthy workload matches Execute exactly.
+// TryExecuteOn in a fresh environment on a healthy workload matches Execute exactly.
 func TestTryExecuteMatchesExecute(t *testing.T) {
 	plan := inject.Exact(inject.Instance{Site: "toy.step", Occurrence: 2})
 	want := Execute(7, plan, true, toyWorkload, des.Second)
-	got, err := TryExecute(context.Background(), 7, plan, true, toyWorkload, des.Second, 1<<20)
+	got, err := TryExecuteOn(context.Background(), nil, 7, plan, true, toyWorkload, des.Second, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.RenderLog() != want.RenderLog() {
-		t.Fatal("TryExecute log differs from Execute")
+		t.Fatal("TryExecuteOn log differs from Execute")
 	}
 	if got.DidInject != want.DidInject || got.Injected != want.Injected {
 		t.Fatalf("injection differs: %+v vs %+v", got.Injected, want.Injected)

@@ -72,11 +72,11 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 			}
 			fault := inject.Instance{Site: crash.Site, Occurrence: crash.Occurrence, Path: free.Env.FI.PathOf(crash.Site, crash.Addr)}
 
-			fresh, err := cluster.TryExecute(ctx, 3, inject.Exact(fault), false, s.Workload, s.Horizon, 1<<20, cluster.With(feats))
+			fresh, err := cluster.TryExecuteOn(ctx, nil, 3, inject.Exact(fault), false, s.Workload, s.Horizon, 1<<20, cluster.With(feats))
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty, err := cluster.TryExecute(ctx, 11, nil, true, prev.Workload, prev.Horizon, 1<<20, cluster.With(every))
+			dirty, err := cluster.TryExecuteOn(ctx, nil, 11, nil, true, prev.Workload, prev.Horizon, 1<<20, cluster.With(every))
 			if err != nil {
 				t.Fatal(err)
 			}

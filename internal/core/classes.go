@@ -114,6 +114,30 @@ func (cs classSet) names() []string {
 	return out
 }
 
+// features is the union of the set's rows' execOpt: the runtime features
+// without which its classes' pseudo-sites are not reached at all.
+func (cs classSet) features() inject.Features {
+	var f inject.Features
+	for c := range classTable {
+		if cs.has(classID(c)) {
+			f |= classTable[c].execOpt
+		}
+	}
+	return f
+}
+
+// ClassFeatures returns the runtime features the named fault classes
+// need in every run that is to count their pseudo-sites, a failure's own
+// free run included. No names means the site-only default, which needs
+// none; an unknown name is an error.
+func ClassFeatures(names []string) (inject.Features, error) {
+	cs, err := classSetOf(names...)
+	if err != nil {
+		return 0, err
+	}
+	return cs.features(), nil
+}
+
 // resolveClasses resolves the enabled fault classes from Options (which
 // wins when it names any) or the Target, defaulting to site-only.
 func resolveClasses(t *Target, o Options) (classSet, error) {

@@ -120,6 +120,7 @@ type siteState struct {
 
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
+	bestVal float64 // sum-aggregation ablation: bestObs's partial priority
 }
 
 // engine holds all mutable search state for one Reproduce call. A fresh
@@ -150,8 +151,6 @@ type engine struct {
 	// the working memory of those diffs.
 	failure *logdiff.Failure
 	diff    logdiff.Scratch
-
-	sumBest map[string]float64 // sum-aggregation ablation bookkeeping
 
 	// Per-round scratch, reused across the thousands of rounds a search
 	// runs: the ranking snapshot, the candidate window, the multiply-
@@ -195,6 +194,11 @@ type engine struct {
 	classes   classSet
 	instSite  int
 	triedSite int
+
+	// feats are the runtime features every trial of the search runs with:
+	// the enabled classes' own, plus path addressing under AddrPath.
+	// Resolved by prepare.
+	feats inject.Features
 
 	// Resume state: the checkpoint being restored (nil on a fresh run) and
 	// the round the restored search had completed.
@@ -323,6 +327,10 @@ func (e *engine) prepare() error {
 	if e.classes, err = resolveClasses(e.t, e.o); err != nil {
 		return err
 	}
+	e.feats = e.classes.features()
+	if e.o.Addressing == AddrPath {
+		e.feats |= inject.PathAddressing
+	}
 	e.window = e.o.Window
 	if e.strategy.queue != nil {
 		e.window = 1
@@ -395,15 +403,6 @@ func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.
 	if budget < 0 {
 		budget = 0 // negative means unlimited
 	}
-	var feats inject.Features
-	for c, fc := range classTable {
-		if e.classes.has(classID(c)) {
-			feats |= fc.execOpt
-		}
-	}
-	if e.o.Addressing == AddrPath {
-		feats |= inject.PathAddressing
-	}
 	var env *cluster.Env
 	if n := len(e.envs); n > 0 {
 		env, e.envs = e.envs[n-1], e.envs[:n-1]
@@ -412,7 +411,7 @@ func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.
 	// walks it in place; asking TryExecuteOn for it would also join it into
 	// Result.Trace, a copy of the whole timeline nothing here reads.
 	keepReaches := func(env *cluster.Env) { env.FI.KeepTrace = keepTrace }
-	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, budget, cluster.With(feats), keepReaches)
+	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, budget, cluster.With(e.feats), keepReaches)
 }
 
 // release takes back the environments of a round that has been booked:

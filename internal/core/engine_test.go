@@ -46,7 +46,7 @@ func stubEngine(o Options) *engine {
 
 func TestComputePrioritiesMin(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	get := func(id string) *siteState {
 		for _, s := range e.sites {
 			if s.id == id {
@@ -70,7 +70,7 @@ func TestComputePrioritiesMin(t *testing.T) {
 
 	// Feedback: deprioritizing alpha flips s.both's best observable logic.
 	e.obs[1].priority = 10 // beta now expensive
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	if got := get("s.both").f; got != 5 { // min(5+0, 4+10)
 		t.Fatalf("after feedback, s.both F=%v", got)
 	}
@@ -81,7 +81,7 @@ func TestComputePrioritiesMin(t *testing.T) {
 
 func TestComputePrioritiesSumAblation(t *testing.T) {
 	e := stubEngine(Options{AggregateSum: true})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	for _, s := range e.sites {
 		if s.id == "s.both" {
 			if s.f != 9 { // 5 + 4
@@ -96,7 +96,7 @@ func TestComputePrioritiesSumAblation(t *testing.T) {
 
 func TestTemporalDistance(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {
@@ -114,7 +114,7 @@ func TestTemporalDistance(t *testing.T) {
 
 func TestBestUntriedTemporalVsOrder(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {
@@ -149,7 +149,7 @@ func TestBestUntriedTemporalVsOrder(t *testing.T) {
 
 func TestRankedSitesStable(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	ranked := e.rankedSites()
 	if ranked[0].id != "s.near" {
 		t.Fatalf("rank 1: %s", ranked[0].id)
@@ -268,7 +268,7 @@ func TestMarkTriedIndex(t *testing.T) {
 // observable position.
 func TestTemporalDistanceProperty(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true, true)
+	e.computePriorities(true)
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {

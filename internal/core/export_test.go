@@ -13,7 +13,7 @@ import (
 // fullRanking is one ranking by full recompute. The result is valid until
 // the next call on the same engine.
 func (e *engine) fullRanking(useFeedback bool) []*siteState {
-	e.computePriorities(true, useFeedback)
+	e.computePriorities(useFeedback)
 	return e.rankedSites()
 }
 

@@ -19,11 +19,10 @@ import (
 )
 
 // computePriorities evaluates F_i = min_k (L_{i,k} + I_k) for every site
-// (§5.2.4), with the distance and feedback terms toggled per strategy.
-func (e *engine) computePriorities(useDistance, useFeedback bool) {
-	e.sumBest = nil
+// (§5.2.4), with the feedback term toggled per strategy.
+func (e *engine) computePriorities(useFeedback bool) {
 	for _, s := range e.sites {
-		e.rescoreSite(s, useDistance, useFeedback)
+		e.rescoreSite(s, useFeedback)
 	}
 }
 
@@ -60,21 +59,16 @@ func (e *engine) spatial(s *siteState, o *observable) float64 {
 }
 
 // rescoreSite recomputes one site's F_i and best observable from scratch.
-func (e *engine) rescoreSite(s *siteState, useDistance, useFeedback bool) {
-	if e.sumBest != nil {
-		delete(e.sumBest, s.id)
-	}
+func (e *engine) rescoreSite(s *siteState, useFeedback bool) {
 	s.f = math.Inf(1)
 	s.bestObs = -1
+	s.bestVal = math.Inf(1)
 	for k, o := range e.obs {
 		l := e.spatial(s, o)
 		if math.IsInf(l, 1) {
 			continue
 		}
-		val := 0.0
-		if useDistance {
-			val += l
-		}
+		val := l
 		if useFeedback {
 			val += float64(o.priority)
 		}
@@ -85,9 +79,9 @@ func (e *engine) rescoreSite(s *siteState, useDistance, useFeedback bool) {
 				s.f = 0
 			}
 			s.f += val
-			if s.bestObs < 0 || val < e.bestVal(s) {
+			if val < s.bestVal {
 				s.bestObs = k
-				e.setBestVal(s, val)
+				s.bestVal = val
 			}
 			continue
 		}
@@ -96,26 +90,6 @@ func (e *engine) rescoreSite(s *siteState, useDistance, useFeedback bool) {
 			s.bestObs = k
 		}
 	}
-}
-
-// bestVal bookkeeping for the sum-aggregation ablation: remembers the
-// smallest partial priority so bestObs stays the nearest observable.
-func (e *engine) bestVal(s *siteState) float64 {
-	if e.sumBest == nil {
-		return math.Inf(1)
-	}
-	v, ok := e.sumBest[s.id]
-	if !ok {
-		return math.Inf(1)
-	}
-	return v
-}
-
-func (e *engine) setBestVal(s *siteState, v float64) {
-	if e.sumBest == nil {
-		e.sumBest = map[string]float64{}
-	}
-	e.sumBest[s.id] = v
 }
 
 // siteLess is the ranking order: F ascending, site id as tiebreak. Site
@@ -193,7 +167,7 @@ type indexRanker struct {
 
 func (r *indexRanker) build() {
 	e := r.e
-	e.computePriorities(true, r.useFeedback)
+	e.computePriorities(r.useFeedback)
 	// Copy out of the engine's shared ranking buffer: order is long-lived.
 	r.order = append([]*siteState(nil), e.rankedSites()...)
 	r.obsSites = make([][]*siteState, len(e.obs))
@@ -231,7 +205,7 @@ func (r *indexRanker) ranked() []*siteState {
 		return r.order
 	}
 	for _, s := range r.dirty {
-		r.e.rescoreSite(s, true, r.useFeedback)
+		r.e.rescoreSite(s, r.useFeedback)
 	}
 	keep := r.keepBuf[:0]
 	for _, s := range r.order {

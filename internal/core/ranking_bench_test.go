@@ -23,7 +23,7 @@ func BenchmarkComputePriorities(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.computePriorities(true, true)
+		e.computePriorities(true)
 	}
 }
 

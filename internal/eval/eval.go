@@ -6,8 +6,6 @@
 package eval
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -15,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"anduril/internal/checkpoint"
 	"anduril/internal/core"
 	"anduril/internal/failures"
 	"anduril/internal/parallel"
@@ -96,23 +93,6 @@ type Options struct {
 	// seed-determined data, so the files are byte-identical across -j
 	// settings for a fixed seed (the CI determinism job diffs them).
 	TraceDir string
-
-	// ResumeDir, when non-empty, persists each completed experiment cell's
-	// report as <cell>.report.json in this directory (created if absent)
-	// and loads it back instead of re-running the cell. After a crash or
-	// timeout, re-running the same table with the same ResumeDir skips
-	// every cell that finished. Reports are deterministic apart from
-	// timing, so a resumed table matches a fresh one under NoTiming.
-	// Interrupted or unreadable cell files are ignored and the cell
-	// re-runs. Note a cached cell skips entirely — including its TraceDir
-	// capture.
-	ResumeDir string
-
-	// Context, when non-nil, cancels in-flight experiment cells: each
-	// explorer run polls it between (and during) trials, and cells not yet
-	// started fail fast. Cancelled table runs return the context error;
-	// pair with ResumeDir to keep the finished cells.
-	Context context.Context
 }
 
 func (o Options) withDefaults() Options {
@@ -201,63 +181,9 @@ func (o Options) cellTrace(opts *core.Options, name string) (func() error, error
 	}, nil
 }
 
-// ctxErr reports whether the evaluation context (if any) is cancelled.
-func (o Options) ctxErr() error {
-	if o.Context != nil {
-		return o.Context.Err()
-	}
-	return nil
-}
-
-// Cell report files share the checkpoint envelope so stale or foreign
-// files are rejected instead of silently mis-parsed.
-const (
-	reportKind    = "eval-report"
-	reportVersion = 1
-)
-
-// cellReport memoizes one experiment cell's report under ResumeDir. A
-// readable cached report short-circuits run entirely; otherwise run
-// executes and — unless it errored or was interrupted mid-search — its
-// report is persisted atomically for the next attempt. An interrupted
-// cell is surfaced as an error so the table run fails fast instead of
-// rendering a partial cell.
-func (o Options) cellReport(name string, run func() (*core.Report, error)) (*core.Report, error) {
-	path := ""
-	if o.ResumeDir != "" {
-		path = filepath.Join(o.ResumeDir, name+".report.json")
-		if raw, err := checkpoint.Load(path, reportKind, reportVersion); err == nil {
-			rep := &core.Report{}
-			if err := json.Unmarshal(raw, rep); err == nil && !rep.Interrupted {
-				return rep, nil
-			}
-		}
-	}
-	rep, err := run()
-	if err != nil || rep == nil {
-		return rep, err
-	}
-	if rep.Interrupted {
-		err := o.ctxErr()
-		if err == nil {
-			err = context.Canceled
-		}
-		return rep, fmt.Errorf("cell %s interrupted: %w", name, err)
-	}
-	if path != "" {
-		if err := os.MkdirAll(o.ResumeDir, 0o755); err != nil {
-			return rep, fmt.Errorf("resume dir: %w", err)
-		}
-		if err := checkpoint.Save(path, reportKind, reportVersion, rep); err != nil {
-			return rep, fmt.Errorf("cell %s: %w", name, err)
-		}
-	}
-	return rep, nil
-}
-
 // cell is one experiment cell: a hermetic, seeded reproduction of one
 // scenario under its own options. name labels the cell's trace file
-// (Options.TraceDir) and report file (Options.ResumeDir).
+// (Options.TraceDir).
 type cell struct {
 	name string
 	s    *failures.Scenario
@@ -275,30 +201,23 @@ func datasetCells(label string, scens []*failures.Scenario, opts core.Options) [
 }
 
 // runCells is the one cell runner every table and figure goes through:
-// context check, ResumeDir lookup, TraceDir capture, core.Reproduce, on
-// the worker pool. Each cell runs against the scenario's shared read-only
-// Target (built on first use, so a grid served entirely from ResumeDir
-// builds none), and parallel.Map returns results in input order, so the
-// assembled tables do not depend on the worker count.
+// BuildTarget, TraceDir capture, core.Reproduce, on the worker pool. Each
+// cell runs against the scenario's shared read-only Target, and
+// parallel.Map returns results in input order, so the assembled tables do
+// not depend on the worker count.
 func runCells(opt Options, cells []cell) ([]*core.Report, error) {
 	return parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
-		if err := opt.ctxErr(); err != nil {
+		tgt, err := c.s.BuildTarget()
+		if err != nil {
+			return nil, fmt.Errorf("build target %s: %w", c.s.ID, err)
+		}
+		opts := c.opts
+		done, err := opt.cellTrace(&opts, c.name)
+		if err != nil {
 			return nil, err
 		}
-		return opt.cellReport(c.name, func() (*core.Report, error) {
-			tgt, err := c.s.BuildTarget()
-			if err != nil {
-				return nil, fmt.Errorf("build target %s: %w", c.s.ID, err)
-			}
-			opts := c.opts
-			opts.Context = opt.Context
-			done, err := opt.cellTrace(&opts, c.name)
-			if err != nil {
-				return nil, err
-			}
-			rep := core.Reproduce(tgt, opts)
-			return rep, done()
-		})
+		rep := core.Reproduce(tgt, opts)
+		return rep, done()
 	})
 }
 

@@ -100,7 +100,7 @@ func (s *Scenario) Analyze() (*analysis.Result, error) {
 	}
 	analysisMu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = analysis.AnalyzePackagesCached(s.SrcDirs)
+		e.res, e.err = analysis.AnalyzePackages(s.SrcDirs)
 	})
 	return e.res, e.err
 }
@@ -111,16 +111,13 @@ func (s *Scenario) Searches(class string) bool {
 	return slices.Contains(s.FaultClasses, class)
 }
 
-// execOpt returns the cluster option the scenario's own runs need: env
-// and partial pseudo-sites are switched on for scenarios of those classes
-// so free runs count them (FindRoot needs the counts).
+// execOpt returns the cluster option the scenario's own runs need: the
+// runtime features of its fault classes, so free runs count their
+// pseudo-sites (FindRoot needs the counts).
 func (s *Scenario) execOpt() cluster.ExecOption {
-	var f inject.Features
-	if s.Searches(core.ClassEnv) {
-		f |= inject.EnvFaults
-	}
-	if s.Searches(core.ClassPartial) {
-		f |= inject.PartialFaults
+	f, err := core.ClassFeatures(s.FaultClasses)
+	if err != nil {
+		panic(fmt.Sprintf("failures: %s: %v", s.ID, err)) // the dataset names only known classes
 	}
 	return cluster.With(f)
 }

@@ -135,26 +135,6 @@ func (g *Graph) Nodes() []*Node {
 	return out
 }
 
-// Edges returns every edge as a [cause, effect] pair, sorted, for
-// deterministic serialization. Rebuilding a graph from Nodes() and Edges()
-// reproduces the same node set, edge set, and therefore the same BFS
-// distances.
-func (g *Graph) Edges() [][2]string {
-	out := make([][2]string, 0, g.edges)
-	for cause, effects := range g.out {
-		for _, effect := range effects {
-			out = append(out, [2]string{cause, effect})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
 // FaultSites returns all injectable source nodes, sorted by site ID.
 func (g *Graph) FaultSites() []*Node {
 	var out []*Node
