@@ -1,76 +1,93 @@
 // Command tables regenerates the tables and figures of the paper's
-// evaluation section against this reproduction.
+// evaluation section against this reproduction, as GitHub Markdown.
 //
 // Usage:
 //
 //	tables                 # everything, parallel across all CPUs
-//	tables -table 2        # one table (1-8, 9 = ablations)
+//	tables -table 2        # one table (1-8, 9 = ablations, 10 = f23-f34)
 //	tables -figure 6       # Figure 6
 //	tables -max-rounds 500 -seed 1
 //	tables -j 1            # serial (identical output, one worker)
-//	tables -no-time        # mask wall-time cells for byte-stable output
+//	tables -no-time        # leave wall-time columns out for byte-stable output
 //	tables -trace-dir d    # one JSONL explorer trace per experiment cell
 //
-// Every experiment cell is a hermetic, seeded run, so -j N and -j 1
-// render identical deterministic content for the same seed; only the
-// measured wall-time cells vary run to run (mask them with -no-time to
-// diff outputs byte for byte).
+// Every cell is a hermetic, seeded run, so for a fixed seed the output is
+// the same at any -j, wall-time columns aside (-no-time leaves them out).
+// EXPERIMENTS.md's tables are this command's -no-time output.
+//
+// Exit codes: 0 success; 1 a table failed to generate; 2 usage error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"anduril/internal/eval"
 )
 
+const (
+	exitOK      = 0
+	exitRuntime = 1
+	exitUsage   = 2
+)
+
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main minus the process boundary: parse, validate, print the
+// selected tables, exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		table     = flag.Int("table", 0, "regenerate one table (1-8, 9 = ablations); 0 = all")
-		figure    = flag.Int("figure", 0, "regenerate one figure (6); 0 = all")
-		seed      = flag.Int64("seed", 1, "master seed")
-		maxRounds = flag.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
-		fig6      = flag.String("fig6-failure", "f4", "failure for the Figure 6 trajectory")
-		workers   = flag.Int("j", 0, "experiment-cell workers: 0 = one per CPU, 1 = serial")
-		noTime    = flag.Bool("no-time", false, "render wall-time cells as '*' (byte-stable output)")
-		traceDir  = flag.String("trace-dir", "", "write one JSONL explorer trace per experiment cell into this directory")
+		table     = fs.Int("table", 0, "regenerate one table (1-8, 9 = ablations, 10 = f23-f34); 0 = all")
+		figure    = fs.Int("figure", 0, "regenerate one figure (6); 0 = all")
+		seed      = fs.Int64("seed", 1, "master seed")
+		maxRounds = fs.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
+		workers   = fs.Int("j", 0, "experiment-cell workers: 0 = one per CPU, 1 = serial")
+		noTime    = fs.Bool("no-time", false, "leave wall-time columns out (byte-stable output)")
+		traceDir  = fs.String("trace-dir", "", "write one JSONL explorer trace per experiment cell into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return exitUsage
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tables: "+format+"\n", a...)
+		fs.Usage()
+		return exitUsage
+	}
+	if fs.NArg() != 0 {
+		return usage("unexpected arguments: %v", fs.Args())
+	}
+	if *maxRounds <= 0 { // core.Options.Validate's rule for max_rounds
+		return usage("-max-rounds: must be positive (got %d)", *maxRounds)
+	}
+	picked := map[string]int{"table": *table, "figure": *figure}
+	for _, f := range []string{"table", "figure"} {
+		if picked[f] != 0 && !slices.ContainsFunc(eval.Generators, func(g eval.Generator) bool { return g.Flag == f && g.N == picked[f] }) {
+			return usage("-%s %d: no such %s", f, picked[f], f)
+		}
+	}
 
 	opt := eval.Options{
 		Seed: *seed, MaxRounds: *maxRounds, Workers: *workers,
 		NoTiming: *noTime, TraceDir: *traceDir,
 	}
 	all := *table == 0 && *figure == 0
-
-	type gen struct {
-		id  int
-		fn  func() (*eval.Table, error)
-		fig bool
-	}
-	gens := []gen{
-		{1, func() (*eval.Table, error) { return eval.Table1FaultSites(opt) }, false},
-		{2, func() (*eval.Table, error) { return eval.Table2Efficacy(opt, nil) }, false},
-		{3, func() (*eval.Table, error) { return eval.Table3Sensitivity(opt) }, false},
-		{4, func() (*eval.Table, error) { return eval.Table4Performance(opt) }, false},
-		{5, func() (*eval.Table, error) { return eval.Table5Failures(opt) }, false},
-		{6, func() (*eval.Table, error) { return eval.Table6NewRootCauses(opt) }, false},
-		{7, func() (*eval.Table, error) { return eval.Table7StaticAnalysis(opt) }, false},
-		{8, func() (*eval.Table, error) { return eval.Table8Runtime(opt) }, false},
-		{9, func() (*eval.Table, error) { return eval.AblationTable(opt) }, false},
-		{6, func() (*eval.Table, error) { return eval.Figure6RankTrajectory(opt, *fig6) }, true},
-	}
-	for _, g := range gens {
-		want := all || (!g.fig && *table == g.id) || (g.fig && *figure == g.id)
-		if !want {
+	for _, g := range eval.Generators {
+		if !all && picked[g.Flag] != g.N {
 			continue
 		}
-		t, err := g.fn()
+		t, err := g.Run(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "tables: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "tables: %v\n", err)
+			return exitRuntime
 		}
-		fmt.Println(t.Render())
+		fmt.Fprintln(stdout, t.Render())
 	}
+	return exitOK
 }

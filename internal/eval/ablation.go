@@ -24,8 +24,7 @@ var ablationSettings = []ablationSetting{
 
 // AblationTable evaluates the design-choice toggles over the whole dataset
 // with the full-feedback algorithm: reproduced count, total rounds, and
-// which failures each setting loses. The setting × failure grid fans
-// across the worker pool.
+// which failures each setting loses.
 func AblationTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
@@ -33,15 +32,13 @@ func AblationTable(opt Options) (*Table, error) {
 		Header: []string{"Setting", "Reproduced", "Total rounds", "Lost failures"},
 	}
 	scens := failures.SiteDataset()
-	cells := make([]cell, 0, len(ablationSettings)*len(scens))
-	for si, setting := range ablationSettings {
-		for _, s := range scens {
-			opts := core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}
-			setting.mutate(&opts)
-			cells = append(cells, cell{fmt.Sprintf("ablation-s%d-%s", si, s.ID), s, opts})
-		}
+	variants := make([]variant, len(ablationSettings))
+	for i, setting := range ablationSettings {
+		o := opt.search(core.FullFeedback)
+		setting.mutate(&o)
+		variants[i] = variant{fmt.Sprintf("s%d", i), o}
 	}
-	reps, err := runCells(opt, cells)
+	reps, err := runGrid(opt, "ablation", scens, variants...)
 	if err != nil {
 		return nil, err
 	}
@@ -49,7 +46,7 @@ func AblationTable(opt Options) (*Table, error) {
 		reproduced, totalRounds := 0, 0
 		var lost []string
 		for fi, s := range scens {
-			rep := reps[si*len(scens)+fi]
+			rep := reps[si][fi]
 			if rep.Reproduced {
 				reproduced++
 				totalRounds += rep.Rounds

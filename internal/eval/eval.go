@@ -1,20 +1,22 @@
 // Package eval regenerates every table and figure of the paper's
 // evaluation (§8 and the appendix) against the Go reproduction. Each
 // TableN/FigureN function runs the corresponding experiment and returns a
-// formatted table; cmd/tables and the repository-level benchmarks are thin
-// wrappers around these.
+// Table; Generators lists them for cmd/tables and for the test that holds
+// EXPERIMENTS.md to their output.
 package eval
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/inject"
 	"anduril/internal/parallel"
 	"anduril/internal/trace"
 )
@@ -27,43 +29,48 @@ type Table struct {
 	Notes  []string
 }
 
-// Render formats the table as aligned text.
+// Render formats the table as GitHub Markdown: the title line, a pipe
+// table, and one line per note.
 func (t *Table) Render() string {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", t.Title)
-	line := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
+	b.WriteString(t.Title + "\n\n")
+	row := func(cells []string) { b.WriteString("| " + strings.Join(cells, " | ") + " |\n") }
+	row(t.Header)
+	b.WriteString(strings.Repeat("|---", len(t.Header)) + "|\n")
+	for _, r := range t.Rows {
+		row(r)
+	}
+	if len(t.Notes) > 0 {
 		b.WriteByte('\n')
 	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
-	}
 	for _, n := range t.Notes {
-		fmt.Fprintf(&b, "note: %s\n", n)
+		b.WriteString("note: " + n + "\n")
 	}
 	return b.String()
+}
+
+// Generator is one table or figure, selected in cmd/tables by
+// -<Flag> <N>.
+type Generator struct {
+	Flag string // "table" or "figure"
+	N    int
+	Run  func(Options) (*Table, error)
+}
+
+// Generators lists every table and figure in the order cmd/tables prints
+// them. Table 9 is the ablations.
+var Generators = []Generator{
+	{"table", 1, Table1FaultSites},
+	{"table", 2, func(o Options) (*Table, error) { return Table2Efficacy(o, nil) }},
+	{"table", 3, Table3Sensitivity},
+	{"table", 4, Table4Performance},
+	{"table", 5, Table5Failures},
+	{"table", 6, Table6NewRootCauses},
+	{"table", 7, Table7StaticAnalysis},
+	{"table", 8, Table8Runtime},
+	{"table", 9, AblationTable},
+	{"table", 10, Table10BeyondPaper},
+	{"figure", 6, func(o Options) (*Table, error) { return Figure6RankTrajectory(o, "f4") }},
 }
 
 // Options tune the evaluation runs.
@@ -71,27 +78,21 @@ type Options struct {
 	Seed      int64
 	MaxRounds int // cap standing in for the paper's 24-hour limit
 
-	// Workers fans independent experiment cells (failure × strategy or
-	// parameter) across a worker pool: 0 = one worker per CPU
-	// (GOMAXPROCS), 1 = fully serial, N = exactly N workers. Results are
-	// assembled in input order, so every table's deterministic content is
-	// byte-identical across worker counts for a fixed seed.
+	// Workers fans the experiment cells across a worker pool: 0 = one per
+	// CPU, 1 = serial. Results are assembled in input order, so every
+	// table's deterministic content is byte-identical across worker counts.
 	Workers int
 
-	// NoTiming renders every wall-clock duration cell as "*". Durations
-	// are measurements, not functions of the seed — they differ between
-	// any two runs, serial or not — so masking them is what makes full
-	// table output byte-stable (used by the -j equivalence tests and the
-	// cmd/tables -no-time flag). Round counts, the paper's efficiency
-	// metric, are unaffected.
+	// NoTiming leaves every wall-clock column out. Durations are
+	// measurements, not functions of the seed, so leaving them out is what
+	// makes full table output byte-stable (cmd/tables -no-time,
+	// EXPERIMENTS.md's generated blocks).
 	NoTiming bool
 
 	// TraceDir, when non-empty, writes one JSONL explorer trace per
-	// experiment cell into this directory (created if absent), named
-	// <table>-<failure>[-<strategy>].trace.jsonl. Each cell owns its file,
-	// so capture works under any worker count; trace events carry only
-	// seed-determined data, so the files are byte-identical across -j
-	// settings for a fixed seed (the CI determinism job diffs them).
+	// experiment cell into this directory, named
+	// <table>-<failure>[-<variant>].trace.jsonl; the files are
+	// byte-identical across worker counts for a fixed seed.
 	TraceDir string
 }
 
@@ -105,27 +106,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// dur renders a duration cell, honoring NoTiming.
-func (o Options) dur(d time.Duration) string {
+// timed returns the wall-clock cells of a header or row, or nothing under
+// NoTiming.
+func (o Options) timed(cells ...string) []string {
 	if o.NoTiming {
-		return "*"
+		return nil
 	}
-	return fmtDur(d)
+	return cells
 }
 
-// systems lists the five target systems in Table 1 order. The dyn target
-// (Dynamo analog, f26–f29) is intentionally absent: its scenarios carry
-// non-nil FaultClasses, so SiteDataset excludes them and the paper's
-// tables keep reporting over exactly the 22 site-rooted failures.
-var systems = []string{"zk", "dfs", "tablestore", "mq", "kvstore"}
+// search is the explorer options of one cell: the strategy under the
+// evaluation's seed and round cap.
+func (o Options) search(s core.Strategy) core.Options {
+	return core.Options{Strategy: s, Seed: o.Seed, MaxRounds: o.MaxRounds}
+}
 
-// systemLabel maps internal names to the analog of the paper's systems.
-var systemLabel = map[string]string{
-	"zk":         "zk (ZooKeeper analog)",
-	"dfs":        "dfs (HDFS analog)",
-	"tablestore": "tablestore (HBase analog)",
-	"mq":         "mq (Kafka analog)",
-	"kvstore":    "kvstore (Cassandra analog)",
+// systems lists the five target systems in Table 1 order, with the paper's
+// system each one is the analog of. The dyn target (f26–f29) is absent: the
+// paper's tables report over exactly the 22 site-rooted failures.
+var systems = []struct{ name, label string }{
+	{"zk", "zk (ZooKeeper analog)"},
+	{"dfs", "dfs (HDFS analog)"},
+	{"tablestore", "tablestore (HBase analog)"},
+	{"mq", "mq (Kafka analog)"},
+	{"kvstore", "kvstore (Cassandra analog)"},
 }
 
 func fmtDur(d time.Duration) string {
@@ -141,106 +145,85 @@ func fmtDur(d time.Duration) string {
 	}
 }
 
-// siteBySystem returns one system's scenarios restricted to the paper's
-// site-only evaluation dataset — the per-system tables (1 and 4) report
-// means and medians over the 22 failures, so the env-rooted scenarios
-// must not dilute them.
-func siteBySystem(sys string) []*failures.Scenario {
-	var out []*failures.Scenario
-	for _, s := range failures.BySystem(sys) {
-		if s.FaultClasses == nil { // the Table 5 dataset: site-rooted only
-			out = append(out, s)
-		}
+// label is a failure's row label, "ZK-2247 (f1)".
+func label(s *failures.Scenario) string { return fmt.Sprintf("%s (%s)", s.Issue, s.ID) }
+
+// cells renders a report's rounds and wall time, each "-" when it did not
+// reproduce.
+func cells(rep *core.Report) (rounds, elapsed string) {
+	if !rep.Reproduced {
+		return "-", "-"
 	}
-	return out
+	return fmt.Sprint(rep.Rounds), fmtDur(rep.Elapsed)
 }
 
-// cellTrace attaches a JSONL trace sink to one experiment cell's explorer
-// options when TraceDir is set. The returned close func flushes the file
-// and surfaces any write error; with TraceDir unset it is a no-op and the
-// options stay untouched (tracing disabled, zero overhead).
-func (o Options) cellTrace(opts *core.Options, name string) (func() error, error) {
-	if o.TraceDir == "" {
-		return func() error { return nil }, nil
-	}
-	if err := os.MkdirAll(o.TraceDir, 0o755); err != nil {
-		return nil, fmt.Errorf("trace dir: %w", err)
-	}
-	f, err := os.Create(filepath.Join(o.TraceDir, name+".trace.jsonl"))
-	if err != nil {
-		return nil, fmt.Errorf("trace file: %w", err)
-	}
-	sink := trace.NewWriter(f)
-	opts.Trace = sink
-	return func() error {
-		if err := sink.Err(); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", name, err)
-		}
-		return f.Close()
-	}, nil
-}
+// ref renders a single injected instance as "site#occurrence".
+func ref(inst inject.Instance) string { return fmt.Sprintf("%s#%d", inst.Site, inst.Occurrence) }
 
-// cell is one experiment cell: a hermetic, seeded reproduction of one
-// scenario under its own options. name labels the cell's trace file
-// (Options.TraceDir).
-type cell struct {
+// variant is one row or column of an experiment grid: the explorer options
+// its cells run under, and the name their trace files carry.
+type variant struct {
 	name string
-	s    *failures.Scenario
 	opts core.Options
 }
 
-// datasetCells is one cell per scenario under the same options, named
-// <label>-<id>.
-func datasetCells(label string, scens []*failures.Scenario, opts core.Options) []cell {
-	cells := make([]cell, len(scens))
-	for i, s := range scens {
-		cells[i] = cell{label + "-" + s.ID, s, opts}
+// runGrid is the one runner every table and figure goes through: every
+// scenario under every variant, each cell BuildTarget, TraceDir capture and
+// core.Reproduce on the worker pool, reports indexed [variant][scenario].
+// A cell's trace file is <table>-<scenario>[-<variant>]. Each cell runs
+// against the scenario's shared read-only Target, and parallel.Map returns
+// results in input order, so no table depends on the worker count.
+func runGrid(opt Options, table string, scens []*failures.Scenario, variants ...variant) ([][]*core.Report, error) {
+	if opt.TraceDir != "" {
+		if err := os.MkdirAll(opt.TraceDir, 0o755); err != nil {
+			return nil, fmt.Errorf("trace dir: %w", err)
+		}
 	}
-	return cells
-}
-
-// runCells is the one cell runner every table and figure goes through:
-// BuildTarget, TraceDir capture, core.Reproduce, on the worker pool. Each
-// cell runs against the scenario's shared read-only Target, and
-// parallel.Map returns results in input order, so the assembled tables do
-// not depend on the worker count.
-func runCells(opt Options, cells []cell) ([]*core.Report, error) {
-	return parallel.Map(opt.Workers, cells, func(_ int, c cell) (*core.Report, error) {
-		tgt, err := c.s.BuildTarget()
+	n := len(scens)
+	flat, err := parallel.Map(opt.Workers, make([]struct{}, len(variants)*n), func(i int, _ struct{}) (*core.Report, error) {
+		s, v := scens[i%n], variants[i/n] // v is this cell's own copy of the options
+		tgt, err := s.BuildTarget()
 		if err != nil {
-			return nil, fmt.Errorf("build target %s: %w", c.s.ID, err)
+			return nil, fmt.Errorf("build target %s: %w", s.ID, err)
 		}
-		opts := c.opts
-		done, err := opt.cellTrace(&opts, c.name)
+		if opt.TraceDir == "" {
+			return core.Reproduce(tgt, v.opts), nil
+		}
+		name := table + "-" + s.ID
+		if v.name != "" {
+			name += "-" + v.name
+		}
+		f, err := os.Create(filepath.Join(opt.TraceDir, name+".trace.jsonl"))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("trace file: %w", err)
 		}
-		rep := core.Reproduce(tgt, opts)
-		return rep, done()
+		sink := trace.NewWriter(f)
+		v.opts.Trace = sink
+		rep := core.Reproduce(tgt, v.opts)
+		if err := sink.Err(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("trace %s: %w", name, err)
+		}
+		return rep, f.Close()
 	})
+	if err != nil {
+		return nil, err
+	}
+	grid := make([][]*core.Report, len(variants))
+	for vi := range grid {
+		grid[vi] = flat[vi*n : (vi+1)*n]
+	}
+	return grid, nil
 }
 
-// medianInt returns the median without touching the caller's slice: cells
-// computed under the worker pool reuse their round/duration slices, so
-// sorting in place would silently reorder an aliased caller slice.
-func medianInt(vals []int) int {
+// median returns the median (the upper one of an even count) without
+// touching the caller's slice, or the zero value of an empty one.
+func median[T cmp.Ordered](vals []T) T {
 	if len(vals) == 0 {
-		return 0
+		var zero T
+		return zero
 	}
-	s := make([]int, len(vals))
-	copy(s, vals)
-	sort.Ints(s)
-	return s[len(s)/2]
-}
-
-// medianDur is medianInt for durations; same copy-first contract.
-func medianDur(vals []time.Duration) time.Duration {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(vals))
-	copy(s, vals)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	s := slices.Clone(vals)
+	slices.Sort(s)
 	return s[len(s)/2]
 }

@@ -13,16 +13,36 @@ func TestTableRender(t *testing.T) {
 	tbl := &Table{
 		Title:  "demo",
 		Header: []string{"a", "long-header"},
-		Rows:   [][]string{{"x", "1"}, {"yyyy", "22"}},
-		Notes:  []string{"n1"},
+		Rows:   [][]string{{"x", "1"}, {"yyyy", ""}},
+		Notes:  []string{"n1", "n2"},
 	}
-	out := tbl.Render()
-	if !strings.Contains(out, "demo") || !strings.Contains(out, "long-header") || !strings.Contains(out, "note: n1") {
-		t.Fatalf("render:\n%s", out)
+	want := "demo\n\n| a | long-header |\n|---|---|\n| x | 1 |\n| yyyy |  |\n\nnote: n1\nnote: n2\n"
+	if got := tbl.Render(); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 6 {
-		t.Fatalf("lines=%d:\n%s", len(lines), out)
+	tbl.Notes = nil
+	if got := tbl.Render(); !strings.HasSuffix(got, "| yyyy |  |\n") {
+		t.Fatalf("a table without notes ends at its last row:\n%s", got)
+	}
+}
+
+// Under NoTiming the wall-time columns are left out, header and rows
+// alike, instead of being masked.
+func TestNoTimingLeavesWallTimeColumnsOut(t *testing.T) {
+	for _, noTime := range []bool{false, true} {
+		tbl, err := Table4Performance(Options{MaxRounds: 20, NoTiming: noTime})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 5
+		if noTime {
+			want = 2
+		}
+		for _, row := range append([][]string{tbl.Header}, tbl.Rows...) {
+			if len(row) != want {
+				t.Errorf("NoTiming=%v: row %v has %d cells, want %d", noTime, row, len(row), want)
+			}
+		}
 	}
 }
 
@@ -42,13 +62,16 @@ func TestTable2FullFeedbackOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 22 {
-		t.Fatalf("rows=%d", len(tbl.Rows))
+	if len(tbl.Rows) != 22+2 {
+		t.Fatalf("rows=%d, want 22 failures and the reproduced and median rows", len(tbl.Rows))
 	}
 	for _, row := range tbl.Rows {
 		if row[1] == "-" {
 			t.Errorf("%s not reproduced by full feedback", row[0])
 		}
+	}
+	if got := tbl.Rows[22]; got[0] != "reproduced" || got[1] != "22" {
+		t.Errorf("summary row %v, want reproduced 22", got)
 	}
 }
 
@@ -165,8 +188,7 @@ func TestTable3Lite(t *testing.T) {
 }
 
 // TestTraceDirOneFilePerCell: every table and the figure run their cells
-// through runCells, so TraceDir captures each cell exactly once — Tables
-// 3, 6 and 9 and Figure 6 used to write nothing.
+// through runGrid, so TraceDir captures each cell exactly once.
 func TestTraceDirOneFilePerCell(t *testing.T) {
 	one := []core.Strategy{core.FullFeedback}
 	for _, c := range []struct {
@@ -182,6 +204,7 @@ func TestTraceDirOneFilePerCell(t *testing.T) {
 		{"table6", 22, Table6NewRootCauses},
 		{"table8", 22, Table8Runtime},
 		{"ablation", len(ablationSettings) * 22, AblationTable},
+		{"table10", 12, Table10BeyondPaper},
 		{"figure6", 1, func(o Options) (*Table, error) { return Figure6RankTrajectory(o, "f4") }},
 	} {
 		dir := t.TempDir()

@@ -190,15 +190,15 @@ func TestBuildTargetsReturnsCopy(t *testing.T) {
 	}
 }
 
-// The median helpers must not reorder the caller's slice — cells under
+// The median helper must not reorder the caller's slice — cells under
 // the worker pool reuse their slices, so in-place sorting was a real bug.
 func TestMediansDoNotMutate(t *testing.T) {
 	ints := []int{5, 1, 4, 2, 3}
-	if m := medianInt(ints); m != 3 {
-		t.Fatalf("medianInt=%d", m)
+	if m := median(ints); m != 3 {
+		t.Fatalf("median=%d", m)
 	}
 	if ints[0] != 5 || ints[4] != 3 {
-		t.Fatalf("medianInt reordered its input: %v", ints)
+		t.Fatalf("median reordered its input: %v", ints)
 	}
 	durs := []int64{50, 10, 40, 20, 30}
 	orig := append([]int64(nil), durs...)
@@ -206,12 +206,12 @@ func TestMediansDoNotMutate(t *testing.T) {
 	for i, d := range durs {
 		ds[i] = time.Duration(d)
 	}
-	if m := medianDur(ds); m != 30 {
-		t.Fatalf("medianDur=%v", m)
+	if m := median(ds); m != 30 {
+		t.Fatalf("median=%v", m)
 	}
 	for i := range durs {
 		if int64(ds[i]) != orig[i] {
-			t.Fatalf("medianDur reordered its input: %v", ds)
+			t.Fatalf("median reordered its input: %v", ds)
 		}
 	}
 }

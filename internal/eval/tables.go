@@ -2,11 +2,14 @@ package eval
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/inject"
 )
 
 // Table1FaultSites reproduces Table 1: per-system code size and fault-site
@@ -23,52 +26,48 @@ func Table1FaultSites(opt Options) (*Table, error) {
 			"Dynamic: mean dynamic occurrences of the inferred sites under the failure's workload.",
 		},
 	}
+	scens := failures.SiteDataset()
+	free := opt.search(core.FullFeedback)
+	free.MaxRounds = 1
+	reps, err := runGrid(opt, "table1", scens, variant{opts: free})
+	if err != nil {
+		return nil, err
+	}
 	for _, sys := range systems {
-		scens := siteBySystem(sys)
-		if len(scens) == 0 {
-			continue
-		}
-		an, err := scens[0].Analyze()
+		an, err := failures.BySystem(sys.name)[0].Analyze()
 		if err != nil {
 			return nil, err
 		}
-		reps, err := runCells(opt, datasetCells("table1", scens,
-			core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: 1}))
-		if err != nil {
-			return nil, err
+		n, sumInferred, sumDynamic := 0, 0, 0
+		for i, rep := range reps[0] {
+			if scens[i].System == sys.name {
+				n++
+				sumInferred += rep.CandidateSites
+				sumDynamic += rep.CandidateInstances
+			}
 		}
-		sumInferred, sumDynamic := 0, 0
-		for _, rep := range reps {
-			sumInferred += rep.CandidateSites
-			sumDynamic += rep.CandidateInstances
-		}
-		t.Rows = append(t.Rows, []string{
-			systemLabel[sys],
-			fmt.Sprint(an.LOC),
-			fmt.Sprint(len(an.Sites)),
-			fmt.Sprint(sumInferred / len(scens)),
-			fmt.Sprint(sumDynamic / len(scens)),
-		})
+		t.Rows = append(t.Rows, []string{sys.label, fmt.Sprint(an.LOC), fmt.Sprint(len(an.Sites)),
+			fmt.Sprint(sumInferred / n), fmt.Sprint(sumDynamic / n)})
 	}
 	return t, nil
 }
 
-// Table2Strategies is the strategy column order of Table 2: the rows of
-// core's strategy table, which are kept in that order.
-func Table2Strategies() []core.Strategy { return core.Strategies() }
-
 // Table2Efficacy reproduces Table 2: rounds and wall time per failure for
-// ANDURIL, its ablation variants, and the comparison systems. "-" means the
+// ANDURIL, its ablation variants, and the comparison systems (nil
+// strategies = all of them, in core.Strategies order). "-" means the
 // strategy did not reproduce within the round cap (the paper's 24-hour
-// analog). The failure × strategy grid fans across the worker pool.
+// analog). Two summary rows count each strategy's reproductions and take
+// the median of their rounds.
 func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 	opt = opt.withDefaults()
 	if strategies == nil {
-		strategies = Table2Strategies()
+		strategies = core.Strategies()
 	}
 	header := []string{"Failure"}
-	for _, s := range strategies {
-		header = append(header, string(s)+" rnd", "time")
+	variants := make([]variant, len(strategies))
+	for i, s := range strategies {
+		header = append(append(header, string(s)+" rnd"), opt.timed("time")...)
+		variants[i] = variant{string(s), opt.search(s)}
 	}
 	t := &Table{
 		Title:  "Table 2: efficacy of failure reproduction (rounds / wall time)",
@@ -78,35 +77,56 @@ func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 		},
 	}
 	scens := failures.SiteDataset()
-	cells := make([]cell, 0, len(scens)*len(strategies))
-	for _, s := range scens {
-		for _, strat := range strategies {
-			cells = append(cells, cell{fmt.Sprintf("table2-%s-%s", s.ID, strat), s,
-				core.Options{Strategy: strat, Seed: opt.Seed, MaxRounds: opt.MaxRounds}})
-		}
-	}
-	reps, err := runCells(opt, cells)
+	reps, err := runGrid(opt, "table2", scens, variants...)
 	if err != nil {
 		return nil, err
 	}
 	for fi, s := range scens {
-		row := []string{fmt.Sprintf("%s (%s)", s.Issue, s.ID)}
+		row := []string{label(s)}
 		for si := range strategies {
-			rep := reps[fi*len(strategies)+si]
-			if rep.Reproduced {
-				row = append(row, fmt.Sprint(rep.Rounds), opt.dur(rep.Elapsed))
-			} else {
-				row = append(row, "-", "-")
-			}
+			rnd, tm := cells(reps[si][fi])
+			row = append(append(row, rnd), opt.timed(tm)...)
 		}
 		t.Rows = append(t.Rows, row)
+	}
+	reproduced, med := []string{"reproduced"}, []string{"median"}
+	for _, col := range reps {
+		var rounds []int
+		for _, rep := range col {
+			if rep.Reproduced {
+				rounds = append(rounds, rep.Rounds)
+			}
+		}
+		m := "-"
+		if len(rounds) > 0 {
+			m = fmt.Sprint(median(rounds))
+		}
+		reproduced = append(append(reproduced, fmt.Sprint(len(rounds))), opt.timed("")...)
+		med = append(append(med, m), opt.timed("")...)
+	}
+	t.Rows = append(t.Rows, reproduced, med)
+	ff, sd := slices.Index(strategies, core.FullFeedback), slices.Index(strategies, core.SiteDistance)
+	if ff >= 0 && sd >= 0 {
+		first, ties := 0, 0
+		for fi := range scens {
+			a, _ := cells(reps[ff][fi])
+			b, _ := cells(reps[sd][fi])
+			if a == "1" {
+				first++
+			}
+			if a == b {
+				ties++
+			}
+		}
+		t.Notes = append(t.Notes,
+			fmt.Sprintf("%s reproduces %d of %d in round 1.", core.FullFeedback, first, len(scens)),
+			fmt.Sprintf("%s ties %s on %d of %d.", core.FullFeedback, core.SiteDistance, ties, len(scens)))
 	}
 	return t, nil
 }
 
 // Table3Sensitivity reproduces Table 3: rounds for the initial window size
-// k in {1,3,10} and the feedback adjustment s in {+1,+2,+10}. The
-// parameter × failure grid fans across the worker pool.
+// k in {1,3,10} and the feedback adjustment s in {+1,+2,+10}.
 func Table3Sensitivity(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	scens := failures.SiteDataset()
@@ -118,36 +138,24 @@ func Table3Sensitivity(opt Options) (*Table, error) {
 		Title:  "Table 3: sensitivity of the window size k and adjustment s (rounds)",
 		Header: header,
 	}
-	type param struct {
-		label          string
-		window, adjust int
+	param := func(label string, window, adjust int) variant {
+		o := opt.search(core.FullFeedback)
+		o.Window, o.Adjust = window, adjust
+		return variant{label, o}
 	}
-	params := []param{
-		{"k=1", 1, 1}, {"k=3", 3, 1}, {"k=10", 10, 1},
-		{"s=+1", 10, 1}, {"s=+2", 10, 2}, {"s=+10", 10, 10},
+	variants := []variant{
+		param("k=1", 1, 1), param("k=3", 3, 1), param("k=10", 10, 1),
+		param("s=+1", 10, 1), param("s=+2", 10, 2), param("s=+10", 10, 10),
 	}
-	cells := make([]cell, 0, len(params)*len(scens))
-	for pi, p := range params {
-		for _, s := range scens {
-			cells = append(cells, cell{fmt.Sprintf("table3-p%d-%s", pi, s.ID), s, core.Options{
-				Strategy: core.FullFeedback, Seed: opt.Seed,
-				MaxRounds: opt.MaxRounds, Window: p.window, Adjust: p.adjust,
-			}})
-		}
-	}
-	reps, err := runCells(opt, cells)
+	reps, err := runGrid(opt, "table3", scens, variants...)
 	if err != nil {
 		return nil, err
 	}
-	for pi, p := range params {
-		row := []string{p.label}
-		for fi := range scens {
-			rep := reps[pi*len(scens)+fi]
-			if rep.Reproduced {
-				row = append(row, fmt.Sprint(rep.Rounds))
-			} else {
-				row = append(row, "-")
-			}
+	for pi, v := range variants {
+		row := []string{v.name}
+		for _, rep := range reps[pi] {
+			rnd, _ := cells(rep)
+			row = append(row, rnd)
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -161,29 +169,26 @@ func Table4Performance(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
 		Title:  "Table 4: explorer performance per system (medians)",
-		Header: []string{"System", "Inject.Req", "Latency", "Round Init", "Workload"},
+		Header: append([]string{"System", "Inject.Req"}, opt.timed("Latency", "Round Init", "Workload")...),
+	}
+	scens := failures.SiteDataset()
+	reps, err := runGrid(opt, "table4", scens, variant{opts: opt.search(core.FullFeedback)})
+	if err != nil {
+		return nil, err
 	}
 	for _, sys := range systems {
-		reps, err := runCells(opt, datasetCells("table4", siteBySystem(sys),
-			core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
-		if err != nil {
-			return nil, err
-		}
 		var reqs []int
 		var lat, init, work []time.Duration
-		for _, rep := range reps {
-			reqs = append(reqs, rep.MedianInjectReqs())
-			lat = append(lat, rep.MeanDecisionLatency())
-			init = append(init, rep.MedianInitTime())
-			work = append(work, rep.MedianRunTime())
+		for i, rep := range reps[0] {
+			if scens[i].System == sys.name {
+				reqs = append(reqs, rep.MedianInjectReqs())
+				lat = append(lat, rep.MeanDecisionLatency())
+				init = append(init, rep.MedianInitTime())
+				work = append(work, rep.MedianRunTime())
+			}
 		}
-		t.Rows = append(t.Rows, []string{
-			systemLabel[sys],
-			fmt.Sprint(medianInt(reqs)),
-			opt.dur(medianDur(lat)),
-			opt.dur(medianDur(init)),
-			opt.dur(medianDur(work)),
-		})
+		t.Rows = append(t.Rows, append([]string{sys.label, fmt.Sprint(median(reqs))},
+			opt.timed(fmtDur(median(lat)), fmtDur(median(init)), fmtDur(median(work)))...))
 	}
 	return t, nil
 }
@@ -194,24 +199,16 @@ func Table5Failures(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
 		Title:  "Table 5: the 22-failure dataset and the stacktrace-injector baseline",
-		Header: []string{"Failure", "Injected Fault", "ST rnd", "ST time", "Description"},
+		Header: slices.Concat([]string{"Failure", "Injected Fault", "ST rnd"}, opt.timed("ST time"), []string{"Description"}),
 	}
 	scens := failures.SiteDataset()
-	reps, err := runCells(opt, datasetCells("table5", scens,
-		core.Options{Strategy: core.StackTrace, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
+	reps, err := runGrid(opt, "table5", scens, variant{opts: opt.search(core.StackTrace)})
 	if err != nil {
 		return nil, err
 	}
 	for i, s := range scens {
-		rep := reps[i]
-		rnd, tm := "-", "-"
-		if rep.Reproduced {
-			rnd, tm = fmt.Sprint(rep.Rounds), opt.dur(rep.Elapsed)
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s (%s)", s.Issue, s.ID),
-			string(s.Kind), rnd, tm, s.Description,
-		})
+		rnd, tm := cells(reps[0][i])
+		t.Rows = append(t.Rows, slices.Concat([]string{label(s), string(s.Kind), rnd}, opt.timed(tm), []string{s.Description}))
 	}
 	return t, nil
 }
@@ -229,17 +226,13 @@ func Table6NewRootCauses(opt Options) (*Table, error) {
 		Notes:  []string{"Rows appear when the oracle-satisfying fault differs from the ground-truth site."},
 	}
 	scens := failures.SiteDataset()
-	reps, err := runCells(opt, datasetCells("table6", scens,
-		core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
+	reps, err := runGrid(opt, "table6", scens, variant{opts: opt.search(core.FullFeedback)})
 	if err != nil {
 		return nil, err
 	}
 	for i, s := range scens {
-		rep := reps[i]
-		if !rep.Reproduced || rep.Script == nil {
-			continue
-		}
-		if rep.Script.Site == s.RootSite && s.NewRootCause == "" {
+		rep := reps[0][i]
+		if !rep.Reproduced || rep.Script == nil || (rep.Script.Site == s.RootSite && s.NewRootCause == "") {
 			continue
 		}
 		discovered := rep.Script.Site
@@ -250,12 +243,7 @@ func Table6NewRootCauses(opt Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s (%s)", s.Issue, s.ID),
-			s.RootSite,
-			discovered,
-			fmt.Sprint(core.Verify(tgt, *rep.Script, rep.ScriptSeed)),
-		})
+		t.Rows = append(t.Rows, []string{label(s), s.RootSite, discovered, fmt.Sprint(core.Verify(tgt, *rep.Script, rep.ScriptSeed))})
 	}
 	return t, nil
 }
@@ -264,28 +252,20 @@ func Table6NewRootCauses(opt Options) (*Table, error) {
 // analysis cost, broken down into exception analysis, slicing and chaining.
 func Table7StaticAnalysis(opt Options) (*Table, error) {
 	t := &Table{
-		Title:  "Table 7: static analysis performance",
-		Header: []string{"System", "LOC", "Exception", "Slicing", "Chaining", "Total", "Graph V", "Graph E"},
+		Title: "Table 7: static analysis performance",
+		Header: slices.Concat([]string{"System", "LOC"}, opt.timed("Exception", "Slicing", "Chaining", "Total"),
+			[]string{"Graph V", "Graph E"}),
 	}
 	for _, sys := range systems {
-		scens := siteBySystem(sys)
-		if len(scens) == 0 {
-			continue
-		}
-		an, err := scens[0].Analyze()
+		an, err := failures.BySystem(sys.name)[0].Analyze()
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{
-			systemLabel[sys],
-			fmt.Sprint(an.LOC),
-			opt.dur(an.Timing.Exception),
-			opt.dur(an.Timing.Slicing),
-			opt.dur(an.Timing.Chaining),
-			opt.dur(an.Timing.Total),
-			fmt.Sprint(an.Graph.NumNodes()),
-			fmt.Sprint(an.Graph.NumEdges()),
-		})
+		t.Rows = append(t.Rows, slices.Concat(
+			[]string{sys.label, fmt.Sprint(an.LOC)},
+			opt.timed(fmtDur(an.Timing.Exception), fmtDur(an.Timing.Slicing), fmtDur(an.Timing.Chaining), fmtDur(an.Timing.Total)),
+			[]string{fmt.Sprint(an.Graph.NumNodes()), fmt.Sprint(an.Graph.NumEdges())},
+		))
 	}
 	return t, nil
 }
@@ -294,25 +274,50 @@ func Table7StaticAnalysis(opt Options) (*Table, error) {
 func Table8Runtime(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
-		Title:  "Table 8: per-failure explorer runtime details",
-		Header: []string{"Failure", "Inject.Req", "Latency", "Round Init", "Workload", "FreeRun Lines"},
+		Title: "Table 8: per-failure explorer runtime details",
+		Header: slices.Concat([]string{"Failure", "Inject.Req"}, opt.timed("Latency", "Round Init", "Workload"),
+			[]string{"FreeRun Lines"}),
 	}
 	scens := failures.SiteDataset()
-	reps, err := runCells(opt, datasetCells("table8", scens,
-		core.Options{Strategy: core.FullFeedback, Seed: opt.Seed, MaxRounds: opt.MaxRounds}))
+	reps, err := runGrid(opt, "table8", scens, variant{opts: opt.search(core.FullFeedback)})
 	if err != nil {
 		return nil, err
 	}
 	for i, s := range scens {
-		rep := reps[i]
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%s (%s)", s.Issue, s.ID),
-			fmt.Sprint(rep.MedianInjectReqs()),
-			opt.dur(rep.MeanDecisionLatency()),
-			opt.dur(rep.MedianInitTime()),
-			opt.dur(rep.MedianRunTime()),
-			fmt.Sprint(rep.FreeRunLogLines),
-		})
+		rep := reps[0][i]
+		t.Rows = append(t.Rows, slices.Concat(
+			[]string{label(s), fmt.Sprint(rep.MedianInjectReqs())},
+			opt.timed(fmtDur(rep.MeanDecisionLatency()), fmtDur(rep.MedianInitTime()), fmtDur(rep.MedianRunTime())),
+			[]string{fmt.Sprint(rep.FreeRunLogLines)},
+		))
+	}
+	return t, nil
+}
+
+// Table10BeyondPaper records the failures beyond the paper's 22 (f23–f34):
+// full feedback under each failure's declared fault classes, and the
+// script it finds. A pair script prints as "a#n + b#m".
+func Table10BeyondPaper(opt Options) (*Table, error) {
+	opt = opt.withDefaults()
+	t := &Table{
+		Title:  "Table 10: failures beyond the paper's dataset (full feedback under each failure's fault classes)",
+		Header: []string{"Failure", "Classes", "Script", "Rounds"},
+	}
+	scens := slices.DeleteFunc(failures.All(), func(s *failures.Scenario) bool { return s.FaultClasses == nil })
+	reps, err := runGrid(opt, "table10", scens, variant{opts: opt.search(core.FullFeedback)})
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range scens {
+		rep, script := reps[0][i], "-"
+		if rep.Reproduced {
+			script = ref(*rep.Script)
+			if a, b, ok := inject.PairMembers(*rep.Script); ok {
+				script = ref(a) + " + " + ref(b)
+			}
+		}
+		rnd, _ := cells(rep)
+		t.Rows = append(t.Rows, []string{label(s), strings.Join(s.FaultClasses, ","), script, rnd})
 	}
 	return t, nil
 }
@@ -327,14 +332,13 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 	if !ok {
 		return nil, fmt.Errorf("eval: no failure %s", failureID)
 	}
-	reps, err := runCells(opt, []cell{{"figure6-" + s.ID, s, core.Options{
-		Strategy: core.FullFeedback, Seed: opt.Seed,
-		MaxRounds: opt.MaxRounds, Window: 1, TrackRank: true,
-	}}})
+	o := opt.search(core.FullFeedback)
+	o.Window, o.TrackRank = 1, true
+	reps, err := runGrid(opt, "figure6", []*failures.Scenario{s}, variant{opts: o})
 	if err != nil {
 		return nil, err
 	}
-	rep := reps[0]
+	rep := reps[0][0]
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 6: rank of the root-cause fault site across trials (%s)", s.Issue),
 		Header: []string{"Trial", "Root-site rank", "Injected", "Reproduced"},
@@ -342,15 +346,12 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 	for _, rd := range rep.RoundLog {
 		injected := "-"
 		if rd.Injected != nil {
-			injected = fmt.Sprintf("%s#%d", rd.Injected.Site, rd.Injected.Occurrence)
+			injected = ref(*rd.Injected)
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(rd.N), fmt.Sprint(rd.RootRank), injected, fmt.Sprint(rd.Satisfied),
-		})
+		t.Rows = append(t.Rows, []string{fmt.Sprint(rd.N), fmt.Sprint(rd.RootRank), injected, fmt.Sprint(rd.Satisfied)})
 	}
 	if rep.Reproduced {
-		t.Notes = append(t.Notes, fmt.Sprintf("reproduced in %d trials via %s#%d",
-			rep.Rounds, rep.Script.Site, rep.Script.Occurrence))
+		t.Notes = append(t.Notes, fmt.Sprintf("reproduced in %d trials via %s", rep.Rounds, ref(*rep.Script)))
 	}
 	return t, nil
 }
