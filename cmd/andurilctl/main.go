@@ -580,8 +580,7 @@ func serialRun(spec server.Spec) (*core.Report, []byte, error) {
 	rep := core.Reproduce(t, opts)
 	var buf []byte
 	for i := range mem.Events {
-		buf = trace.AppendEvent(buf, &mem.Events[i])
-		buf = append(buf, '\n')
+		buf = append(buf, trace.Line(&mem.Events[i])+"\n"...)
 	}
 	return rep, buf, nil
 }

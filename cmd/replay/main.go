@@ -41,10 +41,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *failure == "" || *script == "" {
-		fmt.Fprintln(stderr, "replay: -failure and -script required")
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "replay: "+format+"\n", a...)
 		fs.Usage()
 		return 2
+	}
+	switch {
+	case fs.NArg() != 0:
+		return usage("unexpected arguments: %v", fs.Args())
+	case *failure == "" || *script == "":
+		return usage("-failure and -script required")
+	case *tail < 0:
+		return usage("-tail: must not be negative (got %d)", *tail)
 	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "replay: %v\n", err)

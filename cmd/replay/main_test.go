@@ -12,12 +12,12 @@ import (
 	"anduril/internal/core"
 )
 
-// TestReplayRunsUnderTheScriptSeed: f3, the quickstart failure, reproduces
-// in round 1 — under seed 2 — and its script is bound to that seed in
-// occurrence mode. A file written by ScriptOf replays with no -seed; an
-// explicit -seed overrides the file; a file from before the field existed
-// replays under 1, as it always did.
-func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
+// f3Script writes the script file of f3, the quickstart failure, into a
+// temporary directory and returns its path and contents. f3 reproduces in
+// round 1 — under seed 2 — and its script is bound to that seed in
+// occurrence mode.
+func f3Script(t *testing.T) (string, []byte) {
+	t.Helper()
 	target, err := anduril.Dataset("f3")
 	if err != nil {
 		t.Fatal(err)
@@ -34,12 +34,19 @@ func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	current := filepath.Join(dir, "f3.json")
-	legacy := filepath.Join(dir, "f3.legacy.json")
-	if err := os.WriteFile(current, data, 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "f3.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path, data
+}
+
+// TestReplayRunsUnderTheScriptSeed: a file written by ScriptOf replays with
+// no -seed; an explicit -seed overrides the file; a file from before the
+// field existed replays under 1, as it always did.
+func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
+	current, data := f3Script(t)
+	legacy := filepath.Join(filepath.Dir(current), "f3.legacy.json")
 	seedLine := []byte("\n  \"seed\": 2,")
 	if !bytes.Contains(data, seedLine) {
 		t.Fatalf("script file does not record its seed:\n%s", data)
@@ -67,6 +74,27 @@ func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
 		}
 		if satisfied := strings.Contains(stdout.String(), "satisfied: true"); satisfied != (c.code == 0) {
 			t.Errorf("%s: exit %d but satisfied=%v", c.name, code, satisfied)
+		}
+	}
+}
+
+// Input replay cannot honour is a usage error (exit 2) with a message and
+// no replay, even next to a script that replays.
+func TestUsageErrors(t *testing.T) {
+	script, _ := f3Script(t)
+	for _, c := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"negative tail", []string{"-failure", "f3", "-script", script, "-tail", "-1"}, "-tail: must not be negative (got -1)"},
+		{"positional junk", []string{"-failure", "f3", "-script", script, "extra"}, "unexpected arguments: [extra]"},
+		{"no script", []string{"-failure", "f3"}, "-failure and -script required"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(c.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 2 naming %q and no replay",
+				c.name, code, stderr.String(), stdout.String(), c.want)
 		}
 	}
 }

@@ -262,7 +262,7 @@ func render(ev *trace.Event) string {
 	case trace.Outcome:
 		fmt.Fprintf(&b, "outcome: reproduced=%v rounds=%d reason=%s", ev.Reproduced, ev.Rounds, ev.Reason)
 		if ev.Reproduced {
-			fmt.Fprintf(&b, " script=%s#%d seed=%d", ev.Site, ev.Occ, ev.ScriptSeed)
+			fmt.Fprintf(&b, " script=%s seed=%d", candidateRef(trace.Candidate{Site: ev.Site, Occ: ev.Occ, Path: ev.Path}), ev.ScriptSeed)
 		}
 		if ev.RootRank > 0 {
 			fmt.Fprintf(&b, " final-rank(root)=%d", ev.RootRank)

@@ -32,6 +32,22 @@ func TestRenderInjectedEvents(t *testing.T) {
 		{"pair", trace.Event{Type: trace.PairInjected, Round: 7, Site: "pair/a.x+env/crash/n1", Occ: 5,
 			Members: []trace.Candidate{{Site: "a.x", Occ: 1}, {Site: "env/crash/n1", Path: "env/crash/n1#2"}}},
 			"round   7: injected pair pair/a.x+env/crash/n1#5 [a.x#1 + env/crash/n1#2] — oracle not satisfied"},
+		// The outcome names the script as the injected line does: by its
+		// path when it has one (f26 and f30 in path mode, f30's pair members
+		// in occurrence mode), by site#occ otherwise.
+		{"outcome site", trace.Event{Type: trace.Outcome, Site: "dyn.gossip.pull-ring", Occ: 2,
+			Reproduced: true, Rounds: 1, Reason: trace.ReasonReproduced, ScriptSeed: 2},
+			"outcome: reproduced=true rounds=1 reason=reproduced script=dyn.gossip.pull-ring#2 seed=2"},
+		{"outcome path", trace.Event{Type: trace.Outcome, Site: "dyn.gossip.pull-ring", Occ: 2,
+			Path: "dyn.gossip.send-digest[37]>dyn.gossip.pull-ring#1", Reproduced: true, Rounds: 1,
+			Reason: trace.ReasonReproduced, ScriptSeed: 2},
+			"outcome: reproduced=true rounds=1 reason=reproduced script=dyn.gossip.send-digest[37]>dyn.gossip.pull-ring#1 seed=2"},
+		{"outcome pair", trace.Event{Type: trace.Outcome, Site: "pair/dyn.handoff.replay-hint+dyn.store.persist-record", Occ: 540,
+			Path: "dyn.handoff.replay-hint:18+dyn.store.persist-record:30", Reproduced: true, Rounds: 447,
+			Reason: trace.ReasonReproduced, ScriptSeed: 448},
+			"outcome: reproduced=true rounds=447 reason=reproduced script=dyn.handoff.replay-hint:18+dyn.store.persist-record:30 seed=448"},
+		{"outcome not reproduced", trace.Event{Type: trace.Outcome, Rounds: 500, Reason: trace.ReasonRoundCap, RootRank: 3},
+			"outcome: reproduced=false rounds=500 reason=round-cap final-rank(root)=3"},
 	}
 	for _, c := range cases {
 		if got := render(&c.ev); got != c.want {

@@ -26,6 +26,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -307,6 +308,38 @@ func sameTrace(t *testing.T, want, got []byte) bool {
 		t.Error(d)
 	}
 	return false
+}
+
+// TestGoldenTracesReencodeByteEqual: every line of every committed golden
+// trace, decoded by trace.ReadAll and rendered again by trace.Line, is the
+// line on file — the contract a field added to trace.Event must keep. The
+// goldens hold nine of the eleven event types; window_grow, inconclusive
+// and Float's "+inf" are pinned by the trace package's own tests.
+func TestGoldenTracesReencodeByteEqual(t *testing.T) {
+	files, err := filepath.Glob("testdata/*.trace.jsonl")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden traces found (err %v)", err)
+	}
+	for _, path := range files {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := trace.ReadAll(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		onFile := strings.SplitAfter(string(raw), "\n")
+		if n := len(onFile) - 1; onFile[n] != "" || n != len(events) {
+			t.Fatalf("%s: %d events from %d newline-terminated lines", path, len(events), n)
+		}
+		for i := range events {
+			if got := trace.Line(&events[i]) + "\n"; got != onFile[i] {
+				t.Errorf("%s:%d re-encodes as\n%s\nnot\n%s", path, i+1, got, onFile[i])
+				break
+			}
+		}
+	}
 }
 
 // injectedEvent: the reproducing round's injection is on the trace as the

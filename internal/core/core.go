@@ -159,13 +159,6 @@ type Options struct {
 	Checkpoint      func(Checkpoint) error
 	CheckpointEvery int // rounds between checkpoints; default 10
 
-	// EventBudget caps the DES events of a single trial run. A livelocked
-	// target (a zero-delay self-scheduling loop) never advances virtual
-	// time, so the time horizon alone cannot stop it; the budget is the
-	// watchdog that bounds the round, degrading it to inconclusive.
-	// Default DefaultEventBudget; negative means unlimited.
-	EventBudget int
-
 	// Context, when non-nil, cancels the search from outside: the engine
 	// checks it between rounds and the DES kernel polls it inside runs.
 	// A cancelled search returns with Report.Interrupted set and emits no
@@ -267,15 +260,15 @@ func (o Options) withDefaults() Options {
 	if o.Addressing == "" {
 		o.Addressing = AddrOccurrence
 	}
-	if o.EventBudget == 0 {
-		o.EventBudget = DefaultEventBudget
-	}
 	return o
 }
 
-// DefaultEventBudget is the per-trial DES event cap. The dataset's free
-// runs execute under ~2k events, so a million-event trial is a livelock,
-// not a slow run.
+// DefaultEventBudget caps the DES events of every trial run. A livelocked
+// target (a zero-delay self-scheduling loop) never advances virtual time,
+// so the time horizon alone cannot stop it; the budget is the watchdog that
+// bounds the round, degrading it to inconclusive. The dataset's free runs
+// execute under ~2k events, so a million-event trial is a livelock, not a
+// slow run.
 const DefaultEventBudget = 1 << 20
 
 // Round records one injection round.

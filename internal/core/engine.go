@@ -399,10 +399,6 @@ func (e *engine) finish(start time.Time) {
 // recovery, the event budget, and the cancellation context — in a recycled
 // environment when a booked round has left one.
 func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.Result, error) {
-	budget := e.o.EventBudget
-	if budget < 0 {
-		budget = 0 // negative means unlimited
-	}
 	var env *cluster.Env
 	if n := len(e.envs); n > 0 {
 		env, e.envs = e.envs[n-1], e.envs[:n-1]
@@ -411,7 +407,7 @@ func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.
 	// walks it in place; asking TryExecuteOn for it would also join it into
 	// Result.Trace, a copy of the whole timeline nothing here reads.
 	keepReaches := func(env *cluster.Env) { env.FI.KeepTrace = keepTrace }
-	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, budget, cluster.With(e.feats), keepReaches)
+	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, DefaultEventBudget, cluster.With(e.feats), keepReaches)
 }
 
 // release takes back the environments of a round that has been booked:

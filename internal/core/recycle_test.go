@@ -89,7 +89,7 @@ func sameSearch(t *testing.T, rec, fresh *envLog, rep, ref *core.Report) {
 // resume to the uninterrupted run.)
 func TestFailedTrialsAreNotRecycled(t *testing.T) {
 	tgt := target(t, "f1")
-	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, EventBudget: 50_000}
+	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
 	baseline := core.Reproduce(tgt, base)
 	if !baseline.Reproduced {
 		t.Fatal("baseline not reproduced")

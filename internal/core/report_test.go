@@ -21,52 +21,45 @@ func TestOptionsWithDefaults(t *testing.T) {
 			in:   Options{},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, EventBudget: DefaultEventBudget},
+				CheckpointEvery: 10},
 		},
 		{
 			name: "negative knobs are treated as unset",
 			in:   Options{Window: -5, Adjust: -1, MaxRounds: -10, RunsPerRound: -2, CheckpointEvery: -4},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, EventBudget: DefaultEventBudget},
+				CheckpointEvery: 10},
 		},
 		{
 			name: "explicit values survive",
 			in: Options{Strategy: Random, Window: 3, Adjust: 2, MaxRounds: 7,
 				RunsPerRound: 4, Seed: 42,
-				CheckpointEvery: 2, EventBudget: 5000, StopAfterRound: 6},
+				CheckpointEvery: 2, StopAfterRound: 6},
 			want: Options{Strategy: Random, Window: 3, Adjust: 2, MaxRounds: 7,
 				RunsPerRound: 4, Seed: 42, Addressing: AddrOccurrence,
-				CheckpointEvery: 2, EventBudget: 5000, StopAfterRound: 6},
+				CheckpointEvery: 2, StopAfterRound: 6},
 		},
 		{
 			name: "seed zero stays zero (a valid master seed)",
 			in:   Options{Seed: 0, Window: 1},
 			want: Options{Strategy: FullFeedback, Window: 1, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, EventBudget: DefaultEventBudget},
+				CheckpointEvery: 10},
 		},
 		{
 			name: "explicit path addressing survives",
 			in:   Options{Addressing: AddrPath},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrPath,
-				CheckpointEvery: 10, EventBudget: DefaultEventBudget},
-		},
-		{
-			name: "negative event budget means unlimited and survives",
-			in:   Options{EventBudget: -1},
-			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, EventBudget: -1},
+				CheckpointEvery: 10},
 		},
 		{
 			name: "ablation flags pass through untouched",
 			in:   Options{AggregateSum: true, TemporalByOrder: true, FixedWindow: true, GlobalDiff: true},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, EventBudget: DefaultEventBudget,
-				AggregateSum: true, TemporalByOrder: true, FixedWindow: true, GlobalDiff: true},
+				CheckpointEvery: 10, AggregateSum: true, TemporalByOrder: true,
+				FixedWindow: true, GlobalDiff: true},
 		},
 	}
 	for _, tc := range cases {

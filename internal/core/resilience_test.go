@@ -194,7 +194,6 @@ func TestLivelockWatchdog(t *testing.T) {
 	var mem trace.Memory
 	opts := base
 	opts.Trace = &mem
-	opts.EventBudget = 50_000
 	rep := core.Reproduce(wrapped, opts)
 	if !rep.Reproduced {
 		t.Fatalf("search hung or died under a livelocked target: %+v", rep)

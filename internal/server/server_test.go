@@ -45,8 +45,7 @@ func serialRun(t *testing.T, spec Spec) (*core.Report, []byte) {
 	rep := core.Reproduce(serialTarget(t, sp.Failure), opts)
 	var buf []byte
 	for i := range mem.Events {
-		buf = trace.AppendEvent(buf, &mem.Events[i])
-		buf = append(buf, '\n')
+		buf = append(buf, trace.Line(&mem.Events[i])+"\n"...)
 	}
 	return rep, buf
 }

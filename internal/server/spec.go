@@ -144,9 +144,11 @@ func (sp Spec) Key() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Options translates a normalized spec into the exact explorer options
-// the anduril CLI would build for the same flags. The server's executor
-// and any serial comparator (andurilctl soak, the CI gates) MUST both go
+// Options translates a normalized spec into the explorer options the
+// anduril CLI builds from the same flags, minus TrackRank: the CLI always
+// tracks the root site's rank, a spec never does, so a daemon trace and
+// report carry no root ranks where the CLI's do. The server's executor and
+// any serial comparator (andurilctl soak, the CI gates) MUST both go
 // through this function: report byte-identity across daemon and serial
 // runs depends on the option sets matching exactly.
 func (sp Spec) Options() core.Options {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"sync"
@@ -37,6 +38,9 @@ import (
 //     uninterrupted run's trace.
 //   - FlushAll, called only when the search completes, commits the
 //     remainder including the outcome line.
+//   - An event that does not encode is a line the journal can never hold:
+//     Emit keeps the error and every later Flush and FlushAll returns it
+//     without writing, so no checkpoint lands over the missing line.
 //
 // The WAL is also the live feed: subscribers get a point-in-time
 // snapshot (durable + buffered bytes) plus a channel of every subsequent
@@ -54,6 +58,7 @@ type traceWAL struct {
 	subs    map[int]chan []byte
 	nextSub int
 	closed  bool
+	encErr  error // the first event that did not encode
 }
 
 // walEntry is one buffered line and the round it belongs to (0 for
@@ -128,9 +133,16 @@ func recoverPrefix(raw []byte, ckRound int) int {
 
 // Emit implements trace.Sink: encode, buffer, fan out to followers.
 func (w *traceWAL) Emit(ev *trace.Event) {
-	line := append(trace.AppendEvent(nil, ev), '\n')
+	line, err := json.Marshal(ev)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if err != nil {
+		if w.encErr == nil {
+			w.encErr = fmt.Errorf("server: encode trace event: %w", err)
+		}
+		return
+	}
+	line = append(line, '\n')
 	w.buf = append(w.buf, walEntry{round: ev.Round, line: line})
 	w.bufSize += len(line)
 	for id, ch := range w.subs {
@@ -167,6 +179,9 @@ func (w *traceWAL) FlushAll() error {
 // commitLocked writes the first n buffered entries and drops them from
 // the buffer on success.
 func (w *traceWAL) commitLocked(n int) error {
+	if w.encErr != nil {
+		return w.encErr
+	}
 	if n == 0 {
 		return nil
 	}
@@ -193,7 +208,7 @@ func (w *traceWAL) commitLocked(n int) error {
 func (w *traceWAL) Reset() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf, w.bufSize = nil, 0
+	w.buf, w.bufSize, w.encErr = nil, 0, nil
 	if err := w.f.Truncate(0); err != nil {
 		return fmt.Errorf("server: reset trace journal: %w", err)
 	}

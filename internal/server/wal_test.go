@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 // encodeLine renders an event exactly as the WAL stores it.
 func encodeLine(ev trace.Event) []byte {
-	return append(trace.AppendEvent(nil, &ev), '\n')
+	return []byte(trace.Line(&ev) + "\n")
 }
 
 func walEvents() []trace.Event {
@@ -77,6 +78,32 @@ func TestWALFlushCommitsOnlyCheckpointedRounds(t *testing.T) {
 	}
 	if got, want := readFile(t, path), concatLines(events); !bytes.Equal(got, want) {
 		t.Fatalf("after FlushAll:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// An event that does not encode (a NaN priority) is a line the journal can
+// never hold: the flush that would commit its round fails and writes
+// nothing, so the checkpoint after it is not written either.
+func TestWALEncodeErrorFailsFlush(t *testing.T) {
+	path := filepath.Join(t.TempDir(), traceFile)
+	w, err := openWAL(path, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	events := walEvents()
+	w.Emit(&events[0])
+	w.Emit(&trace.Event{Type: trace.Feedback, Round: 1,
+		Deltas: []trace.SiteDelta{{Site: "s", Before: 1, After: trace.Float(math.NaN())}}})
+	w.Emit(&events[1])
+	if err := w.Flush(1); err == nil {
+		t.Fatal("Flush committed a round with an event that did not encode")
+	}
+	if err := w.FlushAll(); err == nil {
+		t.Fatal("FlushAll committed a trace with an event that did not encode")
+	}
+	if got := readFile(t, path); len(got) != 0 {
+		t.Fatalf("journal holds %q after failed flushes, want nothing", got)
 	}
 }
 

@@ -31,8 +31,8 @@ func TestLineMeta(t *testing.T) {
 	}
 }
 
-// Every event the encoder can emit must round-trip through LineMeta: the
-// recovery trim walks real journal files line by line.
+// Every line Line renders must round-trip through LineMeta: the recovery
+// trim walks real journal files line by line.
 func TestLineMetaReadsAppendEventOutput(t *testing.T) {
 	events := []Event{
 		{Type: FreeRun, Target: "f9", Strategy: "full-feedback", Seed: 1},
@@ -41,8 +41,8 @@ func TestLineMetaReadsAppendEventOutput(t *testing.T) {
 		{Type: Outcome, Reproduced: true, Rounds: 12, Reason: ReasonReproduced},
 	}
 	for _, ev := range events {
-		line := AppendEvent(nil, &ev)
-		typ, round, ok := LineMeta(line)
+		line := Line(&ev)
+		typ, round, ok := LineMeta([]byte(line))
 		if !ok {
 			t.Fatalf("LineMeta rejected encoder output %s", line)
 		}

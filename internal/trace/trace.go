@@ -12,7 +12,8 @@
 // Events are emitted through a Sink threaded via core.Options.Trace. The
 // default is nil: the engine checks the sink before building an event, so
 // a disabled trace costs nothing on the decision hot path. Writer emits
-// JSONL; Memory accumulates events plus aggregate counters/histograms.
+// JSONL — one encoding/json encoding of an Event per line, as Line renders
+// it; Memory accumulates events plus aggregate counters/histograms.
 package trace
 
 import (
@@ -166,8 +167,9 @@ type SiteDelta struct {
 // Event is one trace record. Exactly the fields of its Type are set; the
 // rest stay zero and are omitted from the JSONL encoding. Field order is
 // fixed by this declaration, which is what makes the encoding
-// deterministic. Events never carry wall-clock measurements — everything
-// here is a function of (Target, Options.Seed) only.
+// deterministic; a new field is one line here, with omitempty so committed
+// traces keep their bytes. Events never carry wall-clock measurements —
+// everything here is a function of (Target, Options.Seed) only.
 type Event struct {
 	Type  EventType `json:"event"`
 	Round int       `json:"round,omitempty"`
@@ -249,13 +251,11 @@ type Sink interface {
 	Emit(ev *Event)
 }
 
-// Writer is a Sink encoding events as JSON Lines. Write errors are sticky
-// and reported by Err, so the search itself never fails on a bad trace
-// destination. Events are rendered by AppendEvent into a buffer the Writer
-// reuses across emissions — a steady-state Emit allocates nothing.
+// Writer is a Sink encoding events as JSON Lines. Encode and write errors
+// are sticky and reported by Err, so the search itself never fails on a
+// bad trace destination.
 type Writer struct {
 	w   io.Writer
-	buf []byte
 	err error
 }
 
@@ -269,12 +269,15 @@ func (s *Writer) Emit(ev *Event) {
 	if s.err != nil {
 		return
 	}
-	s.buf = AppendEvent(s.buf[:0], ev)
-	s.buf = append(s.buf, '\n')
-	_, s.err = s.w.Write(s.buf)
+	line, err := json.Marshal(ev)
+	if err != nil {
+		s.err = fmt.Errorf("trace: %w", err)
+		return
+	}
+	_, s.err = s.w.Write(append(line, '\n'))
 }
 
-// Err returns the first encoding error, if any.
+// Err returns the first encode or write error, if any.
 func (s *Writer) Err() error { return s.err }
 
 // Memory is a Sink that retains every event and aggregates counters. The
@@ -359,10 +362,21 @@ func ReadAll(r io.Reader) ([]Event, error) {
 	return out, nil
 }
 
-// Line renders an event's canonical JSONL form (no trailing newline).
+// Line renders an event's canonical JSONL form (no trailing newline). An
+// event encoding/json rejects (a NaN Float) renders as the error instead.
 func Line(ev *Event) string {
-	return string(AppendEvent(nil, ev))
+	line, err := json.Marshal(ev)
+	if err != nil {
+		return "trace: " + err.Error()
+	}
+	return string(line)
 }
+
+// AppendEvent appends Line(ev) to dst.
+//
+// Deprecated: use Line. Kept only because the frozen benchmark harness
+// (bench/probes.go) calls it; nothing else in the module does.
+func AppendEvent(dst []byte, ev *Event) []byte { return append(dst, Line(ev)...) }
 
 // Diff compares two event streams and describes the first maxDiffs
 // divergences ("-" = only in a, "+" = only in b). An empty result means

@@ -2,10 +2,91 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
 )
+
+// encoderCorpus covers every Event field, every omitempty boundary, the
+// Float special forms, and the string-escaping corners (quotes, control
+// bytes, HTML metacharacters, U+2028/U+2029, invalid UTF-8).
+func encoderCorpus() []Event {
+	return []Event{
+		{},
+		{Type: FreeRun, Target: "zk/f4", Strategy: "full-feedback", Seed: 1,
+			LogLines: 71,
+			Observables: []string{
+				"Unexpected null datatree node restoring snapshot zk#/snapshot.#: NullPointerException",
+				"",
+			},
+			Sites: []SiteCount{{Site: "zk.snap.write-body", Instances: 9}, {Site: "zk.snap.read", Instances: 0}}},
+		{Type: RoundStart, Round: 3, Window: 4, RootRank: 2, Top: []SiteRank{
+			{Site: "zk.snap.write-header", F: Float(math.Inf(1)), BestObs: "obs-a", Tried: 2},
+			{Site: "zk.snap.write-body", F: 0, Tried: 0},
+			{Site: "zk.sync.fsync-txnlog", F: -3.75, BestObs: "", Tried: 1},
+		}},
+		{Type: Decision, Round: 1, Candidates: []Candidate{
+			{Site: "a.b", Occ: 1}, {Site: "a.b", Occ: 2}},
+			CandidateCount: 54, Budget: 1},
+		{Type: Injected, Round: 2, Site: "zk.snap.write-body", Occ: 3, Satisfied: true},
+		{Type: EnvInjected, Round: 2, Site: "env.node.crash", Occ: 1,
+			Class: "crash-restart", Subject: "zk1", Peer: "zk2", Dur: 250},
+		{Type: WindowGrow, Round: 4, From: 4, To: 8, Clamped: true},
+		{Type: WindowGrow, Round: 5, From: 8, To: 16, Clamped: false},
+		{Type: Feedback, Round: 2, Missing: 2,
+			Bumped: []ObsPriority{{Obs: "obs-a", Priority: 3}, {Obs: "", Priority: 0}},
+			Deltas: []SiteDelta{
+				{Site: "s1", Before: Float(math.Inf(-1)), After: 2.5},
+				{Site: "s2", Before: 1e21, After: -0.0},
+			}},
+		{Type: Inconclusive, Round: 6, Class: "panic",
+			Detail: `runtime error: index out of range [-1]`, Actor: "zk3-sync"},
+		{Type: Outcome, Reproduced: true, Rounds: 7, Reason: ReasonReproduced, ScriptSeed: -42},
+		{Type: Outcome, Reproduced: false, Reason: ReasonRoundCap},
+		// String-escaping corners.
+		{Type: "esc", Site: "quote\" backslash\\ tab\t newline\n cr\r"},
+		{Type: "esc", Site: "\b\f\x00\x01\x1f\x7f"},
+		{Type: "esc", Site: "<script>&amp;</script>"},
+		{Type: "esc", Site: "line\u2028sep\u2029end"},
+		{Type: "esc", Site: "bad utf8 \xff\xfe mid\x80dle", Detail: strings.Repeat("é", 3)},
+		{Type: "esc", Site: "ünïcödé 日本語 🦆"},
+	}
+}
+
+// TestWriterMatchesJSONEncoder pins the whole Writer stream — including
+// line framing and HTML escaping — against a json.Encoder writing the same
+// events.
+func TestWriterMatchesJSONEncoder(t *testing.T) {
+	events := encoderCorpus()
+	var got, want bytes.Buffer
+	w := NewWriter(&got)
+	enc := json.NewEncoder(&want)
+	for i := range events {
+		w.Emit(&events[i])
+		if err := enc.Encode(&events[i]); err != nil {
+			t.Fatalf("event %d: json.Encoder: %v", i, err)
+		}
+	}
+	if err := w.Err(); err != nil {
+		t.Fatalf("Writer error: %v", err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("stream mismatch\n got: %q\nwant: %q", got.String(), want.String())
+	}
+}
+
+// An event encoding/json rejects is an error Writer keeps, and nothing of
+// it or of any later event is written.
+func TestWriterEncodeErrorIsSticky(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	w.Emit(&Event{Type: Feedback, Deltas: []SiteDelta{{Site: "s", Before: Float(math.NaN())}}})
+	w.Emit(&Event{Type: Outcome})
+	if w.Err() == nil || buf.Len() != 0 {
+		t.Fatalf("Err() = %v after writing %q; want an error and nothing written", w.Err(), buf.String())
+	}
+}
 
 func sampleEvents() []Event {
 	return []Event{
