@@ -102,7 +102,7 @@ const (
 	AddrPath       = core.AddrPath
 )
 
-// Strategies lists every strategy in Table 2 column order: complete
+// Strategies lists Table 2's strategies in column order: complete
 // ANDURIL, the §8.3 ablations, the §8.4 baselines.
 func Strategies() []Strategy { return core.Strategies() }
 

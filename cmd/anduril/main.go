@@ -5,7 +5,9 @@
 // Usage:
 //
 //	anduril -list
+//	anduril -list-strategies                       # every name -strategy accepts
 //	anduril -failure f17 [-strategy full-feedback] [-seed 1] [-max-rounds 500] [-window 10] [-adjust 1] [-v]
+//	anduril -failure f9 -strategy fixed-window     # a §5.2.4 design-choice ablation
 //	anduril -failure f3 -trace run.trace.jsonl     # structured JSONL trace of the search
 //	anduril -failure f3 -trace - | trace -stats -  # '-' streams the trace to stdout
 //	anduril -failure f3 -checkpoint ck.json        # checkpoint the search every 10 rounds
@@ -35,11 +37,6 @@ import (
 	"anduril/internal/trace"
 )
 
-// out carries the human-readable progress output. It is stdout unless
-// -trace - claims stdout for the JSONL stream, in which case the progress
-// moves to stderr so `anduril -trace - | trace -` stays clean.
-var out io.Writer = os.Stdout
-
 // Exit codes. Distinct codes let scripts tell "the search ran and the
 // failure did not reproduce" (a result) from "the tool itself failed"
 // (a defect) from "the search was interrupted" (resumable).
@@ -51,41 +48,60 @@ const (
 	exitInterrupted   = 4
 )
 
-// fail prints an internal error and exits with exitInternal.
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "anduril: "+format+"\n", args...)
-	os.Exit(exitInternal)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// usageErr prints a usage error and exits with exitUsage.
-func usageErr(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "anduril: "+format+"\n", args...)
-	os.Exit(exitUsage)
-}
-
-func main() {
+// run is main minus the process boundary: parse, validate, search, exit
+// code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("anduril", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list      = flag.Bool("list", false, "list the dataset failures and exit")
-		listStrat = flag.Bool("list-strategies", false, "list the exploration strategies (Table 2 column order) and exit")
-		failure   = flag.String("failure", "", "dataset failure to reproduce (f1..f34 or issue id)")
-		strategy  = flag.String("strategy", string(anduril.FullFeedback), "exploration strategy (see -list-strategies)")
-		seed      = flag.Int64("seed", 1, "master seed (round r runs with seed+r)")
-		maxRounds = flag.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
-		window    = flag.Int("window", 10, "initial flexible-window size k")
-		adjust    = flag.Int("adjust", 1, "observable priority adjustment s")
-		verbose   = flag.Bool("v", false, "print every round")
-		scriptOut = flag.String("script-out", "", "write the reproduction script as JSON to this file")
-		dotOut    = flag.String("graph-dot", "", "write the static causal graph (Graphviz) to this file")
-		traceOut  = flag.String("trace", "", "write a JSONL explorer trace to this file ('-' = stdout, for piping into cmd/trace)")
-		ckptPath  = flag.String("checkpoint", "", "checkpoint the search state to this file (atomic writes)")
-		ckptEvery = flag.Int("checkpoint-every", 10, "checkpoint every N rounds (with -checkpoint)")
-		resume    = flag.Bool("resume", false, "resume an interrupted search from -checkpoint")
-		stopAfter = flag.Int("stop-after", 0, "interrupt the search after round N (exit 4; 0 = run to completion)")
-		classes   = flag.String("fault-classes", "", "comma-separated fault classes to search: site, env, pair, partial (default: the failure's own classes)")
-		addrMode  = flag.String("addressing", "", "injection addressing mode: occurrence (default) or path")
+		list      = fs.Bool("list", false, "list the dataset failures and exit")
+		listStrat = fs.Bool("list-strategies", false, "list every exploration strategy (Table 2 column order, then the design-choice ablations) and exit")
+		failure   = fs.String("failure", "", "dataset failure to reproduce (f1..f34 or issue id)")
+		strategy  = fs.String("strategy", string(anduril.FullFeedback), "exploration strategy (see -list-strategies)")
+		seed      = fs.Int64("seed", 1, "master seed (round r runs with seed+r)")
+		maxRounds = fs.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
+		window    = fs.Int("window", 10, "initial flexible-window size k")
+		adjust    = fs.Int("adjust", 1, "observable priority adjustment s")
+		verbose   = fs.Bool("v", false, "print every round")
+		scriptOut = fs.String("script-out", "", "write the reproduction script as JSON to this file")
+		dotOut    = fs.String("graph-dot", "", "write the static causal graph (Graphviz) to this file")
+		traceOut  = fs.String("trace", "", "write a JSONL explorer trace to this file ('-' = stdout, for piping into cmd/trace)")
+		ckptPath  = fs.String("checkpoint", "", "checkpoint the search state to this file (atomic writes)")
+		ckptEvery = fs.Int("checkpoint-every", 10, "checkpoint every N rounds (with -checkpoint)")
+		resume    = fs.Bool("resume", false, "resume an interrupted search from -checkpoint")
+		stopAfter = fs.Int("stop-after", 0, "interrupt the search after round N (exit 4; with -checkpoint; 0 = run to completion)")
+		classes   = fs.String("fault-classes", "", "comma-separated fault classes to search: site, env, pair, partial (default: the failure's own classes)")
+		addrMode  = fs.String("addressing", "", "injection addressing mode: occurrence (default) or path")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return exitUsage
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "anduril: "+format+"\n", a...)
+		fs.Usage()
+		return exitUsage
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "anduril: "+format+"\n", a...)
+		return exitInternal
+	}
 
+	switch {
+	case fs.NArg() != 0:
+		return usage("unexpected arguments: %v", fs.Args())
+	case *ckptEvery <= 0:
+		return usage("-checkpoint-every must be a positive round interval (got %d)", *ckptEvery)
+	case *stopAfter < 0:
+		return usage("-stop-after must be a round number, or 0 to disable (got %d)", *stopAfter)
+	case *resume && *ckptPath == "":
+		return usage("-resume requires -checkpoint to name the checkpoint file")
+	case *stopAfter > 0 && *ckptPath == "":
+		// Exit 4 promises a search -resume can continue; without a
+		// checkpoint there would be none.
+		return usage("-stop-after requires -checkpoint to keep the interrupted search")
+	}
 	opts := anduril.Options{
 		Strategy: anduril.Strategy(*strategy), Seed: *seed,
 		MaxRounds: *maxRounds, Window: *window, Adjust: *adjust,
@@ -100,96 +116,84 @@ func main() {
 		if errors.As(err, &oe) {
 			err = fmt.Errorf("-%s: %s", strings.ReplaceAll(oe.Option, "_", "-"), oe.Problem)
 		}
-		usageErr("%v", err)
-	}
-	if *ckptEvery <= 0 {
-		usageErr("-checkpoint-every must be a positive round interval (got %d)", *ckptEvery)
-	}
-	if *stopAfter < 0 {
-		usageErr("-stop-after must be a round number, or 0 to disable (got %d)", *stopAfter)
-	}
-	if *resume && *ckptPath == "" {
-		usageErr("-resume requires -checkpoint to name the checkpoint file")
+		return usage("%v", err)
 	}
 	if *ckptPath != "" {
 		opts.Checkpoint = anduril.CheckpointFile(*ckptPath)
 	}
 
 	if *list {
-		fmt.Printf("%-5s %-10s %-11s %s\n", "id", "issue", "system", "description")
+		fmt.Fprintf(stdout, "%-5s %-10s %-11s %s\n", "id", "issue", "system", "description")
 		for _, info := range anduril.DatasetCatalog() {
-			fmt.Printf("%-5s %-10s %-11s %s\n", info.ID, info.Issue, info.System, info.Description)
+			fmt.Fprintf(stdout, "%-5s %-10s %-11s %s\n", info.ID, info.Issue, info.System, info.Description)
 		}
-		return
+		return exitOK
 	}
 	if *listStrat {
-		for _, s := range anduril.Strategies() {
-			fmt.Println(s)
+		for _, s := range core.AllStrategies() {
+			fmt.Fprintln(stdout, s)
 		}
-		return
+		return exitOK
 	}
 	if *failure == "" {
-		fmt.Fprintln(os.Stderr, "anduril: -failure or -list required")
-		flag.Usage()
-		os.Exit(2)
+		return usage("-failure or -list required")
 	}
 
-	var sink *trace.Writer
+	// out carries the human-readable progress output. It is stdout unless
+	// -trace - claims stdout for the JSONL stream, in which case the
+	// progress moves to stderr so `anduril -trace - | trace -` stays clean.
+	out := stdout
 	if *traceOut != "" {
-		w := io.Writer(os.Stdout)
+		w := stdout
 		if *traceOut == "-" {
-			out = os.Stderr
+			out = stderr
 		} else {
 			f, err := os.Create(*traceOut)
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			defer f.Close()
 			w = f
 		}
-		sink = trace.NewWriter(w)
+		sink := trace.NewWriter(w)
+		opts.Trace = sink
 		defer func() {
 			if err := sink.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "anduril: trace: %v\n", err)
+				fmt.Fprintf(stderr, "anduril: trace: %v\n", err)
 			}
 		}()
 	}
 
 	target, err := anduril.Dataset(*failure)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	fmt.Fprintf(out, "reproducing %s (%s) on %s: %s\n", target.ID, target.Issue, target.System, target.Description)
 
 	if *dotOut != "" {
 		dot := target.Analysis.Graph.DOT(target.ID, 400)
 		if err := os.WriteFile(*dotOut, []byte(dot), 0o644); err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		fmt.Fprintf(out, "causal graph written to %s (%d nodes, %d edges)\n",
 			*dotOut, target.Analysis.Graph.NumNodes(), target.Analysis.Graph.NumEdges())
 	}
 
-	if sink != nil {
-		opts.Trace = sink
-	}
-
-	opts.TrackRank = true
 	var report *anduril.Report
 	if *resume {
 		report, err = anduril.Resume(target, opts, *ckptPath)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		fmt.Fprintf(out, "resumed search from %s\n", *ckptPath)
 	} else {
 		report = anduril.Reproduce(target, opts)
 	}
 	if report.Error != "" {
-		fail("search failed: %s", report.Error)
+		return fail("search failed: %s", report.Error)
 	}
 	if report.CheckpointError != "" {
-		fmt.Fprintf(os.Stderr, "anduril: warning: a checkpoint failed (every interval tries again), first: %s\n", report.CheckpointError)
+		fmt.Fprintf(stderr, "anduril: warning: a checkpoint failed (every interval tries again), first: %s\n", report.CheckpointError)
 	}
 
 	fmt.Fprintf(out, "free run: %d log lines, %d relevant observables, %d candidate sites, %d candidate instances\n",
@@ -211,11 +215,11 @@ func main() {
 	if report.Interrupted {
 		fmt.Fprintf(out, "INTERRUPTED after %d rounds (%.2fs); continue with -resume -checkpoint %s\n",
 			report.Rounds, report.Elapsed.Seconds(), *ckptPath)
-		os.Exit(exitInterrupted)
+		return exitInterrupted
 	}
 	if !report.Reproduced {
 		fmt.Fprintf(out, "NOT reproduced after %d rounds (%.2fs): %s\n", report.Rounds, report.Elapsed.Seconds(), report.Reason)
-		os.Exit(exitNotReproduced)
+		return exitNotReproduced
 	}
 	fmt.Fprintf(out, "REPRODUCED in %d rounds (%.2fs)\n", report.Rounds, report.Elapsed.Seconds())
 	fmt.Fprintln(out, anduril.Script(report))
@@ -226,21 +230,22 @@ func main() {
 		fmt.Fprintln(out, "warning: script replay did not satisfy the oracle under a fresh seed")
 	}
 	if *scriptOut != "" {
-		writeScript(*scriptOut, report)
+		if err := writeScript(*scriptOut, report); err != nil {
+			return fail("%v", err)
+		}
+		fmt.Fprintf(out, "reproduction script written to %s\n", *scriptOut)
 	}
+	return exitOK
 }
 
-func writeScript(path string, report *anduril.Report) {
+func writeScript(path string, report *anduril.Report) error {
 	script, err := core.ScriptOf(report)
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
 	data, err := script.Marshal()
 	if err != nil {
-		fail("%v", err)
+		return err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		fail("%v", err)
-	}
-	fmt.Fprintf(out, "reproduction script written to %s\n", path)
+	return os.WriteFile(path, data, 0o644)
 }

@@ -264,9 +264,6 @@ func render(ev *trace.Event) string {
 		if ev.Reproduced {
 			fmt.Fprintf(&b, " script=%s seed=%d", candidateRef(trace.Candidate{Site: ev.Site, Occ: ev.Occ, Path: ev.Path}), ev.ScriptSeed)
 		}
-		if ev.RootRank > 0 {
-			fmt.Fprintf(&b, " final-rank(root)=%d", ev.RootRank)
-		}
 	default:
 		return trace.Line(ev)
 	}

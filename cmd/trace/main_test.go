@@ -46,8 +46,8 @@ func TestRenderInjectedEvents(t *testing.T) {
 			Path: "dyn.handoff.replay-hint:18+dyn.store.persist-record:30", Reproduced: true, Rounds: 447,
 			Reason: trace.ReasonReproduced, ScriptSeed: 448},
 			"outcome: reproduced=true rounds=447 reason=reproduced script=dyn.handoff.replay-hint:18+dyn.store.persist-record:30 seed=448"},
-		{"outcome not reproduced", trace.Event{Type: trace.Outcome, Rounds: 500, Reason: trace.ReasonRoundCap, RootRank: 3},
-			"outcome: reproduced=false rounds=500 reason=round-cap final-rank(root)=3"},
+		{"outcome not reproduced", trace.Event{Type: trace.Outcome, Rounds: 500, Reason: trace.ReasonRoundCap},
+			"outcome: reproduced=false rounds=500 reason=round-cap"},
 	}
 	for _, c := range cases {
 		if got := render(&c.ev); got != c.want {

@@ -98,6 +98,13 @@ type searchState struct {
 	// the tried set against different instance identities.
 	Addressing string `json:"addressing,omitempty"`
 
+	// Adjust and RunsPerRound record the run's feedback step and combined-log
+	// runs; absent means 1, the default, so a checkpoint of a default search
+	// keeps the form it had before they were recorded. Resuming under another
+	// value would continue a different search.
+	Adjust       int `json:"adjust,omitempty"`
+	RunsPerRound int `json:"runs_per_round,omitempty"`
+
 	// Priorities are the feedback priorities I_k in observable order (the
 	// deterministic order setup extracts them in).
 	Priorities []int `json:"priorities"`
@@ -147,6 +154,12 @@ func (e *engine) snapshotState(round int) *searchState {
 	if e.o.Addressing != AddrOccurrence {
 		st.Addressing = string(e.o.Addressing)
 	}
+	if e.o.Adjust != 1 {
+		st.Adjust = e.o.Adjust
+	}
+	if e.o.RunsPerRound != 1 {
+		st.RunsPerRound = e.o.RunsPerRound
+	}
 	for i, o := range e.obs {
 		st.Priorities[i] = o.priority
 	}
@@ -184,6 +197,10 @@ func (st *searchState) validate(t *Target, opts Options) error {
 		return fmt.Errorf("core: checkpoint searched fault classes %v, resuming with %v", got.names(), want.names())
 	case st.addressing() != opts.Addressing:
 		return fmt.Errorf("core: checkpoint used %s addressing, resuming with %s", st.addressing(), opts.Addressing)
+	case orOne(st.Adjust) != opts.Adjust:
+		return fmt.Errorf("core: checkpoint used adjust %d, resuming with %d", orOne(st.Adjust), opts.Adjust)
+	case orOne(st.RunsPerRound) != opts.RunsPerRound:
+		return fmt.Errorf("core: checkpoint used %d runs per round, resuming with %d", orOne(st.RunsPerRound), opts.RunsPerRound)
 	case st.Round < 1:
 		return fmt.Errorf("core: checkpoint has invalid round %d", st.Round)
 	case st.Window < 1:
@@ -203,6 +220,14 @@ func (st *searchState) addressing() Addressing {
 		return AddrOccurrence
 	}
 	return Addressing(st.Addressing)
+}
+
+// orOne expands a recorded knob's canonical absent form to its default, 1.
+func orOne(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return n
 }
 
 // applyState restores the checkpointed search state onto a prepared
@@ -232,12 +257,14 @@ func (e *engine) applyState() error {
 	return nil
 }
 
-// Resume continues a checkpointed search. opts must carry the same
-// Strategy and Seed the interrupted run used (Window etc. likewise — the
-// engine cannot verify every knob, only what the checkpoint records); ck
-// names the last completed round, and the resumed search continues from the
-// next one, producing the identical trace suffix and final report an
-// uninterrupted run would have.
+// Resume continues a checkpointed search. opts must carry the strategy,
+// seed, fault classes, addressing, Adjust and RunsPerRound the interrupted
+// run used — the checkpoint records them, and a mismatch is an error; the
+// window is restored from the checkpoint, and MaxRounds may differ: a
+// search resumed under a higher cap continues as a search run under that
+// cap from the start would have. ck names the last completed round, and
+// the resumed search continues from the next one, producing the identical
+// trace suffix and final report an uninterrupted run would have.
 func Resume(t *Target, opts Options, ck Checkpoint) (*Report, error) {
 	opts = opts.withDefaults()
 	st := &searchState{}

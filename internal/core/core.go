@@ -11,10 +11,10 @@
 // priorities (§5.2.1, Algorithm 2). Candidate instances are injected
 // through a flexible priority window (§5.2.5).
 //
-// The package also implements the five ablation variants of §8.3 and the
-// comparison systems of §8.4 (FATE, CrashTuner, stacktrace-injector, plus
-// a chaos-style random injector): all ten strategies are rows of one table
-// (strategies.go) run through one round loop (feedback.go).
+// The package also implements the ablation variants of §8.3 and §5.2.4 and
+// the comparison systems of §8.4 (FATE, CrashTuner, stacktrace-injector,
+// plus a chaos-style random injector): all fourteen strategies are rows of
+// one table (strategies.go) run through one round loop (feedback.go).
 package core
 
 import (
@@ -54,7 +54,8 @@ const (
 )
 
 // Strategies. FullFeedback is complete ANDURIL; the next five are the
-// ablation variants of §8.3; the last four are the §8.4 baselines.
+// ablation variants of §8.3; the next four are the §8.4 baselines; the last
+// four are full feedback with one §5.2.4 design choice changed.
 const (
 	FullFeedback      Strategy = "full-feedback"
 	Exhaustive        Strategy = "exhaustive-instance"
@@ -66,6 +67,10 @@ const (
 	CrashTuner        Strategy = "crashtuner"
 	StackTrace        Strategy = "stacktrace"
 	Random            Strategy = "random"
+	SumAggregation    Strategy = "sum-aggregation"
+	TemporalByOrder   Strategy = "temporal-by-order"
+	FixedWindow       Strategy = "fixed-window"
+	GlobalDiff        Strategy = "global-diff"
 )
 
 // Target is one failure to reproduce: the inputs of §2.
@@ -114,7 +119,6 @@ type Options struct {
 	Adjust    int   // observable priority adjustment s (§5.2.1); default 1
 	MaxRounds int   // round cap; default 2000
 	Seed      int64 // master seed; round r runs with Seed+r
-	TrackRank bool  // record the root site's rank each round (Figure 6)
 
 	// FaultClasses selects which fault classes the search explores, by
 	// name: ClassSite, ClassEnv, ClassPartial, ClassPair. Unset (nil or
@@ -138,14 +142,6 @@ type Options struct {
 	// internal concurrency makes crucial log messages probabilistic.
 	// Default 1 (the paper's base algorithm).
 	RunsPerRound int
-
-	// Ablation knobs for the design choices §5.2.4 discusses. All default
-	// to the paper's choices (min aggregation, #log-messages temporal
-	// distance, doubling window, per-thread diff).
-	AggregateSum    bool // F_i = sum_k(p_{i,k}) instead of min_k
-	TemporalByOrder bool // T by instance order instead of log-message count
-	FixedWindow     bool // never double the window on empty rounds
-	GlobalDiff      bool // diff logs globally instead of per thread
 
 	// Checkpoint receives the search state after every CheckpointEvery-th
 	// completed round and once more, whatever the interval, when the search
@@ -200,7 +196,7 @@ func (e *OptionError) Error() string { return e.Option + ": " + e.Problem }
 // Library callers who leave fields zero for the defaults need not call it.
 func (o Options) Validate() error {
 	if _, err := strategyByName(o.Strategy); err != nil {
-		return &OptionError{"strategy", fmt.Sprintf("unknown strategy %q (valid: %v)", o.Strategy, Strategies())}
+		return &OptionError{"strategy", fmt.Sprintf("unknown strategy %q (valid: %v)", o.Strategy, AllStrategies())}
 	}
 	for _, b := range []struct {
 		option string
@@ -276,7 +272,7 @@ type Round struct {
 	N          int
 	Injected   *inject.Instance // nil when no candidate occurred
 	Satisfied  bool
-	RootRank   int // 1-based rank of the ground-truth site; 0 if untracked
+	RootRank   int // 1-based rank of Target.RootSite (Figure 6); 0 if no candidate or unranked
 	MissingObs int // relevant observables still missing after this round
 	WindowSize int
 	InitTime   time.Duration // priority computation before the run

@@ -59,9 +59,11 @@ func TestBaselinesRun(t *testing.T) {
 	}
 }
 
+// TestRankTracking: every search records the root site's rank, with no
+// option asking for it.
 func TestRankTracking(t *testing.T) {
 	tgt := target(t, "f1")
-	rep := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, TrackRank: true})
+	rep := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1})
 	if !rep.Reproduced {
 		t.Fatal("not reproduced")
 	}

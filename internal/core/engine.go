@@ -144,11 +144,12 @@ type engine struct {
 	obs       []*observable
 	sites     []*siteState
 	siteIndex map[string]*siteState // id -> state, for O(1) markTried
+	root      *siteState            // the candidate t.RootSite names, nil if none
 	align     *logdiff.Alignment
 
 	// failure is t.FailureLog as every round's diff reads it: flattened
-	// under Options.GlobalDiff and grouped by thread, once, in setup. diff is
-	// the working memory of those diffs.
+	// under the global-diff row and grouped by thread, once, in setup. diff
+	// is the working memory of those diffs.
 	failure *logdiff.Failure
 	diff    logdiff.Scratch
 
@@ -218,10 +219,10 @@ func newEngine(t *Target, o Options) *engine {
 	}}
 }
 
-// retrySeedOffset derives the retry seed of a failed trial: far outside
-// both the per-round stream (Seed+round, round <= MaxRounds) and the
-// combined-log stream (Seed+MaxRounds+round*RunsPerRound+extra), so a
-// retry never collides with a seed the search would use anyway.
+// retrySeedOffset derives the retry seed of a failed trial (Seed+round+1<<32,
+// the free run's Seed+1<<32): above the per-round stream (Seed+round) and
+// below the combined-log stream (Seed+round+extra<<33, see combineLogs), so
+// a retry never collides with a seed the search would use anyway.
 const retrySeedOffset = int64(1) << 32
 
 // tracing reports whether a trace sink is attached. Every emission below
@@ -387,9 +388,6 @@ func (e *engine) finish(start time.Time) {
 			ev.Occ = rep.Script.Occurrence
 			ev.Path = rep.Script.Path
 			ev.ScriptSeed = rep.ScriptSeed
-		}
-		if n := len(rep.RoundLog); n > 0 {
-			ev.RootRank = rep.RoundLog[n-1].RootRank
 		}
 		e.emit(ev)
 	}

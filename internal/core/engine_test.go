@@ -46,7 +46,7 @@ func stubEngine(o Options) *engine {
 
 func TestComputePrioritiesMin(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true)
+	e.computePriorities()
 	get := func(id string) *siteState {
 		for _, s := range e.sites {
 			if s.id == id {
@@ -70,7 +70,7 @@ func TestComputePrioritiesMin(t *testing.T) {
 
 	// Feedback: deprioritizing alpha flips s.both's best observable logic.
 	e.obs[1].priority = 10 // beta now expensive
-	e.computePriorities(true)
+	e.computePriorities()
 	if got := get("s.both").f; got != 5 { // min(5+0, 4+10)
 		t.Fatalf("after feedback, s.both F=%v", got)
 	}
@@ -80,8 +80,8 @@ func TestComputePrioritiesMin(t *testing.T) {
 }
 
 func TestComputePrioritiesSumAblation(t *testing.T) {
-	e := stubEngine(Options{AggregateSum: true})
-	e.computePriorities(true)
+	e := stubEngine(Options{Strategy: SumAggregation})
+	e.computePriorities()
 	for _, s := range e.sites {
 		if s.id == "s.both" {
 			if s.f != 9 { // 5 + 4
@@ -96,7 +96,7 @@ func TestComputePrioritiesSumAblation(t *testing.T) {
 
 func TestTemporalDistance(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true)
+	e.computePriorities()
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {
@@ -114,7 +114,7 @@ func TestTemporalDistance(t *testing.T) {
 
 func TestBestUntriedTemporalVsOrder(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true)
+	e.computePriorities()
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {
@@ -149,7 +149,7 @@ func TestBestUntriedTemporalVsOrder(t *testing.T) {
 
 func TestRankedSitesStable(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true)
+	e.computePriorities()
 	ranked := e.rankedSites()
 	if ranked[0].id != "s.near" {
 		t.Fatalf("rank 1: %s", ranked[0].id)
@@ -160,11 +160,11 @@ func TestRankedSitesStable(t *testing.T) {
 			t.Fatalf("unstable tiebreak at %d", i)
 		}
 	}
-	e.t.RootSite = "s.beta"
-	if r := e.rootRank(ranked); r < 1 || r > len(ranked) {
+	e.root = e.sites[0] // s.beta, as setup resolves Target.RootSite
+	if r := e.rootRank(ranked); r < 1 || r > len(ranked) || ranked[r-1].id != "s.beta" {
 		t.Fatalf("rootRank=%d", r)
 	}
-	e.t.RootSite = "absent"
+	e.root = nil // the target's root is no candidate
 	if r := e.rootRank(ranked); r != 0 {
 		t.Fatalf("absent rootRank=%d", r)
 	}
@@ -235,12 +235,12 @@ func TestGrowWindow(t *testing.T) {
 		}
 	}
 	// Fixed-window ablation never grows.
-	e.o.FixedWindow = true
-	if got := e.growWindow(3); got != 3 {
+	fixed := stubEngine(Options{Strategy: FixedWindow})
+	fixed.report.CandidateInstances = 18
+	if got := fixed.growWindow(3); got != 3 {
 		t.Fatalf("fixed window grew to %d", got)
 	}
 	// Degenerate: no candidate instances counted — must stay positive.
-	e.o.FixedWindow = false
 	e.report.CandidateInstances = 0
 	if got := e.growWindow(4); got != 1 {
 		t.Fatalf("growWindow with no instances = %d, want 1", got)
@@ -268,7 +268,7 @@ func TestMarkTriedIndex(t *testing.T) {
 // observable position.
 func TestTemporalDistanceProperty(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities(true)
+	e.computePriorities()
 	var near *siteState
 	for _, s := range e.sites {
 		if s.id == "s.near" {

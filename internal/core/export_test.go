@@ -12,8 +12,8 @@ import (
 
 // fullRanking is one ranking by full recompute. The result is valid until
 // the next call on the same engine.
-func (e *engine) fullRanking(useFeedback bool) []*siteState {
-	e.computePriorities(useFeedback)
+func (e *engine) fullRanking() []*siteState {
+	e.computePriorities()
 	return e.rankedSites()
 }
 
@@ -52,7 +52,7 @@ func Prepare(t *Target, o Options) (*Prepared, error) {
 	if err := e.prepare(); err != nil {
 		return nil, err
 	}
-	return &Prepared{e: e, ranked: (&indexRanker{e: e, useFeedback: true}).ranked()}, nil
+	return &Prepared{e: e, ranked: (&indexRanker{e: e}).ranked()}, nil
 }
 
 // ExhaustSingleFaults marks every non-pair instance tried, so the window

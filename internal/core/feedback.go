@@ -13,13 +13,15 @@ import (
 )
 
 // feedbackSpec fixes the design point of one priority-driven strategy. The
-// rows of strategyTable differ only in these toggles; the ablation knobs in
-// Options (TemporalByOrder etc.) still apply on top.
+// rows of strategyTable differ only in these toggles.
 type feedbackSpec struct {
-	useFeedback bool // apply Algorithm 2 priority adjustments
-	useTemporal bool // rank instances by temporal distance T_{i,j,k}
-	multiply    bool // §8.3 multiply-feedback pair ranking
-	limited     bool // cap instances per site at instanceLimit
+	useFeedback    bool // apply Algorithm 2 priority adjustments
+	useTemporal    bool // rank instances by temporal distance T_{i,j,k}
+	multiply       bool // §8.3 multiply-feedback pair ranking
+	limited        bool // cap instances per site at instanceLimit
+	sumAggregation bool // §5.2.4: F_i = sum_k instead of min_k
+	fixedWindow    bool // §5.2.5: never double the window on empty rounds
+	globalDiff     bool // §5.1: diff logs globally instead of per thread
 }
 
 // instanceLimit is the per-site cap of the paper's limit-3 variants (§8.3).
@@ -40,7 +42,7 @@ func (e *engine) explore() {
 		queue = e.strategy.queue(e)
 		last = min(last, len(queue))
 	} else {
-		rk = &indexRanker{e: e, useFeedback: e.strategy.spec.useFeedback}
+		rk = &indexRanker{e: e}
 	}
 	for round := e.startRound + 1; round <= last; round++ {
 		if e.stopRequested(round) {
@@ -104,9 +106,7 @@ func (e *engine) explore() {
 func (e *engine) selectRanked(rk *indexRanker, round int) (candidates []inject.Instance, rootRank int) {
 	spec := e.strategy.spec
 	ranked := rk.ranked()
-	if e.o.TrackRank {
-		rootRank = e.rootRank(ranked)
-	}
+	rootRank = e.rootRank(ranked)
 	if e.tracing() {
 		top := ranked
 		if len(top) > trace.TopK {
@@ -120,13 +120,9 @@ func (e *engine) selectRanked(rk *indexRanker, round int) (candidates []inject.I
 			}
 			snap[i] = sr
 		}
-		rank := rootRank
-		if !e.o.TrackRank {
-			rank = e.rootRank(ranked)
-		}
 		e.emit(&trace.Event{
 			Type: trace.RoundStart, Round: round, Window: e.window,
-			RootRank: rank, Top: snap,
+			RootRank: rootRank, Top: snap,
 		})
 	}
 	if spec.multiply {
@@ -136,7 +132,7 @@ func (e *engine) selectRanked(rk *indexRanker, round int) (candidates []inject.I
 	if spec.limited {
 		limit = instanceLimit
 	}
-	return e.fillWindow(ranked, e.window, spec.useTemporal && !e.o.TemporalByOrder, limit), rootRank
+	return e.fillWindow(ranked, e.window, spec.useTemporal, limit), rootRank
 }
 
 // widen grows the flexible window after a round in which no candidate
@@ -146,7 +142,7 @@ func (e *engine) widen(round int) {
 	if e.tracing() {
 		e.emit(&trace.Event{
 			Type: trace.WindowGrow, Round: round, From: e.window, To: grown,
-			Clamped: !e.o.FixedWindow && grown < e.window*2,
+			Clamped: !e.strategy.spec.fixedWindow && grown < e.window*2,
 		})
 	}
 	e.window = grown
@@ -159,10 +155,18 @@ func (e *engine) widen(round int) {
 // the round into a reproduction under that run's seed; one that fails is
 // simply dropped — the round's primary run already succeeded, so the round
 // stays judgeable; a cancelled one leaves the whole round unjudged (a.err).
+//
+// Extra run e of round r runs under Seed+r+e<<33, a stream of its own that
+// no other option enters, so the round cap cannot change a search before the
+// search reaches it. It cannot collide with another seed of the search: a
+// round's trial runs under Seed+r and its retry under Seed+r+1<<32, and with
+// rounds below 1<<32 those offsets from Seed lie in [0, 1<<33), where every
+// extra run's offset r+e<<33 (e >= 1) lies above; two extra runs share a
+// seed only if they share both r and e.
 func (e *engine) combineLogs(a *attempt) {
 	inj, round := *a.rd.Injected, a.rd.N
 	for extra := 1; extra < e.o.RunsPerRound; extra++ {
-		seed := e.o.Seed + int64(e.o.MaxRounds) + int64(round*e.o.RunsPerRound+extra)
+		seed := e.o.Seed + int64(round) + int64(extra)<<33
 		res, err := e.trial(seed, inject.Exact(inj), false)
 		if isInterrupted(err) {
 			a.err = err
@@ -208,7 +212,7 @@ func (e *engine) learn(rk *indexRanker, a attempt) {
 		}
 	}
 	rd.MissingObs = missingCount
-	e.traceFeedback(rk, rd.N, missingCount, bumped, useFeedback)
+	e.traceFeedback(rk, rd.N, missingCount, bumped)
 	if e.report.BestPartial == nil || missingCount < e.report.BestPartialMissing {
 		e.report.BestPartial = rd.Injected
 		e.report.BestPartialMissing = missingCount
@@ -220,12 +224,12 @@ func (e *engine) learn(rk *indexRanker, a attempt) {
 // priorities; forcing the index to apply its pending re-scores here is
 // idempotent (the next round's ranked() returns the same values) and only
 // happens when a sink is attached.
-func (e *engine) traceFeedback(rk *indexRanker, round, missing int, bumped []trace.ObsPriority, useFeedback bool) {
+func (e *engine) traceFeedback(rk *indexRanker, round, missing int, bumped []trace.ObsPriority) {
 	if !e.tracing() {
 		return
 	}
 	ev := &trace.Event{Type: trace.Feedback, Round: round, Missing: missing, Bumped: bumped}
-	if useFeedback && len(bumped) > 0 {
+	if len(bumped) > 0 {
 		before := make(map[string]float64, len(e.sites))
 		for _, s := range e.sites {
 			before[s.id] = s.f

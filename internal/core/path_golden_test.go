@@ -23,8 +23,7 @@ import (
 // format (v3) and the identities in it did not move.
 func TestPathResumeFromParentCheckpoint(t *testing.T) {
 	tgt := target(t, "f25")
-	// TrackRank because the CLI that wrote the checkpoint always sets it.
-	base := core.Options{Seed: 1, MaxRounds: 500, Addressing: core.AddrPath, TrackRank: true}
+	base := core.Options{Seed: 1, MaxRounds: 500, Addressing: core.AddrPath}
 
 	var full trace.Memory
 	optsFull := base

@@ -19,10 +19,10 @@ import (
 )
 
 // computePriorities evaluates F_i = min_k (L_{i,k} + I_k) for every site
-// (§5.2.4), with the feedback term toggled per strategy.
-func (e *engine) computePriorities(useFeedback bool) {
+// (§5.2.4), with the feedback term and the aggregation the strategy row's.
+func (e *engine) computePriorities() {
 	for _, s := range e.sites {
-		e.rescoreSite(s, useFeedback)
+		e.rescoreSite(s)
 	}
 }
 
@@ -59,7 +59,7 @@ func (e *engine) spatial(s *siteState, o *observable) float64 {
 }
 
 // rescoreSite recomputes one site's F_i and best observable from scratch.
-func (e *engine) rescoreSite(s *siteState, useFeedback bool) {
+func (e *engine) rescoreSite(s *siteState) {
 	s.f = math.Inf(1)
 	s.bestObs = -1
 	s.bestVal = math.Inf(1)
@@ -69,10 +69,10 @@ func (e *engine) rescoreSite(s *siteState, useFeedback bool) {
 			continue
 		}
 		val := l
-		if useFeedback {
+		if e.strategy.spec.useFeedback {
 			val += float64(o.priority)
 		}
-		if e.o.AggregateSum {
+		if e.strategy.spec.sumAggregation {
 			// Ablation: sum of partial priorities instead of min. The
 			// best observable is still the closest one.
 			if math.IsInf(s.f, 1) {
@@ -127,11 +127,11 @@ func (e *engine) rankedSites() []*siteState {
 
 // rootRank finds the 1-based rank of the ground-truth site, for Figure 6.
 func (e *engine) rootRank(ranked []*siteState) int {
-	if e.t.RootSite == "" {
+	if e.root == nil {
 		return 0
 	}
 	for i, s := range ranked {
-		if s.id == e.t.RootSite {
+		if s == e.root {
 			return i + 1
 		}
 	}
@@ -147,8 +147,7 @@ func (e *engine) rootRank(ranked []*siteState) int {
 // change. ranked() returns the sites in (F, id) order; the slice is
 // read-only and valid until the next observableBumped/ranked call.
 type indexRanker struct {
-	e           *engine
-	useFeedback bool
+	e *engine
 
 	obsSites [][]*siteState // k -> sites with a finite L_{i,k}
 	order    []*siteState   // current ranking, (F, id) ascending
@@ -167,7 +166,7 @@ type indexRanker struct {
 
 func (r *indexRanker) build() {
 	e := r.e
-	e.computePriorities(r.useFeedback)
+	e.computePriorities()
 	// Copy out of the engine's shared ranking buffer: order is long-lived.
 	r.order = append([]*siteState(nil), e.rankedSites()...)
 	r.obsSites = make([][]*siteState, len(e.obs))
@@ -205,7 +204,7 @@ func (r *indexRanker) ranked() []*siteState {
 		return r.order
 	}
 	for _, s := range r.dirty {
-		r.e.rescoreSite(s, r.useFeedback)
+		r.e.rescoreSite(s)
 	}
 	keep := r.keepBuf[:0]
 	for _, s := range r.order {

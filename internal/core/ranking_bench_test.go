@@ -23,7 +23,7 @@ func BenchmarkComputePriorities(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.computePriorities(true)
+		e.computePriorities()
 	}
 }
 
@@ -31,7 +31,7 @@ func BenchmarkComputePriorities(b *testing.B) {
 // rank) on the index or (naive) by full recompute.
 func benchRanker(b *testing.B, naive bool) {
 	e := synthEngine(benchSites, benchObs, 11)
-	rk := &indexRanker{e: e, useFeedback: true}
+	rk := &indexRanker{e: e}
 	rk.ranked() // initial build outside the loop
 	rng := rand.New(rand.NewSource(42))
 	b.ReportAllocs()
@@ -45,7 +45,7 @@ func benchRanker(b *testing.B, naive bool) {
 			}
 		}
 		if naive {
-			e.fullRanking(true)
+			e.fullRanking()
 		} else {
 			rk.ranked()
 		}

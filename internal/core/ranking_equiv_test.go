@@ -16,14 +16,14 @@ import (
 	"anduril/internal/trace"
 )
 
-// rankerRun reproduces one target with tracing and rank tracking, on the
-// index or (naive) recomputing every ranking. Window 1 maximizes the number
-// of ranking decisions that reach the trace.
+// rankerRun reproduces one target with tracing, on the index or (naive)
+// recomputing every ranking. Window 1 maximizes the number of ranking
+// decisions that reach the trace.
 func rankerRun(t *testing.T, tgt *core.Target, naive bool) ([]byte, *core.Report) {
 	t.Helper()
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
-	opts := core.Options{Seed: 1, MaxRounds: 60, Window: 1, TrackRank: true, Trace: sink}
+	opts := core.Options{Seed: 1, MaxRounds: 60, Window: 1, Trace: sink}
 	reproduce := core.Reproduce
 	if naive {
 		reproduce = core.ReproduceRecomputing

@@ -17,6 +17,7 @@ import (
 func synthEngine(nSites, nObs int, seed int64) *engine {
 	rng := rand.New(rand.NewSource(seed))
 	e := newEngine(&Target{ID: "synth"}, Options{}.withDefaults())
+	e.strategy, _ = strategyByName(e.o.Strategy)
 	for k := 0; k < nObs; k++ {
 		tmpl := fmt.Sprintf("tmpl-%03d", k)
 		e.obs = append(e.obs, &observable{
@@ -52,11 +53,11 @@ func TestIndexRankerMatchesNaive(t *testing.T) {
 	const nSites, nObs, steps = 120, 40, 50
 	en := synthEngine(nSites, nObs, 7)
 	ei := synthEngine(nSites, nObs, 7)
-	index := &indexRanker{e: ei, useFeedback: true}
+	index := &indexRanker{e: ei}
 	rng := rand.New(rand.NewSource(99))
 
 	check := func(step int) {
-		a, b := en.fullRanking(true), index.ranked()
+		a, b := en.fullRanking(), index.ranked()
 		if len(a) != len(b) {
 			t.Fatalf("step %d: ranking lengths %d vs %d", step, len(a), len(b))
 		}
@@ -86,7 +87,7 @@ func TestIndexRankerMatchesNaive(t *testing.T) {
 // re-scoring.
 func TestIndexRankerNoBumpStable(t *testing.T) {
 	e := synthEngine(50, 10, 3)
-	rk := &indexRanker{e: e, useFeedback: true}
+	rk := &indexRanker{e: e}
 	a := rk.ranked()
 	b := rk.ranked()
 	if len(a) != len(b) {

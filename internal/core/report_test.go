@@ -54,12 +54,12 @@ func TestOptionsWithDefaults(t *testing.T) {
 				CheckpointEvery: 10},
 		},
 		{
+			// The §5.2.4 ablations are strategy rows, named like any other.
 			name: "ablation flags pass through untouched",
-			in:   Options{AggregateSum: true, TemporalByOrder: true, FixedWindow: true, GlobalDiff: true},
-			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
+			in:   Options{Strategy: GlobalDiff},
+			want: Options{Strategy: GlobalDiff, Window: 10, Adjust: 1,
 				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10, AggregateSum: true, TemporalByOrder: true,
-				FixedWindow: true, GlobalDiff: true},
+				CheckpointEvery: 10},
 		},
 	}
 	for _, tc := range cases {

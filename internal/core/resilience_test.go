@@ -266,7 +266,8 @@ func TestFreeRunPanicIsFatalButContained(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedCheckpoint: a checkpoint resumed against the
-// wrong target, seed or strategy is an error, never a silent wrong search.
+// wrong target, seed, strategy, fault classes, addressing, feedback step or
+// combined-log runs is an error, never a silent wrong search.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	tgt := target(t, "f1")
 	var ck core.Checkpoint
@@ -276,24 +277,40 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	if !rep.Interrupted {
 		t.Fatal("setup run not interrupted")
 	}
+	// The same search with a larger feedback step and combined logs, which
+	// its checkpoint records.
+	var tuned core.Checkpoint
+	opts.Checkpoint, opts.Adjust, opts.RunsPerRound = keepLast(&tuned), 2, 2
+	if rep := core.Reproduce(tgt, opts); !rep.Interrupted {
+		t.Fatal("tuned setup run not interrupted")
+	}
 
 	cases := []struct {
 		name string
+		ck   core.Checkpoint
 		tgt  *core.Target
 		opts core.Options
 		want string
 	}{
-		{"wrong target", target(t, "f3"), core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, "target"},
-		{"wrong seed", tgt, core.Options{Strategy: core.FullFeedback, Seed: 2, Window: 1}, "seed"},
-		{"wrong strategy", tgt, core.Options{Strategy: core.Random, Seed: 1, Window: 1}, "strategy"},
-		{"wrong addressing", tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
+		{"wrong target", ck, target(t, "f3"), core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, "target"},
+		{"wrong seed", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 2, Window: 1}, "seed"},
+		{"wrong strategy", ck, tgt, core.Options{Strategy: core.Random, Seed: 1, Window: 1}, "strategy"},
+		{"wrong addressing", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
 			Addressing: core.AddrPath}, "addressing"},
-		{"wrong classes", tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
+		{"wrong classes", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
 			FaultClasses: []string{core.ClassSite, core.ClassEnv}}, "fault classes [site], resuming with [env site]"},
+		{"wrong adjust", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, Adjust: 2},
+			"adjust 1, resuming with 2"},
+		{"wrong runs per round", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 3},
+			"1 runs per round, resuming with 3"},
+		{"recorded adjust", tuned, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 2},
+			"adjust 2, resuming with 1"},
+		{"recorded runs per round", tuned, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, Adjust: 2},
+			"2 runs per round, resuming with 1"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := core.Resume(c.tgt, c.opts, ck)
+			_, err := core.Resume(c.tgt, c.opts, c.ck)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want mention of %q", err, c.want)
 			}

@@ -187,7 +187,7 @@ func (s pairSorter) Less(i, j int) bool {
 // candidate loop selects nothing, and the search falsely reports the
 // fault space exhausted.
 func (e *engine) growWindow(window int) int {
-	if e.o.FixedWindow {
+	if e.strategy.spec.fixedWindow {
 		return window
 	}
 	max := e.report.CandidateInstances

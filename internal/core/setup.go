@@ -15,7 +15,7 @@ import (
 
 // flatten collapses thread names for the global-diff ablation.
 func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
-	if !e.o.GlobalDiff {
+	if !e.strategy.spec.globalDiff {
 		return entries
 	}
 	out := make([]logging.Entry, len(entries))
@@ -150,6 +150,7 @@ func (e *engine) setup(free *cluster.Result) {
 		}
 	}
 	e.report.CandidateSites = len(e.sites)
+	e.root = e.siteIndex[e.t.RootSite]
 
 	// A resumed run re-executes the free run (it is deterministic) but its
 	// trace continues the original stream, which already carries the

@@ -1,7 +1,7 @@
 package core
 
 // The strategy table. Every exploration algorithm the paper evaluates —
-// complete ANDURIL, the five §8.3 ablation variants and the four §8.4
+// complete ANDURIL, the §8.3 and §5.2.4 ablation variants and the four §8.4
 // comparison systems — is one row: a name plus what distinguishes it inside
 // the one round loop (explore, feedback.go). A priority-driven row carries
 // the feedbackSpec toggles of its design point; a queue row carries the
@@ -30,9 +30,11 @@ type strategy struct {
 	queue func(e *engine) []inject.Instance
 }
 
-// strategyTable lists the strategies in Table 2 column order: complete
-// ANDURIL, the §8.3 ablations, the §8.4 baselines. SiteDistance is the zero
-// spec — static distances only, no feedback, no temporal term, no cap.
+// strategyTable lists the strategies in Table 2 column order — complete
+// ANDURIL, the §8.3 ablations, the §8.4 baselines — then the §5.2.4
+// design-choice rows of Table 9, each full feedback with one choice changed
+// (ordering by occurrence is dropping the temporal term). SiteDistance is
+// the zero spec — static distances only, no feedback, no temporal term.
 var strategyTable = [...]strategy{
 	{name: FullFeedback, spec: feedbackSpec{useFeedback: true, useTemporal: true}},
 	{name: Exhaustive, queue: exhaustiveQueue},
@@ -44,10 +46,19 @@ var strategyTable = [...]strategy{
 	{name: CrashTuner, queue: crashTunerQueue},
 	{name: StackTrace, queue: stackTraceQueue},
 	{name: Random, queue: randomQueue},
+	{name: SumAggregation, spec: feedbackSpec{useFeedback: true, useTemporal: true, sumAggregation: true}},
+	{name: TemporalByOrder, spec: feedbackSpec{useFeedback: true}},
+	{name: FixedWindow, spec: feedbackSpec{useFeedback: true, useTemporal: true, fixedWindow: true}},
+	{name: GlobalDiff, spec: feedbackSpec{useFeedback: true, useTemporal: true, globalDiff: true}},
 }
 
-// Strategies lists every strategy in Table 2 column order.
-func Strategies() []Strategy {
+// Strategies lists Table 2's strategies — the table's first ten rows — in
+// column order.
+func Strategies() []Strategy { return AllStrategies()[:10] }
+
+// AllStrategies lists every strategy a search accepts: Table 2's, then the
+// §5.2.4 design-choice rows.
+func AllStrategies() []Strategy {
 	out := make([]Strategy, len(strategyTable))
 	for i := range strategyTable {
 		out[i] = strategyTable[i].name

@@ -22,25 +22,30 @@ func stubEngineWithFree(counts map[string]int) *engine {
 	return e
 }
 
-// TestStrategiesAreTable2Columns: the table IS the strategy list — in
-// Table 2 column order, every name resolving to its own row, and the list
-// Options.Validate prints for an unknown name.
+// TestStrategiesAreTable2Columns: the table IS the strategy list — Table 2's
+// columns in order, then the §5.2.4 design-choice rows, every name
+// resolving to its own row, and the whole list is what Options.Validate
+// prints for an unknown name.
 func TestStrategiesAreTable2Columns(t *testing.T) {
-	want := []Strategy{
+	table2 := []Strategy{
 		FullFeedback, Exhaustive, SiteDistance, SiteDistanceLimit, SiteFeedback,
 		MultiplyFeedback, FATE, CrashTuner, StackTrace, Random,
 	}
-	if got := Strategies(); !slices.Equal(got, want) {
-		t.Fatalf("Strategies() = %v, want Table 2 column order %v", got, want)
+	if got := Strategies(); !slices.Equal(got, table2) {
+		t.Fatalf("Strategies() = %v, want Table 2 column order %v", got, table2)
 	}
-	for _, name := range want {
+	all := append(slices.Clone(table2), SumAggregation, TemporalByOrder, FixedWindow, GlobalDiff)
+	if got := AllStrategies(); !slices.Equal(got, all) {
+		t.Fatalf("AllStrategies() = %v, want %v", got, all)
+	}
+	for _, name := range all {
 		if row, err := strategyByName(name); err != nil || row.name != name {
 			t.Fatalf("strategyByName(%q) = %+v, %v", name, row, err)
 		}
 	}
 	err := Options{Strategy: "bogus", MaxRounds: 1, Window: 1, Adjust: 1}.Validate()
-	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(want)) {
-		t.Fatalf("Validate() = %v, want the unknown-strategy error listing %v", err, want)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(all)) {
+		t.Fatalf("Validate() = %v, want the unknown-strategy error listing %v", err, all)
 	}
 }
 

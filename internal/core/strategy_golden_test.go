@@ -1,6 +1,6 @@
 package core_test
 
-// The strategy golden: every one of the ten strategies, not just
+// The strategy golden: every strategy a search accepts, not just
 // full-feedback, pinned on four failures. Each cell is a header carrying the
 // SHA-256 of the cell's JSONL trace and of its canonical report, followed by
 // the search trajectory in the site_trajectories.golden line format, so a
@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,23 +36,28 @@ func TestStrategyTrajectoriesGolden(t *testing.T) {
 			t.Fatalf("no scenario %s", id)
 		}
 		tgt := target(t, id)
-		for _, st := range core.Strategies() {
+		for _, st := range core.AllStrategies() {
 			var buf bytes.Buffer
 			sink := trace.NewWriter(&buf)
 			rep := core.Reproduce(tgt, core.Options{Strategy: st, Seed: 1, MaxRounds: 200, Trace: sink})
 			if err := sink.Err(); err != nil {
 				t.Fatal(err)
 			}
-			// The golden predates Report.Reason. The field is held to the
-			// trace's outcome line, whose bytes the trace hash pins, and
-			// left out of the report hash, which so keeps pinning every
-			// older report byte.
+			// The golden predates Report.Reason and root ranks recorded by
+			// every search. Reason is held to the trace's outcome line, whose
+			// bytes the trace hash pins, and each round's RootRank to the
+			// trajectory's rank= column; both are left out of the report
+			// hash, which so keeps pinning every older report byte.
 			jsonl := bytes.Split(bytes.TrimSpace(buf.Bytes()), []byte("\n"))
 			if last := jsonl[len(jsonl)-1]; rep.Reason == "" || !bytes.Contains(last, []byte(`"reason":"`+rep.Reason+`"`)) {
 				t.Fatalf("%s %s: report ends %q, trace ends in %s", id, st, rep.Reason, last)
 			}
 			pinned := *rep
 			pinned.Reason = ""
+			pinned.RoundLog = slices.Clone(rep.RoundLog)
+			for i := range pinned.RoundLog {
+				pinned.RoundLog[i].RootRank = 0
+			}
 			canon, err := core.CanonicalReport(&pinned)
 			if err != nil {
 				t.Fatal(err)

@@ -8,23 +8,22 @@ import (
 	"anduril/internal/failures"
 )
 
-// ablationSetting is one design-choice toggle from §5.1–§5.2.5.
-type ablationSetting struct {
-	name   string
-	mutate func(*core.Options)
+// ablationSettings are the rows of the design-choice table: full feedback,
+// then each strategy that changes one of its §5.1–§5.2.5 choices.
+var ablationSettings = []struct {
+	name     string
+	strategy core.Strategy
+}{
+	{"baseline (paper's choices)", core.FullFeedback},
+	{"sum aggregation (vs min)", core.SumAggregation},
+	{"temporal by order (vs log distance)", core.TemporalByOrder},
+	{"fixed window (vs doubling)", core.FixedWindow},
+	{"global diff (vs per-thread)", core.GlobalDiff},
 }
 
-var ablationSettings = []ablationSetting{
-	{"baseline (paper's choices)", func(o *core.Options) {}},
-	{"sum aggregation (vs min)", func(o *core.Options) { o.AggregateSum = true }},
-	{"temporal by order (vs log distance)", func(o *core.Options) { o.TemporalByOrder = true }},
-	{"fixed window (vs doubling)", func(o *core.Options) { o.FixedWindow = true }},
-	{"global diff (vs per-thread)", func(o *core.Options) { o.GlobalDiff = true }},
-}
-
-// AblationTable evaluates the design-choice toggles over the whole dataset
-// with the full-feedback algorithm: reproduced count, total rounds, and
-// which failures each setting loses.
+// AblationTable evaluates the design-choice strategies over the whole
+// dataset: reproduced count, total rounds, and which failures each setting
+// loses.
 func AblationTable(opt Options) (*Table, error) {
 	opt = opt.withDefaults()
 	t := &Table{
@@ -34,9 +33,7 @@ func AblationTable(opt Options) (*Table, error) {
 	scens := failures.SiteDataset()
 	variants := make([]variant, len(ablationSettings))
 	for i, setting := range ablationSettings {
-		o := opt.search(core.FullFeedback)
-		setting.mutate(&o)
-		variants[i] = variant{fmt.Sprintf("s%d", i), o}
+		variants[i] = variant{fmt.Sprintf("s%d", i), opt.search(setting.strategy)}
 	}
 	reps, err := runGrid(opt, "ablation", scens, variants...)
 	if err != nil {

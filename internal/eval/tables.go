@@ -333,7 +333,7 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 		return nil, fmt.Errorf("eval: no failure %s", failureID)
 	}
 	o := opt.search(core.FullFeedback)
-	o.Window, o.TrackRank = 1, true
+	o.Window = 1
 	reps, err := runGrid(opt, "figure6", []*failures.Scenario{s}, variant{opts: o})
 	if err != nil {
 		return nil, err

@@ -145,12 +145,11 @@ func (sp Spec) Key() string {
 }
 
 // Options translates a normalized spec into the explorer options the
-// anduril CLI builds from the same flags, minus TrackRank: the CLI always
-// tracks the root site's rank, a spec never does, so a daemon trace and
-// report carry no root ranks where the CLI's do. The server's executor and
-// any serial comparator (andurilctl soak, the CI gates) MUST both go
-// through this function: report byte-identity across daemon and serial
-// runs depends on the option sets matching exactly.
+// anduril CLI builds from the same flags, so a job's trace and report are
+// the CLI's bytes. The server's executor and any serial comparator
+// (andurilctl soak, the CI gates) MUST both go through this function:
+// report byte-identity across daemon and serial runs depends on the option
+// sets matching exactly.
 func (sp Spec) Options() core.Options {
 	return core.Options{
 		Strategy:     core.Strategy(sp.Strategy),

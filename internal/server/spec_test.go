@@ -68,6 +68,7 @@ func TestSpecValidate(t *testing.T) {
 	}{
 		{"minimal", Spec{Failure: "f4"}, ""},
 		{"full", Spec{Failure: "f23", Strategy: "random", Seed: 9, FaultClasses: []string{"env", "site"}, Addressing: "path"}, ""},
+		{"design-choice strategy", Spec{Failure: "f9", Strategy: "fixed-window"}, ""},
 		{"no failure", Spec{}, "failure id required"},
 		{"unknown failure", Spec{Failure: "f999"}, "unknown failure"},
 		{"unknown strategy", Spec{Failure: "f4", Strategy: "bogus"}, "unknown strategy"},

@@ -4,8 +4,11 @@
 # (many submissions fanned over fewer distinct specs, so dedupe is
 # exercised at scale), and let the ctl verify every finished job against
 # an in-process serial run — state, submission counts, canonical report
-# bytes and trace bytes must all match exactly. Finishes with a SIGTERM
-# drain, which must exit 0.
+# bytes and trace bytes must all match exactly. Then, for one failure of
+# each fault class, the job a spec naming only the failure runs must have
+# the trace `anduril -failure X` writes at its default flags: the CLI and
+# the daemon run one search. Finishes with a SIGTERM drain, which must
+# exit 0.
 #
 # Tunables (env): JOBS (default 1000), DISTINCT (40), SEED (1),
 # ADDR (127.0.0.1:18477).
@@ -23,6 +26,7 @@ LOG="$BIN/server.log"
 
 go build -o "$BIN/anduril-server" ./cmd/anduril-server
 go build -o "$BIN/andurilctl" ./cmd/andurilctl
+go build -o "$BIN/anduril" ./cmd/anduril
 
 cleanup() {
   [ -n "${SRV_PID:-}" ] && kill "$SRV_PID" 2>/dev/null || true
@@ -52,6 +56,17 @@ if ! "$BIN/andurilctl" soak -server "http://$ADDR" \
   exit 1
 fi
 
+# One search: env (f23), pair (f30), partial (f33) and site (f4).
+for id in f4 f23 f30 f33; do
+  key="$("$BIN/andurilctl" submit -server "http://$ADDR" -failure "$id" -wait | awk 'NR == 1 { print $2 }')"
+  "$BIN/andurilctl" trace -server "http://$ADDR" "$key" >"$BIN/daemon-$id.trace.jsonl"
+  "$BIN/anduril" -failure "$id" -trace - 2>/dev/null >"$BIN/cli-$id.trace.jsonl"
+  if ! cmp "$BIN/daemon-$id.trace.jsonl" "$BIN/cli-$id.trace.jsonl"; then
+    echo "server_soak: $id: the daemon's trace differs from the CLI's" >&2
+    exit 1
+  fi
+done
+
 # Graceful drain must be clean (exit 0).
 kill -TERM "$SRV_PID"
 if ! wait "$SRV_PID"; then
@@ -60,4 +75,4 @@ if ! wait "$SRV_PID"; then
   exit 1
 fi
 SRV_PID=""
-echo "server_soak: OK ($JOBS submissions over $DISTINCT specs)"
+echo "server_soak: OK ($JOBS submissions over $DISTINCT specs; CLI and daemon traces equal)"
