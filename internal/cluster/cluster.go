@@ -290,12 +290,12 @@ func snapshot(env *Env, n int, keepTrace bool) *Result {
 // Release ends the result's life and returns its environment for
 // TryExecuteOn to build the next round in. Only the owner of a result that
 // nothing else retains may call it: the next round overwrites the log
-// Entries points into, so the released result is poisoned — Env and Entries
-// nil — and a reader that kept it fails loudly instead of reading another
-// round's log.
+// Entries points into and the kept trace's chunks Trace may be, so the
+// released result is poisoned — Env, Entries and Trace nil — and a reader
+// that kept it fails loudly instead of reading another round's log.
 func (r *Result) Release() *Env {
 	env := r.Env
-	r.Env, r.Entries = nil, nil
+	r.Env, r.Entries, r.Trace = nil, nil, nil
 	return env
 }
 

@@ -274,7 +274,9 @@ func Resume(t *Target, opts Options, ck Checkpoint) (*Report, error) {
 	if err := st.validate(t, opts); err != nil {
 		return nil, err
 	}
-	e := newEngine(t, opts)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	e := newEngine(t, opts, ws)
 	e.resume = st
 	return e.run()
 }

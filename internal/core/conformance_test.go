@@ -3,8 +3,9 @@ package core_test
 // The dataset conformance suite: what every failure of the dataset owes,
 // written once. A cell is one failure under one addressing mode; it is
 // observed once per test binary — reproduce with a trace, reproduce again,
-// once more with a fresh environment per trial, export the script, kill the
-// search mid-run and resume it — and each property is an assertion over
+// once more with a fresh environment per trial and once in a workspace
+// another cell's search left, export the script, kill the search mid-run and
+// resume it — and each property is an assertion over
 // that record. TestDatasetConformance sweeps failures.All() × {occurrence,
 // path} × every property; the per-class Test* names further down and in
 // dataset_test.go / core_test.go select ids × mode × properties from the
@@ -61,6 +62,11 @@ type cell struct {
 	fresh      *core.Report
 	freshTrace []byte
 
+	// The search in a workspace another cell's search used last (see
+	// predecessor).
+	warm      *core.Report
+	warmTrace []byte
+
 	// The search again, killed after round killAt (half way; 0 when it
 	// takes one round and there is nothing to kill) and resumed.
 	killAt     int
@@ -73,6 +79,27 @@ type cell struct {
 type cellKey struct {
 	id   string
 	mode core.Addressing
+}
+
+// predecessor is the cell whose search leaves the workspace c's warm search
+// runs in: the next failure of the dataset, cyclically, with another fault
+// class set, under the other addressing mode — a workspace whose environments
+// served another target, other runtime features and another call tree.
+func (c *cell) predecessor() *cell {
+	all := failures.All()
+	i := slices.Index(all, c.sc)
+	for k := 1; k < len(all); k++ {
+		sc := all[(i+k)%len(all)]
+		if slices.Equal(sc.FaultClasses, c.sc.FaultClasses) {
+			continue
+		}
+		mode := core.AddrPath
+		if c.opts.Addressing == core.AddrPath {
+			mode = core.AddrOccurrence
+		}
+		return cells[cellKey{sc.ID, mode}]
+	}
+	panic("the dataset has a single fault class set")
 }
 
 var cells = func() map[cellKey]*cell {
@@ -128,6 +155,19 @@ func (c *cell) observe() *cell {
 		}
 		c.fresh, c.freshTrace, c.err = c.traced(c.opts, func(o core.Options) (*core.Report, error) {
 			return core.ReproduceFresh(c.tgt, o), nil
+		})
+		if c.err != nil {
+			return
+		}
+		prev := c.predecessor()
+		prevTgt, err := prev.sc.BuildTarget()
+		if c.err = err; err != nil {
+			return
+		}
+		ws := new(core.Workspace)
+		ws.Reproduce(prevTgt, prev.opts)
+		c.warm, c.warmTrace, c.err = c.traced(c.opts, func(o core.Options) (*core.Report, error) {
+			return ws.Reproduce(c.tgt, o), nil
 		})
 		if c.err != nil {
 			return
@@ -392,15 +432,23 @@ func twoRunIdentical(t *testing.T, c *cell) {
 }
 
 // recycled: the search runs its trials in the environments its booked rounds
-// hand back; it is the search that builds a fresh one for every trial, trace
-// and report.
+// hand back, in a workspace an earlier search may have left; it is the search
+// that builds a fresh environment for every trial, trace and report — from
+// whatever workspace the pool gave it, and from one another cell's search
+// left (predecessor).
 func recycled(t *testing.T, c *cell) {
 	reproduces(t, c)
-	if !sameTrace(t, c.freshTrace, c.first) {
-		t.Fatal("the search differs from the one with a fresh environment per trial")
-	}
-	if got, want := normalized(t, c.rep), normalized(t, c.fresh); got != want {
-		t.Fatalf("final reports differ:\nrecycled: %s\nfresh:    %s", got, want)
+	for _, run := range []struct {
+		name  string
+		rep   *core.Report
+		trace []byte
+	}{{"pooled", c.rep, c.first}, {"warm", c.warm, c.warmTrace}} {
+		if !sameTrace(t, c.freshTrace, run.trace) {
+			t.Fatalf("the %s search differs from the one with a fresh environment per trial", run.name)
+		}
+		if got, want := normalized(t, run.rep), normalized(t, c.fresh); got != want {
+			t.Fatalf("final reports differ:\n%s: %s\nfresh:  %s", run.name, got, want)
+		}
 	}
 }
 

@@ -421,14 +421,28 @@ func CanonicalReport(r *Report) ([]byte, error) {
 // It treats t as read-only (see Target), so concurrent calls may share one
 // Target; the result depends only on (t, opts), never on scheduling.
 func Reproduce(t *Target, opts Options) *Report {
-	opts = opts.withDefaults()
-	rep, _ := newEngine(t, opts).run() // only a resume can fail to start
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	rep, _ := newEngine(t, opts.withDefaults(), ws).run() // only a resume can fail to start
 	return rep
 }
 
 // Verify replays a reproduction script deterministically and reports
-// whether the oracle is satisfied — workflow step 4.a's output check.
+// whether the oracle is satisfied — workflow step 4.a's output check. The
+// replay is a trial like a search's: in a recycled environment, under the
+// event budget, with a panic in the target or the oracle recovered. A replay
+// that cannot be judged — it panicked, livelocked or the oracle panicked —
+// does not reproduce.
 func Verify(t *Target, script inject.Instance, seed int64) bool {
-	res := cluster.Execute(seed, inject.Exact(script), false, t.Workload, t.Horizon)
-	return t.Oracle.Satisfied(res)
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	res, err := cluster.TryExecuteOn(context.TODO(), ws.env(), seed, inject.Exact(script), false, t.Workload, t.Horizon, DefaultEventBudget)
+	if err != nil {
+		return false
+	}
+	sat, err := satisfied(t, res)
+	if err == nil {
+		ws.keep(res)
+	}
+	return sat
 }

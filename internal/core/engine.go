@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"anduril/internal/cluster"
@@ -148,10 +149,11 @@ type engine struct {
 	align     *logdiff.Alignment
 
 	// failure is t.FailureLog as every round's diff reads it: flattened
-	// under the global-diff row and grouped by thread, once, in setup. diff
-	// is the working memory of those diffs.
+	// under the global-diff row and grouped by thread, once, in setup.
 	failure *logdiff.Failure
-	diff    logdiff.Scratch
+
+	// ws is the working memory the search borrowed (see workspace).
+	ws *workspace
 
 	// Per-round scratch, reused across the thousands of rounds a search
 	// runs: the ranking snapshot, the candidate window, the multiply-
@@ -166,18 +168,14 @@ type engine struct {
 	ctx context.Context
 
 	// freeRes is the free run the strategies explore from. The whole search
-	// reads it (pathOf, the queue builders), so its environment is never
-	// recycled.
+	// reads it (pathOf, the queue builders), so its environment goes back to
+	// the workspace only when the search is over.
 	freeRes *cluster.Result
 
-	// envs are the environments of booked rounds, handed back by release for
-	// the next trials to be built in: a round's results are dead once it is
-	// booked, and an environment is the part of a trial's garbage that is
-	// the same every round. They belong to this engine alone and die with
-	// it. freshEnvs turns the recycling off, so that every trial builds a
-	// fresh environment — the reference a recycled search must equal. Only
-	// export_test.go sets it.
-	envs      []*cluster.Env
+	// freshEnvs keeps every environment out of the workspace, so that a
+	// search in an empty one builds a fresh environment for every trial —
+	// the reference a recycled search must equal. Only export_test.go sets
+	// it.
 	freshEnvs bool
 
 	// strategy is the strategyTable row the search runs, resolved by
@@ -213,11 +211,47 @@ type engine struct {
 	report *Report
 }
 
-func newEngine(t *Target, o Options) *engine {
-	return &engine{t: t, o: o, ctx: o.Context, report: &Report{
+func newEngine(t *Target, o Options, ws *workspace) *engine {
+	return &engine{t: t, o: o, ctx: o.Context, ws: ws, report: &Report{
 		Target: t.ID, Issue: t.Issue, Strategy: o.Strategy,
 	}}
 }
+
+// workspace is the working memory a search borrows for its length: the
+// environments of its booked rounds — and, once it is over, of its free run
+// — for the next trials to be built in, and the scratch of its log diffs.
+// An environment is the part of a trial's garbage that is the same every
+// round, and a search's set-up is the same work every search, so the
+// workspace outlives the engine: Reproduce, Resume and Verify take one from
+// workspaces and put it back when they return. The pool hands a workspace
+// to one caller at a time and no Report reaches into it, so concurrent
+// searches share the pool but never a workspace. It carries memory, not
+// state: every trial rebuilds its environment in place
+// (cluster.TryExecuteOn), and every diff overwrites the scratch.
+type workspace struct {
+	envs []*cluster.Env
+	diff logdiff.Scratch
+}
+
+// workspaces is the process's pool of idle workspaces. The collector may
+// take an idle one; the next search then starts cold.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// env takes an environment to build the next trial in, nil when the
+// workspace has none left.
+func (ws *workspace) env() *cluster.Env {
+	n := len(ws.envs)
+	if n == 0 {
+		return nil
+	}
+	env := ws.envs[n-1]
+	ws.envs[n-1] = nil
+	ws.envs = ws.envs[:n-1]
+	return env
+}
+
+// keep takes back the environment of a result nothing reads any more.
+func (ws *workspace) keep(res *cluster.Result) { ws.envs = append(ws.envs, res.Release()) }
 
 // retrySeedOffset derives the retry seed of a failed trial (Seed+round+1<<32,
 // the free run's Seed+1<<32): above the per-round stream (Seed+round) and
@@ -293,6 +327,7 @@ func (e *engine) traceDecision(round, window int, candidates []inject.Instance) 
 // caller's error, the only one run returns.
 func (e *engine) run() (*Report, error) {
 	start := time.Now()
+	defer e.releaseFreeRun()
 	err := e.prepare()
 	if e.resume != nil {
 		if err != nil {
@@ -395,12 +430,9 @@ func (e *engine) finish(start time.Time) {
 
 // trial runs the workload once under the engine's watchdogs: panic
 // recovery, the event budget, and the cancellation context — in a recycled
-// environment when a booked round has left one.
+// environment when the workspace has one.
 func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.Result, error) {
-	var env *cluster.Env
-	if n := len(e.envs); n > 0 {
-		env, e.envs = e.envs[n-1], e.envs[:n-1]
-	}
+	env := e.ws.env()
 	// The free run's reach timeline is kept by its runtime, where setup
 	// walks it in place; asking TryExecuteOn for it would also join it into
 	// Result.Trace, a copy of the whole timeline nothing here reads.
@@ -418,10 +450,20 @@ func (e *engine) release(a *attempt) {
 	if a.err != nil || e.freshEnvs {
 		return
 	}
-	e.envs = append(e.envs, a.res.Release())
+	e.ws.keep(a.res)
 	for _, res := range a.extra {
-		e.envs = append(e.envs, res.Release())
+		e.ws.keep(res)
 	}
+}
+
+// releaseFreeRun takes back the free run's environment when the search is
+// over, whether it ended, was interrupted or failed to resume: nothing
+// reads freeRes after run. A free run that failed never became freeRes.
+func (e *engine) releaseFreeRun() {
+	if e.freeRes != nil && !e.freshEnvs {
+		e.ws.keep(e.freeRes)
+	}
+	e.freeRes = nil
 }
 
 // stopRequested reports whether the search must stop before starting the
@@ -480,16 +522,16 @@ func failureClass(err error) (string, string) {
 	return "error", err.Error()
 }
 
-// safeSatisfied judges a result, recovering an oracle panic into a trial
-// error of class oracle.
-func (e *engine) safeSatisfied(res *cluster.Result) (sat bool, err error) {
+// satisfied judges a result by t's oracle, recovering an oracle panic into a
+// trial error of class oracle.
+func satisfied(t *Target, res *cluster.Result) (sat bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			sat = false
 			err = &cluster.TrialError{Class: cluster.ClassOracle, Detail: fmt.Sprint(p)}
 		}
 	}()
-	return e.t.Oracle.Satisfied(res), nil
+	return t.Oracle.Satisfied(res), nil
 }
 
 // attempt is the outcome of one round's isolated trial: the run result and
@@ -554,7 +596,7 @@ func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Inst
 	if err != nil {
 		return attempt{res: res, seed: seed, err: err}
 	}
-	sat, serr := e.safeSatisfied(res)
+	sat, serr := satisfied(e.t, res)
 	if serr != nil {
 		return attempt{res: res, seed: seed, err: serr}
 	}

@@ -18,7 +18,7 @@ import (
 // instances, bypassing the free run; the strategy row and starting window
 // are what prepare would have resolved from o.
 func stubEngine(o Options) *engine {
-	e := newEngine(&Target{ID: "stub"}, o.withDefaults())
+	e := newEngine(&Target{ID: "stub"}, o.withDefaults(), new(workspace))
 	e.strategy, _ = strategyByName(e.o.Strategy)
 	e.window = e.o.Window
 	e.obs = []*observable{

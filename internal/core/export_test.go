@@ -21,19 +21,29 @@ func (e *engine) fullRanking() []*siteState {
 // recompute. The equivalence test lives in core_test (it needs the failure
 // dataset, which imports core) and cannot reach the engine otherwise.
 func ReproduceRecomputing(t *Target, o Options) *Report {
-	e := newEngine(t, o.withDefaults())
+	e := newEngine(t, o.withDefaults(), new(workspace))
 	e.recomputeRanking = true
 	rep, _ := e.run()
 	return rep
 }
 
 // ReproduceFresh is Reproduce with a fresh environment built for every
-// trial: the reference a search that recycles its rounds' environments must
-// equal, byte for byte.
+// trial — its workspace starts empty and no environment enters it: the
+// reference a search that recycles environments must equal, byte for byte.
 func ReproduceFresh(t *Target, o Options) *Report {
-	e := newEngine(t, o.withDefaults())
+	e := newEngine(t, o.withDefaults(), new(workspace))
 	e.freshEnvs = true
 	rep, _ := e.run()
+	return rep
+}
+
+// A Workspace is a search's working memory held outside the pool, so that a
+// test chooses which search used it last.
+type Workspace struct{ ws workspace }
+
+// Reproduce is core.Reproduce in w.
+func (w *Workspace) Reproduce(t *Target, o Options) *Report {
+	rep, _ := newEngine(t, o.withDefaults(), &w.ws).run()
 	return rep
 }
 
@@ -48,7 +58,7 @@ type Prepared struct {
 
 // Prepare runs t's free run and setup under o.
 func Prepare(t *Target, o Options) (*Prepared, error) {
-	e := newEngine(t, o.withDefaults())
+	e := newEngine(t, o.withDefaults(), new(workspace))
 	if err := e.prepare(); err != nil {
 		return nil, err
 	}

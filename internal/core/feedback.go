@@ -175,7 +175,7 @@ func (e *engine) combineLogs(a *attempt) {
 		if err != nil {
 			continue
 		}
-		sat, serr := e.safeSatisfied(res)
+		sat, serr := satisfied(e.t, res)
 		if serr != nil {
 			continue
 		}
@@ -257,7 +257,7 @@ func (e *engine) missingIn(results []*cluster.Result) []bool {
 		miss[i] = true
 	}
 	for _, res := range results {
-		m := e.diff.Missing(e.flatten(res.Entries), e.failure)
+		m := e.ws.diff.Missing(e.flatten(res.Entries), e.failure)
 		for i, o := range e.obs {
 			if !m[o.keyIdx] {
 				miss[i] = false

@@ -16,7 +16,7 @@ import (
 // deterministic pseudo-random reachability, bypassing the free run.
 func synthEngine(nSites, nObs int, seed int64) *engine {
 	rng := rand.New(rand.NewSource(seed))
-	e := newEngine(&Target{ID: "synth"}, Options{}.withDefaults())
+	e := newEngine(&Target{ID: "synth"}, Options{}.withDefaults(), new(workspace))
 	e.strategy, _ = strategyByName(e.o.Strategy)
 	for k := 0; k < nObs; k++ {
 		tmpl := fmt.Sprintf("tmpl-%03d", k)

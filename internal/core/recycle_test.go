@@ -8,6 +8,7 @@ package core_test
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"anduril/internal/cluster"
@@ -84,9 +85,12 @@ func sameSearch(t *testing.T, rec, fresh *envLog, rep, ref *core.Report) {
 // or ran out of event budget is never built in again — it stopped at an
 // arbitrary point — while its retry, and every later round, still are the
 // fresh-environment search's. The free run's environment is not reused
-// either: the search reads it to the end. (A cancelled trial ends the
-// search; TestInterruptInCombinedLogRunWritesFinalCheckpoint holds its
-// resume to the uninterrupted run.)
+// within the search either: the search reads it to the end. The next search
+// in the same workspace starts in the environments the first gave back,
+// never in a failed one, and is the fresh-environment search too. (A
+// cancelled trial ends the search;
+// TestInterruptInCombinedLogRunWritesFinalCheckpoint holds its resume to the
+// uninterrupted run.)
 func TestFailedTrialsAreNotRecycled(t *testing.T) {
 	tgt := target(t, "f1")
 	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
@@ -114,9 +118,24 @@ func TestFailedTrialsAreNotRecycled(t *testing.T) {
 					trap(env)
 				})), opts), l
 			}
-			rep, rec := run(core.Reproduce)
+			ws := new(core.Workspace)
+			rep, rec := run(ws.Reproduce)
+			again, next := run(ws.Reproduce)
 			ref, fresh := run(core.ReproduceFresh)
 			sameSearch(t, rec, fresh, rep, ref)
+			sameSearch(t, next, fresh, again, ref)
+			before := map[*cluster.Env]int{}
+			for j, env := range rec.envs {
+				before[env] = j
+			}
+			if _, ok := before[next.envs[0]]; !ok {
+				t.Fatal("the second search's free run did not start in an environment the first gave back")
+			}
+			for i, env := range next.envs {
+				if j, ok := before[env]; ok && rec.failed[j] {
+					t.Fatalf("the second search's trial %d ran in the environment of the first's trial %d, which failed (%s)", i, j, class)
+				}
+			}
 			if !rep.Reproduced || rep.InconclusiveRounds < 1 || len(rec.failed) < 2 {
 				t.Fatalf("reproduced=%v, %d inconclusive rounds, %d failed trials: want a reproduction past a poisoned trial and its retry",
 					rep.Reproduced, rep.InconclusiveRounds, len(rec.failed))
@@ -193,39 +212,72 @@ func TestCombinedLogRunsKeepTheirEnvironments(t *testing.T) {
 	}
 }
 
-// TestConcurrentEnginesShareNoRecycledMemory: released environments belong
-// to one engine. Searches running side by side on one shared Target — what
-// daemon workers and the parallel evaluation harness do — never build a
-// trial in another's environment, each equals its own serial run, and -race
-// has nothing to report.
+// TestConcurrentEnginesShareNoRecycledMemory: a workspace serves one search
+// at a time. Searches running side by side on one shared Target — what
+// daemon workers and the parallel evaluation harness do — draw on one pool
+// of workspaces, so a later search builds its trials in the environments an
+// earlier one gave back; but no environment ever serves two searches whose
+// trials overlap in time, twins of one seed leave one trace, and -race has
+// nothing to report.
 func TestConcurrentEnginesShareNoRecycledMemory(t *testing.T) {
 	tgt := target(t, "f9")
-	const engines = 4
+	const engines, concurrent = 8, 4
+	var clock atomic.Int64 // one tick per trial, across all engines
 	logs := make([]*envLog, engines)
-	reps := make([]*core.Report, engines)
+	spans := make([][2]int64, engines) // an engine's first and last trial tick
+	slots := make(chan struct{}, concurrent)
 	var wg sync.WaitGroup
 	for i := range logs {
 		logs[i] = newEnvLog()
+		watched := logs[i].watch(tgt)
+		timed := *watched
+		timed.Workload = func(env *cluster.Env) {
+			tick := clock.Add(1)
+			if spans[i][0] == 0 {
+				spans[i][0] = tick
+			}
+			spans[i][1] = tick
+			watched.Workload(env)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reps[i] = core.Reproduce(logs[i].watch(tgt), core.Options{Seed: 1 + int64(i%2), Trace: logs[i]})
+			slots <- struct{}{}
+			defer func() { <-slots }()
+			core.Reproduce(&timed, core.Options{Seed: 1 + int64(i%2), Trace: logs[i]})
 		}()
 	}
 	wg.Wait()
-	owner := map[*cluster.Env]int{}
+	users := map[*cluster.Env][]int{} // environment -> the engines that ran trials in it
 	for i, l := range logs {
 		if len(l.reuses()) == 0 {
 			t.Fatalf("engine %d recycled nothing in %d trials", i, len(l.envs))
 		}
+		seen := map[*cluster.Env]bool{}
 		for _, env := range l.envs {
-			if j, ok := owner[env]; ok && j != i {
-				t.Fatalf("engines %d and %d both ran trials in environment %p", j, i, env)
+			if !seen[env] {
+				seen[env] = true
+				users[env] = append(users[env], i)
 			}
-			owner[env] = i
 		}
 		if twin := logs[(i+2)%engines]; !bytes.Equal(l.buf.Bytes(), twin.buf.Bytes()) {
 			t.Fatalf("engine %d and its same-seed twin left different traces", i)
 		}
+	}
+	shared := 0
+	for env, us := range users {
+		for a := range us {
+			for _, j := range us[a+1:] {
+				i := us[a]
+				shared++
+				if spans[i][0] <= spans[j][1] && spans[j][0] <= spans[i][1] {
+					t.Fatalf("engines %d (trials %d-%d) and %d (trials %d-%d) overlap and both ran trials in environment %p",
+						i, spans[i][0], spans[i][1], j, spans[j][0], spans[j][1], env)
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no environment served two engines: the searches did not share the pool, and the test proves nothing")
 	}
 }

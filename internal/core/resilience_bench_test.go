@@ -18,6 +18,10 @@ import (
 func benchReproduce(b *testing.B, id string, optFor func(i int) core.Options) {
 	b.Helper()
 	tgt := target(b, id)
+	// One untimed search leaves a warm workspace in the pool, so every
+	// timed one starts warm whatever b.N is — the alloc gate's 20x and a
+	// recording's 500x measure the same steady state.
+	core.Reproduce(tgt, optFor(0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep := core.Reproduce(tgt, optFor(i))

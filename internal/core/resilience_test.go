@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"anduril/internal/checkpoint"
 	"anduril/internal/cluster"
@@ -262,6 +263,53 @@ func TestFreeRunPanicIsFatalButContained(t *testing.T) {
 	}
 	if n := len(mem.Events); n == 0 || mem.Events[n-1].Type != trace.Outcome || mem.Events[n-1].Reason != trace.ReasonError {
 		t.Fatalf("trace does not end in a %s outcome", trace.ReasonError)
+	}
+}
+
+// TestVerifyIsAWatchedTrial: Verify replays a script under the trial
+// watchdogs. A target that panics under its own script, one that livelocks
+// under it and an oracle that panics judging it do not reproduce — the
+// process survives, and the livelock ends within the event budget, well
+// before the deadline — and the same script on the intact target still
+// does, in the environments those replays left.
+func TestVerifyIsAWatchedTrial(t *testing.T) {
+	tgt := target(t, "f3")
+	rep := core.Reproduce(tgt, core.Options{Seed: 1})
+	if !rep.Reproduced {
+		t.Fatal("f3 not reproduced")
+	}
+	script := *rep.Script
+	spin := func(env *cluster.Env) {
+		var spin func()
+		spin = func() { env.Sim.Go("livelock", spin) }
+		env.Sim.Go("livelock", spin)
+	}
+	badOracle := *tgt
+	badOracle.Oracle.Check = func(*cluster.Result) bool { panic("oracle bug") }
+	const deadline = 30 * time.Second
+	for _, row := range []struct {
+		name string
+		tgt  *core.Target
+		want bool
+	}{
+		{"intact", tgt, true},
+		{"panic", poisonWorkload(tgt, script, func(*cluster.Env) { panic("poisoned replay") }), false},
+		{"livelock", poisonWorkload(tgt, script, spin), false},
+		{"oracle-panic", &badOracle, false},
+		{"intact-after", tgt, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			done := make(chan bool, 1)
+			go func() { done <- core.Verify(row.tgt, script, rep.ScriptSeed) }()
+			select {
+			case got := <-done:
+				if got != row.want {
+					t.Fatalf("Verify = %v, want %v", got, row.want)
+				}
+			case <-time.After(deadline):
+				t.Fatalf("Verify did not return within %v", deadline)
+			}
+		})
 	}
 }
 

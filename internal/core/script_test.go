@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -124,5 +126,81 @@ func TestLoadScriptValidatesFaults(t *testing.T) {
 		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
 			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// scriptStabilityGolden pins, for every dataset cell's script, how many of
+// eight other seeds it still reproduces under — the rate `replay -seed N`
+// would see. Regenerate only after an intentional explorer or target change:
+//
+//	go test ./internal/core -run TestScriptSeedStability -update
+const scriptStabilityGolden = "testdata/script_seed_stability.golden"
+
+// stabilitySeeds are the first n seeds from 1 up, skipping the script's own.
+func stabilitySeeds(own int64, n int) []int64 {
+	var out []int64
+	for s := int64(1); len(out) < n; s++ {
+		if s != own {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestScriptSeedStability: every cell's script, replayed by Verify under
+// eight seeds other than the one the search reproduced it under, reproduces
+// at the rate on file. The scripts come from the conformance records; no
+// search runs again. A script is a (site, occurrence) or a call path, and
+// under another seed the same name may be another dynamic instance — f3's
+// occurrence-mode script is the known seed-bound one.
+func TestScriptSeedStability(t *testing.T) {
+	const n = 8
+	var keys []cellKey
+	for _, sc := range failures.All() {
+		for _, mode := range addressingModes {
+			keys = append(keys, cellKey{sc.ID, mode})
+		}
+	}
+	rows := make([]string, len(keys))
+	t.Run("cells", func(t *testing.T) {
+		for i, k := range keys {
+			t.Run(k.id+"/"+string(k.mode), func(t *testing.T) {
+				t.Parallel()
+				c := cells[k].observe()
+				reproduces(t, c)
+				hits, marks := 0, make([]byte, n)
+				for j, seed := range stabilitySeeds(c.rep.ScriptSeed, n) {
+					marks[j] = '-'
+					if core.Verify(c.tgt, *c.rep.Script, seed) {
+						hits, marks[j] = hits+1, '+'
+					}
+				}
+				rows[i] = fmt.Sprintf("%s %s script-seed=%d %d/%d %s\n", k.id, k.mode, c.rep.ScriptSeed, hits, n, marks)
+			})
+		}
+	})
+	if t.Failed() {
+		return
+	}
+	got := "# id mode script-seed reproduced/replays per-seed (seeds 1.." + fmt.Sprint(n+1) + " but the script's own)\n" + strings.Join(rows, "")
+	if *update {
+		if err := os.WriteFile(scriptStabilityGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("script stability golden updated: %s", scriptStabilityGolden)
+		return
+	}
+	want, err := os.ReadFile(scriptStabilityGolden)
+	if err != nil {
+		t.Fatalf("read script stability golden (run with -update to create it): %v", err)
+	}
+	gotLines, wantLines := strings.SplitAfter(got, "\n"), strings.SplitAfter(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("script stability differs from %s at line %d:\n- %s+ %s", scriptStabilityGolden, i+1, wantLines[i], gotLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("script stability differs from %s in length: %d vs %d lines", scriptStabilityGolden, len(gotLines), len(wantLines))
 	}
 }

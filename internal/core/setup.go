@@ -100,7 +100,7 @@ func (tl *timeline) instances(site string, minAmp int) []instance {
 // fault-instance timeline alignment.
 func (e *engine) setup(free *cluster.Result) {
 	e.failure = logdiff.Prepare(e.flatten(e.t.FailureLog))
-	cmp := e.diff.Compare(e.flatten(free.Entries), e.failure)
+	cmp := e.ws.diff.Compare(e.flatten(free.Entries), e.failure)
 	e.align = logdiff.NewAlignment(cmp, len(free.Entries), len(e.t.FailureLog))
 
 	matcher := e.t.Analysis.Matcher()

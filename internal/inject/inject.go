@@ -198,6 +198,7 @@ type Runtime struct {
 	plan *Plan
 
 	sites      map[string]*siteRec
+	reached    []*siteRec            // the records this run has counted, in first-reach order
 	pathCounts map[pathSiteKey]int32 // per-(path context, site) occurrence counters
 	trace      [][]TraceEvent        // the kept trace, TraceChunk events a chunk: growing copies nothing
 	injected   []TraceEvent
@@ -235,17 +236,20 @@ func NewRuntime(plan *Plan) *Runtime {
 // Reset prepares the runtime for another run under plan, as NewRuntime
 // would build it, keeping its wiring (LogPos, Thread, Now, Paths) and the
 // memory of its tables: a site's record stays in the table at count zero,
-// which everything that reads the table takes for absent. KeepTrace is back
-// at its default.
+// which everything that reads the table takes for absent, and the kept
+// trace's chunks stay allocated, empty. The table holds every site any
+// earlier run reached — of any target, for a runtime a search borrowed — so
+// Reset zeroes only the records the last run counted. KeepTrace is back at
+// its default.
 func (r *Runtime) Reset(plan *Plan) {
-	for _, rec := range r.sites {
+	for _, rec := range r.reached {
 		rec.count = 0
 	}
 	clear(r.pathCounts)
 	*r = Runtime{
 		LogPos: r.LogPos, Thread: r.Thread, Now: r.Now, Paths: r.Paths,
-		plan: plan, sites: r.sites, pathCounts: r.pathCounts,
-		injected: r.injected[:0], KeepTrace: true,
+		plan: plan, sites: r.sites, reached: r.reached[:0], pathCounts: r.pathCounts,
+		trace: r.trace[:0], injected: r.injected[:0], KeepTrace: true,
 	}
 	if plan != nil {
 		plan.Reset()
@@ -272,6 +276,7 @@ func (r *Runtime) Active(f Features) bool { return r.features&f == f }
 // message. A count of zero is a site this run has not reached: a record a
 // Reset left behind.
 type siteRec struct {
+	site   string
 	count  int
 	kind   Kind
 	pseudo PseudoFault
@@ -353,7 +358,12 @@ func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int)
 	if r.KeepTrace {
 		n := len(r.trace)
 		if n == 0 || len(r.trace[n-1]) == TraceChunk {
-			r.trace = append(r.trace, make([]TraceEvent, 0, TraceChunk))
+			if n < cap(r.trace) && r.trace[:n+1][n] != nil {
+				r.trace = r.trace[:n+1] // a chunk an earlier run left
+				r.trace[n] = r.trace[n][:0]
+			} else {
+				r.trace = append(r.trace, make([]TraceEvent, 0, TraceChunk))
+			}
 			n++
 		}
 		r.trace[n-1] = append(r.trace[n-1], ev)
@@ -368,6 +378,9 @@ func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int)
 // pseudo-site) has no call-path context — its occurrence is already a
 // deterministic per-run event index — so its path form is "site#occ".
 func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ int, inject bool) {
+	if rec.count == 0 {
+		r.reached = append(r.reached, rec)
+	}
 	rec.count++
 	occ = rec.count
 
@@ -388,7 +401,7 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 func (r *Runtime) Reach(site string, kind Kind) error {
 	rec := r.sites[site]
 	if rec == nil {
-		rec = &siteRec{}
+		rec = &siteRec{site: site}
 		r.sites[site] = rec
 	}
 	rec.kind = kind
@@ -421,7 +434,7 @@ func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 			return PseudoFault{}, false
 		}
 		if rec == nil {
-			rec = &siteRec{}
+			rec = &siteRec{site: site}
 			r.sites[site] = rec
 		}
 		rec.kind, rec.pseudo = f.Kind, f
@@ -476,11 +489,9 @@ func (r *Runtime) InjectedAll() []TraceEvent { return r.injected }
 // runtime's internal numbering, so subsequent Reach/Decide calls keep
 // counting from the true occurrence.
 func (r *Runtime) Counts() map[string]int {
-	out := make(map[string]int, len(r.sites))
-	for site, rec := range r.sites {
-		if rec.count != 0 {
-			out[site] = rec.count
-		}
+	out := make(map[string]int, len(r.reached))
+	for _, rec := range r.reached {
+		out[rec.site] = rec.count
 	}
 	return out
 }

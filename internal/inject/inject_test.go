@@ -355,3 +355,36 @@ func TestResetMatchesNewRuntime(t *testing.T) {
 		t.Fatalf("decisions after Reset %d, fresh %d", n, m)
 	}
 }
+
+// TestResetAcrossDisjointSiteSets: a runtime that ran one set of sites and is
+// Reset for a run of another — a recycled environment that served another
+// target — counts and traces exactly what a fresh runtime does: Counts holds
+// only the new run's sites, however many records the table keeps, and the
+// kept trace, written into the earlier run's chunks, is the fresh one.
+func TestResetAcrossDisjointSiteSets(t *testing.T) {
+	drive := func(r *Runtime, prefix string, sites, reaches int) {
+		for i := 0; i < reaches; i++ {
+			r.Reach(fmt.Sprintf("%s.%d", prefix, i%sites), IO)
+		}
+	}
+	used := NewRuntime(nil)
+	drive(used, "old", 40, 3*TraceChunk+7)
+	oldChunk := &used.TraceChunks()[0][0]
+	used.Reset(nil)
+	drive(used, "new", 5, 2*TraceChunk+3)
+
+	fresh := NewRuntime(nil)
+	drive(fresh, "new", 5, 2*TraceChunk+3)
+	if got, want := used.Counts(), fresh.Counts(); !reflect.DeepEqual(got, want) || len(want) != 5 {
+		t.Fatalf("counts after Reset %v, fresh %v", got, want)
+	}
+	if !reflect.DeepEqual(used.Trace(), fresh.Trace()) {
+		t.Fatal("trace after Reset differs from the fresh runtime's")
+	}
+	if &used.TraceChunks()[0][0] != oldChunk {
+		t.Fatal("Reset dropped the kept trace's chunks: a warm run re-allocates its timeline")
+	}
+	if _, ok := used.Kind("old.0"); ok {
+		t.Fatal("a site of the earlier run still has a kind")
+	}
+}
