@@ -45,9 +45,6 @@ type Options = core.Options
 // Report aliases the explorer's reproduction report.
 type Report = core.Report
 
-// Checkpoint aliases the search state Options.Checkpoint receives.
-type Checkpoint = core.Checkpoint
-
 // Strategy selects the exploration algorithm.
 type Strategy = core.Strategy
 
@@ -110,19 +107,6 @@ func Strategies() []Strategy { return core.Strategies() }
 // space is exhausted, or the round cap is hit (workflow steps 1–5 of §3).
 func Reproduce(t *Target, opts Options) *Report {
 	return core.Reproduce(t, opts)
-}
-
-// Resume continues an interrupted search from the checkpoint file a
-// previous run kept with Options.Checkpoint = CheckpointFile(path). The
-// target, strategy and seed must match the checkpointed run; the resumed
-// search then produces the same report (and continues the same trace
-// stream) as an uninterrupted run.
-func Resume(t *Target, opts Options, path string) (*Report, error) {
-	ck, err := core.LoadCheckpoint(path)
-	if err != nil {
-		return nil, err
-	}
-	return core.Resume(t, opts, ck)
 }
 
 // Verify deterministically replays a reproduction script and reports
@@ -217,10 +201,6 @@ func NewTarget(id string, workload Workload, horizon des.Time, orc Oracle, failu
 		Analysis:   an,
 	}, nil
 }
-
-// CheckpointFile(path) is the Options.Checkpoint sink that keeps the
-// search's latest checkpoint in a file, atomically replaced each time.
-var CheckpointFile = core.CheckpointFile
 
 // Oracle helpers, re-exported for building custom targets.
 var (

@@ -1,15 +1,14 @@
 // Command anduril-server runs the reproduction daemon: an HTTP service
 // that accepts reproduction jobs, journals them durably, executes them
-// on a bounded worker pool with checkpoint/resume, and survives kill -9
-// without losing a job or changing a result (see internal/server).
+// on a bounded worker pool, and survives kill -9 without losing a job or
+// changing a result (see internal/server).
 //
 //	anduril-server -data-dir /var/lib/anduril [-addr :8477] [-workers 4]
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: submissions are
-// rejected, running searches are interrupted at a round boundary and
-// checkpoint their exact position, and the process exits once every
-// in-flight job has persisted its state. A subsequent start with the
-// same -data-dir re-admits and finishes everything.
+// rejected, running searches are interrupted, and the process exits once
+// every worker has stopped. A subsequent start with the same -data-dir
+// re-admits every unfinished job and runs it again from its spec.
 //
 // Exit codes: 0 clean shutdown after a signal; 1 fatal runtime error
 // (journal unreadable, listen failure); 2 flag or validation error.
@@ -42,12 +41,11 @@ const (
 // flagConfig is the parsed flag set, kept separate from server.Config so
 // validation is a pure, table-testable function.
 type flagConfig struct {
-	addr            string
-	dataDir         string
-	workers         int
-	queue           int
-	maxAttempts     int
-	checkpointEvery int
+	addr        string
+	dataDir     string
+	workers     int
+	queue       int
+	maxAttempts int
 }
 
 // validate rejects flag combinations the server cannot run with. Every
@@ -69,9 +67,6 @@ func (c flagConfig) validate() error {
 	if c.maxAttempts <= 0 {
 		return fmt.Errorf("-max-attempts must be positive, got %d", c.maxAttempts)
 	}
-	if c.checkpointEvery <= 0 {
-		return fmt.Errorf("-checkpoint-every must be a positive round interval, got %d", c.checkpointEvery)
-	}
 	return nil
 }
 
@@ -91,7 +86,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 	fs.IntVar(&c.workers, "workers", 0, "concurrent job executions (0 = one per CPU)")
 	fs.IntVar(&c.queue, "queue", 256, "queued-job cap; beyond it submissions shed with 429")
 	fs.IntVar(&c.maxAttempts, "max-attempts", 3, "executions of a transiently-failing job before it fails for good")
-	fs.IntVar(&c.checkpointEvery, "checkpoint-every", 5, "rounds between search checkpoint writes")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -108,12 +102,11 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
 	srv, err := server.Open(server.Config{
-		DataDir:         c.dataDir,
-		Workers:         c.workers,
-		QueueCap:        c.queue,
-		MaxAttempts:     c.maxAttempts,
-		CheckpointEvery: c.checkpointEvery,
-		Logf:            logf,
+		DataDir:     c.dataDir,
+		Workers:     c.workers,
+		QueueCap:    c.queue,
+		MaxAttempts: c.maxAttempts,
+		Logf:        logf,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "anduril-server: %v\n", err)
@@ -150,7 +143,7 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 		}
 	}
 
-	// Drain: stop accepting HTTP first, then interrupt and persist jobs.
+	// Drain: stop accepting HTTP first, then interrupt the running jobs.
 	logf("anduril-server: draining")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

@@ -10,8 +10,6 @@
 //	anduril -failure f9 -strategy fixed-window     # a §5.2.4 design-choice ablation
 //	anduril -failure f3 -trace run.trace.jsonl     # structured JSONL trace of the search
 //	anduril -failure f3 -trace - | trace -stats -  # '-' streams the trace to stdout
-//	anduril -failure f3 -checkpoint ck.json        # checkpoint the search every 10 rounds
-//	anduril -failure f3 -checkpoint ck.json -resume  # continue an interrupted search
 //	anduril -failure f23 -fault-classes=env,site   # widen the search to environment faults
 //	anduril -failure f26                           # dyn anti-entropy failure (convergence oracle)
 //	anduril -failure f30                           # combined-fault failure (searched as fault pairs)
@@ -21,16 +19,19 @@
 //
 // Exit codes: 0 = reproduced (or an informational command), 1 = internal
 // error, 2 = usage error, 3 = search exhausted without reproducing,
-// 4 = search interrupted (continue it with -resume).
+// 4 = search interrupted by SIGINT or SIGTERM (re-run it to search again).
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"anduril"
 	"anduril/internal/core"
@@ -39,7 +40,7 @@ import (
 
 // Exit codes. Distinct codes let scripts tell "the search ran and the
 // failure did not reproduce" (a result) from "the tool itself failed"
-// (a defect) from "the search was interrupted" (resumable).
+// (a defect) from "the search was interrupted" (no result yet).
 const (
 	exitOK            = 0
 	exitInternal      = 1
@@ -48,11 +49,16 @@ const (
 	exitInterrupted   = 4
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
 // run is main minus the process boundary: parse, validate, search, exit
-// code.
-func run(args []string, stdout, stderr io.Writer) int {
+// code. Cancelling ctx interrupts the search (exit 4).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("anduril", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -68,10 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		scriptOut = fs.String("script-out", "", "write the reproduction script as JSON to this file")
 		dotOut    = fs.String("graph-dot", "", "write the static causal graph (Graphviz) to this file")
 		traceOut  = fs.String("trace", "", "write a JSONL explorer trace to this file ('-' = stdout, for piping into cmd/trace)")
-		ckptPath  = fs.String("checkpoint", "", "checkpoint the search state to this file (atomic writes)")
-		ckptEvery = fs.Int("checkpoint-every", 10, "checkpoint every N rounds (with -checkpoint)")
-		resume    = fs.Bool("resume", false, "resume an interrupted search from -checkpoint")
-		stopAfter = fs.Int("stop-after", 0, "interrupt the search after round N (exit 4; with -checkpoint; 0 = run to completion)")
 		classes   = fs.String("fault-classes", "", "comma-separated fault classes to search: site, env, pair, partial (default: the failure's own classes)")
 		addrMode  = fs.String("addressing", "", "injection addressing mode: occurrence (default) or path")
 	)
@@ -88,26 +90,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitInternal
 	}
 
-	switch {
-	case fs.NArg() != 0:
+	if fs.NArg() != 0 {
 		return usage("unexpected arguments: %v", fs.Args())
-	case *ckptEvery <= 0:
-		return usage("-checkpoint-every must be a positive round interval (got %d)", *ckptEvery)
-	case *stopAfter < 0:
-		return usage("-stop-after must be a round number, or 0 to disable (got %d)", *stopAfter)
-	case *resume && *ckptPath == "":
-		return usage("-resume requires -checkpoint to name the checkpoint file")
-	case *stopAfter > 0 && *ckptPath == "":
-		// Exit 4 promises a search -resume can continue; without a
-		// checkpoint there would be none.
-		return usage("-stop-after requires -checkpoint to keep the interrupted search")
 	}
 	opts := anduril.Options{
 		Strategy: anduril.Strategy(*strategy), Seed: *seed,
 		MaxRounds: *maxRounds, Window: *window, Adjust: *adjust,
-		CheckpointEvery: *ckptEvery, StopAfterRound: *stopAfter,
 		FaultClasses: core.SplitFaultClasses(*classes),
 		Addressing:   anduril.Addressing(*addrMode),
+		Context:      ctx,
 	}
 	if err := opts.Validate(); err != nil {
 		// The explorer names the option by its snake_case key; the flag is
@@ -117,9 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			err = fmt.Errorf("-%s: %s", strings.ReplaceAll(oe.Option, "_", "-"), oe.Problem)
 		}
 		return usage("%v", err)
-	}
-	if *ckptPath != "" {
-		opts.Checkpoint = anduril.CheckpointFile(*ckptPath)
 	}
 
 	if *list {
@@ -179,21 +167,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*dotOut, target.Analysis.Graph.NumNodes(), target.Analysis.Graph.NumEdges())
 	}
 
-	var report *anduril.Report
-	if *resume {
-		report, err = anduril.Resume(target, opts, *ckptPath)
-		if err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(out, "resumed search from %s\n", *ckptPath)
-	} else {
-		report = anduril.Reproduce(target, opts)
-	}
+	report := anduril.Reproduce(target, opts)
 	if report.Error != "" {
 		return fail("search failed: %s", report.Error)
-	}
-	if report.CheckpointError != "" {
-		fmt.Fprintf(stderr, "anduril: warning: a checkpoint failed (every interval tries again), first: %s\n", report.CheckpointError)
 	}
 
 	fmt.Fprintf(out, "free run: %d log lines, %d relevant observables, %d candidate sites, %d candidate instances\n",
@@ -213,8 +189,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if report.Interrupted {
-		fmt.Fprintf(out, "INTERRUPTED after %d rounds (%.2fs); continue with -resume -checkpoint %s\n",
-			report.Rounds, report.Elapsed.Seconds(), *ckptPath)
+		fmt.Fprintf(out, "INTERRUPTED after %d rounds (%.2fs); re-run to search again\n",
+			report.Rounds, report.Elapsed.Seconds())
 		return exitInterrupted
 	}
 	if !report.Reproduced {

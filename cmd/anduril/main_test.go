@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"slices"
@@ -17,31 +18,46 @@ import (
 // Input the command cannot honour is a usage error (exit 2) with a message
 // naming the problem, rejected before any search runs.
 func TestUsageErrors(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "ck.json")
+	script := filepath.Join(t.TempDir(), "script.json")
 	for _, c := range []struct {
 		name string
 		args []string
 		want string
 	}{
-		// Exit 4 would promise a search -resume can continue, and nothing
-		// was saved.
-		{"stop-after without checkpoint", []string{"-failure", "f4", "-stop-after", "2"}, "-stop-after requires -checkpoint"},
-		{"resume without checkpoint", []string{"-failure", "f4", "-resume"}, "-resume requires -checkpoint"},
-		{"positional junk", []string{"-failure", "f4", "-checkpoint", ck, "extra"}, "unexpected arguments: [extra]"},
+		{"positional junk", []string{"-failure", "f4", "-script-out", script, "extra"}, "unexpected arguments: [extra]"},
 		{"zero window", []string{"-failure", "f4", "-window", "0"}, "-window: must be positive (got 0)"},
 		{"unknown strategy", []string{"-failure", "f4", "-strategy", "bogus"}, `-strategy: unknown strategy "bogus"`},
 		{"no failure", nil, "-failure or -list required"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if code := run(c.args, &stdout, &stderr); code != exitUsage || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
+			if code := run(context.Background(), c.args, &stdout, &stderr); code != exitUsage || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
 				t.Errorf("exit %d, stderr %q, stdout %q; want exit %d naming %q and no search",
 					code, stderr.String(), stdout.String(), exitUsage, c.want)
 			}
 		})
 	}
-	if _, err := os.Stat(ck); !os.IsNotExist(err) {
-		t.Errorf("a rejected invocation wrote the checkpoint file (stat: %v)", err)
+	if _, err := os.Stat(script); !os.IsNotExist(err) {
+		t.Errorf("a rejected invocation wrote the script file (stat: %v)", err)
+	}
+}
+
+// TestInterruptedExitsFour: a search whose context is cancelled — what
+// SIGINT or SIGTERM does to the process — exits 4, says to re-run it, and
+// writes no script.
+func TestInterruptedExitsFour(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	script := filepath.Join(t.TempDir(), "script.json")
+	var stdout, stderr bytes.Buffer
+	if code := run(ctx, []string{"-failure", "f4", "-script-out", script}, &stdout, &stderr); code != exitInterrupted {
+		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitInterrupted, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "INTERRUPTED after 0 rounds") || !strings.Contains(stdout.String(), "re-run to search again") {
+		t.Errorf("stdout %q does not say the search was interrupted and should be re-run", stdout.String())
+	}
+	if _, err := os.Stat(script); !os.IsNotExist(err) {
+		t.Errorf("an interrupted search wrote the script file (stat: %v)", err)
 	}
 }
 
@@ -49,7 +65,7 @@ func TestUsageErrors(t *testing.T) {
 // accepts.
 func TestListStrategies(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list-strategies"}, &stdout, &stderr); code != exitOK {
+	if code := run(context.Background(), []string{"-list-strategies"}, &stdout, &stderr); code != exitOK {
 		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
 	var got []core.Strategy
@@ -70,7 +86,7 @@ func TestSameSearchAsTheDaemon(t *testing.T) {
 			t.Parallel()
 			path := filepath.Join(t.TempDir(), sc.ID+".trace.jsonl")
 			var stdout, stderr bytes.Buffer
-			if code := run([]string{"-failure", sc.ID, "-trace", path}, &stdout, &stderr); code != exitOK {
+			if code := run(context.Background(), []string{"-failure", sc.ID, "-trace", path}, &stdout, &stderr); code != exitOK {
 				t.Fatalf("exit %d: %s", code, stderr.String())
 			}
 			cli, err := os.ReadFile(path)

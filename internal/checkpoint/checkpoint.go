@@ -1,7 +1,7 @@
 // Package checkpoint reads and writes crash-safe state files. A checkpoint
 // is a versioned JSON envelope around an arbitrary payload:
 //
-//	{"kind":"explorer-search","version":1,"data":{...}}
+//	{"kind":"server-job","version":1,"data":{...}}
 //
 // Save writes atomically — the payload goes to a temporary file in the
 // destination directory, is synced, and is renamed over the target — so a
@@ -11,9 +11,8 @@
 // input; it must never panic, whatever bytes it is handed (the package's
 // fuzz target enforces this).
 //
-// The explorer's search checkpoints (core.CheckpointFile) and the server's
-// job records and reports are stored in this envelope, each under its own
-// kind.
+// The server's job records and reports are stored in this envelope, each
+// under its own kind.
 package checkpoint
 
 import (
@@ -78,15 +77,18 @@ func Stage(path, kind string, version int, data any) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s envelope: %w", kind, err)
 	}
-	env = append(env, '\n')
+	return StageBytes(path, append(env, '\n'))
+}
 
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+// StageBytes is Stage for bytes that need no envelope: they go to a
+// temporary file next to path, which is synced and renamed over path.
+func StageBytes(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(env); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: write %s: %w", tmp.Name(), err)
 	}

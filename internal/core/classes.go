@@ -101,8 +101,7 @@ next:
 	return cs, nil
 }
 
-// names renders the set canonically — alphabetical, the order checkpoint
-// envelopes record it in.
+// names renders the set canonically, in alphabetical order.
 func (cs classSet) names() []string {
 	var out []string
 	for c := range classTable {
@@ -301,14 +300,12 @@ func enumeratePairs(e *engine, _ classID, free *timeline) []*siteState {
 // self-pair — positioned on the timeline at the later member: the
 // combined effect completes only when the second fault lands. nearA and
 // nearB are the members' nearestObs distances, parallel to their
-// instances; their sum is the pair instance's temporal score. Returns nil
-// when no instance combination exists.
+// instances; their sum is the pair instance's temporal score. A pair
+// instance keeps its members as indices: the pair Instance, a site ID and
+// two member references, is rendered only for a candidate that is armed
+// (candidateFor), since a site pair can have millions of instances. Returns
+// nil when no instance combination exists.
 func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState {
-	st := &siteState{
-		id:      inject.PairSiteID(sa.id, sb.id),
-		class:   pairClass,
-		members: [2]*siteState{sa, sb},
-	}
 	self := sa == sb
 	n := len(sa.instances) * len(sb.instances)
 	if self {
@@ -317,8 +314,12 @@ func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState 
 	if n == 0 {
 		return nil
 	}
-	st.instances = make([]instance, 0, n)
-	st.pairInsts = make([]inject.Instance, 0, n)
+	st := &siteState{
+		id:        inject.PairSiteID(sa.id, sb.id),
+		class:     pairClass,
+		members:   [2]*siteState{sa, sb},
+		instances: make([]instance, 0, n),
+	}
 	for ai, a := range sa.instances {
 		bStart := 0
 		if self {
@@ -326,22 +327,12 @@ func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState 
 		}
 		for bi := bStart; bi < len(sb.instances); bi++ {
 			b := sb.instances[bi]
-			pi := inject.PairInstance(
-				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: e.pathOf(sa, a)},
-				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: e.pathOf(sb, b)},
-			)
-			pi.Occurrence = len(st.instances) + 1
-			logPos, alignedPos := a.logPos, a.alignedPos
-			if b.logPos > logPos {
-				logPos = b.logPos
-			}
-			if b.alignedPos > alignedPos {
-				alignedPos = b.alignedPos
-			}
-			st.pairInsts = append(st.pairInsts, pi)
 			st.instances = append(st.instances, instance{
-				occ: pi.Occurrence, logPos: logPos, alignedPos: alignedPos,
-				pairT: nearA[ai] + nearB[bi],
+				occ:        len(st.instances) + 1,
+				logPos:     max(a.logPos, b.logPos),
+				alignedPos: max(a.alignedPos, b.alignedPos),
+				pair:       [2]int32{int32(ai), int32(bi)},
+				pairT:      nearA[ai] + nearB[bi],
 			})
 		}
 	}

@@ -92,27 +92,13 @@ func TestUnknownStrategyIsAnError(t *testing.T) {
 }
 
 // TestUnknownFaultClassIsAnError: a misspelled class must fail the search
-// loudly through every library entry point — silently searching nothing is
-// indistinguishable from "fault space exhausted" — and an empty list means
-// unset, like nil.
+// loudly — silently searching nothing is indistinguishable from "fault
+// space exhausted" — and an empty list means unset, like nil.
 func TestUnknownFaultClassIsAnError(t *testing.T) {
 	tgt := target(t, "f4")
 	bad := core.Options{Strategy: core.FullFeedback, Seed: 1, FaultClasses: []string{"sites"}}
 	const want = `unknown fault class "sites"`
 	searchFailsToStart(t, tgt, bad, want)
-
-	var ck core.Checkpoint
-	good := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
-	killed := good
-	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = keepLast(&ck), 2, 4
-	if rep := core.Reproduce(tgt, killed); !rep.Interrupted {
-		t.Fatal("setup run not interrupted")
-	}
-	resumeBad := good
-	resumeBad.FaultClasses = bad.FaultClasses
-	if _, err := core.Resume(tgt, resumeBad, ck); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Resume: err = %v, want %s", err, want)
-	}
 
 	unset := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1})
 	empty := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, FaultClasses: []string{}})

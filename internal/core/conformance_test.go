@@ -4,9 +4,8 @@ package core_test
 // written once. A cell is one failure under one addressing mode; it is
 // observed once per test binary — reproduce with a trace, reproduce again,
 // once more with a fresh environment per trial and once in a workspace
-// another cell's search left, export the script, kill the search mid-run and
-// resume it — and each property is an assertion over
-// that record. TestDatasetConformance sweeps failures.All() × {occurrence,
+// another cell's search left, and export the script — and each property is
+// an assertion over that record. TestDatasetConformance sweeps failures.All() × {occurrence,
 // path} × every property; the per-class Test* names further down and in
 // dataset_test.go / core_test.go select ids × mode × properties from the
 // same records. A new scenario or fault class enters the sweep by its
@@ -66,14 +65,6 @@ type cell struct {
 	// predecessor).
 	warm      *core.Report
 	warmTrace []byte
-
-	// The search again, killed after round killAt (half way; 0 when it
-	// takes one round and there is nothing to kill) and resumed.
-	killAt     int
-	killed     *core.Report
-	part, rest []byte
-	resumed    *core.Report
-	resumeErr  error
 }
 
 type cellKey struct {
@@ -112,22 +103,9 @@ var cells = func() map[cellKey]*cell {
 	return m
 }()
 
-// keepLast is the Options.Checkpoint sink that keeps the latest checkpoint
-// in memory.
-func keepLast(dst *core.Checkpoint) func(core.Checkpoint) error {
-	return func(ck core.Checkpoint) error {
-		*dst = ck
-		return nil
-	}
-}
-
-// search runs the cell's target under opts — resumed from the checkpoint
-// resumeFrom when that is set — and returns the report and the JSONL trace
-// emitted.
-func (c *cell) search(opts core.Options, resumeFrom *core.Checkpoint) (rep *core.Report, jsonl []byte, err error) {
-	if resumeFrom != nil {
-		return c.traced(opts, func(o core.Options) (*core.Report, error) { return core.Resume(c.tgt, o, *resumeFrom) })
-	}
+// search runs the cell's target under opts and returns the report and the
+// JSONL trace emitted.
+func (c *cell) search(opts core.Options) (rep *core.Report, jsonl []byte, err error) {
 	return c.traced(opts, func(o core.Options) (*core.Report, error) { return core.Reproduce(c.tgt, o), nil })
 }
 
@@ -147,10 +125,10 @@ func (c *cell) observe() *cell {
 		if c.tgt, c.err = c.sc.BuildTarget(); c.err != nil {
 			return
 		}
-		if c.rep, c.first, c.err = c.search(c.opts, nil); c.err != nil {
+		if c.rep, c.first, c.err = c.search(c.opts); c.err != nil {
 			return
 		}
-		if _, c.second, c.err = c.search(c.opts, nil); c.err != nil {
+		if _, c.second, c.err = c.search(c.opts); c.err != nil {
 			return
 		}
 		c.fresh, c.freshTrace, c.err = c.traced(c.opts, func(o core.Options) (*core.Report, error) {
@@ -173,20 +151,8 @@ func (c *cell) observe() *cell {
 			return
 		}
 		if sf, err := core.ScriptOf(c.rep); err == nil {
-			if c.script, c.err = sf.Marshal(); c.err != nil {
-				return
-			}
+			c.script, c.err = sf.Marshal()
 		}
-		if c.killAt = c.rep.Rounds / 2; c.killAt == 0 {
-			return
-		}
-		var ck core.Checkpoint
-		kill := c.opts
-		kill.Checkpoint, kill.StopAfterRound = keepLast(&ck), c.killAt
-		if c.killed, c.part, c.err = c.search(kill, nil); c.err != nil {
-			return
-		}
-		c.resumed, c.rest, c.resumeErr = c.search(c.opts, &ck)
 	})
 	return c
 }
@@ -452,33 +418,6 @@ func recycled(t *testing.T, c *cell) {
 	}
 }
 
-// resumeEquivalent: killed half way and resumed, the search is the
-// uninterrupted one — the interrupted trace a strict prefix, the two
-// pieces concatenated byte-equal, the canonical reports equal.
-func resumeEquivalent(t *testing.T, c *cell) {
-	reproduces(t, c)
-	if c.killAt == 0 {
-		t.Skipf("reproduced in %d round: no mid-run round to kill at", c.rep.Rounds)
-	}
-	if c.resumeErr != nil {
-		t.Fatalf("resume after round %d: %v", c.killAt, c.resumeErr)
-	}
-	if !c.killed.Interrupted || c.killed.Reproduced || c.killed.Rounds != c.killAt {
-		t.Fatalf("killed run: interrupted=%v reproduced=%v rounds=%d, want a kill after round %d",
-			c.killed.Interrupted, c.killed.Reproduced, c.killed.Rounds, c.killAt)
-	}
-	if len(c.part) == 0 || len(c.part) >= len(c.first) || !bytes.HasPrefix(c.first, c.part) {
-		t.Fatalf("interrupted trace (%d bytes) is not a strict prefix of the full one (%d bytes)", len(c.part), len(c.first))
-	}
-	if !bytes.Equal(slices.Concat(c.part, c.rest), c.first) {
-		t.Fatalf("interrupted + resumed traces (%d + %d bytes) differ from the full one (%d bytes)",
-			len(c.part), len(c.rest), len(c.first))
-	}
-	if full, res := normalized(t, c.rep), normalized(t, c.resumed); full != res {
-		t.Fatalf("final reports differ:\nfull:    %s\nresumed: %s", full, res)
-	}
-}
-
 var properties = []struct {
 	name  string
 	check func(*testing.T, *cell)
@@ -490,7 +429,6 @@ var properties = []struct {
 	{"injected-event", injectedEvent},
 	{"two-run-identical", twoRunIdentical},
 	{"recycled", recycled},
-	{"resume-equivalent", resumeEquivalent},
 }
 
 func TestDatasetConformance(t *testing.T) {

@@ -117,7 +117,7 @@ type Options struct {
 	Strategy  Strategy
 	Window    int   // initial flexible-window size k (§5.2.5); default 10
 	Adjust    int   // observable priority adjustment s (§5.2.1); default 1
-	MaxRounds int   // round cap; default 2000
+	MaxRounds int   // round cap; default DefaultMaxRounds
 	Seed      int64 // master seed; round r runs with Seed+r
 
 	// FaultClasses selects which fault classes the search explores, by
@@ -143,29 +143,12 @@ type Options struct {
 	// Default 1 (the paper's base algorithm).
 	RunsPerRound int
 
-	// Checkpoint receives the search state after every CheckpointEvery-th
-	// completed round and once more, whatever the interval, when the search
-	// is interrupted: the engine does no I/O, the checkpoint leaves it like
-	// the trace does. CheckpointFile keeps it in a file; Resume continues
-	// from a received or loaded value. An error never stops the search: the
-	// first is kept in Report.CheckpointError and the next interval calls
-	// again. nil (the default) disables checkpointing at zero cost. Per-round
-	// seeds derive from Seed+round, so a resumed run is byte-identical —
-	// trace and final report — to the same run uninterrupted.
-	Checkpoint      func(Checkpoint) error
-	CheckpointEvery int // rounds between checkpoints; default 10
-
 	// Context, when non-nil, cancels the search from outside: the engine
 	// checks it between rounds and the DES kernel polls it inside runs.
 	// A cancelled search returns with Report.Interrupted set and emits no
-	// trace outcome, so its trace stays a resumable prefix.
+	// trace outcome. Nothing of it is kept: a search is a pure function of
+	// its Target and Options, so an interrupted one is run again.
 	Context context.Context
-
-	// StopAfterRound, when positive, interrupts the search after recording
-	// that many rounds, exactly as an external kill at a round boundary
-	// would — the deterministic "kill switch" behind the resume-equivalence
-	// tests and `anduril -stop-after`.
-	StopAfterRound int
 
 	// Trace receives the structured event stream of the search: free-run
 	// setup, per-round ranked-site snapshots, injection decisions, feedback
@@ -245,19 +228,19 @@ func (o Options) withDefaults() Options {
 		o.Adjust = 1
 	}
 	if o.MaxRounds <= 0 {
-		o.MaxRounds = 2000
+		o.MaxRounds = DefaultMaxRounds
 	}
 	if o.RunsPerRound <= 0 {
 		o.RunsPerRound = 1
-	}
-	if o.CheckpointEvery <= 0 {
-		o.CheckpointEvery = 10
 	}
 	if o.Addressing == "" {
 		o.Addressing = AddrOccurrence
 	}
 	return o
 }
+
+// DefaultMaxRounds is the round cap of a search that sets none.
+const DefaultMaxRounds = 2000
 
 // DefaultEventBudget caps the DES events of every trial run. A livelocked
 // target (a zero-delay self-scheduling loop) never advances virtual time,
@@ -324,10 +307,9 @@ type Report struct {
 	BestPartial        *inject.Instance
 	BestPartialMissing int
 
-	// Interrupted is set when the search stopped early — Options.Context
-	// cancelled or Options.StopAfterRound reached — instead of finishing.
-	// An interrupted report is not a verdict: resume from the checkpoint
-	// to continue the search.
+	// Interrupted is set when Options.Context cancelled the search before
+	// it finished. An interrupted report is not a verdict: run the search
+	// again to get one.
 	Interrupted bool `json:",omitempty"`
 
 	// InconclusiveRounds counts rounds degraded by trial isolation (see
@@ -337,11 +319,6 @@ type Report struct {
 	// Error is set when the search could not start at all: the free run
 	// failed twice (e.g. the target panics without any injection).
 	Error string `json:",omitempty"`
-
-	// CheckpointError records the first error Options.Checkpoint returned,
-	// if any. Checkpointing is best-effort: a failed checkpoint never stops
-	// the search, and the next interval tries again.
-	CheckpointError string `json:",omitempty"`
 
 	// Reason says why a finished search ended, in the trace outcome's
 	// vocabulary: trace.ReasonReproduced, ReasonExhausted (every candidate
@@ -400,15 +377,14 @@ func medianDuration(rounds []Round, f func(Round) time.Duration) time.Duration {
 }
 
 // CanonicalReport renders a report as canonical JSON with every wall-clock
-// measurement (and the best-effort checkpoint error) zeroed — the only
-// fields two executions of the same deterministic search can disagree on.
-// Any two runs of one (Target, Options) pair, however interrupted, resumed
-// or scheduled, produce byte-identical canonical reports; the server's
-// soak and crash-recovery gates compare exactly these bytes.
+// measurement zeroed — the only fields two executions of the same
+// deterministic search can disagree on. Any two finished runs of one
+// (Target, Options) pair, however scheduled or re-run, produce
+// byte-identical canonical reports; the server's soak and crash-recovery
+// gates compare exactly these bytes.
 func CanonicalReport(r *Report) ([]byte, error) {
 	cp := *r
 	cp.Elapsed, cp.FreeRunTime = 0, 0
-	cp.CheckpointError = ""
 	cp.RoundLog = make([]Round, len(r.RoundLog))
 	for i, rd := range r.RoundLog {
 		rd.InitTime, rd.RunTime, rd.DecideTime = 0, 0, 0
@@ -423,8 +399,7 @@ func CanonicalReport(r *Report) ([]byte, error) {
 func Reproduce(t *Target, opts Options) *Report {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
-	rep, _ := newEngine(t, opts.withDefaults(), ws).run() // only a resume can fail to start
-	return rep
+	return newEngine(t, opts.withDefaults(), ws).run()
 }
 
 // Verify replays a reproduction script deterministically and reports

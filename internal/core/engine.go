@@ -33,6 +33,11 @@ type instance struct {
 	addr       inject.PathKey // path identity in the free run (path addressing only)
 	amp        int            // observed amplitude (partial pseudo-sites only)
 
+	// pair is a pair instance's two members, as indices into its site's
+	// members[0].instances and members[1].instances (unused otherwise):
+	// candidateFor renders the pair Instance from them when it is armed.
+	pair [2]int32
+
 	// pairT is a pair instance's temporal score (unused otherwise): the
 	// sum over its two members of each member's distance to the nearest
 	// relevant observable — ranking scores a pair by how close each fault
@@ -101,21 +106,19 @@ type siteState struct {
 	// env or partial pseudo-site ("" otherwise): an observable equal to it
 	// is direct failure-log evidence for this site, scored distMatched.
 	// members are a pair pseudo-site's two member sites (sorted by id, the
-	// same site twice for a self-pair) and pairInsts the full pair Instance
-	// per enumerated instance, parallel to instances.
-	class     classID
-	dists     map[string]int
-	synth     float64
-	marker    string
-	members   [2]*siteState
-	pairInsts []inject.Instance
+	// same site twice for a self-pair).
+	class   classID
+	dists   map[string]int
+	synth   float64
+	marker  string
+	members [2]*siteState
 
 	// byPath maps a path address's chain hash to the free-run instance it
 	// names, as an index into instances (path addressing only): an
 	// injection run's reach is matched by path, and its tried-set entry is
 	// the free-run instance that path names. paths caches, by occurrence,
 	// the canonical strings rendered so far — only instances that were
-	// armed into a window or enumerated as a pair member ever have one.
+	// armed into a window, alone or as a pair member, ever have one.
 	byPath map[uint64]int32
 	paths  map[int]string
 
@@ -181,7 +184,7 @@ type engine struct {
 	// strategy is the strategyTable row the search runs, resolved by
 	// prepare. window is the flexible-window size the next round selects
 	// with: Options.Window — pinned at 1 for a queue row — until a round
-	// widens it or a checkpoint restores it.
+	// widens it.
 	strategy *strategy
 	window   int
 
@@ -198,11 +201,6 @@ type engine struct {
 	// the enabled classes' own, plus path addressing under AddrPath.
 	// Resolved by prepare.
 	feats inject.Features
-
-	// Resume state: the checkpoint being restored (nil on a fresh run) and
-	// the round the restored search had completed.
-	resume     *searchState
-	startRound int
 
 	// recomputeRanking makes every ranking a full recompute, the reference
 	// the priority index must equal. Only export_test.go sets it.
@@ -222,7 +220,7 @@ func newEngine(t *Target, o Options, ws *workspace) *engine {
 // — for the next trials to be built in, and the scratch of its log diffs.
 // An environment is the part of a trial's garbage that is the same every
 // round, and a search's set-up is the same work every search, so the
-// workspace outlives the engine: Reproduce, Resume and Verify take one from
+// workspace outlives the engine: Reproduce and Verify take one from
 // workspaces and put it back when they return. The pool hands a workspace
 // to one caller at a time and no Report reaches into it, so concurrent
 // searches share the pool but never a workspace. It carries memory, not
@@ -320,33 +318,22 @@ func (e *engine) traceDecision(round, window int, candidates []inject.Instance) 
 	})
 }
 
-// run executes the whole workflow — free run, setup, then the round loop —
-// for both entry points: Reproduce and Resume (e.resume set). A fresh search
-// that cannot start is a verdict of its own (Report.Error, or Interrupted
-// when the free run was cancelled); a resume that cannot start is the
-// caller's error, the only one run returns.
-func (e *engine) run() (*Report, error) {
+// run executes the whole workflow — free run, setup, then the round loop.
+// A search that cannot start is a verdict of its own: Report.Error, or
+// Interrupted when the free run was cancelled.
+func (e *engine) run() *Report {
 	start := time.Now()
 	defer e.releaseFreeRun()
-	err := e.prepare()
-	if e.resume != nil {
-		if err != nil {
-			return nil, fmt.Errorf("core: resume: %w", err)
-		}
-		if err := e.applyState(); err != nil {
-			return nil, err
-		}
-	}
-	switch {
+	switch err := e.prepare(); {
 	case err == nil:
 		e.explore()
 	case isInterrupted(err):
-		e.interrupt(1) // cancelled in the free run: no round to checkpoint
+		e.report.Interrupted = true
 	default:
 		e.report.Error = err.Error()
 	}
 	e.finish(start)
-	return e.report, nil
+	return e.report
 }
 
 // prepare resolves the strategy row and the fault classes — an unknown name
@@ -390,12 +377,10 @@ func (e *engine) prepare() error {
 }
 
 // finish closes the report with the reason the search ended. An interrupted
-// search has none and emits no trace outcome: its trace must stay a pure
-// prefix of the uninterrupted stream so a resumed continuation concatenates
-// into the identical trace.
+// search has none and emits no trace outcome: it did not end, it stopped.
 func (e *engine) finish(start time.Time) {
 	rep := e.report
-	rep.Elapsed += time.Since(start)
+	rep.Elapsed = time.Since(start)
 	if rep.Script != nil {
 		rep.EnvRooted = inject.IsEnvSite(rep.Script.Site)
 		rep.PartialRooted = inject.IsPartialSite(rep.Script.Site)
@@ -457,34 +442,13 @@ func (e *engine) release(a *attempt) {
 }
 
 // releaseFreeRun takes back the free run's environment when the search is
-// over, whether it ended, was interrupted or failed to resume: nothing
-// reads freeRes after run. A free run that failed never became freeRes.
+// over, whether it ended or was interrupted: nothing reads freeRes after
+// run. A free run that failed never became freeRes.
 func (e *engine) releaseFreeRun() {
 	if e.freeRes != nil && !e.freshEnvs {
 		e.ws.keep(e.freeRes)
 	}
 	e.freeRes = nil
-}
-
-// stopRequested reports whether the search must stop before starting the
-// given round: the simulated kill switch fired or the context was cancelled.
-func (e *engine) stopRequested(round int) bool {
-	return (e.o.StopAfterRound > 0 && round > e.o.StopAfterRound) ||
-		(e.ctx != nil && e.ctx.Err() != nil)
-}
-
-// interrupt ends a search that was stopped before the given round finished
-// — at its boundary, or cancelled mid-trial — and marks the report
-// resumable. Its last act is a checkpoint of the state through round-1,
-// taken regardless of the interval, so a gracefully-drained search
-// resumes from the exact round it stopped at instead of re-executing
-// everything since the last periodic one. An interrupt before the first
-// completed round has no state worth keeping.
-func (e *engine) interrupt(round int) {
-	e.report.Interrupted = true
-	if round > 1 {
-		e.checkpoint(round - 1)
-	}
 }
 
 // isInterrupted matches the trial error of an externally-cancelled run.
@@ -497,7 +461,7 @@ func isInterrupted(err error) bool {
 // path addressing), rendered from the free run's retained call tree the
 // first time it is asked for and cached on the site: the engine holds
 // identities, and a string exists only for an instance on its way to the
-// wire — armed into a window, or enumerated as a pair member.
+// wire — armed into a window, alone or as a pair member.
 func (e *engine) pathOf(s *siteState, inst instance) string {
 	if inst.addr.N == 0 {
 		return ""
@@ -630,15 +594,10 @@ func (e *engine) recordInconclusive(a attempt) {
 	e.record(rd)
 }
 
-// record books a finished round on the report and, on the interval,
-// checkpoints the state after it. A reproducing round ends the search —
-// there is nothing left to resume — so it takes no checkpoint.
+// record books a finished round on the report.
 func (e *engine) record(rd *Round) {
 	e.report.RoundLog = append(e.report.RoundLog, *rd)
 	e.report.Rounds = rd.N
-	if !rd.Satisfied && rd.N%e.o.CheckpointEvery == 0 {
-		e.checkpoint(rd.N)
-	}
 }
 
 func (e *engine) markTried(inst inject.Instance) {

@@ -23,8 +23,7 @@ func (e *engine) fullRanking() []*siteState {
 func ReproduceRecomputing(t *Target, o Options) *Report {
 	e := newEngine(t, o.withDefaults(), new(workspace))
 	e.recomputeRanking = true
-	rep, _ := e.run()
-	return rep
+	return e.run()
 }
 
 // ReproduceFresh is Reproduce with a fresh environment built for every
@@ -33,8 +32,7 @@ func ReproduceRecomputing(t *Target, o Options) *Report {
 func ReproduceFresh(t *Target, o Options) *Report {
 	e := newEngine(t, o.withDefaults(), new(workspace))
 	e.freshEnvs = true
-	rep, _ := e.run()
-	return rep
+	return e.run()
 }
 
 // A Workspace is a search's working memory held outside the pool, so that a
@@ -43,8 +41,7 @@ type Workspace struct{ ws workspace }
 
 // Reproduce is core.Reproduce in w.
 func (w *Workspace) Reproduce(t *Target, o Options) *Report {
-	rep, _ := newEngine(t, o.withDefaults(), &w.ws).run()
-	return rep
+	return newEngine(t, o.withDefaults(), &w.ws).run()
 }
 
 // Prepared is an engine after the free run and setup, with the initial
@@ -92,9 +89,10 @@ func (p *Prepared) PairScores(visit func(pair inject.Instance, memo, recomputed 
 		if s.class != pairClass {
 			continue
 		}
-		for i, inst := range s.instances {
-			a, b, _ := inject.PairMembers(s.pairInsts[i])
-			visit(s.pairInsts[i], inst.pairT,
+		for _, inst := range s.instances {
+			pair := p.e.candidateFor(s, inst)
+			a, b, _ := inject.PairMembers(pair)
+			visit(pair, inst.pairT,
 				p.e.nearestObs(p.e.memberPos(s, a))+p.e.nearestObs(p.e.memberPos(s, b)))
 		}
 	}

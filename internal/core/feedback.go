@@ -29,8 +29,7 @@ const instanceLimit = 3
 
 // explore is the one round loop. The rows differ in the select step — a
 // queue row injects the next entry of a queue that is a deterministic
-// function of the free run (so a resumed search rebuilds it and continues
-// at the checkpointed round), a priority-driven row the ranked window —
+// function of the free run, a priority-driven row the ranked window —
 // and in what follows an injection the oracle did not accept: only a
 // priority-driven row widens its window, re-runs under extra seeds and
 // learns. rk is nil for a queue row, which therefore never ranks.
@@ -44,9 +43,9 @@ func (e *engine) explore() {
 	} else {
 		rk = &indexRanker{e: e}
 	}
-	for round := e.startRound + 1; round <= last; round++ {
-		if e.stopRequested(round) {
-			e.interrupt(round)
+	for round := 1; round <= last; round++ {
+		if e.ctx != nil && e.ctx.Err() != nil {
+			e.report.Interrupted = true
 			return
 		}
 		initStart := time.Now()
@@ -71,8 +70,8 @@ func (e *engine) explore() {
 		switch {
 		case isInterrupted(a.err):
 			// Cancelled mid-trial: the round is neither recorded nor marked
-			// tried, so resume re-executes exactly this round.
-			e.interrupt(round)
+			// tried.
+			e.report.Interrupted = true
 			return
 		case a.err != nil:
 			e.recordInconclusive(a)

@@ -88,9 +88,8 @@ func sameSearch(t *testing.T, rec, fresh *envLog, rep, ref *core.Report) {
 // within the search either: the search reads it to the end. The next search
 // in the same workspace starts in the environments the first gave back,
 // never in a failed one, and is the fresh-environment search too. (A
-// cancelled trial ends the search;
-// TestInterruptInCombinedLogRunWritesFinalCheckpoint holds its resume to the
-// uninterrupted run.)
+// cancelled trial ends the search, and its environment is left to the
+// collector like a failed one's.)
 func TestFailedTrialsAreNotRecycled(t *testing.T) {
 	tgt := target(t, "f1")
 	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}

@@ -20,46 +20,39 @@ func TestOptionsWithDefaults(t *testing.T) {
 			name: "zero value gets every default",
 			in:   Options{},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10},
+				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "negative knobs are treated as unset",
-			in:   Options{Window: -5, Adjust: -1, MaxRounds: -10, RunsPerRound: -2, CheckpointEvery: -4},
+			in:   Options{Window: -5, Adjust: -1, MaxRounds: -10, RunsPerRound: -2},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10},
+				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "explicit values survive",
 			in: Options{Strategy: Random, Window: 3, Adjust: 2, MaxRounds: 7,
-				RunsPerRound: 4, Seed: 42,
-				CheckpointEvery: 2, StopAfterRound: 6},
+				RunsPerRound: 4, Seed: 42},
 			want: Options{Strategy: Random, Window: 3, Adjust: 2, MaxRounds: 7,
-				RunsPerRound: 4, Seed: 42, Addressing: AddrOccurrence,
-				CheckpointEvery: 2, StopAfterRound: 6},
+				RunsPerRound: 4, Seed: 42, Addressing: AddrOccurrence},
 		},
 		{
 			name: "seed zero stays zero (a valid master seed)",
 			in:   Options{Seed: 0, Window: 1},
 			want: Options{Strategy: FullFeedback, Window: 1, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10},
+				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "explicit path addressing survives",
 			in:   Options{Addressing: AddrPath},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrPath,
-				CheckpointEvery: 10},
+				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrPath},
 		},
 		{
 			// The §5.2.4 ablations are strategy rows, named like any other.
 			name: "ablation flags pass through untouched",
 			in:   Options{Strategy: GlobalDiff},
 			want: Options{Strategy: GlobalDiff, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence,
-				CheckpointEvery: 10},
+				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 	}
 	for _, tc := range cases {

@@ -2,14 +2,12 @@ package core_test
 
 // Microbenchmarks for the resilience layer: the recover-wrapped trial
 // path is always on, so BenchmarkReproduce/baseline doubles as proof that
-// panic isolation costs nothing measurable, and the checkpointed variant
-// prices the worst-case checkpoint cadence (every round). The repository
+// panic isolation costs nothing measurable. The repository
 // benchmark (BENCHMARK.json, bench/) records the end-to-end numbers; the
 // CI alloc gates read the baseline, path-addressing, path-deep, partial,
 // pair and site-distance-deep variants.
 
 import (
-	"path/filepath"
 	"testing"
 
 	"anduril/internal/core"
@@ -33,21 +31,9 @@ func benchReproduce(b *testing.B, id string, optFor func(i int) core.Options) {
 
 func BenchmarkReproduce(b *testing.B) {
 	b.Run("baseline", func(b *testing.B) {
-		// No checkpoint sink: checkpointing is a modulo and a nil check
-		// per round, and the recover wrappers are the only resilience
-		// cost on this path.
+		// The recover wrappers are the only resilience cost on this path.
 		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60}
-		})
-	})
-	b.Run("checkpoint-every-round", func(b *testing.B) {
-		sink := core.CheckpointFile(filepath.Join(b.TempDir(), "bench.ck.json"))
-		benchReproduce(b, "f4", func(i int) core.Options {
-			return core.Options{
-				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
-				Checkpoint:      sink,
-				CheckpointEvery: 1,
-			}
 		})
 	})
 	b.Run("path-addressing", func(b *testing.B) {

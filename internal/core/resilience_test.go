@@ -1,47 +1,21 @@
 package core_test
 
-// Tests for the resilient search runtime: checkpoint/resume equivalence
-// (a killed-and-resumed search is byte-identical to an uninterrupted one),
-// trial isolation (target panics, livelocks and oracle panics degrade to
-// inconclusive rounds instead of killing the process), and the watchdogs.
+// Tests for the resilient search runtime: trial isolation (target panics,
+// livelocks and oracle panics degrade to inconclusive rounds instead of
+// killing the process), the watchdogs, and cancellation.
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+	"context"
 	"strings"
 	"testing"
 	"time"
 
-	"anduril/internal/checkpoint"
 	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/des"
 	"anduril/internal/inject"
 	"anduril/internal/trace"
 )
-
-// resumeFixtures are the dataset failures the equivalence tests run over.
-// Window 1 slows f1/f4 down to 15+ rounds so an interruption leaves real
-// work to resume; f9 (19 rounds) and f25 (an env delay-channel root past
-// 100 rounds) are cells of the dataset sweep. The rows that name a
-// strategy resume the other kinds of table row: a queue row of the §8.3
-// ablations (161 rounds), a priority-driven row without feedback (133
-// rounds) and a queue row of the §8.4 baselines (146 rounds).
-var resumeFixtures = []struct {
-	id       string
-	window   int
-	strategy core.Strategy
-}{
-	{"f1", 1, core.FullFeedback},
-	{"f4", 1, core.FullFeedback},
-	{"f9", 0, core.FullFeedback},
-	{"f25", 0, core.FullFeedback},
-	{"f12", 0, core.Exhaustive},
-	{"f16", 0, core.SiteDistance},
-	{"f4", 0, core.FATE},
-}
 
 func lines(events []trace.Event) []string {
 	out := make([]string, len(events))
@@ -60,29 +34,6 @@ func normalized(t *testing.T, rep *core.Report) string {
 		t.Fatal(err)
 	}
 	return string(raw)
-}
-
-// TestResumeTraceEquivalence is the core checkpoint contract, held by the
-// conformance suite's resume-equivalent property over cells the dataset
-// sweep does not have: a narrowed window, and the other kinds of strategy
-// row. Each is killed half way (the forced final checkpoint) and resumed.
-func TestResumeTraceEquivalence(t *testing.T) {
-	for _, fx := range resumeFixtures {
-		name := fx.id
-		if fx.strategy != core.FullFeedback {
-			name += "-" + string(fx.strategy)
-		}
-		c := cells[cellKey{fx.id, core.AddrOccurrence}]
-		if fx.window != 0 || fx.strategy != core.FullFeedback {
-			c = &cell{sc: c.sc, opts: core.Options{Strategy: fx.strategy, Seed: 1, MaxRounds: 500, Window: fx.window}}
-		}
-		t.Run(name, func(t *testing.T) {
-			if c.observe().killAt < 2 {
-				t.Fatalf("%s reproduces in %d rounds; the fixture must leave real work on both sides of the kill", fx.id, c.rep.Rounds)
-			}
-			resumeEquivalent(t, c)
-		})
-	}
 }
 
 // pickPoison finds a baseline round whose injected instance is not the
@@ -313,160 +264,28 @@ func TestVerifyIsAWatchedTrial(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedCheckpoint: a checkpoint resumed against the
-// wrong target, seed, strategy, fault classes, addressing, feedback step or
-// combined-log runs is an error, never a silent wrong search.
-func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
-	tgt := target(t, "f1")
-	var ck core.Checkpoint
-	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		Checkpoint: keepLast(&ck), CheckpointEvery: 2, StopAfterRound: 4}
-	rep := core.Reproduce(tgt, opts)
-	if !rep.Interrupted {
-		t.Fatal("setup run not interrupted")
-	}
-	// The same search with a larger feedback step and combined logs, which
-	// its checkpoint records.
-	var tuned core.Checkpoint
-	opts.Checkpoint, opts.Adjust, opts.RunsPerRound = keepLast(&tuned), 2, 2
-	if rep := core.Reproduce(tgt, opts); !rep.Interrupted {
-		t.Fatal("tuned setup run not interrupted")
-	}
-
-	cases := []struct {
-		name string
-		ck   core.Checkpoint
-		tgt  *core.Target
-		opts core.Options
-		want string
-	}{
-		{"wrong target", ck, target(t, "f3"), core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, "target"},
-		{"wrong seed", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 2, Window: 1}, "seed"},
-		{"wrong strategy", ck, tgt, core.Options{Strategy: core.Random, Seed: 1, Window: 1}, "strategy"},
-		{"wrong addressing", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-			Addressing: core.AddrPath}, "addressing"},
-		{"wrong classes", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-			FaultClasses: []string{core.ClassSite, core.ClassEnv}}, "fault classes [site], resuming with [env site]"},
-		{"wrong adjust", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, Adjust: 2},
-			"adjust 1, resuming with 2"},
-		{"wrong runs per round", ck, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 3},
-			"1 runs per round, resuming with 3"},
-		{"recorded adjust", tuned, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 2},
-			"adjust 2, resuming with 1"},
-		{"recorded runs per round", tuned, tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, Adjust: 2},
-			"2 runs per round, resuming with 1"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := core.Resume(c.tgt, c.opts, c.ck)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("err = %v, want mention of %q", err, c.want)
-			}
-		})
-	}
-
-	t.Run("missing checkpoint", func(t *testing.T) {
-		missing, err := core.LoadCheckpoint(filepath.Join(t.TempDir(), "nope.json"))
-		if err == nil {
-			t.Fatal("a missing checkpoint file loaded")
-		}
-		if _, err := core.Resume(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, missing); err == nil {
-			t.Fatal("resume from no checkpoint succeeded")
-		}
-	})
-}
-
-// TestResumeRejectsCheckpointVersionSkew: an envelope one version older or
-// newer than this build's — whatever that version is — must be rejected
-// loudly by the envelope layer, never resumed into a search whose instance
-// identities or occurrence counters it cannot describe. The skewed files
-// are a real checkpoint with only the envelope version rewritten, so the
-// next version bump needs no new fixture.
-func TestResumeRejectsCheckpointVersionSkew(t *testing.T) {
-	tgt := target(t, "f1")
-	ck := filepath.Join(t.TempDir(), "ck.json")
-	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}
-	killed := opts
-	killed.Checkpoint, killed.CheckpointEvery, killed.StopAfterRound = core.CheckpointFile(ck), 2, 4
-	if rep := core.Reproduce(tgt, killed); !rep.Interrupted || rep.CheckpointError != "" {
-		t.Fatalf("setup run: interrupted=%v, checkpoint error %q", rep.Interrupted, rep.CheckpointError)
-	}
-	raw, err := os.ReadFile(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env checkpoint.Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		t.Fatal(err)
-	}
-	current := env.Version
-	loaded, err := core.LoadCheckpoint(ck)
-	if err != nil || loaded.Round != 4 {
-		t.Fatalf("load the unmodified checkpoint: round %d, err %v", loaded.Round, err)
-	}
-	if _, err := core.Resume(tgt, opts, loaded); err != nil {
-		t.Fatalf("resume from the unmodified checkpoint: %v", err)
-	}
-	for _, skew := range []struct {
-		name string
-		by   int
-	}{{"older", -1}, {"newer", +1}} {
-		t.Run(skew.name, func(t *testing.T) {
-			env.Version = current + skew.by
-			skewed, err := json.Marshal(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "skewed.json")
-			if err := os.WriteFile(path, skewed, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			want := fmt.Sprintf("version %d, want %d", env.Version, current)
-			if _, err := core.LoadCheckpoint(path); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("err = %v, want a version-skew message naming both versions (%s)", err, want)
-			}
-		})
-	}
-}
-
-// TestCheckpointRecordsAddressing: a path-addressed search round-trips its
-// addressing mode through the checkpoint, and the restored search resumes
-// without error under the same mode.
-func TestCheckpointRecordsAddressing(t *testing.T) {
-	tgt := target(t, "f1")
-	var ck core.Checkpoint
-	opts := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		Addressing: core.AddrPath, Checkpoint: keepLast(&ck), CheckpointEvery: 2, StopAfterRound: 4}
-	rep := core.Reproduce(tgt, opts)
-	if !rep.Interrupted {
-		t.Fatal("setup run not interrupted")
-	}
-
-	// Resuming in the default occurrence mode must fail: the tried set was
-	// recorded against path identities.
-	_, err := core.Resume(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1}, ck)
-	if err == nil || !strings.Contains(err.Error(), "addressing") {
-		t.Fatalf("err = %v, want an addressing-mismatch error", err)
-	}
-
-	// Resuming under the recorded mode continues the search.
-	resumed := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, Addressing: core.AddrPath}
-	if _, err := core.Resume(tgt, resumed, ck); err != nil {
-		t.Fatalf("resume under the recorded addressing mode: %v", err)
-	}
-}
-
-// TestInterruptedTraceHasNoOutcome: the prefix property depends on an
-// interrupted search never emitting an outcome event.
+// TestInterruptedTraceHasNoOutcome: a search cancelled between rounds
+// stops there, with an interrupted report, no reason and no outcome event:
+// it did not end, it stopped. The context is cancelled by the trace sink as
+// round 2 is recorded, at a point a drained daemon's cancellation can reach.
 func TestInterruptedTraceHasNoOutcome(t *testing.T) {
 	tgt := target(t, "f1")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var mem trace.Memory
+	sink := sinkFunc(func(ev *trace.Event) {
+		mem.Emit(ev)
+		if ev.Round == 2 && ev.Type == trace.Feedback {
+			cancel()
+		}
+	})
 	rep := core.Reproduce(tgt, core.Options{
 		Strategy: core.FullFeedback, Seed: 1, Window: 1,
-		StopAfterRound: 2, Trace: &mem,
+		Context: ctx, Trace: sink,
 	})
-	if !rep.Interrupted || rep.Reason != "" {
-		t.Fatalf("interrupted=%v with reason %q, want an interrupted report and no reason", rep.Interrupted, rep.Reason)
+	if !rep.Interrupted || rep.Reason != "" || rep.Rounds != 2 {
+		t.Fatalf("interrupted=%v after %d rounds with reason %q, want an interrupted report after round 2 and no reason",
+			rep.Interrupted, rep.Rounds, rep.Reason)
 	}
 	for i := range mem.Events {
 		if mem.Events[i].Type == trace.Outcome {
@@ -474,3 +293,8 @@ func TestInterruptedTraceHasNoOutcome(t *testing.T) {
 		}
 	}
 }
+
+// sinkFunc adapts a function to trace.Sink.
+type sinkFunc func(*trace.Event)
+
+func (f sinkFunc) Emit(ev *trace.Event) { f(ev) }

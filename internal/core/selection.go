@@ -82,12 +82,20 @@ func (e *engine) bestUntried(s *siteState, useTemporal bool, limit int) (instanc
 }
 
 // candidateFor renders a selected instance as the plan-facing candidate:
-// pair sites hand out their precomputed pair Instance (site, occurrence
-// AND member references), everything else a (site, occurrence) pair plus,
-// under path addressing, the canonical path and the hash that keys it.
+// a pair site's instance as the pair Instance (site, occurrence AND the
+// member references its two member instances render as), everything else a
+// (site, occurrence) pair plus, under path addressing, the canonical path
+// and the hash that keys it.
 func (e *engine) candidateFor(s *siteState, inst instance) inject.Instance {
 	if s.class == pairClass {
-		return s.pairInsts[inst.occ-1]
+		sa, sb := s.members[0], s.members[1]
+		a, b := sa.instances[inst.pair[0]], sb.instances[inst.pair[1]]
+		pi := inject.PairInstance(
+			inject.Instance{Site: sa.id, Occurrence: a.occ, Path: e.pathOf(sa, a)},
+			inject.Instance{Site: sb.id, Occurrence: b.occ, Path: e.pathOf(sb, b)},
+		)
+		pi.Occurrence = inst.occ
+		return pi
 	}
 	c := inject.Instance{Site: s.id, Occurrence: inst.occ, Path: e.pathOf(s, inst)}
 	return c.Keyed(inst.addr.Hash)

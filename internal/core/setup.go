@@ -152,10 +152,7 @@ func (e *engine) setup(free *cluster.Result) {
 	e.report.CandidateSites = len(e.sites)
 	e.root = e.siteIndex[e.t.RootSite]
 
-	// A resumed run re-executes the free run (it is deterministic) but its
-	// trace continues the original stream, which already carries the
-	// FreeRun event — re-emitting it would break prefix concatenation.
-	if e.tracing() && e.resume == nil {
+	if e.tracing() {
 		obsLabels := make([]string, len(e.obs))
 		for i, o := range e.obs {
 			obsLabels[i] = obsLabel(o)

@@ -92,14 +92,10 @@ func TestRunsPerRoundStillReproduces(t *testing.T) {
 // capSearch searches f31 — a pair search, so a long one — under seed 2 with
 // two combined-log runs a round on top of the opts given, and returns the
 // report and the trace lines.
-func capSearch(tgt *core.Target, opts core.Options, resume *core.Checkpoint) (*core.Report, []string, error) {
+func capSearch(tgt *core.Target, opts core.Options) (*core.Report, []string) {
 	var mem trace.Memory
 	opts.Seed, opts.RunsPerRound, opts.Trace = 2, 3, &mem
-	if resume != nil {
-		rep, err := core.Resume(tgt, opts, *resume)
-		return rep, lines(mem.Events), err
-	}
-	return core.Reproduce(tgt, opts), lines(mem.Events), nil
+	return core.Reproduce(tgt, opts), lines(mem.Events)
 }
 
 // firstDiff is the index of the first line two traces differ in, or -1.
@@ -116,8 +112,8 @@ func firstDiff(a, b []string) int {
 // and steers none of it, the combined-log runs' seeds included.
 func TestCombinedLogSeedsIndependentOfRoundCap(t *testing.T) {
 	tgt := target(t, "f31")
-	short, shortTrace, _ := capSearch(tgt, core.Options{MaxRounds: 200}, nil)
-	long, longTrace, _ := capSearch(tgt, core.Options{MaxRounds: 500}, nil)
+	short, shortTrace := capSearch(tgt, core.Options{MaxRounds: 200})
+	long, longTrace := capSearch(tgt, core.Options{MaxRounds: 500})
 	if !short.Reproduced || !long.Reproduced {
 		t.Fatalf("f31 not reproduced: cap 200 %v in %d rounds, cap 500 %v in %d", short.Reproduced, short.Rounds, long.Reproduced, long.Rounds)
 	}
@@ -125,28 +121,6 @@ func TestCombinedLogSeedsIndependentOfRoundCap(t *testing.T) {
 	n := min(len(shortTrace), len(longTrace)) - 1
 	if i := firstDiff(shortTrace[:n], longTrace[:n]); i >= 0 {
 		t.Fatalf("cap 200 and cap 500 part at trace line %d:\n- %s\n+ %s", i+1, shortTrace[i], longTrace[i])
-	}
-}
-
-// TestResumeUnderHigherRoundCap: a checkpoint of the cap-200 search,
-// resumed under cap 500, continues the uninterrupted cap-500 search.
-func TestResumeUnderHigherRoundCap(t *testing.T) {
-	tgt := target(t, "f31")
-	var ck core.Checkpoint
-	killed, _, _ := capSearch(tgt, core.Options{MaxRounds: 200, Checkpoint: keepLast(&ck), StopAfterRound: 20}, nil)
-	if !killed.Interrupted || ck.Round != 20 {
-		t.Fatalf("cap-200 search: interrupted=%v, checkpoint after round %d; want both at round 20", killed.Interrupted, ck.Round)
-	}
-	full, fullTrace, _ := capSearch(tgt, core.Options{MaxRounds: 500}, nil)
-	resumed, rest, err := capSearch(tgt, core.Options{MaxRounds: 500}, &ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cut := len(fullTrace) - len(rest); cut < 1 || firstDiff(fullTrace[cut:], rest) >= 0 {
-		t.Fatalf("resumed trace (%d events) is not the suffix of the uninterrupted cap-500 one (%d events)", len(rest), len(fullTrace))
-	}
-	if got, want := normalized(t, resumed), normalized(t, full); got != want {
-		t.Fatalf("resumed report differs from the uninterrupted one:\n- %s\n+ %s", want, got)
 	}
 }
 

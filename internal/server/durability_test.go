@@ -3,24 +3,19 @@ package server
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"anduril/internal/checkpoint"
-	"anduril/internal/core"
-	"anduril/internal/trace"
 )
 
 // The write path's rules, each asserted where it can be counted, blocked
 // or broken: one durability point per transition (exact fsync counts, the
-// hand-built completion crash states), no lock across a disk write
-// (readers and unrelated admissions return while a persist is held open),
-// and no checkpoint without its trace (the journal's appends made to fail).
+// hand-built completion crash states), and no lock across a disk write
+// (readers and unrelated admissions return while a persist is held open).
 
 // within fails the test unless f returns promptly. A call that blocks
 // behind someone else's disk write is exactly what these tests exist to
@@ -46,11 +41,10 @@ func syncsOf(f func()) int64 {
 	return checkpoint.Syncs() - before
 }
 
-// Fsync budget, exact. A cold job that finishes before its first periodic
-// checkpoint pays 7 (record file, job dir, jobs/ at admission; trace;
-// report file; record file and job dir at completion); a dedupe hit 2
-// (record file, job dir); each periodic checkpoint 3 more (trace, search
-// checkpoint file, job dir). queued→running is not on the list.
+// Fsync budget, exact. A cold job pays 7 (record file, job dir, jobs/ at
+// admission; trace file, report file, record file and job dir at
+// completion) whatever its length — nothing is written while it runs — and
+// a dedupe hit 2 (record file, job dir). queued→running is not on the list.
 func TestFsyncBudget(t *testing.T) {
 	run := func(s *Server, spec Spec) int64 {
 		return syncsOf(func() {
@@ -62,121 +56,27 @@ func TestFsyncBudget(t *testing.T) {
 	}
 
 	s := newServer(t, Config{Workers: 1})
-	cold := Spec{Failure: "f4"} // reproduces in 3 rounds, first checkpoint would be round 5
-	if rep, _ := serialRun(t, cold); rep.Rounds > 4 {
-		t.Fatalf("f4 takes %d rounds; the cold row needs a job under 5", rep.Rounds)
-	}
-	if got := run(s, cold); got != 7 {
+	short := Spec{Failure: "f4"}
+	if got := run(s, short); got != 7 {
 		t.Errorf("cold job cost %d fsyncs, want 7", got)
 	}
 	if got := syncsOf(func() {
-		if _, deduped, err := s.Submit(cold); err != nil || !deduped {
+		if _, deduped, err := s.Submit(short); err != nil || !deduped {
 			t.Fatalf("resubmit = (%v, deduped=%v)", err, deduped)
 		}
 	}); got != 2 {
 		t.Errorf("dedupe hit cost %d fsyncs, want 2", got)
 	}
-	assertMatchesSerial(t, s, cold.Normalize().Key(), cold)
+	assertMatchesSerial(t, s, short.Normalize().Key(), short)
 
 	long := Spec{Failure: "f9"}
-	rep, _ := serialRun(t, long)
-	k := int64((rep.Rounds - 1) / 5) // the reproducing round writes no checkpoint
-	if k < 2 {
-		t.Fatalf("f9 takes %d rounds; the checkpoint row needs at least 2 periodic checkpoints", rep.Rounds)
+	if rep, _ := serialRun(t, long); rep.Rounds < 10 {
+		t.Fatalf("f9 takes %d rounds; the long row needs a job of 10 or more", rep.Rounds)
 	}
-	if got := run(s, long); got != 7+3*k {
-		t.Errorf("job with %d periodic checkpoints cost %d fsyncs, want %d", k, got, 7+3*k)
+	if got := run(s, long); got != 7 {
+		t.Errorf("long job cost %d fsyncs, want 7", got)
 	}
-}
-
-// durableRounds returns the highest round whose trace lines are on disk
-// and the round of the search checkpoint beside it, -1 for none.
-func durableRounds(t *testing.T, jobDir string) (traced, checkpointed int) {
-	t.Helper()
-	traced, checkpointed = -1, -1
-	for _, line := range bytes.Split(readFile(t, filepath.Join(jobDir, traceFile)), []byte("\n")) {
-		if _, round, ok := trace.LineMeta(line); ok && round > traced {
-			traced = round
-		}
-	}
-	if ck, err := core.LoadCheckpoint(filepath.Join(jobDir, ckFile)); err == nil {
-		checkpointed = ck.Round
-	}
-	return traced, checkpointed
-}
-
-// The periodic commit writes no checkpoint over a trace it could not
-// flush. The journal's handle is swapped for a read-only one, so every
-// append fails the way a full disk fails it; the search (f4, window 1,
-// checkpoint every 2 rounds) is killed after round 6. While appends fail
-// no checkpoint may land, the failure is on the report and in the log, and
-// the search goes on; once they work again the next interval commits trace
-// and checkpoint together. Either way a restarted daemon finishes the job
-// with the uninterrupted run's bytes — from round 6, or from nothing.
-func TestFailedTraceFlushWritesNoCheckpoint(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		healAt int // the checkpoint round appends work again from; 0 = never
-		wantCk int // trace and checkpoint on disk at the kill
-	}{
-		{"appends work again", 4, 6},
-		{"appends never work again", 0, -1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir, logged := t.TempDir(), ""
-			s1 := newServer(t, Config{DataDir: dir, Workers: 1, CheckpointEvery: 2, Logf: func(format string, args ...any) {
-				logged += fmt.Sprintf(format, args...) + "\n" // the one worker's; read after Shutdown
-			}})
-			spec := Spec{Failure: "f4", Window: 1}
-			key := spec.Normalize().Key()
-			jobDir := filepath.Join(dir, "jobs", key)
-
-			var killed *core.Report
-			s1.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
-				wal, _ := s1.liveWAL(key)
-				readOnly, err := os.Open(wal.path)
-				if err != nil {
-					return nil, err
-				}
-				defer readOnly.Close()
-				working := wal.f
-				wal.f = readOnly // only this goroutine appends
-				defer func() { wal.f = working }()
-				commit := opts.Checkpoint
-				opts.Checkpoint = func(ck core.Checkpoint) error {
-					if ck.Round == tc.healAt {
-						wal.f = working
-					}
-					err := commit(ck)
-					if traced, checkpointed := durableRounds(t, jobDir); checkpointed > traced {
-						t.Errorf("commit at round %d (err %v): checkpoint at round %d over a trace durable through round %d", ck.Round, err, checkpointed, traced)
-					}
-					return err
-				}
-				opts.StopAfterRound = 6
-				killed, err = s1.runSearch(sp, opts, ck, haveCk)
-				return killed, err
-			}
-			if _, _, err := s1.Submit(spec); err != nil {
-				t.Fatal(err)
-			}
-			waitIdle(t, s1)
-			s1.Shutdown()
-			if killed == nil || !killed.Interrupted || killed.Rounds != 6 {
-				t.Fatalf("killed run = %+v, want an interrupt after round 6", killed)
-			}
-			if !strings.Contains(killed.CheckpointError, "append trace journal") || !strings.Contains(logged, "no checkpoint at round 2") {
-				t.Errorf("the failed commit of round 2: CheckpointError = %q, log:\n%s", killed.CheckpointError, logged)
-			}
-			if traced, checkpointed := durableRounds(t, jobDir); checkpointed != tc.wantCk || traced != tc.wantCk {
-				t.Fatalf("at the kill: trace durable through round %d, checkpoint at round %d, want both %d", traced, checkpointed, tc.wantCk)
-			}
-
-			s2 := newServer(t, Config{DataDir: dir, Workers: 1})
-			waitIdle(t, s2)
-			assertMatchesSerial(t, s2, key, spec)
-		})
-	}
+	assertMatchesSerial(t, s, long.Normalize().Key(), long)
 }
 
 // holdPersist makes the journal's persist step for the given keys block
@@ -409,13 +309,13 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// Every on-disk state a kill or a power loss can leave between the trace's
-// final fsync and the completion commit's directory fsync, built by hand
-// from a finished job's directory, with and without the search checkpoint
-// (f9 writes three before it reproduces). The record-running rows are
-// also what a daemon from before this write path left behind mid-job.
-// Open must drive each to done, byte-identical to a serial run, with at
-// most one further execution.
+// Every on-disk state a kill or a power loss can leave between the
+// completion commit's first rename and its directory fsync, built by hand
+// from a finished job's directory — alone, and beside the search.ck.json an
+// older daemon wrote, which nothing reads. The record-running rows are also
+// what a daemon from before this write path left behind mid-job. Open must
+// drive each to done, byte-identical to a serial run, with at most one
+// further execution.
 func TestCompletionCrashPoints(t *testing.T) {
 	spec := Spec{Failure: "f9"}
 	key := spec.Normalize().Key()
@@ -438,23 +338,25 @@ func TestCompletionCrashPoints(t *testing.T) {
 		name     string
 		record   string // state the surviving job.json carries
 		report   string // "kept", "missing" or "torn"
+		trace    string // "kept" or "missing"
 		wantRuns int64
 	}
 	states := []state{
-		{"trace complete, no report, record queued", StateQueued, "missing", 1},
-		{"trace complete, no report, record running", StateRunning, "missing", 1},
-		{"report renamed, record still queued", StateQueued, "kept", 1},
-		{"report renamed, record still running", StateRunning, "kept", 1},
-		{"record done, report missing", StateDone, "missing", 1},
-		{"record done, report torn", StateDone, "torn", 1},
-		{"record done, report kept", StateDone, "kept", 0},
+		{"trace complete, no report, record queued", StateQueued, "missing", "kept", 1},
+		{"trace complete, no report, record running", StateRunning, "missing", "kept", 1},
+		{"report renamed, record still queued", StateQueued, "kept", "kept", 1},
+		{"report renamed, record still running", StateRunning, "kept", "kept", 1},
+		{"record done, report missing", StateDone, "missing", "kept", 1},
+		{"record done, report torn", StateDone, "torn", "kept", 1},
+		{"record done, trace missing", StateDone, "kept", "missing", 1},
+		{"record done, report kept", StateDone, "kept", "kept", 0},
 	}
 	for _, st := range states {
-		for _, keepCk := range []bool{true, false} {
-			st, keepCk := st, keepCk
-			name := st.name + ", with checkpoint"
-			if !keepCk {
-				name = st.name + ", no checkpoint"
+		for _, oldCk := range []bool{false, true} {
+			st, oldCk := st, oldCk
+			name := st.name + ", no checkpoint"
+			if oldCk {
+				name = st.name + ", older daemon's checkpoint"
 			}
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
@@ -479,8 +381,15 @@ func TestCompletionCrashPoints(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !keepCk {
-					if err := os.Remove(filepath.Join(jobDir, ckFile)); err != nil {
+				if st.trace == "missing" {
+					if err := os.Remove(filepath.Join(jobDir, traceFile)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if oldCk {
+					// An older daemon's search checkpoint, at round 5 of 19.
+					ck := map[string]any{"target": "f9", "strategy": "full-feedback", "seed": 1, "round": 5}
+					if err := checkpoint.Save(filepath.Join(jobDir, "search.ck.json"), "explorer-search", 3, ck); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -18,8 +18,9 @@ import (
 //	GET  /jobs/{key}        one job record
 //	GET  /jobs/{key}/report final report; ?canonical=1 for the
 //	                        wall-clock-normalized comparison form
-//	GET  /jobs/{key}/trace  trace JSONL; ?follow=1 streams live events
-//	                        until the job finishes
+//	GET  /jobs/{key}/trace  trace JSONL, empty until the job runs;
+//	                        ?follow=1 streams live events until the job
+//	                        finishes
 //	GET  /healthz           liveness: 200 once the journal is open
 //	GET  /readyz            readiness: 200 accepting, 503 draining
 type submitResponse struct {
@@ -125,11 +126,11 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 
 	if follow && !job.Terminal() {
-		if wal, live := s.liveWAL(key); live {
-			if s.followTrace(w, r, wal) {
+		if tb, live := s.liveTrace(key); live {
+			if s.followTrace(w, r, tb) {
 				return
 			}
-			// Subscription failed (the job just finished); fall back to
+			// Subscription failed (the attempt just ended); fall back to
 			// the stored trace.
 		}
 	}
@@ -144,8 +145,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // followTrace streams a live job's trace: the snapshot so far, then
 // every event as it is emitted, until the job finishes or the client
 // leaves. Reports whether the subscription was established.
-func (s *Server) followTrace(w http.ResponseWriter, r *http.Request, wal *traceWAL) bool {
-	snapshot, lines, cancel, err := wal.Subscribe()
+func (s *Server) followTrace(w http.ResponseWriter, r *http.Request, tb *traceBuffer) bool {
+	snapshot, lines, cancel, err := tb.Subscribe()
 	if err != nil {
 		return false
 	}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -123,6 +125,9 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	if resp, _ := postSpec(t, ts.URL, Spec{Failure: "f999"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown failure POST = %d, want 400", resp.StatusCode)
 	}
+	if resp, _ := postSpec(t, ts.URL, Spec{Failure: "f4", MaxRounds: 1000, RunsPerRound: 3}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("over-long job POST = %d, want 400", resp.StatusCode)
+	}
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"failure":"f4","bogus_field":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +161,7 @@ func TestHTTPErrorStatuses(t *testing.T) {
 func TestHTTPOverloadRetryAfter(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
-	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		select {
 		case <-release:
 		case <-opts.Context.Done():
@@ -195,7 +200,7 @@ func TestHTTPTraceFollowStreamsLive(t *testing.T) {
 	ev1 := trace.Event{Type: trace.FreeRun, Target: "f4", Strategy: "full-feedback", Seed: 1}
 	ev2 := trace.Event{Type: trace.RoundStart, Round: 1, Window: 10}
 	ev3 := trace.Event{Type: trace.Outcome, Reproduced: true, Rounds: 1, Reason: trace.ReasonReproduced}
-	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		opts.Trace.Emit(&ev1)
 		close(started)
 		<-release
@@ -249,8 +254,58 @@ func TestHTTPTraceFollowStreamsLive(t *testing.T) {
 	if got, want := readLine(), string(encodeLine(ev3)); got != want {
 		t.Fatalf("outcome line = %q, want %q", got, want)
 	}
-	// Job finished; the WAL closes and so must the stream.
+	// Job finished; the trace closes and so must the stream.
 	if rest, err := io.ReadAll(reader); err != nil || len(rest) != 0 {
 		t.Fatalf("stream did not end cleanly after the outcome: %q, %v", rest, err)
+	}
+}
+
+// A job's trace before it runs is empty, not an error: GET …/trace on a
+// queued job answers 200 with no body, with or without ?follow=1, and on
+// the running job its trace so far. Once the job is done the trace is the
+// file the completion commit wrote, and a done job whose file is gone is a
+// 500.
+func TestHTTPTraceOfQueuedJob(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	started, release := make(chan struct{}), make(chan struct{})
+	ev := trace.Event{Type: trace.FreeRun, Target: "f4", Strategy: "full-feedback", Seed: 1}
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
+		opts.Trace.Emit(&ev)
+		if sp.Seed == 1 {
+			close(started)
+			<-release
+		}
+		return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}, nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, running := postSpec(t, ts.URL, Spec{Failure: "f4", Seed: 1})
+	select {
+	case <-started:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never started")
+	}
+	_, queued := postSpec(t, ts.URL, Spec{Failure: "f4", Seed: 2})
+	for _, query := range []string{"", "?follow=1"} {
+		if code, raw := getBody(t, ts.URL+"/jobs/"+queued.Job.Key+"/trace"+query); code != http.StatusOK || len(raw) != 0 {
+			t.Fatalf("trace%s of a queued job = %d %q, want 200 and no body", query, code, raw)
+		}
+	}
+	if code, raw := getBody(t, ts.URL+"/jobs/"+running.Job.Key+"/trace"); code != http.StatusOK || !bytes.Equal(raw, encodeLine(ev)) {
+		t.Fatalf("trace of the running job = %d %q, want its one event", code, raw)
+	}
+	close(release)
+	waitIdle(t, s)
+	for _, key := range []string{running.Job.Key, queued.Job.Key} {
+		if code, raw := getBody(t, ts.URL+"/jobs/"+key+"/trace"); code != http.StatusOK || !bytes.Equal(raw, encodeLine(ev)) {
+			t.Fatalf("trace of done job %s = %d %q, want its one event", key[:12], code, raw)
+		}
+	}
+	if err := os.Remove(filepath.Join(s.journal.Dir(queued.Job.Key), traceFile)); err != nil {
+		t.Fatal(err)
+	}
+	if code, _ := getBody(t, ts.URL+"/jobs/"+queued.Job.Key+"/trace"); code != http.StatusInternalServerError {
+		t.Fatalf("trace of a done job with no trace file = %d, want 500", code)
 	}
 }

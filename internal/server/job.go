@@ -12,24 +12,27 @@ package server
 //	  └──(re-admit)──────┘ └─transient failure ×N──▶ failed
 //
 //   - queued: journaled and waiting for a worker. Restart re-admits it.
-//   - running: a worker is executing the search. Published in memory
-//     only: restart re-admits queued and running alike and the search
-//     resumes from its last checkpoint, so the start of a job is not
-//     worth an fsync. A record on disk says running only when a later
-//     durable write (a resubmission's Submissions++) carried it there.
+//   - running: a worker is executing the search, its trace held in
+//     memory. Published in memory only: restart re-admits queued and
+//     running alike and runs the search again from its spec, so the start
+//     of a job is not worth an fsync. A record on disk says running only
+//     when a later durable write (a resubmission's Submissions++) carried
+//     it there.
 //   - done: the search finished; report.json holds the final report,
-//     trace.jsonl the complete trace. Terminal — once report.json loads:
-//     the completion commit makes the report's and the record's renames
-//     durable with one directory fsync, so a power loss may keep the
-//     record's alone, and restart re-admits a done job without a report.
+//     trace.jsonl the complete trace. Terminal — once both are there: the
+//     completion commit makes the trace's, the report's and the record's
+//     renames durable with one directory fsync, so a power loss may keep
+//     the record's alone, and restart re-admits a done job whose report
+//     does not load or whose trace is missing.
 //   - failed: the search could not produce a report — a deterministic
 //     failure (the free run itself fails, so retrying cannot help) or
 //     a transient one (executor panic, journal I/O error) that survived
 //     MaxAttempts retries. Terminal; Error says why.
 //
-// A graceful drain interrupts running jobs; their final checkpoint was
-// just forced by the engine, and the next start re-admits and resumes
-// them.
+// A graceful drain interrupts running jobs and keeps nothing of them: the
+// next start re-admits them and runs each again from its spec. Every
+// accepted job is cheap to re-run, because admission bounds its trials
+// (Spec.Validate).
 
 // Job states.
 const (
@@ -40,9 +43,8 @@ const (
 )
 
 // Job is the journaled record of one reproduction job. The artifacts —
-// search checkpoint, trace, report — live next to it in the job
-// directory; the record itself carries only identity, lifecycle and
-// result summary.
+// trace and report — live next to it in the job directory; the record
+// itself carries only identity, lifecycle and result summary.
 type Job struct {
 	// Key is the content address of Spec; it names the job directory.
 	Key string `json:"key"`

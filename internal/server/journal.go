@@ -14,7 +14,6 @@ import (
 // Journal file names inside <data>/jobs/<key>/.
 const (
 	jobFile    = "job.json"
-	ckFile     = "search.ck.json"
 	traceFile  = "trace.jsonl"
 	reportFile = "report.json"
 

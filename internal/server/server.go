@@ -40,10 +40,6 @@ type Config struct {
 	// job fails terminally. Default 3.
 	MaxAttempts int
 
-	// CheckpointEvery is the round interval between search checkpoint
-	// writes. Default 5.
-	CheckpointEvery int
-
 	// Clock realizes retry backoff delays; tests substitute a virtual
 	// clock. Default: the wall clock.
 	Clock Clock
@@ -59,9 +55,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 5
 	}
 	if c.Clock == nil {
 		c.Clock = realClock{}
@@ -94,9 +87,9 @@ func (e *OverloadError) Error() string {
 }
 
 // Server is the reproduction daemon: a durable job journal, a bounded
-// worker pool executing searches with checkpoint/resume, and the
-// admission, dedupe and retry machinery around them. Create one with
-// Open; serve its HTTP API via Handler; stop it with Shutdown.
+// worker pool executing searches, and the admission, dedupe and retry
+// machinery around them. Create one with Open; serve its HTTP API via
+// Handler; stop it with Shutdown.
 type Server struct {
 	cfg     Config
 	journal *Journal
@@ -109,24 +102,26 @@ type Server struct {
 	queued    int // jobs admitted (slot reserved or journaled), waiting for a worker
 	active    int // jobs executing right now
 	draining  bool
-	wals      map[string]*traceWAL     // live trace journals by job key
+	traces    map[string]*traceBuffer  // running jobs' traces by job key
 	admitting map[string]chan struct{} // first submissions being journaled; closed when settled
 
 	executions atomic.Int64
 
 	// searchFn runs one search attempt; the default resolves the target
-	// and calls core.Resume (haveCk) / core.Reproduce. Tests substitute it
-	// to exercise the retry and recovery paths without a real search.
-	searchFn func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error)
+	// and calls core.Reproduce. Tests substitute it to exercise the retry
+	// and recovery paths without a real search.
+	searchFn func(sp Spec, opts core.Options) (*core.Report, error)
 }
 
 // Open loads the journal under cfg.DataDir, re-admits every unfinished
 // job, and starts the worker pool. A job is unfinished when its record
 // says queued or running (one state to recovery), or says done while
-// report.json does not load: the completion commit makes its two renames
-// durable with one directory fsync, and a power loss before it may keep
-// the record's alone. Each resumes from its last checkpoint. They enter
-// the pool in key order, so a restarted daemon's schedule is deterministic.
+// report.json does not load or trace.jsonl is missing: the completion
+// commit makes its three renames durable with one directory fsync, and a
+// power loss before it may keep the record's alone. Each is run again from
+// its spec; a search.ck.json an older daemon left beside it is ignored.
+// They enter the pool in key order, so a restarted daemon's schedule is
+// deterministic.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -141,7 +136,7 @@ func Open(cfg Config) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel,
-		wals: map[string]*traceWAL{}, admitting: map[string]chan struct{}{}}
+		traces: map[string]*traceBuffer{}, admitting: map[string]chan struct{}{}}
 	s.searchFn = s.runSearch
 	s.pool = parallel.NewPool(cfg.Workers, func(r any) {
 		cfg.Logf("server: worker panic escaped job isolation: %v", r)
@@ -150,16 +145,24 @@ func Open(cfg Config) (*Server, error) {
 		if job.State == StateFailed {
 			continue
 		}
-		if job.State == StateDone {
-			if _, err := s.ReportJSON(job.Key); err == nil {
-				continue
-			}
+		if job.State == StateDone && s.completed(job.Key) {
+			continue
 		}
 		journal.Publish(job.Key, func(j *Job) { j.State, j.Reproduced, j.Rounds = StateQueued, false, 0 })
 		s.enqueue(job.Key)
 		cfg.Logf("server: re-admitted job %s (%s)", job.Key[:12], job.Spec.Failure)
 	}
 	return s, nil
+}
+
+// completed reports whether a done job's artifacts survived: report.json
+// loads and trace.jsonl exists.
+func (s *Server) completed(key string) bool {
+	if _, err := s.ReportJSON(key); err != nil {
+		return false
+	}
+	_, err := os.Stat(filepath.Join(s.journal.Dir(key), traceFile))
+	return err == nil
 }
 
 // enqueue registers a queued job with the pool.
@@ -263,7 +266,7 @@ func (s *Server) ReportJSON(key string) ([]byte, error) {
 // CanonicalReportJSON returns the stored report normalized by
 // core.CanonicalReport: wall-clock fields zeroed, everything
 // seed-determined kept. This is the byte-comparison currency of the
-// soak and crash gates — a daemon run (resumed, retried, restarted or
+// soak and crash gates — a daemon run (re-run, retried, restarted or
 // not) must produce canonical bytes identical to a serial run's.
 func (s *Server) CanonicalReportJSON(key string) ([]byte, error) {
 	raw, err := s.ReportJSON(key)
@@ -277,15 +280,17 @@ func (s *Server) CanonicalReportJSON(key string) ([]byte, error) {
 	return core.CanonicalReport(rep)
 }
 
-// TraceJSONL returns the job's trace journal as stored on disk plus any
-// buffered lines if the job is live.
+// TraceJSONL returns the job's trace: a running job's trace so far, from
+// memory; the file the completion commit wrote, for a done job; nothing
+// for a job that is queued, failed, or between attempts. A running job's
+// trace is unpublished only after its record says done, so no caller sees
+// a finished job with no trace.
 func (s *Server) TraceJSONL(key string) ([]byte, error) {
-	if wal, ok := s.liveWAL(key); ok {
-		if snap, err := wal.Snapshot(); err == nil {
-			return snap, nil
-		}
-		// The WAL closed between lookup and snapshot; fall through to
-		// the durable file.
+	if tb, ok := s.liveTrace(key); ok {
+		return tb.Snapshot(), nil
+	}
+	if job, ok := s.journal.Get(key); ok && job.State != StateDone {
+		return nil, nil
 	}
 	return os.ReadFile(filepath.Join(s.journal.Dir(key), traceFile))
 }
@@ -322,11 +327,9 @@ func (s *Server) WaitIdle(ctx context.Context) error {
 }
 
 // Shutdown drains the daemon: submissions are rejected, every running
-// search is interrupted through context cancellation — the engine's
-// last act is a forced checkpoint at the exact interrupted round — and
-// Shutdown returns once in-flight jobs have persisted their state.
-// Queued jobs stay journaled; the next Open re-admits them alongside
-// the interrupted ones.
+// search is interrupted through context cancellation, and Shutdown
+// returns once every worker has stopped. Interrupted and queued jobs
+// stay journaled unfinished; the next Open re-admits and runs them.
 func (s *Server) Shutdown() {
 	s.mu.Lock()
 	if s.draining {
@@ -364,14 +367,13 @@ func (s *Server) runJob(key string) {
 		execErr := s.executeOnce(key, job.Spec)
 		if execErr == nil {
 			// The attempt journaled done or failed, or a graceful drain
-			// interrupted it: the engine just forced a checkpoint at the
-			// interrupted round and the next Open resumes from it.
+			// interrupted it and the next Open runs it again.
 			return
 		}
 
 		// Transient failure: executor panic or journal I/O error.
-		// Deterministic seeded backoff, then another attempt — which
-		// resumes from whatever checkpoint the dead attempt left.
+		// Deterministic seeded backoff, then another attempt, which runs
+		// the search again from its spec.
 		updated, err := s.journal.Update(key, func(j *Job) {
 			j.Attempts++
 			j.Error = execErr.Error()
@@ -401,10 +403,9 @@ func (s *Server) runJob(key string) {
 }
 
 // executeOnce runs one search attempt inside the job's panic isolation
-// boundary: recover the trace journal against the surviving checkpoint,
-// resume (or start) the search, and journal its outcome. Any panic or
-// I/O error surfaces as an error, a transient failure to runJob — one
-// poisoned job cannot take down the daemon.
+// boundary and journals its outcome. Any panic or I/O error surfaces as an
+// error, a transient failure to runJob — one poisoned job cannot take down
+// the daemon.
 func (s *Server) executeOnce(key string, spec Spec) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -412,55 +413,18 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 		}
 	}()
 
-	dir := s.journal.Dir(key)
-	ckPath := filepath.Join(dir, ckFile)
-	// A checkpoint that does not load — missing, torn, another version —
-	// resumes nobody: the search starts fresh.
-	resume, loadErr := core.LoadCheckpoint(ckPath)
-	haveCk := loadErr == nil
-	wal, err := openWAL(filepath.Join(dir, traceFile), resume.Round, haveCk)
-	if err != nil {
-		return err
-	}
-	s.setWAL(key, wal)
+	tb := newTraceBuffer()
+	s.setTrace(key, tb)
 	defer func() {
-		s.setWAL(key, nil)
-		wal.Close()
+		s.setTrace(key, nil)
+		tb.Close()
 	}()
 
 	s.executions.Add(1)
 	opts := spec.Options()
 	opts.Context = s.ctx
-	opts.CheckpointEvery = s.cfg.CheckpointEvery
-	opts.Trace = wal
-	// The periodic commit: trace, then checkpoint, and no checkpoint over a
-	// trace that did not flush (traceWAL says why).
-	save := core.CheckpointFile(ckPath)
-	opts.Checkpoint = func(ck core.Checkpoint) error {
-		err := wal.Flush(ck.Round)
-		if err == nil {
-			err = save(ck)
-		}
-		if err != nil {
-			s.cfg.Logf("server: job %s: no checkpoint at round %d: %v", key[:12], ck.Round, err)
-		}
-		return err
-	}
-
-	rep, err := s.searchFn(spec, opts, resume, haveCk)
-	if err != nil && haveCk {
-		// The checkpoint exists but Resume rejected it (a changed dataset,
-		// another spec's state...). It cannot be resumed by anyone; start
-		// the search over from nothing.
-		s.cfg.Logf("server: job %s: discarding unusable checkpoint: %v", key[:12], err)
-		if rmErr := os.Remove(ckPath); rmErr != nil {
-			return rmErr
-		}
-		if rsErr := wal.Reset(); rsErr != nil {
-			return rsErr
-		}
-		rep, err = s.searchFn(spec, opts, core.Checkpoint{}, false)
-	}
+	opts.Trace = tb
+	rep, err := s.searchFn(spec, opts)
 	switch {
 	case err != nil || rep.Interrupted:
 		return err
@@ -470,13 +434,14 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 		_, err = s.journal.Update(key, func(j *Job) { j.State, j.Error = StateFailed, rep.Error })
 		return err
 	}
-	// The completion commit: trace (with its outcome line) fsynced, report
-	// staged, then the record's own durable write, whose fsync of the job
-	// directory covers both renames — and the report is in place before any
-	// poll can see done. A kill before the record says done re-runs at most
-	// the rounds after the last checkpoint (recovery trims the outcome off
-	// the trace); Open handles a record that outlived its report.
-	if err := wal.FlushAll(); err != nil {
+	// The completion commit: trace and report staged, each a renamed,
+	// fsynced temp file, then the record's own durable write, whose fsync
+	// of the job directory covers all three renames — and both artifacts
+	// are in place before any poll can see done. A kill before the record
+	// says done re-runs the job; Open handles a record that outlived an
+	// artifact.
+	dir := s.journal.Dir(key)
+	if err := tb.WriteFile(filepath.Join(dir, traceFile)); err != nil {
 		return err
 	}
 	if err := checkpoint.Stage(filepath.Join(dir, reportFile), reportKind, reportVersion, rep); err != nil {
@@ -492,8 +457,8 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 // runSearch is the production searchFn: resolve the scenario's target —
 // built once per process and shared read-only by every job against the
 // same failure; static analysis makes it the expensive part of a job —
-// and run or resume the explorer.
-func (s *Server) runSearch(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+// and run the explorer.
+func (s *Server) runSearch(sp Spec, opts core.Options) (*core.Report, error) {
 	sc, ok := failures.ByID(sp.Failure)
 	if !ok {
 		return nil, fmt.Errorf("server: unknown failure %q", sp.Failure)
@@ -502,28 +467,25 @@ func (s *Server) runSearch(sp Spec, opts core.Options, ck core.Checkpoint, haveC
 	if err != nil {
 		return nil, err
 	}
-	if haveCk {
-		return core.Resume(t, opts, ck)
-	}
 	return core.Reproduce(t, opts), nil
 }
 
-// setWAL publishes (wal != nil) or retires the live trace journal for a
-// job, for the trace-streaming endpoint.
-func (s *Server) setWAL(key string, wal *traceWAL) {
+// setTrace publishes (tb != nil) or retires a running job's trace, for
+// the trace endpoints.
+func (s *Server) setTrace(key string, tb *traceBuffer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if wal == nil {
-		delete(s.wals, key)
+	if tb == nil {
+		delete(s.traces, key)
 	} else {
-		s.wals[key] = wal
+		s.traces[key] = tb
 	}
 }
 
-// liveWAL returns the job's live trace journal, if it is executing.
-func (s *Server) liveWAL(key string) (*traceWAL, bool) {
+// liveTrace returns the job's trace, if it is executing.
+func (s *Server) liveTrace(key string) (*traceBuffer, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	wal, ok := s.wals[key]
-	return wal, ok
+	tb, ok := s.traces[key]
+	return tb, ok
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -32,10 +34,10 @@ func serialTarget(t *testing.T, id string) *core.Target {
 }
 
 // serialRun executes the spec the way a plain serial caller would — no
-// daemon, no checkpoints, no interruptions — and returns the report and
-// the exact trace bytes. Every daemon test compares against this: the
-// server's whole value proposition is that queueing, dedupe, retries,
-// restarts and resumes change NOTHING about the result.
+// daemon, no interruptions — and returns the report and the exact trace
+// bytes. Every daemon test compares against this: the server's whole value
+// proposition is that queueing, dedupe, retries, restarts and re-runs
+// change NOTHING about the result.
 func serialRun(t *testing.T, spec Spec) (*core.Report, []byte) {
 	t.Helper()
 	sp := spec.Normalize()
@@ -242,7 +244,7 @@ func TestDaemonReportScriptsReplay(t *testing.T) {
 func TestServerShedsLoadWhenQueueFull(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
-	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		select {
 		case <-release:
 			return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}, nil
@@ -297,7 +299,7 @@ func TestServerRetriesTransientFailures(t *testing.T) {
 	vc := &virtualClock{}
 	s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
 	var calls int
-	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		calls++
 		if calls <= 2 {
 			panic(fmt.Sprintf("transient fault %d", calls))
@@ -335,7 +337,7 @@ func TestServerRetryScheduleDeterministicAcrossRuns(t *testing.T) {
 	run := func() (map[string][]int64, []time.Duration) {
 		vc := &virtualClock{}
 		s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
-		s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+		s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 			return nil, fmt.Errorf("injected transient failure")
 		}
 		specs := []Spec{
@@ -380,7 +382,7 @@ func TestServerRetryScheduleDeterministicAcrossRuns(t *testing.T) {
 func TestServerFailsFastOnDeterministicFailure(t *testing.T) {
 	vc := &virtualClock{}
 	s := newServer(t, Config{Workers: 1, MaxAttempts: 5, Clock: vc})
-	s.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		return &core.Report{Target: sp.Failure, Error: "free run failed: workload wedged"}, nil
 	}
 	job, _, err := s.Submit(Spec{Failure: "f4", Seed: 8})
@@ -398,12 +400,12 @@ func TestServerFailsFastOnDeterministicFailure(t *testing.T) {
 }
 
 // Graceful drain mid-search, then restart: the interrupted job is
-// re-admitted, resumes from its forced final checkpoint, and finishes
-// with artifacts byte-identical to an uninterrupted serial run.
+// re-admitted, run again from its spec, and finishes with artifacts
+// byte-identical to an uninterrupted serial run.
 func TestServerDrainAndRestartResumesByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Failure: "f30"}
-	s1, err := Open(Config{DataDir: dir, Workers: 1, CheckpointEvery: 1})
+	s1, err := Open(Config{DataDir: dir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +435,13 @@ func TestServerDrainAndRestartResumesByteIdentical(t *testing.T) {
 		t.Fatalf("drained job in state %s, want running (re-admittable) or terminal", mid.State)
 	}
 
-	s2, err := Open(Config{DataDir: dir, Workers: 1, CheckpointEvery: 1})
+	if !mid.Terminal() {
+		if raw, err := os.ReadFile(filepath.Join(dir, "jobs", job.Key, traceFile)); !os.IsNotExist(err) {
+			t.Fatalf("the drained job left %d bytes of trace on disk (err %v); only a completed search's trace is written", len(raw), err)
+		}
+	}
+
+	s2, err := Open(Config{DataDir: dir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +449,7 @@ func TestServerDrainAndRestartResumesByteIdentical(t *testing.T) {
 	waitIdle(t, s2)
 	assertMatchesSerial(t, s2, job.Key, spec)
 	if mid.Terminal() {
-		t.Log("note: job finished before the drain; resume path not exercised this run")
+		t.Log("note: job finished before the drain; re-run path not exercised this run")
 	}
 }
 
@@ -454,7 +462,7 @@ func TestServerRestartReAdmitsQueuedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1.searchFn = func(sp Spec, opts core.Options, ck core.Checkpoint, haveCk bool) (*core.Report, error) {
+	s1.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
 		<-opts.Context.Done() // wedge every execution until drain
 		return &core.Report{Interrupted: true}, nil
 	}

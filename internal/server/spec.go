@@ -1,24 +1,20 @@
 // Package server turns the explorer into a daemon: reproduction as a
 // service. Jobs arrive over HTTP as JSON specs, are journaled durably
-// before they are acknowledged, execute on a bounded worker pool with
-// per-job panic isolation, and checkpoint their search state so that a
-// killed or restarted daemon re-admits every unfinished job and resumes
-// it — producing the byte-identical trace and report the uninterrupted
-// run would have.
+// before they are acknowledged, and execute on a bounded worker pool with
+// per-job panic isolation. A search is a pure function of its spec, so a
+// killed, drained or restarted daemon keeps nothing of a running search:
+// it re-admits every unfinished job and runs it again, producing the
+// byte-identical trace and report an uninterrupted run would have.
+// Admission bounds each job's trials, so every re-run is cheap.
 //
 // The durability chain, bottom to top:
 //
 //   - internal/checkpoint writes atomic, fsynced, rename-committed
 //     envelopes (temp file + fsync + rename + parent-dir fsync).
-//   - Each job's record (job.json), search checkpoint (search.ck.json)
-//     and final report (report.json) are such envelopes inside the job's
-//     own directory <data>/jobs/<key>/.
-//   - The trace is a write-ahead journal (trace.jsonl). The engine's
-//     checkpoints arrive at one closure (executeOnce) that flushes the
-//     journal and only then writes the checkpoint, so on disk the trace is
-//     always at or ahead of it; crash recovery trims it back to the round
-//     the surviving checkpoint names and the resumed search appends the
-//     identical suffix.
+//   - Each job's record (job.json) and final report (report.json) are
+//     such envelopes inside the job's own directory <data>/jobs/<key>/.
+//   - The trace (trace.jsonl) is held in memory while the search runs and
+//     written once, beside the report, in the completion commit.
 //
 // Jobs are content-addressed: the key is a hash of the normalized spec,
 // so identical submissions — same failure, strategy, seed, fault
@@ -111,7 +107,10 @@ func (sp Spec) Normalize() Spec {
 }
 
 // Validate checks a normalized spec against the registries and bounds
-// the CLI enforces with usage errors. Invalid specs are rejected at
+// the CLI enforces with usage errors, plus one the CLI does not: a job may
+// run at most core.DefaultMaxRounds trials, max_rounds × runs_per_round, so
+// that every accepted job is cheap to re-run from its spec after a crash or
+// a drain (DESIGN.md, "Bounded jobs"). Invalid specs are rejected at
 // admission — they never become jobs.
 func (sp Spec) Validate() error {
 	if sp.Failure == "" {
@@ -124,6 +123,10 @@ func (sp Spec) Validate() error {
 	// the offending option by its JSON key here).
 	if err := sp.Options().Validate(); err != nil {
 		return fmt.Errorf("spec: %w", err)
+	}
+	if runs := max(sp.RunsPerRound, 1); sp.MaxRounds > core.DefaultMaxRounds/runs {
+		return fmt.Errorf("spec: max_rounds × runs_per_round must be at most %d (got %d × %d)",
+			core.DefaultMaxRounds, sp.MaxRounds, runs)
 	}
 	return nil
 }

@@ -78,6 +78,11 @@ func TestSpecValidate(t *testing.T) {
 		{"bad runs", Spec{Failure: "f4", RunsPerRound: -1}, "runs_per_round"},
 		{"bad class", Spec{Failure: "f4", FaultClasses: []string{"cosmic"}}, "fault class"},
 		{"bad addressing", Spec{Failure: "f4", Addressing: "telepathy"}, "addressing"},
+		{"rounds at the cap", Spec{Failure: "f4", MaxRounds: 2000}, ""},
+		{"rounds over the cap", Spec{Failure: "f4", MaxRounds: 2001}, "max_rounds × runs_per_round must be at most 2000 (got 2001 × 1)"},
+		{"trials at the cap", Spec{Failure: "f4", MaxRounds: 500, RunsPerRound: 4}, ""},
+		{"trials over the cap", Spec{Failure: "f4", MaxRounds: 667, RunsPerRound: 3}, "(got 667 × 3)"},
+		{"huge product", Spec{Failure: "f4", MaxRounds: 1 << 40, RunsPerRound: 1 << 40}, "max_rounds × runs_per_round"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,5 +1,5 @@
 // Package trace is a structured, deterministic event stream for one
-// explorer search (one core.Reproduce call, or its core.Resume).
+// explorer search (one core.Reproduce call).
 //
 // The explorer's search state — observable priorities I_k, site priorities
 // F_i, flexible-window growth, per-round injection decisions and feedback
@@ -72,9 +72,8 @@ const (
 	// continues.
 	Inconclusive EventType = "inconclusive"
 	// Outcome terminates the stream: reproduced or not, rounds used, and
-	// which guard ended the search. An interrupted (killed or cancelled)
-	// search emits NO outcome, so its trace is a resumable prefix of the
-	// uninterrupted stream.
+	// which guard ended the search. An interrupted (cancelled) search emits
+	// NO outcome: it stopped, it did not end.
 	Outcome EventType = "outcome"
 )
 

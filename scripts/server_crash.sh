@@ -7,17 +7,19 @@
 # (extra entries or wrong submission counts), and any divergence from a
 # serial run (canonical report bytes and trace bytes must match exactly).
 #
-# -checkpoint-every 1 maximizes the surface: every round boundary is a
-# checkpoint write the kill can land inside. -workers 1, a set of ~110
-# distinct specs and a sub-second stagger keep a backlog under every kill:
-# a job here is milliseconds of work, so with a worker per CPU and seconds
-# between kills the whole set finishes inside the submit phase and every
-# kill lands on an idle daemon. The gate therefore counts the daemon's
-# "re-admitted job" lines per restart and fails as vacuous unless most
-# restarts found unfinished work to re-admit. The kill offsets are a fixed
-# stagger, not random — CI must be reproducible — but they drift against
-# the search cadence, so successive kills land at different points of the
-# journal/checkpoint/trace write sequence.
+# A running search keeps nothing on disk: a kill loses it, and the restart
+# re-admits the job and runs it again from its spec. What a kill can land
+# inside is the journal's writes — admission, a resubmission's count, and
+# the completion commit's trace, report and record renames. -workers 1, a
+# set of ~110 distinct specs and a sub-second stagger keep a backlog under
+# every kill: a job here is milliseconds of work, so with a worker per CPU
+# and seconds between kills the whole set finishes inside the submit phase
+# and every kill lands on an idle daemon. The gate therefore counts the
+# daemon's "re-admitted job" lines per restart and fails as vacuous unless
+# most restarts found unfinished work to re-admit. The kill offsets are a
+# fixed stagger, not random — CI must be reproducible — but they drift
+# against the job cadence, so successive kills land at different points of
+# the journal write sequence.
 #
 # Tunables (env): JOBS (default 400), DISTINCT (150), SEED (7),
 # KILLS (6), ADDR (127.0.0.1:18478).
@@ -50,7 +52,7 @@ fail() {
 
 start_daemon() {
   "$BIN/anduril-server" -data-dir "$DATA" -addr "$ADDR" \
-    -workers 1 -checkpoint-every 1 >>"$LOG" 2>&1 &
+    -workers 1 >>"$LOG" 2>&1 &
   SRV_PID=$!
   for _ in $(seq 1 100); do
     if "$BIN/andurilctl" health -server "http://$ADDR" >/dev/null 2>&1; then
