@@ -80,7 +80,7 @@ func TestScriptWithoutReproduction(t *testing.T) {
 }
 
 func TestNewTargetCustom(t *testing.T) {
-	// Build a custom target the way examples/walstuck does, against the zk
+	// Build a custom target the way ExampleNewTarget does, against the zk
 	// quorum workload and the f1 bug.
 	orc := OracleAnd(
 		LogContains("Severe unrecoverable error, exiting SyncRequestProcessor"),

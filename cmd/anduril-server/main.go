@@ -8,7 +8,9 @@
 // The daemon drains gracefully on SIGINT/SIGTERM: submissions are
 // rejected, running searches are interrupted, and the process exits once
 // every worker has stopped. A subsequent start with the same -data-dir
-// re-admits every unfinished job and runs it again from its spec.
+// re-admits every unfinished job and runs it again from its spec. A job
+// whose execution fails is final: its record says failed and why, and
+// removing <data-dir>/jobs/<key> before resubmitting runs it again.
 //
 // Exit codes: 0 clean shutdown after a signal; 1 fatal runtime error
 // (journal unreadable, listen failure); 2 flag or validation error.
@@ -41,11 +43,10 @@ const (
 // flagConfig is the parsed flag set, kept separate from server.Config so
 // validation is a pure, table-testable function.
 type flagConfig struct {
-	addr        string
-	dataDir     string
-	workers     int
-	queue       int
-	maxAttempts int
+	addr    string
+	dataDir string
+	workers int
+	queue   int
 }
 
 // validate rejects flag combinations the server cannot run with. Every
@@ -63,9 +64,6 @@ func (c flagConfig) validate() error {
 	}
 	if c.queue <= 0 {
 		return fmt.Errorf("-queue must be a positive queued-job cap, got %d", c.queue)
-	}
-	if c.maxAttempts <= 0 {
-		return fmt.Errorf("-max-attempts must be positive, got %d", c.maxAttempts)
 	}
 	return nil
 }
@@ -85,7 +83,6 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 	fs.StringVar(&c.dataDir, "data-dir", "", "state directory for the durable job journal (required)")
 	fs.IntVar(&c.workers, "workers", 0, "concurrent job executions (0 = one per CPU)")
 	fs.IntVar(&c.queue, "queue", 256, "queued-job cap; beyond it submissions shed with 429")
-	fs.IntVar(&c.maxAttempts, "max-attempts", 3, "executions of a transiently-failing job before it fails for good")
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
@@ -102,11 +99,10 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintf(stderr, format+"\n", args...)
 	}
 	srv, err := server.Open(server.Config{
-		DataDir:     c.dataDir,
-		Workers:     c.workers,
-		QueueCap:    c.queue,
-		MaxAttempts: c.maxAttempts,
-		Logf:        logf,
+		DataDir:  c.dataDir,
+		Workers:  c.workers,
+		QueueCap: c.queue,
+		Logf:     logf,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "anduril-server: %v\n", err)

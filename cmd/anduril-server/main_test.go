@@ -17,14 +17,13 @@ func TestFlagValidation(t *testing.T) {
 		cfg     flagConfig
 		wantErr string // "" = valid
 	}{
-		{"valid", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: 1, maxAttempts: 1}, ""},
-		{"zero workers is per-CPU", flagConfig{addr: ":0", dataDir: "/tmp/x", workers: 0, queue: 8, maxAttempts: 3}, ""},
-		{"missing data dir", flagConfig{addr: ":0", queue: 1, maxAttempts: 1}, "-data-dir"},
-		{"empty addr", flagConfig{dataDir: "/tmp/x", queue: 1, maxAttempts: 1}, "-addr"},
-		{"negative workers", flagConfig{addr: ":0", dataDir: "/tmp/x", workers: -1, queue: 1, maxAttempts: 1}, "-workers"},
-		{"zero queue", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: 0, maxAttempts: 1}, "-queue"},
-		{"negative queue", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: -5, maxAttempts: 1}, "-queue"},
-		{"zero attempts", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: 1, maxAttempts: 0}, "-max-attempts"},
+		{"valid", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: 1}, ""},
+		{"zero workers is per-CPU", flagConfig{addr: ":0", dataDir: "/tmp/x", workers: 0, queue: 8}, ""},
+		{"missing data dir", flagConfig{addr: ":0", queue: 1}, "-data-dir"},
+		{"empty addr", flagConfig{dataDir: "/tmp/x", queue: 1}, "-addr"},
+		{"negative workers", flagConfig{addr: ":0", dataDir: "/tmp/x", workers: -1, queue: 1}, "-workers"},
+		{"zero queue", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: 0}, "-queue"},
+		{"negative queue", flagConfig{addr: ":0", dataDir: "/tmp/x", queue: -5}, "-queue"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

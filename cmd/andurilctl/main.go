@@ -265,6 +265,7 @@ func (c *ctl) submit(args []string) int {
 	job := jobs[sr.Job.Key]
 	fmt.Fprintf(c.stdout, "%s: %s (reproduced=%v rounds=%d)\n", job.Key, job.State, job.Reproduced, job.Rounds)
 	if job.State != server.StateDone {
+		fmt.Fprintf(c.stdout, "error: %s\n", job.Error)
 		return exitRuntime
 	}
 	return exitOK
@@ -376,6 +377,7 @@ func (c *ctl) wait(args []string) int {
 		job := jobs[key]
 		fmt.Fprintf(c.stdout, "%s: %s\n", key, job.State)
 		if job.State != server.StateDone {
+			fmt.Fprintf(c.stdout, "error: %s\n", job.Error)
 			code = exitRuntime
 		}
 	}

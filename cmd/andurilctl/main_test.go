@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -99,6 +101,37 @@ func TestCtlServerUnreachable(t *testing.T) {
 	code, _, errb := runCtl(t, "status", "-server", "http://127.0.0.1:1", "abc")
 	if code != exitRuntime || errb == "" {
 		t.Fatalf("unreachable server = %d (%s), want %d with message", code, errb, exitRuntime)
+	}
+}
+
+// A failed job's record says why it failed, and submit -wait and wait print
+// it before exiting 1. The server is canned: it accepts any submission and
+// answers every poll with the failed record.
+func TestCtlPrintsWhyAJobFailed(t *testing.T) {
+	const why = "free run failed twice: panic: boot failure"
+	spec := server.Spec{Failure: "f4"}.Normalize()
+	failed := server.Job{Key: spec.Key(), Spec: spec, State: server.StateFailed, Submissions: 1, Error: why}
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
+		queued := failed
+		queued.State, queued.Error = server.StateQueued, ""
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(submitResponse{Job: queued})
+	})
+	mux.HandleFunc("GET /jobs/{key}", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(failed)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	for _, args := range [][]string{
+		{"submit", "-server", ts.URL, "-failure", "f4", "-wait"},
+		{"wait", "-server", ts.URL, failed.Key},
+	} {
+		code, out, errb := runCtl(t, args...)
+		if code != exitRuntime || !strings.Contains(out, "error: "+why+"\n") {
+			t.Errorf("%s = %d, want %d with the job's error on stdout\nstdout: %s\nstderr: %s", args[0], code, exitRuntime, out, errb)
+		}
 	}
 }
 

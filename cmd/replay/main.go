@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"anduril"
-	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/inject"
 	"anduril/internal/logging"
@@ -27,8 +26,9 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is the command: 0 = the oracle is satisfied, 1 = it is not (or the
-// replay could not run), 2 = usage error.
+// run is the command: 0 = the oracle is satisfied, 1 = it is not, or the
+// replay could not run or be judged (stderr names the trial failure class:
+// panic, event-budget or oracle), 2 = usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -86,8 +86,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "  "+line)
 	}
 
-	res := cluster.Execute(replaySeed, sf.Plan(), false, target.Workload, target.Horizon)
-	satisfied := target.Oracle.Satisfied(res)
+	res, satisfied, err := core.Replay(target, replaySeed, sf.Faults...)
+	if err != nil {
+		return fail(fmt.Errorf("the script's run cannot be judged: %w", err))
+	}
 	fmt.Fprintf(stdout, "oracle %q satisfied: %v\n", target.Oracle.Name, satisfied)
 	if len(res.Blocked) > 0 {
 		fmt.Fprintf(stdout, "stuck threads: %s\n", strings.Join(res.Blocked, ", "))

@@ -254,7 +254,7 @@ func (c *cell) goldenPath() string {
 	case c.opts.Addressing == core.AddrPath:
 		return fmt.Sprintf("testdata/%s.path.trace.jsonl", c.sc.ID)
 	case c.sc.ID == "f3":
-		return "testdata/quickstart.trace.jsonl" // examples/quickstart
+		return "testdata/quickstart.trace.jsonl" // ExampleScript's search
 	}
 	return fmt.Sprintf("testdata/%s.trace.jsonl", c.sc.ID)
 }

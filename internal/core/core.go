@@ -402,22 +402,34 @@ func Reproduce(t *Target, opts Options) *Report {
 	return newEngine(t, opts.withDefaults(), ws).run()
 }
 
-// Verify replays a reproduction script deterministically and reports
-// whether the oracle is satisfied — workflow step 4.a's output check. The
-// replay is a trial like a search's: in a recycled environment, under the
-// event budget, with a panic in the target or the oracle recovered. A replay
-// that cannot be judged — it panicked, livelocked or the oracle panicked —
-// does not reproduce.
+// Replay runs a reproduction script's faults deterministically under seed
+// and judges the result by t's oracle — workflow step 4.a. The replay is a
+// trial like a search's: under the event budget, with a panic in the target
+// or the oracle recovered. It returns the replay's result, which is the
+// caller's, whether the oracle is satisfied, and, for a replay that cannot
+// be judged, a *cluster.TrialError whose class says why (panic,
+// event-budget or oracle); such a replay does not reproduce.
+func Replay(t *Target, seed int64, faults ...inject.Instance) (*cluster.Result, bool, error) {
+	return replay(nil, t, seed, faults)
+}
+
+// Verify is Replay's verdict alone, replayed in a recycled environment.
 func Verify(t *Target, script inject.Instance, seed int64) bool {
 	ws := workspaces.Get().(*workspace)
 	defer workspaces.Put(ws)
-	res, err := cluster.TryExecuteOn(context.TODO(), ws.env(), seed, inject.Exact(script), false, t.Workload, t.Horizon, DefaultEventBudget)
-	if err != nil {
-		return false
-	}
-	sat, err := satisfied(t, res)
+	res, sat, err := replay(ws.env(), t, seed, []inject.Instance{script})
 	if err == nil {
 		ws.keep(res)
 	}
 	return sat
+}
+
+// replay is Replay in env (nil: a fresh one).
+func replay(env *cluster.Env, t *Target, seed int64, faults []inject.Instance) (*cluster.Result, bool, error) {
+	res, err := cluster.TryExecuteOn(context.TODO(), env, seed, inject.Exact(faults...), false, t.Workload, t.Horizon, DefaultEventBudget)
+	if err != nil {
+		return res, false, err
+	}
+	sat, err := satisfied(t, res)
+	return res, sat, err
 }

@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -217,12 +218,13 @@ func TestFreeRunPanicIsFatalButContained(t *testing.T) {
 	}
 }
 
-// TestVerifyIsAWatchedTrial: Verify replays a script under the trial
-// watchdogs. A target that panics under its own script, one that livelocks
-// under it and an oracle that panics judging it do not reproduce — the
-// process survives, and the livelock ends within the event budget, well
-// before the deadline — and the same script on the intact target still
-// does, in the environments those replays left.
+// TestVerifyIsAWatchedTrial: Verify and Replay replay a script under the
+// trial watchdogs. A target that panics under its own script, one that
+// livelocks under it and an oracle that panics judging it do not reproduce,
+// and Replay names each one's failure class — the process survives, and the
+// livelock ends within the event budget, well before the deadline — and
+// the same script on the intact target still does, in the environments
+// those replays left.
 func TestVerifyIsAWatchedTrial(t *testing.T) {
 	tgt := target(t, "f3")
 	rep := core.Reproduce(tgt, core.Options{Seed: 1})
@@ -239,26 +241,41 @@ func TestVerifyIsAWatchedTrial(t *testing.T) {
 	badOracle.Oracle.Check = func(*cluster.Result) bool { panic("oracle bug") }
 	const deadline = 30 * time.Second
 	for _, row := range []struct {
-		name string
-		tgt  *core.Target
-		want bool
+		name  string
+		tgt   *core.Target
+		class string // "" = the replay is judged and reproduces
 	}{
-		{"intact", tgt, true},
-		{"panic", poisonWorkload(tgt, script, func(*cluster.Env) { panic("poisoned replay") }), false},
-		{"livelock", poisonWorkload(tgt, script, spin), false},
-		{"oracle-panic", &badOracle, false},
-		{"intact-after", tgt, true},
+		{"intact", tgt, ""},
+		{"panic", poisonWorkload(tgt, script, func(*cluster.Env) { panic("poisoned replay") }), cluster.ClassPanic},
+		{"livelock", poisonWorkload(tgt, script, spin), cluster.ClassEventBudget},
+		{"oracle-panic", &badOracle, cluster.ClassOracle},
+		{"intact-after", tgt, ""},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			done := make(chan bool, 1)
-			go func() { done <- core.Verify(row.tgt, script, rep.ScriptSeed) }()
-			select {
-			case got := <-done:
-				if got != row.want {
-					t.Fatalf("Verify = %v, want %v", got, row.want)
+			within := func(what string, f func()) {
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					f()
+				}()
+				select {
+				case <-done:
+				case <-time.After(deadline):
+					t.Fatalf("%s did not return within %v", what, deadline)
 				}
-			case <-time.After(deadline):
-				t.Fatalf("Verify did not return within %v", deadline)
+			}
+			want := row.class == ""
+			var verified bool
+			within("Verify", func() { verified = core.Verify(row.tgt, script, rep.ScriptSeed) })
+			if verified != want {
+				t.Fatalf("Verify = %v, want %v", verified, want)
+			}
+			var sat bool
+			var err error
+			within("Replay", func() { _, sat, err = core.Replay(row.tgt, rep.ScriptSeed, script) })
+			var te *cluster.TrialError
+			if sat != want || (want && err != nil) || (!want && (!errors.As(err, &te) || te.Class != row.class)) {
+				t.Fatalf("Replay = (%v, %v), want (%v, class %q)", sat, err, want, row.class)
 			}
 		})
 	}

@@ -56,13 +56,6 @@ func (p *Pool) Submit(task func()) bool {
 	return true
 }
 
-// Queued returns the number of tasks waiting for a worker.
-func (p *Pool) Queued() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.queue)
-}
-
 // Shutdown stops the pool: no new tasks are accepted, tasks not yet
 // started are discarded, and Shutdown returns once every in-flight task
 // has finished. Discarding is safe by construction for the server — every

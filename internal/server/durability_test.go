@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anduril/internal/checkpoint"
+	"anduril/internal/core"
 )
 
 // The write path's rules, each asserted where it can be counted, blocked
@@ -235,53 +236,46 @@ func TestRacingFirstSubmissions(t *testing.T) {
 	}
 }
 
-// A failed completion write is a transient failure like any other: the
-// attempt is retried with the seeded backoff, and a write that never
-// succeeds ends the job failed after MaxAttempts instead of leaving it
-// running with no executor.
-func TestServerRetriesFailedCompletionWrite(t *testing.T) {
+// An execution that fails is the job's verdict: one execution, the job
+// journaled failed with the error that ended it — a completion write that
+// fails, or a search that panics — and a restarted daemon finds it failed
+// and runs nothing.
+func TestFailedAttemptFailsTheJob(t *testing.T) {
 	for _, tc := range []struct {
-		name         string
-		failures     int // completion writes that fail before one is let through
-		wantState    string
-		wantAttempts int // failed attempts journaled
-		wantSleeps   int // backoffs taken
+		name     string
+		why      string // the error the job must be failed with
+		sabotage func(s *Server)
 	}{
-		{"once", 1, StateDone, 1, 1},
-		{"always", 1 << 30, StateFailed, 3, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			vc := &virtualClock{}
-			s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
-			left := tc.failures
+		{"completion write fails", "injected completion write failure", func(s *Server) {
 			s.journal.persist = func(job *Job, create bool) error {
-				if job.State == StateDone && left > 0 {
-					left--
+				if job.State == StateDone {
 					return errors.New("injected completion write failure")
 				}
 				return s.journal.save(job, create)
 			}
-			spec := Spec{Failure: "f4", Seed: 3}
-			job, _, err := s.Submit(spec)
+		}},
+		{"search panics", "server: job panic: injected search panic", func(s *Server) {
+			s.searchFn = func(Spec, core.Options) (*core.Report, error) { panic("injected search panic") }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s := newServer(t, Config{DataDir: dir, Workers: 1})
+			tc.sabotage(s)
+			job, _, err := s.Submit(Spec{Failure: "f4", Seed: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			waitIdle(t, s)
-			got, _ := s.Job(job.Key)
-			if got.State != tc.wantState || got.Attempts != tc.wantAttempts {
-				t.Fatalf("job = %+v, want %s after %d failed attempts", got, tc.wantState, tc.wantAttempts)
+			if got, _ := s.Job(job.Key); got.State != StateFailed || got.Error != tc.why || s.Executions() != 1 {
+				t.Fatalf("job = %+v after %d executions, want failed with %q after 1", got, s.Executions(), tc.why)
 			}
-			// Every attempt ran the search: one execution per failed
-			// attempt, plus the one that got through.
-			wantExecs := tc.wantAttempts
-			if tc.wantState == StateDone {
-				wantExecs++
-			}
-			if s.Executions() != int64(wantExecs) || len(vc.schedule()) != tc.wantSleeps {
-				t.Fatalf("executions = %d, backoffs = %d; want %d and %d", s.Executions(), len(vc.schedule()), wantExecs, tc.wantSleeps)
-			}
-			if tc.wantState == StateDone {
-				assertMatchesSerial(t, s, job.Key, spec)
+			s.Shutdown()
+
+			s2 := newServer(t, Config{DataDir: dir, Workers: 1})
+			waitIdle(t, s2)
+			if got, _ := s2.Job(job.Key); got.State != StateFailed || got.Error != tc.why || s2.Executions() != 0 {
+				t.Fatalf("after a restart job = %+v after %d executions, want failed with %q and none", got, s2.Executions(), tc.why)
 			}
 		})
 	}

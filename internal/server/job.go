@@ -8,8 +8,8 @@ package server
 //
 //	queued  ──start──▶ running ──success──▶ done
 //	  ▲                  │ │
-//	  │   restart        │ └─deterministic failure───▶ failed
-//	  └──(re-admit)──────┘ └─transient failure ×N──▶ failed
+//	  │   restart        │ └──failure──▶ failed
+//	  └──(re-admit)──────┘
 //
 //   - queued: journaled and waiting for a worker. Restart re-admits it.
 //   - running: a worker is executing the search, its trace held in
@@ -24,10 +24,12 @@ package server
 //     renames durable with one directory fsync, so a power loss may keep
 //     the record's alone, and restart re-admits a done job whose report
 //     does not load or whose trace is missing.
-//   - failed: the search could not produce a report — a deterministic
-//     failure (the free run itself fails, so retrying cannot help) or
-//     a transient one (executor panic, journal I/O error) that survived
-//     MaxAttempts retries. Terminal; Error says why.
+//   - failed: the search could not produce a report — the free run itself
+//     failed, the executor panicked, or the completion commit's I/O did.
+//     Terminal after one execution, because a search is a pure function of
+//     its spec: running it again fails again, and a search that did not
+//     would be a determinism bug a retry would hide. Error says why. To run
+//     a failed job again, remove <data>/jobs/<key> and resubmit.
 //
 // A graceful drain interrupts running jobs and keeps nothing of them: the
 // next start re-admits them and runs each again from its spec. Every
@@ -58,15 +60,7 @@ type Job struct {
 	// submissions past the first deduplicated onto the existing job.
 	Submissions int `json:"submissions"`
 
-	// Attempts counts execution attempts that ended in a transient
-	// failure. RetryBackoffsMS records the deterministic virtual-time
-	// delay (milliseconds) scheduled before each retry — a pure function
-	// of (seed, key, attempt), so two daemon runs over the same job set
-	// journal identical schedules.
-	Attempts        int     `json:"attempts,omitempty"`
-	RetryBackoffsMS []int64 `json:"retry_backoffs_ms,omitempty"`
-
-	// Error describes the latest failure (transient or terminal).
+	// Error says why the job failed.
 	Error string `json:"error,omitempty"`
 
 	// Result summary, set when State is done. The full report is in

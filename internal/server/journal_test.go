@@ -22,11 +22,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Put(job); err != nil {
 		t.Fatal(err)
 	}
-	updated, err := j.Update(job.Key, func(jb *Job) { jb.State = StateRunning; jb.Attempts = 2 })
+	updated, err := j.Update(job.Key, func(jb *Job) { jb.State = StateRunning; jb.Submissions = 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if updated.State != StateRunning || updated.Attempts != 2 {
+	if updated.State != StateRunning || updated.Submissions != 2 {
 		t.Fatalf("Update returned %+v", updated)
 	}
 
@@ -42,7 +42,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("job lost across reopen")
 	}
-	if got.State != StateRunning || got.Attempts != 2 || !reflect.DeepEqual(got.Spec, spec) {
+	if got.State != StateRunning || got.Submissions != 2 || !reflect.DeepEqual(got.Spec, spec) {
 		t.Fatalf("reopened job = %+v", got)
 	}
 }
@@ -112,6 +112,40 @@ func TestJournalPublishIsMemoryOnly(t *testing.T) {
 	}
 	if got := onDisk(); got.State != StateRunning || got.Submissions != 2 {
 		t.Fatalf("durable update wrote %+v, want running with 2 submissions", got)
+	}
+}
+
+// An older daemon kept retry bookkeeping in the record: the testdata
+// record is one of its running jobs, one failed attempt and one backoff
+// in. It still loads — the decoder ignores the two keys — and is
+// re-admitted and finishes byte-identical to a serial run.
+func TestOlderRecordWithRetryFieldsLoads(t *testing.T) {
+	const older = "testdata/older-running-job.json"
+	rec, err := readJob(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != StateRunning || rec.Key != rec.Spec.Key() {
+		t.Fatalf("fixture holds %+v, want a running job keyed by its spec", rec)
+	}
+	raw, err := os.ReadFile(older)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", rec.Key)
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir, jobFile), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(t, Config{DataDir: dir, Workers: 1})
+	waitIdle(t, s)
+	assertMatchesSerial(t, s, rec.Key, rec.Spec)
+	if s.Executions() != 1 {
+		t.Fatalf("the older record ran %d executions, want 1", s.Executions())
 	}
 }
 

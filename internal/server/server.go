@@ -35,15 +35,6 @@ type Config struct {
 	// Default 256.
 	QueueCap int
 
-	// MaxAttempts bounds executions of a job whose attempts die of
-	// transient causes (executor panic, journal I/O error) before the
-	// job fails terminally. Default 3.
-	MaxAttempts int
-
-	// Clock realizes retry backoff delays; tests substitute a virtual
-	// clock. Default: the wall clock.
-	Clock Clock
-
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -52,12 +43,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Clock == nil {
-		c.Clock = realClock{}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -87,9 +72,9 @@ func (e *OverloadError) Error() string {
 }
 
 // Server is the reproduction daemon: a durable job journal, a bounded
-// worker pool executing searches, and the admission, dedupe and retry
-// machinery around them. Create one with Open; serve its HTTP API via
-// Handler; stop it with Shutdown.
+// worker pool executing searches, and the admission and dedupe machinery
+// around them. Create one with Open; serve its HTTP API via Handler; stop
+// it with Shutdown.
 type Server struct {
 	cfg     Config
 	journal *Journal
@@ -107,9 +92,9 @@ type Server struct {
 
 	executions atomic.Int64
 
-	// searchFn runs one search attempt; the default resolves the target
-	// and calls core.Reproduce. Tests substitute it to exercise the retry
-	// and recovery paths without a real search.
+	// searchFn runs a job's search; the default resolves the target and
+	// calls core.Reproduce. Tests substitute it to exercise the failure and
+	// recovery paths without a real search.
 	searchFn func(sp Spec, opts core.Options) (*core.Report, error)
 }
 
@@ -266,8 +251,8 @@ func (s *Server) ReportJSON(key string) ([]byte, error) {
 // CanonicalReportJSON returns the stored report normalized by
 // core.CanonicalReport: wall-clock fields zeroed, everything
 // seed-determined kept. This is the byte-comparison currency of the
-// soak and crash gates — a daemon run (re-run, retried, restarted or
-// not) must produce canonical bytes identical to a serial run's.
+// soak and crash gates — a daemon run (re-run, restarted or not) must
+// produce canonical bytes identical to a serial run's.
 func (s *Server) CanonicalReportJSON(key string) ([]byte, error) {
 	raw, err := s.ReportJSON(key)
 	if err != nil {
@@ -282,9 +267,9 @@ func (s *Server) CanonicalReportJSON(key string) ([]byte, error) {
 
 // TraceJSONL returns the job's trace: a running job's trace so far, from
 // memory; the file the completion commit wrote, for a done job; nothing
-// for a job that is queued, failed, or between attempts. A running job's
-// trace is unpublished only after its record says done, so no caller sees
-// a finished job with no trace.
+// for a job that is queued or failed. A running job's trace is
+// unpublished only after its record says done, so no caller sees a
+// finished job with no trace.
 func (s *Server) TraceJSONL(key string) ([]byte, error) {
 	if tb, ok := s.liveTrace(key); ok {
 		return tb.Snapshot(), nil
@@ -342,9 +327,10 @@ func (s *Server) Shutdown() {
 	s.pool.Shutdown()
 }
 
-// runJob executes one job to a terminal state, a graceful interrupt, or
-// retry exhaustion. It is the only writer of the job's state while the
-// job runs.
+// runJob executes one job once: it publishes running, runs the search, and
+// journals the outcome. It is the only writer of the job's state while the
+// job runs. An execution that fails is the job's verdict: the search is a
+// pure function of its spec, so running the spec again would fail again.
 func (s *Server) runJob(key string) {
 	s.mu.Lock()
 	s.queued--
@@ -363,49 +349,25 @@ func (s *Server) runJob(key string) {
 	}
 	s.journal.Publish(key, func(j *Job) { j.State = StateRunning })
 
-	for {
-		execErr := s.executeOnce(key, job.Spec)
-		if execErr == nil {
-			// The attempt journaled done or failed, or a graceful drain
-			// interrupted it and the next Open runs it again.
-			return
-		}
-
-		// Transient failure: executor panic or journal I/O error.
-		// Deterministic seeded backoff, then another attempt, which runs
-		// the search again from its spec.
-		updated, err := s.journal.Update(key, func(j *Job) {
-			j.Attempts++
-			j.Error = execErr.Error()
-			if j.Attempts < s.cfg.MaxAttempts {
-				d := Backoff(j.Spec.Seed, key, j.Attempts)
-				j.RetryBackoffsMS = append(j.RetryBackoffsMS, d.Milliseconds())
-			} else {
-				j.State = StateFailed
-			}
-		})
-		if err != nil {
-			// Not even the failure can be journaled: answer pollers from
-			// memory rather than leave the job running with no executor.
-			s.cfg.Logf("server: job %s: %v", key, err)
-			s.journal.Publish(key, func(j *Job) { j.State, j.Error = StateFailed, err.Error() })
-			return
-		}
-		if updated.State == StateFailed {
-			return
-		}
-		s.cfg.Logf("server: job %s attempt %d failed (%v), retrying", key[:12], updated.Attempts, execErr)
-		s.cfg.Clock.Sleep(s.ctx, Backoff(updated.Spec.Seed, key, updated.Attempts))
-		if s.ctx.Err() != nil {
-			return // draining; the job stays unfinished for re-admission
-		}
+	execErr := s.executeOnce(key, job.Spec)
+	if execErr == nil {
+		// The job is journaled done, or a graceful drain interrupted it and
+		// the next Open runs it again.
+		return
+	}
+	if _, err := s.journal.Update(key, func(j *Job) { j.State, j.Error = StateFailed, execErr.Error() }); err != nil {
+		// Not even the failure can be journaled: answer pollers from
+		// memory rather than leave the job running with no executor.
+		s.cfg.Logf("server: job %s failed (%v), and journaling it failed: %v", key, execErr, err)
+		s.journal.Publish(key, func(j *Job) { j.State, j.Error = StateFailed, execErr.Error() })
 	}
 }
 
-// executeOnce runs one search attempt inside the job's panic isolation
-// boundary and journals its outcome. Any panic or I/O error surfaces as an
-// error, a transient failure to runJob — one poisoned job cannot take down
-// the daemon.
+// executeOnce runs the job's search inside its panic isolation boundary
+// and, when the search finishes, commits the job done. A panic, a search
+// that cannot start and an I/O error all surface as the error runJob
+// journals the job failed with — one poisoned job cannot take down the
+// daemon. A drained search returns nil and commits nothing.
 func (s *Server) executeOnce(key string, spec Spec) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -429,10 +391,7 @@ func (s *Server) executeOnce(key string, spec Spec) (err error) {
 	case err != nil || rep.Interrupted:
 		return err
 	case rep.Error != "":
-		// Deterministic failure: the free run itself fails, so the
-		// identical re-execution would too. Fail fast with the diagnosis.
-		_, err = s.journal.Update(key, func(j *Job) { j.State, j.Error = StateFailed, rep.Error })
-		return err
+		return errors.New(rep.Error) // the free run itself fails
 	}
 	// The completion commit: trace and report staged, each a renamed,
 	// fsynced temp file, then the record's own durable write, whose fsync

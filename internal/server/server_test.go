@@ -36,8 +36,8 @@ func serialTarget(t *testing.T, id string) *core.Target {
 // serialRun executes the spec the way a plain serial caller would — no
 // daemon, no interruptions — and returns the report and the exact trace
 // bytes. Every daemon test compares against this: the server's whole value
-// proposition is that queueing, dedupe, retries, restarts and re-runs
-// change NOTHING about the result.
+// proposition is that queueing, dedupe, restarts and re-runs change
+// NOTHING about the result.
 func serialRun(t *testing.T, spec Spec) (*core.Report, []byte) {
 	t.Helper()
 	sp := spec.Normalize()
@@ -293,97 +293,13 @@ func TestServerShedsLoadWhenQueueFull(t *testing.T) {
 	}
 }
 
-// A transient execution failure retries with the deterministic backoff
-// schedule and then succeeds; the attempts and schedule are journaled.
-func TestServerRetriesTransientFailures(t *testing.T) {
-	vc := &virtualClock{}
-	s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
-	var calls int
-	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
-		calls++
-		if calls <= 2 {
-			panic(fmt.Sprintf("transient fault %d", calls))
-		}
-		return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 7}, nil
-	}
-	spec := Spec{Failure: "f4", Seed: 5}
-	job, _, err := s.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitIdle(t, s)
-	got, _ := s.Job(job.Key)
-	if got.State != StateDone || got.Attempts != 2 {
-		t.Fatalf("job = %+v, want done after 2 transient attempts", got)
-	}
-	key := job.Key
-	want := []int64{
-		Backoff(5, key, 1).Milliseconds(),
-		Backoff(5, key, 2).Milliseconds(),
-	}
-	if !reflect.DeepEqual(got.RetryBackoffsMS, want) {
-		t.Fatalf("journaled schedule %v, want %v", got.RetryBackoffsMS, want)
-	}
-	sleeps := vc.schedule()
-	if len(sleeps) != 2 || sleeps[0].Milliseconds() != want[0] || sleeps[1].Milliseconds() != want[1] {
-		t.Fatalf("virtual clock saw %v, want schedule %v ms", sleeps, want)
-	}
-}
-
-// Satellite regression: two daemon runs over the same failing job set
-// journal IDENTICAL retry schedules in virtual time. No wall clock, no
-// global RNG — the schedule is a function of the jobs alone.
-func TestServerRetryScheduleDeterministicAcrossRuns(t *testing.T) {
-	run := func() (map[string][]int64, []time.Duration) {
-		vc := &virtualClock{}
-		s := newServer(t, Config{Workers: 1, MaxAttempts: 3, Clock: vc})
-		s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
-			return nil, fmt.Errorf("injected transient failure")
-		}
-		specs := []Spec{
-			{Failure: "f4", Seed: 1},
-			{Failure: "f4", Seed: 2},
-			{Failure: "f9", Seed: 7},
-		}
-		schedules := map[string][]int64{}
-		for _, sp := range specs {
-			job, _, err := s.Submit(sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			schedules[job.Key] = nil
-		}
-		waitIdle(t, s)
-		for key := range schedules {
-			job, _ := s.Job(key)
-			if job.State != StateFailed || job.Attempts != 3 {
-				t.Fatalf("job %s = %+v, want failed after MaxAttempts", key[:12], job)
-			}
-			if len(job.RetryBackoffsMS) != 2 {
-				t.Fatalf("job %s journaled %d backoffs, want 2", key[:12], len(job.RetryBackoffsMS))
-			}
-			schedules[key] = job.RetryBackoffsMS
-		}
-		s.Shutdown()
-		return schedules, vc.schedule()
-	}
-	firstSchedules, firstSleeps := run()
-	secondSchedules, secondSleeps := run()
-	if !reflect.DeepEqual(firstSchedules, secondSchedules) {
-		t.Fatalf("journaled retry schedules diverged across daemon runs:\n%v\n%v", firstSchedules, secondSchedules)
-	}
-	if !reflect.DeepEqual(firstSleeps, secondSleeps) {
-		t.Fatalf("virtual-time schedules diverged across daemon runs:\n%v\n%v", firstSleeps, secondSleeps)
-	}
-}
-
 // A deterministic failure — the report itself says the search cannot
-// start — fails fast: no retries, the diagnosis journaled.
+// start — fails fast: one execution, the diagnosis journaled.
 func TestServerFailsFastOnDeterministicFailure(t *testing.T) {
-	vc := &virtualClock{}
-	s := newServer(t, Config{Workers: 1, MaxAttempts: 5, Clock: vc})
+	s := newServer(t, Config{Workers: 1})
+	const why = "free run failed: workload wedged"
 	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
-		return &core.Report{Target: sp.Failure, Error: "free run failed: workload wedged"}, nil
+		return &core.Report{Target: sp.Failure, Error: why}, nil
 	}
 	job, _, err := s.Submit(Spec{Failure: "f4", Seed: 8})
 	if err != nil {
@@ -391,11 +307,8 @@ func TestServerFailsFastOnDeterministicFailure(t *testing.T) {
 	}
 	waitIdle(t, s)
 	got, _ := s.Job(job.Key)
-	if got.State != StateFailed || got.Attempts != 0 || len(got.RetryBackoffsMS) != 0 {
-		t.Fatalf("job = %+v, want immediate terminal failure with no retries", got)
-	}
-	if got.Error == "" || s.Executions() != 1 || len(vc.schedule()) != 0 {
-		t.Fatalf("deterministic failure was retried: executions=%d sleeps=%v", s.Executions(), vc.schedule())
+	if got.State != StateFailed || got.Error != why || s.Executions() != 1 {
+		t.Fatalf("job = %+v after %d executions, want failed with %q after 1", got, s.Executions(), why)
 	}
 }
 

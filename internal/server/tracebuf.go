@@ -13,8 +13,8 @@ import (
 // traceBuffer is a running job's trace: the trace.Sink its search emits
 // into, kept in memory until the completion commit writes it to disk once
 // (WriteFile). Nothing of a search that does not complete is kept — a
-// drained, killed or failed attempt is re-run from its spec, and re-emits
-// the same bytes — so the trace on disk is always a finished search's.
+// drained or killed job is re-run from its spec, and re-emits the same
+// bytes — so the trace on disk is always a finished search's.
 //
 // The buffer is also the live feed: subscribers get a point-in-time
 // snapshot plus a channel of every subsequent line, under one lock, so a
