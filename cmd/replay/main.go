@@ -1,11 +1,12 @@
 // Command replay executes a reproduction script produced by
-// `anduril -script-out` (workflow step 4.a): it re-runs the failure's
-// workload with the scripted fault(s) injected deterministically, checks
-// the oracle, and prints the failure log around the injection.
+// `anduril -script-out` (workflow step 4.a): it re-runs the workload of
+// the failure the script names with the scripted fault(s) injected
+// deterministically, checks the oracle, and prints the failure log around
+// the injection.
 //
 // Usage:
 //
-//	replay -failure f17 -script f17.json [-seed N] [-tail 15]
+//	replay -script f17.json [-seed N] [-tail 15]
 //
 // The replay runs under the seed the script file records (the seed of the
 // search round that reproduced the failure); -seed overrides it.
@@ -28,15 +29,15 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command: 0 = the oracle is satisfied, 1 = it is not, or the
 // replay could not run or be judged (stderr names the trial failure class:
-// panic, event-budget or oracle), 2 = usage error.
+// panic, event-budget or oracle) or the script names no dataset failure,
+// 2 = usage error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		failure = fs.String("failure", "", "dataset failure the script belongs to (f1..f34)")
-		script  = fs.String("script", "", "reproduction script JSON (from anduril -script-out)")
-		seed    = fs.Int64("seed", 0, "seed of the replay environment (default: the seed the script records)")
-		tail    = fs.Int("tail", 15, "failure-log lines to print")
+		script = fs.String("script", "", "reproduction script JSON (from anduril -script-out)")
+		seed   = fs.Int64("seed", 0, "seed of the replay environment (default: the seed the script records)")
+		tail   = fs.Int("tail", 15, "failure-log lines to print")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -49,8 +50,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case fs.NArg() != 0:
 		return usage("unexpected arguments: %v", fs.Args())
-	case *failure == "" || *script == "":
-		return usage("-failure and -script required")
+	case *script == "":
+		return usage("-script required")
 	case *tail < 0:
 		return usage("-tail: must not be negative (got %d)", *tail)
 	}
@@ -59,15 +60,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	target, err := anduril.Dataset(*failure)
-	if err != nil {
-		return fail(err)
-	}
 	data, err := os.ReadFile(*script)
 	if err != nil {
 		return fail(err)
 	}
 	sf, err := core.LoadScript(data)
+	if err != nil {
+		return fail(err)
+	}
+	target, err := anduril.Dataset(sf.Target)
 	if err != nil {
 		return fail(err)
 	}

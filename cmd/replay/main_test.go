@@ -67,7 +67,7 @@ func TestReplayRunsUnderTheScriptSeed(t *testing.T) {
 		{"file without the field", []string{"-script", legacy}, 1, "under seed 1 "},
 	} {
 		var stdout, stderr bytes.Buffer
-		code := run(append([]string{"-failure", "f3"}, c.args...), &stdout, &stderr)
+		code := run(c.args, &stdout, &stderr)
 		if code != c.code || !strings.Contains(stdout.String(), c.want) {
 			t.Errorf("%s: exit %d, want %d with %q on stdout; stderr %q, stdout:\n%s",
 				c.name, code, c.code, c.want, stderr.String(), stdout.String())
@@ -87,15 +87,31 @@ func TestUsageErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"negative tail", []string{"-failure", "f3", "-script", script, "-tail", "-1"}, "-tail: must not be negative (got -1)"},
-		{"positional junk", []string{"-failure", "f3", "-script", script, "extra"}, "unexpected arguments: [extra]"},
-		{"no script", []string{"-failure", "f3"}, "-failure and -script required"},
+		{"negative tail", []string{"-script", script, "-tail", "-1"}, "-tail: must not be negative (got -1)"},
+		{"positional junk", []string{"-script", script, "extra"}, "unexpected arguments: [extra]"},
+		{"no script", nil, "-script required"},
+		// The script names its failure; there is no second place to name it.
+		{"failure flag", []string{"-failure", "f4", "-script", script}, "flag provided but not defined: -failure"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), c.want) {
 			t.Errorf("%s: exit %d, stderr %q, stdout %q; want exit 2 naming %q and no replay",
 				c.name, code, stderr.String(), stdout.String(), c.want)
 		}
+	}
+}
+
+// A script whose target is no dataset failure cannot be replayed: exit 1
+// naming the target, before any replay.
+func TestUnknownScriptTarget(t *testing.T) {
+	_, data := f3Script(t)
+	path := filepath.Join(t.TempDir(), "f99.json")
+	if err := os.WriteFile(path, bytes.Replace(data, []byte(`"target": "f3"`), []byte(`"target": "f99"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-script", path}, &stdout, &stderr); code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `"f99"`) {
+		t.Errorf("exit %d, stderr %q, stdout %q; want exit 1 naming \"f99\" and no replay", code, stderr.String(), stdout.String())
 	}
 }
 

@@ -20,80 +20,92 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
 	"anduril/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 = events shown, stats printed or -diff identical,
+// 1 = a trace could not be read, -diff found a divergence or no event
+// matches the filters, 2 = usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		site    = flag.String("site", "", "only events touching this fault site (substring match)")
-		round   = flag.Int("round", 0, "only events of this round (free_run/outcome always shown)")
-		event   = flag.String("event", "", "only events of this type ("+eventTypeList()+")")
-		stats   = flag.Bool("stats", false, "print aggregate counters and histograms instead of events")
-		diff    = flag.Bool("diff", false, "compare two trace files event by event; exit 1 if they differ")
-		maxDiff = flag.Int("max-diffs", 10, "divergences to report in -diff mode")
+		site    = fs.String("site", "", "only events touching this fault site (substring match)")
+		round   = fs.Int("round", 0, "only events of this round (free_run/outcome always shown)")
+		event   = fs.String("event", "", "only events of this type ("+eventTypeList()+")")
+		stats   = fs.Bool("stats", false, "print aggregate counters and histograms instead of events")
+		diff    = fs.Bool("diff", false, "compare two trace files event by event; exit 1 if they differ")
+		maxDiff = fs.Int("max-diffs", 10, "divergences to report in -diff mode")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "trace: "+format+"\n", a...)
+		fs.Usage()
+		return 2
+	}
+	switch {
+	case *diff && fs.NArg() != 2:
+		return usage("-diff needs exactly two trace files")
+	case !*diff && fs.NArg() != 1:
+		return usage("one trace file required ('-' = stdin)")
+	case *event != "" && !slices.Contains(trace.EventTypes, trace.EventType(*event)):
+		return usage("-event: unknown event type %q", *event)
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "trace: %v\n", err)
+		return 1
+	}
 
 	if *diff {
-		if flag.NArg() != 2 {
-			fatal(fmt.Errorf("-diff needs exactly two trace files"))
-		}
-		a, err := readTrace(flag.Arg(0))
+		a, err := readTrace(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		b, err := readTrace(flag.Arg(1))
+		b, err := readTrace(fs.Arg(1))
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		ds := trace.Diff(a, b, *maxDiff)
 		if len(ds) == 0 {
-			fmt.Printf("identical: %d events\n", len(a))
-			return
+			fmt.Fprintf(stdout, "identical: %d events\n", len(a))
+			return 0
 		}
-		fmt.Printf("traces differ (%d vs %d events):\n", len(a), len(b))
+		fmt.Fprintf(stdout, "traces differ (%d vs %d events):\n", len(a), len(b))
 		for _, d := range ds {
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
-		os.Exit(1)
+		return 1
 	}
 
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "trace: one trace file required ('-' = stdin)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	events, err := readTrace(flag.Arg(0))
+	events, err := readTrace(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
 	if *stats {
-		printStats(trace.AggregateStats(events))
-		return
+		printStats(stdout, trace.AggregateStats(events))
+		return 0
 	}
-
 	shown := 0
 	for i := range events {
 		ev := &events[i]
 		if !match(ev, *site, *round, trace.EventType(*event)) {
 			continue
 		}
-		fmt.Println(render(ev))
+		fmt.Fprintln(stdout, render(ev))
 		shown++
 	}
 	if shown == 0 {
-		fmt.Fprintln(os.Stderr, "trace: no events match the filters")
-		os.Exit(1)
+		return fail(fmt.Errorf("no events match the filters"))
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-	os.Exit(1)
+	return 0
 }
 
 func readTrace(path string) ([]trace.Event, error) {
@@ -295,27 +307,27 @@ func clip(s string, n int) string {
 	return s[:n-1] + "…"
 }
 
-func printStats(s trace.Stats) {
-	fmt.Printf("rounds:            %d\n", s.Rounds)
-	fmt.Printf("injections:        %d\n", s.Injections)
-	fmt.Printf("empty rounds:      %d (window doubled)\n", s.EmptyRound)
-	fmt.Printf("inconclusive:      %d (trial failed after retry)\n", s.Inconclusive)
-	fmt.Printf("reproduced:        %v\n", s.Reproduced)
-	fmt.Printf("events by type:\n")
+func printStats(w io.Writer, s trace.Stats) {
+	fmt.Fprintf(w, "rounds:            %d\n", s.Rounds)
+	fmt.Fprintf(w, "injections:        %d\n", s.Injections)
+	fmt.Fprintf(w, "empty rounds:      %d (window doubled)\n", s.EmptyRound)
+	fmt.Fprintf(w, "inconclusive:      %d (trial failed after retry)\n", s.Inconclusive)
+	fmt.Fprintf(w, "reproduced:        %v\n", s.Reproduced)
+	fmt.Fprintf(w, "events by type:\n")
 	for _, k := range sortedKeys(s.Events) {
-		fmt.Printf("  %-12s %d\n", k, s.Events[trace.EventType(k)])
+		fmt.Fprintf(w, "  %-12s %d\n", k, s.Events[trace.EventType(k)])
 	}
-	fmt.Printf("window sizes (size: rounds):\n")
+	fmt.Fprintf(w, "window sizes (size: rounds):\n")
 	for _, k := range sortedInts(s.WindowSizes) {
-		fmt.Printf("  %4d: %d\n", k, s.WindowSizes[k])
+		fmt.Fprintf(w, "  %4d: %d\n", k, s.WindowSizes[k])
 	}
-	fmt.Printf("decisions per round (candidates: rounds):\n")
+	fmt.Fprintf(w, "decisions per round (candidates: rounds):\n")
 	for _, k := range sortedInts(s.DecisionSz) {
-		fmt.Printf("  %4d: %d\n", k, s.DecisionSz[k])
+		fmt.Fprintf(w, "  %4d: %d\n", k, s.DecisionSz[k])
 	}
-	fmt.Printf("trials per site:\n")
+	fmt.Fprintf(w, "trials per site:\n")
 	for _, k := range sortedKeys(s.SiteTrials) {
-		fmt.Printf("  %-45s %d\n", k, s.SiteTrials[k])
+		fmt.Fprintf(w, "  %-45s %d\n", k, s.SiteTrials[k])
 	}
 }
 

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,6 +69,71 @@ func TestEveryEventTypeRendersAndIsListed(t *testing.T) {
 		}
 		if !strings.Contains(", "+help+",", ", "+string(typ)+",") {
 			t.Errorf("-event help %q omits %s", help, typ)
+		}
+	}
+}
+
+// writeTrace writes events as a JSONL trace file in dir.
+func writeTrace(t *testing.T, dir, name string, events ...trace.Event) string {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := range events {
+		w.Emit(&events[i])
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestExitCodes: 0 when there is something to show or the traces are
+// identical, 1 when a trace cannot be read, two traces diverge or no event
+// matches, 2 for input the command cannot honour — before reading a file.
+func TestExitCodes(t *testing.T) {
+	dir := t.TempDir()
+	run1 := []trace.Event{
+		{Type: trace.FreeRun, Target: "f3", Seed: 1},
+		{Type: trace.Injected, Round: 1, Site: "a.x", Occ: 1},
+		{Type: trace.Outcome, Rounds: 1, Reason: trace.ReasonRoundCap},
+	}
+	a := writeTrace(t, dir, "a.jsonl", run1...)
+	same := writeTrace(t, dir, "same.jsonl", run1...)
+	run2 := append([]trace.Event(nil), run1...)
+	run2[1].Occ = 2
+	other := writeTrace(t, dir, "other.jsonl", run2...)
+	missing := filepath.Join(dir, "missing.jsonl")
+
+	for _, c := range []struct {
+		name string
+		args []string
+		code int
+		want string // on stdout or stderr
+	}{
+		{"pretty-print", []string{a}, 0, "injected a.x#1"},
+		{"filter", []string{"-event", "injected", a}, 0, "injected a.x#1"},
+		{"stats", []string{"-stats", a}, 0, "injections:        1"},
+		{"diff identical", []string{"-diff", a, same}, 0, "identical: 3 events"},
+		{"unreadable", []string{missing}, 1, "missing.jsonl"},
+		{"diff unreadable", []string{"-diff", a, missing}, 1, "missing.jsonl"},
+		{"diff diverges", []string{"-diff", a, other}, 1, "traces differ (3 vs 3 events)"},
+		{"nothing matches", []string{"-site", "b.y", a}, 1, "no events match the filters"},
+		{"no file", nil, 2, "one trace file required"},
+		{"two files", []string{a, same}, 2, "one trace file required"},
+		{"diff one file", []string{"-diff", a}, 2, "-diff needs exactly two trace files"},
+		{"diff three files", []string{"-diff", a, same, other}, 2, "-diff needs exactly two trace files"},
+		{"unknown event", []string{"-event", "injection", a}, 2, `-event: unknown event type "injection"`},
+		{"unknown flag", []string{"-bogus", a}, 2, "flag provided but not defined: -bogus"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || !strings.Contains(stdout.String()+stderr.String(), c.want) {
+			t.Errorf("%s: exit %d, want %d naming %q; stdout %q, stderr %q",
+				c.name, code, c.code, c.want, stdout.String(), stderr.String())
+		}
+		if c.code == 2 && stdout.Len() != 0 {
+			t.Errorf("%s: usage error printed to stdout: %q", c.name, stdout.String())
 		}
 	}
 }

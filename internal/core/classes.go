@@ -12,7 +12,9 @@ package core
 // is one row below plus its enumerate function.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"anduril/internal/inject"
@@ -269,7 +271,7 @@ func enumeratePairs(e *engine, _ classID, free *timeline) []*siteState {
 			donors = append(donors, s)
 		}
 	}
-	sort.Sort(sitesByID(donors))
+	slices.SortFunc(donors, compareSiteIDs)
 	// A donor instance is a member of many pair instances; its distance to
 	// the nearest observable is the same in all of them.
 	near := make([][]float64, len(donors))
@@ -339,9 +341,5 @@ func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState 
 	return st
 }
 
-// sitesByID orders candidate sites by their unique ids.
-type sitesByID []*siteState
-
-func (s sitesByID) Len() int           { return len(s) }
-func (s sitesByID) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s sitesByID) Less(i, j int) bool { return s[i].id < s[j].id }
+// compareSiteIDs orders candidate sites by their unique ids.
+func compareSiteIDs(a, b *siteState) int { return cmp.Compare(a.id, b.id) }

@@ -137,7 +137,7 @@ type siteState struct {
 // The search itself is split across phase files: setup.go (observable
 // extraction and candidate discovery), classes.go (the fault-class table:
 // what each class enumerates), ranking.go (site priorities and the
-// incremental priority index), selection.go (instance selection and the
+// ranking over them), selection.go (instance selection and the
 // flexible window), feedback.go (the one round loop and its Algorithm 2
 // learn step), and strategies.go (the strategy table and the queue rows'
 // queue builders).
@@ -201,10 +201,6 @@ type engine struct {
 	// the enabled classes' own, plus path addressing under AddrPath.
 	// Resolved by prepare.
 	feats inject.Features
-
-	// recomputeRanking makes every ranking a full recompute, the reference
-	// the priority index must equal. Only export_test.go sets it.
-	recomputeRanking bool
 
 	report *Report
 }

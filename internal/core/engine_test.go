@@ -149,7 +149,6 @@ func TestBestUntriedTemporalVsOrder(t *testing.T) {
 
 func TestRankedSitesStable(t *testing.T) {
 	e := stubEngine(Options{})
-	e.computePriorities()
 	ranked := e.rankedSites()
 	if ranked[0].id != "s.near" {
 		t.Fatalf("rank 1: %s", ranked[0].id)

@@ -6,26 +6,6 @@ import (
 	"anduril/internal/inject"
 )
 
-// The ranking oracle: the paper's algorithm as literally written, a full
-// re-score of every site and a full re-sort on each call — what the
-// incremental priority index (ranking.go) must equal, kept for tests only.
-
-// fullRanking is one ranking by full recompute. The result is valid until
-// the next call on the same engine.
-func (e *engine) fullRanking() []*siteState {
-	e.computePriorities()
-	return e.rankedSites()
-}
-
-// ReproduceRecomputing is Reproduce with every ranking of the search a full
-// recompute. The equivalence test lives in core_test (it needs the failure
-// dataset, which imports core) and cannot reach the engine otherwise.
-func ReproduceRecomputing(t *Target, o Options) *Report {
-	e := newEngine(t, o.withDefaults(), new(workspace))
-	e.recomputeRanking = true
-	return e.run()
-}
-
 // ReproduceFresh is Reproduce with a fresh environment built for every
 // trial — its workspace starts empty and no environment enters it: the
 // reference a search that recycles environments must equal, byte for byte.
@@ -59,7 +39,7 @@ func Prepare(t *Target, o Options) (*Prepared, error) {
 	if err := e.prepare(); err != nil {
 		return nil, err
 	}
-	return &Prepared{e: e, ranked: (&indexRanker{e: e}).ranked()}, nil
+	return &Prepared{e: e, ranked: e.rankedSites()}, nil
 }
 
 // ExhaustSingleFaults marks every non-pair instance tried, so the window

@@ -32,16 +32,14 @@ const instanceLimit = 3
 // function of the free run, a priority-driven row the ranked window —
 // and in what follows an injection the oracle did not accept: only a
 // priority-driven row widens its window, re-runs under extra seeds and
-// learns. rk is nil for a queue row, which therefore never ranks.
+// learns.
 func (e *engine) explore() {
 	last := e.o.MaxRounds
-	var rk *indexRanker
+	queued := e.strategy.queue != nil
 	var queue []inject.Instance
-	if e.strategy.queue != nil {
+	if queued {
 		queue = e.strategy.queue(e)
 		last = min(last, len(queue))
-	} else {
-		rk = &indexRanker{e: e}
 	}
 	for round := 1; round <= last; round++ {
 		if e.ctx != nil && e.ctx.Err() != nil {
@@ -51,10 +49,10 @@ func (e *engine) explore() {
 		initStart := time.Now()
 		var candidates []inject.Instance
 		rootRank := 0
-		if rk == nil {
+		if queued {
 			candidates = queue[round-1 : round]
 		} else {
-			candidates, rootRank = e.selectRanked(rk, round)
+			candidates, rootRank = e.selectRanked(round)
 		}
 		if len(candidates) == 0 {
 			return // fault space exhausted: cannot reproduce (step 5)
@@ -64,7 +62,7 @@ func (e *engine) explore() {
 
 		a := e.attemptRound(round, candidates, initTime, rootRank)
 		rd := a.rd
-		if rk != nil && a.err == nil && !a.sat && rd.Injected != nil {
+		if !queued && a.err == nil && !a.sat && rd.Injected != nil {
 			e.combineLogs(&a)
 		}
 		switch {
@@ -77,7 +75,7 @@ func (e *engine) explore() {
 			e.recordInconclusive(a)
 		case rd.Injected == nil:
 			// Nothing in the window occurred this round: widen it (§5.2.5).
-			if rk != nil {
+			if !queued {
 				e.widen(round)
 			}
 			e.record(rd)
@@ -91,8 +89,8 @@ func (e *engine) explore() {
 			return
 		default:
 			e.traceInjected(round, *rd.Injected, false)
-			if rk != nil {
-				e.learn(rk, a)
+			if !queued {
+				e.learn(a)
 			}
 			e.record(rd)
 		}
@@ -102,9 +100,9 @@ func (e *engine) explore() {
 
 // selectRanked is a priority-driven row's select step: rank the sites,
 // trace the round's starting state, and fill the window from the ranking.
-func (e *engine) selectRanked(rk *indexRanker, round int) (candidates []inject.Instance, rootRank int) {
+func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank int) {
 	spec := e.strategy.spec
-	ranked := rk.ranked()
+	ranked := e.rankedSites()
 	rootRank = e.rootRank(ranked)
 	if e.tracing() {
 		top := ranked
@@ -191,7 +189,7 @@ func (e *engine) combineLogs(a *attempt) {
 // round's logs produced is deprioritized by Options.Adjust (when the row
 // uses feedback at all), and the injection that came closest to the failure
 // log is kept as the §3 hint for a failure one fault does not reproduce.
-func (e *engine) learn(rk *indexRanker, a attempt) {
+func (e *engine) learn(a attempt) {
 	rd := a.rd
 	e.markTried(*rd.Injected)
 	useFeedback := e.strategy.spec.useFeedback
@@ -202,7 +200,6 @@ func (e *engine) learn(rk *indexRanker, a attempt) {
 			missingCount++
 		} else if useFeedback {
 			e.obs[i].priority += e.o.Adjust
-			rk.observableBumped(i)
 			if e.tracing() {
 				bumped = append(bumped, trace.ObsPriority{
 					Obs: obsLabel(e.obs[i]), Priority: e.obs[i].priority,
@@ -211,7 +208,7 @@ func (e *engine) learn(rk *indexRanker, a attempt) {
 		}
 	}
 	rd.MissingObs = missingCount
-	e.traceFeedback(rk, rd.N, missingCount, bumped)
+	e.traceFeedback(rd.N, missingCount, bumped)
 	if e.report.BestPartial == nil || missingCount < e.report.BestPartialMissing {
 		e.report.BestPartial = rd.Injected
 		e.report.BestPartialMissing = missingCount
@@ -220,10 +217,9 @@ func (e *engine) learn(rk *indexRanker, a attempt) {
 
 // traceFeedback records an Algorithm 2 update: the observables whose I_k
 // was adjusted and the resulting F_i deltas. The deltas need next round's
-// priorities; forcing the index to apply its pending re-scores here is
-// idempotent (the next round's ranked() returns the same values) and only
-// happens when a sink is attached.
-func (e *engine) traceFeedback(rk *indexRanker, round, missing int, bumped []trace.ObsPriority) {
+// priorities, so a traced search scores the sites once more here; the next
+// round's computePriorities yields the same values.
+func (e *engine) traceFeedback(round, missing int, bumped []trace.ObsPriority) {
 	if !e.tracing() {
 		return
 	}
@@ -233,7 +229,7 @@ func (e *engine) traceFeedback(rk *indexRanker, round, missing int, bumped []tra
 		for _, s := range e.sites {
 			before[s.id] = s.f
 		}
-		rk.ranked()
+		e.computePriorities()
 		for _, s := range e.sites {
 			if s.f != before[s.id] {
 				ev.Deltas = append(ev.Deltas, trace.SiteDelta{

@@ -1,28 +1,21 @@
 package core
 
 // Site priorities F_i = min_k (L_{i,k} + I_k) (§5.2.4) and the ranking
-// over them. The paper's algorithm as literally written re-scores every site
-// and fully re-sorts each round (computePriorities + rankedSites); the
-// search runs on indexRanker, the incremental priority index, which builds
-// that ranking once and then tracks which sites are dirty (their F_i may
-// have changed because a feedback update bumped an observable they reach),
-// re-scoring only those and merging them back into the maintained order.
-//
-// Both produce the identical total order — (F_i, site id) ascending, with
-// unique ids making the order strict — so traces, root-rank trajectories
-// and golden files are byte-identical between them; the equivalence tests
-// hold the index to the full recompute through export_test.go.
+// over them, as the paper's algorithm is written: every ranking re-scores
+// every site and fully re-sorts (rankedSites). The order — (F_i, site id) ascending — is strict and total because site ids
+// are unique, so any correct sort yields one identical ranking.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // computePriorities evaluates F_i = min_k (L_{i,k} + I_k) for every site
 // (§5.2.4), with the feedback term and the aggregation the strategy row's.
 func (e *engine) computePriorities() {
 	for _, s := range e.sites {
-		e.rescoreSite(s)
+		e.scoreSite(s)
 	}
 }
 
@@ -58,8 +51,8 @@ func (e *engine) spatial(s *siteState, o *observable) float64 {
 	return l
 }
 
-// rescoreSite recomputes one site's F_i and best observable from scratch.
-func (e *engine) rescoreSite(s *siteState) {
+// scoreSite computes one site's F_i and best observable.
+func (e *engine) scoreSite(s *siteState) {
 	s.f = math.Inf(1)
 	s.bestObs = -1
 	s.bestVal = math.Inf(1)
@@ -92,36 +85,25 @@ func (e *engine) rescoreSite(s *siteState) {
 	}
 }
 
-// siteLess is the ranking order: F ascending, site id as tiebreak. Site
-// ids are unique, so this is a strict total order — any correct sort or
-// merge yields one identical ranking.
-func siteLess(a, b *siteState) bool {
-	if a.f != b.f {
-		return a.f < b.f
+// compareSites is the ranking order: F ascending, site id as tiebreak.
+func compareSites(a, b *siteState) int {
+	if c := cmp.Compare(a.f, b.f); c != 0 {
+		return c
 	}
-	return a.id < b.id
+	return cmp.Compare(a.id, b.id)
 }
 
-// siteSorter sorts sites by (F, id). The concrete sort.Interface avoids
-// the closure and reflection-based swapper sort.Slice allocates per call;
-// the order is a strict total one, so any sorting algorithm yields the
-// identical ranking.
-type siteSorter []*siteState
-
-func (s siteSorter) Len() int           { return len(s) }
-func (s siteSorter) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s siteSorter) Less(i, j int) bool { return siteLess(s[i], s[j]) }
-
-// rankedSites returns sites ordered by F ascending (name as tiebreak),
+// rankedSites scores every site and returns the sites in ranking order,
 // reusing the engine's ranking buffer. The result is valid until the next
 // rankedSites call on the same engine.
 func (e *engine) rankedSites() []*siteState {
+	e.computePriorities()
 	if cap(e.rankedBuf) < len(e.sites) {
 		e.rankedBuf = make([]*siteState, len(e.sites))
 	}
 	out := e.rankedBuf[:len(e.sites)]
 	copy(out, e.sites)
-	sort.Sort(siteSorter(out))
+	slices.SortFunc(out, compareSites)
 	return out
 }
 
@@ -136,106 +118,4 @@ func (e *engine) rootRank(ranked []*siteState) int {
 		}
 	}
 	return 0
-}
-
-// indexRanker is the incremental priority index. It builds the full
-// ranking once, plus a reverse index observable -> sites reaching it;
-// afterwards each feedback bump marks only the reaching sites dirty, and
-// the next ranked() call re-scores the dirty set and merges it back into
-// the sorted order: O(D log D + N) per updated round instead of the full
-// recompute's O(N·K·T + N log N), and O(1) for rounds with no feedback
-// change. ranked() returns the sites in (F, id) order; the slice is
-// read-only and valid until the next observableBumped/ranked call.
-type indexRanker struct {
-	e *engine
-
-	obsSites [][]*siteState // k -> sites with a finite L_{i,k}
-	order    []*siteState   // current ranking, (F, id) ascending
-	dirty    []*siteState   // sites whose F may have changed
-	dirtySet map[*siteState]bool
-	built    bool
-
-	// keepBuf and spare are reused across updates: keepBuf collects the
-	// clean prefix of the old order, spare receives the merge, and the old
-	// order's backing array becomes the next update's spare. Each round's
-	// re-rank therefore allocates nothing once the buffers reach steady
-	// size.
-	keepBuf []*siteState
-	spare   []*siteState
-}
-
-func (r *indexRanker) build() {
-	e := r.e
-	e.computePriorities()
-	// Copy out of the engine's shared ranking buffer: order is long-lived.
-	r.order = append([]*siteState(nil), e.rankedSites()...)
-	r.obsSites = make([][]*siteState, len(e.obs))
-	for _, s := range e.sites {
-		for k, o := range e.obs {
-			if !math.IsInf(e.spatial(s, o), 1) {
-				r.obsSites[k] = append(r.obsSites[k], s)
-			}
-		}
-	}
-	r.dirty, r.dirtySet = r.dirty[:0], make(map[*siteState]bool)
-	r.built = true
-}
-
-// observableBumped tells the index that observable k's priority I_k
-// changed, so sites reaching k must be re-scored before the next ranking.
-func (r *indexRanker) observableBumped(k int) {
-	if !r.built {
-		return // first ranked() builds everything from current priorities
-	}
-	for _, s := range r.obsSites[k] {
-		if !r.dirtySet[s] {
-			r.dirtySet[s] = true
-			r.dirty = append(r.dirty, s)
-		}
-	}
-}
-
-func (r *indexRanker) ranked() []*siteState {
-	if !r.built || r.e.recomputeRanking {
-		r.build()
-		return r.order
-	}
-	if len(r.dirty) == 0 {
-		return r.order
-	}
-	for _, s := range r.dirty {
-		r.e.rescoreSite(s)
-	}
-	keep := r.keepBuf[:0]
-	for _, s := range r.order {
-		if !r.dirtySet[s] {
-			keep = append(keep, s)
-		}
-	}
-	r.keepBuf = keep
-	sort.Sort(siteSorter(r.dirty))
-	merged := mergeRanked(r.spare[:0], keep, r.dirty)
-	r.spare = r.order[:0]
-	r.order = merged
-	r.dirty = r.dirty[:0]
-	for s := range r.dirtySet {
-		delete(r.dirtySet, s)
-	}
-	return r.order
-}
-
-// mergeRanked merges two (F, id)-sorted site lists into dst.
-func mergeRanked(dst, a, b []*siteState) []*siteState {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if siteLess(a[i], b[j]) {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
 }

@@ -5,8 +5,9 @@ package core
 // flexible-window growth rule.
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"anduril/internal/inject"
 )
@@ -150,7 +151,7 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 		}
 	}
 	e.pairBuf = pairs
-	sort.Sort(pairSorter(pairs))
+	slices.SortFunc(pairs, comparePairs)
 	if len(pairs) > window {
 		pairs = pairs[:window]
 	}
@@ -171,21 +172,16 @@ type scoredPair struct {
 	score float64
 }
 
-// pairSorter orders pairs by (score, site, occurrence) — strict and total,
-// since (site, occurrence) is unique — without sort.Slice's per-call
-// allocations.
-type pairSorter []scoredPair
-
-func (s pairSorter) Len() int      { return len(s) }
-func (s pairSorter) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s pairSorter) Less(i, j int) bool {
-	if s[i].score != s[j].score {
-		return s[i].score < s[j].score
+// comparePairs orders pairs by (score, site id, occurrence) — strict and
+// total, since (site, occurrence) is unique.
+func comparePairs(a, b scoredPair) int {
+	if c := cmp.Compare(a.score, b.score); c != 0 {
+		return c
 	}
-	if s[i].site != s[j].site {
-		return s[i].site.id < s[j].site.id
+	if c := cmp.Compare(a.site.id, b.site.id); c != 0 {
+		return c
 	}
-	return s[i].inst.occ < s[j].inst.occ
+	return cmp.Compare(a.inst.occ, b.inst.occ)
 }
 
 // growWindow doubles the flexible window (§5.2.5), clamped to the total

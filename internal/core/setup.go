@@ -4,7 +4,7 @@ package core
 // matching, spatial distances, and the fault-instance timeline alignment.
 
 import (
-	"sort"
+	"slices"
 
 	"anduril/internal/cluster"
 	"anduril/internal/inject"
@@ -123,7 +123,7 @@ func (e *engine) setup(free *cluster.Result) {
 			e.sites = append(e.sites, fc.enumerate(e, classID(c), tl)...)
 		}
 	}
-	sort.Sort(sitesByID(e.sites))
+	slices.SortFunc(e.sites, compareSiteIDs)
 
 	// Under path addressing every free-run reach carries its path
 	// identity; index it per site so an injection run's path-matched reach
