@@ -1,7 +1,7 @@
 // Command anduril-server runs the reproduction daemon: an HTTP service
-// that accepts reproduction jobs, journals them durably, executes them
-// on a bounded worker pool, and survives kill -9 without losing a job or
-// changing a result (see internal/server).
+// that accepts reproduction jobs, journals them durably, starts them in
+// admission order on -workers workers, and survives kill -9 without
+// losing a job or changing a result (see internal/server).
 //
 //	anduril-server -data-dir /var/lib/anduril [-addr :8477] [-workers 4]
 //

@@ -26,6 +26,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{"positional junk", []string{"-failure", "f4", "-script-out", script, "extra"}, "unexpected arguments: [extra]"},
 		{"zero window", []string{"-failure", "f4", "-window", "0"}, "-window: must be positive (got 0)"},
+		{"zero seed", []string{"-failure", "f4", "-seed", "0"}, "-seed: must be nonzero"},
 		{"unknown strategy", []string{"-failure", "f4", "-strategy", "bogus"}, `-strategy: unknown strategy "bogus"`},
 		{"no failure", nil, "-failure or -list required"},
 	} {

@@ -66,6 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *maxRounds <= 0 { // core.Options.Validate's rule for max_rounds
 		return usage("-max-rounds: must be positive (got %d)", *maxRounds)
 	}
+	if *seed == 0 { // core.Options.Validate's rule for seed
+		return usage("-seed: must be nonzero")
+	}
 	picked := map[string]int{"table": *table, "figure": *figure}
 	for _, f := range []string{"table", "figure"} {
 		if picked[f] != 0 && !slices.ContainsFunc(eval.Generators, func(g eval.Generator) bool { return g.Flag == f && g.N == picked[f] }) {

@@ -19,6 +19,7 @@ func TestRunRejectsWhatItCannotHonour(t *testing.T) {
 		{"unknown figure", []string{"-figure", "3"}, "-figure 3"},
 		{"zero round cap", []string{"-max-rounds", "0"}, "-max-rounds"},
 		{"negative round cap", []string{"-max-rounds", "-3"}, "-max-rounds"},
+		{"zero seed", []string{"-seed", "0"}, "-seed"},
 		{"positional junk", []string{"-table", "7", "extra"}, "unexpected arguments"},
 	}
 	for _, c := range cases {

@@ -37,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		site    = fs.String("site", "", "only events touching this fault site (substring match)")
-		round   = fs.Int("round", 0, "only events of this round (free_run/outcome always shown)")
+		round   = fs.Int("round", 0, "only events of this round, 0 = all (free_run/outcome always shown)")
 		event   = fs.String("event", "", "only events of this type ("+eventTypeList()+")")
 		stats   = fs.Bool("stats", false, "print aggregate counters and histograms instead of events")
 		diff    = fs.Bool("diff", false, "compare two trace files event by event; exit 1 if they differ")
@@ -58,6 +58,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("one trace file required ('-' = stdin)")
 	case *event != "" && !slices.Contains(trace.EventTypes, trace.EventType(*event)):
 		return usage("-event: unknown event type %q", *event)
+	case *round < 0:
+		return usage("-round: must not be negative (got %d; 0 = every round)", *round)
+	case *maxDiff < 1:
+		return usage("-max-diffs: must be positive (got %d)", *maxDiff)
 	}
 	fail := func(err error) int {
 		fmt.Fprintf(stderr, "trace: %v\n", err)

@@ -125,6 +125,8 @@ func TestExitCodes(t *testing.T) {
 		{"diff three files", []string{"-diff", a, same, other}, 2, "-diff needs exactly two trace files"},
 		{"unknown event", []string{"-event", "injection", a}, 2, `-event: unknown event type "injection"`},
 		{"unknown flag", []string{"-bogus", a}, 2, "flag provided but not defined: -bogus"},
+		{"negative round", []string{"-round", "-1", a}, 2, "-round: must not be negative"},
+		{"zero max diffs", []string{"-diff", "-max-diffs", "0", a, other}, 2, "-max-diffs: must be positive"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

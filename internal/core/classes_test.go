@@ -112,7 +112,7 @@ func TestUnknownFaultClassIsAnError(t *testing.T) {
 // check and server.Spec.Validate go through it — names the offending
 // option by its snake_case key.
 func TestOptionsValidate(t *testing.T) {
-	ok := core.Options{Strategy: core.FullFeedback, MaxRounds: 500, Window: 10, Adjust: 1}
+	ok := core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500, Window: 10, Adjust: 1}
 	with := func(edit func(*core.Options)) core.Options { o := ok; edit(&o); return o }
 	cases := []struct {
 		name   string
@@ -128,6 +128,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero rounds", with(func(o *core.Options) { o.MaxRounds = 0 }), "max_rounds"},
 		{"negative window", with(func(o *core.Options) { o.Window = -2 }), "window"},
 		{"zero adjust", with(func(o *core.Options) { o.Adjust = 0 }), "adjust"},
+		{"zero seed", with(func(o *core.Options) { o.Seed = 0 }), "seed"},
 		{"negative runs", with(func(o *core.Options) { o.RunsPerRound = -1 }), "runs_per_round"},
 		{"unknown class", with(func(o *core.Options) { o.FaultClasses = []string{"site", "cosmic"} }), "fault_classes"},
 		{"unknown addressing", with(func(o *core.Options) { o.Addressing = "telepathy" }), "addressing"},

@@ -174,8 +174,10 @@ func (e *OptionError) Error() string { return e.Option + ": " + e.Problem }
 // Validate checks options a front end built from explicit input, before
 // any search runs. The bounds every front end sets — MaxRounds, Window,
 // Adjust — must be positive as given (an explicit -window 0 is a typo,
-// not a request for the default), RunsPerRound may be zero (unset), and
-// the strategy, fault classes and addressing mode must be known names.
+// not a request for the default), RunsPerRound may be zero (unset), the
+// seed must be nonzero (a server spec's zero seed means its default, 1, so
+// no front end may search seed 0), and the strategy, fault classes and
+// addressing mode must be known names.
 // Library callers who leave fields zero for the defaults need not call it.
 func (o Options) Validate() error {
 	if _, err := strategyByName(o.Strategy); err != nil {
@@ -188,6 +190,9 @@ func (o Options) Validate() error {
 		if b.v <= 0 {
 			return &OptionError{b.option, fmt.Sprintf("must be positive (got %d)", b.v)}
 		}
+	}
+	if o.Seed == 0 {
+		return &OptionError{"seed", "must be nonzero"}
 	}
 	if o.RunsPerRound < 0 {
 		return &OptionError{"runs_per_round", fmt.Sprintf("must not be negative (got %d)", o.RunsPerRound)}

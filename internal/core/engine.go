@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -80,17 +79,6 @@ func (t *triedSet) Add(occ int) bool {
 
 // Len returns the number of occurrences in the set.
 func (t *triedSet) Len() int { return t.n }
-
-// Occurrences returns the set's members in ascending order.
-func (t *triedSet) Occurrences() []int {
-	out := make([]int, 0, t.n)
-	for w, word := range t.words {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w<<6+bits.TrailingZeros64(word))
-		}
-	}
-	return out
-}
 
 // siteState is the explorer's view of one static fault site f_i.
 type siteState struct {

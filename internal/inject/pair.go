@@ -37,20 +37,6 @@ func PairSiteID(a, b string) string {
 	return pairSitePrefix + a + "+" + b
 }
 
-// ParsePairSite splits a pair pseudo-site into its member site IDs, the
-// inverse of PairSiteID.
-func ParsePairSite(site string) (a, b string, ok bool) {
-	rest, found := strings.CutPrefix(site, pairSitePrefix)
-	if !found {
-		return "", "", false
-	}
-	a, b, ok = strings.Cut(rest, "+")
-	if !ok || a == "" || b == "" {
-		return "", "", false
-	}
-	return a, b, true
-}
-
 // memberRef renders one pair member as a replayable reference.
 func memberRef(m Instance) string {
 	if m.Path != "" {

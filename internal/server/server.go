@@ -71,16 +71,22 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("server: overloaded (%d jobs queued), retry after %s", e.Queued, e.RetryAfter)
 }
 
-// Server is the reproduction daemon: a durable job journal, a bounded
-// worker pool executing searches, and the admission and dedupe machinery
-// around them. Create one with Open; serve its HTTP API via Handler; stop
-// it with Shutdown.
+// Server is the reproduction daemon: a durable job journal, a FIFO of
+// queued job keys drained by Workers goroutines, and the admission and
+// dedupe machinery around them. Create one with Open; serve its HTTP API
+// via Handler; stop it with Shutdown.
 type Server struct {
 	cfg     Config
 	journal *Journal
-	pool    *parallel.Pool
 	ctx     context.Context
 	cancel  context.CancelFunc
+	workers sync.WaitGroup
+
+	// run carries queued job keys to the workers in admission order. Its
+	// capacity is QueueCap plus the jobs Open re-admitted, and admission
+	// keeps queued at or below max(QueueCap, re-admitted); every key in
+	// run is counted in queued, so a send never blocks.
+	run chan string
 
 	// mu guards the fields below and is never held across a disk write.
 	mu        sync.Mutex
@@ -99,14 +105,14 @@ type Server struct {
 }
 
 // Open loads the journal under cfg.DataDir, re-admits every unfinished
-// job, and starts the worker pool. A job is unfinished when its record
+// job, and starts the workers. A job is unfinished when its record
 // says queued or running (one state to recovery), or says done while
 // report.json does not load or trace.jsonl is missing: the completion
 // commit makes its three renames durable with one directory fsync, and a
 // power loss before it may keep the record's alone. Each is run again from
 // its spec; a search.ck.json an older daemon left beside it is ignored.
-// They enter the pool in key order, so a restarted daemon's schedule is
-// deterministic.
+// They are queued in key order, so a restarted daemon starts them in a
+// deterministic order.
 func Open(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
@@ -123,9 +129,7 @@ func Open(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel,
 		traces: map[string]*traceBuffer{}, admitting: map[string]chan struct{}{}}
 	s.searchFn = s.runSearch
-	s.pool = parallel.NewPool(cfg.Workers, func(r any) {
-		cfg.Logf("server: worker panic escaped job isolation: %v", r)
-	})
+	var readmit []string
 	for _, job := range journal.Jobs() {
 		if job.State == StateFailed {
 			continue
@@ -134,8 +138,17 @@ func Open(cfg Config) (*Server, error) {
 			continue
 		}
 		journal.Publish(job.Key, func(j *Job) { j.State, j.Reproduced, j.Rounds = StateQueued, false, 0 })
-		s.enqueue(job.Key)
+		readmit = append(readmit, job.Key)
 		cfg.Logf("server: re-admitted job %s (%s)", job.Key[:12], job.Spec.Failure)
+	}
+	s.run = make(chan string, cfg.QueueCap+len(readmit))
+	for _, key := range readmit {
+		s.run <- key
+	}
+	s.queued = len(readmit)
+	for range parallel.Workers(cfg.Workers) {
+		s.workers.Add(1)
+		go s.work()
 	}
 	return s, nil
 }
@@ -148,14 +161,6 @@ func (s *Server) completed(key string) bool {
 	}
 	_, err := os.Stat(filepath.Join(s.journal.Dir(key), traceFile))
 	return err == nil
-}
-
-// enqueue registers a queued job with the pool.
-func (s *Server) enqueue(key string) {
-	s.mu.Lock()
-	s.queued++
-	s.mu.Unlock()
-	s.pool.Submit(func() { s.runJob(key) })
 }
 
 // Submit admits one job. Returns the job record, whether the submission
@@ -214,10 +219,12 @@ func (s *Server) Submit(spec Spec) (Job, bool, error) {
 	s.mu.Lock()
 	delete(s.admitting, key)
 	close(settled)
-	// A pool closed by a racing Shutdown refuses the task; the job stays
-	// journaled queued and the next Open re-admits it, like any queued work.
-	if err != nil || !s.pool.Submit(func() { s.runJob(key) }) {
+	// A racing Shutdown leaves the job journaled queued; the next Open
+	// re-admits it, like any queued work.
+	if err != nil || s.draining {
 		s.queued--
+	} else {
+		s.run <- key // into the slot reserved above: never blocks
 	}
 	s.mu.Unlock()
 	if err != nil {
@@ -324,12 +331,29 @@ func (s *Server) Shutdown() {
 	s.draining = true
 	s.mu.Unlock()
 	s.cancel()
-	s.pool.Shutdown()
+	s.workers.Wait()
+}
+
+// work runs queued jobs, oldest first, until Shutdown.
+func (s *Server) work() {
+	defer s.workers.Done()
+	for {
+		select {
+		case <-s.ctx.Done():
+			return
+		case key := <-s.run:
+			if s.ctx.Err() != nil {
+				return // drained before it started: still journaled queued
+			}
+			s.runJob(key)
+		}
+	}
 }
 
 // runJob executes one job once: it publishes running, runs the search, and
 // journals the outcome. It is the only writer of the job's state while the
-// job runs. An execution that fails is the job's verdict: the search is a
+// job runs. Outside executeOnce, the job's one panic boundary, it only
+// reads and writes the journal, and those calls return errors. An execution that fails is the job's verdict: the search is a
 // pure function of its spec, so running the spec again would fail again.
 func (s *Server) runJob(key string) {
 	s.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,12 +246,7 @@ func TestServerShedsLoadWhenQueueFull(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})
 	release := make(chan struct{})
 	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
-		select {
-		case <-release:
-			return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}, nil
-		case <-opts.Context.Done():
-			return &core.Report{Interrupted: true}, nil
-		}
+		return heldSearch(sp, opts, release), nil
 	}
 
 	a, _, err := s.Submit(Spec{Failure: "f4", Seed: 1})
@@ -416,6 +412,124 @@ func TestServerRestartReAdmitsQueuedJobs(t *testing.T) {
 	}
 	for i, key := range keys {
 		assertMatchesSerial(t, s2, key, specs[i])
+	}
+}
+
+// heldSearch is a search that finishes when release is closed, or is
+// interrupted when the server drains first, so a failing test's Shutdown
+// does not wait on it forever.
+func heldSearch(sp Spec, opts core.Options, release <-chan struct{}) *core.Report {
+	select {
+	case <-release:
+		return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}
+	case <-opts.Context.Done():
+		return &core.Report{Interrupted: true}
+	}
+}
+
+// The queue's workers bound concurrency: with every search blocked, no
+// more than Workers execute at once, and the rest wait their turn.
+func TestQueueBoundsConcurrency(t *testing.T) {
+	const workers, jobs = 2, 6
+	s := newServer(t, Config{Workers: workers})
+	release := make(chan struct{})
+	var running, peak atomic.Int32
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
+		n := running.Add(1)
+		defer running.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		return heldSearch(sp, opts, release), nil
+	}
+	for i := range jobs {
+		if _, _, err := s.Submit(Spec{Failure: "f4", Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Executions() < workers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d workers started a job", s.Executions(), workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // room for a worker too many to start
+	if got := s.Executions(); got != workers {
+		t.Fatalf("%d jobs started while %d blocked the %d workers", got, workers, workers)
+	}
+	close(release)
+	waitIdle(t, s)
+	if got := peak.Load(); got != workers {
+		t.Fatalf("peak concurrency %d, want %d", got, workers)
+	}
+	if got := s.Executions(); got != jobs {
+		t.Fatalf("executed %d jobs, want %d", got, jobs)
+	}
+}
+
+// One worker starts jobs in the order they were admitted.
+func TestQueueStartsJobsInAdmissionOrder(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	release := make(chan struct{})
+	var mu sync.Mutex
+	var started []int64
+	s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
+		mu.Lock()
+		started = append(started, sp.Seed)
+		mu.Unlock()
+		return heldSearch(sp, opts, release), nil
+	}
+	seeds := []int64{5, 3, 8, 1, 9, 2, 7}
+	for _, seed := range seeds {
+		if _, _, err := s.Submit(Spec{Failure: "f4", Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	waitIdle(t, s)
+	if !reflect.DeepEqual(started, seeds) {
+		t.Fatalf("jobs started in seed order %v, admitted in %v", started, seeds)
+	}
+}
+
+// A restart may re-admit more unfinished jobs than QueueCap: the queue
+// holds them all, Open does not block on it, and every one runs to done.
+func TestQueueHoldsReAdmittedJobsBeyondCap(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := Open(Config{DataDir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
+		<-opts.Context.Done()
+		return &core.Report{Interrupted: true}, nil
+	}
+	var keys []string
+	for seed := int64(1); seed <= 5; seed++ {
+		job, _, err := s1.Submit(Spec{Failure: "f4", Seed: seed, MaxRounds: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, job.Key)
+	}
+	s1.Shutdown()
+
+	var s2 *Server
+	within(t, "Open with a backlog over QueueCap", func() {
+		s2, err = Open(Config{DataDir: dir, Workers: 1, QueueCap: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown()
+	waitIdle(t, s2)
+	for _, key := range keys {
+		if job, _ := s2.Job(key); job.State != StateDone {
+			t.Fatalf("re-admitted job %s ended %s (error %q), want done", key[:12], job.State, job.Error)
+		}
+	}
+	if got := s2.Executions(); got != int64(len(keys)) {
+		t.Fatalf("restart executed %d jobs, want %d", got, len(keys))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package server turns the explorer into a daemon: reproduction as a
 // service. Jobs arrive over HTTP as JSON specs, are journaled durably
-// before they are acknowledged, and execute on a bounded worker pool with
-// per-job panic isolation. A search is a pure function of its spec, so a
+// before they are acknowledged, and are queued by key for a fixed set of
+// workers, each job inside its own panic boundary. A search is a pure function of its spec, so a
 // killed, drained or restarted daemon keeps nothing of a running search:
 // it re-admits every unfinished job and runs it again, producing the
 // byte-identical trace and report an uninterrupted run would have.
