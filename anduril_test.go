@@ -86,9 +86,12 @@ func TestNewTargetCustom(t *testing.T) {
 		LogContains("Severe unrecoverable error, exiting SyncRequestProcessor"),
 		LogContains("timed out; server unavailable"),
 	)
-	prod := cluster.Execute(555,
+	prod, err := cluster.Run(nil, nil, 555,
 		inject.Exact(inject.Instance{Site: "zk.sync.append-txn", Occurrence: 1}),
-		false, zk.WorkloadQuorum, zk.Horizon)
+		zk.WorkloadQuorum, zk.Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !orc.Satisfied(prod) {
 		t.Fatal("production incident not triggered")
 	}

@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		failure   = fs.String("failure", "", "dataset failure to reproduce (f1..f34 or issue id)")
 		strategy  = fs.String("strategy", string(anduril.FullFeedback), "exploration strategy (see -list-strategies)")
 		seed      = fs.Int64("seed", 1, "master seed (round r runs with seed+r)")
-		maxRounds = fs.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
+		maxRounds = fs.Int("max-rounds", core.DefaultMaxRounds, "round cap (the paper's 24-hour analog)")
 		window    = fs.Int("window", 10, "initial flexible-window size k")
 		adjust    = fs.Int("adjust", 1, "observable priority adjustment s")
 		verbose   = fs.Bool("v", false, "print every round")

@@ -230,7 +230,7 @@ func (c *ctl) submit(args []string) int {
 	fs.StringVar(&spec.Failure, "failure", "", "failure id to reproduce (required)")
 	fs.StringVar(&spec.Strategy, "strategy", "", "exploration strategy (default full-feedback)")
 	fs.Int64Var(&spec.Seed, "seed", 0, "master seed (default 1)")
-	fs.IntVar(&spec.MaxRounds, "max-rounds", 0, "round cap (default 500)")
+	fs.IntVar(&spec.MaxRounds, "max-rounds", 0, fmt.Sprintf("round cap (default %d)", core.DefaultMaxRounds))
 	fs.IntVar(&spec.Window, "window", 0, "initial flexible-window size (default 10)")
 	fs.IntVar(&spec.Adjust, "adjust", 0, "priority adjustment (default 1)")
 	fs.IntVar(&spec.RunsPerRound, "runs-per-round", 0, "extra seeds per round (default 1)")

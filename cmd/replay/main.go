@@ -92,8 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("the script's run cannot be judged: %w", err))
 	}
 	fmt.Fprintf(stdout, "oracle %q satisfied: %v\n", target.Oracle.Name, satisfied)
-	if len(res.Blocked) > 0 {
-		fmt.Fprintf(stdout, "stuck threads: %s\n", strings.Join(res.Blocked, ", "))
+	if stuck := res.Env.Sim.Blocked(); len(stuck) > 0 {
+		fmt.Fprintf(stdout, "stuck threads: %s\n", strings.Join(stuck, ", "))
 	}
 
 	var warns []logging.Entry

@@ -25,6 +25,7 @@ import (
 	"os"
 	"slices"
 
+	"anduril/internal/core"
 	"anduril/internal/eval"
 )
 
@@ -47,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		table     = fs.Int("table", 0, "regenerate one table (1-8, 9 = ablations, 10 = f23-f34); 0 = all")
 		figure    = fs.Int("figure", 0, "regenerate one figure (6); 0 = all")
 		seed      = fs.Int64("seed", 1, "master seed")
-		maxRounds = fs.Int("max-rounds", 500, "round cap (the paper's 24-hour analog)")
+		maxRounds = fs.Int("max-rounds", core.DefaultMaxRounds, "round cap (the paper's 24-hour analog)")
 		workers   = fs.Int("j", 0, "experiment-cell workers: 0 = one per CPU, 1 = serial")
 		noTime    = fs.Bool("no-time", false, "leave wall-time columns out (byte-stable output)")
 		traceDir  = fs.String("trace-dir", "", "write one JSONL explorer trace per experiment cell into this directory")

@@ -75,8 +75,11 @@ func ExampleNewTarget() {
 		anduril.ThreadStuck("waitForSafePoint"),
 	)
 	// "Production": an HDFS stream write broke at exactly the wrong moment.
-	prod := cluster.Execute(9999, inject.Exact(anduril.Instance{Site: "ts.wal.stream-write", Occurrence: 12}),
-		false, workload, tablestore.Horizon)
+	prod, err := cluster.Run(nil, nil, 9999, inject.Exact(anduril.Instance{Site: "ts.wal.stream-write", Occurrence: 12}),
+		workload, tablestore.Horizon, 0)
+	if err != nil {
+		panic(err)
+	}
 	target, err := anduril.NewTarget("walstuck", workload, tablestore.Horizon,
 		orc, prod.RenderLog(), []string{"internal/sys/tablestore"})
 	if err != nil {
@@ -103,10 +106,13 @@ func ExampleNewTarget() {
 // two faults together.
 func ExampleReproduce_pairClass() {
 	orc := anduril.LogContains("service entered unrecoverable state")
-	prod := cluster.Execute(9999, inject.Exact(
+	prod, err := cluster.Run(nil, nil, 9999, inject.Exact(
 		anduril.Instance{Site: "toy.scrub-store", Occurrence: 2},
 		anduril.Instance{Site: "toy.ping-peer", Occurrence: 2},
-	), false, toy.Workload, toy.Horizon)
+	), toy.Workload, toy.Horizon, 0)
+	if err != nil {
+		panic(err)
+	}
 	target, err := anduril.NewTarget("toy-two-fault", toy.Workload, toy.Horizon,
 		orc, prod.RenderLog(), []string{"internal/sys/toy"})
 	if err != nil {

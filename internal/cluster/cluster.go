@@ -1,9 +1,11 @@
 // Package cluster wires one simulated run together: the DES kernel, run
-// logger, fault-injection runtime, network and disk. Every explorer round
-// (workflow steps 1 and 3) is one Execute call with a fresh Env, so rounds
-// are hermetic and replayable. A search that owns its rounds' results may
-// hand a finished round's Env back (Result.Release, TryExecuteOn): the
-// next round is then built on the same memory, in the same state.
+// logger, fault-injection runtime, network and disk. Every trial — the free
+// run of workflow step 1, an injection round of step 3, a dataset run, a
+// script replay — is one Run call, watched for panics, livelock and
+// cancellation, in an environment built from its seed and plan alone, so
+// trials are hermetic and replayable. A search that owns its trials'
+// results may hand a finished trial's Env back (Result.Release): the next
+// Run is then built on the same memory, in the same state.
 package cluster
 
 import (
@@ -108,9 +110,9 @@ func NewEnv(seed int64, plan *inject.Plan) *Env {
 	return env
 }
 
-// trackPlanPaths switches path tracking on when the plan addresses by
-// path: replaying a path-addressed script needs no flag, the plan itself
-// proves paths are required.
+// trackPlanPaths switches path tracking on when the run addresses by path,
+// by its plan or by the features Run enabled: replaying a path-addressed
+// script needs no flag, the plan itself proves paths are required.
 func (e *Env) trackPlanPaths() {
 	if e.FI.Active(inject.PathAddressing) {
 		e.Sim.EnablePathTracking()
@@ -131,58 +133,29 @@ func (e *Env) reset(seed int64, plan *inject.Plan) {
 	e.trackPlanPaths()
 }
 
-// ExecOption configures an Execute/TryExecuteOn round beyond the core
-// parameters.
-type ExecOption func(*Env)
-
-// With opts the round into optional runtime features: env and partial
-// pseudo-sites are counted (and can be injected at), and under path
-// addressing the kernel tracks the distributed call tree so every reach
-// is assigned its path identity (inject.TraceEvent.Addr). All
-// are off by default so rounds that do not use them keep byte-identical
-// traces; a plan's own instances activate what they need (see
-// inject.Features), so this option matters for free runs and mixed
-// windows.
-func With(f inject.Features) ExecOption {
-	return func(e *Env) {
-		e.FI.Enable(f)
-		if e.FI.Active(inject.PathAddressing) {
-			e.Sim.EnablePathTracking()
-		}
-	}
-}
-
-// Result snapshots what a round produced: the observables the explorer
-// feeds on and the state the oracle judges. Entries is the round's log
-// itself, not a copy: read-only.
+// Result is what a trial produced: the state the oracle judges and the
+// observables the explorer feeds on. Everything else a run leaves — the
+// injection runtime's counts, reach trace and injected reaches, the
+// kernel's blocked actors — is read from Env, which holds it until the
+// environment is released. Entries is the run's log itself, not a copy:
+// read-only.
 type Result struct {
 	Env         *Env
-	Entries     []logging.Entry   // the round's log
-	Blocked     []string          // actors stuck on conditions at the end
-	Injected    inject.TraceEvent // the injected reach, if any
-	DidInject   bool
-	Trace       []inject.TraceEvent // full reach trace (free runs only)
-	Counts      map[string]int      // per-site dynamic occurrence counts
-	Events      int                 // DES events executed
-	Convergence Convergence         // replica-agreement probe (eventual-consistency targets)
+	Entries     []logging.Entry // the run's log
+	Events      int             // DES events executed
+	Convergence Convergence     // replica-agreement probe (eventual-consistency targets)
 }
 
-// Workload builds a system inside env and schedules its driver; Execute
-// then runs the simulation.
+// Workload builds a system inside env and schedules its driver; Run then
+// runs the simulation.
 type Workload func(env *Env)
 
-// Execute performs one round: construct env, run the workload to the
-// horizon (or quiescence), snapshot the result.
-func Execute(seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, opts ...ExecOption) *Result {
-	env := NewEnv(seed, plan)
-	env.FI.KeepTrace = keepTrace
-	for _, opt := range opts {
-		opt(env)
-	}
-	w(env)
-	n := env.Sim.Run(horizon)
-	return snapshot(env, n, keepTrace)
-}
+// EventBudget caps the DES events of every trial. A livelocked target (a
+// zero-delay self-scheduling loop) never advances virtual time, so the
+// time horizon alone cannot stop it; the budget is the watchdog that
+// bounds the run. The dataset's free runs execute under ~2k events, so a
+// million-event trial is a livelock, not a slow run.
+const EventBudget = 1 << 20
 
 // Failure classes a TrialError carries, in the order the harness checks
 // them: a panic out of the target system, a simulation that exhausted its
@@ -219,83 +192,91 @@ func (e *TrialError) Error() string {
 	return msg
 }
 
-// TryExecuteOn is Execute hardened for untrusted target systems: a panic
-// in the workload or simulation is recovered into a *TrialError (class
-// "panic") instead of killing the process, eventBudget > 0 bounds the
-// number of DES events (class "event-budget" on exhaustion, so a
-// livelocked workload cannot hang a round), and a cancelled ctx interrupts
-// the simulation (class "interrupted"). On error the returned Result holds
-// whatever the environment had produced so far — enough for diagnostics,
-// not a judgeable round.
+// Run performs one trial: build the environment under seed and plan (nil =
+// the free run), switch feats on, run the workload to the horizon (or
+// quiescence) and snapshot the result.
 //
-// A nil env runs the round in a fresh environment. A non-nil env, as
-// Result.Release returned it, is rebuilt in place and the round runs in
-// it, indistinguishable from a round in a fresh one.
-func TryExecuteOn(ctx context.Context, env *Env, seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time, eventBudget int, opts ...ExecOption) (res *Result, err error) {
+// The run keeps the reach trace exactly when it has no plan: the free run
+// records the fault-site timeline the explorer ranks (workflow step 1), an
+// injection round only injects and is judged (step 3, §7).
+//
+// Every run is watched: a panic in the workload or simulation is recovered
+// into a *TrialError (class "panic"), EventBudget bounds the DES events
+// (class "event-budget", so a livelocked workload cannot hang the caller),
+// and a cancelled ctx interrupts the simulation (class "interrupted"; a nil
+// ctx is never cancelled). On error the Result holds whatever the
+// environment had produced so far — enough for diagnostics, not a
+// judgeable run.
+//
+// feats opts the run into optional runtime features (inject.Features): env
+// and partial pseudo-sites are counted and can be injected at, and under
+// path addressing the kernel tracks the distributed call tree so every
+// reach is assigned its path identity. A plan's own instances activate
+// what they need, so feats matters for free runs and mixed windows.
+//
+// A nil env runs the trial in a fresh environment. A non-nil env, as
+// Result.Release returned it, is rebuilt in place and the trial runs in it,
+// indistinguishable from a trial in a fresh one.
+func Run(ctx context.Context, env *Env, seed int64, plan *inject.Plan, w Workload, horizon des.Time, feats inject.Features) (res *Result, err error) {
 	if env == nil {
 		env = NewEnv(seed, plan)
 	} else {
 		env.reset(seed, plan)
 	}
-	env.FI.KeepTrace = keepTrace
-	env.Sim.EventBudget = eventBudget
-	for _, opt := range opts {
-		opt(env)
-	}
+	env.FI.KeepTrace = plan == nil
+	env.FI.Enable(feats)
+	env.trackPlanPaths()
+	env.Sim.EventBudget = EventBudget
 	if ctx != nil {
 		env.Sim.Watch(ctx)
 	}
 	defer func() {
 		if p := recover(); p != nil {
-			res = snapshot(env, 0, keepTrace)
+			res = snapshot(env, 0)
 			// A panic unwinds past the kernel's current-actor reset, so
 			// Current() still names the actor whose event panicked.
 			err = &TrialError{Class: ClassPanic, Detail: fmt.Sprint(p), Seed: seed, Actor: env.Sim.Current()}
 		}
 	}()
 	w(env)
-	n := env.Sim.Run(horizon)
-	res = snapshot(env, n, keepTrace)
+	res = snapshot(env, env.Sim.Run(horizon))
 	switch {
 	case env.Sim.Interrupted():
 		err = &TrialError{Class: ClassInterrupted, Detail: "run cancelled", Seed: seed}
 	case env.Sim.BudgetExhausted():
-		err = &TrialError{Class: ClassEventBudget, Detail: fmt.Sprintf("exceeded %d events", eventBudget), Seed: seed}
+		err = &TrialError{Class: ClassEventBudget, Detail: fmt.Sprintf("exceeded %d events", EventBudget), Seed: seed}
 	}
 	return res, err
 }
 
-// snapshot captures what a finished (or aborted) round produced.
-func snapshot(env *Env, n int, keepTrace bool) *Result {
-	res := &Result{
-		Env:     env,
-		Entries: env.Log.Entries(),
-		Blocked: env.Sim.Blocked(),
-		Counts:  env.FI.Counts(),
-		Events:  n,
-	}
-	if keepTrace {
-		res.Trace = env.FI.Trace()
-	}
+// Execute is Run in a fresh environment, its error dropped; keepTrace is
+// ignored, since a run keeps its reach trace exactly when it has no plan.
+//
+// Deprecated: use Run. Kept only because the frozen benchmark harness
+// (bench/probes.go) calls it; nothing else in the module does.
+func Execute(seed int64, plan *inject.Plan, keepTrace bool, w Workload, horizon des.Time) *Result {
+	res, _ := Run(nil, nil, seed, plan, w, horizon, 0)
+	return res
+}
+
+// snapshot captures what a finished (or aborted) run produced.
+func snapshot(env *Env, n int) *Result {
+	res := &Result{Env: env, Entries: env.Log.Entries(), Events: n}
 	if env.convergence != nil {
 		res.Convergence = env.convergence()
-	}
-	if ev, ok := env.FI.Injected(); ok {
-		res.Injected = ev
-		res.DidInject = true
 	}
 	return res
 }
 
-// Release ends the result's life and returns its environment for
-// TryExecuteOn to build the next round in. Only the owner of a result that
-// nothing else retains may call it: the next round overwrites the log
-// Entries points into and the kept trace's chunks Trace may be, so the
-// released result is poisoned — Env, Entries and Trace nil — and a reader
-// that kept it fails loudly instead of reading another round's log.
+// Release ends the result's life and returns its environment for Run to
+// build the next trial in. Only the owner of a result that nothing else
+// retains may call it: the next trial overwrites the log Entries points
+// into and everything Env holds, so the released result is poisoned — Env
+// and Entries nil — and a reader that kept it fails loudly instead of
+// reading another trial's log.
 func (r *Result) Release() *Env {
 	env := r.Env
-	r.Env, r.Entries, r.Trace = nil, nil, nil
+	r.Env, r.Entries = nil, nil
 	return env
 }
 

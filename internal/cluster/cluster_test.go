@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"anduril/internal/des"
@@ -31,19 +32,29 @@ func toyWorkload(env *Env) {
 	})
 }
 
+// run is Run in a fresh environment, failing the test on a trial error.
+func run(t *testing.T, seed int64, plan *inject.Plan, w Workload) *Result {
+	t.Helper()
+	r, err := Run(nil, nil, seed, plan, w, des.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestExecuteFreeRun(t *testing.T) {
-	r := Execute(1, nil, true, toyWorkload, des.Second)
-	if r.DidInject {
+	r := run(t, 1, nil, toyWorkload)
+	if _, ok := r.Env.FI.Injected(); ok {
 		t.Fatal("free run injected")
 	}
-	if r.Counts["toy.step"] != 3 || r.Counts["toy.save"] != 1 {
-		t.Fatalf("counts: %v", r.Counts)
+	if counts := r.Env.FI.Counts(); counts["toy.step"] != 3 || counts["toy.save"] != 1 {
+		t.Fatalf("counts: %v", counts)
 	}
-	if len(r.Trace) != 4 {
-		t.Fatalf("trace: %d", len(r.Trace))
+	if n := len(r.Env.FI.Trace()); n != 4 {
+		t.Fatalf("trace: %d", n)
 	}
-	if len(r.Blocked) != 0 {
-		t.Fatalf("blocked: %v", r.Blocked)
+	if blocked := r.Env.Sim.Blocked(); len(blocked) != 0 {
+		t.Fatalf("blocked: %v", blocked)
 	}
 	if !r.Env.Disk.Exists("out/result") {
 		t.Fatal("disk state not visible")
@@ -54,23 +65,23 @@ func TestExecuteFreeRun(t *testing.T) {
 }
 
 func TestExecuteWithInjection(t *testing.T) {
-	r := Execute(1, inject.Exact(inject.Instance{Site: "toy.step", Occurrence: 2}), false, toyWorkload, des.Second)
-	if !r.DidInject || r.Injected.Occurrence != 2 {
-		t.Fatalf("injection: %+v", r.Injected)
+	r := run(t, 1, inject.Exact(inject.Instance{Site: "toy.step", Occurrence: 2}), toyWorkload)
+	if ev, ok := r.Env.FI.Injected(); !ok || ev.Occurrence != 2 {
+		t.Fatalf("injection: %+v", ev)
 	}
 	if !r.BlockedOn("toy-wait") {
-		t.Fatalf("worker should be blocked: %v", r.Blocked)
+		t.Fatalf("worker should be blocked: %v", r.Env.Sim.Blocked())
 	}
 	if r.Env.Disk.Exists("out/result") {
 		t.Fatal("result written despite fault")
 	}
-	if len(r.Trace) != 0 {
-		t.Fatal("trace kept with keepTrace=false")
+	if n := len(r.Env.FI.Trace()); n != 0 {
+		t.Fatalf("an injection run kept %d reaches", n)
 	}
 }
 
 func TestLogContainsSanitized(t *testing.T) {
-	r := Execute(1, nil, false, toyWorkload, des.Second)
+	r := run(t, 1, nil, toyWorkload)
 	if !r.LogContains("worker finished 7 steps") {
 		t.Fatal("digit-insensitive match failed")
 	}
@@ -86,7 +97,7 @@ func TestLogContainsSanitized(t *testing.T) {
 }
 
 func TestRenderLogShape(t *testing.T) {
-	r := Execute(1, nil, false, toyWorkload, des.Second)
+	r := run(t, 1, nil, toyWorkload)
 	text := r.RenderLog()
 	if len(text) == 0 {
 		t.Fatal("empty render")
@@ -126,7 +137,7 @@ func panicWorkload(env *Env) {
 }
 
 func TestTryExecuteRecoversPanic(t *testing.T) {
-	res, err := TryExecuteOn(context.Background(), nil, 1, nil, true, panicWorkload, des.Second, 0)
+	res, err := Run(context.Background(), nil, 1, nil, panicWorkload, des.Second, 0)
 	if err == nil {
 		t.Fatal("panic not surfaced as error")
 	}
@@ -148,13 +159,13 @@ func TestTryExecuteEventBudget(t *testing.T) {
 		spin = func() { env.Sim.Go("spinner", spin) }
 		env.Sim.Go("spinner", spin)
 	}
-	res, err := TryExecuteOn(context.Background(), nil, 1, nil, false, livelock, des.Second, 2000)
+	res, err := Run(nil, nil, 1, nil, livelock, des.Second, 0)
 	var te *TrialError
 	if !errors.As(err, &te) || te.Class != ClassEventBudget {
 		t.Fatalf("err=%v, want TrialError class %q", err, ClassEventBudget)
 	}
-	if res.Events != 2000 {
-		t.Fatalf("executed %d events, want the budget (2000)", res.Events)
+	if res.Events != EventBudget {
+		t.Fatalf("executed %d events, want the budget (%d)", res.Events, EventBudget)
 	}
 }
 
@@ -166,28 +177,65 @@ func TestTryExecuteCancelledContext(t *testing.T) {
 		spin = func() { env.Sim.Go("spinner", spin) }
 		env.Sim.Go("spinner", spin)
 	}
-	_, err := TryExecuteOn(ctx, nil, 1, nil, false, livelock, des.Second, 0)
+	_, err := Run(ctx, nil, 1, nil, livelock, des.Second, 0)
 	var te *TrialError
 	if !errors.As(err, &te) || te.Class != ClassInterrupted {
 		t.Fatalf("err=%v, want TrialError class %q", err, ClassInterrupted)
 	}
 }
 
-// TryExecuteOn in a fresh environment on a healthy workload matches Execute exactly.
+// Run on a healthy workload matches the run its watchdogs wrap, driven by
+// hand: a fresh environment, the workload, the simulation to the horizon.
 func TestTryExecuteMatchesExecute(t *testing.T) {
 	plan := inject.Exact(inject.Instance{Site: "toy.step", Occurrence: 2})
-	want := Execute(7, plan, true, toyWorkload, des.Second)
-	got, err := TryExecuteOn(context.Background(), nil, 7, plan, true, toyWorkload, des.Second, 1<<20)
-	if err != nil {
-		t.Fatal(err)
+	env := NewEnv(7, plan)
+	toyWorkload(env)
+	events := env.Sim.Run(des.Second)
+	wantInj, _ := env.FI.Injected()
+
+	got := run(t, 7, plan, toyWorkload)
+	if got.RenderLog() != env.Log.Render() {
+		t.Fatal("Run's log differs from the reference run's")
 	}
-	if got.RenderLog() != want.RenderLog() {
-		t.Fatal("TryExecuteOn log differs from Execute")
+	if gotInj, ok := got.Env.FI.Injected(); !ok || gotInj != wantInj {
+		t.Fatalf("injection differs: %+v vs %+v", gotInj, wantInj)
 	}
-	if got.DidInject != want.DidInject || got.Injected != want.Injected {
-		t.Fatalf("injection differs: %+v vs %+v", got.Injected, want.Injected)
+	if got.Events != events {
+		t.Fatalf("events %d vs %d", got.Events, events)
 	}
-	if got.Events != want.Events {
-		t.Fatalf("events %d vs %d", got.Events, want.Events)
+}
+
+// TestRunTracesExactlyWithoutPlan: a run without a plan keeps the reach
+// trace, a run with one keeps none but still records its injection — also
+// in a recycled environment that last ran the other kind.
+func TestRunTracesExactlyWithoutPlan(t *testing.T) {
+	step2 := inject.Instance{Site: "toy.step", Occurrence: 2}
+	var env *Env
+	for i, plan := range []*inject.Plan{nil, inject.Exact(step2), nil} {
+		r, err := Run(nil, env, 1, plan, toyWorkload, des.Second, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := r.Env.FI.Trace()
+		ev, injected := r.Env.FI.Injected()
+		switch {
+		case plan != nil && len(trace) != 0:
+			t.Fatalf("run %d: an injection run kept %d reaches", i, len(trace))
+		case plan != nil && (!injected || ev.Site != step2.Site || ev.Occurrence != step2.Occurrence):
+			t.Fatalf("run %d: injection not recorded: %+v, %v", i, ev, injected)
+		case plan == nil && injected:
+			t.Fatalf("run %d: a free run injected %+v", i, ev)
+		case plan == nil && !reflect.DeepEqual(sites(trace), []string{"toy.step", "toy.step", "toy.step", "toy.save"}):
+			t.Fatalf("run %d: free run's trace: %v", i, sites(trace))
+		}
+		env = r.Release()
 	}
+}
+
+func sites(trace []inject.TraceEvent) []string {
+	var out []string
+	for _, ev := range trace {
+		out = append(out, ev.Site)
+	}
+	return out
 }

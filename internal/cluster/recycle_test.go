@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -28,10 +27,11 @@ type digest struct {
 
 func digestOf(r *cluster.Result) digest {
 	d := digest{
-		Log: r.RenderLog(), Blocked: r.Blocked, Counts: r.Counts, Injected: r.Injected, DidInject: r.DidInject,
-		Path: r.Env.FI.PathOf(r.Injected.Site, r.Injected.Addr), Events: r.Events, Convergence: r.Convergence,
-		Files: map[string]string{},
+		Log: r.RenderLog(), Blocked: r.Env.Sim.Blocked(), Counts: r.Env.FI.Counts(),
+		Events: r.Events, Convergence: r.Convergence, Files: map[string]string{},
 	}
+	d.Injected, d.DidInject = r.Env.FI.Injected()
+	d.Path = r.Env.FI.PathOf(d.Injected.Site, d.Injected.Addr)
 	d.Requests, _ = r.Env.FI.Decisions()
 	for _, e := range r.Entries {
 		d.IDs = append(d.IDs, e.ID())
@@ -51,7 +51,6 @@ func digestOf(r *cluster.Result) digest {
 // the recycled side once, injected at its free run's first node crash.
 func TestRecycledEnvMatchesFresh(t *testing.T) {
 	all := failures.All()
-	ctx := context.Background()
 	for i, s := range all {
 		// The environment was last used by the previous scenario or by this
 		// one, with every feature on; the recycled round has fewer.
@@ -59,11 +58,15 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 		const every = inject.EnvFaults | inject.PartialFaults | inject.PathAddressing
 		feats := every &^ []inject.Features{0, inject.PartialFaults, inject.PathAddressing}[i%3]
 		t.Run(s.ID, func(t *testing.T) {
-			free := cluster.Execute(3, nil, true, s.Workload, s.Horizon, cluster.With(feats))
+			free, err := cluster.Run(nil, nil, 3, nil, s.Workload, s.Horizon, feats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace := free.Env.FI.Trace()
 			var crash *inject.TraceEvent
-			for j := range free.Trace {
-				if f, ok := inject.ParsePseudo(free.Trace[j].Site); ok && f.Class == inject.EnvCrash {
-					crash = &free.Trace[j]
+			for j := range trace {
+				if f, ok := inject.ParsePseudo(trace[j].Site); ok && f.Class == inject.EnvCrash {
+					crash = &trace[j]
 					break
 				}
 			}
@@ -72,15 +75,15 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 			}
 			fault := inject.Instance{Site: crash.Site, Occurrence: crash.Occurrence, Path: free.Env.FI.PathOf(crash.Site, crash.Addr)}
 
-			fresh, err := cluster.TryExecuteOn(ctx, nil, 3, inject.Exact(fault), false, s.Workload, s.Horizon, 1<<20, cluster.With(feats))
+			fresh, err := cluster.Run(nil, nil, 3, inject.Exact(fault), s.Workload, s.Horizon, feats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dirty, err := cluster.TryExecuteOn(ctx, nil, 11, nil, true, prev.Workload, prev.Horizon, 1<<20, cluster.With(every))
+			dirty, err := cluster.Run(nil, nil, 11, nil, prev.Workload, prev.Horizon, every)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ev := range free.Trace {
+			for _, ev := range trace {
 				dirty.Env.Sim.Crash(ev.Thread)
 				switch f, _ := inject.ParsePseudo(ev.Site); f.Class {
 				case inject.EnvCrash:
@@ -91,11 +94,11 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 				}
 			}
 			dirty.Env.RegisterConvergence(func() cluster.Convergence { return cluster.Convergence{Tracked: true} })
-			got, err := cluster.TryExecuteOn(ctx, dirty.Release(), 3, inject.Exact(fault), false, s.Workload, s.Horizon, 1<<20, cluster.With(feats))
+			got, err := cluster.Run(nil, dirty.Release(), 3, inject.Exact(fault), s.Workload, s.Horizon, feats)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.DidInject {
+			if _, ok := got.Env.FI.Injected(); !ok {
 				t.Fatalf("fault %+v did not fire", fault)
 			}
 			if g, w := digestOf(got), digestOf(fresh); !reflect.DeepEqual(g, w) {
@@ -115,7 +118,10 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 // loudly.
 func TestReleasePoisonsResult(t *testing.T) {
 	s, _ := failures.ByID("f3")
-	res := cluster.Execute(1, nil, false, s.Workload, s.Horizon)
+	res, err := cluster.Run(nil, nil, 1, nil, s.Workload, s.Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Entries) == 0 || res.Env == nil {
 		t.Fatal("fixture run produced nothing")
 	}

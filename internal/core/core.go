@@ -244,16 +244,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultMaxRounds is the round cap of a search that sets none.
-const DefaultMaxRounds = 2000
-
-// DefaultEventBudget caps the DES events of every trial run. A livelocked
-// target (a zero-delay self-scheduling loop) never advances virtual time,
-// so the time horizon alone cannot stop it; the budget is the watchdog that
-// bounds the round, degrading it to inconclusive. The dataset's free runs
-// execute under ~2k events, so a million-event trial is a livelock, not a
-// slow run.
-const DefaultEventBudget = 1 << 20
+// DefaultMaxRounds is the round cap of a search that sets none, and the
+// default of every front end's round cap (the paper's 24-hour analog).
+const DefaultMaxRounds = 500
 
 // Round records one injection round.
 type Round struct {
@@ -431,7 +424,7 @@ func Verify(t *Target, script inject.Instance, seed int64) bool {
 
 // replay is Replay in env (nil: a fresh one).
 func replay(env *cluster.Env, t *Target, seed int64, faults []inject.Instance) (*cluster.Result, bool, error) {
-	res, err := cluster.TryExecuteOn(context.TODO(), env, seed, inject.Exact(faults...), false, t.Workload, t.Horizon, DefaultEventBudget)
+	res, err := cluster.Run(nil, env, seed, inject.Exact(faults...), t.Workload, t.Horizon, 0)
 	if err != nil {
 		return res, false, err
 	}

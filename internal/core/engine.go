@@ -209,7 +209,7 @@ func newEngine(t *Target, o Options, ws *workspace) *engine {
 // to one caller at a time and no Report reaches into it, so concurrent
 // searches share the pool but never a workspace. It carries memory, not
 // state: every trial rebuilds its environment in place
-// (cluster.TryExecuteOn), and every diff overwrites the scratch.
+// (cluster.Run), and every diff overwrites the scratch.
 type workspace struct {
 	envs []*cluster.Env
 	diff logdiff.Scratch
@@ -343,9 +343,9 @@ func (e *engine) prepare() error {
 		e.window = 1
 	}
 	freeStart := time.Now()
-	free, err := e.trial(e.o.Seed, nil, true)
+	free, err := e.trial(e.o.Seed, nil)
 	if err != nil && !isInterrupted(err) {
-		free, err = e.trial(e.o.Seed+retrySeedOffset, nil, true)
+		free, err = e.trial(e.o.Seed+retrySeedOffset, nil)
 	}
 	if err != nil {
 		if !isInterrupted(err) {
@@ -397,16 +397,10 @@ func (e *engine) finish(start time.Time) {
 	}
 }
 
-// trial runs the workload once under the engine's watchdogs: panic
-// recovery, the event budget, and the cancellation context — in a recycled
-// environment when the workspace has one.
-func (e *engine) trial(seed int64, plan *inject.Plan, keepTrace bool) (*cluster.Result, error) {
-	env := e.ws.env()
-	// The free run's reach timeline is kept by its runtime, where setup
-	// walks it in place; asking TryExecuteOn for it would also join it into
-	// Result.Trace, a copy of the whole timeline nothing here reads.
-	keepReaches := func(env *cluster.Env) { env.FI.KeepTrace = keepTrace }
-	return cluster.TryExecuteOn(e.ctx, env, seed, plan, false, e.t.Workload, e.t.Horizon, DefaultEventBudget, cluster.With(e.feats), keepReaches)
+// trial runs the workload once under the engine's cancellation context and
+// features, in a recycled environment when the workspace has one.
+func (e *engine) trial(seed int64, plan *inject.Plan) (*cluster.Result, error) {
+	return cluster.Run(e.ctx, e.ws.env(), seed, plan, e.t.Workload, e.t.Horizon, e.feats)
 }
 
 // release takes back the environments of a round that has been booked:
@@ -524,7 +518,7 @@ func (e *engine) attemptRound(round int, candidates []inject.Instance, initTime 
 // whatever the run produced (a recovered panic still yields a partial
 // result).
 func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Instance, rd *Round) attempt {
-	res, err := e.trial(seed, plan, false)
+	res, err := e.trial(seed, plan)
 	if res != nil {
 		reqs, decTime := res.Env.FI.Decisions()
 		rd.InjectReqs, rd.DecideTime = reqs, decTime

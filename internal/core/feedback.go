@@ -164,7 +164,7 @@ func (e *engine) combineLogs(a *attempt) {
 	inj, round := *a.rd.Injected, a.rd.N
 	for extra := 1; extra < e.o.RunsPerRound; extra++ {
 		seed := e.o.Seed + int64(round) + int64(extra)<<33
-		res, err := e.trial(seed, inject.Exact(inj), false)
+		res, err := e.trial(seed, inject.Exact(inj))
 		if isInterrupted(err) {
 			a.err = err
 			return

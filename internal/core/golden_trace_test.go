@@ -37,7 +37,7 @@ func TestTraceWellFormed(t *testing.T) {
 		t.Fatalf("outcome script %s#%d seed %d reason %s disagrees with report %v seed %d",
 			last.Site, last.Occ, last.ScriptSeed, last.Reason, *rep.Script, rep.ScriptSeed)
 	}
-	stats := mem.Stats()
+	stats := trace.AggregateStats(mem.Events)
 	if stats.Rounds != rep.Rounds {
 		t.Fatalf("stats.Rounds=%d, report.Rounds=%d", stats.Rounds, rep.Rounds)
 	}

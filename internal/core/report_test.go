@@ -20,13 +20,13 @@ func TestOptionsWithDefaults(t *testing.T) {
 			name: "zero value gets every default",
 			in:   Options{},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
+				MaxRounds: DefaultMaxRounds, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "negative knobs are treated as unset",
 			in:   Options{Window: -5, Adjust: -1, MaxRounds: -10, RunsPerRound: -2},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
+				MaxRounds: DefaultMaxRounds, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "explicit values survive",
@@ -39,20 +39,20 @@ func TestOptionsWithDefaults(t *testing.T) {
 			name: "seed zero stays zero (a valid master seed)",
 			in:   Options{Seed: 0, Window: 1},
 			want: Options{Strategy: FullFeedback, Window: 1, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
+				MaxRounds: DefaultMaxRounds, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 		{
 			name: "explicit path addressing survives",
 			in:   Options{Addressing: AddrPath},
 			want: Options{Strategy: FullFeedback, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrPath},
+				MaxRounds: DefaultMaxRounds, RunsPerRound: 1, Addressing: AddrPath},
 		},
 		{
 			// The §5.2.4 ablations are strategy rows, named like any other.
 			name: "ablation flags pass through untouched",
 			in:   Options{Strategy: GlobalDiff},
 			want: Options{Strategy: GlobalDiff, Window: 10, Adjust: 1,
-				MaxRounds: 2000, RunsPerRound: 1, Addressing: AddrOccurrence},
+				MaxRounds: DefaultMaxRounds, RunsPerRound: 1, Addressing: AddrOccurrence},
 		},
 	}
 	for _, tc := range cases {

@@ -38,8 +38,8 @@ func TestScriptRoundTrip(t *testing.T) {
 	}
 	// The loaded plan must replay deterministically under the loaded seed.
 	s, _ := failures.ByID("f1")
-	res := cluster.Execute(loaded.Seed, loaded.Plan(), false, s.Workload, s.Horizon)
-	if !s.Oracle.Satisfied(res) {
+	res, err := cluster.Run(nil, nil, loaded.Seed, loaded.Plan(), s.Workload, s.Horizon, 0)
+	if err != nil || !s.Oracle.Satisfied(res) {
 		t.Fatal("loaded plan does not reproduce")
 	}
 	// A file written before the seed field existed replays under seed 1.

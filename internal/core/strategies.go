@@ -98,12 +98,16 @@ func exhaustiveQueue(e *engine) []inject.Instance {
 	return out
 }
 
-// freeSites returns, sorted, the sites the free run reached — the whole
+// freeCounts returns the free run's per-site occurrence counts: the whole
 // dynamic fault space, including sites the causal graph pruned from the
-// candidate set — that keep accepts (nil keeps all).
-func (e *engine) freeSites(keep func(site string) bool) []string {
+// candidate set. Each queue builder reads them once.
+func (e *engine) freeCounts() map[string]int { return e.freeRes.Env.FI.Counts() }
+
+// freeSites returns, sorted, the sites of counts that keep accepts (nil
+// keeps all).
+func freeSites(counts map[string]int, keep func(site string) bool) []string {
 	var out []string
-	for site := range e.freeRes.Counts {
+	for site := range counts {
 		if keep == nil || keep(site) {
 			out = append(out, site)
 		}
@@ -115,8 +119,7 @@ func (e *engine) freeSites(keep func(site string) bool) []string {
 // breadthFirst orders the given sites' free-run instances occurrence-major:
 // the first occurrence of every site, then the second of every site, and
 // so on, so one very hot site does not starve the others.
-func (e *engine) breadthFirst(sites []string) []inject.Instance {
-	counts := e.freeRes.Counts
+func breadthFirst(counts map[string]int, sites []string) []inject.Instance {
 	var out []inject.Instance
 	for occ, more := 1, true; more; occ++ {
 		more = false
@@ -134,7 +137,8 @@ func (e *engine) breadthFirst(sites []string) []inject.Instance {
 // so it covers every site exercised by the workload; failure IDs collapse
 // repeated occurrences, so it explores breadth-first across sites.
 func fateQueue(e *engine) []inject.Instance {
-	return e.breadthFirst(e.freeSites(nil))
+	counts := e.freeCounts()
+	return breadthFirst(counts, freeSites(counts, nil))
 }
 
 // metaInfoTokens approximate CrashTuner's meta-info variables: sites in
@@ -148,8 +152,8 @@ var metaInfoTokens = []string{
 // only — the first and last occurrences of each matching site (crash-
 // recovery windows), ordered by site.
 func crashTunerQueue(e *engine) []inject.Instance {
-	counts := e.freeRes.Counts
-	sites := e.freeSites(func(site string) bool {
+	counts := e.freeCounts()
+	sites := freeSites(counts, func(site string) bool {
 		return slices.ContainsFunc(metaInfoTokens, func(tok string) bool { return strings.Contains(site, tok) })
 	})
 	var out []inject.Instance
@@ -174,7 +178,8 @@ func crashTunerQueue(e *engine) []inject.Instance {
 // render as "Kind at site (occurrence n)", the analog of a logged stack
 // trace) and injects only at those, breadth-first.
 func stackTraceQueue(e *engine) []inject.Instance {
-	return e.breadthFirst(e.freeSites(func(site string) bool {
+	counts := e.freeCounts()
+	return breadthFirst(counts, freeSites(counts, func(site string) bool {
 		return slices.ContainsFunc(e.t.FailureLog, func(entry logging.Entry) bool { return strings.Contains(entry.Msg, site) })
 	}))
 }
@@ -182,9 +187,10 @@ func stackTraceQueue(e *engine) []inject.Instance {
 // randomQueue models chaos-style random injection over the whole dynamic
 // fault space, without replacement.
 func randomQueue(e *engine) []inject.Instance {
+	counts := e.freeCounts()
 	var all []inject.Instance
-	for _, site := range e.freeSites(nil) {
-		for occ := 1; occ <= e.freeRes.Counts[site]; occ++ {
+	for _, site := range freeSites(counts, nil) {
+		for occ := 1; occ <= counts[site]; occ++ {
 			all = append(all, inject.Instance{Site: site, Occurrence: occ})
 		}
 	}

@@ -17,8 +17,14 @@ import (
 // stubEngineWithFree is the stub engine after a fabricated free run with
 // fixed per-site counts — all the baseline queue builders read of it.
 func stubEngineWithFree(counts map[string]int) *engine {
+	env := cluster.NewEnv(1, nil)
+	for site, n := range counts {
+		for range n {
+			env.FI.Reach(site, inject.IO)
+		}
+	}
 	e := stubEngine(Options{})
-	e.freeRes = &cluster.Result{Counts: counts}
+	e.freeRes = &cluster.Result{Env: env}
 	return e
 }
 

@@ -28,8 +28,8 @@ func buildToyTarget(t *testing.T) *core.Target {
 		inject.Instance{Site: "toy.scrub-store", Occurrence: 2},
 		inject.Instance{Site: "toy.ping-peer", Occurrence: 2},
 	)
-	prod := cluster.Execute(9999, prodPlan, false, toy.Workload, toy.Horizon)
-	if !orc.Satisfied(prod) {
+	prod, err := cluster.Run(nil, nil, 9999, prodPlan, toy.Workload, toy.Horizon, 0)
+	if err != nil || !orc.Satisfied(prod) {
 		t.Fatalf("two-fault incident not triggered:\n%s", prod.RenderLog())
 	}
 	return &core.Target{

@@ -131,10 +131,6 @@ type Sim struct {
 	// "thread stuck at X" oracles.
 	blocked map[string]string
 
-	// blockedRender interns the rendered "actor: label" strings Blocked
-	// returns, so oracle polls do not re-format them on every call.
-	blockedRender map[string]map[string]string
-
 	// crashed actors refuse further events; used to model process aborts.
 	crashed map[string]bool
 
@@ -165,10 +161,9 @@ type Sim struct {
 // New creates a simulation with a deterministic RNG seed.
 func New(seed int64) *Sim {
 	s := &Sim{
-		rng:           rand.New(rand.NewSource(seed)),
-		blocked:       make(map[string]string),
-		blockedRender: make(map[string]map[string]string),
-		crashed:       make(map[string]bool),
+		rng:     rand.New(rand.NewSource(seed)),
+		blocked: make(map[string]string),
+		crashed: make(map[string]bool),
 	}
 	return s
 }
@@ -188,10 +183,9 @@ func (s *Sim) Reset(seed int64) {
 	clear(s.blocked)
 	clear(s.crashed)
 	clear(s.pathSeq)
-	// blockedRender is a cache of renderings, a pure function of its keys.
 	*s = Sim{
 		queue: s.queue[:0], rng: s.rng, free: s.free,
-		blocked: s.blocked, blockedRender: s.blockedRender, crashed: s.crashed,
+		blocked: s.blocked, crashed: s.crashed,
 		pathNodes: s.pathNodes[:0], pathSeq: s.pathSeq,
 	}
 	s.rng.Seed(seed)
@@ -442,34 +436,14 @@ func (s *Sim) Run(horizon Time) int {
 func (s *Sim) markBlocked(actor, label string) { s.blocked[actor] = label }
 func (s *Sim) unmarkBlocked(actor string)      { delete(s.blocked, actor) }
 
-// renderBlocked interns the "actor: label" rendering of one blocked pair.
-// Actors and labels come from small fixed sets, so after warmup every
-// Blocked call serves cached strings instead of formatting fresh ones.
-func (s *Sim) renderBlocked(actor, label string) string {
-	byLabel := s.blockedRender[actor]
-	if byLabel == nil {
-		byLabel = make(map[string]string, 2)
-		s.blockedRender[actor] = byLabel
-	}
-	r, ok := byLabel[label]
-	if !ok {
-		r = actor + ": " + label
-		byLabel[label] = r
-	}
-	return r
-}
-
 // Blocked returns a sorted list of "actor: label" strings for actors that
 // are currently waiting on a condition. A non-empty result after a run has
-// quiesced is the kernel-level signal behind "thread stuck" symptoms.
-//
-// The returned slice is a fresh copy and is the caller's to keep; the
-// strings themselves are interned and shared across calls, so callers
-// must treat them as immutable (which Go strings are).
+// quiesced is the kernel-level signal behind "thread stuck" symptoms. The
+// slice is the caller's to keep.
 func (s *Sim) Blocked() []string {
 	out := make([]string, 0, len(s.blocked))
 	for a, l := range s.blocked {
-		out = append(out, s.renderBlocked(a, l))
+		out = append(out, a+": "+l)
 	}
 	sort.Strings(out)
 	return out

@@ -105,13 +105,17 @@ func TestPathIdentityMatchesStringsOnDataset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := cluster.Execute(1, nil, true, tgt.Workload, tgt.Horizon, cluster.With(inject.PathAddressing))
-		if len(res.Trace) == 0 {
+		res, err := cluster.Run(nil, nil, 1, nil, tgt.Workload, tgt.Horizon, inject.PathAddressing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace := res.Env.FI.Trace()
+		if len(trace) == 0 {
 			t.Fatalf("%s: free run kept no trace", id)
 		}
-		seen := make(map[uint64]string, len(res.Trace))
+		seen := make(map[uint64]string, len(trace))
 		depth := 0
-		for _, ev := range res.Trace {
+		for _, ev := range trace {
 			old := ev.Site + "#" + strconv.Itoa(int(ev.Addr.N))
 			if prefix := res.Env.Sim.NaivePathString(ev.Addr.Node); prefix != "" {
 				old = prefix + ">" + old
@@ -128,7 +132,7 @@ func TestPathIdentityMatchesStringsOnDataset(t *testing.T) {
 			}
 			seen[ev.Addr.Hash] = old
 		}
-		t.Logf("%s: %d reaches, %d call-tree nodes, deepest context %d edges", id, len(res.Trace), res.Env.Sim.PathNodes(), depth)
+		t.Logf("%s: %d reaches, %d call-tree nodes, deepest context %d edges", id, len(trace), res.Env.Sim.PathNodes(), depth)
 		if depth < minDepth {
 			t.Errorf("%s: deepest context is %d edges, expected at least %d (path.go documents these depths)", id, depth, minDepth)
 		}

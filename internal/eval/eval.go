@@ -101,7 +101,7 @@ func (o Options) withDefaults() Options {
 		o.Seed = 1
 	}
 	if o.MaxRounds <= 0 {
-		o.MaxRounds = 500
+		o.MaxRounds = core.DefaultMaxRounds
 	}
 	return o
 }

@@ -361,7 +361,10 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 func verifyAll(opt Options) error {
 	opt = opt.withDefaults()
 	for _, s := range failures.SiteDataset() {
-		free := cluster.Execute(opt.Seed, nil, false, s.Workload, s.Horizon)
+		free, err := cluster.Run(nil, nil, opt.Seed, nil, s.Workload, s.Horizon, 0)
+		if err != nil {
+			return fmt.Errorf("%s: free run: %w", s.ID, err)
+		}
 		if s.Oracle.Satisfied(free) {
 			return fmt.Errorf("%s: oracle satisfied without fault", s.ID)
 		}

@@ -13,12 +13,14 @@ var dfsSrc = []string{"internal/sys/dfs"}
 
 // searchOccurrence trial-injects occurrences of a site until one satisfies
 // the scenario's oracle — used for failures whose reproducing instance
-// depends on concurrent timing (e.g. pool exhaustion).
+// depends on concurrent timing (e.g. pool exhaustion). A trial that could
+// not be judged (a panic, a livelock) is not the instance.
 func searchOccurrence(s *Scenario, free *cluster.Result, seed int64, site string) (inject.Instance, bool) {
-	for occ := 1; occ <= free.Counts[site]; occ++ {
+	n := free.Env.FI.Counts()[site]
+	for occ := 1; occ <= n; occ++ {
 		inst := inject.Instance{Site: site, Occurrence: occ}
-		res := cluster.Execute(seed, inject.Exact(inst), false, s.Workload, s.Horizon)
-		if s.Oracle.Satisfied(res) {
+		res, err := cluster.Run(nil, nil, seed, inject.Exact(inst), s.Workload, s.Horizon, 0)
+		if err == nil && s.Oracle.Satisfied(res) {
 			return inst, true
 		}
 	}
@@ -145,7 +147,7 @@ func init() {
 		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must hit the startup registration path, i.e. an occurrence on
 			// a dnX-main thread, not the periodic volume re-check.
-			for _, ev := range free.Trace {
+			for _, ev := range free.Env.FI.Trace() {
 				if ev.Site == "dfs.datanode.init-storage" && hasSuffixThread(ev.Thread, "-main") {
 					return inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence}, true
 				}

@@ -111,20 +111,24 @@ func (s *Scenario) Searches(class string) bool {
 	return slices.Contains(s.FaultClasses, class)
 }
 
-// execOpt returns the cluster option the scenario's own runs need: the
-// runtime features of its fault classes, so free runs count their
-// pseudo-sites (FindRoot needs the counts).
-func (s *Scenario) execOpt() cluster.ExecOption {
+// features returns the runtime features the scenario's own runs need: those
+// of its fault classes, so free runs count their pseudo-sites (FindRoot
+// needs the counts).
+func (s *Scenario) features() inject.Features {
 	f, err := core.ClassFeatures(s.FaultClasses)
 	if err != nil {
 		panic(fmt.Sprintf("failures: %s: %v", s.ID, err)) // the dataset names only known classes
 	}
-	return cluster.With(f)
+	return f
 }
 
-// GroundTruth finds the root-cause instance under the given seed.
+// GroundTruth finds the root-cause instance under the given seed. A free
+// run that panics or livelocks is a *cluster.TrialError.
 func (s *Scenario) GroundTruth(seed int64) (inject.Instance, error) {
-	free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpt())
+	free, err := cluster.Run(nil, nil, seed, nil, s.Workload, s.Horizon, s.features())
+	if err != nil {
+		return inject.Instance{}, fmt.Errorf("%s: free run: %w", s.ID, err)
+	}
 	inst, ok := s.FindRoot(free, seed)
 	if !ok {
 		return inject.Instance{}, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
@@ -133,13 +137,17 @@ func (s *Scenario) GroundTruth(seed int64) (inject.Instance, error) {
 }
 
 // FailureLog produces the production failure log: one run with the
-// ground-truth fault injected, rendered to text and parsed back.
+// ground-truth fault injected, rendered to text and parsed back. A run
+// that panics or livelocks is a *cluster.TrialError.
 func (s *Scenario) FailureLog() ([]logging.Entry, error) {
 	inst, err := s.GroundTruth(FailureSeed)
 	if err != nil {
 		return nil, err
 	}
-	res := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon, s.execOpt())
+	res, err := cluster.Run(nil, nil, FailureSeed, inject.Exact(inst), s.Workload, s.Horizon, s.features())
+	if err != nil {
+		return nil, fmt.Errorf("%s: ground-truth run: %w", s.ID, err)
+	}
 	if !s.Oracle.Satisfied(res) {
 		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, inst)
 	}

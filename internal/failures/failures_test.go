@@ -1,13 +1,26 @@
 package failures
 
 import (
+	"errors"
 	"testing"
 
 	"anduril/internal/cluster"
 	"anduril/internal/core"
+	"anduril/internal/des"
 	"anduril/internal/inject"
 	"anduril/internal/logging"
 )
+
+// run is one trial of the scenario in a fresh environment; a trial error
+// fails the test.
+func run(t *testing.T, s *Scenario, seed int64, plan *inject.Plan, feats inject.Features) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, s.Workload, s.Horizon, feats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestScenarioInvariants checks, for every registered scenario, the three
 // properties the paper's problem statement requires: the workload alone
@@ -19,7 +32,7 @@ func TestScenarioInvariants(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			// 1. No fault, no failure.
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpt())
+			free := run(t, s, FailureSeed, nil, s.features())
 			if s.Oracle.Satisfied(free) {
 				t.Fatalf("%s: oracle satisfied without any fault", s.ID)
 			}
@@ -31,7 +44,7 @@ func TestScenarioInvariants(t *testing.T) {
 			if inst.Site != s.RootSite {
 				t.Fatalf("%s: ground truth site %s != declared %s", s.ID, inst.Site, s.RootSite)
 			}
-			res := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon)
+			res := run(t, s, FailureSeed, inject.Exact(inst), 0)
 			if !s.Oracle.Satisfied(res) {
 				t.Fatalf("%s: ground truth %v does not reproduce\n%s", s.ID, inst, res.RenderLog())
 			}
@@ -68,12 +81,11 @@ func TestGroundTruthStableAcrossSeeds(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				free := cluster.Execute(seed, nil, true, s.Workload, s.Horizon, s.execOpt())
-				inst, ok := s.FindRoot(free, seed)
+				inst, ok := s.FindRoot(run(t, s, seed, nil, s.features()), seed)
 				if !ok {
 					t.Fatalf("seed %d: ground truth not found", seed)
 				}
-				res := cluster.Execute(seed, inject.Exact(inst), false, s.Workload, s.Horizon)
+				res := run(t, s, seed, inject.Exact(inst), 0)
 				if !s.Oracle.Satisfied(res) {
 					t.Errorf("seed %d: %v does not reproduce", seed, inst)
 				}
@@ -153,14 +165,13 @@ func TestExecuteDeterministicPerSeed(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			t.Parallel() // cross-scenario concurrency must not leak either
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, s.execOpt())
-			inst, ok := s.FindRoot(free, FailureSeed)
+			inst, ok := s.FindRoot(run(t, s, FailureSeed, nil, s.features()), FailureSeed)
 			if !ok {
 				t.Fatalf("ground truth not found")
 			}
-			base := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon)
+			base := run(t, s, FailureSeed, inject.Exact(inst), 0)
 			for rep := 0; rep < 3; rep++ {
-				r := cluster.Execute(FailureSeed, inject.Exact(inst), false, s.Workload, s.Horizon)
+				r := run(t, s, FailureSeed, inject.Exact(inst), 0)
 				if r.Events != base.Events {
 					t.Fatalf("repeat %d: %d events vs %d", rep, r.Events, base.Events)
 				}
@@ -191,13 +202,12 @@ func needsItsClass(t *testing.T, ids ...string) {
 	for _, id := range ids {
 		s, _ := ByID(id)
 		t.Run(id, func(t *testing.T) {
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
+			free := run(t, s, FailureSeed, nil, inject.EnvFaults)
 			singles := 0
-			for site, n := range free.Counts {
+			for site, n := range free.Env.FI.Counts() {
 				for occ := 1; occ <= n; occ++ {
 					inst := inject.Instance{Site: site, Occurrence: occ}
-					res := cluster.Execute(FailureSeed, inject.Exact(inst), false,
-						s.Workload, s.Horizon, cluster.With(inject.EnvFaults))
+					res := run(t, s, FailureSeed, inject.Exact(inst), inject.EnvFaults)
 					singles++
 					if s.Oracle.Satisfied(res) {
 						t.Fatalf("%s: single clean fault %s#%d satisfies the oracle", id, site, occ)
@@ -218,3 +228,29 @@ func TestPairScenariosNeedBothFaults(t *testing.T) { needsItsClass(t, "f30", "f3
 // defer state; they cannot leave the torn renames, torn records and
 // duplicated appends the f32–f34 oracles pin.
 func TestPartialScenariosNeedPartialFault(t *testing.T) { needsItsClass(t, "f32", "f33", "f34") }
+
+// TestBrokenScenarioIsATrialError: the dataset's own runs are watched, so a
+// scenario whose workload livelocks (a zero-delay event that reschedules
+// itself) or panics fails FailureLog — and BuildTarget — with a
+// *cluster.TrialError of its class instead of hanging or crashing the
+// process.
+func TestBrokenScenarioIsATrialError(t *testing.T) {
+	livelock := func(env *cluster.Env) {
+		var spin func()
+		spin = func() { env.Sim.Schedule("spin", 0, spin) }
+		env.Sim.Schedule("spin", 0, spin)
+	}
+	crash := func(env *cluster.Env) {
+		env.Sim.Go("worker-1", func() { panic("scenario bug") })
+	}
+	for class, w := range map[string]cluster.Workload{cluster.ClassEventBudget: livelock, cluster.ClassPanic: crash} {
+		t.Run(class, func(t *testing.T) {
+			s := &Scenario{ID: "broken-" + class, Workload: w, Horizon: des.Second}
+			_, err := s.FailureLog()
+			var te *cluster.TrialError
+			if !errors.As(err, &te) || te.Class != class {
+				t.Fatalf("FailureLog: %v, want a TrialError of class %q", err, class)
+			}
+		})
+	}
+}

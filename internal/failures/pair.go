@@ -42,11 +42,12 @@ var pairClasses = []string{core.ClassPair}
 
 // trialPair injects both members of a candidate pair in one run and
 // reports whether the scenario's oracle is satisfied; on success the
-// combined pair instance is returned for replay.
+// combined pair instance is returned for replay. A trial that could not be
+// judged (a panic, a livelock) does not satisfy it.
 func trialPair(s *Scenario, seed int64, a, b inject.Instance) (inject.Instance, bool) {
 	pi := inject.PairInstance(a, b)
-	res := cluster.Execute(seed, inject.Exact(pi), false, s.Workload, s.Horizon, s.execOpt())
-	if s.Oracle.Satisfied(res) {
+	res, err := cluster.Run(nil, nil, seed, inject.Exact(pi), s.Workload, s.Horizon, s.features())
+	if err == nil && s.Oracle.Satisfied(res) {
 		return pi, true
 	}
 	return inject.Instance{}, false
@@ -88,8 +89,9 @@ func init() {
 			// replay's own store write, which sits at the tail of the record
 			// stream — so scan persist occurrences from the top. The hint
 			// member is scanned in attempt order.
-			for y := free.Counts[pr]; y >= 1; y-- {
-				for x := 1; x <= free.Counts[rh]; x++ {
+			counts := free.Env.FI.Counts()
+			for y := counts[pr]; y >= 1; y-- {
+				for x := 1; x <= counts[rh]; x++ {
 					a := inject.Instance{Site: rh, Occurrence: x}
 					b := inject.Instance{Site: pr, Occurrence: y}
 					if pi, ok := trialPair(s, seed, a, b); ok {
@@ -128,7 +130,7 @@ func init() {
 			// Self-pair: unordered occurrence combinations, x < y. Pipeline
 			// heads rotate round-robin, so which combinations land on
 			// distinct datanodes depends on block numbering — trial-inject.
-			n := free.Counts[cd]
+			n := free.Env.FI.Counts()[cd]
 			for x := 1; x <= n; x++ {
 				for y := x + 1; y <= n; y++ {
 					a := inject.Instance{Site: cd, Occurrence: x}

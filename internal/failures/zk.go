@@ -13,7 +13,7 @@ import (
 // firstOn returns the first occurrence of site executed by a thread of the
 // given node.
 func firstOn(free *cluster.Result, site, node string) (inject.Instance, bool) {
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == site && strings.HasPrefix(ev.Thread, node+"-") {
 			return inject.Instance{Site: site, Occurrence: ev.Occurrence}, true
 		}
@@ -26,7 +26,7 @@ func firstOn(free *cluster.Result, site, node string) (inject.Instance, bool) {
 func lastOnBefore(free *cluster.Result, site, node string, deadline des.Time) (inject.Instance, bool) {
 	var out inject.Instance
 	found := false
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == site && ev.Time < deadline && strings.HasPrefix(ev.Thread, node+"-") {
 			out = inject.Instance{Site: site, Occurrence: ev.Occurrence}
 			found = true
@@ -37,7 +37,7 @@ func lastOnBefore(free *cluster.Result, site, node string, deadline des.Time) (i
 
 // nthOccurrence returns the nth occurrence of a site.
 func nthOccurrence(free *cluster.Result, site string, n int) (inject.Instance, bool) {
-	if free.Counts[site] < n {
+	if free.Env.FI.Counts()[site] < n {
 		return inject.Instance{}, false
 	}
 	return inject.Instance{Site: site, Occurrence: n}, true

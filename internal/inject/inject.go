@@ -206,9 +206,10 @@ type Runtime struct {
 	decisions  int
 	decNanos   int64
 
-	// KeepTrace controls whether every reach is recorded. The free run
-	// keeps the full trace (the explorer needs the instance timeline);
-	// injection rounds can disable it to keep rounds cheap, as §7 does.
+	// KeepTrace controls whether every reach is recorded. cluster.Run sets
+	// it exactly when the run has no plan: the free run keeps the full
+	// trace (the explorer needs the instance timeline), injection rounds
+	// keep none, as §7 does.
 	KeepTrace bool
 
 	// features are the active Features: the plan's own plus whatever
@@ -268,17 +269,15 @@ func (r *Runtime) Enable(f Features) { r.features |= f }
 // run without the feature builds no pseudo-site ID and counts nothing.
 func (r *Runtime) Active(f Features) bool { return r.features&f == f }
 
-// siteRec is one site's dynamic state: its occurrence counter, the fault
-// kind it declared and, for a pseudo-site, the fault template its ID
-// parsed to (zero Class otherwise). Reach runs on every instrumented call
-// in every simulated run, so everything per-site shares a single map entry
-// probed once — and a pseudo-site's ID is parsed once, not once per
-// message. A count of zero is a site this run has not reached: a record a
-// Reset left behind.
+// siteRec is one site's dynamic state: its occurrence counter and, for a
+// pseudo-site, the fault template its ID parsed to (zero Class otherwise).
+// Reach runs on every instrumented call in every simulated run, so
+// everything per-site shares a single map entry probed once — and a
+// pseudo-site's ID is parsed once, not once per message. A count of zero
+// is a site this run has not reached: a record a Reset left behind.
 type siteRec struct {
 	site   string
 	count  int
-	kind   Kind
 	pseudo PseudoFault
 }
 
@@ -404,7 +403,6 @@ func (r *Runtime) Reach(site string, kind Kind) error {
 		rec = &siteRec{site: site}
 		r.sites[site] = rec
 	}
-	rec.kind = kind
 	if occ, inject := r.reach(site, rec, false, 0); inject {
 		return &Fault{Kind: kind, Site: site, Occurrence: occ}
 	}
@@ -437,7 +435,7 @@ func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 			rec = &siteRec{site: site}
 			r.sites[site] = rec
 		}
-		rec.kind, rec.pseudo = f.Kind, f
+		rec.pseudo = f
 	}
 	occ, inject := r.reach(site, rec, true, amp)
 	if !inject {
@@ -494,15 +492,6 @@ func (r *Runtime) Counts() map[string]int {
 		out[rec.site] = rec.count
 	}
 	return out
-}
-
-// Kind reports the fault kind a site declared when reached.
-func (r *Runtime) Kind(site string) (Kind, bool) {
-	rec, ok := r.sites[site]
-	if !ok || rec.count == 0 {
-		return "", false
-	}
-	return rec.kind, true
 }
 
 // Decisions returns how many injection requests the plan was consulted for

@@ -136,17 +136,6 @@ func TestDecisionsCounted(t *testing.T) {
 	}
 }
 
-func TestKindRecorded(t *testing.T) {
-	r := NewRuntime(nil)
-	r.Reach("s", Checksum)
-	if k, ok := r.Kind("s"); !ok || k != Checksum {
-		t.Fatalf("kind=%v ok=%v", k, ok)
-	}
-	if _, ok := r.Kind("unknown"); ok {
-		t.Fatal("unknown site has kind")
-	}
-}
-
 // Property: occurrences are dense, 1-based, and per-site independent.
 func TestOccurrenceProperty(t *testing.T) {
 	f := func(reaches []uint8) bool {
@@ -337,7 +326,7 @@ func TestResetMatchesNewRuntime(t *testing.T) {
 	if !used.KeepTrace || len(used.Trace()) != 0 || used.Active(EnvFaults) || used.Active(PathAddressing) {
 		t.Fatalf("Reset left KeepTrace=%v, %d trace events, features %b", used.KeepTrace, len(used.Trace()), used.features)
 	}
-	if _, ok := used.Kind("s.gone"); ok || len(used.Counts()) != 0 {
+	if len(used.Counts()) != 0 {
 		t.Fatalf("Reset left sites behind: %v", used.Counts())
 	}
 	got, want := drive(used), drive(fresh)
@@ -383,8 +372,5 @@ func TestResetAcrossDisjointSiteSets(t *testing.T) {
 	}
 	if &used.TraceChunks()[0][0] != oldChunk {
 		t.Fatal("Reset dropped the kept trace's chunks: a warm run re-allocates its timeline")
-	}
-	if _, ok := used.Kind("old.0"); ok {
-		t.Fatal("a site of the earlier run still has a kind")
 	}
 }

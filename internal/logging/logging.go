@@ -8,9 +8,6 @@
 //
 //   - every record carries a thread (actor) name, because the explorer
 //     diffs logs per thread (§5.1.1);
-//   - every record keeps its constant format string (the "template"), which
-//     is what the static analyzer extracts from source and what observables
-//     are matched against;
 //   - the logical position of a record (its sequence number) defines the
 //     logical timeline used by the temporal-distance feedback (§5.2.3);
 //   - records render to timestamped text lines — the shape of a production
@@ -75,28 +72,22 @@ func ParseLevel(s string) (Level, bool) {
 
 // Record is one log message emitted during a simulated run.
 type Record struct {
-	Seq      int      // 0-based logical position in the run's timeline
-	Time     des.Time // virtual time of emission
-	Thread   string   // emitting actor ("main" outside event dispatch)
-	Level    Level
-	Template string // the constant format string at the log statement
-	Msg      string // rendered message
+	Time   des.Time // virtual time of emission
+	Thread string   // emitting actor ("main" outside event dispatch)
+	Level  Level
+	Msg    string // rendered message
 }
 
 // Log collects the records of a single run. A record is held as its Entry
 // — the part the explorer reads every round, handed out by Entries without
-// a copy — beside the two fields only a Record carries.
+// a copy — beside its virtual time, the one field only a rendered Record
+// carries.
 type Log struct {
 	sim     *des.Sim
 	entries []Entry
-	meta    []recordMeta // parallel to entries
+	times   []des.Time // parallel to entries
 
 	buf []byte // emit's rendering and sanitizing scratch
-}
-
-type recordMeta struct {
-	at       des.Time
-	template string
 }
 
 // New creates a logger bound to a simulation (for time and thread names).
@@ -107,26 +98,16 @@ func New(sim *des.Sim) *Log { return &Log{sim: sim} }
 // the next run's records overwrite it.
 func (l *Log) Reset() {
 	l.entries = l.entries[:0]
-	l.meta = l.meta[:0]
+	l.times = l.times[:0]
 }
 
 // Pos returns the number of records emitted so far — the current logical
 // time on the run's timeline.
 func (l *Log) Pos() int { return len(l.entries) }
 
-// Records returns a copy of all records emitted so far. Callers may keep
-// or mutate the returned slice freely.
-func (l *Log) Records() []Record {
-	out := make([]Record, len(l.entries))
-	for i := range out {
-		out[i] = l.record(i)
-	}
-	return out
-}
-
 func (l *Log) record(i int) Record {
-	e, m := &l.entries[i], &l.meta[i]
-	return Record{Seq: i, Time: m.at, Thread: e.Thread, Level: e.Level, Template: m.template, Msg: e.Msg}
+	e := &l.entries[i]
+	return Record{Time: l.times[i], Thread: e.Thread, Level: e.Level, Msg: e.Msg}
 }
 
 // Len reports the number of records emitted so far without copying.
@@ -154,10 +135,10 @@ func (l *Log) emit(level Level, format string, args ...interface{}) {
 		// reallocations per run on the reproduce hot path.
 		n := max(256, 2*cap(l.entries))
 		l.entries = append(make([]Entry, 0, n), l.entries...)
-		l.meta = append(make([]recordMeta, 0, n), l.meta...)
+		l.times = append(make([]des.Time, 0, n), l.times...)
 	}
 	l.entries = append(l.entries, Entry{Thread: thread, Level: level, Msg: msg, key: key})
-	l.meta = append(l.meta, recordMeta{at: at, template: format})
+	l.times = append(l.times, at)
 }
 
 // Debugf logs at Debug severity.

@@ -18,18 +18,12 @@ func TestEmitCapturesThreadAndSeq(t *testing.T) {
 	sim.Schedule("roller", 10, func() { lg.Warnf("roll requested") })
 	sim.Run(des.Second)
 
-	recs := lg.Records()
+	recs := lg.Entries()
 	if len(recs) != 2 {
 		t.Fatalf("records=%d, want 2", len(recs))
 	}
 	if recs[0].Thread != "wal-consumer" || recs[1].Thread != "roller" {
 		t.Fatalf("threads: %q %q", recs[0].Thread, recs[1].Thread)
-	}
-	if recs[0].Seq != 0 || recs[1].Seq != 1 {
-		t.Fatalf("seqs: %d %d", recs[0].Seq, recs[1].Seq)
-	}
-	if recs[0].Template != "sync %d entries" {
-		t.Fatalf("template=%q", recs[0].Template)
 	}
 	if recs[0].Msg != "sync 3 entries" {
 		t.Fatalf("msg=%q", recs[0].Msg)
@@ -42,7 +36,7 @@ func TestEmitCapturesThreadAndSeq(t *testing.T) {
 func TestMainThreadOutsideEvents(t *testing.T) {
 	lg := New(des.New(1))
 	lg.Errorf("boot failed")
-	if got := lg.Records()[0].Thread; got != "main" {
+	if got := lg.Entries()[0].Thread; got != "main" {
 		t.Fatalf("thread=%q, want main", got)
 	}
 }
@@ -198,12 +192,9 @@ func checkKeyed(t *testing.T, lg *Log, format string, args ...interface{}) {
 	t.Helper()
 	lg.Reset()
 	lg.Infof(format, args...)
-	rec, e := lg.Records()[0], lg.Entries()[0]
-	if want := fmt.Sprintf(format, args...); rec.Msg != want || e.Msg != want {
-		t.Fatalf("Infof(%q, %v) rendered %q, fmt.Sprintf %q", format, args, rec.Msg, want)
-	}
-	if rec.Template != format {
-		t.Fatalf("template %q, want %q", rec.Template, format)
+	e := lg.Entries()[0]
+	if want := fmt.Sprintf(format, args...); e.Msg != want {
+		t.Fatalf("Infof(%q, %v) rendered %q, fmt.Sprintf %q", format, args, e.Msg, want)
 	}
 	if e.ID() != SanitizeID(e.Msg) {
 		t.Fatalf("%q carries id %d, SanitizeID says %d", e.Msg, e.ID(), SanitizeID(e.Msg))
@@ -275,15 +266,15 @@ func TestEntriesIsTheLogItself(t *testing.T) {
 		t.Fatalf("a caller's append reached the log: record 10 is %q", got)
 	}
 	lg.Reset()
-	if lg.Pos() != 0 || len(lg.Entries()) != 0 || len(lg.Records()) != 0 || lg.Render() != "" {
+	if lg.Pos() != 0 || len(lg.Entries()) != 0 || lg.Render() != "" {
 		t.Fatalf("Reset left %d records", lg.Pos())
 	}
 	lg.Warnf("after reset")
 	if c := lg.Entries(); &c[0] != &a[0] || a[0].Msg != "after reset" {
 		t.Fatal("Reset did not recycle the log's memory")
 	}
-	if rec := lg.Records()[0]; rec.Seq != 0 || rec.Level != Warn || rec.Template != "after reset" {
-		t.Fatalf("first record after Reset: %+v", rec)
+	if e := lg.Entries()[0]; e.Level != Warn || e.Msg != "after reset" {
+		t.Fatalf("first record after Reset: %+v", e)
 	}
 }
 

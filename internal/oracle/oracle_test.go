@@ -20,7 +20,11 @@ func result(t *testing.T) *cluster.Result {
 			cond.Wait("writer-1", func() {})
 		})
 	}
-	return cluster.Execute(1, nil, false, w, des.Second)
+	res, err := cluster.Run(nil, nil, 1, nil, w, des.Second, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestLogContainsOracle(t *testing.T) {

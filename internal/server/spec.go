@@ -46,7 +46,7 @@ type Spec struct {
 	Strategy string `json:"strategy,omitempty"` // default full-feedback
 	Seed     int64  `json:"seed,omitempty"`     // master seed; default 1
 
-	MaxRounds    int `json:"max_rounds,omitempty"`     // round cap; default 500
+	MaxRounds    int `json:"max_rounds,omitempty"`     // round cap; default core.DefaultMaxRounds
 	Window       int `json:"window,omitempty"`         // initial flexible window k; default 10
 	Adjust       int `json:"adjust,omitempty"`         // priority adjustment s; default 1
 	RunsPerRound int `json:"runs_per_round,omitempty"` // extra seeds per round; default 1
@@ -76,7 +76,7 @@ func (sp Spec) Normalize() Spec {
 		sp.Seed = 1
 	}
 	if sp.MaxRounds == 0 {
-		sp.MaxRounds = 500
+		sp.MaxRounds = core.DefaultMaxRounds
 	}
 	if sp.Window == 0 {
 		sp.Window = 10
@@ -106,12 +106,15 @@ func (sp Spec) Normalize() Spec {
 	return sp
 }
 
+// maxJobTrials bounds the trials of one job, max_rounds × runs_per_round,
+// so that every accepted job is cheap to re-run from its spec after a crash
+// or a drain (DESIGN.md, "Bounded jobs").
+const maxJobTrials = 2000
+
 // Validate checks a normalized spec against the registries and bounds
-// the CLI enforces with usage errors, plus one the CLI does not: a job may
-// run at most core.DefaultMaxRounds trials, max_rounds × runs_per_round, so
-// that every accepted job is cheap to re-run from its spec after a crash or
-// a drain (DESIGN.md, "Bounded jobs"). Invalid specs are rejected at
-// admission — they never become jobs.
+// the CLI enforces with usage errors, plus one the CLI does not:
+// maxJobTrials. Invalid specs are rejected at admission — they never
+// become jobs.
 func (sp Spec) Validate() error {
 	if sp.Failure == "" {
 		return fmt.Errorf("spec: failure id required")
@@ -124,9 +127,9 @@ func (sp Spec) Validate() error {
 	if err := sp.Options().Validate(); err != nil {
 		return fmt.Errorf("spec: %w", err)
 	}
-	if runs := max(sp.RunsPerRound, 1); sp.MaxRounds > core.DefaultMaxRounds/runs {
+	if runs := max(sp.RunsPerRound, 1); sp.MaxRounds > maxJobTrials/runs {
 		return fmt.Errorf("spec: max_rounds × runs_per_round must be at most %d (got %d × %d)",
-			core.DefaultMaxRounds, sp.MaxRounds, runs)
+			maxJobTrials, sp.MaxRounds, runs)
 	}
 	return nil
 }

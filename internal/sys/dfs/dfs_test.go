@@ -11,12 +11,22 @@ import (
 
 func runFree(t *testing.T, w cluster.Workload, seed int64) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, nil, true, w, Horizon)
+	return run(t, w, seed, nil)
 }
 
 func runWith(t *testing.T, w cluster.Workload, seed int64, inst inject.Instance) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, inject.Exact(inst), true, w, Horizon)
+	return run(t, w, seed, inject.Exact(inst))
+}
+
+// run is one trial in a fresh environment; a trial error fails the test.
+func run(t *testing.T, w cluster.Workload, seed int64, plan *inject.Plan) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, w, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestWriteWorkloadHealthy(t *testing.T) {
@@ -125,11 +135,12 @@ func TestF7BlockRecoveryFailure(t *testing.T) {
 // concurrent transfers exhaust the pool.
 func TestF8XceiverLeak(t *testing.T) {
 	free := runFree(t, WorkloadWrite, 1)
-	if free.Counts["dfs.datanode.connect-downstream"] == 0 {
+	n := free.Env.FI.Counts()["dfs.datanode.connect-downstream"]
+	if n == 0 {
 		t.Fatal("connect-downstream never exercised")
 	}
 	reproduced := false
-	for occ := 1; occ <= free.Counts["dfs.datanode.connect-downstream"]; occ++ {
+	for occ := 1; occ <= n; occ++ {
 		r := runWith(t, WorkloadWrite, 1, inject.Instance{Site: "dfs.datanode.connect-downstream", Occurrence: occ})
 		if r.LogContains("Failed to build pipeline") && r.LogContains("Xceiver pool exhausted") {
 			reproduced = true
@@ -174,7 +185,7 @@ func TestF10RefreshTolerated(t *testing.T) {
 	// Find an occurrence executed by a volume-check thread (post-startup).
 	occ := 0
 	target := 0
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == "dfs.datanode.init-storage" {
 			occ++
 			if strings.Contains(ev.Thread, "volume-check") && target == 0 {
@@ -209,7 +220,7 @@ func TestF11BalancerCrash(t *testing.T) {
 // f11 control: a block-move failure is retried, not fatal.
 func TestF11MoveTolerated(t *testing.T) {
 	free := runFree(t, WorkloadBalancer, 1)
-	if free.Counts["dfs.balancer.move-rpc"] == 0 {
+	if free.Env.FI.Counts()["dfs.balancer.move-rpc"] == 0 {
 		t.Skip("no block moves under this seed")
 	}
 	r := runWith(t, WorkloadBalancer, 1, inject.Instance{Site: "dfs.balancer.move-rpc", Occurrence: 1})
@@ -222,7 +233,7 @@ func TestFaultSitesExercised(t *testing.T) {
 	sites := map[string]bool{}
 	for _, w := range []cluster.Workload{WorkloadWrite, WorkloadCheckpoint, WorkloadRead, WorkloadStartup, WorkloadBalancer} {
 		r := runFree(t, w, 1)
-		for s, n := range r.Counts {
+		for s, n := range r.Env.FI.Counts() {
 			if n > 0 {
 				sites[s] = true
 			}

@@ -12,6 +12,17 @@ import (
 	"anduril/internal/des"
 )
 
+// runFree is a free run in a fresh environment; a trial error fails the
+// test.
+func runFree(t *testing.T, w cluster.Workload, seed int64) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, nil, w, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestFaultFreeConvergence(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -25,7 +36,7 @@ func TestFaultFreeConvergence(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []int64{1, 7, 42, 99, 777} {
-				res := cluster.Execute(seed, nil, false, tc.workload, Horizon)
+				res := runFree(t, tc.workload, seed)
 				c := res.Convergence
 				if !c.Tracked {
 					t.Fatalf("seed %d: convergence not tracked", seed)
@@ -40,7 +51,7 @@ func TestFaultFreeConvergence(t *testing.T) {
 				if res.LogContains("anti-entropy audit: replicas diverged beyond grace period") {
 					t.Errorf("seed %d: fault-free run escalated past the audit grace period", seed)
 				}
-				again := cluster.Execute(seed, nil, false, tc.workload, Horizon)
+				again := runFree(t, tc.workload, seed)
 				if res.RenderLog() != again.RenderLog() {
 					t.Errorf("seed %d: two fault-free runs rendered different logs", seed)
 				}

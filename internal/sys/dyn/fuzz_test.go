@@ -92,7 +92,7 @@ func FuzzDynOps(f *testing.F) {
 			})
 			cl.VerifyRange(2200*des.Millisecond, 25*des.Millisecond, 0, 5)
 		}
-		res := cluster.Execute(seed, nil, false, workload, Horizon)
+		res := runFree(t, workload, seed)
 		for _, symptom := range []string{
 			"after delete (resurrected)",
 			"missing after quorum write",

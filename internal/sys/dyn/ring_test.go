@@ -207,7 +207,7 @@ func TestConcurrentTrialsShareRingMemo(t *testing.T) {
 	workloads := []cluster.Workload{WorkloadTombstones, WorkloadMembership}
 	want := make([]string, len(workloads))
 	for i, w := range workloads {
-		want[i] = cluster.Execute(7, nil, false, w, Horizon).RenderLog()
+		want[i] = runFree(t, w, 7).RenderLog()
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -218,7 +218,10 @@ func TestConcurrentTrialsShareRingMemo(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 3; rep++ {
 				i := (g + rep) % len(workloads)
-				if got := cluster.Execute(7, nil, false, workloads[i], Horizon).RenderLog(); got != want[i] {
+				res, err := cluster.Run(nil, nil, 7, nil, workloads[i], Horizon, 0)
+				if err != nil {
+					t.Error(err)
+				} else if res.RenderLog() != want[i] {
 					t.Errorf("goroutine %d rep %d: workload %d rendered a different log", g, rep, i)
 				}
 			}

@@ -9,12 +9,22 @@ import (
 
 func runFree(t *testing.T, seed int64) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, nil, true, WorkloadRepair, Horizon)
+	return run(t, seed, nil)
 }
 
 func runWith(t *testing.T, seed int64, inst inject.Instance) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, inject.Exact(inst), true, WorkloadRepair, Horizon)
+	return run(t, seed, inject.Exact(inst))
+}
+
+// run is one trial in a fresh environment; a trial error fails the test.
+func run(t *testing.T, seed int64, plan *inject.Plan) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, WorkloadRepair, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestRepairWorkloadHealthy(t *testing.T) {
@@ -26,8 +36,8 @@ func TestRepairWorkloadHealthy(t *testing.T) {
 		if !r.LogContains("finished 30 quorum writes") {
 			t.Fatalf("seed %d: writes did not finish", seed)
 		}
-		if len(r.Blocked) != 0 {
-			t.Fatalf("seed %d: stuck threads: %v", seed, r.Blocked)
+		if stuck := r.Env.Sim.Blocked(); len(stuck) != 0 {
+			t.Fatalf("seed %d: stuck threads: %v", seed, stuck)
 		}
 	}
 }
@@ -55,7 +65,7 @@ func TestF22SnapshotBlocksForever(t *testing.T) {
 		t.Fatalf("snapshot did not fail:\n%s", r.RenderLog())
 	}
 	if !r.BlockedOn("await-snapshot-responses") {
-		t.Fatalf("coordinator not blocked: %v", r.Blocked)
+		t.Fatalf("coordinator not blocked: %v", r.Env.Sim.Blocked())
 	}
 	if r.LogContains("computing merkle differences") {
 		t.Fatal("repair should never pass the snapshot phase")
@@ -67,18 +77,19 @@ func TestF22SnapshotBlocksForever(t *testing.T) {
 func TestF22SnapshotWriteAlsoWedges(t *testing.T) {
 	r := runWith(t, 1, inject.Instance{Site: "cs.repair.write-snapshot", Occurrence: 1})
 	if !r.BlockedOn("await-snapshot-responses") {
-		t.Fatalf("coordinator not blocked: %v", r.Blocked)
+		t.Fatalf("coordinator not blocked: %v", r.Env.Sim.Blocked())
 	}
 }
 
 func TestFaultSitesExercised(t *testing.T) {
 	r := runFree(t, 1)
+	counts := r.Env.FI.Counts()
 	for _, site := range []string{
 		"cs.gossip.send", "cs.node.append-commitlog", "cs.compaction.write-sstable",
 		"cs.repair.make-snapshot", "cs.repair.write-snapshot", "cs.repair.snapshot-rpc",
 		"cs.stream.file-task", "cs.stream.send-file", "cs.client.write-rpc",
 	} {
-		if r.Counts[site] == 0 {
+		if counts[site] == 0 {
 			t.Errorf("fault site %s never exercised", site)
 		}
 	}

@@ -3,13 +3,12 @@ package mq
 import (
 	"testing"
 
-	"anduril/internal/cluster"
 	"anduril/internal/inject"
 )
 
 func TestGroupWorkloadFailover(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		r := cluster.Execute(seed, nil, true, WorkloadGroup, Horizon)
+		r := runFree(t, WorkloadGroup, seed)
 		if !r.LogContains("Consumer consumer-a joined group order-processors") {
 			t.Fatalf("seed %d: consumer-a never joined\n%s", seed, r.RenderLog())
 		}
@@ -27,7 +26,7 @@ func TestGroupWorkloadFailover(t *testing.T) {
 }
 
 func TestGroupRebalanceGenerations(t *testing.T) {
-	r := cluster.Execute(1, nil, true, WorkloadGroup, Horizon)
+	r := runFree(t, WorkloadGroup, 1)
 	// At least: gen 1 (first join), gen 2 (second join), gen 3 (expiry).
 	if !r.LogContains("rebalanced to generation 3") {
 		t.Fatalf("fewer than 3 generations:\n%s", r.RenderLog())
@@ -35,12 +34,11 @@ func TestGroupRebalanceGenerations(t *testing.T) {
 }
 
 func TestGroupHeartbeatFaultTriggersRejoin(t *testing.T) {
-	free := cluster.Execute(1, nil, true, WorkloadGroup, Horizon)
-	if free.Counts["mq.consumer.send-group-heartbeat"] < 10 {
-		t.Fatalf("heartbeats: %d", free.Counts["mq.consumer.send-group-heartbeat"])
+	free := runFree(t, WorkloadGroup, 1)
+	if n := free.Env.FI.Counts()["mq.consumer.send-group-heartbeat"]; n < 10 {
+		t.Fatalf("heartbeats: %d", n)
 	}
-	r := cluster.Execute(1, inject.Exact(inject.Instance{Site: "mq.consumer.send-group-heartbeat", Occurrence: 5}),
-		false, WorkloadGroup, Horizon)
+	r := runWith(t, WorkloadGroup, 1, inject.Instance{Site: "mq.consumer.send-group-heartbeat", Occurrence: 5})
 	if !r.LogContains("heartbeat failed, rejoining group") {
 		t.Fatalf("heartbeat fault not handled:\n%s", r.RenderLog())
 	}

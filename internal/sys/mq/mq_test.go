@@ -9,12 +9,22 @@ import (
 
 func runFree(t *testing.T, w cluster.Workload, seed int64) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, nil, true, w, Horizon)
+	return run(t, w, seed, nil)
 }
 
 func runWith(t *testing.T, w cluster.Workload, seed int64, inst inject.Instance) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, inject.Exact(inst), true, w, Horizon)
+	return run(t, w, seed, inject.Exact(inst))
+}
+
+// run is one trial in a fresh environment; a trial error fails the test.
+func run(t *testing.T, w cluster.Workload, seed int64, plan *inject.Plan) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, w, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestStreamsWorkloadHealthy(t *testing.T) {
@@ -34,8 +44,8 @@ func TestConnectWorkloadHealthy(t *testing.T) {
 	if !r.LogContains("restarted with new configuration") {
 		t.Fatalf("reconfigure never ran:\n%s", r.RenderLog())
 	}
-	if r.LogContains("worker unresponsive") || len(r.Blocked) != 0 {
-		t.Fatalf("worker wedged without fault: %v", r.Blocked)
+	if stuck := r.Env.Sim.Blocked(); r.LogContains("worker unresponsive") || len(stuck) != 0 {
+		t.Fatalf("worker wedged without fault: %v", stuck)
 	}
 }
 
@@ -83,7 +93,7 @@ func TestF18StoreWriteTolerated(t *testing.T) {
 func TestF19BlockedHerder(t *testing.T) {
 	r := runWith(t, WorkloadConnect, 1, inject.Instance{Site: "mq.connect.stop-connector", Occurrence: 1})
 	if !r.BlockedOn("connector-stop") {
-		t.Fatalf("herder not blocked: %v\n%s", r.Blocked, r.RenderLog())
+		t.Fatalf("herder not blocked: %v\n%s", r.Env.Sim.Blocked(), r.RenderLog())
 	}
 	if !r.LogContains("worker unresponsive") {
 		t.Fatalf("other requests should time out:\n%s", r.RenderLog())
@@ -105,13 +115,13 @@ func TestF19TaskPollTolerated(t *testing.T) {
 // mapping; the failed-over consumer skips records.
 func TestF20DataGap(t *testing.T) {
 	free := runFree(t, WorkloadMirror, 1)
-	n := free.Counts["mq.mm2.convert-record"]
+	n := free.Env.FI.Counts()["mq.mm2.convert-record"]
 	if n < 30 {
 		t.Fatalf("convert occurrences: %d", n)
 	}
 	hit := 0
 	for occ := 1; occ <= n; occ++ {
-		r := cluster.Execute(1, inject.Exact(inject.Instance{Site: "mq.mm2.convert-record", Occurrence: occ}), false, WorkloadMirror, Horizon)
+		r := runWith(t, WorkloadMirror, 1, inject.Instance{Site: "mq.mm2.convert-record", Occurrence: occ})
 		if r.LogContains("errors.tolerance") && r.LogContains("Data gap detected") {
 			hit = occ
 			break
@@ -127,7 +137,7 @@ func TestFaultSitesExercised(t *testing.T) {
 	sites := map[string]bool{}
 	for _, w := range []cluster.Workload{WorkloadStreams, WorkloadConnect, WorkloadMirror} {
 		r := runFree(t, w, 1)
-		for s, n := range r.Counts {
+		for s, n := range r.Env.FI.Counts() {
 			if n > 0 {
 				sites[s] = true
 			}

@@ -10,12 +10,22 @@ import (
 
 func runFree(t *testing.T, w cluster.Workload, seed int64) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, nil, true, w, Horizon)
+	return run(t, w, seed, nil)
 }
 
 func runWith(t *testing.T, w cluster.Workload, seed int64, inst inject.Instance) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, inject.Exact(inst), true, w, Horizon)
+	return run(t, w, seed, inject.Exact(inst))
+}
+
+// run is one trial in a fresh environment; a trial error fails the test.
+func run(t *testing.T, w cluster.Workload, seed int64, plan *inject.Plan) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, w, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestWALWorkloadHealthy(t *testing.T) {
@@ -27,8 +37,8 @@ func TestWALWorkloadHealthy(t *testing.T) {
 		if r.LogContains("Failed to get sync result") {
 			t.Fatalf("seed %d: spurious flush timeout", seed)
 		}
-		if len(r.Blocked) != 0 {
-			t.Fatalf("seed %d: stuck threads: %v", seed, r.Blocked)
+		if stuck := r.Env.Sim.Blocked(); len(stuck) != 0 {
+			t.Fatalf("seed %d: stuck threads: %v", seed, stuck)
 		}
 		if !r.LogContains("Rolled WAL on rs1") {
 			t.Fatalf("seed %d: no WAL roll happened", seed)
@@ -79,13 +89,13 @@ func TestProceduresAndBatchHealthy(t *testing.T) {
 // roller hangs at waitForSafePoint and flushes time out.
 func TestF17StuckWAL(t *testing.T) {
 	free := runFree(t, WorkloadWAL, 1)
-	n := free.Counts["ts.wal.stream-write"]
+	n := free.Env.FI.Counts()["ts.wal.stream-write"]
 	if n < 50 {
 		t.Fatalf("stream-write occurrences: %d", n)
 	}
 	var hit int
 	for occ := 1; occ <= n; occ++ {
-		r := cluster.Execute(1, inject.Exact(inject.Instance{Site: "ts.wal.stream-write", Occurrence: occ}), false, WorkloadWAL, Horizon)
+		r := runWith(t, WorkloadWAL, 1, inject.Instance{Site: "ts.wal.stream-write", Occurrence: occ})
 		if r.LogContains("Failed to get sync result") && r.BlockedOn("waitForSafePoint") {
 			hit = occ
 			break
@@ -132,7 +142,7 @@ func TestF13InterruptedProcedure(t *testing.T) {
 // f13 control: interrupting the very last step leaves nothing to reject.
 func TestF13LastStepTolerated(t *testing.T) {
 	free := runFree(t, WorkloadProcedures, 1)
-	last := free.Counts["ts.proc.step-wait"]
+	last := free.Env.FI.Counts()["ts.proc.step-wait"]
 	r := runWith(t, WorkloadProcedures, 1, inject.Instance{Site: "ts.proc.step-wait", Occurrence: last})
 	if r.LogContains("rejecting procedure") {
 		t.Fatal("no procedure should be rejected after the last step")
@@ -195,7 +205,7 @@ func TestFaultSitesExercised(t *testing.T) {
 	sites := map[string]bool{}
 	for _, w := range []cluster.Workload{WorkloadWAL, WorkloadReplication, WorkloadCrash, WorkloadProcedures, WorkloadBatch} {
 		r := runFree(t, w, 1)
-		for s, n := range r.Counts {
+		for s, n := range r.Env.FI.Counts() {
 			if n > 0 {
 				sites[s] = true
 			}

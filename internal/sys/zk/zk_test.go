@@ -11,12 +11,22 @@ import (
 
 func runFree(t *testing.T, w cluster.Workload, seed int64) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, nil, true, w, Horizon)
+	return run(t, w, seed, nil)
 }
 
 func runWith(t *testing.T, w cluster.Workload, seed int64, inst inject.Instance) *cluster.Result {
 	t.Helper()
-	return cluster.Execute(seed, inject.Exact(inst), true, w, Horizon)
+	return run(t, w, seed, inject.Exact(inst))
+}
+
+// run is one trial in a fresh environment; a trial error fails the test.
+func run(t *testing.T, w cluster.Workload, seed int64, plan *inject.Plan) *cluster.Result {
+	t.Helper()
+	res, err := cluster.Run(nil, nil, seed, plan, w, Horizon, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func logHas(r *cluster.Result, frag string) bool { return r.LogContains(frag) }
@@ -64,6 +74,7 @@ func TestSnapshotsTaken(t *testing.T) {
 
 func TestFaultSitesExercised(t *testing.T) {
 	r := runFree(t, WorkloadQuorum, 1)
+	counts := r.Env.FI.Counts()
 	for _, site := range []string{
 		"zk.election.send-vote",
 		"zk.election.accept-connection",
@@ -78,7 +89,7 @@ func TestFaultSitesExercised(t *testing.T) {
 		"zk.snap.write-body",
 		"zk.leader.ping-follower",
 	} {
-		if r.Counts[site] == 0 {
+		if counts[site] == 0 {
 			t.Errorf("fault site %s never exercised", site)
 		}
 	}
@@ -143,7 +154,7 @@ func TestF2ReadForwardRetried(t *testing.T) {
 func electionReach(t *testing.T, free *cluster.Result, node string) int {
 	t.Helper()
 	occ := 0
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == "zk.election.accept-connection" {
 			occ++
 			if strings.HasPrefix(ev.Thread, node+"-") {
@@ -192,7 +203,7 @@ func TestF4TruncatedSnapshotNPE(t *testing.T) {
 	// Find zk1's last snapshot body write before the restart.
 	occ := 0
 	last := 0
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == "zk.snap.write-body" {
 			occ++
 			if strings.HasPrefix(ev.Thread, "zk1-") && ev.Time < 1200*des.Millisecond {
@@ -221,7 +232,7 @@ func TestF4OtherServerTolerated(t *testing.T) {
 	free := runFree(t, WorkloadSnapshotRestart, 1)
 	occ := 0
 	target := 0
-	for _, ev := range free.Trace {
+	for _, ev := range free.Env.FI.Trace() {
 		if ev.Site == "zk.snap.write-body" {
 			occ++
 			if strings.HasPrefix(ev.Thread, "zk3-") && target == 0 {

@@ -302,9 +302,6 @@ type Stats struct {
 	SiteTrials  map[string]int // injected site -> trials
 }
 
-// Stats aggregates the recorded events.
-func (m *Memory) Stats() Stats { return AggregateStats(m.Events) }
-
 // AggregateStats computes Stats over an event slice.
 func AggregateStats(events []Event) Stats {
 	s := Stats{

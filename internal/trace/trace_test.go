@@ -167,7 +167,7 @@ func TestMemoryStats(t *testing.T) {
 	for i := range events {
 		m.Emit(&events[i])
 	}
-	s := m.Stats()
+	s := AggregateStats(m.Events)
 	if s.Rounds != 2 || s.Injections != 1 || s.EmptyRound != 1 || !s.Reproduced {
 		t.Fatalf("stats: %+v", s)
 	}
