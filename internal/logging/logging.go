@@ -88,17 +88,35 @@ type Log struct {
 	times   []des.Time // parallel to entries
 
 	buf []byte // emit's rendering and sanitizing scratch
+
+	// forms maps every message this log has rendered to the string its
+	// records share and that string's key. The key is a function of the
+	// rendered bytes alone, and every form here is already interned, so a
+	// hit skips the string, the sanitize pass and the intern lock without
+	// changing anything a reader of the entries sees. Reset keeps it while
+	// it holds no more forms than the log has room for records.
+	forms map[string]form
+}
+
+// form is one rendered message and its Entry key.
+type form struct {
+	msg string
+	key int32
 }
 
 // New creates a logger bound to a simulation (for time and thread names).
-func New(sim *des.Sim) *Log { return &Log{sim: sim} }
+func New(sim *des.Sim) *Log { return &Log{sim: sim, forms: make(map[string]form)} }
 
 // Reset empties the log for a new run on the same simulation, keeping the
 // memory of the last one. Every slice Entries handed out before is dead:
-// the next run's records overwrite it.
+// the next run's records overwrite it. The rendered forms are kept too,
+// unless there are more of them than records the log has room for.
 func (l *Log) Reset() {
 	l.entries = l.entries[:0]
 	l.times = l.times[:0]
+	if len(l.forms) > cap(l.entries) {
+		clear(l.forms)
+	}
 }
 
 // Pos returns the number of records emitted so far — the current logical
@@ -122,13 +140,14 @@ func (l *Log) emit(level Level, format string, args ...interface{}) {
 		}
 		at = l.sim.Now()
 	}
-	msg := format
-	if len(args) > 0 || strings.IndexByte(format, '%') >= 0 {
-		l.buf = fmt.Appendf(l.buf[:0], format, args...)
-		msg = string(l.buf)
+	l.buf = appendf(l.buf[:0], format, args)
+	f, seen := l.forms[string(l.buf)]
+	if !seen {
+		f.msg = string(l.buf)
+		l.buf = sanitizeAppend(l.buf[:0], f.msg)
+		f.key = internBytes(l.buf) + 1
+		l.forms[f.msg] = f
 	}
-	l.buf = sanitizeAppend(l.buf[:0], msg)
-	key := internBytes(l.buf) + 1
 	if cap(l.entries) == len(l.entries) {
 		// Pre-size the first growth generously: run logs routinely reach a
 		// few hundred records, and letting append double from 1 costs ~10
@@ -137,7 +156,7 @@ func (l *Log) emit(level Level, format string, args ...interface{}) {
 		l.entries = append(make([]Entry, 0, n), l.entries...)
 		l.times = append(make([]des.Time, 0, n), l.times...)
 	}
-	l.entries = append(l.entries, Entry{Thread: thread, Level: level, Msg: msg, key: key})
+	l.entries = append(l.entries, Entry{Thread: thread, Level: level, Msg: f.msg, key: f.key})
 	l.times = append(l.times, at)
 }
 

@@ -211,9 +211,18 @@ type stringer struct{ n int }
 
 func (s stringer) String() string { return fmt.Sprintf("s<%d>", s.n) }
 
+// nodeName and port stand just outside the types emit formats itself: a
+// named string and a named int whose String method fmt must call.
+type nodeName string
+
+type port int
+
+func (p port) String() string { return fmt.Sprintf("port<%d>", int(p)) }
+
 // fuzzOperands are the operand lists FuzzEmitKeysWhatItRenders pairs with a
 // fuzzed format: the types the targets log, alone and mixed, with arities
-// that match few formats exactly.
+// that match few formats exactly, and the operands at each edge of emit's
+// own formatter.
 func fuzzOperands(n int64, s string) [][]interface{} {
 	return [][]interface{}{
 		nil,
@@ -221,6 +230,10 @@ func fuzzOperands(n int64, s string) [][]interface{} {
 		{n, s},
 		{s},
 		{s, int(n), s},
+		{int32(n), uint64(n)},
+		{s, int32(n), uint64(n), n},
+		{nodeName(s), port(n)},
+		{s, nodeName(s), int(n), port(n)},
 		{uint16(n), float64(n) / 3, n%2 == 0},
 		{[]byte(s), []string{s, s}, map[string]int{s: int(n)}},
 		{fmt.Errorf("wrapped %d: %w", n, os.ErrNotExist), stringer{int(n)}, &stringer{int(n)}, nil},
@@ -293,5 +306,70 @@ func TestInternedFormsCountsForms(t *testing.T) {
 	SanitizeID(fmt.Sprintf("interned-forms probe %x", 0xcd))
 	if got := InternedForms(); got != before+2 {
 		t.Fatalf("two hex spellings grew the table from %d to %d, want +2", before, got)
+	}
+}
+
+// TestWarmEmitDoesNotAllocate: a message the log has rendered before is
+// looked up, not rebuilt — no string, no sanitize pass, no intern lookup.
+// The record slice has room, so the emit itself allocates nothing.
+func TestWarmEmitDoesNotAllocate(t *testing.T) {
+	lg := New(des.New(1))
+	lg.Infof("node %s synced", "dn-1")
+	if allocs := testing.AllocsPerRun(100, func() { lg.Infof("node %s synced", "dn-1") }); allocs != 0 {
+		t.Fatalf("a warm emit allocated %.1f times", allocs)
+	}
+}
+
+// emitRun logs a run whose messages repeat, vary in digits only, vary in
+// hex letters and go through fmt, so a recycled log meets every kind of
+// form it kept.
+func emitRun(lg *Log, run int) {
+	for i := 0; i < 40; i++ {
+		lg.Infof("node %s synced %d entries", "dn-1", i%3+run)
+		lg.Warnf("zxid=0x%x epoch %d", int64(run*7+i%2), run)
+		lg.Debugf("peer %v down: %s", port(i%2), os.ErrNotExist)
+		lg.Errorf("constant record")
+	}
+}
+
+// TestRecycledLogMatchesFresh: a log Reset between runs keeps its forms,
+// and the runs it logs read exactly as each would in a fresh log.
+func TestRecycledLogMatchesFresh(t *testing.T) {
+	recycled := New(des.New(1))
+	for run := 0; run < 5; run++ {
+		recycled.Reset()
+		emitRun(recycled, run)
+		fresh := New(des.New(1))
+		emitRun(fresh, run)
+		got, want := recycled.Entries(), fresh.Entries()
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d records recycled, %d fresh", run, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] || got[i].ID() != want[i].ID() {
+				t.Fatalf("run %d record %d: recycled %+v (id %d), fresh %+v (id %d)",
+					run, i, got[i], got[i].ID(), want[i], want[i].ID())
+			}
+		}
+	}
+}
+
+// TestResetBoundsForms: whatever the log has rendered, Reset leaves it
+// holding no more forms than records it has room for, and a record emitted
+// after the table was emptied is keyed as before.
+func TestResetBoundsForms(t *testing.T) {
+	lg := New(des.New(1))
+	for run := 0; run < 20; run++ {
+		for i := 0; i < 100; i++ {
+			lg.Infof("value %x", run*100+i) // a new form for most records
+		}
+		lg.Reset()
+		if len(lg.forms) > cap(lg.entries) {
+			t.Fatalf("run %d: %d forms kept for %d record slots", run, len(lg.forms), cap(lg.entries))
+		}
+	}
+	lg.Infof("value %x", 0xab)
+	if e := lg.Entries()[0]; e.ID() != SanitizeID("value ab") {
+		t.Fatalf("after the table was emptied %+v is keyed %d", e, e.ID())
 	}
 }

@@ -281,14 +281,21 @@ func (d *Disk) Peek(path string) ([]byte, bool) {
 // Size returns the length of path's content (0 if absent).
 func (d *Disk) Size(path string) int { return len(d.files[path]) }
 
-// List returns the sorted paths under the given prefix.
-func (d *Disk) List(prefix string) []string {
+// Count returns how many paths List(prefix) would return, without building
+// them. Pure metadata like Exists: no fault site.
+func (d *Disk) Count(prefix string) int {
 	n := 0
 	for p := range d.files {
 		if strings.HasPrefix(p, prefix) {
 			n++
 		}
 	}
+	return n
+}
+
+// List returns the sorted paths under the given prefix.
+func (d *Disk) List(prefix string) []string {
+	n := d.Count(prefix)
 	if n == 0 {
 		return nil
 	}

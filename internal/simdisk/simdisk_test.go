@@ -349,3 +349,24 @@ func TestListSizedByMatches(t *testing.T) {
 		t.Fatalf("List(n1/) = %v, cap %d for 1 match of %d files", got, cap(got), 8)
 	}
 }
+
+// TestCountIsLenList: Count agrees with List for every prefix of every
+// path on the disk, the empty prefix and one nothing matches.
+func TestCountIsLenList(t *testing.T) {
+	d := New(inject.NewRuntime(nil), nil)
+	paths := []string{"dn1/blk_1", "dn1/blk_2", "dn1/meta", "dn10/blk_1", "dn2/blk_1", "nn/edits"}
+	for _, p := range paths {
+		d.Create("s", p)
+	}
+	prefixes := []string{"", "missing/"}
+	for _, p := range paths {
+		for i := 1; i <= len(p); i++ {
+			prefixes = append(prefixes, p[:i])
+		}
+	}
+	for _, prefix := range prefixes {
+		if c, l := d.Count(prefix), len(d.List(prefix)); c != l {
+			t.Fatalf("Count(%q) = %d, len(List) = %d", prefix, c, l)
+		}
+	}
+}

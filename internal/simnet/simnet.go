@@ -150,7 +150,15 @@ func (n *Net) Handle(node, msgType, actor string, h Handler) {
 }
 
 // SetDown marks a node as unreachable (connection errors for senders).
-func (n *Net) SetDown(node string, down bool) { n.down[node] = down }
+// Bringing it back deletes its entry, as a Partition heal does, so a map
+// with nothing down is empty and reachability can skip it.
+func (n *Net) SetDown(node string, down bool) {
+	if !down {
+		delete(n.down, node)
+		return
+	}
+	n.down[node] = true
+}
 
 // Partition cuts (or restores) connectivity between a pair of nodes.
 // Healing deletes the pair's entries rather than storing false, so long
@@ -186,10 +194,10 @@ var (
 
 // reachability returns a connection-level error if to is unreachable.
 func (n *Net) reachability(from, to string) error {
-	if n.down[to] {
+	if len(n.down) != 0 && n.down[to] {
 		return errPeerDown
 	}
-	if n.partitioned[[2]string{from, to}] {
+	if len(n.partitioned) != 0 && n.partitioned[[2]string{from, to}] {
 		return errPartitioned
 	}
 	return nil
@@ -268,9 +276,9 @@ func (n *Net) crashNode(f inject.PseudoFault) {
 		n.OnCrash(f.Subject, f.Duration)
 		return
 	}
-	n.down[f.Subject] = true
+	n.SetDown(f.Subject, true)
 	n.sim.Schedule("env-restart", f.Duration, func() {
-		n.down[f.Subject] = false
+		n.SetDown(f.Subject, false)
 		n.log.Infof("env: node %s restarted", f.Subject)
 	})
 }

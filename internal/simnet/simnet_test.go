@@ -63,6 +63,18 @@ func TestSendToDownNode(t *testing.T) {
 	if !errors.Is(sendErr, inject.KindErr(inject.Connection)) {
 		t.Fatalf("send error: %v", sendErr)
 	}
+	// A restart retires the entry, so reachability skips an empty map.
+	net.SetDown("b", false)
+	if len(net.down) != 0 {
+		t.Fatalf("restart left %d down entries", len(net.down))
+	}
+	sim.Go("a-main", func() {
+		sendErr = net.Send("a.ping.send", Message{From: "a", To: "b", Type: "ping"})
+	})
+	sim.Run(2 * des.Second)
+	if sendErr != nil {
+		t.Fatalf("send after restart: %v", sendErr)
+	}
 }
 
 func TestPartition(t *testing.T) {

@@ -69,7 +69,7 @@ func (d *DataNode) start() {
 		if !d.started || d.failed {
 			return
 		}
-		n := len(env.Disk.List(d.name + "/blk_"))
+		n := env.Disk.Count(d.name + "/blk_")
 		err := env.Net.Send("dfs.datanode.send-blockreport", d.c.msg(d.name, "nn", "dfs.blockreport", n))
 		if err != nil {
 			env.Log.Warnf("Block report from %s failed: %s", d.name, err)
