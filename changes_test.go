@@ -2,6 +2,7 @@ package anduril
 
 import (
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -30,5 +31,27 @@ func TestChangesEntriesAreShort(t *testing.T) {
 	}
 	if entries == 0 {
 		t.Fatal("CHANGES.md has no entries")
+	}
+}
+
+// TestDesignDocIsCurrent: DESIGN.md describes the design as it is. Before and
+// after numbers and the story of how a part got its shape belong to
+// CHANGES.md and git log, so the document stays under a size limit and no
+// heading names a PR.
+func TestDesignDocIsCurrent(t *testing.T) {
+	const limit = 1000 // lines
+	raw, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(lines) > limit {
+		t.Errorf("DESIGN.md is %d lines, over %d", len(lines), limit)
+	}
+	namesPR := regexp.MustCompile(`\bPRs? ?#?\d`)
+	for i, line := range lines {
+		if strings.HasPrefix(line, "#") && namesPR.MatchString(line) {
+			t.Errorf("DESIGN.md:%d heading names a PR: %s", i+1, line)
+		}
 	}
 }

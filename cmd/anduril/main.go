@@ -68,8 +68,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		strategy  = fs.String("strategy", string(anduril.FullFeedback), "exploration strategy (see -list-strategies)")
 		seed      = fs.Int64("seed", 1, "master seed (round r runs with seed+r)")
 		maxRounds = fs.Int("max-rounds", core.DefaultMaxRounds, "round cap (the paper's 24-hour analog)")
-		window    = fs.Int("window", 10, "initial flexible-window size k")
-		adjust    = fs.Int("adjust", 1, "observable priority adjustment s")
+		window    = fs.Int("window", core.DefaultWindow, "initial flexible-window size k")
+		adjust    = fs.Int("adjust", core.DefaultAdjust, "observable priority adjustment s")
 		verbose   = fs.Bool("v", false, "print every round")
 		scriptOut = fs.String("script-out", "", "write the reproduction script as JSON to this file")
 		dotOut    = fs.String("graph-dot", "", "write the static causal graph (Graphviz) to this file")

@@ -231,8 +231,8 @@ func (c *ctl) submit(args []string) int {
 	fs.StringVar(&spec.Strategy, "strategy", "", "exploration strategy (default full-feedback)")
 	fs.Int64Var(&spec.Seed, "seed", 0, "master seed (default 1)")
 	fs.IntVar(&spec.MaxRounds, "max-rounds", 0, fmt.Sprintf("round cap (default %d)", core.DefaultMaxRounds))
-	fs.IntVar(&spec.Window, "window", 0, "initial flexible-window size (default 10)")
-	fs.IntVar(&spec.Adjust, "adjust", 0, "priority adjustment (default 1)")
+	fs.IntVar(&spec.Window, "window", 0, fmt.Sprintf("initial flexible-window size (default %d)", core.DefaultWindow))
+	fs.IntVar(&spec.Adjust, "adjust", 0, fmt.Sprintf("priority adjustment (default %d)", core.DefaultAdjust))
 	fs.IntVar(&spec.RunsPerRound, "runs-per-round", 0, "extra seeds per round (default 1)")
 	fs.StringVar(&classes, "fault-classes", "", "comma-separated fault classes")
 	fs.StringVar(&spec.Addressing, "addressing", "", "occurrence (default) or path")

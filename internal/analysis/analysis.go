@@ -75,8 +75,6 @@ type Result struct {
 	LOC    int
 	Timing Timing
 
-	siteKinds map[string]inject.Kind
-
 	// cache holds derived artifacts computed on first use and shared by
 	// every reproduction over this Result. It sits behind a pointer so
 	// Result values stay copyable (copies share the cache — they describe
@@ -94,12 +92,6 @@ type derivedCache struct {
 	mu      sync.Mutex
 	dist    map[string]map[string]int
 	matcher *Matcher
-}
-
-// SiteKind returns the fault kind of a static site.
-func (r *Result) SiteKind(id string) (inject.Kind, bool) {
-	k, ok := r.siteKinds[id]
-	return k, ok
 }
 
 // SiteDistances returns the L_{i,k} site→template distance table of the
@@ -201,12 +193,11 @@ func AnalyzePackages(dirs []string) (*Result, error) {
 	chaining := time.Since(chainStart)
 
 	res := &Result{
-		Graph:     g,
-		Sites:     a.siteList(),
-		Logs:      a.logList(),
-		LOC:       loc,
-		siteKinds: a.siteKinds,
-		cache:     &derivedCache{},
+		Graph: g,
+		Sites: a.siteList(),
+		Logs:  a.logList(),
+		LOC:   loc,
+		cache: &derivedCache{},
 	}
 	res.Timing = Timing{
 		Exception: exception,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"testing"
 
 	"anduril/internal/graph"
@@ -158,20 +159,21 @@ func TestTimingPopulated(t *testing.T) {
 
 func TestInferredSitesSubset(t *testing.T) {
 	res := analyzeZK(t)
-	// Inferred sites for the f1 symptom must include the root cause but
-	// not every site in the system.
-	templates := map[string]bool{
-		"Severe unrecoverable error, exiting SyncRequestProcessor on myid=%d: %s": true,
-	}
-	inferred := res.Graph.ReachableSites(templates)
-	found := false
-	for _, s := range inferred {
-		if s == "zk.sync.append-txn" {
-			found = true
+	// Inferred sites for the f1 symptom — those the site-distance table
+	// links to its template — must include the root cause but not every
+	// site in the system.
+	const symptom = "Severe unrecoverable error, exiting SyncRequestProcessor on myid=%d: %s"
+	var inferred []string
+	for site, m := range res.SiteDistances() {
+		if _, ok := m[symptom]; ok {
+			inferred = append(inferred, site)
 		}
 	}
-	if !found {
+	if !slices.Contains(inferred, "zk.sync.append-txn") {
 		t.Error("root-cause site not in inferred set")
+	}
+	if len(inferred) >= len(res.Sites) {
+		t.Errorf("inferred %d of %d sites: the symptom reaches every site", len(inferred), len(res.Sites))
 	}
 }
 

@@ -56,11 +56,8 @@ func work(e *env) {
 	}
 }
 `)
-	if len(res.Sites) != 1 || res.Sites[0].ID != "fx.store.append" {
+	if len(res.Sites) != 1 || res.Sites[0].ID != "fx.store.append" || res.Sites[0].Kind != inject.IO {
 		t.Fatalf("sites: %+v", res.Sites)
-	}
-	if k, _ := res.SiteKind("fx.store.append"); k != inject.IO {
-		t.Fatalf("kind: %v", k)
 	}
 	if !pathExists(t, res.Graph, "fx.store.append", "append failed: %s") {
 		t.Fatal("no site->handler->log path")

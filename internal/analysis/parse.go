@@ -74,9 +74,8 @@ type analyzer struct {
 	assigns      []assignFact
 	assignByName map[string][]int // name -> indices into assigns
 
-	sites     map[string]SiteInfo
-	siteKinds map[string]inject.Kind
-	logs      []LogInfo
+	sites map[string]SiteInfo
+	logs  []LogInfo
 }
 
 func newAnalyzer(fset *token.FileSet) *analyzer {
@@ -87,7 +86,6 @@ func newAnalyzer(fset *token.FileSet) *analyzer {
 		handlers:     make(map[string][]string),
 		assignByName: make(map[string][]int),
 		sites:        make(map[string]SiteInfo),
-		siteKinds:    make(map[string]inject.Kind),
 	}
 }
 
@@ -291,7 +289,6 @@ func (a *analyzer) collectCall(info *funcInfo, call *ast.CallExpr, depth int) {
 	if id, kind, ok := classifySite(call); ok {
 		if _, seen := a.sites[id]; !seen {
 			a.sites[id] = SiteInfo{ID: id, Kind: kind, File: pos.Filename, Line: pos.Line, Func: info.id}
-			a.siteKinds[id] = kind
 		}
 		if depth == 0 {
 			info.envSites = append(info.envSites, id)

@@ -8,6 +8,7 @@ import (
 
 	"anduril/internal/des"
 	"anduril/internal/inject"
+	"anduril/internal/simnet"
 )
 
 // toyWorkload logs a few messages, reaches a fault site thrice and blocks
@@ -125,6 +126,62 @@ func TestEnvWiring(t *testing.T) {
 	env.Log.Infof("x")
 	if env.FI.LogPos() != 1 {
 		t.Fatal("log pos not wired")
+	}
+}
+
+// TestEnvCrashRunsNodeControlsOnce: an injected env/crash fault goes through
+// the environment's one crash executor — the node's Crash control runs once,
+// the node stays down for inject.EnvCrashRestartAfter, then its Restart
+// control runs once and the log records both edges of the outage.
+func TestEnvCrashRunsNodeControlsOnce(t *testing.T) {
+	var crashes, restarts []des.Time
+	var probes []des.Time // when a probe reached the node
+	var start des.Time
+	w := func(env *Env) {
+		env.RegisterNode("n1", NodeControl{
+			Crash:   func() { crashes = append(crashes, env.Sim.Now()) },
+			Restart: func() { restarts = append(restarts, env.Sim.Now()) },
+		})
+		env.Net.Handle("n1", "ping", "n1-server", func(simnet.Message, func(interface{}, error)) {})
+		// 70 ms never divides the 600 ms outage, so no probe lands on its end.
+		start = 10 * des.Millisecond
+		env.Sim.Schedule("client", start, func() {
+			env.Sim.Every("client", 70*des.Millisecond, func() {
+				if env.Net.Send("client.ping", simnet.Message{From: "client", To: "n1", Type: "ping"}) == nil {
+					probes = append(probes, env.Sim.Now())
+				}
+			})
+		})
+	}
+	plan := inject.Exact(inject.Instance{Site: "env/crash/n1", Occurrence: 1})
+	r, err := Run(nil, nil, 1, plan, w, 2*des.Second, inject.EnvFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev, ok := r.Env.FI.Injected(); !ok || ev.Site != "env/crash/n1" {
+		t.Fatalf("injection: %+v (fired %v)", ev, ok)
+	}
+	crashedAt := start + 70*des.Millisecond // the first probe crashes the node
+	if len(crashes) != 1 || crashes[0] != crashedAt {
+		t.Fatalf("Crash ran at %v, want once at %v", crashes, crashedAt)
+	}
+	if len(restarts) != 1 || restarts[0] != crashedAt+inject.EnvCrashRestartAfter {
+		t.Fatalf("Restart ran at %v, want once at %v", restarts, crashedAt+inject.EnvCrashRestartAfter)
+	}
+	if len(probes) == 0 || probes[0] <= restarts[0] {
+		t.Fatalf("probes reached the node at %v, want none before the restart at %v and some after", probes, restarts[0])
+	}
+	crashLine, restartLine := -1, -1
+	for i, e := range r.Entries {
+		switch e.Msg {
+		case "env: node n1 crashed":
+			crashLine = i
+		case "env: node n1 restarted":
+			restartLine = i
+		}
+	}
+	if crashLine < 0 || restartLine < crashLine {
+		t.Fatalf("crash logged at entry %d, restart at %d:\n%s", crashLine, restartLine, r.RenderLog())
 	}
 }
 

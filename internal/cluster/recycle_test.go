@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"anduril/internal/cluster"
+	"anduril/internal/des"
 	"anduril/internal/failures"
 	"anduril/internal/inject"
 	"anduril/internal/logging"
@@ -45,8 +46,9 @@ func digestOf(r *cluster.Result) digest {
 
 // TestRecycledEnvMatchesFresh: a round run in an environment another round
 // has used — another target's round, under other features and another plan,
-// left with every node the next run will name crashed, down, partitioned
-// and under a stale crash control — is the round a fresh environment runs,
+// left with every thread the next run will name parked on a stale
+// condition and every node it will name down, partitioned and under a stale
+// crash control — is the round a fresh environment runs,
 // in everything a reader of its Result can see. Every dataset workload takes
 // the recycled side once, injected at its free run's first node crash.
 func TestRecycledEnvMatchesFresh(t *testing.T) {
@@ -83,8 +85,9 @@ func TestRecycledEnvMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			stale := des.NewCond(dirty.Env.Sim, "stale")
 			for _, ev := range trace {
-				dirty.Env.Sim.Crash(ev.Thread)
+				stale.Wait(ev.Thread, func() { t.Error("a stale waiter ran") })
 				switch f, _ := inject.ParsePseudo(ev.Site); f.Class {
 				case inject.EnvCrash:
 					dirty.Env.Net.SetDown(f.Subject, true)

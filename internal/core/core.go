@@ -115,8 +115,8 @@ type Target struct {
 // Options tune the explorer.
 type Options struct {
 	Strategy  Strategy
-	Window    int   // initial flexible-window size k (§5.2.5); default 10
-	Adjust    int   // observable priority adjustment s (§5.2.1); default 1
+	Window    int   // initial flexible-window size k (§5.2.5); default DefaultWindow
+	Adjust    int   // observable priority adjustment s (§5.2.1); default DefaultAdjust
 	MaxRounds int   // round cap; default DefaultMaxRounds
 	Seed      int64 // master seed; round r runs with Seed+r
 
@@ -227,10 +227,10 @@ func (o Options) withDefaults() Options {
 		o.Strategy = FullFeedback
 	}
 	if o.Window <= 0 {
-		o.Window = 10
+		o.Window = DefaultWindow
 	}
 	if o.Adjust <= 0 {
-		o.Adjust = 1
+		o.Adjust = DefaultAdjust
 	}
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = DefaultMaxRounds
@@ -244,9 +244,14 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// DefaultMaxRounds is the round cap of a search that sets none, and the
-// default of every front end's round cap (the paper's 24-hour analog).
-const DefaultMaxRounds = 500
+// The defaults of a search that sets none, and of every front end's flags:
+// the round cap (the paper's 24-hour analog), the initial flexible-window
+// size k and the observable priority adjustment s.
+const (
+	DefaultMaxRounds = 500
+	DefaultWindow    = 10
+	DefaultAdjust    = 1
+)
 
 // Round records one injection round.
 type Round struct {

@@ -26,7 +26,7 @@ func BenchmarkEventThroughput(b *testing.B) {
 func BenchmarkScheduleCancel(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
-		s.ScheduleTimer("a", Time(i%1000), func() {}).Cancel()
+		s.ScheduleArg("a", Time(i%1000), func(interface{}) {}, nil).Cancel()
 	}
 }
 

@@ -11,14 +11,12 @@ package des
 type Cond struct {
 	sim     *Sim
 	label   string
-	waiters []*waiter
+	waiters []waiter
 }
 
 type waiter struct {
-	actor   string
-	fn      func()
-	timeout Timer // cancels the pending timeout event; zero is a no-op
-	fired   bool
+	actor string
+	fn    func()
 }
 
 // NewCond creates a condition variable. The label names what waiters are
@@ -27,52 +25,17 @@ func NewCond(sim *Sim, label string) *Cond {
 	return &Cond{sim: sim, label: label}
 }
 
-// Label returns the condition's label.
-func (c *Cond) Label() string { return c.label }
-
 // Waiters returns the number of parked actors.
 func (c *Cond) Waiters() int { return len(c.waiters) }
 
 // Wait parks the current step of actor until a Signal/Broadcast. fn runs on
 // the actor when woken.
 func (c *Cond) Wait(actor string, fn func()) {
-	w := &waiter{actor: actor, fn: fn}
-	c.waiters = append(c.waiters, w)
+	c.waiters = append(c.waiters, waiter{actor: actor, fn: fn})
 	c.sim.markBlocked(actor, c.label)
 }
 
-// WaitTimeout parks actor like Wait, but if the condition is not signalled
-// within d, onTimeout runs instead (exactly one of fn/onTimeout runs).
-func (c *Cond) WaitTimeout(actor string, d Time, fn, onTimeout func()) {
-	w := &waiter{actor: actor, fn: fn}
-	c.waiters = append(c.waiters, w)
-	c.sim.markBlocked(actor, c.label)
-	w.timeout = c.sim.ScheduleTimer(actor, d, func() {
-		if w.fired {
-			return
-		}
-		w.fired = true
-		c.remove(w)
-		c.sim.unmarkBlocked(actor)
-		onTimeout()
-	})
-}
-
-func (c *Cond) remove(w *waiter) {
-	for i, x := range c.waiters {
-		if x == w {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
-func (c *Cond) wake(w *waiter) {
-	if w.fired {
-		return
-	}
-	w.fired = true
-	w.timeout.Cancel()
+func (c *Cond) wake(w waiter) {
 	c.sim.unmarkBlocked(w.actor)
 	c.sim.Go(w.actor, w.fn)
 }

@@ -35,9 +35,9 @@ func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 // Event is a unit of work executed at a virtual instant on behalf of a
 // named actor (the simulated thread).
 //
-// Events are pooled: once executed (or skipped as cancelled/crashed) an
-// event returns to the Sim's freelist and is reused by a later Schedule,
-// so steady-state scheduling allocates nothing. gen guards stale cancel
+// Events are pooled: once executed (or skipped as cancelled) an event
+// returns to the Sim's freelist and is reused by a later Schedule, so
+// steady-state scheduling allocates nothing. gen guards stale cancel
 // handles across reuse: each recycling bumps it, and a Timer handed out
 // under an older generation becomes a no-op.
 type event struct {
@@ -119,7 +119,6 @@ type Sim struct {
 	current string // actor whose event is executing
 
 	executed int
-	stopped  bool
 
 	// free is the event freelist: executed and cancelled events are
 	// recycled here instead of being left to the garbage collector. The
@@ -130,13 +129,6 @@ type Sim struct {
 	// human-readable label of what they are waiting for. It backs the
 	// "thread stuck at X" oracles.
 	blocked map[string]string
-
-	// crashed actors refuse further events; used to model process aborts.
-	crashed map[string]bool
-
-	// OnIdle, if non-nil, is invoked when the event queue drains before the
-	// time horizon; it may schedule more work (e.g. a workload driver).
-	OnIdle func()
 
 	// EventBudget, when positive, caps how many events a single Run call may
 	// execute. A zero-delay self-scheduling loop never advances virtual time,
@@ -163,7 +155,6 @@ func New(seed int64) *Sim {
 	s := &Sim{
 		rng:     rand.New(rand.NewSource(seed)),
 		blocked: make(map[string]string),
-		crashed: make(map[string]bool),
 	}
 	return s
 }
@@ -181,11 +172,9 @@ func (s *Sim) Reset(seed int64) {
 		s.queue[i] = nil
 	}
 	clear(s.blocked)
-	clear(s.crashed)
 	clear(s.pathSeq)
 	*s = Sim{
-		queue: s.queue[:0], rng: s.rng, free: s.free,
-		blocked: s.blocked, crashed: s.crashed,
+		queue: s.queue[:0], rng: s.rng, free: s.free, blocked: s.blocked,
 		pathNodes: s.pathNodes[:0], pathSeq: s.pathSeq,
 	}
 	s.rng.Seed(seed)
@@ -251,7 +240,7 @@ func (s *Sim) post(actor string, delay Time, fn func()) *event {
 
 // Schedule runs fn on behalf of actor after delay. It hands out no
 // handle — nearly every caller (periodic ticks, message deliveries,
-// workload steps) never cancels; one that may uses ScheduleTimer.
+// workload steps) never cancels; one that may uses ScheduleArg.
 func (s *Sim) Schedule(actor string, delay Time, fn func()) { s.post(actor, delay, fn) }
 
 // Post is Schedule under its former name.
@@ -276,12 +265,6 @@ func (t Timer) Cancel() {
 	}
 }
 
-// ScheduleTimer is Schedule returning the handle that cancels the event.
-func (s *Sim) ScheduleTimer(actor string, delay Time, fn func()) Timer {
-	e := s.post(actor, delay, fn)
-	return Timer{e: e, gen: e.gen}
-}
-
 // postArg enqueues an event that calls fn(arg) — the argument travels in
 // the pooled event itself, so callers with per-event state (e.g. message
 // deliveries) can pass a struct to a shared top-level function instead of
@@ -298,7 +281,7 @@ func (s *Sim) PostArg(actor string, delay Time, fn func(interface{}), arg interf
 	s.postArg(actor, delay, fn, arg)
 }
 
-// ScheduleArg is ScheduleTimer for an argument-carrying event.
+// ScheduleArg is PostArg returning the handle that cancels the event.
 func (s *Sim) ScheduleArg(actor string, delay Time, fn func(interface{}), arg interface{}) Timer {
 	e := s.postArg(actor, delay, fn, arg)
 	return Timer{e: e, gen: e.gen}
@@ -329,7 +312,7 @@ func (ev *everyState) stop() { ev.stopped = true }
 
 func runEvery(x interface{}) {
 	ev := x.(*everyState)
-	if ev.stopped || ev.s.Crashed(ev.actor) {
+	if ev.stopped {
 		return
 	}
 	ev.fn()
@@ -347,31 +330,20 @@ func (s *Sim) Jitter(max Time) Time {
 	return Time(s.rng.Int63n(int64(max)))
 }
 
-// Crash marks an actor as crashed: its pending and future events are
-// silently discarded, modelling a process abort.
-func (s *Sim) Crash(actor string) { s.crashed[actor] = true }
-
-// Crashed reports whether the actor has been crashed. Run asks for every
-// event, and almost no run crashes anyone: the empty map is not probed.
-func (s *Sim) Crashed(actor string) bool { return len(s.crashed) != 0 && s.crashed[actor] }
-
-// Stop ends the simulation after the current event.
-func (s *Sim) Stop() { s.stopped = true }
-
 // Watch installs a context polled during Run; once ctx is cancelled the
 // current Run call returns after the in-flight event. Pass nil to clear.
 func (s *Sim) Watch(ctx context.Context) { s.watch = ctx }
 
 // BudgetExhausted reports whether a Run call stopped because it hit
-// EventBudget rather than draining, reaching the horizon, or Stop.
+// EventBudget rather than draining or reaching the horizon.
 func (s *Sim) BudgetExhausted() bool { return s.budgetHit }
 
 // Interrupted reports whether a Run call stopped because the watched
 // context was cancelled.
 func (s *Sim) Interrupted() bool { return s.watchHit }
 
-// Run executes events until the queue drains, the horizon passes, or Stop
-// is called. It returns the number of events executed.
+// Run executes events until the queue drains or the horizon passes. It
+// returns the number of events executed.
 //
 // Two watchdogs bound a Run call that would otherwise never end: when
 // EventBudget is positive, Run stops after executing that many events
@@ -384,7 +356,7 @@ func (s *Sim) Run(horizon Time) int {
 	s.budgetHit = false
 	s.watchHit = false
 	start := s.executed
-	for !s.stopped {
+	for {
 		if s.EventBudget > 0 && s.executed-start >= s.EventBudget {
 			s.budgetHit = true
 			break
@@ -395,14 +367,6 @@ func (s *Sim) Run(horizon Time) int {
 			break
 		}
 		if len(s.queue) == 0 {
-			if s.OnIdle != nil {
-				idle := s.OnIdle
-				s.OnIdle = nil
-				idle()
-				if len(s.queue) > 0 {
-					continue
-				}
-			}
 			break
 		}
 		e := s.queue.pop()
@@ -411,7 +375,7 @@ func (s *Sim) Run(horizon Time) int {
 			s.queue.push(e)
 			break
 		}
-		if e.canceled || s.Crashed(e.actor) {
+		if e.canceled {
 			s.release(e)
 			continue
 		}
@@ -457,10 +421,4 @@ func (s *Sim) BlockedOn(label string) bool {
 		}
 	}
 	return false
-}
-
-// BlockedActor returns the label the given actor is blocked on, if any.
-func (s *Sim) BlockedActor(actor string) (string, bool) {
-	l, ok := s.blocked[actor]
-	return l, ok
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // busyRun drives a seeded run through everything Reset has to undo: timers
-// (some cancelled, some left pending past the horizon), recurring ticks, a
-// crashed actor, actors parked on conditions, random draws and — when paths
-// is set — a call tree. It returns a transcript of what the run observed.
+// (some cancelled, some left pending past the horizon), recurring ticks,
+// actors parked on conditions, random draws and — when paths is set — a call
+// tree. It returns a transcript of what the run observed.
 func busyRun(s *Sim, paths bool) []string {
 	var log []string
 	note := func(format string, args ...interface{}) {
@@ -24,7 +24,7 @@ func busyRun(s *Sim, paths bool) []string {
 	for i := 0; i < 30; i++ {
 		i := i
 		actor := fmt.Sprintf("a%d", i%4)
-		t := s.ScheduleTimer(actor, s.Jitter(900*Millisecond), func() {
+		t := s.ScheduleArg(actor, s.Jitter(900*Millisecond), func(interface{}) {
 			note("step %d draw %d", i, s.Rand().Intn(1000))
 			if i%5 == 0 {
 				s.PostArgPath(actor, s.Jitter(Millisecond), func(x interface{}) { note("child of %v", x) }, i, s.PathExtend("edge"))
@@ -32,23 +32,22 @@ func busyRun(s *Sim, paths bool) []string {
 			if i%7 == 0 {
 				cond.Wait(actor, func() { note("woken %d", i) })
 			}
-		})
+		}, nil)
 		if i%6 == 0 {
 			t.Cancel()
 		}
 	}
 	stop := s.Every("ticker", 100*Millisecond, func() { note("tick") })
-	s.Schedule("a1", 450*Millisecond, func() { s.Crash("a2"); cond.Signal(); note("crashed a2") })
+	s.Schedule("a1", 450*Millisecond, func() { cond.Signal(); note("signalled") })
 	s.Schedule("a3", 2*Second, func() { note("past the horizon") }) // left pending
-	s.OnIdle = func() { note("idle") }
 	n := s.Run(Second)
 	stop()
-	return append(log, fmt.Sprintf("events=%d executed=%d blocked=%v crashed=%v nodes=%d",
-		n, s.Executed(), s.Blocked(), s.Crashed("a2"), len(s.pathNodes)))
+	return append(log, fmt.Sprintf("events=%d executed=%d blocked=%v nodes=%d",
+		n, s.Executed(), s.Blocked(), len(s.pathNodes)))
 }
 
 // TestResetMatchesNew: a simulation Reset to a seed — whatever it ran before,
-// under whatever watchdogs, stopped wherever — is New(seed): the same run
+// under whatever watchdog, stopped wherever — is New(seed): the same run
 // produces the same transcript, and the used one did not have to allocate its
 // events again.
 func TestResetMatchesNew(t *testing.T) {
@@ -65,7 +64,6 @@ func TestResetMatchesNew(t *testing.T) {
 			s.Watch(ctx)
 		}
 		busyRun(s, pathsA)
-		s.Stop()
 		s.Reset(seedB)
 		if s.Now() != 0 || s.Executed() != 0 || s.PathTracking() || s.BudgetExhausted() || s.Interrupted() || len(s.Blocked()) != 0 {
 			t.Errorf("Reset left state behind: now=%d executed=%d", s.Now(), s.Executed())
@@ -123,7 +121,7 @@ func TestResetReleasesPendingEvents(t *testing.T) {
 	ran := false
 	var timers []Timer
 	for i := 0; i < 250; i++ { // AllocsPerRun below posts 2 x 100
-		timers = append(timers, s.ScheduleTimer("a", Time(i+1)*Second, func() { ran = true }))
+		timers = append(timers, s.ScheduleArg("a", Time(i+1)*Second, func(interface{}) { ran = true }, nil))
 	}
 	s.Run(Millisecond)
 	s.Reset(2)

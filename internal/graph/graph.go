@@ -206,20 +206,3 @@ func (g *Graph) SiteDistances() map[string]map[string]int {
 	}
 	return res
 }
-
-// ReachableSites returns the fault sites with a path to at least one of the
-// given log templates — the "inferred" fault-site set of Table 1.
-func (g *Graph) ReachableSites(templates map[string]bool) []string {
-	dist := g.SiteDistances()
-	var out []string
-	for site, m := range dist {
-		for tmpl := range m {
-			if templates[tmpl] {
-				out = append(out, site)
-				break
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}

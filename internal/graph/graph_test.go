@@ -79,18 +79,6 @@ func TestSiteDistances(t *testing.T) {
 	}
 }
 
-func TestReachableSites(t *testing.T) {
-	g := buildDiamond(t)
-	g.AddNode(Node{ID: "lonely", Kind: NewException, Site: "sys.lonely"})
-	got := g.ReachableSites(map[string]bool{"retrying": true})
-	if len(got) != 1 || got[0] != "sys.op" {
-		t.Fatalf("reachable: %v", got)
-	}
-	if got := g.ReachableSites(map[string]bool{"unknown": true}); len(got) != 0 {
-		t.Fatalf("unexpected reachable: %v", got)
-	}
-}
-
 func TestFaultSitesAndLogStatements(t *testing.T) {
 	g := buildDiamond(t)
 	sites := g.FaultSites()

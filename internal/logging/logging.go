@@ -128,9 +128,6 @@ func (l *Log) record(i int) Record {
 	return Record{Time: l.times[i], Thread: e.Thread, Level: e.Level, Msg: e.Msg}
 }
 
-// Len reports the number of records emitted so far without copying.
-func (l *Log) Len() int { return len(l.entries) }
-
 func (l *Log) emit(level Level, format string, args ...interface{}) {
 	thread := "main"
 	var at des.Time

@@ -55,17 +55,6 @@ func ThreadStuck(label string) Oracle {
 	}
 }
 
-// ActorStuck is satisfied when a specific actor is blocked on the label.
-func ActorStuck(actor, label string) Oracle {
-	return Oracle{
-		Name: fmt.Sprintf("%s stuck at %q", actor, label),
-		Check: func(r *cluster.Result) bool {
-			l, ok := r.Env.Sim.BlockedActor(actor)
-			return ok && l == label
-		},
-	}
-}
-
 // FileMissing is satisfied when the given path does not exist on the
 // simulated disk — an external-state symptom (e.g. a lost checkpoint).
 func FileMissing(path string) Oracle {

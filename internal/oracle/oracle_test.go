@@ -51,11 +51,8 @@ func TestThreadStuckOracles(t *testing.T) {
 	if ThreadStuck("other-label").Satisfied(r) {
 		t.Fatal("wrong label matched")
 	}
-	if !ActorStuck("writer-1", "wait-ack").Satisfied(r) {
-		t.Fatal("ActorStuck failed")
-	}
-	if ActorStuck("writer-2", "wait-ack").Satisfied(r) {
-		t.Fatal("wrong actor matched")
+	if got := r.Env.Sim.Blocked(); len(got) != 1 || got[0] != "writer-1: wait-ack" {
+		t.Fatalf("blocked: %v, want only writer-1 on wait-ack", got)
 	}
 }
 

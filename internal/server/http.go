@@ -13,7 +13,8 @@ import (
 //
 //	POST /jobs              submit a spec → 202 (accepted) or 200 (deduped)
 //	                        429 + Retry-After when the queue is full,
-//	                        400 invalid spec, 503 draining
+//	                        400 invalid spec, 413 body over 64 KiB,
+//	                        503 draining
 //	GET  /jobs              all job records, sorted by key
 //	GET  /jobs/{key}        one job record
 //	GET  /jobs/{key}/report final report; ?canonical=1 for the
@@ -49,12 +50,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSpecBytes bounds a submitted body; a normalized spec is under 1 KB.
+const maxSpecBytes = 64 << 10
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	var spec Spec
 	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("decode spec: %w", err))
 		return
 	}
 	job, deduped, err := s.Submit(spec)

@@ -157,6 +157,29 @@ func TestHTTPErrorStatuses(t *testing.T) {
 	}
 }
 
+// A body over the 64 KiB bound is refused with 413 before it is decoded:
+// the request is a valid spec padded with whitespace to 1 MiB, so only its
+// size turns it away, and it neither registers a job nor runs one.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"failure":"f4",` + strings.Repeat(" ", 1<<20) + `"seed":5}`
+	jobs, execs := len(s.Jobs()), s.Executions()
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MiB POST = %d, want 413", resp.StatusCode)
+	}
+	if len(s.Jobs()) != jobs || s.Executions() != execs {
+		t.Fatalf("an oversized body changed the daemon: %d jobs, %d executions", len(s.Jobs()), s.Executions())
+	}
+}
+
 // Overload surfaces as 429 with a Retry-After the client can obey.
 func TestHTTPOverloadRetryAfter(t *testing.T) {
 	s := newServer(t, Config{Workers: 1, QueueCap: 1})

@@ -47,8 +47,8 @@ type Spec struct {
 	Seed     int64  `json:"seed,omitempty"`     // master seed; default 1
 
 	MaxRounds    int `json:"max_rounds,omitempty"`     // round cap; default core.DefaultMaxRounds
-	Window       int `json:"window,omitempty"`         // initial flexible window k; default 10
-	Adjust       int `json:"adjust,omitempty"`         // priority adjustment s; default 1
+	Window       int `json:"window,omitempty"`         // initial flexible window k; default core.DefaultWindow
+	Adjust       int `json:"adjust,omitempty"`         // priority adjustment s; default core.DefaultAdjust
 	RunsPerRound int `json:"runs_per_round,omitempty"` // extra seeds per round; default 1
 
 	// FaultClasses widens the fault space ("site", "env", "pair",
@@ -79,10 +79,10 @@ func (sp Spec) Normalize() Spec {
 		sp.MaxRounds = core.DefaultMaxRounds
 	}
 	if sp.Window == 0 {
-		sp.Window = 10
+		sp.Window = core.DefaultWindow
 	}
 	if sp.Adjust == 0 {
-		sp.Adjust = 1
+		sp.Adjust = core.DefaultAdjust
 	}
 	if sp.RunsPerRound == 0 {
 		sp.RunsPerRound = 1

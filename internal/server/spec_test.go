@@ -12,7 +12,7 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 	sp := Spec{Failure: "f4"}.Normalize()
 	want := Spec{
 		Failure: "f4", Strategy: string(core.FullFeedback), Seed: 1,
-		MaxRounds: 500, Window: 10, Adjust: 1, RunsPerRound: 1,
+		MaxRounds: core.DefaultMaxRounds, Window: core.DefaultWindow, Adjust: core.DefaultAdjust, RunsPerRound: 1,
 		Addressing: string(core.AddrOccurrence),
 	}
 	if !reflect.DeepEqual(sp, want) {

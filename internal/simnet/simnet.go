@@ -65,11 +65,10 @@ type Net struct {
 	calls     [][]call
 	nextCall  int
 
-	// OnCrash, when set, executes a node-crash environment fault: take
-	// the node down, tear down its runtime state, and restart it with
-	// recovered state after restartAfter elapses. cluster.NewEnv wires it
-	// to the registered node controls; when nil the net itself toggles
-	// the node's down-state around the outage.
+	// OnCrash executes a node-crash environment fault: take the node
+	// down, tear down its runtime state, and restart it with recovered
+	// state after restartAfter elapses. cluster.NewEnv wires it to the
+	// registered node controls; a net that arms env/crash needs it set.
 	OnCrash func(node string, restartAfter des.Time)
 }
 
@@ -269,18 +268,10 @@ func (n *Net) applyPartial(site, from, to string) (err error, dupAfter des.Time)
 // explorer's marker-match ranking sees exactly what the network logs.
 func (n *Net) logMarker(f inject.PseudoFault) { n.log.Warnf("%s", f.Marker()) }
 
-// crashNode executes an injected crash fault.
+// crashNode executes an injected crash fault through OnCrash.
 func (n *Net) crashNode(f inject.PseudoFault) {
 	n.logMarker(f)
-	if n.OnCrash != nil {
-		n.OnCrash(f.Subject, f.Duration)
-		return
-	}
-	n.SetDown(f.Subject, true)
-	n.sim.Schedule("env-restart", f.Duration, func() {
-		n.SetDown(f.Subject, false)
-		n.log.Infof("env: node %s restarted", f.Subject)
-	})
+	n.OnCrash(f.Subject, f.Duration)
 }
 
 // cutPair executes an injected partition fault: a symmetric cut that
