@@ -113,6 +113,8 @@ type siteState struct {
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
 	bestVal float64 // sum-aggregation ablation: bestObs's partial priority
+
+	pick pickMemo // bestUntried's last answer and the inputs it read
 }
 
 // engine holds all mutable search state for one Reproduce call. A fresh
@@ -168,6 +170,11 @@ type engine struct {
 	// the reference a recycled search must equal. Only export_test.go sets
 	// it.
 	freshEnvs bool
+
+	// checkPick, when set, is handed every bestUntried answer's inputs
+	// after the answer is settled, memo hit or not, so a test can hold it
+	// to a fresh scan. Only export_test.go sets it.
+	checkPick func(s *siteState, useTemporal bool, limit int)
 
 	// strategy is the strategyTable row the search runs, resolved by
 	// prepare. window is the flexible-window size the next round selects

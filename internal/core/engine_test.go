@@ -147,6 +147,30 @@ func TestBestUntriedTemporalVsOrder(t *testing.T) {
 	}
 }
 
+// TestBestUntriedMemoFollowsFeedback: feedback that moves a site's best
+// observable moves its best untried instance with it, though nothing was
+// tried in between — the memo keyed on the tried set alone would keep the
+// stale pick. s.both measures from beta@200 (occ 2 at 195 is nearest)
+// until beta turns expensive, then from alpha@100 (occ 1 at 90).
+func TestBestUntriedMemoFollowsFeedback(t *testing.T) {
+	e := stubEngine(Options{})
+	e.computePriorities()
+	var both *siteState
+	for _, s := range e.sites {
+		if s.id == "s.both" {
+			both = s
+		}
+	}
+	if inst, ok := e.bestUntried(both, true, 0); !ok || inst.occ != 2 {
+		t.Fatalf("under beta: %+v ok=%v, want occ 2", inst, ok)
+	}
+	e.obs[1].priority = 10
+	e.computePriorities()
+	if inst, ok := e.bestUntried(both, true, 0); !ok || inst.occ != 1 {
+		t.Fatalf("under alpha: %+v ok=%v, want occ 1", inst, ok)
+	}
+}
+
 func TestRankedSitesStable(t *testing.T) {
 	e := stubEngine(Options{})
 	ranked := e.rankedSites()

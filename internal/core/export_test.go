@@ -15,6 +15,20 @@ func ReproduceFresh(t *Target, o Options) *Report {
 	return e.run()
 }
 
+// ReproduceCheckingPicks is Reproduce with every bestUntried answer — a
+// memo hit or a fresh scan — compared against a scan of its own; it
+// returns how many answers were checked and how many differed.
+func ReproduceCheckingPicks(t *Target, o Options) (rep *Report, checked, differed int) {
+	e := newEngine(t, o.withDefaults(), new(workspace))
+	e.checkPick = func(s *siteState, useTemporal bool, limit int) {
+		checked++
+		if inst, found := e.scanUntried(s, useTemporal, limit); found != s.pick.found || inst != s.pick.inst {
+			differed++
+		}
+	}
+	return e.run(), checked, differed
+}
+
 // A Workspace is a search's working memory held outside the pool, so that a
 // test chooses which search used it last.
 type Workspace struct{ ws workspace }
@@ -55,8 +69,12 @@ func (p *Prepared) ExhaustSingleFaults() {
 	}
 }
 
-// FillWindow is one round's temporal candidate selection.
+// FillWindow is one round's temporal candidate selection from cold: every
+// site's memoized pick is dropped first, so each call scans.
 func (p *Prepared) FillWindow(window int) []inject.Instance {
+	for _, s := range p.e.sites {
+		s.pick.valid = false
+	}
 	return p.e.fillWindow(p.ranked, window, true, 0)
 }
 

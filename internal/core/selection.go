@@ -57,8 +57,37 @@ func (e *engine) nearestObs(pos float64) float64 {
 	return best
 }
 
-// bestUntried returns the site's highest-priority untried instance.
+// pickMemo is a site's last bestUntried answer with everything the answer
+// read that can change between rounds: how many instances are tried (the
+// set only grows, so an equal size is an equal set), the best observable
+// the temporal score measures from, and the selection parameters.
+// Instances, observable positions and pair scores are fixed at setup.
+type pickMemo struct {
+	valid    bool
+	tried    int
+	bestObs  int
+	limit    int
+	temporal bool
+	inst     instance
+	found    bool
+}
+
+// bestUntried returns the site's highest-priority untried instance: the
+// memoized answer while none of its inputs has moved, else a fresh scan.
 func (e *engine) bestUntried(s *siteState, useTemporal bool, limit int) (instance, bool) {
+	m := &s.pick
+	if !m.valid || m.tried != s.tried.Len() || m.bestObs != s.bestObs || m.limit != limit || m.temporal != useTemporal {
+		inst, found := e.scanUntried(s, useTemporal, limit)
+		*m = pickMemo{valid: true, tried: s.tried.Len(), bestObs: s.bestObs, limit: limit, temporal: useTemporal, inst: inst, found: found}
+	}
+	if e.checkPick != nil {
+		e.checkPick(s, useTemporal, limit)
+	}
+	return m.inst, m.found
+}
+
+// scanUntried is bestUntried computed from scratch.
+func (e *engine) scanUntried(s *siteState, useTemporal bool, limit int) (instance, bool) {
 	bestScore := math.Inf(1)
 	var best instance
 	found := false

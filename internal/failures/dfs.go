@@ -17,10 +17,11 @@ var dfsSrc = []string{"internal/sys/dfs"}
 // not be judged (a panic, a livelock) is not the instance.
 func searchOccurrence(s *Scenario, free *cluster.Result, seed int64, site string) (inject.Instance, bool) {
 	n := free.Env.FI.Counts()[site]
+	var env *cluster.Env
 	for occ := 1; occ <= n; occ++ {
 		inst := inject.Instance{Site: site, Occurrence: occ}
-		res, err := cluster.Run(nil, nil, seed, inject.Exact(inst), s.Workload, s.Horizon, 0)
-		if err == nil && s.Oracle.Satisfied(res) {
+		var ok bool
+		if ok, env = s.trial(env, seed, inject.Exact(inst), 0); ok {
 			return inst, true
 		}
 	}

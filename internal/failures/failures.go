@@ -125,26 +125,47 @@ func (s *Scenario) features() inject.Features {
 // GroundTruth finds the root-cause instance under the given seed. A free
 // run that panics or livelocks is a *cluster.TrialError.
 func (s *Scenario) GroundTruth(seed int64) (inject.Instance, error) {
+	inst, _, err := s.groundTruth(seed)
+	return inst, err
+}
+
+// groundTruth is GroundTruth also returning the free run FindRoot read,
+// whose environment the caller may release.
+func (s *Scenario) groundTruth(seed int64) (inject.Instance, *cluster.Result, error) {
 	free, err := cluster.Run(nil, nil, seed, nil, s.Workload, s.Horizon, s.features())
 	if err != nil {
-		return inject.Instance{}, fmt.Errorf("%s: free run: %w", s.ID, err)
+		return inject.Instance{}, nil, fmt.Errorf("%s: free run: %w", s.ID, err)
 	}
 	inst, ok := s.FindRoot(free, seed)
 	if !ok {
-		return inject.Instance{}, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
+		return inject.Instance{}, nil, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
 	}
-	return inst, nil
+	return inst, free, nil
+}
+
+// trial runs one candidate of a ground-truth search in env (nil: a fresh
+// one) and reports whether it satisfies the scenario's oracle, with the
+// environment the next trial may run in: this one's after a clean run,
+// nil after one that could not be judged (a panic, a livelock), which
+// does not satisfy the oracle either.
+func (s *Scenario) trial(env *cluster.Env, seed int64, plan *inject.Plan, feats inject.Features) (bool, *cluster.Env) {
+	res, err := cluster.Run(nil, env, seed, plan, s.Workload, s.Horizon, feats)
+	if err != nil {
+		return false, nil
+	}
+	return s.Oracle.Satisfied(res), res.Release()
 }
 
 // FailureLog produces the production failure log: one run with the
-// ground-truth fault injected, rendered to text and parsed back. A run
-// that panics or livelocks is a *cluster.TrialError.
+// ground-truth fault injected, in the free run's environment, rendered to
+// text and parsed back. A run that panics or livelocks is a
+// *cluster.TrialError.
 func (s *Scenario) FailureLog() ([]logging.Entry, error) {
-	inst, err := s.GroundTruth(FailureSeed)
+	inst, free, err := s.groundTruth(FailureSeed)
 	if err != nil {
 		return nil, err
 	}
-	res, err := cluster.Run(nil, nil, FailureSeed, inject.Exact(inst), s.Workload, s.Horizon, s.features())
+	res, err := cluster.Run(nil, free.Release(), FailureSeed, inject.Exact(inst), s.Workload, s.Horizon, s.features())
 	if err != nil {
 		return nil, fmt.Errorf("%s: ground-truth run: %w", s.ID, err)
 	}

@@ -40,19 +40,6 @@ import (
 // site and env classes pure noise for them.
 var pairClasses = []string{core.ClassPair}
 
-// trialPair injects both members of a candidate pair in one run and
-// reports whether the scenario's oracle is satisfied; on success the
-// combined pair instance is returned for replay. A trial that could not be
-// judged (a panic, a livelock) does not satisfy it.
-func trialPair(s *Scenario, seed int64, a, b inject.Instance) (inject.Instance, bool) {
-	pi := inject.PairInstance(a, b)
-	res, err := cluster.Run(nil, nil, seed, inject.Exact(pi), s.Workload, s.Horizon, s.features())
-	if err == nil && s.Oracle.Satisfied(res) {
-		return pi, true
-	}
-	return inject.Instance{}, false
-}
-
 func init() {
 	register(&Scenario{
 		ID:          "f30",
@@ -90,11 +77,12 @@ func init() {
 			// stream — so scan persist occurrences from the top. The hint
 			// member is scanned in attempt order.
 			counts := free.Env.FI.Counts()
+			var env *cluster.Env
 			for y := counts[pr]; y >= 1; y-- {
 				for x := 1; x <= counts[rh]; x++ {
-					a := inject.Instance{Site: rh, Occurrence: x}
-					b := inject.Instance{Site: pr, Occurrence: y}
-					if pi, ok := trialPair(s, seed, a, b); ok {
+					pi := inject.PairInstance(inject.Instance{Site: rh, Occurrence: x}, inject.Instance{Site: pr, Occurrence: y})
+					var ok bool
+					if ok, env = s.trial(env, seed, inject.Exact(pi), s.features()); ok {
 						return pi, true
 					}
 				}
@@ -131,11 +119,12 @@ func init() {
 			// heads rotate round-robin, so which combinations land on
 			// distinct datanodes depends on block numbering — trial-inject.
 			n := free.Env.FI.Counts()[cd]
+			var env *cluster.Env
 			for x := 1; x <= n; x++ {
 				for y := x + 1; y <= n; y++ {
-					a := inject.Instance{Site: cd, Occurrence: x}
-					b := inject.Instance{Site: cd, Occurrence: y}
-					if pi, ok := trialPair(s, seed, a, b); ok {
+					pi := inject.PairInstance(inject.Instance{Site: cd, Occurrence: x}, inject.Instance{Site: cd, Occurrence: y})
+					var ok bool
+					if ok, env = s.trial(env, seed, inject.Exact(pi), s.features()); ok {
 						return pi, true
 					}
 				}

@@ -199,6 +199,7 @@ type Runtime struct {
 
 	sites      map[string]*siteRec
 	reached    []*siteRec            // the records this run has counted, in first-reach order
+	armed      []*siteRec            // the records of the plan's sites, marked armed
 	pathCounts map[pathSiteKey]int32 // per-(path context, site) occurrence counters
 	trace      [][]TraceEvent        // the kept trace, TraceChunk events a chunk: growing copies nothing
 	injected   []TraceEvent
@@ -246,16 +247,37 @@ func (r *Runtime) Reset(plan *Plan) {
 	for _, rec := range r.reached {
 		rec.count = 0
 	}
+	for _, rec := range r.armed {
+		rec.armed = false
+	}
 	clear(r.pathCounts)
 	*r = Runtime{
 		LogPos: r.LogPos, Thread: r.Thread, Now: r.Now, Paths: r.Paths,
-		plan: plan, sites: r.sites, reached: r.reached[:0], pathCounts: r.pathCounts,
+		plan: plan, sites: r.sites, reached: r.reached[:0], armed: r.armed[:0], pathCounts: r.pathCounts,
 		trace: r.trace[:0], injected: r.injected[:0], KeepTrace: true,
 	}
 	if plan != nil {
 		plan.Reset()
 		r.budget, r.features = plan.Budget(), plan.Features()
+		for i := range plan.members {
+			// A member matches only reaches of its own site (see Plan.add).
+			if rec := r.rec(plan.members[i].inst.Site); !rec.armed {
+				rec.armed = true
+				r.armed = append(r.armed, rec)
+			}
+		}
 	}
+}
+
+// rec is site's record in the table, added at count zero if the site has
+// none yet.
+func (r *Runtime) rec(site string) *siteRec {
+	rec := r.sites[site]
+	if rec == nil {
+		rec = &siteRec{site: site}
+		r.sites[site] = rec
+	}
+	return rec
 }
 
 // Enable switches features on for the run (there is no switching off: a
@@ -269,15 +291,17 @@ func (r *Runtime) Enable(f Features) { r.features |= f }
 // run without the feature builds no pseudo-site ID and counts nothing.
 func (r *Runtime) Active(f Features) bool { return r.features&f == f }
 
-// siteRec is one site's dynamic state: its occurrence counter and, for a
-// pseudo-site, the fault template its ID parsed to (zero Class otherwise).
-// Reach runs on every instrumented call in every simulated run, so
-// everything per-site shares a single map entry probed once — and a
-// pseudo-site's ID is parsed once, not once per message. A count of zero
-// is a site this run has not reached: a record a Reset left behind.
+// siteRec is one site's dynamic state: its occurrence counter, whether a
+// member of the run's plan is at the site, and, for a pseudo-site, the
+// fault template its ID parsed to (zero Class otherwise). Reach runs on
+// every instrumented call in every simulated run, so everything per-site
+// shares a single map entry probed once — and a pseudo-site's ID is parsed
+// once, not once per message. A count of zero is a site this run has not
+// reached: a record a Reset left behind, or made to mark the site armed.
 type siteRec struct {
 	site   string
 	count  int
+	armed  bool
 	pseudo PseudoFault
 }
 
@@ -320,17 +344,20 @@ func (r *Runtime) PathOf(site string, at PathKey) string {
 // decide consults the plan for one reach. Every fault class — error
 // sites and env pseudo-sites alike — shares this single gate, so once
 // the round's injection budget is spent no class consults the plan
-// again: one Decide stream per round, short-circuited uniformly.
-func (r *Runtime) decide(site string, occ int, at PathKey) bool {
+// again: one Decide stream per round, short-circuited uniformly. Every
+// reach before then counts as a decision, but only one at an armed site
+// calls Decide: a member matches only reaches of its own site, so Decide
+// answers false everywhere else.
+func (r *Runtime) decide(rec *siteRec, occ int, at PathKey) bool {
 	if r.plan == nil || len(r.injected) >= r.budget {
 		return false
 	}
 	r.decisions++
 	if r.decisions%decideSample != 1 {
-		return r.plan.Decide(site, occ, at, r.Paths)
+		return rec.armed && r.plan.Decide(rec.site, occ, at, r.Paths)
 	}
 	start := time.Now()
-	inject := r.plan.Decide(site, occ, at, r.Paths)
+	inject := rec.armed && r.plan.Decide(rec.site, occ, at, r.Paths)
 	r.decNanos += time.Since(start).Nanoseconds()
 	return inject
 }
@@ -387,7 +414,7 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 	if r.Active(PathAddressing) {
 		at = r.address(site, occ, rooted)
 	}
-	inject = r.decide(site, occ, at)
+	inject = r.decide(rec, occ, at)
 
 	if r.KeepTrace || inject {
 		r.record(site, occ, at, inject, amp)
@@ -398,11 +425,7 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 // Reach is the instrumented hook at a fault site. It records the dynamic
 // occurrence and returns a non-nil *Fault if the plan injects here.
 func (r *Runtime) Reach(site string, kind Kind) error {
-	rec := r.sites[site]
-	if rec == nil {
-		rec = &siteRec{site: site}
-		r.sites[site] = rec
-	}
+	rec := r.rec(site)
 	if occ, inject := r.reach(site, rec, false, 0); inject {
 		return &Fault{Kind: kind, Site: site, Occurrence: occ}
 	}
@@ -432,8 +455,7 @@ func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 			return PseudoFault{}, false
 		}
 		if rec == nil {
-			rec = &siteRec{site: site}
-			r.sites[site] = rec
+			rec = r.rec(site)
 		}
 		rec.pseudo = f
 	}

@@ -102,7 +102,12 @@ func (p *Plan) add(cand int, m Instance) {
 	} else {
 		canonical := true
 		if m.key == 0 {
-			m.key, canonical = PathHash(m.Path)
+			var site string
+			if site, m.key, canonical = pathSiteHash(m.Path); canonical {
+				// The only reach this member can match is at the site its
+				// path ends in, whatever Site said.
+				m.Site = site
+			}
 		}
 		if _, dup := p.byPath[m.key]; canonical && !dup {
 			if p.byPath == nil {

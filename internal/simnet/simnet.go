@@ -150,7 +150,8 @@ func (n *Net) Handle(node, msgType, actor string, h Handler) {
 
 // SetDown marks a node as unreachable (connection errors for senders).
 // Bringing it back deletes its entry, as a Partition heal does, so a map
-// with nothing down is empty and reachability can skip it.
+// with nothing down is empty and reachability and the three delivery
+// legs (a send, a call's request, its response) skip probing it.
 func (n *Net) SetDown(node string, down bool) {
 	if !down {
 		delete(n.down, node)
@@ -311,7 +312,7 @@ func runSend(x interface{}) {
 	n, msg, ep := d.n, d.msg, d.ep
 	d.msg, d.ep = Message{}, endpoint{} // drop payload references
 	n.sendPool = append(n.sendPool, d)
-	if n.down[msg.To] {
+	if len(n.down) != 0 && n.down[msg.To] {
 		return
 	}
 	ep.handler(msg, nil)
@@ -378,7 +379,7 @@ type call struct {
 // the caller's actor after one more latency draw.
 func (c *call) respond(payload interface{}, err error) {
 	n := c.n
-	if n.down[c.msg.To] {
+	if len(n.down) != 0 && n.down[c.msg.To] {
 		return // responder went down before responding; caller times out
 	}
 	var r *reply
@@ -438,7 +439,7 @@ func runCallTimeout(x interface{}) {
 // runCallRequest delivers the request leg to the remote handler.
 func runCallRequest(x interface{}) {
 	c := x.(*call)
-	if c.n.down[c.msg.To] {
+	if len(c.n.down) != 0 && c.n.down[c.msg.To] {
 		return // request lost; caller times out
 	}
 	c.ep.handler(c.msg, c.respondFn)

@@ -2,7 +2,7 @@ package dyn
 
 import (
 	"slices"
-	"sort"
+	"strings"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -24,19 +24,53 @@ const (
 func (c *Cluster) expectPut(key, val string) { c.expect(key, val) }
 func (c *Cluster) expectDelete(key string)   { c.expect(key, tombSentinel) }
 
-// expect records a key's acknowledged state. The key set only grows, so
-// the sorted key list the audit walks every tick is maintained here, at
-// insertion, instead of being rebuilt and sorted per tick.
-func (c *Cluster) expect(key, val string) {
-	if _, known := c.expected[key]; !known {
-		i := sort.SearchStrings(c.expectedKeys, key)
-		c.expectedKeys = slices.Insert(c.expectedKeys, i, key)
-		c.auditOwners = slices.Insert(c.auditOwners, i, nil)
-	}
-	c.expected[key] = val
+const tombSentinel = "\x00deleted"
+
+// ackRec is the audit's record of one acknowledged key: the state clients
+// were told it has, its owners under the audit ring, and the verdict the
+// audit last reached on it. A record's verdict can only change when its
+// acknowledged state, one of its replicas or the latest ring changes, so
+// each of those queues the key (touch) and a tick judges the queued keys
+// alone — unless the ring moved, when it judges every record.
+type ackRec struct {
+	key     string
+	acked   string   // the acknowledged value, or tombSentinel
+	holders []string // the key's owners under Cluster.auditRing; nil = not resolved yet
+	apart   bool     // some holder disagrees with acked, as last judged
+	queued  bool     // on Cluster.recheck
 }
 
-const tombSentinel = "\x00deleted"
+// expect records a key's acknowledged state. The key set only grows, and
+// a new key's record is inserted in key order, which is how ack finds it.
+func (c *Cluster) expect(key, val string) {
+	i, found := slices.BinarySearchFunc(c.acks, key, compareAckKey)
+	if !found {
+		c.acks = slices.Insert(c.acks, i, ackRec{key: key})
+	}
+	c.acks[i].acked = val
+	c.touch(key)
+}
+
+func compareAckKey(a ackRec, key string) int { return strings.Compare(a.key, key) }
+
+// ack returns key's record, nil if clients have had no write of key
+// acknowledged. The pointer is good until the next expect of a new key.
+func (c *Cluster) ack(key string) *ackRec {
+	if i, found := slices.BinarySearchFunc(c.acks, key, compareAckKey); found {
+		return &c.acks[i]
+	}
+	return nil
+}
+
+// touch queues key, if clients have had it acknowledged, for the next
+// tick to judge again. Every write or delete of a replica's copy of a key
+// calls it, and so does expect.
+func (c *Cluster) touch(key string) {
+	if ack := c.ack(key); ack != nil && !ack.queued {
+		ack.queued = true
+		c.recheck = append(c.recheck, key)
+	}
+}
 
 // startAudit runs the convergence audit: under the latest ring every
 // owner of every acknowledged key must hold exactly the acknowledged
@@ -46,30 +80,11 @@ const tombSentinel = "\x00deleted"
 func (c *Cluster) startAudit() {
 	env := c.env
 	env.Sim.Every("dyn-audit", auditPeriod, func() {
-		ring := c.latestRing()
-		if ring != c.auditRing {
-			c.auditRing = ring
-			clear(c.auditOwners)
+		c.judgeTouched()
+		if auditTicked != nil {
+			auditTicked(c)
 		}
-		divergent := 0
-		for i, key := range c.expectedKeys {
-			want := c.expected[key]
-			if c.auditOwners[i] == nil {
-				c.auditOwners[i] = c.ownerNodes(ring, key)
-			}
-			for _, owner := range c.auditOwners[i] {
-				set := owner.store[key]
-				if want == tombSentinel {
-					if len(set) == 0 || (len(set) == 1 && set[0].Tomb) {
-						continue
-					}
-				} else if len(set) == 1 && !set[0].Tomb && set[0].Val == want {
-					continue
-				}
-				divergent++
-				break
-			}
-		}
+		divergent := c.apartKeys
 		now := env.Sim.Now()
 		if divergent > 0 {
 			if !c.divergent {
@@ -93,16 +108,62 @@ func (c *Cluster) startAudit() {
 	})
 }
 
-// ownerNodes resolves a key's preference list under ring to the nodes
-// themselves. Ownership is a function of (ring, key) and the audit asks
-// for it every tick, so it keeps the answer until the latest ring changes.
-func (c *Cluster) ownerNodes(ring *Ring, key string) []*Node {
-	names := ring.PreferenceList(key, c.cfg.N)
-	nodes := make([]*Node, len(names))
-	for i, name := range names {
-		nodes[i] = c.byName[name]
+// auditTicked, when set, is handed the cluster at every audit tick once
+// the tick has judged; the audit's tests hold its count to a full scan.
+var auditTicked func(*Cluster)
+
+// judgeTouched brings apartKeys up to date: it judges the records of the
+// keys touched since the last tick, or — when the latest ring is not the
+// one the holders were resolved under — every record, with its holders
+// resolved again. The count it leaves is the one a judgement of every
+// record under the latest ring gives.
+func (c *Cluster) judgeTouched() {
+	if ring := c.latestRing(); ring != c.auditRing {
+		c.auditRing = ring
+		for i := range c.acks {
+			ack := &c.acks[i]
+			ack.holders, ack.queued = nil, false
+			c.judge(ack)
+		}
+	} else {
+		for _, key := range c.recheck {
+			ack := c.ack(key)
+			ack.queued = false
+			c.judge(ack)
+		}
 	}
-	return nodes
+	c.recheck = c.recheck[:0]
+}
+
+// judge re-reaches one record's verdict and keeps apartKeys in step.
+func (c *Cluster) judge(ack *ackRec) {
+	if ack.holders == nil {
+		ack.holders = c.auditRing.PreferenceList(ack.key, c.cfg.N)
+	}
+	apart := false
+	for _, name := range ack.holders {
+		if !holdsAcked(c.byName[name].store[ack.key], ack.acked) {
+			apart = true
+			break
+		}
+	}
+	if apart != ack.apart {
+		ack.apart = apart
+		if apart {
+			c.apartKeys++
+		} else {
+			c.apartKeys--
+		}
+	}
+}
+
+// holdsAcked reports whether a replica's sibling set is exactly the
+// acknowledged state: for a deleted key, absent or a lone tombstone.
+func holdsAcked(set []Version, acked string) bool {
+	if acked == tombSentinel {
+		return len(set) == 0 || (len(set) == 1 && set[0].Tomb)
+	}
+	return len(set) == 1 && !set[0].Tomb && set[0].Val == acked
 }
 
 // latestRing is the most advanced ring any node holds — the membership

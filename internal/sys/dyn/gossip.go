@@ -210,6 +210,7 @@ func (n *Node) onTransfer(m simnet.Message, respond func(interface{}, error)) {
 				n.tombAt[rec.Key] = env.Sim.Now()
 			}
 		}
+		n.c.touch(rec.Key)
 	}
 	env.Log.Infof("Received range of %d keys on %s", len(tm.Recs), n.name)
 	respond("ok", nil)
@@ -230,6 +231,7 @@ func (n *Node) dropKeys(keys []string) {
 		if _, ok := n.store[key]; ok {
 			delete(n.store, key)
 			delete(n.tombAt, key)
+			n.c.touch(key)
 			dropped++
 		}
 	}

@@ -33,10 +33,10 @@ type Cluster struct {
 	byName map[string]*Node
 
 	// Convergence audit state (see audit.go).
-	expected       map[string]string
-	expectedKeys   []string  // the keys of expected, kept sorted
-	auditRing      *Ring     // the ring auditOwners was resolved under
-	auditOwners    [][]*Node // expectedKeys[i]'s owners under auditRing; nil = not resolved yet
+	acks           []ackRec // the acknowledged keys' records, sorted by key
+	recheck        []string // the keys touched since the last tick
+	apartKeys      int      // records last judged divergent
+	auditRing      *Ring    // the ring the records' holders were resolved under
 	everAgreed     bool
 	divergent      bool
 	divergentSince des.Time
@@ -75,10 +75,9 @@ var errNodeDown = errors.New("dyn: node is down")
 // controls for environment faults.
 func New(env *cluster.Env, cfg Config) *Cluster {
 	c := &Cluster{
-		env:      env,
-		cfg:      cfg,
-		byName:   make(map[string]*Node, len(cfg.Nodes)),
-		expected: make(map[string]string),
+		env:    env,
+		cfg:    cfg,
+		byName: make(map[string]*Node, len(cfg.Nodes)),
 	}
 	c.names = append(c.names, cfg.Nodes...)
 	sort.Strings(c.names)
@@ -126,7 +125,9 @@ func New(env *cluster.Env, cfg Config) *Cluster {
 
 // startGC purges tombstones older than the grace period. A key whose only
 // version is an old tombstone disappears entirely — which is exactly why
-// a replica that missed the delete can later resurrect it.
+// a replica that missed the delete can later resurrect it. A tick on
+// which no tombstone has aged past the grace period purges nothing, so
+// it returns before sorting the keys.
 func (n *Node) startGC() {
 	env := n.c.env
 	env.Sim.Every(n.name+"-gc", 250*des.Millisecond, func() {
@@ -134,6 +135,16 @@ func (n *Node) startGC() {
 			return
 		}
 		now := env.Sim.Now()
+		aged := false
+		for _, at := range n.tombAt {
+			if now-at >= n.c.cfg.GCGrace {
+				aged = true
+				break
+			}
+		}
+		if !aged {
+			return
+		}
 		for _, key := range sortedTimeKeys(n.tombAt) {
 			if now-n.tombAt[key] < n.c.cfg.GCGrace {
 				continue
@@ -145,6 +156,7 @@ func (n *Node) startGC() {
 			case len(set) == 1 && set[0].Tomb:
 				delete(n.store, key)
 				delete(n.tombAt, key)
+				n.c.touch(key)
 				env.Log.Debugf("Purged tombstone of %s on %s", key, n.name)
 			}
 		}
@@ -190,6 +202,7 @@ func (n *Node) applyVersion(key string, in Version) error {
 	if in.Tomb {
 		n.tombAt[key] = env.Sim.Now()
 	}
+	n.c.touch(key)
 	return nil
 }
 

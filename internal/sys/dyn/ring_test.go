@@ -161,23 +161,43 @@ func TestPreferenceListAppendCannotReachMemo(t *testing.T) {
 	}
 }
 
-// TestExpectKeepsKeysSorted: the audit walks expectedKeys instead of
-// sorting the map's keys every tick, so the list must be exactly that.
+// TestExpectKeepsKeysSorted: expect keeps one record per acknowledged
+// key, holding the key's last acknowledged state, in key order — the
+// order ack's binary search needs — and queues each key for the next tick
+// exactly once.
 func TestExpectKeepsKeysSorted(t *testing.T) {
-	c := &Cluster{expected: map[string]string{}}
+	c := &Cluster{}
+	want := map[string]string{}
 	for _, i := range rand.New(rand.NewSource(5)).Perm(40) {
 		c.expectPut(keyName(i%25), valName(i))
+		want[keyName(i%25)] = valName(i)
 		if i%3 == 0 {
 			c.expectDelete(keyName(i % 7))
+			want[keyName(i%7)] = tombSentinel
 		}
 	}
-	want := make([]string, 0, len(c.expected))
-	for key := range c.expected {
-		want = append(want, key)
+	keys := make([]string, 0, len(want))
+	for key := range want {
+		keys = append(keys, key)
 	}
-	sort.Strings(want)
-	if !reflect.DeepEqual(c.expectedKeys, want) {
-		t.Fatalf("expectedKeys = %v, want %v", c.expectedKeys, want)
+	sort.Strings(keys)
+	var got []string
+	for _, ack := range c.acks {
+		got = append(got, ack.key)
+		if ack.acked != want[ack.key] || c.ack(ack.key) == nil || c.ack(ack.key).acked != ack.acked {
+			t.Errorf("record %s = %q, want %q", ack.key, ack.acked, want[ack.key])
+		}
+	}
+	if !reflect.DeepEqual(got, keys) {
+		t.Fatalf("record keys = %v, want %v", got, keys)
+	}
+	if c.ack("k999") != nil {
+		t.Fatal("ack found a key never acknowledged")
+	}
+	queued := append([]string(nil), c.recheck...)
+	sort.Strings(queued)
+	if !reflect.DeepEqual(queued, keys) {
+		t.Fatalf("queued %v, want each of %v once", queued, keys)
 	}
 }
 

@@ -1,7 +1,7 @@
 package dyn
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -32,8 +32,21 @@ func (c *Cluster) NewClient(name, coord string) *Client {
 	return &Client{c: c, name: name, coord: coord}
 }
 
-func keyName(i int) string { return fmt.Sprintf("k%03d", i) }
-func valName(i int) string { return fmt.Sprintf("v%03d", i) }
+func keyName(i int) string { return numbered('k', i) }
+func valName(i int) string { return numbered('v', i) }
+
+// numbered renders prefix and i as fmt's "%c%03d" does for i >= 0.
+func numbered(prefix byte, i int) string {
+	var b [8]byte
+	out := append(b[:0], prefix)
+	if i < 100 {
+		out = append(out, '0')
+	}
+	if i < 10 {
+		out = append(out, '0')
+	}
+	return string(strconv.AppendInt(out, int64(i), 10))
+}
 
 // PutRange schedules puts of k<first>..k<last>, one every interval
 // starting at start.
@@ -114,10 +127,11 @@ func (cl *Client) verify(key string) {
 			return
 		}
 		resp := payload.(opResp)
-		want, ok := cl.c.expected[key]
-		if !ok {
+		ack := cl.c.ack(key)
+		if ack == nil {
 			return
 		}
+		want := ack.acked
 		if want == tombSentinel {
 			if resp.Found {
 				env.Log.Warnf("verify: %s returned %s after delete (resurrected)", key, resp.Val)
