@@ -147,7 +147,8 @@ type Sim struct {
 	pathTracking bool
 	curPath      int32 // path node of the executing event, 0 outside dispatch
 	pathNodes    []pathNode
-	pathSeq      map[pathEdgeKey]int32
+	pathSeq      map[uint64]int32 // keyed by parent node << 32 | label id
+	pathLabels   map[string]pathLabel
 }
 
 // New creates a simulation with a deterministic RNG seed.
@@ -162,10 +163,12 @@ func New(seed int64) *Sim {
 // Reset returns the simulation to the state New(seed) builds, on the memory
 // it already owns: the event free list and queue array, the random source
 // (re-seeded, which restarts its stream exactly), the maps, the emptied
-// call tree. Pending events are released, so nothing of the finished run
-// stays reachable through the kernel, and every Timer handed out before is
-// a no-op. A search recycles its rounds' simulations this way; what the
-// next run computes does not depend on it.
+// call tree. The send-label table is kept whole: a label's id only keys the
+// sequence counters, so the run that first met it does not matter. Pending
+// events are released, so nothing of the finished run stays reachable
+// through the kernel, and every Timer handed out before is a no-op. A
+// search recycles its rounds' simulations this way; what the next run
+// computes does not depend on it.
 func (s *Sim) Reset(seed int64) {
 	for i, e := range s.queue {
 		s.release(e)
@@ -175,7 +178,7 @@ func (s *Sim) Reset(seed int64) {
 	clear(s.pathSeq)
 	*s = Sim{
 		queue: s.queue[:0], rng: s.rng, free: s.free, blocked: s.blocked,
-		pathNodes: s.pathNodes[:0], pathSeq: s.pathSeq,
+		pathNodes: s.pathNodes[:0], pathSeq: s.pathSeq, pathLabels: s.pathLabels,
 	}
 	s.rng.Seed(seed)
 }

@@ -19,6 +19,10 @@
 // PathFold is a fixed function — no per-process seed — so the hash of an
 // address is the same in every run and every binary, and a consumer can
 // fold a parsed canonical string to the very value a live node carries.
+// It is two steps, LabelHash of the label and PathFoldHash of that hash
+// onto the chain, so a label is hashed once per table that resolves it —
+// the kernel's label table for send edges, the injection runtime's site
+// table for reaches — and every fold after that is integer work.
 //
 // Node ids are assigned in creation order, which is deterministic for a
 // seeded run; only the canonical *strings* (stable across interleavings
@@ -39,29 +43,46 @@ type pathNode struct {
 	hash   uint64
 }
 
-// pathEdgeKey keys the per-(parent, label) sequence counters.
-type pathEdgeKey struct {
-	parent int32
-	label  string
+// pathLabel is a send label's entry in the kernel's label table: a dense
+// id, which keys the per-(parent, label) sequence counters, and the
+// label's LabelHash.
+type pathLabel struct {
+	id   uint32
+	hash uint64
 }
 
 // PathRoot is the chain hash of the workload root, the empty path.
 const PathRoot uint64 = 0xcbf29ce484222325
 
-// PathFold extends a chain hash by one (label, n) element: a send edge and
-// its sequence number, or — folded by the injection runtime onto a node's
-// hash — a fault site and its occurrence within that context. The label
-// bytes go through FNV-1a and n through a splitmix64 finalizer; both steps
-// are bijections of h, so two different chains stay different through a
-// common suffix.
-func PathFold(h uint64, label string, n int) uint64 {
+// LabelHash is the FNV-1a hash of a label's bytes, the part of PathFold
+// that depends on the label alone.
+func LabelHash(label string) uint64 {
+	h := uint64(0xcbf29ce484222325)
 	for i := 0; i < len(label); i++ {
 		h = (h ^ uint64(label[i])) * 0x100000001b3
 	}
+	return h
+}
+
+// PathFoldHash extends a chain hash by one (label, n) element given the
+// label's LabelHash: the label hash is xored in and multiplied by the FNV
+// prime, n added, and the sum put through a splitmix64 finalizer. Every
+// step is a bijection of h, so two different chains stay different
+// through a common suffix.
+func PathFoldHash(h, labelHash uint64, n int) uint64 {
+	h = (h ^ labelHash) * 0x100000001b3
 	h += uint64(n) * 0x9e3779b97f4a7c15
 	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
 	h = (h ^ h>>27) * 0x94d049bb133111eb
 	return h ^ h>>31
+}
+
+// PathFold extends a chain hash by one (label, n) element: a send edge and
+// its sequence number, or — folded by the injection runtime onto a node's
+// hash — a fault site and its occurrence within that context. It is
+// PathFoldHash over LabelHash(label).
+func PathFold(h uint64, label string, n int) uint64 {
+	return PathFoldHash(h, LabelHash(label), n)
 }
 
 // EnablePathTracking switches path bookkeeping on for this run. It must
@@ -73,7 +94,8 @@ func (s *Sim) EnablePathTracking() {
 	s.pathTracking = true
 	s.pathNodes = append(s.pathNodes[:0], pathNode{hash: PathRoot})
 	if s.pathSeq == nil {
-		s.pathSeq = make(map[pathEdgeKey]int32)
+		s.pathSeq = make(map[uint64]int32)
+		s.pathLabels = make(map[string]pathLabel)
 	}
 }
 
@@ -92,9 +114,14 @@ func (s *Sim) PathExtend(label string) int32 {
 	if !s.pathTracking {
 		return 0
 	}
-	k := pathEdgeKey{s.curPath, label}
-	s.pathSeq[k]++
-	seq := s.pathSeq[k]
+	l, ok := s.pathLabels[label]
+	if !ok {
+		l = pathLabel{id: uint32(len(s.pathLabels)), hash: LabelHash(label)}
+		s.pathLabels[label] = l
+	}
+	k := uint64(uint32(s.curPath))<<32 | uint64(l.id)
+	seq := s.pathSeq[k] + 1
+	s.pathSeq[k] = seq
 	parent := &s.pathNodes[s.curPath]
 	strLen := int32(len(label))
 	if s.curPath != 0 {
@@ -108,7 +135,7 @@ func (s *Sim) PathExtend(label string) int32 {
 	}
 	s.pathNodes = append(s.pathNodes, pathNode{
 		parent: s.curPath, seq: seq, strLen: strLen, label: label,
-		hash: PathFold(parent.hash, label, int(seq)),
+		hash: PathFoldHash(parent.hash, l.hash, int(seq)),
 	})
 	return int32(len(s.pathNodes) - 1)
 }

@@ -78,9 +78,9 @@ func TestPathFoldIsFixed(t *testing.T) {
 		n     int
 		want  uint64
 	}{
-		{"client.put", 1, 0x7fd8af67f85c6fae},
-		{"client.put", 2, 0xf1fb4e436eaf921a},
-		{"", 1198, 0xe197b29698736b3c},
+		{"client.put", 1, 0xeaaef8ae6c69b6c8},
+		{"client.put", 2, 0x9d308d3efae19512},
+		{"", 1198, 0x3748a5db370f5956},
 	} {
 		if got := des.PathFold(des.PathRoot, c.label, c.n); got != c.want {
 			t.Errorf("PathFold(root, %q, %d) = %#x, want %#x", c.label, c.n, got, c.want)
@@ -91,13 +91,37 @@ func TestPathFoldIsFixed(t *testing.T) {
 	}
 }
 
+// FuzzPathFoldSplitsAtLabelHash holds the split the label tables rest on:
+// folding a label is folding its LabelHash, so a hash a table resolved
+// once meets the value a parsed string folds to. It also keeps a one-edge
+// label apart from the two-edge path its halves make.
+func FuzzPathFoldSplitsAtLabelHash(f *testing.F) {
+	f.Add(des.PathRoot, "client.put", 1)
+	f.Add(uint64(0), "", 1198)
+	f.Add(uint64(1)<<63, "dyn.store.persist", 7)
+	f.Fuzz(func(t *testing.T, h uint64, label string, n int) {
+		if got, want := des.PathFoldHash(h, des.LabelHash(label), n), des.PathFold(h, label, n); got != want {
+			t.Fatalf("PathFoldHash(%#x, LabelHash(%q), %d) = %#x, PathFold %#x", h, label, n, got, want)
+		}
+		if len(label) < 2 {
+			return
+		}
+		a, b := label[:1], label[1:]
+		if des.PathFold(h, label, n) == des.PathFold(des.PathFold(h, a, n), b, n) {
+			t.Errorf("one edge %q and two edges %q>%q fold alike from %#x", label, a, b, h)
+		}
+	})
+}
+
 // TestPathIdentityMatchesStringsOnDataset is the equivalence the chain
 // hash rests on, over every reach of two real free runs — f1, whose zk
 // one-way Send chains run over a thousand edges deep, and f26 (dyn): the
 // rendering of a reach's identity is the string the runtime used to
 // concatenate (oracle prefix + ">" + site + "#" + n), no two reaches share
 // a key, and the key the runtime folded equals the key folded from parsing
-// that string, which is how a script's path finds its reach.
+// that string, which is how a script's path finds its reach. The runtime
+// counts a reach's N under integer keys (node, site id); here it is
+// counted again under the rendered context string and the site name.
 func TestPathIdentityMatchesStringsOnDataset(t *testing.T) {
 	for id, minDepth := range map[string]int{"f1": 1000, "f26": 1} {
 		sc, _ := failures.ByID(id)
@@ -114,12 +138,18 @@ func TestPathIdentityMatchesStringsOnDataset(t *testing.T) {
 			t.Fatalf("%s: free run kept no trace", id)
 		}
 		seen := make(map[uint64]string, len(trace))
+		counts := make(map[[2]string]int32)
 		depth := 0
 		for _, ev := range trace {
 			old := ev.Site + "#" + strconv.Itoa(int(ev.Addr.N))
-			if prefix := res.Env.Sim.NaivePathString(ev.Addr.Node); prefix != "" {
+			prefix := res.Env.Sim.NaivePathString(ev.Addr.Node)
+			if prefix != "" {
 				old = prefix + ">" + old
 				depth = max(depth, 1+strings.Count(prefix, ">"))
+			}
+			counts[[2]string{prefix, ev.Site}]++
+			if n := counts[[2]string{prefix, ev.Site}]; ev.Addr.N != n {
+				t.Fatalf("%s: %q is reach %d of %s in its context by name, the runtime counted %d", id, old, n, ev.Site, ev.Addr.N)
 			}
 			if got := res.Env.FI.PathOf(ev.Site, ev.Addr); got != old {
 				t.Fatalf("%s: %s#%d renders %q, the old way %q", id, ev.Site, ev.Occurrence, got, old)

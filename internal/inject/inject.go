@@ -198,10 +198,10 @@ type Runtime struct {
 	plan *Plan
 
 	sites      map[string]*siteRec
-	reached    []*siteRec            // the records this run has counted, in first-reach order
-	armed      []*siteRec            // the records of the plan's sites, marked armed
-	pathCounts map[pathSiteKey]int32 // per-(path context, site) occurrence counters
-	trace      [][]TraceEvent        // the kept trace, TraceChunk events a chunk: growing copies nothing
+	reached    []*siteRec       // the records this run has counted, in first-reach order
+	armed      []*siteRec       // the records of the plan's sites, marked armed
+	pathCounts map[uint64]int32 // per-(path context, site) occurrence counters: node << 32 | site id
+	trace      [][]TraceEvent   // the kept trace, TraceChunk events a chunk: growing copies nothing
 	injected   []TraceEvent
 	budget     int
 	decisions  int
@@ -216,12 +216,6 @@ type Runtime struct {
 	// features are the active Features: the plan's own plus whatever
 	// the harness Enables.
 	features Features
-}
-
-// pathSiteKey keys the per-context occurrence counters of path mode.
-type pathSiteKey struct {
-	path int32
-	site string
 }
 
 // NewRuntime creates an injection runtime executing the given plan
@@ -274,7 +268,7 @@ func (r *Runtime) Reset(plan *Plan) {
 func (r *Runtime) rec(site string) *siteRec {
 	rec := r.sites[site]
 	if rec == nil {
-		rec = &siteRec{site: site}
+		rec = &siteRec{site: site, id: uint32(len(r.sites)), labelHash: des.LabelHash(site)}
 		r.sites[site] = rec
 	}
 	return rec
@@ -298,20 +292,27 @@ func (r *Runtime) Active(f Features) bool { return r.features&f == f }
 // shares a single map entry probed once — and a pseudo-site's ID is parsed
 // once, not once per message. A count of zero is a site this run has not
 // reached: a record a Reset left behind, or made to mark the site armed.
+//
+// The record also holds what path addressing needs of the name, resolved
+// once: id, its creation index in the table (which never shrinks, so the
+// id is the site's for the runtime's life), keys the per-context
+// occurrence counters, and labelHash is the site's des.LabelHash.
 type siteRec struct {
-	site   string
-	count  int
-	armed  bool
-	pseudo PseudoFault
+	site      string
+	count     int
+	armed     bool
+	id        uint32
+	labelHash uint64
+	pseudo    PseudoFault
 }
 
 // address computes the PathKey of the current reach of a site: a rooted
 // reach is addressed by its per-run occurrence at the root, any other by
 // the executing context's node and the site's occurrence within it, which
 // this advances.
-func (r *Runtime) address(site string, occ int, rooted bool) PathKey {
+func (r *Runtime) address(rec *siteRec, occ int, rooted bool) PathKey {
 	if rooted {
-		return PathKey{Hash: des.PathFold(des.PathRoot, site, occ), N: int32(occ)}
+		return PathKey{Hash: des.PathFoldHash(des.PathRoot, rec.labelHash, occ), N: int32(occ)}
 	}
 	at, hash := PathKey{}, des.PathRoot
 	if r.Paths != nil {
@@ -319,12 +320,12 @@ func (r *Runtime) address(site string, occ int, rooted bool) PathKey {
 		hash = r.Paths.PathHash(at.Node)
 	}
 	if r.pathCounts == nil {
-		r.pathCounts = make(map[pathSiteKey]int32)
+		r.pathCounts = make(map[uint64]int32)
 	}
-	k := pathSiteKey{at.Node, site}
-	r.pathCounts[k]++
-	at.N = r.pathCounts[k]
-	at.Hash = des.PathFold(hash, site, int(at.N))
+	k := uint64(uint32(at.Node))<<32 | uint64(rec.id)
+	at.N = r.pathCounts[k] + 1
+	r.pathCounts[k] = at.N
+	at.Hash = des.PathFoldHash(hash, rec.labelHash, int(at.N))
 	return at
 }
 
@@ -399,11 +400,11 @@ func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int)
 	}
 }
 
-// reach is the one body behind Reach and ReachPseudo: count the
+// reach is the one body behind Reach and ReachPseudoAt: count the
 // occurrence, address it, consult the plan, record. A rooted reach (every
 // pseudo-site) has no call-path context — its occurrence is already a
 // deterministic per-run event index — so its path form is "site#occ".
-func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ int, inject bool) {
+func (r *Runtime) reach(rec *siteRec, rooted bool, amp int) (occ int, inject bool) {
 	if rec.count == 0 {
 		r.reached = append(r.reached, rec)
 	}
@@ -412,12 +413,12 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 
 	var at PathKey
 	if r.Active(PathAddressing) {
-		at = r.address(site, occ, rooted)
+		at = r.address(rec, occ, rooted)
 	}
 	inject = r.decide(rec, occ, at)
 
 	if r.KeepTrace || inject {
-		r.record(site, occ, at, inject, amp)
+		r.record(rec.site, occ, at, inject, amp)
 	}
 	return occ, inject
 }
@@ -425,47 +426,69 @@ func (r *Runtime) reach(site string, rec *siteRec, rooted bool, amp int) (occ in
 // Reach is the instrumented hook at a fault site. It records the dynamic
 // occurrence and returns a non-nil *Fault if the plan injects here.
 func (r *Runtime) Reach(site string, kind Kind) error {
-	rec := r.rec(site)
-	if occ, inject := r.reach(site, rec, false, 0); inject {
+	if occ, inject := r.reach(r.rec(site), false, 0); inject {
 		return &Fault{Kind: kind, Site: site, Occurrence: occ}
 	}
 	return nil
 }
 
-// ReachPseudo is the pseudo-site analog of Reach, called by the network
-// once per (message, pseudo-site) pair and by the disk once per
-// perturbable operation. amp is the observed amplitude of the operation
-// (payload length for disk writes; zero where amplitude is meaningless).
-// It records the dynamic occurrence and returns the PseudoFault to execute
-// if the plan injects here. When the site's family is not Active for the
-// run (or the ID is malformed) it is a no-op returning false: nothing is
-// counted or traced.
-func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
-	rec := r.sites[site]
-	if rec == nil || rec.count == 0 || rec.pseudo.Class == "" {
-		// The run's first reach of the site: is its family on this run?
-		var f PseudoFault
-		ok := rec != nil && rec.pseudo.Class != ""
-		if ok {
-			f = rec.pseudo
-		} else {
-			f, ok = ParsePseudo(site)
-		}
-		if !ok || !r.Active(f.Family) {
-			return PseudoFault{}, false
-		}
-		if rec == nil {
-			rec = r.rec(site)
-		}
-		rec.pseudo = f
+// PseudoHandle is a pseudo-site resolved in one runtime's table: its
+// record, with the ID parsed. The zero handle stands for a malformed ID.
+// A handle stays valid for the runtime's life, across Reset — the table
+// never drops a record — so the network and the disk resolve each
+// pseudo-site they sweep once and reach it by handle after that.
+type PseudoHandle struct{ rec *siteRec }
+
+// Site is the handle's pseudo-site ID ("" for a malformed one).
+func (h PseudoHandle) Site() string {
+	if h.rec == nil {
+		return ""
 	}
-	occ, inject := r.reach(site, rec, true, amp)
+	return h.rec.site
+}
+
+// Pseudo resolves a pseudo-site ID to its handle in this runtime, parsing
+// the ID the first time the table meets it. It counts nothing.
+func (r *Runtime) Pseudo(site string) PseudoHandle {
+	if rec := r.sites[site]; rec != nil && rec.pseudo.Class != "" {
+		return PseudoHandle{rec}
+	}
+	f, ok := ParsePseudo(site)
+	if !ok {
+		return PseudoHandle{}
+	}
+	rec := r.rec(site)
+	rec.pseudo = f
+	return PseudoHandle{rec}
+}
+
+// ReachPseudoAt is the pseudo-site analog of Reach, called by the network
+// once per (message, pseudo-site) pair and by the disk once per
+// perturbable operation, with a handle this runtime's Pseudo returned.
+// amp is the observed amplitude of the operation (payload length for disk
+// writes; zero where amplitude is meaningless). It records the dynamic
+// occurrence and returns the PseudoFault to execute if the plan injects
+// here. When the site's family is not Active for the run (or the handle
+// is a malformed ID's) it is a no-op returning false: nothing is counted
+// or traced.
+func (r *Runtime) ReachPseudoAt(h PseudoHandle, amp int) (PseudoFault, bool) {
+	rec := h.rec
+	if rec == nil || !r.Active(rec.pseudo.Family) {
+		return PseudoFault{}, false
+	}
+	occ, inject := r.reach(rec, true, amp)
 	if !inject {
 		return PseudoFault{}, false
 	}
 	f := rec.pseudo
 	f.Occurrence, f.Amp = occ, amp
 	return f, true
+}
+
+// ReachPseudo reaches a pseudo-site by its ID: ReachPseudoAt of its
+// handle.
+func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
+	return r.ReachPseudoAt(r.Pseudo(site), amp)
 }
 
 // TraceChunk is how many reaches one chunk of a kept trace holds. A free

@@ -1,6 +1,9 @@
 package inject
 
 import (
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -201,6 +204,101 @@ func TestPathAddressedPseudoInstanceSelfActivates(t *testing.T) {
 			}
 			if f.Site() != site || f.Occurrence != 1 || f.Amp != 7 {
 				t.Errorf("%s of %s injected %+v", name, site, f)
+			}
+		}
+	}
+}
+
+// TestPseudoHandleMatchesName holds a resolved handle to the ID it stands
+// for: for every row, with its family on and off, under path addressing
+// and a plan that injects, reaching by handle counts, traces and injects
+// exactly what reaching by name does — also with handles taken before a
+// Reset and used after it, the way the network and disk keep them. A
+// malformed ID's handle, or a row whose family is off, counts and traces
+// nothing.
+func TestPseudoHandleMatchesName(t *testing.T) {
+	var ids []string
+	for _, row := range pseudoTable {
+		ids = append(ids, PseudoSiteID(row.class, "s1", "p2"))
+		if row.sep == "" {
+			ids = append(ids, row.prefix) // no operand: malformed
+		} else {
+			ids = append(ids, row.prefix+"s1"+row.sep) // no peer: malformed
+		}
+	}
+	ids = append(ids, "env/no-such-class/s1", "a.dotted.site")
+
+	type outcome struct {
+		f  PseudoFault
+		ok bool
+	}
+	for _, features := range []Features{0, EnvFaults, PartialFaults, EnvFaults | PartialFaults | PathAddressing} {
+		for _, planned := range []bool{false, true} {
+			plan := func() *Plan {
+				if !planned {
+					return nil
+				}
+				var insts []Instance
+				for _, row := range pseudoTable {
+					insts = append(insts, Instance{Site: PseudoSiteID(row.class, "s1", "p2"), Occurrence: 2})
+				}
+				return Exact(insts...)
+			}
+			byName := NewRuntime(plan())
+			byName.Enable(features)
+			byHandle := NewRuntime(nil)
+			handles := make([]PseudoHandle, len(ids))
+			for i, id := range ids {
+				handles[i] = byHandle.Pseudo(id)
+			}
+			byHandle.Reset(plan())
+			byHandle.Enable(features)
+
+			var gotName, gotHandle []outcome
+			for round := 0; round < 3; round++ {
+				for i, id := range ids {
+					f, ok := byName.ReachPseudo(id, 10*round+i)
+					gotName = append(gotName, outcome{f, ok})
+					f, ok = byHandle.ReachPseudoAt(handles[i], 10*round+i)
+					gotHandle = append(gotHandle, outcome{f, ok})
+				}
+			}
+			name := func(what string) string { return fmt.Sprintf("features %03b, plan %v: %s", features, planned, what) }
+			if !slices.Equal(gotName, gotHandle) {
+				t.Errorf("%s", name("faults differ by handle and by name"))
+			}
+			if !maps.Equal(byName.Counts(), byHandle.Counts()) {
+				t.Errorf("%s: %v, by name %v", name("counts by handle"), byHandle.Counts(), byName.Counts())
+			}
+			if !slices.EqualFunc(byName.TraceChunks(), byHandle.TraceChunks(), slices.Equal) ||
+				!slices.Equal(byName.InjectedAll(), byHandle.InjectedAll()) {
+				t.Errorf("%s", name("traces differ by handle and by name"))
+			}
+			for i, id := range ids {
+				want := ""
+				if _, ok := ParsePseudo(id); ok {
+					want = id
+				}
+				if handles[i].Site() != want {
+					t.Errorf("%s: %q resolved to the handle of %q", name("resolve"), id, handles[i].Site())
+				}
+			}
+			for _, ev := range slices.Concat(byHandle.TraceChunks()...) {
+				f, ok := ParsePseudo(ev.Site)
+				if !ok || !byHandle.Active(f.Family) {
+					t.Errorf("%s: %s traced", name("malformed or inactive"), ev.Site)
+				}
+			}
+			for site := range byHandle.Counts() {
+				if f, ok := ParsePseudo(site); !ok || !byHandle.Active(f.Family) {
+					t.Errorf("%s: %s counted", name("malformed or inactive"), site)
+				}
+			}
+			if planned && len(byHandle.InjectedAll()) != len(pseudoTable) {
+				t.Errorf("%s: %d injections, want one per row", name("plan"), len(byHandle.InjectedAll()))
+			}
+			if features == 0 && !planned && (len(byHandle.Counts()) != 0 || len(byHandle.TraceChunks()) != 0) {
+				t.Errorf("%s: counted %v", name("all families off"), byHandle.Counts())
 			}
 		}
 	}

@@ -41,6 +41,7 @@
 package simdisk
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,12 +54,13 @@ type Disk struct {
 	fi    *inject.Runtime
 	log   *logging.Log
 	files map[string][]byte
+	paths []string // the keys of files, sorted: Count and List read runs of it
 	spare [][]byte // arrays no file owns, each with length 0; see "Buffers"
 
-	// pseudoIDs caches the partial pseudo-site ID strings, so an active
-	// partial sweep allocates each once per (class, site) rather than once
-	// per operation.
-	pseudoIDs map[pseudoKey]string
+	// pseudo caches the partial pseudo-site handles, resolved in fi's
+	// table once per (class, site) rather than once per operation. They
+	// outlive Reset, as fi's table does.
+	pseudo map[pseudoKey]inject.PseudoHandle
 }
 
 type pseudoKey struct {
@@ -79,6 +81,21 @@ func (d *Disk) Reset() {
 		d.recycle(buf)
 	}
 	clear(d.files)
+	clear(d.paths)
+	d.paths = d.paths[:0]
+}
+
+// index enters a path files is about to gain into the sorted index.
+func (d *Disk) index(path string) {
+	i, _ := slices.BinarySearch(d.paths, path)
+	d.paths = slices.Insert(d.paths, i, path)
+}
+
+// remove deletes path, which exists, from the disk and the index.
+func (d *Disk) remove(path string) {
+	delete(d.files, path)
+	i, _ := slices.BinarySearch(d.paths, path)
+	d.paths = slices.Delete(d.paths, i, i+1)
 }
 
 // recycle puts a backing array no path refers to any more on the spare
@@ -112,7 +129,10 @@ func (d *Disk) buffer(n int) []byte {
 // put makes path hold a copy of data in an array of its own, recycling
 // the one it held.
 func (d *Disk) put(path string, data []byte) {
-	old := d.files[path]
+	old, ok := d.files[path]
+	if !ok {
+		d.index(path)
+	}
 	d.files[path] = append(d.buffer(len(data)), data...)
 	d.recycle(old)
 }
@@ -126,22 +146,22 @@ func (d *Disk) reachPartial(class inject.PseudoClass, site string, amp int) erro
 		return nil
 	}
 	key := pseudoKey{class, site}
-	id, ok := d.pseudoIDs[key]
+	h, ok := d.pseudo[key]
 	if !ok {
-		id = inject.PseudoSiteID(class, site, "")
-		if d.pseudoIDs == nil {
-			d.pseudoIDs = make(map[pseudoKey]string)
+		h = d.fi.Pseudo(inject.PseudoSiteID(class, site, ""))
+		if d.pseudo == nil {
+			d.pseudo = make(map[pseudoKey]inject.PseudoHandle)
 		}
-		d.pseudoIDs[key] = id
+		d.pseudo[key] = h
 	}
-	f, ok := d.fi.ReachPseudo(id, amp)
+	f, ok := d.fi.ReachPseudoAt(h, amp)
 	if !ok {
 		return nil
 	}
 	if d.log != nil {
 		d.log.Warnf("%s", f.Marker())
 	}
-	return &inject.Fault{Kind: f.Kind, Site: id, Occurrence: f.Occurrence}
+	return &inject.Fault{Kind: f.Kind, Site: h.Site(), Occurrence: f.Occurrence}
 }
 
 // Create makes an empty file (truncating any previous content). site is the
@@ -150,13 +170,20 @@ func (d *Disk) Create(site, path string) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	d.files[path] = d.files[path][:0]
+	buf, ok := d.files[path]
+	if !ok {
+		d.index(path)
+	}
+	d.files[path] = buf[:0]
 	return nil
 }
 
 // appendBytes adds data to the end of path, creating it if absent.
 func (d *Disk) appendBytes(path string, data []byte) {
-	cur := d.files[path]
+	cur, ok := d.files[path]
+	if !ok {
+		d.index(path)
+	}
 	if len(cur)+len(data) > cap(cur) {
 		// Grow 4x with a log-sized floor: append-heavy files (txn logs)
 		// are the common case, and quadrupling halves the bytes copied
@@ -238,8 +265,12 @@ func (d *Disk) Rename(site, oldPath, newPath string) error {
 		d.put(newPath, data)
 		return err
 	}
-	delete(d.files, oldPath)
-	d.recycle(d.files[newPath])
+	d.remove(oldPath)
+	old, ok := d.files[newPath]
+	if !ok {
+		d.index(newPath)
+	}
+	d.recycle(old)
 	d.files[newPath] = data
 	return nil
 }
@@ -256,7 +287,7 @@ func (d *Disk) Delete(site, path string) error {
 		return &inject.Fault{Kind: inject.FileNotFound, Site: "env.disk.missing"}
 	}
 	d.recycle(buf)
-	delete(d.files, path)
+	d.remove(path)
 	return nil
 }
 
@@ -281,30 +312,27 @@ func (d *Disk) Peek(path string) ([]byte, bool) {
 // Size returns the length of path's content (0 if absent).
 func (d *Disk) Size(path string) int { return len(d.files[path]) }
 
+// under returns the bounds of the run of the sorted index that starts
+// with prefix: the paths with a prefix sort together, from the first one
+// not below it.
+func (d *Disk) under(prefix string) (lo, hi int) {
+	lo, _ = slices.BinarySearch(d.paths, prefix)
+	rest := d.paths[lo:]
+	return lo, lo + sort.Search(len(rest), func(i int) bool { return !strings.HasPrefix(rest[i], prefix) })
+}
+
 // Count returns how many paths List(prefix) would return, without building
 // them. Pure metadata like Exists: no fault site.
 func (d *Disk) Count(prefix string) int {
-	n := 0
-	for p := range d.files {
-		if strings.HasPrefix(p, prefix) {
-			n++
-		}
-	}
-	return n
+	lo, hi := d.under(prefix)
+	return hi - lo
 }
 
 // List returns the sorted paths under the given prefix.
 func (d *Disk) List(prefix string) []string {
-	n := d.Count(prefix)
-	if n == 0 {
+	lo, hi := d.under(prefix)
+	if lo == hi {
 		return nil
 	}
-	out := make([]string, 0, n)
-	for p := range d.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return slices.Clone(d.paths[lo:hi])
 }

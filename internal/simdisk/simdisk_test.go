@@ -3,6 +3,9 @@ package simdisk
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -368,5 +371,76 @@ func TestCountIsLenList(t *testing.T) {
 		if c, l := d.Count(prefix), len(d.List(prefix)); c != l {
 			t.Fatalf("Count(%q) = %d, len(List) = %d", prefix, c, l)
 		}
+	}
+}
+
+// TestPathIndexMatchesScan: after any sequence of operations — faulted
+// and partial ones, renames onto existing paths and onto themselves, and
+// Reset — the sorted index Count and List read holds exactly the keys of
+// the file map, and both answer what a scan of the map answers.
+func TestPathIndexMatchesScan(t *testing.T) {
+	paths := []string{"a", "a/b", "a/c", "ab", "b/x", "b/xy", "dn1/blk_1", "dn1/blk_2", "dn10/blk_1"}
+	prefixes := []string{"", "a", "a/", "b/x", "dn1", "dn1/blk_", "z"}
+	scan := func(d *Disk, prefix string) []string {
+		var out []string
+		for p := range d.files {
+			if strings.HasPrefix(p, prefix) {
+				out = append(out, p)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	sites := []string{"s.a", "s.b"}
+	var faults []inject.Instance
+	for _, site := range sites {
+		for occ := 1; occ <= 3; occ++ {
+			faults = append(faults,
+				inject.Instance{Site: inject.PseudoSiteID(inject.PartialTornRename, site, ""), Occurrence: occ},
+				inject.Instance{Site: inject.PseudoSiteID(inject.PartialShortWrite, site, ""), Occurrence: occ},
+				inject.Instance{Site: inject.PseudoSiteID(inject.PartialENOSPC, site, ""), Occurrence: occ},
+				inject.Instance{Site: site, Occurrence: occ + 3})
+		}
+	}
+	f := func(ops []uint16) bool {
+		d := New(inject.NewRuntime(inject.Exact(faults...)), nil)
+		for _, op := range ops {
+			site := sites[int(op>>3)%len(sites)]
+			p, q := paths[int(op>>4)%len(paths)], paths[int(op>>8)%len(paths)]
+			switch op % 6 {
+			case 0:
+				d.Create(site, p)
+			case 1:
+				d.Append(site, p, []byte("abcd"))
+			case 2:
+				d.Write(site, p, []byte("xy"))
+			case 3:
+				d.Rename(site, p, q)
+			case 4:
+				d.Delete(site, p)
+			case 5:
+				if op%7 == 0 {
+					d.Reset()
+				}
+			}
+			if len(d.paths) != len(d.files) || !sort.StringsAreSorted(d.paths) {
+				return false
+			}
+			for _, p := range d.paths {
+				if _, ok := d.files[p]; !ok {
+					return false
+				}
+			}
+			for _, prefix := range prefixes {
+				want := scan(d, prefix)
+				if d.Count(prefix) != len(want) || !slices.Equal(d.List(prefix), want) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -46,10 +46,12 @@ type Net struct {
 	down           map[string]bool
 	partitioned    map[[2]string]bool
 
-	// pseudoIDs caches the pseudo-site ID strings, so env- and partial-
-	// enabled runs build each once per (class, operands) instead of once
-	// per message.
-	pseudoIDs map[pseudoKey]string
+	// chans and eintr hold the pseudo-site handles of the env and partial
+	// sweeps, resolved in fi's table once per channel and per send site:
+	// a message looks up one record, not one ID per swept site. Handles
+	// outlive Reset, as fi's table does.
+	chans map[[2]string]*channel
+	eintr map[string]inject.PseudoHandle
 
 	// sendPool and replyPool recycle the per-delivery state of one-way
 	// messages and RPC responses. Both object kinds are referenced only
@@ -84,7 +86,8 @@ func New(sim *des.Sim, fi *inject.Runtime, log *logging.Log, minLat, maxLat des.
 		handlers:    make(map[string]map[string]endpoint),
 		down:        make(map[string]bool),
 		partitioned: make(map[[2]string]bool),
-		pseudoIDs:   make(map[pseudoKey]string),
+		chans:       make(map[[2]string]*channel),
+		eintr:       make(map[string]inject.PseudoHandle),
 	}
 }
 
@@ -92,7 +95,7 @@ func New(sim *des.Sim, fi *inject.Runtime, log *logging.Log, minLat, maxLat des.
 // every node up, no partitions — for another run on the same simulation,
 // runtime and logger, OnCrash as wired. The per-node handler tables are
 // emptied in place (an empty table answers like a missing one), and the
-// pseudo-site ID cache and the delivery pools are kept: neither holds
+// pseudo-site handles and the delivery pools are kept: neither holds
 // anything of the finished run.
 func (n *Net) Reset() {
 	for _, m := range n.handlers {
@@ -120,21 +123,52 @@ func (n *Net) newCall() *call {
 	return &n.calls[i/callChunk][i%callChunk]
 }
 
-type pseudoKey struct {
-	class         inject.PseudoClass
-	subject, peer string
+// channel is the record of one directed (from, to) channel: the handles
+// of every pseudo-site a message on it reaches, each family's resolved the
+// first time a message takes the channel with the family active. A node's
+// message to itself crosses no link, so its crashTo and partition are zero
+// handles, which reach nothing.
+type channel struct {
+	env, partial bool // whether the family's handles are resolved
+
+	crashFrom, crashTo, partition, drop, delay inject.PseudoHandle
+	dup                                        inject.PseudoHandle
 }
 
-// reachPseudo reaches the class's pseudo-site over the given operands,
-// building its ID on first use.
-func (n *Net) reachPseudo(class inject.PseudoClass, subject, peer string) (inject.PseudoFault, bool) {
-	key := pseudoKey{class, subject, peer}
-	id, ok := n.pseudoIDs[key]
-	if !ok {
-		id = inject.PseudoSiteID(class, subject, peer)
-		n.pseudoIDs[key] = id
+// sweep returns the record of the (from, to) channel when a pseudo-site
+// sweep will read it, with the active families' handles resolved; nil on
+// a run with neither env nor partial faults active.
+func (n *Net) sweep(from, to string) *channel {
+	env, partial := n.fi.Active(inject.EnvFaults), n.fi.Active(inject.PartialFaults)
+	if !env && !partial {
+		return nil
 	}
-	return n.fi.ReachPseudo(id, 0)
+	key := [2]string{from, to}
+	ch := n.chans[key]
+	if ch == nil {
+		ch = new(channel)
+		n.chans[key] = ch
+	}
+	if env && !ch.env {
+		ch.env = true
+		ch.crashFrom = n.pseudo(inject.EnvCrash, from, "")
+		ch.drop = n.pseudo(inject.EnvDrop, from, to)
+		ch.delay = n.pseudo(inject.EnvDelay, from, to)
+		if to != from {
+			ch.crashTo = n.pseudo(inject.EnvCrash, to, "")
+			ch.partition = n.pseudo(inject.EnvPartition, from, to)
+		}
+	}
+	if partial && !ch.partial {
+		ch.partial = true
+		ch.dup = n.pseudo(inject.PartialDupDeliver, from, to)
+	}
+	return ch
+}
+
+// pseudo resolves the class's pseudo-site over the given operands.
+func (n *Net) pseudo(class inject.PseudoClass, subject, peer string) inject.PseudoHandle {
+	return n.fi.Pseudo(inject.PseudoSiteID(class, subject, peer))
 }
 
 // Handle registers a handler for messages of msgType addressed to node.
@@ -204,36 +238,34 @@ func (n *Net) reachability(from, to string) error {
 }
 
 // applyEnv reaches every environment pseudo-site relevant to one
-// message, in a fixed order — crash(from), crash(to), partition(pair),
-// drop(channel), delay(channel) — so env occurrences are measured
-// against a deterministic per-run event counter (one tick per message
-// per site). It executes whichever env fault the plan injects and
+// message on channel ch, in a fixed order — crash(from), crash(to),
+// partition(pair), drop(channel), delay(channel) — so env occurrences are
+// measured against a deterministic per-run event counter (one tick per
+// message per site). It executes whichever env fault the plan injects and
 // reports the message-level effect: drop the message silently, or add
 // extra delivery latency. Crash and partition effects are not returned;
 // they land in the down/partitioned state that reachability reads next.
-func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
+func (n *Net) applyEnv(ch *channel) (drop bool, extra des.Time) {
 	if !n.fi.Active(inject.EnvFaults) {
-		// Every reach below would be a no-op; skip the sweep (and the
-		// site-ID construction) entirely on site-only runs.
+		// Every reach below would be a no-op; skip the sweep entirely on
+		// site-only runs.
 		return false, 0
 	}
-	if f, ok := n.reachPseudo(inject.EnvCrash, from, ""); ok {
+	if f, ok := n.fi.ReachPseudoAt(ch.crashFrom, 0); ok {
 		n.crashNode(f)
 		return true, 0 // the sender died mid-send; the message is lost with it
 	}
-	if to != from {
-		if f, ok := n.reachPseudo(inject.EnvCrash, to, ""); ok {
-			n.crashNode(f) // reachability sees the receiver down
-		}
-		if f, ok := n.reachPseudo(inject.EnvPartition, from, to); ok {
-			n.cutPair(f) // reachability sees the fresh cut
-		}
+	if f, ok := n.fi.ReachPseudoAt(ch.crashTo, 0); ok {
+		n.crashNode(f) // reachability sees the receiver down
 	}
-	if f, ok := n.reachPseudo(inject.EnvDrop, from, to); ok {
+	if f, ok := n.fi.ReachPseudoAt(ch.partition, 0); ok {
+		n.cutPair(f) // reachability sees the fresh cut
+	}
+	if f, ok := n.fi.ReachPseudoAt(ch.drop, 0); ok {
 		n.logMarker(f)
 		return true, 0
 	}
-	if f, ok := n.reachPseudo(inject.EnvDelay, from, to); ok {
+	if f, ok := n.fi.ReachPseudoAt(ch.delay, 0); ok {
 		n.logMarker(f)
 		return false, f.Duration
 	}
@@ -241,7 +273,7 @@ func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
 }
 
 // applyPartial reaches the partial pseudo-sites relevant to one
-// dispatched message, in a fixed order — eintr(site), then
+// dispatched message on channel ch, in a fixed order — eintr(site), then
 // dup-deliver(channel) — so partial occurrences are measured against a
 // deterministic per-run event counter, like the env sweep above. It
 // runs only for messages that actually dispatch (past the env drop,
@@ -249,15 +281,20 @@ func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
 // effect: a sender-side InterruptedError (the message is still
 // delivered — the bytes were already on the wire), or a second delivery
 // dupAfter later (zero: none).
-func (n *Net) applyPartial(site, from, to string) (err error, dupAfter des.Time) {
+func (n *Net) applyPartial(site string, ch *channel) (err error, dupAfter des.Time) {
 	if !n.fi.Active(inject.PartialFaults) {
 		return nil, 0
 	}
-	if f, ok := n.reachPseudo(inject.PartialEINTR, site, ""); ok {
-		n.logMarker(f)
-		return &inject.Fault{Kind: f.Kind, Site: f.Site(), Occurrence: f.Occurrence}, 0
+	eintr, ok := n.eintr[site]
+	if !ok {
+		eintr = n.pseudo(inject.PartialEINTR, site, "")
+		n.eintr[site] = eintr
 	}
-	if f, ok := n.reachPseudo(inject.PartialDupDeliver, from, to); ok {
+	if f, ok := n.fi.ReachPseudoAt(eintr, 0); ok {
+		n.logMarker(f)
+		return &inject.Fault{Kind: f.Kind, Site: eintr.Site(), Occurrence: f.Occurrence}, 0
+	}
+	if f, ok := n.fi.ReachPseudoAt(ch.dup, 0); ok {
 		n.logMarker(f)
 		return nil, f.Duration
 	}
@@ -327,7 +364,8 @@ func (n *Net) Send(site string, msg Message) error {
 	if err := n.fi.Reach(site, inject.Socket); err != nil {
 		return err
 	}
-	drop, extra := n.applyEnv(msg.From, msg.To)
+	ch := n.sweep(msg.From, msg.To)
+	drop, extra := n.applyEnv(ch)
 	if drop {
 		return nil
 	}
@@ -338,7 +376,7 @@ func (n *Net) Send(site string, msg Message) error {
 	if !ok {
 		return fmt.Errorf("simnet: %s has no handler for %s", msg.To, msg.Type)
 	}
-	perr, dupAfter := n.applyPartial(site, msg.From, msg.To)
+	perr, dupAfter := n.applyPartial(site, ch)
 	// The delivery runs under a child path node labelled with the send
 	// site — the call-tree edge of path addressing. PathExtend returns 0
 	// (the root, what PostArg would inherit) when tracking is off.
@@ -462,7 +500,8 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 		n.sim.PostArg(caller, 0, runCallFinish, c)
 		return
 	}
-	drop, extra := n.applyEnv(msg.From, msg.To)
+	ch := n.sweep(msg.From, msg.To)
+	drop, extra := n.applyEnv(ch)
 	if err := n.reachability(msg.From, msg.To); err != nil {
 		c.err = err
 		n.sim.PostArg(caller, 0, runCallFinish, c)
@@ -482,7 +521,7 @@ func (n *Net) Call(site string, msg Message, timeout des.Time, cont func(payload
 	if drop {
 		return // request lost in the environment; caller times out
 	}
-	perr, dupAfter := n.applyPartial(site, msg.From, msg.To)
+	perr, dupAfter := n.applyPartial(site, ch)
 	if perr != nil {
 		// eintr: the request still reaches the handler, but the caller
 		// fails with InterruptedError now. Marking the call done drops the
