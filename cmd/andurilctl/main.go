@@ -245,6 +245,10 @@ func (c *ctl) submit(args []string) int {
 		fmt.Fprintln(c.stderr, "andurilctl submit: -failure is required")
 		return exitUsage
 	}
+	if doWait && timeout <= 0 {
+		fmt.Fprintf(c.stderr, "andurilctl submit: -timeout must be positive with -wait, got %v\n", timeout)
+		return exitUsage
+	}
 	spec.FaultClasses = core.SplitFaultClasses(classes)
 	sr, err := c.postJob(spec, time.Now().Add(timeout))
 	if err != nil {
@@ -368,6 +372,10 @@ func (c *ctl) wait(args []string) int {
 		fmt.Fprintln(c.stderr, "andurilctl wait: at least one job key required")
 		return exitUsage
 	}
+	if *timeout <= 0 {
+		fmt.Fprintf(c.stderr, "andurilctl wait: -timeout must be positive, got %v\n", *timeout)
+		return exitUsage
+	}
 	jobs, err := c.waitTerminal(fs.Args(), time.Now().Add(*timeout))
 	if err != nil {
 		return c.errorf("%v", err)
@@ -467,8 +475,8 @@ func (c *ctl) soak(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return exitUsage
 	}
-	if *jobs <= 0 || *distinct <= 0 {
-		fmt.Fprintln(c.stderr, "andurilctl soak: -jobs and -distinct must be positive")
+	if *jobs <= 0 || *distinct <= 0 || *timeout <= 0 {
+		fmt.Fprintln(c.stderr, "andurilctl soak: -jobs, -distinct and -timeout must be positive")
 		return exitUsage
 	}
 	if *submitOnly && *verifyOnly {

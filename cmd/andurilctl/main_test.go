@@ -89,6 +89,9 @@ func TestCtlUsageErrors(t *testing.T) {
 		{"wait"},                                 // missing keys
 		{"soak", "-jobs", "0"},                   // bad count
 		{"soak", "-submit-only", "-verify-only"}, // exclusive
+		{"submit", "-failure", "f4", "-wait", "-timeout", "0"}, // past deadline
+		{"wait", "-timeout", "-1s", "somekey"},                 // past deadline
+		{"soak", "-timeout", "0"},                              // past deadline
 	}
 	for _, args := range cases {
 		if code, _, _ := runCtl(t, args...); code != exitUsage {

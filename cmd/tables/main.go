@@ -70,6 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *seed == 0 { // core.Options.Validate's rule for seed
 		return usage("-seed: must be nonzero")
 	}
+	if *workers < 0 {
+		return usage("-j: must be >= 0 (0 = one per CPU), got %d", *workers)
+	}
 	picked := map[string]int{"table": *table, "figure": *figure}
 	for _, f := range []string{"table", "figure"} {
 		if picked[f] != 0 && !slices.ContainsFunc(eval.Generators, func(g eval.Generator) bool { return g.Flag == f && g.N == picked[f] }) {

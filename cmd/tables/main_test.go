@@ -20,6 +20,7 @@ func TestRunRejectsWhatItCannotHonour(t *testing.T) {
 		{"zero round cap", []string{"-max-rounds", "0"}, "-max-rounds"},
 		{"negative round cap", []string{"-max-rounds", "-3"}, "-max-rounds"},
 		{"zero seed", []string{"-seed", "0"}, "-seed"},
+		{"negative workers", []string{"-j", "-1"}, "-j"},
 		{"positional junk", []string{"-table", "7", "extra"}, "unexpected arguments"},
 	}
 	for _, c := range cases {

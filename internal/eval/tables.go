@@ -34,7 +34,7 @@ func Table1FaultSites(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for _, sys := range systems {
-		an, err := failures.BySystem(sys.name)[0].Analyze()
+		an, err := failures.Analyze(sys.name)
 		if err != nil {
 			return nil, err
 		}
@@ -207,10 +207,29 @@ func Table5Failures(opt Options) (*Table, error) {
 		return nil, err
 	}
 	for i, s := range scens {
+		kind, err := rootKind(s)
+		if err != nil {
+			return nil, err
+		}
 		rnd, tm := cells(reps[0][i])
-		t.Rows = append(t.Rows, slices.Concat([]string{label(s), string(s.Kind), rnd}, opt.timed(tm), []string{s.Description}))
+		t.Rows = append(t.Rows, slices.Concat([]string{label(s), string(kind), rnd}, opt.timed(tm), []string{s.Description}))
 	}
 	return t, nil
+}
+
+// rootKind is the fault kind the system's analysis records at the
+// scenario's root site: the exception type the Instrumenter reads there.
+func rootKind(s *failures.Scenario) (inject.Kind, error) {
+	an, err := failures.Analyze(s.System)
+	if err != nil {
+		return "", err
+	}
+	for _, site := range an.Sites {
+		if site.ID == s.RootSite {
+			return site.Kind, nil
+		}
+	}
+	return "", fmt.Errorf("eval: %s: root site %s is not a fault site of %s", s.ID, s.RootSite, s.System)
 }
 
 // Table6NewRootCauses reproduces appendix Table 6: failures where the
@@ -257,7 +276,7 @@ func Table7StaticAnalysis(opt Options) (*Table, error) {
 			[]string{"Graph V", "Graph E"}),
 	}
 	for _, sys := range systems {
-		an, err := failures.BySystem(sys.name)[0].Analyze()
+		an, err := failures.Analyze(sys.name)
 		if err != nil {
 			return nil, err
 		}

@@ -22,8 +22,6 @@ import (
 	"anduril/internal/sys/dyn"
 )
 
-var dynSrc = []string{"internal/sys/dyn"}
-
 // dynClasses widens the search space of the site-rooted dyn scenarios to
 // both classes: the root causes are error returns, but the target is
 // env-fault compatible and the wider space exercises the two-pass
@@ -36,9 +34,7 @@ func init() {
 		Issue:       "DY-GOSSIP-STALE",
 		System:      "dyn",
 		Description: "Dropped gossip pull leaves the coordinator routing writes on a stale ring",
-		Kind:        inject.Socket,
 		Workload:    dyn.WorkloadMembership,
-		Horizon:     dyn.Horizon,
 		// The defect marks a failed ring pull as handled, so the node never
 		// retries and keeps routing on ring v1. Only the coordinator's own
 		// pull matters: a stale ring on a non-coordinator heals through read
@@ -49,15 +45,11 @@ func init() {
 			oracle.LogContains("anti-entropy audit: replicas diverged beyond grace period"),
 			oracle.Not(oracle.ConvergedWithin(dyn.MembershipConvergeBound)),
 		),
-		SrcDirs:      dynSrc,
 		RootSite:     "dyn.gossip.pull-ring",
 		FaultClasses: dynClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// Which pull occurrence belongs to the coordinator depends on
-			// gossip timing; trial-inject to find it.
-			s, _ := ByID("f26")
-			return searchOccurrence(s, free, seed, "dyn.gossip.pull-ring")
-		},
+		// Which pull occurrence belongs to the coordinator depends on
+		// gossip timing; trial-inject to find it.
+		FindRoot: searchRoot,
 	})
 
 	register(&Scenario{
@@ -65,9 +57,7 @@ func init() {
 		Issue:       "DY-REPAIR-RESURRECT",
 		System:      "dyn",
 		Description: "Delete acked despite failed tombstone persist; read repair resurrects the key",
-		Kind:        inject.IO,
 		Workload:    dyn.WorkloadTombstones,
-		Horizon:     dyn.Horizon,
 		// The defect acknowledges a delete whose tombstone was never
 		// applied, so one replica keeps the old version. The next quorum
 		// read merges the sets, finds the live version concurrent with
@@ -78,13 +68,9 @@ func init() {
 			oracle.LogContains("after delete (resurrected)"),
 			oracle.Not(oracle.ConvergedWithin(dyn.TombstoneConvergeBound)),
 		),
-		SrcDirs:      dynSrc,
 		RootSite:     "dyn.store.persist-tombstone",
 		FaultClasses: dynClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f27")
-			return searchOccurrence(s, free, seed, "dyn.store.persist-tombstone")
-		},
+		FindRoot:     searchRoot,
 	})
 
 	register(&Scenario{
@@ -92,9 +78,7 @@ func init() {
 		Issue:       "DY-HINT-TOMBSTONE",
 		System:      "dyn",
 		Description: "Hint replayed without version metadata dominates a later tombstone",
-		Kind:        inject.Socket,
 		Workload:    dyn.WorkloadTombstones,
-		Horizon:     dyn.Horizon,
 		// A socket error mid-replay requeues the hint stripped of its
 		// vector clock; the retry fabricates a fresh coordinator version
 		// that dominates any tombstone written in between. Only replays
@@ -106,13 +90,9 @@ func init() {
 			oracle.LogContains("after delete (resurrected)"),
 			oracle.Not(oracle.ConvergedWithin(dyn.TombstoneConvergeBound)),
 		),
-		SrcDirs:      dynSrc,
 		RootSite:     "dyn.handoff.replay-hint",
 		FaultClasses: dynClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f28")
-			return searchOccurrence(s, free, seed, "dyn.handoff.replay-hint")
-		},
+		FindRoot:     searchRoot,
 	})
 
 	register(&Scenario{
@@ -120,9 +100,7 @@ func init() {
 		Issue:       "DY-ENV-SPLIT",
 		System:      "dyn",
 		Description: "Partition mid-rebalance marks an undelivered range as migrated",
-		Kind:        inject.PartitionFault,
 		Workload:    dyn.WorkloadMembership,
-		Horizon:     dyn.Horizon,
 		// A partition cutting the transfer channel during the dyn4
 		// rebalance makes the range transfer fail; the defect marks the
 		// range migrated anyway and releases the source replicas, so the
@@ -136,14 +114,12 @@ func init() {
 			oracle.LogContains("anti-entropy audit: replicas diverged beyond grace period"),
 			oracle.Not(oracle.ConvergedWithin(dyn.MembershipConvergeBound)),
 		),
-		SrcDirs:      dynSrc,
 		RootSite:     "env/partition/dyn1~dyn4",
 		FaultClasses: envClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The cut must isolate the node that sources a range transfer
 			// to dyn4 while the transfer is in flight; which channel that
 			// is depends on ring geometry, so search all three.
-			s, _ := ByID("f29")
 			for _, src := range []string{"dyn1", "dyn2", "dyn3"} {
 				site := inject.PseudoSiteID(inject.EnvPartition, src, "dyn4")
 				if inst, ok := searchOccurrence(s, free, seed, site); ok {

@@ -29,9 +29,7 @@ func init() {
 		Issue:       "ZK-ENV-CRASH",
 		System:      "zk",
 		Description: "Leader crash during commit closes the client session unrecoverably",
-		Kind:        inject.CrashFault,
 		Workload:    zk.WorkloadQuorum,
-		Horizon:     zk.Horizon,
 		// The crash marker pins the subject node; the session loss and the
 		// unfinished workload are the client-visible symptom. A crash
 		// outside the commit window lets the ensemble re-elect (or the
@@ -42,15 +40,11 @@ func init() {
 			oracle.LogContains("client failed with connection loss"),
 			oracle.Not(oracle.LogContains("finished workload")),
 		),
-		SrcDirs:      zkSrc,
 		RootSite:     "env/crash/zk3",
 		FaultClasses: envClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// The crash must hit the leader while a client write is in
-			// flight; trial-inject to find such an occurrence.
-			s, _ := ByID("f23")
-			return searchOccurrence(s, free, seed, "env/crash/zk3")
-		},
+		// The crash must hit the leader while a client write is in flight;
+		// trial-inject to find such an occurrence.
+		FindRoot: searchRoot,
 	})
 
 	register(&Scenario{
@@ -58,9 +52,7 @@ func init() {
 		Issue:       "KA-ENV-PARTITION",
 		System:      "mq",
 		Description: "Broker partition expires a live consumer from its group mid-run",
-		Kind:        inject.PartitionFault,
 		Workload:    mq.WorkloadGroup,
-		Horizon:     mq.Horizon,
 		// The partition marker pins the cut pair; the expiry of consumer-b
 		// (which never crashes in this workload — only consumer-a is
 		// stopped by the harness) plus its failing heartbeats are the
@@ -70,15 +62,11 @@ func init() {
 			oracle.LogContains("member consumer-b expired"),
 			oracle.LogContains("Consumer consumer-b heartbeat failed"),
 		),
-		SrcDirs:      mqSrc,
 		RootSite:     "env/partition/broker-a~consumer-b",
 		FaultClasses: envClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// The cut must cover a full session-timeout window while
-			// consumer-b is a member.
-			s, _ := ByID("f24")
-			return searchOccurrence(s, free, seed, "env/partition/broker-a~consumer-b")
-		},
+		// The cut must cover a full session-timeout window while
+		// consumer-b is a member.
+		FindRoot: searchRoot,
 	})
 
 	register(&Scenario{
@@ -86,9 +74,7 @@ func init() {
 		Issue:       "HD-ENV-DELAY",
 		System:      "dfs",
 		Description: "Delayed block-recovery RPC leaves an abandoned lease open forever",
-		Kind:        inject.MsgDelayFault,
 		Workload:    dfs.WorkloadWrite,
-		Horizon:     dfs.Horizon,
 		// The delay pushes the recover RPC past the namenode's timeout, so
 		// the HD-12070 defect drops the lease from the monitor queue with
 		// the file still open — the same terminal state as f7, reached
@@ -100,14 +86,12 @@ func init() {
 			oracle.LogContains("Block recovery failed"),
 			oracle.Not(oracle.LogContains("Lease recovered, file closed")),
 		),
-		SrcDirs:      dfsSrc,
 		RootSite:     "env/msg-delay/nn>dn3",
 		FaultClasses: envClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Which datanode holds the primary replica of the abandoned
 			// file's last block depends on the seed's block allocation;
 			// search every namenode->datanode delay channel.
-			s, _ := ByID("f25")
 			for i := 1; i <= 3; i++ {
 				site := inject.PseudoSiteID(inject.EnvDelay, "nn", fmt.Sprintf("dn%d", i))
 				if inst, ok := searchOccurrence(s, free, seed, site); ok {

@@ -26,20 +26,26 @@ import (
 	"anduril/internal/inject"
 	"anduril/internal/logging"
 	"anduril/internal/oracle"
+	"anduril/internal/sys/dfs"
+	"anduril/internal/sys/dyn"
+	"anduril/internal/sys/kvstore"
+	"anduril/internal/sys/mq"
+	"anduril/internal/sys/tablestore"
+	"anduril/internal/sys/zk"
 )
 
-// Scenario is one dataset entry.
+// Scenario is one dataset entry: its system's row plus what its failure
+// adds — a workload, an oracle, and the ground-truth root.
 type Scenario struct {
-	ID          string // "f1" .. "f22"
+	ID          string // "f1" .. "f34"
 	Issue       string // upstream issue id, e.g. "ZK-2247"
-	System      string // "zk", "dfs", "tablestore", "mq", "kvstore"
+	System      string // a key of systems: "zk", "dfs", "tablestore", ...
 	Description string
-	Kind        inject.Kind // fault type of the root cause (Table 5)
 
 	Workload cluster.Workload
-	Horizon  des.Time
+	Horizon  des.Time // the system's; register fills it
 	Oracle   oracle.Oracle
-	SrcDirs  []string // source directories the Instrumenter analyzes
+	SrcDirs  []string // the system's source, which the Instrumenter analyzes; register fills it
 
 	// FaultClasses names the fault classes the explorer searches for this
 	// scenario (core.ClassSite / core.ClassEnv / core.ClassPair /
@@ -52,10 +58,10 @@ type Scenario struct {
 
 	// RootSite is the ground-truth root-cause fault site.
 	RootSite string
-	// FindRoot locates the ground-truth dynamic instance in a free run's
-	// trace (the right site at the right occurrence). The seed of the free
-	// run is passed for scenarios that must trial-inject to confirm it.
-	FindRoot func(free *cluster.Result, seed int64) (inject.Instance, bool)
+	// FindRoot locates the ground-truth dynamic instance of s.RootSite in
+	// a free run's trace (the right occurrence). The seed of the free run
+	// is passed for scenarios that must trial-inject to confirm it.
+	FindRoot func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool)
 
 	// NewRootCause, when non-empty, describes the deeper root cause the
 	// explorer can expose for this failure (Table 6 analog).
@@ -68,6 +74,19 @@ type Scenario struct {
 		err  error
 	}
 }
+
+// systems is one row per target system: its horizon. A system's source is
+// internal/sys/<name>, and every scenario of the system shares both.
+var systems = map[string]des.Time{
+	"zk":         zk.Horizon,
+	"dfs":        dfs.Horizon,
+	"tablestore": tablestore.Horizon,
+	"mq":         mq.Horizon,
+	"kvstore":    kvstore.Horizon,
+	"dyn":        dyn.Horizon,
+}
+
+func srcDirs(system string) []string { return []string{"internal/sys/" + system} }
 
 // FailureSeed is the seed of the simulated "production" run that generated
 // the failure log; the explorer's rounds use unrelated seeds.
@@ -87,20 +106,22 @@ var (
 	analysisCache = map[string]*analysisEntry{}
 )
 
-// Analyze returns the (cached) static analysis for the scenario's system.
-// It is safe for concurrent use; the returned Result is shared and must be
+// Analyze returns the (cached) static analysis of a system's source. It is
+// safe for concurrent use; the returned Result is shared and must be
 // treated as read-only (every accessor on analysis.Result already is).
-func (s *Scenario) Analyze() (*analysis.Result, error) {
-	key := fmt.Sprint(s.SrcDirs)
+func Analyze(system string) (*analysis.Result, error) {
+	if _, ok := systems[system]; !ok {
+		return nil, fmt.Errorf("failures: no system %q", system)
+	}
 	analysisMu.Lock()
-	e, ok := analysisCache[key]
+	e, ok := analysisCache[system]
 	if !ok {
 		e = &analysisEntry{}
-		analysisCache[key] = e
+		analysisCache[system] = e
 	}
 	analysisMu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = analysis.AnalyzePackages(s.SrcDirs)
+		e.res, e.err = analysis.AnalyzePackages(srcDirs(system))
 	})
 	return e.res, e.err
 }
@@ -136,7 +157,7 @@ func (s *Scenario) groundTruth(seed int64) (inject.Instance, *cluster.Result, er
 	if err != nil {
 		return inject.Instance{}, nil, fmt.Errorf("%s: free run: %w", s.ID, err)
 	}
-	inst, ok := s.FindRoot(free, seed)
+	inst, ok := s.FindRoot(s, free, seed)
 	if !ok {
 		return inject.Instance{}, nil, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
 	}
@@ -187,7 +208,7 @@ func (s *Scenario) BuildTarget() (*core.Target, error) {
 }
 
 func (s *Scenario) buildTarget() (*core.Target, error) {
-	an, err := s.Analyze()
+	an, err := Analyze(s.System)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +236,16 @@ func (s *Scenario) buildTarget() (*core.Target, error) {
 // from any number of goroutines (the parallel evaluation harness does).
 var registry []*Scenario
 
-func register(s *Scenario) { registry = append(registry, s) }
+// register adds a scenario, filling in its system's row; a system with no
+// row is a dataset bug.
+func register(s *Scenario) {
+	h, ok := systems[s.System]
+	if !ok {
+		panic(fmt.Sprintf("failures: %s: no row for system %q", s.ID, s.System))
+	}
+	s.SrcDirs, s.Horizon = srcDirs(s.System), h
+	registry = append(registry, s)
+}
 
 // All returns every scenario in dataset order (f1..f22), regardless of
 // package initialization order.

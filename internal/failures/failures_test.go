@@ -2,6 +2,7 @@ package failures
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"anduril/internal/cluster"
@@ -37,7 +38,7 @@ func TestScenarioInvariants(t *testing.T) {
 				t.Fatalf("%s: oracle satisfied without any fault", s.ID)
 			}
 			// 2. Ground truth reproduces.
-			inst, ok := s.FindRoot(free, FailureSeed)
+			inst, ok := s.FindRoot(s, free, FailureSeed)
 			if !ok {
 				t.Fatalf("%s: ground truth not found", s.ID)
 			}
@@ -81,7 +82,7 @@ func TestGroundTruthStableAcrossSeeds(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				inst, ok := s.FindRoot(run(t, s, seed, nil, s.features()), seed)
+				inst, ok := s.FindRoot(s, run(t, s, seed, nil, s.features()), seed)
 				if !ok {
 					t.Fatalf("seed %d: ground truth not found", seed)
 				}
@@ -139,17 +140,38 @@ func TestRegistryLookups(t *testing.T) {
 	if len(BySystem("dyn")) != 5 {
 		t.Fatalf("dyn scenarios: %d", len(BySystem("dyn")))
 	}
+	// A scenario's source and horizon are its system's row, and no name
+	// ByID matches is another scenario's (it matches an ID or an Issue).
+	names := map[string]string{}
+	for _, s := range All() {
+		if want := []string{"internal/sys/" + s.System}; !slices.Equal(s.SrcDirs, want) {
+			t.Errorf("%s: SrcDirs %v, want %v", s.ID, s.SrcDirs, want)
+		}
+		if s.Horizon != systems[s.System] || s.Horizon == 0 {
+			t.Errorf("%s: Horizon %v, want %s's %v", s.ID, s.Horizon, s.System, systems[s.System])
+		}
+		for _, name := range []string{s.ID, s.Issue} {
+			if other, dup := names[name]; dup {
+				t.Errorf("%s: name %q is also %s's", s.ID, name, other)
+			}
+			names[name] = s.ID
+		}
+	}
 }
 
 func TestAnalyzeCached(t *testing.T) {
-	s, _ := ByID("f1")
-	a1, err := s.Analyze()
+	f1, _ := ByID("f1")
+	f2, _ := ByID("f2")
+	a1, err := Analyze(f1.System)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _ := s.Analyze()
+	a2, _ := Analyze(f2.System)
 	if a1 != a2 {
-		t.Fatal("analysis not cached")
+		t.Fatal("analysis not cached: f1 and f2 share a system but not its analysis")
+	}
+	if _, err := Analyze("nope"); err == nil {
+		t.Fatal("analysis of an unknown system succeeded")
 	}
 }
 
@@ -165,7 +187,7 @@ func TestExecuteDeterministicPerSeed(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			t.Parallel() // cross-scenario concurrency must not leak either
-			inst, ok := s.FindRoot(run(t, s, FailureSeed, nil, s.features()), FailureSeed)
+			inst, ok := s.FindRoot(s, run(t, s, FailureSeed, nil, s.features()), FailureSeed)
 			if !ok {
 				t.Fatalf("ground truth not found")
 			}

@@ -8,28 +8,20 @@ import (
 	"anduril/internal/sys/mq"
 )
 
-var (
-	mqSrc = []string{"internal/sys/mq"}
-	csSrc = []string{"internal/sys/kvstore"}
-)
-
 func init() {
 	register(&Scenario{
 		ID:          "f18",
 		Issue:       "KA-12508",
 		System:      "mq",
 		Description: "Emit-on-change tables lose updates after error and restart",
-		Kind:        inject.IO,
 		Workload:    mq.WorkloadStreams,
-		Horizon:     mq.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("restarting task"),
 			oracle.LogContains("lost update"),
 		),
-		SrcDirs:  mqSrc,
 		RootSite: "mq.streams.checkpoint",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "mq.streams.checkpoint", 5)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 5)
 		},
 	})
 
@@ -38,17 +30,14 @@ func init() {
 		Issue:       "KA-9374",
 		System:      "mq",
 		Description: "Blocked connectors disable the Workers",
-		Kind:        inject.IO,
 		Workload:    mq.WorkloadConnect,
-		Horizon:     mq.Horizon,
 		Oracle: oracle.And(
 			oracle.ThreadStuck("connector-stop"),
 			oracle.LogContains("worker unresponsive"),
 		),
-		SrcDirs:  mqSrc,
 		RootSite: "mq.connect.stop-connector",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "mq.connect.stop-connector", 1)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 1)
 		},
 	})
 
@@ -57,21 +46,15 @@ func init() {
 		Issue:       "KA-10048",
 		System:      "mq",
 		Description: "Consumer's failover under MM2 replication configuration causes data gap between 2 clusters",
-		Kind:        inject.IO,
 		Workload:    mq.WorkloadMirror,
-		Horizon:     mq.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("errors.tolerance"),
 			oracle.LogContains("Data gap detected"),
 		),
-		SrcDirs:  mqSrc,
 		RootSite: "mq.mm2.convert-record",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// The dropped record must be one the consumer had not yet read
-			// when it failed over; trial-inject to find such an occurrence.
-			s, _ := ByID("f20")
-			return searchOccurrence(s, free, seed, "mq.mm2.convert-record")
-		},
+		// The dropped record must be one the consumer had not yet read when
+		// it failed over; trial-inject to find such an occurrence.
+		FindRoot: searchRoot,
 	})
 
 	register(&Scenario{
@@ -79,17 +62,14 @@ func init() {
 		Issue:       "C*-17663",
 		System:      "kvstore",
 		Description: "Interrupted FileStreamTask compromise shared channel proxy",
-		Kind:        inject.Interrupted,
 		Workload:    kvstore.WorkloadRepair,
-		Horizon:     kvstore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("channel proxy in invalid state"),
 			oracle.Not(oracle.LogContains("completed successfully")),
 		),
-		SrcDirs:  csSrc,
 		RootSite: "cs.stream.file-task",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "cs.stream.file-task", 1)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 1)
 		},
 	})
 
@@ -98,17 +78,14 @@ func init() {
 		Issue:       "C*-6415",
 		System:      "kvstore",
 		Description: "Snapshot repair blocks forever if get no response of makeSnapshot",
-		Kind:        inject.IO,
 		Workload:    kvstore.WorkloadRepair,
-		Horizon:     kvstore.Horizon,
 		Oracle: oracle.And(
 			oracle.ThreadStuck("await-snapshot-responses"),
 			oracle.LogContains("Repair session repair-1 started"),
 		),
-		SrcDirs:  csSrc,
 		RootSite: "cs.repair.make-snapshot",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "cs.repair.make-snapshot", 2)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 2)
 		},
 		NewRootCause: "an earlier disk fault writing the snapshot file (cs.repair.write-snapshot) also leaves the coordinator waiting forever — deeper than the message-loss diagnosis",
 	})

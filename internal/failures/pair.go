@@ -41,14 +41,17 @@ import (
 var pairClasses = []string{core.ClassPair}
 
 func init() {
+	// The pair roots' member sites, stated once for RootSite and FindRoot:
+	// f30 pairs rh with pr, f31 pairs cd with itself.
+	const rh, pr = "dyn.handoff.replay-hint", "dyn.store.persist-record"
+	const cd = "dfs.datanode.connect-downstream"
+
 	register(&Scenario{
 		ID:          "f30",
 		Issue:       "DY-HINT-APPLY-RACE",
 		System:      "dyn",
 		Description: "Bare hint replay resurrects a delete only when the regular apply is also lost",
-		Kind:        inject.Socket,
 		Workload:    dyn.WorkloadTombstones,
-		Horizon:     dyn.Horizon,
 		// Pinned to k002: the requeued-hint line names the key whose hint
 		// lost its version metadata, the resurrect line proves the bare
 		// replay's fabricated version beat the tombstone, and Diverged
@@ -66,12 +69,9 @@ func init() {
 			oracle.LogContainsExact("verify: k002 returned v002 after delete (resurrected)"),
 			oracle.Diverged(),
 		),
-		SrcDirs:      dynSrc,
-		RootSite:     inject.PairSiteID("dyn.handoff.replay-hint", "dyn.store.persist-record"),
+		RootSite:     inject.PairSiteID(rh, pr),
 		FaultClasses: pairClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f30")
-			const rh, pr = "dyn.handoff.replay-hint", "dyn.store.persist-record"
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The persist member must kill a *retry* apply — the bare
 			// replay's own store write, which sits at the tail of the record
 			// stream — so scan persist occurrences from the top. The hint
@@ -96,9 +96,7 @@ func init() {
 		Issue:       "HD-13039-DOUBLE",
 		System:      "dfs",
 		Description: "Two leaked xceiver sockets on distinct datanodes make block writes fail terminally",
-		Kind:        inject.IO,
 		Workload:    dfs.WorkloadWrite,
-		Horizon:     dfs.Horizon,
 		// A single leak exhausts exactly one pool and the pipeline falls
 		// back to the remaining nodes, so the discriminating symptom is two
 		// *distinct* datanodes reporting exhaustion plus the client's
@@ -109,12 +107,9 @@ func init() {
 			oracle.LogContains("failed to write block"),
 			oracle.Predicate("xceiver pools exhausted on >=2 datanodes", multiNodeExhaustion),
 		),
-		SrcDirs:      dfsSrc,
-		RootSite:     inject.PairSiteID("dfs.datanode.connect-downstream", "dfs.datanode.connect-downstream"),
+		RootSite:     inject.PairSiteID(cd, cd),
 		FaultClasses: pairClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f31")
-			const cd = "dfs.datanode.connect-downstream"
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Self-pair: unordered occurrence combinations, x < y. Pipeline
 			// heads rotate round-robin, so which combinations land on
 			// distinct datanodes depends on block numbering — trial-inject.

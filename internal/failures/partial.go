@@ -34,9 +34,7 @@ func init() {
 		Issue:       "HD-PARTIAL-TORN",
 		System:      "dfs",
 		Description: "Edit-log roll torn mid-rename leaves double edit logs and latches checkpointing off forever",
-		Kind:        inject.TornRename,
 		Workload:    dfs.WorkloadCheckpoint,
-		Horizon:     dfs.Horizon,
 		// The torn rename leaves BOTH nn/edits and nn/edits.rolled on disk
 		// — the intermediate state no clean fault can produce: an
 		// all-or-nothing rename failure leaves only the source, a success
@@ -51,16 +49,11 @@ func init() {
 			oracle.FileExists("nn/edits"),
 			oracle.FileExists("nn/edits.rolled"),
 		),
-		SrcDirs:      dfsSrc,
 		RootSite:     inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""),
 		FaultClasses: partialClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// The torn roll must not be the last checkpoint attempt, or no
-			// later cycle observes the latched busy flag.
-			s, _ := ByID("f32")
-			return searchOccurrence(s, free, seed,
-				inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""))
-		},
+		// The torn roll must not be the last checkpoint attempt, or no
+		// later cycle observes the latched busy flag.
+		FindRoot:     searchRoot,
 		NewRootCause: "rename torn between copy and unlink: both edit logs exist and checkpointBusy stays latched, so the namenode serves forever without another backup",
 	})
 
@@ -69,9 +62,7 @@ func init() {
 		Issue:       "ZK-PARTIAL-SHORTWRITE",
 		System:      "zk",
 		Description: "Short txn-log write leaves a torn record that corrupts recovery after restart",
-		Kind:        inject.ShortWrite,
 		Workload:    zk.WorkloadSnapshotRestart,
-		Horizon:     zk.Horizon,
 		// The short write persists half a txn record on zk1 before the
 		// error kills its sync processor; a clean write failure (f1's
 		// fault) kills the processor too but appends NOTHING, so the log
@@ -82,17 +73,12 @@ func init() {
 			oracle.LogContainsExact("Severe unrecoverable error, exiting SyncRequestProcessor on myid=1"),
 			oracle.LogContainsExact("Skipping malformed txn record on myid=1"),
 		),
-		SrcDirs:      zkSrc,
 		RootSite:     inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""),
 		FaultClasses: partialClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// The torn append must land on zk1 (the server the workload
-			// restarts) and before the restart; occurrences are global
-			// across the ensemble, so search for one on the right server.
-			s, _ := ByID("f33")
-			return searchOccurrence(s, free, seed,
-				inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""))
-		},
+		// The torn append must land on zk1 (the server the workload
+		// restarts) and before the restart; occurrences are global across
+		// the ensemble, so search for one on the right server.
+		FindRoot:     searchRoot,
 		NewRootCause: "txn-log replay skips the torn record silently instead of truncating the tail, so the restarted follower rejoins with a hole in its history",
 	})
 
@@ -101,9 +87,7 @@ func init() {
 		Issue:       "KA-PARTIAL-DUP",
 		System:      "mq",
 		Description: "Duplicated produce delivery double-applies an order to the broker log",
-		Kind:        inject.DupDeliver,
 		Workload:    mq.WorkloadGroup,
-		Horizon:     mq.Horizon,
 		// The duplicated produce request runs the broker's handler twice:
 		// the same order record is appended at two offsets (the producer's
 		// response comes from the first delivery; the second response is
@@ -136,14 +120,9 @@ func init() {
 				return false
 			}),
 		),
-		SrcDirs:      mqSrc,
 		RootSite:     inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"),
 		FaultClasses: partialClasses,
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f34")
-			return searchOccurrence(s, free, seed,
-				inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"))
-		},
+		FindRoot:     searchRoot,
 		NewRootCause: "the broker's produce path is not idempotent: a redelivered request appends a second copy instead of detecting the duplicate sequence number",
 	})
 }

@@ -7,27 +7,19 @@ import (
 	"anduril/internal/sys/tablestore"
 )
 
-var tsSrc = []string{"internal/sys/tablestore"}
-
 func init() {
 	register(&Scenario{
 		ID:          "f12",
 		Issue:       "HB-18137",
 		System:      "tablestore",
 		Description: "Empty WAL file causes Replication to get stuck",
-		Kind:        inject.IO,
 		Workload:    tablestore.WorkloadReplication,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Failed to write WAL header"),
 			oracle.LogContains("Replication stuck on empty WAL file"),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.wal.write-header",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			s, _ := ByID("f12")
-			return searchOccurrence(s, free, seed, "ts.wal.write-header")
-		},
+		FindRoot: searchRoot,
 	})
 
 	register(&Scenario{
@@ -35,18 +27,15 @@ func init() {
 		Issue:       "HB-19608",
 		System:      "tablestore",
 		Description: "Interrupted procedure mistakenly causes a failed state flag",
-		Kind:        inject.Interrupted,
 		Workload:    tablestore.WorkloadProcedures,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("marking procedure as failed"),
 			oracle.LogContains("rejecting procedure"),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.proc.step-wait",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must interrupt a step with procedures still queued behind it.
-			return nthOccurrence(free, "ts.proc.step-wait", 2)
+			return nthOccurrence(free, s.RootSite, 2)
 		},
 	})
 
@@ -55,18 +44,15 @@ func init() {
 		Issue:       "HB-19876",
 		System:      "tablestore",
 		Description: "The exception happening in converting pb mutation messes up the CellScanner",
-		Kind:        inject.IO,
 		Workload:    tablestore.WorkloadBatch,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Failed to convert mutation"),
 			oracle.LogContains("Corrupt cell detected"),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.region.decode-mutation",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must hit a non-atomic batch before its last mutation.
-			return nthOccurrence(free, "ts.region.decode-mutation", 2)
+			return nthOccurrence(free, s.RootSite, 2)
 		},
 	})
 
@@ -75,18 +61,15 @@ func init() {
 		Issue:       "HB-20583",
 		System:      "tablestore",
 		Description: "The failure during splitting log causes resubmit of another failed splitting task",
-		Kind:        inject.IO,
 		Workload:    tablestore.WorkloadCrash,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("resubmitting"),
 			oracle.LogContains("still in RECOVERING state"),
 			oracle.Not(oracle.LogContainsExact("WAL split for rs2 completed")),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.split.read-walchunk",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "ts.split.read-walchunk", 2)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 2)
 		},
 	})
 
@@ -95,18 +78,15 @@ func init() {
 		Issue:       "HB-16144",
 		System:      "tablestore",
 		Description: "Replication queue's lock will live forever if regionserver acquiring the lock has died prematurely",
-		Kind:        inject.IO,
 		Workload:    tablestore.WorkloadCrash,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Aborting region server"),
 			oracle.LogContains("Failed to claim replication queue"),
 			oracle.Not(oracle.LogContainsExact("Claimed replication queue of rs2")),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.repl.copy-queue",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, "ts.repl.copy-queue", 1)
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
+			return nthOccurrence(free, s.RootSite, 1)
 		},
 	})
 
@@ -115,21 +95,15 @@ func init() {
 		Issue:       "HB-25905",
 		System:      "tablestore",
 		Description: "Transient namenode failure in HDFS causes WAL services in HBase to stop making any progress",
-		Kind:        inject.IO,
 		Workload:    tablestore.WorkloadWAL,
-		Horizon:     tablestore.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Failed to get sync result"),
 			oracle.ThreadStuck("waitForSafePoint"),
 		),
-		SrcDirs:  tsSrc,
 		RootSite: "ts.wal.stream-write",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
-			// Only a stream break landing in the narrow window before a
-			// roll — with more unacked appends than one sync batch — wedges
-			// the consumer (the paper's "only 2 of 1000+ instances").
-			s, _ := ByID("f17")
-			return searchOccurrence(s, free, seed, "ts.wal.stream-write")
-		},
+		// Only a stream break landing in the narrow window before a roll —
+		// with more unacked appends than one sync batch — wedges the
+		// consumer (the paper's "only 2 of 1000+ instances").
+		FindRoot: searchRoot,
 	})
 }

@@ -43,27 +43,22 @@ func nthOccurrence(free *cluster.Result, site string, n int) (inject.Instance, b
 	return inject.Instance{Site: site, Occurrence: n}, true
 }
 
-var zkSrc = []string{"internal/sys/zk"}
-
 func init() {
 	register(&Scenario{
 		ID:          "f1",
 		Issue:       "ZK-2247",
 		System:      "zk",
 		Description: "Server unavailable when leader fails to write transaction log",
-		Kind:        inject.IO,
 		Workload:    zk.WorkloadQuorum,
-		Horizon:     zk.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Severe unrecoverable error, exiting SyncRequestProcessor"),
 			oracle.LogContains("timed out; server unavailable"),
 		),
-		SrcDirs:  zkSrc,
 		RootSite: "zk.sync.append-txn",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The fault must hit the LEADER's sync processor; the same
 			// static site on a follower is tolerated by the quorum.
-			return firstOn(free, "zk.sync.append-txn", "zk3")
+			return firstOn(free, s.RootSite, "zk3")
 		},
 	})
 
@@ -72,19 +67,16 @@ func init() {
 		Issue:       "ZK-3157",
 		System:      "zk",
 		Description: "Connection loss causes the client to fail",
-		Kind:        inject.Socket,
 		Workload:    zk.WorkloadQuorum,
-		Horizon:     zk.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Unexpected exception causing session"),
 			oracle.LogContains("client failed with connection loss"),
 		),
-		SrcDirs:  zkSrc,
 		RootSite: "zk.follower.forward-request",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The broken channel must carry a write; forwarded reads are
 			// retried. Occurrence 3 is the first set operation.
-			return nthOccurrence(free, "zk.follower.forward-request", 3)
+			return nthOccurrence(free, s.RootSite, 3)
 		},
 	})
 
@@ -93,19 +85,16 @@ func init() {
 		Issue:       "ZK-4203",
 		System:      "zk",
 		Description: "The leader election is stuck forever due to connection error",
-		Kind:        inject.IO,
 		Workload:    zk.WorkloadElection,
-		Horizon:     zk.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("Exception while listening for election connections"),
 			oracle.Not(oracle.LogContains("Leader is serving epoch")),
 		),
-		SrcDirs:  zkSrc,
 		RootSite: "zk.election.accept-connection",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The connection manager must die on the would-be leader (the
 			// highest id) before it tallies a quorum.
-			return firstOn(free, "zk.election.accept-connection", "zk3")
+			return firstOn(free, s.RootSite, "zk3")
 		},
 	})
 
@@ -114,19 +103,16 @@ func init() {
 		Issue:       "ZK-3006",
 		System:      "zk",
 		Description: "Invalid disk file content causes null pointer exception",
-		Kind:        inject.IO,
 		Workload:    zk.WorkloadSnapshotRestart,
-		Horizon:     zk.Horizon,
 		Oracle: oracle.And(
 			oracle.LogContains("NullPointerException"),
 			oracle.LogContains("Severe error starting quorum peer"),
 		),
-		SrcDirs:  zkSrc,
 		RootSite: "zk.snap.write-body",
-		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
+		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The truncated snapshot must be the LAST one zk1 wrote before
 			// its restart; earlier ones are superseded.
-			return lastOnBefore(free, "zk.snap.write-body", "zk1", 1200*des.Millisecond)
+			return lastOnBefore(free, s.RootSite, "zk1", 1200*des.Millisecond)
 		},
 	})
 }

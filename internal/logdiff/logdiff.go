@@ -19,7 +19,9 @@
 package logdiff
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"anduril/internal/logging"
 )
@@ -318,29 +320,17 @@ func (r *Result) MissingKeys() []Key {
 	for k := range r.Missing {
 		out = append(out, k)
 	}
-	sort.Sort(keySlice(out))
+	slices.SortFunc(out, compareKeys)
 	return out
 }
 
-// keySlice sorts Keys by (thread, msg) without the per-call closure and
-// reflection swapper that sort.Slice allocates.
-type keySlice []Key
-
-func (s keySlice) Len() int      { return len(s) }
-func (s keySlice) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s keySlice) Less(i, j int) bool {
-	if s[i].Thread != s[j].Thread {
-		return s[i].Thread < s[j].Thread
-	}
-	return s[i].Msg < s[j].Msg
+// compareKeys orders Keys by (thread, msg).
+func compareKeys(x, y Key) int {
+	return cmp.Or(strings.Compare(x.Thread, y.Thread), strings.Compare(x.Msg, y.Msg))
 }
 
-// pairsByA sorts LCS anchors by run-side position.
-type pairsByA []matchPair
-
-func (s pairsByA) Len() int           { return len(s) }
-func (s pairsByA) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s pairsByA) Less(i, j int) bool { return s[i].a < s[j].a }
+// compareByA orders LCS anchors by run-side position.
+func compareByA(x, y matchPair) int { return cmp.Compare(x.a, y.a) }
 
 // Compare diffs a run log against the failure log per thread (§5.1.1). The
 // returned Missing set is exactly "messages that only appear in the failure
@@ -364,7 +354,7 @@ func (sc *Scratch) Compare(run []logging.Entry, f *Failure) *Result {
 	}
 	// Sort anchors by run position and enforce monotonicity on the failure
 	// side (longest-nondecreasing filter) so the alignment is a function.
-	sort.Sort(pairsByA(sc.anchors))
+	slices.SortFunc(sc.anchors, compareByA)
 	res.Matches = monotonic(sc.anchors)
 	return res
 }
