@@ -4,7 +4,7 @@
 // Usage:
 //
 //	tables                 # everything, parallel across all CPUs
-//	tables -table 2        # one table (1-8, 9 = ablations, 10 = f23-f34)
+//	tables -table 2        # one table (1-8, 9 = ablations, 10 = f23-f34, 11 = seed sweep)
 //	tables -figure 6       # Figure 6
 //	tables -max-rounds 500 -seed 1
 //	tables -j 1            # serial (identical output, one worker)
@@ -45,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		table     = fs.Int("table", 0, "regenerate one table (1-8, 9 = ablations, 10 = f23-f34); 0 = all")
+		table     = fs.Int("table", 0, "regenerate one table (1-8, 9 = ablations, 10 = f23-f34, 11 = seed sweep); 0 = all")
 		figure    = fs.Int("figure", 0, "regenerate one figure (6); 0 = all")
 		seed      = fs.Int64("seed", 1, "master seed")
 		maxRounds = fs.Int("max-rounds", core.DefaultMaxRounds, "round cap (the paper's 24-hour analog)")

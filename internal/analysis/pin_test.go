@@ -21,7 +21,8 @@ var updatePins = flag.Bool("update", false, "rewrite the testdata/pins analysis 
 // moves code keeps the pin, while one that links a site to a log it did
 // not reach before (a new assignment to a name some logging condition
 // reads, say) fails here by name instead of as a moved golden trace three
-// packages away. Regenerate with -update once the change is meant.
+// packages away. Regenerate with scripts/update_goldens.sh once the change
+// is meant.
 func TestSysAnalysisPinned(t *testing.T) {
 	for _, sys := range []string{"zk", "dfs", "tablestore", "mq", "kvstore", "dyn"} {
 		t.Run(sys, func(t *testing.T) {

@@ -11,18 +11,16 @@ package core_test
 // same records. A new scenario or fault class enters the sweep by its
 // failures.register call alone.
 //
-// Regenerate a golden after an intentional explorer change with
-//
-//	go test ./internal/core -run 'TestDatasetConformance/f26/occurrence/golden' -update
-//
-// (site_trajectories.golden pins the pre-dyn behaviour of f1–f25; regenerate
-// it only when the explorer itself changes, never to absorb a side effect
-// of a new target or class.)
+// After an intentional explorer change, scripts/update_goldens.sh
+// regenerates every golden of the repository and lists what moved.
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -34,10 +32,11 @@ import (
 	"anduril/internal/core"
 	"anduril/internal/failures"
 	"anduril/internal/inject"
+	"anduril/internal/parallel"
 	"anduril/internal/trace"
 )
 
-var update = flag.Bool("update", false, "rewrite golden trace files")
+var update = flag.Bool("update", false, "rewrite the golden files")
 
 var addressingModes = []core.Addressing{core.AddrOccurrence, core.AddrPath}
 
@@ -93,14 +92,17 @@ func (c *cell) predecessor() *cell {
 	panic("the dataset has a single fault class set")
 }
 
-var cells = func() map[cellKey]*cell {
+// cellOrder is every cell's key, in failures.All() × addressingModes order.
+var cellOrder, cells = func() ([]cellKey, map[cellKey]*cell) {
+	var keys []cellKey
 	m := map[cellKey]*cell{}
 	for _, sc := range failures.All() {
 		for _, mode := range addressingModes {
-			m[cellKey{sc.ID, mode}] = &cell{sc: sc, opts: core.Options{Seed: 1, MaxRounds: 500, Addressing: mode}}
+			k := cellKey{sc.ID, mode}
+			keys, m[k] = append(keys, k), &cell{sc: sc, opts: core.Options{Seed: 1, MaxRounds: 500, Addressing: mode}}
 		}
 	}
-	return m
+	return keys, m
 }()
 
 // search runs the cell's target under opts and returns the report and the
@@ -248,7 +250,8 @@ func scriptReplays(t *testing.T, c *cell) {
 	}
 }
 
-// goldenPath is where the cell's trace is pinned, if it is.
+// goldenPath is where the cell's trace is pinned in full, if it is: only f3
+// (ExampleScript's search), f23 in path mode, f31 and f32 pin one.
 func (c *cell) goldenPath() string {
 	switch {
 	case c.opts.Addressing == core.AddrPath:
@@ -259,41 +262,151 @@ func (c *cell) goldenPath() string {
 	return fmt.Sprintf("testdata/%s.trace.jsonl", c.sc.ID)
 }
 
+// datasetGolden pins every cell's search: one section per cell, in
+// cellOrder, each the cell's section() rendering.
+const datasetGolden = "testdata/dataset_trajectories.golden"
+
+// section renders one search as a section of a trajectory golden: a header
+// naming the failure and variant and holding the SHA-256 of the search's
+// JSONL trace and of its canonical report, then its trajectory.
+func section(sc *failures.Scenario, variant string, jsonl []byte, rep *core.Report) (string, error) {
+	canon, err := core.CanonicalReport(rep)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("== %s %s trace=%x report=%x\n", sc.ID, variant, sha256.Sum256(jsonl), sha256.Sum256(canon)) +
+		trajectory(sc, rep), nil
+}
+
+// trajectory renders a search's every deterministic per-round datum,
+// nothing wall-clock dependent.
+func trajectory(sc *failures.Scenario, rep *core.Report) string {
+	var b strings.Builder
+	script := "none"
+	if rep.Script != nil {
+		script = fmt.Sprintf("%s#%d", rep.Script.Site, rep.Script.Occurrence)
+	}
+	fmt.Fprintf(&b, "%s reproduced=%v rounds=%d script=%s\n", sc.ID, rep.Reproduced, rep.Rounds, script)
+	for _, rd := range rep.RoundLog {
+		inj := "none"
+		if rd.Injected != nil {
+			inj = fmt.Sprintf("%s#%d", rd.Injected.Site, rd.Injected.Occurrence)
+		}
+		fmt.Fprintf(&b, "round %d inj=%s sat=%v rank=%d missing=%d window=%d\n",
+			rd.N, inj, rd.Satisfied, rd.RootRank, rd.MissingObs, rd.WindowSize)
+	}
+	return b.String()
+}
+
+// datasetSections is the dataset golden as read, one {"<id> <mode>",
+// section} pair per "== " header, in file order.
+var datasetSections = sync.OnceValues(func() ([][2]string, error) {
+	raw, err := os.ReadFile(datasetGolden)
+	var secs [][2]string
+	for _, line := range strings.SplitAfter(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "==" {
+			secs = append(secs, [2]string{f[1] + " " + f[2], ""})
+		} else if len(secs) == 0 && line != "" {
+			return nil, fmt.Errorf("%s: %q before the first section", datasetGolden, line)
+		}
+		if len(secs) > 0 {
+			secs[len(secs)-1][1] += line
+		}
+	}
+	return secs, err
+})
+
+// writeGoldens rewrites the dataset golden from every cell, observing the
+// ones no test has yet, and the trace of every cell that pins one.
+var writeGoldens = sync.OnceValue(func() error {
+	secs, err := parallel.Map(0, cellOrder, func(_ int, k cellKey) (string, error) {
+		c := cells[k].observe()
+		if c.err != nil {
+			return "", fmt.Errorf("%s %s: %w", k.id, k.mode, c.err)
+		}
+		if _, err := os.Stat(c.goldenPath()); err == nil {
+			if err := os.WriteFile(c.goldenPath(), c.first, 0o644); err != nil {
+				return "", err
+			}
+		}
+		return section(c.sc, string(k.mode), c.first, c.rep)
+	})
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(datasetGolden, []byte(strings.Join(secs, "")), 0o644)
+})
+
+// golden: the cell's section of the dataset golden is its search, and a
+// cell that pins its trace in full (goldenPath) emits those bytes. Under
+// -update the first golden check rewrites both files from every cell,
+// whatever -run selected.
 func golden(t *testing.T, c *cell) {
 	reproduces(t, c)
-	compareGolden(t, c.goldenPath(), c.first)
-}
-
-// goldenIfPinned is golden for the sweep, where most cells pin no trace.
-func goldenIfPinned(t *testing.T, c *cell) {
-	if _, err := os.Stat(c.goldenPath()); err != nil && !*update {
-		t.Skipf("no golden at %s", c.goldenPath())
+	if *update {
+		if err := writeGoldens(); err != nil {
+			t.Fatal(err)
+		}
+		return
 	}
-	golden(t, c)
+	got, err := section(c.sc, string(c.opts.Addressing), c.first, c.rep)
+	secs, rerr := datasetSections()
+	if err = errors.Join(err, rerr); err != nil {
+		t.Fatal(err)
+	}
+	key := c.sc.ID + " " + string(c.opts.Addressing)
+	i := slices.IndexFunc(secs, func(s [2]string) bool { return s[0] == key })
+	if i < 0 {
+		t.Fatalf("%s has no section %q", datasetGolden, key)
+	}
+	if d := diffLines(secs[i][1], got); d != "" {
+		t.Fatalf("search differs from its section in %s %s", datasetGolden, d)
+	}
+	switch want, err := os.ReadFile(c.goldenPath()); {
+	case errors.Is(err, fs.ErrNotExist): // pinned by the section's trace hash alone
+	case err != nil:
+		t.Fatal(err)
+	case !sameTrace(t, want, c.first):
+		t.Fatalf("trace differs from %s", c.goldenPath())
+	}
 }
 
-// compareGolden holds a trace to the golden file at path — or, under
-// -update, rewrites the file. On a mismatch both streams are decoded for a
-// readable event-level diff before failing.
-func compareGolden(t *testing.T, path string, got []byte) {
+// compareText holds got to the text golden at path — or, under -update,
+// rewrites the file.
+func compareText(t *testing.T, path, got string) {
 	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read golden trace (run with -update to create it): %v", err)
+		t.Fatal(err)
 	}
-	if !sameTrace(t, want, got) {
-		t.Fatalf("trace differs from %s; rerun with -update if the change is intentional", path)
+	if d := diffLines(string(want), got); d != "" {
+		t.Fatalf("%s differs %s", path, d)
 	}
+}
+
+// diffLines locates the first line where two renderings differ, naming the
+// "== " section header above it, or is "" when they are equal.
+func diffLines(want, got string) string {
+	w, g := strings.SplitAfter(want, "\n"), strings.SplitAfter(got, "\n")
+	header := ""
+	for i := range min(len(w), len(g)) {
+		if strings.HasPrefix(w[i], "== ") {
+			header = strings.TrimSpace(w[i])
+		}
+		if w[i] != g[i] {
+			return fmt.Sprintf("at line %d (under %q):\n- %q\n+ %q", i+1, header, w[i], g[i])
+		}
+	}
+	if len(w) != len(g) {
+		return fmt.Sprintf("in length: %d lines, want %d", len(g), len(w))
+	}
+	return ""
 }
 
 // sameTrace reports whether two JSONL traces are byte-equal; when they are
@@ -319,13 +432,15 @@ func sameTrace(t *testing.T, want, got []byte) bool {
 // TestGoldenTracesReencodeByteEqual: every line of every committed golden
 // trace, decoded by trace.ReadAll and rendered again by trace.Line, is the
 // line on file — the contract a field added to trace.Event must keep. The
-// goldens hold nine of the eleven event types; window_grow, inconclusive
-// and Float's "+inf" are pinned by the trace package's own tests.
+// goldens hold nine of the eleven event types, each at least once;
+// window_grow, inconclusive and Float's "+inf" are pinned by the trace
+// package's own tests.
 func TestGoldenTracesReencodeByteEqual(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.trace.jsonl")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no golden traces found (err %v)", err)
 	}
+	held := map[trace.EventType]bool{}
 	for _, path := range files {
 		raw, err := os.ReadFile(path)
 		if err != nil {
@@ -340,10 +455,16 @@ func TestGoldenTracesReencodeByteEqual(t *testing.T) {
 			t.Fatalf("%s: %d events from %d newline-terminated lines", path, len(events), n)
 		}
 		for i := range events {
+			held[events[i].Type] = true
 			if got := trace.Line(&events[i]) + "\n"; got != onFile[i] {
 				t.Errorf("%s:%d re-encodes as\n%s\nnot\n%s", path, i+1, got, onFile[i])
 				break
 			}
+		}
+	}
+	for _, typ := range trace.EventTypes {
+		if held[typ] == (typ == trace.WindowGrow || typ == trace.Inconclusive) {
+			t.Errorf("event type %s: held by the golden traces = %v", typ, held[typ])
 		}
 	}
 }
@@ -425,13 +546,25 @@ var properties = []struct {
 	{"reproduces", reproduces},
 	{"root", rooted},
 	{"script-replays", scriptReplays},
-	{"golden", goldenIfPinned},
+	{"golden", golden},
 	{"injected-event", injectedEvent},
 	{"two-run-identical", twoRunIdentical},
 	{"recycled", recycled},
 }
 
 func TestDatasetConformance(t *testing.T) {
+	if secs, err := datasetSections(); !*update {
+		var got, want []string
+		for _, s := range secs {
+			got = append(got, s[0])
+		}
+		for _, k := range cellOrder {
+			want = append(want, k.id+" "+string(k.mode))
+		}
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s has sections %q (err %v), want one per cell: %q", datasetGolden, got, err, want)
+		}
+	}
 	for _, sc := range failures.All() {
 		t.Run(sc.ID, func(t *testing.T) {
 			t.Parallel()
@@ -483,10 +616,14 @@ var (
 	// One failure per shape path addressing has to carry: f1 (zk one-way
 	// Send chains, depth 1198), f4 (depth 468), f23 (an env pseudo-site
 	// root), f26 (dyn), f30 (pair members) and f33 (a partial pseudo-site
-	// root). Generated at the commit BEFORE path addresses became chain
-	// hashes (PR 17): how a path-addressed reach is matched is an
-	// implementation detail, the canonical strings on the wire are not.
+	// root). Their trace hashes predate path addresses becoming chain
+	// hashes: how a path-addressed reach is matched is an implementation
+	// detail, the canonical strings on the wire are not.
 	pathGoldenIDs = []string{"f1", "f4", "f23", "f26", "f30", "f33"}
+	// f1–f25's trajectories predate the dyn target, the pair and the
+	// partial class: registering scenarios, targets and classes must not
+	// perturb another search.
+	preDynIDs = strings.Fields("f1 f2 f3 f4 f5 f6 f7 f8 f9 f10 f11 f12 f13 f14 f15 f16 f17 f18 f19 f20 f21 f22 f23 f24 f25")
 )
 
 func TestEnvScenariosReproduceEndToEnd(t *testing.T) { conform(t, envIDs, occ, rooted, scriptReplays) }
@@ -524,5 +661,6 @@ func TestFullFeedbackReproducesEntireDataset(t *testing.T) {
 func TestFullFeedbackReproducesZKFailures(t *testing.T) {
 	conform(t, []string{"f1", "f2", "f3", "f4"}, occ, reproduces, scriptReplays)
 }
-func TestGoldenTraceQuickstart(t *testing.T)        { conform(t, []string{"f3"}, occ, golden) }
-func TestTraceDeterministicAcrossRuns(t *testing.T) { conform(t, []string{"f3"}, occ, twoRunIdentical) }
+func TestSiteSearchUnchangedByDynEnumeration(t *testing.T) { conform(t, preDynIDs, occ, golden) }
+func TestGoldenTraceQuickstart(t *testing.T)               { conform(t, []string{"f3"}, occ, golden) }
+func TestTraceDeterministicAcrossRuns(t *testing.T)        { conform(t, []string{"f3"}, occ, twoRunIdentical) }

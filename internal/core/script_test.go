@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -131,9 +130,7 @@ func TestLoadScriptValidatesFaults(t *testing.T) {
 
 // scriptStabilityGolden pins, for every dataset cell's script, how many of
 // eight other seeds it still reproduces under — the rate `replay -seed N`
-// would see. Regenerate only after an intentional explorer or target change:
-//
-//	go test ./internal/core -run TestScriptSeedStability -update
+// would see.
 const scriptStabilityGolden = "testdata/script_seed_stability.golden"
 
 // stabilitySeeds are the first n seeds from 1 up, skipping the script's own.
@@ -155,15 +152,9 @@ func stabilitySeeds(own int64, n int) []int64 {
 // occurrence-mode script is the known seed-bound one.
 func TestScriptSeedStability(t *testing.T) {
 	const n = 8
-	var keys []cellKey
-	for _, sc := range failures.All() {
-		for _, mode := range addressingModes {
-			keys = append(keys, cellKey{sc.ID, mode})
-		}
-	}
-	rows := make([]string, len(keys))
+	rows := make([]string, len(cellOrder))
 	t.Run("cells", func(t *testing.T) {
-		for i, k := range keys {
+		for i, k := range cellOrder {
 			t.Run(k.id+"/"+string(k.mode), func(t *testing.T) {
 				t.Parallel()
 				c := cells[k].observe()
@@ -183,24 +174,5 @@ func TestScriptSeedStability(t *testing.T) {
 		return
 	}
 	got := "# id mode script-seed reproduced/replays per-seed (seeds 1.." + fmt.Sprint(n+1) + " but the script's own)\n" + strings.Join(rows, "")
-	if *update {
-		if err := os.WriteFile(scriptStabilityGolden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("script stability golden updated: %s", scriptStabilityGolden)
-		return
-	}
-	want, err := os.ReadFile(scriptStabilityGolden)
-	if err != nil {
-		t.Fatalf("read script stability golden (run with -update to create it): %v", err)
-	}
-	gotLines, wantLines := strings.SplitAfter(got, "\n"), strings.SplitAfter(string(want), "\n")
-	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("script stability differs from %s at line %d:\n- %s+ %s", scriptStabilityGolden, i+1, wantLines[i], gotLines[i])
-		}
-	}
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("script stability differs from %s in length: %d vs %d lines", scriptStabilityGolden, len(gotLines), len(wantLines))
-	}
+	compareText(t, scriptStabilityGolden, got)
 }

@@ -70,6 +70,7 @@ var Generators = []Generator{
 	{"table", 8, Table8Runtime},
 	{"table", 9, AblationTable},
 	{"table", 10, Table10BeyondPaper},
+	{"table", 11, Table11SeedSweep},
 	{"figure", 6, func(o Options) (*Table, error) { return Figure6RankTrajectory(o, "f4") }},
 }
 
@@ -227,3 +228,27 @@ func median[T cmp.Ordered](vals []T) T {
 	slices.Sort(s)
 	return s[len(s)/2]
 }
+
+// reproducedRounds is the sorted round counts of the reports that
+// reproduced: the sample of Table 2's summary rows and Table 11's columns.
+func reproducedRounds(reps []*core.Report) []int {
+	var rounds []int
+	for _, rep := range reps {
+		if rep.Reproduced {
+			rounds = append(rounds, rep.Rounds)
+		}
+	}
+	slices.Sort(rounds)
+	return rounds
+}
+
+// roundStat renders stat of sorted rounds, or "-" when none reproduced.
+func roundStat(rounds []int, stat func([]int) int) string {
+	if len(rounds) == 0 {
+		return "-"
+	}
+	return fmt.Sprint(stat(rounds))
+}
+
+// p90 is the nearest-rank 90th percentile of a sorted, non-empty slice.
+func p90(sorted []int) int { return sorted[(9*len(sorted)+9)/10-1] }

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"anduril/internal/cluster"
 	"anduril/internal/core"
+	"anduril/internal/failures"
 )
 
 func TestTableRender(t *testing.T) {
@@ -75,6 +77,41 @@ func TestTable2FullFeedbackOnly(t *testing.T) {
 	}
 }
 
+// TestSeedSweepFirstSeedIsTheTables: a cell's first sample in Table 11 is
+// the search Tables 2 and 10 run, so at one seed each occurrence row is
+// Table 2's full-feedback cell (f1–f22) or Table 10's Rounds (f23–f34).
+func TestSeedSweepFirstSeedIsTheTables(t *testing.T) {
+	opt := Options{MaxRounds: 100, NoTiming: true}
+	sweep, err := seedSweep(opt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := Table2Efficacy(opt, []core.Strategy{core.FullFeedback})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t10, err := Table10BeyondPaper(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][2]string // label, rounds
+	for _, row := range t2.Rows[:22] {
+		want = append(want, [2]string{row[0], row[1]})
+	}
+	for _, row := range t10.Rows {
+		want = append(want, [2]string{row[0], row[3]})
+	}
+	if len(sweep.Rows) != 2*len(want) {
+		t.Fatalf("%d sweep rows, want two per failure for %d failures", len(sweep.Rows), len(want))
+	}
+	for i, w := range want {
+		row := sweep.Rows[2*i]
+		if row[0] != w[0] || row[1] != "occurrence" || row[3] != w[1] || row[4] != w[1] || row[6] != w[1] {
+			t.Errorf("sweep row %v, want %s occurrence at %s rounds", row, w[0], w[1])
+		}
+	}
+}
+
 func TestTable4And8(t *testing.T) {
 	t4, err := Table4Performance(Options{MaxRounds: 100})
 	if err != nil {
@@ -114,9 +151,16 @@ func TestFigure6(t *testing.T) {
 	t.Logf("\n%s", tbl.Render())
 }
 
+// TestVerifyAllInvariant: no free run satisfies its failure's oracle.
 func TestVerifyAllInvariant(t *testing.T) {
-	if err := verifyAll(Options{}); err != nil {
-		t.Fatal(err)
+	for _, s := range failures.SiteDataset() {
+		free, err := cluster.Run(nil, nil, 1, nil, s.Workload, s.Horizon, 0)
+		if err != nil {
+			t.Fatalf("%s: free run: %v", s.ID, err)
+		}
+		if s.Oracle.Satisfied(free) {
+			t.Errorf("%s: oracle satisfied without fault", s.ID)
+		}
 	}
 }
 
@@ -205,6 +249,7 @@ func TestTraceDirOneFilePerCell(t *testing.T) {
 		{"table8", 22, Table8Runtime},
 		{"ablation", len(ablationSettings) * 22, AblationTable},
 		{"table10", 12, Table10BeyondPaper},
+		{"table11", 2 * 34, func(o Options) (*Table, error) { return seedSweep(o, 1) }},
 		{"figure6", 1, func(o Options) (*Table, error) { return Figure6RankTrajectory(o, "f4") }},
 	} {
 		dir := t.TempDir()

@@ -61,7 +61,7 @@ func TestExperimentsMatchTables(t *testing.T) {
 		want = want[:len(want)-1] // SplitAfter's empty tail
 		got := lines[i+1 : i+1+end]
 		if d := firstDiff(got, want); d >= 0 && !*update {
-			t.Errorf("EXPERIMENTS.md:%d: block drifted from `go run ./cmd/tables %s -no-time`\n  block: %q\n  table: %q\n(rewrite with go test ./internal/eval -run TestExperimentsMatchTables -update)",
+			t.Errorf("EXPERIMENTS.md:%d: block drifted from `go run ./cmd/tables %s -no-time`\n  block: %q\n  table: %q\n(rewrite with scripts/update_goldens.sh)",
 				i+2+d, cmd, at(got, d), at(want, d))
 		}
 		out.WriteString(strings.Join(want, ""))

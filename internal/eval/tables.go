@@ -6,10 +6,10 @@ import (
 	"strings"
 	"time"
 
-	"anduril/internal/cluster"
 	"anduril/internal/core"
 	"anduril/internal/failures"
 	"anduril/internal/inject"
+	"anduril/internal/trace"
 )
 
 // Table1FaultSites reproduces Table 1: per-system code size and fault-site
@@ -91,18 +91,9 @@ func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 	}
 	reproduced, med := []string{"reproduced"}, []string{"median"}
 	for _, col := range reps {
-		var rounds []int
-		for _, rep := range col {
-			if rep.Reproduced {
-				rounds = append(rounds, rep.Rounds)
-			}
-		}
-		m := "-"
-		if len(rounds) > 0 {
-			m = fmt.Sprint(median(rounds))
-		}
+		rounds := reproducedRounds(col)
 		reproduced = append(append(reproduced, fmt.Sprint(len(rounds))), opt.timed("")...)
-		med = append(append(med, m), opt.timed("")...)
+		med = append(append(med, roundStat(rounds, median[int])), opt.timed("")...)
 	}
 	t.Rows = append(t.Rows, reproduced, med)
 	ff, sd := slices.Index(strategies, core.FullFeedback), slices.Index(strategies, core.SiteDistance)
@@ -341,6 +332,74 @@ func Table10BeyondPaper(opt Options) (*Table, error) {
 	return t, nil
 }
 
+// Table 11 runs every cell under sweepSeeds engine seeds, opt.Seed +
+// i·sweepStride: round r runs under seed + r, so consecutive seeds share trials.
+const (
+	sweepSeeds  = 32
+	sweepStride = 1_000_003
+)
+
+// Table11SeedSweep runs full feedback on every failure of the dataset, under
+// each failure's fault classes, in both addressing modes and under
+// sweepSeeds engine seeds. Its first seed is opt.Seed, so each cell's first
+// sample is the search Table 2, Table 10 and the conformance suite run.
+func Table11SeedSweep(opt Options) (*Table, error) { return seedSweep(opt, sweepSeeds) }
+
+// seedSweep is Table 11 over n seeds. A row is one (failure, mode): how
+// many of the n searches reproduced, order statistics of their rounds, and
+// how the others ended.
+func seedSweep(opt Options, n int) (*Table, error) {
+	opt = opt.withDefaults()
+	modes := []core.Addressing{core.AddrOccurrence, core.AddrPath}
+	var variants []variant
+	for _, mode := range modes {
+		for i := range n {
+			o := opt.search(core.FullFeedback)
+			o.Seed += int64(i) * sweepStride
+			o.Addressing = mode
+			variants = append(variants, variant{fmt.Sprintf("%s-%d", mode, o.Seed), o})
+		}
+	}
+	scens := failures.All()
+	start := time.Now()
+	reps, err := runGrid(opt, "table11", scens, variants...)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title: fmt.Sprintf("Table 11: full feedback over %d engine seeds per failure and addressing mode", n),
+		Header: []string{"Failure", "Mode", "Reproduced", "Min", "Median", "p90", "Max",
+			trace.ReasonExhausted, trace.ReasonRoundCap, trace.ReasonError},
+		Notes: []string{
+			fmt.Sprintf("Engine seeds %d + i·%d, i = 0..%d; Min to Max are over the reproduced searches (p90 nearest-rank), '-' when none.",
+				opt.Seed, sweepStride, n-1),
+		},
+	}
+	total := 0
+	for fi, s := range scens {
+		for mi, mode := range modes {
+			col := make([]*core.Report, n)
+			ends := map[string]int{}
+			for i := range col {
+				col[i] = reps[mi*n+i][fi]
+				ends[col[i].Reason]++
+				total += col[i].Rounds
+			}
+			rounds := reproducedRounds(col)
+			t.Rows = append(t.Rows, []string{label(s), string(mode), fmt.Sprintf("%d/%d", len(rounds), n),
+				roundStat(rounds, slices.Min[[]int]), roundStat(rounds, median[int]), roundStat(rounds, p90),
+				roundStat(rounds, slices.Max[[]int]),
+				fmt.Sprint(ends[trace.ReasonExhausted]), fmt.Sprint(ends[trace.ReasonRoundCap]), fmt.Sprint(ends[trace.ReasonError])})
+		}
+	}
+	note := fmt.Sprintf("%d searches, %d rounds", len(variants)*len(scens), total)
+	if wall := time.Since(start); !opt.NoTiming {
+		note += fmt.Sprintf(", %s wall time, %.0f rounds/s", fmtDur(wall), float64(total)/wall.Seconds())
+	}
+	t.Notes = append(t.Notes, note+".")
+	return t, nil
+}
+
 // Figure6RankTrajectory reproduces Figure 6: the rank of the root-cause
 // fault site across trials. A window of 1 forces one candidate per round
 // so the trajectory is visible (with the default window the failure often
@@ -373,20 +432,4 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("reproduced in %d trials via %s", rep.Rounds, ref(*rep.Script)))
 	}
 	return t, nil
-}
-
-// verifyAll is a helper ensuring the workload/oracle invariants hold — the
-// free run never satisfies an oracle (used by tests).
-func verifyAll(opt Options) error {
-	opt = opt.withDefaults()
-	for _, s := range failures.SiteDataset() {
-		free, err := cluster.Run(nil, nil, opt.Seed, nil, s.Workload, s.Horizon, 0)
-		if err != nil {
-			return fmt.Errorf("%s: free run: %w", s.ID, err)
-		}
-		if s.Oracle.Satisfied(free) {
-			return fmt.Errorf("%s: oracle satisfied without fault", s.ID)
-		}
-	}
-	return nil
 }
