@@ -216,7 +216,11 @@ func enumerateSites(e *engine, _ classID, free *timeline) []*siteState {
 		if !reachesRelevant {
 			continue
 		}
-		if insts := free.instances(siteID, 0); len(insts) > 0 {
+		s, reached := free.fi.ReachIndex(siteID)
+		if !reached {
+			continue
+		}
+		if insts := free.instances(s, 0); len(insts) > 0 {
 			out = append(out, &siteState{id: siteID, class: siteClass, dists: dists, instances: insts})
 		}
 	}
@@ -232,13 +236,14 @@ func enumerateSites(e *engine, _ classID, free *timeline) []*siteState {
 // and only sites and channels the scenario actually exercises appear.
 func enumeratePseudo(e *engine, c classID, free *timeline) []*siteState {
 	var out []*siteState
-	for siteID := range free.spans {
+	for s := range free.fi.SitesReached() {
+		siteID := free.fi.ReachedSite(s)
 		f, ok := inject.ParsePseudo(siteID)
 		if !ok || f.Family != classTable[c].execOpt {
 			continue
 		}
 		prior := pseudoPrior[f.Class]
-		insts := free.instances(siteID, prior.minAmp)
+		insts := free.instances(s, prior.minAmp)
 		if len(insts) == 0 {
 			continue
 		}

@@ -410,12 +410,12 @@ func (e *engine) trial(seed int64, plan *inject.Plan) (*cluster.Result, error) {
 	return cluster.Run(e.ctx, e.ws.env(), seed, plan, e.t.Workload, e.t.Horizon, e.feats)
 }
 
-// release takes back the environments of a round that has been booked:
-// nothing reads its results any more. Only trials that returned cleanly
-// are recycled — one that panicked, exhausted its event budget or was
-// cancelled stopped at an arbitrary point, and its environment is left to
-// the collector with it (so is a failed first try, which attemptRound
-// drops unseen).
+// release takes back the environments of a round that has been booked, the
+// reproducing round's too: nothing reads its results any more. Only trials
+// that returned cleanly are recycled — one that panicked, exhausted its event
+// budget or was cancelled stopped at an arbitrary point, and its environment
+// is left to the collector with it (so is a failed first try, which
+// attemptRound drops unseen).
 func (e *engine) release(a *attempt) {
 	if a.err != nil || e.freshEnvs {
 		return
@@ -486,9 +486,9 @@ func satisfied(t *Target, res *cluster.Result) (sat bool, err error) {
 // attempt is the outcome of one round's isolated trial: the run result and
 // round bookkeeping, the seed the (possibly retried) trial actually ran
 // under, the oracle verdict, and the terminal error when both the trial
-// and its retry failed. extra holds the unsatisfied combined-log re-runs of
-// the round's injection (combineLogs); one that satisfies the oracle
-// replaces sat and seed instead.
+// and its retry failed. extra holds the combined-log re-runs of the round's
+// injection that ran cleanly (combineLogs): all unsatisfied but the last,
+// when that one satisfied the oracle and set sat and seed.
 type attempt struct {
 	res   *cluster.Result
 	extra []*cluster.Result

@@ -56,6 +56,49 @@ func Prepare(t *Target, o Options) (*Prepared, error) {
 	return &Prepared{e: e, ranked: e.rankedSites()}, nil
 }
 
+// TimelineInstance is a free-run instance as the timeline builds it.
+type TimelineInstance struct {
+	Occ, LogPos, Amp int
+	Addr             inject.PathKey
+}
+
+// FreeRunReaches is the prepared search's free-run trace, in run order.
+func (p *Prepared) FreeRunReaches() []inject.TraceEvent { return p.e.freeRes.Env.FI.Trace() }
+
+// Timeline is the free run grouped by site as setup groups it: every reached
+// site's instances and the enumerated env and partial pseudo-sites' own,
+// their amplitude filter applied.
+func (p *Prepared) Timeline() (reached, pseudo map[string][]TimelineInstance) {
+	exported := func(insts []instance) []TimelineInstance {
+		out := make([]TimelineInstance, len(insts))
+		for i, inst := range insts {
+			out[i] = TimelineInstance{inst.occ, inst.logPos, inst.amp, inst.addr}
+		}
+		return out
+	}
+	fi := p.e.freeRes.Env.FI
+	tl := p.e.indexReaches(fi)
+	reached = map[string][]TimelineInstance{}
+	for s := range fi.SitesReached() {
+		reached[fi.ReachedSite(s)] = exported(tl.instances(s, 0))
+	}
+	pseudo = map[string][]TimelineInstance{}
+	for _, s := range p.e.sites {
+		if s.class == envClass || s.class == partialClass {
+			pseudo[s.id] = exported(s.instances)
+		}
+	}
+	return reached, pseudo
+}
+
+// PseudoCandidate reports whether a free-run reach of a pseudo-site can be a
+// candidate of the prepared search: its class is enabled and the reach's
+// amplitude is at least the class's minimum.
+func (p *Prepared) PseudoCandidate(site string, amp int) bool {
+	f, ok := inject.ParsePseudo(site)
+	return ok && p.e.feats&f.Family != 0 && amp >= pseudoPrior[f.Class].minAmp
+}
+
 // ExhaustSingleFaults marks every non-pair instance tried, so the window
 // opens the pair class — the state of every pair round of a search.
 func (p *Prepared) ExhaustSingleFaults() {

@@ -86,6 +86,7 @@ func (e *engine) explore() {
 			e.report.Script = rd.Injected
 			e.report.ScriptSeed = a.seed
 			e.record(rd)
+			e.release(&a)
 			return
 		default:
 			e.traceInjected(round, *rd.Injected, false)
@@ -149,9 +150,10 @@ func (e *engine) widen(round int) {
 // unsatisfied injection under extra seeds; crucial observables missing only
 // probabilistically then show up in at least one of the runs, and a.extra
 // collects them for the diff. An extra run that satisfies the oracle turns
-// the round into a reproduction under that run's seed; one that fails is
-// simply dropped — the round's primary run already succeeded, so the round
-// stays judgeable; a cancelled one leaves the whole round unjudged (a.err).
+// the round into a reproduction under that run's seed, and joins a.extra to
+// go back to the workspace with the rest; one that fails is simply dropped —
+// the round's primary run already succeeded, so the round stays judgeable; a
+// cancelled one leaves the whole round unjudged (a.err).
 //
 // Extra run e of round r runs under Seed+r+e<<33, a stream of its own that
 // no other option enters, so the round cap cannot change a search before the
@@ -176,11 +178,11 @@ func (e *engine) combineLogs(a *attempt) {
 		if serr != nil {
 			continue
 		}
+		a.extra = append(a.extra, res)
 		if sat {
 			a.sat, a.seed = true, seed
 			return
 		}
-		a.extra = append(a.extra, res)
 	}
 }
 

@@ -7,6 +7,7 @@ package core_test
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -156,58 +157,125 @@ func TestFailedTrialsAreNotRecycled(t *testing.T) {
 }
 
 // TestCombinedLogRunsKeepTheirEnvironments: with RunsPerRound 3 a round's
-// primary run and both extra runs are alive together through the learn step,
-// so they run in three environments; all three go back when the round is
-// booked, poisoned, and the next round runs in them.
+// primary run and its extra runs are alive together through the learn step,
+// so they run in separate environments; all of them go back when the round
+// is booked, poisoned, and the next round runs in them. The reproducing
+// round's go back too, whichever of its runs satisfied the oracle: f4's
+// primary run, or f20's first extra run of round 2, whose environment the
+// next search in the workspace builds a trial in.
 func TestCombinedLogRunsKeepTheirEnvironments(t *testing.T) {
-	tgt := target(t, "f4")
-	base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 3}
+	for _, c := range []struct {
+		id         string
+		extraRepro bool // the reproducing run is an extra run
+	}{{"f4", false}, {"f20", true}} {
+		t.Run(c.id, func(t *testing.T) {
+			tgt := target(t, c.id)
+			base := core.Options{Strategy: core.FullFeedback, Seed: 1, Window: 1, RunsPerRound: 3}
 
-	// An oracle that keeps what it was shown, as none should: round -> the
-	// results its calls saw.
-	judged := map[int][]*cluster.Result{}
-	rec := newEnvLog()
-	wrapped := rec.watch(tgt)
-	wrapped.Oracle.Check = func(r *cluster.Result) bool {
-		judged[rec.round] = append(judged[rec.round], r)
-		for _, old := range judged[rec.round-1] {
-			if old.Env != nil || old.Entries != nil {
-				t.Errorf("round %d: a result of booked round %d is not poisoned", rec.round, rec.round-1)
+			// An oracle that keeps what it was shown, as none should: round
+			// -> the results its calls saw.
+			judged := map[int][]*cluster.Result{}
+			rec := newEnvLog()
+			wrapped := rec.watch(tgt)
+			wrapped.Oracle.Check = func(r *cluster.Result) bool {
+				judged[rec.round] = append(judged[rec.round], r)
+				for _, old := range judged[rec.round-1] {
+					if old.Env != nil || old.Entries != nil {
+						t.Errorf("round %d: a result of booked round %d is not poisoned", rec.round, rec.round-1)
+					}
+				}
+				return tgt.Oracle.Satisfied(r)
 			}
-		}
-		return tgt.Oracle.Satisfied(r)
-	}
-	opts := base
-	opts.Trace = rec
-	rep := core.Reproduce(wrapped, opts)
-	fresh := newEnvLog()
-	opts.Trace = fresh
-	ref := core.ReproduceFresh(fresh.watch(tgt), opts)
-	sameSearch(t, rec, fresh, rep, ref)
-	if !rep.Reproduced {
-		t.Fatalf("not reproduced in %d rounds", rep.Rounds)
-	}
-	full := 0
-	for round, results := range judged {
-		if len(results) == 3 {
-			full++
-		}
-		inRound := map[*cluster.Env]bool{}
-		for i, r := range rec.rounds {
-			if r != round {
-				continue
+			ws := new(core.Workspace)
+			opts := base
+			opts.Trace = rec
+			rep := ws.Reproduce(wrapped, opts)
+			fresh := newEnvLog()
+			opts.Trace = fresh
+			ref := core.ReproduceFresh(fresh.watch(tgt), opts)
+			sameSearch(t, rec, fresh, rep, ref)
+			if !rep.Reproduced {
+				t.Fatalf("not reproduced in %d rounds", rep.Rounds)
 			}
-			if inRound[rec.envs[i]] {
-				t.Fatalf("round %d ran two of its trials in one environment", round)
+			if extra := rep.ScriptSeed-base.Seed >= 1<<33; extra != c.extraRepro {
+				t.Fatalf("reproduced under seed %d: extra run %v, want %v", rep.ScriptSeed, extra, c.extraRepro)
 			}
-			inRound[rec.envs[i]] = true
-		}
+			full := 0
+			for round, results := range judged {
+				if len(results) == 3 {
+					full++
+				}
+				inRound := map[*cluster.Env]bool{}
+				for i, r := range rec.rounds {
+					if r != round {
+						continue
+					}
+					if inRound[rec.envs[i]] {
+						t.Fatalf("round %d ran two of its trials in one environment", round)
+					}
+					inRound[rec.envs[i]] = true
+				}
+			}
+			if full == 0 {
+				t.Fatal("no round ran all three of its trials: the fixture does not exercise the combined logs")
+			}
+			reuses := rec.reuses()
+			for i, round := range rec.rounds {
+				if _, ok := reuses[i]; round > 1 && !ok {
+					t.Fatalf("trial %d, of round %d, ran in an environment no earlier round gave back", i, round)
+				}
+			}
+			if rep.Rounds < 2 {
+				t.Fatal("the search ran one round: no round could run in another's environments")
+			}
+			next := newEnvLog()
+			opts.Trace = next
+			ws.Reproduce(next.watch(tgt), opts)
+			if !slices.Contains(next.envs, rec.envs[len(rec.envs)-1]) {
+				t.Fatal("the reproducing run's environment did not go back to the workspace")
+			}
+		})
 	}
-	if full == 0 {
-		t.Fatal("no round ran all three of its trials: the fixture does not exercise the combined logs")
-	}
-	if reuses := rec.reuses(); len(reuses) < 3 {
-		t.Fatalf("%d trials ran in recycled environments, want the three of a round at least", len(reuses))
+}
+
+// TestWarmSearchBuildsNoEnvironment: every trial that ran cleanly gives its
+// environment back, the reproducing round's included, so a second search in
+// the workspace of a first runs every trial in an environment the first gave
+// back — in occurrence and path addressing, through pair rounds, and with
+// three runs a round.
+func TestWarmSearchBuildsNoEnvironment(t *testing.T) {
+	for _, c := range []struct {
+		name, id string
+		opts     core.Options
+	}{
+		{"occurrence", "f4", core.Options{}},
+		{"path", "f23", core.Options{Addressing: core.AddrPath}},
+		{"pair", "f30", core.Options{}},
+		{"combined-logs", "f4", core.Options{RunsPerRound: 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tgt := target(t, c.id)
+			opts := c.opts
+			opts.Seed, opts.MaxRounds = 1, 500
+			ws := new(core.Workspace)
+			first, second := newEnvLog(), newEnvLog()
+			opts.Trace = first
+			ws.Reproduce(first.watch(tgt), opts)
+			opts.Trace = second
+			rep := ws.Reproduce(second.watch(tgt), opts)
+			if !rep.Reproduced {
+				t.Fatalf("not reproduced in %d rounds", rep.Rounds)
+			}
+			gave := map[*cluster.Env]bool{}
+			for _, env := range first.envs {
+				gave[env] = true
+			}
+			for i, env := range second.envs {
+				if !gave[env] {
+					t.Fatalf("trial %d of the second search (round %d of %d) built an environment", i, second.rounds[i], rep.Rounds)
+				}
+			}
+		})
 	}
 }
 

@@ -30,57 +30,56 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 // runtime's chunks are not copied, and a site's instances are built only
 // when a class enumerates it — most reached sites are never candidates (f1:
 // 46 candidate instances of 2667 reaches), and only a candidate's positions
-// need aligning.
+// need aligning. A site is its index in the run's first-reach order, which
+// every kept reach carries; fi resolves names to indices and back.
 type timeline struct {
 	e      *engine
+	fi     *inject.Runtime
 	chunks [][]inject.TraceEvent
-	spans  map[string][2]int32 // site -> its [start, end) in order
-	order  []int32             // reach indices grouped by site, in run order within a site
+	spans  []int32 // site index s's reaches are order[spans[s]:spans[s+1]]
+	order  []int32 // reach indices grouped by site, in run order within a site
 }
 
-// indexReaches groups the reaches by site: a counting sort of their indices.
-func (e *engine) indexReaches(chunks [][]inject.TraceEvent) *timeline {
-	tl := &timeline{e: e, chunks: chunks, spans: map[string][2]int32{}}
+// indexReaches groups the reaches by site: a counting sort of their indices
+// on each reach's site index.
+func (e *engine) indexReaches(fi *inject.Runtime) *timeline {
+	tl := &timeline{e: e, fi: fi, chunks: fi.TraceChunks(), spans: make([]int32, fi.SitesReached()+1)}
 	n := 0
-	for _, chunk := range chunks {
+	for _, chunk := range tl.chunks {
 		for i := range chunk {
-			sp := tl.spans[chunk[i].Site]
-			sp[1]++
-			tl.spans[chunk[i].Site] = sp
+			tl.spans[chunk[i].SiteIndex()]++
 		}
 		n += len(chunk)
 	}
-	// Lay the spans out end to end (in any order: a site's span is its
-	// own), each starting empty; filling them grows each to its count.
-	start := int32(0)
-	for site, sp := range tl.spans {
-		tl.spans[site] = [2]int32{start, start}
-		start += sp[1]
+	// Running sums turn each site's count into its span's end; filling from
+	// the last reach back moves each end down to its span's start.
+	for s := 1; s < len(tl.spans); s++ {
+		tl.spans[s] += tl.spans[s-1]
 	}
 	tl.order = make([]int32, n)
-	i := int32(0)
-	for _, chunk := range chunks {
-		for j := range chunk {
-			sp := tl.spans[chunk[j].Site]
-			tl.order[sp[1]] = i
-			sp[1]++
-			tl.spans[chunk[j].Site] = sp
-			i++
-		}
+	for i := int32(n) - 1; i >= 0; i-- {
+		s := tl.event(i).SiteIndex()
+		tl.spans[s]--
+		tl.order[tl.spans[s]] = i
 	}
 	return tl
 }
 
-// instances builds a site's free-run instances, in run order, keeping those
-// whose observed amplitude is at least minAmp.
-func (tl *timeline) instances(site string, minAmp int) []instance {
-	sp := tl.spans[site]
-	if sp[0] == sp[1] {
+// event is reach i of the run.
+func (tl *timeline) event(i int32) *inject.TraceEvent {
+	return &tl.chunks[i/inject.TraceChunk][i%inject.TraceChunk]
+}
+
+// instances builds the free-run instances of the site with index s, in run
+// order, keeping those whose observed amplitude is at least minAmp.
+func (tl *timeline) instances(s, minAmp int) []instance {
+	reaches := tl.order[tl.spans[s]:tl.spans[s+1]]
+	if len(reaches) == 0 {
 		return nil
 	}
-	out := make([]instance, 0, sp[1]-sp[0])
-	for _, i := range tl.order[sp[0]:sp[1]] {
-		ev := &tl.chunks[i/inject.TraceChunk][i%inject.TraceChunk]
+	out := make([]instance, 0, len(reaches))
+	for _, i := range reaches {
+		ev := tl.event(i)
 		if ev.Amp < minAmp {
 			continue
 		}
@@ -116,7 +115,7 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	e.report.RelevantObservables = len(e.obs)
 
-	tl := e.indexReaches(free.Env.FI.TraceChunks())
+	tl := e.indexReaches(free.Env.FI)
 	// Candidate sites, class by class in table order (see classes.go).
 	for c, fc := range classTable {
 		if e.classes.has(classID(c)) {

@@ -119,8 +119,15 @@ type TraceEvent struct {
 	LogPos     int      // logical time: log records emitted before the reach
 	Time       des.Time // virtual time of the reach
 	Injected   bool     // whether this reach produced a fault
+	reach      uint32   // the site's index in this run's first-reach order (see SiteIndex)
 	Amp        int      // observed amplitude (partial pseudo-sites only)
 }
+
+// SiteIndex is the event's site as its index in its run's first-reach
+// order: Runtime.ReachedSite(ev.SiteIndex()) == ev.Site, and the indices of
+// a run are 0..Runtime.SitesReached()-1, so a reader groups a kept trace by
+// site with a counting sort instead of a map keyed by name.
+func (ev *TraceEvent) SiteIndex() int { return int(ev.reach) }
 
 // Instance names a dynamic fault candidate f_{i,j}: site i, occurrence j.
 // Under path addressing, Path carries the candidate's canonical PathAddr
@@ -302,6 +309,7 @@ type siteRec struct {
 	count     int
 	armed     bool
 	id        uint32
+	reach     uint32 // the record's index in reached (valid while count > 0)
 	labelHash uint64
 	pseudo    PseudoFault
 }
@@ -371,8 +379,8 @@ const decideSample = 16
 // record stamps and stores the trace event for one reach. amp is the
 // observed amplitude of a partial pseudo-site's perturbed call (its
 // payload length; the explorer calibrates candidate enumeration from it).
-func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int) {
-	ev := TraceEvent{Site: site, Occurrence: occ, Addr: at, Injected: inject, Amp: amp}
+func (r *Runtime) record(rec *siteRec, occ int, at PathKey, inject bool, amp int) {
+	ev := TraceEvent{Site: rec.site, Occurrence: occ, Addr: at, Injected: inject, reach: rec.reach, Amp: amp}
 	if r.LogPos != nil {
 		ev.LogPos = r.LogPos()
 	}
@@ -406,6 +414,7 @@ func (r *Runtime) record(site string, occ int, at PathKey, inject bool, amp int)
 // deterministic per-run event index — so its path form is "site#occ".
 func (r *Runtime) reach(rec *siteRec, rooted bool, amp int) (occ int, inject bool) {
 	if rec.count == 0 {
+		rec.reach = uint32(len(r.reached))
 		r.reached = append(r.reached, rec)
 	}
 	rec.count++
@@ -418,7 +427,7 @@ func (r *Runtime) reach(rec *siteRec, rooted bool, amp int) (occ int, inject boo
 	inject = r.decide(rec, occ, at)
 
 	if r.KeepTrace || inject {
-		r.record(rec.site, occ, at, inject, amp)
+		r.record(rec, occ, at, inject, amp)
 	}
 	return occ, inject
 }
@@ -512,6 +521,21 @@ func (r *Runtime) Trace() []TraceEvent {
 		return r.trace[0]
 	}
 	return slices.Concat(r.trace...)
+}
+
+// SitesReached is how many sites this run has reached.
+func (r *Runtime) SitesReached() int { return len(r.reached) }
+
+// ReachedSite is the site this run reached i-th, counting from 0.
+func (r *Runtime) ReachedSite(i int) string { return r.reached[i].site }
+
+// ReachIndex is site's index in this run's first-reach order, false when the
+// run has not reached it.
+func (r *Runtime) ReachIndex(site string) (int, bool) {
+	if rec := r.sites[site]; rec != nil && rec.count > 0 {
+		return int(rec.reach), true
+	}
+	return 0, false
 }
 
 // Injected returns the reach at which the round's (first) fault was
