@@ -186,7 +186,7 @@ func DatasetCatalog() []DatasetInfo {
 
 // NewTarget assembles a custom reproduction target from user-provided
 // parts. srcDirs are the Go source directories of the target system (for
-// the static causal graph); failureLog is the production log text.
+// the static causal graph); failureLogText is the production log text.
 func NewTarget(id string, workload Workload, horizon des.Time, orc Oracle, failureLogText string, srcDirs []string) (*Target, error) {
 	an, err := analysis.AnalyzePackages(srcDirs)
 	if err != nil {

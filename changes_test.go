@@ -1,7 +1,9 @@
 package anduril
 
 import (
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -37,7 +39,10 @@ func TestChangesEntriesAreShort(t *testing.T) {
 // TestDesignDocIsCurrent: DESIGN.md describes the design as it is. Before and
 // after numbers and the story of how a part got its shape belong to
 // CHANGES.md and git log, so the document stays under a size limit and no
-// heading names a PR.
+// heading names a PR. It names only what exists: the last segment of every
+// backticked identifier (`name`, `pkg.Name`, either with `()`) occurs as a
+// word in some Go file — in code, a string or a comment, where the paper's
+// own names live.
 func TestDesignDocIsCurrent(t *testing.T) {
 	const limit = 1000 // lines
 	raw, err := os.ReadFile("DESIGN.md")
@@ -52,6 +57,36 @@ func TestDesignDocIsCurrent(t *testing.T) {
 	for i, line := range lines {
 		if strings.HasPrefix(line, "#") && namesPR.MatchString(line) {
 			t.Errorf("DESIGN.md:%d heading names a PR: %s", i+1, line)
+		}
+	}
+
+	word := regexp.MustCompile(`\w+`)
+	goWords := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || filepath.Ext(path) != ".go" {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, w := range word.FindAllString(string(src), -1) {
+			goWords[w] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ident := regexp.MustCompile("`" + `([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?` + "`")
+	for i, line := range lines {
+		for _, m := range ident.FindAllStringSubmatch(line, -1) {
+			if last := m[1][strings.LastIndexByte(m[1], '.')+1:]; !goWords[last] {
+				t.Errorf("DESIGN.md:%d names `%s`, but no Go file has %q", i+1, m[1], last)
+			}
 		}
 	}
 }

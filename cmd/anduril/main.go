@@ -203,7 +203,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if anduril.Verify(target, *report.Script, report.ScriptSeed) {
 		fmt.Fprintln(out, "script verified: deterministic replay satisfies the oracle")
 	} else {
-		fmt.Fprintln(out, "warning: script replay did not satisfy the oracle under a fresh seed")
+		fmt.Fprintf(out, "warning: script replay did not satisfy the oracle under its seed %d\n", report.ScriptSeed)
 	}
 	if *scriptOut != "" {
 		if err := writeScript(*scriptOut, report); err != nil {

@@ -101,18 +101,13 @@ type siteState struct {
 	marker  string
 	members [2]*siteState
 
-	// byPath maps a path address's chain hash to the free-run instance it
-	// names, as an index into instances (path addressing only): an
-	// injection run's reach is matched by path, and its tried-set entry is
-	// the free-run instance that path names. paths caches, by occurrence,
-	// the canonical strings rendered so far — only instances that were
-	// armed into a window, alone or as a pair member, ever have one.
-	byPath map[uint64]int32
-	paths  map[int]string
+	// paths caches, by occurrence, the canonical path strings rendered so
+	// far (path addressing only) — only instances that were armed into a
+	// window, alone or as a pair member, ever have one.
+	paths map[int]string
 
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
-	bestVal float64 // sum-aggregation ablation: bestObs's partial priority
 
 	pick pickMemo // bestUntried's last answer and the inputs it read
 }
@@ -135,11 +130,10 @@ type engine struct {
 	t *Target
 	o Options
 
-	obs       []*observable
-	sites     []*siteState
-	siteIndex map[string]*siteState // id -> state, for O(1) markTried
-	root      *siteState            // the candidate t.RootSite names, nil if none
-	align     *logdiff.Alignment
+	obs   []*observable
+	sites []*siteState
+	root  *siteState // the candidate t.RootSite names, nil if none
+	align *logdiff.Alignment
 
 	// failure is t.FailureLog as every round's diff reads it: flattened
 	// under the global-diff row and grouped by thread, once, in setup.
@@ -149,12 +143,12 @@ type engine struct {
 	ws *workspace
 
 	// Per-round scratch, reused across the thousands of rounds a search
-	// runs: the ranking snapshot, the candidate window, the multiply-
-	// feedback pair buffer, and the missing-observable vector. Each is
-	// valid only until the next round recomputes it.
+	// runs: the ranking snapshot, the window as picks and as the
+	// candidates rendered from them, and the missing-observable vector.
+	// Each is valid only until the next round recomputes it.
 	rankedBuf []*siteState
+	picks     []pick
 	candBuf   []inject.Instance
-	pairBuf   []scoredPair
 	missBuf   []bool
 
 	// ctx cancels the search from outside (Options.Context).
@@ -171,10 +165,10 @@ type engine struct {
 	// it.
 	freshEnvs bool
 
-	// checkPick, when set, is handed every bestUntried answer's inputs
+	// checkPick, when set, is handed the site of every bestUntried answer
 	// after the answer is settled, memo hit or not, so a test can hold it
 	// to a fresh scan. Only export_test.go sets it.
-	checkPick func(s *siteState, useTemporal bool, limit int)
+	checkPick func(s *siteState)
 
 	// strategy is the strategyTable row the search runs, resolved by
 	// prepare. window is the flexible-window size the next round selects
@@ -485,17 +479,19 @@ func satisfied(t *Target, res *cluster.Result) (sat bool, err error) {
 
 // attempt is the outcome of one round's isolated trial: the run result and
 // round bookkeeping, the seed the (possibly retried) trial actually ran
-// under, the oracle verdict, and the terminal error when both the trial
-// and its retry failed. extra holds the combined-log re-runs of the round's
-// injection that ran cleanly (combineLogs): all unsatisfied but the last,
-// when that one satisfied the oracle and set sat and seed.
+// under, the window index of the candidate the run committed to (valid when
+// rd.Injected is set), the oracle verdict, and the terminal error when both
+// the trial and its retry failed. extra holds the combined-log re-runs of
+// the round's injection that ran cleanly (combineLogs): all unsatisfied but
+// the last, when that one satisfied the oracle and set sat and seed.
 type attempt struct {
-	res   *cluster.Result
-	extra []*cluster.Result
-	rd    *Round
-	seed  int64
-	sat   bool
-	err   error
+	res       *cluster.Result
+	extra     []*cluster.Result
+	rd        *Round
+	seed      int64
+	committed int
+	sat       bool
+	err       error
 }
 
 // attemptRound runs one round with the trial-isolation policy: arm the
@@ -526,6 +522,7 @@ func (e *engine) attemptRound(round int, candidates []inject.Instance, initTime 
 // result).
 func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Instance, rd *Round) attempt {
 	res, err := e.trial(seed, plan)
+	a := attempt{res: res, seed: seed, err: err}
 	if res != nil {
 		reqs, decTime := res.Env.FI.Decisions()
 		rd.InjectReqs, rd.DecideTime = reqs, decTime
@@ -535,30 +532,28 @@ func (e *engine) tryOnce(seed int64, plan *inject.Plan, candidates []inject.Inst
 		// whichever member was reached first.
 		rd.Injected = nil
 		if ev, ok := res.Env.FI.Injected(); ok {
+			a.committed, _ = plan.Committed()
 			inst := inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence, Path: res.Env.FI.PathOf(ev.Site, ev.Addr)}
-			if idx, _ := plan.Committed(); inject.IsPairSite(candidates[idx].Site) {
-				inst = candidates[idx]
+			if inject.IsPairSite(candidates[a.committed].Site) {
+				inst = candidates[a.committed]
 			}
 			rd.Injected = &inst
 		}
 	}
-	if err != nil {
-		return attempt{res: res, seed: seed, err: err}
+	if err == nil {
+		a.sat, a.err = satisfied(e.t, res)
 	}
-	sat, serr := satisfied(e.t, res)
-	if serr != nil {
-		return attempt{res: res, seed: seed, err: serr}
-	}
-	return attempt{res: res, seed: seed, sat: sat}
+	return a
 }
 
 // recordInconclusive books a degraded round: the report and trace record
 // the failure class, the attempted instance (if one injected before the
 // failure) counts as tried so the search advances, and no feedback flows.
+// A queue row has no picks to mark, and never reads tried state.
 func (e *engine) recordInconclusive(a attempt) {
 	rd := a.rd
-	if rd.Injected != nil {
-		e.markTried(*rd.Injected)
+	if rd.Injected != nil && e.strategy.queue == nil {
+		e.markTried(e.picks[a.committed])
 	}
 	e.report.InconclusiveRounds++
 	if e.tracing() {
@@ -585,25 +580,10 @@ func (e *engine) record(rd *Round) {
 	e.report.Rounds = rd.N
 }
 
-func (e *engine) markTried(inst inject.Instance) {
-	s, ok := e.siteIndex[inst.Site]
-	if !ok {
-		return
-	}
-	occ := inst.Occurrence
-	// A path-addressed injection reports the run-local occurrence of the
-	// reach; the tried set is keyed by the free-run identity, so resolve
-	// the canonical path back through the site's path index (empty outside
-	// path addressing and for pair sites): by hash, then — a hash is not
-	// an identity — confirmed against the free-run instance's own string.
-	if len(s.byPath) > 0 {
-		if h, ok := inject.PathHash(inst.Path); ok {
-			if i, found := s.byPath[h]; found && e.pathOf(s, s.instances[i]) == inst.Path {
-				occ = s.instances[i].occ
-			}
-		}
-	}
-	if s.tried.Add(occ) && s.class == siteClass {
+// markTried takes a window pick out of the search (§5.2.5): its free-run
+// instance counts as tried, whatever occurrence the run reached it at.
+func (e *engine) markTried(p pick) {
+	if p.site.tried.Add(p.inst.occ) && p.site.class == siteClass {
 		e.triedSite++
 	}
 }

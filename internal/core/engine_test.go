@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"anduril/internal/cluster"
-	"anduril/internal/inject"
 	"anduril/internal/logdiff"
 	"anduril/internal/oracle"
 )
@@ -113,37 +112,49 @@ func TestTemporalDistance(t *testing.T) {
 }
 
 func TestBestUntriedTemporalVsOrder(t *testing.T) {
-	e := stubEngine(Options{})
-	e.computePriorities()
-	var near *siteState
-	for _, s := range e.sites {
-		if s.id == "s.near" {
-			near = s
+	// s.near under a strategy row's engine, with a fourth instance past the
+	// limited rows' cap, aligned right on alpha@100.
+	nearUnder := func(o Options) (*engine, *siteState) {
+		e := stubEngine(o)
+		e.computePriorities()
+		for _, s := range e.sites {
+			if s.id == "s.near" {
+				s.instances = append(s.instances, instance{occ: 4, alignedPos: 100})
+				return e, s
+			}
+		}
+		t.Fatal("no s.near")
+		return nil, nil
+	}
+	want := func(e *engine, s *siteState, occ int) {
+		t.Helper()
+		if inst, ok := e.bestUntried(s); !ok || inst.occ != occ {
+			t.Fatalf("%s: best %+v ok=%v, want occ %d", e.o.Strategy, inst, ok, occ)
 		}
 	}
-	// Temporal: occ=2 (aligned 195) is farther from alpha@100 than occ=1
-	// (aligned 90, distance 10), so occ 1 wins.
-	inst, ok := e.bestUntried(near, true, 0)
-	if !ok || inst.occ != 1 {
-		t.Fatalf("temporal best: %+v ok=%v", inst, ok)
-	}
+	// Temporal: occ 4 sits on alpha; then occ 1 (aligned 90, distance 10)
+	// beats occ 2 (aligned 195).
+	e, near := nearUnder(Options{})
+	want(e, near, 4)
+	near.tried.Add(4)
+	want(e, near, 1)
 	near.tried.Add(1)
-	inst, _ = e.bestUntried(near, true, 0)
-	if inst.occ != 2 {
-		t.Fatalf("after trying occ1: %+v", inst)
+	want(e, near, 2)
+	// Order mode ignores alignment: lowest untried occurrence, also past
+	// the cap.
+	e, near = nearUnder(Options{Strategy: TemporalByOrder})
+	want(e, near, 1)
+	for occ := 1; occ <= instanceLimit; occ++ {
+		near.tried.Add(occ)
 	}
-	// Order mode ignores alignment: lowest untried occurrence.
-	near.tried = triedSet{}
-	inst, _ = e.bestUntried(near, false, 0)
-	if inst.occ != 1 {
-		t.Fatalf("order best: %+v", inst)
+	want(e, near, 4)
+	// The instance limit hides occurrences beyond the cap.
+	e, near = nearUnder(Options{Strategy: SiteDistanceLimit})
+	for occ := 1; occ <= instanceLimit; occ++ {
+		near.tried.Add(occ)
 	}
-	// Instance limit hides occurrences beyond the cap.
-	near.tried = triedSet{}
-	near.tried.Add(1)
-	near.tried.Add(2)
-	if _, ok := e.bestUntried(near, false, 2); ok {
-		t.Fatal("limit 2 should exhaust after two occurrences")
+	if inst, ok := e.bestUntried(near); ok {
+		t.Fatalf("limit %d should exhaust after %d occurrences, got %+v", instanceLimit, instanceLimit, inst)
 	}
 }
 
@@ -161,12 +172,12 @@ func TestBestUntriedMemoFollowsFeedback(t *testing.T) {
 			both = s
 		}
 	}
-	if inst, ok := e.bestUntried(both, true, 0); !ok || inst.occ != 2 {
+	if inst, ok := e.bestUntried(both); !ok || inst.occ != 2 {
 		t.Fatalf("under beta: %+v ok=%v, want occ 2", inst, ok)
 	}
 	e.obs[1].priority = 10
 	e.computePriorities()
-	if inst, ok := e.bestUntried(both, true, 0); !ok || inst.occ != 1 {
+	if inst, ok := e.bestUntried(both); !ok || inst.occ != 1 {
 		t.Fatalf("under alpha: %+v ok=%v, want occ 1", inst, ok)
 	}
 }
@@ -270,20 +281,27 @@ func TestGrowWindow(t *testing.T) {
 	}
 }
 
-// markTried must hit the indexed site and ignore unknown sites.
+// markTried must mark the pick's own free-run occurrence on the pick's site
+// alone, and count it toward the site class's tried total once.
 func TestMarkTriedIndex(t *testing.T) {
 	e := stubEngine(Options{})
-	e.siteIndex = make(map[string]*siteState, len(e.sites))
+	var near *siteState
 	for _, s := range e.sites {
-		e.siteIndex[s.id] = s
+		if s.id == "s.near" {
+			near = s
+		}
 	}
-	e.markTried(inject.Instance{Site: "s.near", Occurrence: 2})
-	e.markTried(inject.Instance{Site: "no.such.site", Occurrence: 1})
+	p := pick{site: near, inst: near.instances[1]}
+	e.markTried(p)
+	e.markTried(p)
 	for _, s := range e.sites {
-		want := s.id == "s.near"
+		want := s == near
 		if s.tried.Has(2) != want {
 			t.Fatalf("site %s tried.Has(2)=%v want %v", s.id, s.tried.Has(2), want)
 		}
+	}
+	if near.tried.Len() != 1 || e.triedSite != 1 {
+		t.Fatalf("tried %d, triedSite %d; want 1, 1", near.tried.Len(), e.triedSite)
 	}
 }
 

@@ -20,9 +20,9 @@ func ReproduceFresh(t *Target, o Options) *Report {
 // returns how many answers were checked and how many differed.
 func ReproduceCheckingPicks(t *Target, o Options) (rep *Report, checked, differed int) {
 	e := newEngine(t, o.withDefaults(), new(workspace))
-	e.checkPick = func(s *siteState, useTemporal bool, limit int) {
+	e.checkPick = func(s *siteState) {
 		checked++
-		if inst, found := e.scanUntried(s, useTemporal, limit); found != s.pick.found || inst != s.pick.inst {
+		if inst, found := e.scanUntried(s); found != s.pick.found || inst != s.pick.inst {
 			differed++
 		}
 	}
@@ -107,18 +107,20 @@ func (p *Prepared) ExhaustSingleFaults() {
 			continue
 		}
 		for _, inst := range s.instances {
-			p.e.markTried(p.e.candidateFor(s, inst))
+			p.e.markTried(pick{site: s, inst: inst})
 		}
 	}
 }
 
-// FillWindow is one round's temporal candidate selection from cold: every
-// site's memoized pick is dropped first, so each call scans.
+// FillWindow is one round's candidate selection from cold, under the
+// prepared search's strategy row: every site's memoized pick is dropped
+// first, so each call scans.
 func (p *Prepared) FillWindow(window int) []inject.Instance {
 	for _, s := range p.e.sites {
 		s.pick.valid = false
 	}
-	return p.e.fillWindow(p.ranked, window, true, 0)
+	p.e.window = window
+	return p.e.fillWindow(p.ranked)
 }
 
 // PairScores reports, for every pair instance, the temporal score stamped

@@ -102,7 +102,6 @@ func (e *engine) explore() {
 // selectRanked is a priority-driven row's select step: rank the sites,
 // trace the round's starting state, and fill the window from the ranking.
 func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank int) {
-	spec := e.strategy.spec
 	ranked := e.rankedSites()
 	rootRank = e.rootRank(ranked)
 	if e.tracing() {
@@ -123,14 +122,10 @@ func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank
 			RootRank: rootRank, Top: snap,
 		})
 	}
-	if spec.multiply {
-		return e.multiplyCandidates(ranked, e.window), rootRank
+	if e.strategy.spec.multiply {
+		return e.multiplyCandidates(ranked), rootRank
 	}
-	limit := 0
-	if spec.limited {
-		limit = instanceLimit
-	}
-	return e.fillWindow(ranked, e.window, spec.useTemporal, limit), rootRank
+	return e.fillWindow(ranked), rootRank
 }
 
 // widen grows the flexible window after a round in which no candidate
@@ -193,7 +188,7 @@ func (e *engine) combineLogs(a *attempt) {
 // log is kept as the §3 hint for a failure one fault does not reproduce.
 func (e *engine) learn(a attempt) {
 	rd := a.rd
-	e.markTried(*rd.Injected)
+	e.markTried(e.picks[a.committed])
 	useFeedback := e.strategy.spec.useFeedback
 	missingCount := 0
 	var bumped []trace.ObsPriority
@@ -227,15 +222,15 @@ func (e *engine) traceFeedback(round, missing int, bumped []trace.ObsPriority) {
 	}
 	ev := &trace.Event{Type: trace.Feedback, Round: round, Missing: missing, Bumped: bumped}
 	if len(bumped) > 0 {
-		before := make(map[string]float64, len(e.sites))
-		for _, s := range e.sites {
-			before[s.id] = s.f
+		before := make([]float64, len(e.sites))
+		for i, s := range e.sites {
+			before[i] = s.f
 		}
 		e.computePriorities()
-		for _, s := range e.sites {
-			if s.f != before[s.id] {
+		for i, s := range e.sites {
+			if s.f != before[i] {
 				ev.Deltas = append(ev.Deltas, trace.SiteDelta{
-					Site: s.id, Before: trace.Float(before[s.id]), After: trace.Float(s.f),
+					Site: s.id, Before: trace.Float(before[i]), After: trace.Float(s.f),
 				})
 			}
 		}

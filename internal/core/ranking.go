@@ -55,7 +55,7 @@ func (e *engine) spatial(s *siteState, o *observable) float64 {
 func (e *engine) scoreSite(s *siteState) {
 	s.f = math.Inf(1)
 	s.bestObs = -1
-	s.bestVal = math.Inf(1)
+	bestVal := math.Inf(1) // sum-aggregation ablation: bestObs's partial priority
 	for k, o := range e.obs {
 		l := e.spatial(s, o)
 		if math.IsInf(l, 1) {
@@ -72,9 +72,9 @@ func (e *engine) scoreSite(s *siteState) {
 				s.f = 0
 			}
 			s.f += val
-			if val < s.bestVal {
+			if val < bestVal {
 				s.bestObs = k
-				s.bestVal = val
+				bestVal = val
 			}
 			continue
 		}

@@ -38,8 +38,8 @@ func BenchmarkReproduce(b *testing.B) {
 	})
 	b.Run("path-addressing", func(b *testing.B) {
 		// Same search under AddrPath: prices the per-reach path
-		// bookkeeping (context tracking, the chain-hash fold, the per-site
-		// byPath index) and the few canonical strings a search renders.
+		// bookkeeping (context tracking, the chain-hash fold, the plan's
+		// path index) and the few canonical strings a search renders.
 		// Recorded in BENCH_alloc_budget.json; the baseline variant above
 		// is the proof that none of it is paid in the default mode.
 		benchReproduce(b, "f4", func(int) core.Options {

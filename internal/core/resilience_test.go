@@ -52,7 +52,8 @@ func pickPoison(t *testing.T, rep *core.Report) inject.Instance {
 }
 
 // poisonWorkload wraps a target so that injecting the poison instance
-// triggers trap (from a watcher actor polling the injection runtime).
+// triggers trap (from a watcher actor polling the injection runtime). An
+// instance with a path is matched by its path, as a plan matches it.
 func poisonWorkload(tgt *core.Target, poison inject.Instance, trap func(env *cluster.Env)) *core.Target {
 	cp := *tgt
 	orig := tgt.Workload
@@ -64,7 +65,11 @@ func poisonWorkload(tgt *core.Target, poison inject.Instance, trap func(env *clu
 				return
 			}
 			for _, ev := range env.FI.InjectedAll() {
-				if ev.Site == poison.Site && ev.Occurrence == poison.Occurrence {
+				hit := ev.Occurrence == poison.Occurrence
+				if poison.Path != "" {
+					hit = env.FI.PathOf(ev.Site, ev.Addr) == poison.Path
+				}
+				if ev.Site == poison.Site && hit {
 					fired = true
 					trap(env)
 					return
@@ -194,6 +199,65 @@ func TestOraclePanicDegrades(t *testing.T) {
 	classes := inconclusiveClasses(mem.Events)
 	if len(classes) == 0 || classes[0] != cluster.ClassOracle {
 		t.Fatalf("inconclusive classes = %v, want leading %q", classes, cluster.ClassOracle)
+	}
+}
+
+// TestInconclusivePathRoundMarksItsFreeRunInstance: under path addressing a
+// run can reach a candidate's path at another occurrence than the free run
+// did, and the round that degrades to inconclusive on it must still take
+// the candidate's own free-run instance out of the search — marking the
+// run-local occurrence would leave the poisoned address untried, to be
+// injected again. Each baseline's first unsatisfied injection whose
+// occurrence differs from its candidate's becomes a panic.
+func TestInconclusivePathRoundMarksItsFreeRunInstance(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		seed int64
+	}{{"f4", 17000052}, {"f7", 1000004}} {
+		t.Run(c.id, func(t *testing.T) {
+			t.Parallel()
+			tgt := target(t, c.id)
+			opts := core.Options{Strategy: core.FullFeedback, Seed: c.seed, Addressing: core.AddrPath}
+			var mem trace.Memory
+			traced := opts
+			traced.Trace = &mem
+			if !core.Reproduce(tgt, traced).Reproduced {
+				t.Fatal("baseline not reproduced")
+			}
+			var poison inject.Instance
+			candOcc := map[string]int{}
+			for _, ev := range mem.Events {
+				if ev.Type == trace.Decision {
+					clear(candOcc)
+					for _, cand := range ev.Candidates {
+						candOcc[cand.Path] = cand.Occ
+					}
+				}
+				occ, armed := candOcc[ev.Path]
+				if ev.Type == trace.Injected && !ev.Satisfied && ev.Path != "" && armed && occ != ev.Occ {
+					poison = inject.Instance{Site: ev.Site, Occurrence: ev.Occ, Path: ev.Path}
+					break
+				}
+			}
+			if poison.Path == "" {
+				t.Fatal("baseline reaches no candidate's path at another occurrence")
+			}
+
+			wrapped := poisonWorkload(tgt, poison, func(*cluster.Env) { panic("poisoned trial: injected " + poison.Path) })
+			rep := core.Reproduce(wrapped, opts)
+			if !rep.Reproduced || rep.InconclusiveRounds < 1 {
+				t.Fatalf("reproduced %v with %d inconclusive rounds, want a reproduction past the poison", rep.Reproduced, rep.InconclusiveRounds)
+			}
+			injected := 0
+			for _, rd := range rep.RoundLog {
+				if rd.Injected != nil && rd.Injected.Path == poison.Path {
+					injected++
+				}
+			}
+			if injected != 1 {
+				t.Fatalf("%d rounds injected %s, want 1", injected, poison.Path)
+			}
+		})
 	}
 }
 

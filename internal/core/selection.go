@@ -59,47 +59,47 @@ func (e *engine) nearestObs(pos float64) float64 {
 
 // pickMemo is a site's last bestUntried answer with everything the answer
 // read that can change between rounds: how many instances are tried (the
-// set only grows, so an equal size is an equal set), the best observable
-// the temporal score measures from, and the selection parameters.
-// Instances, observable positions and pair scores are fixed at setup.
+// set only grows, so an equal size is an equal set) and the best observable
+// the temporal score measures from. Instances, observable positions, pair
+// scores and the strategy row are fixed for the search.
 type pickMemo struct {
-	valid    bool
-	tried    int
-	bestObs  int
-	limit    int
-	temporal bool
-	inst     instance
-	found    bool
+	valid   bool
+	tried   int
+	bestObs int
+	inst    instance
+	found   bool
 }
 
 // bestUntried returns the site's highest-priority untried instance: the
 // memoized answer while none of its inputs has moved, else a fresh scan.
-func (e *engine) bestUntried(s *siteState, useTemporal bool, limit int) (instance, bool) {
+func (e *engine) bestUntried(s *siteState) (instance, bool) {
 	m := &s.pick
-	if !m.valid || m.tried != s.tried.Len() || m.bestObs != s.bestObs || m.limit != limit || m.temporal != useTemporal {
-		inst, found := e.scanUntried(s, useTemporal, limit)
-		*m = pickMemo{valid: true, tried: s.tried.Len(), bestObs: s.bestObs, limit: limit, temporal: useTemporal, inst: inst, found: found}
+	if !m.valid || m.tried != s.tried.Len() || m.bestObs != s.bestObs {
+		inst, found := e.scanUntried(s)
+		*m = pickMemo{valid: true, tried: s.tried.Len(), bestObs: s.bestObs, inst: inst, found: found}
 	}
 	if e.checkPick != nil {
-		e.checkPick(s, useTemporal, limit)
+		e.checkPick(s)
 	}
 	return m.inst, m.found
 }
 
-// scanUntried is bestUntried computed from scratch.
-func (e *engine) scanUntried(s *siteState, useTemporal bool, limit int) (instance, bool) {
+// scanUntried is bestUntried computed from scratch, under the strategy row's
+// instance cap and instance order: temporal distance, or occurrence.
+func (e *engine) scanUntried(s *siteState) (instance, bool) {
+	spec := e.strategy.spec
 	bestScore := math.Inf(1)
 	var best instance
 	found := false
 	for i, inst := range s.instances {
-		if limit > 0 && i >= limit {
+		if spec.limited && i >= instanceLimit {
 			break
 		}
 		if s.tried.Has(inst.occ) {
 			continue
 		}
 		score := float64(inst.occ)
-		if useTemporal {
+		if spec.useTemporal {
 			score = e.temporalDistance(s, inst)
 		}
 		if score < bestScore {
@@ -131,6 +131,18 @@ func (e *engine) candidateFor(s *siteState, inst instance) inject.Instance {
 	return c.Keyed(inst.addr.Hash)
 }
 
+// pick is one candidate of the round's window: a site and the free-run
+// instance selected from it, with the multiply row's score. The window is
+// kept as picks and rendered to the plan-facing candidates in the same
+// order, so the candidate a run commits to names, by its index, the
+// free-run instance to mark tried — whatever occurrence the run reached it
+// at.
+type pick struct {
+	site  *siteState
+	inst  instance
+	score float64
+}
+
 // fillWindow selects the round's candidate window from the ranked
 // sites: the best untried instance of each site, in ranking order,
 // until the window is full. Selection runs one fault class at a time in
@@ -139,30 +151,29 @@ func (e *engine) candidateFor(s *siteState, inst instance) inject.Instance {
 // selected at all — so enabling a wider class never changes which
 // instances the narrower search injects: each class runs to exhaustion
 // in its exact original order before the next space opens.
-func (e *engine) fillWindow(ranked []*siteState, window int, useTemporal bool, limit int) []inject.Instance {
-	candidates := e.candBuf[:0]
-	for c := classID(0); c < numClasses && len(candidates) == 0; c++ {
+func (e *engine) fillWindow(ranked []*siteState) []inject.Instance {
+	picks := e.picks[:0]
+	for c := classID(0); c < numClasses && len(picks) == 0; c++ {
 		for _, s := range ranked {
-			if len(candidates) >= window {
+			if len(picks) >= e.window {
 				break
 			}
 			if s.class != c {
 				continue
 			}
-			if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
-				candidates = append(candidates, e.candidateFor(s, inst))
+			if inst, ok := e.bestUntried(s); ok {
+				picks = append(picks, pick{site: s, inst: inst})
 			}
 		}
 	}
-	e.candBuf = candidates
-	return candidates
+	return e.render(picks)
 }
 
 // multiplyCandidates ranks all untried (site, instance) pairs by the
 // product (F_i+1) x (T_{i,j}+1) — the §8.3 "multiply feedback" variant that
 // replaces the two-level selection.
-func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.Instance {
-	pairs := e.pairBuf[:0]
+func (e *engine) multiplyCandidates(ranked []*siteState) []inject.Instance {
+	picks := e.picks[:0]
 	for _, s := range ranked {
 		if math.IsInf(s.f, 1) {
 			continue
@@ -176,34 +187,28 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 				continue
 			}
 			t := e.temporalDistance(s, inst)
-			pairs = append(pairs, scoredPair{site: s, inst: inst, score: (s.f + 1) * (t + 1)})
+			picks = append(picks, pick{site: s, inst: inst, score: (s.f + 1) * (t + 1)})
 		}
 	}
-	e.pairBuf = pairs
-	slices.SortFunc(pairs, comparePairs)
-	if len(pairs) > window {
-		pairs = pairs[:window]
-	}
+	slices.SortFunc(picks, comparePicks)
+	return e.render(picks[:min(len(picks), e.window)])
+}
+
+// render keeps picks as the round's window and returns its plan-facing
+// candidates, in the same order.
+func (e *engine) render(picks []pick) []inject.Instance {
+	e.picks = picks
 	out := e.candBuf[:0]
-	for _, p := range pairs {
+	for _, p := range picks {
 		out = append(out, e.candidateFor(p.site, p.inst))
 	}
 	e.candBuf = out
 	return out
 }
 
-// scoredPair is a (site, instance) candidate with its multiply-feedback
-// score; only the window's worth that survives the sort is rendered as a
-// plan-facing candidate.
-type scoredPair struct {
-	site  *siteState
-	inst  instance
-	score float64
-}
-
-// comparePairs orders pairs by (score, site id, occurrence) — strict and
+// comparePicks orders picks by (score, site id, occurrence) — strict and
 // total, since (site, occurrence) is unique.
-func comparePairs(a, b scoredPair) int {
+func comparePicks(a, b pick) int {
 	if c := cmp.Compare(a.score, b.score); c != 0 {
 		return c
 	}

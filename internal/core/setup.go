@@ -124,32 +124,16 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	slices.SortFunc(e.sites, compareSiteIDs)
 
-	// Under path addressing every free-run reach carries its path
-	// identity; index it per site so an injection run's path-matched reach
-	// resolves back to the free-run instance it names.
-	if e.o.Addressing == AddrPath {
-		for _, s := range e.sites {
-			if s.class == pairClass {
-				continue
-			}
-			s.byPath = make(map[uint64]int32, len(s.instances))
-			for i, inst := range s.instances {
-				if inst.addr.N != 0 {
-					s.byPath[inst.addr.Hash] = int32(i)
-				}
-			}
-		}
-	}
-	e.siteIndex = make(map[string]*siteState, len(e.sites))
 	for _, s := range e.sites {
-		e.siteIndex[s.id] = s
 		e.report.CandidateInstances += len(s.instances)
 		if s.class == siteClass {
 			e.instSite += len(s.instances)
 		}
+		if s.id == e.t.RootSite {
+			e.root = s
+		}
 	}
 	e.report.CandidateSites = len(e.sites)
-	e.root = e.siteIndex[e.t.RootSite]
 
 	if e.tracing() {
 		obsLabels := make([]string, len(e.obs))
