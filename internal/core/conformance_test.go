@@ -196,11 +196,11 @@ func rooted(t *testing.T, c *cell) {
 		if class != core.ClassSite {
 			t.Fatalf("site-only search reproduced by %v", s)
 		}
-		if s.Site != c.sc.RootSite {
-			t.Logf("reproduced via %s, declared root %s", s.Site, c.sc.RootSite)
+		if s.Site != c.sc.Root.Site {
+			t.Logf("reproduced via %s, declared root %s", s.Site, c.sc.Root.Site)
 		}
-	} else if !c.sc.Searches(class) || s.Site != c.sc.RootSite {
-		t.Fatalf("reproduced via %v, ground truth %s of classes %v", s, c.sc.RootSite, c.sc.FaultClasses)
+	} else if !c.sc.Searches(class) || s.Site != c.sc.Root.Site {
+		t.Fatalf("reproduced via %v, ground truth %s of classes %v", s, c.sc.Root.Site, c.sc.FaultClasses)
 	}
 	if c.rep.EnvRooted != (class == core.ClassEnv) || c.rep.PartialRooted != (class == core.ClassPartial) {
 		t.Fatalf("script %v of class %s reported env-rooted=%v partial-rooted=%v", s, class, c.rep.EnvRooted, c.rep.PartialRooted)

@@ -216,11 +216,11 @@ func rootKind(s *failures.Scenario) (inject.Kind, error) {
 		return "", err
 	}
 	for _, site := range an.Sites {
-		if site.ID == s.RootSite {
+		if site.ID == s.Root.Site {
 			return site.Kind, nil
 		}
 	}
-	return "", fmt.Errorf("eval: %s: root site %s is not a fault site of %s", s.ID, s.RootSite, s.System)
+	return "", fmt.Errorf("eval: %s: root site %s is not a fault site of %s", s.ID, s.Root.Site, s.System)
 }
 
 // Table6NewRootCauses reproduces appendix Table 6: failures where the
@@ -242,18 +242,18 @@ func Table6NewRootCauses(opt Options) (*Table, error) {
 	}
 	for i, s := range scens {
 		rep := reps[0][i]
-		if !rep.Reproduced || rep.Script == nil || (rep.Script.Site == s.RootSite && s.NewRootCause == "") {
+		if !rep.Reproduced || rep.Script == nil || (rep.Script.Site == s.Root.Site && s.NewRootCause == "") {
 			continue
 		}
 		discovered := rep.Script.Site
-		if rep.Script.Site == s.RootSite {
+		if rep.Script.Site == s.Root.Site {
 			discovered = s.NewRootCause
 		}
 		tgt, err := s.BuildTarget()
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, []string{label(s), s.RootSite, discovered, fmt.Sprint(core.Verify(tgt, *rep.Script, rep.ScriptSeed))})
+		t.Rows = append(t.Rows, []string{label(s), s.Root.Site, discovered, fmt.Sprint(core.Verify(tgt, *rep.Script, rep.ScriptSeed))})
 	}
 	return t, nil
 }

@@ -28,7 +28,7 @@ func searchOccurrence(s *Scenario, free *cluster.Result, seed int64, site string
 
 // searchRoot is searchOccurrence over the scenario's root site.
 func searchRoot(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-	return searchOccurrence(s, free, seed, s.RootSite)
+	return searchOccurrence(s, free, seed, s.Root.Site)
 }
 
 func hasSuffixThread(thread, suffix string) bool { return strings.HasSuffix(thread, suffix) }
@@ -44,11 +44,11 @@ func init() {
 			oracle.LogContains("Failed to roll edit log"),
 			oracle.LogContains("Skipping checkpoint: another checkpoint is in progress"),
 		),
-		RootSite: "dfs.namenode.read-edits",
+		Root: inject.Instance{Site: "dfs.namenode.read-edits", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Any roll can fail, but a later checkpoint must still be
 			// attempted, so it cannot be the last occurrence.
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -62,9 +62,9 @@ func init() {
 			oracle.LogContains("Exception during image transfer"),
 			oracle.LogContains("Checkpoint finished"),
 		),
-		RootSite: "dfs.secondary.upload-image",
+		Root: inject.Instance{Site: "dfs.secondary.upload-image", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -78,9 +78,9 @@ func init() {
 			oracle.LogContains("Block recovery failed"),
 			oracle.Not(oracle.LogContains("Lease recovered, file closed")),
 		),
-		RootSite: "dfs.datanode.recover-finalize",
+		Root: inject.Instance{Site: "dfs.datanode.recover-finalize", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -94,7 +94,7 @@ func init() {
 			oracle.LogContains("Failed to build pipeline"),
 			oracle.LogContains("Xceiver pool exhausted"),
 		),
-		RootSite: "dfs.datanode.connect-downstream",
+		Root: inject.Instance{Site: "dfs.datanode.connect-downstream", Occurrence: 1},
 		// The leak only matters when later concurrent transfers land on
 		// the leaked node; trial-inject to find such an occurrence.
 		FindRoot: searchRoot,
@@ -110,9 +110,9 @@ func init() {
 			oracle.LogContains("Invalid block token"),
 			oracle.LogContains("slow read detected"),
 		),
-		RootSite: "dfs.client.refetch-token",
+		Root: inject.Instance{Site: "dfs.client.refetch-token", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -126,12 +126,12 @@ func init() {
 			oracle.LogContains("Failed to add storage directory"),
 			oracle.LogContains("failed to start: no valid volumes"),
 		),
-		RootSite: "dfs.datanode.init-storage",
+		Root: inject.Instance{Site: "dfs.datanode.init-storage", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must hit the startup registration path, i.e. an occurrence on
 			// a dnX-main thread, not the periodic volume re-check.
 			for _, ev := range free.Env.FI.Trace() {
-				if ev.Site == s.RootSite && hasSuffixThread(ev.Thread, "-main") {
+				if ev.Site == s.Root.Site && hasSuffixThread(ev.Thread, "-main") {
 					return inject.Instance{Site: ev.Site, Occurrence: ev.Occurrence}, true
 				}
 			}
@@ -149,9 +149,9 @@ func init() {
 			oracle.LogContains("Unhandled exception in balancer"),
 			oracle.LogContains("Balancer terminated"),
 		),
-		RootSite: "dfs.balancer.get-blocks",
+		Root: inject.Instance{Site: "dfs.balancer.get-blocks", Occurrence: 2},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 2)
+			return nthOccurrence(free, s.Root.Site, 2)
 		},
 	})
 }

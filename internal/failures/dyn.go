@@ -45,7 +45,7 @@ func init() {
 			oracle.LogContains("anti-entropy audit: replicas diverged beyond grace period"),
 			oracle.Not(oracle.ConvergedWithin(dyn.MembershipConvergeBound)),
 		),
-		RootSite:     "dyn.gossip.pull-ring",
+		Root:         inject.Instance{Site: "dyn.gossip.pull-ring", Occurrence: 2},
 		FaultClasses: dynClasses,
 		// Which pull occurrence belongs to the coordinator depends on
 		// gossip timing; trial-inject to find it.
@@ -68,7 +68,7 @@ func init() {
 			oracle.LogContains("after delete (resurrected)"),
 			oracle.Not(oracle.ConvergedWithin(dyn.TombstoneConvergeBound)),
 		),
-		RootSite:     "dyn.store.persist-tombstone",
+		Root:         inject.Instance{Site: "dyn.store.persist-tombstone", Occurrence: 1},
 		FaultClasses: dynClasses,
 		FindRoot:     searchRoot,
 	})
@@ -90,7 +90,7 @@ func init() {
 			oracle.LogContains("after delete (resurrected)"),
 			oracle.Not(oracle.ConvergedWithin(dyn.TombstoneConvergeBound)),
 		),
-		RootSite:     "dyn.handoff.replay-hint",
+		Root:         inject.Instance{Site: "dyn.handoff.replay-hint", Occurrence: 16},
 		FaultClasses: dynClasses,
 		FindRoot:     searchRoot,
 	})
@@ -114,7 +114,7 @@ func init() {
 			oracle.LogContains("anti-entropy audit: replicas diverged beyond grace period"),
 			oracle.Not(oracle.ConvergedWithin(dyn.MembershipConvergeBound)),
 		),
-		RootSite:     "env/partition/dyn1~dyn4",
+		Root:         inject.Instance{Site: "env/partition/dyn1~dyn4", Occurrence: 2},
 		FaultClasses: envClasses,
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The cut must isolate the node that sources a range transfer

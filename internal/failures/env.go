@@ -40,7 +40,7 @@ func init() {
 			oracle.LogContains("client failed with connection loss"),
 			oracle.Not(oracle.LogContains("finished workload")),
 		),
-		RootSite:     "env/crash/zk3",
+		Root:         inject.Instance{Site: "env/crash/zk3", Occurrence: 3},
 		FaultClasses: envClasses,
 		// The crash must hit the leader while a client write is in flight;
 		// trial-inject to find such an occurrence.
@@ -62,7 +62,7 @@ func init() {
 			oracle.LogContains("member consumer-b expired"),
 			oracle.LogContains("Consumer consumer-b heartbeat failed"),
 		),
-		RootSite:     "env/partition/broker-a~consumer-b",
+		Root:         inject.Instance{Site: "env/partition/broker-a~consumer-b", Occurrence: 2},
 		FaultClasses: envClasses,
 		// The cut must cover a full session-timeout window while
 		// consumer-b is a member.
@@ -86,7 +86,7 @@ func init() {
 			oracle.LogContains("Block recovery failed"),
 			oracle.Not(oracle.LogContains("Lease recovered, file closed")),
 		),
-		RootSite:     "env/msg-delay/nn>dn3",
+		Root:         inject.Instance{Site: "env/msg-delay/nn>dn3", Occurrence: 1},
 		FaultClasses: envClasses,
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Which datanode holds the primary replica of the abandoned

@@ -11,6 +11,9 @@
 // one (§8): the ground-truth fault is injected once, under a seed disjoint
 // from the explorer's, and the resulting log is rendered to text and parsed
 // back — so the explorer only ever sees what a production log file carries.
+// A scenario states that fault as a concrete instance, its Root; FindRoot
+// is the rule that locates it in a free run, and a test holds the stated
+// instance to what the rule finds under FailureSeed.
 package failures
 
 import (
@@ -56,11 +59,13 @@ type Scenario struct {
 	// into partial enumeration.
 	FaultClasses []string
 
-	// RootSite is the ground-truth root-cause fault site.
-	RootSite string
-	// FindRoot locates the ground-truth dynamic instance of s.RootSite in
-	// a free run's trace (the right occurrence). The seed of the free run
-	// is passed for scenarios that must trial-inject to confirm it.
+	// Root is the ground-truth root-cause fault instance: the fault of the
+	// simulated production incident at FailureSeed, which FailureLog injects.
+	Root inject.Instance
+	// FindRoot locates the ground-truth dynamic instance of s.Root.Site in
+	// a free run under any seed (the right occurrence); at FailureSeed it
+	// must return Root. The seed of the free run is passed for scenarios
+	// that must trial-inject to confirm it.
 	FindRoot func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool)
 
 	// NewRootCause, when non-empty, describes the deeper root cause the
@@ -133,35 +138,14 @@ func (s *Scenario) Searches(class string) bool {
 }
 
 // features returns the runtime features the scenario's own runs need: those
-// of its fault classes, so free runs count their pseudo-sites (FindRoot
-// needs the counts).
+// of its fault classes, so its runs count their pseudo-sites (FindRoot's
+// free runs read the counts) as the explorer's do.
 func (s *Scenario) features() inject.Features {
 	f, err := core.ClassFeatures(s.FaultClasses)
 	if err != nil {
 		panic(fmt.Sprintf("failures: %s: %v", s.ID, err)) // the dataset names only known classes
 	}
 	return f
-}
-
-// GroundTruth finds the root-cause instance under the given seed. A free
-// run that panics or livelocks is a *cluster.TrialError.
-func (s *Scenario) GroundTruth(seed int64) (inject.Instance, error) {
-	inst, _, err := s.groundTruth(seed)
-	return inst, err
-}
-
-// groundTruth is GroundTruth also returning the free run FindRoot read,
-// whose environment the caller may release.
-func (s *Scenario) groundTruth(seed int64) (inject.Instance, *cluster.Result, error) {
-	free, err := cluster.Run(nil, nil, seed, nil, s.Workload, s.Horizon, s.features())
-	if err != nil {
-		return inject.Instance{}, nil, fmt.Errorf("%s: free run: %w", s.ID, err)
-	}
-	inst, ok := s.FindRoot(s, free, seed)
-	if !ok {
-		return inject.Instance{}, nil, fmt.Errorf("%s: ground-truth instance not found in free run", s.ID)
-	}
-	return inst, free, nil
 }
 
 // trial runs one candidate of a ground-truth search in env (nil: a fresh
@@ -178,20 +162,15 @@ func (s *Scenario) trial(env *cluster.Env, seed int64, plan *inject.Plan, feats 
 }
 
 // FailureLog produces the production failure log: one run with the
-// ground-truth fault injected, in the free run's environment, rendered to
-// text and parsed back. A run that panics or livelocks is a
-// *cluster.TrialError.
+// ground-truth fault, Root, injected under FailureSeed, rendered to text and
+// parsed back. A run that panics or livelocks is a *cluster.TrialError.
 func (s *Scenario) FailureLog() ([]logging.Entry, error) {
-	inst, free, err := s.groundTruth(FailureSeed)
-	if err != nil {
-		return nil, err
-	}
-	res, err := cluster.Run(nil, free.Release(), FailureSeed, inject.Exact(inst), s.Workload, s.Horizon, s.features())
+	res, err := cluster.Run(nil, nil, FailureSeed, inject.Exact(s.Root), s.Workload, s.Horizon, s.features())
 	if err != nil {
 		return nil, fmt.Errorf("%s: ground-truth run: %w", s.ID, err)
 	}
 	if !s.Oracle.Satisfied(res) {
-		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, inst)
+		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, s.Root)
 	}
 	text := res.RenderLog()
 	return logging.Parse(text), nil
@@ -226,7 +205,7 @@ func (s *Scenario) buildTarget() (*core.Target, error) {
 		Oracle:       s.Oracle,
 		FailureLog:   flog,
 		Analysis:     an,
-		RootSite:     s.RootSite,
+		RootSite:     s.Root.Site,
 		FaultClasses: s.FaultClasses,
 	}, nil
 }

@@ -2,6 +2,7 @@ package failures
 
 import (
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -23,11 +24,25 @@ func run(t *testing.T, s *Scenario, seed int64, plan *inject.Plan, feats inject.
 	return res
 }
 
+// rootLiteral renders a root instance as the Scenario.Root literal that
+// states it.
+func rootLiteral(inst inject.Instance) string {
+	lit := func(m inject.Instance) string {
+		return fmt.Sprintf("inject.Instance{Site: %q, Occurrence: %d}", m.Site, m.Occurrence)
+	}
+	if a, b, ok := inject.PairMembers(inst); ok {
+		return fmt.Sprintf("inject.PairInstance(%s, %s)", lit(a), lit(b))
+	}
+	return lit(inst)
+}
+
 // TestScenarioInvariants checks, for every registered scenario, the three
 // properties the paper's problem statement requires: the workload alone
 // does not trigger the failure; injecting the ground-truth fault does; and
 // the failure log generation round-trips — and that the records of all of
-// them are keyed by their own messages.
+// them are keyed by their own messages. The stated Root is the instance
+// FindRoot locates under FailureSeed, so a target edit that moves the root
+// fails here.
 func TestScenarioInvariants(t *testing.T) {
 	for _, s := range All() {
 		s := s
@@ -42,8 +57,8 @@ func TestScenarioInvariants(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: ground truth not found", s.ID)
 			}
-			if inst.Site != s.RootSite {
-				t.Fatalf("%s: ground truth site %s != declared %s", s.ID, inst.Site, s.RootSite)
+			if inst != s.Root {
+				t.Fatalf("%s: FindRoot finds\n\tRoot: %s,\nthe row states\n\tRoot: %s,", s.ID, rootLiteral(inst), rootLiteral(s.Root))
 			}
 			res := run(t, s, FailureSeed, inject.Exact(inst), 0)
 			if !s.Oracle.Satisfied(res) {
@@ -187,13 +202,9 @@ func TestExecuteDeterministicPerSeed(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			t.Parallel() // cross-scenario concurrency must not leak either
-			inst, ok := s.FindRoot(s, run(t, s, FailureSeed, nil, s.features()), FailureSeed)
-			if !ok {
-				t.Fatalf("ground truth not found")
-			}
-			base := run(t, s, FailureSeed, inject.Exact(inst), 0)
+			base := run(t, s, FailureSeed, inject.Exact(s.Root), 0)
 			for rep := 0; rep < 3; rep++ {
-				r := run(t, s, FailureSeed, inject.Exact(inst), 0)
+				r := run(t, s, FailureSeed, inject.Exact(s.Root), 0)
 				if r.Events != base.Events {
 					t.Fatalf("repeat %d: %d events vs %d", rep, r.Events, base.Events)
 				}
@@ -274,5 +285,32 @@ func TestBrokenScenarioIsATrialError(t *testing.T) {
 				t.Fatalf("FailureLog: %v, want a TrialError of class %q", err, class)
 			}
 		})
+	}
+}
+
+// TestFailureLogIsOneRun: a scenario states its root, so producing its
+// failure log runs the workload once — no free run, no ground-truth search
+// — and yields the log BuildTarget hands the explorer.
+func TestFailureLogIsOneRun(t *testing.T) {
+	f20, _ := ByID("f20")
+	runs := 0
+	s := &Scenario{
+		ID: f20.ID, System: f20.System, Horizon: f20.Horizon, Oracle: f20.Oracle,
+		Root: f20.Root, FindRoot: f20.FindRoot, FaultClasses: f20.FaultClasses,
+		Workload: func(env *cluster.Env) { runs++; f20.Workload(env) },
+	}
+	flog, err := s.FailureLog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 1 {
+		t.Errorf("FailureLog ran the workload %d times, want 1", runs)
+	}
+	tgt, err := f20.BuildTarget()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(flog, tgt.FailureLog) {
+		t.Errorf("FailureLog: %d entries differ from BuildTarget's %d", len(flog), len(tgt.FailureLog))
 	}
 }

@@ -19,9 +19,9 @@ func init() {
 			oracle.LogContains("restarting task"),
 			oracle.LogContains("lost update"),
 		),
-		RootSite: "mq.streams.checkpoint",
+		Root: inject.Instance{Site: "mq.streams.checkpoint", Occurrence: 5},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 5)
+			return nthOccurrence(free, s.Root.Site, 5)
 		},
 	})
 
@@ -35,9 +35,9 @@ func init() {
 			oracle.ThreadStuck("connector-stop"),
 			oracle.LogContains("worker unresponsive"),
 		),
-		RootSite: "mq.connect.stop-connector",
+		Root: inject.Instance{Site: "mq.connect.stop-connector", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -51,7 +51,7 @@ func init() {
 			oracle.LogContains("errors.tolerance"),
 			oracle.LogContains("Data gap detected"),
 		),
-		RootSite: "mq.mm2.convert-record",
+		Root: inject.Instance{Site: "mq.mm2.convert-record", Occurrence: 44},
 		// The dropped record must be one the consumer had not yet read when
 		// it failed over; trial-inject to find such an occurrence.
 		FindRoot: searchRoot,
@@ -67,9 +67,9 @@ func init() {
 			oracle.LogContains("channel proxy in invalid state"),
 			oracle.Not(oracle.LogContains("completed successfully")),
 		),
-		RootSite: "cs.stream.file-task",
+		Root: inject.Instance{Site: "cs.stream.file-task", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -83,9 +83,9 @@ func init() {
 			oracle.ThreadStuck("await-snapshot-responses"),
 			oracle.LogContains("Repair session repair-1 started"),
 		),
-		RootSite: "cs.repair.make-snapshot",
+		Root: inject.Instance{Site: "cs.repair.make-snapshot", Occurrence: 2},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 2)
+			return nthOccurrence(free, s.Root.Site, 2)
 		},
 		NewRootCause: "an earlier disk fault writing the snapshot file (cs.repair.write-snapshot) also leaves the coordinator waiting forever — deeper than the message-loss diagnosis",
 	})

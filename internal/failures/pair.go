@@ -41,7 +41,7 @@ import (
 var pairClasses = []string{core.ClassPair}
 
 func init() {
-	// The pair roots' member sites, stated once for RootSite and FindRoot:
+	// The pair roots' member sites, stated once for Root and FindRoot:
 	// f30 pairs rh with pr, f31 pairs cd with itself.
 	const rh, pr = "dyn.handoff.replay-hint", "dyn.store.persist-record"
 	const cd = "dfs.datanode.connect-downstream"
@@ -69,7 +69,7 @@ func init() {
 			oracle.LogContainsExact("verify: k002 returned v002 after delete (resurrected)"),
 			oracle.Diverged(),
 		),
-		RootSite:     inject.PairSiteID(rh, pr),
+		Root:         inject.PairInstance(inject.Instance{Site: rh, Occurrence: 18}, inject.Instance{Site: pr, Occurrence: 30}),
 		FaultClasses: pairClasses,
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The persist member must kill a *retry* apply — the bare
@@ -107,7 +107,7 @@ func init() {
 			oracle.LogContains("failed to write block"),
 			oracle.Predicate("xceiver pools exhausted on >=2 datanodes", multiNodeExhaustion),
 		),
-		RootSite:     inject.PairSiteID(cd, cd),
+		Root:         inject.PairInstance(inject.Instance{Site: cd, Occurrence: 1}, inject.Instance{Site: cd, Occurrence: 2}),
 		FaultClasses: pairClasses,
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Self-pair: unordered occurrence combinations, x < y. Pipeline

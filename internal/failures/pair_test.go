@@ -6,9 +6,8 @@ import (
 	"anduril/internal/inject"
 )
 
-// TestPairGroundTruthMembers pins the empirically-derived ground truth
-// so a drift in the target systems (which would silently move the
-// reproducing pair) fails loudly instead.
+// TestPairGroundTruthMembers: f30's stated root is a pair of exactly these
+// members (TestScenarioInvariants holds the root to what FindRoot finds).
 func TestPairGroundTruthMembers(t *testing.T) {
 	wants := map[string][2]inject.Instance{
 		"f30": {
@@ -18,31 +17,23 @@ func TestPairGroundTruthMembers(t *testing.T) {
 	}
 	for id, want := range wants {
 		s, _ := ByID(id)
-		inst, err := s.GroundTruth(FailureSeed)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		a, b, ok := inject.PairMembers(inst)
+		a, b, ok := inject.PairMembers(s.Root)
 		if !ok {
-			t.Fatalf("%s: ground truth %v is not a pair", id, inst)
+			t.Fatalf("%s: root %v is not a pair", id, s.Root)
 		}
 		if a != want[0] || b != want[1] {
-			t.Errorf("%s: ground-truth members (%v, %v), want (%v, %v)", id, a, b, want[0], want[1])
+			t.Errorf("%s: root members (%v, %v), want (%v, %v)", id, a, b, want[0], want[1])
 		}
 	}
 }
 
-// TestPairSelfPairDistinctMembers checks f31's ground truth is a true
-// self-pair: same site, two distinct occurrences.
+// TestPairSelfPairDistinctMembers checks f31's root is a true self-pair:
+// same site, two distinct occurrences.
 func TestPairSelfPairDistinctMembers(t *testing.T) {
 	s, _ := ByID("f31")
-	inst, err := s.GroundTruth(FailureSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, ok := inject.PairMembers(inst)
+	a, b, ok := inject.PairMembers(s.Root)
 	if !ok {
-		t.Fatalf("ground truth %v is not a pair", inst)
+		t.Fatalf("root %v is not a pair", s.Root)
 	}
 	if a.Site != b.Site || a.Site != "dfs.datanode.connect-downstream" {
 		t.Fatalf("members (%s, %s), want a connect-downstream self-pair", a.Site, b.Site)

@@ -49,7 +49,7 @@ func init() {
 			oracle.FileExists("nn/edits"),
 			oracle.FileExists("nn/edits.rolled"),
 		),
-		RootSite:     inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""),
+		Root:         inject.Instance{Site: inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""), Occurrence: 1},
 		FaultClasses: partialClasses,
 		// The torn roll must not be the last checkpoint attempt, or no
 		// later cycle observes the latched busy flag.
@@ -73,7 +73,7 @@ func init() {
 			oracle.LogContainsExact("Severe unrecoverable error, exiting SyncRequestProcessor on myid=1"),
 			oracle.LogContainsExact("Skipping malformed txn record on myid=1"),
 		),
-		RootSite:     inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""),
+		Root:         inject.Instance{Site: inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""), Occurrence: 3},
 		FaultClasses: partialClasses,
 		// The torn append must land on zk1 (the server the workload
 		// restarts) and before the restart; occurrences are global across
@@ -120,7 +120,7 @@ func init() {
 				return false
 			}),
 		),
-		RootSite:     inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"),
+		Root:         inject.Instance{Site: inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"), Occurrence: 1},
 		FaultClasses: partialClasses,
 		FindRoot:     searchRoot,
 		NewRootCause: "the broker's produce path is not idempotent: a redelivered request appends a second copy instead of detecting the duplicate sequence number",

@@ -18,7 +18,7 @@ func init() {
 			oracle.LogContains("Failed to write WAL header"),
 			oracle.LogContains("Replication stuck on empty WAL file"),
 		),
-		RootSite: "ts.wal.write-header",
+		Root:     inject.Instance{Site: "ts.wal.write-header", Occurrence: 1},
 		FindRoot: searchRoot,
 	})
 
@@ -32,10 +32,10 @@ func init() {
 			oracle.LogContains("marking procedure as failed"),
 			oracle.LogContains("rejecting procedure"),
 		),
-		RootSite: "ts.proc.step-wait",
+		Root: inject.Instance{Site: "ts.proc.step-wait", Occurrence: 2},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must interrupt a step with procedures still queued behind it.
-			return nthOccurrence(free, s.RootSite, 2)
+			return nthOccurrence(free, s.Root.Site, 2)
 		},
 	})
 
@@ -49,10 +49,10 @@ func init() {
 			oracle.LogContains("Failed to convert mutation"),
 			oracle.LogContains("Corrupt cell detected"),
 		),
-		RootSite: "ts.region.decode-mutation",
+		Root: inject.Instance{Site: "ts.region.decode-mutation", Occurrence: 2},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Must hit a non-atomic batch before its last mutation.
-			return nthOccurrence(free, s.RootSite, 2)
+			return nthOccurrence(free, s.Root.Site, 2)
 		},
 	})
 
@@ -67,9 +67,9 @@ func init() {
 			oracle.LogContains("still in RECOVERING state"),
 			oracle.Not(oracle.LogContainsExact("WAL split for rs2 completed")),
 		),
-		RootSite: "ts.split.read-walchunk",
+		Root: inject.Instance{Site: "ts.split.read-walchunk", Occurrence: 2},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 2)
+			return nthOccurrence(free, s.Root.Site, 2)
 		},
 	})
 
@@ -84,9 +84,9 @@ func init() {
 			oracle.LogContains("Failed to claim replication queue"),
 			oracle.Not(oracle.LogContainsExact("Claimed replication queue of rs2")),
 		),
-		RootSite: "ts.repl.copy-queue",
+		Root: inject.Instance{Site: "ts.repl.copy-queue", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
-			return nthOccurrence(free, s.RootSite, 1)
+			return nthOccurrence(free, s.Root.Site, 1)
 		},
 	})
 
@@ -100,7 +100,7 @@ func init() {
 			oracle.LogContains("Failed to get sync result"),
 			oracle.ThreadStuck("waitForSafePoint"),
 		),
-		RootSite: "ts.wal.stream-write",
+		Root: inject.Instance{Site: "ts.wal.stream-write", Occurrence: 11},
 		// Only a stream break landing in the narrow window before a roll —
 		// with more unacked appends than one sync batch — wedges the
 		// consumer (the paper's "only 2 of 1000+ instances").

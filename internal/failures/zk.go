@@ -54,11 +54,11 @@ func init() {
 			oracle.LogContains("Severe unrecoverable error, exiting SyncRequestProcessor"),
 			oracle.LogContains("timed out; server unavailable"),
 		),
-		RootSite: "zk.sync.append-txn",
+		Root: inject.Instance{Site: "zk.sync.append-txn", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The fault must hit the LEADER's sync processor; the same
 			// static site on a follower is tolerated by the quorum.
-			return firstOn(free, s.RootSite, "zk3")
+			return firstOn(free, s.Root.Site, "zk3")
 		},
 	})
 
@@ -72,11 +72,11 @@ func init() {
 			oracle.LogContains("Unexpected exception causing session"),
 			oracle.LogContains("client failed with connection loss"),
 		),
-		RootSite: "zk.follower.forward-request",
+		Root: inject.Instance{Site: "zk.follower.forward-request", Occurrence: 3},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The broken channel must carry a write; forwarded reads are
 			// retried. Occurrence 3 is the first set operation.
-			return nthOccurrence(free, s.RootSite, 3)
+			return nthOccurrence(free, s.Root.Site, 3)
 		},
 	})
 
@@ -90,11 +90,11 @@ func init() {
 			oracle.LogContains("Exception while listening for election connections"),
 			oracle.Not(oracle.LogContains("Leader is serving epoch")),
 		),
-		RootSite: "zk.election.accept-connection",
+		Root: inject.Instance{Site: "zk.election.accept-connection", Occurrence: 1},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The connection manager must die on the would-be leader (the
 			// highest id) before it tallies a quorum.
-			return firstOn(free, s.RootSite, "zk3")
+			return firstOn(free, s.Root.Site, "zk3")
 		},
 	})
 
@@ -108,11 +108,11 @@ func init() {
 			oracle.LogContains("NullPointerException"),
 			oracle.LogContains("Severe error starting quorum peer"),
 		),
-		RootSite: "zk.snap.write-body",
+		Root: inject.Instance{Site: "zk.snap.write-body", Occurrence: 10},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The truncated snapshot must be the LAST one zk1 wrote before
 			// its restart; earlier ones are superseded.
-			return lastOnBefore(free, s.RootSite, "zk1", 1200*des.Millisecond)
+			return lastOnBefore(free, s.Root.Site, "zk1", 1200*des.Millisecond)
 		},
 	})
 }
