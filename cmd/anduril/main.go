@@ -86,7 +86,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "anduril: "+format+"\n", a...)
+		// The library's errors carry this prefix already.
+		fmt.Fprintf(stderr, "anduril: %s\n", strings.TrimPrefix(fmt.Sprintf(format, a...), "anduril: "))
 		return exitInternal
 	}
 
@@ -127,6 +128,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return usage("-failure or -list required")
 	}
 
+	// Resolved before -trace opens its file: a failed build leaves it alone.
+	target, err := anduril.Dataset(*failure)
+	if err != nil {
+		return fail("%v", err)
+	}
+
 	// out carries the human-readable progress output. It is stdout unless
 	// -trace - claims stdout for the JSONL stream, in which case the
 	// progress moves to stderr so `anduril -trace - | trace -` stays clean.
@@ -152,10 +159,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	target, err := anduril.Dataset(*failure)
-	if err != nil {
-		return fail("%v", err)
-	}
 	fmt.Fprintf(out, "reproducing %s (%s) on %s: %s\n", target.ID, target.Issue, target.System, target.Description)
 
 	if *dotOut != "" {

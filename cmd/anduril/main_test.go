@@ -62,6 +62,27 @@ func TestInterruptedExitsFour(t *testing.T) {
 	}
 }
 
+// TestUnknownFailureLeavesTraceFileAlone: a failure that cannot be built
+// is an internal error (exit 1) reported under one prefix, and the file
+// -trace names is not opened, so whatever it held is still there.
+func TestUnknownFailureLeavesTraceFileAlone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.jsonl")
+	before := []byte("{\"kept\":1}")
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), []string{"-failure", "nope", "-trace", path}, &stdout, &stderr); code != exitInternal {
+		t.Fatalf("exit %d, want %d\nstderr: %s", code, exitInternal, stderr.String())
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("trace file now %q (err %v), was %q", after, err, before)
+	}
+	if n := strings.Count(stderr.String(), "anduril:"); n != 1 {
+		t.Errorf("stderr %q says \"anduril:\" %d times, want once", stderr.String(), n)
+	}
+}
+
 // TestListStrategies: -list-strategies prints exactly the names -strategy
 // accepts.
 func TestListStrategies(t *testing.T) {

@@ -40,6 +40,7 @@ import (
 
 	"anduril/internal/graph"
 	"anduril/internal/inject"
+	"anduril/internal/parallel"
 )
 
 // SiteInfo describes one static fault site found in the source.
@@ -141,13 +142,14 @@ func RepoRoot() string {
 
 // AnalyzePackages parses every non-test Go file in the given directories
 // (relative to the repo root or absolute) and builds the causal graph.
-// Files are parsed in a deterministic order — dirs as given, files sorted
-// by name within each — so the Result is a pure function of the sources.
+// Files are listed dirs as given, names sorted, and parsed on up to
+// GOMAXPROCS workers into one FileSet without object resolution (nothing
+// reads it). Later passes walk them in listed order and read positions only
+// as file-relative token.Positions, so the Result is a pure function of the
+// sources, whatever order the files took their FileSet bases in.
 func AnalyzePackages(dirs []string) (*Result, error) {
 	start := time.Now()
-	fset := token.NewFileSet()
-	var files []*ast.File
-	loc := 0
+	var paths []string
 	for _, dir := range dirs {
 		abs := dir
 		if !filepath.IsAbs(abs) {
@@ -162,18 +164,23 @@ func AnalyzePackages(dirs []string) (*Result, error) {
 			if e.IsDir() || filepath.Ext(name) != ".go" || strings.HasSuffix(name, "_test.go") {
 				continue
 			}
-			path := filepath.Join(abs, name)
-			f, err := parser.ParseFile(fset, path, nil, 0)
-			if err != nil {
-				return nil, fmt.Errorf("analysis: parse %s: %w", path, err)
-			}
-			files = append(files, f)
-			loc += fset.File(f.Pos()).LineCount()
+			paths = append(paths, filepath.Join(abs, name))
 		}
 	}
-
-	a := newAnalyzer(fset)
+	fset := token.NewFileSet()
+	files, err := parallel.Map(0, paths, func(_ int, path string) (*ast.File, error) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: parse %s: %w", path, err)
+		}
+		return f, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	a, loc := newAnalyzer(fset), 0
 	for _, f := range files {
+		loc += fset.File(f.Pos()).LineCount()
 		a.collect(f)
 	}
 

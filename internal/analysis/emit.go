@@ -1,9 +1,7 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"path/filepath"
 
 	"anduril/internal/graph"
 )
@@ -56,7 +54,7 @@ func (b *builder) emitExpr(expr ast.Expr, ctx *buildCtx) []gsource {
 func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 	name, _ := calleeName(call)
 	pos := b.a.pos(call)
-	posStr := fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
+	posStr := posID("", pos.Filename, pos.Line)
 
 	// Log statement: a sink location node.
 	if isLogCall(call, name) && len(call.Args) > 0 {

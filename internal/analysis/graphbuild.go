@@ -1,38 +1,29 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"path/filepath"
+	"strconv"
 
 	"anduril/internal/graph"
 )
 
 // Node ID constructors. IDs are deterministic (file:line based) so the two
 // analysis passes agree on identities.
-func nodeHandlerID(pos token.Position) string {
-	return fmt.Sprintf("handler:%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
+func nodeHandlerID(pos token.Position) string { return posID("handler:", pos.Filename, pos.Line) }
+func nodeCondID(pos token.Position) string    { return posID("cond:", pos.Filename, pos.Line) }
+func nodeLogID(pos token.Position) string     { return posID("log:", pos.Filename, pos.Line) }
+func nodeCallID(pos token.Position) string    { return posID("call:", pos.Filename, pos.Line) }
+func nodeAssignID(pos token.Position) string  { return posID("assign:", pos.Filename, pos.Line) }
+func nodeNewID(pos token.Position) string     { return posID("new:", pos.Filename, pos.Line) }
 
-func nodeCondID(pos token.Position) string {
-	return fmt.Sprintf("cond:%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
-
-func nodeLogID(pos token.Position) string {
-	return fmt.Sprintf("log:%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
-
-func nodeCallID(pos token.Position) string {
-	return fmt.Sprintf("call:%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
-
-func nodeAssignID(pos token.Position) string {
-	return fmt.Sprintf("assign:%s:%d", filepath.Base(pos.Filename), pos.Line)
-}
-
-func nodeNewID(pos token.Position) string {
-	return fmt.Sprintf("new:%s:%d", filepath.Base(pos.Filename), pos.Line)
+// posID is prefix, the file's base name, ':' and the line.
+func posID(prefix, file string, line int) string {
+	base := filepath.Base(file)
+	b := make([]byte, 0, len(prefix)+len(base)+8)
+	b = append(append(append(b, prefix...), base...), ':')
+	return string(strconv.AppendInt(b, int64(line), 10))
 }
 
 func nodeSiteID(site string) string { return "site:" + site }
@@ -80,9 +71,9 @@ func (a *analyzer) buildGraph() *graph.Graph {
 	// Function-level nodes.
 	for id, info := range a.funcs {
 		b.ensure(graph.Node{ID: nodeInvID(id), Kind: graph.Invocation,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(info.file), info.line), Func: id})
+			Pos: posID("", info.file, info.line), Func: id})
 		b.ensure(graph.Node{ID: nodeIexcID(id), Kind: graph.InternalException,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(info.file), info.line), Func: id})
+			Pos: posID("", info.file, info.line), Func: id})
 	}
 
 	// Fault-site source nodes.
@@ -92,13 +83,13 @@ func (a *analyzer) buildGraph() *graph.Graph {
 			kind = graph.NewException
 		}
 		b.ensure(graph.Node{ID: nodeSiteID(id), Kind: kind, Site: id,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(si.File), si.Line), Func: si.Func})
+			Pos: posID("", si.File, si.Line), Func: si.Func})
 	}
 
 	// Assignment nodes with their handler/condition context edges.
 	for _, f := range a.assigns {
 		id := b.ensure(graph.Node{ID: nodeAssignID(f.pos), Kind: graph.Location,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(f.pos.Filename), f.pos.Line), Func: f.funcID})
+			Pos: posID("", f.pos.Filename, f.pos.Line), Func: f.funcID})
 		b.edge(nodeInvID(f.funcID), id)
 		if f.handler != "" {
 			b.ensure(graph.Node{ID: f.handler, Kind: graph.Handler, Func: f.funcID})
@@ -219,7 +210,7 @@ func (b *builder) walkIf(st *ast.IfStmt, ctx *buildCtx) {
 	if isErrCheck(st.Cond) {
 		errName := st.Cond.(*ast.BinaryExpr).X.(*ast.Ident).Name
 		h := b.ensure(graph.Node{ID: nodeHandlerID(pos), Kind: graph.Handler, Func: ctx.fn.id,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)})
+			Pos: posID("", pos.Filename, pos.Line)})
 		b.edge(nodeInvID(ctx.fn.id), h)
 		for _, src := range b.sourcesOf(errName, ctx) {
 			b.edge(src.node, h)
@@ -229,7 +220,7 @@ func (b *builder) walkIf(st *ast.IfStmt, ctx *buildCtx) {
 		b.walkBlock(st.Body, &inner)
 	} else {
 		c := b.ensure(graph.Node{ID: nodeCondID(pos), Kind: graph.Condition, Func: ctx.fn.id,
-			Pos: fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)})
+			Pos: posID("", pos.Filename, pos.Line)})
 		b.edge(nodeInvID(ctx.fn.id), c)
 		// Jump strategy: any assignment to a name this condition reads is
 		// causally prior to it.

@@ -40,3 +40,12 @@ func BenchmarkCondSignal(b *testing.B) {
 		s.Run(Time(1) << 60)
 	}
 }
+
+// BenchmarkSimReset measures what recycling a simulation costs a trial:
+// almost all of it is reseeding the random source.
+func BenchmarkSimReset(b *testing.B) {
+	s := New(1)
+	for i := 0; i < b.N; i++ {
+		s.Reset(int64(i))
+	}
+}

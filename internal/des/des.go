@@ -151,13 +151,12 @@ type Sim struct {
 	pathLabels   map[string]pathLabel
 }
 
-// New creates a simulation with a deterministic RNG seed.
+// New creates a simulation with a deterministic RNG seed. Its source draws
+// the stream of rand.NewSource(seed) (source.go).
 func New(seed int64) *Sim {
-	s := &Sim{
-		rng:     rand.New(rand.NewSource(seed)),
-		blocked: make(map[string]string),
-	}
-	return s
+	src := new(source)
+	src.Seed(seed)
+	return &Sim{rng: rand.New(src), blocked: make(map[string]string)}
 }
 
 // Reset returns the simulation to the state New(seed) builds, on the memory

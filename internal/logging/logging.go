@@ -177,16 +177,43 @@ var baseWall = time.Date(2024, 11, 4, 9, 0, 0, 0, time.UTC)
 // RenderLine formats a record the way a Log4j-style production logger
 // would: "2024-11-04 09:00:00,123 [thread] LEVEL message".
 func RenderLine(r Record) string {
+	var b strings.Builder
+	writeLine(&b, r)
+	return b.String()
+}
+
+// writeLine writes r as RenderLine renders it. The seven fields of the
+// stamp are written right to left into their zero-filled places; a des.Time
+// spans under 300 years either side of baseWall, so a year has four digits.
+func writeLine(b *strings.Builder, r Record) {
 	t := baseWall.Add(time.Duration(r.Time))
-	return fmt.Sprintf("%s,%03d [%s] %s %s",
-		t.Format("2006-01-02 15:04:05"), t.Nanosecond()/1e6, r.Thread, r.Level, r.Msg)
+	y, mo, d := t.Date()
+	h, mi, s := t.Clock()
+	stamp := []byte("0000-00-00 00:00:00,000")
+	for i, v := range [7]int{y, int(mo), d, h, mi, s, t.Nanosecond() / 1e6} {
+		for at := [7]int{3, 6, 9, 12, 15, 18, 22}[i]; v > 0; at, v = at-1, v/10 {
+			stamp[at] += byte(v % 10)
+		}
+	}
+	b.Write(stamp)
+	b.WriteString(" [")
+	b.WriteString(r.Thread)
+	b.WriteString("] ")
+	b.WriteString(r.Level.String())
+	b.WriteByte(' ')
+	b.WriteString(r.Msg)
 }
 
 // Render formats the whole run log as production-style text.
 func (l *Log) Render() string {
 	var b strings.Builder
+	n := 0
 	for i := range l.entries {
-		b.WriteString(RenderLine(l.record(i)))
+		n += len("2024-11-04 09:00:00,000 [] ERROR \n") + len(l.entries[i].Thread) + len(l.entries[i].Msg)
+	}
+	b.Grow(n)
+	for i := range l.entries {
+		writeLine(&b, l.record(i))
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -259,10 +286,9 @@ func ParseLine(line string) (Entry, bool) {
 // unparseable lines. The entries are keyed as they are parsed.
 func Parse(text string) []Entry {
 	var out []Entry
-	for _, line := range strings.Split(text, "\n") {
-		if line == "" {
-			continue
-		}
+	for text != "" {
+		var line string
+		line, text, _ = strings.Cut(text, "\n")
 		if e, ok := ParseLine(line); ok {
 			out = append(out, e)
 		}

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"anduril/internal/des"
 )
@@ -180,6 +182,52 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// renderLineFmt is RenderLine written with fmt and time.Format, the oracle
+// the appending renderer is held to.
+func renderLineFmt(r Record) string {
+	t := baseWall.Add(time.Duration(r.Time))
+	return fmt.Sprintf("%s,%03d [%s] %s %s",
+		t.Format("2006-01-02 15:04:05"), t.Nanosecond()/1e6, r.Thread, r.Level, r.Msg)
+}
+
+// FuzzRenderLine: at any time of a run's first day, with any thread, level
+// and message, RenderLine and Render write what fmt writes; and where the
+// line can be read back — a known level, no newline, no ']' in the thread —
+// the rendered log parses back to its own Entries.
+func FuzzRenderLine(f *testing.F) {
+	f.Add(int64(0), "main", int8(1), "ok")
+	f.Add(int64(7*des.Millisecond+999_999), "dn-1", int8(3), "saw [x] ERROR in payload")
+	f.Add(int64(24*time.Hour-1), "node 2", int8(0), "")
+	f.Add(int64(-1), "", int8(-2), "two\nlines")
+	f.Add(int64(61*time.Second+5), "rs[1]", int8(9), "LEVEL(9)")
+	f.Fuzz(func(t *testing.T, at int64, thread string, level int8, msg string) {
+		const day = int64(24 * time.Hour)
+		at = (at%day + day) % day
+		r := Record{Time: des.Time(at), Thread: thread, Level: Level(level), Msg: msg}
+		if got, want := RenderLine(r), renderLineFmt(r); got != want {
+			t.Fatalf("RenderLine(%+v) = %q, fmt %q", r, got, want)
+		}
+		sim := des.New(1)
+		lg := New(sim)
+		sim.Schedule("tick", 0, func() { lg.Infof("tick") })
+		sim.Schedule(thread, r.Time, func() { lg.emit(r.Level, "%s", msg) })
+		sim.Run(des.Time(day))
+		if thread == "" {
+			r.Thread = "main"
+		}
+		first := Record{Thread: "tick", Level: Info, Msg: "tick"}
+		if got, want := lg.Render(), renderLineFmt(first)+"\n"+renderLineFmt(r)+"\n"; got != want {
+			t.Fatalf("Render = %q, fmt %q", got, want)
+		}
+		if r.Level < Debug || r.Level > Error || strings.ContainsAny(msg, "\n") || strings.ContainsAny(thread, "]\n") {
+			return
+		}
+		if got := Parse(lg.Render()); !slices.Equal(got, lg.Entries()) {
+			t.Fatalf("parsed back %+v, entries %+v", got, lg.Entries())
+		}
+	})
 }
 
 // digitRuns is the sanitizer's specification, sharing no code with it.
