@@ -56,7 +56,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-tail: must not be negative (got %d)", *tail)
 	}
 	fail := func(err error) int {
-		fmt.Fprintf(stderr, "replay: %v\n", err)
+		// The library's errors carry their own prefix.
+		fmt.Fprintf(stderr, "replay: %s\n", strings.TrimPrefix(err.Error(), "anduril: "))
 		return 1
 	}
 

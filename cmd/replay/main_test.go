@@ -101,17 +101,34 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// A script whose target is no dataset failure cannot be replayed: exit 1
-// naming the target, before any replay.
-func TestUnknownScriptTarget(t *testing.T) {
+// f99Script writes f3's script file retargeted at f99, which is no dataset
+// failure, and returns its path.
+func f99Script(t *testing.T) string {
+	t.Helper()
 	_, data := f3Script(t)
 	path := filepath.Join(t.TempDir(), "f99.json")
 	if err := os.WriteFile(path, bytes.Replace(data, []byte(`"target": "f3"`), []byte(`"target": "f99"`), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// A script whose target is no dataset failure cannot be replayed: exit 1
+// naming the target, before any replay.
+func TestUnknownScriptTarget(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-script", path}, &stdout, &stderr); code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `"f99"`) {
+	if code := run([]string{"-script", f99Script(t)}, &stdout, &stderr); code != 1 || stdout.Len() != 0 || !strings.Contains(stderr.String(), `"f99"`) {
 		t.Errorf("exit %d, stderr %q, stdout %q; want exit 1 naming \"f99\" and no replay", code, stderr.String(), stdout.String())
+	}
+}
+
+// TestUnknownTargetSaysReplayOnce: the library's error already names the
+// library; the CLI says replay once and nothing else.
+func TestUnknownTargetSaysReplayOnce(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-script", f99Script(t)}, &stdout, &stderr)
+	if got := stderr.String(); code != 1 || strings.Count(got, "replay:") != 1 || strings.Contains(got, "anduril:") {
+		t.Errorf("exit %d, stderr %q; want exit 1 and exactly one \"replay:\" prefix", code, got)
 	}
 }
 

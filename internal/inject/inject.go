@@ -48,7 +48,6 @@ package inject
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
@@ -82,7 +81,7 @@ type Fault struct {
 // appear in a log: the kind and the faulting frame, but nothing about the
 // dynamic occurrence (timing never shows up in real logs).
 func (f *Fault) Error() string {
-	return fmt.Sprintf("%s at %s", f.Kind, f.Site)
+	return string(f.Kind) + " at " + f.Site
 }
 
 // Is lets errors.Is match any *Fault against a prototype with the same
@@ -95,8 +94,25 @@ func (f *Fault) Is(target error) bool {
 	return (t.Kind == "" || t.Kind == f.Kind) && (t.Site == "" || t.Site == f.Site)
 }
 
-// KindErr returns a prototype error for errors.Is matching by kind.
-func KindErr(k Kind) error { return &Fault{Kind: k} }
+// KindErr returns a prototype error for errors.Is matching by kind. The
+// prototype of a declared Kind is shared and must not be modified.
+func KindErr(k Kind) error {
+	if f, ok := kindProtos[k]; ok {
+		return f
+	}
+	return &Fault{Kind: k}
+}
+
+// kindProtos holds one read-only prototype per declared Kind, so the
+// errors.Is checks a target makes on every failed call allocate nothing.
+var kindProtos = func() map[Kind]*Fault {
+	m := map[Kind]*Fault{}
+	for _, k := range []Kind{IO, Timeout, Socket, FileNotFound, Interrupted, Connection, Checksum, State,
+		CrashFault, PartitionFault, MsgDropFault, MsgDelayFault, ShortWrite, NoSpace, TornRename, DupDeliver} {
+		m[k] = &Fault{Kind: k}
+	}
+	return m
+}()
 
 // AsFault extracts the *Fault from an error chain, if present.
 func AsFault(err error) (*Fault, bool) {

@@ -95,6 +95,43 @@ func TestFaultErrorsIsMatching(t *testing.T) {
 	}
 }
 
+// TestFaultErrorMatchesFmt: a fault renders as fmt's "%s at %s" rendered
+// it; every log line that prints an injected error prints this.
+func TestFaultErrorMatchesFmt(t *testing.T) {
+	for _, f := range []*Fault{
+		{},
+		{Kind: IO, Site: "dfs.datanode.receiveBlock.write", Occurrence: 3},
+		{Kind: TornRename, Site: "partial/torn-rename/zk.snap.rename"},
+		{Kind: "Odd Kind %d", Site: "a at b"},
+	} {
+		if got, want := f.Error(), fmt.Sprintf("%s at %s", f.Kind, f.Site); got != want {
+			t.Errorf("%+v.Error() = %q, want %q", *f, got, want)
+		}
+	}
+}
+
+// TestKindErrAllocatesNothing: a target matches a failed call's error by
+// kind on every failure, so a declared Kind's prototype is shared, and it
+// still matches exactly the faults of its kind.
+func TestKindErrAllocatesNothing(t *testing.T) {
+	var err error = &Fault{Kind: Socket, Site: "s", Occurrence: 2}
+	if n := testing.AllocsPerRun(100, func() {
+		if !errors.Is(err, KindErr(Socket)) || errors.Is(err, KindErr(Timeout)) {
+			t.Fatal("kind matching changed")
+		}
+	}); n != 0 {
+		t.Errorf("KindErr and errors.Is allocate %v objects a call, want 0", n)
+	}
+	for k, proto := range kindProtos {
+		if *proto != (Fault{Kind: k}) || KindErr(k) != error(proto) {
+			t.Errorf("prototype of %s is %+v", k, *proto)
+		}
+	}
+	if !errors.Is(&Fault{Kind: "Undeclared"}, KindErr("Undeclared")) || errors.Is(err, KindErr("Undeclared")) {
+		t.Error("an undeclared kind does not match by kind")
+	}
+}
+
 func TestTraceRecordsPositions(t *testing.T) {
 	pos := 0
 	r := NewRuntime(nil)

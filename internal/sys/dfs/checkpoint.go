@@ -1,7 +1,7 @@
 package dfs
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -63,7 +63,7 @@ func (s *Secondary) doCheckpoint() {
 // transfers the result back to the namenode.
 func (s *Secondary) mergeAndUpload(img, edits string) {
 	env := s.env()
-	merged := fmt.Sprintf("IMG|%d\n%s", s.checkpoints+1, edits)
+	merged := "IMG|" + strconv.Itoa(s.checkpoints+1) + "\n" + edits
 	if err := env.Disk.Write("dfs.secondary.write-merged", s.name+"/fsimage.ckpt", []byte(merged)); err != nil {
 		env.Log.Errorf("Failed to write merged image locally: %s", err)
 		s.finalize("")

@@ -1,7 +1,7 @@
 package dfs
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"anduril/internal/cluster"
@@ -81,7 +81,7 @@ func (cl *Client) writeNextBlock(path string, total, written int, abandon bool, 
 				}
 				return
 			}
-			data := fmt.Sprintf("data-%s-%d", path, written)
+			data := "data-" + path + "-" + strconv.Itoa(written)
 			req := writeReq{Block: alloc.Block, Data: data, Pipeline: alloc.Pipeline}
 			env.Net.Call("dfs.client.writeblock-rpc",
 				cl.c.msg(cl.name, alloc.Pipeline[0], "dfs.writeblock", req),

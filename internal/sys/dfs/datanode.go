@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -108,7 +109,7 @@ func (d *DataNode) bootstrap() {
 func (d *DataNode) initVolumes() error {
 	env := d.env()
 	for v := 1; v <= 2; v++ {
-		dir := fmt.Sprintf("%s/vol%d/VERSION", d.name, v)
+		dir := d.name + "/vol" + strconv.Itoa(v) + "/VERSION"
 		if err := env.Disk.Write("dfs.datanode.init-storage", dir, []byte("ok\n")); err != nil {
 			return err
 		}
@@ -246,7 +247,7 @@ func (d *DataNode) onMirror(m simnet.Message, respond func(interface{}, error)) 
 
 func (d *DataNode) storeReplica(block int64, data string) error {
 	env := d.env()
-	path := fmt.Sprintf("%s/blk_%d", d.name, block)
+	path := d.name + "/blk_" + strconv.FormatInt(block, 10)
 	if err := env.Disk.Write("dfs.datanode.write-replica", path, []byte(data)); err != nil {
 		return err
 	}
@@ -285,7 +286,7 @@ func (d *DataNode) onReadBlock(m simnet.Message, respond func(interface{}, error
 		respond(nil, fmt.Errorf("dfs: invalid block token for blk_%d", req.Block))
 		return
 	}
-	data, err := env.Disk.Read("dfs.datanode.read-replica", fmt.Sprintf("%s/blk_%d", d.name, req.Block))
+	data, err := env.Disk.Read("dfs.datanode.read-replica", d.name+"/blk_"+strconv.FormatInt(req.Block, 10))
 	if err != nil {
 		env.Log.Errorf("Failed to read replica blk_%d on %s: %s", req.Block, d.name, err)
 		respond(nil, err)
@@ -303,7 +304,7 @@ func (d *DataNode) onRecover(m simnet.Message, respond func(interface{}, error))
 	}
 	block, _ := m.Payload.(int64)
 	env.Log.Infof("Recovering blk_%d on %s", block, d.name)
-	path := fmt.Sprintf("%s/blk_%d", d.name, block)
+	path := d.name + "/blk_" + strconv.FormatInt(block, 10)
 	if err := env.Disk.Sync("dfs.datanode.recover-finalize", path); err != nil {
 		env.Log.Errorf("Replica recovery of blk_%d failed on %s: %s", block, d.name, err)
 		respond(nil, err)
@@ -331,7 +332,7 @@ func (d *DataNode) onTransferBlock(m simnet.Message, respond func(interface{}, e
 		respond(nil, fmt.Errorf("dfs: malformed transfer"))
 		return
 	}
-	data, err := env.Disk.Read("dfs.datanode.transfer-read", fmt.Sprintf("%s/blk_%d", d.name, req.Block))
+	data, err := env.Disk.Read("dfs.datanode.transfer-read", d.name+"/blk_"+strconv.FormatInt(req.Block, 10))
 	if err != nil {
 		env.Log.Warnf("Cannot read blk_%d for transfer on %s: %s", req.Block, d.name, err)
 		respond(nil, err)

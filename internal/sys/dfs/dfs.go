@@ -10,7 +10,7 @@
 package dfs
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -77,7 +77,7 @@ func (c *Cluster) msg(from, to, typ string, payload interface{}) simnet.Message 
 }
 
 // dnName formats a datanode node name.
-func dnName(id int) string { return fmt.Sprintf("dn%d", id) }
+func dnName(id int) string { return "dn" + strconv.Itoa(id) }
 
 // pipeline picks replica targets for a new block, round-robin over live
 // datanodes.

@@ -3,10 +3,12 @@ package dfs
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
 	"anduril/internal/simnet"
+	"anduril/internal/textrec"
 )
 
 // fileMeta is one namespace entry.
@@ -170,8 +172,9 @@ func (n *NameNode) checkReplication() {
 // durable before they are acknowledged.
 func (n *NameNode) logEdit(op string) error {
 	env := n.env()
-	rec := fmt.Sprintf("%d|%s\n", n.editCount, op)
-	if err := env.Disk.Append("dfs.namenode.append-edits", "nn/edits", []byte(rec)); err != nil {
+	var buf [64]byte
+	rec := textrec.AppendRecord(buf[:0], int64(n.editCount), op)
+	if err := env.Disk.Append("dfs.namenode.append-edits", "nn/edits", rec); err != nil {
 		return fmt.Errorf("edit log append failed: %w", err)
 	}
 	n.editCount++
@@ -236,7 +239,7 @@ func (n *NameNode) onAddBlock(m simnet.Message, respond func(interface{}, error)
 	f.leaseSince = env.Sim.Now()
 	n.nextBlock++
 	blk := n.nextBlock
-	if err := n.logEdit(fmt.Sprintf("ADDBLOCK %s blk_%d", path, blk)); err != nil {
+	if err := n.logEdit("ADDBLOCK " + path + " blk_" + strconv.FormatInt(blk, 10)); err != nil {
 		env.Log.Errorf("Cannot journal block allocation for %s: %s", path, err)
 		respond(nil, err)
 		return

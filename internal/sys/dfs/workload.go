@@ -1,7 +1,7 @@
 package dfs
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -43,7 +43,7 @@ func WorkloadCheckpoint(env *cluster.Env) {
 	for i := 0; i < 3; i++ {
 		i := i
 		env.Sim.Schedule("dfs-client-1", des.Time(200+400*i)*des.Millisecond, func() {
-			cl.WriteFile(fmt.Sprintf("/user/journal/edit-%d", i), 1, false, nil)
+			cl.WriteFile("/user/journal/edit-"+strconv.Itoa(i), 1, false, nil)
 		})
 	}
 }

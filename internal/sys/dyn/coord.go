@@ -48,6 +48,7 @@ func (n *Node) nextVC(key string) VClock {
 func (n *Node) coordPut(key, val string, tomb bool, respond func(interface{}, error)) {
 	env := n.c.env
 	ver := Version{Val: val, Tomb: tomb, VC: n.nextVC(key)}
+	req := interface{}(storeReq{Key: key, Ver: ver}) // one box for every owner
 	owners := n.ring.PreferenceList(key, n.c.cfg.N)
 	total := len(owners)
 	acks, fails := 0, 0
@@ -79,7 +80,7 @@ func (n *Node) coordPut(key, val string, tomb bool, respond func(interface{}, er
 		o := owner
 		env.Net.Call("dyn.coord.store-rpc", simnet.Message{
 			From: n.name, To: o, Type: "dyn.store",
-			Payload: storeReq{Key: key, Ver: ver},
+			Payload: req,
 		}, 150*des.Millisecond, func(_ interface{}, err error) {
 			if err != nil {
 				fails++

@@ -54,7 +54,7 @@ func (n *Node) startGossip() {
 			}
 			if err := env.Net.Send("dyn.gossip.send-digest", simnet.Message{
 				From: n.name, To: peer, Type: "dyn.digest",
-				Payload: digestMsg{From: n.name, Version: n.ring.Version},
+				Payload: n.ring.Version, // the digest; msg.From is its sender
 			}); err != nil {
 				env.Log.Debugf("Gossip digest from %s to %s lost", n.name, peer)
 			}
@@ -69,7 +69,7 @@ func (n *Node) onDigest(m simnet.Message, _ func(interface{}, error)) {
 	if !n.alive {
 		return
 	}
-	d := m.Payload.(digestMsg)
+	d := digestMsg{From: m.From, Version: m.Payload.(int)}
 	if d.Version <= n.ring.Version || n.pulled[d.Version] || n.pulling[d.Version] {
 		return
 	}

@@ -9,11 +9,13 @@ package kvstore
 
 import (
 	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
 	"anduril/internal/inject"
 	"anduril/internal/simnet"
+	"anduril/internal/textrec"
 )
 
 // Horizon is how much virtual time the kvstore workloads need.
@@ -44,7 +46,7 @@ type Node struct {
 func NewRing(env *cluster.Env, n int) *Ring {
 	r := &Ring{env: env}
 	for i := 1; i <= n; i++ {
-		r.Nodes = append(r.Nodes, &Node{r: r, id: i, name: fmt.Sprintf("cs%d", i), data: make(map[string]string)})
+		r.Nodes = append(r.Nodes, &Node{r: r, id: i, name: "cs" + strconv.Itoa(i), data: make(map[string]string)})
 	}
 	return r
 }
@@ -82,8 +84,8 @@ func (r *Ring) Start() {
 			if node.memtable == 0 {
 				return
 			}
-			path := fmt.Sprintf("%s/sstable-%d", node.name, int(env.Sim.Now()/des.Millisecond))
-			if err := env.Disk.Write("cs.compaction.write-sstable", path, []byte(fmt.Sprintf("%d rows\n", node.memtable))); err != nil {
+			path := node.name + "/sstable-" + strconv.Itoa(int(env.Sim.Now()/des.Millisecond))
+			if err := env.Disk.Write("cs.compaction.write-sstable", path, []byte(strconv.Itoa(node.memtable)+" rows\n")); err != nil {
 				env.Log.Warnf("Compaction on %s failed, will retry: %s", node.name, err)
 				return
 			}
@@ -136,7 +138,7 @@ func (n *Node) onMakeSnapshot(m simnet.Message, respond func(interface{}, error)
 		env.Log.Errorf("Snapshot for %s failed on %s", session, n.name)
 		return // defect: no reply, and the coordinator has no timeout
 	}
-	path := fmt.Sprintf("%s/snapshots/%s", n.name, session)
+	path := n.name + "/snapshots/" + session
 	if err := env.Disk.Write("cs.repair.write-snapshot", path, []byte("snapshot\n")); err != nil {
 		env.Log.Errorf("Snapshot file write for %s failed on %s: %s", session, n.name, err)
 		return
@@ -226,15 +228,16 @@ func (cl *Client) WriteLoop(interval des.Time, count int) {
 			cl.readRepair(0, count)
 			return
 		}
-		key := fmt.Sprintf("k%03d", i)
-		val := fmt.Sprintf("v%03d", i)
+		key := textrec.Padded("k", i, 3)
+		val := textrec.Padded("v", i, 3)
 		i++
 		acks := 0
 		responded := false
+		kv := interface{}([2]string{key, val}) // one box for every replica
 		for _, node := range cl.r.Nodes {
 			target := node
 			env.Net.Call("cs.client.write-rpc", simnet.Message{
-				From: cl.name, To: target.name, Type: "cs.write", Payload: [2]string{key, val},
+				From: cl.name, To: target.name, Type: "cs.write", Payload: kv,
 			}, 250*des.Millisecond, func(_ interface{}, err error) {
 				if err != nil {
 					env.Log.Warnf("Write of %s to %s failed: %s", key, target.name, err)
@@ -261,7 +264,7 @@ func (cl *Client) readRepair(i, count int) {
 		env.Log.Infof("Client %s read-repair pass complete", cl.name)
 		return
 	}
-	key := fmt.Sprintf("k%03d", i)
+	key := textrec.Padded("k", i, 3)
 	a := cl.r.Nodes[i%len(cl.r.Nodes)]
 	b := cl.r.Nodes[(i+1)%len(cl.r.Nodes)]
 	env.Net.Call("cs.client.read-digest", simnet.Message{

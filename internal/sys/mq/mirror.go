@@ -1,12 +1,13 @@
 package mq
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
 	"anduril/internal/inject"
 	"anduril/internal/simnet"
+	"anduril/internal/textrec"
 )
 
 // Mirror replicates a topic from a source to a target cluster and
@@ -120,8 +121,9 @@ func (m *Mirror) writeOffsetSync() {
 		env.Log.Warnf("Offset sync write failed at source offset %d, will retry next batch: %s", m.srcOffset, err)
 		return
 	}
-	sync := fmt.Sprintf("%d|%d\n", m.syncSrc, m.syncDst)
-	if err := env.Disk.Append("mq.mm2.append-sync-log", "mm2/offset-syncs", []byte(sync)); err != nil {
+	var buf [48]byte
+	sync := textrec.AppendRecord(buf[:0], m.syncSrc, strconv.FormatInt(m.syncDst, 10))
+	if err := env.Disk.Append("mq.mm2.append-sync-log", "mm2/offset-syncs", sync); err != nil {
 		env.Log.Warnf("Offset sync log append failed: %s", err)
 		return
 	}

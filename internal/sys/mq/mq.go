@@ -16,6 +16,7 @@ import (
 	"anduril/internal/cluster"
 	"anduril/internal/des"
 	"anduril/internal/simnet"
+	"anduril/internal/textrec"
 )
 
 // record is one message in a topic log.
@@ -67,7 +68,7 @@ func (b *Broker) onProduce(m simnet.Message, respond func(interface{}, error)) {
 	rec := req.Rec
 	rec.Offset = int64(len(b.topics[req.Topic]))
 	segment := rec.Offset / segmentSize * segmentSize
-	path := fmt.Sprintf("%s/%s/%020d.segment", b.name, req.Topic, segment)
+	path := textrec.Padded(b.name+"/"+req.Topic+"/", int(segment), 20) + ".segment"
 	if rec.Offset%segmentSize == 0 {
 		if err := b.env.Disk.Create("mq.broker.roll-segment", path); err != nil {
 			b.env.Log.Errorf("Broker %s failed to roll segment for %s: %s", b.name, req.Topic, err)
@@ -76,7 +77,8 @@ func (b *Broker) onProduce(m simnet.Message, respond func(interface{}, error)) {
 		}
 		b.env.Log.Infof("Broker %s rolled %s to segment starting at offset %d", b.name, req.Topic, segment)
 	}
-	if err := b.env.Disk.Append("mq.broker.append-log", path, []byte(fmt.Sprintf("%d|%s|%s\n", rec.Offset, rec.Key, rec.Value))); err != nil {
+	var line [64]byte
+	if err := b.env.Disk.Append("mq.broker.append-log", path, textrec.AppendRecord(line[:0], rec.Offset, rec.Key, rec.Value)); err != nil {
 		b.env.Log.Errorf("Broker %s failed to append to %s: %s", b.name, req.Topic, err)
 		respond(nil, err)
 		return
@@ -167,7 +169,7 @@ func (p *Producer) ProduceLoop(topic, key string, interval des.Time, count int) 
 			return
 		}
 		p.seq++
-		rec := record{Key: key, Value: fmt.Sprintf("v%04d", i), Seq: p.seq}
+		rec := record{Key: key, Value: textrec.Padded("v", i, 4), Seq: p.seq}
 		i++
 		env.Net.Call("mq.producer.send", simnet.Message{
 			From: p.name, To: p.broker, Type: "mq.produce",

@@ -2,6 +2,7 @@ package tablestore
 
 import (
 	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -102,8 +103,8 @@ func (rs *RegionServer) start() {
 		if rs.aborted || len(rs.store) < 4 {
 			return
 		}
-		path := fmt.Sprintf("%s/store/compacted-%d", rs.name, int(env.Sim.Now()/des.Millisecond))
-		if err := env.Disk.Write("ts.region.compact-write", path, []byte(fmt.Sprintf("%d cells\n", len(rs.store)))); err != nil {
+		path := rs.name + "/store/compacted-" + strconv.Itoa(int(env.Sim.Now()/des.Millisecond))
+		if err := env.Disk.Write("ts.region.compact-write", path, []byte(strconv.Itoa(len(rs.store))+" cells\n")); err != nil {
 			env.Log.Warnf("Compaction failed on %s, will retry: %s", rs.name, err)
 			return
 		}

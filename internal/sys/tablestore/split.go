@@ -1,7 +1,7 @@
 package tablestore
 
 import (
-	"fmt"
+	"strconv"
 
 	"anduril/internal/des"
 	"anduril/internal/inject"
@@ -33,7 +33,7 @@ func (m *Master) startSplit(dead string) {
 	m.splitTasks = nil
 	m.splitCompleted = 0
 	for i := 0; i < 3; i++ {
-		task := &splitTask{Name: fmt.Sprintf("walchunk-%d", i), Dead: dead, Index: i}
+		task := &splitTask{Name: "walchunk-" + strconv.Itoa(i), Dead: dead, Index: i}
 		m.splitTasks = append(m.splitTasks, task)
 		m.assignSplit(task, survivors[i%len(survivors)].name)
 	}
@@ -128,7 +128,7 @@ func (rs *RegionServer) onSplitTask(m simnet.Message, _ func(interface{}, error)
 			env.Net.Send("ts.split.report-failed", rs.c.msg(rs.name, "hmaster", "ts.split-failed", task.Name))
 			return
 		}
-		edits := fmt.Sprintf("%s/recovered.edits/%s", task.Dead, task.Name)
+		edits := task.Dead + "/recovered.edits/" + task.Name
 		if err := env.Disk.Write("ts.split.write-edits", edits, []byte("edits\n")); err != nil {
 			env.Log.Errorf("Error writing recovered edits for %s on %s: %s", task.Name, rs.name, err)
 			env.Net.Send("ts.split.report-failed", rs.c.msg(rs.name, "hmaster", "ts.split-failed", task.Name))

@@ -14,6 +14,7 @@ package tablestore
 
 import (
 	"fmt"
+	"strconv"
 
 	"anduril/internal/cluster"
 	"anduril/internal/des"
@@ -69,7 +70,7 @@ func (c *Cluster) msg(from, to, typ string, payload interface{}) simnet.Message 
 	return simnet.Message{From: from, To: to, Type: typ, Payload: payload}
 }
 
-func rsName(id int) string { return fmt.Sprintf("rs%d", id) }
+func rsName(id int) string { return "rs" + strconv.Itoa(id) }
 
 const rpcTimeout = 300 * des.Millisecond
 

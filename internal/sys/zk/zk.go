@@ -80,7 +80,7 @@ func NewCluster(env *cluster.Env, n int) *Cluster {
 	}
 	for i := 1; i <= n; i++ {
 		id := i
-		env.RegisterNode(fmt.Sprintf("zk%d", id), cluster.NodeControl{
+		env.RegisterNode(c.Servers[id-1].name, cluster.NodeControl{
 			Crash:   func() { c.Servers[id-1].crash() },
 			Restart: func() { c.reincarnate(id) },
 		})
@@ -174,7 +174,7 @@ type Server struct {
 }
 
 func newServer(c *Cluster, id int) *Server {
-	name := fmt.Sprintf("zk%d", id)
+	name := "zk" + strconv.Itoa(id)
 	s := &Server{
 		c:           c,
 		id:          id,
