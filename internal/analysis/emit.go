@@ -61,7 +61,7 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 		if tmpl, ok := constString(call.Args[0]); ok {
 			id := b.ensure(graph.Node{ID: nodeLogID(pos), Kind: graph.Location,
 				Template: tmpl, Pos: posStr, Func: ctx.fn.id})
-			b.edge(nodeInvID(ctx.fn.id), id)
+			b.edge(ctx.fn.inv, id)
 			if ctx.handler != "" {
 				b.edge(ctx.handler, id)
 			}
@@ -77,7 +77,7 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 	if siteID, _, ok := classifySite(call); ok {
 		sid := nodeSiteID(siteID)
 		if ctx.fn.returnsError {
-			b.edge(sid, nodeIexcID(ctx.fn.id))
+			b.edge(sid, ctx.fn.iexc)
 		}
 		srcs := []gsource{{node: sid}}
 
@@ -89,7 +89,7 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 		// One-way send: delivery causality to the registered handlers.
 		if name == "Send" {
 			cl := b.ensure(graph.Node{ID: nodeCallID(pos), Kind: graph.Location, Pos: posStr, Func: ctx.fn.id})
-			b.edge(nodeInvID(ctx.fn.id), cl)
+			b.edge(ctx.fn.inv, cl)
 			if ctx.handler != "" {
 				b.edge(ctx.handler, cl)
 			}
@@ -97,7 +97,7 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 				b.edge(c, cl)
 			}
 			for _, hf := range b.matchedHandlers(call) {
-				b.edge(cl, nodeInvID(hf))
+				b.edge(cl, hf.inv)
 			}
 		}
 		// Remaining args may contain nested calls (payload builders).
@@ -122,7 +122,7 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 	if (name == "respond" || name == "cont" || name == "finish") && len(call.Args) >= 2 {
 		if !isNilExpr(call.Args[1]) {
 			for _, src := range b.emitExpr(call.Args[1], ctx) {
-				b.edge(src.node, nodeIexcID(ctx.fn.id))
+				b.edge(src.node, ctx.fn.iexc)
 			}
 		}
 		b.emitExpr(call.Args[0], ctx)
@@ -130,9 +130,9 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 	}
 
 	// Internal call candidate.
-	if ids, ok := b.internalTargets(name); ok {
+	if callees := b.a.funcsByName[name]; len(callees) > 0 {
 		cl := b.ensure(graph.Node{ID: nodeCallID(pos), Kind: graph.Location, Pos: posStr, Func: ctx.fn.id})
-		b.edge(nodeInvID(ctx.fn.id), cl)
+		b.edge(ctx.fn.inv, cl)
 		if ctx.handler != "" {
 			b.edge(ctx.handler, cl)
 		}
@@ -140,12 +140,12 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 			b.edge(c, cl)
 		}
 		var srcs []gsource
-		for _, id := range ids {
-			b.edge(cl, nodeInvID(id))
+		for _, callee := range callees {
+			b.edge(cl, callee.inv)
 			// Error propagation: callee faults surface here and can flow
 			// onward through this function (return or respond).
-			b.edge(nodeIexcID(id), nodeIexcID(ctx.fn.id))
-			srcs = append(srcs, gsource{node: nodeIexcID(id)})
+			b.edge(callee.iexc, ctx.fn.iexc)
+			srcs = append(srcs, gsource{node: callee.iexc})
 		}
 		for _, arg := range call.Args {
 			b.emitExpr(arg, ctx)
@@ -168,12 +168,12 @@ func (b *builder) emitCall(call *ast.CallExpr, ctx *buildCtx) []gsource {
 func (b *builder) emitRPC(call *ast.CallExpr, ctx *buildCtx, siteNode, posStr string) {
 	contSrcs := []gsource{{node: siteNode}}
 	for _, hf := range b.matchedHandlers(call) {
-		contSrcs = append(contSrcs, gsource{node: nodeIexcID(hf)})
+		contSrcs = append(contSrcs, gsource{node: hf.iexc})
 	}
 	// Delivery causality for the request itself.
 	pos := b.a.pos(call)
 	cl := b.ensure(graph.Node{ID: nodeCallID(pos), Kind: graph.Location, Pos: posStr, Func: ctx.fn.id})
-	b.edge(nodeInvID(ctx.fn.id), cl)
+	b.edge(ctx.fn.inv, cl)
 	if ctx.handler != "" {
 		b.edge(ctx.handler, cl)
 	}
@@ -181,7 +181,7 @@ func (b *builder) emitRPC(call *ast.CallExpr, ctx *buildCtx, siteNode, posStr st
 		b.edge(c, cl)
 	}
 	for _, hf := range b.matchedHandlers(call) {
-		b.edge(cl, nodeInvID(hf))
+		b.edge(cl, hf.inv)
 	}
 
 	for _, arg := range call.Args[1:] {
@@ -199,8 +199,8 @@ func (b *builder) emitRPC(call *ast.CallExpr, ctx *buildCtx, siteNode, posStr st
 
 // matchedHandlers finds the handler functions registered for any constant
 // message-type string mentioned in the call's arguments.
-func (b *builder) matchedHandlers(call *ast.CallExpr) []string {
-	var out []string
+func (b *builder) matchedHandlers(call *ast.CallExpr) []*funcInfo {
+	var out []*funcInfo
 	seen := map[string]bool{}
 	for _, arg := range call.Args {
 		ast.Inspect(arg, func(n ast.Node) bool {
@@ -216,10 +216,10 @@ func (b *builder) matchedHandlers(call *ast.CallExpr) []string {
 				return true
 			}
 			for _, hname := range b.a.handlers[s] {
-				for _, id := range b.a.funcsByName[hname] {
-					if !seen[id] {
-						seen[id] = true
-						out = append(out, id)
+				for _, fn := range b.a.funcsByName[hname] {
+					if !seen[fn.id] {
+						seen[fn.id] = true
+						out = append(out, fn)
 					}
 				}
 			}
@@ -227,13 +227,6 @@ func (b *builder) matchedHandlers(call *ast.CallExpr) []string {
 		})
 	}
 	return out
-}
-
-// internalTargets resolves a bare callee name against the analyzed
-// functions.
-func (b *builder) internalTargets(name string) ([]string, bool) {
-	ids := b.a.funcsByName[name]
-	return ids, len(ids) > 0
 }
 
 // errParamName returns the name of the error-typed parameter of a func

@@ -27,8 +27,6 @@ func posID(prefix, file string, line int) string {
 }
 
 func nodeSiteID(site string) string { return "site:" + site }
-func nodeInvID(fn string) string    { return "inv:" + fn }
-func nodeIexcID(fn string) string   { return "iexc:" + fn }
 
 // gsource is one possible origin of an error value.
 type gsource struct {
@@ -70,9 +68,9 @@ func (a *analyzer) buildGraph() *graph.Graph {
 
 	// Function-level nodes.
 	for id, info := range a.funcs {
-		b.ensure(graph.Node{ID: nodeInvID(id), Kind: graph.Invocation,
+		b.ensure(graph.Node{ID: info.inv, Kind: graph.Invocation,
 			Pos: posID("", info.file, info.line), Func: id})
-		b.ensure(graph.Node{ID: nodeIexcID(id), Kind: graph.InternalException,
+		b.ensure(graph.Node{ID: info.iexc, Kind: graph.InternalException,
 			Pos: posID("", info.file, info.line), Func: id})
 	}
 
@@ -89,14 +87,14 @@ func (a *analyzer) buildGraph() *graph.Graph {
 	// Assignment nodes with their handler/condition context edges.
 	for _, f := range a.assigns {
 		id := b.ensure(graph.Node{ID: nodeAssignID(f.pos), Kind: graph.Location,
-			Pos: posID("", f.pos.Filename, f.pos.Line), Func: f.funcID})
-		b.edge(nodeInvID(f.funcID), id)
+			Pos: posID("", f.pos.Filename, f.pos.Line), Func: f.fn.id})
+		b.edge(f.fn.inv, id)
 		if f.handler != "" {
-			b.ensure(graph.Node{ID: f.handler, Kind: graph.Handler, Func: f.funcID})
+			b.ensure(graph.Node{ID: f.handler, Kind: graph.Handler, Func: f.fn.id})
 			b.edge(f.handler, id)
 		}
 		for _, c := range f.conds {
-			b.ensure(graph.Node{ID: c, Kind: graph.Condition, Func: f.funcID})
+			b.ensure(graph.Node{ID: c, Kind: graph.Condition, Func: f.fn.id})
 			b.edge(c, id)
 		}
 	}
@@ -211,7 +209,7 @@ func (b *builder) walkIf(st *ast.IfStmt, ctx *buildCtx) {
 		errName := st.Cond.(*ast.BinaryExpr).X.(*ast.Ident).Name
 		h := b.ensure(graph.Node{ID: nodeHandlerID(pos), Kind: graph.Handler, Func: ctx.fn.id,
 			Pos: posID("", pos.Filename, pos.Line)})
-		b.edge(nodeInvID(ctx.fn.id), h)
+		b.edge(ctx.fn.inv, h)
 		for _, src := range b.sourcesOf(errName, ctx) {
 			b.edge(src.node, h)
 		}
@@ -221,7 +219,7 @@ func (b *builder) walkIf(st *ast.IfStmt, ctx *buildCtx) {
 	} else {
 		c := b.ensure(graph.Node{ID: nodeCondID(pos), Kind: graph.Condition, Func: ctx.fn.id,
 			Pos: posID("", pos.Filename, pos.Line)})
-		b.edge(nodeInvID(ctx.fn.id), c)
+		b.edge(ctx.fn.inv, c)
 		// Jump strategy: any assignment to a name this condition reads is
 		// causally prior to it.
 		for _, name := range condNames(st.Cond) {

@@ -42,6 +42,7 @@ var logMethods = map[string]bool{
 // funcInfo is what the analyzer knows about one function declaration.
 type funcInfo struct {
 	id           string
+	inv, iexc    string // its invocation and internal-exception node IDs
 	name         string
 	file         string
 	line         int
@@ -60,7 +61,7 @@ type funcInfo struct {
 type assignFact struct {
 	name    string
 	pos     token.Position
-	funcID  string
+	fn      *funcInfo
 	handler string   // enclosing handler node ID, if any
 	conds   []string // enclosing condition node IDs
 }
@@ -69,7 +70,7 @@ type analyzer struct {
 	fset *token.FileSet
 
 	funcs        map[string]*funcInfo
-	funcsByName  map[string][]string
+	funcsByName  map[string][]*funcInfo
 	handlers     map[string][]string // message type -> handler function names
 	assigns      []assignFact
 	assignByName map[string][]int // name -> indices into assigns
@@ -82,7 +83,7 @@ func newAnalyzer(fset *token.FileSet) *analyzer {
 	return &analyzer{
 		fset:         fset,
 		funcs:        make(map[string]*funcInfo),
-		funcsByName:  make(map[string][]string),
+		funcsByName:  make(map[string][]*funcInfo),
 		handlers:     make(map[string][]string),
 		assignByName: make(map[string][]int),
 		sites:        make(map[string]SiteInfo),
@@ -228,6 +229,8 @@ func (a *analyzer) collect(f *ast.File) {
 		pos := a.pos(fn)
 		info := &funcInfo{
 			id:           id,
+			inv:          "inv:" + id,
+			iexc:         "iexc:" + id,
 			name:         fn.Name.Name,
 			file:         pos.Filename,
 			line:         pos.Line,
@@ -236,7 +239,7 @@ func (a *analyzer) collect(f *ast.File) {
 			escapes:      make(map[string]bool),
 		}
 		a.funcs[id] = info
-		a.funcsByName[fn.Name.Name] = append(a.funcsByName[fn.Name.Name], id)
+		a.funcsByName[fn.Name.Name] = append(a.funcsByName[fn.Name.Name], info)
 		a.collectFacts(info)
 	}
 }
@@ -343,7 +346,7 @@ func (a *analyzer) indexAssignsIn(info *funcInfo) {
 			return
 		}
 		a.assigns = append(a.assigns, assignFact{
-			name: name, pos: pos, funcID: info.id,
+			name: name, pos: pos, fn: info,
 			handler: handler, conds: append([]string(nil), conds...),
 		})
 	}
@@ -461,8 +464,8 @@ func (a *analyzer) computeEscapes() {
 				}
 			}
 			for _, callee := range info.internalCalls {
-				for _, calleeID := range a.funcsByName[callee] {
-					for site := range a.funcs[calleeID].escapes {
+				for _, calleeInfo := range a.funcsByName[callee] {
+					for site := range calleeInfo.escapes {
 						if !info.escapes[site] {
 							info.escapes[site] = true
 							changed = true

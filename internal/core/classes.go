@@ -336,7 +336,6 @@ func (e *engine) pairSite(sa, sb *siteState, nearA, nearB []float64) *siteState 
 			b := sb.instances[bi]
 			st.instances = append(st.instances, instance{
 				occ:        len(st.instances) + 1,
-				logPos:     max(a.logPos, b.logPos),
 				alignedPos: max(a.alignedPos, b.alignedPos),
 				pair:       [2]int32{int32(ai), int32(bi)},
 				pairT:      nearA[ai] + nearB[bi],

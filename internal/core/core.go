@@ -325,8 +325,10 @@ type Report struct {
 
 	// Reason says why a finished search ended, in the trace outcome's
 	// vocabulary: trace.ReasonReproduced, ReasonExhausted (every candidate
-	// tried), ReasonRoundCap or ReasonError (see Error). Empty on an
-	// interrupted report, which is not an ending.
+	// tried), ReasonClassNotSearched (every candidate the strategy arms
+	// tried, while an enabled class holds ones it never arms), ReasonRoundCap
+	// or ReasonError (see Error). Empty on an interrupted report, which is
+	// not an ending.
 	Reason string `json:",omitempty"`
 }
 

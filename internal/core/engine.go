@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -27,10 +26,8 @@ type observable struct {
 // instance is one dynamic fault candidate f_{i,j} from the free run.
 type instance struct {
 	occ        int
-	logPos     int
 	alignedPos float64        // position mapped onto the failure-log timeline
 	addr       inject.PathKey // path identity in the free run (path addressing only)
-	amp        int            // observed amplitude (partial pseudo-sites only)
 
 	// pair is a pair instance's two members, as indices into its site's
 	// members[0].instances and members[1].instances (unused otherwise):
@@ -62,19 +59,17 @@ func (t *triedSet) Has(occ int) bool {
 	return w < len(t.words) && t.words[w]&(1<<(uint(occ)&63)) != 0
 }
 
-// Add inserts occ, reporting whether it was newly added.
-func (t *triedSet) Add(occ int) bool {
+// Add inserts occ.
+func (t *triedSet) Add(occ int) {
 	w := occ >> 6
 	for w >= len(t.words) {
 		t.words = append(t.words, 0)
 	}
 	bit := uint64(1) << (uint(occ) & 63)
-	if t.words[w]&bit != 0 {
-		return false
+	if t.words[w]&bit == 0 {
+		t.words[w] |= bit
+		t.n++
 	}
-	t.words[w] |= bit
-	t.n++
-	return true
 }
 
 // Len returns the number of occurrences in the set.
@@ -116,8 +111,9 @@ type siteState struct {
 // engine is built per call and never shared, so concurrent Reproduce runs
 // are independent as long as they treat the (possibly shared) Target as
 // read-only — which every method here does: the engine only ever reads
-// t.FailureLog, t.Analysis, t.Oracle and t.Workload, and all derived
-// state (observables, site states, distance tables) lives on the engine.
+// t.ID, t.Issue, t.FailureLog, t.Analysis, t.Oracle, t.Workload, t.Horizon,
+// t.RootSite and t.FaultClasses, and all derived state (observables, site
+// states, distance tables) lives on the engine.
 //
 // The search itself is split across phase files: setup.go (observable
 // extraction and candidate discovery), classes.go (the fault-class table:
@@ -151,9 +147,6 @@ type engine struct {
 	candBuf   []inject.Instance
 	missBuf   []bool
 
-	// ctx cancels the search from outside (Options.Context).
-	ctx context.Context
-
 	// freeRes is the free run the strategies explore from. The whole search
 	// reads it (pathOf, the queue builders), so its environment goes back to
 	// the workspace only when the search is over.
@@ -178,13 +171,8 @@ type engine struct {
 	window   int
 
 	// classes are the enabled fault classes, resolved by prepare from
-	// Options/Target (site-only by default). instSite counts the site-class
-	// candidate instances and triedSite how many are tried, so the window
-	// logic can tell when the site-class space is saturated and later
-	// classes may enter.
-	classes   classSet
-	instSite  int
-	triedSite int
+	// Options/Target (site-only by default).
+	classes classSet
 
 	// feats are the runtime features every trial of the search runs with:
 	// the enabled classes' own, plus path addressing under AddrPath.
@@ -195,7 +183,7 @@ type engine struct {
 }
 
 func newEngine(t *Target, o Options, ws *workspace) *engine {
-	return &engine{t: t, o: o, ctx: o.Context, ws: ws, report: &Report{
+	return &engine{t: t, o: o, ws: ws, report: &Report{
 		Target: t.ID, Issue: t.Issue, Strategy: o.Strategy,
 	}}
 }
@@ -236,11 +224,22 @@ func (ws *workspace) env() *cluster.Env {
 // keep takes back the environment of a result nothing reads any more.
 func (ws *workspace) keep(res *cluster.Result) { ws.envs = append(ws.envs, res.Release()) }
 
-// retrySeedOffset derives the retry seed of a failed trial (Seed+round+1<<32,
-// the free run's Seed+1<<32): above the per-round stream (Seed+round) and
-// below the combined-log stream (Seed+round+extra<<33, see combineLogs), so
-// a retry never collides with a seed the search would use anyway.
-const retrySeedOffset = int64(1) << 32
+// trialSeed is the seed of run k of round r, round 0 being the free run:
+// Seed+r for the round's own trial (k = 0), Seed+r+k<<33 for its
+// combined-log extra run k >= 1 (combineLogs), and Seed+r+1<<32 for a
+// failed trial's second try (k = retry). No two trials of a search share a
+// seed: with rounds below 1<<32 every trial and retry lies in [0, 1<<33)
+// above Seed and every extra run above that, and two extra runs share a
+// seed only if they share both r and k.
+func (e *engine) trialSeed(round, k int) int64 {
+	if k == retry {
+		return e.o.Seed + int64(round) + 1<<32
+	}
+	return e.o.Seed + int64(round) + int64(k)<<33
+}
+
+// retry is trialSeed's k of a failed trial's second try.
+const retry = -1
 
 // tracing reports whether a trace sink is attached. Every emission below
 // is guarded by it, so a disabled trace builds no events and allocates
@@ -344,9 +343,9 @@ func (e *engine) prepare() error {
 		e.window = 1
 	}
 	freeStart := time.Now()
-	free, err := e.trial(e.o.Seed, nil)
+	free, err := e.trial(e.trialSeed(0, 0), nil)
 	if err != nil && !isInterrupted(err) {
-		free, err = e.trial(e.o.Seed+retrySeedOffset, nil)
+		free, err = e.trial(e.trialSeed(0, retry), nil)
 	}
 	if err != nil {
 		if !isInterrupted(err) {
@@ -380,6 +379,8 @@ func (e *engine) finish(start time.Time) {
 		rep.Reason = trace.ReasonError
 	case rep.Rounds >= e.o.MaxRounds:
 		rep.Reason = trace.ReasonRoundCap
+	case e.classes.has(pairClass) && !e.strategy.armsPairs():
+		rep.Reason = trace.ReasonClassNotSearched
 	default:
 		rep.Reason = trace.ReasonExhausted
 	}
@@ -401,7 +402,7 @@ func (e *engine) finish(start time.Time) {
 // trial runs the workload once under the engine's cancellation context and
 // features, in a recycled environment when the workspace has one.
 func (e *engine) trial(seed int64, plan *inject.Plan) (*cluster.Result, error) {
-	return cluster.Run(e.ctx, e.ws.env(), seed, plan, e.t.Workload, e.t.Horizon, e.feats)
+	return cluster.Run(e.o.Context, e.ws.env(), seed, plan, e.t.Workload, e.t.Horizon, e.feats)
 }
 
 // release takes back the environments of a round that has been booked, the
@@ -503,9 +504,9 @@ func (e *engine) attemptRound(round int, candidates []inject.Instance, initTime 
 	rd := &Round{N: round, RootRank: rootRank, WindowSize: e.window, InitTime: initTime}
 	plan := inject.Window(candidates)
 	runStart := time.Now()
-	a := e.tryOnce(e.o.Seed+int64(round), plan, candidates, rd)
+	a := e.tryOnce(e.trialSeed(round, 0), plan, candidates, rd)
 	if a.err != nil && !isInterrupted(a.err) {
-		a = e.tryOnce(e.o.Seed+int64(round)+retrySeedOffset, plan, candidates, rd)
+		a = e.tryOnce(e.trialSeed(round, retry), plan, candidates, rd)
 	}
 	rd.RunTime = time.Since(runStart)
 	a.rd = rd
@@ -582,8 +583,4 @@ func (e *engine) record(rd *Round) {
 
 // markTried takes a window pick out of the search (§5.2.5): its free-run
 // instance counts as tried, whatever occurrence the run reached it at.
-func (e *engine) markTried(p pick) {
-	if p.site.tried.Add(p.inst.occ) && p.site.class == siteClass {
-		e.triedSite++
-	}
-}
+func (e *engine) markTried(p pick) { p.site.tried.Add(p.inst.occ) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"anduril/internal/cluster"
 	"anduril/internal/logdiff"
@@ -240,7 +241,6 @@ func TestFlexibleWindowOverflowClamped(t *testing.T) {
 	for _, s := range e.sites {
 		total += len(s.instances)
 	}
-	e.report.CandidateInstances = total // what setup would have counted
 
 	e.explore()
 
@@ -257,9 +257,10 @@ func TestFlexibleWindowOverflowClamped(t *testing.T) {
 	}
 }
 
+// growWindow clamps to the candidate instances its sites hold: the stub's
+// six sites hold 18.
 func TestGrowWindow(t *testing.T) {
 	e := stubEngine(Options{})
-	e.report.CandidateInstances = 18
 	cases := []struct{ in, want int }{
 		{1, 2}, {2, 4}, {8, 16}, {16, 18}, {18, 18}, {100, 18},
 	}
@@ -270,19 +271,82 @@ func TestGrowWindow(t *testing.T) {
 	}
 	// Fixed-window ablation never grows.
 	fixed := stubEngine(Options{Strategy: FixedWindow})
-	fixed.report.CandidateInstances = 18
 	if got := fixed.growWindow(3); got != 3 {
 		t.Fatalf("fixed window grew to %d", got)
 	}
-	// Degenerate: no candidate instances counted — must stay positive.
-	e.report.CandidateInstances = 0
+	// Degenerate: sites that hold no candidate instance — the window must
+	// stay positive.
+	for _, s := range e.sites {
+		s.instances = nil
+	}
 	if got := e.growWindow(4); got != 1 {
 		t.Fatalf("growWindow with no instances = %d, want 1", got)
 	}
 }
 
+// While a site-class instance is untried the window clamps to the site
+// class; once all are tried, to every candidate; and once the tried sets are
+// cleared — the way a second pass over the fault space starts — to the site
+// class again.
+func TestGrowWindowFollowsTriedSets(t *testing.T) {
+	e := stubEngine(Options{})
+	for _, s := range e.sites[:2] {
+		s.class = envClass // 6 env instances beside 12 site-class ones
+	}
+	if got := e.growWindow(100); got != 12 {
+		t.Fatalf("growWindow with the site class untried = %d, want 12", got)
+	}
+	for _, s := range e.sites {
+		if s.class == siteClass {
+			for _, inst := range s.instances {
+				e.markTried(pick{site: s, inst: inst})
+			}
+		}
+	}
+	if got := e.growWindow(100); got != 18 {
+		t.Fatalf("growWindow with the site class tried = %d, want 18", got)
+	}
+	for _, s := range e.sites {
+		s.tried = triedSet{}
+		s.pick.valid = false
+	}
+	if got := e.growWindow(100); got != 12 {
+		t.Fatalf("growWindow after the tried sets are cleared = %d, want 12", got)
+	}
+}
+
+// An instance is what selection reads of a free-run reach and no more: a
+// search with every fault class holds millions of them.
+func TestInstanceSize(t *testing.T) {
+	if got := unsafe.Sizeof(instance{}); got != 48 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatalf("instance is %d bytes, want 48", got)
+	}
+}
+
+// Every trial seed of a search: the free run, a round's trial, a retry of
+// either, and a round's combined-log extra runs.
+func TestTrialSeed(t *testing.T) {
+	e := stubEngine(Options{Seed: 7})
+	cases := []struct {
+		name     string
+		round, k int
+		want     int64
+	}{
+		{"free run", 0, 0, 7},
+		{"free-run retry", 0, retry, 7 + 1<<32},
+		{"round 5", 5, 0, 7 + 5},
+		{"round 5 retry", 5, retry, 7 + 5 + 1<<32},
+		{"round 5 extra run 2", 5, 2, 7 + 5 + 2<<33},
+	}
+	for _, c := range cases {
+		if got := e.trialSeed(c.round, c.k); got != c.want {
+			t.Errorf("%s: trialSeed(%d, %d) = %d, want %d", c.name, c.round, c.k, got, c.want)
+		}
+	}
+}
+
 // markTried must mark the pick's own free-run occurrence on the pick's site
-// alone, and count it toward the site class's tried total once.
+// alone, once.
 func TestMarkTriedIndex(t *testing.T) {
 	e := stubEngine(Options{})
 	var near *siteState
@@ -300,8 +364,8 @@ func TestMarkTriedIndex(t *testing.T) {
 			t.Fatalf("site %s tried.Has(2)=%v want %v", s.id, s.tried.Has(2), want)
 		}
 	}
-	if near.tried.Len() != 1 || e.triedSite != 1 {
-		t.Fatalf("tried %d, triedSite %d; want 1, 1", near.tried.Len(), e.triedSite)
+	if near.tried.Len() != 1 {
+		t.Fatalf("tried %d, want 1", near.tried.Len())
 	}
 }
 

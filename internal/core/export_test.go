@@ -58,8 +58,8 @@ func Prepare(t *Target, o Options) (*Prepared, error) {
 
 // TimelineInstance is a free-run instance as the timeline builds it.
 type TimelineInstance struct {
-	Occ, LogPos, Amp int
-	Addr             inject.PathKey
+	Occ  int
+	Addr inject.PathKey
 }
 
 // FreeRunReaches is the prepared search's free-run trace, in run order.
@@ -72,7 +72,7 @@ func (p *Prepared) Timeline() (reached, pseudo map[string][]TimelineInstance) {
 	exported := func(insts []instance) []TimelineInstance {
 		out := make([]TimelineInstance, len(insts))
 		for i, inst := range insts {
-			out[i] = TimelineInstance{inst.occ, inst.logPos, inst.amp, inst.addr}
+			out[i] = TimelineInstance{inst.occ, inst.addr}
 		}
 		return out
 	}

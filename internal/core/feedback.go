@@ -42,7 +42,7 @@ func (e *engine) explore() {
 		last = min(last, len(queue))
 	}
 	for round := 1; round <= last; round++ {
-		if e.ctx != nil && e.ctx.Err() != nil {
+		if ctx := e.o.Context; ctx != nil && ctx.Err() != nil {
 			e.report.Interrupted = true
 			return
 		}
@@ -148,19 +148,14 @@ func (e *engine) widen(round int) {
 // the round into a reproduction under that run's seed, and joins a.extra to
 // go back to the workspace with the rest; one that fails is simply dropped —
 // the round's primary run already succeeded, so the round stays judgeable; a
-// cancelled one leaves the whole round unjudged (a.err).
-//
-// Extra run e of round r runs under Seed+r+e<<33, a stream of its own that
-// no other option enters, so the round cap cannot change a search before the
-// search reaches it. It cannot collide with another seed of the search: a
-// round's trial runs under Seed+r and its retry under Seed+r+1<<32, and with
-// rounds below 1<<32 those offsets from Seed lie in [0, 1<<33), where every
-// extra run's offset r+e<<33 (e >= 1) lies above; two extra runs share a
-// seed only if they share both r and e.
+// cancelled one leaves the whole round unjudged (a.err). Each extra run
+// draws its seed from a stream of its own (trialSeed), which no other option
+// enters, so the round cap cannot change a search before the search reaches
+// it.
 func (e *engine) combineLogs(a *attempt) {
 	inj, round := *a.rd.Injected, a.rd.N
 	for extra := 1; extra < e.o.RunsPerRound; extra++ {
-		seed := e.o.Seed + int64(round) + int64(extra)<<33
+		seed := e.trialSeed(round, extra)
 		res, err := e.trial(seed, inject.Exact(inj))
 		if isInterrupted(err) {
 			a.err = err

@@ -75,3 +75,22 @@ func TestTraceOutcomeReasons(t *testing.T) {
 		t.Fatalf("reason %q after %d rounds, want %q", last.Reason, rep.Rounds, trace.ReasonExhausted)
 	}
 }
+
+// A strategy that never arms a pair cannot exhaust a fault space that holds
+// pairs: on the pair-only failures, every queue row and multiply-feedback
+// ends class-not-searched, in the report and in the trace outcome.
+func TestClassNotSearched(t *testing.T) {
+	rows := []core.Strategy{core.Exhaustive, core.MultiplyFeedback, core.FATE, core.CrashTuner, core.StackTrace, core.Random}
+	for _, id := range []string{"f30", "f31"} {
+		tgt := target(t, id)
+		for _, s := range rows {
+			mem := &trace.Memory{}
+			rep := core.Reproduce(tgt, core.Options{Strategy: s, Seed: 1, MaxRounds: 500, Trace: mem})
+			last := mem.Events[len(mem.Events)-1]
+			if rep.Reproduced || rep.Reason != trace.ReasonClassNotSearched || last.Reason != rep.Reason {
+				t.Errorf("%s %s: reproduced=%v after %d rounds, reason %q (trace %q), want %q",
+					id, s, rep.Reproduced, rep.Rounds, rep.Reason, last.Reason, trace.ReasonClassNotSearched)
+			}
+		}
+	}
+}

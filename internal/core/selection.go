@@ -223,29 +223,32 @@ func comparePicks(a, b pick) int {
 // selects nothing extra, and unclamped doubling overflows int after ~62
 // consecutive no-injection rounds — the window goes non-positive, the
 // candidate loop selects nothing, and the search falsely reports the
-// fault space exhausted.
+// fault space exhausted. It runs only after a round that injected nothing,
+// so it counts the bound off the sites rather than keeping it up to date.
 func (e *engine) growWindow(window int) int {
 	if e.strategy.spec.fixedWindow {
 		return window
 	}
-	max := e.report.CandidateInstances
 	// While untried site-class instances remain, the window only ever
 	// holds site candidates (see fillWindow), so it clamps to the
 	// site-class count — with env enumeration enabled this keeps the
 	// growth sequence identical to a site-only run. Once the site space
-	// is exhausted the env instances set the bound.
-	if e.triedSite < e.instSite {
-		max = e.instSite
+	// is exhausted every candidate instance sets the bound.
+	all, site, siteOpen := 0, 0, false
+	for _, s := range e.sites {
+		all += len(s.instances)
+		if s.class == siteClass {
+			site += len(s.instances)
+			siteOpen = siteOpen || s.tried.Len() < len(s.instances)
+		}
 	}
-	if max < 1 {
-		max = 1
+	bound := all
+	if siteOpen {
+		bound = site
 	}
-	if window >= max {
-		return max
+	bound = max(bound, 1)
+	if window >= bound {
+		return bound
 	}
-	window *= 2
-	if window > max || window <= 0 {
-		window = max
-	}
-	return window
+	return min(2*window, bound)
 }

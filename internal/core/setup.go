@@ -85,10 +85,8 @@ func (tl *timeline) instances(s, minAmp int) []instance {
 		}
 		out = append(out, instance{
 			occ:        ev.Occurrence,
-			logPos:     ev.LogPos,
 			alignedPos: tl.e.align.Map(ev.LogPos),
 			addr:       ev.Addr,
-			amp:        ev.Amp,
 		})
 	}
 	return out
@@ -126,9 +124,6 @@ func (e *engine) setup(free *cluster.Result) {
 
 	for _, s := range e.sites {
 		e.report.CandidateInstances += len(s.instances)
-		if s.class == siteClass {
-			e.instSite += len(s.instances)
-		}
 		if s.id == e.t.RootSite {
 			e.root = s
 		}

@@ -30,6 +30,11 @@ type strategy struct {
 	queue func(e *engine) []inject.Instance
 }
 
+// armsPairs reports whether the row can ever arm a pair candidate: a queue
+// row models a single-fault injector, and the multiply row ranks
+// single-fault instances only.
+func (s *strategy) armsPairs() bool { return s.queue == nil && !s.spec.multiply }
+
 // strategyTable lists the strategies in Table 2 column order — complete
 // ANDURIL, the §8.3 ablations, the §8.4 baselines — then the §5.2.4
 // design-choice rows of Table 9, each full feedback with one choice changed

@@ -26,7 +26,7 @@ func TestTimelineGroupsByReachIndex(t *testing.T) {
 			byName := map[string][]core.TimelineInstance{}
 			candidates := map[string][]core.TimelineInstance{}
 			for _, ev := range p.FreeRunReaches() {
-				inst := core.TimelineInstance{Occ: ev.Occurrence, LogPos: ev.LogPos, Amp: ev.Amp, Addr: ev.Addr}
+				inst := core.TimelineInstance{Occ: ev.Occurrence, Addr: ev.Addr}
 				byName[ev.Site] = append(byName[ev.Site], inst)
 				if p.PseudoCandidate(ev.Site, ev.Amp) {
 					candidates[ev.Site] = append(candidates[ev.Site], inst)

@@ -107,12 +107,13 @@ func (g *Graph) AddEdge(cause, effect string) error {
 	if _, ok := g.nodes[effect]; !ok {
 		return fmt.Errorf("graph: unknown effect node %q", effect)
 	}
-	for _, e := range g.out[cause] {
+	out := g.out[cause]
+	for _, e := range out {
 		if e == effect {
 			return nil
 		}
 	}
-	g.out[cause] = append(g.out[cause], effect)
+	g.out[cause] = append(out, effect)
 	g.in[effect] = append(g.in[effect], cause)
 	g.edges++
 	return nil

@@ -85,10 +85,11 @@ var EventTypes = []EventType{
 
 // Outcome reasons.
 const (
-	ReasonReproduced = "reproduced"
-	ReasonExhausted  = "fault-space-exhausted"
-	ReasonRoundCap   = "round-cap"
-	ReasonError      = "trial-error"
+	ReasonReproduced       = "reproduced"
+	ReasonExhausted        = "fault-space-exhausted"
+	ReasonClassNotSearched = "class-not-searched"
+	ReasonRoundCap         = "round-cap"
+	ReasonError            = "trial-error"
 )
 
 // Float is a JSON-safe float64: infinities (an unreachable site's F_i)
