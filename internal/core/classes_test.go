@@ -26,12 +26,6 @@ func siteSearchUnchangedBy(t *testing.T, classes ...string) {
 	for _, s := range failures.SiteDataset() {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
-			if s.ID == "f3" && slices.Contains(classes, core.ClassPair) {
-				// f3's pair space is 8.98 M instances: enumerating it takes
-				// ~30 s and gigabytes, and every other failure (each under
-				// 1 s) exercises the same admission order.
-				t.Skip("f3's pair space is too large to enumerate in a unit test")
-			}
 			t.Parallel()
 			tgt := target(t, s.ID)
 			base := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500})

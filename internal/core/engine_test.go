@@ -318,8 +318,8 @@ func TestGrowWindowFollowsTriedSets(t *testing.T) {
 // An instance is what selection reads of a free-run reach and no more: a
 // search with every fault class holds millions of them.
 func TestInstanceSize(t *testing.T) {
-	if got := unsafe.Sizeof(instance{}); got != 48 && unsafe.Sizeof(uintptr(0)) == 8 {
-		t.Fatalf("instance is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(instance{}); got != 32 && unsafe.Sizeof(uintptr(0)) == 8 {
+		t.Fatalf("instance is %d bytes, want 32", got)
 	}
 }
 

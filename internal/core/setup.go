@@ -123,7 +123,7 @@ func (e *engine) setup(free *cluster.Result) {
 	slices.SortFunc(e.sites, compareSiteIDs)
 
 	for _, s := range e.sites {
-		e.report.CandidateInstances += len(s.instances)
+		e.report.CandidateInstances += s.size()
 		if s.id == e.t.RootSite {
 			e.root = s
 		}
@@ -137,7 +137,7 @@ func (e *engine) setup(free *cluster.Result) {
 		}
 		siteCounts := make([]trace.SiteCount, len(e.sites))
 		for i, s := range e.sites {
-			siteCounts[i] = trace.SiteCount{Site: s.id, Instances: len(s.instances)}
+			siteCounts[i] = trace.SiteCount{Site: s.id, Instances: s.size()}
 		}
 		e.emit(&trace.Event{
 			Type: trace.FreeRun, Target: e.t.ID, Strategy: string(e.o.Strategy),
