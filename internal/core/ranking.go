@@ -31,11 +31,7 @@ func (e *engine) computePriorities() {
 func (e *engine) spatial(s *siteState, o *observable) float64 {
 	switch {
 	case s.class == pairClass:
-		l := e.spatial(s.members[0], o)
-		if l2 := e.spatial(s.members[1], o); l2 < l {
-			l = l2
-		}
-		return l
+		return min(e.spatial(s.members[0], o), e.spatial(s.members[1], o))
 	case s.synth != 0:
 		if s.marker != "" && o.key.Msg == s.marker {
 			return distMatched
