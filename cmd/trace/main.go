@@ -196,6 +196,8 @@ func render(ev *trace.Event) string {
 				fmt.Fprintf(&b, " via %q", clip(s.BestObs, 50))
 			}
 		}
+	case trace.SecondPass:
+		fmt.Fprintf(&b, "round %3d: second pass — every candidate tried once; tried sets cleared, window=%d", ev.Round, ev.Window)
 	case trace.Decision:
 		fmt.Fprintf(&b, "round %3d: decide over %d candidates (window=%d, budget=%d):",
 			ev.Round, ev.CandidateCount, ev.Window, ev.Budget)

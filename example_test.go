@@ -102,8 +102,9 @@ func ExampleNewTarget() {
 // causally-independent faults — beyond the paper's single-fault scope (§6
 // limitation 2): the toy service dies only when a store-scrub fault leaves
 // it degraded and a peer-ping flake hits inside the degraded window. The
-// single-fault search exhausts its space; with the pair class a round arms
-// two faults together.
+// single-fault search exhausts its space, twice over — every instance gets
+// a second trial under a fresh seed before the search gives up; with the
+// pair class a round arms two faults together.
 func ExampleReproduce_pairClass() {
 	orc := anduril.LogContains("service entered unrecoverable state")
 	prod, err := cluster.Run(nil, nil, 9999, inject.Exact(
@@ -125,7 +126,7 @@ func ExampleReproduce_pairClass() {
 		FaultClasses: []string{anduril.ClassSite, anduril.ClassPair}})
 	fmt.Println(anduril.Script(pair))
 	// Output:
-	// single-fault search: reproduced=false after 17 rounds
+	// single-fault search: reproduced=false after 34 rounds
 	// best partial fault: toy.scrub-store#4
 	// inject toy-two-fault as a fault pair: toy.ping-peer#6 and toy.scrub-store#7 (found in 32 rounds)
 }

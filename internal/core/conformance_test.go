@@ -432,9 +432,9 @@ func sameTrace(t *testing.T, want, got []byte) bool {
 // TestGoldenTracesReencodeByteEqual: every line of every committed golden
 // trace, decoded by trace.ReadAll and rendered again by trace.Line, is the
 // line on file — the contract a field added to trace.Event must keep. The
-// goldens hold nine of the eleven event types, each at least once;
-// window_grow, inconclusive and Float's "+inf" are pinned by the trace
-// package's own tests.
+// goldens hold nine of the twelve event types, each at least once;
+// window_grow, second_pass, inconclusive and Float's "+inf" are pinned by
+// the trace package's own tests.
 func TestGoldenTracesReencodeByteEqual(t *testing.T) {
 	files, err := filepath.Glob("testdata/*.trace.jsonl")
 	if err != nil || len(files) == 0 {
@@ -463,7 +463,7 @@ func TestGoldenTracesReencodeByteEqual(t *testing.T) {
 		}
 	}
 	for _, typ := range trace.EventTypes {
-		if held[typ] == (typ == trace.WindowGrow || typ == trace.Inconclusive) {
+		if held[typ] == (typ == trace.WindowGrow || typ == trace.SecondPass || typ == trace.Inconclusive) {
 			t.Errorf("event type %s: held by the golden traces = %v", typ, held[typ])
 		}
 	}

@@ -49,6 +49,39 @@ func TestInstanceLimitMissesTimingCriticalFailures(t *testing.T) {
 	}
 }
 
+// TestSecondPassRetriesEachInstanceOnce: a search calls its space exhausted
+// only after a second pass. f4 under the limit-3 row tries its capped space
+// in 14 rounds; the 15th round's first selection finds nothing untried, so
+// the round clears every tried set, resets the window and selects again —
+// one second_pass event, no second round event — and the second pass
+// injects what the first did, in the same order, under fresh seeds.
+func TestSecondPassRetriesEachInstanceOnce(t *testing.T) {
+	var mem trace.Memory
+	rep := core.Reproduce(target(t, "f4"), core.Options{Strategy: core.SiteDistanceLimit, Seed: 1, MaxRounds: 500, Trace: &mem})
+	if rep.Reproduced || rep.Reason != trace.ReasonExhausted || rep.Rounds != 28 {
+		t.Fatalf("reproduced=%v after %d rounds (%s), want exhausted after 28", rep.Reproduced, rep.Rounds, rep.Reason)
+	}
+	var passes []trace.Event
+	rounds := map[int]int{}
+	for _, ev := range mem.Events {
+		switch ev.Type {
+		case trace.SecondPass:
+			passes = append(passes, ev)
+		case trace.RoundStart:
+			rounds[ev.Round]++
+		}
+	}
+	if len(passes) != 1 || passes[0].Round != 15 || passes[0].Window != 10 || rounds[15] != 1 {
+		t.Fatalf("second_pass events %+v, %d round events in round 15; want one, in round 15, window 10, beside one round event", passes, rounds[15])
+	}
+	for i := range 14 {
+		first, second := rep.RoundLog[i], rep.RoundLog[14+i]
+		if first.Injected == nil || second.Injected == nil || *first.Injected != *second.Injected {
+			t.Errorf("round %d injected %v, round %d %v", first.N, first.Injected, second.N, second.Injected)
+		}
+	}
+}
+
 // TestCrashTunerShape: the meta-info heuristic reproduces only the
 // failures whose root sits at a crash-recovery point (4 of 22, as in the
 // paper).

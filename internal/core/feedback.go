@@ -55,7 +55,7 @@ func (e *engine) explore() {
 			candidates, rootRank = e.selectRanked(round)
 		}
 		if len(candidates) == 0 {
-			return // fault space exhausted: cannot reproduce (step 5)
+			return // fault space exhausted twice over: cannot reproduce (step 5)
 		}
 		initTime := time.Since(initStart)
 		e.traceDecision(round, e.window, candidates)
@@ -67,8 +67,7 @@ func (e *engine) explore() {
 		}
 		switch {
 		case isInterrupted(a.err):
-			// Cancelled mid-trial: the round is neither recorded nor marked
-			// tried.
+			// Cancelled mid-trial: neither recorded nor marked tried.
 			e.report.Interrupted = true
 			return
 		case a.err != nil:
@@ -100,7 +99,8 @@ func (e *engine) explore() {
 }
 
 // selectRanked is a priority-driven row's select step: rank the sites,
-// trace the round's starting state, and fill the window from the ranking.
+// trace the round's starting state, and fill the window from the ranking,
+// once more after startSecondPass the first time nothing untried is left.
 func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank int) {
 	ranked := e.rankedSites()
 	rootRank = e.rootRank(ranked)
@@ -122,10 +122,33 @@ func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank
 			RootRank: rootRank, Top: snap,
 		})
 	}
+	fill := e.fillWindow
 	if e.strategy.spec.multiply {
-		return e.multiplyCandidates(ranked), rootRank
+		fill = e.multiplyCandidates
 	}
-	return e.fillWindow(ranked), rootRank
+	candidates = fill(ranked)
+	if len(candidates) == 0 && !e.secondPass {
+		e.startSecondPass(round)
+		candidates = fill(ranked)
+	}
+	return candidates, rootRank
+}
+
+// startSecondPass gives every candidate a second trial once each has had
+// one: a root armed once under an unlucky seed would otherwise never be
+// armed again, and the search would call a space that holds it exhausted.
+// It clears every tried set and memoized pick (which assumes its set only
+// grows) and resets the window; round seeds advance, so retries differ.
+func (e *engine) startSecondPass(round int) {
+	e.secondPass = true
+	for _, s := range e.sites {
+		s.tried = triedSet{}
+		s.pick.valid = false
+	}
+	e.window = e.o.Window
+	if e.tracing() {
+		e.emit(&trace.Event{Type: trace.SecondPass, Round: round, Window: e.window})
+	}
 }
 
 // widen grows the flexible window after a round in which no candidate

@@ -38,6 +38,11 @@ const (
 	// top-K sites with their priorities F_i, best observable and tried
 	// counts.
 	RoundStart EventType = "round"
+	// SecondPass records a round whose first selection found no untried
+	// candidate: every tried set was cleared and the window reset to its
+	// starting size, and the round selected again. Only an empty second
+	// selection ends a search as fault-space-exhausted.
+	SecondPass EventType = "second_pass"
 	// Decision records the injection decision of a round: the candidate
 	// window handed to the runtime, its size and the injection budget.
 	Decision EventType = "decision"
@@ -79,8 +84,8 @@ const (
 
 // EventTypes lists every event type, in the order above.
 var EventTypes = []EventType{
-	FreeRun, RoundStart, Decision, Injected, EnvInjected, PartialInjected,
-	PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
+	FreeRun, RoundStart, SecondPass, Decision, Injected, EnvInjected,
+	PartialInjected, PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
 }
 
 // Outcome reasons.
@@ -182,7 +187,7 @@ type Event struct {
 	Observables []string    `json:"observables,omitempty"`
 	Sites       []SiteCount `json:"sites,omitempty"`
 
-	// RoundStart.
+	// RoundStart; Window also on SecondPass, the window it reset to.
 	Window   int        `json:"window,omitempty"`
 	RootRank int        `json:"root_rank,omitempty"`
 	Top      []SiteRank `json:"top,omitempty"`

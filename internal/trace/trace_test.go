@@ -26,6 +26,7 @@ func encoderCorpus() []Event {
 			{Site: "zk.snap.write-body", F: 0, Tried: 0},
 			{Site: "zk.sync.fsync-txnlog", F: -3.75, BestObs: "", Tried: 1},
 		}},
+		{Type: SecondPass, Round: 17, Window: 10},
 		{Type: Decision, Round: 1, Candidates: []Candidate{
 			{Site: "a.b", Occ: 1}, {Site: "a.b", Occ: 2}},
 			CandidateCount: 54, Budget: 1},
