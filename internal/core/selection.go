@@ -234,37 +234,16 @@ func comparePicks(a, b pick) int {
 	return cmp.Compare(a.inst.occ, b.inst.occ)
 }
 
-// growWindow doubles the flexible window (§5.2.5), clamped to the total
-// candidate-instance count: a window wider than the whole fault space
-// selects nothing extra, and unclamped doubling overflows int after ~62
-// consecutive no-injection rounds — the window goes non-positive, the
-// candidate loop selects nothing, and the search falsely reports the
-// fault space exhausted. It runs only after a round that injected nothing,
-// so it counts the bound off the sites rather than keeping it up to date.
+// growWindow doubles the flexible window (§5.2.5) when the round's
+// selection filled it. A selection that did not fill its window already
+// holds every candidate the open class offers — one per site in fillWindow,
+// one per instance in multiplyCandidates — and within a pass that set only
+// shrinks, so a wider window would select nothing more. The window thus
+// stays within twice the largest selection, and growth reads only the
+// open class's picks.
 func (e *engine) growWindow(window int) int {
-	if e.strategy.spec.fixedWindow {
+	if e.strategy.spec.fixedWindow || len(e.picks) < window {
 		return window
 	}
-	// While untried site-class instances remain, the window only ever
-	// holds site candidates (see fillWindow), so it clamps to the
-	// site-class count — with env enumeration enabled this keeps the
-	// growth sequence identical to a site-only run. Once the site space
-	// is exhausted every candidate instance sets the bound.
-	all, site, siteOpen := 0, 0, false
-	for _, s := range e.sites {
-		all += s.size()
-		if s.class == siteClass {
-			site += s.size()
-			siteOpen = siteOpen || s.tried.Len() < s.size()
-		}
-	}
-	bound := all
-	if siteOpen {
-		bound = site
-	}
-	bound = max(bound, 1)
-	if window >= bound {
-		return bound
-	}
-	return min(2*window, bound)
+	return 2 * window
 }

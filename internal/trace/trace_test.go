@@ -33,8 +33,8 @@ func encoderCorpus() []Event {
 		{Type: Injected, Round: 2, Site: "zk.snap.write-body", Occ: 3, Satisfied: true},
 		{Type: EnvInjected, Round: 2, Site: "env.node.crash", Occ: 1,
 			Class: "crash-restart", Subject: "zk1", Peer: "zk2", Dur: 250},
-		{Type: WindowGrow, Round: 4, From: 4, To: 8, Clamped: true},
-		{Type: WindowGrow, Round: 5, From: 8, To: 16, Clamped: false},
+		{Type: WindowGrow, Round: 4, From: 4, To: 8},
+		{Type: WindowGrow, Round: 5, From: 8, To: 8},
 		{Type: Feedback, Round: 2, Missing: 2,
 			Bumped: []ObsPriority{{Obs: "obs-a", Priority: 3}, {Obs: "", Priority: 0}},
 			Deltas: []SiteDelta{
@@ -104,7 +104,7 @@ func sampleEvents() []Event {
 			Deltas: []SiteDelta{{Site: "zk.elect.send", Before: 3, After: 4}}},
 		{Type: RoundStart, Round: 2, Window: 10},
 		{Type: Decision, Round: 2, Window: 10, CandidateCount: 3, Budget: 1},
-		{Type: WindowGrow, Round: 2, From: 10, To: 12, Clamped: true},
+		{Type: WindowGrow, Round: 2, From: 10, To: 10},
 		{Type: Outcome, Reproduced: true, Rounds: 2, Reason: ReasonReproduced,
 			Site: "zk.elect.send", Occ: 5, ScriptSeed: 3},
 	}
