@@ -199,7 +199,7 @@ func rooted(t *testing.T, c *cell) {
 		if s.Site != c.sc.Root.Site {
 			t.Logf("reproduced via %s, declared root %s", s.Site, c.sc.Root.Site)
 		}
-	} else if !c.sc.Searches(class) || s.Site != c.sc.Root.Site {
+	} else if !slices.Contains(c.sc.FaultClasses, class) || s.Site != c.sc.Root.Site {
 		t.Fatalf("reproduced via %v, ground truth %s of classes %v", s, c.sc.Root.Site, c.sc.FaultClasses)
 	}
 	if c.rep.EnvRooted != (class == core.ClassEnv) || c.rep.PartialRooted != (class == core.ClassPartial) {

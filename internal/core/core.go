@@ -328,8 +328,9 @@ type Report struct {
 	// vocabulary: trace.ReasonReproduced, ReasonExhausted (every candidate
 	// tried twice), ReasonClassNotSearched (every candidate the strategy
 	// arms tried, while an enabled class holds ones it never arms),
-	// ReasonRoundCap or ReasonError (see Error). Empty on an interrupted
-	// report, which is not an ending.
+	// ReasonWindowUnreached (in each pass, two rounds in a row armed every
+	// candidate left and none occurred), ReasonRoundCap or ReasonError (see
+	// Error). Empty on an interrupted report, which is not an ending.
 	Reason string `json:",omitempty"`
 }
 

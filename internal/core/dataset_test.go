@@ -82,6 +82,40 @@ func TestSecondPassRetriesEachInstanceOnce(t *testing.T) {
 	}
 }
 
+// TestEmptyWindowsEndThePass: the searches that burned their round cap on
+// empty windows — a trial seed that never reaches the armed occurrences —
+// now end each pass after two rounds that arm every candidate left and
+// inject nothing. Each reproduces or says the window went unreached, never
+// at the cap, and spends at most two empty rounds per pass on it.
+func TestEmptyWindowsEndThePass(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		mode core.Addressing
+		seed int64
+	}{
+		{"f3", core.AddrOccurrence, 15000046},
+		{"f3", core.AddrOccurrence, 218000655},
+		{"f3", core.AddrOccurrence, 228000685},
+		{"f3", core.AddrPath, 12000037},
+		{"f3", core.AddrPath, 208000625},
+		{"f2", core.AddrOccurrence, 150},
+		{"f1", core.AddrPath, 153},
+	} {
+		rep := core.Reproduce(target(t, c.id), core.Options{Seed: c.seed, MaxRounds: 500, Addressing: c.mode})
+		empty := 0
+		for _, rd := range rep.RoundLog {
+			if rd.Injected == nil && !rd.Inconclusive {
+				empty++
+			}
+		}
+		if (!rep.Reproduced && rep.Reason != trace.ReasonWindowUnreached) || empty > 4 {
+			t.Errorf("%s/%s seed %d: %s after %d rounds, %d of them empty; want reproduced or %s, ≤ 4 empty",
+				c.id, c.mode, c.seed, rep.Reason, rep.Rounds, empty, trace.ReasonWindowUnreached)
+		}
+		t.Logf("%s/%s seed %d: %s after %d rounds, %d empty", c.id, c.mode, c.seed, rep.Reason, rep.Rounds, empty)
+	}
+}
+
 // TestCrashTunerShape: the meta-info heuristic reproduces only the
 // failures whose root sits at a crash-recovery point (4 of 22, as in the
 // paper).

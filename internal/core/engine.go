@@ -159,10 +159,11 @@ type engine struct {
 	// prepare. window is the flexible-window size the next round selects
 	// with: Options.Window — pinned at 1 for a queue row — until a round
 	// widens it. secondPass is set once a priority row has started its
-	// second pass (startSecondPass).
+	// second pass (startSecondPass); unreached is widen's unreachedLimit count.
 	strategy   *strategy
 	window     int
 	secondPass bool
+	unreached  int
 
 	// classes are the enabled fault classes, resolved by prepare from
 	// Options/Target (site-only by default).
@@ -378,6 +379,8 @@ func (e *engine) finish(start time.Time) {
 		rep.Reason = trace.ReasonError
 	case rep.Rounds >= e.o.MaxRounds:
 		rep.Reason = trace.ReasonRoundCap
+	case e.unreached >= unreachedLimit:
+		rep.Reason = trace.ReasonWindowUnreached
 	case e.classes.has(pairClass) && !e.strategy.armsPairs():
 		rep.Reason = trace.ReasonClassNotSearched
 	default:

@@ -69,8 +69,8 @@ func TestExperimentsMatchTables(t *testing.T) {
 		got := lines[i+1 : i+1+end]
 		if m[1] == "table" && n == 11 {
 			for _, cell := range unlistedLosses(got, want, newestEntry(t)) {
-				t.Errorf("Table 11 cell %s lost reproductions, gained %s ends or raised its median; CHANGES.md's newest entry must name it (as %s) and say why",
-					cell, trace.ReasonExhausted, cell)
+				t.Errorf("Table 11 cell %s lost reproductions, gained %s or %s ends or raised its median; CHANGES.md's newest entry must name it (as %s) and say why",
+					cell, trace.ReasonExhausted, trace.ReasonWindowUnreached, cell)
 			}
 		}
 		if d := firstDiff(got, want); d >= 0 && !*update {
@@ -91,7 +91,7 @@ func TestExperimentsMatchTables(t *testing.T) {
 }
 
 // sweepCell is what the contract reads of one Table 11 row.
-type sweepCell struct{ reproduced, median, exhausted int }
+type sweepCell struct{ reproduced, median, exhausted, unreached int }
 
 var failureID = regexp.MustCompile(`\((f\d+)\)$`)
 
@@ -122,6 +122,7 @@ func sweepCells(lines []string) map[string]sweepCell {
 		var c sweepCell
 		fmt.Sscanf(f[col["Reproduced"]], "%d/", &c.reproduced)
 		c.exhausted, _ = strconv.Atoi(f[col[trace.ReasonExhausted]])
+		c.unreached, _ = strconv.Atoi(f[col[trace.ReasonWindowUnreached]])
 		c.median, _ = strconv.Atoi(f[col["Median"]])
 		if f[col["Median"]] == "-" {
 			c.median = math.MaxInt
@@ -134,8 +135,8 @@ func sweepCells(lines []string) map[string]sweepCell {
 // unlistedLosses lists, sorted, the cells of the committed Table 11 that
 // the regenerated one makes worse and entry does not name. Table 11 is the
 // efficacy contract: a (failure, mode) cell is worse when it reproduces
-// fewer of its searches, ends more of them fault-space-exhausted or takes a
-// higher median, and a change that makes one worse names it, as
+// fewer of its searches, ends more of them fault-space-exhausted or
+// window-unreached, or takes a higher median, and a change that makes one worse names it, as
 // <failure>/<mode> (f3/occurrence), in its CHANGES.md entry; until it does,
 // the block check fails and -update writes nothing. There is no tolerance:
 // a trajectory change that only reshuffles which seeds miss is named too.
@@ -144,7 +145,8 @@ func unlistedLosses(committed, regenerated []string, entry string) []string {
 	var out []string
 	for cell, now := range sweepCells(regenerated) {
 		was, ok := before[cell]
-		if !ok || (now.reproduced >= was.reproduced && now.exhausted <= was.exhausted && now.median <= was.median) {
+		if !ok || (now.reproduced >= was.reproduced && now.exhausted <= was.exhausted &&
+			now.unreached <= was.unreached && now.median <= was.median) {
 			continue
 		}
 		if !regexp.MustCompile(`(^|[^\w/])` + regexp.QuoteMeta(cell) + `\b`).MatchString(entry) {
@@ -190,19 +192,19 @@ func at(lines []string, i int) string {
 }
 
 // TestSweepContractNamesWorseCells: the efficacy contract flags exactly the
-// cells a regenerated Table 11 makes worse, in each of the three ways, until
+// cells a regenerated Table 11 makes worse, in each of the four ways, until
 // the newest CHANGES.md entry names them.
 func TestSweepContractNamesWorseCells(t *testing.T) {
 	table := func(f3occ, f3path, f4occ string) []string {
 		return []string{
-			"| Failure | Mode | Reproduced | Min | Median | p90 | Max | fault-space-exhausted | round-cap | trial-error |\n",
-			"|---|---|---|---|---|---|---|---|---|---|\n",
+			"| Failure | Mode | Reproduced | Min | Median | p90 | Max | fault-space-exhausted | window-unreached | round-cap | trial-error |\n",
+			"|---|---|---|---|---|---|---|---|---|---|---|\n",
 			"| ZK-4203 (f3) | occurrence | " + f3occ + " | 1 | 0 |\n",
 			"| ZK-4203 (f3) | path | " + f3path + " | 1 | 0 |\n",
 			"| ZK-3006 (f4) | occurrence | " + f4occ + " | 0 | 0 |\n",
 		}
 	}
-	committed := table("31/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 3 | 3 | 7 | 7 | 0")
+	committed := table("31/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0")
 	for _, c := range []struct {
 		name        string
 		regenerated []string
@@ -210,14 +212,15 @@ func TestSweepContractNamesWorseCells(t *testing.T) {
 		want        []string
 	}{
 		{"unchanged", committed, "", nil},
-		{"better", table("32/32 | 1 | 1 | 9 | 30 | 0", "32/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 1 | 2 | 7 | 7 | 0"), "", nil},
-		{"fewer reproduced", table("30/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 3 | 3 | 7 | 7 | 0"), "", []string{"f3/occurrence"}},
-		{"more exhausted", table("31/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 1", "32/32 | 3 | 3 | 7 | 7 | 0"), "", []string{"f3/path"}},
-		{"higher median", table("31/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 3 | 4 | 7 | 7 | 0"), "", []string{"f4/occurrence"}},
-		{"none reproduced", table("0/32 | - | - | - | - | 0", "31/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 3 | 3 | 7 | 7 | 0"), "", []string{"f3/occurrence"}},
-		{"named", table("30/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 1", "32/32 | 3 | 3 | 7 | 7 | 0"),
+		{"better", table("32/32 | 1 | 1 | 9 | 30 | 0 | 0", "32/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 1 | 2 | 7 | 7 | 0 | 0"), "", nil},
+		{"fewer reproduced", table("30/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"), "", []string{"f3/occurrence"}},
+		{"more exhausted", table("31/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 1 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"), "", []string{"f3/path"}},
+		{"more unreached", table("31/32 | 1 | 2 | 10 | 32 | 0 | 1", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"), "", []string{"f3/occurrence"}},
+		{"higher median", table("31/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 4 | 7 | 7 | 0 | 0"), "", []string{"f4/occurrence"}},
+		{"none reproduced", table("0/32 | - | - | - | - | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"), "", []string{"f3/occurrence"}},
+		{"named", table("30/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 1 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"),
 			"PR 9: f3/occurrence and f3/path lose a seed each to the new order", nil},
-		{"another cell named", table("30/32 | 1 | 2 | 10 | 32 | 0", "31/32 | 1 | 2 | 5 | 8 | 0", "32/32 | 3 | 3 | 7 | 7 | 0"),
+		{"another cell named", table("30/32 | 1 | 2 | 10 | 32 | 0 | 0", "31/32 | 1 | 2 | 5 | 8 | 0 | 0", "32/32 | 3 | 3 | 7 | 7 | 0 | 0"),
 			"PR 9: f33/occurrence and xf3/occurrence move", []string{"f3/occurrence"}},
 	} {
 		if got := unlistedLosses(committed, c.regenerated, c.entry); !slices.Equal(got, c.want) {

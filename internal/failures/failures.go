@@ -18,7 +18,6 @@ package failures
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -129,12 +128,6 @@ func Analyze(system string) (*analysis.Result, error) {
 		e.res, e.err = analysis.AnalyzePackages(srcDirs(system))
 	})
 	return e.res, e.err
-}
-
-// Searches reports whether the scenario's fault classes include the named
-// class (core.ClassEnv, core.ClassPair, ...).
-func (s *Scenario) Searches(class string) bool {
-	return slices.Contains(s.FaultClasses, class)
 }
 
 // features returns the runtime features the scenario's own runs need: those

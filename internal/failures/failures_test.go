@@ -120,11 +120,11 @@ func TestRegistryLookups(t *testing.T) {
 	siteOnly, env, pair, partial := 0, 0, 0, 0
 	for _, s := range All() {
 		switch {
-		case s.Searches(core.ClassEnv):
+		case slices.Contains(s.FaultClasses, core.ClassEnv):
 			env++
-		case s.Searches(core.ClassPair):
+		case slices.Contains(s.FaultClasses, core.ClassPair):
 			pair++
-		case s.Searches(core.ClassPartial):
+		case slices.Contains(s.FaultClasses, core.ClassPartial):
 			partial++
 		default:
 			siteOnly++
