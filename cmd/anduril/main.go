@@ -179,7 +179,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		report.FreeRunLogLines, report.RelevantObservables, report.CandidateSites, report.CandidateInstances)
 	if *verbose {
 		for _, rd := range report.RoundLog {
-			injected := "no candidate occurred (window doubled)"
+			injected := "no candidate occurred"
 			if rd.Injected != nil {
 				injected = fmt.Sprintf("injected %s#%d", rd.Injected.Site, rd.Injected.Occurrence)
 				if rd.Injected.Path != "" {

@@ -190,6 +190,13 @@ func render(ev *trace.Event) string {
 		if ev.RootRank > 0 {
 			fmt.Fprintf(&b, " rank(root)=%d", ev.RootRank)
 		}
+		fmt.Fprintf(&b, " candidates=%d:", ev.CandidateCount)
+		for _, c := range ev.Candidates {
+			fmt.Fprintf(&b, " %s", candidateRef(c))
+		}
+		if ev.CandidateCount > len(ev.Candidates) {
+			fmt.Fprintf(&b, " … (+%d more)", ev.CandidateCount-len(ev.Candidates))
+		}
 		for i, s := range ev.Top {
 			fmt.Fprintf(&b, "\n  #%d %-45s F=%v tried=%d", i+1, s.Site, float64(s.F), s.Tried)
 			if s.BestObs != "" {
@@ -197,16 +204,7 @@ func render(ev *trace.Event) string {
 			}
 		}
 	case trace.SecondPass:
-		fmt.Fprintf(&b, "round %3d: second pass — the first pass ended; tried sets cleared, window=%d", ev.Round, ev.Window)
-	case trace.Decision:
-		fmt.Fprintf(&b, "round %3d: decide over %d candidates (window=%d, budget=%d):",
-			ev.Round, ev.CandidateCount, ev.Window, ev.Budget)
-		for _, c := range ev.Candidates {
-			fmt.Fprintf(&b, " %s", candidateRef(c))
-		}
-		if ev.CandidateCount > len(ev.Candidates) {
-			fmt.Fprintf(&b, " … (+%d more)", ev.CandidateCount-len(ev.Candidates))
-		}
+		fmt.Fprintf(&b, "round %3d: second pass — the first pass ended; tried sets cleared, window reset", ev.Round)
 	case trace.Injected, trace.EnvInjected, trace.PartialInjected, trace.PairInjected:
 		fmt.Fprintf(&b, "round %3d: injected ", ev.Round)
 		switch ev.Type {
@@ -313,7 +311,7 @@ func clip(s string, n int) string {
 func printStats(w io.Writer, s trace.Stats) {
 	fmt.Fprintf(w, "rounds:            %d\n", s.Rounds)
 	fmt.Fprintf(w, "injections:        %d\n", s.Injections)
-	fmt.Fprintf(w, "empty rounds:      %d (window doubled)\n", s.EmptyRound)
+	fmt.Fprintf(w, "empty rounds:      %d (no candidate occurred)\n", s.EmptyRound)
 	fmt.Fprintf(w, "inconclusive:      %d (trial failed after retry)\n", s.Inconclusive)
 	fmt.Fprintf(w, "reproduced:        %v\n", s.Reproduced)
 	fmt.Fprintf(w, "events by type:\n")
@@ -324,7 +322,7 @@ func printStats(w io.Writer, s trace.Stats) {
 	for _, k := range sortedInts(s.WindowSizes) {
 		fmt.Fprintf(w, "  %4d: %d\n", k, s.WindowSizes[k])
 	}
-	fmt.Fprintf(w, "decisions per round (candidates: rounds):\n")
+	fmt.Fprintf(w, "candidates per round (candidates: rounds):\n")
 	for _, k := range sortedInts(s.DecisionSz) {
 		fmt.Fprintf(w, "  %4d: %d\n", k, s.DecisionSz[k])
 	}

@@ -16,6 +16,20 @@ func TestRenderInjectedEvents(t *testing.T) {
 		ev   trace.Event
 		want string
 	}{
+		{"priority round", trace.Event{Type: trace.RoundStart, Round: 4, Window: 20, RootRank: 2, CandidateCount: 12,
+			Top: []trace.SiteRank{{Site: "zk.snap.write-body", F: 1.5, BestObs: "snapshot written", Tried: 3},
+				{Site: "zk.sync.append-txn", F: 4}},
+			Candidates: []trace.Candidate{{Site: "zk.snap.write-body", Occ: 4}, {Site: "zk.sync.append-txn", Occ: 1, Path: "r>zk.sync.append-txn#1"}}},
+			"round   4: window=20 rank(root)=2 candidates=12: zk.snap.write-body#4 r>zk.sync.append-txn#1 … (+10 more)" +
+				"\n  #1 zk.snap.write-body                            F=1.5 tried=3 via \"snapshot written\"" +
+				"\n  #2 zk.sync.append-txn                            F=4 tried=0"},
+		{"queue round", trace.Event{Type: trace.RoundStart, Round: 7, Window: 10, CandidateCount: 1,
+			Candidates: []trace.Candidate{{Site: "zk.sync.append-txn", Occ: 3}}},
+			"round   7: window=10 candidates=1: zk.sync.append-txn#3"},
+		// A retired event type, as a trace stored by an older daemon holds
+		// it, prints as its raw line.
+		{"older decision", trace.Event{Type: "decision", Round: 1, Window: 10, CandidateCount: 1},
+			`{"event":"decision","round":1,"window":10,"candidate_count":1}`},
 		{"site", trace.Event{Type: trace.Injected, Round: 3, Site: "zk.sync.append-txn", Occ: 2},
 			"round   3: injected zk.sync.append-txn#2 — oracle not satisfied"},
 		{"site path satisfied", trace.Event{Type: trace.Injected, Round: 12, Site: "a.x", Occ: 1, Path: "r>a.x#1", Satisfied: true},

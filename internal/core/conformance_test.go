@@ -432,7 +432,7 @@ func sameTrace(t *testing.T, want, got []byte) bool {
 // TestGoldenTracesReencodeByteEqual: every line of every committed golden
 // trace, decoded by trace.ReadAll and rendered again by trace.Line, is the
 // line on file — the contract a field added to trace.Event must keep. The
-// goldens hold nine of the twelve event types, each at least once;
+// goldens hold eight of the eleven event types, each at least once;
 // window_grow, second_pass, inconclusive and Float's "+inf" are pinned by
 // the trace package's own tests.
 func TestGoldenTracesReencodeByteEqual(t *testing.T) {

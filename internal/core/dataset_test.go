@@ -53,26 +53,25 @@ func TestInstanceLimitMissesTimingCriticalFailures(t *testing.T) {
 // only after a second pass. f4 under the limit-3 row tries its capped space
 // in 14 rounds; the 15th round's first selection finds nothing untried, so
 // the round clears every tried set, resets the window and selects again —
-// one second_pass event, no second round event — and the second pass
-// injects what the first did, in the same order, under fresh seeds.
+// one second_pass event, then the round's one round event — and the second
+// pass injects what the first did, in the same order, under fresh seeds.
 func TestSecondPassRetriesEachInstanceOnce(t *testing.T) {
 	var mem trace.Memory
 	rep := core.Reproduce(target(t, "f4"), core.Options{Strategy: core.SiteDistanceLimit, Seed: 1, MaxRounds: 500, Trace: &mem})
 	if rep.Reproduced || rep.Reason != trace.ReasonExhausted || rep.Rounds != 28 {
 		t.Fatalf("reproduced=%v after %d rounds (%s), want exhausted after 28", rep.Reproduced, rep.Rounds, rep.Reason)
 	}
-	var passes []trace.Event
-	rounds := map[int]int{}
+	var passes, round15 []trace.Event
 	for _, ev := range mem.Events {
-		switch ev.Type {
-		case trace.SecondPass:
+		switch {
+		case ev.Type == trace.SecondPass:
 			passes = append(passes, ev)
-		case trace.RoundStart:
-			rounds[ev.Round]++
+		case ev.Type == trace.RoundStart && ev.Round == 15:
+			round15 = append(round15, ev)
 		}
 	}
-	if len(passes) != 1 || passes[0].Round != 15 || passes[0].Window != 10 || rounds[15] != 1 {
-		t.Fatalf("second_pass events %+v, %d round events in round 15; want one, in round 15, window 10, beside one round event", passes, rounds[15])
+	if len(passes) != 1 || passes[0].Round != 15 || len(round15) != 1 || round15[0].Window != 10 {
+		t.Fatalf("second_pass events %+v, round 15's round events %+v; want one second_pass, in round 15, beside one round event with window 10", passes, round15)
 	}
 	for i := range 14 {
 		first, second := rep.RoundLog[i], rep.RoundLog[14+i]

@@ -276,25 +276,31 @@ func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) 
 	e.emit(ev)
 }
 
-// traceDecision records the candidate window handed to the runtime: the
-// first trace.MaxCandidates members, the full count, and the round's one
-// searched injection as its budget.
-func (e *engine) traceDecision(round, window int, candidates []inject.Instance) {
+// traceRound records a round's decision once its selection is made: the
+// window, the first trace.MaxCandidates candidates and their full count,
+// and — for a priority row — the root rank and the top of the ranking the
+// window was filled from, with the tried counts the selection saw. Only a
+// round that runs emits it, so a trace's round events are its report's
+// rounds.
+func (e *engine) traceRound(round int, candidates []inject.Instance, ranked []*siteState, rootRank int) {
 	if !e.tracing() {
 		return
 	}
-	list := candidates
-	if len(list) > trace.MaxCandidates {
-		list = list[:trace.MaxCandidates]
+	ev := &trace.Event{
+		Type: trace.RoundStart, Round: round, Window: e.window,
+		RootRank: rootRank, CandidateCount: len(candidates),
 	}
-	cs := make([]trace.Candidate, len(list))
-	for i, c := range list {
-		cs[i] = trace.Candidate{Site: c.Site, Occ: c.Occurrence, Path: c.Path}
+	for _, s := range ranked[:min(len(ranked), trace.TopK)] {
+		sr := trace.SiteRank{Site: s.id, F: trace.Float(s.f), Tried: s.tried.Len()}
+		if s.bestObs >= 0 {
+			sr.BestObs = obsLabel(e.obs[s.bestObs])
+		}
+		ev.Top = append(ev.Top, sr)
 	}
-	e.emit(&trace.Event{
-		Type: trace.Decision, Round: round, Window: window,
-		Candidates: cs, CandidateCount: len(candidates), Budget: 1,
-	})
+	for _, c := range candidates[:min(len(candidates), trace.MaxCandidates)] {
+		ev.Candidates = append(ev.Candidates, trace.Candidate{Site: c.Site, Occ: c.Occurrence, Path: c.Path})
+	}
+	e.emit(ev)
 }
 
 // run executes the whole workflow — free run, setup, then the round loop.

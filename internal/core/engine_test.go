@@ -254,7 +254,7 @@ func TestFlexibleWindowOverflowClamped(t *testing.T) {
 	}
 	largest := 0
 	for _, ev := range mem.Events {
-		if ev.Type == trace.Decision {
+		if ev.Type == trace.RoundStart {
 			largest = max(largest, ev.CandidateCount)
 		}
 	}

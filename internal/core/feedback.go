@@ -55,17 +55,18 @@ func (e *engine) explore() {
 		}
 		initStart := time.Now()
 		var candidates []inject.Instance
-		rootRank := 0
+		var ranked []*siteState
 		if queued {
 			candidates = queue[round-1 : round]
 		} else {
-			candidates, rootRank = e.selectRanked(round)
+			candidates, ranked = e.selectRanked(round)
 		}
 		if len(candidates) == 0 {
 			return // fault space exhausted twice over: cannot reproduce (step 5)
 		}
+		rootRank := e.rootRank(ranked)
 		initTime := time.Since(initStart)
-		e.traceDecision(round, e.window, candidates)
+		e.traceRound(round, candidates, ranked, rootRank)
 
 		a := e.attemptRound(round, candidates, initTime, rootRank)
 		rd := a.rd
@@ -108,30 +109,12 @@ func (e *engine) explore() {
 	}
 }
 
-// selectRanked is a priority-driven row's select step: rank the sites, trace
-// the round's starting state, and fill the window from the ranking; a pass
-// ends on an empty fill or at unreachedLimit, the first with startSecondPass.
-func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank int) {
-	ranked := e.rankedSites()
-	rootRank = e.rootRank(ranked)
-	if e.tracing() {
-		top := ranked
-		if len(top) > trace.TopK {
-			top = top[:trace.TopK]
-		}
-		snap := make([]trace.SiteRank, len(top))
-		for i, s := range top {
-			sr := trace.SiteRank{Site: s.id, F: trace.Float(s.f), Tried: s.tried.Len()}
-			if s.bestObs >= 0 {
-				sr.BestObs = obsLabel(e.obs[s.bestObs])
-			}
-			snap[i] = sr
-		}
-		e.emit(&trace.Event{
-			Type: trace.RoundStart, Round: round, Window: e.window,
-			RootRank: rootRank, Top: snap,
-		})
-	}
+// selectRanked is a priority-driven row's select step: rank the sites and
+// fill the window from the ranking; a pass ends on an empty fill or at
+// unreachedLimit, the first with startSecondPass. It returns the ranking
+// with the candidates, for the root rank and the round's trace event.
+func (e *engine) selectRanked(round int) (candidates []inject.Instance, ranked []*siteState) {
+	ranked = e.rankedSites()
 	fill := e.fillWindow
 	if e.strategy.spec.multiply {
 		fill = e.multiplyCandidates
@@ -143,7 +126,7 @@ func (e *engine) selectRanked(round int) (candidates []inject.Instance, rootRank
 		e.startSecondPass(round)
 		candidates = fill(ranked)
 	}
-	return candidates, rootRank
+	return candidates, ranked
 }
 
 // startSecondPass gives every candidate a second trial when the first pass
@@ -159,7 +142,7 @@ func (e *engine) startSecondPass(round int) {
 	}
 	e.window = e.o.Window
 	if e.tracing() {
-		e.emit(&trace.Event{Type: trace.SecondPass, Round: round, Window: e.window})
+		e.emit(&trace.Event{Type: trace.SecondPass, Round: round})
 	}
 }
 

@@ -36,8 +36,8 @@ func newEnvLog() *envLog {
 }
 
 func (l *envLog) Emit(ev *trace.Event) {
-	if ev.Type == trace.Decision {
-		l.round = ev.Round // a Decision event opens a round
+	if ev.Type == trace.RoundStart {
+		l.round = ev.Round // a round event opens a round
 	}
 	l.w.Emit(ev)
 }

@@ -227,7 +227,7 @@ func TestInconclusivePathRoundMarksItsFreeRunInstance(t *testing.T) {
 			var poison inject.Instance
 			candOcc := map[string]int{}
 			for _, ev := range mem.Events {
-				if ev.Type == trace.Decision {
+				if ev.Type == trace.RoundStart {
 					clear(candOcc)
 					for _, cand := range ev.Candidates {
 						candOcc[cand.Path] = cand.Occ

@@ -19,10 +19,10 @@ func traceEvents() []trace.Event {
 	return []trace.Event{
 		{Type: trace.FreeRun, Target: "f4", Strategy: "full-feedback", Seed: 1},
 		{Type: trace.RoundStart, Round: 1, Window: 10},
-		{Type: trace.Decision, Round: 1},
-		{Type: trace.RoundStart, Round: 2, Window: 10},
-		{Type: trace.Decision, Round: 2},
-		{Type: trace.RoundStart, Round: 3, Window: 10},
+		{Type: trace.WindowGrow, Round: 1, From: 10, To: 20},
+		{Type: trace.RoundStart, Round: 2, Window: 20},
+		{Type: trace.WindowGrow, Round: 2, From: 20, To: 40},
+		{Type: trace.RoundStart, Round: 3, Window: 40},
 		{Type: trace.Outcome, Reproduced: true, Rounds: 3, Reason: trace.ReasonReproduced},
 	}
 }

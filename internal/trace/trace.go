@@ -2,9 +2,10 @@
 // explorer search (one core.Reproduce call).
 //
 // The explorer's search state — observable priorities I_k, site priorities
-// F_i, flexible-window growth, per-round injection decisions and feedback
-// deltas — is otherwise invisible outside the final Report. A trace makes
-// every decision explainable ("why did this run take N rounds?") and
+// F_i, flexible-window growth, each round's decision (one round event per
+// round that runs, for every strategy row) and feedback deltas — is
+// otherwise invisible outside the final Report. A trace makes every
+// decision explainable ("why did this run take N rounds?") and
 // regression-testable: events carry only seed-determined data (no wall
 // clock), so the stream for a fixed (Target, Options) is byte-identical
 // run to run and across any worker count of the evaluation harness.
@@ -34,20 +35,20 @@ const (
 	// relevant observables diffed out of the failure log, and the candidate
 	// fault sites with their dynamic instance counts.
 	FreeRun EventType = "free_run"
-	// RoundStart snapshots the ranked sites at the top of a round: the
-	// top-K sites with their priorities F_i, best observable and tried
-	// counts.
+	// RoundStart records the decision of a round that runs, once its
+	// selection is made and before its trial: the window, the candidates
+	// handed to the runtime and their count, and — for a priority row —
+	// the root rank and the top-K ranked sites with their priorities F_i,
+	// best observable and tried counts. Every row emits it, one per round.
 	RoundStart EventType = "round"
 	// SecondPass records a round at which the first pass ended — its
 	// selection found no untried candidate, or two rounds in a row had
 	// injected nothing on a window their selection did not fill: every tried
 	// set was cleared and the window reset to its starting size, and the
-	// round selected again. Only the second pass's end ends a search as
-	// fault-space-exhausted or window-unreached.
+	// round selected again. It precedes its round's RoundStart, which
+	// carries the reset window and tried counts. Only the second pass's end
+	// ends a search as fault-space-exhausted or window-unreached.
 	SecondPass EventType = "second_pass"
-	// Decision records the injection decision of a round: the candidate
-	// window handed to the runtime, its size and the injection budget.
-	Decision EventType = "decision"
 	// Injected records the reach at which the round's fault fired.
 	Injected EventType = "injected"
 	// EnvInjected records an environment-fault injection (node crash,
@@ -87,7 +88,7 @@ const (
 
 // EventTypes lists every event type, in the order above.
 var EventTypes = []EventType{
-	FreeRun, RoundStart, SecondPass, Decision, Injected, EnvInjected,
+	FreeRun, RoundStart, SecondPass, Injected, EnvInjected,
 	PartialInjected, PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
 }
 
@@ -149,7 +150,7 @@ type SiteRank struct {
 	Tried   int    `json:"tried"`
 }
 
-// Candidate names one dynamic instance in a Decision window or a
+// Candidate names one dynamic instance in a RoundStart window or a
 // PairInjected member list: the (site, occurrence) pair plus — under
 // path addressing — the canonical call-path string.
 type Candidate struct {
@@ -191,16 +192,14 @@ type Event struct {
 	Observables []string    `json:"observables,omitempty"`
 	Sites       []SiteCount `json:"sites,omitempty"`
 
-	// RoundStart; Window also on SecondPass, the window it reset to.
-	Window   int        `json:"window,omitempty"`
-	RootRank int        `json:"root_rank,omitempty"`
-	Top      []SiteRank `json:"top,omitempty"`
-
-	// Decision: the first Candidates entries of the window (capped at
-	// MaxCandidates), plus the full count and the injection budget.
+	// RoundStart: the window, the root rank and top-K ranking of a
+	// priority row, and the first Candidates entries of the window (capped
+	// at MaxCandidates) with the full count.
+	Window         int         `json:"window,omitempty"`
+	RootRank       int         `json:"root_rank,omitempty"`
+	Top            []SiteRank  `json:"top,omitempty"`
 	Candidates     []Candidate `json:"candidates,omitempty"`
 	CandidateCount int         `json:"candidate_count,omitempty"`
-	Budget         int         `json:"budget,omitempty"`
 
 	// Injected. Path carries the canonical call-path address under path
 	// addressing; Members the decoded member instances of a PairInjected.
@@ -242,7 +241,7 @@ type Event struct {
 	ScriptSeed int64  `json:"script_seed,omitempty"`
 }
 
-// MaxCandidates caps the Candidates listing of a Decision event. The
+// MaxCandidates caps the Candidates listing of a RoundStart event. The
 // window can grow to the whole fault space; listing every member would
 // bloat traces without aiding explanation. CandidateCount always carries
 // the full size.
@@ -307,7 +306,7 @@ type Stats struct {
 	Reproduced   bool              // any Outcome with Reproduced
 
 	WindowSizes map[int]int    // RoundStart window size -> rounds
-	DecisionSz  map[int]int    // Decision candidate count -> rounds
+	DecisionSz  map[int]int    // RoundStart candidate count -> rounds
 	SiteTrials  map[string]int // injected site -> trials
 }
 
@@ -326,7 +325,6 @@ func AggregateStats(events []Event) Stats {
 		case RoundStart:
 			s.Rounds++
 			s.WindowSizes[ev.Window]++
-		case Decision:
 			s.DecisionSz[ev.CandidateCount]++
 		case Injected, EnvInjected, PartialInjected, PairInjected:
 			s.Injections++

@@ -26,10 +26,10 @@ func encoderCorpus() []Event {
 			{Site: "zk.snap.write-body", F: 0, Tried: 0},
 			{Site: "zk.sync.fsync-txnlog", F: -3.75, BestObs: "", Tried: 1},
 		}},
-		{Type: SecondPass, Round: 17, Window: 10},
-		{Type: Decision, Round: 1, Candidates: []Candidate{
+		{Type: SecondPass, Round: 17},
+		{Type: RoundStart, Round: 1, Candidates: []Candidate{
 			{Site: "a.b", Occ: 1}, {Site: "a.b", Occ: 2}},
-			CandidateCount: 54, Budget: 1},
+			CandidateCount: 54},
 		{Type: Injected, Round: 2, Site: "zk.snap.write-body", Occ: 3, Satisfied: true},
 		{Type: EnvInjected, Round: 2, Site: "env.node.crash", Occ: 1,
 			Class: "crash-restart", Subject: "zk1", Peer: "zk2", Dur: 250},
@@ -95,15 +95,13 @@ func sampleEvents() []Event {
 			Observables: []string{"elec: connection manager died"},
 			Sites:       []SiteCount{{Site: "zk.elect.send", Instances: 12}}},
 		{Type: RoundStart, Round: 1, Window: 10, RootRank: 2,
-			Top: []SiteRank{{Site: "zk.elect.send", F: 3, BestObs: "elec: x", Tried: 0}}},
-		{Type: Decision, Round: 1, Window: 10, CandidateCount: 4, Budget: 1,
-			Candidates: []Candidate{{Site: "zk.elect.send", Occ: 2}}},
+			Top:        []SiteRank{{Site: "zk.elect.send", F: 3, BestObs: "elec: x", Tried: 0}},
+			Candidates: []Candidate{{Site: "zk.elect.send", Occ: 2}}, CandidateCount: 4},
 		{Type: Injected, Round: 1, Site: "zk.elect.send", Occ: 2, Satisfied: false},
 		{Type: Feedback, Round: 1, Missing: 1,
 			Bumped: []ObsPriority{{Obs: "elec: x", Priority: 1}},
 			Deltas: []SiteDelta{{Site: "zk.elect.send", Before: 3, After: 4}}},
-		{Type: RoundStart, Round: 2, Window: 10},
-		{Type: Decision, Round: 2, Window: 10, CandidateCount: 3, Budget: 1},
+		{Type: RoundStart, Round: 2, Window: 10, CandidateCount: 3},
 		{Type: WindowGrow, Round: 2, From: 10, To: 10},
 		{Type: Outcome, Reproduced: true, Rounds: 2, Reason: ReasonReproduced,
 			Site: "zk.elect.send", Occ: 5, ScriptSeed: 3},
@@ -162,6 +160,22 @@ func TestFloatInfinityRoundTrip(t *testing.T) {
 	}
 }
 
+// A trace an older daemon stored still decodes: its retired decision events
+// keep their type and the fields this Event still has, and drop the rest.
+func TestReadAllDecodesRetiredEvents(t *testing.T) {
+	old := `{"event":"round","round":1,"window":10}
+{"event":"decision","round":1,"window":10,"candidates":[{"site":"a.b","occ":2}],"candidate_count":1,"budget":1}
+`
+	got, err := ReadAll(strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"event":"decision","round":1,"window":10,"candidates":[{"site":"a.b","occ":2}],"candidate_count":1}`
+	if len(got) != 2 || Line(&got[1]) != want {
+		t.Fatalf("decoded %d events, the second %s; want 2, the second %s", len(got), Line(&got[len(got)-1]), want)
+	}
+}
+
 func TestMemoryStats(t *testing.T) {
 	m := &Memory{}
 	events := sampleEvents()
@@ -176,7 +190,7 @@ func TestMemoryStats(t *testing.T) {
 		t.Fatalf("window histogram: %v", s.WindowSizes)
 	}
 	if s.DecisionSz[4] != 1 || s.DecisionSz[3] != 1 {
-		t.Fatalf("decision histogram: %v", s.DecisionSz)
+		t.Fatalf("candidate histogram: %v", s.DecisionSz)
 	}
 	if s.SiteTrials["zk.elect.send"] != 1 {
 		t.Fatalf("site trials: %v", s.SiteTrials)

@@ -3,7 +3,9 @@
 # CLI and require the two JSONL traces to be identical — `trace -diff`
 # (exits 1 and prints the first divergences) and then byte for byte. Any
 # scheduling nondeterminism in a target, the sim layers or the explorer
-# shows up here first.
+# shows up here first. The trace must also count the rounds its outcome
+# names: every round that runs emits one `round` event, on every strategy
+# row, so `trace -stats`' `rounds:` equals the outcome line's `rounds=`.
 #
 #   scripts/trace_determinism.sh [anduril flags] -- f23 f26 ...
 #
@@ -32,5 +34,11 @@ for f in "$@"; do
   "$TMP/anduril" -failure "$f" ${flags[@]+"${flags[@]}"} -trace "$TMP/$f-b.trace.jsonl" > /dev/null
   "$TMP/trace" -diff "$TMP/$f-a.trace.jsonl" "$TMP/$f-b.trace.jsonl"
   cmp "$TMP/$f-a.trace.jsonl" "$TMP/$f-b.trace.jsonl"
-  echo "$f: two runs byte-identical"
+  counted="$("$TMP/trace" -stats "$TMP/$f-a.trace.jsonl" | sed -n 's/^rounds: *//p')"
+  ran="$("$TMP/trace" -event outcome "$TMP/$f-a.trace.jsonl" | sed -n 's/.* rounds=\([0-9]*\) .*/\1/p')"
+  if [ -z "$ran" ] || [ "$counted" != "$ran" ]; then
+    echo "$f: trace -stats counts ${counted:-no} rounds, the outcome ${ran:-none}" >&2
+    exit 1
+  fi
+  echo "$f: two runs byte-identical, $ran rounds traced"
 done
