@@ -204,7 +204,7 @@ func render(ev *trace.Event) string {
 			}
 		}
 	case trace.SecondPass:
-		fmt.Fprintf(&b, "round %3d: second pass — the first pass ended; tried sets cleared, window reset", ev.Round)
+		fmt.Fprintf(&b, "round %3d: second pass — a class's first pass ended; its tried sets cleared, window reset", ev.Round)
 	case trace.Injected, trace.EnvInjected, trace.PartialInjected, trace.PairInjected:
 		fmt.Fprintf(&b, "round %3d: injected ", ev.Round)
 		switch ev.Type {

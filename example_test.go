@@ -103,8 +103,9 @@ func ExampleNewTarget() {
 // limitation 2): the toy service dies only when a store-scrub fault leaves
 // it degraded and a peer-ping flake hits inside the degraded window. The
 // single-fault search exhausts its space, twice over — every instance gets
-// a second trial under a fresh seed before the search gives up; with the
-// pair class a round arms two faults together.
+// a second trial under a fresh seed before the search gives up. With the
+// pair class enabled the search runs those same 34 rounds first, then its
+// pair rounds arm two faults together.
 func ExampleReproduce_pairClass() {
 	orc := anduril.LogContains("service entered unrecoverable state")
 	prod, err := cluster.Run(nil, nil, 9999, inject.Exact(
@@ -128,7 +129,7 @@ func ExampleReproduce_pairClass() {
 	// Output:
 	// single-fault search: reproduced=false after 34 rounds
 	// best partial fault: toy.scrub-store#4
-	// inject toy-two-fault as a fault pair: toy.ping-peer#6 and toy.scrub-store#7 (found in 32 rounds)
+	// inject toy-two-fault as a fault pair: toy.ping-peer#6 and toy.scrub-store#7 (found in 49 rounds)
 }
 
 // ExampleReproduce_strategy runs a comparison baseline instead of the full

@@ -21,12 +21,11 @@ import (
 	"anduril/internal/logdiff"
 )
 
-// classID indexes classTable. The order IS the window-admission order:
-// fillWindow opens a class only when every earlier enabled class has no
-// selectable untried instance left, so enabling a later class never
-// changes which instances an earlier class's search injects, and setup
-// enumerates in the same order, so the pair row can build on the site
-// and env candidates already enumerated.
+// classID indexes classTable. The order IS the search order: each enabled
+// class runs both its passes before the next one opens (nextStage), so
+// enabling a later class never changes which instances an earlier class's
+// search injects, and setup enumerates in the same order, so the pair row
+// can build on the site and env candidates already enumerated.
 type classID uint8
 
 const (
@@ -81,6 +80,14 @@ const (
 )
 
 func (cs classSet) has(c classID) bool { return cs&(1<<c) != 0 }
+
+// from is the first class of the set at or after c, numClasses if none is.
+func (cs classSet) from(c classID) classID {
+	for c < numClasses && !cs.has(c) {
+		c++
+	}
+	return c
+}
 
 // classSetOf parses class names into a set. No names at all means unset,
 // which is the site-only default; an unknown name is an error — a

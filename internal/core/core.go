@@ -125,9 +125,10 @@ type Options struct {
 	// name: ClassSite, ClassEnv, ClassPartial, ClassPair. Unset (nil or
 	// empty) defaults to the target's FaultClasses, and site-only — the
 	// paper's fault space — when the target declares none; an unknown name
-	// fails the search with Report.Error. Wider classes never perturb
-	// narrower searches; DESIGN.md ("The fault-class table") describes the
-	// classes and the admission order that guarantees it.
+	// fails the search with Report.Error. The enabled classes are searched
+	// one at a time in table order, each through both its passes, so
+	// enabling a later class never perturbs an earlier class's search;
+	// DESIGN.md ("The fault-class table") describes the classes and order.
 	FaultClasses []string
 
 	// Addressing selects how candidate instances are named in plans:
@@ -328,9 +329,9 @@ type Report struct {
 	// vocabulary: trace.ReasonReproduced, ReasonExhausted (every candidate
 	// tried twice), ReasonClassNotSearched (every candidate the strategy
 	// arms tried, while an enabled class holds ones it never arms),
-	// ReasonWindowUnreached (in each pass, two rounds in a row armed every
-	// candidate left and none occurred), ReasonRoundCap or ReasonError (see
-	// Error). Empty on an interrupted report, which is not an ending.
+	// ReasonWindowUnreached (in the last enabled class's second pass, two
+	// rounds in a row armed every candidate left and none occurred),
+	// ReasonRoundCap or ReasonError (see Error). Empty on an interrupted report, which is not an ending.
 	Reason string `json:",omitempty"`
 }
 

@@ -158,10 +158,11 @@ type engine struct {
 	// strategy is the strategyTable row the search runs, resolved by
 	// prepare. window is the flexible-window size the next round selects
 	// with: Options.Window — pinned at 1 for a queue row — until a round
-	// widens it. secondPass is set once a priority row has started its
-	// second pass (startSecondPass); unreached is widen's unreachedLimit count.
+	// widens it. class and secondPass are a priority row's open stage
+	// (nextStage); unreached is widen's unreachedLimit count.
 	strategy   *strategy
 	window     int
+	class      classID
 	secondPass bool
 	unreached  int
 
@@ -340,6 +341,7 @@ func (e *engine) prepare() error {
 	if e.classes, err = classSetOf(names...); err != nil {
 		return err
 	}
+	e.class = e.classes.from(0)
 	e.feats = e.classes.features()
 	if e.o.Addressing == AddrPath {
 		e.feats |= inject.PathAddressing

@@ -101,15 +101,9 @@ func (p *Prepared) PseudoCandidate(site string, amp int) bool {
 	return ok && p.e.feats&f.Family != 0 && amp >= pseudoPrior[f.Class].minAmp
 }
 
-// ExhaustSingleFaults marks every non-pair instance tried, so the window
-// opens the pair class — the state of every pair round of a search.
-func (p *Prepared) ExhaustSingleFaults() {
-	for _, s := range p.e.sites {
-		for _, inst := range s.instances {
-			p.e.markTried(pick{site: s, inst: inst})
-		}
-	}
-}
+// ExhaustSingleFaults opens the pair class's first stage — the state of
+// every pair round of a search.
+func (p *Prepared) ExhaustSingleFaults() { p.e.class = pairClass }
 
 // FillWindow is one round's candidate selection from cold, under the
 // prepared search's strategy row: every site's memoized pick is dropped
@@ -176,31 +170,29 @@ func storePair(s *siteState, buf []storedPair) []storedPair {
 func (p *Prepared) FillWindowStored(window int) []inject.Instance {
 	e := p.e
 	var out []inject.Instance
-	for c := classID(0); c < numClasses && len(out) == 0; c++ {
-		for _, s := range p.ranked {
-			if len(out) >= window {
-				break
+	for _, s := range p.ranked {
+		if len(out) >= window {
+			break
+		}
+		if s.class != e.class {
+			continue
+		}
+		if s.class != pairClass {
+			if inst, ok := e.scanUntried(s); ok {
+				out = append(out, e.candidateFor(s, inst))
 			}
-			if s.class != c {
-				continue
-			}
-			if s.class != pairClass {
-				if inst, ok := e.scanUntried(s); ok {
-					out = append(out, e.candidateFor(s, inst))
-				}
-				continue
-			}
-			p.stored = storePair(s, p.stored)
-			if inst, ok := e.scanStored(s, p.stored); ok {
-				sa, sb := s.members[0], s.members[1]
-				a, b := sa.instances[inst.pair[0]], sb.instances[inst.pair[1]]
-				pi := inject.PairInstance(
-					inject.Instance{Site: sa.id, Occurrence: a.occ, Path: e.pathOf(sa, a)},
-					inject.Instance{Site: sb.id, Occurrence: b.occ, Path: e.pathOf(sb, b)},
-				)
-				pi.Occurrence = inst.occ
-				out = append(out, pi)
-			}
+			continue
+		}
+		p.stored = storePair(s, p.stored)
+		if inst, ok := e.scanStored(s, p.stored); ok {
+			sa, sb := s.members[0], s.members[1]
+			a, b := sa.instances[inst.pair[0]], sb.instances[inst.pair[1]]
+			pi := inject.PairInstance(
+				inject.Instance{Site: sa.id, Occurrence: a.occ, Path: e.pathOf(sa, a)},
+				inject.Instance{Site: sb.id, Occurrence: b.occ, Path: e.pathOf(sb, b)},
+			)
+			pi.Occurrence = inst.occ
+			out = append(out, pi)
 		}
 	}
 	return out

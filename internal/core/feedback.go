@@ -27,7 +27,7 @@ type feedbackSpec struct {
 // instanceLimit is the per-site cap of the paper's limit-3 variants (§8.3).
 const instanceLimit = 3
 
-// unreachedLimit is the floor under the flexible window: a pass ends after
+// unreachedLimit is the floor under the flexible window: a stage ends after
 // this many consecutive empty rounds on a window their selection did not
 // fill. Such a window holds every candidate left and stops growing, and
 // until a round injects or is inconclusive (which resets the count) it stays
@@ -62,7 +62,7 @@ func (e *engine) explore() {
 			candidates, ranked = e.selectRanked(round)
 		}
 		if len(candidates) == 0 {
-			return // fault space exhausted twice over: cannot reproduce (step 5)
+			return // every stage ended: cannot reproduce (step 5)
 		}
 		rootRank := e.rootRank(ranked)
 		initTime := time.Since(initStart)
@@ -110,40 +110,52 @@ func (e *engine) explore() {
 }
 
 // selectRanked is a priority-driven row's select step: rank the sites and
-// fill the window from the ranking; a pass ends on an empty fill or at
-// unreachedLimit, the first with startSecondPass. It returns the ranking
-// with the candidates, for the root rank and the round's trace event.
+// fill the window from the open stage's class; when the stage ends, on an
+// empty fill or at unreachedLimit, nextStage opens the next one and the same
+// round selects again. It returns the ranking with the candidates, for the
+// root rank and the round's trace event.
 func (e *engine) selectRanked(round int) (candidates []inject.Instance, ranked []*siteState) {
 	ranked = e.rankedSites()
 	fill := e.fillWindow
 	if e.strategy.spec.multiply {
 		fill = e.multiplyCandidates
 	}
-	if e.unreached < unreachedLimit {
-		candidates = fill(ranked)
+	for {
+		if e.unreached < unreachedLimit {
+			candidates = fill(ranked)
+		}
+		if len(candidates) > 0 || !e.nextStage(round) {
+			return candidates, ranked
+		}
 	}
-	if len(candidates) == 0 && !e.secondPass {
-		e.startSecondPass(round)
-		candidates = fill(ranked)
-	}
-	return candidates, ranked
 }
 
-// startSecondPass gives every candidate a second trial when the first pass
-// ends: a root armed once under an unlucky seed would otherwise never be
-// armed again, and the search would call a space that holds it exhausted.
-// It resets every tried set, memoized pick (which assumes its set only
-// grows), the window and unreached; round seeds advance, so retries differ.
-func (e *engine) startSecondPass(round int) {
-	e.secondPass, e.unreached = true, 0
-	for _, s := range e.sites {
-		s.tried = triedSet{}
-		s.pick.valid = false
+// nextStage opens a priority row's next (class, pass) stage: each enabled
+// class, in table order, runs a first pass, then a second, before the next
+// opens. A second pass clears its class's tried sets and pick memos (which
+// assume their set only grows), so a root armed once under an unlucky seed
+// is armed again under a later round's seed. Every stage starts with the
+// window at Options.Window and unreached at 0. It returns false when no
+// stage is left, so the search ends for the reason its last stage ended.
+func (e *engine) nextStage(round int) bool {
+	if !e.secondPass {
+		e.secondPass = true
+		for _, s := range e.sites {
+			if s.class == e.class {
+				s.tried = triedSet{}
+				s.pick.valid = false
+			}
+		}
+		if e.tracing() {
+			e.emit(&trace.Event{Type: trace.SecondPass, Round: round})
+		}
+	} else if next := e.classes.from(e.class + 1); next < numClasses {
+		e.class, e.secondPass = next, false
+	} else {
+		return false
 	}
-	e.window = e.o.Window
-	if e.tracing() {
-		e.emit(&trace.Event{Type: trace.SecondPass, Round: round})
-	}
+	e.window, e.unreached = e.o.Window, 0
+	return true
 }
 
 // widen grows the flexible window after a round in which no candidate

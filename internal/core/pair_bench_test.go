@@ -10,7 +10,7 @@ import (
 var fillWindowSink []inject.Instance
 
 // BenchmarkFillWindow prices one round's candidate selection. The pair
-// variant is f30 with its single-fault classes exhausted — the state of
+// variant is f30 with its pair stage open — the state of
 // every pair round of that search: each pair site scans its untried
 // instances for the best temporal score.
 //

@@ -162,39 +162,32 @@ type pick struct {
 	score float64
 }
 
-// fillWindow selects the round's candidate window from the ranked
-// sites: the best untried instance of each site, in ranking order,
-// until the window is full. Selection runs one fault class at a time in
-// table order (classes.go) — error-return sites first, and each later
-// class only when no untried instance of any earlier class can be
-// selected at all — so enabling a wider class never changes which
-// instances the narrower search injects: each class runs to exhaustion
-// in its exact original order before the next space opens.
+// fillWindow selects the round's candidate window from the ranked sites of
+// the open stage's class (nextStage): the best untried instance of each
+// site, in ranking order, until the window is full.
 func (e *engine) fillWindow(ranked []*siteState) []inject.Instance {
 	picks := e.picks[:0]
-	for c := classID(0); c < numClasses && len(picks) == 0; c++ {
-		for _, s := range ranked {
-			if len(picks) >= e.window {
-				break
-			}
-			if s.class != c {
-				continue
-			}
-			if inst, ok := e.bestUntried(s); ok {
-				picks = append(picks, pick{site: s, inst: inst})
-			}
+	for _, s := range ranked {
+		if len(picks) >= e.window {
+			break
+		}
+		if s.class != e.class {
+			continue
+		}
+		if inst, ok := e.bestUntried(s); ok {
+			picks = append(picks, pick{site: s, inst: inst})
 		}
 	}
 	return e.render(picks)
 }
 
-// multiplyCandidates ranks all untried (site, instance) pairs by the
-// product (F_i+1) x (T_{i,j}+1) — the §8.3 "multiply feedback" variant that
-// replaces the two-level selection.
+// multiplyCandidates ranks all untried (site, instance) pairs of the open
+// stage's class by the product (F_i+1) x (T_{i,j}+1) — the §8.3 "multiply
+// feedback" variant that replaces the two-level selection.
 func (e *engine) multiplyCandidates(ranked []*siteState) []inject.Instance {
 	picks := e.picks[:0]
 	for _, s := range ranked {
-		if math.IsInf(s.f, 1) {
+		if s.class != e.class || math.IsInf(s.f, 1) {
 			continue
 		}
 		// A pair site stores no instances: the ablation ranks single faults.
@@ -237,7 +230,7 @@ func comparePicks(a, b pick) int {
 // growWindow doubles the flexible window (§5.2.5) when the round's
 // selection filled it. A selection that did not fill its window already
 // holds every candidate the open class offers — one per site in fillWindow,
-// one per instance in multiplyCandidates — and within a pass that set only
+// one per instance in multiplyCandidates — and within a stage that set only
 // shrinks, so a wider window would select nothing more. The window thus
 // stays within twice the largest selection, and growth reads only the
 // open class's picks.

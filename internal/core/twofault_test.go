@@ -64,13 +64,20 @@ func TestSingleFaultSearchCannotReproduceTwoFaultFailure(t *testing.T) {
 // reproduces is found once the pair class is enabled — the one answer to
 // the paper's §6 limitation 2 — on every engine seed, as a pair of the two
 // sites of the incident whose script verifies under a seed no round used.
+// The site class runs both its passes first, round for round as the
+// single-fault search runs them, and the pair class then finds the
+// failure within 15 rounds.
 func TestPairClassReproducesTwoFaultFailure(t *testing.T) {
 	tgt := buildToyTarget(t)
 	for seed := int64(1); seed <= 3; seed++ {
+		single := core.Reproduce(tgt, core.Options{Seed: seed, MaxRounds: 100})
 		rep := core.Reproduce(tgt, core.Options{Seed: seed, MaxRounds: 100,
 			FaultClasses: []string{core.ClassSite, core.ClassPair}})
-		if !rep.Reproduced || rep.Rounds > 32 {
-			t.Fatalf("seed %d: reproduced=%v after %d rounds, want within 32", seed, rep.Reproduced, rep.Rounds)
+		if n := commonRounds(single, rep); n != single.Rounds {
+			t.Fatalf("seed %d: the pair search repeats %d of the single-fault search's %d rounds", seed, n, single.Rounds)
+		}
+		if !rep.Reproduced || rep.Rounds > single.Rounds+15 {
+			t.Fatalf("seed %d: reproduced=%v after %d rounds, want within %d+15", seed, rep.Reproduced, rep.Rounds, single.Rounds)
 		}
 		if want := inject.PairSiteID("toy.ping-peer", "toy.scrub-store"); rep.Script.Site != want {
 			t.Fatalf("seed %d: script %v, want a %s pair", seed, rep.Script, want)
@@ -79,6 +86,15 @@ func TestPairClassReproducesTwoFaultFailure(t *testing.T) {
 			t.Fatalf("seed %d: pair script %v does not verify under a different seed", seed, rep.Script)
 		}
 	}
+}
+
+// commonRounds is the number of leading rounds two searches ran alike.
+func commonRounds(a, b *core.Report) int {
+	n := 0
+	for n < min(len(a.RoundLog), len(b.RoundLog)) && roundLine(a.RoundLog[n]) == roundLine(b.RoundLog[n]) {
+		n++
+	}
+	return n
 }
 
 func TestRunsPerRoundStillReproduces(t *testing.T) {

@@ -113,6 +113,40 @@ func TestWideSeedSweep(t *testing.T) {
 	t.Log(strings.Join(tbl.Notes, " "), "ends:", ends)
 }
 
+// TestAllClassSweep runs Table 11's occurrence-mode sweep over -sweep-seeds
+// seeds with all four fault classes enabled on every failure. Each class
+// runs both its passes before the next one opens, so a search ends with
+// every class searched: none may call the fault space exhausted or end
+// with the window unreached.
+func TestAllClassSweep(t *testing.T) {
+	n := *wideSweep
+	if n == 0 {
+		t.Skip("-sweep-seeds 0")
+	}
+	opt := Options{NoTiming: true}.withDefaults()
+	variants := make([]variant, n)
+	for i := range variants {
+		o := opt.search(core.FullFeedback)
+		o.Seed += int64(i) * sweepStride
+		o.FaultClasses = []string{core.ClassSite, core.ClassEnv, core.ClassPartial, core.ClassPair}
+		variants[i] = variant{opts: o}
+	}
+	grid, err := runGrid(opt, "allclass", failures.All(), variants...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := map[string]int{}
+	for vi, reps := range grid {
+		for _, rep := range reps {
+			ends[rep.Reason]++
+			if rep.Reason == trace.ReasonExhausted || rep.Reason == trace.ReasonWindowUnreached {
+				t.Errorf("%s seed %d: %s after %d rounds", rep.Target, variants[vi].opts.Seed, rep.Reason, rep.Rounds)
+			}
+		}
+	}
+	t.Log("ends:", ends)
+}
+
 // TestSeedSweepFirstSeedIsTheTables: a cell's first sample in Table 11 is
 // the search Tables 2 and 10 run, so at one seed each occurrence row is
 // Table 2's full-feedback cell (f1–f22) or Table 10's Rounds (f23–f34).

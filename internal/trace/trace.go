@@ -41,13 +41,13 @@ const (
 	// the root rank and the top-K ranked sites with their priorities F_i,
 	// best observable and tried counts. Every row emits it, one per round.
 	RoundStart EventType = "round"
-	// SecondPass records a round at which the first pass ended — its
-	// selection found no untried candidate, or two rounds in a row had
-	// injected nothing on a window their selection did not fill: every tried
-	// set was cleared and the window reset to its starting size, and the
-	// round selected again. It precedes its round's RoundStart, which
-	// carries the reset window and tried counts. Only the second pass's end
-	// ends a search as fault-space-exhausted or window-unreached.
+	// SecondPass records a round at which a fault class's first pass ended —
+	// its selection found no untried candidate of the class, or two rounds in
+	// a row injected nothing on a window their selection did not fill: the
+	// class's tried sets were cleared, the window reset, and the round
+	// selected again. It precedes its round's RoundStart, which carries the
+	// reset window and tried counts. Only the last enabled class's second
+	// pass ends a search as fault-space-exhausted or window-unreached.
 	SecondPass EventType = "second_pass"
 	// Injected records the reach at which the round's fault fired.
 	Injected EventType = "injected"
@@ -92,7 +92,9 @@ var EventTypes = []EventType{
 	PartialInjected, PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
 }
 
-// Outcome reasons.
+// Outcome reasons. A search ends ReasonWindowUnreached when the last
+// enabled class's second pass ended on two rounds in a row that armed every
+// candidate left and injected nothing.
 const (
 	ReasonReproduced       = "reproduced"
 	ReasonExhausted        = "fault-space-exhausted"
