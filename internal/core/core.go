@@ -102,9 +102,10 @@ type Target struct {
 	// Analysis is the static causal graph et al. for the target system.
 	Analysis *analysis.Result
 
-	// RootSite is the ground-truth root-cause site, used only for rank
-	// tracking (Figure 6) and reporting — never by the search itself.
-	RootSite string
+	// Root is the ground-truth root-cause instance, the one the failure
+	// log's run injected. The engine reads only its Site, for rank
+	// tracking (Figure 6) and reporting — never for the search itself.
+	Root inject.Instance
 
 	// FaultClasses are the fault classes the search explores for this
 	// target by default ("site", "env", "pair", "partial"); unset means
@@ -260,7 +261,7 @@ type Round struct {
 	N          int
 	Injected   *inject.Instance // nil when no candidate occurred
 	Satisfied  bool
-	RootRank   int // 1-based rank of Target.RootSite (Figure 6); 0 if no candidate or unranked
+	RootRank   int // 1-based rank of Target.Root's site (Figure 6); 0 if no candidate or unranked
 	MissingObs int // relevant observables still missing after this round
 	WindowSize int
 	InitTime   time.Duration // priority computation before the run

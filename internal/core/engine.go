@@ -104,7 +104,7 @@ type siteState struct {
 // are independent as long as they treat the (possibly shared) Target as
 // read-only — which every method here does: the engine only ever reads
 // t.ID, t.Issue, t.FailureLog, t.Analysis, t.Oracle, t.Workload, t.Horizon,
-// t.RootSite and t.FaultClasses, and all derived state (observables, site
+// t.Root.Site and t.FaultClasses, and all derived state (observables, site
 // states, distance tables) lives on the engine.
 //
 // The search itself is split across phase files: setup.go (observable
@@ -120,7 +120,7 @@ type engine struct {
 
 	obs   []*observable
 	sites []*siteState
-	root  *siteState // the candidate t.RootSite names, nil if none
+	root  *siteState // the candidate t.Root.Site names, nil if none
 	align *logdiff.Alignment
 
 	// failure is t.FailureLog as every round's diff reads it: flattened

@@ -197,7 +197,7 @@ func TestRankedSitesStable(t *testing.T) {
 			t.Fatalf("unstable tiebreak at %d", i)
 		}
 	}
-	e.root = e.sites[0] // s.beta, as setup resolves Target.RootSite
+	e.root = e.sites[0] // s.beta, as setup resolves Target.Root's site
 	if r := e.rootRank(ranked); r < 1 || r > len(ranked) || ranked[r-1].id != "s.beta" {
 		t.Fatalf("rootRank=%d", r)
 	}

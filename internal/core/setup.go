@@ -124,7 +124,7 @@ func (e *engine) setup(free *cluster.Result) {
 
 	for _, s := range e.sites {
 		e.report.CandidateInstances += s.size()
-		if s.id == e.t.RootSite {
+		if s.id == e.t.Root.Site {
 			e.root = s
 		}
 	}

@@ -12,8 +12,9 @@
 // from the explorer's, and the resulting log is rendered to text and parsed
 // back — so the explorer only ever sees what a production log file carries.
 // A scenario states that fault as a concrete instance, its Root; FindRoot
-// is the rule that locates it in a free run, and a test holds the stated
-// instance to what the rule finds under FailureSeed.
+// is the rule that locates it in a free run (nil: Root's occurrence of
+// Root's site), and a test holds the stated instance to what the rule
+// finds under FailureSeed.
 package failures
 
 import (
@@ -27,7 +28,6 @@ import (
 	"anduril/internal/des"
 	"anduril/internal/inject"
 	"anduril/internal/logging"
-	"anduril/internal/oracle"
 	"anduril/internal/sys/dfs"
 	"anduril/internal/sys/dyn"
 	"anduril/internal/sys/kvstore"
@@ -36,35 +36,22 @@ import (
 	"anduril/internal/sys/zk"
 )
 
-// Scenario is one dataset entry: its system's row plus what its failure
-// adds — a workload, an oracle, and the ground-truth root.
+// Scenario is one dataset entry: the explorer's Target minus what
+// BuildTarget derives (FailureLog, Analysis), plus the rule that locates
+// the ground-truth root. Its FailureLog method shadows the promoted
+// Target.FailureLog field, which stays empty here.
+//
+// Target.FaultClasses nil keeps the paper's site-only space, the f1–f22
+// dataset; register fills Target.Horizon and SrcDirs from the system's row.
 type Scenario struct {
-	ID          string // "f1" .. "f34"
-	Issue       string // upstream issue id, e.g. "ZK-2247"
-	System      string // a key of systems: "zk", "dfs", "tablestore", ...
-	Description string
+	core.Target
 
-	Workload cluster.Workload
-	Horizon  des.Time // the system's; register fills it
-	Oracle   oracle.Oracle
-	SrcDirs  []string // the system's source, which the Instrumenter analyzes; register fills it
+	SrcDirs []string // the system's source, which the Instrumenter analyzes
 
-	// FaultClasses names the fault classes the explorer searches for this
-	// scenario (core.ClassSite / core.ClassEnv / core.ClassPair /
-	// core.ClassPartial). Nil keeps the paper's site-only space — the
-	// f1–f22 dataset — while the env-rooted scenarios (f23+) opt into
-	// environment enumeration, the combined-fault scenarios (f30–f31)
-	// into pair enumeration, and the partial-failure scenarios (f32–f34)
-	// into partial enumeration.
-	FaultClasses []string
-
-	// Root is the ground-truth root-cause fault instance: the fault of the
-	// simulated production incident at FailureSeed, which FailureLog injects.
-	Root inject.Instance
 	// FindRoot locates the ground-truth dynamic instance of s.Root.Site in
 	// a free run under any seed (the right occurrence); at FailureSeed it
 	// must return Root. The seed of the free run is passed for scenarios
-	// that must trial-inject to confirm it.
+	// that must trial-inject to confirm it. Nil means Root's occurrence.
 	FindRoot func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool)
 
 	// NewRootCause, when non-empty, describes the deeper root cause the
@@ -154,6 +141,18 @@ func (s *Scenario) trial(env *cluster.Env, seed int64, plan *inject.Plan, feats 
 	return s.Oracle.Satisfied(res), res.Release()
 }
 
+// findRoot is FindRoot, or, when FindRoot is nil, Root itself if the free
+// run reaches Root's occurrence of its site.
+func (s *Scenario) findRoot(free *cluster.Result, seed int64) (inject.Instance, bool) {
+	if s.FindRoot != nil {
+		return s.FindRoot(s, free, seed)
+	}
+	if free.Env.FI.Counts()[s.Root.Site] < s.Root.Occurrence {
+		return inject.Instance{}, false
+	}
+	return s.Root, true
+}
+
 // FailureLog produces the production failure log: one run with the
 // ground-truth fault, Root, injected under FailureSeed, rendered to text and
 // parsed back. A run that panics or livelocks is a *cluster.TrialError.
@@ -188,19 +187,9 @@ func (s *Scenario) buildTarget() (*core.Target, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &core.Target{
-		ID:           s.ID,
-		Issue:        s.Issue,
-		System:       s.System,
-		Description:  s.Description,
-		Workload:     s.Workload,
-		Horizon:      s.Horizon,
-		Oracle:       s.Oracle,
-		FailureLog:   flog,
-		Analysis:     an,
-		RootSite:     s.Root.Site,
-		FaultClasses: s.FaultClasses,
-	}, nil
+	t := s.Target
+	t.FailureLog, t.Analysis = flog, an
+	return &t, nil
 }
 
 // registry is populated by package init functions only; after program
@@ -219,7 +208,7 @@ func register(s *Scenario) {
 	registry = append(registry, s)
 }
 
-// All returns every scenario in dataset order (f1..f22), regardless of
+// All returns every scenario in dataset order (f1–f34), regardless of
 // package initialization order.
 func All() []*Scenario {
 	out := append([]*Scenario(nil), registry...)

@@ -53,7 +53,7 @@ func TestScenarioInvariants(t *testing.T) {
 				t.Fatalf("%s: oracle satisfied without any fault", s.ID)
 			}
 			// 2. Ground truth reproduces.
-			inst, ok := s.FindRoot(s, free, FailureSeed)
+			inst, ok := s.findRoot(free, FailureSeed)
 			if !ok {
 				t.Fatalf("%s: ground truth not found", s.ID)
 			}
@@ -97,7 +97,7 @@ func TestGroundTruthStableAcrossSeeds(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				inst, ok := s.FindRoot(s, run(t, s, seed, nil, s.features()), seed)
+				inst, ok := s.findRoot(run(t, s, seed, nil, s.features()), seed)
 				if !ok {
 					t.Fatalf("seed %d: ground truth not found", seed)
 				}
@@ -278,7 +278,7 @@ func TestBrokenScenarioIsATrialError(t *testing.T) {
 	}
 	for class, w := range map[string]cluster.Workload{cluster.ClassEventBudget: livelock, cluster.ClassPanic: crash} {
 		t.Run(class, func(t *testing.T) {
-			s := &Scenario{ID: "broken-" + class, Workload: w, Horizon: des.Second}
+			s := &Scenario{Target: core.Target{ID: "broken-" + class, Workload: w, Horizon: des.Second}}
 			_, err := s.FailureLog()
 			var te *cluster.TrialError
 			if !errors.As(err, &te) || te.Class != class {
@@ -294,11 +294,8 @@ func TestBrokenScenarioIsATrialError(t *testing.T) {
 func TestFailureLogIsOneRun(t *testing.T) {
 	f20, _ := ByID("f20")
 	runs := 0
-	s := &Scenario{
-		ID: f20.ID, System: f20.System, Horizon: f20.Horizon, Oracle: f20.Oracle,
-		Root: f20.Root, FindRoot: f20.FindRoot, FaultClasses: f20.FaultClasses,
-		Workload: func(env *cluster.Env) { runs++; f20.Workload(env) },
-	}
+	s := &Scenario{Target: f20.Target}
+	s.Workload = func(env *cluster.Env) { runs++; f20.Workload(env) }
 	flog, err := s.FailureLog()
 	if err != nil {
 		t.Fatal(err)

@@ -47,30 +47,32 @@ func init() {
 	const cd = "dfs.datanode.connect-downstream"
 
 	register(&Scenario{
-		ID:          "f30",
-		Issue:       "DY-HINT-APPLY-RACE",
-		System:      "dyn",
-		Description: "Bare hint replay resurrects a delete only when the regular apply is also lost",
-		Workload:    dyn.WorkloadTombstones,
-		// Pinned to k002: the requeued-hint line names the key whose hint
-		// lost its version metadata, the resurrect line proves the bare
-		// replay's fabricated version beat the tombstone, and Diverged
-		// proves the anti-entropy audit never reconciled it. Exact matching
-		// matters — the digit-insensitive LogContains cannot tell k002 from
-		// the neighboring keys whose hints replay in the same tick.
-		// The persist-failure line discriminates this mechanism from the
-		// cheaper look-alike where the *tombstone* persist is the second
-		// fault: there the delete is simply lost on one node, and the
-		// incident log shows "Tombstone persist ... acknowledging delete
-		// anyway" instead of a failed record apply on dyn3.
-		Oracle: oracle.And(
-			oracle.LogContainsExact("Hint replay of k002 to dyn3 failed; requeued without version metadata"),
-			oracle.LogContainsExact("Record persist for k002 failed on dyn3"),
-			oracle.LogContainsExact("verify: k002 returned v002 after delete (resurrected)"),
-			oracle.Diverged(),
-		),
-		Root:         inject.PairInstance(inject.Instance{Site: rh, Occurrence: 18}, inject.Instance{Site: pr, Occurrence: 30}),
-		FaultClasses: pairClasses,
+		Target: core.Target{
+			ID:          "f30",
+			Issue:       "DY-HINT-APPLY-RACE",
+			System:      "dyn",
+			Description: "Bare hint replay resurrects a delete only when the regular apply is also lost",
+			Workload:    dyn.WorkloadTombstones,
+			// Pinned to k002: the requeued-hint line names the key whose hint
+			// lost its version metadata, the resurrect line proves the bare
+			// replay's fabricated version beat the tombstone, and Diverged
+			// proves the anti-entropy audit never reconciled it. Exact matching
+			// matters — the digit-insensitive LogContains cannot tell k002 from
+			// the neighboring keys whose hints replay in the same tick.
+			// The persist-failure line discriminates this mechanism from the
+			// cheaper look-alike where the *tombstone* persist is the second
+			// fault: there the delete is simply lost on one node, and the
+			// incident log shows "Tombstone persist ... acknowledging delete
+			// anyway" instead of a failed record apply on dyn3.
+			Oracle: oracle.And(
+				oracle.LogContainsExact("Hint replay of k002 to dyn3 failed; requeued without version metadata"),
+				oracle.LogContainsExact("Record persist for k002 failed on dyn3"),
+				oracle.LogContainsExact("verify: k002 returned v002 after delete (resurrected)"),
+				oracle.Diverged(),
+			),
+			Root:         inject.PairInstance(inject.Instance{Site: rh, Occurrence: 18}, inject.Instance{Site: pr, Occurrence: 30}),
+			FaultClasses: pairClasses,
+		},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The persist member must kill a *retry* apply — the bare
 			// replay's own store write, which sits at the tail of the record
@@ -92,23 +94,25 @@ func init() {
 	})
 
 	register(&Scenario{
-		ID:          "f31",
-		Issue:       "HD-13039-DOUBLE",
-		System:      "dfs",
-		Description: "Two leaked xceiver sockets on distinct datanodes make block writes fail terminally",
-		Workload:    dfs.WorkloadWrite,
-		// A single leak exhausts exactly one pool and the pipeline falls
-		// back to the remaining nodes, so the discriminating symptom is two
-		// *distinct* datanodes reporting exhaustion plus the client's
-		// terminal give-up line. LogContains is digit-insensitive and would
-		// count dn1 and dn2 as one message, hence the predicate.
-		Oracle: oracle.And(
-			oracle.LogContains("Failed to build pipeline"),
-			oracle.LogContains("failed to write block"),
-			oracle.Predicate("xceiver pools exhausted on >=2 datanodes", multiNodeExhaustion),
-		),
-		Root:         inject.PairInstance(inject.Instance{Site: cd, Occurrence: 1}, inject.Instance{Site: cd, Occurrence: 2}),
-		FaultClasses: pairClasses,
+		Target: core.Target{
+			ID:          "f31",
+			Issue:       "HD-13039-DOUBLE",
+			System:      "dfs",
+			Description: "Two leaked xceiver sockets on distinct datanodes make block writes fail terminally",
+			Workload:    dfs.WorkloadWrite,
+			// A single leak exhausts exactly one pool and the pipeline falls
+			// back to the remaining nodes, so the discriminating symptom is two
+			// *distinct* datanodes reporting exhaustion plus the client's
+			// terminal give-up line. LogContains is digit-insensitive and would
+			// count dn1 and dn2 as one message, hence the predicate.
+			Oracle: oracle.And(
+				oracle.LogContains("Failed to build pipeline"),
+				oracle.LogContains("failed to write block"),
+				oracle.Predicate("xceiver pools exhausted on >=2 datanodes", multiNodeExhaustion),
+			),
+			Root:         inject.PairInstance(inject.Instance{Site: cd, Occurrence: 1}, inject.Instance{Site: cd, Occurrence: 2}),
+			FaultClasses: pairClasses,
+		},
 		FindRoot: func(s *Scenario, free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// Self-pair: unordered occurrence combinations, x < y. Pipeline
 			// heads rotate round-robin, so which combinations land on

@@ -67,7 +67,7 @@ func TestPlanProbedOnlyAtArmedSites(t *testing.T) {
 		for i, rc := range c.reaches {
 			var got bool
 			if IsEnvSite(rc.site) {
-				_, got = r.ReachPseudo(rc.site, 0)
+				_, got = r.ReachPseudoAt(r.Pseudo(rc.site), 0)
 			} else {
 				got = r.Reach(rc.site, IO) != nil
 			}

@@ -300,7 +300,7 @@ func FuzzEnvPlan(f *testing.F) {
 				fired++
 			}
 			env := fuzzEnvSite(b)
-			envFault, ok := r.ReachPseudo(env, 0)
+			envFault, ok := r.ReachPseudoAt(r.Pseudo(env), 0)
 			if ok {
 				if !carriesEnv {
 					t.Fatalf("env injection %s from a plan with no env candidates", env)
@@ -322,7 +322,7 @@ func FuzzEnvPlan(f *testing.F) {
 					t.Fatalf("env fault duration %v, want class default %v", envFault.Duration, want)
 				}
 			} else if carriesEnv {
-				counts[env]++ // ReachPseudo counted it; mirror for the oracle below
+				counts[env]++ // ReachPseudoAt counted it; mirror for the oracle below
 				if inWindow[Instance{Site: env, Occurrence: counts[env]}] && fired == 0 {
 					t.Fatalf("first window hit %s#%d did not inject", env, counts[env])
 				}

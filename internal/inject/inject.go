@@ -35,7 +35,7 @@
 //
 //	<system>.<component>.<operation>   an error-return site, reached through Reach
 //	<family>/<class>/<operands>        a pseudo-site (env/... or partial/...), one row of
-//	                                   the table in pseudo.go, reached through ReachPseudo
+//	                                   the table in pseudo.go, reached through ReachPseudoAt
 //	pair/<siteA>+<siteB>               two of the above combined (pair.go)
 //
 // and a dynamic instance of any of them by (site, occurrence) or, under
@@ -508,12 +508,6 @@ func (r *Runtime) ReachPseudoAt(h PseudoHandle, amp int) (PseudoFault, bool) {
 	f := rec.pseudo
 	f.Occurrence, f.Amp = occ, amp
 	return f, true
-}
-
-// ReachPseudo reaches a pseudo-site by its ID: ReachPseudoAt of its
-// handle.
-func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
-	return r.ReachPseudoAt(r.Pseudo(site), amp)
 }
 
 // TraceChunk is how many reaches one chunk of a kept trace holds. A free

@@ -346,8 +346,8 @@ func TestResetMatchesNewRuntime(t *testing.T) {
 					faults = append(faults, err.Error())
 				}
 			}
-			r.ReachPseudo(crash, 0)
-			r.ReachPseudo(short, 9)
+			r.ReachPseudoAt(r.Pseudo(crash), 0)
+			r.ReachPseudoAt(r.Pseudo(short), 9)
 		}
 		return faults
 	}

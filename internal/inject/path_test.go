@@ -134,7 +134,7 @@ func TestUniformDecideShortCircuit(t *testing.T) {
 			t.Fatal("target reach did not inject")
 		}
 		before, _ := r.Decisions()
-		if _, ok := r.ReachPseudo(envSite, 0); ok {
+		if _, ok := r.ReachPseudoAt(r.Pseudo(envSite), 0); ok {
 			t.Fatal("env reach injected after the budget was spent")
 		}
 		if err := r.Reach("a.x", IO); err != nil {
@@ -147,14 +147,14 @@ func TestUniformDecideShortCircuit(t *testing.T) {
 
 	t.Run("env injection silences site reaches", func(t *testing.T) {
 		r := NewRuntime(Exact(Instance{Site: envSite, Occurrence: 1}))
-		if _, ok := r.ReachPseudo(envSite, 0); !ok {
+		if _, ok := r.ReachPseudoAt(r.Pseudo(envSite), 0); !ok {
 			t.Fatal("target env reach did not inject")
 		}
 		before, _ := r.Decisions()
 		if err := r.Reach("a.x", IO); err != nil {
 			t.Fatal("site reach injected after the budget was spent")
 		}
-		if _, ok := r.ReachPseudo(envSite, 0); ok {
+		if _, ok := r.ReachPseudoAt(r.Pseudo(envSite), 0); ok {
 			t.Fatal("second env reach injected after the budget was spent")
 		}
 		if n, _ := r.Decisions(); n != before {

@@ -100,7 +100,7 @@ func TestPseudoGrammarProperties(t *testing.T) {
 			}
 			r := NewRuntime(nil)
 			r.Enable(EnvFaults | PartialFaults)
-			if _, ok := r.ReachPseudo(site, 0); ok || len(r.Counts()) != 0 {
+			if _, ok := r.ReachPseudoAt(r.Pseudo(site), 0); ok || len(r.Counts()) != 0 {
 				t.Errorf("%s: malformed %q reached or counted", row.class, site)
 			}
 		}
@@ -197,7 +197,8 @@ func TestPathAddressedPseudoInstanceSelfActivates(t *testing.T) {
 			"pair Window": Window([]Instance{PairInstance(other, inst)}),
 		}
 		for name, plan := range plans {
-			f, ok := NewRuntime(plan).ReachPseudo(site, 7)
+			r := NewRuntime(plan)
+			f, ok := r.ReachPseudoAt(r.Pseudo(site), 7)
 			if !ok {
 				t.Errorf("%s of path-addressed %s did not inject", name, site)
 				continue
@@ -257,7 +258,7 @@ func TestPseudoHandleMatchesName(t *testing.T) {
 			var gotName, gotHandle []outcome
 			for round := 0; round < 3; round++ {
 				for i, id := range ids {
-					f, ok := byName.ReachPseudo(id, 10*round+i)
+					f, ok := byName.ReachPseudoAt(byName.Pseudo(id), 10*round+i)
 					gotName = append(gotName, outcome{f, ok})
 					f, ok = byHandle.ReachPseudoAt(handles[i], 10*round+i)
 					gotHandle = append(gotHandle, outcome{f, ok})
