@@ -39,30 +39,16 @@ func TestChangesEntriesAreShort(t *testing.T) {
 // TestDesignDocIsCurrent: DESIGN.md describes the design as it is. Before and
 // after numbers and the story of how a part got its shape belong to
 // CHANGES.md and git log, so the document stays under a size limit and no
-// heading names a PR. It names only what exists: the last segment of every
-// backticked identifier (`name`, `pkg.Name`, either with `()`) occurs as a
-// word in some Go file — in code, a string or a comment, where the paper's
-// own names live.
+// heading names a PR. It and the two documents a reader meets first,
+// README.md and EXPERIMENTS.md, name only what exists: the last segment of
+// every backticked identifier (`name`, `pkg.Name`, either with `()`) occurs
+// as a word in some Go file — in code, a string or a comment, where the
+// paper's own names live.
 func TestDesignDocIsCurrent(t *testing.T) {
-	const limit = 1000 // lines
-	raw, err := os.ReadFile("DESIGN.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(lines) > limit {
-		t.Errorf("DESIGN.md is %d lines, over %d", len(lines), limit)
-	}
-	namesPR := regexp.MustCompile(`\bPRs? ?#?\d`)
-	for i, line := range lines {
-		if strings.HasPrefix(line, "#") && namesPR.MatchString(line) {
-			t.Errorf("DESIGN.md:%d heading names a PR: %s", i+1, line)
-		}
-	}
-
+	const limit = 1000 // DESIGN.md lines
 	word := regexp.MustCompile(`\w+`)
 	goWords := map[string]bool{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -81,11 +67,25 @@ func TestDesignDocIsCurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	namesPR := regexp.MustCompile(`\bPRs? ?#?\d`)
 	ident := regexp.MustCompile("`" + `([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(\))?` + "`")
-	for i, line := range lines {
-		for _, m := range ident.FindAllStringSubmatch(line, -1) {
-			if last := m[1][strings.LastIndexByte(m[1], '.')+1:]; !goWords[last] {
-				t.Errorf("DESIGN.md:%d names `%s`, but no Go file has %q", i+1, m[1], last)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+		if doc == "DESIGN.md" && len(lines) > limit {
+			t.Errorf("DESIGN.md is %d lines, over %d", len(lines), limit)
+		}
+		for i, line := range lines {
+			if doc == "DESIGN.md" && strings.HasPrefix(line, "#") && namesPR.MatchString(line) {
+				t.Errorf("DESIGN.md:%d heading names a PR: %s", i+1, line)
+			}
+			for _, m := range ident.FindAllStringSubmatch(line, -1) {
+				if last := m[1][strings.LastIndexByte(m[1], '.')+1:]; !goWords[last] {
+					t.Errorf("%s:%d names `%s`, but no Go file has %q", doc, i+1, m[1], last)
+				}
 			}
 		}
 	}

@@ -13,6 +13,7 @@
 //
 // Filters compose (AND). -diff compares two traces event by event and
 // exits 1 on the first divergence, so it doubles as a determinism check.
+// -stats and -diff cover a whole search, so neither takes a filter.
 package main
 
 import (
@@ -24,6 +25,8 @@ import (
 	"sort"
 	"strings"
 
+	"anduril/internal/des"
+	"anduril/internal/inject"
 	"anduril/internal/trace"
 )
 
@@ -56,6 +59,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage("-diff needs exactly two trace files")
 	case !*diff && fs.NArg() != 1:
 		return usage("one trace file required ('-' = stdin)")
+	case (*stats || *diff) && (*site != "" || *round != 0 || *event != ""):
+		return usage("-site, -round and -event filter printed events; -stats and -diff cover a whole search")
 	case *event != "" && !slices.Contains(trace.EventTypes, trace.EventType(*event)):
 		return usage("-event: unknown event type %q", *event)
 	case *round < 0:
@@ -160,17 +165,6 @@ func touchesSite(ev *trace.Event, site string) bool {
 			return true
 		}
 	}
-	// A pair injection touches both member sites, not just the pseudo-site.
-	for _, m := range ev.Members {
-		if strings.Contains(m.Site, site) {
-			return true
-		}
-	}
-	for _, d := range ev.Deltas {
-		if strings.Contains(d.Site, site) {
-			return true
-		}
-	}
 	return false
 }
 
@@ -205,42 +199,35 @@ func render(ev *trace.Event) string {
 		}
 	case trace.SecondPass:
 		fmt.Fprintf(&b, "round %3d: second pass — a class's first pass ended; its tried sets cleared, window reset", ev.Round)
-	case trace.Injected, trace.EnvInjected, trace.PartialInjected, trace.PairInjected:
+	case trace.Injected:
+		// The site ID decodes to what was injected: an env or partial
+		// class and its operands (an env pair reads a/b, a partial channel
+		// from>to), or a pair's two members (its path holds their refs).
 		fmt.Fprintf(&b, "round %3d: injected ", ev.Round)
-		switch ev.Type {
-		case trace.Injected:
+		if f, ok := inject.ParsePseudo(ev.Site); ok {
+			family, sep := "env", "/"
+			if f.Family == inject.PartialFaults {
+				family, sep = "partial", ">"
+			}
+			subject := f.Subject
+			if f.Peer != "" {
+				subject += sep + f.Peer
+			}
+			fmt.Fprintf(&b, "%s %s on %s (%s#%d", family, f.Class, subject, ev.Site, ev.Occ)
+			if f.Family == inject.EnvFaults && f.Duration > 0 {
+				fmt.Fprintf(&b, ", %dms", f.Duration/des.Millisecond)
+			}
+			b.WriteString(")")
+		} else if m1, m2, ok := inject.PairMembers(inject.Instance{Site: ev.Site, Occurrence: ev.Occ, Path: ev.Path}); ok {
+			ref := func(m inject.Instance) string {
+				return candidateRef(trace.Candidate{Site: m.Site, Occ: m.Occurrence, Path: m.Path})
+			}
+			fmt.Fprintf(&b, "pair %s#%d [%s + %s]", ev.Site, ev.Occ, ref(m1), ref(m2))
+		} else {
 			fmt.Fprintf(&b, "%s#%d", ev.Site, ev.Occ)
 			if ev.Path != "" {
 				fmt.Fprintf(&b, " at path %s", ev.Path)
 			}
-		case trace.PairInjected:
-			fmt.Fprintf(&b, "pair %s#%d", ev.Site, ev.Occ)
-			for i, m := range ev.Members {
-				sep := " ["
-				if i > 0 {
-					sep = " + "
-				}
-				fmt.Fprintf(&b, "%s%s", sep, candidateRef(m))
-			}
-			if len(ev.Members) > 0 {
-				b.WriteString("]")
-			}
-		default:
-			// env_injected / partial_injected: the family is the event type's
-			// first word; an env pair reads a/b, a partial channel from>to.
-			family, sep := "env", "/"
-			if ev.Type == trace.PartialInjected {
-				family, sep = "partial", ">"
-			}
-			subject := ev.Subject
-			if ev.Peer != "" {
-				subject += sep + ev.Peer
-			}
-			fmt.Fprintf(&b, "%s %s on %s (%s#%d", family, ev.Class, subject, ev.Site, ev.Occ)
-			if ev.Dur > 0 {
-				fmt.Fprintf(&b, ", %dms", ev.Dur/1_000_000)
-			}
-			b.WriteString(")")
 		}
 		if ev.Satisfied {
 			b.WriteString(" — ORACLE SATISFIED")
@@ -254,9 +241,6 @@ func render(ev *trace.Event) string {
 			ev.Round, ev.Missing, len(ev.Bumped))
 		for _, o := range ev.Bumped {
 			fmt.Fprintf(&b, "\n  I[%s] -> %d", clip(o.Obs, 60), o.Priority)
-		}
-		for _, d := range ev.Deltas {
-			fmt.Fprintf(&b, "\n  F[%s] %v -> %v", d.Site, float64(d.Before), float64(d.After))
 		}
 	case trace.Inconclusive:
 		fmt.Fprintf(&b, "round %3d: inconclusive — %s", ev.Round, ev.Class)
@@ -323,8 +307,8 @@ func printStats(w io.Writer, s trace.Stats) {
 		fmt.Fprintf(w, "  %4d: %d\n", k, s.WindowSizes[k])
 	}
 	fmt.Fprintf(w, "candidates per round (candidates: rounds):\n")
-	for _, k := range sortedInts(s.DecisionSz) {
-		fmt.Fprintf(w, "  %4d: %d\n", k, s.DecisionSz[k])
+	for _, k := range sortedInts(s.CandidateCounts) {
+		fmt.Fprintf(w, "  %4d: %d\n", k, s.CandidateCounts[k])
 	}
 	fmt.Fprintf(w, "trials per site:\n")
 	for _, k := range sortedKeys(s.SiteTrials) {

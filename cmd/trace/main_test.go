@@ -34,21 +34,23 @@ func TestRenderInjectedEvents(t *testing.T) {
 			"round   3: injected zk.sync.append-txn#2 — oracle not satisfied"},
 		{"site path satisfied", trace.Event{Type: trace.Injected, Round: 12, Site: "a.x", Occ: 1, Path: "r>a.x#1", Satisfied: true},
 			"round  12: injected a.x#1 at path r>a.x#1 — ORACLE SATISFIED"},
-		{"env crash", trace.Event{Type: trace.EnvInjected, Round: 1, Site: "env/crash/zk1", Occ: 4,
-			Class: "crash", Subject: "zk1", Dur: 600_000_000, Satisfied: true},
+		{"env crash", trace.Event{Type: trace.Injected, Round: 1, Site: "env/crash/zk1", Occ: 4, Satisfied: true},
 			"round   1: injected env crash on zk1 (env/crash/zk1#4, 600ms) — ORACLE SATISFIED"},
-		{"env drop", trace.Event{Type: trace.EnvInjected, Round: 2, Site: "env/msg-drop/nn>dn1", Occ: 1,
-			Class: "msg-drop", Subject: "nn", Peer: "dn1"},
+		{"env drop", trace.Event{Type: trace.Injected, Round: 2, Site: "env/msg-drop/nn>dn1", Occ: 1},
 			"round   2: injected env msg-drop on nn/dn1 (env/msg-drop/nn>dn1#1) — oracle not satisfied"},
-		{"partial disk", trace.Event{Type: trace.PartialInjected, Round: 2, Site: "partial/disk/torn-rename/dfs.namenode.rename-edits", Occ: 1,
-			Class: "torn-rename", Subject: "dfs.namenode.rename-edits", Satisfied: true},
+		{"env partition path", trace.Event{Type: trace.Injected, Round: 3, Site: "env/partition/zk1~zk2", Occ: 2,
+			Path: "r>env/partition/zk1~zk2#2"},
+			"round   3: injected env partition on zk1/zk2 (env/partition/zk1~zk2#2, 500ms) — oracle not satisfied"},
+		{"partial disk", trace.Event{Type: trace.Injected, Round: 2, Site: "partial/disk/torn-rename/dfs.namenode.rename-edits", Occ: 1, Satisfied: true},
 			"round   2: injected partial torn-rename on dfs.namenode.rename-edits (partial/disk/torn-rename/dfs.namenode.rename-edits#1) — ORACLE SATISFIED"},
-		{"partial channel", trace.Event{Type: trace.PartialInjected, Round: 1, Site: "partial/net/dup-deliver/mq-producer-1>broker-a", Occ: 1,
-			Class: "dup-deliver", Subject: "mq-producer-1", Peer: "broker-a"},
+		{"partial channel", trace.Event{Type: trace.Injected, Round: 1, Site: "partial/net/dup-deliver/mq-producer-1>broker-a", Occ: 1},
 			"round   1: injected partial dup-deliver on mq-producer-1>broker-a (partial/net/dup-deliver/mq-producer-1>broker-a#1) — oracle not satisfied"},
-		{"pair", trace.Event{Type: trace.PairInjected, Round: 7, Site: "pair/a.x+env/crash/n1", Occ: 5,
-			Members: []trace.Candidate{{Site: "a.x", Occ: 1}, {Site: "env/crash/n1", Path: "env/crash/n1#2"}}},
+		{"pair", trace.Event{Type: trace.Injected, Round: 7, Site: "pair/a.x+env/crash/n1", Occ: 5, Path: "a.x:1+env/crash/n1:2"},
 			"round   7: injected pair pair/a.x+env/crash/n1#5 [a.x#1 + env/crash/n1#2] — oracle not satisfied"},
+		{"pair path", trace.Event{Type: trace.Injected, Round: 8, Site: "pair/a.x+b.y", Occ: 1, Path: "r>a.x#1+r>b.y#3"},
+			"round   8: injected pair pair/a.x+b.y#1 [r>a.x#1 + r>b.y#3] — oracle not satisfied"},
+		{"older env_injected", trace.Event{Type: "env_injected", Round: 1, Site: "env/crash/zk1", Occ: 4, Class: "crash"},
+			`{"event":"env_injected","round":1,"site":"env/crash/zk1","occ":4,"class":"crash"}`},
 		// The outcome names the script as the injected line does: by its
 		// path when it has one (f26 and f30 in path mode, f30's pair members
 		// in occurrence mode), by site#occ otherwise.
@@ -141,6 +143,12 @@ func TestExitCodes(t *testing.T) {
 		{"unknown flag", []string{"-bogus", a}, 2, "flag provided but not defined: -bogus"},
 		{"negative round", []string{"-round", "-1", a}, 2, "-round: must not be negative"},
 		{"zero max diffs", []string{"-diff", "-max-diffs", "0", a, other}, 2, "-max-diffs: must be positive"},
+		{"stats with event", []string{"-stats", "-event", "injected", a}, 2, "-stats and -diff cover a whole search"},
+		{"stats with site", []string{"-stats", "-site", "a.x", a}, 2, "-stats and -diff cover a whole search"},
+		{"stats with round", []string{"-stats", "-round", "1", a}, 2, "-stats and -diff cover a whole search"},
+		{"diff with event", []string{"-diff", "-event", "injected", a, same}, 2, "-stats and -diff cover a whole search"},
+		{"diff with site", []string{"-diff", "-site", "a.x", a, same}, 2, "-stats and -diff cover a whole search"},
+		{"diff with round", []string{"-diff", "-round", "1", a, same}, 2, "-stats and -diff cover a whole search"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

@@ -13,6 +13,7 @@ import (
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
+	"anduril/internal/inject"
 	"anduril/internal/trace"
 )
 
@@ -42,7 +43,7 @@ func siteSearchUnchangedBy(t *testing.T, classes []string, extra ...seeded) {
 			if !base.Reproduced {
 				t.Fatalf("%s baseline not reproduced", c.id)
 			}
-			if wide.EnvRooted || wide.PartialRooted {
+			if wide.Script != nil && (inject.IsEnvSite(wide.Script.Site) || inject.IsPartialSite(wide.Script.Site)) {
 				t.Fatalf("%s rooted outside the site class under %v: %v", c.id, classes, wide.Script)
 			}
 			if a, b := roundSummary(base), roundSummary(wide); a != b {

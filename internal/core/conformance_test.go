@@ -202,9 +202,6 @@ func rooted(t *testing.T, c *cell) {
 	} else if !slices.Contains(c.sc.FaultClasses, class) || s.Site != c.sc.Root.Site {
 		t.Fatalf("reproduced via %v, ground truth %s of classes %v", s, c.sc.Root.Site, c.sc.FaultClasses)
 	}
-	if c.rep.EnvRooted != (class == core.ClassEnv) || c.rep.PartialRooted != (class == core.ClassPartial) {
-		t.Fatalf("script %v of class %s reported env-rooted=%v partial-rooted=%v", s, class, c.rep.EnvRooted, c.rep.PartialRooted)
-	}
 	members := []inject.Instance{s}
 	if class == core.ClassPair {
 		a, b, ok := inject.PairMembers(s)
@@ -474,8 +471,9 @@ func TestGoldenTracesReencodeByteEqual(t *testing.T) {
 }
 
 // injectedEvent: the reproducing round's injection is on the trace as the
-// event type of the script's class, carrying exactly what the site ID and
-// the pair reference decode to.
+// one injected event of every class, carrying the script's site, occurrence
+// and path (a pair's member references), from which a reader decodes the
+// class and its operands.
 func injectedEvent(t *testing.T, c *cell) {
 	reproduces(t, c)
 	events, err := trace.ReadAll(bytes.NewReader(c.first))
@@ -486,22 +484,6 @@ func injectedEvent(t *testing.T, c *cell) {
 	want := trace.Event{
 		Type: trace.Injected, Round: c.rep.Rounds,
 		Site: s.Site, Occ: s.Occurrence, Path: s.Path, Satisfied: true,
-	}
-	if f, ok := inject.ParsePseudo(s.Site); ok {
-		want.Type = trace.PartialInjected
-		want.Class, want.Subject, want.Peer = string(f.Class), f.Subject, f.Peer
-		if f.Family == inject.EnvFaults {
-			want.Type, want.Dur = trace.EnvInjected, int64(f.Duration)
-			if want.Dur <= 0 {
-				t.Fatalf("env fault %q has no duration", s.Site)
-			}
-		}
-	} else if a, b, ok := inject.PairMembers(s); ok {
-		want.Type, want.Path = trace.PairInjected, ""
-		want.Members = []trace.Candidate{
-			{Site: a.Site, Occ: a.Occurrence, Path: a.Path},
-			{Site: b.Site, Occ: b.Occurrence, Path: b.Path},
-		}
 	}
 	wantLine := trace.Line(&want)
 	for i := range events {

@@ -154,8 +154,8 @@ type Options struct {
 	Context context.Context
 
 	// Trace receives the structured event stream of the search: free-run
-	// setup, per-round ranked-site snapshots, injection decisions, feedback
-	// deltas and the terminal outcome. Events carry only seed-determined
+	// setup, per-round ranked-site snapshots, injections, feedback
+	// adjustments and the terminal outcome. Events carry only seed-determined
 	// data, so the stream is byte-identical for a fixed (Target, Options).
 	// nil (the default) disables tracing at zero cost: the engine checks
 	// the sink before building any event.
@@ -288,17 +288,8 @@ type Report struct {
 	Script     *inject.Instance // deterministic reproduction plan (step 4.a)
 	ScriptSeed int64            // the seed of the reproducing round: Exact(Script) under this seed replays deterministically
 
-	// EnvRooted marks a reproduction whose script is an environment
-	// fault (node crash, partition, message drop/delay) rather than an
-	// error-return site.
-	EnvRooted bool `json:",omitempty"`
-
-	// PartialRooted marks a reproduction whose script is a partial
-	// failure (short write, mid-append ENOSPC, torn rename, duplicated
-	// delivery, eintr) rather than an error-return site.
-	PartialRooted bool `json:",omitempty"`
-	RoundLog      []Round
-	Elapsed       time.Duration
+	RoundLog []Round
+	Elapsed  time.Duration
 
 	RelevantObservables int
 	CandidateSites      int

@@ -247,34 +247,18 @@ func (e *engine) emit(ev *trace.Event) { e.o.Trace.Emit(ev) }
 // obsLabel renders an observable's identity for trace events.
 func obsLabel(o *observable) string { return o.key.Thread + ": " + o.key.Msg }
 
-// traceInjected records the reach at which a round's fault fired. A
-// pseudo-site injection is a distinct event type per family carrying the
-// decoded class and operands (and, for env, the virtual-time duration); a
-// pair injection carries its two decoded member instances.
+// traceInjected records the reach at which a round's fault fired, the
+// same event for every fault class: its site ID names the class and
+// operands, and a pair's Path its member references, for a reader to
+// decode.
 func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) {
 	if !e.tracing() {
 		return
 	}
-	ev := &trace.Event{
+	e.emit(&trace.Event{
 		Type: trace.Injected, Round: round,
 		Site: inst.Site, Occ: inst.Occurrence, Path: inst.Path, Satisfied: satisfied,
-	}
-	if f, ok := inject.ParsePseudo(inst.Site); ok {
-		ev.Class, ev.Subject, ev.Peer = string(f.Class), f.Subject, f.Peer
-		if f.Family == inject.EnvFaults {
-			ev.Type, ev.Dur = trace.EnvInjected, int64(f.Duration)
-		} else {
-			ev.Type = trace.PartialInjected
-		}
-	} else if a, b, ok := inject.PairMembers(inst); ok {
-		ev.Type = trace.PairInjected
-		ev.Path = "" // the member list already carries the references
-		ev.Members = []trace.Candidate{
-			{Site: a.Site, Occ: a.Occurrence, Path: a.Path},
-			{Site: b.Site, Occ: b.Occurrence, Path: b.Path},
-		}
-	}
-	e.emit(ev)
+	})
 }
 
 // traceRound records a round's decision once its selection is made: the
@@ -373,10 +357,6 @@ func (e *engine) prepare() error {
 func (e *engine) finish(start time.Time) {
 	rep := e.report
 	rep.Elapsed = time.Since(start)
-	if rep.Script != nil {
-		rep.EnvRooted = inject.IsEnvSite(rep.Script.Site)
-		rep.PartialRooted = inject.IsPartialSite(rep.Script.Site)
-	}
 	if rep.Interrupted {
 		return
 	}

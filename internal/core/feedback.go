@@ -240,30 +240,14 @@ func (e *engine) learn(a attempt) {
 	}
 }
 
-// traceFeedback records an Algorithm 2 update: the observables whose I_k
-// was adjusted and the resulting F_i deltas. The deltas need next round's
-// priorities, so a traced search scores the sites once more here; the next
-// round's computePriorities yields the same values.
+// traceFeedback records an Algorithm 2 update: how many observables are
+// still missing and the ones whose I_k was adjusted. The F_i they move
+// are the next round's ranking.
 func (e *engine) traceFeedback(round, missing int, bumped []trace.ObsPriority) {
 	if !e.tracing() {
 		return
 	}
-	ev := &trace.Event{Type: trace.Feedback, Round: round, Missing: missing, Bumped: bumped}
-	if len(bumped) > 0 {
-		before := make([]float64, len(e.sites))
-		for i, s := range e.sites {
-			before[i] = s.f
-		}
-		e.computePriorities()
-		for i, s := range e.sites {
-			if s.f != before[i] {
-				ev.Deltas = append(ev.Deltas, trace.SiteDelta{
-					Site: s.id, Before: trace.Float(before[i]), After: trace.Float(s.f),
-				})
-			}
-		}
-	}
-	e.emit(ev)
+	e.emit(&trace.Event{Type: trace.Feedback, Round: round, Missing: missing, Bumped: bumped})
 }
 
 // missingIn reports, per relevant observable, whether it is missing from

@@ -82,8 +82,7 @@ func TestTraceWellFormed(t *testing.T) {
 							ev.Round, next.Type, next.Round, next.Window, core.DefaultWindow)
 					}
 					sawSecondPass = sawSecondPass || ev.Round == c.secondPass
-				case trace.Injected, trace.EnvInjected, trace.PartialInjected, trace.PairInjected,
-					trace.WindowGrow, trace.Inconclusive:
+				case trace.Injected, trace.WindowGrow, trace.Inconclusive:
 					if ev.Round != opened {
 						t.Fatalf("event %d: %s of round %d, but the last round event is round %d's", i, ev.Type, ev.Round, opened)
 					}

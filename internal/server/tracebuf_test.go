@@ -74,8 +74,8 @@ func TestWALEncodeErrorFailsFlush(t *testing.T) {
 	tb := newTraceBuffer()
 	events := traceEvents()
 	tb.Emit(&events[0])
-	tb.Emit(&trace.Event{Type: trace.Feedback, Round: 1,
-		Deltas: []trace.SiteDelta{{Site: "s", Before: 1, After: trace.Float(math.NaN())}}})
+	tb.Emit(&trace.Event{Type: trace.RoundStart, Round: 1,
+		Top: []trace.SiteRank{{Site: "s", F: trace.Float(math.NaN())}}})
 	tb.Emit(&events[1])
 	if err := tb.WriteFile(path); err == nil {
 		t.Fatal("WriteFile wrote a trace with an event that did not encode")

@@ -2,19 +2,19 @@
 // explorer search (one core.Reproduce call).
 //
 // The explorer's search state — observable priorities I_k, site priorities
-// F_i, flexible-window growth, each round's decision (one round event per
-// round that runs, for every strategy row) and feedback deltas — is
-// otherwise invisible outside the final Report. A trace makes every
-// decision explainable ("why did this run take N rounds?") and
-// regression-testable: events carry only seed-determined data (no wall
-// clock), so the stream for a fixed (Target, Options) is byte-identical
-// run to run and across any worker count of the evaluation harness.
+// F_i, flexible-window growth and each round's decision (one round event
+// per round that runs, for every strategy row) — is otherwise invisible
+// outside the final Report. A trace makes every decision explainable
+// ("why did this run take N rounds?") and regression-testable: events
+// carry only seed-determined data (no wall clock), so the stream for a
+// fixed (Target, Options) is byte-identical run to run and across any
+// worker count of the evaluation harness.
 //
 // Events are emitted through a Sink threaded via core.Options.Trace. The
 // default is nil: the engine checks the sink before building an event, so
 // a disabled trace costs nothing on the decision hot path. Writer emits
 // JSONL — one encoding/json encoding of an Event per line, as Line renders
-// it; Memory accumulates events plus aggregate counters/histograms.
+// it; Memory retains the events, and AggregateStats counts over them.
 package trace
 
 import (
@@ -49,30 +49,18 @@ const (
 	// reset window and tried counts. Only the last enabled class's second
 	// pass ends a search as fault-space-exhausted or window-unreached.
 	SecondPass EventType = "second_pass"
-	// Injected records the reach at which the round's fault fired.
+	// Injected records the reach at which the round's fault fired, for
+	// every fault class: a reader decodes the class and its operands from
+	// the site ID, and a pair's members from Path, with package inject.
 	Injected EventType = "injected"
-	// EnvInjected records an environment-fault injection (node crash,
-	// pairwise partition, message drop/delay) in place of Injected: the
-	// same site/occ/satisfied fields plus the decoded class, subject
-	// node(s) and virtual-time duration of the fault's stateful phase.
-	EnvInjected EventType = "env_injected"
-	// PartialInjected records a partial-failure injection (short write,
-	// mid-append ENOSPC, torn rename, duplicated delivery, eintr) in
-	// place of Injected: the same site/occ/satisfied fields plus the
-	// decoded partial class, subject and — for duplicated deliveries —
-	// the peer node.
-	PartialInjected EventType = "partial_injected"
-	// PairInjected records a combined-fault injection in place of
-	// Injected: the pair pseudo-site and its occurrence, plus the two
-	// decoded member instances in Members.
-	PairInjected EventType = "pair_injected"
 	// WindowGrow records an empty round: no candidate occurred, so the
 	// flexible window doubled — or held, when the round's selection did not
 	// fill it (From == To).
 	WindowGrow EventType = "window_grow"
-	// Feedback records Algorithm 2 after an unsuccessful round: which
-	// observable priorities I_k were adjusted and the resulting site
-	// priority deltas.
+	// Feedback records Algorithm 2 after an unsuccessful round: how many
+	// observables are still missing and which observable priorities I_k
+	// were adjusted. The site priorities F_i they move are the next
+	// round's ranking.
 	Feedback EventType = "feedback"
 	// Inconclusive records a round whose trial could not be judged: the
 	// target panicked, the event-budget watchdog fired, or the oracle
@@ -88,8 +76,7 @@ const (
 
 // EventTypes lists every event type, in the order above.
 var EventTypes = []EventType{
-	FreeRun, RoundStart, SecondPass, Injected, EnvInjected,
-	PartialInjected, PairInjected, WindowGrow, Feedback, Inconclusive, Outcome,
+	FreeRun, RoundStart, SecondPass, Injected, WindowGrow, Feedback, Inconclusive, Outcome,
 }
 
 // Outcome reasons. A search ends ReasonWindowUnreached when the last
@@ -152,9 +139,9 @@ type SiteRank struct {
 	Tried   int    `json:"tried"`
 }
 
-// Candidate names one dynamic instance in a RoundStart window or a
-// PairInjected member list: the (site, occurrence) pair plus — under
-// path addressing — the canonical call-path string.
+// Candidate names one dynamic instance in a RoundStart window: the
+// (site, occurrence) pair plus — under path addressing — the canonical
+// call-path string.
 type Candidate struct {
 	Site string `json:"site"`
 	Occ  int    `json:"occ"`
@@ -166,14 +153,6 @@ type Candidate struct {
 type ObsPriority struct {
 	Obs      string `json:"obs"`
 	Priority int    `json:"priority"`
-}
-
-// SiteDelta reports one site's priority F_i before and after a feedback
-// update.
-type SiteDelta struct {
-	Site   string `json:"site"`
-	Before Float  `json:"before"`
-	After  Float  `json:"after"`
 }
 
 // Event is one trace record. Exactly the fields of its Type are set; the
@@ -204,12 +183,11 @@ type Event struct {
 	CandidateCount int         `json:"candidate_count,omitempty"`
 
 	// Injected. Path carries the canonical call-path address under path
-	// addressing; Members the decoded member instances of a PairInjected.
-	Site      string      `json:"site,omitempty"`
-	Occ       int         `json:"occ,omitempty"`
-	Path      string      `json:"path,omitempty"`
-	Satisfied bool        `json:"satisfied,omitempty"`
-	Members   []Candidate `json:"members,omitempty"`
+	// addressing, and a pair's two member references in either mode.
+	Site      string `json:"site,omitempty"`
+	Occ       int    `json:"occ,omitempty"`
+	Path      string `json:"path,omitempty"`
+	Satisfied bool   `json:"satisfied,omitempty"`
 
 	// WindowGrow.
 	From int `json:"from,omitempty"`
@@ -218,23 +196,13 @@ type Event struct {
 	// Feedback.
 	Missing int           `json:"missing,omitempty"`
 	Bumped  []ObsPriority `json:"bumped,omitempty"`
-	Deltas  []SiteDelta   `json:"deltas,omitempty"`
 
 	// Inconclusive: the failure class (cluster.Class*) and detail, plus
 	// the subject identifiers of the failed trial — the seed it ran
 	// under and, for panics, the actor (node thread) that was executing.
-	// Class is shared with EnvInjected and PartialInjected, where it
-	// carries the env or partial class.
 	Class  string `json:"class,omitempty"`
 	Detail string `json:"detail,omitempty"`
 	Actor  string `json:"actor,omitempty"`
-
-	// EnvInjected: subject node(s) and virtual-time duration. Subject and
-	// Peer are shared with PartialInjected (subject site or channel
-	// endpoints; no duration — partial faults have no stateful phase).
-	Subject string `json:"subject,omitempty"`
-	Peer    string `json:"peer,omitempty"`
-	Dur     int64  `json:"dur,omitempty"`
 
 	// Outcome.
 	Reproduced bool   `json:"reproduced,omitempty"`
@@ -289,8 +257,8 @@ func (s *Writer) Emit(ev *Event) {
 // Err returns the first encode or write error, if any.
 func (s *Writer) Err() error { return s.err }
 
-// Memory is a Sink that retains every event and aggregates counters. The
-// zero value is ready to use.
+// Memory is a Sink that retains every event; AggregateStats counts over
+// them. The zero value is ready to use.
 type Memory struct {
 	Events []Event
 }
@@ -307,18 +275,18 @@ type Stats struct {
 	Inconclusive int               // Inconclusive events (unjudgeable trials)
 	Reproduced   bool              // any Outcome with Reproduced
 
-	WindowSizes map[int]int    // RoundStart window size -> rounds
-	DecisionSz  map[int]int    // RoundStart candidate count -> rounds
-	SiteTrials  map[string]int // injected site -> trials
+	WindowSizes     map[int]int    // RoundStart window size -> rounds
+	CandidateCounts map[int]int    // RoundStart candidate count -> rounds
+	SiteTrials      map[string]int // injected site -> trials
 }
 
 // AggregateStats computes Stats over an event slice.
 func AggregateStats(events []Event) Stats {
 	s := Stats{
-		Events:      map[EventType]int{},
-		WindowSizes: map[int]int{},
-		DecisionSz:  map[int]int{},
-		SiteTrials:  map[string]int{},
+		Events:          map[EventType]int{},
+		WindowSizes:     map[int]int{},
+		CandidateCounts: map[int]int{},
+		SiteTrials:      map[string]int{},
 	}
 	for i := range events {
 		ev := &events[i]
@@ -327,8 +295,8 @@ func AggregateStats(events []Event) Stats {
 		case RoundStart:
 			s.Rounds++
 			s.WindowSizes[ev.Window]++
-			s.DecisionSz[ev.CandidateCount]++
-		case Injected, EnvInjected, PartialInjected, PairInjected:
+			s.CandidateCounts[ev.CandidateCount]++
+		case Injected:
 			s.Injections++
 			s.SiteTrials[ev.Site]++
 		case WindowGrow:

@@ -31,16 +31,16 @@ func encoderCorpus() []Event {
 			{Site: "a.b", Occ: 1}, {Site: "a.b", Occ: 2}},
 			CandidateCount: 54},
 		{Type: Injected, Round: 2, Site: "zk.snap.write-body", Occ: 3, Satisfied: true},
-		{Type: EnvInjected, Round: 2, Site: "env.node.crash", Occ: 1,
-			Class: "crash-restart", Subject: "zk1", Peer: "zk2", Dur: 250},
+		{Type: Injected, Round: 2, Site: "pair/a.x+env/crash/n1", Occ: 5, Path: "a.x:1+env/crash/n1:2"},
 		{Type: WindowGrow, Round: 4, From: 4, To: 8},
 		{Type: WindowGrow, Round: 5, From: 8, To: 8},
 		{Type: Feedback, Round: 2, Missing: 2,
-			Bumped: []ObsPriority{{Obs: "obs-a", Priority: 3}, {Obs: "", Priority: 0}},
-			Deltas: []SiteDelta{
-				{Site: "s1", Before: Float(math.Inf(-1)), After: 2.5},
-				{Site: "s2", Before: 1e21, After: -0.0},
-			}},
+			Bumped: []ObsPriority{{Obs: "obs-a", Priority: 3}, {Obs: "", Priority: 0}}},
+		{Type: RoundStart, Round: 2, Top: []SiteRank{
+			{Site: "s1", F: Float(math.Inf(-1))},
+			{Site: "s2", F: 1e21},
+			{Site: "s3", F: -0.0},
+		}},
 		{Type: Inconclusive, Round: 6, Class: "panic",
 			Detail: `runtime error: index out of range [-1]`, Actor: "zk3-sync"},
 		{Type: Outcome, Reproduced: true, Rounds: 7, Reason: ReasonReproduced, ScriptSeed: -42},
@@ -82,7 +82,7 @@ func TestWriterMatchesJSONEncoder(t *testing.T) {
 func TestWriterEncodeErrorIsSticky(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	w.Emit(&Event{Type: Feedback, Deltas: []SiteDelta{{Site: "s", Before: Float(math.NaN())}}})
+	w.Emit(&Event{Type: RoundStart, Round: 1, Top: []SiteRank{{Site: "s", F: Float(math.NaN())}}})
 	w.Emit(&Event{Type: Outcome})
 	if w.Err() == nil || buf.Len() != 0 {
 		t.Fatalf("Err() = %v after writing %q; want an error and nothing written", w.Err(), buf.String())
@@ -99,8 +99,7 @@ func sampleEvents() []Event {
 			Candidates: []Candidate{{Site: "zk.elect.send", Occ: 2}}, CandidateCount: 4},
 		{Type: Injected, Round: 1, Site: "zk.elect.send", Occ: 2, Satisfied: false},
 		{Type: Feedback, Round: 1, Missing: 1,
-			Bumped: []ObsPriority{{Obs: "elec: x", Priority: 1}},
-			Deltas: []SiteDelta{{Site: "zk.elect.send", Before: 3, After: 4}}},
+			Bumped: []ObsPriority{{Obs: "elec: x", Priority: 1}}},
 		{Type: RoundStart, Round: 2, Window: 10, CandidateCount: 3},
 		{Type: WindowGrow, Round: 2, From: 10, To: 10},
 		{Type: Outcome, Reproduced: true, Rounds: 2, Reason: ReasonReproduced,
@@ -160,19 +159,35 @@ func TestFloatInfinityRoundTrip(t *testing.T) {
 	}
 }
 
-// A trace an older daemon stored still decodes: its retired decision events
-// keep their type and the fields this Event still has, and drop the rest.
+// A trace an older daemon stored still decodes: its retired events and
+// fields — decision, env_injected's subject and dur, pair_injected's
+// members, feedback's deltas — keep their type and the fields this Event
+// still has, and drop the rest.
 func TestReadAllDecodesRetiredEvents(t *testing.T) {
 	old := `{"event":"round","round":1,"window":10}
 {"event":"decision","round":1,"window":10,"candidates":[{"site":"a.b","occ":2}],"candidate_count":1,"budget":1}
+{"event":"env_injected","round":2,"site":"env/crash/zk1","occ":4,"satisfied":true,"class":"crash","subject":"zk1","dur":600000000}
+{"event":"pair_injected","round":3,"site":"pair/a.x+b.y","occ":1,"members":[{"site":"a.x","occ":1},{"site":"b.y","occ":2}]}
+{"event":"feedback","round":3,"missing":1,"bumped":[{"obs":"o","priority":1}],"deltas":[{"site":"a.x","before":1,"after":"+inf"}]}
 `
 	got, err := ReadAll(strings.NewReader(old))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"event":"decision","round":1,"window":10,"candidates":[{"site":"a.b","occ":2}],"candidate_count":1}`
-	if len(got) != 2 || Line(&got[1]) != want {
-		t.Fatalf("decoded %d events, the second %s; want 2, the second %s", len(got), Line(&got[len(got)-1]), want)
+	want := []string{
+		`{"event":"round","round":1,"window":10}`,
+		`{"event":"decision","round":1,"window":10,"candidates":[{"site":"a.b","occ":2}],"candidate_count":1}`,
+		`{"event":"env_injected","round":2,"site":"env/crash/zk1","occ":4,"satisfied":true,"class":"crash"}`,
+		`{"event":"pair_injected","round":3,"site":"pair/a.x+b.y","occ":1}`,
+		`{"event":"feedback","round":3,"missing":1,"bumped":[{"obs":"o","priority":1}]}`,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if line := Line(&got[i]); line != want[i] {
+			t.Errorf("event %d decoded as %s, want %s", i+1, line, want[i])
+		}
 	}
 }
 
@@ -189,8 +204,8 @@ func TestMemoryStats(t *testing.T) {
 	if s.WindowSizes[10] != 2 {
 		t.Fatalf("window histogram: %v", s.WindowSizes)
 	}
-	if s.DecisionSz[4] != 1 || s.DecisionSz[3] != 1 {
-		t.Fatalf("candidate histogram: %v", s.DecisionSz)
+	if s.CandidateCounts[4] != 1 || s.CandidateCounts[3] != 1 {
+		t.Fatalf("candidate histogram: %v", s.CandidateCounts)
 	}
 	if s.SiteTrials["zk.elect.send"] != 1 {
 		t.Fatalf("site trials: %v", s.SiteTrials)

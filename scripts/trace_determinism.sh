@@ -6,6 +6,8 @@
 # shows up here first. The trace must also count the rounds its outcome
 # names: every round that runs emits one `round` event, on every strategy
 # row, so `trace -stats`' `rounds:` equals the outcome line's `rounds=`.
+# And `trace` must render every event the search emits: a type it has no
+# rendering for prints as its raw `{"event":...}` line, which fails here.
 #
 #   scripts/trace_determinism.sh [anduril flags] -- f23 f26 ...
 #
@@ -38,6 +40,11 @@ for f in "$@"; do
   ran="$("$TMP/trace" -event outcome "$TMP/$f-a.trace.jsonl" | sed -n 's/.* rounds=\([0-9]*\) .*/\1/p')"
   if [ -z "$ran" ] || [ "$counted" != "$ran" ]; then
     echo "$f: trace -stats counts ${counted:-no} rounds, the outcome ${ran:-none}" >&2
+    exit 1
+  fi
+  "$TMP/trace" "$TMP/$f-a.trace.jsonl" > "$TMP/$f-a.txt"
+  if raw="$(grep -m1 '^{"event":' "$TMP/$f-a.txt")"; then
+    echo "$f: trace has no rendering for $raw" >&2
     exit 1
   fi
   echo "$f: two runs byte-identical, $ran rounds traced"
