@@ -14,7 +14,7 @@
 // the static analyzer, and the explorer. A minimal session looks like:
 //
 //	target, _ := anduril.Dataset("f17") // HB-25905, the paper's motivating example
-//	report := anduril.Reproduce(target, anduril.Options{})
+//	report := anduril.Reproduce(target, anduril.Options{Seed: 1})
 //	if report.Reproduced {
 //		fmt.Println(anduril.Script(report)) // deterministic reproduction plan
 //	}

@@ -62,6 +62,23 @@ func TestInterruptedExitsFour(t *testing.T) {
 	}
 }
 
+// TestNotReproducedExitsThree: a search that runs out of fault space
+// without reproducing exits 3, names its end and writes no script.
+func TestNotReproducedExitsThree(t *testing.T) {
+	script := filepath.Join(t.TempDir(), "script.json")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-failure", "f16", "-strategy", "crashtuner", "-max-rounds", "100", "-script-out", script}
+	if code := run(context.Background(), args, &stdout, &stderr); code != exitNotReproduced {
+		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitNotReproduced, stdout.String(), stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "NOT reproduced after 10 rounds") || !strings.Contains(stdout.String(), trace.ReasonExhausted) {
+		t.Errorf("stdout %q does not say the search ended unreproduced with the fault space exhausted", stdout.String())
+	}
+	if _, err := os.Stat(script); !os.IsNotExist(err) {
+		t.Errorf("an unreproduced search wrote the script file (stat: %v)", err)
+	}
+}
+
 // TestUnknownFailureLeavesTraceFileAlone: a failure that cannot be built
 // is an internal error (exit 1) reported under one prefix, and the file
 // -trace names is not opened, so whatever it held is still there.

@@ -158,17 +158,9 @@ func (c *ctl) postJob(spec server.Spec, deadline time.Time) (submitResponse, err
 }
 
 func (c *ctl) getJSON(path string, v any) error {
-	resp, err := http.Get(c.base + path)
+	body, err := c.getRaw(path)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s: %s", path, resp.Status, body)
 	}
 	return json.Unmarshal(body, v)
 }
@@ -585,12 +577,8 @@ func serialRun(spec server.Spec) (*core.Report, []byte, error) {
 		return nil, nil, err
 	}
 	opts := spec.Normalize().Options()
-	mem := &trace.Memory{}
-	opts.Trace = mem
+	var buf bytes.Buffer
+	opts.Trace = trace.NewWriter(&buf)
 	rep := core.Reproduce(t, opts)
-	var buf []byte
-	for i := range mem.Events {
-		buf = append(buf, trace.Line(&mem.Events[i])+"\n"...)
-	}
-	return rep, buf, nil
+	return rep, buf.Bytes(), nil
 }

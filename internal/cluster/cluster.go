@@ -120,8 +120,8 @@ func (e *Env) trackPlanPaths() {
 }
 
 // reset rebuilds the environment for another round under seed and plan, in
-// the state NewEnv(seed, plan) returns, on the memory the last round left:
-// each part is emptied in place and stays wired to the others.
+// the state NewEnv(seed, plan) returns but for path tracking, which Run sets:
+// each part is emptied in place, on the memory the last round left.
 func (e *Env) reset(seed int64, plan *inject.Plan) {
 	e.Sim.Reset(seed)
 	e.Log.Reset()
@@ -130,7 +130,6 @@ func (e *Env) reset(seed int64, plan *inject.Plan) {
 	e.Disk.Reset()
 	clear(e.nodes)
 	e.convergence = nil
-	e.trackPlanPaths()
 }
 
 // Result is what a trial produced: the state the oracle judges and the

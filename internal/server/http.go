@@ -21,7 +21,7 @@ import (
 //	                        wall-clock-normalized comparison form
 //	GET  /jobs/{key}/trace  trace JSONL, empty until the job runs;
 //	                        ?follow=1 streams live events until the job
-//	                        finishes
+//	                        finishes, never dropping a slow follower
 //	GET  /healthz           liveness: 200 once the journal is open
 //	GET  /readyz            readiness: 200 accepting, 503 draining
 type submitResponse struct {
@@ -136,11 +136,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	if follow && !job.Terminal() {
 		if tb, live := s.liveTrace(key); live {
-			if s.followTrace(w, r, tb) {
-				return
-			}
-			// Subscription failed (the attempt just ended); fall back to
-			// the stored trace.
+			followTrace(w, r, tb)
+			return
 		}
 	}
 	raw, err := s.TraceJSONL(key)
@@ -151,28 +148,25 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// followTrace streams a live job's trace: the snapshot so far, then
-// every event as it is emitted, until the job finishes or the client
-// leaves. Reports whether the subscription was established.
-func (s *Server) followTrace(w http.ResponseWriter, r *http.Request, tb *traceBuffer) bool {
-	snapshot, lines, cancel, err := tb.Subscribe()
-	if err != nil {
-		return false
-	}
-	defer cancel()
+// followTrace streams a live job's trace: the log so far, then every
+// event as it is emitted, until the log closes (the attempt ended) or the
+// client leaves.
+func followTrace(w http.ResponseWriter, r *http.Request, tb *traceBuffer) {
 	w.WriteHeader(http.StatusOK)
-	w.Write(snapshot)
-	flush(w)
-	for {
+	for off := 0; ; {
+		p, closed, more := tb.Read(off)
+		if _, err := w.Write(p); err != nil || closed {
+			return
+		}
+		flush(w)
+		off += len(p)
+		if more == nil {
+			continue
+		}
 		select {
 		case <-r.Context().Done():
-			return true
-		case line, ok := <-lines:
-			if !ok {
-				return true // job finished (or this follower stalled out)
-			}
-			w.Write(line)
-			flush(w)
+			return
+		case <-more:
 		}
 	}
 }

@@ -279,7 +279,8 @@ func (s *Server) CanonicalReportJSON(key string) ([]byte, error) {
 // finished job with no trace.
 func (s *Server) TraceJSONL(key string) ([]byte, error) {
 	if tb, ok := s.liveTrace(key); ok {
-		return tb.Snapshot(), nil
+		p, _, _ := tb.Read(0)
+		return p, nil
 	}
 	if job, ok := s.journal.Get(key); ok && job.State != StateDone {
 		return nil, nil

@@ -43,14 +43,10 @@ func serialRun(t *testing.T, spec Spec) (*core.Report, []byte) {
 	t.Helper()
 	sp := spec.Normalize()
 	opts := sp.Options()
-	mem := &trace.Memory{}
-	opts.Trace = mem
+	var buf bytes.Buffer
+	opts.Trace = trace.NewWriter(&buf)
 	rep := core.Reproduce(serialTarget(t, sp.Failure), opts)
-	var buf []byte
-	for i := range mem.Events {
-		buf = append(buf, trace.Line(&mem.Events[i])+"\n"...)
-	}
-	return rep, buf
+	return rep, buf.Bytes()
 }
 
 func canonical(t *testing.T, rep *core.Report) []byte {

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"sync"
 
 	"anduril/internal/checkpoint"
@@ -16,105 +13,82 @@ import (
 // drained or killed job is re-run from its spec, and re-emits the same
 // bytes — so the trace on disk is always a finished search's.
 //
-// The buffer is also the live feed: subscribers get a point-in-time
-// snapshot plus a channel of every subsequent line, under one lock, so a
-// follower sees each event exactly once and in order.
+// The buffer is also the live feed: one append-only log that every reader
+// reads from its own offset (Read). The bytes below the log's length never
+// change, so a reader holds them without a copy, and a slow reader holds up
+// nobody: it is never dropped and never blocks the search.
 type traceBuffer struct {
-	mu      sync.Mutex
-	buf     []byte
-	subs    map[int]chan []byte
-	nextSub int
-	closed  bool
-	encErr  error // the first event that did not encode
+	mu     sync.Mutex
+	log    appendLog
+	enc    *trace.Writer // encodes into log; its first error stops the log
+	closed bool
+	wake   chan struct{} // made when a read finds nothing new; closed by the next Emit or Close
 }
 
-// subBuffer is the per-subscriber channel depth. A follower that stalls
-// past it is dropped (its channel closed) rather than allowed to block
-// the search's hot path.
-const subBuffer = 4096
+// appendLog is the io.Writer the encoder appends to. append writes past
+// the length or into a new array, never below the length.
+type appendLog []byte
+
+func (l *appendLog) Write(p []byte) (int, error) {
+	*l = append(*l, p...)
+	return len(p), nil
+}
 
 func newTraceBuffer() *traceBuffer {
-	return &traceBuffer{subs: map[int]chan []byte{}}
+	b := &traceBuffer{}
+	b.enc = trace.NewWriter(&b.log)
+	return b
 }
 
-// Emit implements trace.Sink: encode, buffer, fan out to followers.
+// Emit implements trace.Sink: encode onto the log, wake waiting readers.
 func (b *traceBuffer) Emit(ev *trace.Event) {
-	line, err := json.Marshal(ev)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if err != nil {
-		if b.encErr == nil {
-			b.encErr = fmt.Errorf("server: encode trace event: %w", err)
-		}
-		return
-	}
-	line = append(line, '\n')
-	b.buf = append(b.buf, line...)
-	for id, ch := range b.subs {
-		select {
-		case ch <- line:
-		default: // stalled follower: drop it, never block the search
-			close(ch)
-			delete(b.subs, id)
-		}
-	}
+	b.enc.Emit(ev)
+	b.wakeReaders()
 }
 
-// Snapshot returns the trace so far.
-func (b *traceBuffer) Snapshot() []byte {
+// Read returns the log's bytes from off on and whether the log is closed,
+// so those bytes are its last. When nothing is new and the log is open it
+// returns instead a channel the next Emit or Close closes.
+func (b *traceBuffer) Read(off int) (p []byte, closed bool, more <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return bytes.Clone(b.buf)
+	if off < len(b.log) || b.closed {
+		return b.log[off:len(b.log):len(b.log)], b.closed, nil
+	}
+	if b.wake == nil {
+		b.wake = make(chan struct{})
+	}
+	return nil, false, b.wake
 }
 
 // WriteFile writes the whole trace to path with checkpoint.StageBytes, so
 // a kill at any instant leaves the previous file or the complete new one;
 // the rename is durable once the caller fsyncs the directory. A trace with
 // an event that did not encode is a trace the file can never hold:
-// WriteFile returns that error and writes nothing. The search has
-// returned, so the bytes can be written outside the lock.
+// WriteFile returns that error and writes nothing.
 func (b *traceBuffer) WriteFile(path string) error {
 	b.mu.Lock()
-	buf, err := b.buf, b.encErr
+	log, err := b.log, b.enc.Err()
 	b.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return checkpoint.StageBytes(path, buf)
+	return checkpoint.StageBytes(path, log)
 }
 
-// Subscribe returns a point-in-time snapshot and a channel carrying
-// every line emitted after it, in order with no gap or overlap. cancel
-// detaches the follower; the channel is closed when the buffer closes
-// (the attempt ended) or the follower stalls past subBuffer lines.
-func (b *traceBuffer) Subscribe() (snapshot []byte, lines <-chan []byte, cancel func(), err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return nil, nil, nil, fmt.Errorf("server: trace closed")
-	}
-	ch := make(chan []byte, subBuffer)
-	id := b.nextSub
-	b.nextSub++
-	b.subs[id] = ch
-	cancel = func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		if live, ok := b.subs[id]; ok {
-			close(live)
-			delete(b.subs, id)
-		}
-	}
-	return bytes.Clone(b.buf), ch, cancel, nil
-}
-
-// Close ends every follower's stream.
+// Close marks the log closed and wakes every waiting reader.
 func (b *traceBuffer) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.closed = true
-	for id, ch := range b.subs {
-		close(ch)
-		delete(b.subs, id)
+	b.wakeReaders()
+}
+
+func (b *traceBuffer) wakeReaders() {
+	if b.wake != nil {
+		close(b.wake)
+		b.wake = nil
 	}
 }

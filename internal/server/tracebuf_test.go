@@ -62,7 +62,7 @@ func TestTraceWriteFileReplacesTheFile(t *testing.T) {
 	if got, want := readFile(t, path), concatLines(events); !bytes.Equal(got, want) {
 		t.Fatalf("written trace:\n%s\nwant:\n%s", got, want)
 	}
-	if got := tb.Snapshot(); !bytes.Equal(got, concatLines(events)) {
+	if got, _, _ := tb.Read(0); !bytes.Equal(got, concatLines(events)) {
 		t.Fatalf("snapshot after the write:\n%s", got)
 	}
 }
@@ -85,35 +85,64 @@ func TestWALEncodeErrorFailsFlush(t *testing.T) {
 	}
 }
 
-// A follower sees the snapshot plus every subsequent event, in order,
-// with no gap and no duplicate, and its stream ends when the buffer
-// closes.
-func TestWALSubscribe(t *testing.T) {
+// A follower that reads nothing while 5 000 events are emitted still gets
+// the snapshot plus every later line, in order with no gap and no
+// duplicate, and sees the end only once the log closes. So do followers
+// that read while the events are emitted: none misses a wake-up.
+func TestTraceLaggingFollowerGetsEveryLine(t *testing.T) {
 	events := traceEvents()
+	for round := 1; len(events) < 5003; round++ {
+		events = append(events, trace.Event{Type: trace.RoundStart, Round: round, Window: round})
+	}
 	tb := newTraceBuffer()
+	defer tb.Close() // on a failure, so the followers end too
+	followed := make(chan []byte, 3)
+	for range cap(followed) {
+		go func() {
+			var got []byte
+			for {
+				p, closed, more := tb.Read(len(got))
+				got = append(got, p...)
+				if closed {
+					followed <- got
+					return
+				}
+				if more != nil {
+					<-more
+				}
+			}
+		}()
+	}
 	for i := range events[:3] {
 		tb.Emit(&events[i])
 	}
-	snapshot, lines, cancel, err := tb.Subscribe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	if !bytes.Equal(snapshot, concatLines(events[:3])) {
-		t.Fatalf("snapshot:\n%s\nwant:\n%s", snapshot, concatLines(events[:3]))
+	snapshot, closed, _ := tb.Read(0)
+	if closed || !bytes.Equal(snapshot, concatLines(events[:3])) {
+		t.Fatalf("snapshot (closed %v):\n%s\nwant:\n%s", closed, snapshot, concatLines(events[:3]))
 	}
 	for i := range events[3:] {
 		tb.Emit(&events[3+i])
 	}
-	tb.Close()
 	got := append([]byte(nil), snapshot...)
-	for line := range lines {
-		got = append(got, line...)
+	p, closed, more := tb.Read(len(got))
+	got = append(got, p...)
+	if closed || more != nil {
+		t.Fatalf("read after 5 000 events: closed %v, wait channel %v; want neither", closed, more)
+	}
+	if p, closed, more = tb.Read(len(got)); len(p) != 0 || closed || more == nil {
+		t.Fatalf("read at the end of an open log: %d bytes, closed %v; want a wait", len(p), closed)
+	}
+	tb.Close()
+	<-more
+	if p, closed, _ = tb.Read(len(got)); len(p) != 0 || !closed {
+		t.Fatalf("read after Close: %d bytes, closed %v; want none and closed", len(p), closed)
 	}
 	if !bytes.Equal(got, concatLines(events)) {
-		t.Fatalf("followed stream:\n%s\nwant:\n%s", got, concatLines(events))
+		t.Fatalf("lagging follower's stream: %d bytes, want %d", len(got), len(concatLines(events)))
 	}
-	if _, _, _, err := tb.Subscribe(); err == nil {
-		t.Fatal("subscribed to a closed trace")
+	for range cap(followed) {
+		if got := <-followed; !bytes.Equal(got, concatLines(events)) {
+			t.Fatalf("live follower's stream: %d bytes, want %d", len(got), len(concatLines(events)))
+		}
 	}
 }
