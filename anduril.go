@@ -115,31 +115,14 @@ func Verify(t *Target, script Instance, seed int64) bool {
 	return core.Verify(t, script, seed)
 }
 
-// Script renders a report's deterministic reproduction plan (step 4.a).
-// Combined-fault scripts list both member faults; path-addressed scripts
-// show the canonical call path instead of the bare occurrence counter.
+// Script renders a report's deterministic reproduction plan (step 4.a): the
+// verdict line of core.Summary, which names the injected fault — a pair as
+// its two members, a path-addressed fault by its path.
 func Script(r *Report) string {
 	if r == nil || !r.Reproduced || r.Script == nil {
 		return "no reproduction script: the failure was not reproduced"
 	}
-	if a, b, ok := inject.PairMembers(*r.Script); ok {
-		return fmt.Sprintf("inject %s as a fault pair: %s and %s (found in %d rounds)",
-			r.Target, memberRef(a), memberRef(b), r.Rounds)
-	}
-	if r.Script.Path != "" {
-		return fmt.Sprintf("inject %s at path %s (found in %d rounds)",
-			r.Target, r.Script.Path, r.Rounds)
-	}
-	return fmt.Sprintf("inject %s at site %s, dynamic occurrence %d (found in %d rounds)",
-		r.Target, r.Script.Site, r.Script.Occurrence, r.Rounds)
-}
-
-// memberRef renders one pair member for Script.
-func memberRef(m Instance) string {
-	if m.Path != "" {
-		return m.Path
-	}
-	return fmt.Sprintf("%s#%d", m.Site, m.Occurrence)
+	return core.Summary(r, "")[0]
 }
 
 // Dataset returns one of the dataset failures (f1..f22 mirror the paper's

@@ -175,33 +175,27 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail("search failed: %s", report.Error)
 	}
 
-	fmt.Fprintf(out, "free run: %d log lines, %d relevant observables, %d candidate sites, %d candidate instances\n",
-		report.FreeRunLogLines, report.RelevantObservables, report.CandidateSites, report.CandidateInstances)
+	fmt.Fprintf(out, "free run: %d log lines, %d relevant observables, %d candidate sites, %d candidate instances; search took %.2fs\n",
+		report.FreeRunLogLines, report.RelevantObservables, report.CandidateSites, report.CandidateInstances, report.Elapsed.Seconds())
 	if *verbose {
 		for _, rd := range report.RoundLog {
 			injected := "no candidate occurred"
 			if rd.Injected != nil {
-				injected = fmt.Sprintf("injected %s#%d", rd.Injected.Site, rd.Injected.Occurrence)
-				if rd.Injected.Path != "" {
-					injected = "injected " + rd.Injected.Path
-				}
+				injected = "injected " + rd.Injected.String()
 			}
 			fmt.Fprintf(out, "  round %3d: window=%d rank(root)=%d %s satisfied=%v\n",
 				rd.N, rd.WindowSize, rd.RootRank, injected, rd.Satisfied)
 		}
 	}
-
-	if report.Interrupted {
-		fmt.Fprintf(out, "INTERRUPTED after %d rounds (%.2fs); re-run to search again\n",
-			report.Rounds, report.Elapsed.Seconds())
-		return exitInterrupted
+	for _, line := range core.Summary(report, target.Root.Site) {
+		fmt.Fprintln(out, line)
 	}
-	if !report.Reproduced {
-		fmt.Fprintf(out, "NOT reproduced after %d rounds (%.2fs): %s\n", report.Rounds, report.Elapsed.Seconds(), report.Reason)
+	switch {
+	case report.Interrupted:
+		return exitInterrupted
+	case !report.Reproduced:
 		return exitNotReproduced
 	}
-	fmt.Fprintf(out, "REPRODUCED in %d rounds (%.2fs)\n", report.Rounds, report.Elapsed.Seconds())
-	fmt.Fprintln(out, anduril.Script(report))
 
 	if anduril.Verify(target, *report.Script, report.ScriptSeed) {
 		fmt.Fprintln(out, "script verified: deterministic replay satisfies the oracle")

@@ -63,7 +63,8 @@ func TestInterruptedExitsFour(t *testing.T) {
 }
 
 // TestNotReproducedExitsThree: a search that runs out of fault space
-// without reproducing exits 3, names its end and writes no script.
+// without reproducing exits 3, names its end, says no round's injection was
+// judged and the root never ranked, and writes no script.
 func TestNotReproducedExitsThree(t *testing.T) {
 	script := filepath.Join(t.TempDir(), "script.json")
 	var stdout, stderr bytes.Buffer
@@ -71,11 +72,48 @@ func TestNotReproducedExitsThree(t *testing.T) {
 	if code := run(context.Background(), args, &stdout, &stderr); code != exitNotReproduced {
 		t.Fatalf("exit %d, want %d\nstdout: %s\nstderr: %s", code, exitNotReproduced, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "NOT reproduced after 10 rounds") || !strings.Contains(stdout.String(), trace.ReasonExhausted) {
-		t.Errorf("stdout %q does not say the search ended unreproduced with the fault space exhausted", stdout.String())
+	want := "NOT reproduced after 10 rounds: " + trace.ReasonExhausted + "\n" +
+		"closest injection: none, no round judged an injection\n" +
+		"root ts.repl.copy-queue: never ranked, never injected\n"
+	if !strings.HasSuffix(stdout.String(), want) {
+		t.Errorf("stdout %q does not end:\n%s", stdout.String(), want)
 	}
 	if _, err := os.Stat(script); !os.IsNotExist(err) {
 		t.Errorf("an unreproduced search wrote the script file (stat: %v)", err)
+	}
+}
+
+// TestMissSaysWhy: a miss ends with the closest injection, how many
+// relevant observables it left missing, and the root site's first and last
+// rank and whether a round injected it — on f2 at a seed that ends
+// window-unreached and on the known f31 round-cap miss.
+func TestMissSaysWhy(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-failure", "f2", "-seed", "150"}, "NOT reproduced after 7 rounds: window-unreached\n" +
+			"closest injection: zk.follower.connect-leader#1, leaving 2 of 3 relevant observables missing\n" +
+			"root zk.follower.forward-request: ranked 2 in round 1 and 2 in round 7, never injected\n"},
+		{[]string{"-failure", "f31", "-seed", "16000049"}, "NOT reproduced after 500 rounds: round-cap\n" +
+			"closest injection: dfs.datanode.connect-downstream#4 + dfs.datanode.mirror-rpc#5, leaving 7 of 24 relevant observables missing\n" +
+			"root pair/dfs.datanode.connect-downstream+dfs.datanode.connect-downstream: ranked 6 in round 1 and 15 in round 500, never injected\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(context.Background(), c.args, &stdout, &stderr); code != exitNotReproduced || !strings.HasSuffix(stdout.String(), c.want) {
+			t.Errorf("%v: exit %d, want %d\nstdout: %s\nstderr: %s\nwant it to end:\n%s", c.args, code, exitNotReproduced, stdout.String(), stderr.String(), c.want)
+		}
+	}
+}
+
+// TestVerboseNamesPairMembers: -v shows a pair injection as its two
+// members, the way every front end shows a fault.
+func TestVerboseNamesPairMembers(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	run(context.Background(), []string{"-failure", "f30", "-max-rounds", "1", "-v"}, &stdout, &stderr)
+	want := "  round   1: window=10 rank(root)=2 injected dyn.handoff.replay-hint#16 + dyn.handoff.replay-hint#17 satisfied=false\n"
+	if !strings.Contains(stdout.String(), want) {
+		t.Errorf("stdout %q does not contain %q", stdout.String(), want)
 	}
 }
 

@@ -258,13 +258,35 @@ func (c *ctl) submit(args []string) int {
 	if err != nil {
 		return c.errorf("%v", err)
 	}
-	job := jobs[sr.Job.Key]
-	fmt.Fprintf(c.stdout, "%s: %s (reproduced=%v rounds=%d)\n", job.Key, job.State, job.Reproduced, job.Rounds)
-	if job.State != server.StateDone {
-		fmt.Fprintf(c.stdout, "error: %s\n", job.Error)
+	if !c.printJob(jobs[sr.Job.Key]) {
 		return exitRuntime
 	}
 	return exitOK
+}
+
+// printJob prints a terminal job: its state, then a done job's
+// core.Summary — what anduril printed for the same search — read from its
+// stored report, or a failed job's error. It reports whether the job is
+// done and its report could be read.
+func (c *ctl) printJob(job server.Job) bool {
+	fmt.Fprintf(c.stdout, "%s: %s\n", job.Key, job.State)
+	if job.State != server.StateDone {
+		fmt.Fprintf(c.stdout, "error: %s\n", job.Error)
+		return false
+	}
+	var rep core.Report
+	if err := c.getJSON("/jobs/"+job.Key+"/report", &rep); err != nil {
+		c.errorf("%v", err)
+		return false
+	}
+	var root string
+	if sc, ok := failures.ByID(job.Spec.Failure); ok {
+		root = sc.Root.Site
+	}
+	for _, line := range core.Summary(&rep, root) {
+		fmt.Fprintln(c.stdout, line)
+	}
+	return true
 }
 
 func (c *ctl) status(args []string) int {
@@ -351,6 +373,11 @@ func (c *ctl) trace(args []string) int {
 	if _, err := io.Copy(c.stdout, resp.Body); err != nil {
 		return c.errorf("%v", err)
 	}
+	// A followed stream ends however the job ended; the daemon says how
+	// in a trailer after the last line.
+	if state := resp.Trailer.Get(server.TrailerJobState); *follow && state != server.StateDone {
+		return c.errorf("followed job %s is %q, not done", fs.Arg(0), state)
+	}
 	return exitOK
 }
 
@@ -374,10 +401,7 @@ func (c *ctl) wait(args []string) int {
 	}
 	code := exitOK
 	for _, key := range fs.Args() {
-		job := jobs[key]
-		fmt.Fprintf(c.stdout, "%s: %s\n", key, job.State)
-		if job.State != server.StateDone {
-			fmt.Fprintf(c.stdout, "error: %s\n", job.Error)
+		if !c.printJob(jobs[key]) {
 			code = exitRuntime
 		}
 	}

@@ -42,10 +42,10 @@ func TestCtlSubmitWaitStatusReportTrace(t *testing.T) {
 	if code != exitOK {
 		t.Fatalf("submit -wait = %d\nstdout: %s\nstderr: %s", code, out, errb)
 	}
-	if !strings.Contains(out, "accepted ") || !strings.Contains(out, "done") {
+	key := server.Spec{Failure: "f4"}.Key()
+	if !strings.HasPrefix(out, "accepted "+key) || !strings.Contains(out, key+": done\nREPRODUCED in ") {
 		t.Fatalf("submit output: %s", out)
 	}
-	key := server.Spec{Failure: "f4"}.Key()
 
 	// A repeat submission dedupes.
 	code, out, _ = runCtl(t, "submit", "-server", base, "-failure", "f4")
@@ -69,8 +69,12 @@ func TestCtlSubmitWaitStatusReportTrace(t *testing.T) {
 	if code != exitOK || !strings.Contains(out, `"event":"outcome"`) {
 		t.Fatalf("trace = %d: %s", code, out)
 	}
+	code, out, _ = runCtl(t, "trace", "-server", base, "-follow", key)
+	if code != exitOK || !strings.Contains(out, `"event":"outcome"`) {
+		t.Fatalf("trace -follow of a done job = %d: %s", code, out)
+	}
 	code, out, _ = runCtl(t, "wait", "-server", base, key)
-	if code != exitOK || !strings.Contains(out, "done") {
+	if code != exitOK || !strings.Contains(out, key+": done\nREPRODUCED in ") {
 		t.Fatalf("wait = %d: %s", code, out)
 	}
 	code, out, _ = runCtl(t, "health", "-server", base)
@@ -134,6 +138,54 @@ func TestCtlPrintsWhyAJobFailed(t *testing.T) {
 		code, out, errb := runCtl(t, args...)
 		if code != exitRuntime || !strings.Contains(out, "error: "+why+"\n") {
 			t.Errorf("%s = %d, want %d with the job's error on stdout\nstdout: %s\nstderr: %s", args[0], code, exitRuntime, out, errb)
+		}
+	}
+}
+
+// A miss says why, from the stored report: submit -wait and wait print
+// the lines anduril prints for the same search — the closest injection,
+// and the root site's first and last rank and whether a round injected it.
+func TestCtlPrintsWhyAJobMissed(t *testing.T) {
+	base := startDaemon(t)
+	for _, c := range []struct {
+		spec server.Spec
+		want string
+	}{
+		{server.Spec{Failure: "f2", Seed: 150}, "NOT reproduced after 7 rounds: window-unreached\n" +
+			"closest injection: zk.follower.connect-leader#1, leaving 2 of 3 relevant observables missing\n" +
+			"root zk.follower.forward-request: ranked 2 in round 1 and 2 in round 7, never injected\n"},
+		{server.Spec{Failure: "f31", Seed: 16000049}, "NOT reproduced after 500 rounds: round-cap\n" +
+			"closest injection: dfs.datanode.connect-downstream#4 + dfs.datanode.mirror-rpc#5, leaving 7 of 24 relevant observables missing\n" +
+			"root pair/dfs.datanode.connect-downstream+dfs.datanode.connect-downstream: ranked 6 in round 1 and 15 in round 500, never injected\n"},
+	} {
+		key := c.spec.Normalize().Key()
+		code, out, errb := runCtl(t, "submit", "-server", base, "-failure", c.spec.Failure, "-seed", fmt.Sprint(c.spec.Seed), "-wait")
+		if code != exitOK || !strings.HasSuffix(out, key+": done\n"+c.want) {
+			t.Errorf("submit -wait %s = %d\nstdout: %s\nstderr: %s\nwant it to end:\n%s", c.spec.Failure, code, out, errb, c.want)
+		}
+		if code, out, _ = runCtl(t, "wait", "-server", base, key); code != exitOK || out != key+": done\n"+c.want {
+			t.Errorf("wait %s = %d\nstdout: %s\nwant:\n%s", c.spec.Failure, code, out, c.want)
+		}
+	}
+}
+
+// trace -follow exits 0 only on a stream whose trailer says the job is
+// done: a failed job, one a drain interrupted and a stream with no trailer
+// exit 1, after printing the lines they streamed.
+func TestCtlFollowExitsByJobState(t *testing.T) {
+	const line = `{"event":"free_run"}` + "\n"
+	for state, want := range map[string]int{server.StateDone: exitOK, server.StateFailed: exitRuntime, server.StateRunning: exitRuntime, "": exitRuntime} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Trailer", server.TrailerJobState)
+			fmt.Fprint(w, line)
+			if state != "" {
+				w.Header().Set(server.TrailerJobState, state)
+			}
+		}))
+		code, out, errb := runCtl(t, "trace", "-server", ts.URL, "-follow", "k")
+		ts.Close()
+		if code != want || out != line {
+			t.Errorf("job %q: trace -follow = %d, stdout %q, stderr %q; want %d and the streamed line", state, code, out, errb, want)
 		}
 	}
 }

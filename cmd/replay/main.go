@@ -21,7 +21,6 @@ import (
 
 	"anduril"
 	"anduril/internal/core"
-	"anduril/internal/inject"
 	"anduril/internal/logging"
 )
 
@@ -84,8 +83,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	fmt.Fprintf(stdout, "replaying %s (%s) under seed %d with %d scripted fault(s):\n",
 		target.ID, target.Issue, replaySeed, len(sf.Faults))
-	for _, line := range describeFaults(sf) {
-		fmt.Fprintln(stdout, "  "+line)
+	for _, f := range sf.Faults {
+		fmt.Fprintln(stdout, "  "+f.String())
 	}
 
 	res, satisfied, err := core.Replay(target, replaySeed, sf.Faults...)
@@ -115,25 +114,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// describeFaults renders one line per scripted fault: a site by its
-// occurrence, a path-addressed fault by its path address, a pair as its
-// two members.
-func describeFaults(sf *core.ScriptFile) []string {
-	one := func(f inject.Instance) string {
-		if f.Path != "" {
-			return fmt.Sprintf("%s at path %s", f.Site, f.Path)
-		}
-		return fmt.Sprintf("%s at occurrence %d", f.Site, f.Occurrence)
-	}
-	lines := make([]string, len(sf.Faults))
-	for i, f := range sf.Faults {
-		if a, b, ok := inject.PairMembers(f); ok {
-			lines[i] = fmt.Sprintf("pair of %s and %s", one(a), one(b))
-		} else {
-			lines[i] = one(f)
-		}
-	}
-	return lines
 }

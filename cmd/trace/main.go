@@ -186,7 +186,7 @@ func render(ev *trace.Event) string {
 		}
 		fmt.Fprintf(&b, " candidates=%d:", ev.CandidateCount)
 		for _, c := range ev.Candidates {
-			fmt.Fprintf(&b, " %s", candidateRef(c))
+			fmt.Fprintf(&b, " %s", inject.Instance{Site: c.Site, Occurrence: c.Occ, Path: c.Path})
 		}
 		if ev.CandidateCount > len(ev.Candidates) {
 			fmt.Fprintf(&b, " … (+%d more)", ev.CandidateCount-len(ev.Candidates))
@@ -202,7 +202,7 @@ func render(ev *trace.Event) string {
 	case trace.Injected:
 		// The site ID decodes to what was injected: an env or partial
 		// class and its operands (an env pair reads a/b, a partial channel
-		// from>to), or a pair's two members (its path holds their refs).
+		// from>to).
 		fmt.Fprintf(&b, "round %3d: injected ", ev.Round)
 		if f, ok := inject.ParsePseudo(ev.Site); ok {
 			family, sep := "env", "/"
@@ -213,21 +213,13 @@ func render(ev *trace.Event) string {
 			if f.Peer != "" {
 				subject += sep + f.Peer
 			}
-			fmt.Fprintf(&b, "%s %s on %s (%s#%d", family, f.Class, subject, ev.Site, ev.Occ)
+			fmt.Fprintf(&b, "%s %s on %s (%s", family, f.Class, subject, eventFault(ev))
 			if f.Family == inject.EnvFaults && f.Duration > 0 {
 				fmt.Fprintf(&b, ", %dms", f.Duration/des.Millisecond)
 			}
 			b.WriteString(")")
-		} else if m1, m2, ok := inject.PairMembers(inject.Instance{Site: ev.Site, Occurrence: ev.Occ, Path: ev.Path}); ok {
-			ref := func(m inject.Instance) string {
-				return candidateRef(trace.Candidate{Site: m.Site, Occ: m.Occurrence, Path: m.Path})
-			}
-			fmt.Fprintf(&b, "pair %s#%d [%s + %s]", ev.Site, ev.Occ, ref(m1), ref(m2))
 		} else {
-			fmt.Fprintf(&b, "%s#%d", ev.Site, ev.Occ)
-			if ev.Path != "" {
-				fmt.Fprintf(&b, " at path %s", ev.Path)
-			}
+			b.WriteString(eventFault(ev).String())
 		}
 		if ev.Satisfied {
 			b.WriteString(" — ORACLE SATISFIED")
@@ -245,7 +237,7 @@ func render(ev *trace.Event) string {
 	case trace.Inconclusive:
 		fmt.Fprintf(&b, "round %3d: inconclusive — %s", ev.Round, ev.Class)
 		if ev.Site != "" {
-			fmt.Fprintf(&b, " after injecting %s#%d", ev.Site, ev.Occ)
+			fmt.Fprintf(&b, " after injecting %s", eventFault(ev))
 		}
 		if ev.Seed != 0 {
 			fmt.Fprintf(&b, " trial-seed=%d", ev.Seed)
@@ -259,7 +251,7 @@ func render(ev *trace.Event) string {
 	case trace.Outcome:
 		fmt.Fprintf(&b, "outcome: reproduced=%v rounds=%d reason=%s", ev.Reproduced, ev.Rounds, ev.Reason)
 		if ev.Reproduced {
-			fmt.Fprintf(&b, " script=%s seed=%d", candidateRef(trace.Candidate{Site: ev.Site, Occ: ev.Occ, Path: ev.Path}), ev.ScriptSeed)
+			fmt.Fprintf(&b, " script=%s seed=%d", eventFault(ev), ev.ScriptSeed)
 		}
 	default:
 		return trace.Line(ev)
@@ -276,13 +268,9 @@ func eventTypeList() string {
 	return strings.Join(names, ", ")
 }
 
-// candidateRef renders one window candidate or pair member: its canonical
-// path under path addressing, site#occ otherwise.
-func candidateRef(c trace.Candidate) string {
-	if c.Path != "" {
-		return c.Path
-	}
-	return fmt.Sprintf("%s#%d", c.Site, c.Occ)
+// eventFault is the fault an event names.
+func eventFault(ev *trace.Event) inject.Instance {
+	return inject.Instance{Site: ev.Site, Occurrence: ev.Occ, Path: ev.Path}
 }
 
 func clip(s string, n int) string {

@@ -33,27 +33,29 @@ func TestRenderInjectedEvents(t *testing.T) {
 		{"site", trace.Event{Type: trace.Injected, Round: 3, Site: "zk.sync.append-txn", Occ: 2},
 			"round   3: injected zk.sync.append-txn#2 — oracle not satisfied"},
 		{"site path satisfied", trace.Event{Type: trace.Injected, Round: 12, Site: "a.x", Occ: 1, Path: "r>a.x#1", Satisfied: true},
-			"round  12: injected a.x#1 at path r>a.x#1 — ORACLE SATISFIED"},
+			"round  12: injected r>a.x#1 — ORACLE SATISFIED"},
 		{"env crash", trace.Event{Type: trace.Injected, Round: 1, Site: "env/crash/zk1", Occ: 4, Satisfied: true},
 			"round   1: injected env crash on zk1 (env/crash/zk1#4, 600ms) — ORACLE SATISFIED"},
 		{"env drop", trace.Event{Type: trace.Injected, Round: 2, Site: "env/msg-drop/nn>dn1", Occ: 1},
 			"round   2: injected env msg-drop on nn/dn1 (env/msg-drop/nn>dn1#1) — oracle not satisfied"},
 		{"env partition path", trace.Event{Type: trace.Injected, Round: 3, Site: "env/partition/zk1~zk2", Occ: 2,
 			Path: "r>env/partition/zk1~zk2#2"},
-			"round   3: injected env partition on zk1/zk2 (env/partition/zk1~zk2#2, 500ms) — oracle not satisfied"},
+			"round   3: injected env partition on zk1/zk2 (r>env/partition/zk1~zk2#2, 500ms) — oracle not satisfied"},
 		{"partial disk", trace.Event{Type: trace.Injected, Round: 2, Site: "partial/disk/torn-rename/dfs.namenode.rename-edits", Occ: 1, Satisfied: true},
 			"round   2: injected partial torn-rename on dfs.namenode.rename-edits (partial/disk/torn-rename/dfs.namenode.rename-edits#1) — ORACLE SATISFIED"},
 		{"partial channel", trace.Event{Type: trace.Injected, Round: 1, Site: "partial/net/dup-deliver/mq-producer-1>broker-a", Occ: 1},
 			"round   1: injected partial dup-deliver on mq-producer-1>broker-a (partial/net/dup-deliver/mq-producer-1>broker-a#1) — oracle not satisfied"},
 		{"pair", trace.Event{Type: trace.Injected, Round: 7, Site: "pair/a.x+env/crash/n1", Occ: 5, Path: "a.x:1+env/crash/n1:2"},
-			"round   7: injected pair pair/a.x+env/crash/n1#5 [a.x#1 + env/crash/n1#2] — oracle not satisfied"},
+			"round   7: injected a.x#1 + env/crash/n1#2 — oracle not satisfied"},
 		{"pair path", trace.Event{Type: trace.Injected, Round: 8, Site: "pair/a.x+b.y", Occ: 1, Path: "r>a.x#1+r>b.y#3"},
-			"round   8: injected pair pair/a.x+b.y#1 [r>a.x#1 + r>b.y#3] — oracle not satisfied"},
+			"round   8: injected r>a.x#1 + r>b.y#3 — oracle not satisfied"},
+		{"inconclusive pair", trace.Event{Type: trace.Inconclusive, Round: 4, Class: "panic", Site: "pair/a.x+b.y", Occ: 2, Path: "a.x:1+b.y:3"},
+			"round   4: inconclusive — panic after injecting a.x#1 + b.y#3"},
 		{"older env_injected", trace.Event{Type: "env_injected", Round: 1, Site: "env/crash/zk1", Occ: 4, Class: "crash"},
 			`{"event":"env_injected","round":1,"site":"env/crash/zk1","occ":4,"class":"crash"}`},
-		// The outcome names the script as the injected line does: by its
-		// path when it has one (f26 and f30 in path mode, f30's pair members
-		// in occurrence mode), by site#occ otherwise.
+		// The outcome names the script as the injected line does, through
+		// inject.Instance.String: by its path when it has one, a pair by its
+		// two members, by site#occ otherwise.
 		{"outcome site", trace.Event{Type: trace.Outcome, Site: "dyn.gossip.pull-ring", Occ: 2,
 			Reproduced: true, Rounds: 1, Reason: trace.ReasonReproduced, ScriptSeed: 2},
 			"outcome: reproduced=true rounds=1 reason=reproduced script=dyn.gossip.pull-ring#2 seed=2"},
@@ -64,7 +66,7 @@ func TestRenderInjectedEvents(t *testing.T) {
 		{"outcome pair", trace.Event{Type: trace.Outcome, Site: "pair/dyn.handoff.replay-hint+dyn.store.persist-record", Occ: 540,
 			Path: "dyn.handoff.replay-hint:18+dyn.store.persist-record:30", Reproduced: true, Rounds: 447,
 			Reason: trace.ReasonReproduced, ScriptSeed: 448},
-			"outcome: reproduced=true rounds=447 reason=reproduced script=dyn.handoff.replay-hint:18+dyn.store.persist-record:30 seed=448"},
+			"outcome: reproduced=true rounds=447 reason=reproduced script=dyn.handoff.replay-hint#18 + dyn.store.persist-record#30 seed=448"},
 		{"outcome not reproduced", trace.Event{Type: trace.Outcome, Rounds: 500, Reason: trace.ReasonRoundCap},
 			"outcome: reproduced=false rounds=500 reason=round-cap"},
 	}

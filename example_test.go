@@ -56,7 +56,7 @@ func ExampleScript() {
 	fmt.Println(anduril.Script(report))
 	fmt.Println("script verifies:", anduril.Verify(target, *report.Script, report.ScriptSeed))
 	// Output:
-	// inject f3 at site zk.election.accept-connection, dynamic occurrence 1 (found in 1 rounds)
+	// REPRODUCED in 1 rounds: inject zk.election.accept-connection#1
 	// script verifies: true
 }
 
@@ -94,7 +94,7 @@ func ExampleNewTarget() {
 	fmt.Println("occurrence 1 reproduces:", anduril.Verify(target, early, 4242))
 	// Output:
 	// reproduced in 1 rounds out of 396 candidate instances
-	// inject walstuck at site ts.wal.stream-write, dynamic occurrence 12 (found in 1 rounds)
+	// REPRODUCED in 1 rounds: inject ts.wal.stream-write#12
 	// occurrence 1 reproduces: false
 }
 
@@ -122,14 +122,14 @@ func ExampleReproduce_pairClass() {
 	}
 	single := anduril.Reproduce(target, anduril.Options{Seed: 1, MaxRounds: 100})
 	fmt.Printf("single-fault search: reproduced=%v after %d rounds\n", single.Reproduced, single.Rounds)
-	fmt.Printf("best partial fault: %s#%d\n", single.BestPartial.Site, single.BestPartial.Occurrence)
+	fmt.Println("best partial fault:", single.BestPartial)
 	pair := anduril.Reproduce(target, anduril.Options{Seed: 1, MaxRounds: 100,
 		FaultClasses: []string{anduril.ClassSite, anduril.ClassPair}})
 	fmt.Println(anduril.Script(pair))
 	// Output:
 	// single-fault search: reproduced=false after 34 rounds
 	// best partial fault: toy.scrub-store#4
-	// inject toy-two-fault as a fault pair: toy.ping-peer#6 and toy.scrub-store#7 (found in 49 rounds)
+	// REPRODUCED in 49 rounds: inject toy.ping-peer#6 + toy.scrub-store#7
 }
 
 // ExampleReproduce_strategy runs a comparison baseline instead of the full

@@ -236,7 +236,7 @@ func scriptReplays(t *testing.T, c *cell) {
 	if err != nil {
 		t.Fatalf("exported script does not load: %v\n%s", err, c.script)
 	}
-	res, err := cluster.Run(nil, nil, sf.Seed, sf.Plan(), c.tgt.Workload, c.tgt.Horizon, 0)
+	res, err := cluster.Run(nil, nil, sf.Seed, inject.Exact(sf.Faults...), c.tgt.Workload, c.tgt.Horizon, 0)
 	if err != nil || !c.tgt.Oracle.Satisfied(res) {
 		t.Fatalf("script %v does not replay under the seed its file records, %d (the search reproduced under %d)",
 			sf.Faults, sf.Seed, c.rep.ScriptSeed)

@@ -19,7 +19,7 @@ import (
 // has been seen by the 4th seed; what still arrives between the 4th and the
 // 8th are fault-path messages a later seed's injections reach first, on the
 // three failures below. Recorded, not fixed: nothing frees the table (ROADMAP
-// "Found, not fixed").
+// item 8, "Observables keyed by template, not by value").
 //
 // The forms are collected from the logs themselves — every judged round's
 // and the free run's — so the count does not depend on what other tests of

@@ -51,6 +51,61 @@ func ScriptOf(r *Report) (*ScriptFile, error) {
 	}, nil
 }
 
+// Summary tells a person how a search ended, one line per fact, in the
+// words every front end prints: the verdict, which on a reproduction names
+// the fault the script injects (anduril.Script). A miss adds the closest
+// injection and, when rootSite names the target's ground-truth root, how
+// the search ranked that site and whether a round injected it. It reads
+// only what a stored report keeps, so a daemon client prints what the CLI
+// printed for the same spec.
+func Summary(r *Report, rootSite string) []string {
+	switch {
+	case r.Interrupted:
+		return []string{fmt.Sprintf("INTERRUPTED after %d rounds; re-run to search again", r.Rounds)}
+	case r.Reproduced && r.Script != nil:
+		return []string{fmt.Sprintf("REPRODUCED in %d rounds: inject %s", r.Rounds, r.Script)}
+	}
+	lines := []string{fmt.Sprintf("NOT reproduced after %d rounds: %s", r.Rounds, r.Reason)}
+	if r.BestPartial != nil {
+		lines = append(lines, fmt.Sprintf("closest injection: %s, leaving %d of %d relevant observables missing",
+			r.BestPartial, r.BestPartialMissing, r.RelevantObservables))
+	} else {
+		lines = append(lines, "closest injection: none, no round judged an injection")
+	}
+	if rootSite == "" {
+		return lines
+	}
+	var first, last *Round
+	injectedIn := 0
+	for i := range r.RoundLog {
+		rd := &r.RoundLog[i]
+		if rd.RootRank > 0 {
+			if first == nil {
+				first = rd
+			}
+			last = rd
+		}
+		if injectedIn == 0 && rd.Injected != nil && injectsSite(*rd.Injected, rootSite) {
+			injectedIn = rd.N
+		}
+	}
+	ranked, injected := "never ranked", "never injected"
+	if first != nil {
+		ranked = fmt.Sprintf("ranked %d in round %d and %d in round %d", first.RootRank, first.N, last.RootRank, last.N)
+	}
+	if injectedIn > 0 {
+		injected = fmt.Sprintf("first injected in round %d", injectedIn)
+	}
+	return append(lines, fmt.Sprintf("root %s: %s, %s", rootSite, ranked, injected))
+}
+
+// injectsSite reports whether inst injects at site, itself or through one
+// of its pair members.
+func injectsSite(inst inject.Instance, site string) bool {
+	a, b, _ := inject.PairMembers(inst)
+	return inst.Site == site || a.Site == site || b.Site == site
+}
+
 // Marshal renders the artifact as indented JSON.
 func (s *ScriptFile) Marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
@@ -104,7 +159,3 @@ func checkFault(f inject.Instance) error {
 	}
 	return nil
 }
-
-// Plan builds the injection plan the script describes: every fault of the
-// list in one run.
-func (s *ScriptFile) Plan() *inject.Plan { return inject.Exact(s.Faults...) }

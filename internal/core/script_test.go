@@ -37,7 +37,7 @@ func TestScriptRoundTrip(t *testing.T) {
 	}
 	// The loaded plan must replay deterministically under the loaded seed.
 	s, _ := failures.ByID("f1")
-	res, err := cluster.Run(nil, nil, loaded.Seed, loaded.Plan(), s.Workload, s.Horizon, 0)
+	res, err := cluster.Run(nil, nil, loaded.Seed, inject.Exact(loaded.Faults...), s.Workload, s.Horizon, 0)
 	if err != nil || !s.Oracle.Satisfied(res) {
 		t.Fatal("loaded plan does not reproduce")
 	}
@@ -74,7 +74,7 @@ func TestMultiFaultScriptPlan(t *testing.T) {
 			{Site: "b", Occurrence: 2},
 		},
 	}
-	plan := s.Plan()
+	plan := inject.Exact(s.Faults...)
 	rt := inject.NewRuntime(plan)
 	if rt.Reach("a", inject.IO) == nil {
 		t.Fatal("a#1 should inject")
@@ -120,7 +120,7 @@ func TestLoadScriptValidatesFaults(t *testing.T) {
 		switch {
 		case c.wantErr == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)
-		case c.wantErr == "" && sf.Plan().Budget() == 0:
+		case c.wantErr == "" && inject.Exact(sf.Faults...).Budget() == 0:
 			t.Errorf("%s: loaded to a plan that can inject nothing", c.name)
 		case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
 			t.Errorf("%s: err = %v, want it to name %q", c.name, err, c.wantErr)

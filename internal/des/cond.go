@@ -25,9 +25,6 @@ func NewCond(sim *Sim, label string) *Cond {
 	return &Cond{sim: sim, label: label}
 }
 
-// Waiters returns the number of parked actors.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // Wait parks the current step of actor until a Signal/Broadcast. fn runs on
 // the actor when woken.
 func (c *Cond) Wait(actor string, fn func()) {

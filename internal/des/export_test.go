@@ -26,3 +26,12 @@ func (s *Sim) NaivePathString(id int32) string {
 
 // PathNodes is the number of call-tree nodes, the root included.
 func (s *Sim) PathNodes() int { return len(s.pathNodes) }
+
+// PathString renders AppendPath as a string.
+func (s *Sim) PathString(id int32) string { return string(s.AppendPath(nil, id)) }
+
+// PathTracking reports whether path bookkeeping is on.
+func (s *Sim) PathTracking() bool { return s.pathTracking }
+
+// Waiters returns the number of parked actors.
+func (c *Cond) Waiters() int { return len(c.waiters) }

@@ -99,9 +99,6 @@ func (s *Sim) EnablePathTracking() {
 	}
 }
 
-// PathTracking reports whether path bookkeeping is on.
-func (s *Sim) PathTracking() bool { return s.pathTracking }
-
 // CurPath returns the path node of the executing event (0 at the root or
 // when tracking is off).
 func (s *Sim) CurPath() int32 { return s.curPath }
@@ -184,9 +181,6 @@ func (s *Sim) AppendPath(dst []byte, id int32) []byte {
 	}
 	return dst
 }
-
-// PathString renders AppendPath as a string.
-func (s *Sim) PathString(id int32) string { return string(s.AppendPath(nil, id)) }
 
 // PostArgPath is PostArg with an explicit path context for the new event
 // instead of inheriting the dispatcher's current one. The network layer

@@ -16,7 +16,6 @@ import (
 
 	"anduril/internal/core"
 	"anduril/internal/failures"
-	"anduril/internal/inject"
 	"anduril/internal/parallel"
 	"anduril/internal/trace"
 )
@@ -157,9 +156,6 @@ func cells(rep *core.Report) (rounds, elapsed string) {
 	}
 	return fmt.Sprint(rep.Rounds), fmtDur(rep.Elapsed)
 }
-
-// ref renders a single injected instance as "site#occurrence".
-func ref(inst inject.Instance) string { return fmt.Sprintf("%s#%d", inst.Site, inst.Occurrence) }
 
 // variant is one row or column of an experiment grid: the explorer options
 // its cells run under, and the name their trace files carry.

@@ -321,10 +321,7 @@ func Table10BeyondPaper(opt Options) (*Table, error) {
 	for i, s := range scens {
 		rep, script := reps[0][i], "-"
 		if rep.Reproduced {
-			script = ref(*rep.Script)
-			if a, b, ok := inject.PairMembers(*rep.Script); ok {
-				script = ref(a) + " + " + ref(b)
-			}
+			script = rep.Script.String()
 		}
 		rnd, _ := cells(rep)
 		t.Rows = append(t.Rows, []string{label(s), strings.Join(s.FaultClasses, ","), script, rnd})
@@ -433,12 +430,12 @@ func Figure6RankTrajectory(opt Options, failureID string) (*Table, error) {
 	for _, rd := range rep.RoundLog {
 		injected := "-"
 		if rd.Injected != nil {
-			injected = ref(*rd.Injected)
+			injected = rd.Injected.String()
 		}
 		t.Rows = append(t.Rows, []string{fmt.Sprint(rd.N), fmt.Sprint(rd.RootRank), injected, fmt.Sprint(rd.Satisfied)})
 	}
 	if rep.Reproduced {
-		t.Notes = append(t.Notes, fmt.Sprintf("reproduced in %d trials via %s", rep.Rounds, ref(*rep.Script)))
+		t.Notes = append(t.Notes, fmt.Sprintf("reproduced in %d trials via %s", rep.Rounds, rep.Script))
 	}
 	return t, nil
 }

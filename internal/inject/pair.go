@@ -73,6 +73,20 @@ func PairInstance(a, b Instance) Instance {
 	return Instance{Site: PairSiteID(a.Site, b.Site), Path: ra + "+" + rb}
 }
 
+// String names the instance for a person: "site#occ", the canonical path
+// under path addressing, and a pair as its two members, "A + B". A pair
+// whose path does not decode reads as "site#occ". Every front end shows a
+// fault through it; scripts, plans and traces keep the wire forms.
+func (inst Instance) String() string {
+	if a, b, ok := PairMembers(inst); ok {
+		return a.String() + " + " + b.String()
+	}
+	if inst.Path != "" && !IsPairSite(inst.Site) {
+		return inst.Path
+	}
+	return inst.Site + "#" + strconv.Itoa(inst.Occurrence)
+}
+
 // PairMembers decodes a pair Instance back into its two member
 // instances (ok false if inst is not a well-formed pair).
 func PairMembers(inst Instance) (a, b Instance, ok bool) {

@@ -120,6 +120,31 @@ func TestPairInstanceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInstanceString: a fault reads the same wherever it is shown — by
+// site#occ, by its canonical path under path addressing, and a pair as its
+// two members in their canonical order.
+func TestInstanceString(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		inst Instance
+		want string
+	}{
+		{"site", Instance{Site: "zk.sync.append-txn", Occurrence: 3}, "zk.sync.append-txn#3"},
+		{"path", Instance{Site: "dyn.store.persist", Occurrence: 7, Path: "client.put>coord.write[2]>dyn.store.persist#1"},
+			"client.put>coord.write[2]>dyn.store.persist#1"},
+		{"pair", PairInstance(Instance{Site: "dyn.store.persist-record", Occurrence: 30}, Instance{Site: "dyn.handoff.replay-hint", Occurrence: 18}),
+			"dyn.handoff.replay-hint#18 + dyn.store.persist-record#30"},
+		{"pair of paths", PairInstance(Instance{Site: "env/crash/zk2", Path: "env/crash/zk2#1"}, Instance{Site: "a.x", Path: "r[3]>a.x#2"}),
+			"env/crash/zk2#1 + r[3]>a.x#2"},
+		{"self-pair", Instance{Site: PairSiteID("a.x", "a.x"), Occurrence: 9, Path: "a.x:1+a.x:2"}, "a.x#1 + a.x#2"},
+		{"malformed pair", Instance{Site: "pair/a.x+b.y", Occurrence: 5, Path: "a.x:0+b.y:2"}, "pair/a.x+b.y#5"},
+	} {
+		if got := c.inst.String(); got != c.want {
+			t.Errorf("%s: %#v reads %q, want %q", c.name, c.inst, got, c.want)
+		}
+	}
+}
+
 // TestUniformDecideShortCircuit: one Decide stream per round, shared by
 // error sites and env pseudo-sites. Once the budget is spent on either
 // class, reaches of the other class must not consult the plan — they are

@@ -21,13 +21,20 @@ import (
 //	                        wall-clock-normalized comparison form
 //	GET  /jobs/{key}/trace  trace JSONL, empty until the job runs;
 //	                        ?follow=1 streams live events until the job
-//	                        finishes, never dropping a slow follower
+//	                        ends, never dropping a slow follower, then
+//	                        sends its state in the Anduril-Job-State
+//	                        trailer
 //	GET  /healthz           liveness: 200 once the journal is open
 //	GET  /readyz            readiness: 200 accepting, 503 draining
 type submitResponse struct {
 	Job     Job  `json:"job"`
 	Deduped bool `json:"deduped"`
 }
+
+// TrailerJobState is the trailer a followed trace ends with: the job's
+// state once its log closed — done, failed, or running for a job a drain
+// interrupted.
+const TrailerJobState = "Anduril-Job-State"
 
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler {
@@ -131,11 +138,16 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job"))
 		return
 	}
-	follow := r.URL.Query().Get("follow") != ""
 	w.Header().Set("Content-Type", "application/x-ndjson")
-
-	if follow && !job.Terminal() {
-		if tb, live := s.liveTrace(key); live {
+	if r.URL.Query().Get("follow") != "" {
+		// A followed stream ends however the job ended. The trailer after
+		// its last line says how, so the bytes stay the stored trace.
+		w.Header().Set("Trailer", TrailerJobState)
+		defer func() {
+			job, _ := s.Job(key)
+			w.Header().Set(TrailerJobState, job.State)
+		}()
+		if tb, live := s.liveTrace(key); live && !job.Terminal() {
 			followTrace(w, r, tb)
 			return
 		}

@@ -332,3 +332,60 @@ func TestHTTPTraceOfQueuedJob(t *testing.T) {
 		t.Fatalf("trace of a done job with no trace file = %d, want 500", code)
 	}
 }
+
+// A followed trace says how the job ended: the streamed bytes are the
+// trace, and the Anduril-Job-State trailer after them is the record's state
+// once the log closed — failed for a search that fails after emitting, the
+// unfinished running for one a drain interrupts, done for one that
+// completes. The follower joins while the job runs, so the log closes only
+// after the record says how it ended.
+func TestHTTPTraceFollowSaysHowTheJobEnded(t *testing.T) {
+	ev := trace.Event{Type: trace.FreeRun, Target: "f4", Strategy: "full-feedback", Seed: 1}
+	for _, c := range []struct {
+		name, want string
+		end        func(opts core.Options) (*core.Report, error)
+	}{
+		{"failed", StateFailed, func(core.Options) (*core.Report, error) {
+			return nil, fmt.Errorf("search failed after one event")
+		}},
+		{"drained", StateRunning, func(opts core.Options) (*core.Report, error) {
+			<-opts.Context.Done()
+			return &core.Report{Interrupted: true}, nil
+		}},
+		{"done", StateDone, func(core.Options) (*core.Report, error) {
+			return &core.Report{Target: "f4", Reproduced: true, Rounds: 1}, nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := newServer(t, Config{Workers: 1})
+			started, release := make(chan struct{}), make(chan struct{})
+			s.searchFn = func(sp Spec, opts core.Options) (*core.Report, error) {
+				opts.Trace.Emit(&ev)
+				close(started)
+				<-release
+				return c.end(opts)
+			}
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+
+			_, sr := postSpec(t, ts.URL, Spec{Failure: "f4"})
+			<-started
+			resp, err := http.Get(ts.URL + "/jobs/" + sr.Job.Key + "/trace?follow=1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			close(release)
+			if c.name == "drained" {
+				s.Shutdown()
+			}
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil || !bytes.Equal(raw, encodeLine(ev)) {
+				t.Fatalf("followed trace = %q (%v), want its one event", raw, err)
+			}
+			if got := resp.Trailer.Get(TrailerJobState); got != c.want {
+				t.Fatalf("trailer %s = %q, want %q", TrailerJobState, got, c.want)
+			}
+		})
+	}
+}

@@ -291,32 +291,11 @@ func (s *Server) TraceJSONL(key string) ([]byte, error) {
 // Jobs returns every job record, sorted by key.
 func (s *Server) Jobs() []Job { return s.journal.Jobs() }
 
-// Executions reports how many search executions the server has started —
-// the dedupe tests' observable: N identical submissions move it by one.
-func (s *Server) Executions() int64 { return s.executions.Load() }
-
 // Ready reports whether the server is accepting submissions.
 func (s *Server) Ready() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return !s.draining
-}
-
-// WaitIdle blocks until no job is queued or executing, or ctx ends.
-func (s *Server) WaitIdle(ctx context.Context) error {
-	for {
-		s.mu.Lock()
-		idle := s.queued == 0 && s.active == 0
-		s.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
 }
 
 // Shutdown drains the daemon: submissions are rejected, every running
@@ -351,11 +330,13 @@ func (s *Server) work() {
 	}
 }
 
-// runJob executes one job once: it publishes running, runs the search, and
-// journals the outcome. It is the only writer of the job's state while the
-// job runs. Outside executeOnce, the job's one panic boundary, it only
-// reads and writes the journal, and those calls return errors. An execution that fails is the job's verdict: the search is a
-// pure function of its spec, so running the spec again would fail again.
+// runJob executes one job once: it publishes running and the job's trace,
+// runs the search, journals the outcome and then closes the trace. It is
+// the only writer of the job's state while the job runs. Outside
+// executeOnce, the job's one panic boundary, it only reads and writes the
+// journal, and those calls return errors. An execution that fails is the
+// job's verdict: the search is a pure function of its spec, so running the
+// spec again would fail again.
 func (s *Server) runJob(key string) {
 	s.mu.Lock()
 	s.queued--
@@ -374,7 +355,15 @@ func (s *Server) runJob(key string) {
 	}
 	s.journal.Publish(key, func(j *Job) { j.State = StateRunning })
 
-	execErr := s.executeOnce(key, job.Spec)
+	// The trace closes only once the record says how the job ended, so a
+	// follower that sees the log close reads the final state.
+	tb := newTraceBuffer()
+	s.setTrace(key, tb)
+	defer func() {
+		s.setTrace(key, nil)
+		tb.Close()
+	}()
+	execErr := s.executeOnce(key, job.Spec, tb)
 	if execErr == nil {
 		// The job is journaled done, or a graceful drain interrupted it and
 		// the next Open runs it again.
@@ -393,18 +382,11 @@ func (s *Server) runJob(key string) {
 // that cannot start and an I/O error all surface as the error runJob
 // journals the job failed with — one poisoned job cannot take down the
 // daemon. A drained search returns nil and commits nothing.
-func (s *Server) executeOnce(key string, spec Spec) (err error) {
+func (s *Server) executeOnce(key string, spec Spec, tb *traceBuffer) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("server: job panic: %v", r)
 		}
-	}()
-
-	tb := newTraceBuffer()
-	s.setTrace(key, tb)
-	defer func() {
-		s.setTrace(key, nil)
-		tb.Close()
 	}()
 
 	s.executions.Add(1)

@@ -222,7 +222,7 @@ func TestDaemonReportScriptsReplay(t *testing.T) {
 			t.Fatalf("%s: script exported from the stored report does not load: %v\n%s", spec.Failure, err, file)
 		}
 		tgt := serialTarget(t, spec.Failure)
-		res, err := cluster.Run(nil, nil, loaded.Seed, loaded.Plan(), tgt.Workload, tgt.Horizon, 0)
+		res, err := cluster.Run(nil, nil, loaded.Seed, inject.Exact(loaded.Faults...), tgt.Workload, tgt.Horizon, 0)
 		if err != nil || !tgt.Oracle.Satisfied(res) {
 			t.Fatalf("%s: script %+v from the stored report does not replay under its seed %d", spec.Failure, loaded.Faults, loaded.Seed)
 		}

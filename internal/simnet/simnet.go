@@ -207,10 +207,6 @@ func (n *Net) Partition(a, b string, cut bool) {
 	n.partitioned[[2]string{b, a}] = true
 }
 
-// Partitions returns how many directed pair entries are currently cut —
-// exposed so tests can assert heals fully retire their entries.
-func (n *Net) Partitions() int { return len(n.partitioned) }
-
 func (n *Net) latency() des.Time {
 	return n.minLat + n.sim.Jitter(n.maxLat-n.minLat+1)
 }
