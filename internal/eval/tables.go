@@ -313,7 +313,7 @@ func Table10BeyondPaper(opt Options) (*Table, error) {
 		Title:  "Table 10: failures beyond the paper's dataset (full feedback under each failure's fault classes)",
 		Header: []string{"Failure", "Classes", "Script", "Rounds"},
 	}
-	scens := slices.DeleteFunc(failures.All(), func(s *failures.Scenario) bool { return s.FaultClasses == nil })
+	scens := failures.All()[len(failures.SiteDataset()):]
 	reps, err := runGrid(opt, "table10", scens, variant{opts: opt.search(core.FullFeedback)})
 	if err != nil {
 		return nil, err

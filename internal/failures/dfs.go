@@ -12,15 +12,14 @@ import (
 
 // searchOccurrence trial-injects occurrences of a site until one satisfies
 // the scenario's oracle — used for failures whose reproducing instance
-// depends on concurrent timing (e.g. pool exhaustion). A trial that could
-// not be judged (a panic, a livelock) is not the instance.
+// depends on concurrent timing (e.g. pool exhaustion). Each trial is a
+// core.Verify, so one that cannot be judged (a panic, a livelock) is not
+// the instance.
 func searchOccurrence(s *Scenario, free *cluster.Result, seed int64, site string) (inject.Instance, bool) {
 	n := free.Env.FI.Counts()[site]
-	var env *cluster.Env
 	for occ := 1; occ <= n; occ++ {
 		inst := inject.Instance{Site: site, Occurrence: occ}
-		var ok bool
-		if ok, env = s.trial(env, seed, inject.Exact(inst), 0); ok {
+		if core.Verify(&s.Target, inst, seed) {
 			return inst, true
 		}
 	}

@@ -9,10 +9,10 @@ package failures
 //
 // f26–f28 are rooted in error-return faults, but they opt into the env
 // search space too (the dyn target registers crash/restart controls and
-// its workloads survive environment faults), so they carry non-nil
-// FaultClasses and stay out of the paper's 22-scenario evaluation
-// dataset. f29 is rooted in a network partition and searches env
-// pseudo-sites only, like f23–f25.
+// its workloads survive environment faults); like every failure after
+// f22 they stay out of the paper's 22-scenario evaluation dataset. f29 is
+// rooted in a network partition and searches env pseudo-sites only, like
+// f23–f25.
 
 import (
 	"anduril/internal/cluster"

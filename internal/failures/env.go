@@ -4,8 +4,8 @@ package failures
 // is not an exception-shaped error return but something the deployment
 // environment did — a node crash, a network partition, a delayed
 // message. They exercise the env pseudo-site search space
-// (internal/inject's env/ sites) end-to-end and are kept out of the
-// paper's f1–f22 evaluation dataset by their non-nil FaultClasses.
+// (internal/inject's env/ sites) end-to-end and, numbered after f22, stay
+// out of the paper's f1–f22 evaluation dataset.
 
 import (
 	"fmt"

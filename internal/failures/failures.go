@@ -8,17 +8,19 @@
 // workload, a failure oracle, and a production failure log.
 //
 // The failure log is produced the way the paper does for tickets without
-// one (§8): the ground-truth fault is injected once, under a seed disjoint
-// from the explorer's, and the resulting log is rendered to text and parsed
-// back — so the explorer only ever sees what a production log file carries.
-// A scenario states that fault as a concrete instance, its Root; FindRoot
-// is the rule that locates it in a free run (nil: Root's occurrence of
-// Root's site), and a test holds the stated instance to what the rule
-// finds under FailureSeed.
+// one (§8): the ground-truth fault is replayed once by core.Replay (workflow
+// step 4.a) under a seed disjoint from the explorer's, and the resulting
+// log is rendered to text and parsed back — so the explorer only ever sees
+// what a production log file carries. A scenario states that fault as a
+// concrete instance, its Root; FindRoot is the rule that locates it in a
+// free run (nil: Root's occurrence of Root's site), judging candidates with
+// core.Verify, and a test holds the stated instance to what the rule finds
+// under FailureSeed. The package runs nothing itself: every run is core's.
 package failures
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -38,11 +40,8 @@ import (
 
 // Scenario is one dataset entry: the explorer's Target minus what
 // BuildTarget derives (FailureLog, Analysis), plus the rule that locates
-// the ground-truth root. Its FailureLog method shadows the promoted
-// Target.FailureLog field, which stays empty here.
-//
-// Target.FaultClasses nil keeps the paper's site-only space, the f1–f22
-// dataset; register fills Target.Horizon and SrcDirs from the system's row.
+// the ground-truth root. register fills Target.Horizon and SrcDirs from
+// the system's row.
 type Scenario struct {
 	core.Target
 
@@ -83,62 +82,26 @@ func srcDirs(system string) []string { return []string{"internal/sys/" + system}
 // the failure log; the explorer's rounds use unrelated seeds.
 const FailureSeed = 9999
 
-// analysisEntry caches one system's static analysis behind a sync.Once,
-// so concurrent Analyze calls for different systems proceed in parallel
-// while calls for the same system share a single computation.
-type analysisEntry struct {
-	once sync.Once
-	res  *analysis.Result
-	err  error
-}
-
-var (
-	analysisMu    sync.Mutex // guards the cache map only, never the analysis
-	analysisCache = map[string]*analysisEntry{}
-)
+// analyses is one memo per system row: its static analysis, computed on
+// first use. Calls for different systems proceed in parallel; calls for
+// the same system share one computation.
+var analyses = func() map[string]func() (*analysis.Result, error) {
+	m := make(map[string]func() (*analysis.Result, error), len(systems))
+	for name := range systems {
+		m[name] = sync.OnceValues(func() (*analysis.Result, error) { return analysis.AnalyzePackages(srcDirs(name)) })
+	}
+	return m
+}()
 
 // Analyze returns the (cached) static analysis of a system's source. It is
 // safe for concurrent use; the returned Result is shared and must be
 // treated as read-only (every accessor on analysis.Result already is).
 func Analyze(system string) (*analysis.Result, error) {
-	if _, ok := systems[system]; !ok {
+	a, ok := analyses[system]
+	if !ok {
 		return nil, fmt.Errorf("failures: no system %q", system)
 	}
-	analysisMu.Lock()
-	e, ok := analysisCache[system]
-	if !ok {
-		e = &analysisEntry{}
-		analysisCache[system] = e
-	}
-	analysisMu.Unlock()
-	e.once.Do(func() {
-		e.res, e.err = analysis.AnalyzePackages(srcDirs(system))
-	})
-	return e.res, e.err
-}
-
-// features returns the runtime features the scenario's own runs need: those
-// of its fault classes, so its runs count their pseudo-sites (FindRoot's
-// free runs read the counts) as the explorer's do.
-func (s *Scenario) features() inject.Features {
-	f, err := core.ClassFeatures(s.FaultClasses)
-	if err != nil {
-		panic(fmt.Sprintf("failures: %s: %v", s.ID, err)) // the dataset names only known classes
-	}
-	return f
-}
-
-// trial runs one candidate of a ground-truth search in env (nil: a fresh
-// one) and reports whether it satisfies the scenario's oracle, with the
-// environment the next trial may run in: this one's after a clean run,
-// nil after one that could not be judged (a panic, a livelock), which
-// does not satisfy the oracle either.
-func (s *Scenario) trial(env *cluster.Env, seed int64, plan *inject.Plan, feats inject.Features) (bool, *cluster.Env) {
-	res, err := cluster.Run(nil, env, seed, plan, s.Workload, s.Horizon, feats)
-	if err != nil {
-		return false, nil
-	}
-	return s.Oracle.Satisfied(res), res.Release()
+	return a()
 }
 
 // findRoot is FindRoot, or, when FindRoot is nil, Root itself if the free
@@ -153,21 +116,6 @@ func (s *Scenario) findRoot(free *cluster.Result, seed int64) (inject.Instance, 
 	return s.Root, true
 }
 
-// FailureLog produces the production failure log: one run with the
-// ground-truth fault, Root, injected under FailureSeed, rendered to text and
-// parsed back. A run that panics or livelocks is a *cluster.TrialError.
-func (s *Scenario) FailureLog() ([]logging.Entry, error) {
-	res, err := cluster.Run(nil, nil, FailureSeed, inject.Exact(s.Root), s.Workload, s.Horizon, s.features())
-	if err != nil {
-		return nil, fmt.Errorf("%s: ground-truth run: %w", s.ID, err)
-	}
-	if !s.Oracle.Satisfied(res) {
-		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, s.Root)
-	}
-	text := res.RenderLog()
-	return logging.Parse(text), nil
-}
-
 // BuildTarget assembles the explorer's Target for this scenario, once per
 // process: every caller — concurrent ones included — gets the same
 // *core.Target. A Target is read-only by contract (see core.Target), which
@@ -178,17 +126,24 @@ func (s *Scenario) BuildTarget() (*core.Target, error) {
 	return s.target.t, s.target.err
 }
 
+// buildTarget produces the production failure log — one core.Replay of
+// Root under FailureSeed, rendered to text and parsed back — and adds the
+// system's analysis. A log run that panics or livelocks is a
+// *cluster.TrialError.
 func (s *Scenario) buildTarget() (*core.Target, error) {
+	res, sat, err := core.Replay(&s.Target, FailureSeed, s.Root)
+	if err != nil {
+		return nil, fmt.Errorf("%s: ground-truth run: %w", s.ID, err)
+	}
+	if !sat {
+		return nil, fmt.Errorf("%s: ground-truth injection %v does not satisfy the oracle", s.ID, s.Root)
+	}
 	an, err := Analyze(s.System)
 	if err != nil {
 		return nil, err
 	}
-	flog, err := s.FailureLog()
-	if err != nil {
-		return nil, err
-	}
 	t := s.Target
-	t.FailureLog, t.Analysis = flog, an
+	t.FailureLog, t.Analysis = logging.Parse(res.RenderLog()), an
 	return &t, nil
 }
 
@@ -222,18 +177,11 @@ func scenarioNum(id string) int {
 	return n
 }
 
-// SiteDataset returns the paper's evaluation dataset: the 22 scenarios
-// rooted in error-return faults (nil FaultClasses), in dataset order.
-// The env-rooted and pair-rooted scenarios are excluded so evaluation
-// tables keep reproducing Table 5 unchanged.
+// SiteDataset returns the paper's evaluation dataset, f1–f22: the
+// scenarios mirroring Table 5's issues, in dataset order. The failures
+// beyond it, f23–f34, follow it in All.
 func SiteDataset() []*Scenario {
-	var out []*Scenario
-	for _, s := range All() {
-		if s.FaultClasses == nil {
-			out = append(out, s)
-		}
-	}
-	return out
+	return slices.DeleteFunc(All(), func(s *Scenario) bool { return scenarioNum(s.ID) > 22 })
 }
 
 // ByID returns the scenario with the given dataset or issue id.

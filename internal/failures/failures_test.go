@@ -24,6 +24,17 @@ func run(t *testing.T, s *Scenario, seed int64, plan *inject.Plan, feats inject.
 	return res
 }
 
+// freeRun is the scenario's free run under seed, counting the pseudo-sites
+// of its fault classes as the explorer's free run does.
+func freeRun(t *testing.T, s *Scenario, seed int64) *cluster.Result {
+	t.Helper()
+	feats, err := core.ClassFeatures(s.FaultClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run(t, s, seed, nil, feats)
+}
+
 // rootLiteral renders a root instance as the Scenario.Root literal that
 // states it.
 func rootLiteral(inst inject.Instance) string {
@@ -48,7 +59,7 @@ func TestScenarioInvariants(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			// 1. No fault, no failure.
-			free := run(t, s, FailureSeed, nil, s.features())
+			free := freeRun(t, s, FailureSeed)
 			if s.Oracle.Satisfied(free) {
 				t.Fatalf("%s: oracle satisfied without any fault", s.ID)
 			}
@@ -65,10 +76,11 @@ func TestScenarioInvariants(t *testing.T) {
 				t.Fatalf("%s: ground truth %v does not reproduce\n%s", s.ID, inst, res.RenderLog())
 			}
 			// 3. Failure log is non-trivial.
-			flog, err := s.FailureLog()
+			tgt, err := s.BuildTarget()
 			if err != nil {
 				t.Fatal(err)
 			}
+			flog := tgt.FailureLog
 			if len(flog) < 10 {
 				t.Fatalf("%s: failure log has only %d entries", s.ID, len(flog))
 			}
@@ -97,7 +109,7 @@ func TestGroundTruthStableAcrossSeeds(t *testing.T) {
 		s := s
 		t.Run(s.ID, func(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
-				inst, ok := s.findRoot(run(t, s, seed, nil, s.features()), seed)
+				inst, ok := s.findRoot(freeRun(t, s, seed), seed)
 				if !ok {
 					t.Fatalf("seed %d: ground truth not found", seed)
 				}
@@ -264,9 +276,9 @@ func TestPartialScenariosNeedPartialFault(t *testing.T) { needsItsClass(t, "f32"
 
 // TestBrokenScenarioIsATrialError: the dataset's own runs are watched, so a
 // scenario whose workload livelocks (a zero-delay event that reschedules
-// itself) or panics fails FailureLog — and BuildTarget — with a
-// *cluster.TrialError of its class instead of hanging or crashing the
-// process.
+// itself) or panics fails buildTarget with a *cluster.TrialError of its
+// class instead of hanging or crashing the process — before it looks for
+// an analysis of the system the scenario does not name.
 func TestBrokenScenarioIsATrialError(t *testing.T) {
 	livelock := func(env *cluster.Env) {
 		var spin func()
@@ -279,35 +291,35 @@ func TestBrokenScenarioIsATrialError(t *testing.T) {
 	for class, w := range map[string]cluster.Workload{cluster.ClassEventBudget: livelock, cluster.ClassPanic: crash} {
 		t.Run(class, func(t *testing.T) {
 			s := &Scenario{Target: core.Target{ID: "broken-" + class, Workload: w, Horizon: des.Second}}
-			_, err := s.FailureLog()
+			_, err := s.buildTarget()
 			var te *cluster.TrialError
 			if !errors.As(err, &te) || te.Class != class {
-				t.Fatalf("FailureLog: %v, want a TrialError of class %q", err, class)
+				t.Fatalf("buildTarget: %v, want a TrialError of class %q", err, class)
 			}
 		})
 	}
 }
 
-// TestFailureLogIsOneRun: a scenario states its root, so producing its
-// failure log runs the workload once — no free run, no ground-truth search
-// — and yields the log BuildTarget hands the explorer.
+// TestFailureLogIsOneRun: a scenario states its root, so building its
+// target runs the workload once — no free run, no ground-truth search —
+// and yields the log BuildTarget hands the explorer.
 func TestFailureLogIsOneRun(t *testing.T) {
 	f20, _ := ByID("f20")
 	runs := 0
 	s := &Scenario{Target: f20.Target}
 	s.Workload = func(env *cluster.Env) { runs++; f20.Workload(env) }
-	flog, err := s.FailureLog()
+	got, err := s.buildTarget()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if runs != 1 {
-		t.Errorf("FailureLog ran the workload %d times, want 1", runs)
+		t.Errorf("buildTarget ran the workload %d times, want 1", runs)
 	}
-	tgt, err := f20.BuildTarget()
+	want, err := f20.BuildTarget()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(flog, tgt.FailureLog) {
-		t.Errorf("FailureLog: %d entries differ from BuildTarget's %d", len(flog), len(tgt.FailureLog))
+	if !slices.Equal(got.FailureLog, want.FailureLog) {
+		t.Errorf("buildTarget: %d entries differ from BuildTarget's %d", len(got.FailureLog), len(want.FailureLog))
 	}
 }

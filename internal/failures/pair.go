@@ -79,12 +79,10 @@ func init() {
 			// stream — so scan persist occurrences from the top. The hint
 			// member is scanned in attempt order.
 			counts := free.Env.FI.Counts()
-			var env *cluster.Env
 			for y := counts[pr]; y >= 1; y-- {
 				for x := 1; x <= counts[rh]; x++ {
 					pi := inject.PairInstance(inject.Instance{Site: rh, Occurrence: x}, inject.Instance{Site: pr, Occurrence: y})
-					var ok bool
-					if ok, env = s.trial(env, seed, inject.Exact(pi), s.features()); ok {
+					if core.Verify(&s.Target, pi, seed) {
 						return pi, true
 					}
 				}
@@ -118,12 +116,10 @@ func init() {
 			// heads rotate round-robin, so which combinations land on
 			// distinct datanodes depends on block numbering — trial-inject.
 			n := free.Env.FI.Counts()[cd]
-			var env *cluster.Env
 			for x := 1; x <= n; x++ {
 				for y := x + 1; y <= n; y++ {
 					pi := inject.PairInstance(inject.Instance{Site: cd, Occurrence: x}, inject.Instance{Site: cd, Occurrence: y})
-					var ok bool
-					if ok, env = s.trial(env, seed, inject.Exact(pi), s.features()); ok {
+					if core.Verify(&s.Target, pi, seed) {
 						return pi, true
 					}
 				}

@@ -5,8 +5,8 @@ package failures
 // a rename torn between copy and unlink, a short write leaving half a
 // record, a message delivered twice. They exercise the partial
 // pseudo-site search space (internal/inject's partial/ sites) end-to-end
-// and are kept out of the paper's f1–f22 evaluation dataset by their
-// non-nil FaultClasses. Each reproduces ONLY under a partial fault: the
+// and, numbered after f22, stay out of the paper's f1–f22 evaluation
+// dataset. Each reproduces ONLY under a partial fault: the
 // clean all-or-nothing faults of the site and env classes cannot leave
 // the intermediate states these oracles pin (proven by the sweep tests
 // in internal/core).

@@ -10,24 +10,26 @@
 # A running search keeps nothing on disk: a kill loses it, and the restart
 # re-admits the job and runs it again from its spec. What a kill can land
 # inside is the journal's writes — admission, a resubmission's count, and
-# the completion commit's trace, report and record renames. -workers 1, a
-# set of ~110 distinct specs and a sub-second stagger keep a backlog under
-# every kill: a job here is milliseconds of work, so with a worker per CPU
-# and seconds between kills the whole set finishes inside the submit phase
-# and every kill lands on an idle daemon. The gate therefore counts the
+# the completion commit's trace, report and record renames. -workers 1,
+# 1500 submissions over ~240 distinct specs and a sub-second stagger keep
+# a backlog under every kill: a job here is milliseconds of work, so with
+# a worker per CPU and seconds between kills the whole set finishes inside
+# the submit phase and every kill lands on an idle daemon, and 400
+# submissions over ~110 specs drained by the third kill on a 2-vCPU VM.
+# The gate therefore counts the
 # daemon's "re-admitted job" lines per restart and fails as vacuous unless
 # most restarts found unfinished work to re-admit. The kill offsets are a
 # fixed stagger, not random — CI must be reproducible — but they drift
 # against the job cadence, so successive kills land at different points of
 # the journal write sequence.
 #
-# Tunables (env): JOBS (default 400), DISTINCT (150), SEED (7),
+# Tunables (env): JOBS (default 1500), DISTINCT (600), SEED (7),
 # KILLS (6), ADDR (127.0.0.1:18478).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS="${JOBS:-400}"
-DISTINCT="${DISTINCT:-150}"
+JOBS="${JOBS:-1500}"
+DISTINCT="${DISTINCT:-600}"
 SEED="${SEED:-7}"
 KILLS="${KILLS:-6}"
 ADDR="${ADDR:-127.0.0.1:18478}"
